@@ -68,7 +68,7 @@ func BenchmarkAblation_PosteriorApprox(b *testing.B) {
 }
 
 func denseNeighborhood(n int) *propagation.Neighborhood {
-	nb := &propagation.Neighborhood{N1Size: n, N2Size: n, Eps1: 0.9, Eps2: 0.9}
+	nb := &propagation.Neighborhood{Eps1: 0.9, Eps2: 0.9}
 	id := 0
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {

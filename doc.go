@@ -30,17 +30,20 @@
 // default) picks a shard count automatically from the graph size — small
 // graphs stay monolithic — 1 forces the monolithic pipeline, and an
 // explicit count pins it. A sharded run resolves exactly the matches and
-// non-matches of the unsharded one; it is faster because re-estimation
-// rebuilds, gathering and selection scope to the shards a batch touched,
-// settled shards free their engines outright, and shard work fans out
-// across cores. Session snapshots record the shard assignment and reject
+// non-matches of the unsharded one; it is faster because gathering and
+// selection scope to the shards a batch touched, settled shards free
+// their engines outright, and shard work fans out across cores.
+// Re-estimation is incremental in every layer: new matches fold into
+// per-label statistics the loop keeps, only labels whose evidence changed
+// are re-fitted, only their rows are rewritten — in place — and only the
+// ζ-balls that can see a rewritten edge are re-inferred. Session snapshots record the shard assignment and reject
 // a restore against a differently partitioned pipeline.
 //
 // Inside a shard, the propagation hot path runs on flat storage: the
 // probabilistic ER graph is compressed sparse row with precomputed
 // −log-probability edge lengths and a mirrored in-CSR (removed edges
 // zero their slot; post-build additions live in an overlay folded back
-// in on re-estimation rebuilds), each Dijkstra worker reuses a pooled
+// in on full engine rebuilds), each Dijkstra worker reuses a pooled
 // epoch-stamped dense scratch with an index-typed 4-ary heap, emitted
 // inferred sets are sorted (index, distance) slices rather than maps,
 // and Algorithm 3's benefit state shares the same dense epoch-stamped

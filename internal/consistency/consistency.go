@@ -9,7 +9,11 @@
 // ε), restarted from several initial values — see DESIGN.md §4.
 package consistency
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Observation is one initial entity match's view of a relationship pair:
 // the sizes of the two value sets and, optionally, a known lower bound on
@@ -160,21 +164,37 @@ func logChoose(n, k int) float64 {
 	return logFact(n) - logFact(k) - logFact(n-k)
 }
 
-var logFactCache []float64
+// logFactTable is the shared table of log n!: entry n is the cumulative
+// sum log 1 + … + log n, added in that order, so every table — whatever
+// sequence of calls grew it — holds the same bits. Fits run concurrently
+// (the pipeline fans labels across its scheduler, and sessions share the
+// process), so a published table is immutable: readers load it without
+// locking, and growth copies it into a larger one under logFactMu.
+var (
+	logFactTable atomic.Pointer[[]float64]
+	logFactMu    sync.Mutex
+)
 
 func logFact(n int) float64 {
-	if n < len(logFactCache) {
-		return logFactCache[n]
+	if t := logFactTable.Load(); t != nil && n < len(*t) {
+		return (*t)[n]
 	}
-	start := len(logFactCache)
-	if start == 0 {
-		logFactCache = append(logFactCache, 0)
-		start = 1
+	logFactMu.Lock()
+	defer logFactMu.Unlock()
+	var old []float64
+	if t := logFactTable.Load(); t != nil {
+		old = *t
 	}
-	for i := start; i <= n; i++ {
-		logFactCache = append(logFactCache, logFactCache[i-1]+math.Log(float64(i)))
+	if n < len(old) { // another goroutine grew it meanwhile
+		return old[n]
 	}
-	return logFactCache[n]
+	grown := make([]float64, max(n+1, 2*len(old), 64))
+	copy(grown, old)
+	for i := max(len(old), 1); i < len(grown); i++ {
+		grown[i] = grown[i-1] + math.Log(float64(i))
+	}
+	logFactTable.Store(&grown)
+	return grown[n]
 }
 
 func clamp(x, lo, hi float64) float64 {

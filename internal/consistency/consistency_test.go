@@ -3,6 +3,7 @@ package consistency
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -136,4 +137,40 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestFitConcurrentSharesLogFactTable is the regression test for the data
+// race on the shared log-factorial table: the pipeline fits labels
+// concurrently, and fits with value sets larger than the table has seen
+// make it grow mid-run. Run under -race; the value sets are larger than
+// any other test's, so the growth happens here whatever ran before.
+func TestFitConcurrentSharesLogFactTable(t *testing.T) {
+	observations := func(g int) []Observation {
+		return []Observation{{N1: 400 + 60*g, N2: 380 + 60*g, KnownL: 3}, {N1: 40, N2: 45}, {N1: 41 + g, N2: 3}}
+	}
+	const fits = 4
+	got := make([]Estimate, fits)
+	var wg sync.WaitGroup
+	for g := 0; g < fits; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = Fit(observations(g), DefaultOptions())
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		want := Fit(observations(g), DefaultOptions())
+		if got[g].Eps1 != want.Eps1 || got[g].Eps2 != want.Eps2 || got[g].LogLikelihood != want.LogLikelihood {
+			t.Errorf("fit %d: concurrent %+v, serial %+v", g, got[g], want)
+		}
+	}
+	// However the table grew, entry n is the same left-to-right sum.
+	sum := 0.0
+	for n := 1; n <= 700; n++ {
+		sum += math.Log(float64(n))
+		if logFact(n) != sum {
+			t.Fatalf("logFact(%d) = %v, cumulative sum %v", n, logFact(n), sum)
+		}
+	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/datasets"
 	"repro/internal/pair"
 )
 
@@ -36,12 +38,16 @@ func assertResultsIdentical(t *testing.T, a, b *Result) {
 	if a.Loops != b.Loops {
 		t.Fatalf("Loops differ: %d vs %d", a.Loops, b.Loops)
 	}
+	if a.Deduced != b.Deduced {
+		t.Fatalf("Deduced differ: %d vs %d", a.Deduced, b.Deduced)
+	}
 }
 
-// TestRunIncrementalMatchesFullResync is the engine-swap regression test:
-// the incremental dirty-source policy must produce results identical to
-// the historical full-recompute-per-loop policy across configuration
-// variants and asker types, on the synthetic movie suite.
+// TestRunIncrementalMatchesFullResync is the incremental-machine regression
+// test: folded statistics, in-place label rewrites and exact ball
+// invalidation must produce results identical to the from-scratch policy
+// (regather and refit everything, rebuild every graph and engine at every
+// loop) across configuration variants, asker types and shard counts.
 func TestRunIncrementalMatchesFullResync(t *testing.T) {
 	cases := []struct {
 		name string
@@ -81,6 +87,38 @@ func TestRunIncrementalMatchesFullResync(t *testing.T) {
 		}
 		assertResultsIdentical(t, run(false), run(true))
 	})
+
+	// Hybrid × Deduce × shard count on the clustered graph, whose relation
+	// families give shards disjoint labels, under a fallible crowd: wrong
+	// confirmations, hard questions and competitor detaches all feed
+	// re-estimation here.
+	ds := datasets.Clustered(24, 10, 7)
+	for _, hybrid := range []bool{false, true} {
+		for _, ded := range []bool{false, true} {
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("hybrid=%v/deduce=%v/shards=%d", hybrid, ded, shards), func(t *testing.T) {
+					run := func(fullResync bool) *Result {
+						cfg := DefaultConfig()
+						cfg.Hybrid, cfg.Deduce, cfg.Shards = hybrid, ded, shards
+						cfg.debugFullResync = fullResync
+						p := Prepare(ds.K1, ds.K2, cfg)
+						if p.NumShards() != shards {
+							t.Fatalf("fixture produced %d shards, want %d", p.NumShards(), shards)
+						}
+						platform := crowd.NewPlatform(ds.Gold.IsMatch, crowd.Config{
+							NumWorkers: 20, WorkersPerQuestion: 3, ErrorRate: 0.15, Seed: 9,
+						})
+						return p.Run(platform)
+					}
+					res := run(false)
+					if res.Loops < 2 {
+						t.Fatalf("fixture too easy: %d loops, re-estimation never ran", res.Loops)
+					}
+					assertResultsIdentical(t, res, run(true))
+				})
+			}
+		}
+	}
 }
 
 // TestRunIsDeterministic guards the sorted inferred-index lists: two runs

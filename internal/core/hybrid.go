@@ -55,10 +55,10 @@ func (l *Loop) monotoneInference() {
 // constraint; its provenance counts as propagation for reporting.
 func (l *Loop) acceptMonotone(v pair.Pair) {
 	l.record(v, deduce.Match)
+	l.resolving(v)
 	l.res.Propagated.Add(v)
 	l.res.Matches.Add(v)
 	l.pendingSeeds = append(l.pendingSeeds, v)
-	l.touch(v)
 	l.runnerResolve(v, false)
 	l.resolveCompetitors(v)
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/consistency"
 	"repro/internal/crowd"
 	"repro/internal/deduce"
+	"repro/internal/ergraph"
 	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/selection"
@@ -64,8 +66,9 @@ type Answer struct {
 // monolithic pipeline is dirtied by every answer, which is exactly the
 // per-loop cost sharding scopes down.
 type loopShard struct {
-	pipe    *shardPipe
-	settled bool
+	pipe       *shardPipe
+	settled    bool
+	unresolved int // vertices not yet resolved either way; 0 settles the shard
 
 	dirty   bool
 	cands   []selection.Candidate
@@ -121,9 +124,13 @@ type Loop struct {
 	err     error // sticky runner failure; the loop is dead once set
 
 	// pendingSeeds are the matches confirmed or propagated since the last
-	// consistency refit; re-estimation uses them to skip labels whose
-	// observation sets provably did not change.
+	// consistency refit; re-estimation folds them into stats, the per-label
+	// observation lists (built at the first re-estimation), and re-fits
+	// only the labels whose list changed. est are the loop's current
+	// estimates: the Prepared's own map until the first refit replaces it.
 	pendingSeeds []pair.Pair
+	stats        *seedStats
+	est          map[ergraph.RelPair]consistency.Estimate
 
 	// ded is the transitive-closure deduction store (Config.Deduce); it
 	// records every resolution and lets drain skip open questions whose
@@ -151,6 +158,7 @@ func (p *Prepared) NewLoop() *Loop {
 		},
 		priors: make(map[pair.Pair]float64, len(p.Priors)),
 		hard:   pair.Set{},
+		est:    p.Consistency,
 	}
 	for k, v := range p.Priors {
 		l.priors[k] = v
@@ -161,7 +169,7 @@ func (p *Prepared) NewLoop() *Loop {
 	}
 	l.shards = make([]*loopShard, len(p.pipes))
 	for s := range l.shards {
-		l.shards[s] = &loopShard{pipe: p.pipes[s], dirty: true}
+		l.shards[s] = &loopShard{pipe: p.pipes[s], dirty: true, unresolved: p.pipes[s].graph.NumVertices()}
 	}
 	// The initial engine builds are the first propagation work of the
 	// session; their Dijkstra fan-out lands in the infer stage and the
@@ -256,6 +264,19 @@ func (l *Loop) touch(q pair.Pair) {
 	}
 }
 
+// resolving is called just before q enters a result set: it dirties q's
+// shard and, on q's first resolution (an inconsistent crowd can resolve a
+// pair twice, even both ways), counts it off the shard's unresolved
+// vertices.
+func (l *Loop) resolving(q pair.Pair) {
+	if s := l.shardIndex(q); s >= 0 {
+		l.shards[s].dirty = true
+		if !l.resolved(q) {
+			l.shards[s].unresolved--
+		}
+	}
+}
+
 // fail records a permanent runner failure: the loop is dead, Deliver
 // returns the error, and the engines are released best-effort.
 func (l *Loop) fail(err error) {
@@ -290,8 +311,8 @@ func (l *Loop) runnerResolve(q pair.Pair, detach bool) {
 // and the runner's propagation state (detachment) advance together.
 func (l *Loop) markNonMatch(v pair.Pair) {
 	l.record(v, deduce.NonMatch)
+	l.resolving(v)
 	l.res.NonMatches.Add(v)
-	l.touch(v)
 	l.runnerResolve(v, true)
 }
 
@@ -495,19 +516,7 @@ func (l *Loop) settle() {
 		return // a fully resolved single shard finishes the loop instead
 	}
 	for s, sh := range l.shards {
-		if sh.settled || !sh.dirty {
-			// A clean shard saw no resolution since its last gather, so it
-			// cannot have newly settled.
-			continue
-		}
-		allResolved := true
-		for _, v := range sh.pipe.graph.Vertices() {
-			if !l.resolved(v) {
-				allResolved = false
-				break
-			}
-		}
-		if !allResolved {
+		if sh.settled || sh.unresolved > 0 {
 			continue
 		}
 		sh.settled = true

@@ -15,7 +15,8 @@ import (
 
 // Prepared holds every artifact of stage 1 (ER graph construction) plus
 // the fitted consistency model and probabilistic ER graph, ready for the
-// human–machine loop. All fields are read-only after Prepare.
+// human–machine loop. All fields are read-only after Prepare, except the
+// probabilistic graphs, which the in-process runner mutates (see Prob).
 type Prepared struct {
 	K1, K2 *kb.KB
 	Cfg    Config
@@ -26,11 +27,17 @@ type Prepared struct {
 	Pruner      *simvec.Pruner
 	Retained    []pair.Pair
 	Graph       *ergraph.Graph
+	// Consistency is the initial fit, over Blocking.Initial. It is never
+	// written after Prepare: a loop re-estimates into its own copy
+	// (Loop.est), so the estimates a run ended on are not recorded here.
 	Consistency map[ergraph.RelPair]consistency.Estimate
 	// Prob is the monolithic probabilistic ER graph. It is populated only
 	// by single-shard pipelines (the default for laptop-scale graphs);
 	// sharded pipelines keep one probabilistic subgraph per shard instead,
-	// which bounds the peak size of any one engine's ball maps.
+	// which bounds the peak size of any one engine's ball maps. It reflects
+	// Consistency until a loop starts; the in-process runner then detaches
+	// vertices from it and rewrites it in place (see ShardState), so after
+	// a run it is scratch, not a result.
 	Prob   *propagation.ProbGraph
 	Priors map[pair.Pair]float64
 
@@ -174,50 +181,14 @@ func (p *Prepared) fitConsistency(seeds []pair.Pair) map[ergraph.RelPair]consist
 	return out
 }
 
-// refitConsistency recomputes estimates for the touched labels over the
-// full current seed list — producing exactly what a full refit would for
-// them — and carries the rest over from old, whose observations are
-// unchanged by construction of the touched set. touched == nil recomputes
-// every label.
-func (p *Prepared) refitConsistency(seeds []pair.Pair, old map[ergraph.RelPair]consistency.Estimate, touched map[ergraph.RelPair]bool) map[ergraph.RelPair]consistency.Estimate {
-	if touched == nil {
-		return p.fitConsistency(seeds)
-	}
-	labels := p.Graph.Labels()
-	out := make(map[ergraph.RelPair]consistency.Estimate, len(labels))
-	work := make([]ergraph.RelPair, 0, len(touched))
-	for _, label := range labels {
-		if touched[label] {
-			work = append(work, label)
-		} else {
-			out[label] = old[label]
-		}
-	}
-	seedSet := pair.NewSet(seeds...)
-	ests := make([]consistency.Estimate, len(work))
-	p.Cfg.scheduler().ForEach(len(work), func(i int) {
-		obs := p.consistencyObservations(work[i], seeds, seedSet)
-		ests[i] = consistency.Fit(obs, consistency.DefaultOptions())
-	})
-	for i, label := range work {
-		out[label] = ests[i]
-	}
-	return out
-}
-
 // consistencyObservations gathers (|N1|, |N2|, knownL) triples for one
-// edge label over the seed matches, following the label's direction.
+// edge label over the seed matches, following the label's direction. It is
+// the from-scratch form of the evidence the loop maintains incrementally
+// (seedStats).
 func (p *Prepared) consistencyObservations(label ergraph.RelPair, seeds []pair.Pair, seedSet pair.Set) []consistency.Observation {
 	var obs []consistency.Observation
 	for _, m := range seeds {
-		var n1, n2 []kb.EntityID
-		if label.Inverse {
-			n1 = p.K1.In(m.U1, label.R1)
-			n2 = p.K2.In(m.U2, label.R2)
-		} else {
-			n1 = p.K1.Out(m.U1, label.R1)
-			n2 = p.K2.Out(m.U2, label.R2)
-		}
+		n1, n2 := p.neighbors(label, m)
 		if len(n1) == 0 && len(n2) == 0 {
 			continue
 		}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"maps"
 	"slices"
 
+	"repro/internal/consistency"
 	"repro/internal/deduce"
 	"repro/internal/ergraph"
 	"repro/internal/pair"
@@ -43,8 +45,8 @@ type Result struct {
 // propagation.Engines — one per shard — and the Sync at the top of each
 // loop recomputes just the dirty sources, instead of the full InferAll
 // re-run the loop used to pay whenever an edge changed. Re-estimation
-// refits consistency globally and rebuilds only the shards whose labels
-// actually changed. Each batch of µ questions is resolved against the
+// refits only the labels whose evidence changed and rewrites only their
+// rows (see reestimate). Each batch of µ questions is resolved against the
 // snapshot taken at the loop top, exactly as before.
 func (p *Prepared) Run(asker Asker) *Result {
 	l := p.NewLoop()
@@ -123,6 +125,7 @@ func padBatch(cands []selection.Candidate, chosen []int, mu int) []int {
 // whole cascade stays within q's shard by construction.
 func (l *Loop) confirmMatch(q pair.Pair) {
 	l.record(q, deduce.Match)
+	l.resolving(q)
 	l.res.Confirmed.Add(q)
 	l.res.Matches.Add(q)
 	l.pendingSeeds = append(l.pendingSeeds, q)
@@ -145,6 +148,7 @@ func (l *Loop) confirmMatch(q pair.Pair) {
 			continue
 		}
 		l.record(pj, deduce.Match)
+		l.resolving(pj)
 		l.res.Propagated.Add(pj)
 		l.res.Matches.Add(pj)
 		l.pendingSeeds = append(l.pendingSeeds, pj)
@@ -171,57 +175,118 @@ func (l *Loop) resolveCompetitors(m pair.Pair) {
 }
 
 // reestimate re-fits consistency from the enlarged seed set (initial
-// matches plus confirmed and propagated matches) and rebuilds the edge
-// probabilities, keeping detached vertices detached (§VII-A). Both steps
-// are scoped exactly:
+// matches plus confirmed and propagated matches) and brings the edge
+// probabilities up to date, keeping detached vertices detached (§VII-A).
+// Every step costs what changed, not what exists:
 //
-//   - The refit skips labels none of the newly confirmed or propagated
-//     matches touch. A label's observations are its seeds' neighborhoods
-//     plus the seed-set membership of their neighbor pairs; a new seed
-//     can only perturb either by participating in the label's relations,
-//     so an untouched label's observations — and its deterministic fit —
-//     are unchanged.
-//   - A shard rebuilds (concurrently with its siblings) only when some
-//     label it contains was re-fitted to different (ε1, ε2); otherwise
-//     its incremental engine state, which already carries every
-//     detachment, is bit-identical to what the rebuild would produce.
+//   - The pending matches are folded into the per-label statistics
+//     (seedStats); only a label whose observation list changed is
+//     re-fitted, over the list it already holds. An unchanged list would
+//     reproduce its deterministic fit, so skipping it is exact.
+//   - Only the shards containing a label whose (ε1, ε2) moved are told to
+//     rebuild (concurrently), and a rebuild rewrites just those labels'
+//     rows in place and invalidates just the balls that can see a
+//     rewritten edge (ShardState.Rebuild).
 //
-// The debugFullResync hook disables both scopes, so the equivalence tests
-// diff the scoped machine against the recompute-everything policy.
+// The debugFullResync hook replaces all of it with the from-scratch
+// policy — regather every seed, refit every label, rebuild every shard's
+// graph and engine — so the equivalence tests diff the two.
 func (l *Loop) reestimate() {
 	p := l.p
-	seeds := make([]pair.Pair, 0, len(p.Blocking.Initial)+l.res.Matches.Len())
-	seen := pair.Set{}
-	for _, m := range p.Blocking.Initial {
-		if !seen.Has(m) {
-			seen.Add(m)
-			seeds = append(seeds, m)
-		}
+	if p.Cfg.debugFullResync {
+		l.est = p.fitConsistency(canonicalSeeds(p.Blocking.Initial, l.res.Matches))
+		l.pendingSeeds = l.pendingSeeds[:0]
+		l.rebuildShards(func(*shardPipe) bool { return true })
+		return
 	}
-	for _, m := range l.res.Matches.Sorted() {
-		if !seen.Has(m) {
-			seen.Add(m)
-			seeds = append(seeds, m)
-		}
+	if l.stats == nil {
+		// Nothing is dirty yet: the lists hold the initial matches'
+		// observations, which the Prepared's estimates were fitted from.
+		l.stats = newSeedStats(p)
 	}
-	old := p.Consistency
-	p.Consistency = p.refitConsistency(seeds, old, l.touchedLabels())
+	l.stats.fold(l.pendingSeeds)
 	l.pendingSeeds = l.pendingSeeds[:0]
+
+	labels := p.Graph.Labels()
+	refit := make([]int, 0, len(labels))
+	for li := range l.stats.labels {
+		if l.stats.labels[li].dirty {
+			l.stats.labels[li].dirty = false
+			refit = append(refit, li)
+		}
+	}
+	fits := make([]consistency.Estimate, len(refit))
+	rows := 0
+	for _, li := range refit {
+		rows += len(l.stats.labels[li].obs)
+	}
+	fit := func(i int) {
+		fits[i] = consistency.Fit(l.stats.labels[refit[i]].obs, consistency.DefaultOptions())
+	}
+	if rows < refitFanoutRows {
+		for i := range refit {
+			fit(i)
+		}
+	} else {
+		p.Cfg.scheduler().ForEach(len(refit), fit)
+	}
+	moved := make([]bool, len(labels))
+	anyMoved := false
+	for i, li := range refit {
+		old := l.est[labels[li]]
+		moved[li] = old.Eps1 != fits[i].Eps1 || old.Eps2 != fits[i].Eps2
+		anyMoved = anyMoved || moved[li]
+	}
+	// The estimates start out as the Prepared's own map, which other loops
+	// and worker-side shard states read: replace it, never write into it.
+	est := maps.Clone(l.est)
+	for i, li := range refit {
+		est[labels[li]] = fits[i]
+	}
+	l.est = est
+	if !anyMoved {
+		return
+	}
+	// BuildProb consumes only the (ε1, ε2) point estimates, so a shard none
+	// of whose labels moved already holds the graph a rebuild would produce.
+	l.rebuildShards(func(sp *shardPipe) bool {
+		for _, li := range sp.labelIdx {
+			if moved[li] {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// refitFanoutRows is the size of a refit, in observation rows summed over
+// the labels being re-fitted, from which the fits fan across the
+// scheduler; a smaller refit runs on the loop's own goroutine. A fit costs
+// about 1 µs per row, so below the threshold each of two threads would get
+// under a millisecond, and a fan-out that short is worth less than it
+// costs in steadiness: its helper thread is parked (the loop is serial
+// between fan-outs), and waking it takes ~0.1 ms on a quiet machine and
+// longer than the whole step on a busy one, so the step's duration swings
+// between the parallel and the serial time from one batch to the next. On
+// the benchmark's Scale siblings (two labels, 500–1000 rows per batch)
+// that swing was over half of a resolve's run-to-run spread; Clustered's
+// refits (2–6 labels, 640–3800 rows) stay parallel on the larger half of
+// its batches, three quarters of its refit work. The decision depends on
+// the data alone, so a run makes the same one every time.
+const refitFanoutRows = 2000
+
+// rebuildShards has the runner rebuild, concurrently, every unsettled
+// shard the predicate selects, against the loop's current estimates.
+func (l *Loop) rebuildShards(needs func(*shardPipe) bool) {
 	rebuild := make([]int, 0, len(l.shards))
 	for s, sh := range l.shards {
-		if sh.settled {
-			continue
+		if !sh.settled && needs(sh.pipe) {
+			rebuild = append(rebuild, s)
 		}
-		if !p.Cfg.debugFullResync && !sh.pipe.labelsChanged(old, p.Consistency) {
-			continue
-		}
-		rebuild = append(rebuild, s)
 	}
 	errs := make([]error, len(rebuild))
-	p.Cfg.scheduler().ForEach(len(rebuild), func(i int) {
-		// The runner rebuilds the shard's probabilistic graph and
-		// re-detaches its resolved non-matches (ShardState.Rebuild).
-		errs[i] = l.r.Rebuild(rebuild[i], p.Consistency)
+	l.p.Cfg.scheduler().ForEach(len(rebuild), func(i int) {
+		errs[i] = l.r.Rebuild(rebuild[i], l.est)
 		l.shards[rebuild[i]].dirty = true
 	})
 	for _, err := range errs {
@@ -230,32 +295,6 @@ func (l *Loop) reestimate() {
 			return
 		}
 	}
-	if len(l.shards) == 1 {
-		p.Prob = p.pipes[0].prob
-	}
-}
-
-// touchedLabels returns the edge labels whose consistency observations
-// could have changed since the last refit: those some pending seed's
-// entities participate in (in either direction — a new seed adds an
-// observation row through its own neighborhoods and flips KnownL counts
-// by being a neighbor pair of an existing seed). nil means all labels
-// (the debugFullResync policy).
-func (l *Loop) touchedLabels() map[ergraph.RelPair]bool {
-	if l.p.Cfg.debugFullResync {
-		return nil
-	}
-	touched := make(map[ergraph.RelPair]bool)
-	for _, label := range l.p.Graph.Labels() {
-		for _, m := range l.pendingSeeds {
-			if len(l.p.K1.Out(m.U1, label.R1)) > 0 || len(l.p.K1.In(m.U1, label.R1)) > 0 ||
-				len(l.p.K2.Out(m.U2, label.R2)) > 0 || len(l.p.K2.In(m.U2, label.R2)) > 0 {
-				touched[label] = true
-				break
-			}
-		}
-	}
-	return touched
 }
 
 // Labels of the probabilistic graph are re-exported for diagnostics.

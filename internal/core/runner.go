@@ -12,12 +12,12 @@ import (
 // The loop owns every global decision — answer application order, the
 // result sets, budget and µ-batch selection across shards, settling — and
 // drives the runner with per-shard operations; the runner owns the engines
-// and the per-shard state those operations read (resolved/hard vertex
-// mirrors, the damped priors, the detached set). The in-process runner
-// (NewLocalRunner, the default) holds the engines in the loop's own
-// process; internal/cluster's remote runner places them on worker
-// processes behind an RPC protocol and replays the operation log to
-// survive worker crashes.
+// and the per-shard state those operations read (the resolved, hard and
+// detached vertex mirrors, the estimates the graph reflects). The
+// in-process runner (NewLocalRunner, the default) holds the engines in the
+// loop's own process; internal/cluster's remote runner places them on
+// worker processes behind an RPC protocol and replays the operation log
+// to survive worker crashes.
 //
 // Operations on distinct shards may be invoked concurrently (the loop fans
 // gathers, ranks and rebuilds across its scheduler); operations on one
@@ -29,8 +29,11 @@ type ShardRunner interface {
 	// removes q's edges from the propagation fabric (the non-match path).
 	// Resolving an already resolved vertex is idempotent.
 	Resolve(s int, q pair.Pair, detach bool) error
-	// Damp marks q a hard question with the given damped prior: candidate
-	// gathering skips it from now on.
+	// Damp marks q a hard question: candidate gathering skips it from now
+	// on. Shard states do not consume the damped prior — the loop keeps it;
+	// the parameter stays because the cluster's versioned wire carries it
+	// and runner decorators outside this module (the benchmark's timing
+	// wrapper) implement this signature.
 	Damp(s int, q pair.Pair, prior float64) error
 	// Gather syncs shard s's engine and assembles its candidate questions,
 	// with inferred sets as global vertex indexes. The boolean reports
@@ -44,9 +47,10 @@ type ShardRunner interface {
 	// order (ascending distance, ties by pair order), unfiltered by
 	// resolution state; the loop applies its own 1:1-constraint cascade.
 	Ball(s int, q pair.Pair) ([]pair.Pair, error)
-	// Rebuild rebuilds shard s's probabilistic graph from the given
-	// consistency estimates, re-detaching every detached vertex, and
-	// resets the engine over it (the re-estimation path).
+	// Rebuild brings shard s's probabilistic graph to the given consistency
+	// estimates, detached vertices staying detached, and invalidates the
+	// balls the change can reach (the re-estimation path). est must cover
+	// the shard's labels; the shard diffs it against its own.
 	Rebuild(s int, est map[ergraph.RelPair]consistency.Estimate) error
 	// Invalidate degrades shard s's engine to a full recompute at its next
 	// sync (the debugFullResync test hook).
@@ -73,13 +77,21 @@ func (c *Config) runnerFactory() RunnerFactory {
 }
 
 // ShardState is one shard's live engine state: the incremental propagation
-// engine plus the mirrors of the loop's resolution state that candidate
-// gathering and rebuilds read (resolved and hard vertices, damped priors,
-// detached vertices). It is the execution substrate both ShardRunner
-// implementations share — the local runner holds one per shard in
-// process, and a cluster worker holds one per assigned shard, fed the
+// engine, the rewriter that keeps the probabilistic graph in step with the
+// loop's estimates, and the mirrors of the loop's resolution state that
+// candidate gathering and rebuilds read. The mirrors are addressed by
+// shard-local vertex index — the index space the graph, the engine's balls
+// and the rewriter already share — so neither a gather nor a rebuild
+// hashes a pair per ball entry. It is the execution substrate both
+// ShardRunner implementations share — the local runner holds one per shard
+// in process, and a cluster worker holds one per assigned shard, fed the
 // same operations over RPC — so both compute bit-identical candidates,
 // ranks, balls and rebuilds by construction.
+//
+// Everything that changes during a loop lives here (or in the Loop), not
+// in the Prepared, with one exception kept from the start: the in-process
+// runner's states mutate the Prepared's own probabilistic graphs, which is
+// why a Prepared serves one loop.
 //
 // A ShardState is not safe for concurrent use; the loop serializes
 // operations per shard, and workers add their own locking.
@@ -88,60 +100,53 @@ type ShardState struct {
 	pipe *shardPipe
 	prob *propagation.ProbGraph
 	eng  *propagation.Engine
-	// attached marks the local-runner mode: the state wraps the pipe's own
-	// probabilistic graph (the Prepared is exclusive to one loop) and
-	// rebuilds write back to it. Worker states are detached: they build a
-	// fresh graph so one cached Prepared can back many sessions.
-	attached bool
+	// rw rewrites prob in place on re-estimation and remembers the
+	// estimates prob reflects; nil until the first Rebuild, when prob still
+	// reflects the Prepared's initial fit.
+	rw *propagation.Rewriter
 
-	resolved pair.Set
-	detached pair.Set
-	hard     pair.Set
-	damped   map[pair.Pair]float64
+	prior    []float64 // prepared prior per vertex
+	resolved []bool
+	detached []bool
+	hard     []bool
 
 	gathered  bool
 	lastCands []selection.Candidate
 	anyProp   bool
 }
 
-// newAttachedShardState wraps shard s's own probabilistic graph — the
-// in-process runner's mode, where the Prepared is exclusive to the loop.
-func (p *Prepared) newAttachedShardState(s int) *ShardState {
+// newShardState assembles the state over shard s's graph and the given
+// probabilistic graph of it.
+func (p *Prepared) newShardState(s int, prob *propagation.ProbGraph) *ShardState {
+	pipe := p.pipes[s]
+	verts := pipe.graph.Vertices()
 	st := &ShardState{
 		p:        p,
-		pipe:     p.pipes[s],
-		prob:     p.pipes[s].prob,
-		attached: true,
-		resolved: pair.Set{},
-		detached: pair.Set{},
-		hard:     pair.Set{},
-		damped:   map[pair.Pair]float64{},
+		pipe:     pipe,
+		prob:     prob,
+		prior:    make([]float64, len(verts)),
+		resolved: make([]bool, len(verts)),
+		detached: make([]bool, len(verts)),
+		hard:     make([]bool, len(verts)),
 	}
-	st.eng = propagation.NewEngineObs(st.prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
+	for i, v := range verts {
+		st.prior[i] = p.Priors[v]
+	}
+	st.eng = propagation.NewEngineObs(prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
 	return st
 }
 
 // NewShardState builds an independent engine state for shard s over a
 // fresh probabilistic graph, leaving the Prepared untouched. This is the
 // form a cluster worker holds: one Prepared (cached per pipeline spec)
-// backs every session's shard states, each with its own graph copy.
+// backs every session's shard states, each with its own graph copy. The
+// in-process runner instead wraps the shard's own graph, the Prepared
+// being exclusive to its loop.
 func (p *Prepared) NewShardState(s int) *ShardState {
-	pipe := p.pipes[s]
-	prob := propagation.BuildProb(pipe.graph, p.K1, p.K2, propagation.Params{
+	return p.newShardState(s, propagation.BuildProb(p.pipes[s].graph, p.K1, p.K2, propagation.Params{
 		Priors:      p.Priors,
 		Consistency: p.Consistency,
-	})
-	st := &ShardState{
-		p:        p,
-		pipe:     pipe,
-		prob:     prob,
-		resolved: pair.Set{},
-		detached: pair.Set{},
-		hard:     pair.Set{},
-		damped:   map[pair.Pair]float64{},
-	}
-	st.eng = propagation.NewEngineObs(prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
-	return st
+	}))
 }
 
 // ShardLabels returns the edge labels present in shard s — the estimates a
@@ -151,23 +156,24 @@ func (p *Prepared) ShardLabels(s int) []ergraph.RelPair { return p.pipes[s].labe
 // Resolve marks q resolved; detach removes its edges from the propagation
 // fabric. No-op after Release.
 func (st *ShardState) Resolve(q pair.Pair, detach bool) {
-	if st.eng == nil {
+	i := st.pipe.graph.IndexOf(q)
+	if st.eng == nil || i < 0 {
 		return
 	}
-	st.resolved.Add(q)
+	st.resolved[i] = true
 	if detach {
-		st.detached.Add(q)
+		st.detached[i] = true
 		st.eng.DetachVertex(q)
 	}
 }
 
-// Damp marks q a hard question with its damped prior; gathers skip it.
-func (st *ShardState) Damp(q pair.Pair, prior float64) {
-	if st.eng == nil {
-		return
+// Damp marks q a hard question; gathers skip it. The damped prior itself
+// is the loop's: it only ever weighs q's own next truth inference, and q is
+// not asked again.
+func (st *ShardState) Damp(q pair.Pair, _ float64) {
+	if i := st.pipe.graph.IndexOf(q); st.eng != nil && i >= 0 {
+		st.hard[i] = true
 	}
-	st.hard.Add(q)
-	st.damped[q] = prior
 }
 
 // Sync recomputes the engine's dirty balls without assembling candidates.
@@ -179,15 +185,6 @@ func (st *ShardState) Sync() {
 	if st.eng != nil {
 		st.eng.Sync()
 	}
-}
-
-// priorOf returns q's working prior: the damped value if the question went
-// hard, the prepared prior otherwise.
-func (st *ShardState) priorOf(q pair.Pair) float64 {
-	if p, ok := st.damped[q]; ok {
-		return p
-	}
-	return st.p.Priors[q]
 }
 
 // Gather syncs the engine and assembles the candidate question list over
@@ -207,8 +204,8 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 	// pass bounds the total, so the fills below never reallocate and the
 	// whole gather costs two allocations instead of one per candidate.
 	live, total := 0, 0
-	for li, v := range verts {
-		if st.resolved.Has(v) || st.hard.Has(v) {
+	for li := range verts {
+		if st.resolved[li] || st.hard[li] {
 			continue
 		}
 		live++
@@ -223,13 +220,13 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 	cands := make([]selection.Candidate, 0, live)
 	anyPropagation := false
 	for li, v := range verts {
-		if st.resolved.Has(v) || st.hard.Has(v) {
+		if st.resolved[li] || st.hard[li] {
 			continue
 		}
 		start := len(backing)
 		backing = append(backing, st.pipe.global(li)) // a match label always resolves the question itself
 		for _, en := range st.eng.Ball(li) {
-			if !st.resolved.Has(verts[en.Idx]) {
+			if !st.resolved[en.Idx] {
 				backing = append(backing, st.pipe.global(int(en.Idx)))
 			}
 		}
@@ -237,7 +234,7 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 		if len(inf) > 1 {
 			anyPropagation = true
 		}
-		cands = append(cands, selection.Candidate{Pair: v, Prob: st.priorOf(v), Inferred: inf})
+		cands = append(cands, selection.Candidate{Pair: v, Prob: st.prior[li], Inferred: inf})
 	}
 	st.lastCands, st.anyProp = cands, anyPropagation
 	return cands, anyPropagation
@@ -283,34 +280,49 @@ func (st *ShardState) Ball(q pair.Pair) []pair.Pair {
 	return out
 }
 
-// Rebuild rebuilds the probabilistic graph from the given estimates,
-// re-detaches the shard's resolved non-matches and resets the engine over
-// the result — the per-shard half of re-estimation (§VII-A). Walking the
-// shard's own vertices keeps the re-detach O(shard size).
+// Rebuild brings the probabilistic graph to the given estimates, keeping
+// the shard's detached vertices detached — the per-shard half of
+// re-estimation (§VII-A). The state diffs the estimates against the ones
+// its graph reflects, rewrites in place the rows owning a label that
+// moved, and invalidates exactly the balls that can see a rewritten edge;
+// the result is bit-identical to rebuilding the graph and the engine from
+// scratch, which is what the debugFullResync hook still does.
 func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 	if st.eng == nil {
 		return
 	}
-	p := st.p
-	prob := propagation.BuildProb(st.pipe.graph, p.K1, p.K2, propagation.Params{
-		Priors:      p.Priors,
+	if st.p.Cfg.debugFullResync {
+		st.rebuildFromScratch(est)
+		return
+	}
+	if st.rw == nil {
+		st.rw = propagation.NewRewriter(st.prob, st.prior, st.p.Consistency)
+	}
+	st.eng.InvalidateTails(st.rw.Apply(est, st.detached))
+}
+
+// rebuildFromScratch is the reference rebuild: a fresh BuildProb, every
+// detached vertex re-detached, and the engine reset over the result. The
+// fresh graph replaces the state's only; the pipe's (and Prepared.Prob)
+// keep the superseded one, which nothing reads once the state exists.
+func (st *ShardState) rebuildFromScratch(est map[ergraph.RelPair]consistency.Estimate) {
+	g := st.pipe.graph
+	prob := propagation.BuildProb(g, st.p.K1, st.p.K2, propagation.Params{
+		Priors:      st.p.Priors,
 		Consistency: est,
 	})
-	for _, q := range st.pipe.graph.Vertices() {
-		if !st.detached.Has(q) {
+	for i, q := range g.Vertices() {
+		if !st.detached[i] {
 			continue
 		}
-		for _, e := range st.pipe.graph.Out(q) {
+		for _, e := range g.OutAt(i) {
 			prob.SetProb(q, e.To, 0)
 		}
-		for _, e := range st.pipe.graph.In(q) {
+		for _, e := range g.InAt(i) {
 			prob.SetProb(e.From, q, 0)
 		}
 	}
 	st.prob = prob
-	if st.attached {
-		st.pipe.prob = prob
-	}
 	st.eng.Reset(prob)
 }
 
@@ -333,9 +345,9 @@ func (st *ShardState) Release() int64 {
 	return n
 }
 
-// localRunner is the in-process ShardRunner: one attached ShardState per
-// shard, built concurrently under the pipeline scheduler. Its operations
-// never fail.
+// localRunner is the in-process ShardRunner: one ShardState per shard over
+// the shard's own probabilistic graph, built concurrently under the
+// pipeline scheduler. Its operations never fail.
 type localRunner struct {
 	states []*ShardState
 }
@@ -347,7 +359,7 @@ type localRunner struct {
 func NewLocalRunner(p *Prepared) (ShardRunner, error) {
 	lr := &localRunner{states: make([]*ShardState, len(p.pipes))}
 	p.Cfg.scheduler().ForEach(len(p.pipes), func(s int) {
-		lr.states[s] = p.newAttachedShardState(s)
+		lr.states[s] = p.newShardState(s, p.pipes[s].prob)
 	})
 	return lr, nil
 }

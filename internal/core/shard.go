@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/consistency"
 	"repro/internal/ergraph"
 	"repro/internal/partition"
 	"repro/internal/propagation"
@@ -58,9 +57,12 @@ type shardPipe struct {
 	// globalIdx maps shard-local vertex indexes to p.Graph indexes; nil
 	// means identity (the single-shard pipe reuses p.Graph directly).
 	globalIdx []int
-	// labels is the set of edge labels present in the shard, used to skip
-	// re-estimation rebuilds when no label the shard depends on changed.
-	labels []ergraph.RelPair
+	// labels is the set of edge labels present in the shard (the estimates
+	// a rebuild of it consumes) and labelIdx their indexes in
+	// p.Graph.Labels(), used to skip re-estimation rebuilds when no label
+	// the shard depends on moved.
+	labels   []ergraph.RelPair
+	labelIdx []int32
 }
 
 // global maps a shard-local vertex index to the global p.Graph index.
@@ -71,22 +73,6 @@ func (sp *shardPipe) global(local int) int {
 	return sp.globalIdx[local]
 }
 
-// labelsChanged reports whether any edge label of this shard has a
-// different fitted consistency than before. BuildProb consumes only the
-// (ε1, ε2) point estimates, so identical estimates for every shard label
-// guarantee a rebuild would reproduce the current probabilistic graph
-// bit for bit — the rebuild is skipped and the incremental engine state
-// (which already carries all detachments) stays authoritative.
-func (sp *shardPipe) labelsChanged(old, new map[ergraph.RelPair]consistency.Estimate) bool {
-	for _, lbl := range sp.labels {
-		o, n := old[lbl], new[lbl]
-		if o.Eps1 != n.Eps1 || o.Eps2 != n.Eps2 {
-			return true
-		}
-	}
-	return false
-}
-
 // initShards resolves the shard count and builds the per-shard pipelines.
 // Single-shard pipelines reuse the global graph and populate p.Prob
 // exactly as the unsharded pipeline always has; sharded ones build one
@@ -94,21 +80,24 @@ func (sp *shardPipe) labelsChanged(old, new map[ergraph.RelPair]consistency.Esti
 func (p *Prepared) initShards() {
 	count := resolveShardCount(p.Cfg.Shards, p.Graph.NumVertices())
 	params := propagation.Params{Priors: p.Priors, Consistency: p.Consistency}
+	globalLabel := make(map[ergraph.RelPair]int32, len(p.Graph.Labels()))
+	for li, label := range p.Graph.Labels() {
+		globalLabel[label] = int32(li)
+	}
+	labelIdx := func(labels []ergraph.RelPair) []int32 {
+		idx := make([]int32, len(labels))
+		for i, label := range labels {
+			idx[i] = globalLabel[label]
+		}
+		return idx
+	}
 	if count <= 1 {
 		p.Prob = propagation.BuildProb(p.Graph, p.K1, p.K2, params)
-		p.pipes = []*shardPipe{{id: 0, graph: p.Graph, prob: p.Prob, labels: p.Graph.Labels()}}
+		labels := p.Graph.Labels()
+		p.pipes = []*shardPipe{{id: 0, graph: p.Graph, prob: p.Prob, labels: labels, labelIdx: labelIdx(labels)}}
 		return
 	}
-	verts := p.Graph.Vertices()
-	neighbors := func(i int) []int {
-		idx := p.Graph.OutIndexesAt(i)
-		out := make([]int, len(idx))
-		for k, j := range idx {
-			out[k] = int(j)
-		}
-		return out
-	}
-	p.Part = partition.Split(verts, neighbors, count)
+	p.Part = partition.Split(p.Graph.Vertices(), p.Graph.OutIndexesAt, count)
 	pipes := make([]*shardPipe, p.Part.NumShards())
 	p.Cfg.scheduler().ForEach(len(pipes), func(s int) {
 		vs := p.Part.Shard(s)
@@ -123,6 +112,7 @@ func (p *Prepared) initShards() {
 			prob:      propagation.BuildProb(g, p.K1, p.K2, params),
 			globalIdx: globalIdx,
 			labels:    g.Labels(),
+			labelIdx:  labelIdx(g.Labels()),
 		}
 	})
 	p.pipes = pipes

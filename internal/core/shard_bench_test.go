@@ -30,3 +30,38 @@ func BenchmarkShardedLoop(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReestimate measures one steady-state re-estimation — the batch
+// tail after µ answers — on the clustered graph at 4 shards: the pending
+// matches folded into the per-label statistics, the changed labels
+// re-fitted, their rows rewritten in place and the affected balls
+// invalidated. Two earlier batches have already run, so the statistics
+// exist and the shards' rewriters are warm; the answers of the measured
+// batch are applied outside the timer.
+func BenchmarkReestimate(b *testing.B) {
+	ds := datasets.Clustered(48, 24, 1)
+	cfg := DefaultConfig()
+	cfg.Shards = 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := Prepare(ds.K1, ds.K2, cfg)
+		asker := NewOracleAsker(ds.Gold.IsMatch)
+		l := p.NewLoop()
+		for batch := 0; batch < 2; batch++ {
+			for _, q := range l.Batch() {
+				if err := l.Deliver(q, asker.Ask(q)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if l.Done() {
+			b.Fatal("fixture finished before the measured batch")
+		}
+		for _, q := range l.Batch() {
+			l.apply(q, asker.Ask(q)) // the loop is discarded after the tail
+		}
+		b.StartTimer()
+		l.reestimate()
+	}
+}

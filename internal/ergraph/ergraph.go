@@ -7,6 +7,7 @@
 package ergraph
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/kb"
@@ -26,7 +27,7 @@ type RelPair struct {
 }
 
 // Less is the canonical label order: (R1, R2), forward before inverse. It
-// is the single comparator shared by Labels, OutGroupsAt and the edge sort,
+// is the single comparator shared by Labels, the label groups and the edge sort,
 // so every consumer processes labels differing only in direction in the
 // same, specified order.
 func (l RelPair) Less(m RelPair) bool {
@@ -53,12 +54,26 @@ type Graph struct {
 	// out[i] lists edges leaving vertex i; in[i] lists edges entering it.
 	out [][]Edge
 	in  [][]Edge
-	// outIdx[i][k] is the dense vertex index of out[i][k].To, and
-	// inIdx[i][k] that of in[i][k].From. They let edge consumers (BuildProb,
-	// Subgraph, the partitioner) walk the topology as flat integer arrays
-	// instead of hashing pair.Pair per edge.
-	outIdx [][]int32
-	inIdx  [][]int32
+	// Dense topology, one flat array per direction: vertex i's out-edges
+	// out[i][k] end at vertex outTo[outStart[i]+k], and its in-edges
+	// in[i][k] start at inFrom[inStart[i]+k]. Edge consumers (BuildProb,
+	// Subgraph, the partitioner) walk these integer rows instead of hashing
+	// pair.Pair per edge.
+	outStart, inStart []int32
+	outTo, inFrom     []int32
+
+	// labels are the distinct edge labels, sorted by RelPair.Less; a label's
+	// position is its index in every label-addressed array downstream (the
+	// consistency estimates of a rewrite, the loop's per-label statistics).
+	labels []RelPair
+	// Label groups, computed once: vertex i's out-edges grouped by label
+	// are groups grpStart[i]..grpStart[i+1], in label order. Group k has
+	// label index grpLabel[k] and lists its edges as positions into out[i]
+	// (ascending, so in stored edge order) at grpEdge[grpEnd[k-1]:grpEnd[k]].
+	grpStart []int32
+	grpLabel []int32
+	grpEnd   []int32
+	grpEdge  []int32
 }
 
 // Build constructs the ER graph on the given vertex set (the retained
@@ -96,35 +111,78 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 		sortEdges(g.in[i])
 	}
 	g.buildDenseIndexes()
+	g.buildLabelGroups()
 	return g
 }
 
-// buildDenseIndexes fills outIdx/inIdx from the (sorted) edge lists. It is
-// the only per-edge pair hashing the graph ever pays; everything downstream
-// reads the dense arrays.
+// buildDenseIndexes fills the flat topology rows from the (sorted) edge
+// lists. It is the only per-edge pair hashing the graph ever pays;
+// everything downstream reads the dense arrays.
 func (g *Graph) buildDenseIndexes() {
-	g.outIdx = make([][]int32, len(g.out))
-	g.inIdx = make([][]int32, len(g.in))
+	n := len(g.vertices)
+	edges := g.NumEdges()
+	g.outStart = make([]int32, n+1)
+	g.inStart = make([]int32, n+1)
+	g.outTo = make([]int32, 0, edges)
+	g.inFrom = make([]int32, 0, edges)
+	for i := 0; i < n; i++ {
+		for _, e := range g.out[i] {
+			g.outTo = append(g.outTo, int32(g.index[e.To]))
+		}
+		for _, e := range g.in[i] {
+			g.inFrom = append(g.inFrom, int32(g.index[e.From]))
+		}
+		g.outStart[i+1] = int32(len(g.outTo))
+		g.inStart[i+1] = int32(len(g.inFrom))
+	}
+}
+
+// buildLabelGroups derives the sorted label list and the per-vertex label
+// groups from the edge lists. Within a vertex the groups follow
+// RelPair.Less and each group keeps the stored edge order (ascending To):
+// exactly the sequences neighbor propagation consumes, so no consumer
+// regroups or re-sorts per build.
+func (g *Graph) buildLabelGroups() {
+	labelIdx := make(map[RelPair]int32)
+	for _, es := range g.out {
+		for _, e := range es {
+			labelIdx[e.Label] = 0
+		}
+	}
+	g.labels = make([]RelPair, 0, len(labelIdx))
+	for l := range labelIdx {
+		g.labels = append(g.labels, l)
+	}
+	sort.Slice(g.labels, func(i, j int) bool { return g.labels[i].Less(g.labels[j]) })
+	for i, l := range g.labels {
+		labelIdx[l] = int32(i)
+	}
+
+	n := len(g.vertices)
+	g.grpStart = make([]int32, n+1)
+	g.grpEdge = make([]int32, 0, len(g.outTo))
+	// keys packs (label index, edge position) so one integer sort groups a
+	// vertex's edges by label while keeping the stored order inside a group.
+	var keys []int64
 	for i, es := range g.out {
-		if len(es) == 0 {
-			continue
-		}
-		idx := make([]int32, len(es))
+		keys = keys[:0]
 		for k, e := range es {
-			idx[k] = int32(g.index[e.To])
+			keys = append(keys, int64(labelIdx[e.Label])<<32|int64(k))
 		}
-		g.outIdx[i] = idx
+		slices.Sort(keys)
+		for x, key := range keys {
+			if x > 0 && key>>32 == keys[x-1]>>32 {
+				g.grpEnd[len(g.grpEnd)-1]++
+			} else {
+				g.grpLabel = append(g.grpLabel, int32(key>>32))
+				g.grpEnd = append(g.grpEnd, int32(len(g.grpEdge))+1)
+			}
+			g.grpEdge = append(g.grpEdge, int32(key&0xffffffff))
+		}
+		g.grpStart[i+1] = int32(len(g.grpLabel))
 	}
-	for i, es := range g.in {
-		if len(es) == 0 {
-			continue
-		}
-		idx := make([]int32, len(es))
-		for k, e := range es {
-			idx[k] = int32(g.index[e.From])
-		}
-		g.inIdx[i] = idx
-	}
+	g.grpLabel = slices.Clip(g.grpLabel)
+	g.grpEnd = slices.Clip(g.grpEnd)
 }
 
 // addEdges links vertex i to every successor pair (w1, w2) ∈ n1×n2 that is
@@ -168,8 +226,8 @@ func (g *Graph) Subgraph(vertices []pair.Pair) *Graph {
 		index:    make(map[pair.Pair]int, len(vertices)),
 		out:      make([][]Edge, len(vertices)),
 		in:       make([][]Edge, len(vertices)),
-		outIdx:   make([][]int32, len(vertices)),
-		inIdx:    make([][]int32, len(vertices)),
+		outStart: make([]int32, len(vertices)+1),
+		inStart:  make([]int32, len(vertices)+1),
 	}
 	for i, v := range sub.vertices {
 		sub.index[v] = i
@@ -187,23 +245,27 @@ func (g *Graph) Subgraph(vertices []pair.Pair) *Graph {
 		}
 	}
 	for i, v := range sub.vertices {
-		gi, ok := g.index[v]
-		if !ok {
-			continue
-		}
-		for k, e := range g.out[gi] {
-			if nj := remap[g.outIdx[gi][k]]; nj >= 0 {
-				sub.out[i] = append(sub.out[i], e)
-				sub.outIdx[i] = append(sub.outIdx[i], nj)
+		if gi, ok := g.index[v]; ok {
+			outIdx, inIdx := g.OutIndexesAt(gi), g.InIndexesAt(gi)
+			for k, e := range g.out[gi] {
+				if nj := remap[outIdx[k]]; nj >= 0 {
+					sub.out[i] = append(sub.out[i], e)
+					sub.outTo = append(sub.outTo, nj)
+				}
+			}
+			for k, e := range g.in[gi] {
+				if nj := remap[inIdx[k]]; nj >= 0 {
+					sub.in[i] = append(sub.in[i], e)
+					sub.inFrom = append(sub.inFrom, nj)
+				}
 			}
 		}
-		for k, e := range g.in[gi] {
-			if nj := remap[g.inIdx[gi][k]]; nj >= 0 {
-				sub.in[i] = append(sub.in[i], e)
-				sub.inIdx[i] = append(sub.inIdx[i], nj)
-			}
-		}
+		sub.outStart[i+1] = int32(len(sub.outTo))
+		sub.inStart[i+1] = int32(len(sub.inFrom))
 	}
+	sub.outTo = slices.Clip(sub.outTo)
+	sub.inFrom = slices.Clip(sub.inFrom)
+	sub.buildLabelGroups()
 	return sub
 }
 
@@ -262,58 +324,31 @@ func (g *Graph) InAt(i int) []Edge { return g.in[i] }
 
 // OutIndexesAt returns the dense to-indexes of OutAt(i), parallel slice
 // (do not modify).
-func (g *Graph) OutIndexesAt(i int) []int32 { return g.outIdx[i] }
+func (g *Graph) OutIndexesAt(i int) []int32 { return g.outTo[g.outStart[i]:g.outStart[i+1]] }
 
 // InIndexesAt returns the dense from-indexes of InAt(i), parallel slice
 // (do not modify).
-func (g *Graph) InIndexesAt(i int) []int32 { return g.inIdx[i] }
+func (g *Graph) InIndexesAt(i int) []int32 { return g.inFrom[g.inStart[i]:g.inStart[i+1]] }
 
-// OutByLabel groups the out-neighborhood of p by edge label. The map's
-// value slices preserve edge order.
-func (g *Graph) OutByLabel(p pair.Pair) map[RelPair][]Edge {
-	out := g.Out(p)
-	if len(out) == 0 {
-		return nil
-	}
-	m := make(map[RelPair][]Edge)
-	for _, e := range out {
-		m[e.Label] = append(m[e.Label], e)
-	}
-	return m
+// GroupsAt returns the half-open range of label-group ids of vertex i, in
+// label order. Group ids are dense across the graph, ascending in vertex
+// index.
+func (g *Graph) GroupsAt(i int) (lo, hi int) {
+	return int(g.grpStart[i]), int(g.grpStart[i+1])
 }
 
-// LabelGroup is the out-edges of one vertex under one label, with the
-// dense to-index of each edge in the parallel To slice.
-type LabelGroup struct {
-	Label RelPair
-	Edges []Edge
-	To    []int32
-}
+// GroupLabels returns every group's label index (into Labels), addressed
+// by group id (do not modify).
+func (g *Graph) GroupLabels() []int32 { return g.grpLabel }
 
-// OutGroupsAt groups vertex i's out edges by label, groups sorted by
-// RelPair.Less — (R1, R2, Inverse), so labels differing only in direction
-// process in a specified order. Per-group edge order preserves the stored
-// edge order (ascending To), exactly the sequences OutByLabel yields.
-func (g *Graph) OutGroupsAt(i int) []LabelGroup {
-	es := g.out[i]
-	if len(es) == 0 {
-		return nil
+// GroupEdges returns group k's edges as positions into its vertex's
+// OutAt / OutIndexesAt rows, ascending (do not modify).
+func (g *Graph) GroupEdges(k int) []int32 {
+	lo := int32(0)
+	if k > 0 {
+		lo = g.grpEnd[k-1]
 	}
-	idx := g.outIdx[i]
-	pos := make(map[RelPair]int, 4)
-	var groups []LabelGroup
-	for k, e := range es {
-		gi, ok := pos[e.Label]
-		if !ok {
-			gi = len(groups)
-			pos[e.Label] = gi
-			groups = append(groups, LabelGroup{Label: e.Label})
-		}
-		groups[gi].Edges = append(groups[gi].Edges, e)
-		groups[gi].To = append(groups[gi].To, idx[k])
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].Label.Less(groups[b].Label) })
-	return groups
+	return g.grpEdge[lo:g.grpEnd[k]]
 }
 
 // Isolated returns the vertices with no incident edges: the isolated
@@ -347,13 +382,13 @@ func (g *Graph) Components() [][]pair.Pair {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, j := range g.outIdx[v] {
+			for _, j := range g.OutIndexesAt(v) {
 				if comp[j] == -1 {
 					comp[j] = next
 					stack = append(stack, int(j))
 				}
 			}
-			for _, j := range g.inIdx[v] {
+			for _, j := range g.InIndexesAt(v) {
 				if comp[j] == -1 {
 					comp[j] = next
 					stack = append(stack, int(j))
@@ -378,18 +413,6 @@ func (g *Graph) Components() [][]pair.Pair {
 	return groups
 }
 
-// Labels returns the distinct edge labels present in the graph, sorted.
-func (g *Graph) Labels() []RelPair {
-	seen := make(map[RelPair]struct{})
-	for _, es := range g.out {
-		for _, e := range es {
-			seen[e.Label] = struct{}{}
-		}
-	}
-	out := make([]RelPair, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
+// Labels returns the distinct edge labels present in the graph, sorted by
+// RelPair.Less (do not modify). A label's position is its label index.
+func (g *Graph) Labels() []RelPair { return g.labels }

@@ -102,16 +102,24 @@ func TestEdgeSymmetryOfIndexes(t *testing.T) {
 
 func TestOutByLabel(t *testing.T) {
 	g, ps := buildFig1()
-	byLabel := g.OutByLabel(ps["joan"])
-	if len(byLabel) != 2 {
-		t.Fatalf("joan should have 2 distinct labels, got %d", len(byLabel))
+	joan := g.IndexOf(ps["joan"])
+	lo, hi := g.GroupsAt(joan)
+	if hi-lo != 2 {
+		t.Fatalf("joan should have 2 distinct labels, got %d", hi-lo)
 	}
+	out := g.OutAt(joan)
 	total := 0
-	for _, es := range byLabel {
-		total += len(es)
+	for k := lo; k < hi; k++ {
+		label := g.Labels()[g.GroupLabels()[k]]
+		for _, pos := range g.GroupEdges(k) {
+			if out[pos].Label != label {
+				t.Fatalf("group %d (%+v) lists an edge labeled %+v", k, label, out[pos].Label)
+			}
+			total++
+		}
 	}
-	if total != len(g.Out(ps["joan"])) {
-		t.Error("OutByLabel lost edges")
+	if total != len(out) {
+		t.Error("the label groups lost edges")
 	}
 }
 
@@ -172,20 +180,22 @@ func TestOutGroupsAtInverseTieBreak(t *testing.T) {
 	va := pair.Pair{U1: a1, U2: a2}
 	vb := pair.Pair{U1: b1, U2: b2}
 	g := Build(k1, k2, []pair.Pair{va, vb})
-	groups := g.OutGroupsAt(g.IndexOf(va))
-	if len(groups) != 2 {
-		t.Fatalf("got %d label groups, want 2 (forward + inverse): %+v", len(groups), groups)
+	lo, hi := g.GroupsAt(g.IndexOf(va))
+	if hi-lo != 2 {
+		t.Fatalf("got %d label groups, want 2 (forward + inverse)", hi-lo)
 	}
-	if groups[0].Label.Inverse || !groups[1].Label.Inverse {
-		t.Fatalf("labels out of order: %+v then %+v, want forward before inverse", groups[0].Label, groups[1].Label)
+	first, second := g.Labels()[g.GroupLabels()[lo]], g.Labels()[g.GroupLabels()[lo+1]]
+	if first.Inverse || !second.Inverse {
+		t.Fatalf("labels out of order: %+v then %+v, want forward before inverse", first, second)
 	}
-	for gi, grp := range groups {
-		if len(grp.Edges) != len(grp.To) {
-			t.Fatalf("group %d: %d edges, %d to-indexes", gi, len(grp.Edges), len(grp.To))
+	out, idx := g.OutAt(g.IndexOf(va)), g.OutIndexesAt(g.IndexOf(va))
+	for k := lo; k < hi; k++ {
+		if len(g.GroupEdges(k)) != 1 {
+			t.Fatalf("group %d: %d edges, want 1", k, len(g.GroupEdges(k)))
 		}
-		for k, e := range grp.Edges {
-			if g.IndexOf(e.To) != int(grp.To[k]) {
-				t.Fatalf("group %d edge %d: To index %d, IndexOf %d", gi, k, grp.To[k], g.IndexOf(e.To))
+		for _, pos := range g.GroupEdges(k) {
+			if g.IndexOf(out[pos].To) != int(idx[pos]) {
+				t.Fatalf("group %d edge %d: To index %d, IndexOf %d", k, pos, idx[pos], g.IndexOf(out[pos].To))
 			}
 		}
 	}

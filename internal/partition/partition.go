@@ -40,10 +40,11 @@ type Partition struct {
 // Split partitions the candidate-pair graph into at most maxShards shards
 // of connected components. vertices is the graph's vertex list; neighbors
 // returns, for a vertex index, the indexes it is linked to (out-neighbors
-// suffice — the union is symmetric). Each shard's vertex slice preserves
-// the relative order of the input, so a pair-sorted vertex list yields
-// pair-sorted shards.
-func Split(vertices []pair.Pair, neighbors func(i int) []int, maxShards int) *Partition {
+// suffice — the union is symmetric), in either index width so a graph's
+// dense []int32 rows can be handed over as they are. Each shard's vertex
+// slice preserves the relative order of the input, so a pair-sorted vertex
+// list yields pair-sorted shards.
+func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxShards int) *Partition {
 	n := len(vertices)
 	uf := newUnionFind(n)
 
@@ -51,7 +52,7 @@ func Split(vertices []pair.Pair, neighbors func(i int) []int, maxShards int) *Pa
 	if neighbors != nil {
 		for i := 0; i < n; i++ {
 			for _, j := range neighbors(i) {
-				uf.union(i, j)
+				uf.union(i, int(j))
 			}
 		}
 	}

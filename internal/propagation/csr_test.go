@@ -153,25 +153,32 @@ func TestSetProbOverlayVisibility(t *testing.T) {
 }
 
 // TestEngineSeesOverlayThroughRebuild drives the overlay through the
-// Engine path re-estimation uses: a strengthened (new) edge schedules a
-// full rebuild, the rebuild folds the overlay, and the resulting balls
-// match the oracle on the mutated graph.
+// Engine: a brand-new edge lands in the overlay and only dirties the
+// sources that can see its tail, the partial Sync reads it beside the CSR
+// rows, and the next full rebuild folds it — the balls match the oracle on
+// the mutated graph at both points.
 func TestEngineSeesOverlayThroughRebuild(t *testing.T) {
-	g, k1, k2, vs := chainGraph(6, false)
-	pg := BuildProb(g, k1, k2, strongParams(g))
+	pg, vs := clusteredPG(6, 8) // ball = one 8-chain ≪ n/2, no bulk fallback
+	g := pg.Graph()
 	e := NewEngine(pg, 0.8)
-	e.SetProb(vs[0], vs[4], 0.95) // brand-new edge → overlay + full rebuild
-	if e.PendingSources() != g.NumVertices() {
-		t.Fatalf("new edge should schedule a full rebuild, pending = %d", e.PendingSources())
+	e.SetProb(vs[0], vs[12], 0.95) // brand-new edge into another chain → overlay
+	if got := e.PendingSources(); got == 0 || got >= g.NumVertices()/2 {
+		t.Fatalf("new edge should dirty its tail's ball only, pending = %d of %d", got, g.NumVertices())
 	}
+	e.Sync()
+	if pg.ovCount != 1 {
+		t.Fatalf("partial sync should leave the overlay in place, ovCount = %d", pg.ovCount)
+	}
+	assertMatchesOracle(t, e, "after overlay partial sync")
+	if _, ok := e.Ball(0).Get(12); !ok {
+		t.Fatal("ball of vertex 0 misses the new edge's target")
+	}
+	e.InvalidateAll()
 	e.Sync()
 	if pg.ovCount != 0 {
 		t.Fatalf("rebuild should fold the overlay, ovCount = %d", pg.ovCount)
 	}
 	assertMatchesOracle(t, e, "after overlay rebuild")
-	if _, ok := e.Ball(0).Get(4); !ok {
-		t.Fatal("rebuilt ball of vertex 0 misses the new edge's target")
-	}
 }
 
 // TestDetachClearsOverlayEdges ensures DetachVertex removes overlay edges

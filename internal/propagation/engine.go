@@ -12,29 +12,33 @@ import (
 // across the human–machine loop. The full InferAll recompute that the loop
 // used to pay on every edge mutation is replaced by dirty-source tracking:
 // the reverse index rev[p] names precisely the sources whose ζ-balls
-// contain a vertex p, so when edges incident to p are removed (a confirmed
-// match's competitors being detached, a worker-labeled non-match), only
-// those sources plus p itself can change and only they are re-run.
-// Re-estimation replaces the whole probabilistic graph, so it triggers a
-// parallel full rebuild instead.
+// contain a vertex p, so when an edge leaving p changes — removed with a
+// detached vertex, or re-weighted in either direction by re-estimation —
+// only those sources plus p itself can change and only they are re-run.
 //
-// The incremental step is exact for removal-only batches: any ζ-bounded
-// path of a source q that uses an edge incident to a touched vertex p
-// reaches p within ζ on a prefix of that path, so q ∈ rev[p] as of the
-// last Sync (removals only shrink balls, so the stale rev is a superset of
-// the true one). Every other source keeps all of its shortest paths and
-// gains none, hence its ball is bitwise unchanged. Strengthened or added
-// edges can pull new vertices into arbitrary balls, so SetProb falls back
-// to a full rebuild for them; the pipeline only strengthens edges via
-// re-estimation, which rebuilds anyway.
+// The invalidation rule is exact: an edge whose probability changed
+// dirties rev[tail] ∪ {tail}, with rev as of the last Sync. Let G0 be the
+// graph at the last Sync, G1 the current one, and q a source whose ball
+// differs between them. Then some ζ-bounded path from q, in G0 or in G1,
+// uses an edge that differs; take the first such edge on it. The prefix
+// before it consists of edges identical in G0 and G1, so it is a
+// ζ-bounded path of G0 from q to that edge's tail: the tail was in q's
+// ball at the last Sync (or is q itself), i.e. q ∈ rev[tail] ∪ {tail},
+// and was queued when the edge changed. Every other source keeps all of
+// its bounded paths and gains none, hence its ball is bitwise unchanged.
+// The direction of the change never enters the argument, so weakened,
+// strengthened and brand-new (overlay) edges all take the same partial
+// path. DetachVertex queues rev[p] ∪ {p} for the detached vertex p
+// instead of the tails of p's in-edges: those edges only disappear, and a
+// bounded path of G0 through one of them reaches p itself within ζ.
 //
-// Mutators (DetachVertex, SetProb, Reset, InvalidateAll) only record
-// invalidations; Sync applies them, fanning one bounded Dijkstra per dirty
-// source across GOMAXPROCS goroutines, each worker reusing one pooled
-// dense scratch. Readers (Set, Ball, Prob) deliberately serve the balls as
-// of the last Sync: the loop resolves each batch of µ questions against
-// one snapshot (the paper's semantics), then Syncs at the top of the next
-// loop.
+// Mutators (DetachVertex, SetProb, InvalidateTails, Reset, InvalidateAll)
+// only record invalidations; Sync applies them, fanning one bounded
+// Dijkstra per dirty source across GOMAXPROCS goroutines, each worker
+// reusing one pooled dense scratch. Readers (Set, Ball, Prob)
+// deliberately serve the balls as of the last Sync: the loop resolves
+// each batch of µ questions against one snapshot (the paper's semantics),
+// then Syncs at the top of the next loop.
 //
 // An Engine is not safe for concurrent use; Sync's internal workers are
 // the only concurrency it owns.
@@ -49,8 +53,11 @@ type Engine struct {
 	dist []Ball
 	rev  [][]int32
 
-	dirty map[int32]struct{} // source indexes queued for recompute
-	full  bool               // pending whole-graph rebuild
+	// dirty lists the source indexes queued for recompute; isDirty marks
+	// them by index, so queueing a whole ball costs no hashing.
+	dirty   []int32
+	isDirty []bool
+	full    bool // pending whole-graph rebuild
 
 	recomputes atomic.Int64 // single-source Dijkstra runs, for tests/benchmarks
 
@@ -72,12 +79,11 @@ func NewEngine(pg *ProbGraph, tau float64) *Engine {
 // before the initial build, so the first rebuild is counted too.
 func NewEngineObs(pg *ProbGraph, tau float64, c obs.EngineCounters) *Engine {
 	e := &Engine{
-		pg:    pg,
-		tau:   tau,
-		zeta:  zetaOf(tau),
-		dirty: make(map[int32]struct{}),
-		full:  true,
-		c:     c,
+		pg:   pg,
+		tau:  tau,
+		zeta: zetaOf(tau),
+		full: true,
+		c:    c,
 	}
 	e.Sync()
 	return e
@@ -137,29 +143,30 @@ func (e *Engine) DetachVertex(q pair.Pair) {
 	e.pg.detachAt(i)
 }
 
-// SetProb overrides one edge probability. Weakened or removed edges
-// invalidate the ball of the edge's tail; strengthened or added edges
-// schedule a full rebuild (see the type comment for why).
+// SetProb overrides one edge probability and invalidates the balls that
+// can see the edge's tail, whichever way the probability moved.
 func (e *Engine) SetProb(from, to pair.Pair, p float64) {
 	i := e.pg.g.IndexOf(from)
 	j := e.pg.g.IndexOf(to)
-	if i < 0 || j < 0 || i == j {
+	if i < 0 || j < 0 || i == j || p == e.pg.probAt(i, j) {
 		return
 	}
-	old := e.pg.probAt(i, j)
-	switch {
-	case p > old:
-		e.full = true
-	case p < old:
-		e.markBallDirty(i)
-	default:
-		return
-	}
+	e.markBallDirty(i)
 	e.pg.setProbAt(i, j, p)
 }
 
-// Reset swaps in a freshly rebuilt probabilistic graph (re-estimation) and
-// schedules a parallel full rebuild.
+// InvalidateTails records that out-edges of the given vertices were
+// rewritten in place on the engine's graph (Rewriter.Apply): each tail and
+// every source whose ball contained it are re-run at the next Sync.
+func (e *Engine) InvalidateTails(tails []int32) {
+	for _, i := range tails {
+		e.markBallDirty(int(i))
+	}
+}
+
+// Reset swaps in a freshly built probabilistic graph and schedules a
+// parallel full rebuild — the from-scratch reference the in-place rewrite
+// is tested against.
 func (e *Engine) Reset(pg *ProbGraph) {
 	e.pg = pg
 	e.InvalidateAll()
@@ -167,8 +174,25 @@ func (e *Engine) Reset(pg *ProbGraph) {
 
 // InvalidateAll schedules a whole-graph rebuild at the next Sync.
 func (e *Engine) InvalidateAll() {
-	e.full = true
-	clear(e.dirty)
+	e.full = true // the rebuild empties the queue
+}
+
+// clearDirty empties the recompute queue.
+func (e *Engine) clearDirty() {
+	for _, i := range e.dirty {
+		e.isDirty[i] = false
+	}
+	e.dirty = e.dirty[:0]
+}
+
+// queue adds source i to the recompute queue once.
+//
+//remp:hotpath
+func (e *Engine) queue(i int32) {
+	if !e.isDirty[i] {
+		e.isDirty[i] = true
+		e.dirty = append(e.dirty, i)
+	}
 }
 
 // markBallDirty queues vertex i and every source whose ball contained it
@@ -178,9 +202,9 @@ func (e *Engine) markBallDirty(i int) {
 		return
 	}
 	e.c.Invalidations.Add(1)
-	e.dirty[int32(i)] = struct{}{}
+	e.queue(int32(i))
 	for _, q := range e.rev[i] {
-		e.dirty[q] = struct{}{}
+		e.queue(q)
 	}
 }
 
@@ -191,7 +215,6 @@ func (e *Engine) Sync() {
 	if e.full {
 		e.rebuild()
 		e.full = false
-		clear(e.dirty)
 		return
 	}
 	if len(e.dirty) == 0 {
@@ -203,12 +226,11 @@ func (e *Engine) Sync() {
 	// rebuild is exact, only the work strategy changes.
 	if e.bulkFallback() {
 		e.rebuild()
-		clear(e.dirty)
 		return
 	}
-	srcs := make([]int, 0, len(e.dirty))
-	for i := range e.dirty {
-		srcs = append(srcs, int(i))
+	srcs := make([]int, len(e.dirty))
+	for k, i := range e.dirty {
+		srcs[k] = int(i)
 	}
 	slices.Sort(srcs)
 	// Drop the dirty sources from every reverse row their stale balls
@@ -225,7 +247,7 @@ func (e *Engine) Sync() {
 	for _, j := range touched {
 		keep := e.rev[j][:0]
 		for _, s := range e.rev[j] {
-			if _, isDirty := e.dirty[s]; !isDirty {
+			if !e.isDirty[s] {
 				keep = append(keep, s)
 			}
 		}
@@ -241,16 +263,21 @@ func (e *Engine) Sync() {
 			e.rev[en.Idx] = append(e.rev[en.Idx], int32(i))
 		}
 	}
-	clear(e.dirty)
+	e.clearDirty()
 }
 
 // rebuild recomputes every source from scratch in parallel, sharing
-// InferAll's implementation. The rebuild is also where a pending SetProb
-// overlay is folded into the CSR, so the steady-state Dijkstras that
-// follow run on pure flat storage.
+// InferAll's implementation. The rebuild is also where a SetProb overlay
+// is folded into the CSR; until one happens, partial Syncs read overlay
+// edges beside the flat rows.
 func (e *Engine) rebuild() {
 	e.pg.Fold()
 	n := e.pg.g.NumVertices()
+	if len(e.isDirty) == n {
+		e.clearDirty()
+	} else { // first build, or Reset onto another vertex set
+		e.dirty, e.isDirty = e.dirty[:0], make([]bool, n)
+	}
 	e.dist = e.pg.computeAll(e.zeta)
 	e.rev = buildRev(e.dist, n)
 	e.recomputes.Add(int64(n))

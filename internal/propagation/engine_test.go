@@ -147,7 +147,7 @@ func TestEngineRandomizedInvalidation(t *testing.T) {
 					old := e.Graph().probAt(i, j)
 					e.SetProb(verts[i], verts[j], old*0.5) // weaken
 				case 4:
-					e.SetProb(verts[i], verts[j], 0.8+0.2*rng.Float64()) // add/strengthen → full rebuild
+					e.SetProb(verts[i], verts[j], 0.8+0.2*rng.Float64()) // add/strengthen
 				case 5:
 					fresh, fverts := randomPG(rng, n, 0.08)
 					verts = fverts
@@ -226,13 +226,16 @@ func TestEngineRecomputesOnlyBall(t *testing.T) {
 		t.Fatalf("re-detach triggered recomputes: %d, want %d", got, want)
 	}
 
-	// A strengthened edge forces a full rebuild.
-	e.SetProb(vs[0], vs[7], 0.99)
-	if got := e.PendingSources(); got != n {
-		t.Fatalf("strengthen should schedule full rebuild (%d), got %d", n, got)
+	// A brand-new strong edge is no different: it dirties its tail and the
+	// sources that could see the tail, not the whole graph.
+	tail := vs[8] // head of the second chain
+	want := e.BallSize(tail) + 1
+	e.SetProb(tail, vs[15], 0.99)
+	if got := e.PendingSources(); got != want {
+		t.Fatalf("added edge dirtied %d sources, want rev[tail]+tail = %d", got, want)
 	}
 	e.Sync()
-	assertMatchesOracle(t, e, "after strengthen")
+	assertMatchesOracle(t, e, "after added edge")
 }
 
 func TestEngineResetResizes(t *testing.T) {

@@ -24,9 +24,12 @@ import (
 // Edge deletions zero the slot in place (prob 0, length +Inf — the
 // ζ-bound prunes them with the comparison it already performs); edges
 // added after the build that have no slot go to a sparse overlay, which
-// Fold merges back into a compacted CSR on re-estimation rebuilds.
+// Fold merges back into a compacted CSR on full engine rebuilds.
 type ProbGraph struct {
 	g *ergraph.Graph
+	// maxExact is the Params.MaxExactCandidates the graph was built with,
+	// kept so an in-place rewrite marginalizes exactly as the build did.
+	maxExact int
 
 	rowStart []int32
 	colIdx   []int32
@@ -77,53 +80,30 @@ func (p *Params) fill() {
 	}
 }
 
-// BuildProb computes conditional probabilities for every edge of g.
-// Rows accumulate through an epoch-stamped dense scratch (value + stamp
-// per vertex), so the max-merge across labels costs no map operations and
-// candidate indexes come straight from the graph's dense to-index arrays.
-func BuildProb(g *ergraph.Graph, k1, k2 *kb.KB, params Params) *ProbGraph {
+// BuildProb computes conditional probabilities for every edge of g. The
+// KBs are not consulted: everything neighbor propagation needs — the label
+// groups, the successor pairs and their dense indexes — is precomputed on
+// the graph.
+func BuildProb(g *ergraph.Graph, _, _ *kb.KB, params Params) *ProbGraph {
 	params.fill()
-	n := g.NumVertices()
-	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1)}
-	rowVal := make([]float64, n)
-	rowStamp := make([]uint32, n)
-	var epoch uint32
-	var js []int32
-	nbb := newNBBuilder()
 	verts := g.Vertices()
-	for i := 0; i < n; i++ {
-		epoch++
-		js = js[:0]
-		// Labels process in the canonical (R1, R2, Inverse) order; the
-		// per-row result is a max-merge, so the order only fixes tie-free
-		// determinism, not the values.
-		for _, grp := range g.OutGroupsAt(i) {
-			nb := nbb.build(k1, k2, verts[i], grp, params)
-			var post []float64
-			if len(nb.Cands) > params.MaxExactCandidates {
-				// Force the approximation path by inflating dimensions.
-				post = approxPosteriors(nb.Cands, candWeights(nb))
-			} else {
-				post = nb.Posteriors()
-			}
-			for ci, c := range nb.Cands {
-				j := c.Idx
-				if j < 0 || int(j) == i || post[ci] <= 0 {
-					continue
-				}
-				if rowStamp[j] != epoch {
-					rowStamp[j] = epoch
-					rowVal[j] = post[ci]
-					js = append(js, j)
-				} else if post[ci] > rowVal[j] {
-					rowVal[j] = post[ci]
-				}
-			}
+	n := len(verts)
+	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1), maxExact: params.MaxExactCandidates}
+	priors := make([]float64, n)
+	for i, v := range verts {
+		prior, ok := params.Priors[v]
+		if !ok {
+			prior = params.DefaultPrior
 		}
-		slices.Sort(js)
-		for _, j := range js {
+		priors[i] = prior
+	}
+	rb := newRowBuilder(g, priors, params.Consistency, pg.maxExact)
+	for i := 0; i < n; i++ {
+		rb.row(i)
+		slices.Sort(rb.js)
+		for _, j := range rb.js {
 			pg.colIdx = append(pg.colIdx, j)
-			pg.prob = append(pg.prob, rowVal[j])
+			pg.prob = append(pg.prob, rb.rowVal[j])
 		}
 		pg.rowStart[i+1] = int32(len(pg.colIdx))
 	}
@@ -172,84 +152,251 @@ func (pg *ProbGraph) finish() {
 	pg.ovOut, pg.ovIn, pg.ovCount = nil, nil, 0
 }
 
-func candWeights(nb *Neighborhood) []float64 {
-	w := make([]float64, len(nb.Cands))
-	for i, c := range nb.Cands {
-		prior := clampProb(c.Prior)
-		e1 := clampProb(nb.Eps1)
-		e2 := clampProb(nb.Eps2)
-		w[i] = prior / (1 - prior) * e1 / (1 - e1) * e2 / (1 - e2)
-	}
-	return w
+// epsPair is one label's consistency point estimate, the only part of a
+// fit neighbor propagation consumes.
+type epsPair struct{ e1, e2 float64 }
+
+// rowBuilder computes one vertex's out-row of conditional probabilities —
+// the posteriors of each of its label groups, max-merged per target — on
+// reusable scratch. It is the single kernel behind BuildProb (every row,
+// emitted into a fresh CSR) and Rewriter (the rows a label change touches,
+// written into the existing slots), so the two agree bit for bit by
+// construction. Priors and estimates are dense: by vertex index and by
+// the graph's label index.
+type rowBuilder struct {
+	g        *ergraph.Graph
+	prior    []float64
+	eps      []epsPair
+	maxExact int
+
+	// The row under construction: rowVal[j] is valid where rowStamp[j]
+	// carries the current epoch, and js lists those targets (unsorted).
+	rowVal   []float64
+	rowStamp []uint32
+	epoch    uint32
+	js       []int32
+
+	cands  []CandidatePair
+	colEnt []kb.EntityID // distinct side-2 successors of the current group, by column
+	ms     matchScratch
 }
 
-// nbBuilder assembles propagation instances, reusing its maps and
-// candidate buffer across every (vertex, label) of one BuildProb call —
-// each neighborhood is consumed (posteriors recorded) before the next
-// build overwrites it.
-type nbBuilder struct {
-	rowIdx map[kb.EntityID]int
-	colIdx map[kb.EntityID]int
-	seen   map[int32]struct{}
-	nb     Neighborhood
+// newRowBuilder builds the kernel over g with per-vertex priors (shared,
+// read-only) and the given estimates.
+func newRowBuilder(g *ergraph.Graph, priors []float64, est map[ergraph.RelPair]consistency.Estimate, maxExact int) *rowBuilder {
+	n := g.NumVertices()
+	rb := &rowBuilder{
+		g:        g,
+		prior:    priors,
+		eps:      make([]epsPair, len(g.Labels())),
+		maxExact: maxExact,
+		rowVal:   make([]float64, n),
+		rowStamp: make([]uint32, n),
+	}
+	rb.setEstimates(est, nil)
+	return rb
 }
 
-func newNBBuilder() *nbBuilder {
-	return &nbBuilder{
-		rowIdx: map[kb.EntityID]int{},
-		colIdx: map[kb.EntityID]int{},
-		seen:   map[int32]struct{}{},
+// setEstimates loads the labels' (ε1, ε2), falling back to 0.5 on both
+// sides for labels est lacks, and reports into changed (when non-nil, one
+// flag per label index) which labels moved.
+func (rb *rowBuilder) setEstimates(est map[ergraph.RelPair]consistency.Estimate, changed []bool) (anyMoved bool) {
+	for li, label := range rb.g.Labels() {
+		ep := epsPair{0.5, 0.5}
+		if e, ok := est[label]; ok {
+			ep = epsPair{e.Eps1, e.Eps2}
+		}
+		moved := ep != rb.eps[li]
+		rb.eps[li] = ep
+		if changed != nil {
+			changed[li] = moved
+		}
+		anyMoved = anyMoved || moved
+	}
+	return anyMoved
+}
+
+// row computes vertex i's out-row into rowVal/js. Labels process in the
+// canonical (R1, R2, Inverse) order; the per-target result is a max-merge,
+// so the order only fixes tie-free determinism, not the values.
+//
+//remp:hotpath
+func (rb *rowBuilder) row(i int) {
+	rb.epoch++
+	if rb.epoch == 0 {
+		clear(rb.rowStamp)
+		rb.epoch = 1
+	}
+	rb.js = rb.js[:0]
+	labels := rb.g.GroupLabels()
+	for k, hi := rb.g.GroupsAt(i); k < hi; k++ {
+		rb.group(i, k)
+		ep := rb.eps[labels[k]]
+		// Instances above the exact-marginalization bound take the
+		// local-exclusion approximation whatever their dimensions.
+		post := rb.ms.posteriors(rb.cands, ep.e1, ep.e2, len(rb.cands) > rb.maxExact)
+		for ci, c := range rb.cands {
+			j := c.Idx
+			if post[ci] <= 0 {
+				continue
+			}
+			if rb.rowStamp[j] != rb.epoch {
+				rb.rowStamp[j] = rb.epoch
+				rb.rowVal[j] = post[ci]
+				rb.js = append(rb.js, j)
+			} else if post[ci] > rb.rowVal[j] {
+				rb.rowVal[j] = post[ci]
+			}
+		}
 	}
 }
 
-// build assembles the propagation instance for vertex v and one edge
-// label group: distinct successor entities on each side index the
-// rows/columns, and each successor pair that is a graph vertex becomes a
-// candidate with its prior. Candidates carry the dense vertex index from
-// the group's To slice, so recording needs no pair lookups.
-func (b *nbBuilder) build(k1, k2 *kb.KB, v pair.Pair, grp ergraph.LabelGroup, params Params) *Neighborhood {
-	clear(b.rowIdx)
-	clear(b.colIdx)
-	clear(b.seen)
-	rowIdx, colIdx := b.rowIdx, b.colIdx
-	nb := &b.nb
-	nb.Cands = nb.Cands[:0]
-	label := grp.Label
-	if label.Inverse {
-		nb.N1Size = len(k1.In(v.U1, label.R1))
-		nb.N2Size = len(k2.In(v.U2, label.R2))
-	} else {
-		nb.N1Size = len(k1.Out(v.U1, label.R1))
-		nb.N2Size = len(k2.Out(v.U2, label.R2))
+// group assembles the propagation instance of vertex i's label group k
+// into rb.cands: distinct successor entities on each side index the
+// rows/columns in first-appearance order, and each successor pair becomes
+// a candidate with its prior. The group's edges are ascending in To and
+// distinct, so equal side-1 entities are adjacent: rows advance when U1
+// changes, and only the side-2 entities need a lookup (column).
+//
+//remp:hotpath
+func (rb *rowBuilder) group(i, k int) {
+	out, idx := rb.g.OutAt(i), rb.g.OutIndexesAt(i)
+	rb.cands = rb.cands[:0]
+	rb.colEnt = rb.colEnt[:0]
+	row := -1
+	var rowEnt kb.EntityID
+	for _, pos := range rb.g.GroupEdges(k) {
+		to, j := out[pos].To, idx[pos]
+		if row < 0 || to.U1 != rowEnt {
+			row++
+			rowEnt = to.U1
+		}
+		rb.cands = append(rb.cands, CandidatePair{Row: row, Col: rb.column(to.U2), Pair: to, Prior: rb.prior[j], Idx: j})
 	}
-	est, ok := params.Consistency[label]
-	if !ok {
-		est = consistency.Estimate{Eps1: 0.5, Eps2: 0.5}
+}
+
+// column returns u's column in the current group, assigning the next one
+// on first appearance. The lookup scans the group's distinct side-2
+// successors: one or two for the typical group and 107 for the largest
+// hub group of any built-in dataset or benchmark workload, sizes at which
+// a per-group map measured 45 % slower over a whole BuildProb.
+//
+//remp:hotpath
+func (rb *rowBuilder) column(u kb.EntityID) int {
+	c := slices.Index(rb.colEnt, u)
+	if c < 0 {
+		c = len(rb.colEnt)
+		rb.colEnt = append(rb.colEnt, u)
 	}
-	nb.Eps1, nb.Eps2 = est.Eps1, est.Eps2
-	for k, e := range grp.Edges {
-		j := grp.To[k]
-		if _, dup := b.seen[j]; dup {
+	return c
+}
+
+// Rewriter rewrites a ProbGraph in place when consistency estimates move:
+// the label-scoped counterpart of rebuilding it with BuildProb. It keeps
+// the estimates the graph currently reflects, so a rewrite touches only
+// the rows owning a group under a label whose (ε1, ε2) changed, recomputes
+// those rows with BuildProb's own kernel and writes the prob/length slots
+// that differ — no new CSR, no secondary-array rebuild. A ProbGraph built
+// by BuildProb has a slot for every graph edge (priors and estimates are
+// clamped into [0.01, 0.99], so posteriors are strictly positive), hence
+// the slot layout never depends on the estimates. rewriteRow enforces
+// rather than assumes this: a slot the recomputed row does not produce is
+// zeroed, and a produced target without a slot — possible only after a
+// Fold compacted away a removed, non-detached label edge — panics.
+//
+// A Rewriter is per-loop state: it belongs to whoever mutates the graph
+// (core.ShardState), never to the shared prepared pipeline.
+type Rewriter struct {
+	pg      *ProbGraph
+	rb      *rowBuilder
+	changed []bool  // per label index: estimate moved in the current Apply
+	tails   []int32 // result buffer of Apply
+}
+
+// NewRewriter returns a rewriter for pg. priors holds the prior of every
+// vertex by index (shared, read-only) and est the estimates pg currently
+// reflects: together, the Params it was built from.
+func NewRewriter(pg *ProbGraph, priors []float64, est map[ergraph.RelPair]consistency.Estimate) *Rewriter {
+	return &Rewriter{
+		pg:      pg,
+		rb:      newRowBuilder(pg.g, priors, est, pg.maxExact),
+		changed: make([]bool, len(pg.g.Labels())),
+	}
+}
+
+// Apply brings the graph to the given estimates. detached flags, by
+// vertex index, the vertices whose edges were removed from the
+// propagation fabric; their slots stay zero in both directions, exactly
+// as re-detaching them on a freshly built graph would leave them. It
+// returns the vertices with at least one changed out-edge — the tails an
+// Engine over the graph must invalidate (Engine.InvalidateTails) —
+// ascending; the slice is reused by the next Apply. Overlay edges are not
+// derived from labels and are left alone while they live in the overlay;
+// once a Fold gave one a CSR slot, rewriting its row removes it, as the
+// row then equals what BuildProb computes.
+func (rw *Rewriter) Apply(est map[ergraph.RelPair]consistency.Estimate, detached []bool) []int32 {
+	rw.tails = rw.tails[:0]
+	if !rw.rb.setEstimates(est, rw.changed) {
+		return rw.tails
+	}
+	g := rw.pg.g
+	labels := g.GroupLabels()
+	for i, n := 0, g.NumVertices(); i < n; i++ {
+		if detached[i] {
+			continue // every slot of the row is, and stays, zero
+		}
+		for k, hi := g.GroupsAt(i); k < hi; k++ {
+			if rw.changed[labels[k]] {
+				if rw.rewriteRow(i, detached) {
+					rw.tails = append(rw.tails, int32(i))
+				}
+				break
+			}
+		}
+	}
+	return rw.tails
+}
+
+// rewriteRow recomputes vertex i's row and stores the slots whose value
+// moved, reporting whether any did. Every non-detached slot ends up holding
+// what BuildProb would compute for it: the posterior, or nothing where the
+// label groups no longer produce the target. The reverse — a recomputed
+// target the row has no slot for — cannot be stored in place and panics.
+//
+//remp:hotpath
+func (rw *Rewriter) rewriteRow(i int, detached []bool) bool {
+	rb, pg := rw.rb, rw.pg
+	rb.row(i)
+	dirty := false
+	stamped := 0
+	for e := pg.rowStart[i]; e < pg.rowStart[i+1]; e++ {
+		j := pg.colIdx[e]
+		p := 0.0
+		if rb.rowStamp[j] == rb.epoch {
+			stamped++
+			p = rb.rowVal[j] // strictly positive: row keeps no other value
+		}
+		if detached[j] || p == pg.prob[e] {
 			continue
 		}
-		b.seen[j] = struct{}{}
-		r, ok := rowIdx[e.To.U1]
-		if !ok {
-			r = len(rowIdx)
-			rowIdx[e.To.U1] = r
+		if p > 0 {
+			if pg.prob[e] <= 0 {
+				pg.outDeg[i]++
+				pg.inDeg[j]++
+			}
+			pg.length[e] = -math.Log(p)
+		} else {
+			pg.outDeg[i]--
+			pg.inDeg[j]--
+			pg.length[e] = math.Inf(1)
 		}
-		c, ok := colIdx[e.To.U2]
-		if !ok {
-			c = len(colIdx)
-			colIdx[e.To.U2] = c
-		}
-		prior, ok := params.Priors[e.To]
-		if !ok {
-			prior = params.DefaultPrior
-		}
-		nb.Cands = append(nb.Cands, CandidatePair{Row: r, Col: c, Pair: e.To, Prior: prior, Idx: j})
+		pg.prob[e] = p
+		dirty = true
 	}
-	return nb
+	if stamped != len(rb.js) {
+		panic("propagation: rewrite recomputed an edge whose CSR slot was compacted away")
+	}
+	return dirty
 }
 
 // Graph returns the underlying ER graph.

@@ -13,7 +13,6 @@ import (
 
 func TestPosteriorsSingleCandidate(t *testing.T) {
 	nb := &Neighborhood{
-		N1Size: 1, N2Size: 1,
 		Cands: []CandidatePair{{Row: 0, Col: 0, Pair: pair.Pair{U1: 1, U2: 1}, Prior: 0.5}},
 		Eps1:  0.9, Eps2: 0.9,
 	}
@@ -31,7 +30,6 @@ func TestPosteriorsSingleCandidate(t *testing.T) {
 // correct pairs should come out ≈ 0.98 and the wrong one ≈ 0.01.
 func TestPosteriorsFigure1(t *testing.T) {
 	nb := &Neighborhood{
-		N1Size: 2, N2Size: 2,
 		Cands: []CandidatePair{
 			{Row: 0, Col: 0, Pair: pair.Pair{U1: 10, U2: 10}, Prior: 0.5}, // CC
 			{Row: 1, Col: 1, Pair: pair.Pair{U1: 11, U2: 11}, Prior: 0.5}, // PP
@@ -83,11 +81,11 @@ func TestPosteriorsMatchBruteForce(t *testing.T) {
 			continue
 		}
 		nb := &Neighborhood{
-			N1Size: rows, N2Size: cols, Cands: cands,
-			Eps1: 0.2 + 0.7*rng.Float64(), Eps2: 0.2 + 0.7*rng.Float64(),
+			Cands: cands,
+			Eps1:  0.2 + 0.7*rng.Float64(), Eps2: 0.2 + 0.7*rng.Float64(),
 		}
 		got := nb.Posteriors()
-		want := bruteForcePosteriors(nb)
+		want := bruteForcePosteriors(nb, rows, cols)
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				t.Fatalf("iter %d cand %d: DP %v, brute force %v (nb=%+v)", iter, i, got[i], want[i], nb)
@@ -98,8 +96,9 @@ func TestPosteriorsMatchBruteForce(t *testing.T) {
 
 // bruteForcePosteriors enumerates all subsets of candidates, keeps the
 // injective ones, and computes exact marginals from Eq. (6)–(9) directly
-// (including the constant factors, which must cancel).
-func bruteForcePosteriors(nb *Neighborhood) []float64 {
+// (including the constant factors of the value-set sizes n1 and n2, which
+// must cancel).
+func bruteForcePosteriors(nb *Neighborhood, n1, n2 int) []float64 {
 	n := len(nb.Cands)
 	total := 0.0
 	marg := make([]float64, n)
@@ -107,7 +106,7 @@ func bruteForcePosteriors(nb *Neighborhood) []float64 {
 		if !injective(nb.Cands, mask) {
 			continue
 		}
-		w := weightOf(nb, mask)
+		w := weightOf(nb, n1, n2, mask)
 		total += w
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
@@ -138,7 +137,7 @@ func injective(cands []CandidatePair, mask int) bool {
 }
 
 // weightOf computes f(M)·g(M|N1)·g(M|N2) verbatim from the paper.
-func weightOf(nb *Neighborhood, mask int) float64 {
+func weightOf(nb *Neighborhood, n1, n2, mask int) float64 {
 	e1 := clampProb(nb.Eps1)
 	e2 := clampProb(nb.Eps2)
 	f := 1.0
@@ -152,8 +151,8 @@ func weightOf(nb *Neighborhood, mask int) float64 {
 			f *= 1 - p
 		}
 	}
-	g1 := math.Pow(e1, float64(size)) * math.Pow(1-e1, float64(nb.N1Size-size))
-	g2 := math.Pow(e2, float64(size)) * math.Pow(1-e2, float64(nb.N2Size-size))
+	g1 := math.Pow(e1, float64(size)) * math.Pow(1-e1, float64(n1-size))
+	g2 := math.Pow(e2, float64(size)) * math.Pow(1-e2, float64(n2-size))
 	return f * g1 * g2
 }
 
@@ -164,9 +163,10 @@ func TestApproxPosteriorsReasonable(t *testing.T) {
 		cands = append(cands, CandidatePair{Row: 0, Col: c,
 			Pair: pair.Pair{U1: 0, U2: kb.EntityID(c)}, Prior: 0.5})
 	}
-	nb := &Neighborhood{N1Size: 1, N2Size: 5, Cands: cands, Eps1: 0.8, Eps2: 0.8}
+	nb := &Neighborhood{Cands: cands, Eps1: 0.8, Eps2: 0.8}
 	exact := nb.Posteriors()
-	approx := approxPosteriors(cands, candWeights(nb))
+	var ms matchScratch
+	approx := ms.posteriors(cands, nb.Eps1, nb.Eps2, true)
 	for i := range exact {
 		if math.Abs(exact[i]-approx[i]) > 1e-9 {
 			t.Errorf("star graph: exact %v != approx %v", exact[i], approx[i])
@@ -181,7 +181,7 @@ func TestHighPriorBeatsCompetitors(t *testing.T) {
 		{Row: 0, Col: 0, Pair: pair.Pair{U1: 0, U2: 0}, Prior: 0.9},
 		{Row: 1, Col: 0, Pair: pair.Pair{U1: 1, U2: 0}, Prior: 0.2},
 	}
-	nb := &Neighborhood{N1Size: 2, N2Size: 1, Cands: cands, Eps1: 0.9, Eps2: 0.9}
+	nb := &Neighborhood{Cands: cands, Eps1: 0.9, Eps2: 0.9}
 	post := nb.Posteriors()
 	if post[0] <= post[1] {
 		t.Errorf("high-prior pair lost: %v vs %v", post[0], post[1])
