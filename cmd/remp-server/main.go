@@ -27,9 +27,8 @@
 // in-flight requests drain (new ones are refused with 503), every
 // session's snapshot is flushed and the store is closed.
 //
-// -debug-addr serves net/http/pprof (and expvar) on a second listener,
-// kept off the public address so profiling endpoints are never exposed
-// with the API:
+// -debug-addr serves net/http/pprof on a second listener, kept off the
+// public address so profiling endpoints are never exposed with the API:
 //
 //	remp-server -addr :8080 -debug-addr localhost:6060
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
@@ -70,7 +69,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("remp-server: ")
 	addr := flag.String("addr", ":8080", "listen address")
-	debugAddr := flag.String("debug-addr", "", "optional second listen address for net/http/pprof and expvar (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "optional second listen address for net/http/pprof (e.g. localhost:6060)")
 	quiet := flag.Bool("quiet", false, "log warnings and errors only")
 	shards := flag.Int("shards", 0, "default shard count for sessions that do not specify one (0 = auto, 1 = monolithic)")
 	storeKind := flag.String("store", "mem", "session store backend: mem (in-memory) or disk (crash-safe WAL + snapshots)")
@@ -129,7 +128,7 @@ func main() {
 		// pprof registers itself on http.DefaultServeMux; serving that mux
 		// on a separate listener keeps profiling off the public API port.
 		go func() {
-			logger.Info("debug listener (pprof, expvar)", "addr", *debugAddr)
+			logger.Info("debug listener (pprof)", "addr", *debugAddr)
 			if derr := http.ListenAndServe(*debugAddr, nil); derr != nil {
 				logger.Warn("debug listener", "err", derr)
 			}

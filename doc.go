@@ -15,10 +15,12 @@
 // to the synchronous remp.Resolve, and snapshots its answer log as JSON
 // so it survives process restarts. A session manager runs many sessions
 // concurrently and shares answers across the sessions of one dataset, so
-// the crowd never sees the same pair twice. cmd/remp-server serves the
-// whole lifecycle — create, batch, answers, result, snapshot, restore —
-// over HTTP/JSON (internal/server), and examples/asynccrowd drives it
-// end to end.
+// the crowd never sees the same pair twice. The prepared pipeline is
+// read-only — a loop starts from its own copy of the edge probabilities
+// it will change — so any number of loops run over one. cmd/remp-server
+// serves the whole lifecycle — create, batch, answers, result, snapshot,
+// restore — over HTTP/JSON (internal/server), and examples/asynccrowd
+// drives it end to end.
 //
 // The resolution pipeline shards by graph partition: propagation evidence
 // is bounded to ζ-balls, so the candidate-pair graph's connected

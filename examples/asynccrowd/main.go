@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	go func() {
-		log.Fatal(http.Serve(ln, server.New(nil).Handler()))
+		log.Fatal(http.Serve(ln, server.New().Handler()))
 	}()
 	client := server.NewClient("http://" + ln.Addr().String())
 

@@ -15,9 +15,9 @@ import (
 type WorkerConfig struct {
 	// Prepare turns an opaque session spec (as shipped by the
 	// coordinator's prepare RPC) into the prepared pipeline the shard
-	// states are built from. The worker caches the result per spec hash,
-	// so one expensive Prepare backs every shard of a session — and every
-	// session with the same spec.
+	// states are built from. The worker caches the result per spec hash
+	// while a runner uses it, so one expensive Prepare backs every shard
+	// of a session — and of every concurrent session with the same spec.
 	Prepare func(spec []byte) (*core.Prepared, error)
 	// Logf, when non-nil, receives diagnostic log lines.
 	Logf func(format string, args ...any)
@@ -46,12 +46,14 @@ type workerShard struct {
 	recomputes int64
 }
 
-// prepEntry caches one spec's Prepared, including a failed build: every
-// shard of a broken spec fails fast instead of re-running Prepare.
+// prepEntry caches one spec's Prepared for as long as some runner holds
+// it: a runner takes hold with its first prepare RPC for the spec and lets
+// go when it ends, and the worker drops an entry nobody holds.
 type prepEntry struct {
-	once sync.Once
-	p    *core.Prepared
-	err  error
+	once    sync.Once
+	p       *core.Prepared
+	err     error
+	runners map[string]struct{} // guarded by Worker.prepMu
 }
 
 // Worker hosts assigned shards' engine states and serves the cluster RPC
@@ -220,20 +222,24 @@ func (w *Worker) handle(method string, body json.RawMessage) (res json.RawMessag
 			}
 		}
 		w.shardMu.Unlock()
+		w.releasePrepared(req.Runner)
 		return json.RawMessage(`{}`), "", nil
 	default:
 		return nil, "", fmt.Errorf("cluster worker: unknown method %q", method)
 	}
 }
 
-// prepared returns the cached pipeline for a spec, building it once.
-func (w *Worker) prepared(hash string, spec []byte) (*core.Prepared, error) {
+// prepared returns the cached pipeline for a spec on the runner's behalf,
+// building it once. A failed build is not kept past the requests waiting
+// on it.
+func (w *Worker) prepared(runner, hash string, spec []byte) (*core.Prepared, error) {
 	w.prepMu.Lock()
 	e, ok := w.preps[hash]
 	if !ok {
-		e = &prepEntry{}
+		e = &prepEntry{runners: map[string]struct{}{}}
 		w.preps[hash] = e
 	}
+	e.runners[runner] = struct{}{}
 	w.prepMu.Unlock()
 	e.once.Do(func() {
 		if sum := sha256.Sum256(spec); hex.EncodeToString(sum[:]) != hash {
@@ -246,11 +252,27 @@ func (w *Worker) prepared(hash string, spec []byte) (*core.Prepared, error) {
 		}
 		e.p, e.err = w.cfg.Prepare(spec)
 	})
+	if e.err != nil {
+		w.releasePrepared(runner)
+	}
 	return e.p, e.err
 }
 
+// releasePrepared ends the runner's hold on the cached pipelines and
+// drops the ones no runner holds any more.
+func (w *Worker) releasePrepared(runner string) {
+	w.prepMu.Lock()
+	defer w.prepMu.Unlock()
+	for hash, e := range w.preps {
+		delete(e.runners, runner)
+		if len(e.runners) == 0 {
+			delete(w.preps, hash)
+		}
+	}
+}
+
 func (w *Worker) handlePrepare(req prepareReq) (json.RawMessage, string, error) {
-	p, err := w.prepared(req.SpecHash, req.Spec)
+	p, err := w.prepared(req.Runner, req.SpecHash, req.Spec)
 	if err != nil {
 		return nil, "", err
 	}

@@ -146,10 +146,11 @@ func TestRunRecomputesOnlyDirtySources(t *testing.T) {
 	cfg.Reestimate = false
 	cfg.ClassifyIsolated = false
 	p := Prepare(k1, k2, cfg)
-	res := p.Run(NewOracleAsker(gold.IsMatch))
+	l := p.NewLoop()
+	res := l.run(NewOracleAsker(gold.IsMatch))
 
 	n := int64(p.Graph.NumVertices())
-	got := p.runRecomputes
+	got := l.recomputes
 	if res.Loops < 3 {
 		t.Fatalf("fixture too easy: only %d loops", res.Loops)
 	}
@@ -200,7 +201,7 @@ func BenchmarkRunLoop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := Prepare(k1, k2, cfg) // Run mutates the prepared graph
+		p := Prepare(k1, k2, cfg)
 		asker := NewOracleAsker(gold.IsMatch)
 		b.StartTimer()
 		_ = p.Run(asker)

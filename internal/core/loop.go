@@ -109,11 +109,12 @@ type loopShard struct {
 // A Loop is not safe for concurrent use; internal/session.Session adds the
 // locking, stable question IDs and snapshot/restore on top.
 type Loop struct {
-	p      *Prepared
-	r      ShardRunner
-	res    *Result
-	priors map[pair.Pair]float64
-	hard   pair.Set
+	p   *Prepared
+	r   ShardRunner
+	res *Result
+	// damped overlays the Prepared's priors with the posteriors of hard
+	// questions, which weigh their next truth inference.
+	damped map[pair.Pair]float64
 	shards []*loopShard
 
 	open    []pair.Pair                 // published batch, in selection order
@@ -139,13 +140,15 @@ type Loop struct {
 	ded     *deduce.Store
 	deduced pair.Set
 
-	recomputes int64 // Dijkstra runs of engines already released
+	// recomputes counts the single-source Dijkstra runs of the engines
+	// released so far — all of them once the loop is done. Kept for the
+	// test that asserts only dirty sources are recomputed.
+	recomputes int64
 }
 
-// NewLoop starts the human–machine loop and advances it to its first
-// question batch (or directly to LoopDone when nothing can be asked).
-// Like Run, it mutates the Prepared's probabilistic graph(s); prepare one
-// Prepared per loop.
+// NewLoop starts a human–machine loop over the pipeline and advances it to
+// its first question batch (or directly to LoopDone when nothing can be
+// asked).
 func (p *Prepared) NewLoop() *Loop {
 	l := &Loop{
 		p: p,
@@ -156,12 +159,8 @@ func (p *Prepared) NewLoop() *Loop {
 			IsolatedPredicted: pair.Set{},
 			NonMatches:        pair.Set{},
 		},
-		priors: make(map[pair.Pair]float64, len(p.Priors)),
-		hard:   pair.Set{},
+		damped: map[pair.Pair]float64{},
 		est:    p.Consistency,
-	}
-	for k, v := range p.Priors {
-		l.priors[k] = v
 	}
 	if p.Cfg.Deduce {
 		l.ded = deduce.New(deduce.OneToOne)
@@ -456,7 +455,11 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	l.history = append(l.history, Answer{Pair: q, Labels: labels})
 	l.res.Questions++
 	l.touch(q)
-	inf := crowd.Infer(l.priors[q], labels, cfg.Thresholds)
+	prior, hard := l.damped[q]
+	if !hard {
+		prior = l.p.Priors[q]
+	}
+	inf := crowd.Infer(prior, labels, cfg.Thresholds)
 	switch inf.Verdict {
 	case crowd.IsMatch:
 		l.confirmMatch(q)
@@ -464,8 +467,7 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 		l.markNonMatch(q)
 	default:
 		// Hard question: damp its prior so its benefit shrinks.
-		l.priors[q] = inf.Posterior
-		l.hard.Add(q)
+		l.damped[q] = inf.Posterior
 		if s := l.shardIndex(q); s >= 0 && !l.shards[s].settled && l.err == nil {
 			if err := l.r.Damp(s, q, inf.Posterior); err != nil {
 				l.fail(err)
@@ -739,7 +741,6 @@ func (l *Loop) finish() {
 		n, _ := l.r.Close()
 		l.recomputes += n
 	}
-	l.p.runRecomputes = l.recomputes
 	if l.p.Cfg.ClassifyIsolated {
 		l.p.classifyIsolated(l.res)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/attrmatch"
 	"repro/internal/blocking"
 	"repro/internal/consistency"
@@ -15,8 +17,9 @@ import (
 
 // Prepared holds every artifact of stage 1 (ER graph construction) plus
 // the fitted consistency model and probabilistic ER graph, ready for the
-// human–machine loop. All fields are read-only after Prepare, except the
-// probabilistic graphs, which the in-process runner mutates (see Prob).
+// human–machine loop. It is immutable once Prepare returns: a loop keeps
+// everything it changes in the Loop and its ShardStates, so any number of
+// loops — concurrent ones included — run over one Prepared.
 type Prepared struct {
 	K1, K2 *kb.KB
 	Cfg    Config
@@ -27,17 +30,14 @@ type Prepared struct {
 	Pruner      *simvec.Pruner
 	Retained    []pair.Pair
 	Graph       *ergraph.Graph
-	// Consistency is the initial fit, over Blocking.Initial. It is never
-	// written after Prepare: a loop re-estimates into its own copy
-	// (Loop.est), so the estimates a run ended on are not recorded here.
+	// Consistency is the initial fit, over Blocking.Initial; a loop
+	// re-estimates into its own copy (Loop.est).
 	Consistency map[ergraph.RelPair]consistency.Estimate
-	// Prob is the monolithic probabilistic ER graph. It is populated only
-	// by single-shard pipelines (the default for laptop-scale graphs);
-	// sharded pipelines keep one probabilistic subgraph per shard instead,
-	// which bounds the peak size of any one engine's ball maps. It reflects
-	// Consistency until a loop starts; the in-process runner then detaches
-	// vertices from it and rewrites it in place (see ShardState), so after
-	// a run it is scratch, not a result.
+	// Prob is the monolithic probabilistic ER graph under Consistency. It
+	// is populated only by single-shard pipelines (the default for
+	// laptop-scale graphs); sharded pipelines keep one probabilistic
+	// subgraph per shard instead, which bounds the peak size of any one
+	// engine's ball maps. Shard states work on clones of it.
 	Prob   *propagation.ProbGraph
 	Priors map[pair.Pair]float64
 
@@ -56,12 +56,6 @@ type Prepared struct {
 	// detachment on the serial answer-application path.
 	byEntity1 map[kb.EntityID][]pair.Pair
 	byEntity2 map[kb.EntityID][]pair.Pair
-
-	// runRecomputes is the number of single-source Dijkstra runs the most
-	// recent Run performed, kept for diagnostics and the tests that assert
-	// only dirty sources are recomputed. The engines themselves are not
-	// retained past the run, so their ball maps can be collected.
-	runRecomputes int64
 }
 
 // Prepare runs ER graph construction end to end: candidate generation,
@@ -69,6 +63,20 @@ type Prepared struct {
 // partial-order pruning (Algorithm 1), ER graph construction, relationship
 // consistency fitting and neighbor propagation (the probabilistic graph).
 func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
+	return prepare(k1, k2, cfg, nil, nil)
+}
+
+// PrepareOnRetained builds a pipeline over an explicit retained pair set,
+// reusing a previously computed blocking result. It is used by the
+// Figure 6 scalability sweep, which measures Algorithms 2–3 on fractions
+// of Mrd.
+func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
+	return prepare(k1, k2, cfg, retained, blk)
+}
+
+// prepare is the one body behind both entry points: a nil blk runs
+// blocking, a nil retained runs pruning over the blocking candidates.
+func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
 		// Internal misuse: the public remp boundary returns this error to
@@ -77,14 +85,16 @@ func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 	}
 	t0 := cfg.Obs.StageStart()
 	defer cfg.Obs.StageEnd(obs.StagePrepare, t0)
-	p := &Prepared{K1: k1, K2: k2, Cfg: cfg}
+	p := &Prepared{K1: k1, K2: k2, Cfg: cfg, Blocking: blk}
 
-	tb := cfg.Obs.StageStart()
-	p.Blocking = blocking.Generate(k1, k2, blocking.Options{
-		Threshold: cfg.LabelSimThreshold,
-		Runner:    cfg.scheduler(),
-	})
-	cfg.Obs.StageEnd(obs.StageBlock, tb)
+	if blk == nil {
+		tb := cfg.Obs.StageStart()
+		p.Blocking = blocking.Generate(k1, k2, blocking.Options{
+			Threshold: cfg.LabelSimThreshold,
+			Runner:    cfg.scheduler(),
+		})
+		cfg.Obs.StageEnd(obs.StageBlock, tb)
+	}
 
 	ts := cfg.Obs.StageStart()
 	amOpts := attrmatch.DefaultOptions()
@@ -94,12 +104,17 @@ func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 
 	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
 	p.Builder.SetRunner(cfg.scheduler())
-	cands := make([]pair.Pair, len(p.Blocking.Candidates))
-	for i, c := range p.Blocking.Candidates {
-		cands[i] = c.Pair
+	if retained == nil {
+		cands := make([]pair.Pair, len(p.Blocking.Candidates))
+		for i, c := range p.Blocking.Candidates {
+			cands[i] = c.Pair
+		}
+		p.Pruner = simvec.NewPruner(cands, p.Builder.All(cands))
+		p.Retained = p.Pruner.Prune(cands, cfg.K)
+	} else {
+		p.Retained = slices.Clone(retained)
+		p.Pruner = simvec.NewPruner(p.Retained, p.Builder.All(p.Retained))
 	}
-	p.Pruner = simvec.NewPruner(cands, p.Builder.All(cands))
-	p.Retained = p.Pruner.Prune(cands, cfg.K)
 	cfg.Obs.StageEnd(obs.StageSimilarity, ts)
 
 	p.Graph = ergraph.Build(k1, k2, p.Retained)
@@ -116,47 +131,6 @@ func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 	}
 
 	p.Consistency = p.fitConsistency(p.Blocking.Initial)
-	p.initShards()
-	return p
-}
-
-// PrepareOnRetained builds a pipeline over an explicit retained pair set,
-// reusing a previously computed blocking result. It is used by the
-// Figure 6 scalability sweep, which measures Algorithms 2–3 on fractions
-// of Mrd.
-func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
-	cfg.fill()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	t0 := cfg.Obs.StageStart()
-	defer cfg.Obs.StageEnd(obs.StagePrepare, t0)
-	p := &Prepared{K1: k1, K2: k2, Cfg: cfg}
-	p.Blocking = blk
-
-	ts := cfg.Obs.StageStart()
-	amOpts := attrmatch.DefaultOptions()
-	amOpts.LiteralThreshold = cfg.LiteralThreshold
-	amOpts.Runner = cfg.scheduler()
-	p.AttrMatches = attrmatch.FindMatches(k1, k2, blk.Initial, amOpts)
-	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
-	p.Builder.SetRunner(cfg.scheduler())
-	p.Retained = append([]pair.Pair(nil), retained...)
-	p.Pruner = simvec.NewPruner(p.Retained, p.Builder.All(p.Retained))
-	cfg.Obs.StageEnd(obs.StageSimilarity, ts)
-
-	p.Graph = ergraph.Build(k1, k2, p.Retained)
-	p.Priors = make(map[pair.Pair]float64, len(p.Retained))
-	for _, q := range p.Retained {
-		p.Priors[q] = blk.Priors[q]
-	}
-	p.byEntity1 = make(map[kb.EntityID][]pair.Pair)
-	p.byEntity2 = make(map[kb.EntityID][]pair.Pair)
-	for _, v := range p.Graph.Vertices() {
-		p.byEntity1[v.U1] = append(p.byEntity1[v.U1], v)
-		p.byEntity2[v.U2] = append(p.byEntity2[v.U2], v)
-	}
-	p.Consistency = p.fitConsistency(blk.Initial)
 	p.initShards()
 	return p
 }

@@ -48,8 +48,14 @@ type Result struct {
 // refits only the labels whose evidence changed and rewrites only their
 // rows (see reestimate). Each batch of µ questions is resolved against the
 // snapshot taken at the loop top, exactly as before.
-func (p *Prepared) Run(asker Asker) *Result {
-	l := p.NewLoop()
+//
+// Every call is an independent loop over the shared, read-only pipeline:
+// repeated and concurrent Runs return what a freshly prepared pipeline
+// would.
+func (p *Prepared) Run(asker Asker) *Result { return p.NewLoop().run(asker) }
+
+// run drives the loop to completion against the Asker.
+func (l *Loop) run(asker Asker) *Result {
 	for !l.Done() {
 		if err := l.Err(); err != nil {
 			// Unreachable with the in-process runner; a remote runner that

@@ -76,8 +76,9 @@ func (c *Config) runnerFactory() RunnerFactory {
 	return NewLocalRunner
 }
 
-// ShardState is one shard's live engine state: the incremental propagation
-// engine, the rewriter that keeps the probabilistic graph in step with the
+// ShardState is one shard's live engine state: its own copy of the shard's
+// probabilistic graph (ProbGraph.Clone of the pipe's), the incremental
+// propagation engine over it, the rewriter that keeps it in step with the
 // loop's estimates, and the mirrors of the loop's resolution state that
 // candidate gathering and rebuilds read. The mirrors are addressed by
 // shard-local vertex index — the index space the graph, the engine's balls
@@ -88,10 +89,8 @@ func (c *Config) runnerFactory() RunnerFactory {
 // same operations over RPC — so both compute bit-identical candidates,
 // ranks, balls and rebuilds by construction.
 //
-// Everything that changes during a loop lives here (or in the Loop), not
-// in the Prepared, with one exception kept from the start: the in-process
-// runner's states mutate the Prepared's own probabilistic graphs, which is
-// why a Prepared serves one loop.
+// Everything that changes during a loop lives here or in the Loop; the
+// Prepared is only read, so any number of states share one.
 //
 // A ShardState is not safe for concurrent use; the loop serializes
 // operations per shard, and workers add their own locking.
@@ -105,7 +104,6 @@ type ShardState struct {
 	// reflects the Prepared's initial fit.
 	rw *propagation.Rewriter
 
-	prior    []float64 // prepared prior per vertex
 	resolved []bool
 	detached []bool
 	hard     []bool
@@ -115,38 +113,22 @@ type ShardState struct {
 	anyProp   bool
 }
 
-// newShardState assembles the state over shard s's graph and the given
-// probabilistic graph of it.
-func (p *Prepared) newShardState(s int, prob *propagation.ProbGraph) *ShardState {
+// NewShardState builds the engine state for shard s over a copy of the
+// shard's probabilistic graph. The initial engine build is the state's
+// first propagation work.
+func (p *Prepared) NewShardState(s int) *ShardState {
 	pipe := p.pipes[s]
-	verts := pipe.graph.Vertices()
-	st := &ShardState{
+	n := pipe.graph.NumVertices()
+	prob := pipe.prob.Clone()
+	return &ShardState{
 		p:        p,
 		pipe:     pipe,
 		prob:     prob,
-		prior:    make([]float64, len(verts)),
-		resolved: make([]bool, len(verts)),
-		detached: make([]bool, len(verts)),
-		hard:     make([]bool, len(verts)),
+		eng:      propagation.NewEngineObs(prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters()),
+		resolved: make([]bool, n),
+		detached: make([]bool, n),
+		hard:     make([]bool, n),
 	}
-	for i, v := range verts {
-		st.prior[i] = p.Priors[v]
-	}
-	st.eng = propagation.NewEngineObs(prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters())
-	return st
-}
-
-// NewShardState builds an independent engine state for shard s over a
-// fresh probabilistic graph, leaving the Prepared untouched. This is the
-// form a cluster worker holds: one Prepared (cached per pipeline spec)
-// backs every session's shard states, each with its own graph copy. The
-// in-process runner instead wraps the shard's own graph, the Prepared
-// being exclusive to its loop.
-func (p *Prepared) NewShardState(s int) *ShardState {
-	return p.newShardState(s, propagation.BuildProb(p.pipes[s].graph, p.K1, p.K2, propagation.Params{
-		Priors:      p.Priors,
-		Consistency: p.Consistency,
-	}))
 }
 
 // ShardLabels returns the edge labels present in shard s — the estimates a
@@ -234,7 +216,7 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 		if len(inf) > 1 {
 			anyPropagation = true
 		}
-		cands = append(cands, selection.Candidate{Pair: v, Prob: st.prior[li], Inferred: inf})
+		cands = append(cands, selection.Candidate{Pair: v, Prob: st.pipe.prior[li], Inferred: inf})
 	}
 	st.lastCands, st.anyProp = cands, anyPropagation
 	return cands, anyPropagation
@@ -296,15 +278,13 @@ func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 		return
 	}
 	if st.rw == nil {
-		st.rw = propagation.NewRewriter(st.prob, st.prior, st.p.Consistency)
+		st.rw = propagation.NewRewriter(st.prob, st.pipe.prior, st.p.Consistency)
 	}
 	st.eng.InvalidateTails(st.rw.Apply(est, st.detached))
 }
 
 // rebuildFromScratch is the reference rebuild: a fresh BuildProb, every
-// detached vertex re-detached, and the engine reset over the result. The
-// fresh graph replaces the state's only; the pipe's (and Prepared.Prob)
-// keep the superseded one, which nothing reads once the state exists.
+// detached vertex re-detached, and the engine reset over the result.
 func (st *ShardState) rebuildFromScratch(est map[ergraph.RelPair]consistency.Estimate) {
 	g := st.pipe.graph
 	prob := propagation.BuildProb(g, st.p.K1, st.p.K2, propagation.Params{
@@ -345,9 +325,9 @@ func (st *ShardState) Release() int64 {
 	return n
 }
 
-// localRunner is the in-process ShardRunner: one ShardState per shard over
-// the shard's own probabilistic graph, built concurrently under the
-// pipeline scheduler. Its operations never fail.
+// localRunner is the in-process ShardRunner: one ShardState per shard,
+// built concurrently under the pipeline scheduler. Its operations never
+// fail.
 type localRunner struct {
 	states []*ShardState
 }
@@ -359,7 +339,7 @@ type localRunner struct {
 func NewLocalRunner(p *Prepared) (ShardRunner, error) {
 	lr := &localRunner{states: make([]*ShardState, len(p.pipes))}
 	p.Cfg.scheduler().ForEach(len(p.pipes), func(s int) {
-		lr.states[s] = p.newShardState(s, p.pipes[s].prob)
+		lr.states[s] = p.NewShardState(s)
 	})
 	return lr, nil
 }

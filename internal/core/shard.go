@@ -49,11 +49,14 @@ func resolveShardCount(requested, vertices int) int {
 // partition respects relational edges, every edge of a shard vertex lives
 // in the same shard, so the subgraph pipeline computes bit-identical
 // probabilities and propagation to the monolithic one restricted to the
-// shard.
+// shard. Like the rest of the Prepared it is read-only once built: shard
+// states clone prob and share everything else.
 type shardPipe struct {
 	id    int
 	graph *ergraph.Graph
 	prob  *propagation.ProbGraph
+	// prior is the prepared prior of every shard vertex, by local index.
+	prior []float64
 	// globalIdx maps shard-local vertex indexes to p.Graph indexes; nil
 	// means identity (the single-shard pipe reuses p.Graph directly).
 	globalIdx []int
@@ -84,36 +87,38 @@ func (p *Prepared) initShards() {
 	for li, label := range p.Graph.Labels() {
 		globalLabel[label] = int32(li)
 	}
-	labelIdx := func(labels []ergraph.RelPair) []int32 {
-		idx := make([]int32, len(labels))
-		for i, label := range labels {
-			idx[i] = globalLabel[label]
+	newPipe := func(id int, g *ergraph.Graph, globalIdx []int) *shardPipe {
+		sp := &shardPipe{
+			id:        id,
+			graph:     g,
+			prob:      propagation.BuildProb(g, p.K1, p.K2, params),
+			prior:     make([]float64, g.NumVertices()),
+			globalIdx: globalIdx,
+			labels:    g.Labels(),
+			labelIdx:  make([]int32, len(g.Labels())),
 		}
-		return idx
+		for i, v := range g.Vertices() {
+			sp.prior[i] = p.Priors[v]
+		}
+		for i, label := range sp.labels {
+			sp.labelIdx[i] = globalLabel[label]
+		}
+		return sp
 	}
 	if count <= 1 {
-		p.Prob = propagation.BuildProb(p.Graph, p.K1, p.K2, params)
-		labels := p.Graph.Labels()
-		p.pipes = []*shardPipe{{id: 0, graph: p.Graph, prob: p.Prob, labels: labels, labelIdx: labelIdx(labels)}}
+		p.pipes = []*shardPipe{newPipe(0, p.Graph, nil)}
+		p.Prob = p.pipes[0].prob
 		return
 	}
 	p.Part = partition.Split(p.Graph.Vertices(), p.Graph.OutIndexesAt, count)
 	pipes := make([]*shardPipe, p.Part.NumShards())
 	p.Cfg.scheduler().ForEach(len(pipes), func(s int) {
 		vs := p.Part.Shard(s)
-		g := p.Graph.Subgraph(vs)
 		globalIdx := make([]int, len(vs))
 		for i, v := range vs {
 			globalIdx[i] = p.Graph.IndexOf(v)
 		}
-		pipes[s] = &shardPipe{
-			id:        s,
-			graph:     g,
-			prob:      propagation.BuildProb(g, p.K1, p.K2, params),
-			globalIdx: globalIdx,
-			labels:    g.Labels(),
-			labelIdx:  labelIdx(g.Labels()),
-		}
+		pipes[s] = newPipe(s, p.Graph.Subgraph(vs), globalIdx)
 	})
 	p.pipes = pipes
 }

@@ -22,7 +22,7 @@ func BenchmarkShardedLoop(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p := Prepare(ds.K1, ds.K2, cfg) // Run mutates the prepared graphs
+				p := Prepare(ds.K1, ds.K2, cfg)
 				asker := NewOracleAsker(ds.Gold.IsMatch)
 				b.StartTimer()
 				_ = p.Run(asker)

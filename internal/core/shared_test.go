@@ -1,0 +1,108 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/crowd"
+	"repro/internal/datasets"
+)
+
+// noisyPlatform is a fallible simulated crowd (10 % worker error); every
+// call with the same arguments answers identically.
+func noisyPlatform(ds *datasets.Dataset) *crowd.Platform {
+	return crowd.NewPlatform(ds.Gold.IsMatch, crowd.Config{
+		NumWorkers: 20, WorkersPerQuestion: 3, ErrorRate: 0.10, Seed: 9,
+	})
+}
+
+// fingerprint hashes everything reachable from a Prepared that a loop
+// could conceivably write: every pipe's probabilistic graph — fmt walks
+// the unexported CSR, length and degree arrays and the overlay by
+// reflection, and prints floats in their shortest round-trip form, so
+// equal text means equal bits — plus the dense priors, the initial
+// consistency fit and the prior map (fmt prints maps in key order).
+func fingerprint(p *Prepared) [sha256.Size]byte {
+	h := sha256.New()
+	for _, sp := range p.pipes {
+		fmt.Fprintf(h, "%v|%v|", *sp.prob, sp.prior)
+	}
+	fmt.Fprintf(h, "%v|%v", p.Consistency, p.Priors)
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// TestPreparedIsImmutable pins the contract that lets loops share a
+// Prepared: a full Run — incremental or under the from-scratch
+// debugFullResync policy — leaves the pipeline bit-equal to what Prepare
+// returned, and a second Run over it returns what the first did. Before
+// the shard states cloned their graphs the second run diverged (iimb:
+// 363 vs 364 matches).
+func TestPreparedIsImmutable(t *testing.T) {
+	for _, name := range []string{"iimb", "d-y", "books"} {
+		ds, err := datasets.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			for _, fullResync := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/shards=%d/fullResync=%v", name, shards, fullResync), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Shards = shards
+					cfg.debugFullResync = fullResync
+					p := Prepare(ds.K1, ds.K2, cfg)
+					if p.NumShards() != shards {
+						t.Fatalf("fixture produced %d shards, want %d", p.NumShards(), shards)
+					}
+					before := fingerprint(p)
+					first := p.Run(noisyPlatform(ds))
+					if first.NonMatches.Len() == 0 {
+						t.Fatal("fixture too easy: no non-matches, so nothing was detached")
+					}
+					if fingerprint(p) != before {
+						t.Fatal("Run wrote to the Prepared")
+					}
+					assertResultsIdentical(t, first, p.Run(noisyPlatform(ds)))
+					if fingerprint(p) != before {
+						t.Fatal("the second Run wrote to the Prepared")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConcurrentLoopsShareOnePrepared runs eight loops at once over one
+// Prepared; each must equal a run over a Prepared of its own. Run with
+// -race: the loops may share nothing they write.
+func TestConcurrentLoopsShareOnePrepared(t *testing.T) {
+	const loops = 8
+	ds := datasets.Clustered(24, 10, 7)
+	for _, hybrid := range []bool{false, true} {
+		for _, ded := range []bool{false, true} {
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("hybrid=%v/deduce=%v/shards=%d", hybrid, ded, shards), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Hybrid, cfg.Deduce, cfg.Shards = hybrid, ded, shards
+					want := Prepare(ds.K1, ds.K2, cfg).Run(noisyPlatform(ds))
+
+					shared := Prepare(ds.K1, ds.K2, cfg)
+					got := make([]*Result, loops)
+					var wg sync.WaitGroup
+					for i := range got {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							got[i] = shared.Run(noisyPlatform(ds))
+						}()
+					}
+					wg.Wait()
+					for _, res := range got {
+						assertResultsIdentical(t, want, res)
+					}
+				})
+			}
+		}
+	}
+}

@@ -183,7 +183,6 @@ func RunCluster(cfg Config, cc ClusterConfig) (*ClusterReport, error) {
 	}
 
 	srv, _, err := server.NewServer(server.Config{
-		Logf:          nil,
 		Workers:       addrs,
 		ClusterFaults: cc.Faults,
 		ClusterTuning: cc.Tuning,

@@ -32,7 +32,7 @@ func TestLoadgenOracleEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := server.New(nil)
+			srv := server.New()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
@@ -62,12 +62,17 @@ func TestLoadgenOracleEquivalence(t *testing.T) {
 			if report.Answers == 0 {
 				t.Fatal("no answers were posted")
 			}
-			// Every session creates, polls, answers and fetches a result,
-			// so all four operations must carry latency percentiles.
+			// Every session creates, answers and fetches a result, so those
+			// operations must carry latency percentiles. A session polls its
+			// batch only while siblings hold every question it has open —
+			// whether that happens is up to the scheduler — so "batch" may
+			// have no samples; when it has, they must be consistent too.
 			for _, op := range []string{"create", "batch", "answers", "result"} {
 				ls, ok := report.Latency[op]
 				if !ok || ls.Count == 0 {
-					t.Errorf("no latency samples for %q: %+v", op, report.Latency)
+					if op != "batch" {
+						t.Errorf("no latency samples for %q: %+v", op, report.Latency)
+					}
 				} else if ls.P50Ms <= 0 || ls.P99Ms < ls.P50Ms || ls.MaxMs < ls.P99Ms {
 					t.Errorf("inconsistent %q percentiles: %+v", op, ls)
 				}

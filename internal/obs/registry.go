@@ -114,7 +114,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — for counts owned elsewhere (manager cache stats, expvar).
+// time — for counts owned elsewhere (manager cache stats).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, kindCounter, "")
 	f.child("", func() *series { return &series{fn: fn} })

@@ -1,6 +1,7 @@
 package propagation
 
 import (
+	"maps"
 	"math"
 	"slices"
 
@@ -304,8 +305,8 @@ func (rb *rowBuilder) column(u kb.EntityID) int {
 // zeroed, and a produced target without a slot — possible only after a
 // Fold compacted away a removed, non-detached label edge — panics.
 //
-// A Rewriter is per-loop state: it belongs to whoever mutates the graph
-// (core.ShardState), never to the shared prepared pipeline.
+// A Rewriter belongs to whoever mutates the graph (core.ShardState, over
+// its own Clone), never to the shared prepared pipeline.
 type Rewriter struct {
 	pg      *ProbGraph
 	rb      *rowBuilder
@@ -401,6 +402,25 @@ func (rw *Rewriter) rewriteRow(i int, detached []bool) bool {
 
 // Graph returns the underlying ER graph.
 func (pg *ProbGraph) Graph() *ergraph.Graph { return pg.g }
+
+// Clone returns a graph that can be mutated while pg stays as it is. What
+// mutation writes into — prob, length, the live degrees, the overlay — is
+// copied; the topology (rowStart, colIdx, the in-CSR) is shared, because
+// nothing writes into those arrays: Fold installs fresh ones on the graph
+// it compacts.
+func (pg *ProbGraph) Clone() *ProbGraph {
+	cp := *pg
+	cp.prob, cp.length = slices.Clone(pg.prob), slices.Clone(pg.length)
+	cp.outDeg, cp.inDeg = slices.Clone(pg.outDeg), slices.Clone(pg.inDeg)
+	if pg.ovOut != nil {
+		cp.ovOut = make([]map[int32]float64, len(pg.ovOut))
+		cp.ovIn = make([]map[int32]struct{}, len(pg.ovIn))
+		for i := range pg.ovOut {
+			cp.ovOut[i], cp.ovIn[i] = maps.Clone(pg.ovOut[i]), maps.Clone(pg.ovIn[i])
+		}
+	}
+	return &cp
+}
 
 // slot binary-searches row i for column j, returning the out-CSR position
 // or -1 when the row never had the edge.

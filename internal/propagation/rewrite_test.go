@@ -2,7 +2,6 @@ package propagation
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -334,23 +333,6 @@ func assertSameBalls(t *testing.T, ctx string, got, want *Engine) {
 	}
 }
 
-// clonePG deep-copies a probabilistic graph, overlay included, so a fresh
-// engine's overlay fold cannot disturb the engine under test.
-func clonePG(pg *ProbGraph) *ProbGraph {
-	cp := *pg
-	cp.prob, cp.length = slices.Clone(pg.prob), slices.Clone(pg.length)
-	cp.outDeg, cp.inDeg = slices.Clone(pg.outDeg), slices.Clone(pg.inDeg)
-	if pg.ovOut != nil {
-		cp.ovOut = make([]map[int32]float64, len(pg.ovOut))
-		cp.ovIn = make([]map[int32]struct{}, len(pg.ovIn))
-		for i := range pg.ovOut {
-			cp.ovOut[i] = maps.Clone(pg.ovOut[i])
-			cp.ovIn[i] = maps.Clone(pg.ovIn[i])
-		}
-	}
-	return &cp
-}
-
 func sortedRow(row []int32) []int32 {
 	out := slices.Clone(row)
 	slices.Sort(out)
@@ -431,8 +413,87 @@ func TestEnginePartialInvalidationMixedEdits(t *testing.T) {
 					k++
 				}
 			}
-			assertSameBalls(t, ctx, e, NewEngine(clonePG(pg), tc.tau))
+			assertSameBalls(t, ctx, e, NewEngine(pg.Clone(), tc.tau))
 			assertMatchesOracle(t, e, ctx)
+		}
+	}
+}
+
+// TestCloneLeavesOriginalUntouched pins the copy-on-start contract shard
+// states rely on: whatever a loop does to a Clone — slot writes, vertex
+// detaches, a label rewrite, overlay edges and the Fold that compacts them
+// into a new CSR — the graph it was cloned from keeps every array bit for
+// bit (checked against a twin build that was never cloned) and infers the
+// same balls, while the clone ends up exactly where the same edits take a
+// graph built for it alone.
+func TestCloneLeavesOriginalUntouched(t *testing.T) {
+	const tau = 0.8
+	for _, tc := range rewriteCases {
+		rng := rand.New(rand.NewSource(tc.seed))
+		w := randomLabeledWorld(rng, tc.ents, tc.rels, tc.fanout, tc.keep)
+		n := w.g.NumVertices()
+		est, next := randomEstimates(rng, w.g.Labels()), randomEstimates(rng, w.g.Labels())
+		build := func() *ProbGraph {
+			return BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: est})
+		}
+		priors := make([]float64, n)
+		for i, v := range w.g.Vertices() {
+			priors[i] = 0.5
+			if p, ok := w.priors[v]; ok {
+				priors[i] = p
+			}
+		}
+		orig, twin, own := build(), build(), build()
+		balls := orig.InferAll(tau)
+		clone := orig.Clone()
+		detached := make([]bool, n)
+		seed := rng.Int63()
+		steps := []struct {
+			name string
+			edit func(pg *ProbGraph, rng *rand.Rand)
+		}{
+			{"SetProb", func(pg *ProbGraph, rng *rand.Rand) {
+				for e := range pg.prob {
+					if rng.Intn(3) == 0 {
+						i, _ := slices.BinarySearch(pg.rowStart, int32(e+1))
+						pg.setProbAt(i-1, int(pg.colIdx[e]), pg.prob[e]*rng.Float64())
+					}
+				}
+			}},
+			{"detach", func(pg *ProbGraph, rng *rand.Rand) {
+				for d := 1 + n/4; d > 0; d-- {
+					i := rng.Intn(n)
+					detached[i] = true
+					pg.detachAt(i)
+				}
+			}},
+			{"Rewriter.Apply", func(pg *ProbGraph, _ *rand.Rand) {
+				NewRewriter(pg, priors, est).Apply(next, detached)
+			}},
+			{"overlay+Fold", func(pg *ProbGraph, rng *rand.Rand) {
+				for added := 0; added < 3; {
+					if i, j := rng.Intn(n), rng.Intn(n); i != j && pg.slot(i, j) < 0 {
+						pg.setProbAt(i, j, 0.5+0.5*rng.Float64())
+						added++
+					}
+				}
+				pg.Fold()
+			}},
+		}
+		for _, st := range steps {
+			ctx := fmt.Sprintf("seed %d after %s on the clone", tc.seed, st.name)
+			// The same edits, drawn from the same stream, on both graphs.
+			st.edit(clone, rand.New(rand.NewSource(seed)))
+			st.edit(own, rand.New(rand.NewSource(seed)))
+			assertSameCSR(t, ctx+": clone vs own build", clone, own)
+			assertSameCSR(t, ctx+": original vs twin", orig, twin)
+			if orig.ovOut != nil || orig.ovIn != nil || orig.ovCount != 0 {
+				t.Fatalf("%s: the original grew an overlay", ctx)
+			}
+			again := orig.InferAll(tau)
+			for q := 0; q < n; q++ {
+				compareBalls(t, ctx, "dist", q, again.dist[q], balls.dist[q])
+			}
 		}
 	}
 }

@@ -1,0 +1,132 @@
+package server
+
+import (
+	"context"
+	"net"
+	"net/http/httptest"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/remp"
+)
+
+// TestWorkerPlanCache pins the key and the lifetime of a worker's cached
+// pipelines, through a clustered server over two in-process workers that
+// count their Prepare calls. Sessions whose create requests differ only in
+// client_ref hash to one spec and share one Prepare per worker; once the
+// last of them ends the worker lets the pipeline go, so the next session
+// prepares again; and a survivor that never saw a spec still prepares it
+// when a dead worker's shard fails over onto it.
+func TestWorkerPlanCache(t *testing.T) {
+	var prepares [2]atomic.Int64
+	var workers [2]*cluster.Worker
+	var addrs []string
+	for i := range workers {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = cluster.NewWorker(cluster.WorkerConfig{Prepare: func(spec []byte) (*core.Prepared, error) {
+			prepares[i].Add(1)
+			return PrepareSpec(spec)
+		}})
+		go workers[i].Serve(ln)
+		t.Cleanup(func() { workers[i].Close() })
+		addrs = append(addrs, ln.Addr().String())
+	}
+	srv, _, err := NewServer(Config{Workers: addrs, ClusterTuning: cluster.CoordinatorConfig{
+		HeartbeatInterval: 50 * time.Millisecond,
+		LivenessTimeout:   300 * time.Millisecond,
+		RPCTimeout:        2 * time.Second,
+		BackoffBase:       2 * time.Millisecond,
+		BackoffMax:        40 * time.Millisecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+
+	_, gold, req := fixture(t, 5)
+	create := func(req CreateRequest, ref string, shards int) *SessionInfo {
+		t.Helper()
+		r := req
+		r.ClientRef, r.Options.Shards = ref, shards
+		info, err := c.CreateSession(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Shards != shards {
+			t.Fatalf("session %s runs over %d shards, want %d", info.ID, info.Shards, shards)
+		}
+		return info
+	}
+	// finish answers the session's open questions until it is done; a
+	// batch is empty while a sibling holds every open question, and fills
+	// from the shared answer cache once the sibling has answered them.
+	finish := func(id string, gold *remp.Gold) {
+		t.Helper()
+		for hops := 0; hops < 200; hops++ {
+			info, err := c.Batch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.State == string(remp.SessionDone) {
+				return
+			}
+			for _, q := range info.Batch {
+				if _, err := c.PostAnswers(id, []AnswerDTO{oracleAnswer(t, gold, q.ID)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		t.Fatalf("session %s did not finish", id)
+	}
+	wantPrepares := func(when string, w0, w1 int64) {
+		t.Helper()
+		if g0, g1 := prepares[0].Load(), prepares[1].Load(); g0 != w0 || g1 != w1 {
+			t.Fatalf("%s: workers prepared %d and %d times, want %d and %d", when, g0, g1, w0, w1)
+		}
+	}
+
+	// Two shards land one on each worker.
+	a, b := create(req, "a", 2), create(req, "b", 2)
+	wantPrepares("two live sessions differing only in client_ref", 1, 1)
+	finish(a.ID, gold)
+	finish(b.ID, gold)
+	third := create(req, "c", 2)
+	wantPrepares("a session created after both ended", 2, 2)
+	finish(third.ID, gold)
+
+	// A single shard lands on worker 0; worker 1 first sees the spec when
+	// worker 0 dies and the shard fails over. The session runs over KBs of
+	// its own, so no sibling's cached answers finish it before the kill.
+	ds, gold, req := fixture(t, 6)
+	lone := create(req, "d", 1)
+	wantPrepares("a single-shard session", 3, 2)
+	workers[0].Close()
+	finish(lone.ID, gold)
+	wantPrepares("failover onto the survivor", 3, 3)
+
+	opts := req.Options.ToOptions()
+	opts.Shards = 1
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Result(lone.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Questions != want.Questions || res.Loops != want.Loops || len(res.Matches) != len(want.Matches) ||
+		res.NonMatches != len(want.NonMatches) {
+		t.Fatalf("failed-over session: %d questions, %d loops, %d matches, %d non-matches; the oracle has %d, %d, %d, %d",
+			res.Questions, res.Loops, len(res.Matches), res.NonMatches,
+			want.Questions, want.Loops, len(want.Matches), len(want.NonMatches))
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -214,38 +213,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.reg.WritePrometheus(w)
 }
-
-// logfHandler adapts a printf-style sink to slog so Config.Logf callers
-// keep their one-line-per-event contract under the structured logger.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	merged = append(merged, h.attrs...)
-	merged = append(merged, attrs...)
-	return &logfHandler{logf: h.logf, attrs: merged}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
 
 // discardHandler drops every record (slog.DiscardHandler needs go1.24).
 type discardHandler struct{}

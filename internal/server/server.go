@@ -19,7 +19,6 @@
 //	GET    /healthz                liveness: always 200 with uptime/session/store detail
 //	GET    /readyz                 readiness: 503 once the server begins draining
 //	GET    /metrics                Prometheus text exposition (?format=json for a JSON snapshot)
-//	GET    /debug/vars             expvar counters (remp_server map)
 //
 // Sessions created from the same dataset share a answer cache, so two
 // concurrent jobs over one dataset never post the same pair twice.
@@ -34,9 +33,10 @@
 // A server configured with Config.Workers runs in cluster mode: every
 // session's shard engines are placed on remp-worker processes through an
 // internal/cluster coordinator, with heartbeat liveness and crash
-// failover. The persisted create spec doubles as the worker-side
-// pipeline spec (PrepareSpec), so clustered sessions — including ones
-// recovered from the store — resolve byte-identically to local ones.
+// failover. The persisted create spec, minus its client_ref, doubles as
+// the worker-side pipeline spec (PrepareSpec), so clustered sessions —
+// including ones recovered from the store — resolve byte-identically to
+// local ones.
 package server
 
 import (
@@ -45,7 +45,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log"
 	"log/slog"
@@ -62,11 +61,6 @@ import (
 	"repro/internal/session"
 	"repro/remp"
 )
-
-// stats is the process-wide expvar counter map, exported as
-// "remp_server" under GET /debug/vars. Counters are cumulative across
-// all Server instances in the process.
-var stats = expvar.NewMap("remp_server")
 
 // OptionsDTO is the JSON form of remp.Options.
 type OptionsDTO struct {
@@ -210,7 +204,6 @@ type Server struct {
 	mu            sync.Mutex
 	meta          map[string]*sessionMeta
 	refs          map[string]string // CreateRequest.ClientRef → session ID
-	logf          func(format string, args ...any)
 	log           *slog.Logger
 	metrics       *serverMetrics
 	reqID         atomic.Int64
@@ -228,11 +221,8 @@ type Server struct {
 
 // Config configures a Server.
 type Config struct {
-	// Logf receives one line per request outcome; nil disables logging.
-	// Ignored when Logger is set.
-	Logf func(format string, args ...any)
 	// Logger is the structured logger for request and session events;
-	// when nil, one is derived from Logf (or logging is disabled).
+	// nil disables logging.
 	Logger *slog.Logger
 	// Store is the session store the server journals into and recovers
 	// from; nil selects the in-memory store (no durability).
@@ -254,10 +244,9 @@ type Config struct {
 	ClusterTuning cluster.CoordinatorConfig
 }
 
-// New returns a server over an in-memory store. logf receives one line
-// per request outcome; nil disables logging.
-func New(logf func(format string, args ...any)) *Server {
-	srv, _, err := NewServer(Config{Logf: logf})
+// New returns a server over an in-memory store, with logging disabled.
+func New() *Server {
+	srv, _, err := NewServer(Config{})
 	if err != nil {
 		panic(err) // unreachable: an empty in-memory store cannot fail recovery
 	}
@@ -271,11 +260,7 @@ func New(logf func(format string, args ...any)) *Server {
 func NewServer(cfg Config) (*Server, []string, error) {
 	logger := cfg.Logger
 	if logger == nil {
-		if cfg.Logf != nil {
-			logger = slog.New(&logfHandler{logf: cfg.Logf})
-		} else {
-			logger = slog.New(discardHandler{})
-		}
+		logger = slog.New(discardHandler{})
 	}
 	store := cfg.Store
 	kind := "disk"
@@ -316,7 +301,6 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		storeKind:     kind,
 		cluster:       co,
 	}
-	s.logf = func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
 	// Recovery re-prepares each stored session's pipeline from the
 	// CreateRequest persisted as its meta blob; the specs seen along the
 	// way rebuild the server-side metadata map.
@@ -332,7 +316,7 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		}
 		recoveredMeta[id] = &sessionMeta{spec: req, namespace: namespace, k1: ds.K1, k2: ds.K2, gold: gold}
 		opts := req.Options.ToOptions()
-		opts.Runner = s.runnerFor(meta)
+		opts.Runner = s.runnerFor(req)
 		return ds, opts, namespace, nil
 	}, metrics.pipe)
 	s.mgr = mgr
@@ -344,7 +328,6 @@ func NewServer(cfg Config) (*Server, []string, error) {
 				s.refs[m.spec.ClientRef] = id
 			}
 		}
-		stats.Add("sessions_recovered", 1)
 		metrics.sessionsRecovered.Inc()
 	}
 	if len(recovered) > 0 {
@@ -365,24 +348,30 @@ func (s *Server) WALReplayed() int64 { return s.mgr.WALReplayed() }
 // Clustered reports whether the server places shard engines on workers.
 func (s *Server) Clustered() bool { return s.cluster != nil }
 
-// runnerFor returns the shard-runner factory for a session whose
-// persisted spec is meta: the coordinator's remote runner in cluster
-// mode, nil (in-process shards) otherwise. The spec bytes handed to the
-// coordinator are exactly what PrepareSpec rebuilds worker-side, so the
-// two ends of every shard RPC agree on the pipeline.
-func (s *Server) runnerFor(meta []byte) core.RunnerFactory {
+// runnerFor returns the shard-runner factory for a session created from
+// req (server defaults already baked in): the coordinator's remote runner
+// in cluster mode, nil (in-process shards) otherwise. The spec handed to
+// the coordinator is what PrepareSpec rebuilds worker-side, so the two
+// ends of every shard RPC agree on the pipeline. It is req without its
+// ClientRef, which names the session, not the pipeline: workers cache
+// pipelines by spec hash, and sessions over one dataset must share one.
+func (s *Server) runnerFor(req CreateRequest) core.RunnerFactory {
 	if s.cluster == nil {
 		return nil
 	}
-	return s.cluster.Runner(meta)
+	req.ClientRef = ""
+	spec, err := json.Marshal(req)
+	if err != nil {
+		panic(err) // unreachable: every caller holds req's JSON form already
+	}
+	return s.cluster.Runner(spec)
 }
 
-// PrepareSpec rebuilds the core pipeline a persisted create spec
-// describes. It is the Prepare hook remp-worker serves shards from: the
-// coordinator ships each session's stored CreateRequest bytes verbatim,
-// and because the spec was marshaled after server defaults were baked
-// in, loadSpec + ToOptions here reproduce the coordinator's pipeline
-// deterministically.
+// PrepareSpec rebuilds the core pipeline a create spec describes. It is
+// the Prepare hook remp-worker serves shards from: the coordinator ships
+// each session's CreateRequest as runnerFor marshaled it, and because
+// server defaults were baked in first, loadSpec + ToOptions here
+// reproduce the coordinator's pipeline deterministically.
 func PrepareSpec(spec []byte) (*core.Prepared, error) {
 	var req CreateRequest
 	if err := json.Unmarshal(spec, &req); err != nil {
@@ -462,7 +451,6 @@ func (s *Server) Handler() http.Handler {
 	root.HandleFunc("GET /healthz", s.handleHealthz)
 	root.HandleFunc("GET /readyz", s.handleReadyz)
 	root.HandleFunc("GET /metrics", s.handleMetrics)
-	root.Handle("GET /debug/vars", expvar.Handler())
 	return root
 }
 
@@ -488,7 +476,6 @@ func (s *Server) gate(h http.Handler) http.Handler {
 			refuseDraining(w)
 			return
 		}
-		stats.Add("requests", 1)
 		h.ServeHTTP(w, r)
 	})
 }
@@ -608,7 +595,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		if ok {
 			if sess, live := s.mgr.Get(id); live {
-				s.logf("create with known client_ref %q: returning session %s", req.ClientRef, id)
+				s.log.Info("create with known client_ref: returning its session", "client_ref", req.ClientRef, "session", id)
 				writeJSON(w, http.StatusOK, s.info(sess, true))
 				return
 			}
@@ -629,7 +616,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := req.Options.ToOptions()
-	opts.Runner = s.runnerFor(meta)
+	opts.Runner = s.runnerFor(req)
 	sess, err := s.mgr.NewSession(ds, opts, namespace, meta)
 	if err != nil {
 		// A persistence failure is the server's fault (full disk, bad
@@ -647,7 +634,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.refs[req.ClientRef] = sess.ID()
 	}
 	s.mu.Unlock()
-	stats.Add("sessions_created", 1)
 	s.metrics.sessionsCreated.Inc()
 	s.log.Info("session created", "session", sess.ID(), "namespace", namespace)
 	writeJSON(w, http.StatusCreated, s.info(sess, true))
@@ -671,7 +657,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := dto.Create.Options.ToOptions()
-	opts.Runner = s.runnerFor(meta)
+	opts.Runner = s.runnerFor(dto.Create)
 	sess, err := s.mgr.RestoreSession(ds, opts, namespace, dto.Session, meta)
 	if err != nil {
 		// An ID collision is a genuine conflict and a persistence
@@ -693,7 +679,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		s.refs[dto.Create.ClientRef] = sess.ID()
 	}
 	s.mu.Unlock()
-	stats.Add("sessions_restored", 1)
 	s.metrics.sessionsRestored.Inc()
 	s.log.Info("session restored", "session", sess.ID(), "namespace", namespace)
 	writeJSON(w, http.StatusCreated, s.info(sess, true))
@@ -764,8 +749,6 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Accepted++
 	}
-	stats.Add("answers_accepted", int64(resp.Accepted))
-	stats.Add("answers_rejected", int64(len(resp.Rejected)))
 	s.metrics.answersAccepted.Add(int64(resp.Accepted))
 	s.metrics.answersRejected.Add(int64(len(resp.Rejected)))
 	s.log.Info("answers delivered", "session", sess.ID(), "accepted", resp.Accepted, "rejected", len(resp.Rejected))
@@ -834,7 +817,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	stats.Add("sessions_deleted", 1)
 	s.metrics.sessionsDeleted.Inc()
 	s.log.Info("session deleted", "session", id)
 	w.WriteHeader(http.StatusNoContent)

@@ -78,7 +78,7 @@ func oracleAnswer(t *testing.T, gold *remp.Gold, id string) AnswerDTO {
 
 func newTestServer(t *testing.T) (*Client, *httptest.Server) {
 	t.Helper()
-	ts := httptest.NewServer(New(nil).Handler())
+	ts := httptest.NewServer(New().Handler())
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL), ts
 }

@@ -134,8 +134,8 @@ func (m *Manager) cacheLocked(namespace string) *Cache {
 }
 
 // Create starts a new session in the namespace and registers it under a
-// fresh ID. The Prepared must be exclusive to the session. meta is the
-// opaque pipeline spec stored alongside the session — whatever the
+// fresh ID. Sessions may share p: it is only read. meta is the opaque
+// pipeline spec stored alongside the session — whatever the
 // caller needs to re-prepare the same pipeline when recovering the
 // session from the store (may be nil when recovery is not needed).
 func (m *Manager) Create(p *core.Prepared, namespace string, meta []byte) (*Session, error) {
@@ -214,8 +214,9 @@ func (m *Manager) persistNew(s *Session, meta []byte, replace bool) error {
 }
 
 // Restore rebuilds a snapshotted session in the namespace and registers it
-// under its snapshot ID, persisting it like a created session. It fails
-// when the ID is already live.
+// under its snapshot ID, persisting it like a created session. p may be
+// the pipeline live sessions already run over. It fails when the ID is
+// already live.
 func (m *Manager) Restore(p *core.Prepared, namespace string, meta []byte, snap *Snapshot) (*Session, error) {
 	// Claim the ID (nil placeholder) up front, exactly like Create: a
 	// concurrent Restore of the same snapshot must lose here, before

@@ -6,8 +6,8 @@
 //
 // A Session wraps one core.Loop with locking, stable question IDs and an
 // event-sourced JSON snapshot: the applied answers are recorded in
-// application order, so Restore replays them through a freshly prepared
-// pipeline and reaches a byte-identical state. A Manager runs many
+// application order, so Restore replays them through a fresh loop over
+// the same pipeline and reaches a byte-identical state. A Manager runs many
 // sessions concurrently and shares answers across sessions through a
 // per-namespace Cache with reservations, so a pair answered (or merely in
 // flight) in one session is never re-posted by another.
@@ -147,10 +147,9 @@ type Session struct {
 	flip    bool       // pipeline orientation is the reverse of the cache's
 }
 
-// New starts a session over a freshly prepared pipeline. The Prepared must
-// be exclusive to this session (the loop mutates its probabilistic graph).
-// cache may be nil; when set, the session first drains any answers the
-// cache already holds for its opening batch.
+// New starts a session over a prepared pipeline, which any number of
+// sessions may share. cache may be nil; when set, the session first drains
+// any answers the cache already holds for its opening batch.
 func New(id string, p *core.Prepared, cache *Cache) *Session {
 	s := &Session{id: id, loop: p.NewLoop(), cache: cache, k1: p.K1.Name(), k2: p.K2.Name()}
 	if cache != nil {

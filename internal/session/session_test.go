@@ -328,6 +328,79 @@ func TestManagerConcurrentSessionsShareAnswers(t *testing.T) {
 	}
 }
 
+// TestSessionsShareOnePrepared runs several live sessions of one Manager
+// over the same *core.Prepared, answered concurrently in shuffled order,
+// and restores a mid-run snapshot of one of them onto that same Prepared
+// while the original is still live. Every one of them must match a
+// synchronous run over a pipeline of its own. Run with -race: sessions may
+// share nothing they write.
+func TestSessionsShareOnePrepared(t *testing.T) {
+	const nSessions = 4
+	k1, k2, gold := bookWorld(6, 28)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := testConfig(func(c *core.Config) { c.Shards = shards })
+			want := core.Prepare(k1, k2, cfg).Run(core.NewOracleAsker(gold.IsMatch))
+
+			p := core.Prepare(k1, k2, cfg)
+			mgr := NewManager()
+			var sessions []*Session
+			for i := 0; i < nSessions; i++ {
+				s, err := mgr.Create(p, "books", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sessions = append(sessions, s)
+			}
+			first := sessions[0]
+			for _, q := range first.NextBatch() {
+				if err := first.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := first.Snapshot()
+			if first.Done() || len(snap.Applied) == 0 {
+				t.Fatalf("fixture too easy: done=%v with %d applied answers after one batch", first.Done(), len(snap.Applied))
+			}
+			snap.ID = "restored"
+			restored, err := mgr.Restore(p, "books", nil, snap)
+			if err != nil {
+				t.Fatalf("Restore onto the live session's Prepared: %v", err)
+			}
+			sessions = append(sessions, restored)
+
+			var wg sync.WaitGroup
+			errs := make(chan error, len(sessions))
+			for i, s := range sessions {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(i)))
+					for !s.Done() {
+						batch := s.NextBatch() // empty while siblings hold every open question
+						rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
+						for _, q := range batch {
+							if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+								errs <- fmt.Errorf("session %s: %w", s.ID(), err)
+								return
+							}
+						}
+						runtime.Gosched()
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			for _, s := range sessions {
+				assertResultsIdentical(t, want, s.Result())
+			}
+		})
+	}
+}
+
 // TestManagerCreateSkipsRestoredIDs is the ID-collision regression test:
 // restoring a snapshot whose ID lands in the counter's path must not be
 // clobbered by a later Create.

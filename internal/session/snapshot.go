@@ -95,8 +95,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 }
 
 // Restore rebuilds a session from its snapshot by replaying the answer log
-// through a freshly prepared pipeline. The Prepared must be built from the
-// same dataset and configuration the session was created with; a replayed
+// through a new loop over p. The Prepared must be built from the same
+// dataset and configuration the session was created with; a replayed
 // answer that does not belong to the open batch it lands in proves the
 // pipeline diverged and fails the restore. Replayed answers repopulate the
 // shared cache (when present), so restoring after a process restart also

@@ -223,8 +223,8 @@ func prepare(ds Dataset, opts Options) (*core.Prepared, error) {
 // PreparePipeline validates the inputs and returns the prepared core
 // pipeline without starting a loop. It exists for cluster workers, whose
 // Prepare hook rebuilds the coordinator's pipeline from a session spec
-// and serves shard states off it; ordinary API consumers want NewPipeline
-// or Resolve instead.
+// and serves every session's shard states off it; ordinary API consumers
+// want NewPipeline or Resolve instead.
 func PreparePipeline(ds Dataset, opts Options) (*core.Prepared, error) {
 	return prepare(ds, opts)
 }
@@ -278,7 +278,7 @@ func Resolve(ds Dataset, asker Asker, opts Options) (*Result, error) {
 
 // Pipeline exposes the prepared pipeline for step-by-step use: stage-1
 // artifacts are computed by NewPipeline; Run executes the human–machine
-// loop.
+// loop. A Pipeline is read-only once built and safe for concurrent use.
 type Pipeline struct {
 	prepared *core.Prepared
 }
@@ -293,7 +293,9 @@ func NewPipeline(ds Dataset, opts Options) (*Pipeline, error) {
 	return &Pipeline{prepared: p}, nil
 }
 
-// Run executes the human–machine loop.
+// Run executes the human–machine loop. Each call is a loop of its own
+// over the shared pipeline: repeated and concurrent Runs return what a
+// newly built Pipeline would.
 func (p *Pipeline) Run(asker Asker) (*Result, error) {
 	if asker == nil {
 		return nil, ErrNilInput

@@ -209,6 +209,35 @@ func TestPipelineIntrospection(t *testing.T) {
 	}
 }
 
+// TestPipelineRunIsRepeatable pins Pipeline reuse: every Run over one
+// Pipeline — here under a fallible crowd, so pairs are detached and edges
+// re-estimated — returns what Resolve returns on a pipeline of its own.
+func TestPipelineRunIsRepeatable(t *testing.T) {
+	ds, gold := denseWorld(6, 29)
+	opts := remp.Options{Mu: 4}
+	noisy := func() remp.Asker {
+		return remp.NewSimulatedCrowd(gold.IsMatch, remp.CrowdConfig{ErrorRate: 0.1, Seed: 5})
+	}
+	want, err := remp.Resolve(ds, noisy(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.NonMatches) == 0 {
+		t.Fatal("fixture too easy: nothing was resolved negative, so nothing was detached")
+	}
+	p, err := remp.NewPipeline(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 3; run++ {
+		got, err := p.Run(noisy())
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		assertSameResult(t, want, got)
+	}
+}
+
 func TestPropagateFromSeedsAPI(t *testing.T) {
 	ds, gold := tinyWorld()
 	p, err := remp.NewPipeline(ds, remp.Options{})
