@@ -742,7 +742,9 @@ func (l *Loop) finish() {
 		l.recomputes += n
 	}
 	if l.p.Cfg.ClassifyIsolated {
+		t0 := l.p.Cfg.Obs.StageStart()
 		l.p.classifyIsolated(l.res)
+		l.p.Cfg.Obs.StageEnd(obs.StageClassify, t0)
 	}
 	l.done = true
 }

@@ -36,8 +36,8 @@ type ShardPoint struct {
 	Questions int     `json:"questions"`
 	F1        float64 `json:"f1"`
 	// Stages breaks LoopNS down by pipeline stage (prepare, infer,
-	// select, apply, reestimate → cumulative nanoseconds), measured by
-	// the same obs.LoopTrace the server exports on /metrics.
+	// select, apply, reestimate, classify → cumulative nanoseconds),
+	// measured by the same obs.LoopTrace the server exports on /metrics.
 	Stages     map[string]int64 `json:"stage_ns,omitempty"`
 	Equivalent bool             `json:"equivalent"`
 }

@@ -4,12 +4,26 @@
 // impurity and √d feature sub-sampling, aggregated by majority vote. Only
 // binary classification is supported, which is all entity resolution
 // needs.
+//
+// Training works on ranks, not values: Train copies the matrix
+// column-major once and gives every entry its rank among the feature's
+// sorted distinct values. A node's split search is then a histogram over
+// the ranks present in the node (row count and positive count per rank)
+// and one cumulative sweep across them, which evaluates the same
+// candidate thresholds — the midpoint of each two adjacent present values
+// — with the same left/right membership and the same arithmetic as
+// sorting the node's values and recounting the node per threshold would,
+// at O(rows) per feature instead of O(rows · thresholds). Rows live in one
+// bootstrap buffer per forest, partitioned in place, and nodes in one
+// flat arena.
 package forest
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Options configures training; the zero value is replaced by defaults that
@@ -41,23 +55,48 @@ func (o *Options) fill(dim int) {
 	}
 }
 
-// Forest is a trained random forest.
+// Forest is a trained random forest: every tree's nodes in one arena,
+// children addressed by index.
 type Forest struct {
-	trees []*node
+	nodes []node
+	roots []int32
 	dim   int
 }
 
+// node is a split (feature >= 0: go left when x[feature] <= val) or a leaf
+// (feature < 0: val is the fraction of positive samples).
 type node struct {
-	feature int     // split feature, -1 for leaves
-	thresh  float64 // go left when x[feature] <= thresh
-	left    *node
-	right   *node
-	prob    float64 // leaf: fraction of positive samples
+	feature     int32
+	left, right int32
+	val         float64
+}
+
+// bin is one rank's share of a node: its rows and how many are positive.
+type bin struct{ n, pos int32 }
+
+// trainer is Train's working state: the ranked copy of the data plus the
+// scratch every node of every tree reuses.
+type trainer struct {
+	opts Options
+	rng  *rand.Rand
+	n    int
+	// Column-major copies, feature f at [f*n, (f+1)*n): the values, and each
+	// value's index into dist[f], the feature's sorted distinct values.
+	cols []float64
+	rank []int32
+	dist [][]float64
+	y    []int32 // 1 for a positive row
+
+	idx     []int32 // the current tree's bootstrap sample; a node is a range of it
+	perm    []int   // feature order of the current split attempt
+	hist    []bin   // by rank, all zero between split searches
+	present []int32 // the ranks with rows in the current node
+	nodes   []node
 }
 
 // Train fits a forest on the sample matrix X (rows are feature vectors of
-// equal length) and boolean labels y. It panics if inputs are empty or
-// ragged — programmer error, not data error.
+// equal length) and boolean labels y. It panics if inputs are empty,
+// ragged or NaN — programmer error, not data error.
 func Train(X [][]float64, y []bool, opts Options) *Forest {
 	if len(X) == 0 || len(X) != len(y) {
 		panic("forest: empty or mismatched training data")
@@ -69,103 +108,201 @@ func Train(X [][]float64, y []bool, opts Options) *Forest {
 		}
 	}
 	opts.fill(dim)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	f := &Forest{dim: dim}
-	n := len(X)
-	for t := 0; t < opts.NumTrees; t++ {
+	t := newTrainer(X, y, opts)
+	roots := make([]int32, opts.NumTrees)
+	for i := range roots {
 		// Bootstrap sample.
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = rng.Intn(n)
+		pos := 0
+		for k := range t.idx {
+			r := int32(t.rng.Intn(t.n))
+			t.idx[k] = r
+			pos += int(t.y[r])
 		}
-		f.trees = append(f.trees, grow(X, y, idx, 0, &opts, rng))
+		roots[i] = t.grow(0, t.n, pos, 0)
 	}
-	return f
+	return &Forest{nodes: t.nodes, roots: roots, dim: dim}
 }
 
-// grow recursively builds one CART node.
-func grow(X [][]float64, y []bool, idx []int, depth int, opts *Options, rng *rand.Rand) *node {
-	pos := 0
-	for _, i := range idx {
-		if y[i] {
-			pos++
+func newTrainer(X [][]float64, y []bool, opts Options) *trainer {
+	n, dim := len(X), len(X[0])
+	t := &trainer{
+		opts: opts,
+		rng:  rand.New(rand.NewSource(opts.Seed)),
+		n:    n,
+		cols: make([]float64, n*dim),
+		rank: make([]int32, n*dim),
+		dist: make([][]float64, dim),
+		y:    make([]int32, n),
+		idx:  make([]int32, n),
+		perm: make([]int, dim),
+	}
+	for i, positive := range y {
+		if positive {
+			t.y[i] = 1
 		}
 	}
-	leafProb := float64(pos) / float64(len(idx))
-	if pos == 0 || pos == len(idx) || len(idx) < opts.MinSplit || depth >= opts.MaxDepth {
-		return &node{feature: -1, prob: leafProb}
+	order := make([]int32, n)
+	distinct := make([]float64, 0, n*dim)
+	maxDistinct := 0
+	for f := 0; f < dim; f++ {
+		col := t.cols[f*n : (f+1)*n]
+		for i, row := range X {
+			if row[f] != row[f] {
+				panic("forest: NaN feature")
+			}
+			col[i] = row[f]
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		rank := t.rank[f*n : (f+1)*n]
+		start := len(distinct)
+		for k, i := range order {
+			if k == 0 || col[i] != col[order[k-1]] {
+				distinct = append(distinct, col[i])
+			}
+			rank[i] = int32(len(distinct) - start - 1)
+		}
+		t.dist[f] = distinct[start:]
+		maxDistinct = max(maxDistinct, len(t.dist[f]))
 	}
+	t.hist = make([]bin, maxDistinct)
+	t.present = make([]int32, maxDistinct)
+	return t
+}
 
-	feat, thresh, ok := bestSplit(X, y, idx, opts.MaxFeatures, rng)
+// grow builds the CART node over idx[lo:hi], pos of whose rows are
+// positive, left subtree first, and returns its arena index.
+func (t *trainer) grow(lo, hi, pos, depth int) int32 {
+	size := hi - lo
+	id := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{feature: -1, val: float64(pos) / float64(size)})
+	if pos == 0 || pos == size || size < t.opts.MinSplit || depth >= t.opts.MaxDepth {
+		return id
+	}
+	feat, thresh, ok := t.bestSplit(lo, hi, pos)
 	if !ok {
-		return &node{feature: -1, prob: leafProb}
+		return id
 	}
-	var li, ri []int
-	for _, i := range idx {
-		if X[i][feat] <= thresh {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
+	mid, leftPos := t.partition(lo, hi, feat, thresh)
+	if mid == lo || mid == hi {
+		return id
 	}
-	if len(li) == 0 || len(ri) == 0 {
-		return &node{feature: -1, prob: leafProb}
-	}
-	return &node{
-		feature: feat,
-		thresh:  thresh,
-		left:    grow(X, y, li, depth+1, opts, rng),
-		right:   grow(X, y, ri, depth+1, opts, rng),
-	}
+	left := t.grow(lo, mid, leftPos, depth+1)
+	right := t.grow(mid, hi, pos-leftPos, depth+1)
+	t.nodes[id] = node{feature: int32(feat), left: left, right: right, val: thresh}
+	return id
 }
 
 // bestSplit scans a random feature subset for the split minimizing
-// weighted Gini impurity.
-func bestSplit(X [][]float64, y []bool, idx []int, maxFeatures int, rng *rand.Rand) (feat int, thresh float64, ok bool) {
-	dim := len(X[0])
-	perm := rng.Perm(dim)
-	if maxFeatures < dim {
-		perm = perm[:maxFeatures]
+// weighted Gini impurity; among equals the first in scan order (sampled
+// feature order, then ascending threshold) wins.
+func (t *trainer) bestSplit(lo, hi, pos int) (feat int, thresh float64, ok bool) {
+	t.shuffleFeatures()
+	perm := t.perm
+	if t.opts.MaxFeatures < len(perm) {
+		perm = perm[:t.opts.MaxFeatures]
 	}
-	bestGini := math.Inf(1)
-	vals := make([]float64, 0, len(idx))
+	best := math.Inf(1)
 	for _, f := range perm {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, X[i][f])
-		}
-		sort.Float64s(vals)
-		for vi := 0; vi+1 < len(vals); vi++ {
-			if vals[vi] == vals[vi+1] {
-				continue
-			}
-			t := (vals[vi] + vals[vi+1]) / 2
-			g := splitGini(X, y, idx, f, t)
-			if g < bestGini {
-				bestGini, feat, thresh, ok = g, f, t, true
-			}
+		m := t.fillHist(f, lo, hi)
+		if g, th, improved := t.sweep(f, m, hi-lo, pos, best); improved {
+			best, feat, thresh, ok = g, f, th, true
 		}
 	}
 	return feat, thresh, ok
 }
 
-// splitGini computes the weighted Gini impurity of splitting idx on
-// feature f at threshold t.
-func splitGini(X [][]float64, y []bool, idx []int, f int, t float64) float64 {
-	var ln, lp, rn, rp float64
-	for _, i := range idx {
-		if X[i][f] <= t {
-			ln++
-			if y[i] {
-				lp++
-			}
-		} else {
-			rn++
-			if y[i] {
-				rp++
-			}
+// shuffleFeatures refills perm with what rng.Perm(dim) returns, by the
+// same draws (math/rand keeps that sequence fixed for a seeded source), so
+// forests stay reproducible from Options.Seed without a slice per split.
+func (t *trainer) shuffleFeatures() {
+	for i := range t.perm {
+		j := t.rng.Intn(i + 1)
+		t.perm[i] = t.perm[j]
+		t.perm[j] = i
+	}
+}
+
+// fillHist adds the rows idx[lo:hi] to the rank histogram of feature f
+// and returns how many ranks they occupy; present lists those ranks in
+// ascending order.
+//
+//remp:hotpath
+func (t *trainer) fillHist(f, lo, hi int) int {
+	rank := t.rank[f*t.n : (f+1)*t.n]
+	hist, present, y := t.hist[:len(t.dist[f])], t.present, t.y
+	m := 0
+	for _, i := range t.idx[lo:hi] {
+		r := rank[i]
+		b := &hist[r]
+		if b.n == 0 {
+			present[m] = r
+			m++
+		}
+		b.n++
+		b.pos += y[i]
+	}
+	// Order the occupied ranks: sort them when they are few next to the
+	// feature's distinct values, else read them off the histogram.
+	if m*bits.Len(uint(m)) < len(hist) {
+		slices.Sort(present[:m])
+		return m
+	}
+	m = 0
+	for r := range hist {
+		if hist[r].n > 0 {
+			present[m] = int32(r)
+			m++
 		}
 	}
+	return m
+}
+
+// sweep evaluates, in ascending order, the threshold between each two
+// adjacent occupied ranks of feature f in a node of size rows, pos of
+// them positive, and reports the first one whose weighted Gini is
+// strictly below best. It leaves the histogram zeroed.
+//
+//remp:hotpath
+func (t *trainer) sweep(f, m, size, pos int, best float64) (gini, thresh float64, improved bool) {
+	dist, present := t.dist[f], t.present[:m]
+	leftN, leftPos := 0, 0
+	for k := 0; k+1 < m; k++ {
+		b := t.hist[present[k]]
+		leftN += int(b.n)
+		leftPos += int(b.pos)
+		lower, upper := dist[present[k]], dist[present[k+1]]
+		th := (lower + upper) / 2
+		ln, lp := leftN, leftPos
+		if th >= upper || th < lower {
+			// The midpoint rounded onto the upper value (adjacent floats)
+			// or the sum overflowed: x <= th no longer cuts between the two.
+			ln, lp = t.countLeft(dist, present, th)
+		}
+		if g := weightedGini(float64(ln), float64(lp), float64(size-ln), float64(pos-lp)); g < best {
+			best, gini, thresh, improved = g, g, th, true
+		}
+	}
+	for _, r := range present {
+		t.hist[r] = bin{}
+	}
+	return gini, thresh, improved
+}
+
+// countLeft counts the node's rows, and the positive ones, with value <= th.
+func (t *trainer) countLeft(dist []float64, present []int32, th float64) (n, pos int) {
+	for _, r := range present {
+		if dist[r] <= th {
+			n += int(t.hist[r].n)
+			pos += int(t.hist[r].pos)
+		}
+	}
+	return n, pos
+}
+
+// weightedGini is the size-weighted Gini impurity of a split with ln rows
+// (lp positive) on the left and rn rows (rp positive) on the right.
+func weightedGini(ln, lp, rn, rp float64) float64 {
 	gini := func(n, p float64) float64 {
 		if n == 0 {
 			return 0
@@ -177,6 +314,27 @@ func splitGini(X [][]float64, y []bool, idx []int, f int, t float64) float64 {
 	return ln/total*gini(ln, lp) + rn/total*gini(rn, rp)
 }
 
+// partition reorders idx[lo:hi] so the rows with x[f] <= thresh come
+// first; it returns where the right side starts and the left side's
+// positive count.
+//
+//remp:hotpath
+func (t *trainer) partition(lo, hi, f int, thresh float64) (mid, leftPos int) {
+	col := t.cols[f*t.n : (f+1)*t.n]
+	idx := t.idx
+	i, j := lo, hi
+	for i < j {
+		if r := idx[i]; col[r] <= thresh {
+			leftPos += int(t.y[r])
+			i++
+		} else {
+			j--
+			idx[i], idx[j] = idx[j], r
+		}
+	}
+	return i, leftPos
+}
+
 // Prob returns the forest's estimated probability that x is positive
 // (average of leaf probabilities across trees).
 func (f *Forest) Prob(x []float64) float64 {
@@ -184,25 +342,22 @@ func (f *Forest) Prob(x []float64) float64 {
 		panic("forest: feature dimension mismatch")
 	}
 	sum := 0.0
-	for _, t := range f.trees {
-		sum += t.predict(x)
+	for _, root := range f.roots {
+		n := &f.nodes[root]
+		for n.feature >= 0 {
+			if x[n.feature] <= n.val {
+				n = &f.nodes[n.left]
+			} else {
+				n = &f.nodes[n.right]
+			}
+		}
+		sum += n.val
 	}
-	return sum / float64(len(f.trees))
+	return sum / float64(len(f.roots))
 }
 
 // Predict returns the majority-vote classification of x.
 func (f *Forest) Predict(x []float64) bool { return f.Prob(x) >= 0.5 }
 
-func (n *node) predict(x []float64) float64 {
-	for n.feature >= 0 {
-		if x[n.feature] <= n.thresh {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.prob
-}
-
 // NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
+func (f *Forest) NumTrees() int { return len(f.roots) }

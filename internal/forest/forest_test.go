@@ -1,6 +1,8 @@
 package forest
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -129,6 +131,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 	assertPanics("empty", func() { Train(nil, nil, Options{}) })
 	assertPanics("mismatched", func() { Train([][]float64{{1}}, []bool{true, false}, Options{}) })
 	assertPanics("ragged", func() { Train([][]float64{{1}, {1, 2}}, []bool{true, false}, Options{}) })
+	assertPanics("NaN", func() { Train([][]float64{{0}, {math.NaN()}}, []bool{false, true}, Options{}) })
 	f := Train([][]float64{{0}, {1}}, []bool{false, true}, Options{NumTrees: 2})
 	assertPanics("dim mismatch", func() { f.Prob([]float64{1, 2}) })
 }
@@ -137,5 +140,40 @@ func TestNumTrees(t *testing.T) {
 	f := Train([][]float64{{0}, {1}}, []bool{false, true}, Options{NumTrees: 7})
 	if f.NumTrees() != 7 {
 		t.Errorf("NumTrees = %d, want 7", f.NumTrees())
+	}
+}
+
+// benchMatrix is a training set shaped like the isolated-pair classifier's:
+// saturated 0/1 similarity components plus one continuous prior column.
+func benchMatrix(n, dim int) ([][]float64, []bool) {
+	rng := rand.New(rand.NewSource(1))
+	X := make([][]float64, n)
+	y := make([]bool, n)
+	for i := range X {
+		y[i] = i < n/2
+		X[i] = make([]float64, dim)
+		for f := 0; f < dim-1; f++ {
+			if p := rng.Float64(); p < 0.3 || (y[i] && p < 0.7) {
+				X[i][f] = 1
+			} else if p > 0.9 {
+				X[i][f] = rng.Float64()
+			}
+		}
+		X[i][dim-1] = rng.Float64()
+	}
+	return X, y
+}
+
+var benchForest *Forest
+
+func BenchmarkTrain(b *testing.B) {
+	for _, n := range []int{500, 16} {
+		X, y := benchMatrix(n, 11)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchForest = Train(X, y, Options{NumTrees: 100, Seed: 1})
+			}
+		})
 	}
 }

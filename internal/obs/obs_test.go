@@ -240,3 +240,22 @@ func TestLoopTraceTotals(t *testing.T) {
 		t.Errorf("TotalNS(infer) = %d", tr.TotalNS(StageInfer))
 	}
 }
+
+// TestStageLabels pins the stage list the server turns into
+// remp_loop_stage_seconds children: every stage has its own label, in
+// pipeline order, ending with the session-end classifier.
+func TestStageLabels(t *testing.T) {
+	want := []string{"prepare", "block", "similarity", "infer", "select", "apply", "reestimate", "classify"}
+	stages := Stages()
+	if len(stages) != len(want) {
+		t.Fatalf("Stages() = %v, want %d stages", stages, len(want))
+	}
+	for i, s := range stages {
+		if s.String() != want[i] {
+			t.Errorf("stage %d is %q, want %q", i, s, want[i])
+		}
+	}
+	if s := Stage(len(want)).String(); s != "unknown" {
+		t.Errorf("out-of-range stage is %q", s)
+	}
+}

@@ -30,6 +30,10 @@ const (
 	// StageReestimate is the batch tail's model refresh: hybrid monotone
 	// inference plus consistency/probability re-estimation.
 	StageReestimate
+	// StageClassify is the session-end isolated-pair classifier (§VII-B):
+	// one span per finished loop, covering signature grouping, every
+	// neighborhood forest fit and the predictions.
+	StageClassify
 
 	numStages
 )
@@ -51,6 +55,8 @@ func (s Stage) String() string {
 		return "apply"
 	case StageReestimate:
 		return "reestimate"
+	case StageClassify:
+		return "classify"
 	}
 	return "unknown"
 }

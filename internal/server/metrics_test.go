@@ -156,7 +156,7 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("%s = %v, want >= %v", name, v, min)
 		}
 	}
-	for _, stage := range []string{"prepare", "infer", "select", "apply"} {
+	for _, stage := range []string{"prepare", "infer", "select", "apply", "classify"} {
 		if v := sampleValue(t, text, fmt.Sprintf(`remp_loop_stage_seconds_count{stage=%q}`, stage)); v < 1 {
 			t.Errorf("loop stage %q never recorded a span", stage)
 		}
