@@ -94,7 +94,7 @@ var (
 )
 
 func main() {
-	benchPath := flag.String("bench", "", "go test -bench output to parse (required)")
+	benchPath := flag.String("bench", "", "go test -bench output to parse (optional)")
 	shardsPath := flag.String("shards", "", "shard-scalability JSON from remp-bench -experiment shards -json")
 	preparePath := flag.String("prepare", "", "pre-pipeline JSON from remp-bench -experiment prepare -json")
 	minSpeedup := flag.Float64("min-prepare-speedup", 5.0, "minimum indexed-vs-naive pre-pipeline speedup (applies only when the prepare report ran the naive cross-check)")
@@ -107,15 +107,17 @@ func main() {
 	maxP99Ratio := flag.Float64("max-p99-ratio", 5.0, "maximum allowed loadgen p99 latency ratio vs baseline (per operation; applies only when both reports carry latency data)")
 	flag.Parse()
 
-	if *benchPath == "" {
-		fatalf("benchreport: -bench is required")
-	}
 	// Version 2 added the bytes_per_op / allocs_per_op columns.
 	report := &Report{Version: 2, Go: runtime.Version()}
 
-	raw, err := os.ReadFile(*benchPath)
-	if err != nil {
-		fatalf("benchreport: %v", err)
+	// Without -bench the report carries (and the gates check) the JSON
+	// sections alone.
+	var raw []byte
+	if *benchPath != "" {
+		var err error
+		if raw, err = os.ReadFile(*benchPath); err != nil {
+			fatalf("benchreport: %v", err)
+		}
 	}
 	for _, line := range strings.Split(string(raw), "\n") {
 		line = strings.TrimSpace(line)
@@ -140,7 +142,7 @@ func main() {
 		}
 		report.Benchmarks = append(report.Benchmarks, b)
 	}
-	if len(report.Benchmarks) == 0 {
+	if *benchPath != "" && len(report.Benchmarks) == 0 {
 		fatalf("benchreport: no benchmark lines found in %s", *benchPath)
 	}
 	sort.Slice(report.Benchmarks, func(i, j int) bool { return report.Benchmarks[i].Name < report.Benchmarks[j].Name })

@@ -20,12 +20,12 @@
 // -chaos drop=20,dup=10 (see internal/cluster.ParseFaults).
 //
 // With -store disk every session is journaled to the data directory:
-// each accepted answer is fsync'd to a write-ahead log before the HTTP
+// each accepted answer is fsync'd to the session's log before the HTTP
 // response, and a restarted server (even after a hard kill) recovers
 // all sessions under their original IDs. -store mem keeps sessions in
 // memory only. SIGINT/SIGTERM shut the server down gracefully:
-// in-flight requests drain (new ones are refused with 503), every
-// session's snapshot is flushed and the store is closed.
+// in-flight requests drain (new ones are refused with 503) and the
+// store is closed.
 //
 // -debug-addr serves net/http/pprof on a second listener, kept off the
 // public address so profiling endpoints are never exposed with the API:
@@ -65,6 +65,10 @@ import (
 	"repro/internal/session"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("remp-server: ")
@@ -72,7 +76,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional second listen address for net/http/pprof (e.g. localhost:6060)")
 	quiet := flag.Bool("quiet", false, "log warnings and errors only")
 	shards := flag.Int("shards", 0, "default shard count for sessions that do not specify one (0 = auto, 1 = monolithic)")
-	storeKind := flag.String("store", "mem", "session store backend: mem (in-memory) or disk (crash-safe WAL + snapshots)")
+	storeKind := flag.String("store", "mem", "session store backend: mem (in-memory) or disk (crash-safe: one fsync'd answer log per session)")
 	dataDir := flag.String("data-dir", "remp-data", "session store directory (with -store disk)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
 	workers := flag.String("workers", "", "comma-separated remp-worker addresses; enables cluster mode")
@@ -135,7 +139,7 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr)
@@ -153,8 +157,8 @@ func main() {
 
 	// Drain the application first, over the live listener: the gate
 	// refuses new /v1 requests with 503 + Retry-After while the ones in
-	// flight finish, then every session's snapshot is flushed and the
-	// store closes. Only then is the HTTP server itself torn down —
+	// flight finish, then the store closes. Only then is the HTTP server
+	// itself torn down —
 	// closing the listener first would turn the documented
 	// drain-then-refuse behavior into connection-refused.
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainTimeout)

@@ -58,18 +58,17 @@
 // BENCH_baseline.json.
 //
 // Sessions are durable. Every managed session journals into a pluggable
-// store (remp.Store): an event-sourced snapshot plus an append-only
-// answer WAL. The in-memory backend (remp.NewMemStore) is the default;
-// the disk backend (remp.NewDiskStore) fsyncs each accepted answer to a
-// WAL segment before it is acknowledged and rotates snapshots atomically
-// (temp file, fsync, rename, directory fsync, fresh segment), so a
-// remp-server with -store disk recovers every session under its original
-// ID after a hard kill — remp.OpenManager replays snapshot + WAL through
-// the divergence-checking restore path and re-joins the namespace answer
-// cache. Persistence is fail-stop: a dying disk freezes a session's
-// durable state at the last consistent prefix while it keeps serving
-// from memory. SIGTERM drains the server (in-flight requests finish, new
-// ones get 503), flushes all sessions and closes the store; /healthz
+// store (remp.Store): a create record plus one append-only answer log.
+// The in-memory backend (remp.NewMemStore) is the default; the disk
+// backend (remp.NewDiskStore) fsyncs each accepted answer to the
+// session's log file before it is acknowledged, so a remp-server with
+// -store disk recovers every session under its original ID after a hard
+// kill — remp.OpenManager replays each log through the same
+// divergence-checking restore path client snapshots take and re-joins
+// the namespace answer cache. Persistence is fail-stop: a dying disk
+// freezes a session's durable state at the last consistent prefix while
+// it keeps serving from memory. SIGTERM drains the server (in-flight
+// requests finish, new ones get 503) and closes the store; /healthz
 // stays 200 with a structured status while /readyz flips to 503 so load
 // balancers stop routing. cmd/remp-loadgen load-tests a live server
 // with N concurrent closed-loop sessions whose worker labels are a
@@ -82,7 +81,7 @@
 // Telemetry is stdlib-only: internal/obs is an allocation-free metrics
 // registry (atomic counters, gauges, fixed-bucket histograms) that the
 // server exposes at /metrics in Prometheus text format — per-loop-stage
-// timing histograms, propagation-engine work counters, WAL append and
+// timing histograms, propagation-engine work counters, log append and
 // fsync latencies, session/cache counters, per-route HTTP latency — and
 // that cmd/remp-bench's shard experiment folds into BENCH_remp.json as
 // per-stage nanoseconds. Observability bends to the invariants, not the

@@ -3,7 +3,7 @@
 //
 // The example runs a remp-server over a disk store, creates a session
 // on the built-in books dataset and answers its first batch — each
-// answer is fsync'd to the session's write-ahead log before the HTTP
+// answer is fsync'd to the session's answer log before the HTTP
 // response. Then the server is abandoned without any shutdown (the
 // process-crash stand-in), a brand-new server is opened over the same
 // data directory, and the session comes back under its original ID at
@@ -54,15 +54,15 @@ func main() {
 		}
 		info = &posted.SessionInfo
 	}
-	fmt.Printf("answered the first batch: %d questions into the WAL\n", info.Questions)
+	fmt.Printf("answered the first batch: %d questions into the answer log\n", info.Questions)
 
-	// Crash: no flush, no goodbye. Acknowledged answers are already
+	// Crash: no drain, no goodbye. Acknowledged answers are already
 	// durable, so nothing answered is lost.
 	stop()
 	fmt.Println("server gone (no shutdown, like a kill -9)")
 
 	// Second incarnation over the same data directory: the session is
-	// recovered by replaying its snapshot + WAL through the pipeline.
+	// recovered by replaying its answer log through the pipeline.
 	client, stop = serve(dir)
 	defer stop()
 	recovered, err := client.Batch(info.ID)
@@ -98,7 +98,7 @@ func main() {
 
 // serve starts a disk-store server on a loopback port and returns a
 // client plus a stop function that just drops the listener — no drain,
-// no flush — so recovery has real work to do.
+// no store close — so recovery has real work to do.
 func serve(dir string) (*server.Client, func()) {
 	store, err := session.NewDiskStore(dir)
 	if err != nil {

@@ -290,6 +290,15 @@ func (l *Loop) fail(err error) {
 	}
 }
 
+// Close abandons a loop that will not be driven to its end: the shard
+// engines are released through the runner and every later Deliver
+// returns ErrLoopDone (State reports LoopFailed with that error). It is
+// idempotent, and a no-op on a loop that already finished or failed —
+// both released their engines.
+func (l *Loop) Close() {
+	l.fail(fmt.Errorf("%w (closed)", ErrLoopDone))
+}
+
 // runnerResolve mirrors a resolution into the owning shard's engine state.
 // Settled shards are skipped: every vertex there is already resolved, so
 // the runner state cannot be consulted again.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -114,5 +115,50 @@ func TestHardQuestionsNotReasked(t *testing.T) {
 	}
 	if res.Matches.Len() != 0 {
 		t.Errorf("%d matches from a crowd that never agreed", res.Matches.Len())
+	}
+}
+
+// closeCounter wraps a runner and counts its Close calls.
+type closeCounter struct {
+	ShardRunner
+	closes int
+}
+
+func (c *closeCounter) Close() (int64, error) {
+	c.closes++
+	return c.ShardRunner.Close()
+}
+
+// TestLoopClose pins the abandon path: Close releases the engines through
+// the runner exactly once however often it is called, later deliveries
+// fail with ErrLoopDone, and closing a finished loop does nothing.
+func TestLoopClose(t *testing.T) {
+	k1, k2, gold := movieWorld(6, 31)
+	cfg := DefaultConfig()
+	cfg.Mu = 3
+	var runner *closeCounter
+	cfg.Runner = func(p *Prepared) (ShardRunner, error) {
+		inner, err := NewLocalRunner(p)
+		runner = &closeCounter{ShardRunner: inner}
+		return runner, err
+	}
+	p := Prepare(k1, k2, cfg)
+
+	l := p.NewLoop()
+	q := l.Batch()[0]
+	l.Close()
+	l.Close()
+	if runner.closes != 1 {
+		t.Fatalf("runner closed %d times, want once", runner.closes)
+	}
+	if err := l.Deliver(q, NewOracleAsker(gold.IsMatch).Ask(q)); !errors.Is(err, ErrLoopDone) {
+		t.Fatalf("Deliver after Close: %v, want ErrLoopDone", err)
+	}
+
+	done := p.NewLoop()
+	done.run(NewOracleAsker(gold.IsMatch))
+	done.Close()
+	if runner.closes != 1 || done.State() != LoopDone {
+		t.Fatalf("closing a finished loop: runner closed %d times, state %s", runner.closes, done.State())
 	}
 }

@@ -179,15 +179,3 @@ func (p *Prepared) consistencyObservations(label ergraph.RelPair, seeds []pair.P
 	}
 	return obs
 }
-
-// Unresolved returns the graph vertices not yet resolved by the given
-// match / non-match sets, in deterministic order.
-func (p *Prepared) Unresolved(matches, nonMatches pair.Set) []pair.Pair {
-	var out []pair.Pair
-	for _, v := range p.Graph.Vertices() {
-		if !matches.Has(v) && !nonMatches.Has(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/deduce"
-	"repro/internal/ergraph"
 	"repro/internal/pair"
 	"repro/internal/selection"
 )
@@ -302,6 +301,3 @@ func (l *Loop) rebuildShards(needs func(*shardPipe) bool) {
 		}
 	}
 }
-
-// Labels of the probabilistic graph are re-exported for diagnostics.
-func (p *Prepared) GraphLabels() []ergraph.RelPair { return p.Graph.Labels() }

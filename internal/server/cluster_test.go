@@ -17,9 +17,10 @@ import (
 // pipelines, through a clustered server over two in-process workers that
 // count their Prepare calls. Sessions whose create requests differ only in
 // client_ref hash to one spec and share one Prepare per worker; once the
-// last of them ends the worker lets the pipeline go, so the next session
-// prepares again; and a survivor that never saw a spec still prepares it
-// when a dead worker's shard fails over onto it.
+// last of them ends — by finishing or by a DELETE mid-run — the worker
+// lets the pipeline go, so the next session prepares again; and a
+// survivor that never saw a spec still prepares it when a dead worker's
+// shard fails over onto it.
 func TestWorkerPlanCache(t *testing.T) {
 	var prepares [2]atomic.Int64
 	var workers [2]*cluster.Worker
@@ -103,15 +104,31 @@ func TestWorkerPlanCache(t *testing.T) {
 	wantPrepares("a session created after both ended", 2, 2)
 	finish(third.ID, gold)
 
+	// A session DELETEd mid-run closes its loop and with it the runner, so
+	// the workers let its pipeline go exactly as for a finished session.
+	// KBs of its own keep the namespace cache from finishing it at create.
+	_, doomedGold, doomedReq := fixture(t, 7)
+	doomed := create(doomedReq, "e", 2)
+	wantPrepares("a session over new KBs", 3, 3)
+	if doomed.State == string(remp.SessionDone) {
+		t.Fatal("the session finished at create; the DELETE would not be mid-run")
+	}
+	if err := c.Delete(doomed.ID); err != nil {
+		t.Fatal(err)
+	}
+	again := create(doomedReq, "f", 2)
+	wantPrepares("a session created after a mid-run DELETE of its only sibling", 4, 4)
+	finish(again.ID, doomedGold)
+
 	// A single shard lands on worker 0; worker 1 first sees the spec when
 	// worker 0 dies and the shard fails over. The session runs over KBs of
 	// its own, so no sibling's cached answers finish it before the kill.
 	ds, gold, req := fixture(t, 6)
 	lone := create(req, "d", 1)
-	wantPrepares("a single-shard session", 3, 2)
+	wantPrepares("a single-shard session", 5, 4)
 	workers[0].Close()
 	finish(lone.ID, gold)
-	wantPrepares("failover onto the survivor", 3, 3)
+	wantPrepares("failover onto the survivor", 5, 5)
 
 	opts := req.Options.ToOptions()
 	opts.Shards = 1

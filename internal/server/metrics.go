@@ -39,9 +39,8 @@ type serverMetrics struct {
 	answersAccepted   *obs.Counter
 	answersRejected   *obs.Counter
 
-	storeAppend   *obs.Histogram
-	storeSnapshot *obs.Histogram
-	storeFsync    *obs.Histogram
+	storeAppend *obs.Histogram
+	storeFsync  *obs.Histogram
 
 	// cluster carries the coordinator's liveness/retry/failover counters.
 	// Registered unconditionally — the catalog contract doesn't know
@@ -69,9 +68,8 @@ func newServerMetrics() *serverMetrics {
 	m.answersAccepted = reg.Counter("remp_answers_accepted_total", "Worker answers accepted and applied.")
 	m.answersRejected = reg.Counter("remp_answers_rejected_total", "Worker answers rejected (duplicate, closed, malformed).")
 
-	m.storeAppend = reg.Histogram("remp_store_append_seconds", "Session store WAL append latency (marshal + write + fsync).", nil)
-	m.storeSnapshot = reg.Histogram("remp_store_snapshot_seconds", "Session store snapshot rotation latency.", nil)
-	m.storeFsync = reg.Histogram("remp_store_fsync_seconds", "WAL fsync syscall latency inside AppendAnswer (disk store only).", nil)
+	m.storeAppend = reg.Histogram("remp_store_append_seconds", "Session store answer-log append latency (marshal + write + fsync).", nil)
+	m.storeFsync = reg.Histogram("remp_store_fsync_seconds", "Answer-log fsync syscall latency inside AppendAnswer (disk store only).", nil)
 
 	m.cluster = &cluster.Metrics{
 		WorkersLive:   reg.Gauge("remp_cluster_workers_live", "Cluster workers currently passing heartbeats (0 when not clustered)."),
@@ -119,10 +117,10 @@ func (m *serverMetrics) bindManager(s *Server) {
 		_, _, r := s.mgr.CacheStats()
 		return float64(r)
 	})
-	m.reg.CounterFunc("remp_persist_failures_total", "Store operations that failed; non-zero means stale durable state.", func() float64 {
+	m.reg.CounterFunc("remp_persist_failures_total", "Sessions whose store append failed; non-zero means stale durable state.", func() float64 {
 		return float64(s.mgr.PersistFailures())
 	})
-	m.reg.CounterFunc("remp_wal_replayed_total", "WAL records replayed on top of snapshots during recovery.", func() float64 {
+	m.reg.CounterFunc("remp_wal_replayed_total", "Answers re-delivered from session logs at recovery.", func() float64 {
 		return float64(s.mgr.WALReplayed())
 	})
 	deduceVec := func(pick func(remp.DeduceStats) uint64) func() map[string]float64 {
@@ -145,29 +143,21 @@ func (m *serverMetrics) bindManager(s *Server) {
 		"namespace", deduceVec(func(st remp.DeduceStats) uint64 { return st.Conflicts }))
 }
 
-// timedStore decorates a session.Store with latency histograms over the
-// two durable write paths the serving path pays for: the per-answer WAL
-// append and the snapshot rotation. The timing lives here rather than in
-// internal/session because the session packages are deterministic and
-// never read the wall clock themselves.
+// timedStore decorates a session.Store with a latency histogram over the
+// durable write the serving path pays for: the per-answer log append.
+// The timing lives here rather than in internal/session because the
+// session packages are deterministic and never read the wall clock
+// themselves.
 type timedStore struct {
 	session.Store
-	clock    obs.Clock
-	append   *obs.Histogram
-	snapshot *obs.Histogram
+	clock  obs.Clock
+	append *obs.Histogram
 }
 
-func (t *timedStore) AppendAnswer(id string, seq int, rec session.AnswerRec) error {
+func (t *timedStore) AppendAnswer(id string, seq int, rec session.AnswerRec, done bool) error {
 	t0 := t.clock()
-	err := t.Store.AppendAnswer(id, seq, rec)
+	err := t.Store.AppendAnswer(id, seq, rec, done)
 	t.append.ObserveNS(t.clock() - t0)
-	return err
-}
-
-func (t *timedStore) PutSnapshot(id string, snapshot []byte) error {
-	t0 := t.clock()
-	err := t.Store.PutSnapshot(id, snapshot)
-	t.snapshot.ObserveNS(t.clock() - t0)
 	return err
 }
 

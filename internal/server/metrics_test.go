@@ -40,8 +40,8 @@ func catalogNames(t *testing.T) []string {
 	return names
 }
 
-// metricsFixture stands up a server over a disk store, so every durable
-// write path (WAL append, fsync, rotation) produces telemetry too.
+// metricsFixture stands up a server over a disk store, so the durable
+// write path (log append, fsync) produces telemetry too.
 func metricsFixture(t *testing.T) (*Server, *httptest.Server, *Client) {
 	t.Helper()
 	store, err := session.NewDiskStore(t.TempDir())
@@ -141,8 +141,11 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("catalog family %q missing from exposition", name)
 		}
 	}
+	if strings.Contains(text, "remp_store_snapshot_seconds") {
+		t.Error("the snapshot-rotation family is still exported; the store no longer rotates anything")
+	}
 	// The run above answered questions through a disk-backed session, so
-	// the loop stages, the WAL append path and the cache all saw traffic.
+	// the loop stages, the log append path and the cache all saw traffic.
 	for name, min := range map[string]float64{
 		"remp_loop_batches_total":         1,
 		"remp_loop_questions_total":       1,

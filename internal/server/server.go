@@ -24,11 +24,10 @@
 // concurrent jobs over one dataset never post the same pair twice.
 //
 // A server opened over a disk store (Config.Store) journals every
-// session: each accepted answer is fsync'd to a WAL before the HTTP
-// response, and a server restarted over the same store recovers every
-// session under its original ID. Shutdown drains in-flight requests —
-// later requests are refused with 503 — and flushes all sessions so
-// recovery replays snapshots only.
+// session: each accepted answer is fsync'd to the session's log before
+// the HTTP response, and a server restarted over the same store recovers
+// every session under its original ID. Shutdown drains in-flight
+// requests — later requests are refused with 503 — and closes the store.
 //
 // A server configured with Config.Workers runs in cluster mode: every
 // session's shard engines are placed on remp-worker processes through an
@@ -46,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -57,6 +55,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/kb"
+	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/session"
 	"repro/remp"
@@ -194,7 +193,7 @@ type errorBody struct {
 type sessionMeta struct {
 	spec      CreateRequest
 	namespace string
-	k1, k2    *kb.KB
+	ds        remp.Dataset
 	gold      *remp.Gold
 }
 
@@ -271,13 +270,13 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		kind = "mem"
 	}
 	metrics := newServerMetrics()
-	// The disk store's WAL fsync is timed inside AppendAnswer (the store
+	// The disk store's log fsync is timed inside AppendAnswer (the store
 	// never reads the wall clock itself — the monotonic clock is injected
-	// here); the decorator below times the full append and rotation paths.
+	// here); the decorator below times the full append.
 	if ds, ok := store.(*session.DiskStore); ok {
 		ds.InstrumentFsync(metrics.clock, metrics.storeFsync)
 	}
-	store = &timedStore{Store: store, clock: metrics.clock, append: metrics.storeAppend, snapshot: metrics.storeSnapshot}
+	store = &timedStore{Store: store, clock: metrics.clock, append: metrics.storeAppend}
 	// The coordinator must exist before recovery below: recovered
 	// sessions' pipelines place their shards on workers too.
 	var co *cluster.Coordinator
@@ -302,32 +301,21 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		cluster:       co,
 	}
 	// Recovery re-prepares each stored session's pipeline from the
-	// CreateRequest persisted as its meta blob; the specs seen along the
+	// CreateRequest persisted as its meta blob; the specs opened along the
 	// way rebuild the server-side metadata map.
 	recoveredMeta := make(map[string]*sessionMeta)
 	mgr, recovered, err := remp.OpenManagerObs(store, func(id string, meta []byte) (remp.Dataset, remp.Options, string, error) {
-		var req CreateRequest
-		if jerr := json.Unmarshal(meta, &req); jerr != nil {
-			return remp.Dataset{}, remp.Options{}, "", fmt.Errorf("stored spec: %w", jerr)
+		m, opts, oerr := openStoredSpec(meta, co)
+		if oerr != nil {
+			return remp.Dataset{}, remp.Options{}, "", fmt.Errorf("stored spec: %w", oerr)
 		}
-		ds, gold, namespace, lerr := loadSpec(req)
-		if lerr != nil {
-			return remp.Dataset{}, remp.Options{}, "", lerr
-		}
-		recoveredMeta[id] = &sessionMeta{spec: req, namespace: namespace, k1: ds.K1, k2: ds.K2, gold: gold}
-		opts := req.Options.ToOptions()
-		opts.Runner = s.runnerFor(req)
-		return ds, opts, namespace, nil
+		recoveredMeta[id] = m
+		return m.ds, opts, m.namespace, nil
 	}, metrics.pipe)
 	s.mgr = mgr
 	metrics.bindManager(s)
 	for _, id := range recovered {
-		if m := recoveredMeta[id]; m != nil {
-			s.meta[id] = m
-			if m.spec.ClientRef != "" {
-				s.refs[m.spec.ClientRef] = id
-			}
-		}
+		s.register(id, recoveredMeta[id])
 		metrics.sessionsRecovered.Inc()
 	}
 	if len(recovered) > 0 {
@@ -341,57 +329,76 @@ func NewServer(cfg Config) (*Server, []string, error) {
 	return s, recovered, err
 }
 
-// WALReplayed returns how many WAL records startup recovery replayed on
-// top of session snapshots.
+// WALReplayed returns how many answers startup recovery re-delivered
+// from session logs.
 func (s *Server) WALReplayed() int64 { return s.mgr.WALReplayed() }
 
 // Clustered reports whether the server places shard engines on workers.
 func (s *Server) Clustered() bool { return s.cluster != nil }
 
-// runnerFor returns the shard-runner factory for a session created from
-// req (server defaults already baked in): the coordinator's remote runner
-// in cluster mode, nil (in-process shards) otherwise. The spec handed to
-// the coordinator is what PrepareSpec rebuilds worker-side, so the two
-// ends of every shard RPC agree on the pipeline. It is req without its
-// ClientRef, which names the session, not the pipeline: workers cache
-// pipelines by spec hash, and sessions over one dataset must share one.
-func (s *Server) runnerFor(req CreateRequest) core.RunnerFactory {
-	if s.cluster == nil {
-		return nil
-	}
-	req.ClientRef = ""
-	spec, err := json.Marshal(req)
+// openSpec is the one way a create spec becomes a runnable pipeline
+// description — on the server (create, restore, startup recovery) and on
+// cluster workers (PrepareSpec): load its dataset and map its options.
+// It returns the state the server keeps alongside the session.
+//
+// With a coordinator the options place the shard engines on workers.
+// The spec handed to the coordinator is what PrepareSpec rebuilds
+// worker-side, so the two ends of every shard RPC agree on the pipeline.
+// It is req without its ClientRef, which names the session, not the
+// pipeline: workers cache pipelines by spec hash, and sessions over one
+// dataset must share one.
+func openSpec(req CreateRequest, co *cluster.Coordinator) (*sessionMeta, remp.Options, error) {
+	m, err := loadSpec(req)
 	if err != nil {
-		panic(err) // unreachable: every caller holds req's JSON form already
+		return nil, remp.Options{}, err
 	}
-	return s.cluster.Runner(spec)
+	opts := req.Options.ToOptions()
+	if co != nil {
+		req.ClientRef = ""
+		pipeline, err := json.Marshal(req)
+		if err != nil {
+			return nil, remp.Options{}, err
+		}
+		opts.Runner = co.Runner(pipeline)
+	}
+	return m, opts, nil
+}
+
+// openStoredSpec is openSpec for a spec in its stored JSON form: the
+// meta blob of a recovered session, or the pipeline spec a coordinator
+// shipped. Server defaults were baked in before it was stored, so
+// opening it reproduces the original pipeline deterministically.
+func openStoredSpec(spec []byte, co *cluster.Coordinator) (*sessionMeta, remp.Options, error) {
+	var req CreateRequest
+	if err := json.Unmarshal(spec, &req); err != nil {
+		return nil, remp.Options{}, err
+	}
+	return openSpec(req, co)
 }
 
 // PrepareSpec rebuilds the core pipeline a create spec describes. It is
-// the Prepare hook remp-worker serves shards from: the coordinator ships
-// each session's CreateRequest as runnerFor marshaled it, and because
-// server defaults were baked in first, loadSpec + ToOptions here
-// reproduce the coordinator's pipeline deterministically.
+// the Prepare hook remp-worker serves shards from.
 func PrepareSpec(spec []byte) (*core.Prepared, error) {
-	var req CreateRequest
-	if err := json.Unmarshal(spec, &req); err != nil {
-		return nil, fmt.Errorf("cluster spec: %w", err)
-	}
-	ds, _, _, err := loadSpec(req)
+	m, opts, err := openStoredSpec(spec, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster spec: %w", err)
 	}
-	return remp.PreparePipeline(ds, req.Options.ToOptions())
+	return remp.PreparePipeline(m.ds, opts)
 }
 
-// SetDefaultShards sets the shard count applied to sessions whose create
-// request does not specify one (the cmd/remp-server -shards flag). 0
-// keeps automatic sharding.
-func (s *Server) SetDefaultShards(n int) { s.defaultShards = n }
+// register records a session's server-side state and its client ref.
+func (s *Server) register(id string, m *sessionMeta) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.meta[id] = m
+	if m.spec.ClientRef != "" {
+		s.refs[m.spec.ClientRef] = id
+	}
+}
 
 // Shutdown drains the server: in-flight requests finish (bounded by
-// ctx), later requests are refused with 503, every session's durable
-// snapshot is flushed to its current state and the store is closed.
+// ctx), later requests are refused with 503, and the store is closed —
+// every acknowledged answer is already durable in its session's log.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	done := make(chan struct{})
@@ -413,20 +420,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// coordinator only has heartbeats and idle connections left.
 		s.cluster.Close()
 	}
-	s.log.Info("shutdown: store flushed and closed")
+	s.log.Info("shutdown: store closed")
 	return err
 }
 
 // Draining reports whether the server has begun shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// applyDefaults folds server-wide defaults into a request's options.
-func (s *Server) applyDefaults(o OptionsDTO) OptionsDTO {
-	if o.Shards == 0 && s.defaultShards != 0 {
-		o.Shards = s.defaultShards
-	}
-	return o
-}
 
 // Handler returns the HTTP handler for all endpoints. /v1 routes are
 // gated on the drain flag: once Shutdown begins they answer 503 with a
@@ -487,10 +486,11 @@ func refuseDraining(w http.ResponseWriter) {
 
 // handleHealthz reports liveness: always 200 while the process serves,
 // with structured detail — uptime, live session count, drain state,
-// store backend, persistence failures and recovery replay depth. A
-// draining server is still alive; readiness is /readyz's job.
-// persist_failures counts store operations that have failed since
-// startup — non-zero means some session's durable state is stale.
+// store backend, persistence failures and wal_replayed, the answers
+// re-delivered at startup recovery. A draining server is still alive;
+// readiness is /readyz's job. persist_failures counts sessions whose
+// log append has failed since startup — non-zero means some session's
+// durable state is stale.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	if s.draining.Load() {
@@ -524,13 +524,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
-// ListenAndServe runs the server on addr until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
-	log.Printf("remp-server listening on %s", addr)
-	return srv.ListenAndServe()
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -543,49 +536,71 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // loadSpec materializes the dataset of a create spec: KBs, optional gold,
 // and the cache namespace shared by sessions over the same data.
-func loadSpec(req CreateRequest) (ds remp.Dataset, gold *remp.Gold, namespace string, err error) {
+func loadSpec(req CreateRequest) (*sessionMeta, error) {
 	switch {
 	case req.Dataset != "":
-		d, derr := datasets.ByName(req.Dataset, req.Seed)
-		if derr != nil {
-			return remp.Dataset{}, nil, "", fmt.Errorf("unknown dataset %q (built-ins: %s)", req.Dataset, strings.Join(datasets.Names(), ", "))
+		d, err := datasets.ByName(req.Dataset, req.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("unknown dataset %q (built-ins: %s)", req.Dataset, strings.Join(datasets.Names(), ", "))
 		}
-		return remp.Dataset{K1: d.K1, K2: d.K2}, d.Gold, fmt.Sprintf("builtin:%s:%d", req.Dataset, req.Seed), nil
+		return &sessionMeta{spec: req, ds: remp.Dataset{K1: d.K1, K2: d.K2}, gold: d.Gold,
+			namespace: fmt.Sprintf("builtin:%s:%d", req.Dataset, req.Seed)}, nil
 	case req.KB1TSV != "" && req.KB2TSV != "":
-		k1, kerr := kb.ReadTSV(strings.NewReader(req.KB1TSV))
-		if kerr != nil {
-			return remp.Dataset{}, nil, "", fmt.Errorf("kb1_tsv: %v", kerr)
+		k1, err := kb.ReadTSV(strings.NewReader(req.KB1TSV))
+		if err != nil {
+			return nil, fmt.Errorf("kb1_tsv: %v", err)
 		}
-		k2, kerr := kb.ReadTSV(strings.NewReader(req.KB2TSV))
-		if kerr != nil {
-			return remp.Dataset{}, nil, "", fmt.Errorf("kb2_tsv: %v", kerr)
+		k2, err := kb.ReadTSV(strings.NewReader(req.KB2TSV))
+		if err != nil {
+			return nil, fmt.Errorf("kb2_tsv: %v", err)
 		}
-		var goldStd *remp.Gold
+		var gold *remp.Gold
 		if len(req.Gold) > 0 {
 			matches := make([]remp.Pair, 0, len(req.Gold))
 			for i, g := range req.Gold {
 				u1, u2 := k1.Entity(g[0]), k2.Entity(g[1])
 				if u1 == kb.NoEntity || u2 == kb.NoEntity {
-					return remp.Dataset{}, nil, "", fmt.Errorf("gold[%d]: unknown entity in %q / %q", i, g[0], g[1])
+					return nil, fmt.Errorf("gold[%d]: unknown entity in %q / %q", i, g[0], g[1])
 				}
 				matches = append(matches, remp.Pair{U1: u1, U2: u2})
 			}
-			goldStd = remp.NewGold(matches)
+			gold = remp.NewGold(matches)
 		}
 		h := sha256.New()
 		h.Write([]byte(req.KB1TSV))
 		h.Write([]byte{0})
 		h.Write([]byte(req.KB2TSV))
-		return remp.Dataset{K1: k1, K2: k2}, goldStd, "inline:" + hex.EncodeToString(h.Sum(nil)[:12]), nil
+		return &sessionMeta{spec: req, ds: remp.Dataset{K1: k1, K2: k2}, gold: gold,
+			namespace: "inline:" + hex.EncodeToString(h.Sum(nil)[:12])}, nil
 	default:
-		return remp.Dataset{}, nil, "", errors.New("either dataset or both kb1_tsv and kb2_tsv are required")
+		return nil, errors.New("either dataset or both kb1_tsv and kb2_tsv are required")
 	}
+}
+
+// maxBodyBytes caps every POST body the server decodes. Inline TSV KBs
+// are the only large payload; anything bigger belongs in a built-in or
+// snapshot-loaded dataset, not in a request.
+const maxBodyBytes = 8 << 20
+
+// decodeBody reads a request's JSON body into v, answering 413 for a
+// body over maxBodyBytes and 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "malformed %s: %v", what, err)
+	}
+	return false
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
+	if !decodeBody(w, r, "request", &req) {
 		return
 	}
 	// An idempotent retry: hand back the session the ref already created.
@@ -601,68 +616,46 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	ds, gold, namespace, err := loadSpec(req)
+	s.admit(w, req, "created", s.metrics.sessionsCreated, func(m *sessionMeta, opts remp.Options, meta []byte) (*remp.Session, error) {
+		return s.mgr.NewSession(m.ds, opts, m.namespace, meta)
+	})
+}
+
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
+	var dto SnapshotDTO
+	if !decodeBody(w, r, "snapshot", &dto) {
+		return
+	}
+	s.admit(w, dto.Create, "restored", s.metrics.sessionsRestored, func(m *sessionMeta, opts remp.Options, meta []byte) (*remp.Session, error) {
+		return s.mgr.RestoreSession(m.ds, opts, m.namespace, dto.Session, meta)
+	})
+}
+
+// admit is the path create and restore share: open the spec, start the
+// session with the spec as its stored meta, register it and answer 201.
+func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, count *obs.Counter,
+	start func(m *sessionMeta, opts remp.Options, meta []byte) (*remp.Session, error)) {
+	// Bake the server-side defaults into the stored spec so a restart
+	// with different flags recovers the session under the options it
+	// actually ran with.
+	if req.Options.Shards == 0 {
+		req.Options.Shards = s.defaultShards
+	}
+	m, opts, err := openSpec(req, s.cluster)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Bake the server-side defaults into the stored spec so a restart
-	// with different flags recovers the session under the options it
-	// actually ran with.
-	req.Options = s.applyDefaults(req.Options)
 	meta, err := json.Marshal(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts := req.Options.ToOptions()
-	opts.Runner = s.runnerFor(req)
-	sess, err := s.mgr.NewSession(ds, opts, namespace, meta)
+	sess, err := start(m, opts, meta)
 	if err != nil {
-		// A persistence failure is the server's fault (full disk, bad
-		// data dir), not the client's.
-		status := http.StatusBadRequest
-		if errors.Is(err, session.ErrPersist) {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	s.mu.Lock()
-	s.meta[sess.ID()] = &sessionMeta{spec: req, namespace: namespace, k1: ds.K1, k2: ds.K2, gold: gold}
-	if req.ClientRef != "" {
-		s.refs[req.ClientRef] = sess.ID()
-	}
-	s.mu.Unlock()
-	s.metrics.sessionsCreated.Inc()
-	s.log.Info("session created", "session", sess.ID(), "namespace", namespace)
-	writeJSON(w, http.StatusCreated, s.info(sess, true))
-}
-
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	var dto SnapshotDTO
-	if err := json.NewDecoder(r.Body).Decode(&dto); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed snapshot: %v", err)
-		return
-	}
-	ds, gold, namespace, err := loadSpec(dto.Create)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	dto.Create.Options = s.applyDefaults(dto.Create.Options)
-	meta, err := json.Marshal(dto.Create)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts := dto.Create.Options.ToOptions()
-	opts.Runner = s.runnerFor(dto.Create)
-	sess, err := s.mgr.RestoreSession(ds, opts, namespace, dto.Session, meta)
-	if err != nil {
-		// An ID collision is a genuine conflict and a persistence
-		// failure is the server's fault; malformed or diverging
-		// snapshots are client errors.
+		// An ID collision is a genuine conflict and a persistence failure
+		// (full disk, bad data dir) is the server's fault; invalid options
+		// and malformed or diverging snapshots are client errors.
 		status := http.StatusBadRequest
 		switch {
 		case errors.Is(err, session.ErrSessionExists):
@@ -673,14 +666,9 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	s.meta[sess.ID()] = &sessionMeta{spec: dto.Create, namespace: namespace, k1: ds.K1, k2: ds.K2, gold: gold}
-	if dto.Create.ClientRef != "" {
-		s.refs[dto.Create.ClientRef] = sess.ID()
-	}
-	s.mu.Unlock()
-	s.metrics.sessionsRestored.Inc()
-	s.log.Info("session restored", "session", sess.ID(), "namespace", namespace)
+	s.register(sess.ID(), m)
+	count.Inc()
+	s.log.Info("session "+verb, "session", sess.ID(), "namespace", m.namespace)
 	writeJSON(w, http.StatusCreated, s.info(sess, true))
 }
 
@@ -729,8 +717,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnswersRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
+	if !decodeBody(w, r, "request", &req) {
 		return
 	}
 	if len(req.Answers) == 0 {
@@ -774,7 +761,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		NonMatches:        len(res.NonMatches),
 	}
 	for _, m := range pair.Set(res.Matches).Sorted() {
-		dto.Matches = append(dto.Matches, [2]string{meta.k1.EntityName(m.U1), meta.k2.EntityName(m.U2)})
+		dto.Matches = append(dto.Matches, [2]string{meta.ds.K1.EntityName(m.U1), meta.ds.K2.EntityName(m.U2)})
 	}
 	if meta.gold != nil {
 		prf := remp.Evaluate(res.Matches, meta.gold)
@@ -833,8 +820,8 @@ func (s *Server) info(sess *remp.Session, withBatch bool) SessionInfo {
 		for _, q := range sess.NextBatch() {
 			dto := QuestionDTO{ID: q.ID}
 			if meta != nil {
-				dto.Left = meta.k1.EntityName(q.Pair.U1)
-				dto.Right = meta.k2.EntityName(q.Pair.U2)
+				dto.Left = meta.ds.K1.EntityName(q.Pair.U1)
+				dto.Right = meta.ds.K2.EntityName(q.Pair.U2)
 			}
 			batch = append(batch, dto)
 		}

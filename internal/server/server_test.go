@@ -276,7 +276,7 @@ func TestHTTPSharedCacheAcrossSessions(t *testing.T) {
 }
 
 // TestHTTPErrors pins the error contract: unknown sessions are 404,
-// malformed creates 400, duplicate answers 409.
+// malformed creates 400, duplicate answers 409, oversized bodies 413.
 func TestHTTPErrors(t *testing.T) {
 	_, gold, req := fixture(t, 4)
 	c, _ := newTestServer(t)
@@ -342,6 +342,18 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if _, err := c.Restore(snap); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Errorf("restore over a live session: %v", err)
+	}
+
+	// Every POST body is capped: an oversized one is refused with 413 and
+	// the usual error envelope, whichever route it arrives on.
+	huge := strings.Repeat("x", maxBodyBytes)
+	_, createErr := c.CreateSession(CreateRequest{KB1TSV: huge, KB2TSV: "x"})
+	_, restoreErr := c.Restore(&SnapshotDTO{Create: CreateRequest{KB1TSV: huge, KB2TSV: "x"}, Session: snap.Session})
+	_, answersErr := c.PostAnswers(info.ID, []AnswerDTO{{ID: huge, Labels: ans.Labels}})
+	for route, err := range map[string]error{"create": createErr, "restore": restoreErr, "answers": answersErr} {
+		if err == nil || !strings.Contains(err.Error(), "413") || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("oversized %s body: %v, want a 413 naming the limit", route, err)
+		}
 	}
 }
 

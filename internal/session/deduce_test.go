@@ -207,7 +207,7 @@ func TestDeduceWALRecovery(t *testing.T) {
 	want := core.Prepare(k1, k2, testConfig(mod)).Run(core.NewOracleAsker(gold.IsMatch))
 
 	st := NewMemStore()
-	mgr := NewManagerStore(st, 3) // rotate every 3 answers: a WAL suffix survives
+	mgr := NewManagerStore(st)
 	s, err := mgr.Create(core.Prepare(k1, k2, testConfig(mod)), "books", []byte("spec"))
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestDeduceWALRecovery(t *testing.T) {
 	}
 
 	// "Crash": abandon the first manager, recover from its store.
-	mgr2 := NewManagerStore(st, 3)
+	mgr2 := NewManagerStore(st)
 	recovered, err := mgr2.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
 		return core.Prepare(k1, k2, testConfig(mod)), "books", nil
 	})

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -14,44 +15,41 @@ import (
 	"repro/internal/obs"
 )
 
-// DiskStore is the crash-safe Store: one directory per session holding
-// the pipeline meta, the current snapshot and a set of fsync'd WAL
-// segments.
+// DiskStore is the crash-safe Store: one append-only file per session.
 //
 // Layout under the root directory:
 //
-//	sessions/<id>/meta           opaque pipeline spec, written once
-//	sessions/<id>/snapshot.json  current snapshot (atomic rotation)
-//	sessions/<id>/wal-NNNNNNNN.log  append-only answer log segments
+//	sessions/<id>.log
+//	  line 1   {"meta":"<base64>","snapshot":{...}}  the create record, written once
+//	  line 2+  {"seq":N,"answer":{...}}              one per delivered answer
+//	  last     {"seq":N,"done":true}                 closes a finished session's log
 //
-// Every answer append is one JSON line written and fsync'd before the
-// delivery is acknowledged, so an acknowledged answer survives a hard
-// process kill. Snapshot rotation writes the new snapshot to a
-// temporary file, fsyncs it, renames it over snapshot.json, fsyncs the
-// directory, then starts a fresh WAL segment and deletes the older
-// segments. A crash between any two of those steps leaves either the
-// old snapshot with a complete WAL or the new snapshot with a stale WAL
-// whose records are all covered by the snapshot — recovery skips them
-// by sequence number. A torn final WAL line (the kill landed mid-write,
-// before the fsync, so the answer was never acknowledged) is dropped;
-// a malformed line anywhere earlier is reported as corruption.
+// Create writes the first line to a temporary file, fsyncs it, renames
+// it into place and fsyncs the directory, so a session's file appears
+// whole or not at all. Every answer append is one JSON line written and
+// fsync'd before the delivery is acknowledged, so an acknowledged answer
+// survives a hard process kill; the done line rides on the final
+// answer's write and fsync. A final line without its newline (the kill
+// landed mid-write, before the fsync, so the answer was never
+// acknowledged) is dropped by Get and truncated away before the next
+// append; a malformed line anywhere earlier is reported as corruption.
 //
 // Session IDs that are not filesystem-safe are hex-encoded with an "@"
 // prefix, so arbitrary snapshot IDs cannot escape the root directory.
 //
-// The store's own mutex guards only the writer map and the closed flag:
-// file writes and fsyncs run outside it. Per-ID call serialization is
-// the caller's contract (the owning session's lock), so sessions fsync
-// their WALs in parallel instead of queueing every answer in the
+// The store's own mutex guards only the open-file map and the closed
+// flag: file writes and fsyncs run outside it. Per-ID call serialization
+// is the caller's contract (the owning session's lock), so sessions
+// fsync their logs in parallel instead of queueing every answer in the
 // process behind one global lock.
 type DiskStore struct {
 	root string
 
 	mu     sync.Mutex
-	wals   map[string]*walWriter
+	logs   map[string]*os.File
 	closed bool
 
-	// fsyncClock/fsyncHist, when wired via InstrumentFsync, time the WAL
+	// fsyncClock/fsyncHist, when wired via InstrumentFsync, time the log
 	// fsync syscall in AppendAnswer — the latency every acknowledged
 	// answer pays for durability. The store never reads the wall clock
 	// itself; the clock is injected by the owner (the server).
@@ -60,36 +58,53 @@ type DiskStore struct {
 
 	// failpoint, when set (tests only), runs before every physical write
 	// boundary; a returned error aborts the operation as a crash would.
-	// errTornWrite on "append.write" writes half the record first,
-	// simulating a torn line.
+	// errTornWrite on "append.write" writes the record up to the middle of
+	// its last line first, simulating a torn line.
 	failpoint func(op string) error
 }
 
-// walWriter is the open current WAL segment of one session.
-type walWriter struct {
-	f   *os.File
-	seg int
+// createLine is the first line of a session's file.
+type createLine struct {
+	Meta     []byte          `json:"meta"`
+	Snapshot json.RawMessage `json:"snapshot"`
 }
 
-// errTornWrite makes the append failpoint write half a record before
+// logLine is every later line: an answer, or the closing done marker.
+type logLine struct {
+	Seq    int        `json:"seq"`
+	Answer *AnswerRec `json:"answer,omitempty"`
+	Done   bool       `json:"done,omitempty"`
+}
+
+// errTornWrite makes the append failpoint write a partial record before
 // failing, so recovery sees a torn final line.
 var errTornWrite = errors.New("session: failpoint torn write")
 
-// NewDiskStore opens (creating if needed) a disk store rooted at dir.
+// NewDiskStore opens (creating if needed) a disk store rooted at dir. A
+// directory written by a release that kept a directory per session is
+// refused rather than read as empty.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	if dir == "" {
 		return nil, errors.New("session: disk store needs a data directory")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+	sessions := filepath.Join(dir, "sessions")
+	if err := os.MkdirAll(sessions, 0o755); err != nil {
 		return nil, fmt.Errorf("session: disk store: %w", err)
 	}
-	return &DiskStore{root: dir, wals: make(map[string]*walWriter)}, nil
+	entries, err := os.ReadDir(sessions)
+	if err != nil {
+		return nil, fmt.Errorf("session: disk store: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			return nil, fmt.Errorf("session: %s holds sessions in the old directory-per-session layout (sessions/%s/{meta,snapshot.json,wal-*.log}); this release stores sessions/<id>.log — finish those sessions with the release that wrote them or choose a fresh data directory",
+				dir, e.Name())
+		}
+	}
+	return &DiskStore{root: dir, logs: make(map[string]*os.File)}, nil
 }
 
-// Dir returns the store's root directory.
-func (d *DiskStore) Dir() string { return d.root }
-
-// InstrumentFsync wires a latency histogram over the WAL fsync in
+// InstrumentFsync wires a latency histogram over the log fsync in
 // AppendAnswer, timed with the injected monotonic clock. Call it before
 // the store serves traffic; a nil clock disables the instrumentation.
 func (d *DiskStore) InstrumentFsync(clock obs.Clock, h *obs.Histogram) {
@@ -105,7 +120,7 @@ func (d *DiskStore) fail(op string) error {
 	return d.failpoint(op)
 }
 
-// encodeID maps a session ID to a safe directory name, reversibly.
+// encodeID maps a session ID to a safe file name stem, reversibly.
 func encodeID(id string) string {
 	safe := id != "" && id[0] != '@' && id != "." && id != ".."
 	for i := 0; safe && i < len(id); i++ {
@@ -126,73 +141,31 @@ func decodeID(name string) (string, error) {
 	}
 	raw, err := hex.DecodeString(name[1:])
 	if err != nil {
-		return "", fmt.Errorf("session: undecodable session directory %q", name)
+		return "", fmt.Errorf("session: undecodable session file %q", name)
 	}
 	return string(raw), nil
 }
 
-func (d *DiskStore) sessionDir(id string) string {
-	return filepath.Join(d.root, "sessions", encodeID(id))
+const logSuffix = ".log"
+
+func (d *DiskStore) sessionsDir() string { return filepath.Join(d.root, "sessions") }
+
+func (d *DiskStore) logPath(id string) string {
+	return filepath.Join(d.sessionsDir(), encodeID(id)+logSuffix)
 }
 
-func walName(seg int) string { return fmt.Sprintf("wal-%08d.log", seg) }
-
-// parseWalName extracts the segment number, or -1 for other files.
-func parseWalName(name string) int {
-	var seg int
-	if n, err := fmt.Sscanf(name, "wal-%08d.log", &seg); n == 1 && err == nil && strings.HasSuffix(name, ".log") {
-		return seg
-	}
-	return -1
-}
-
-// syncDir fsyncs a directory so renames and file creations inside it are
-// durable.
-func (d *DiskStore) syncDir(dir string) error {
+// syncDir fsyncs the sessions directory so renames and removals inside
+// it are durable.
+func (d *DiskStore) syncDir() error {
 	if err := d.fail("dir.sync"); err != nil {
 		return err
 	}
-	f, err := os.Open(dir)
+	f, err := os.Open(d.sessionsDir())
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	return f.Sync()
-}
-
-// writeFileAtomic writes data to path via tmp + fsync + rename + dir
-// fsync. op prefixes the failpoint boundaries.
-func (d *DiskStore) writeFileAtomic(op, path string, data []byte) error {
-	if err := d.fail(op + ".write"); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := d.fail(op + ".sync"); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := d.fail(op + ".rename"); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return d.syncDir(filepath.Dir(path))
 }
 
 // checkOpen fails fast once the store is closed. An operation that
@@ -207,194 +180,146 @@ func (d *DiskStore) checkOpen() error {
 	return nil
 }
 
-// Create implements Store.
-func (d *DiskStore) Create(id string, meta, snapshot []byte) error {
-	if err := d.checkOpen(); err != nil {
-		return err
-	}
-	dir := d.sessionDir(id)
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err == nil {
-		return fmt.Errorf("%w: %q", ErrStoreExists, id)
-	}
-	if err := d.fail("create.mkdir"); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := d.writeFileAtomic("create.meta", filepath.Join(dir, "meta"), meta); err != nil {
-		return err
-	}
-	// The snapshot is written last: a directory without snapshot.json is
-	// an aborted Create and is skipped by List.
-	if err := d.writeFileAtomic("create.snapshot", filepath.Join(dir, "snapshot.json"), snapshot); err != nil {
-		return err
-	}
-	return d.openSegment(id, 1)
-}
-
-// openSegment creates WAL segment seg and registers it as the session's
-// current writer, replacing (and closing) any previous one. The file
-// work runs unlocked; only the map swap takes the store mutex.
-func (d *DiskStore) openSegment(id string, seg int) error {
-	if err := d.fail("wal.create"); err != nil {
-		return err
-	}
-	dir := d.sessionDir(id)
-	f, err := os.OpenFile(filepath.Join(dir, walName(seg)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := d.syncDir(dir); err != nil {
-		f.Close()
-		return err
-	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		f.Close()
-		return ErrStoreClosed
-	}
-	if w := d.wals[id]; w != nil {
-		w.f.Close()
-	}
-	d.wals[id] = &walWriter{f: f, seg: seg}
-	d.mu.Unlock()
-	return nil
-}
-
-// wal returns the session's current WAL writer, reopening the highest
-// existing segment after a restart.
-func (d *DiskStore) wal(id string) (*walWriter, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, ErrStoreClosed
-	}
-	if w := d.wals[id]; w != nil {
-		d.mu.Unlock()
-		return w, nil
-	}
-	d.mu.Unlock()
-	segs, err := d.segments(id)
-	if err != nil {
-		return nil, err
-	}
-	seg := 1
-	if len(segs) > 0 {
-		seg = segs[len(segs)-1]
-	}
-	f, err := os.OpenFile(filepath.Join(d.sessionDir(id), walName(seg)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := &walWriter{f: f, seg: seg}
+// register makes f the session's open log, closing it instead when the
+// store was closed meanwhile. Only the map write takes the store mutex.
+func (d *DiskStore) register(id string, f *os.File) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		f.Close()
-		return nil, ErrStoreClosed
+		return ErrStoreClosed
 	}
-	if cur := d.wals[id]; cur != nil {
-		// Raced another open for the same ID (callers serialize per ID,
-		// so this is belt-and-braces): keep the registered writer.
-		f.Close()
-		return cur, nil
-	}
-	d.wals[id] = w
-	return w, nil
+	d.logs[id] = f
+	return nil
 }
 
-// segments lists the session's WAL segment numbers in ascending order.
-func (d *DiskStore) segments(id string) ([]int, error) {
-	entries, err := os.ReadDir(d.sessionDir(id))
+// Create implements Store: the create record goes through tmp + fsync +
+// rename + directory fsync, and the handle stays open for the appends.
+func (d *DiskStore) Create(id string, meta, snapshot []byte) (err error) {
+	if err := d.checkOpen(); err != nil {
+		return err
+	}
+	path := d.logPath(id)
+	if _, err := os.Stat(path); err == nil {
+		return fmt.Errorf("%w: %q", ErrStoreExists, id)
+	}
+	line, err := json.Marshal(createLine{Meta: meta, Snapshot: snapshot})
+	if err != nil {
+		return fmt.Errorf("session: snapshot of %q is not JSON: %w", id, err)
+	}
+	if err := d.fail("create.write"); err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		return err
+	}
+	if err := d.fail("create.sync"); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := d.fail("create.rename"); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if err := d.syncDir(); err != nil {
+		return err
+	}
+	return d.register(id, f)
+}
+
+// wholeLines returns the prefix of data that ends in a newline: a final
+// line without one is a torn append that was never acknowledged.
+func wholeLines(data []byte) []byte {
+	return data[:bytes.LastIndexByte(data, '\n')+1]
+}
+
+// log returns the session's open log, reopening the file after a
+// restart. A torn final line is truncated away first: the next append
+// would otherwise bury it mid-file, where it reads as corruption.
+func (d *DiskStore) log(id string) (*os.File, error) {
+	d.mu.Lock()
+	f, closed := d.logs[id], d.closed
+	d.mu.Unlock()
+	if closed {
+		return nil, ErrStoreClosed
+	}
+	if f != nil {
+		return f, nil
+	}
+	path := d.logPath(id)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: %q", ErrStoreNotFound, id)
 		}
 		return nil, err
 	}
-	var segs []int
-	for _, e := range entries {
-		if seg := parseWalName(e.Name()); seg > 0 {
-			segs = append(segs, seg)
+	f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if whole := len(wholeLines(data)); whole < len(data) {
+		if err := f.Truncate(int64(whole)); err != nil {
+			f.Close()
+			return nil, err
 		}
 	}
-	sort.Ints(segs)
-	return segs, nil
+	return f, d.register(id, f)
 }
 
-// AppendAnswer implements Store. The record is written as one JSON line
-// and fsync'd before returning. No store-wide lock is held across the
-// write: concurrent sessions append in parallel.
-func (d *DiskStore) AppendAnswer(id string, seq int, rec AnswerRec) error {
-	w, err := d.wal(id)
+// AppendAnswer implements Store. The record — and, when done, the
+// closing marker after it — is written as JSON lines in one write and
+// fsync'd before returning. No store-wide lock is held across the write:
+// concurrent sessions append in parallel.
+func (d *DiskStore) AppendAnswer(id string, seq int, rec AnswerRec, done bool) error {
+	f, err := d.log(id)
 	if err != nil {
 		return err
 	}
-	line, err := json.Marshal(WALRec{Seq: seq, Answer: rec})
+	buf, err := json.Marshal(logLine{Seq: seq, Answer: &rec})
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
+	buf = append(buf, '\n')
+	torn := len(buf) / 2 // where a torn write stops: midway through the last line
+	if done {
+		n := len(buf)
+		buf = fmt.Appendf(buf, "{\"seq\":%d,\"done\":true}\n", seq+1)
+		torn = (n + len(buf)) / 2
+	}
 	if err := d.fail("append.write"); err != nil {
 		if errors.Is(err, errTornWrite) {
-			w.f.Write(line[:len(line)/2]) //nolint:errcheck // simulating a torn write
+			f.Write(buf[:torn]) //nolint:errcheck // simulating a torn write
 		}
 		return err
 	}
-	if _, err := w.f.Write(line); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		return err
 	}
 	if err := d.fail("append.sync"); err != nil {
 		return err
 	}
 	if d.fsyncClock == nil {
-		return w.f.Sync()
+		return f.Sync()
 	}
 	t0 := d.fsyncClock()
-	err = w.f.Sync()
+	err = f.Sync()
 	d.fsyncHist.ObserveNS(d.fsyncClock() - t0)
 	return err
-}
-
-// PutSnapshot implements Store: atomic snapshot rotation followed by a
-// fresh WAL segment; older segments are deleted last, so a crash at any
-// boundary leaves a recoverable (snapshot, WAL) pair.
-func (d *DiskStore) PutSnapshot(id string, snapshot []byte) error {
-	if err := d.checkOpen(); err != nil {
-		return err
-	}
-	dir := d.sessionDir(id)
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
-		return fmt.Errorf("%w: %q", ErrStoreNotFound, id)
-	}
-	if err := d.writeFileAtomic("rotate.snapshot", filepath.Join(dir, "snapshot.json"), snapshot); err != nil {
-		return err
-	}
-	w, err := d.wal(id)
-	if err != nil {
-		return err
-	}
-	prev := w.seg
-	if err := d.openSegment(id, prev+1); err != nil {
-		return err
-	}
-	if err := d.fail("rotate.wal.delete"); err != nil {
-		return err
-	}
-	segs, err := d.segments(id)
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		if seg <= prev {
-			if err := os.Remove(filepath.Join(dir, walName(seg))); err != nil {
-				return err
-			}
-		}
-	}
-	return d.syncDir(dir)
 }
 
 // Get implements Store, reading the record back from disk.
@@ -402,78 +327,54 @@ func (d *DiskStore) Get(id string) (*Record, error) {
 	if err := d.checkOpen(); err != nil {
 		return nil, err
 	}
-	dir := d.sessionDir(id)
-	snapshot, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	data, err := os.ReadFile(d.logPath(id))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: %q", ErrStoreNotFound, id)
 		}
 		return nil, err
 	}
-	meta, err := os.ReadFile(filepath.Join(dir, "meta"))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
+	lines := bytes.Split(wholeLines(data), []byte{'\n'})
+	var head createLine
+	if err := json.Unmarshal(lines[0], &head); err != nil {
+		return nil, fmt.Errorf("session: %q: corrupt create record: %w", id, err)
 	}
-	rec := &Record{Meta: meta, Snapshot: snapshot}
-	segs, err := d.segments(id)
-	if err != nil {
-		return nil, err
-	}
-	for i, seg := range segs {
-		recs, err := readWalSegment(filepath.Join(dir, walName(seg)), i == len(segs)-1)
-		if err != nil {
-			return nil, fmt.Errorf("session: %q %s: %w", id, walName(seg), err)
+	rec := &Record{Meta: head.Meta, Snapshot: head.Snapshot}
+	// The split leaves one empty element after the final newline.
+	for i, line := range lines[1 : len(lines)-1] {
+		var l logLine
+		err := json.Unmarshal(line, &l)
+		if err == nil && (rec.Done || l.Done == (l.Answer != nil)) {
+			err = errors.New("neither an answer nor the done marker that closes the log")
 		}
-		rec.WAL = append(rec.WAL, recs...)
+		if err != nil {
+			return nil, fmt.Errorf("session: %q: corrupt log line %d: %w", id, i+2, err)
+		}
+		if l.Done {
+			rec.Done = true
+			continue
+		}
+		rec.Log = append(rec.Log, LogRec{Seq: l.Seq, Answer: *l.Answer})
 	}
 	return rec, nil
 }
 
-// readWalSegment parses one WAL segment. A torn final line is dropped
-// only in the last segment (the only one that can have been mid-append
-// at the kill); anything else malformed is corruption.
-func readWalSegment(path string, last bool) ([]WALRec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []WALRec
-	lines := strings.Split(string(data), "\n")
-	for i, line := range lines {
-		if line == "" {
-			continue
-		}
-		var rec WALRec
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if last && i == len(lines)-1 {
-				return out, nil // torn final line: the append was never acknowledged
-			}
-			return nil, fmt.Errorf("corrupt WAL line %d: %w", i+1, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// List implements Store. Directories without a snapshot (aborted
-// Creates) are skipped.
+// List implements Store. Temporary files of aborted Creates are skipped.
 func (d *DiskStore) List() ([]string, error) {
 	if err := d.checkOpen(); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(filepath.Join(d.root, "sessions"))
+	entries, err := os.ReadDir(d.sessionsDir())
 	if err != nil {
 		return nil, err
 	}
 	var out []string
 	for _, e := range entries {
-		if !e.IsDir() {
+		stem, ok := strings.CutSuffix(e.Name(), logSuffix)
+		if !ok {
 			continue
 		}
-		if _, err := os.Stat(filepath.Join(d.root, "sessions", e.Name(), "snapshot.json")); err != nil {
-			continue
-		}
-		id, err := decodeID(e.Name())
+		id, err := decodeID(stem)
 		if err != nil {
 			return nil, err
 		}
@@ -490,18 +391,18 @@ func (d *DiskStore) Delete(id string) error {
 		d.mu.Unlock()
 		return ErrStoreClosed
 	}
-	if w := d.wals[id]; w != nil {
-		w.f.Close()
-		delete(d.wals, id)
+	if f := d.logs[id]; f != nil {
+		f.Close()
+		delete(d.logs, id)
 	}
 	d.mu.Unlock()
-	if err := os.RemoveAll(d.sessionDir(id)); err != nil {
+	if err := os.Remove(d.logPath(id)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	return d.syncDir(filepath.Join(d.root, "sessions"))
+	return d.syncDir()
 }
 
-// Close implements Store, closing every open WAL segment.
+// Close implements Store, closing every open log.
 func (d *DiskStore) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -510,11 +411,11 @@ func (d *DiskStore) Close() error {
 	}
 	d.closed = true
 	var firstErr error
-	for id, w := range d.wals {
-		if err := w.f.Close(); err != nil && firstErr == nil {
+	for id, f := range d.logs {
+		if err := f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		delete(d.wals, id)
+		delete(d.logs, id)
 	}
 	return firstErr
 }

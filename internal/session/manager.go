@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deduce"
-	"repro/internal/pair"
 )
 
 // ErrSessionExists is returned by Manager.Restore when the snapshot's ID
@@ -31,12 +30,11 @@ var ErrPersist = errors.New("session: persistence failure")
 // machine-wide.
 //
 // Every managed session is journaled into the Manager's Store: the
-// session's pipeline meta and an initial snapshot at creation, then one
-// WAL append per applied answer, with the snapshot rotated every
-// rotateEvery answers. Recover rebuilds the sessions a previous process
-// left in the store. The default store is the in-memory MemStore (the
-// same code path, no durability); give NewManagerStore a DiskStore for
-// crash-safe sessions. All methods are safe for concurrent use.
+// session's pipeline meta and its snapshot at registration, then one log
+// append per applied answer. Recover rebuilds the sessions a previous
+// process left in the store. The default store is the in-memory MemStore
+// (the same code path, no durability); give NewManagerStore a DiskStore
+// for crash-safe sessions. All methods are safe for concurrent use.
 type Manager struct {
 	mu           sync.Mutex
 	sessions     map[string]*Session
@@ -44,29 +42,22 @@ type Manager struct {
 	nextID       int
 	sched        *core.Scheduler
 	store        Store
-	rotateEvery  int
 	persistFails atomic.Int64
 	walReplayed  atomic.Int64
 }
 
 // NewManager returns an empty manager journaling into an in-memory
 // store.
-func NewManager() *Manager { return NewManagerStore(NewMemStore(), 0) }
+func NewManager() *Manager { return NewManagerStore(NewMemStore()) }
 
 // NewManagerStore returns an empty manager journaling every session
-// into store, rotating each session's snapshot every rotateEvery
-// answers (0 selects DefaultRotateEvery). The manager takes ownership
-// of the store; Close closes it.
-func NewManagerStore(store Store, rotateEvery int) *Manager {
-	if rotateEvery <= 0 {
-		rotateEvery = DefaultRotateEvery
-	}
+// into store. The manager takes ownership of the store; Close closes it.
+func NewManagerStore(store Store) *Manager {
 	return &Manager{
-		sessions:    make(map[string]*Session),
-		caches:      make(map[string]*Cache),
-		sched:       core.NewScheduler(0),
-		store:       store,
-		rotateEvery: rotateEvery,
+		sessions: make(map[string]*Session),
+		caches:   make(map[string]*Cache),
+		sched:    core.NewScheduler(0),
+		store:    store,
 	}
 }
 
@@ -78,14 +69,14 @@ func (m *Manager) Scheduler() *core.Scheduler { return m.sched }
 // Store returns the manager's session store.
 func (m *Manager) Store() Store { return m.store }
 
-// PersistFailures returns how many journal or rotation operations have
-// failed across all sessions; non-zero means at least one session's
-// durable state is stale (see Session.PersistErr).
+// PersistFailures returns how many sessions have had a journal append
+// fail; non-zero means at least one session's durable state is stale
+// (see Session.PersistErr).
 func (m *Manager) PersistFailures() int64 { return m.persistFails.Load() }
 
-// WALReplayed returns how many WAL records Recover has delivered on top
-// of session snapshots since the manager was built — the durable-suffix
-// work a restart actually paid for.
+// WALReplayed returns how many answers Recover has re-delivered from
+// session logs since the manager was built — the replay work a restart
+// paid for.
 func (m *Manager) WALReplayed() int64 { return m.walReplayed.Load() }
 
 // CacheStats sums hits, misses and granted reservations across every
@@ -154,6 +145,7 @@ func (m *Manager) Create(p *core.Prepared, namespace string, meta []byte) (*Sess
 		m.mu.Unlock()
 		if !errors.Is(err, ErrStoreExists) {
 			cache.releaseOwned(s.id)
+			s.loop.Close()
 			return nil, err
 		}
 		// A dormant store record (unrecovered or skipped at startup)
@@ -184,7 +176,7 @@ func (m *Manager) claimID() string {
 	}
 }
 
-// persistNew writes the session's initial record (meta + a snapshot of
+// persistNew writes the session's create record (meta + a snapshot of
 // its current state, which covers any answers a cache drain already
 // applied) and attaches the journaling persister. replace clears a
 // stale store record under the same ID first.
@@ -204,12 +196,7 @@ func (m *Manager) persistNew(s *Session, meta []byte, replace bool) error {
 	if err != nil {
 		return fmt.Errorf("%w: storing %q: %w", ErrPersist, s.ID(), err)
 	}
-	s.attachPersist(&persister{
-		store:       m.store,
-		id:          s.ID(),
-		rotateEvery: m.rotateEvery,
-		fails:       &m.persistFails,
-	})
+	s.attachPersist(&persister{store: m.store, id: s.ID(), fails: &m.persistFails})
 	return nil
 }
 
@@ -242,6 +229,7 @@ func (m *Manager) Restore(p *core.Prepared, namespace string, meta []byte, snap 
 	if err := m.persistNew(s, meta, true); err != nil {
 		release()
 		cache.releaseOwned(s.ID())
+		s.loop.Close()
 		return nil, err
 	}
 	m.mu.Lock()
@@ -252,13 +240,11 @@ func (m *Manager) Restore(p *core.Prepared, namespace string, meta []byte, snap 
 
 // Recover rebuilds every session the store holds — the process-restart
 // path. prepare maps a stored session's meta blob back to a freshly
-// prepared pipeline and its cache namespace. Each recovered session is
-// replayed through the snapshot/divergence machinery, the WAL appended
-// since its last snapshot is delivered on top (records the snapshot
-// already covers are skipped by sequence number), and the recovered
-// state is immediately rotated into a fresh snapshot. Sessions that
-// fail to recover are skipped and reported in the joined error; the
-// rest recover normally. Returns the recovered IDs in sorted order.
+// prepared pipeline and its cache namespace. Each stored record is
+// replayed through Restore, exactly like a snapshot handed in through
+// the API. Sessions that fail to recover are skipped and reported in the
+// joined error; the rest recover normally. Returns the recovered IDs in
+// sorted order.
 func (m *Manager) Recover(prepare func(id string, meta []byte) (*core.Prepared, string, error)) ([]string, error) {
 	ids, err := m.store.List()
 	if err != nil {
@@ -289,7 +275,7 @@ func (m *Manager) recoverOne(id string, prepare func(id string, meta []byte) (*c
 	if err != nil {
 		return err
 	}
-	snap, err := DecodeSnapshot(rec.Snapshot)
+	snap, err := rec.Replay()
 	if err != nil {
 		return err
 	}
@@ -301,42 +287,17 @@ func (m *Manager) recoverOne(id string, prepare func(id string, meta []byte) (*c
 		return err
 	}
 	// Replay cache-free: a sibling's recovered answers must not advance
-	// this loop past its own durable state before the WAL suffix lands.
+	// this loop past its own recorded history.
 	s, err := Restore(p, nil, snap)
 	if err != nil {
 		return err
 	}
-	// Deliver the WAL suffix the snapshot does not cover. The snapshot
-	// holds exactly the first len(Applied)+len(Pending) deliveries, so
-	// any WAL record below that sequence is already replayed.
-	next := len(snap.Applied) + len(snap.Pending)
-	for _, w := range rec.WAL {
-		if w.Seq < next {
-			continue
-		}
-		if w.Seq != next {
-			return fmt.Errorf("WAL gap: expected seq %d, found %d", next, w.Seq)
-		}
-		q := pair.Pair{U1: w.Answer.U1, U2: w.Answer.U2}
-		if err := s.DeliverPair(q, ToCrowd(w.Answer.Labels)); err != nil {
-			return fmt.Errorf("WAL replay diverged at seq %d: %w", w.Seq, err)
-		}
-		m.walReplayed.Add(1)
-		next++
-	}
-	// Only now join the namespace cache: share this session's answers
-	// out and drain in what siblings resolved while it was down.
+	m.walReplayed.Add(int64(len(snap.Applied)))
+	// Journal first, then join the namespace cache: the answers siblings
+	// resolved while this session was down drain in at the join and are
+	// appended to its log like any other delivery.
+	s.attachPersist(&persister{store: m.store, id: id, fails: &m.persistFails})
 	s.joinCache(m.Cache(namespace))
-	// Fold the recovered state into a fresh snapshot before journaling
-	// resumes, so the WAL restarts empty.
-	data, err := EncodeSnapshot(s.Snapshot())
-	if err != nil {
-		return err
-	}
-	if err := m.store.PutSnapshot(id, data); err != nil {
-		return err
-	}
-	s.attachPersist(&persister{store: m.store, id: id, rotateEvery: m.rotateEvery, fails: &m.persistFails})
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, exists := m.sessions[id]; exists {
@@ -358,9 +319,10 @@ func (m *Manager) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Remove forgets the session, deletes its durable record and releases
-// any question reservations it still holds, so sibling sessions can
-// re-post its in-flight pairs. It reports whether anything was removed.
+// Remove forgets the session, deletes its durable record, closes its
+// loop (releasing the shard engines of a session removed mid-run) and
+// releases any question reservations it still holds, so sibling sessions
+// can re-post its in-flight pairs. It reports whether anything was removed.
 // The store delete comes first: if it fails the session stays
 // registered and the Remove can be retried — unregistering first would
 // strand an API-unreachable durable record that resurrects the session
@@ -382,7 +344,7 @@ func (m *Manager) Remove(id string) (bool, error) {
 			if errors.Is(err, ErrStoreNotFound) {
 				return false, nil
 			}
-			// The record exists but is unreadable (e.g. corrupt WAL) —
+			// The record exists but is unreadable (e.g. a corrupt log) —
 			// exactly the thing an operator wants to delete; fall through.
 		}
 		if err := m.store.Delete(id); err != nil {
@@ -390,7 +352,7 @@ func (m *Manager) Remove(id string) (bool, error) {
 		}
 		return true, nil
 	}
-	if err := s.deleteFromStore(m.store); err != nil {
+	if err := s.remove(m.store); err != nil {
 		return false, fmt.Errorf("%w: deleting %q from store: %w", ErrPersist, id, err)
 	}
 	m.mu.Lock()
@@ -416,23 +378,6 @@ func (m *Manager) IDs() []string {
 	return out
 }
 
-// FlushAll rotates every live session's durable snapshot to its current
-// state — the graceful-shutdown path: after a flush, recovery replays
-// snapshots only, no WAL.
-func (m *Manager) FlushAll() error {
-	var errs []error
-	for _, id := range m.IDs() {
-		if s, ok := m.Get(id); ok {
-			if err := s.Flush(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Close flushes every session and closes the store.
-func (m *Manager) Close() error {
-	flushErr := m.FlushAll()
-	return errors.Join(flushErr, m.store.Close())
-}
+// Close closes the store. Nothing needs flushing first: every
+// acknowledged answer is already in its session's log.
+func (m *Manager) Close() error { return m.store.Close() }

@@ -8,72 +8,31 @@ import (
 	"repro/internal/pair"
 )
 
-// DefaultRotateEvery is how many journaled answers a session accumulates
-// in its WAL before the persister folds them into a fresh snapshot.
-const DefaultRotateEvery = 32
-
-// persister journals one session's applied answers into a Store and
-// periodically rotates its snapshot. All fields except fails are
-// guarded by the owning session's mutex: journal and rotate only run
-// with s.mu held.
+// persister journals one session's applied answers into a Store. All
+// fields except fails are guarded by the owning session's mutex: journal
+// only runs with s.mu held.
 type persister struct {
-	store       Store
-	id          string
-	rotateEvery int
-	seq         int   // next delivery sequence number to append
-	dead        bool  // appends stopped after a failure (fail-stop)
-	err         error // sticky first failure
-	fails       *atomic.Int64
+	store Store
+	id    string
+	seq   int   // next delivery sequence number to append
+	err   error // sticky first failure; appends stop once set (fail-stop)
+	fails *atomic.Int64
 }
 
-// fail records a persistence failure: the first one sticks, every one
-// counts.
-func (p *persister) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-	if p.fails != nil {
-		p.fails.Add(1)
-	}
-}
-
-// journal appends one accepted answer. On an append failure the
-// persister goes fail-stop: the durable state stays a consistent prefix
-// of the delivery sequence and later answers are not journaled (a WAL
-// with a gap would not replay). Rotation failures are not fatal — the
-// old snapshot plus the intact WAL still recover — so journaling
-// continues past them. Callers hold the session mutex.
+// journal appends one accepted answer, closing the log when the answer
+// finished the session. On a failure the persister goes fail-stop: the
+// durable state stays a consistent prefix of the delivery sequence and
+// later answers are not journaled (a log with a gap would not replay).
+// Callers hold the session mutex.
 func (p *persister) journal(s *Session, q pair.Pair, labels []crowd.Label) {
-	if p.dead {
+	if p.err != nil {
 		return
 	}
 	rec := AnswerRec{U1: q.U1, U2: q.U2, Labels: FromCrowd(labels)}
-	if err := p.store.AppendAnswer(p.id, p.seq, rec); err != nil {
-		p.dead = true
-		p.fail(fmt.Errorf("session %s: journaling answer %d: %w", p.id, p.seq, err))
+	if err := p.store.AppendAnswer(p.id, p.seq, rec, s.loop.Done()); err != nil {
+		p.err = fmt.Errorf("session %s: journaling answer %d: %w", p.id, p.seq, err)
+		p.fails.Add(1)
 		return
 	}
 	p.seq++
-	if p.seq%p.rotateEvery == 0 || s.loop.Done() {
-		if err := p.rotate(s); err != nil {
-			p.fail(err)
-		}
-	}
-}
-
-// rotate folds the session's current state into a fresh snapshot,
-// letting the store discard the WAL it covers. Callers hold the session
-// mutex.
-func (p *persister) rotate(s *Session) error {
-	if p.dead {
-		return p.err
-	}
-	data, err := EncodeSnapshot(s.snapshotLocked())
-	if err != nil {
-		return fmt.Errorf("session %s: encoding snapshot: %w", p.id, err)
-	}
-	if err := p.store.PutSnapshot(p.id, data); err != nil {
-		return fmt.Errorf("session %s: rotating snapshot: %w", p.id, err)
-	}
-	return nil
 }

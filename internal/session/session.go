@@ -313,20 +313,9 @@ func (s *Session) PersistErr() error {
 	return s.persist.err
 }
 
-// Flush rotates the session's durable snapshot to its current state so
-// recovery needs no WAL replay — the graceful-shutdown path.
-func (s *Session) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.persist == nil {
-		return nil
-	}
-	return s.persist.rotate(s)
-}
-
 // attachPersist starts journaling the session to pers, whose sequence
 // counter picks up after the answers already delivered (all covered by
-// the snapshot persisted alongside this attach).
+// the store record pers appends to).
 func (s *Session) attachPersist(pers *persister) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -334,18 +323,22 @@ func (s *Session) attachPersist(pers *persister) {
 	s.persist = pers
 }
 
-// deleteFromStore removes the session's durable record under the
-// session lock — the Store contract serializes per-ID calls through
-// this lock, so no in-flight journal append can race the delete — and
-// detaches the persister on success so no later delivery journals into
-// the void (which would trip the persist-failure health signal).
-func (s *Session) deleteFromStore(store Store) error {
+// remove deletes the session's durable record and closes its loop under
+// the session lock — the Store contract serializes per-ID calls through
+// this lock, so no in-flight journal append can race the delete. On
+// success the persister is detached, so no later delivery journals into
+// the void (which would trip the persist-failure health signal), and the
+// loop's shard engines are released: a session removed mid-run would
+// otherwise pin them (on every cluster worker) for the life of the
+// process.
+func (s *Session) remove(store Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := store.Delete(s.id); err != nil {
 		return err
 	}
 	s.persist = nil
+	s.loop.Close()
 	return nil
 }
 
@@ -366,12 +359,12 @@ func (s *Session) Result() *core.Result {
 	}
 }
 
-// joinCache attaches a session recovered without a cache to its
-// namespace cache: its own answers are shared out, and answers siblings
-// contributed while it was down are drained in. Recovery keeps the
-// cache detached until the WAL replay is complete — otherwise answers
-// recovered from sibling sessions would advance the loop past its own
-// durable state and the WAL suffix would no longer apply.
+// joinCache attaches a replayed session to its namespace cache: its own
+// answers are shared out, and answers siblings contributed meanwhile are
+// drained in (and journaled, when a persister is attached). Replay runs
+// with the cache detached — otherwise a sibling's answers would advance
+// the loop past its own recorded history and the rest of the replay
+// would no longer apply.
 func (s *Session) joinCache(c *Cache) {
 	s.flip = c.orient(s.k1, s.k2)
 	s.mu.Lock()

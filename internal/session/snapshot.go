@@ -57,12 +57,6 @@ func toRecs(answers []core.Answer) []AnswerRec {
 func (s *Session) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
-// snapshotLocked is Snapshot for callers already holding s.mu (the
-// persister's rotation runs inside the journal hook).
-func (s *Session) snapshotLocked() *Snapshot {
 	snap := &Snapshot{
 		Version: SnapshotVersion,
 		ID:      s.id,
@@ -121,25 +115,20 @@ func Restore(p *core.Prepared, cache *Cache, snap *Snapshot) (*Session, error) {
 			}
 		}
 	}
-	s := &Session{id: snap.ID, loop: p.NewLoop(), cache: cache, k1: p.K1.Name(), k2: p.K2.Name()}
-	if cache != nil {
-		s.flip = cache.orient(s.k1, s.k2)
-	}
+	s := &Session{id: snap.ID, loop: p.NewLoop(), k1: p.K1.Name(), k2: p.K2.Name()}
 	for i, rec := range append(append([]AnswerRec{}, snap.Applied...), snap.Pending...) {
-		q := pair.Pair{U1: rec.U1, U2: rec.U2}
-		labels := ToCrowd(rec.Labels)
-		if err := s.loop.Deliver(q, labels); err != nil {
+		if err := s.loop.Deliver(pair.Pair{U1: rec.U1, U2: rec.U2}, ToCrowd(rec.Labels)); err != nil {
+			s.loop.Close()
 			return nil, fmt.Errorf("session: snapshot replay diverged at answer %d: %w", i, err)
-		}
-		if cache != nil {
-			cache.put(s.canon(q), labels)
 		}
 	}
 	if snap.Done && !s.loop.Done() {
-		return nil, fmt.Errorf("session: snapshot replay diverged: snapshot is done but the replayed loop is still %s", s.loop.State())
+		err := fmt.Errorf("session: snapshot replay diverged: snapshot is done but the replayed loop is still %s", s.loop.State())
+		s.loop.Close()
+		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drainCache()
+	if cache != nil {
+		s.joinCache(cache)
+	}
 	return s, nil
 }

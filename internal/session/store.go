@@ -7,34 +7,32 @@ import (
 	"sync"
 )
 
-// Store is the durable face of a session: an event-sourced snapshot plus
-// an append-only write-ahead log of the answers delivered since that
-// snapshot was taken. The Manager journals every applied answer through
-// AppendAnswer and periodically rotates the snapshot with PutSnapshot,
-// which also lets the store discard the WAL prefix the snapshot now
-// covers. Recovery reads the record back with Get and replays
-// snapshot + WAL through the session replay/divergence machinery.
+// Store is the durable face of a session: an immutable create record
+// plus one append-only log of the answers delivered since. The Manager
+// writes the create record once, when it registers the session, and
+// journals every applied answer through AppendAnswer before the delivery
+// is acknowledged. Recovery reads the record back with Get and replays
+// it through Restore — the same replay an API snapshot takes.
 //
-// The store treats meta and snapshot as opaque bytes: meta is whatever
-// the owner needs to re-prepare the session's pipeline (the server
-// persists its CreateRequest JSON there), snapshot is the session
-// package's own JSON form (EncodeSnapshot). WAL records carry a
-// per-session delivery sequence number so recovery can skip records
-// that a crash left behind after they were already folded into a
-// snapshot.
+// The store treats meta and snapshot as opaque: meta is whatever the
+// owner needs to re-prepare the session's pipeline (the server persists
+// its CreateRequest JSON there), snapshot is the session package's own
+// JSON form (EncodeSnapshot) at registration — the header Restore
+// checks plus any answers the session had already applied. Log records
+// carry the answer's position in the session's delivery order so a lost
+// record shows up as a gap instead of a silent divergence.
 //
 // Implementations must be safe for concurrent use across sessions;
 // calls for one session ID are serialized by the owning session's lock.
 type Store interface {
-	// Create registers a new session with its pipeline meta and initial
-	// snapshot. It fails with ErrStoreExists when the ID is taken.
+	// Create registers a new session with its pipeline meta and its
+	// snapshot at registration. It fails with ErrStoreExists when the ID
+	// is taken.
 	Create(id string, meta, snapshot []byte) error
 	// AppendAnswer durably appends one delivered answer. seq is the
-	// 0-based position of the answer in the session's delivery order.
-	AppendAnswer(id string, seq int, rec AnswerRec) error
-	// PutSnapshot atomically replaces the session's snapshot. The WAL
-	// records folded into the snapshot may be discarded afterwards.
-	PutSnapshot(id string, snapshot []byte) error
+	// 0-based position of the answer in the session's delivery order;
+	// done marks the answer that finished the session and closes the log.
+	AppendAnswer(id string, seq int, rec AnswerRec, done bool) error
 	// Get returns the stored record of a session (ErrStoreNotFound when
 	// the ID is unknown).
 	Get(id string) (*Record, error)
@@ -51,16 +49,38 @@ type Store interface {
 type Record struct {
 	// Meta is the opaque pipeline spec persisted at Create.
 	Meta []byte
-	// Snapshot is the session snapshot persisted last (EncodeSnapshot).
+	// Snapshot is the session snapshot persisted at Create.
 	Snapshot []byte
-	// WAL holds the answers appended since, in append order.
-	WAL []WALRec
+	// Log holds the answers appended since, in append order.
+	Log []LogRec
+	// Done reports that the log was closed by the session's final answer.
+	Done bool
 }
 
-// WALRec is one appended answer with its delivery sequence number.
-type WALRec struct {
+// LogRec is one appended answer with its delivery sequence number.
+type LogRec struct {
 	Seq    int       `json:"seq"`
 	Answer AnswerRec `json:"answer"`
+}
+
+// Replay folds the record into the one Snapshot that Restore replays:
+// the create-time snapshot with the answer log appended in delivery
+// order. A log record out of sequence is corruption.
+func (r *Record) Replay() (*Snapshot, error) {
+	snap, err := DecodeSnapshot(r.Snapshot)
+	if err != nil {
+		return nil, err
+	}
+	snap.Applied = append(snap.Applied, snap.Pending...)
+	snap.Pending = nil
+	for _, l := range r.Log {
+		if l.Seq != len(snap.Applied) {
+			return nil, fmt.Errorf("session: answer log gap: expected seq %d, found %d", len(snap.Applied), l.Seq)
+		}
+		snap.Applied = append(snap.Applied, l.Answer)
+	}
+	snap.Done = snap.Done || r.Done
+	return snap, nil
 }
 
 // Store errors.
@@ -76,7 +96,7 @@ var (
 // MemStore is the in-memory Store: the durable interface over a plain
 // map. It gives no crash safety — it exists so the persistence path has
 // a single shape regardless of backend, and so tests can exercise the
-// journal/rotate/recover cycle without touching disk.
+// journal/recover cycle without touching disk.
 type MemStore struct {
 	mu     sync.Mutex
 	recs   map[string]*Record
@@ -106,7 +126,7 @@ func (m *MemStore) Create(id string, meta, snapshot []byte) error {
 }
 
 // AppendAnswer implements Store.
-func (m *MemStore) AppendAnswer(id string, seq int, rec AnswerRec) error {
+func (m *MemStore) AppendAnswer(id string, seq int, rec AnswerRec, done bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -117,23 +137,8 @@ func (m *MemStore) AppendAnswer(id string, seq int, rec AnswerRec) error {
 		return fmt.Errorf("%w: %q", ErrStoreNotFound, id)
 	}
 	labels := append([]Label(nil), rec.Labels...)
-	r.WAL = append(r.WAL, WALRec{Seq: seq, Answer: AnswerRec{U1: rec.U1, U2: rec.U2, Labels: labels}})
-	return nil
-}
-
-// PutSnapshot implements Store.
-func (m *MemStore) PutSnapshot(id string, snapshot []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrStoreClosed
-	}
-	r, ok := m.recs[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrStoreNotFound, id)
-	}
-	r.Snapshot = append([]byte(nil), snapshot...)
-	r.WAL = nil
+	r.Log = append(r.Log, LogRec{Seq: seq, Answer: AnswerRec{U1: rec.U1, U2: rec.U2, Labels: labels}})
+	r.Done = done
 	return nil
 }
 
@@ -151,7 +156,8 @@ func (m *MemStore) Get(id string) (*Record, error) {
 	out := &Record{
 		Meta:     append([]byte(nil), r.Meta...),
 		Snapshot: append([]byte(nil), r.Snapshot...),
-		WAL:      append([]WALRec(nil), r.WAL...),
+		Log:      append([]LogRec(nil), r.Log...),
+		Done:     r.Done,
 	}
 	return out, nil
 }

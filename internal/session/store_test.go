@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -44,8 +45,15 @@ func TestStoreContract(t *testing.T) {
 				{U1: 5, U2: 6, Labels: nil},
 			}
 			for i, rec := range recs {
-				if err := st.AppendAnswer("s1", i, rec); err != nil {
+				if err := st.AppendAnswer("s1", i, rec, i == len(recs)-1); err != nil {
 					t.Fatal(err)
+				}
+				got, err := st.Get("s1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Log) != i+1 || got.Done != (i == len(recs)-1) {
+					t.Fatalf("after append %d: %d log records, done %v", i, len(got.Log), got.Done)
 				}
 			}
 			got, err := st.Get("s1")
@@ -55,33 +63,13 @@ func TestStoreContract(t *testing.T) {
 			if string(got.Meta) != "meta-1" || string(got.Snapshot) != `{"v":1}` {
 				t.Fatalf("Get returned meta %q snapshot %q", got.Meta, got.Snapshot)
 			}
-			if len(got.WAL) != len(recs) {
-				t.Fatalf("WAL holds %d records, want %d", len(got.WAL), len(recs))
-			}
-			for i, w := range got.WAL {
-				if w.Seq != i || w.Answer.U1 != recs[i].U1 || w.Answer.U2 != recs[i].U2 || len(w.Answer.Labels) != len(recs[i].Labels) {
-					t.Fatalf("WAL[%d] = %+v, want seq %d answer %+v", i, w, i, recs[i])
+			for i, l := range got.Log {
+				if l.Seq != i || l.Answer.U1 != recs[i].U1 || l.Answer.U2 != recs[i].U2 || len(l.Answer.Labels) != len(recs[i].Labels) {
+					t.Fatalf("Log[%d] = %+v, want seq %d answer %+v", i, l, i, recs[i])
 				}
 			}
-
-			// Rotation replaces the snapshot and truncates the WAL.
-			if err := st.PutSnapshot("s1", []byte(`{"v":2}`)); err != nil {
-				t.Fatal(err)
-			}
-			got, err = st.Get("s1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got.Snapshot) != `{"v":2}` || len(got.WAL) != 0 {
-				t.Fatalf("after rotation: snapshot %q, %d WAL records", got.Snapshot, len(got.WAL))
-			}
-			// Appends continue after rotation with their running sequence.
-			if err := st.AppendAnswer("s1", 3, recs[0]); err != nil {
-				t.Fatal(err)
-			}
-			got, _ = st.Get("s1")
-			if len(got.WAL) != 1 || got.WAL[0].Seq != 3 {
-				t.Fatalf("post-rotation WAL = %+v", got.WAL)
+			if err := st.AppendAnswer("nope", 0, recs[0], false); !errors.Is(err, ErrStoreNotFound) {
+				t.Fatalf("AppendAnswer to an unknown id: %v, want ErrStoreNotFound", err)
 			}
 
 			ids, err := st.List()
@@ -140,32 +128,38 @@ func TestDiskStoreUnsafeIDs(t *testing.T) {
 	}
 }
 
-// TestDiskStoreTornFinalLine proves a torn trailing WAL line (a kill
-// mid-write, before the fsync and the ack) is dropped, while a
-// malformed line before valid ones is reported as corruption.
+// TestDiskStoreTornFinalLine proves a torn trailing log line (a kill
+// mid-write, before the fsync and the ack) is dropped by Get and
+// truncated away by the next append, while a malformed line, a sequence
+// gap or a record after the done marker is reported as corruption — and
+// the corrupt record stays deletable.
 func TestDiskStoreTornFinalLine(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	st, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Create("s1", nil, []byte("{}")); err != nil {
+	if err := st.Create("s1", nil, []byte(`{"version":1,"id":"s1"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendAnswer("s1", 0, AnswerRec{U1: 1, U2: 2}); err != nil {
+	if err := st.AppendAnswer("s1", 0, AnswerRec{U1: 1, U2: 2}, false); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 
-	wal := filepath.Join(dir, "sessions", "s1", walName(1))
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(dir, "sessions", "s1.log")
+	appendRaw := func(text string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(text); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := f.WriteString(`{"seq":1,"answer":{"u1":3,`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendRaw(`{"seq":1,"answer":{"u1":3,`)
 
 	st2, err := NewDiskStore(dir)
 	if err != nil {
@@ -176,17 +170,82 @@ func TestDiskStoreTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn final line must be tolerated: %v", err)
 	}
-	if len(rec.WAL) != 1 || rec.WAL[0].Seq != 0 {
-		t.Fatalf("recovered WAL = %+v, want the one intact record", rec.WAL)
+	if len(rec.Log) != 1 || rec.Log[0].Seq != 0 {
+		t.Fatalf("recovered log = %+v, want the one intact record", rec.Log)
 	}
-
-	// A malformed line with valid records after it is corruption.
-	data, _ := os.ReadFile(wal)
-	if err := os.WriteFile(wal, append([]byte("garbage\n"), data...), 0o644); err != nil {
+	// The next append lands where the torn line began, not after it.
+	if err := st2.AppendAnswer("s1", 1, AnswerRec{U1: 3, U2: 4}, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st2.Get("s1"); err == nil {
-		t.Fatal("mid-file corruption went undetected")
+	rec, err = st2.Get("s1")
+	if err != nil {
+		t.Fatalf("append after a torn line corrupted the log: %v", err)
+	}
+	if len(rec.Log) != 2 || !rec.Done {
+		t.Fatalf("log after the append = %+v done=%v, want 2 records and done", rec.Log, rec.Done)
+	}
+	snap, err := rec.Replay()
+	if err != nil || len(snap.Applied) != 2 || !snap.Done {
+		t.Fatalf("Replay = %+v, %v", snap, err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, text := range map[string]string{
+		"a record after the done marker": string(clean) + `{"seq":3,"answer":{"u1":5,"u2":6,"labels":null}}` + "\n",
+		"a malformed mid-log line":       strings.Replace(string(clean), `{"seq":1,`, "garbage\n"+`{"seq":1,`, 1),
+		"a corrupt create record":        "garbage\n" + string(clean),
+	} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st2.Get("s1"); err == nil {
+			t.Fatalf("%s went undetected", name)
+		}
+	}
+	// A lost line is a sequence gap: the store reads it, Replay refuses it.
+	if err := os.WriteFile(path, []byte(strings.Replace(string(clean), `{"seq":0,`, `{"seq":7,`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err = st2.Get("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Replay(); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("Replay over a sequence gap: %v, want a gap error", err)
+	}
+	if err := st2.Delete("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := st2.List(); len(ids) != 0 {
+		t.Fatalf("store still lists %v after deleting the corrupt record", ids)
+	}
+}
+
+// TestDiskStoreRejectsOldLayout: a data directory written by the
+// directory-per-session store (meta + snapshot.json + WAL segments) must
+// fail to open with an error that names the layout — never open as an
+// empty store that silently forgets its sessions.
+func TestDiskStoreRejectsOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "sessions", "s1")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"meta", "snapshot.json", "wal-00000001.log"} {
+		if err := os.WriteFile(filepath.Join(old, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := NewDiskStore(dir)
+	if err == nil {
+		ids, _ := st.List()
+		t.Fatalf("old-layout directory opened (listing %v)", ids)
+	}
+	if !strings.Contains(err.Error(), "layout") || !strings.Contains(err.Error(), "snapshot.json") {
+		t.Fatalf("error does not name the old layout: %v", err)
 	}
 }
 
@@ -206,14 +265,13 @@ func TestManagerDiskRoundTrip(t *testing.T) {
 		return core.Prepare(k1, k2, testConfig(nil)), "books", nil
 	}
 
-	// First incarnation: two sessions, a few answers each (rotateEvery 3
-	// exercises snapshot rotation mid-run), then an unflushed "crash"
+	// First incarnation: two sessions, a few answers each, then a "crash"
 	// (the store is simply abandoned, like a killed process).
 	st, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManagerStore(st, 3)
+	mgr := NewManagerStore(st)
 	var firstIDs []string
 	for i := 0; i < 2; i++ {
 		s, err := mgr.Create(core.Prepare(k1, k2, testConfig(nil)), "books", []byte("spec-blob"))
@@ -236,7 +294,7 @@ func TestManagerDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2 := NewManagerStore(st2, 3)
+	mgr2 := NewManagerStore(st2)
 	recovered, err := mgr2.Recover(prep)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -274,12 +332,12 @@ func TestManagerDiskRoundTrip(t *testing.T) {
 	}
 
 	// Third incarnation: both sessions are done; recovery must restore
-	// them as done from their flushed snapshots alone.
+	// them as done from their closed logs.
 	st3, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr3 := NewManagerStore(st3, 3)
+	mgr3 := NewManagerStore(st3)
 	recovered, err = mgr3.Recover(prep)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +369,7 @@ func TestManagerCreateSkipsDormantStoreIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mgr := NewManagerStore(st, 0)
+	mgr := NewManagerStore(st)
 	s, err := mgr.Create(core.Prepare(k1, k2, testConfig(nil)), "books", nil)
 	if err != nil {
 		t.Fatalf("Create over dormant store records: %v", err)

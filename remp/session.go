@@ -129,11 +129,11 @@ func RestoreSession(ds Dataset, opts Options, snapshot []byte) (*Session, error)
 	return &Session{s: inner}, nil
 }
 
-// Store is durable session storage: event-sourced snapshots plus an
-// append-only answer WAL, journaled by a Manager so its sessions
+// Store is durable session storage: per session, a create record plus
+// an append-only answer log, journaled by a Manager so its sessions
 // survive a process restart. Two backends ship with the package:
-// NewMemStore (the in-memory map, no durability) and NewDiskStore
-// (fsync'd WAL segments with atomic snapshot rotation — crash-safe).
+// NewMemStore (the in-memory map, no durability) and NewDiskStore (one
+// file per session, every answer fsync'd before it is acknowledged).
 type Store = session.Store
 
 // NewMemStore returns an in-memory session store.
@@ -167,9 +167,9 @@ func NewManager() *Manager { return &Manager{m: session.NewManager()} }
 
 // OpenManager opens a session manager over a Store and recovers every
 // session a previous process left in it: each stored session's pipeline
-// is re-prepared via reopen, its snapshot and WAL are replayed through
-// the divergence-checking restore machinery, and the session resumes
-// under its original ID. The recovered IDs are returned in sorted
+// is re-prepared via reopen, its answer log is replayed exactly as
+// RestoreSession replays a snapshot, and the session resumes under its
+// original ID. The recovered IDs are returned in sorted
 // order. Sessions that fail to recover are skipped and reported in the
 // returned error; the manager is usable regardless. A nil reopen skips
 // recovery (any stored sessions stay dormant in the store).
@@ -182,7 +182,7 @@ func OpenManager(store Store, reopen ReopenFunc) (*Manager, []string, error) {
 // the same loop-stage timings and engine counters as freshly created
 // ones. A nil Pipeline is equivalent to OpenManager.
 func OpenManagerObs(store Store, reopen ReopenFunc, o *obs.Pipeline) (*Manager, []string, error) {
-	m := &Manager{m: session.NewManagerStore(store, 0), obs: o}
+	m := &Manager{m: session.NewManagerStore(store), obs: o}
 	if reopen == nil {
 		return m, nil, nil
 	}
@@ -256,13 +256,13 @@ func (m *Manager) Remove(id string) (bool, error) { return m.m.Remove(id) }
 // SessionIDs returns the live session IDs in deterministic order.
 func (m *Manager) SessionIDs() []string { return m.m.IDs() }
 
-// PersistFailures returns how many store operations have failed across
-// the manager's sessions; non-zero means at least one session's durable
-// state is frozen behind its in-memory state (see Session.PersistErr).
+// PersistFailures returns how many of the manager's sessions have had a
+// store append fail; non-zero means at least one session's durable state
+// is frozen behind its in-memory state (see Session.PersistErr).
 func (m *Manager) PersistFailures() int64 { return m.m.PersistFailures() }
 
-// WALReplayed returns how many WAL records recovery has replayed on top
-// of session snapshots since the manager was opened.
+// WALReplayed returns how many answers recovery has re-delivered from
+// session logs since the manager was opened.
 func (m *Manager) WALReplayed() int64 { return m.m.WALReplayed() }
 
 // CacheStats sums answer-cache hits, misses and granted question
@@ -295,11 +295,7 @@ func (m *Manager) DeduceStatsByNamespace() map[string]DeduceStats {
 	return out
 }
 
-// Flush rotates every live session's durable snapshot to its current
-// state, so a subsequent recovery replays no WAL.
-func (m *Manager) Flush() error { return m.m.FlushAll() }
-
-// Close flushes every session and closes the store.
+// Close closes the store; acknowledged answers are already durable.
 func (m *Manager) Close() error { return m.m.Close() }
 
 // fromCoreResult converts the pipeline result to the public shape.
