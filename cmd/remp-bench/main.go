@@ -12,10 +12,16 @@
 //	remp-bench -experiment shards -cpuprofile cpu.pprof -memprofile mem.pprof
 //	remp-bench -experiment shards -trace trace.out
 //
+// The shards, prepare and deduction experiments carry a verdict and exit 1
+// when it fails: a sharded run that diverged from the monolithic one, an
+// indexed pre-pipeline that diverged from the naive one or (when the naive
+// cross-check ran) is under 5× faster, a deduction run that changed a
+// resolved pair or reached the 10 % savings floor on fewer than two
+// datasets.
+//
 // The -cpuprofile / -memprofile flags write pprof profiles covering the
-// experiment run, so a hot-path regression flagged by the CI bench gate
-// can be diagnosed straight from an uploaded artifact (`go tool pprof`)
-// without reproducing the run locally. -trace captures a runtime
+// experiment run, so a hot-path regression can be diagnosed with
+// `go tool pprof` from the file alone. -trace captures a runtime
 // execution trace of the same window for `go tool trace` — scheduling,
 // GC pauses and the shard fan-out are all visible there.
 package main
@@ -34,6 +40,15 @@ import (
 )
 
 func main() {
+	if err := bench(); err != nil {
+		fmt.Fprintf(os.Stderr, "remp-bench: FAIL: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// bench runs the selected experiment and returns its verdict, nil for the
+// experiments that carry none.
+func bench() error {
 	experiment := flag.String("experiment", "all", "experiment id (see -list) or 'all'")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "random seed for datasets, workers and samplers")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -49,40 +64,46 @@ func main() {
 		for _, id := range experiments.Order() {
 			fmt.Printf("%-8s  %s\n", id, experiments.Describe(id))
 		}
-		return
+		return nil
 	}
 
 	// Validate everything before the timer starts: an unknown experiment
 	// (or a -json flag the experiment cannot honor) must fail fast with a
 	// non-zero exit and the valid IDs, not after minutes of benchmarking.
-	var run func()
-	switch {
-	case *experiment == "all":
+	var run func() error
+	save := func(report any) {
 		if *jsonPath != "" {
-			fatalf("remp-bench: -json is only supported with -experiment shards")
+			writeJSON(*jsonPath, report)
 		}
-		run = func() { experiments.All(os.Stdout, *seed) }
-	case *experiment == "shards" && *jsonPath != "":
-		run = func() {
+	}
+	switch *experiment {
+	case "all":
+		if *jsonPath != "" {
+			fatalf("remp-bench: -json is only supported with -experiment shards, prepare or deduction")
+		}
+		run = func() error { experiments.All(os.Stdout, *seed); return nil }
+	case "shards":
+		run = func() error {
 			report := experiments.ShardScalability(os.Stdout, *seed)
-			writeJSON(*jsonPath, report)
+			save(report)
+			return report.Check()
 		}
-	case *experiment == "deduction" && *jsonPath != "":
-		run = func() {
+	case "deduction":
+		run = func() error {
 			report := experiments.Deduction(os.Stdout, *seed)
-			writeJSON(*jsonPath, report)
+			save(report)
+			return report.Check()
 		}
-	case *experiment == "prepare":
+	case "prepare":
 		if *prepN <= 0 {
 			fatalf("remp-bench: -n must be positive")
 		}
 		n, withNaive := *prepN, *prepNaive
-		run = func() {
+		run = func() error {
 			report := experiments.PreparePipeline(os.Stdout, *seed, n,
 				withNaive || n <= experiments.NaiveFeasibleLimit)
-			if *jsonPath != "" {
-				writeJSON(*jsonPath, report)
-			}
+			save(report)
+			return report.Check()
 		}
 	default:
 		runner, ok := experiments.Registry()[*experiment]
@@ -92,7 +113,7 @@ func main() {
 		if *jsonPath != "" {
 			fatalf("remp-bench: -json is only supported with -experiment shards, prepare or deduction")
 		}
-		run = func() { runner(os.Stdout, *seed) }
+		run = func() error { runner(os.Stdout, *seed); return nil }
 	}
 
 	if *cpuProfile != "" {
@@ -120,7 +141,7 @@ func main() {
 	}
 
 	start := time.Now()
-	run()
+	verdict := run()
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
 
 	if *memProfile != "" {
@@ -135,6 +156,7 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *memProfile)
 	}
+	return verdict
 }
 
 func writeJSON(path string, report any) {

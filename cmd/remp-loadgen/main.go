@@ -13,8 +13,8 @@
 //	    -worker-error 0.05 -reorder 0.5 -max-latency 5ms -json load.json
 //
 // The process exits 0 only when every session completed and matched
-// the oracle. The JSON report feeds cmd/benchreport -loadgen, which
-// records throughput in BENCH_remp.json and gates CI on divergence.
+// the oracle; -json writes the run summary (throughput, per-operation
+// latency percentiles).
 //
 // With -cluster N the harness spawns its own cluster instead of driving
 // an external server: N remp-worker processes (-worker-bin), an

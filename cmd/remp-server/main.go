@@ -66,8 +66,19 @@ import (
 )
 
 // readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so idle or trickling clients cannot pin connections.
-const readHeaderTimeout = 10 * time.Second
+// request headers and idleTimeout how long a keep-alive connection may sit
+// between requests, so idle or trickling clients cannot pin connections —
+// on the API port and the debug port alike.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns a server for h (nil: http.DefaultServeMux) on addr
+// with both timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 func main() {
 	log.SetFlags(0)
@@ -133,13 +144,13 @@ func main() {
 		// on a separate listener keeps profiling off the public API port.
 		go func() {
 			logger.Info("debug listener (pprof)", "addr", *debugAddr)
-			if derr := http.ListenAndServe(*debugAddr, nil); derr != nil {
+			if derr := newHTTPServer(*debugAddr, nil).ListenAndServe(); derr != nil {
 				logger.Warn("debug listener", "err", derr)
 			}
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr)

@@ -43,19 +43,16 @@
 //
 // Inside a shard, the propagation hot path runs on flat storage: the
 // probabilistic ER graph is compressed sparse row with precomputed
-// −log-probability edge lengths and a mirrored in-CSR (removed edges
-// zero their slot; post-build additions live in an overlay folded back
-// in on full engine rebuilds), each Dijkstra worker reuses a pooled
-// epoch-stamped dense scratch with an index-typed 4-ary heap, emitted
+// −log-probability edge lengths and a mirrored in-CSR (the topology is
+// fixed at build; removed edges zero their slot), each Dijkstra worker
+// reuses a pooled epoch-stamped dense scratch with an index-typed 4-ary
+// heap, emitted
 // inferred sets are sorted (index, distance) slices rather than maps,
 // and Algorithm 3's benefit state shares the same dense epoch-stamped
 // layout. A steady-state single-source run allocates nothing but its
 // result; the InferAllFW oracle pins the representation to the paper's
 // Floyd–Warshall output in randomized property tests. The benchmark
-// trajectory lives in BENCH_remp.json — ns/op plus B/op and allocs/op,
-// every benchmark reports allocations — regenerated by CI via
-// cmd/benchreport and gated per metric against the committed
-// BENCH_baseline.json.
+// trajectory is BENCHMARK.json + bench/ (see bench/README.md).
 //
 // Sessions are durable. Every managed session journals into a pluggable
 // store (remp.Store): a create record plus one append-only answer log.
@@ -75,16 +72,15 @@
 // deterministic function of each pair, and verifies every final Result
 // byte-matches the synchronous remp.Resolve oracle — including across a
 // mid-run SIGKILL + restart (internal/loadgen's kill drill); its JSON
-// report, with client-side p50/p95/p99 latency per API operation, is
-// folded into BENCH_remp.json by cmd/benchreport.
+// report carries client-side p50/p95/p99 latency per API operation.
 //
 // Telemetry is stdlib-only: internal/obs is an allocation-free metrics
 // registry (atomic counters, gauges, fixed-bucket histograms) that the
 // server exposes at /metrics in Prometheus text format — per-loop-stage
 // timing histograms, propagation-engine work counters, log append and
 // fsync latencies, session/cache counters, per-route HTTP latency — and
-// that cmd/remp-bench's shard experiment folds into BENCH_remp.json as
-// per-stage nanoseconds. Observability bends to the invariants, not the
+// that cmd/remp-bench's shard experiment reports as per-stage
+// nanoseconds. Observability bends to the invariants, not the
 // other way around: the deterministic packages take time only through
 // an injected monotonic obs.Clock (time.Now stays banned there by the
 // determinism analyzer), and hot-path instrumentation is plain atomic

@@ -228,3 +228,14 @@ func bruteForceMatching(nl, nr int, adj [][]int) int {
 	rec(0, 0, 0)
 	return best
 }
+
+// AssignmentWeight sums the weights of an assignment returned by Hungarian.
+func AssignmentWeight(weights [][]float64, rowMatch []int) float64 {
+	total := 0.0
+	for i, j := range rowMatch {
+		if j >= 0 {
+			total += weights[i][j]
+		}
+	}
+	return total
+}

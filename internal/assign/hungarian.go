@@ -121,14 +121,3 @@ func Hungarian(weights [][]float64) []int {
 	}
 	return rowMatch
 }
-
-// AssignmentWeight sums the weights of an assignment returned by Hungarian.
-func AssignmentWeight(weights [][]float64, rowMatch []int) float64 {
-	total := 0.0
-	for i, j := range rowMatch {
-		if j >= 0 {
-			total += weights[i][j]
-		}
-	}
-	return total
-}

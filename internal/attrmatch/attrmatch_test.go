@@ -43,11 +43,11 @@ func TestSimilaritiesShape(t *testing.T) {
 	if len(sims) != k1.NumAttrs() || len(sims[0]) != k2.NumAttrs() {
 		t.Fatalf("matrix shape %dx%d, want %dx%d", len(sims), len(sims[0]), k1.NumAttrs(), k2.NumAttrs())
 	}
-	name, title := k1.Attr("name"), k2.Attr("title")
+	name, title := k1.AddAttr("name"), k2.AddAttr("title")
 	if sims[name][title] != 1 {
 		t.Errorf("name↔title similarity = %v, want 1", sims[name][title])
 	}
-	year, pubYear := k1.Attr("year"), k2.Attr("pubYear")
+	year, pubYear := k1.AddAttr("year"), k2.AddAttr("pubYear")
 	if sims[year][pubYear] != 1 {
 		t.Errorf("year↔pubYear similarity = %v, want 1", sims[year][pubYear])
 	}

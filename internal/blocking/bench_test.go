@@ -11,8 +11,7 @@ import (
 // The blocking benchmark family measures candidate generation on the
 // scale stress dataset (the workload behind the 1M-entity Prepare
 // benchmark) at a size where the retained naive path is still cheap
-// enough to benchmark alongside, so benchreport gates the indexed path's
-// advantage release over release.
+// enough to benchmark alongside.
 
 const benchScale = 5_000
 

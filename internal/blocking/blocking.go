@@ -51,10 +51,6 @@ type Options struct {
 	// Threshold is the minimal label Jaccard similarity to keep a pair.
 	// The paper uses 0.3.
 	Threshold float64
-	// MaxTokenPostings caps the posting-list length of a token; tokens more
-	// frequent than this are treated as stop words during pairing (they
-	// still count toward Jaccard). 0 means no cap.
-	MaxTokenPostings int
 	// Runner, when non-nil, scans K1 entities in parallel (one contiguous
 	// chunk per scheduler slot). The result is identical either way; nil
 	// means serial.
@@ -63,7 +59,7 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's setup (threshold 0.3).
 func DefaultOptions() Options {
-	return Options{Threshold: 0.3, MaxTokenPostings: 0}
+	return Options{Threshold: 0.3}
 }
 
 // Generate produces the candidate match set Mc between k1 and k2 using the
@@ -94,7 +90,7 @@ func Generate(k1, k2 *kb.KB, opts Options) *Result {
 		sc := &parts[ci]
 		sc.seen = make([]uint32, len(toks2))
 		for u1 := chunks[ci].lo; u1 < chunks[ci].hi; u1++ {
-			scanEntity(sc, u1, toks1[u1], toks2, postings, k1, k2, opts)
+			scanEntity(sc, u1, toks1[u1], toks2, postings, k1, k2, opts.Threshold)
 		}
 	})
 
@@ -130,17 +126,13 @@ type scanScratch struct {
 // depend on which token that was, so the emitted set matches the naive
 // scan exactly.
 func scanEntity(sc *scanScratch, u1 int, t1 []kb.TokenID, toks2 [][]kb.TokenID,
-	postings [][]kb.EntityID, k1, k2 *kb.KB, opts Options) {
+	postings [][]kb.EntityID, k1, k2 *kb.KB, threshold float64) {
 	if len(t1) == 0 {
 		return
 	}
 	sc.epoch++
 	for _, t := range t1 {
-		ps := postings[t]
-		if opts.MaxTokenPostings > 0 && len(ps) > opts.MaxTokenPostings {
-			continue
-		}
-		for _, u2 := range ps {
+		for _, u2 := range postings[t] {
 			if sc.seen[u2] == sc.epoch {
 				continue
 			}
@@ -149,11 +141,11 @@ func scanEntity(sc *scanScratch, u1 int, t1 []kb.TokenID, toks2 [][]kb.TokenID,
 			// min/max is the best Jaccard these set sizes allow; IEEE
 			// division is monotone, so skipping here can never drop a
 			// pair the exact comparison below would keep.
-			if jaccardUpperBoundIDs(len(t1), len(t2)) < opts.Threshold {
+			if jaccardUpperBoundIDs(len(t1), len(t2)) < threshold {
 				continue
 			}
 			sim := jaccardIDs(t1, t2)
-			if sim < opts.Threshold {
+			if sim < threshold {
 				continue
 			}
 			p := pair.Pair{U1: kb.EntityID(u1), U2: u2}
@@ -267,26 +259,4 @@ func exactLabel(k1, k2 *kb.KB, p pair.Pair) bool {
 	l1 := strsim.Normalize(k1.Label(p.U1))
 	l2 := strsim.Normalize(k2.Label(p.U2))
 	return l1 != "" && l1 == l2
-}
-
-// CandidateSet converts the candidate list into a pair.Set.
-func (r *Result) CandidateSet() pair.Set {
-	s := make(pair.Set, len(r.Candidates))
-	for _, c := range r.Candidates {
-		s.Add(c.Pair)
-	}
-	return s
-}
-
-// CandidatesOf returns the candidates involving entity u1 from K1, in
-// deterministic order. It is a convenience for per-entity blocking
-// analysis.
-func (r *Result) CandidatesOf(u1 kb.EntityID) []Candidate {
-	var out []Candidate
-	for _, c := range r.Candidates {
-		if c.Pair.U1 == u1 {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package blocking
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -32,7 +31,10 @@ func twoKBs() (*kb.KB, *kb.KB) {
 func TestGenerateFindsExpectedPairs(t *testing.T) {
 	k1, k2 := twoKBs()
 	res := Generate(k1, k2, DefaultOptions())
-	set := res.CandidateSet()
+	set := pair.NewSet()
+	for _, c := range res.Candidates {
+		set.Add(c.Pair)
+	}
 
 	joan := pair.Pair{U1: k1.Entity("y:Joan"), U2: k2.Entity("d:Joan")}
 	nyc := pair.Pair{U1: k1.Entity("y:NYC"), U2: k2.Entity("d:NYC")}
@@ -101,42 +103,6 @@ func TestEmptyLabelsNeverBlock(t *testing.T) {
 	res := Generate(k1, k2, DefaultOptions())
 	if len(res.Candidates) != 0 {
 		t.Errorf("unlabeled entities blocked together: %v", res.Candidates)
-	}
-}
-
-func TestMaxTokenPostingsCap(t *testing.T) {
-	k1 := kb.New("a")
-	k2 := kb.New("b")
-	// 30 K2 entities all share the token "common"; pairing through it is
-	// suppressed by the cap, and they share nothing else.
-	u := k1.AddEntity("x")
-	k1.SetLabel(u, "common")
-	for i := 0; i < 30; i++ {
-		id := k2.AddEntity(fmt.Sprintf("y%d", i))
-		k2.SetLabel(id, "common")
-	}
-	capped := Generate(k1, k2, Options{Threshold: 0.3, MaxTokenPostings: 10})
-	if len(capped.Candidates) != 0 {
-		t.Errorf("capped postings still produced %d candidates", len(capped.Candidates))
-	}
-	uncapped := Generate(k1, k2, Options{Threshold: 0.3})
-	if len(uncapped.Candidates) != 30 {
-		t.Errorf("uncapped candidates = %d, want 30", len(uncapped.Candidates))
-	}
-}
-
-func TestCandidatesOf(t *testing.T) {
-	k1, k2 := twoKBs()
-	res := Generate(k1, k2, DefaultOptions())
-	joanID := k1.Entity("y:Joan")
-	cands := res.CandidatesOf(joanID)
-	if len(cands) == 0 {
-		t.Fatal("no candidates for Joan")
-	}
-	for _, c := range cands {
-		if c.Pair.U1 != joanID {
-			t.Errorf("CandidatesOf returned foreign pair %v", c.Pair)
-		}
 	}
 }
 

@@ -76,8 +76,7 @@ func TestGenerateMatchesNaive(t *testing.T) {
 	optVariants := []Options{
 		{},
 		{Threshold: 0.3},
-		{Threshold: 0.5, MaxTokenPostings: 3},
-		{Threshold: 0.2, MaxTokenPostings: 1},
+		{Threshold: 0.5},
 		{Threshold: 1},
 	}
 	for si, sz := range sizes {

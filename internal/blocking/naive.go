@@ -43,11 +43,7 @@ func GenerateNaive(k1, k2 *kb.KB, opts Options) *Result {
 			continue
 		}
 		for _, t := range toks1 {
-			postings := index[t]
-			if opts.MaxTokenPostings > 0 && len(postings) > opts.MaxTokenPostings {
-				continue
-			}
-			for _, u2 := range postings {
+			for _, u2 := range index[t] {
 				p := pair.Pair{U1: kb.EntityID(u1), U2: u2}
 				if _, ok := seen[p]; ok {
 					continue

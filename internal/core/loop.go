@@ -246,15 +246,6 @@ func (l *Loop) record(q pair.Pair, v deduce.Verdict) {
 	}
 }
 
-// DeduceStats returns the loop's deduction-store counters (zero when
-// Config.Deduce is off).
-func (l *Loop) DeduceStats() deduce.Stats {
-	if l.ded == nil {
-		return deduce.Stats{}
-	}
-	return l.ded.Stats()
-}
-
 // touch marks q's shard dirty: its cached candidates and selection no
 // longer describe the next loop.
 func (l *Loop) touch(q pair.Pair) {

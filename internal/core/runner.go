@@ -283,27 +283,21 @@ func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 	st.eng.InvalidateTails(st.rw.Apply(est, st.detached))
 }
 
-// rebuildFromScratch is the reference rebuild: a fresh BuildProb, every
-// detached vertex re-detached, and the engine reset over the result.
+// rebuildFromScratch is the reference rebuild: a fresh BuildProb, the
+// engine reset over it, and every detached vertex re-detached.
 func (st *ShardState) rebuildFromScratch(est map[ergraph.RelPair]consistency.Estimate) {
 	g := st.pipe.graph
 	prob := propagation.BuildProb(g, st.p.K1, st.p.K2, propagation.Params{
 		Priors:      st.p.Priors,
 		Consistency: est,
 	})
-	for i, q := range g.Vertices() {
-		if !st.detached[i] {
-			continue
-		}
-		for _, e := range g.OutAt(i) {
-			prob.SetProb(q, e.To, 0)
-		}
-		for _, e := range g.InAt(i) {
-			prob.SetProb(e.From, q, 0)
-		}
-	}
 	st.prob = prob
 	st.eng.Reset(prob)
+	for i, q := range g.Vertices() {
+		if st.detached[i] {
+			st.eng.DetachVertex(q)
+		}
+	}
 }
 
 // Invalidate degrades the engine to a full recompute at its next sync.

@@ -59,17 +59,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the paper's real-worker setup.
-func DefaultConfig() Config {
-	return Config{
-		NumWorkers:         50,
-		WorkersPerQuestion: 5,
-		QualityLow:         0.93,
-		QualityHigh:        0.99,
-		Seed:               1,
-	}
-}
-
 // NewPlatform builds a simulated platform answering from the oracle.
 func NewPlatform(oracle Oracle, cfg Config) *Platform {
 	if cfg.NumWorkers <= 0 {
@@ -134,9 +123,6 @@ func (pl *Platform) Ask(q pair.Pair) []Label {
 
 // NumQuestions returns the number of distinct questions asked so far.
 func (pl *Platform) NumQuestions() int { return pl.numQuestions }
-
-// Workers exposes the pool (read-only).
-func (pl *Platform) Workers() []Worker { return pl.workers }
 
 func min(a, b int) int {
 	if a < b {

@@ -50,7 +50,7 @@ func TestScaleShape(t *testing.T) {
 }
 
 // TestScaleMillionSmoke is the CI bench job's fast stand-in for the full
-// 1M-entity Prepare benchmark recorded in BENCH_remp.json: generate the
+// 1M-entity Prepare benchmark (remp-bench -experiment prepare): generate the
 // million-entity KBs and run indexed blocking over them once, bounding
 // generator and index regressions without the multi-minute similarity
 // stages. Gated behind REMP_SCALE_SMOKE so routine test runs skip it.

@@ -7,10 +7,10 @@
 // Lookup answers in near-constant time whether a pair's verdict is
 // already implied by previously recorded answers.
 //
-// Determinism: the Store's observable state — Snapshot, Lookup verdicts
-// and provenance chains — is a pure function of the *set* of recorded
-// (pair, verdict) facts, independent of the order they were recorded
-// in. Cluster roots are canonical (the minimum node of each cluster),
+// Determinism: the Store's observable state — its cluster partition and
+// fact sets (the tests' Snapshot), Lookup verdicts and provenance chains —
+// is a pure function of the *set* of recorded (pair, verdict) facts,
+// independent of the order they were recorded in. Cluster roots are canonical (the minimum node of each cluster),
 // conflict witnesses are the lexicographically minimal recorded
 // non-match pair between two clusters, and all iteration that reaches
 // the output is sorted. This is what lets sharded and out-of-order
@@ -65,14 +65,6 @@ const (
 	// Lookup(a,b) deduces NonMatch when a or b is matched elsewhere.
 	OneToOne
 )
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	if m == OneToOne {
-		return "one-to-one"
-	}
-	return "general"
-}
 
 // ConflictError is returned by Record when the new fact contradicts
 // what the store has already deduced. The store is left exactly as it
@@ -138,7 +130,7 @@ type Store struct {
 	adj map[node][]edge
 
 	// matches and nonmatches are the recorded fact sets; re-recording
-	// a known fact is a no-op, which keeps Snapshot order-independent.
+	// a known fact is a no-op, which keeps the state order-independent.
 	matches    pair.Set
 	nonmatches pair.Set
 
@@ -171,13 +163,6 @@ func New(mode Mode) *Store {
 		sideMin:    make(map[node][2]node),
 	}
 }
-
-// Mode reports the store's deduction mode.
-func (s *Store) Mode() Mode { return s.mode }
-
-// Len returns the number of distinct recorded facts (matches plus
-// non-matches).
-func (s *Store) Len() int { return s.matches.Len() + s.nonmatches.Len() }
 
 // Stats returns the current monotonic counters. Safe to call
 // concurrently with Record/Lookup on other goroutines.
@@ -462,78 +447,4 @@ func (s *Store) separationChain(a, b node, wit pair.Pair) []pair.Pair {
 	chain := s.matchChain(a, wa)
 	chain = append(chain, wit)
 	return append(chain, s.matchChain(wb, b)...)
-}
-
-// Snapshot is a canonical, order-independent dump of the store's
-// state: the cluster partition plus the recorded fact sets. Two stores
-// fed the same facts in any order produce identical Snapshots
-// (asserted by the property suite), and a failed Record leaves the
-// Snapshot unchanged (asserted by the fuzz harness).
-type Snapshot struct {
-	// Clusters lists every multi-node cluster as its sorted node keys,
-	// ordered by first element.
-	Clusters [][]int64
-	// Matches and NonMatches are the recorded facts, sorted.
-	Matches    []pair.Pair
-	NonMatches []pair.Pair
-}
-
-// Snapshot captures the store's canonical state. It is O(n log n) in
-// recorded nodes and intended for tests and debugging, not hot paths.
-func (s *Store) Snapshot() Snapshot {
-	groups := make(map[node][]int64)
-	for n := range s.parent {
-		r := s.find(n)
-		groups[r] = append(groups[r], int64(n))
-	}
-	roots := make([]node, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	var clusters [][]int64
-	for _, r := range roots {
-		members := groups[r]
-		if len(members) < 2 {
-			continue
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		clusters = append(clusters, members)
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i][0] < clusters[j][0] })
-	return Snapshot{
-		Clusters:   clusters,
-		Matches:    s.matches.Sorted(),
-		NonMatches: s.nonmatches.Sorted(),
-	}
-}
-
-// Equal reports whether two snapshots are identical.
-func (a Snapshot) Equal(b Snapshot) bool {
-	if len(a.Clusters) != len(b.Clusters) ||
-		len(a.Matches) != len(b.Matches) ||
-		len(a.NonMatches) != len(b.NonMatches) {
-		return false
-	}
-	for i := range a.Clusters {
-		if len(a.Clusters[i]) != len(b.Clusters[i]) {
-			return false
-		}
-		for j := range a.Clusters[i] {
-			if a.Clusters[i][j] != b.Clusters[i][j] {
-				return false
-			}
-		}
-	}
-	for i := range a.Matches {
-		if a.Matches[i] != b.Matches[i] {
-			return false
-		}
-	}
-	for i := range a.NonMatches {
-		if a.NonMatches[i] != b.NonMatches[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -284,12 +284,6 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// Contains reports whether p is a vertex.
-func (g *Graph) Contains(p pair.Pair) bool {
-	_, ok := g.index[p]
-	return ok
-}
-
 // IndexOf returns the dense index of vertex p, or -1.
 func (g *Graph) IndexOf(p pair.Pair) int {
 	if i, ok := g.index[p]; ok {
@@ -361,56 +355,6 @@ func (g *Graph) Isolated() []pair.Pair {
 		}
 	}
 	return out
-}
-
-// Components returns the weakly connected components as slices of vertex
-// pairs, each sorted, largest first (ties broken by first vertex).
-func (g *Graph) Components() [][]pair.Pair {
-	n := len(g.vertices)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var stack []int
-	for i := 0; i < n; i++ {
-		if comp[i] != -1 {
-			continue
-		}
-		stack = append(stack[:0], i)
-		comp[i] = next
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, j := range g.OutIndexesAt(v) {
-				if comp[j] == -1 {
-					comp[j] = next
-					stack = append(stack, int(j))
-				}
-			}
-			for _, j := range g.InIndexesAt(v) {
-				if comp[j] == -1 {
-					comp[j] = next
-					stack = append(stack, int(j))
-				}
-			}
-		}
-		next++
-	}
-	groups := make([][]pair.Pair, next)
-	for i, c := range comp {
-		groups[c] = append(groups[c], g.vertices[i])
-	}
-	for _, grp := range groups {
-		sort.Slice(grp, func(a, b int) bool { return grp[a].Less(grp[b]) })
-	}
-	sort.Slice(groups, func(a, b int) bool {
-		if len(groups[a]) != len(groups[b]) {
-			return len(groups[a]) > len(groups[b])
-		}
-		return groups[a][0].Less(groups[b][0])
-	})
-	return groups
 }
 
 // Labels returns the distinct edge labels present in the graph, sorted by

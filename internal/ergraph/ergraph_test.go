@@ -216,33 +216,6 @@ func TestIsolated(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	k1, k2, ps := figure1KBs()
-	lonely1 := k1.AddEntity("y:Lonely")
-	lonely2 := k2.AddEntity("d:Lonely")
-	iso := pair.Pair{U1: lonely1, U2: lonely2}
-	vertices := []pair.Pair{ps["tim"], ps["joan"], ps["john"], ps["cradle"], ps["player"], ps["cp"], ps["nyc"], iso}
-	g := Build(k1, k2, vertices)
-	comps := g.Components()
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2 (sizes: %v)", len(comps), sizes(comps))
-	}
-	if len(comps[0]) != 7 || len(comps[1]) != 1 {
-		t.Errorf("component sizes = %v, want [7 1]", sizes(comps))
-	}
-	if comps[1][0] != iso {
-		t.Errorf("singleton component = %v, want %v", comps[1][0], iso)
-	}
-}
-
-func sizes(comps [][]pair.Pair) []int {
-	out := make([]int, len(comps))
-	for i, c := range comps {
-		out[i] = len(c)
-	}
-	return out
-}
-
 func TestLabels(t *testing.T) {
 	g, _ := buildFig1()
 	labels := g.Labels()
@@ -280,12 +253,6 @@ func TestInverseEdgesExist(t *testing.T) {
 
 func TestContainsAndIndexOf(t *testing.T) {
 	g, ps := buildFig1()
-	if !g.Contains(ps["tim"]) {
-		t.Error("Contains(tim) = false")
-	}
-	if g.Contains(pair.Pair{U1: 99, U2: 99}) {
-		t.Error("Contains(fake) = true")
-	}
 	if g.IndexOf(ps["tim"]) < 0 {
 		t.Error("IndexOf(tim) < 0")
 	}
@@ -299,8 +266,5 @@ func TestEmptyGraph(t *testing.T) {
 	g := Build(k1, k2, nil)
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {
 		t.Error("empty vertex set should give empty graph")
-	}
-	if comps := g.Components(); len(comps) != 0 {
-		t.Errorf("Components = %v", comps)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -32,14 +33,17 @@ type DeducePoint struct {
 }
 
 // DeductionReport is the machine-readable result of the deduction
-// experiment, merged into BENCH_remp.json by cmd/benchreport and gated
-// by its -min-deduce-savings flag.
+// experiment (remp-bench -experiment deduction -json).
 type DeductionReport struct {
 	Points []DeducePoint `json:"points"`
 }
 
+// minDeduceSavings is the crowd-questions-saved ratio deduction must reach
+// on at least two datasets.
+const minDeduceSavings = 0.10
+
 // MinSavings returns the smallest savings across shard counts for a
-// dataset (the conservative number the benchreport gate scores).
+// dataset (the conservative number Check scores).
 func (r *DeductionReport) MinSavings(dataset string) (float64, bool) {
 	min, found := 0.0, false
 	for _, pt := range r.Points {
@@ -51,6 +55,34 @@ func (r *DeductionReport) MinSavings(dataset string) (float64, bool) {
 		}
 	}
 	return min, found
+}
+
+// Check is the experiment's verdict, nil when it holds: every point must
+// be byte-equivalent to its Deduce-off reference (deduction may never
+// change a resolved pair), and the savings floor must hold on at least two
+// datasets — measured by each dataset's minimum savings across shard
+// counts, with a small epsilon so float rounding cannot flip the verdict.
+func (r *DeductionReport) Check() error {
+	const epsilon = 1e-9
+	var errs []error
+	seen := make(map[string]bool)
+	atFloor := 0
+	for _, pt := range r.Points {
+		if !pt.Equivalent {
+			errs = append(errs, fmt.Errorf("deduction on %s @ %d shard(s) diverged from the Deduce-off reference", pt.Dataset, pt.Shards))
+		}
+		if seen[pt.Dataset] {
+			continue
+		}
+		seen[pt.Dataset] = true
+		if min, _ := r.MinSavings(pt.Dataset); min >= minDeduceSavings-epsilon {
+			atFloor++
+		}
+	}
+	if atFloor < 2 {
+		errs = append(errs, fmt.Errorf("deduction reached the %.0f%% savings floor on %d dataset(s); at least 2 required", 100*minDeduceSavings, atFloor))
+	}
+	return errors.Join(errs...)
 }
 
 // Deduction measures transitive-closure answer deduction on every

@@ -84,8 +84,3 @@ func rule(n int) string {
 
 // pct formats a ratio as a percentage.
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
-
-// dsByName wraps datasets.ByName with the default seed (test helper).
-func dsByName(name string) (*datasets.Dataset, error) {
-	return datasets.ByName(name, DefaultSeed)
-}

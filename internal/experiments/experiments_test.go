@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/datasets"
 )
 
 // The experiment drivers are integration tests in their own right: each
@@ -170,7 +172,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestSampleSeedsPortion(t *testing.T) {
-	ds, err := dsByName("iimb")
+	ds, err := datasets.ByName("iimb", DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

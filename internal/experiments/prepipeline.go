@@ -15,10 +15,10 @@ import (
 	"repro/internal/simvec"
 )
 
-// PrepareReport is the machine-readable result of the prepare experiment,
-// merged into BENCH_remp.json by cmd/benchreport. NaiveNS/Speedup are
-// zero when the naive cross-check was skipped (it is quadratic in hot
-// spots and infeasible at the 1M scale the indexed path is built for).
+// PrepareReport is the machine-readable result of the prepare experiment
+// (remp-bench -experiment prepare -json). NaiveNS/Speedup are zero when
+// the naive cross-check was skipped (it is quadratic in hot spots and
+// infeasible at the 1M scale the indexed path is built for).
 type PrepareReport struct {
 	Dataset    string `json:"dataset"`
 	Entities   int    `json:"entities_per_kb"`
@@ -36,6 +36,23 @@ type PrepareReport struct {
 	NaiveNS    int64   `json:"naive_ns,omitempty"`
 	Speedup    float64 `json:"speedup,omitempty"`
 	Equivalent bool    `json:"equivalent"`
+}
+
+// minPrepareSpeedup is the indexed-vs-naive pre-pipeline speedup Check
+// requires whenever the naive cross-check ran.
+const minPrepareSpeedup = 5.0
+
+// Check is the experiment's verdict, nil when it holds: the indexed path
+// must be byte-identical to the naive one and, when the naive cross-check
+// ran, at least minPrepareSpeedup times faster.
+func (r *PrepareReport) Check() error {
+	if !r.Equivalent {
+		return fmt.Errorf("pre-pipeline (%s) diverged from the naive path", r.Dataset)
+	}
+	if r.NaiveNS > 0 && r.Speedup < minPrepareSpeedup {
+		return fmt.Errorf("pre-pipeline speedup %.2fx below the %.1fx floor", r.Speedup, minPrepareSpeedup)
+	}
+	return nil
 }
 
 // NaiveFeasibleLimit bounds the automatic naive cross-check: the retained

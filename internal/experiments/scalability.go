@@ -43,13 +43,24 @@ type ShardPoint struct {
 }
 
 // ShardReport is the machine-readable result of the shard scalability
-// experiment, merged into BENCH_remp.json by cmd/benchreport.
+// experiment (remp-bench -experiment shards -json).
 type ShardReport struct {
 	Dataset    string       `json:"dataset"`
 	Vertices   int          `json:"vertices"`
 	Edges      int          `json:"edges"`
 	Components int          `json:"components"`
 	Points     []ShardPoint `json:"points"`
+}
+
+// Check is the experiment's verdict, nil when it holds: every sharded run
+// resolved exactly the monolithic reference's pairs.
+func (r *ShardReport) Check() error {
+	for _, pt := range r.Points {
+		if !pt.Equivalent {
+			return fmt.Errorf("sharded run at %d shards diverged from the monolithic result", pt.Shards)
+		}
+	}
+	return nil
 }
 
 // ShardScalability measures the sharded resolution loop on the clustered

@@ -41,7 +41,8 @@ func TestShardedEquivalenceOnBuiltinDatasets(t *testing.T) {
 
 // TestShardScalabilityReport sanity-checks the shards experiment on a
 // reduced clustered graph: every point must be equivalent and the report
-// shape complete (the CI bench job merges it into BENCH_remp.json).
+// shape complete, so the verdict remp-bench exits on holds — and fails
+// once a point is forced to diverge.
 func TestShardScalabilityReport(t *testing.T) {
 	report := shardScalability(io.Discard, DefaultSeed, 24, 16)
 	if len(report.Points) != 4 {
@@ -56,6 +57,54 @@ func TestShardScalabilityReport(t *testing.T) {
 		}
 		if pt.LoopNS <= 0 || pt.Questions <= 0 {
 			t.Errorf("degenerate point: %+v", pt)
+		}
+	}
+	if err := report.Check(); err != nil {
+		t.Errorf("verdict on an equivalent report: %v", err)
+	}
+	report.Points[2].Equivalent = false
+	if report.Check() == nil {
+		t.Error("verdict held with a diverged point")
+	}
+}
+
+// TestVerdictsFailWhenForcedFalse pins the two other verdicts remp-bench
+// exits non-zero on: a pre-pipeline that diverged or — only when the naive
+// cross-check ran — is under the speedup floor, and a deduction report
+// with a diverged point or the savings floor reached on fewer than two
+// datasets (scored on each dataset's minimum across shard counts).
+func TestVerdictsFailWhenForcedFalse(t *testing.T) {
+	prepare := []struct {
+		name string
+		rep  PrepareReport
+		ok   bool
+	}{
+		{"indexed only", PrepareReport{Equivalent: true}, true},
+		{"cross-checked and fast", PrepareReport{Equivalent: true, NaiveNS: 60, IndexedNS: 10, Speedup: 6}, true},
+		{"diverged", PrepareReport{Equivalent: false, NaiveNS: 60, IndexedNS: 10, Speedup: 6}, false},
+		{"slow", PrepareReport{Equivalent: true, NaiveNS: 40, IndexedNS: 10, Speedup: 4}, false},
+	}
+	for _, tc := range prepare {
+		if err := tc.rep.Check(); (err == nil) != tc.ok {
+			t.Errorf("prepare %s: verdict %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	pt := func(ds string, shards int, savings float64, eq bool) DeducePoint {
+		return DeducePoint{Dataset: ds, Shards: shards, Savings: savings, Equivalent: eq}
+	}
+	deduction := []struct {
+		name   string
+		points []DeducePoint
+		ok     bool
+	}{
+		{"two datasets at the floor", []DeducePoint{pt("a", 1, 0.3, true), pt("a", 4, 0.1, true), pt("b", 1, 0.2, true), pt("c", 1, 0, true)}, true},
+		{"a diverged point", []DeducePoint{pt("a", 1, 0.3, true), pt("a", 4, 0.1, false), pt("b", 1, 0.2, true)}, false},
+		{"one dataset's minimum under the floor", []DeducePoint{pt("a", 1, 0.3, true), pt("a", 4, 0.09, true), pt("b", 1, 0.2, true)}, false},
+		{"no points", nil, false},
+	}
+	for _, tc := range deduction {
+		if err := (&DeductionReport{Points: tc.points}).Check(); (err == nil) != tc.ok {
+			t.Errorf("deduction %s: verdict %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -358,6 +358,3 @@ func (f *Forest) Prob(x []float64) float64 {
 
 // Predict returns the majority-vote classification of x.
 func (f *Forest) Predict(x []float64) bool { return f.Prob(x) >= 0.5 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.roots) }

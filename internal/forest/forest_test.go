@@ -138,8 +138,8 @@ func TestPanicsOnBadInput(t *testing.T) {
 
 func TestNumTrees(t *testing.T) {
 	f := Train([][]float64{{0}, {1}}, []bool{false, true}, Options{NumTrees: 7})
-	if f.NumTrees() != 7 {
-		t.Errorf("NumTrees = %d, want 7", f.NumTrees())
+	if len(f.roots) != 7 {
+		t.Errorf("trained %d trees, want 7", len(f.roots))
 	}
 }
 

@@ -135,14 +135,6 @@ func (k *KB) AddAttr(name string) AttrID {
 // AttrName returns the interned name of a.
 func (k *KB) AttrName(a AttrID) string { return k.attrNames[a] }
 
-// Attr returns the ID of the named attribute, or -1.
-func (k *KB) Attr(name string) AttrID {
-	if id, ok := k.attrIdx[name]; ok {
-		return id
-	}
-	return -1
-}
-
 // AddRel interns a relationship name.
 func (k *KB) AddRel(name string) RelID {
 	if id, ok := k.relIdx[name]; ok {
@@ -152,17 +144,6 @@ func (k *KB) AddRel(name string) RelID {
 	k.relIdx[name] = id
 	k.relNames = append(k.relNames, name)
 	return id
-}
-
-// RelName returns the interned name of r.
-func (k *KB) RelName(r RelID) string { return k.relNames[r] }
-
-// Rel returns the ID of the named relationship, or -1.
-func (k *KB) Rel(name string) RelID {
-	if id, ok := k.relIdx[name]; ok {
-		return id
-	}
-	return -1
 }
 
 // AddAttrTriple records (u, a, value). Duplicate triples are ignored.
@@ -275,13 +256,6 @@ func relKeys(m map[RelID][]EntityID) []RelID {
 	return out
 }
 
-// HasRelTriples reports whether u participates in any relationship triple
-// in either direction. Entities for which this is false across both KBs
-// form the isolated entity pairs handled by the random-forest fallback.
-func (k *KB) HasRelTriples(u EntityID) bool {
-	return len(k.relOut[u]) > 0 || len(k.relIn[u]) > 0
-}
-
 // NumEntities returns |U|.
 func (k *KB) NumEntities() int { return len(k.entityNames) }
 
@@ -290,12 +264,6 @@ func (k *KB) NumAttrs() int { return len(k.attrNames) }
 
 // NumRels returns |R|.
 func (k *KB) NumRels() int { return len(k.relNames) }
-
-// NumAttrTriples returns |T_attr|.
-func (k *KB) NumAttrTriples() int { return k.nAttrTriples }
-
-// NumRelTriples returns |T_rel|.
-func (k *KB) NumRelTriples() int { return k.nRelTriples }
 
 // Stats summarizes a KB for Table II-style reporting.
 type Stats struct {

@@ -75,8 +75,8 @@ func TestAttrTriples(t *testing.T) {
 	if len(vals) != 2 || vals[0] != "alice" || vals[1] != "bob" {
 		t.Errorf("AttrValues = %v, want sorted unique [alice bob]", vals)
 	}
-	if k.NumAttrTriples() != 2 {
-		t.Errorf("NumAttrTriples = %d, want 2", k.NumAttrTriples())
+	if k.Stats().AttrTriples != 2 {
+		t.Errorf("AttrTriples = %d, want 2", k.Stats().AttrTriples)
 	}
 	attrs := k.Attrs(u)
 	if len(attrs) != 1 || attrs[0] != a {
@@ -91,7 +91,7 @@ func TestRelTriples(t *testing.T) {
 	k := buildSample()
 	joan := k.Entity("y:Joan")
 	nyc := k.Entity("y:NYC")
-	born := k.Rel("wasBornIn")
+	born := k.AddRel("wasBornIn")
 	out := k.Out(joan, born)
 	if len(out) != 1 || out[0] != nyc {
 		t.Errorf("Out = %v", out)
@@ -100,15 +100,15 @@ func TestRelTriples(t *testing.T) {
 	if len(in) != 1 || in[0] != joan {
 		t.Errorf("In = %v", in)
 	}
-	if !k.HasRelTriples(joan) || !k.HasRelTriples(nyc) {
-		t.Error("HasRelTriples false for connected entities")
+	if len(k.OutRels(joan)) == 0 || len(k.InRels(nyc)) == 0 {
+		t.Error("connected entities list no relationship")
 	}
 	iso := k.AddEntity("y:Isolated")
-	if k.HasRelTriples(iso) {
-		t.Error("HasRelTriples true for isolated entity")
+	if len(k.OutRels(iso))+len(k.InRels(iso)) != 0 {
+		t.Error("isolated entity lists a relationship")
 	}
-	if k.NumRelTriples() != 2 {
-		t.Errorf("NumRelTriples = %d, want 2", k.NumRelTriples())
+	if k.Stats().RelTriples != 2 {
+		t.Errorf("RelTriples = %d, want 2", k.Stats().RelTriples)
 	}
 	rels := k.OutRels(joan)
 	if len(rels) != 2 {
@@ -125,8 +125,8 @@ func TestDuplicateRelTripleIgnored(t *testing.T) {
 	r := k.AddRel("r")
 	k.AddRelTriple(u, r, v)
 	k.AddRelTriple(u, r, v)
-	if k.NumRelTriples() != 1 {
-		t.Errorf("duplicate triple counted: %d", k.NumRelTriples())
+	if k.Stats().RelTriples != 1 {
+		t.Errorf("duplicate triple counted: %d", k.Stats().RelTriples)
 	}
 	if got := k.Out(u, r); len(got) != 1 {
 		t.Errorf("Out = %v", got)
@@ -158,8 +158,8 @@ func TestTSVRoundTrip(t *testing.T) {
 		t.Errorf("round-trip name = %q", k2.Name())
 	}
 	if k2.NumEntities() != k.NumEntities() ||
-		k2.NumAttrTriples() != k.NumAttrTriples() ||
-		k2.NumRelTriples() != k.NumRelTriples() {
+		k2.Stats().AttrTriples != k.Stats().AttrTriples ||
+		k2.Stats().RelTriples != k.Stats().RelTriples {
 		t.Errorf("round-trip stats differ: %v vs %v", k2.Stats(), k.Stats())
 	}
 	joan := k2.Entity("y:Joan")
@@ -169,7 +169,7 @@ func TestTSVRoundTrip(t *testing.T) {
 	if k2.Label(joan) != "Joan Crawford" || k2.Type(joan) != "person" {
 		t.Errorf("label/type lost: %q %q", k2.Label(joan), k2.Type(joan))
 	}
-	born := k2.Rel("wasBornIn")
+	born := k2.AddRel("wasBornIn")
 	if born < 0 {
 		t.Fatal("wasBornIn missing")
 	}
@@ -215,7 +215,7 @@ func TestRelIndexConsistency(t *testing.T) {
 			k.AddRelTriple(u, r, v)
 			edges[edge{u, v}] = true
 		}
-		if k.NumRelTriples() != len(edges) {
+		if k.Stats().RelTriples != len(edges) {
 			return false
 		}
 		for e := range edges {

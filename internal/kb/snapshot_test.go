@@ -75,7 +75,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if got.Name() != k.Name() {
 			t.Fatalf("n=%d name %q != %q", n, got.Name(), k.Name())
 		}
-		if got.NumAttrTriples() != k.NumAttrTriples() || got.NumRelTriples() != k.NumRelTriples() {
+		if got.Stats().AttrTriples != k.Stats().AttrTriples || got.Stats().RelTriples != k.Stats().RelTriples {
 			t.Fatalf("n=%d triple counts diverge", n)
 		}
 		if want, have := tsvOf(t, k), tsvOf(t, got); want != have {

@@ -12,8 +12,7 @@ type TokenID uint32
 // construct with NewTokenDict. A TokenDict is safe for concurrent reads
 // once interning finishes; Intern calls must not race with anything.
 type TokenDict struct {
-	idx   map[string]TokenID
-	names []string
+	idx map[string]TokenID
 }
 
 // NewTokenDict returns an empty dictionary.
@@ -27,20 +26,10 @@ func (d *TokenDict) Intern(tok string) TokenID {
 	if id, ok := d.idx[tok]; ok {
 		return id
 	}
-	id := TokenID(len(d.names))
+	id := TokenID(len(d.idx))
 	d.idx[tok] = id
-	d.names = append(d.names, tok)
 	return id
 }
 
-// ID returns the ID of tok and whether it has been interned.
-func (d *TokenDict) ID(tok string) (TokenID, bool) {
-	id, ok := d.idx[tok]
-	return id, ok
-}
-
-// Name returns the string interned as id.
-func (d *TokenDict) Name(id TokenID) string { return d.names[id] }
-
 // Len returns the number of interned tokens.
-func (d *TokenDict) Len() int { return len(d.names) }
+func (d *TokenDict) Len() int { return len(d.idx) }

@@ -118,8 +118,7 @@ type Oracle struct {
 	Loops     int `json:"loops"`
 }
 
-// Report is the run summary, written as JSON by cmd/remp-loadgen and
-// folded into BENCH_remp.json by cmd/benchreport.
+// Report is the run summary, written as JSON by cmd/remp-loadgen.
 type Report struct {
 	Dataset         string  `json:"dataset"`
 	Sessions        int     `json:"sessions"`

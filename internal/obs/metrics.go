@@ -176,15 +176,3 @@ var DefBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
 	1, 2.5, 5, 10,
 }
-
-// ExpBuckets returns n buckets starting at start, each factor times the
-// previous — the standard exponential latency ladder.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}

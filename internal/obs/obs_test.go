@@ -70,7 +70,7 @@ func TestNilSafety(t *testing.T) {
 	p.AddBatch()
 	p.AddQuestion()
 	p.EngineCounters().Recomputes.Inc()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.TotalNS(StageInfer) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || len(tr.Totals()) != 0 {
 		t.Fatal("nil receivers must read as zero")
 	}
 }
@@ -235,9 +235,6 @@ func TestLoopTraceTotals(t *testing.T) {
 	}
 	if _, ok := totals["apply"]; ok {
 		t.Error("apply never ran; Totals must omit it")
-	}
-	if tr.TotalNS(StageInfer) != 250 {
-		t.Errorf("TotalNS(infer) = %d", tr.TotalNS(StageInfer))
 	}
 }
 

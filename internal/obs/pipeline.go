@@ -10,10 +10,10 @@ type EngineCounters struct {
 	// rebuild alike, including the initial build).
 	Recomputes *Counter
 	// Invalidations counts ball-invalidation events: a DetachVertex or
-	// weakened edge marking a source set dirty.
+	// rewritten row marking a source set dirty.
 	Invalidations *Counter
-	// Rebuilds counts whole-graph rebuilds (each folds the pending edge
-	// overlay into the CSR — re-estimation resets and bulk fallbacks).
+	// Rebuilds counts whole-graph rebuilds: the initial build, from-scratch
+	// resets and bulk fallbacks.
 	Rebuilds *Counter
 }
 

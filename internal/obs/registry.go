@@ -200,17 +200,6 @@ func (v *HistogramVec) With(value string) *Histogram {
 	return v.f.child(value, func() *series { return &series{h: NewHistogram(v.bounds)} }).h
 }
 
-// Names returns the registered family names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.fams))
-	for i, f := range r.fams {
-		out[i] = f.name
-	}
-	return out
-}
-
 // WritePrometheus renders every family in the Prometheus text
 // exposition format (version 0.0.4): one # HELP / # TYPE pair per
 // family, histogram children as cumulative `_bucket{le=...}` series

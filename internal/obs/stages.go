@@ -119,14 +119,6 @@ func (t *LoopTrace) End(s Stage, start int64) {
 	t.hists[s].ObserveNS(d)
 }
 
-// TotalNS returns the accumulated nanoseconds of one stage.
-func (t *LoopTrace) TotalNS(s Stage) int64 {
-	if t == nil || s < 0 || s >= numStages {
-		return 0
-	}
-	return t.totals[s].Load()
-}
-
 // Totals returns accumulated nanoseconds keyed by stage label, omitting
 // stages that never ran.
 func (t *LoopTrace) Totals() map[string]int64 {

@@ -51,9 +51,6 @@ func (s Set) Has(p Pair) bool {
 	return ok
 }
 
-// Remove deletes p.
-func (s Set) Remove(p Pair) { delete(s, p) }
-
 // Len returns the cardinality.
 func (s Set) Len() int { return len(s) }
 
@@ -96,9 +93,6 @@ func (g *Gold) Size() int { return g.matches.Len() }
 // Matches returns the true matches in deterministic order.
 func (g *Gold) Matches() []Pair { return g.matches.Sorted() }
 
-// Set returns the underlying match set (read-only by convention).
-func (g *Gold) Set() Set { return g.matches }
-
 // PRF holds precision, recall and F1-score.
 type PRF struct {
 	Precision float64
@@ -107,11 +101,6 @@ type PRF struct {
 	TP        int
 	FP        int
 	FN        int
-}
-
-// String implements fmt.Stringer.
-func (m PRF) String() string {
-	return fmt.Sprintf("P=%.1f%% R=%.1f%% F1=%.1f%%", 100*m.Precision, 100*m.Recall, 100*m.F1)
 }
 
 // Evaluate compares predicted matches against the gold standard.

@@ -28,7 +28,7 @@ func TestSetBasics(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d after duplicate add", s.Len())
 	}
-	s.Remove(Pair{1, 1})
+	delete(s, Pair{1, 1})
 	if s.Has(Pair{1, 1}) {
 		t.Error("Remove failed")
 	}

@@ -5,22 +5,16 @@ import (
 	"testing"
 )
 
-// BenchmarkInferAll measures Algorithm 2 at several graph sizes, serial
-// versus the GOMAXPROCS fan-out the Engine uses for its initial build.
-// The clustered shape (disjoint functional chains) mirrors real ER
+// BenchmarkInferAll measures Algorithm 2 at several graph sizes, through
+// the GOMAXPROCS fan-out the Engine uses for its initial build (compare
+// -cpu 1 for the serial cost). The clustered shape (disjoint functional chains) mirrors real ER
 // graphs, whose connected components are entity clusters far smaller than
 // the whole graph.
 func BenchmarkInferAll(b *testing.B) {
 	for _, size := range []struct{ nc, cs int }{{8, 25}, {25, 32}, {80, 40}} {
 		pg, _ := clusteredPG(size.nc, size.cs)
 		n := size.nc * size.cs
-		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = pg.inferAllSerial(0.8)
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = pg.InferAll(0.8)

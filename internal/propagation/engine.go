@@ -9,12 +9,10 @@ import (
 )
 
 // Engine maintains the bounded-distance balls of Algorithm 2 incrementally
-// across the human–machine loop. The full InferAll recompute that the loop
-// used to pay on every edge mutation is replaced by dirty-source tracking:
-// the reverse index rev[p] names precisely the sources whose ζ-balls
-// contain a vertex p, so when an edge leaving p changes — removed with a
-// detached vertex, or re-weighted in either direction by re-estimation —
-// only those sources plus p itself can change and only they are re-run.
+// across the human–machine loop: the reverse index rev[p] names precisely
+// the sources whose ζ-balls contain a vertex p, so when an edge leaving p
+// changes — removed with a detached vertex, or re-weighted in either
+// direction by re-estimation — only those sources plus p itself are re-run.
 //
 // The invalidation rule is exact: an edge whose probability changed
 // dirties rev[tail] ∪ {tail}, with rev as of the last Sync. Let G0 be the
@@ -26,25 +24,23 @@ import (
 // ball at the last Sync (or is q itself), i.e. q ∈ rev[tail] ∪ {tail},
 // and was queued when the edge changed. Every other source keeps all of
 // its bounded paths and gains none, hence its ball is bitwise unchanged.
-// The direction of the change never enters the argument, so weakened,
-// strengthened and brand-new (overlay) edges all take the same partial
-// path. DetachVertex queues rev[p] ∪ {p} for the detached vertex p
-// instead of the tails of p's in-edges: those edges only disappear, and a
-// bounded path of G0 through one of them reaches p itself within ζ.
+// The direction of the change never enters the argument, so weakened and
+// strengthened edges take the same partial path. DetachVertex queues
+// rev[p] ∪ {p} for the detached vertex p instead of the tails of p's
+// in-edges: those edges only disappear, and a bounded path of G0 through
+// one of them reaches p itself within ζ.
 //
-// Mutators (DetachVertex, SetProb, InvalidateTails, Reset, InvalidateAll)
-// only record invalidations; Sync applies them, fanning one bounded
-// Dijkstra per dirty source across GOMAXPROCS goroutines, each worker
-// reusing one pooled dense scratch. Readers (Set, Ball, Prob)
-// deliberately serve the balls as of the last Sync: the loop resolves
-// each batch of µ questions against one snapshot (the paper's semantics),
-// then Syncs at the top of the next loop.
+// Mutators (DetachVertex, InvalidateTails, Reset, InvalidateAll) only
+// record invalidations; Sync applies them, fanning one bounded Dijkstra
+// per dirty source across GOMAXPROCS goroutines, each worker reusing one
+// pooled dense scratch. Ball deliberately serves the balls as of the last
+// Sync: the loop resolves each batch of µ questions against one snapshot
+// (the paper's semantics), then Syncs at the top of the next loop.
 //
 // An Engine is not safe for concurrent use; Sync's internal workers are
 // the only concurrency it owns.
 type Engine struct {
 	pg   *ProbGraph
-	tau  float64
 	zeta float64
 	// dist and rev mirror Inferred: dist[q] = the sorted ball bt(q);
 	// rev[p] lists the sources whose balls contain p, the inverse index
@@ -69,63 +65,24 @@ type Engine struct {
 	c obs.EngineCounters
 }
 
-// NewEngine builds the engine and computes the initial balls with a
-// parallel InferAll. τ must be pre-validated (see zetaOf).
-func NewEngine(pg *ProbGraph, tau float64) *Engine {
-	return NewEngineObs(pg, tau, obs.EngineCounters{})
-}
-
-// NewEngineObs is NewEngine with instrumentation counters attached
-// before the initial build, so the first rebuild is counted too.
+// NewEngineObs builds the engine over pg and computes the initial balls
+// with a parallel full rebuild, counted in c like every later one. τ must
+// be pre-validated (see zetaOf).
 func NewEngineObs(pg *ProbGraph, tau float64, c obs.EngineCounters) *Engine {
-	e := &Engine{
-		pg:   pg,
-		tau:  tau,
-		zeta: zetaOf(tau),
-		full: true,
-		c:    c,
-	}
+	e := &Engine{pg: pg, zeta: zetaOf(tau), full: true, c: c}
 	e.Sync()
 	return e
 }
-
-// Zeta returns the distance bound −log τ.
-func (e *Engine) Zeta() float64 { return e.zeta }
-
-// Tau returns the precision threshold the engine was built with.
-func (e *Engine) Tau() float64 { return e.tau }
-
-// Graph returns the probabilistic graph the engine currently maintains.
-func (e *Engine) Graph() *ProbGraph { return e.pg }
 
 // Recomputes returns the number of single-source Dijkstra runs performed
 // so far (including the initial build); tests use it to assert that only
 // dirty sources are recomputed.
 func (e *Engine) Recomputes() int64 { return e.recomputes.Load() }
 
-// PendingSources returns how many sources the next Sync will recompute,
-// accounting for the bulk-rebuild fallback.
-func (e *Engine) PendingSources() int {
-	if e.full || (len(e.dirty) > 0 && e.bulkFallback()) {
-		return e.pg.g.NumVertices()
-	}
-	return len(e.dirty)
-}
-
 // bulkFallback reports whether so many sources are dirty that Sync will
 // recompute everything in bulk instead of incrementally.
 func (e *Engine) bulkFallback() bool {
 	return 2*len(e.dirty) >= len(e.dist)
-}
-
-// BallSize returns |bt⁻¹(q)|, the number of sources whose ζ-ball contains
-// q as of the last Sync (excluding q itself).
-func (e *Engine) BallSize(q pair.Pair) int {
-	i := e.pg.g.IndexOf(q)
-	if i < 0 {
-		return 0
-	}
-	return len(e.rev[i])
 }
 
 // DetachVertex removes every edge incident to q from the probabilistic
@@ -141,18 +98,6 @@ func (e *Engine) DetachVertex(q pair.Pair) {
 	}
 	e.markBallDirty(i)
 	e.pg.detachAt(i)
-}
-
-// SetProb overrides one edge probability and invalidates the balls that
-// can see the edge's tail, whichever way the probability moved.
-func (e *Engine) SetProb(from, to pair.Pair, p float64) {
-	i := e.pg.g.IndexOf(from)
-	j := e.pg.g.IndexOf(to)
-	if i < 0 || j < 0 || i == j || p == e.pg.probAt(i, j) {
-		return
-	}
-	e.markBallDirty(i)
-	e.pg.setProbAt(i, j, p)
 }
 
 // InvalidateTails records that out-edges of the given vertices were
@@ -267,11 +212,8 @@ func (e *Engine) Sync() {
 }
 
 // rebuild recomputes every source from scratch in parallel, sharing
-// InferAll's implementation. The rebuild is also where a SetProb overlay
-// is folded into the CSR; until one happens, partial Syncs read overlay
-// edges beside the flat rows.
+// InferAll's implementation.
 func (e *Engine) rebuild() {
-	e.pg.Fold()
 	n := e.pg.g.NumVertices()
 	if len(e.isDirty) == n {
 		e.clearDirty()
@@ -289,18 +231,3 @@ func (e *Engine) rebuild() {
 // vertex index, as of the last Sync. The slice is the engine's own;
 // callers must not mutate it.
 func (e *Engine) Ball(q int) Ball { return e.dist[q] }
-
-// Inferred snapshots the engine's current balls as an immutable Inferred
-// value (deep copy), mainly for diagnostics and tests.
-func (e *Engine) Inferred() *Inferred {
-	inf := &Inferred{
-		pg:   e.pg,
-		zeta: e.zeta,
-		dist: make([]Ball, len(e.dist)),
-	}
-	for i, b := range e.dist {
-		inf.dist[i] = slices.Clone(b)
-	}
-	inf.rev = buildRev(inf.dist, len(e.dist))
-	return inf
-}

@@ -21,37 +21,18 @@ type BallEntry struct {
 // Ball is the emitted result of one single-source run: the vertices p ≠ q
 // with dist(q, p) ≤ ζ, ascending in Idx. The flat sorted layout replaces
 // the map[int]float64 the engine used to allocate per source: consumers
-// iterate it in deterministic order for free and membership is a binary
-// search.
+// iterate it in deterministic order for free.
 type Ball []BallEntry
-
-// Get returns dist(q, j) and whether j is in the ball.
-//
-//remp:hotpath
-func (b Ball) Get(j int) (float64, bool) {
-	k, ok := slices.BinarySearchFunc(b, int32(j), func(e BallEntry, target int32) int {
-		return int(e.Idx - target)
-	})
-	if !ok {
-		return 0, false
-	}
-	return b[k].Dist, true
-}
 
 // Inferred holds, for every vertex q, the set of vertices p reachable with
 // path probability at least τ, i.e. dist(q,p) ≤ ζ = −log τ where edge
 // lengths are −log Pr[m_v′|m_v]. This is the output of Algorithm 2.
 type Inferred struct {
-	pg   *ProbGraph
-	zeta float64
 	// dist[q] = the ball bt(q) of the paper; rev[p] lists the sources q
 	// whose balls contain p (the paper's bt⁻¹(p)), ascending.
 	dist []Ball
 	rev  [][]int32
 }
-
-// Zeta returns the distance bound −log τ.
-func (inf *Inferred) Zeta() float64 { return inf.zeta }
 
 // InferAll computes the bounded distance maps of Algorithm 2 by running a
 // ζ-bounded Dijkstra from every vertex, fanned across GOMAXPROCS
@@ -61,10 +42,8 @@ func (inf *Inferred) Zeta() float64 { return inf.zeta }
 // reachable-set size, which dominates on the dense connected components of
 // IIMB-like datasets.
 func (pg *ProbGraph) InferAll(tau float64) *Inferred {
-	inf := &Inferred{pg: pg, zeta: zetaOf(tau)}
-	inf.dist = pg.computeAll(inf.zeta)
-	inf.rev = buildRev(inf.dist, pg.g.NumVertices())
-	return inf
+	dist := pg.computeAll(zetaOf(tau))
+	return &Inferred{dist: dist, rev: buildRev(dist, pg.g.NumVertices())}
 }
 
 // computeAll runs the parallel per-source Dijkstra fan-out; it is shared
@@ -110,20 +89,6 @@ func buildRev(dist []Ball, n int) [][]int32 {
 		rev[j] = flat[start[j]:start[j+1]:start[j+1]]
 	}
 	return rev
-}
-
-// inferAllSerial is the single-goroutine reference implementation of
-// InferAll, kept for benchmarking the parallel fan-out against.
-func (pg *ProbGraph) inferAllSerial(tau float64) *Inferred {
-	n := pg.g.NumVertices()
-	inf := &Inferred{pg: pg, zeta: zetaOf(tau), dist: make([]Ball, n)}
-	sc := getScratch(n)
-	for i := 0; i < n; i++ {
-		inf.dist[i] = pg.inferFromIndex(i, inf.zeta, sc)
-	}
-	putScratch(sc)
-	inf.rev = buildRev(inf.dist, n)
-	return inf
 }
 
 // minParallelSources is the fan-out cutoff: below it, goroutine startup
@@ -175,8 +140,8 @@ func (pg *ProbGraph) inferSources(zeta float64, srcs []int, results []Ball) {
 // sets. Because all lengths are nonnegative, any subpath of a ζ-bounded
 // path is itself ζ-bounded, so restricting the maps to entries ≤ ζ is
 // lossless. It is kept as the paper-faithful oracle that the Dijkstra
-// engine is cross-checked against; it reads the CSR (and any unfolded
-// overlay) but works on plain maps, converted to balls at the end.
+// engine is cross-checked against; it reads the CSR but works on plain
+// maps, converted to balls at the end.
 func (pg *ProbGraph) InferAllFW(tau float64) *Inferred {
 	n := pg.g.NumVertices()
 	zeta := zetaOf(tau)
@@ -187,21 +152,11 @@ func (pg *ProbGraph) InferAllFW(tau float64) *Inferred {
 		rev[i] = make(map[int32]float64)
 	}
 	// Lines 3–5: seed with single edges.
-	seed := func(i int, j int32, l float64) {
-		if l <= zeta {
-			dist[i][j] = l
-			rev[j][int32(i)] = l
-		}
-	}
 	for i := 0; i < n; i++ {
 		for e := pg.rowStart[i]; e < pg.rowStart[i+1]; e++ {
-			if pg.prob[e] > 0 {
-				seed(i, pg.colIdx[e], pg.length[e])
-			}
-		}
-		if pg.ovOut != nil {
-			for j, p := range pg.ovOut[i] {
-				seed(i, j, -math.Log(p))
+			if j, l := pg.colIdx[e], pg.length[e]; l <= zeta {
+				dist[i][j] = l
+				rev[j][int32(i)] = l
 			}
 		}
 	}
@@ -228,12 +183,11 @@ func (pg *ProbGraph) InferAllFW(tau float64) *Inferred {
 			}
 		}
 	}
-	inf := &Inferred{pg: pg, zeta: zeta, dist: make([]Ball, n)}
+	balls := make([]Ball, n)
 	for i := 0; i < n; i++ {
-		inf.dist[i] = ballFromMap(dist[i])
+		balls[i] = ballFromMap(dist[i])
 	}
-	inf.rev = buildRev(inf.dist, n)
-	return inf
+	return &Inferred{dist: balls, rev: buildRev(balls, n)}
 }
 
 // ballFromMap converts a sparse distance map into the sorted Ball layout.
@@ -246,23 +200,8 @@ func ballFromMap(m map[int32]float64) Ball {
 	return b
 }
 
-// InferFrom runs a single-source bounded Dijkstra from q, returning the
-// ball of vertices with dist ≤ ζ (excluding q itself). It is equivalent to
-// the q-th row of InferAll and is used for incremental queries and as a
-// cross-check oracle in tests.
-func (pg *ProbGraph) InferFrom(q pair.Pair, tau float64) Ball {
-	src := pg.g.IndexOf(q)
-	if src < 0 {
-		return nil
-	}
-	sc := getScratch(pg.g.NumVertices())
-	b := pg.inferFromIndex(src, zetaOf(tau), sc)
-	putScratch(sc)
-	return b
-}
-
-// inferFromIndex is the hot Dijkstra loop shared by InferAll, InferFrom
-// and the incremental Engine: a ζ-bounded single-source run from vertex
+// inferFromIndex is the hot Dijkstra loop shared by InferAll and the
+// incremental Engine: a ζ-bounded single-source run from vertex
 // index src on the caller-owned scratch. Stale heap entries are skipped by
 // comparing the popped distance against the current best instead of a
 // visited set; relaxations walk the CSR row with precomputed −log lengths
@@ -293,21 +232,6 @@ func (pg *ProbGraph) inferFromIndex(src int, zeta float64, sc *scratch) Ball {
 				sc.push(heapEntry{d, j})
 			}
 		}
-		if pg.ovOut != nil {
-			for j, p := range pg.ovOut[it.v] {
-				d := it.d - math.Log(p)
-				if d > zeta {
-					continue
-				}
-				if !sc.visited(j) {
-					sc.reach(j, d)
-					sc.push(heapEntry{d, j})
-				} else if d < sc.dist[j] {
-					sc.dist[j] = d
-					sc.push(heapEntry{d, j})
-				}
-			}
-		}
 	}
 	ball := make(Ball, 0, len(sc.touched)-1)
 	for _, j := range sc.touched {
@@ -333,42 +257,10 @@ func zetaOf(tau float64) float64 {
 	return -math.Log(tau) + 1e-12
 }
 
-// Set returns inferred(q): the vertex pairs p ≠ q with Pr[m_p | m_q] ≥ τ.
-func (inf *Inferred) Set(q pair.Pair) []pair.Pair {
-	i := inf.pg.g.IndexOf(q)
-	if i < 0 {
-		return nil
-	}
-	verts := inf.pg.g.Vertices()
-	out := make([]pair.Pair, 0, len(inf.dist[i]))
-	for _, en := range inf.dist[i] {
-		out = append(out, verts[en.Idx])
-	}
-	return out
-}
-
 // Ball returns inferred(q) by dense index (q excluded), ascending in
 // vertex index. The slice is the Inferred's own; callers must not mutate
 // it.
 func (inf *Inferred) Ball(q int) Ball { return inf.dist[q] }
-
-// Prob returns the propagated probability Pr[m_p | m_q] = e^{−dist(q,p)},
-// or 0 if p is not inferred from q. Pr[m_q | m_q] = 1.
-func (inf *Inferred) Prob(q, p pair.Pair) float64 {
-	i := inf.pg.g.IndexOf(q)
-	j := inf.pg.g.IndexOf(p)
-	if i < 0 || j < 0 {
-		return 0
-	}
-	if i == j {
-		return 1
-	}
-	d, ok := inf.dist[i].Get(j)
-	if !ok {
-		return 0
-	}
-	return math.Exp(-d)
-}
 
 // DistOrder returns the ball's positions ordered by (distance, tie-break
 // pair order): the order a confirmed match propagates in, so the 1:1

@@ -77,7 +77,7 @@ type matchScratch struct {
 // posteriors computes Pr[m_p | m_v] for every candidate into the
 // scratch's result slice, valid until the next call. forceApprox selects
 // the local-exclusion approximation whatever the dimensions (instances
-// above Params.MaxExactCandidates).
+// above maxExactCandidates).
 //
 //remp:hotpath
 func (s *matchScratch) posteriors(cands []CandidatePair, eps1, eps2 float64, forceApprox bool) []float64 {

@@ -17,7 +17,6 @@ import (
 
 // buildProbOracle is the historical BuildProb.
 func buildProbOracle(g *ergraph.Graph, params Params) *ProbGraph {
-	params.fill()
 	n := g.NumVertices()
 	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1)}
 	for i := 0; i < n; i++ {
@@ -25,7 +24,7 @@ func buildProbOracle(g *ergraph.Graph, params Params) *ProbGraph {
 		for _, grp := range outGroupsOracle(g, i) {
 			nb := neighborhoodOracle(grp, params)
 			var post []float64
-			if len(nb.Cands) > params.MaxExactCandidates {
+			if len(nb.Cands) > maxExactCandidates {
 				post = approxPosteriorsOracle(nb.Cands, weightsOracle(nb))
 			} else {
 				post = posteriorsOracle(nb)
@@ -109,7 +108,7 @@ func neighborhoodOracle(grp labelGroup, params Params) *Neighborhood {
 		}
 		prior, ok := params.Priors[e.To]
 		if !ok {
-			prior = params.DefaultPrior
+			prior = defaultPrior
 		}
 		nb.Cands = append(nb.Cands, CandidatePair{Row: r, Col: c, Pair: e.To, Prior: prior, Idx: j})
 	}

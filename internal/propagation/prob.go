@@ -1,7 +1,6 @@
 package propagation
 
 import (
-	"maps"
 	"math"
 	"slices"
 
@@ -16,89 +15,71 @@ import (
 // obtained from neighbor propagation. When several labels connect the same
 // ordered vertex pair, the most informative (maximum) probability is kept.
 //
-// Storage is compressed sparse row, built once by BuildProb: row i's edges
-// occupy colIdx/prob/length[rowStart[i]:rowStart[i+1]], ascending in
-// colIdx, with length[e] = −log prob[e] precomputed so the Dijkstra hot
-// loop never calls math.Log. The in-CSR (inRowStart/inSrc/inPos) mirrors
-// the topology for reverse traversal; inPos names the out-CSR slot of each
-// in-edge, so the prob/length arrays stay the single source of truth.
-// Edge deletions zero the slot in place (prob 0, length +Inf — the
-// ζ-bound prunes them with the comparison it already performs); edges
-// added after the build that have no slot go to a sparse overlay, which
-// Fold merges back into a compacted CSR on full engine rebuilds.
+// Storage is compressed sparse row, and the topology is fixed at BuildProb:
+// row i's edges occupy colIdx/prob/length[rowStart[i]:rowStart[i+1]],
+// ascending in colIdx, and the in-CSR (inRowStart/inSrc/inPos) mirrors it
+// for reverse traversal, inPos naming the out-CSR slot of each in-edge.
+// Only the weights change afterwards, in two ways: detaching a vertex
+// zeroes its slots (prob 0, length +Inf — the ζ-bound prunes them with the
+// comparison it already performs), and a Rewriter re-weights rows in
+// place. length[e] = −log prob[e] is kept beside prob so the Dijkstra hot
+// loop never calls math.Log.
 type ProbGraph struct {
 	g *ergraph.Graph
-	// maxExact is the Params.MaxExactCandidates the graph was built with,
-	// kept so an in-place rewrite marginalizes exactly as the build did.
-	maxExact int
 
-	rowStart []int32
-	colIdx   []int32
-	prob     []float64
-	length   []float64 // −log prob, +Inf for removed slots
-
-	// in-CSR mirror: vertex j's in-edges are inSrc/inPos[inRowStart[j]:
-	// inRowStart[j+1]]; inSrc is the source vertex, inPos the out-CSR slot.
+	// Topology: never written after BuildProb, shared by every Clone.
+	rowStart   []int32
+	colIdx     []int32
 	inRowStart []int32
-	inSrc      []int32
-	inPos      []int32
+	inSrc      []int32 // source vertex of each in-edge
+	inPos      []int32 // its out-CSR slot
 
-	// Live (positive-probability) degree per vertex, overlay included;
-	// maintained by setProbAt/detachAt so DetachVertex can skip vertices
-	// that are already bare without scanning their rows.
+	// Weights, one per out-CSR slot.
+	prob   []float64
+	length []float64 // −log prob, +Inf for removed slots
+
+	// Live (positive-probability) degree per vertex, so DetachVertex can
+	// skip vertices that are already bare without scanning their rows.
 	outDeg []int32
 	inDeg  []int32
-
-	// Overlay for edges added after the CSR was built (SetProb on a missing
-	// slot). nil until first needed, so the hot loop pays one pointer test.
-	ovOut   []map[int32]float64
-	ovIn    []map[int32]struct{}
-	ovCount int
 }
 
 // Params configures probabilistic graph construction.
 type Params struct {
 	// Priors maps candidate pairs to prior match probabilities Pr[m_p];
-	// missing pairs default to DefaultPrior.
+	// missing pairs take defaultPrior.
 	Priors map[pair.Pair]float64
-	// DefaultPrior is used for pairs absent from Priors (0.5 if zero).
-	DefaultPrior float64
 	// Consistency maps each edge label to its fitted (ε1, ε2); missing
 	// labels fall back to ε = 0.5 on both sides.
 	Consistency map[ergraph.RelPair]consistency.Estimate
-	// MaxExactCandidates bounds the exact marginalization instance size
-	// (number of candidate pairs in one neighborhood); larger instances use
-	// the local-exclusion approximation. Default 48.
-	MaxExactCandidates int
 }
 
-func (p *Params) fill() {
-	if p.DefaultPrior == 0 {
-		p.DefaultPrior = 0.5
-	}
-	if p.MaxExactCandidates == 0 {
-		p.MaxExactCandidates = 48
-	}
-}
+const (
+	// defaultPrior is the prior of a pair absent from Params.Priors.
+	defaultPrior = 0.5
+	// maxExactCandidates bounds the exact marginalization instance size
+	// (candidate pairs in one neighborhood); larger instances use the
+	// local-exclusion approximation.
+	maxExactCandidates = 48
+)
 
 // BuildProb computes conditional probabilities for every edge of g. The
 // KBs are not consulted: everything neighbor propagation needs — the label
 // groups, the successor pairs and their dense indexes — is precomputed on
 // the graph.
 func BuildProb(g *ergraph.Graph, _, _ *kb.KB, params Params) *ProbGraph {
-	params.fill()
 	verts := g.Vertices()
 	n := len(verts)
-	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1), maxExact: params.MaxExactCandidates}
+	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1)}
 	priors := make([]float64, n)
 	for i, v := range verts {
 		prior, ok := params.Priors[v]
 		if !ok {
-			prior = params.DefaultPrior
+			prior = defaultPrior
 		}
 		priors[i] = prior
 	}
-	rb := newRowBuilder(g, priors, params.Consistency, pg.maxExact)
+	rb := newRowBuilder(g, priors, params.Consistency)
 	for i := 0; i < n; i++ {
 		rb.row(i)
 		slices.Sort(rb.js)
@@ -113,8 +94,8 @@ func BuildProb(g *ergraph.Graph, _, _ *kb.KB, params Params) *ProbGraph {
 }
 
 // finish derives every secondary array (edge lengths, the in-CSR mirror,
-// live degrees) from rowStart/colIdx/prob and resets the overlay. It is
-// shared by BuildProb, Fold and the test constructors.
+// live degrees) from rowStart/colIdx/prob. It is shared by BuildProb and
+// the test constructors.
 func (pg *ProbGraph) finish() {
 	n := pg.g.NumVertices()
 	m := len(pg.colIdx)
@@ -150,7 +131,6 @@ func (pg *ProbGraph) finish() {
 			}
 		}
 	}
-	pg.ovOut, pg.ovIn, pg.ovCount = nil, nil, 0
 }
 
 // epsPair is one label's consistency point estimate, the only part of a
@@ -165,10 +145,9 @@ type epsPair struct{ e1, e2 float64 }
 // construction. Priors and estimates are dense: by vertex index and by
 // the graph's label index.
 type rowBuilder struct {
-	g        *ergraph.Graph
-	prior    []float64
-	eps      []epsPair
-	maxExact int
+	g     *ergraph.Graph
+	prior []float64
+	eps   []epsPair
 
 	// The row under construction: rowVal[j] is valid where rowStamp[j]
 	// carries the current epoch, and js lists those targets (unsorted).
@@ -184,13 +163,12 @@ type rowBuilder struct {
 
 // newRowBuilder builds the kernel over g with per-vertex priors (shared,
 // read-only) and the given estimates.
-func newRowBuilder(g *ergraph.Graph, priors []float64, est map[ergraph.RelPair]consistency.Estimate, maxExact int) *rowBuilder {
+func newRowBuilder(g *ergraph.Graph, priors []float64, est map[ergraph.RelPair]consistency.Estimate) *rowBuilder {
 	n := g.NumVertices()
 	rb := &rowBuilder{
 		g:        g,
 		prior:    priors,
 		eps:      make([]epsPair, len(g.Labels())),
-		maxExact: maxExact,
 		rowVal:   make([]float64, n),
 		rowStamp: make([]uint32, n),
 	}
@@ -235,7 +213,7 @@ func (rb *rowBuilder) row(i int) {
 		ep := rb.eps[labels[k]]
 		// Instances above the exact-marginalization bound take the
 		// local-exclusion approximation whatever their dimensions.
-		post := rb.ms.posteriors(rb.cands, ep.e1, ep.e2, len(rb.cands) > rb.maxExact)
+		post := rb.ms.posteriors(rb.cands, ep.e1, ep.e2, len(rb.cands) > maxExactCandidates)
 		for ci, c := range rb.cands {
 			j := c.Idx
 			if post[ci] <= 0 {
@@ -302,8 +280,7 @@ func (rb *rowBuilder) column(u kb.EntityID) int {
 // clamped into [0.01, 0.99], so posteriors are strictly positive), hence
 // the slot layout never depends on the estimates. rewriteRow enforces
 // rather than assumes this: a slot the recomputed row does not produce is
-// zeroed, and a produced target without a slot — possible only after a
-// Fold compacted away a removed, non-detached label edge — panics.
+// zeroed, and a produced target without a slot panics.
 //
 // A Rewriter belongs to whoever mutates the graph (core.ShardState, over
 // its own Clone), never to the shared prepared pipeline.
@@ -320,7 +297,7 @@ type Rewriter struct {
 func NewRewriter(pg *ProbGraph, priors []float64, est map[ergraph.RelPair]consistency.Estimate) *Rewriter {
 	return &Rewriter{
 		pg:      pg,
-		rb:      newRowBuilder(pg.g, priors, est, pg.maxExact),
+		rb:      newRowBuilder(pg.g, priors, est),
 		changed: make([]bool, len(pg.g.Labels())),
 	}
 }
@@ -331,10 +308,7 @@ func NewRewriter(pg *ProbGraph, priors []float64, est map[ergraph.RelPair]consis
 // as re-detaching them on a freshly built graph would leave them. It
 // returns the vertices with at least one changed out-edge — the tails an
 // Engine over the graph must invalidate (Engine.InvalidateTails) —
-// ascending; the slice is reused by the next Apply. Overlay edges are not
-// derived from labels and are left alone while they live in the overlay;
-// once a Fold gave one a CSR slot, rewriting its row removes it, as the
-// row then equals what BuildProb computes.
+// ascending; the slice is reused by the next Apply.
 func (rw *Rewriter) Apply(est map[ergraph.RelPair]consistency.Estimate, detached []bool) []int32 {
 	rw.tails = rw.tails[:0]
 	if !rw.rb.setEstimates(est, rw.changed) {
@@ -395,7 +369,7 @@ func (rw *Rewriter) rewriteRow(i int, detached []bool) bool {
 		dirty = true
 	}
 	if stamped != len(rb.js) {
-		panic("propagation: rewrite recomputed an edge whose CSR slot was compacted away")
+		panic("propagation: rewrite recomputed an edge the CSR has no slot for")
 	}
 	return dirty
 }
@@ -403,120 +377,17 @@ func (rw *Rewriter) rewriteRow(i int, detached []bool) bool {
 // Graph returns the underlying ER graph.
 func (pg *ProbGraph) Graph() *ergraph.Graph { return pg.g }
 
-// Clone returns a graph that can be mutated while pg stays as it is. What
-// mutation writes into — prob, length, the live degrees, the overlay — is
-// copied; the topology (rowStart, colIdx, the in-CSR) is shared, because
-// nothing writes into those arrays: Fold installs fresh ones on the graph
-// it compacts.
+// Clone returns a graph whose weights can be mutated while pg stays as it
+// is: prob, length and the live degrees are copied, the topology is shared.
 func (pg *ProbGraph) Clone() *ProbGraph {
 	cp := *pg
 	cp.prob, cp.length = slices.Clone(pg.prob), slices.Clone(pg.length)
 	cp.outDeg, cp.inDeg = slices.Clone(pg.outDeg), slices.Clone(pg.inDeg)
-	if pg.ovOut != nil {
-		cp.ovOut = make([]map[int32]float64, len(pg.ovOut))
-		cp.ovIn = make([]map[int32]struct{}, len(pg.ovIn))
-		for i := range pg.ovOut {
-			cp.ovOut[i], cp.ovIn[i] = maps.Clone(pg.ovOut[i]), maps.Clone(pg.ovIn[i])
-		}
-	}
 	return &cp
 }
 
-// slot binary-searches row i for column j, returning the out-CSR position
-// or -1 when the row never had the edge.
-//
-//remp:hotpath
-func (pg *ProbGraph) slot(i, j int) int32 {
-	lo, hi := pg.rowStart[i], pg.rowStart[i+1]
-	for lo < hi {
-		mid := lo + (hi-lo)/2 // overflow-safe for edge counts near int32 max
-		if pg.colIdx[mid] < int32(j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < pg.rowStart[i+1] && pg.colIdx[lo] == int32(j) {
-		return lo
-	}
-	return -1
-}
-
-// probAt returns Pr[m_j | m_i] by dense index, or 0 when the edge is
-// absent or was removed.
-//
-//remp:hotpath
-func (pg *ProbGraph) probAt(i, j int) float64 {
-	if e := pg.slot(i, j); e >= 0 {
-		return pg.prob[e]
-	}
-	if pg.ovOut != nil {
-		return pg.ovOut[i][int32(j)]
-	}
-	return 0
-}
-
-// setProbAt writes Pr[m_j | m_i] by dense index: in place when the CSR has
-// the slot, through the overlay otherwise. p ≤ 0 removes the edge, p > 1
-// clamps to 1. Degree counters track live edges on both endpoints.
-func (pg *ProbGraph) setProbAt(i, j int, p float64) {
-	if p > 1 {
-		p = 1
-	}
-	if e := pg.slot(i, j); e >= 0 {
-		old := pg.prob[e]
-		if p <= 0 {
-			if old > 0 {
-				pg.prob[e] = 0
-				pg.length[e] = math.Inf(1)
-				pg.outDeg[i]--
-				pg.inDeg[j]--
-			}
-			return
-		}
-		if old <= 0 {
-			pg.outDeg[i]++
-			pg.inDeg[j]++
-		}
-		pg.prob[e] = p
-		pg.length[e] = -math.Log(p)
-		return
-	}
-	if p <= 0 {
-		if pg.ovOut == nil {
-			return
-		}
-		if _, ok := pg.ovOut[i][int32(j)]; ok {
-			delete(pg.ovOut[i], int32(j))
-			delete(pg.ovIn[j], int32(i))
-			pg.ovCount--
-			pg.outDeg[i]--
-			pg.inDeg[j]--
-		}
-		return
-	}
-	if pg.ovOut == nil {
-		n := pg.g.NumVertices()
-		pg.ovOut = make([]map[int32]float64, n)
-		pg.ovIn = make([]map[int32]struct{}, n)
-	}
-	if pg.ovOut[i] == nil {
-		pg.ovOut[i] = make(map[int32]float64, 2)
-	}
-	if _, ok := pg.ovOut[i][int32(j)]; !ok {
-		pg.ovCount++
-		pg.outDeg[i]++
-		pg.inDeg[j]++
-		if pg.ovIn[j] == nil {
-			pg.ovIn[j] = make(map[int32]struct{}, 2)
-		}
-		pg.ovIn[j][int32(i)] = struct{}{}
-	}
-	pg.ovOut[i][int32(j)] = p
-}
-
-// detachAt removes every live edge incident to vertex i — CSR slots are
-// zeroed in place through both mirrors, overlay edges are deleted.
+// detachAt removes every live edge incident to vertex i, zeroing the slots
+// in place through both mirrors.
 //
 //remp:hotpath
 func (pg *ProbGraph) detachAt(i int) {
@@ -537,111 +408,9 @@ func (pg *ProbGraph) detachAt(i int) {
 			pg.inDeg[i]--
 		}
 	}
-	if pg.ovOut == nil {
-		return
-	}
-	for j := range pg.ovOut[i] {
-		delete(pg.ovIn[j], int32(i))
-		pg.ovCount--
-		pg.outDeg[i]--
-		pg.inDeg[j]--
-	}
-	clear(pg.ovOut[i])
-	for s := range pg.ovIn[i] {
-		delete(pg.ovOut[s], int32(i))
-		pg.ovCount--
-		pg.outDeg[s]--
-		pg.inDeg[i]--
-	}
-	clear(pg.ovIn[i])
 }
 
-// degreeAt returns the live out/in degree of vertex i (overlay included).
+// degreeAt returns the live out/in degree of vertex i.
 func (pg *ProbGraph) degreeAt(i int) (out, in int32) {
 	return pg.outDeg[i], pg.inDeg[i]
-}
-
-// Fold merges the overlay back into a compacted CSR: removed slots are
-// dropped, overlay edges gain real slots, and the secondary arrays are
-// rebuilt. Re-estimation rebuilds call it so the steady-state hot path
-// always runs on a pure CSR with an empty overlay.
-func (pg *ProbGraph) Fold() {
-	if pg.ovCount == 0 {
-		pg.ovOut, pg.ovIn = nil, nil
-		return
-	}
-	n := pg.g.NumVertices()
-	newRowStart := make([]int32, n+1)
-	newColIdx := make([]int32, 0, len(pg.colIdx)+pg.ovCount)
-	newProb := make([]float64, 0, len(pg.colIdx)+pg.ovCount)
-	type entry struct {
-		j int32
-		p float64
-	}
-	var row []entry
-	for i := 0; i < n; i++ {
-		row = row[:0]
-		for e := pg.rowStart[i]; e < pg.rowStart[i+1]; e++ {
-			if pg.prob[e] > 0 {
-				row = append(row, entry{pg.colIdx[e], pg.prob[e]})
-			}
-		}
-		if pg.ovOut != nil {
-			for j, p := range pg.ovOut[i] {
-				row = append(row, entry{j, p})
-			}
-		}
-		// CSR and overlay are disjoint by the setProbAt invariant, so a
-		// plain sort (no dedupe) restores the ascending-column layout.
-		slices.SortFunc(row, func(a, b entry) int { return int(a.j) - int(b.j) })
-		for _, en := range row {
-			newColIdx = append(newColIdx, en.j)
-			newProb = append(newProb, en.p)
-		}
-		newRowStart[i+1] = int32(len(newColIdx))
-	}
-	pg.rowStart, pg.colIdx, pg.prob = newRowStart, newColIdx, newProb
-	pg.finish()
-}
-
-// Prob returns Pr[m_to | m_from], or 0 when no edge exists.
-func (pg *ProbGraph) Prob(from, to pair.Pair) float64 {
-	i := pg.g.IndexOf(from)
-	j := pg.g.IndexOf(to)
-	if i < 0 || j < 0 {
-		return 0
-	}
-	return pg.probAt(i, j)
-}
-
-// SetProb overrides an edge probability (used when re-estimating edges
-// after truth inference).
-func (pg *ProbGraph) SetProb(from, to pair.Pair, p float64) {
-	i := pg.g.IndexOf(from)
-	j := pg.g.IndexOf(to)
-	if i < 0 || j < 0 || i == j {
-		return
-	}
-	pg.setProbAt(i, j, p)
-}
-
-// NumEdges returns the number of positive-probability directed edges.
-func (pg *ProbGraph) NumEdges() int {
-	n := 0
-	for _, p := range pg.prob {
-		if p > 0 {
-			n++
-		}
-	}
-	return n + pg.ovCount
-}
-
-// Length returns −log Pr[m_to | m_from], the shortest-path edge length of
-// §VI-B, or +Inf when the edge is absent.
-func (pg *ProbGraph) Length(from, to pair.Pair) float64 {
-	p := pg.Prob(from, to)
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return -math.Log(p)
 }

@@ -57,6 +57,19 @@ func randomLabeledWorld(rng *rand.Rand, ents, rels, fanout int, keep float64) *l
 	return w
 }
 
+// densePriors returns every vertex's prior by index, as a Rewriter takes
+// them.
+func (w *labeledWorld) densePriors() []float64 {
+	priors := make([]float64, w.g.NumVertices())
+	for i, v := range w.g.Vertices() {
+		priors[i] = defaultPrior
+		if p, ok := w.priors[v]; ok {
+			priors[i] = p
+		}
+	}
+	return priors
+}
+
 // randomEstimates draws (ε1, ε2) for a random subset of the labels; the
 // others fall back to the 0.5 default.
 func randomEstimates(rng *rand.Rand, labels []ergraph.RelPair) map[ergraph.RelPair]consistency.Estimate {
@@ -173,13 +186,7 @@ func TestRewriteMatchesBuildProb(t *testing.T) {
 		}
 		est := randomEstimates(rng, labels)
 		pg := BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: est})
-		priors := make([]float64, n)
-		for i, v := range w.g.Vertices() {
-			priors[i] = 0.5
-			if p, ok := w.priors[v]; ok {
-				priors[i] = p
-			}
-		}
+		priors := w.densePriors()
 		rw := NewRewriter(pg, priors, est)
 		detached := make([]bool, n)
 		history := []map[ergraph.RelPair]consistency.Estimate{est}
@@ -233,87 +240,43 @@ func TestRewriteMatchesBuildProb(t *testing.T) {
 	}
 }
 
-// TestRewriteEnforcesSlotLayout covers the two ways a row's slots can
-// disagree with what its label groups produce — unreachable through
-// BuildProb graphs, whose posteriors are strictly positive, but reachable
-// through SetProb and Fold. A slot the groups do not produce (here a
-// folded overlay edge) must be removed, leaving the graph equal to a fresh
-// BuildProb edge for edge; a produced target whose slot a Fold compacted
-// away cannot be restored in place and must panic instead of being lost.
+// TestRewriteEnforcesSlotLayout covers the way a row's slots can disagree
+// with what its label groups produce that a rewrite cannot repair in
+// place — unreachable through BuildProb graphs, whose layout has a slot
+// for every graph edge: a produced target the CSR has no slot for must
+// panic instead of being lost.
 func TestRewriteEnforcesSlotLayout(t *testing.T) {
 	tc := rewriteCases[1]
-	setup := func() (*labeledWorld, *ProbGraph, *Rewriter, map[ergraph.RelPair]consistency.Estimate, int, int) {
-		rng := rand.New(rand.NewSource(tc.seed))
-		w := randomLabeledWorld(rng, tc.ents, tc.rels, tc.fanout, tc.keep)
-		est := randomEstimates(rng, w.g.Labels())
-		pg := BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: est})
-		n := w.g.NumVertices()
-		priors := make([]float64, n)
-		for i, v := range w.g.Vertices() {
-			priors[i] = 0.5
-			if p, ok := w.priors[v]; ok {
-				priors[i] = p
-			}
-		}
-		next := map[ergraph.RelPair]consistency.Estimate{} // every label moves
-		for _, l := range w.g.Labels() {
-			next[l] = consistency.Estimate{Eps1: 0.05 + 0.9*rng.Float64(), Eps2: 0.05 + 0.9*rng.Float64()}
-		}
-		// i owns label edges; j is a vertex it has no edge to.
-		for i := 0; i < n; i++ {
-			if pg.rowStart[i] == pg.rowStart[i+1] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if j != i && pg.slot(i, j) < 0 {
-					return w, pg, NewRewriter(pg, priors, est), next, i, j
-				}
-			}
-		}
-		t.Fatal("world has no vertex with both an edge and a non-neighbor")
-		return nil, nil, nil, nil, 0, 0
-	}
-
-	w, pg, rw, next, i, j := setup()
+	rng := rand.New(rand.NewSource(tc.seed))
+	w := randomLabeledWorld(rng, tc.ents, tc.rels, tc.fanout, tc.keep)
+	est := randomEstimates(rng, w.g.Labels())
+	full := BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: est})
 	n := w.g.NumVertices()
-	pg.setProbAt(i, j, 0.7)
-	pg.Fold()
-	if e := pg.slot(i, j); e < 0 || pg.prob[e] != 0.7 {
-		t.Fatal("fixture: the overlay edge did not fold into a slot")
+	priors := w.densePriors()
+	next := map[ergraph.RelPair]consistency.Estimate{} // every label moves
+	for _, l := range w.g.Labels() {
+		next[l] = consistency.Estimate{Eps1: 0.05 + 0.9*rng.Float64(), Eps2: 0.05 + 0.9*rng.Float64()}
 	}
-	tails := rw.Apply(next, make([]bool, n))
-	if !slices.Contains(tails, int32(i)) {
-		t.Fatalf("row %d lost an edge but is not among the tails %v", i, tails)
-	}
-	if e := pg.slot(i, j); pg.prob[e] != 0 || !math.IsInf(pg.length[e], 1) {
-		t.Fatalf("unproduced slot kept prob %v, length %v", pg.prob[e], pg.length[e])
-	}
-	want := BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: next})
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if got, fresh := pg.probAt(a, b), want.probAt(a, b); math.Float64bits(got) != math.Float64bits(fresh) {
-				t.Fatalf("Pr[%d|%d] = %v after the rewrite, fresh build %v", b, a, got, fresh)
+	// The same graph with the first slot missing from its layout.
+	adj := make([]map[int]float64, n)
+	for i := range adj {
+		adj[i] = map[int]float64{}
+		for e := full.rowStart[i]; e < full.rowStart[i+1]; e++ {
+			if e > 0 {
+				adj[i][int(full.colIdx[e])] = full.prob[e]
 			}
 		}
 	}
-	if !slices.Equal(pg.outDeg, want.outDeg) || !slices.Equal(pg.inDeg, want.inDeg) {
-		t.Fatal("live degrees differ from a fresh build")
-	}
-
-	_, pg, rw, next, i, j = setup()
-	gone := int(pg.colIdx[pg.rowStart[i]])
-	pg.setProbAt(i, gone, 0) // removed, not detached
-	pg.setProbAt(i, j, 0.7)  // an overlay edge, so Fold compacts
-	pg.Fold()
-	if pg.slot(i, gone) >= 0 {
-		t.Fatal("fixture: Fold kept the removed slot")
+	pg := probGraphFromAdj(w.g, adj)
+	if len(pg.colIdx) != len(full.colIdx)-1 {
+		t.Fatal("fixture: the layout should lack exactly one slot")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Apply silently dropped a recomputed edge that has no slot")
 		}
 	}()
-	rw.Apply(next, make([]bool, n))
+	NewRewriter(pg, priors, est).Apply(next, make([]bool, n))
 }
 
 // assertSameBalls compares two engines' balls bitwise.
@@ -341,8 +304,7 @@ func sortedRow(row []int32) []int32 {
 
 // TestEnginePartialInvalidationMixedEdits is the property test for the
 // exact invalidation rule: batches mixing strengthened, weakened, removed
-// and brand-new (overlay) edges with vertex detaches must, after one
-// Sync, leave balls bitwise equal to a fresh engine over the same graph
+// and restored edges with vertex detaches must, after one Sync, leave balls bitwise equal to a fresh engine over the same graph
 // and equal to the Floyd–Warshall oracle — and on a graph of disjoint
 // components, edits inside some components must not run a single Dijkstra
 // in the others.
@@ -373,23 +335,23 @@ func TestEnginePartialInvalidationMixedEdits(t *testing.T) {
 			}
 			for c := range edited {
 				for ops := 1 + rng.Intn(3); ops > 0; ops-- {
-					i := c*tc.size + rng.Intn(tc.size)
-					j := c*tc.size + rng.Intn(tc.size)
-					switch old := pg.probAt(i, j); rng.Intn(5) {
+					// A chain's edges stay inside it, so do the slots of its rows.
+					slot := pg.randomSlot(rng, c*tc.size, (c+1)*tc.size)
+					switch old := pg.prob[slot]; rng.Intn(5) {
 					case 0:
-						e.DetachVertex(verts[i])
+						e.DetachVertex(verts[c*tc.size+rng.Intn(tc.size)])
 					case 1:
-						e.SetProb(verts[i], verts[j], 0) // remove
+						e.editSlot(slot, 0) // remove
 					case 2:
-						e.SetProb(verts[i], verts[j], old*0.5) // weaken (or no-op on a missing edge)
+						e.editSlot(slot, old*0.5) // weaken (a no-op on a removed edge)
 					case 3:
-						e.SetProb(verts[i], verts[j], math.Min(1, old+0.3)) // strengthen, or add through the overlay
+						e.editSlot(slot, old+0.3) // strengthen, or restore a removed edge
 					case 4:
-						e.SetProb(verts[i], verts[j], 0.85+0.15*rng.Float64()) // add or overwrite
+						e.editSlot(slot, 0.85+0.15*rng.Float64()) // overwrite either way
 					}
 				}
 			}
-			pending, before := e.PendingSources(), e.Recomputes()
+			pending, before := e.pendingSources(), e.Recomputes()
 			if pending > len(edited)*tc.size {
 				t.Fatalf("%s: %d sources pending, but the edited components hold only %d", ctx, pending, len(edited)*tc.size)
 			}
@@ -414,16 +376,15 @@ func TestEnginePartialInvalidationMixedEdits(t *testing.T) {
 				}
 			}
 			assertSameBalls(t, ctx, e, NewEngine(pg.Clone(), tc.tau))
-			assertMatchesOracle(t, e, ctx)
+			assertMatchesOracle(t, e, tc.tau, ctx)
 		}
 	}
 }
 
 // TestCloneLeavesOriginalUntouched pins the copy-on-start contract shard
 // states rely on: whatever a loop does to a Clone — slot writes, vertex
-// detaches, a label rewrite, overlay edges and the Fold that compacts them
-// into a new CSR — the graph it was cloned from keeps every array bit for
-// bit (checked against a twin build that was never cloned) and infers the
+// detaches, a label rewrite — the graph it was cloned from keeps every
+// array bit for bit (checked against a twin build that was never cloned) and infers the
 // same balls, while the clone ends up exactly where the same edits take a
 // graph built for it alone.
 func TestCloneLeavesOriginalUntouched(t *testing.T) {
@@ -436,13 +397,7 @@ func TestCloneLeavesOriginalUntouched(t *testing.T) {
 		build := func() *ProbGraph {
 			return BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: est})
 		}
-		priors := make([]float64, n)
-		for i, v := range w.g.Vertices() {
-			priors[i] = 0.5
-			if p, ok := w.priors[v]; ok {
-				priors[i] = p
-			}
-		}
+		priors := w.densePriors()
 		orig, twin, own := build(), build(), build()
 		balls := orig.InferAll(tau)
 		clone := orig.Clone()
@@ -452,11 +407,10 @@ func TestCloneLeavesOriginalUntouched(t *testing.T) {
 			name string
 			edit func(pg *ProbGraph, rng *rand.Rand)
 		}{
-			{"SetProb", func(pg *ProbGraph, rng *rand.Rand) {
+			{"slot writes", func(pg *ProbGraph, rng *rand.Rand) {
 				for e := range pg.prob {
 					if rng.Intn(3) == 0 {
-						i, _ := slices.BinarySearch(pg.rowStart, int32(e+1))
-						pg.setProbAt(i-1, int(pg.colIdx[e]), pg.prob[e]*rng.Float64())
+						pg.writeSlot(int32(e), pg.prob[e]*rng.Float64())
 					}
 				}
 			}},
@@ -470,15 +424,6 @@ func TestCloneLeavesOriginalUntouched(t *testing.T) {
 			{"Rewriter.Apply", func(pg *ProbGraph, _ *rand.Rand) {
 				NewRewriter(pg, priors, est).Apply(next, detached)
 			}},
-			{"overlay+Fold", func(pg *ProbGraph, rng *rand.Rand) {
-				for added := 0; added < 3; {
-					if i, j := rng.Intn(n), rng.Intn(n); i != j && pg.slot(i, j) < 0 {
-						pg.setProbAt(i, j, 0.5+0.5*rng.Float64())
-						added++
-					}
-				}
-				pg.Fold()
-			}},
 		}
 		for _, st := range steps {
 			ctx := fmt.Sprintf("seed %d after %s on the clone", tc.seed, st.name)
@@ -487,12 +432,92 @@ func TestCloneLeavesOriginalUntouched(t *testing.T) {
 			st.edit(own, rand.New(rand.NewSource(seed)))
 			assertSameCSR(t, ctx+": clone vs own build", clone, own)
 			assertSameCSR(t, ctx+": original vs twin", orig, twin)
-			if orig.ovOut != nil || orig.ovIn != nil || orig.ovCount != 0 {
-				t.Fatalf("%s: the original grew an overlay", ctx)
-			}
 			again := orig.InferAll(tau)
 			for q := 0; q < n; q++ {
 				compareBalls(t, ctx, "dist", q, again.dist[q], balls.dist[q])
+			}
+		}
+	}
+}
+
+// TestProbGraphTopologyIsShared pins the fixed-topology contract: through
+// a random schedule of detaches, label rewrites, partial syncs,
+// bulk-fallback rebuilds and resets onto a new clone, the topology arrays
+// of every loop's graph stay the very arrays of the prepared graph it was
+// cloned from, the prepared graph keeps its weights, and the slot layout
+// equals a fresh BuildProb's.
+func TestProbGraphTopologyIsShared(t *testing.T) {
+	const tau = 0.8
+	sameArray := func(a, b []int32) bool {
+		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	}
+	for _, tc := range rewriteCases {
+		rng := rand.New(rand.NewSource(tc.seed))
+		w := randomLabeledWorld(rng, tc.ents, tc.rels, tc.fanout, tc.keep)
+		n, verts, labels := w.g.NumVertices(), w.g.Vertices(), w.g.Labels()
+		est := randomEstimates(rng, labels)
+		build := func() *ProbGraph {
+			return BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: est})
+		}
+		prepared, fresh, priors := build(), build(), w.densePriors()
+		type loop struct {
+			pg       *ProbGraph
+			e        *Engine
+			rw       *Rewriter
+			detached []bool
+		}
+		loops := make([]*loop, 3)
+		for i := range loops {
+			pg := prepared.Clone()
+			loops[i] = &loop{pg, NewEngine(pg, tau), NewRewriter(pg, priors, est), make([]bool, n)}
+		}
+		for step := 0; step < 40; step++ {
+			l := loops[rng.Intn(len(loops))]
+			op := rng.Intn(4)
+			if step%10 == 9 {
+				op = 4
+			}
+			switch op {
+			case 0:
+				i := rng.Intn(n)
+				l.detached[i] = true
+				l.e.DetachVertex(verts[i])
+			case 1:
+				l.e.InvalidateTails(l.rw.Apply(randomEstimates(rng, labels), l.detached))
+			case 2:
+				l.e.Sync() // partial, unless enough is pending
+			case 3:
+				for i := 0; i < n; i++ {
+					l.e.InvalidateTails([]int32{int32(i)})
+				}
+				if !l.e.full && !l.e.bulkFallback() {
+					t.Fatalf("seed %d step %d: every source is dirty but Sync would not rebuild in bulk", tc.seed, step)
+				}
+				l.e.Sync()
+			case 4: // what a from-scratch resync does, over a new clone
+				l.pg = prepared.Clone()
+				l.rw = NewRewriter(l.pg, priors, est)
+				l.e.Reset(l.pg)
+				for i, d := range l.detached {
+					if d {
+						l.e.DetachVertex(verts[i])
+					}
+				}
+			}
+			ctx := fmt.Sprintf("seed %d step %d (op %d)", tc.seed, step, op)
+			assertSameCSR(t, ctx+": prepared vs fresh build", prepared, fresh)
+			for _, l := range loops {
+				if l.e.pg != l.pg {
+					t.Fatalf("%s: the engine left its graph", ctx)
+				}
+				if !sameArray(l.pg.rowStart, prepared.rowStart) || !sameArray(l.pg.colIdx, prepared.colIdx) ||
+					!sameArray(l.pg.inRowStart, prepared.inRowStart) || !sameArray(l.pg.inSrc, prepared.inSrc) ||
+					!sameArray(l.pg.inPos, prepared.inPos) {
+					t.Fatalf("%s: a loop's graph no longer shares the prepared topology", ctx)
+				}
+				if len(l.pg.prob) != len(fresh.prob) || &l.pg.prob[0] == &prepared.prob[0] || &l.pg.length[0] == &prepared.length[0] {
+					t.Fatalf("%s: a loop's weights alias the prepared graph's", ctx)
+				}
 			}
 		}
 	}

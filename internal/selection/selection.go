@@ -187,21 +187,6 @@ func (Greedy) SelectRanked(cands []Candidate, mu int) []Pick {
 	return out
 }
 
-// Benefit evaluates benefit(Q) for an explicit question set (Eq. 16).
-// chosen indexes into cands.
-func Benefit(cands []Candidate, chosen []int) float64 {
-	state := getBenefitState(maxVertexIndex(cands))
-	defer putBenefitState(state)
-	for _, i := range chosen {
-		state.add(cands[i])
-	}
-	total := 0.0
-	for _, p := range state.touched {
-		total += state.bp[p]
-	}
-	return total
-}
-
 // MaxInf picks the questions with the largest inferred sets, ignoring
 // match probability (Figure 5 baseline).
 type MaxInf struct{}

@@ -214,3 +214,18 @@ func TestStrategiesEmptyInput(t *testing.T) {
 		}
 	}
 }
+
+// Benefit evaluates benefit(Q) for an explicit question set (Eq. 16).
+// chosen indexes into cands.
+func Benefit(cands []Candidate, chosen []int) float64 {
+	state := getBenefitState(maxVertexIndex(cands))
+	defer putBenefitState(state)
+	for _, i := range chosen {
+		state.add(cands[i])
+	}
+	total := 0.0
+	for _, p := range state.touched {
+		total += state.bp[p]
+	}
+	return total
+}

@@ -333,9 +333,6 @@ func NewServer(cfg Config) (*Server, []string, error) {
 // from session logs.
 func (s *Server) WALReplayed() int64 { return s.mgr.WALReplayed() }
 
-// Clustered reports whether the server places shard engines on workers.
-func (s *Server) Clustered() bool { return s.cluster != nil }
-
 // openSpec is the one way a create spec becomes a runnable pipeline
 // description — on the server (create, restore, startup recovery) and on
 // cluster workers (PrepareSpec): load its dataset and map its options.
@@ -423,9 +420,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.log.Info("shutdown: store closed")
 	return err
 }
-
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Handler returns the HTTP handler for all endpoints. /v1 routes are
 // gated on the drain flag: once Shutdown begins they answer 503 with a

@@ -154,13 +154,6 @@ func (c *Cache) releaseOwned(owner string) {
 	}
 }
 
-// Len returns the number of answered pairs.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.answers)
-}
-
 // Hits returns how many times a cached answer was served to a session.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 

@@ -66,9 +66,6 @@ func NewManagerStore(store Store) *Manager {
 // core.Config.Sched so shard fan-out is bounded across all sessions.
 func (m *Manager) Scheduler() *core.Scheduler { return m.sched }
 
-// Store returns the manager's session store.
-func (m *Manager) Store() Store { return m.store }
-
 // PersistFailures returns how many sessions have had a journal append
 // fail; non-zero means at least one session's durable state is stale
 // (see Session.PersistErr).

@@ -47,19 +47,6 @@ func (s Vector) StrictlyDominates(t Vector) bool {
 	return false
 }
 
-// Equal reports componentwise equality.
-func (s Vector) Equal(t Vector) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Runner runs n independent tasks, possibly in parallel. *core.Scheduler
 // satisfies it; simvec declares its own interface because core imports
 // this package.
@@ -325,27 +312,4 @@ func (pr *Pruner) pruneBlock(block []pair.Pair, k int) []pair.Pair {
 		}
 	}
 	return out
-}
-
-// MinRank computes min_rank(u1,u2) over the full candidate set (Eq. 2):
-// the max over both sides of the number of same-entity competitors whose
-// vectors strictly dominate the pair's vector.
-func (pr *Pruner) MinRank(pairs []pair.Pair, p pair.Pair) int {
-	v := pr.vectors[p]
-	r1, r2 := 0, 0
-	for _, q := range pairs {
-		if q == p {
-			continue
-		}
-		if q.U1 == p.U1 && pr.vectors[q].StrictlyDominates(v) {
-			r1++
-		}
-		if q.U2 == p.U2 && pr.vectors[q].StrictlyDominates(v) {
-			r2++
-		}
-	}
-	if r1 > r2 {
-		return r1
-	}
-	return r2
 }

@@ -3,6 +3,7 @@ package simvec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attrmatch"
@@ -29,7 +30,7 @@ func TestVectorDominance(t *testing.T) {
 	if a.Dominates(Vector{0.1}) {
 		t.Error("different lengths never dominate")
 	}
-	if !a.Equal(Vector{0.9, 0.8}) || a.Equal(b) {
+	if !slices.Equal(a, Vector{0.9, 0.8}) || slices.Equal(a, b) {
 		t.Error("Equal wrong")
 	}
 }
@@ -132,6 +133,30 @@ func TestPruneBothSides(t *testing.T) {
 	if len(got) != 3 {
 		t.Errorf("kept %d pairs, want 3", len(got))
 	}
+}
+
+// MinRank computes min_rank(u1,u2) over the full candidate set (Eq. 2),
+// the definition Prune's per-block bookkeeping is checked against:
+// the max over both sides of the number of same-entity competitors whose
+// vectors strictly dominate the pair's vector.
+func (pr *Pruner) MinRank(pairs []pair.Pair, p pair.Pair) int {
+	v := pr.vectors[p]
+	r1, r2 := 0, 0
+	for _, q := range pairs {
+		if q == p {
+			continue
+		}
+		if q.U1 == p.U1 && pr.vectors[q].StrictlyDominates(v) {
+			r1++
+		}
+		if q.U2 == p.U2 && pr.vectors[q].StrictlyDominates(v) {
+			r2++
+		}
+	}
+	if r1 > r2 {
+		return r1
+	}
+	return r2
 }
 
 func TestMinRank(t *testing.T) {

@@ -7,8 +7,7 @@ import (
 )
 
 // Benchmarks anchoring the dense-ID fast paths against the retained
-// string implementations; benchreport gates both so the indexed path's
-// advantage (and its allocation profile) cannot silently erode.
+// string implementations.
 
 func benchValues(n int) []string {
 	rng := rand.New(rand.NewSource(7))
@@ -38,25 +37,6 @@ func BenchmarkSimLCorpus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.SimL(ia, ib, 0.5, &sc)
-	}
-}
-
-func BenchmarkLevenshteinFull(b *testing.B) {
-	s, t := "relational match propagation", "relational batch propagation"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Levenshtein(s, t)
-	}
-}
-
-func BenchmarkLevenshteinBounded(b *testing.B) {
-	s, t := "relational match propagation", "relational batch propagation"
-	var sc EditScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LevenshteinBounded(s, t, 5, &sc)
 	}
 }
 

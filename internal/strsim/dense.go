@@ -65,148 +65,3 @@ func JaccardUpperBound(la, lb int) float64 {
 	}
 	return float64(la) / float64(lb)
 }
-
-// LevenshteinBounded returns the edit distance between a and b when it is
-// at most bound, and bound+1 otherwise. It runs the same two-row DP as
-// Levenshtein restricted to the |i−j| ≤ bound diagonal band, with an
-// early exit as soon as a whole row exceeds the bound, so far-apart
-// strings cost O(bound·len) instead of O(len²). Rows and rune buffers
-// come from the caller's EditScratch (one per worker); after warm-up the
-// call is allocation-free.
-func LevenshteinBounded(a, b string, bound int, sc *EditScratch) int {
-	if bound < 0 {
-		bound = 0
-	}
-	ra := sc.runes(a, 0)
-	rb := sc.runes(b, 1)
-	// Edit distance is symmetric; keep rb the shorter side so the rows
-	// (and the band clamp) run over the smaller length.
-	if len(ra) < len(rb) {
-		ra, rb = rb, ra
-	}
-	inf := bound + 1
-	if len(ra)-len(rb) > bound {
-		return inf
-	}
-	if len(rb) == 0 {
-		return len(ra) // ≤ bound by the length check above
-	}
-	prev := sc.row(len(rb)+1, 0)
-	cur := sc.row(len(rb)+1, 1)
-	for j := 0; j <= len(rb) && j <= bound; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		lo, hi := i-bound, i+bound
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > len(rb) {
-			hi = len(rb)
-		}
-		if lo == 1 {
-			cur[0] = i // i ≤ bound here, since lo = i-bound < 1
-		} else {
-			cur[lo-1] = inf // left band edge acts as +∞
-		}
-		rowMin := inf
-		for j := lo; j <= hi; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			m := prev[j-1] + cost // substitution / match
-			if d := cur[j-1] + 1; d < m {
-				m = d // insertion
-			}
-			if j <= i-1+bound { // prev[j] lies inside the previous row's band
-				if d := prev[j] + 1; d < m {
-					m = d // deletion
-				}
-			}
-			if m > inf {
-				m = inf
-			}
-			cur[j] = m
-			if m < rowMin {
-				rowMin = m
-			}
-		}
-		if rowMin >= inf {
-			return inf
-		}
-		prev, cur = cur, prev
-	}
-	if d := prev[len(rb)]; d <= bound {
-		return d
-	}
-	return inf
-}
-
-// EditSimilarityBounded is EditSimilarity computed through
-// LevenshteinBounded: it returns the exact edit similarity when it is at
-// least minSim, and (s, false) with s an upper bound otherwise. Callers
-// scanning many candidates for high-similarity strings skip the full DP
-// on everything far away.
-func EditSimilarityBounded(a, b string, minSim float64, sc *EditScratch) (float64, bool) {
-	la, lb := 0, 0
-	for range a {
-		la++
-	}
-	for range b {
-		lb++
-	}
-	if la == 0 && lb == 0 {
-		return 1, 1 >= minSim
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	// sim ≥ minSim  ⇔  distance ≤ (1−minSim)·m; bound the DP there.
-	bound := int((1 - minSim) * float64(m))
-	if bound > m {
-		bound = m
-	}
-	d := LevenshteinBounded(a, b, bound, sc)
-	sim := 1 - float64(d)/float64(m)
-	if d > bound {
-		return sim, false // sim is an upper bound, not the exact value
-	}
-	return sim, true
-}
-
-// EditScratch holds the pooled rows and rune buffers LevenshteinBounded
-// works in. The zero value is ready to use; reuse one scratch per worker
-// to amortize all allocation away (growth is len/cap-guarded). Not safe
-// for concurrent use.
-type EditScratch struct {
-	rows  [2][]int
-	runeA []rune
-	runeB []rune
-}
-
-func (sc *EditScratch) row(n, which int) []int {
-	if cap(sc.rows[which]) < n {
-		sc.rows[which] = make([]int, n)
-	}
-	sc.rows[which] = sc.rows[which][:n]
-	return sc.rows[which]
-}
-
-func (sc *EditScratch) runes(s string, which int) []rune {
-	buf := sc.runeA
-	if which == 1 {
-		buf = sc.runeB
-	}
-	buf = buf[:0]
-	for _, r := range s {
-		buf = append(buf, r)
-	}
-	if which == 1 {
-		sc.runeB = buf
-	} else {
-		sc.runeA = buf
-	}
-	return buf
-}

@@ -6,79 +6,6 @@ import (
 	"testing"
 )
 
-var denseStrings = []string{
-	"", "a", "ab", "abc", "abcd", "kitten", "sitting", "flaw", "lawn",
-	"café", "cafe", "naïve", "naive", "北京", "北京市", "東京都", "🦀🦀", "🦀",
-	"supercalifragilistic", "supercalifragilistiX",
-	"aaaaaaaaaa", "aaaaabaaaa", "identical", "identical",
-}
-
-func randDenseString(r *rand.Rand) string {
-	alphabet := []rune("abcdé北🦀")
-	n := r.Intn(12)
-	out := make([]rune, n)
-	for i := range out {
-		out[i] = alphabet[r.Intn(len(alphabet))]
-	}
-	return string(out)
-}
-
-// TestLevenshteinBoundedMatchesFull: for any bound, the banded DP returns
-// the exact distance when it is within the bound and bound+1 otherwise.
-func TestLevenshteinBoundedMatchesFull(t *testing.T) {
-	var sc EditScratch
-	check := func(a, b string, bound int) {
-		t.Helper()
-		full := Levenshtein(a, b)
-		got := LevenshteinBounded(a, b, bound, &sc)
-		want := full
-		if full > bound {
-			want = bound + 1
-		}
-		if got != want {
-			t.Fatalf("LevenshteinBounded(%q, %q, %d) = %d, want %d (full %d)", a, b, bound, got, want, full)
-		}
-	}
-	for _, a := range denseStrings {
-		for _, b := range denseStrings {
-			for bound := 0; bound <= 8; bound++ {
-				check(a, b, bound)
-			}
-			check(a, b, 100)
-		}
-	}
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		a, b := randDenseString(r), randDenseString(r)
-		check(a, b, r.Intn(10))
-	}
-}
-
-// TestEditSimilarityBounded: exact when reported exact, an upper bound
-// otherwise; the exact value must be byte-identical to EditSimilarity.
-func TestEditSimilarityBounded(t *testing.T) {
-	var sc EditScratch
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		a, b := randDenseString(r), randDenseString(r)
-		minSim := float64(r.Intn(11)) / 10
-		full := EditSimilarity(a, b)
-		got, exact := EditSimilarityBounded(a, b, minSim, &sc)
-		if exact {
-			if got != full {
-				t.Fatalf("EditSimilarityBounded(%q, %q, %v) exact %v != EditSimilarity %v", a, b, minSim, got, full)
-			}
-		} else {
-			if got < full {
-				t.Fatalf("EditSimilarityBounded(%q, %q, %v) bound %v below true %v", a, b, minSim, got, full)
-			}
-			if full >= minSim {
-				t.Fatalf("EditSimilarityBounded(%q, %q, %v) gave up although true sim %v >= minSim", a, b, minSim, full)
-			}
-		}
-	}
-}
-
 // TestJaccardIDsMatchesStrings: interning token sets to dense IDs leaves
 // the Jaccard float byte-identical.
 func TestJaccardIDsMatchesStrings(t *testing.T) {

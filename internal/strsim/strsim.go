@@ -1,9 +1,8 @@
 // Package strsim provides the string normalization and similarity measures
-// used throughout the Remp pipeline: label tokenization with stemming,
-// Jaccard/Dice/cosine/overlap coefficients on token sets, Levenshtein edit
-// similarity, numeric and date similarity by maximum percentage difference,
-// and the extended Jaccard measure simL over sets of literals (Naumann &
-// Herschel, "An Introduction to Duplicate Detection").
+// used throughout the Remp pipeline: label tokenization with stemming, the
+// Jaccard coefficient on token sets, numeric and date similarity by maximum
+// percentage difference, and the extended Jaccard measure simL over sets of
+// literals (Naumann & Herschel, "An Introduction to Duplicate Detection").
 //
 // All functions are pure and safe for concurrent use.
 package strsim
@@ -136,107 +135,6 @@ func Jaccard(a, b []string) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// Dice returns the Sørensen–Dice coefficient 2|a∩b| / (|a|+|b|).
-func Dice(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	return 2 * float64(inter) / float64(len(a)+len(b))
-}
-
-// Cosine returns the set cosine similarity |a∩b| / sqrt(|a||b|).
-func Cosine(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	return float64(inter) / sqrtf(float64(len(a))*float64(len(b)))
-}
-
-// Overlap returns the overlap coefficient |a∩b| / min(|a|,|b|).
-func Overlap(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	return float64(inter) / float64(m)
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton's method; inputs are small set-size products so a few
-	// iterations converge to machine precision.
-	z := x
-	for i := 0; i < 32; i++ {
-		nz := 0.5 * (z + x/z)
-		if nz == z {
-			break
-		}
-		z = nz
-	}
-	return z
-}
-
-// Levenshtein returns the edit distance between a and b using two-row
-// dynamic programming over runes.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			del := prev[j] + 1
-			ins := cur[j-1] + 1
-			sub := prev[j-1] + cost
-			m := del
-			if ins < m {
-				m = ins
-			}
-			if sub < m {
-				m = sub
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// EditSimilarity returns 1 − Levenshtein(a,b)/max(len(a),len(b)), a
-// similarity in [0,1]. Two empty strings have similarity 1.
-func EditSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
 }
 
 // NumberSimilarity compares two numbers by maximum percentage difference:

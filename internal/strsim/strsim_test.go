@@ -2,8 +2,6 @@ package strsim
 
 import (
 	"math"
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,51 +86,6 @@ func TestJaccard(t *testing.T) {
 	}
 	if got := Jaccard(nil, a); got != 0 {
 		t.Errorf("empty vs nonempty: Jaccard = %v, want 0", got)
-	}
-}
-
-func TestDiceCosineOverlap(t *testing.T) {
-	a := []string{"a", "b"}
-	b := []string{"b", "c", "d"}
-	if got := Dice(a, b); math.Abs(got-2.0/5.0) > 1e-12 {
-		t.Errorf("Dice = %v, want 0.4", got)
-	}
-	if got := Cosine(a, b); math.Abs(got-1/math.Sqrt(6)) > 1e-9 {
-		t.Errorf("Cosine = %v, want %v", got, 1/math.Sqrt(6))
-	}
-	if got := Overlap(a, b); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Overlap = %v, want 0.5", got)
-	}
-}
-
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"kitten", "sitting", 3},
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"same", "same", 0},
-		{"flaw", "lawn", 2},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestEditSimilarity(t *testing.T) {
-	if got := EditSimilarity("", ""); got != 1 {
-		t.Errorf("empty strings: got %v, want 1", got)
-	}
-	if got := EditSimilarity("abc", "abc"); got != 1 {
-		t.Errorf("equal strings: got %v, want 1", got)
-	}
-	if got := EditSimilarity("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint strings: got %v, want 0", got)
 	}
 }
 
@@ -247,42 +200,14 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
-// Property: Levenshtein is a metric (symmetry, identity, triangle
-// inequality) on random short strings.
-func TestLevenshteinMetricProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	randStr := func() string {
-		n := rng.Intn(8)
-		var sb strings.Builder
-		for i := 0; i < n; i++ {
-			sb.WriteByte(byte('a' + rng.Intn(4)))
-		}
-		return sb.String()
-	}
-	for i := 0; i < 200; i++ {
-		a, b, c := randStr(), randStr(), randStr()
-		dab, dba := Levenshtein(a, b), Levenshtein(b, a)
-		if dab != dba {
-			t.Fatalf("symmetry violated: d(%q,%q)=%d, d(%q,%q)=%d", a, b, dab, b, a, dba)
-		}
-		if Levenshtein(a, a) != 0 {
-			t.Fatalf("identity violated for %q", a)
-		}
-		if dab > Levenshtein(a, c)+Levenshtein(c, b) {
-			t.Fatalf("triangle inequality violated: a=%q b=%q c=%q", a, b, c)
-		}
-	}
-}
-
-// Property: EditSimilarity and NumberSimilarity stay in [0,1].
+// Property: NumberSimilarity stays in [0,1].
 func TestSimilarityBounds(t *testing.T) {
-	f := func(a, b string, x, y float64) bool {
+	f := func(x, y float64) bool {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
 			return true
 		}
-		es := EditSimilarity(a, b)
 		ns := NumberSimilarity(x, y)
-		return es >= 0 && es <= 1 && ns >= 0 && ns <= 1
+		return ns >= 0 && ns <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
