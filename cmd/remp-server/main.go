@@ -41,9 +41,9 @@
 //	     -d '{"answers":[{"id":"3-7","labels":[{"worker":0,"quality":0.97,"match":true}]}]}'
 //	curl -s localhost:8080/v1/sessions/s1/result
 //
-// Telemetry is on GET /metrics (Prometheus text; ?format=json for a
-// JSON snapshot), liveness on /healthz, readiness on /readyz. See the
-// package comment of internal/server for the full endpoint list.
+// Telemetry is on GET /metrics (Prometheus text), liveness on /healthz,
+// readiness on /readyz. See the package comment of internal/server for the
+// full endpoint list.
 package main
 
 import (

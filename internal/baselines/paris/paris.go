@@ -90,6 +90,7 @@ func (m Method) Run(in *baselines.Input) *baselines.Output {
 	}
 	cons := fitCons(seedSet)
 
+	verts, labels := g.Vertices(), g.Labels()
 	for round := 0; round < opts.Rounds; round++ {
 		next := make(map[pair.Pair]float64, len(prob))
 		for s := range prob {
@@ -98,19 +99,20 @@ func (m Method) Run(in *baselines.Input) *baselines.Output {
 		for _, s := range in.Seeds {
 			next[s] = 1
 		}
-		for _, v := range g.Vertices() {
+		for i, v := range verts {
 			if seedSet.Has(v) {
 				continue
 			}
-			// Noisy-or over incoming evidence: an in-edge from a probable
-			// match u via label L contributes ε(L)·P(u).
+			// Noisy-or over incoming evidence, in in-row order: an in-edge
+			// from a probable match u via label L contributes ε(L)·P(u).
 			acc := 1.0
-			for _, e := range g.In(v) {
-				pu := prob[e.From]
+			inLabels := g.InLabelsAt(i)
+			for k, j := range g.InIndexesAt(i) {
+				pu := prob[verts[j]]
 				if pu <= 0 {
 					continue
 				}
-				est := cons[e.Label]
+				est := cons[labels[inLabels[k]]]
 				eps := est.Eps1
 				if est.Eps2 < eps {
 					eps = est.Eps2

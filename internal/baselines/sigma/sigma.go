@@ -53,22 +53,31 @@ func (m Method) Run(in *baselines.Input) *baselines.Output {
 		used2[s.U2] = true
 	}
 
+	// neighbors visits p's graph neighbors, one visit per edge: out-row
+	// first, then in-row. A pair outside the graph has none.
+	verts := g.Vertices()
+	neighbors := func(p pair.Pair, visit func(pair.Pair)) {
+		i := g.IndexOf(p)
+		if i < 0 {
+			return
+		}
+		for _, j := range g.OutIndexesAt(i) {
+			visit(verts[j])
+		}
+		for _, j := range g.InIndexesAt(i) {
+			visit(verts[j])
+		}
+	}
 	// structural support: fraction of a vertex's graph neighbors already
 	// matched.
 	support := func(p pair.Pair) float64 {
 		total, hits := 0, 0
-		for _, e := range g.Out(p) {
+		neighbors(p, func(q pair.Pair) {
 			total++
-			if matched.Has(e.To) {
+			if matched.Has(q) {
 				hits++
 			}
-		}
-		for _, e := range g.In(p) {
-			total++
-			if matched.Has(e.From) {
-				hits++
-			}
-		}
+		})
 		if total == 0 {
 			return 0
 		}
@@ -91,12 +100,7 @@ func (m Method) Run(in *baselines.Input) *baselines.Output {
 		heap.Push(h, item{p: p, score: score(p)})
 	}
 	for _, s := range in.Seeds {
-		for _, e := range g.Out(s) {
-			push(e.To)
-		}
-		for _, e := range g.In(s) {
-			push(e.From)
-		}
+		neighbors(s, push)
 	}
 
 	for h.Len() > 0 {
@@ -117,12 +121,7 @@ func (m Method) Run(in *baselines.Input) *baselines.Output {
 		// An acceptance raises the structural support of its graph
 		// neighbors and admits them to the agenda (duplicates are harmless
 		// — used entries are skipped on pop).
-		for _, e := range g.Out(it.p) {
-			push(e.To)
-		}
-		for _, e := range g.In(it.p) {
-			push(e.From)
-		}
+		neighbors(it.p, push)
 	}
 
 	return &baselines.Output{Matches: matched}

@@ -75,7 +75,7 @@ func TestSigmaNoSeedsNothing(t *testing.T) {
 
 func TestSigmaThresholdStopsWeakCandidates(t *testing.T) {
 	in, _, chain := chainInput(6, 0)
-	for p := range in.Priors {
+	for _, p := range in.Retained {
 		in.Priors[p] = 0.01 // below any sensible acceptance
 	}
 	in.Seeds = []pair.Pair{chain[0]}

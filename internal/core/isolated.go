@@ -121,7 +121,7 @@ func newIsolatedClassifier(p *Prepared, res *Result) *isolatedClassifier {
 		switch {
 		case res.Matches.Has(q):
 			c.role[i] = rolePositive
-		case res.NonMatches.Has(q) || len(p.Graph.OutAt(i)) > 0 || len(p.Graph.InAt(i)) > 0:
+		case res.NonMatches.Has(q) || len(p.Graph.OutIndexesAt(i)) > 0 || len(p.Graph.InIndexesAt(i)) > 0:
 			c.role[i] = roleNegative
 		default:
 			c.role[i] = roleTarget

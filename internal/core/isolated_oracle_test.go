@@ -120,7 +120,7 @@ func oracleTrainNeighborhoodForest(p *Prepared, res *Result, sig map[pair.Pair][
 			// Unresolved pairs act as negatives — but only the
 			// non-isolated ones, which propagation had a chance to
 			// confirm.
-			if len(p.Graph.Out(q)) > 0 || len(p.Graph.In(q)) > 0 {
+			if i := p.Graph.IndexOf(q); len(p.Graph.OutIndexesAt(i)) > 0 || len(p.Graph.InIndexesAt(i)) > 0 {
 				negX = append(negX, oracleIsolatedFeatures(p, q))
 			}
 		}

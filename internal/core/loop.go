@@ -621,7 +621,7 @@ func (l *Loop) openBatch() {
 			return
 		}
 	}
-	chosen := l.selectBatch(cands, active, perShard, pos, mu)
+	chosen := l.selectBatch(active, perShard, pos, mu)
 	if l.err != nil {
 		cfg.Obs.StageEnd(obs.StageSelect, tSelect)
 		return
@@ -654,23 +654,14 @@ func (l *Loop) openBatch() {
 	l.buf = make(map[pair.Pair][]crowd.Label, len(l.open))
 }
 
-// selectBatch chooses up to mu questions. Single-shard loops (and custom
-// strategies without ranked selection) run the strategy over the merged
-// candidate list, exactly as the monolithic loop always has. Sharded loops
-// with a Ranked strategy select per shard concurrently and merge the
-// per-shard sequences by committed score — the global µ-batch drawn
-// across shards by expected benefit. Because inferred sets never cross
-// shards, the merged sequence equals what the strategy would have chosen
-// on the merged list: scores depend only on same-shard predecessors, and
-// ties break on the global candidate order either way. A clean shard's
-// ranked sequence is reused from the previous loop (its candidates are
-// unchanged, so its scores are too).
-func (l *Loop) selectBatch(cands []selection.Candidate, active []int, perShard [][]selection.Candidate, pos [][]int, mu int) []int {
+// selectBatch chooses up to mu questions: every shard ranks its own
+// candidates (concurrently; a clean shard's ranked sequence is reused from
+// the previous loop, its candidates being unchanged) and the per-shard
+// sequences are merged by committed score, ties on the global candidate
+// order. By the Strategy contract the merged sequence is what the strategy
+// would choose on the merged list, at any shard count.
+func (l *Loop) selectBatch(active []int, perShard [][]selection.Candidate, pos [][]int, mu int) []int {
 	cfg := l.p.Cfg
-	_, ok := cfg.Strategy.(selection.Ranked)
-	if len(perShard) == 1 || !ok {
-		return cfg.Strategy.Select(cands, mu)
-	}
 	picks := make([][]selection.Pick, len(perShard))
 	stale := make([]int, 0, len(active))
 	for k, s := range active {

@@ -38,7 +38,9 @@ type Prepared struct {
 	// laptop-scale graphs); sharded pipelines keep one probabilistic
 	// subgraph per shard instead, which bounds the peak size of any one
 	// engine's ball maps. Shard states work on clones of it.
-	Prob   *propagation.ProbGraph
+	Prob *propagation.ProbGraph
+	// Priors is Blocking.Priors itself, read at retained pairs only; the
+	// hot paths read each pipe's dense per-vertex view instead.
 	Priors map[pair.Pair]float64
 
 	// Part is the shard assignment of the candidate-pair graph (connected
@@ -66,8 +68,9 @@ func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 	return prepare(k1, k2, cfg, nil, nil)
 }
 
-// PrepareOnRetained builds a pipeline over an explicit retained pair set,
-// reusing a previously computed blocking result. It is used by the
+// PrepareOnRetained builds a pipeline over an explicit retained pair set
+// (candidates of blk, which supplies their priors), reusing a previously
+// computed blocking result. It is used by the
 // Figure 6 scalability sweep, which measures Algorithms 2–3 on fractions
 // of Mrd.
 func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
@@ -118,10 +121,7 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	cfg.Obs.StageEnd(obs.StageSimilarity, ts)
 
 	p.Graph = ergraph.Build(k1, k2, p.Retained)
-	p.Priors = make(map[pair.Pair]float64, len(p.Retained))
-	for _, q := range p.Retained {
-		p.Priors[q] = p.Blocking.Priors[q]
-	}
+	p.Priors = p.Blocking.Priors
 
 	p.byEntity1 = make(map[kb.EntityID][]pair.Pair)
 	p.byEntity2 = make(map[kb.EntityID][]pair.Pair)

@@ -39,8 +39,8 @@ type ShardRunner interface {
 	// with inferred sets as global vertex indexes. The boolean reports
 	// whether some candidate can still infer a pair other than itself.
 	Gather(s int) ([]selection.Candidate, bool, error)
-	// Rank runs the configured Ranked strategy over shard s's candidates
-	// from its latest gather, for a batch of size mu.
+	// Rank runs the configured strategy over shard s's candidates from its
+	// latest gather, for a batch of size mu.
 	Rank(s, mu int) ([]selection.Pick, error)
 	// Ball returns the vertices a confirmed match at q would infer — q's
 	// bounded-distance ball as of the last engine sync — in propagation
@@ -222,9 +222,9 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 	return cands, anyPropagation
 }
 
-// Rank runs the configured Ranked strategy over the latest gather's
-// candidates. A state that has never gathered (a worker that just replayed
-// a reassigned shard's log) gathers first; the engine is already at the
+// Rank runs the configured strategy over the latest gather's candidates.
+// A state that has never gathered (a worker that just replayed a
+// reassigned shard's log) gathers first; the engine is already at the
 // logged sync position, so the candidates — and hence the ranks — equal
 // the ones the lost worker computed.
 func (st *ShardState) Rank(mu int) []selection.Pick {
@@ -234,11 +234,7 @@ func (st *ShardState) Rank(mu int) []selection.Pick {
 	if len(st.lastCands) == 0 {
 		return []selection.Pick{}
 	}
-	ranked, ok := st.p.Cfg.Strategy.(selection.Ranked)
-	if !ok {
-		return []selection.Pick{}
-	}
-	return ranked.SelectRanked(st.lastCands, mu)
+	return st.p.Cfg.Strategy.SelectRanked(st.lastCands, mu)
 }
 
 // Ball returns q's bounded-distance ball as of the last engine sync, in

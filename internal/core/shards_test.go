@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/pair"
 	"repro/internal/selection"
 )
 
@@ -151,5 +154,44 @@ func TestShardsValidation(t *testing.T) {
 	cfg.Shards = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative Shards accepted")
+	}
+}
+
+// TestBatchesIdenticalAcrossShardCounts pins the one selection path: under
+// each strategy a 1-shard loop (a trivial merge, so the strategy run over
+// the whole candidate list) and a 4-shard loop (rank per shard, merge by
+// score) draw the same questions in the same order, batch after batch.
+func TestBatchesIdenticalAcrossShardCounts(t *testing.T) {
+	k1, k2, gold := movieWorld(8, 21)
+	for _, strategy := range []selection.Strategy{selection.Greedy{}, selection.MaxInf{}, selection.MaxPr{}} {
+		batches := func(shards int) [][]pair.Pair {
+			cfg := DefaultConfig()
+			cfg.Mu = 4
+			cfg.Strategy = strategy
+			cfg.Shards = shards
+			p := Prepare(k1, k2, cfg)
+			if shards > 1 && p.NumShards() < 2 {
+				t.Fatalf("fixture produced %d shards, want ≥ 2", p.NumShards())
+			}
+			asker := NewOracleAsker(gold.IsMatch)
+			var out [][]pair.Pair
+			for l := p.NewLoop(); !l.Done(); {
+				batch := slices.Clone(l.Batch())
+				out = append(out, batch)
+				for _, q := range batch {
+					if err := l.Deliver(q, asker.Ask(q)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return out
+		}
+		one, four := batches(1), batches(4)
+		if len(one) < 2 {
+			t.Fatalf("%T: %d batches, want a multi-loop run", strategy, len(one))
+		}
+		if !reflect.DeepEqual(one, four) {
+			t.Errorf("%T: batches differ\n 1 shard:  %v\n 4 shards: %v", strategy, one, four)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package ergraph implements the ER graph of Definition 2: a directed,
 // edge-labeled multigraph whose vertices are candidate entity pairs and
 // whose edges connect (u1,u2) → (u1′,u2′) with label (r1,r2) exactly when
-// (u1,r1,u1′) ∈ T1 and (u2,r2,u2′) ∈ T2. The package also exposes the
-// connected components and the isolated pairs that the graph cannot reach
-// (§VII-B).
+// (u1,r1,u1′) ∈ T1 and (u2,r2,u2′) ∈ T2. A Graph is its flat rows (see
+// Graph); nothing stores an edge as a struct.
 package ergraph
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -27,7 +27,7 @@ type RelPair struct {
 }
 
 // Less is the canonical label order: (R1, R2), forward before inverse. It
-// is the single comparator shared by Labels, the label groups and the edge sort,
+// orders Labels, and through the label index the rows and the label groups,
 // so every consumer processes labels differing only in direction in the
 // same, specified order.
 func (l RelPair) Less(m RelPair) bool {
@@ -40,27 +40,20 @@ func (l RelPair) Less(m RelPair) bool {
 	return !l.Inverse && m.Inverse
 }
 
-// Edge is a labeled directed edge between two vertices (entity pairs).
-type Edge struct {
-	From  pair.Pair
-	To    pair.Pair
-	Label RelPair
-}
-
-// Graph is an ER graph over a fixed vertex set.
+// Graph is an ER graph over a fixed vertex set: built once, then only read,
+// and stored one way — three parallel flat rows per direction. Vertex i's
+// out-edges are slots outStart[i]..outStart[i+1] of outTo (target vertex
+// index) and outLabel (label index); inStart/inFrom/inLabel hold the same
+// edges by target. A row is sorted by its neighbours' pair order (pair.Less,
+// whatever the vertex list's order), then by label index: the CSR slot order
+// of every ProbGraph, the input order of the row kernel's marginalization
+// and PARIS's product order, hence part of the byte-identity contract.
 type Graph struct {
 	vertices []pair.Pair
 	index    map[pair.Pair]int
-	// out[i] lists edges leaving vertex i; in[i] lists edges entering it.
-	out [][]Edge
-	in  [][]Edge
-	// Dense topology, one flat array per direction: vertex i's out-edges
-	// out[i][k] end at vertex outTo[outStart[i]+k], and its in-edges
-	// in[i][k] start at inFrom[inStart[i]+k]. Edge consumers (BuildProb,
-	// Subgraph, the partitioner) walk these integer rows instead of hashing
-	// pair.Pair per edge.
-	outStart, inStart []int32
-	outTo, inFrom     []int32
+
+	outStart, outTo, outLabel []int32
+	inStart, inFrom, inLabel  []int32
 
 	// labels are the distinct edge labels, sorted by RelPair.Less; a label's
 	// position is its index in every label-addressed array downstream (the
@@ -68,106 +61,128 @@ type Graph struct {
 	labels []RelPair
 	// Label groups, computed once: vertex i's out-edges grouped by label
 	// are groups grpStart[i]..grpStart[i+1], in label order. Group k has
-	// label index grpLabel[k] and lists its edges as positions into out[i]
-	// (ascending, so in stored edge order) at grpEdge[grpEnd[k-1]:grpEnd[k]].
+	// label index grpLabel[k] and lists its edges as positions into i's
+	// out-row (ascending, so in row order) at grpEdge[grpEnd[k-1]:grpEnd[k]].
 	grpStart []int32
 	grpLabel []int32
 	grpEnd   []int32
 	grpEdge  []int32
 }
 
+// edge is a collected edge on its way into a row: row is the vertex whose
+// row it lands in, nbr the vertex at its other end.
+type edge struct{ row, nbr, label int32 }
+
 // Build constructs the ER graph on the given vertex set (the retained
 // match set Mrd). For every vertex (u1,u2) and every relationship pair
 // (r1,r2) with u1 having r1-successors and u2 having r2-successors, an
 // edge is added to each successor pair that is also a vertex.
 func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
-	g := &Graph{
-		vertices: append([]pair.Pair(nil), vertices...),
-		index:    make(map[pair.Pair]int, len(vertices)),
-		out:      make([][]Edge, len(vertices)),
-		in:       make([][]Edge, len(vertices)),
-	}
-	for i, v := range g.vertices {
-		g.index[v] = i
+	g := newGraph(vertices)
+	var edges []edge
+	// Until the labels are sorted an edge carries its label's
+	// first-appearance id: the label's position in g.labels as collected.
+	seenID := map[RelPair]int32{}
+	// add links vertex i to every successor pair (w1, w2) ∈ n1×n2 that is
+	// itself a vertex, under the given label.
+	add := func(i int, n1, n2 []kb.EntityID, label RelPair) {
+		for _, w1 := range n1 {
+			for _, w2 := range n2 {
+				j, ok := g.index[pair.Pair{U1: w1, U2: w2}]
+				if !ok || j == i {
+					continue
+				}
+				id, ok := seenID[label]
+				if !ok {
+					id = int32(len(g.labels))
+					seenID[label] = id
+					g.labels = append(g.labels, label)
+				}
+				edges = append(edges, edge{row: int32(i), nbr: int32(j), label: id})
+			}
+		}
 	}
 	for i, v := range g.vertices {
 		for _, r1 := range k1.OutRels(v.U1) {
-			n1 := k1.Out(v.U1, r1)
 			for _, r2 := range k2.OutRels(v.U2) {
-				n2 := k2.Out(v.U2, r2)
-				g.addEdges(i, v, n1, n2, RelPair{R1: r1, R2: r2})
+				add(i, k1.Out(v.U1, r1), k2.Out(v.U2, r2), RelPair{R1: r1, R2: r2})
 			}
 		}
 		for _, r1 := range k1.InRels(v.U1) {
-			n1 := k1.In(v.U1, r1)
 			for _, r2 := range k2.InRels(v.U2) {
-				n2 := k2.In(v.U2, r2)
-				g.addEdges(i, v, n1, n2, RelPair{R1: r1, R2: r2, Inverse: true})
+				add(i, k1.In(v.U1, r1), k2.In(v.U2, r2), RelPair{R1: r1, R2: r2, Inverse: true})
 			}
 		}
 	}
-	for i := range g.out {
-		sortEdges(g.out[i])
-		sortEdges(g.in[i])
+	sort.Slice(g.labels, func(a, b int) bool { return g.labels[a].Less(g.labels[b]) })
+	sorted := make([]int32, len(g.labels)) // first-appearance id → label index
+	for i, l := range g.labels {
+		sorted[seenID[l]] = int32(i)
 	}
-	g.buildDenseIndexes()
+	for k := range edges {
+		edges[k].label = sorted[edges[k].label]
+	}
+	// rank[i] is vertex i's position in pair order: the rows' sort key.
+	order := make([]int32, len(g.vertices))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return g.vertices[order[a]].Less(g.vertices[order[b]]) })
+	rank := make([]int32, len(order))
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	g.outStart, g.outTo, g.outLabel = rows(len(g.vertices), edges, rank)
+	for k, e := range edges {
+		edges[k] = edge{row: e.nbr, nbr: e.row, label: e.label}
+	}
+	g.inStart, g.inFrom, g.inLabel = rows(len(g.vertices), edges, rank)
 	g.buildLabelGroups()
 	return g
 }
 
-// buildDenseIndexes fills the flat topology rows from the (sorted) edge
-// lists. It is the only per-edge pair hashing the graph ever pays;
-// everything downstream reads the dense arrays.
-func (g *Graph) buildDenseIndexes() {
-	n := len(g.vertices)
-	edges := g.NumEdges()
-	g.outStart = make([]int32, n+1)
-	g.inStart = make([]int32, n+1)
-	g.outTo = make([]int32, 0, edges)
-	g.inFrom = make([]int32, 0, edges)
-	for i := 0; i < n; i++ {
-		for _, e := range g.out[i] {
-			g.outTo = append(g.outTo, int32(g.index[e.To]))
-		}
-		for _, e := range g.in[i] {
-			g.inFrom = append(g.inFrom, int32(g.index[e.From]))
-		}
-		g.outStart[i+1] = int32(len(g.outTo))
-		g.inStart[i+1] = int32(len(g.inFrom))
+func newGraph(vertices []pair.Pair) *Graph {
+	g := &Graph{vertices: slices.Clone(vertices), index: make(map[pair.Pair]int, len(vertices))}
+	for i, v := range g.vertices {
+		g.index[v] = i
 	}
+	return g
 }
 
-// buildLabelGroups derives the sorted label list and the per-vertex label
-// groups from the edge lists. Within a vertex the groups follow
-// RelPair.Less and each group keeps the stored edge order (ascending To):
-// exactly the sequences neighbor propagation consumes, so no consumer
-// regroups or re-sorts per build.
-func (g *Graph) buildLabelGroups() {
-	labelIdx := make(map[RelPair]int32)
-	for _, es := range g.out {
-		for _, e := range es {
-			labelIdx[e.Label] = 0
-		}
+// rows sorts the edges into row order and lays them out as one direction's
+// three flat rows over n vertices.
+func rows(n int, edges []edge, rank []int32) (start, nbr, label []int32) {
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(rank[a.nbr], rank[b.nbr]), cmp.Compare(a.label, b.label))
+	})
+	start = make([]int32, n+1)
+	nbr = make([]int32, len(edges))
+	label = make([]int32, len(edges))
+	for k, e := range edges {
+		start[e.row+1]++
+		nbr[k], label[k] = e.nbr, e.label
 	}
-	g.labels = make([]RelPair, 0, len(labelIdx))
-	for l := range labelIdx {
-		g.labels = append(g.labels, l)
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
 	}
-	sort.Slice(g.labels, func(i, j int) bool { return g.labels[i].Less(g.labels[j]) })
-	for i, l := range g.labels {
-		labelIdx[l] = int32(i)
-	}
+	return start, nbr, label
+}
 
+// buildLabelGroups derives the per-vertex label groups from the out-rows.
+// Within a vertex the groups follow the label order and each group keeps
+// the row order (ascending To): exactly the sequences neighbor propagation
+// consumes, so no consumer regroups or re-sorts per build.
+func (g *Graph) buildLabelGroups() {
 	n := len(g.vertices)
 	g.grpStart = make([]int32, n+1)
 	g.grpEdge = make([]int32, 0, len(g.outTo))
 	// keys packs (label index, edge position) so one integer sort groups a
-	// vertex's edges by label while keeping the stored order inside a group.
+	// vertex's edges by label while keeping the row order inside a group.
 	var keys []int64
-	for i, es := range g.out {
+	for i := 0; i < n; i++ {
 		keys = keys[:0]
-		for k, e := range es {
-			keys = append(keys, int64(labelIdx[e.Label])<<32|int64(k))
+		for k, l := range g.OutLabelsAt(i) {
+			keys = append(keys, int64(l)<<32|int64(k))
 		}
 		slices.Sort(keys)
 		for x, key := range keys {
@@ -185,86 +200,61 @@ func (g *Graph) buildLabelGroups() {
 	g.grpEnd = slices.Clip(g.grpEnd)
 }
 
-// addEdges links vertex i to every successor pair (w1, w2) ∈ n1×n2 that is
-// itself a vertex, under the given label.
-func (g *Graph) addEdges(i int, v pair.Pair, n1, n2 []kb.EntityID, label RelPair) {
-	for _, w1 := range n1 {
-		for _, w2 := range n2 {
-			to := pair.Pair{U1: w1, U2: w2}
-			j, ok := g.index[to]
-			if !ok || j == i {
-				continue
-			}
-			e := Edge{From: v, To: to, Label: label}
-			g.out[i] = append(g.out[i], e)
-			g.in[j] = append(g.in[j], e)
-		}
-	}
-}
-
-func sortEdges(es []Edge) {
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].To != es[b].To {
-			return es[a].To.Less(es[b].To)
-		}
-		if es[a].From != es[b].From {
-			return es[a].From.Less(es[b].From)
-		}
-		return es[a].Label.Less(es[b].Label)
-	})
-}
-
 // Subgraph returns the induced subgraph on the given vertices (a subset
 // of g's vertex set, in any order): edges with either endpoint outside the
-// subset are dropped, and surviving edge slices keep the parent's sorted
-// order. Extracting a connected component this way is loss-free — every
+// subset are dropped, and surviving edges keep the parent's row order, so
+// the result equals Build over the same vertex list. It is pure array
+// arithmetic over the parent's rows: one hash per subgraph vertex, none per
+// edge. Extracting a connected component this way is loss-free — every
 // incident edge survives — so a per-shard pipeline built on a component
 // subgraph sees exactly the evidence the monolithic graph would.
 func (g *Graph) Subgraph(vertices []pair.Pair) *Graph {
-	sub := &Graph{
-		vertices: append([]pair.Pair(nil), vertices...),
-		index:    make(map[pair.Pair]int, len(vertices)),
-		out:      make([][]Edge, len(vertices)),
-		in:       make([][]Edge, len(vertices)),
-		outStart: make([]int32, len(vertices)+1),
-		inStart:  make([]int32, len(vertices)+1),
-	}
-	for i, v := range sub.vertices {
-		sub.index[v] = i
-	}
-	// remap[gi] is the subgraph index of parent vertex gi, or -1 when it was
-	// dropped. One hash per subgraph vertex; edge filtering below is pure
-	// array arithmetic over the parent's dense indexes.
+	sub := newGraph(vertices)
+	// parent[i] is the parent index of subgraph vertex i and remap its
+	// inverse; -1 marks a vertex the other graph does not have.
+	parent := make([]int32, len(sub.vertices))
 	remap := make([]int32, len(g.vertices))
 	for gi := range remap {
 		remap[gi] = -1
 	}
 	for i, v := range sub.vertices {
-		if gi, ok := g.index[v]; ok {
-			remap[gi] = int32(i)
+		parent[i] = int32(g.IndexOf(v))
+		if parent[i] >= 0 {
+			remap[parent[i]] = int32(i)
 		}
 	}
-	for i, v := range sub.vertices {
-		if gi, ok := g.index[v]; ok {
-			outIdx, inIdx := g.OutIndexesAt(gi), g.InIndexesAt(gi)
-			for k, e := range g.out[gi] {
-				if nj := remap[outIdx[k]]; nj >= 0 {
-					sub.out[i] = append(sub.out[i], e)
-					sub.outTo = append(sub.outTo, nj)
+	used := make([]bool, len(g.labels))
+	filter := func(start, nbr, label []int32) (subStart, subNbr, subLabel []int32) {
+		subStart = make([]int32, len(parent)+1)
+		for i, gi := range parent {
+			if gi >= 0 {
+				for k := start[gi]; k < start[gi+1]; k++ {
+					if nj := remap[nbr[k]]; nj >= 0 {
+						subNbr = append(subNbr, nj)
+						subLabel = append(subLabel, label[k])
+						used[label[k]] = true
+					}
 				}
 			}
-			for k, e := range g.in[gi] {
-				if nj := remap[inIdx[k]]; nj >= 0 {
-					sub.in[i] = append(sub.in[i], e)
-					sub.inFrom = append(sub.inFrom, nj)
-				}
-			}
+			subStart[i+1] = int32(len(subNbr))
 		}
-		sub.outStart[i+1] = int32(len(sub.outTo))
-		sub.inStart[i+1] = int32(len(sub.inFrom))
+		return subStart, slices.Clip(subNbr), slices.Clip(subLabel)
 	}
-	sub.outTo = slices.Clip(sub.outTo)
-	sub.inFrom = slices.Clip(sub.inFrom)
+	sub.outStart, sub.outTo, sub.outLabel = filter(g.outStart, g.outTo, g.outLabel)
+	sub.inStart, sub.inFrom, sub.inLabel = filter(g.inStart, g.inFrom, g.inLabel)
+	// The surviving labels keep the parent's (sorted) order; relabel maps a
+	// parent label index to its index among them.
+	relabel := make([]int32, len(g.labels))
+	for l, ok := range used {
+		if ok {
+			relabel[l] = int32(len(sub.labels))
+			sub.labels = append(sub.labels, g.labels[l])
+		}
+	}
+	for k := range sub.outLabel {
+		sub.outLabel[k] = relabel[sub.outLabel[k]]
+		sub.inLabel[k] = relabel[sub.inLabel[k]]
+	}
 	sub.buildLabelGroups()
 	return sub
 }
@@ -276,13 +266,7 @@ func (g *Graph) Vertices() []pair.Pair { return g.vertices }
 func (g *Graph) NumVertices() int { return len(g.vertices) }
 
 // NumEdges returns the total directed edge count.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, es := range g.out {
-		n += len(es)
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return len(g.outTo) }
 
 // IndexOf returns the dense index of vertex p, or -1.
 func (g *Graph) IndexOf(p pair.Pair) int {
@@ -292,37 +276,21 @@ func (g *Graph) IndexOf(p pair.Pair) int {
 	return -1
 }
 
-// Out returns the edges leaving p (do not modify).
-func (g *Graph) Out(p pair.Pair) []Edge {
-	if i, ok := g.index[p]; ok {
-		return g.out[i]
-	}
-	return nil
-}
-
-// In returns the edges entering p (do not modify).
-func (g *Graph) In(p pair.Pair) []Edge {
-	if i, ok := g.index[p]; ok {
-		return g.in[i]
-	}
-	return nil
-}
-
-// OutAt returns the edges leaving the vertex with dense index i (do not
-// modify).
-func (g *Graph) OutAt(i int) []Edge { return g.out[i] }
-
-// InAt returns the edges entering the vertex with dense index i (do not
-// modify).
-func (g *Graph) InAt(i int) []Edge { return g.in[i] }
-
-// OutIndexesAt returns the dense to-indexes of OutAt(i), parallel slice
-// (do not modify).
+// OutIndexesAt returns vertex i's out-row: the dense indexes of the vertices
+// its out-edges end at (do not modify).
 func (g *Graph) OutIndexesAt(i int) []int32 { return g.outTo[g.outStart[i]:g.outStart[i+1]] }
 
-// InIndexesAt returns the dense from-indexes of InAt(i), parallel slice
-// (do not modify).
+// OutLabelsAt returns the label indexes (into Labels) of vertex i's
+// out-edges, parallel to OutIndexesAt (do not modify).
+func (g *Graph) OutLabelsAt(i int) []int32 { return g.outLabel[g.outStart[i]:g.outStart[i+1]] }
+
+// InIndexesAt returns vertex i's in-row: the dense indexes of the vertices
+// its in-edges start at (do not modify).
 func (g *Graph) InIndexesAt(i int) []int32 { return g.inFrom[g.inStart[i]:g.inStart[i+1]] }
+
+// InLabelsAt returns the label indexes of vertex i's in-edges, parallel to
+// InIndexesAt (do not modify).
+func (g *Graph) InLabelsAt(i int) []int32 { return g.inLabel[g.inStart[i]:g.inStart[i+1]] }
 
 // GroupsAt returns the half-open range of label-group ids of vertex i, in
 // label order. Group ids are dense across the graph, ascending in vertex
@@ -336,7 +304,7 @@ func (g *Graph) GroupsAt(i int) (lo, hi int) {
 func (g *Graph) GroupLabels() []int32 { return g.grpLabel }
 
 // GroupEdges returns group k's edges as positions into its vertex's
-// OutAt / OutIndexesAt rows, ascending (do not modify).
+// out-row, ascending (do not modify).
 func (g *Graph) GroupEdges(k int) []int32 {
 	lo := int32(0)
 	if k > 0 {
@@ -350,7 +318,7 @@ func (g *Graph) GroupEdges(k int) []int32 {
 func (g *Graph) Isolated() []pair.Pair {
 	var out []pair.Pair
 	for i, v := range g.vertices {
-		if len(g.out[i]) == 0 && len(g.in[i]) == 0 {
+		if g.outStart[i] == g.outStart[i+1] && g.inStart[i] == g.inStart[i+1] {
 			out = append(out, v)
 		}
 	}

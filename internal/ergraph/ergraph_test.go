@@ -54,13 +54,38 @@ func buildFig1() (*Graph, map[string]pair.Pair) {
 	return Build(k1, k2, vertices), ps
 }
 
+// outEdges and inEdges read p's rows back as edges, in row order.
+func outEdges(g *Graph, p pair.Pair) []oracleEdge {
+	i := g.IndexOf(p)
+	if i < 0 {
+		return nil
+	}
+	var es []oracleEdge
+	for k, j := range g.OutIndexesAt(i) {
+		es = append(es, oracleEdge{From: p, To: g.vertices[j], Label: g.labels[g.OutLabelsAt(i)[k]]})
+	}
+	return es
+}
+
+func inEdges(g *Graph, p pair.Pair) []oracleEdge {
+	i := g.IndexOf(p)
+	if i < 0 {
+		return nil
+	}
+	var es []oracleEdge
+	for k, j := range g.InIndexesAt(i) {
+		es = append(es, oracleEdge{From: g.vertices[j], To: p, Label: g.labels[g.InLabelsAt(i)[k]]})
+	}
+	return es
+}
+
 func TestBuildEdges(t *testing.T) {
 	g, ps := buildFig1()
 	if g.NumVertices() != 7 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
 	}
 	// joan --(wasBornIn,birthPlace)--> nyc
-	out := g.Out(ps["joan"])
+	out := outEdges(g, ps["joan"])
 	foundNYC := false
 	for _, e := range out {
 		if e.To == ps["nyc"] {
@@ -71,12 +96,12 @@ func TestBuildEdges(t *testing.T) {
 		t.Error("joan → nyc edge missing")
 	}
 	// cradle --(directedBy,directedBy)--> tim, and (cradle,player) → tim too.
-	if len(g.Out(ps["cradle"])) == 0 || len(g.Out(ps["cp"])) == 0 {
+	if len(outEdges(g, ps["cradle"])) == 0 || len(outEdges(g, ps["cp"])) == 0 {
 		t.Error("directedBy edges missing")
 	}
 	// in-edges of tim come from cradle, player, cp (+ cross pairs absent
 	// because (y:Player,d:Cradle) is not a vertex).
-	if got := len(g.In(ps["tim"])); got != 3 {
+	if got := len(inEdges(g, ps["tim"])); got != 3 {
 		t.Errorf("in-degree of tim = %d, want 3", got)
 	}
 }
@@ -85,9 +110,9 @@ func TestEdgeSymmetryOfIndexes(t *testing.T) {
 	g, _ := buildFig1()
 	// Every out edge appears as an in edge of its target.
 	for _, v := range g.Vertices() {
-		for _, e := range g.Out(v) {
+		for _, e := range outEdges(g, v) {
 			found := false
-			for _, e2 := range g.In(e.To) {
+			for _, e2 := range inEdges(g, e.To) {
 				if e2 == e {
 					found = true
 					break
@@ -107,7 +132,7 @@ func TestOutByLabel(t *testing.T) {
 	if hi-lo != 2 {
 		t.Fatalf("joan should have 2 distinct labels, got %d", hi-lo)
 	}
-	out := g.OutAt(joan)
+	out := outEdges(g, ps["joan"])
 	total := 0
 	for k := lo; k < hi; k++ {
 		label := g.Labels()[g.GroupLabels()[k]]
@@ -123,15 +148,17 @@ func TestOutByLabel(t *testing.T) {
 	}
 }
 
-// TestDenseIndexesMirrorEdges pins the outIdx/inIdx arrays to the edge
-// lists: every dense index must name exactly the edge's endpoint, in the
-// parent graph and in an induced subgraph.
+// TestDenseIndexesMirrorEdges pins the outIdx/inIdx arrays to the oracle's
+// edge lists: every dense index must name exactly the edge's endpoint, in
+// the parent graph and in an induced subgraph.
 func TestDenseIndexesMirrorEdges(t *testing.T) {
 	g, ps := buildFig1()
-	check := func(g *Graph, ctx string) {
+	k1, k2, _ := figure1KBs()
+	o := buildOracle(k1, k2, g.Vertices())
+	check := func(g *Graph, o *oracleGraph, ctx string) {
 		t.Helper()
 		for i := range g.Vertices() {
-			out, outIdx := g.OutAt(i), g.OutIndexesAt(i)
+			out, outIdx := o.out[i], g.OutIndexesAt(i)
 			if len(out) != len(outIdx) {
 				t.Fatalf("%s: vertex %d out %d edges, %d indexes", ctx, i, len(out), len(outIdx))
 			}
@@ -140,7 +167,7 @@ func TestDenseIndexesMirrorEdges(t *testing.T) {
 					t.Fatalf("%s: outIdx[%d][%d] = %d, IndexOf(To) = %d", ctx, i, k, outIdx[k], got)
 				}
 			}
-			in, inIdx := g.InAt(i), g.InIndexesAt(i)
+			in, inIdx := o.in[i], g.InIndexesAt(i)
 			if len(in) != len(inIdx) {
 				t.Fatalf("%s: vertex %d in %d edges, %d indexes", ctx, i, len(in), len(inIdx))
 			}
@@ -151,9 +178,10 @@ func TestDenseIndexesMirrorEdges(t *testing.T) {
 			}
 		}
 	}
-	check(g, "parent")
-	sub := g.Subgraph([]pair.Pair{ps["tim"], ps["cradle"], ps["player"], ps["cp"]})
-	check(sub, "subgraph")
+	check(g, o, "parent")
+	kept := []pair.Pair{ps["tim"], ps["cradle"], ps["player"], ps["cp"]}
+	sub := g.Subgraph(kept)
+	check(sub, o.subgraph(kept), "subgraph")
 	// The subgraph keeps every edge among the kept vertices.
 	if sub.NumEdges() == 0 {
 		t.Fatal("subgraph dropped all edges")
@@ -188,7 +216,7 @@ func TestOutGroupsAtInverseTieBreak(t *testing.T) {
 	if first.Inverse || !second.Inverse {
 		t.Fatalf("labels out of order: %+v then %+v, want forward before inverse", first, second)
 	}
-	out, idx := g.OutAt(g.IndexOf(va)), g.OutIndexesAt(g.IndexOf(va))
+	out, idx := outEdges(g, va), g.OutIndexesAt(g.IndexOf(va))
 	for k := lo; k < hi; k++ {
 		if len(g.GroupEdges(k)) != 1 {
 			t.Fatalf("group %d: %d edges, want 1", k, len(g.GroupEdges(k)))
@@ -241,13 +269,13 @@ func TestInverseEdgesExist(t *testing.T) {
 	// (Tim,Tim) must reach the movie pairs through the inverse of
 	// directedBy — the paper's §V-B propagation example.
 	found := false
-	for _, e := range g.Out(ps["tim"]) {
+	for _, e := range outEdges(g, ps["tim"]) {
 		if e.To == ps["cradle"] && e.Label.Inverse {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no inverse edge tim → cradle: %v", g.Out(ps["tim"]))
+		t.Errorf("no inverse edge tim → cradle: %v", outEdges(g, ps["tim"]))
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 // record lives here.
 var deterministicPkgs = []string{
 	"repro/internal/core",
+	"repro/internal/ergraph",
 	"repro/internal/propagation",
 	"repro/internal/selection",
 	"repro/internal/partition",

@@ -14,6 +14,7 @@ import (
 // memory and reintroduces the map lookups the CSR refactor removed.
 var csrPkgs = []string{
 	"repro/internal/core",
+	"repro/internal/ergraph",
 	"repro/internal/propagation",
 	"repro/internal/partition",
 	"repro/internal/selection",

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"regexp"
 	"strings"
 	"sync"
@@ -154,41 +153,6 @@ func TestRegistrationPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-// TestSnapshotJSON checks the JSON view round-trips through encoding/json
-// and carries cumulative buckets.
-func TestSnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("snap_ops_total", "").Add(7)
-	h := r.Histogram("snap_lat_seconds", "", []float64{1})
-	h.Observe(0.5)
-	h.Observe(2)
-	cv := r.CounterVec("snap_routed_total", "", "route")
-	cv.With("a").Inc()
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]any
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back["snap_ops_total"].(float64) != 7 {
-		t.Errorf("snap_ops_total = %v", back["snap_ops_total"])
-	}
-	hist := back["snap_lat_seconds"].(map[string]any)
-	if hist["count"].(float64) != 2 {
-		t.Errorf("histogram count = %v", hist["count"])
-	}
-	buckets := hist["buckets"].(map[string]any)
-	if buckets["1"].(float64) != 1 || buckets["+Inf"].(float64) != 2 {
-		t.Errorf("buckets = %v", buckets)
-	}
-	routed := back["snap_routed_total"].(map[string]any)
-	if routed["a"].(float64) != 1 {
-		t.Errorf("routed = %v", routed)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // Registry owns a set of named metric families and renders them in the
-// Prometheus text exposition format (WritePrometheus) or as a JSON-able
-// snapshot (Snapshot). Registration happens at startup — constructors
+// Prometheus text exposition format (WritePrometheus), the one format
+// every consumer parses. Registration happens at startup — constructors
 // panic on duplicate or malformed names, like expvar — and the returned
 // Counter/Gauge/Histogram pointers are then mutated lock-free from any
 // goroutine. Families render in registration order; labeled children in
@@ -299,67 +299,4 @@ func escapeLabel(v string) string {
 func escapeHelp(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-// Snapshot returns the registry's current values as a JSON-able map:
-// scalar families map name to value (or to a {labelValue: value} map
-// when labeled), histograms to {count, sum, buckets} with cumulative
-// bucket counts keyed by formatted upper bound.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
-	out := make(map[string]any, len(fams))
-	for _, f := range fams {
-		out[f.name] = f.snapshot()
-	}
-	return out
-}
-
-func (f *family) snapshot() any {
-	if f.vecFn != nil {
-		vals := f.vecFn()
-		byLabel := make(map[string]any, len(vals))
-		for k, v := range vals {
-			byLabel[k] = v
-		}
-		return byLabel
-	}
-	f.mu.Lock()
-	children := make([]*series, len(f.series))
-	copy(children, f.series)
-	f.mu.Unlock()
-	value := func(s *series) any {
-		switch {
-		case s.h != nil:
-			bounds, cum := s.h.Buckets()
-			buckets := make(map[string]int64, len(cum))
-			for i, bound := range bounds {
-				buckets[formatFloat(bound)] = cum[i]
-			}
-			buckets["+Inf"] = cum[len(cum)-1]
-			return map[string]any{"count": s.h.Count(), "sum": s.h.Sum(), "buckets": buckets}
-		case s.c != nil:
-			return s.c.Value()
-		case s.g != nil:
-			return s.g.Value()
-		case s.fn != nil:
-			return s.fn()
-		}
-		return nil
-	}
-	if f.label == "" {
-		if len(children) == 0 {
-			return nil
-		}
-		return value(children[0])
-	}
-	byLabel := make(map[string]any, len(children))
-	f.mu.Lock()
-	for lv, s := range f.byLabel {
-		byLabel[lv] = value(s)
-	}
-	f.mu.Unlock()
-	return byLabel
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/ergraph"
 	"repro/internal/kb"
+	"repro/internal/pair"
 )
 
 // This file keeps the map-based neighbor propagation the dense kernel
@@ -53,11 +54,11 @@ func buildProbOracle(g *ergraph.Graph, params Params) *ProbGraph {
 	return pg
 }
 
-// labelGroup is the out-edges of one vertex under one label, with the
-// dense to-index of each edge in the parallel To slice.
+// labelGroup is the out-edges of one vertex under one label: each edge's
+// target pair, with its dense to-index in the parallel To slice.
 type labelGroup struct {
 	Label ergraph.RelPair
-	Edges []ergraph.Edge
+	Edges []pair.Pair
 	To    []int32
 }
 
@@ -67,14 +68,15 @@ func outGroupsOracle(g *ergraph.Graph, i int) []labelGroup {
 	idx := g.OutIndexesAt(i)
 	pos := map[ergraph.RelPair]int{}
 	var groups []labelGroup
-	for k, e := range g.OutAt(i) {
-		gi, ok := pos[e.Label]
+	for k, l := range g.OutLabelsAt(i) {
+		label := g.Labels()[l]
+		gi, ok := pos[label]
 		if !ok {
 			gi = len(groups)
-			pos[e.Label] = gi
-			groups = append(groups, labelGroup{Label: e.Label})
+			pos[label] = gi
+			groups = append(groups, labelGroup{Label: label})
 		}
-		groups[gi].Edges = append(groups[gi].Edges, e)
+		groups[gi].Edges = append(groups[gi].Edges, g.Vertices()[idx[k]])
 		groups[gi].To = append(groups[gi].To, idx[k])
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].Label.Less(groups[b].Label) })
@@ -90,27 +92,27 @@ func neighborhoodOracle(grp labelGroup, params Params) *Neighborhood {
 		est = consistency.Estimate{Eps1: 0.5, Eps2: 0.5}
 	}
 	nb := &Neighborhood{Eps1: est.Eps1, Eps2: est.Eps2}
-	for k, e := range grp.Edges {
+	for k, to := range grp.Edges {
 		j := grp.To[k]
 		if _, dup := seen[j]; dup {
 			continue
 		}
 		seen[j] = struct{}{}
-		r, ok := rowIdx[e.To.U1]
+		r, ok := rowIdx[to.U1]
 		if !ok {
 			r = len(rowIdx)
-			rowIdx[e.To.U1] = r
+			rowIdx[to.U1] = r
 		}
-		c, ok := colIdx[e.To.U2]
+		c, ok := colIdx[to.U2]
 		if !ok {
 			c = len(colIdx)
-			colIdx[e.To.U2] = c
+			colIdx[to.U2] = c
 		}
-		prior, ok := params.Priors[e.To]
+		prior, ok := params.Priors[to]
 		if !ok {
 			prior = defaultPrior
 		}
-		nb.Cands = append(nb.Cands, CandidatePair{Row: r, Col: c, Pair: e.To, Prior: prior, Idx: j})
+		nb.Cands = append(nb.Cands, CandidatePair{Row: r, Col: c, Pair: to, Prior: prior, Idx: j})
 	}
 	return nb
 }

@@ -239,13 +239,14 @@ func (rb *rowBuilder) row(i int) {
 //
 //remp:hotpath
 func (rb *rowBuilder) group(i, k int) {
-	out, idx := rb.g.OutAt(i), rb.g.OutIndexesAt(i)
+	verts, idx := rb.g.Vertices(), rb.g.OutIndexesAt(i)
 	rb.cands = rb.cands[:0]
 	rb.colEnt = rb.colEnt[:0]
 	row := -1
 	var rowEnt kb.EntityID
 	for _, pos := range rb.g.GroupEdges(k) {
-		to, j := out[pos].To, idx[pos]
+		j := idx[pos]
+		to := verts[j]
 		if row < 0 || to.U1 != rowEnt {
 			row++
 			rowEnt = to.U1

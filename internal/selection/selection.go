@@ -1,10 +1,9 @@
 // Package selection implements multiple questions selection (§VI): the
 // benefit of a question set Q is the expected number of matches inferable
-// from its labels (Eq. 15–16), a monotone submodular function; the
-// NP-hard budgeted maximization is solved greedily with lazy evaluation
-// (Algorithm 3), giving the classic (1−1/e) guarantee. MaxInf and MaxPr,
-// the two heuristics Remp is compared against in Figure 5, are provided as
-// alternative Strategy implementations.
+// from its labels (Eq. 15–16), a monotone submodular function maximized
+// greedily with lazy evaluation (Algorithm 3, the classic (1−1/e)
+// guarantee). Greedy and Figure 5's two heuristics, MaxInf and MaxPr,
+// implement the one Strategy interface: ranked selection.
 package selection
 
 import (
@@ -23,32 +22,23 @@ type Candidate struct {
 	Inferred []int
 }
 
-// Strategy selects up to mu questions from candidates.
-type Strategy interface {
-	// Select returns the chosen candidate indexes, highest priority first.
-	Select(cands []Candidate, mu int) []int
-}
-
 // Pick is one ranked selection: a candidate index plus the score the
 // strategy committed it at — the marginal benefit for Greedy, the sort key
-// for the heuristics. Within one SelectRanked call scores are
-// non-increasing (benefit is submodular; the heuristics sort), which is
-// what lets a scheduler merge independent shards' sequences by score.
+// for the heuristics.
 type Pick struct {
 	Index int
 	Score float64
 }
 
-// Ranked is implemented by strategies whose selection over a disjoint
-// union of candidate sets equals the score-ordered merge of the per-set
-// selections. All built-in strategies qualify: their scores depend only on
-// a candidate and the previously chosen candidates whose Inferred sets
-// overlap it, and inferred sets never cross shards. The sharded loop uses
-// this to select per shard concurrently and draw the global µ-batch across
-// shards by expected benefit.
-type Ranked interface {
-	Strategy
-	// SelectRanked is Select, annotated with commit scores.
+// Strategy selects up to mu questions from candidates, highest priority
+// first, each with its commit score. Two properties are the contract the
+// loop's shard merge rests on. Within one call scores are non-increasing
+// (benefit is submodular; the heuristics sort). And the selection over a
+// disjoint union of candidate sets equals the score-ordered merge of the
+// per-set selections: a score depends only on a candidate and the
+// previously chosen candidates whose Inferred sets overlap it, and inferred
+// sets never cross shards.
+type Strategy interface {
 	SelectRanked(cands []Candidate, mu int) []Pick
 }
 
@@ -134,7 +124,7 @@ func (s *benefitState) add(c Candidate) {
 	}
 }
 
-// Select implements Strategy.
+// Select is SelectRanked without the scores.
 func (g Greedy) Select(cands []Candidate, mu int) []int {
 	picks := g.SelectRanked(cands, mu)
 	out := make([]int, len(picks))
@@ -144,8 +134,8 @@ func (g Greedy) Select(cands []Candidate, mu int) []int {
 	return out
 }
 
-// SelectRanked implements Ranked: the lazy greedy of Select, returning the
-// marginal benefit each question was committed at. The only allocation in
+// SelectRanked implements Strategy: lazy greedy, returning the marginal
+// benefit each question was committed at. The only allocation in
 // the steady state is the returned picks: the priority queue lives in the
 // pooled benefit state and amortizes across calls like bp/stamp do.
 //
@@ -191,12 +181,12 @@ func (Greedy) SelectRanked(cands []Candidate, mu int) []Pick {
 // match probability (Figure 5 baseline).
 type MaxInf struct{}
 
-// Select implements Strategy.
+// Select returns the chosen candidate indexes, highest priority first.
 func (MaxInf) Select(cands []Candidate, mu int) []int {
 	return topBy(cands, mu, func(c Candidate) float64 { return float64(len(c.Inferred)) })
 }
 
-// SelectRanked implements Ranked with the inferred-set size as the score.
+// SelectRanked implements Strategy with the inferred-set size as the score.
 func (m MaxInf) SelectRanked(cands []Candidate, mu int) []Pick {
 	return ranked(cands, m.Select(cands, mu), func(c Candidate) float64 { return float64(len(c.Inferred)) })
 }
@@ -205,12 +195,12 @@ func (m MaxInf) SelectRanked(cands []Candidate, mu int) []Pick {
 // inference power (Figure 5 baseline).
 type MaxPr struct{}
 
-// Select implements Strategy.
+// Select returns the chosen candidate indexes, highest priority first.
 func (MaxPr) Select(cands []Candidate, mu int) []int {
 	return topBy(cands, mu, func(c Candidate) float64 { return c.Prob })
 }
 
-// SelectRanked implements Ranked with the match probability as the score.
+// SelectRanked implements Strategy with the match probability as the score.
 func (m MaxPr) SelectRanked(cands []Candidate, mu int) []Pick {
 	return ranked(cands, m.Select(cands, mu), func(c Candidate) float64 { return c.Prob })
 }

@@ -206,10 +206,10 @@ func TestMaxPrStrategy(t *testing.T) {
 
 func TestStrategiesEmptyInput(t *testing.T) {
 	for _, s := range []Strategy{Greedy{}, MaxInf{}, MaxPr{}} {
-		if got := s.Select(nil, 5); len(got) != 0 {
+		if got := s.SelectRanked(nil, 5); len(got) != 0 {
 			t.Errorf("%T on empty input: %v", s, got)
 		}
-		if got := s.Select([]Candidate{mk(0, 0.5, 0)}, 0); len(got) != 0 {
+		if got := s.SelectRanked([]Candidate{mk(0, 0.5, 0)}, 0); len(got) != 0 {
 			t.Errorf("%T with µ=0: %v", s, got)
 		}
 	}

@@ -193,13 +193,8 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// handleMetrics serves the registry: Prometheus text by default, the
-// JSON snapshot with ?format=json.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, s.metrics.reg.Snapshot())
-		return
-	}
+// handleMetrics serves the registry as Prometheus text.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.reg.WritePrometheus(w)
 }

@@ -18,7 +18,7 @@
 //	DELETE /v1/sessions/{id}       forget a session, releasing its questions
 //	GET    /healthz                liveness: always 200 with uptime/session/store detail
 //	GET    /readyz                 readiness: 503 once the server begins draining
-//	GET    /metrics                Prometheus text exposition (?format=json for a JSON snapshot)
+//	GET    /metrics                Prometheus text exposition
 //
 // Sessions created from the same dataset share a answer cache, so two
 // concurrent jobs over one dataset never post the same pair twice.
