@@ -75,22 +75,17 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	}
 
 	// Serial interning pass: the corpus is mutated here and only read by
-	// the scoring pass below.
+	// the scoring pass below. vals1[i] holds match i's K1 value sets, one
+	// per attribute of its entity in Attrs order; vals2[i] likewise.
 	corpus := strsim.NewCorpus()
-	lits1 := make(map[valKey][]strsim.LitID)
-	lits2 := make(map[valKey][]strsim.LitID)
-	for _, m := range min {
+	vals1 := make([][][]strsim.LitID, len(min))
+	vals2 := make([][][]strsim.LitID, len(min))
+	for i, m := range min {
 		for _, a1 := range k1.Attrs(m.U1) {
-			key := valKey{u: m.U1, a: a1}
-			if _, ok := lits1[key]; !ok {
-				lits1[key] = corpus.InternAll(k1.AttrValues(m.U1, a1))
-			}
+			vals1[i] = append(vals1[i], corpus.InternAll(k1.AttrValues(m.U1, a1)))
 		}
 		for _, a2 := range k2.Attrs(m.U2) {
-			key := valKey{u: m.U2, a: a2}
-			if _, ok := lits2[key]; !ok {
-				lits2[key] = corpus.InternAll(k2.AttrValues(m.U2, a2))
-			}
+			vals2[i] = append(vals2[i], corpus.InternAll(k2.AttrValues(m.U2, a2)))
 		}
 	}
 
@@ -105,10 +100,10 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 			m := min[i]
 			attrs1 := k1.Attrs(m.U1)
 			attrs2 := k2.Attrs(m.U2)
-			for _, a1 := range attrs1 {
-				v1 := lits1[valKey{u: m.U1, a: a1}]
-				for _, a2 := range attrs2 {
-					v2 := lits2[valKey{u: m.U2, a: a2}]
+			for x, a1 := range attrs1 {
+				v1 := vals1[i][x]
+				for y, a2 := range attrs2 {
+					v2 := vals2[i][y]
 					if len(v1) == 0 && len(v2) == 0 {
 						continue
 					}
@@ -141,12 +136,6 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 type contrib struct {
 	a1, a2 kb.AttrID
 	sim    float64
-}
-
-// valKey addresses one entity's value set on one attribute.
-type valKey struct {
-	u kb.EntityID
-	a kb.AttrID
 }
 
 // chunkRange is a half-open [lo, hi) range of match indexes.

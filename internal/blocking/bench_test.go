@@ -69,6 +69,21 @@ func BenchmarkGenerateIndexedParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate50k is the benchmark harness's prepare-scale size: the
+// counting kernel's figure (ns/op, allocs/op) behind blocking.generate_s.
+func BenchmarkGenerate50k(b *testing.B) {
+	ds := datasets.Scale(1, 50_000)
+	opts := Options{Threshold: 0.3, Runner: chunkRunner{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := Generate(ds.K1, ds.K2, opts)
+		if len(r.Candidates) == 0 {
+			b.Fatal("no candidates")
+		}
+	}
+}
+
 func BenchmarkGenerateNaive(b *testing.B) {
 	ds := datasets.Scale(1, benchScale)
 	opts := Options{Threshold: 0.3}

@@ -6,16 +6,24 @@
 // normalized labels are exactly equal forms the initial match set Min used
 // for attribute/relationship calibration (§IV-C, §V-A).
 //
-// Generate runs the index-driven path: tokens are interned to dense IDs
-// through a kb.TokenDict, posting lists hold entity IDs instead of
-// strings, a min/max length bound skips intersections that cannot reach
-// the threshold, and independent K1 entities are scanned in parallel when
-// Options.Runner is set. Its output is byte-identical to GenerateNaive,
-// the retained per-pair string implementation that anchors the property
-// tests.
+// Generate is an exact counting join (ScanCount). Tokens are interned to
+// dense IDs through a kb.TokenDict and K2's inverted index is one CSR
+// (row offsets per token over one flat entity array). For each K1 label
+// the kernel walks its tokens' posting rows and increments a counter per
+// K2 entity; label token sets are deduplicated and an entity occurs once
+// per row, so the counter ends at |t1 ∩ t2| and the Jaccard follows from
+// the two set sizes with no per-pair merge. Labels are tokenized, and
+// contiguous K1 ranges scanned, in parallel when Options.Runner is set.
+// Prefix filtering is deliberately absent: at the paper's threshold 0.3
+// the prefix |x| − ⌈0.3·|x|⌉ + 1 of a label of up to three tokens is the
+// whole label (and all but one token up to six), so it would skip no
+// posting entry that counting reads. The output is byte-identical to
+// GenerateNaive, the retained per-pair string implementation that anchors
+// the property tests.
 package blocking
 
 import (
+	"runtime"
 	"sort"
 
 	"repro/internal/kb"
@@ -51,9 +59,9 @@ type Options struct {
 	// Threshold is the minimal label Jaccard similarity to keep a pair.
 	// The paper uses 0.3.
 	Threshold float64
-	// Runner, when non-nil, scans K1 entities in parallel (one contiguous
-	// chunk per scheduler slot). The result is identical either way; nil
-	// means serial.
+	// Runner, when non-nil, tokenizes labels and scans K1 entities in
+	// parallel (one contiguous chunk per scheduler slot). The result is
+	// identical either way; nil means serial.
 	Runner Runner
 }
 
@@ -62,35 +70,33 @@ func DefaultOptions() Options {
 	return Options{Threshold: 0.3}
 }
 
-// Generate produces the candidate match set Mc between k1 and k2 using the
-// interned-token inverted index. Candidates, priors and initial matches
-// are byte-identical to GenerateNaive on the same inputs.
+// Generate produces the candidate match set Mc between k1 and k2 by
+// counting shared tokens over the interned-token inverted index.
+// Candidates, priors and initial matches are byte-identical to
+// GenerateNaive on the same inputs.
 func Generate(k1, k2 *kb.KB, opts Options) *Result {
 	if opts.Threshold <= 0 {
 		opts.Threshold = 0.3
 	}
 
 	dict := kb.NewTokenDict()
-	toks1 := internAll(k1, dict)
-	toks2 := internAll(k2, dict)
+	lab1 := internLabels(k1, dict, opts.Runner)
+	lab2 := internLabels(k2, dict, opts.Runner)
+	ix := newPostings(lab2, dict.Len())
 
-	// Inverted index over K2 tokens: posting lists of K2 entity IDs in
-	// ascending order, indexed by dense token ID.
-	postings := make([][]kb.EntityID, dict.Len())
-	for u2, toks := range toks2 {
-		for _, t := range toks {
-			postings[t] = append(postings[t], kb.EntityID(u2))
-		}
-	}
-
-	n1 := len(toks1)
-	chunks := chunkRanges(n1, opts.Runner)
+	chunks := chunkRanges(k1.NumEntities(), opts.Runner)
 	parts := make([]scanScratch, len(chunks))
 	run(opts.Runner, len(chunks), func(ci int) {
 		sc := &parts[ci]
-		sc.seen = make([]uint32, len(toks2))
+		sc.count = make([]int32, len(ix.len2))
 		for u1 := chunks[ci].lo; u1 < chunks[ci].hi; u1++ {
-			scanEntity(sc, u1, toks1[u1], toks2, postings, k1, k2, opts.Threshold)
+			from := len(sc.cands)
+			ix.scan(sc, kb.EntityID(u1), lab1.of(u1), opts.Threshold)
+			for _, c := range sc.cands[from:] {
+				if c.Prior == 1 && exactLabel(k1, k2, c.Pair) {
+					sc.initial = append(sc.initial, c.Pair)
+				}
+			}
 		}
 	})
 
@@ -111,118 +117,121 @@ func Generate(k1, k2 *kb.KB, opts Options) *Result {
 	return res
 }
 
-// scanScratch is the per-chunk state of the parallel scan: an epoch-
-// stamped seen array (O(1) reset per K1 entity) and the chunk's result
-// buffers, merged serially afterwards.
+// postings is K2's inverted index in CSR form: the entities whose label
+// holds token t are ent[start[t]:start[t+1]], ascending, each once.
+type postings struct {
+	start []int32
+	ent   []kb.EntityID
+	len2  []int32 // token-set size of every K2 label
+}
+
+// newPostings inverts K2's label sets by counting sort over nTokens rows.
+func newPostings(lab2 labelSets, nTokens int) *postings {
+	n2 := len(lab2.start) - 1
+	ix := &postings{
+		start: make([]int32, nTokens+1),
+		ent:   make([]kb.EntityID, len(lab2.toks)),
+		len2:  make([]int32, n2),
+	}
+	for _, t := range lab2.toks {
+		ix.start[t+1]++
+	}
+	for t := 0; t < nTokens; t++ {
+		ix.start[t+1] += ix.start[t]
+	}
+	next := append([]int32(nil), ix.start[:nTokens]...)
+	for u2 := 0; u2 < n2; u2++ {
+		toks := lab2.of(u2)
+		ix.len2[u2] = int32(len(toks))
+		for _, t := range toks {
+			ix.ent[next[t]] = kb.EntityID(u2)
+			next[t]++
+		}
+	}
+	return ix
+}
+
+// scanScratch is the per-chunk state of the parallel scan: one shared-
+// token counter per K2 entity (int32, so no label can overflow it), the
+// entities the current label touched — which is also the list of counters
+// to zero before the next label — and the chunk's result buffers, merged
+// serially afterwards.
 type scanScratch struct {
-	seen    []uint32
-	epoch   uint32
+	count   []int32
+	touched []kb.EntityID
 	cands   []Candidate
 	initial []pair.Pair
 }
 
-// scanEntity emits every candidate (u1, ·) into sc. A pair is scored the
-// first time any shared token reaches it; the similarity itself does not
-// depend on which token that was, so the emitted set matches the naive
-// scan exactly.
-func scanEntity(sc *scanScratch, u1 int, t1 []kb.TokenID, toks2 [][]kb.TokenID,
-	postings [][]kb.EntityID, k1, k2 *kb.KB, threshold float64) {
-	if len(t1) == 0 {
-		return
-	}
-	sc.epoch++
-	for _, t := range t1 {
-		for _, u2 := range postings[t] {
-			if sc.seen[u2] == sc.epoch {
-				continue
-			}
-			sc.seen[u2] = sc.epoch
-			t2 := toks2[u2]
-			// min/max is the best Jaccard these set sizes allow; IEEE
-			// division is monotone, so skipping here can never drop a
-			// pair the exact comparison below would keep.
-			if jaccardUpperBoundIDs(len(t1), len(t2)) < threshold {
-				continue
-			}
-			sim := jaccardIDs(t1, t2)
-			if sim < threshold {
-				continue
-			}
-			p := pair.Pair{U1: kb.EntityID(u1), U2: u2}
-			sc.cands = append(sc.cands, Candidate{Pair: p, Prior: sim})
-			if sim == 1 && exactLabel(k1, k2, p) {
-				sc.initial = append(sc.initial, p)
-			}
-		}
-	}
-}
-
-// jaccardIDs is strsim.JaccardIDs over kb.TokenID sets; set sizes and
-// intersection sizes match the string token sets exactly, so the float is
-// byte-identical to strsim.Jaccard on the naive path.
+// scan appends every candidate (u1, ·) to sc.cands. After the counting
+// pass sc.count[u2] is |t1 ∩ t2| for exactly the touched entities, and
+// inter / (|t1| + |t2| − inter) is the division GenerateNaive performs on
+// the same three integers, so the float is bit-identical. Allocation-free
+// once touched and cands have grown.
 //
 //remp:hotpath
-func jaccardIDs(a, b []kb.TokenID) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	i, j, inter := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+func (ix *postings) scan(sc *scanScratch, u1 kb.EntityID, t1 []kb.TokenID, threshold float64) {
+	for _, t := range t1 {
+		for _, u2 := range ix.ent[ix.start[t]:ix.start[t+1]] {
+			if sc.count[u2] == 0 {
+				sc.touched = append(sc.touched, u2)
+			}
+			sc.count[u2]++
 		}
 	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
+	for _, u2 := range sc.touched {
+		inter := int(sc.count[u2])
+		sc.count[u2] = 0
+		sim := float64(inter) / float64(len(t1)+int(ix.len2[u2])-inter)
+		if sim >= threshold {
+			sc.cands = append(sc.cands, Candidate{Pair: pair.Pair{U1: u1, U2: u2}, Prior: sim})
+		}
 	}
-	return float64(inter) / float64(union)
+	sc.touched = sc.touched[:0]
 }
 
-//remp:hotpath
-func jaccardUpperBoundIDs(la, lb int) float64 {
-	return strsim.JaccardUpperBound(la, lb)
+// labelSets holds every entity's deduplicated label tokens in one flat
+// array: entity u's set is toks[start[u]:start[u+1]].
+type labelSets struct {
+	start []int32
+	toks  []kb.TokenID
 }
 
-// internAll tokenizes every entity label and interns the tokens, returning
-// per-entity ascending TokenID sets.
-func internAll(k *kb.KB, dict *kb.TokenDict) [][]kb.TokenID {
-	out := make([][]kb.TokenID, k.NumEntities())
-	for u := 0; u < k.NumEntities(); u++ {
-		set := strsim.TokenSet(k.Label(kb.EntityID(u)))
-		if len(set) == 0 {
-			continue
+func (l labelSets) of(u int) []kb.TokenID { return l.toks[l.start[u]:l.start[u+1]] }
+
+// internLabels tokenizes every entity label — in parallel chunks when r is
+// set — and then interns the tokens serially in entity order, so TokenIDs
+// are assigned first-come exactly as a serial pass would assign them.
+func internLabels(k *kb.KB, dict *kb.TokenDict, r Runner) labelSets {
+	n := k.NumEntities()
+	chunks := chunkRanges(n, r)
+	sets := make([][]string, n)
+	run(r, len(chunks), func(ci int) {
+		for u := chunks[ci].lo; u < chunks[ci].hi; u++ {
+			sets[u] = strsim.TokenSet(k.Label(kb.EntityID(u)))
 		}
-		ids := make([]kb.TokenID, len(set))
-		for i, t := range set {
-			ids[i] = dict.Intern(t)
+	})
+	out := labelSets{start: make([]int32, n+1)}
+	for u, set := range sets {
+		for _, t := range set {
+			out.toks = append(out.toks, dict.Intern(t))
 		}
-		sortTokenIDs(ids)
-		out[u] = ids
+		out.start[u+1] = int32(len(out.toks))
 	}
 	return out
 }
 
-func sortTokenIDs(a []kb.TokenID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
+// parallelChunks is how many contiguous entity ranges Generate fans out
+// when a Runner is supplied. One chunk per CPU keeps the per-chunk counter
+// arrays (4 bytes × |K2| each) proportional to real parallelism; the chunk
+// count never affects the result.
+var parallelChunks = runtime.NumCPU()
 
-// chunkRange is a half-open [lo, hi) range of K1 entity IDs.
+// chunkRange is a half-open [lo, hi) range of entity IDs.
 type chunkRange struct{ lo, hi int }
 
 // chunkRanges splits n entities into contiguous chunks: one per scheduler
-// slot when a runner is present, a single chunk otherwise. Entity scan
+// slot when a runner is present, a single chunk otherwise. Per-entity
 // cost is homogeneous, so equal-size chunks balance well.
 func chunkRanges(n int, r Runner) []chunkRange {
 	if n == 0 {

@@ -2,12 +2,15 @@ package blocking
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/kb"
+	"repro/internal/pair"
 )
 
 // wideRunner runs every task on its own goroutine, maximizing interleaving
@@ -65,19 +68,22 @@ func randLabeledKB(r *rand.Rand, name string, n int) *kb.KB {
 	return k
 }
 
+var optVariants = []Options{
+	{},
+	{Threshold: 0.25},
+	{Threshold: 0.3},
+	{Threshold: 0.5},
+	{Threshold: 1},
+}
+
 // TestGenerateMatchesNaive is the property test anchoring the indexed
 // path: on randomized KBs with hostile labels, Generate and GenerateNaive
 // must return byte-identical results — same candidates, same float
-// priors, same initial matches — serial and parallel.
+// priors, same initial matches — serial and parallel; then the same on
+// the hand-built cases of countingKBs.
 func TestGenerateMatchesNaive(t *testing.T) {
 	sizes := []struct{ n1, n2 int }{
 		{0, 0}, {1, 0}, {0, 1}, {1, 1}, {5, 7}, {40, 40}, {150, 90},
-	}
-	optVariants := []Options{
-		{},
-		{Threshold: 0.3},
-		{Threshold: 0.5},
-		{Threshold: 1},
 	}
 	for si, sz := range sizes {
 		for oi, base := range optVariants {
@@ -97,6 +103,115 @@ func TestGenerateMatchesNaive(t *testing.T) {
 				assertSameResult(t, fmt.Sprintf("parallel size=%v opts=%d seed=%d", sz, oi, seed), want, got)
 			}
 		}
+	}
+	checkCountingCases(t)
+}
+
+// countingKBs builds the label shapes a counting join could get wrong:
+// repeated tokens (set semantics), strict subset and superset labels,
+// pairs sitting exactly on a threshold, K2 entities with empty labels
+// between non-empty ones, and one label with more distinct tokens than a
+// uint16 counts. Every token is under four runes or ends in a digit, so
+// stemming leaves it alone.
+func countingKBs() (k1, k2 *kb.KB) {
+	var wide strings.Builder
+	for i := 0; i < math.MaxUint16+5000; i++ {
+		fmt.Fprintf(&wide, "w%05d ", i)
+	}
+	fill := func(name string, labels ...string) *kb.KB {
+		k := kb.New(name)
+		for i, l := range labels {
+			k.SetLabel(k.AddEntity(fmt.Sprintf("%s:e%d", name, i)), l)
+		}
+		return k
+	}
+	k1 = fill("k1",
+		"aa aa bb",          // 0: {aa, bb}
+		"cc dd ee",          // 1
+		"f1 f2 f3 f4 f5 f6", // 2
+		"gg hh ii",          // 3
+		"jj kk",             // 4
+		wide.String(),       // 5
+		"",                  // 6
+	)
+	k2 = fill("k2",
+		"bb aa bb aa",          // 0: the set of k1:0, not its label
+		"",                     // 1
+		"cc xx",                // 2: 1 of 4 with k1:1
+		"",                     // 3
+		"f1 f2 f3 y1 y2 y3 y4", // 4: 3 of 10 with k1:2
+		"gg hh zz",             // 5: 2 of 4 with k1:3
+		"jj",                   // 6: strict subset of k1:4
+		"jj kk ll",             // 7: strict superset of k1:4
+		"",                     // 8
+		wide.String(),          // 9: equals k1:5
+	)
+	return k1, k2
+}
+
+// checkCountingCases holds Generate to GenerateNaive on countingKBs —
+// serial, and parallel with more chunks asked for than there are
+// entities — and checks that the pairs sitting exactly on a threshold are
+// kept with the exact quotient.
+func checkCountingCases(t *testing.T) {
+	defer func(n int) { parallelChunks = n }(parallelChunks)
+	parallelChunks = 64
+
+	k1, k2 := countingKBs()
+	atThreshold := map[float64]*Result{}
+	for oi, base := range optVariants {
+		want := GenerateNaive(k1, k2, base)
+		got := Generate(k1, k2, base)
+		assertSameResult(t, fmt.Sprintf("serial opts=%d", oi), want, got)
+		atThreshold[base.Threshold] = got
+		par := base
+		par.Runner = wideRunner{}
+		assertSameResult(t, fmt.Sprintf("parallel opts=%d", oi), want, Generate(k1, k2, par))
+	}
+
+	onThreshold := []struct {
+		p pair.Pair
+		t float64
+	}{
+		{pair.Pair{U1: 1, U2: 2}, 0.25},
+		{pair.Pair{U1: 2, U2: 4}, 0.3},
+		{pair.Pair{U1: 3, U2: 5}, 0.5},
+		{pair.Pair{U1: 4, U2: 6}, 0.5},
+		{pair.Pair{U1: 0, U2: 0}, 1},
+		{pair.Pair{U1: 5, U2: 9}, 1},
+	}
+	for _, c := range onThreshold {
+		if got, ok := atThreshold[c.t].Priors[c.p]; !ok || got != c.t {
+			t.Errorf("pair %v at threshold %v: prior = %v (kept = %v), want it kept at exactly the threshold", c.p, c.t, got, ok)
+		}
+	}
+	if got, want := atThreshold[1].Initial, []pair.Pair{{U1: 5, U2: 9}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Initial = %v, want %v: equal token sets are not equal labels", got, want)
+	}
+}
+
+// TestCountKernelDoesNotAllocate: once its touched list and candidate
+// buffer have grown, the counting kernel runs allocation-free.
+func TestCountKernelDoesNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	k1 := randLabeledKB(r, "k1", 200)
+	k2 := randLabeledKB(r, "k2", 200)
+	dict := kb.NewTokenDict()
+	lab1 := internLabels(k1, dict, nil)
+	ix := newPostings(internLabels(k2, dict, nil), dict.Len())
+	sc := &scanScratch{count: make([]int32, k2.NumEntities())}
+	pass := func() {
+		sc.cands = sc.cands[:0]
+		for u1 := 0; u1 < k1.NumEntities(); u1++ {
+			ix.scan(sc, kb.EntityID(u1), lab1.of(u1), 0.3)
+		}
+	}
+	pass() // warm-up
+	if len(sc.cands) == 0 {
+		t.Fatal("the pass emitted no candidates")
+	}
+	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
+		t.Errorf("counting kernel allocates %v times per pass, want 0", allocs)
 	}
 }
 

@@ -1,19 +1,12 @@
 package blocking
 
 import (
-	"runtime"
 	"sort"
 
 	"repro/internal/kb"
 	"repro/internal/pair"
 	"repro/internal/strsim"
 )
-
-// parallelChunks is how many contiguous K1 ranges Generate fans out when a
-// Runner is supplied. One chunk per CPU keeps the per-chunk seen arrays
-// (4 bytes × |K2| each) proportional to real parallelism; the chunk count
-// never affects the result.
-var parallelChunks = runtime.NumCPU()
 
 // GenerateNaive is the retained per-pair string implementation of
 // candidate generation. It is the semantic anchor for Generate: the

@@ -28,7 +28,7 @@ func (l *Loop) monotoneInference() {
 		}
 		vec := l.p.Pruner.VectorOf(v)
 		// Blocks: pairs sharing either entity with v.
-		for _, side := range [][]pair.Pair{l.p.byEntity1[v.U1], l.p.byEntity2[v.U2]} {
+		for _, side := range l.p.blocks(v) {
 			for _, w := range side {
 				if w == v {
 					continue

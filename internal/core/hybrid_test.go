@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/kb"
 	"repro/internal/pair"
 )
 
@@ -55,5 +58,44 @@ func TestMonotoneInferenceDirections(t *testing.T) {
 	}
 	if prf := pair.Evaluate(res.Matches, gold); prf.Precision < 0.9 {
 		t.Errorf("hybrid precision = %v", prf.Precision)
+	}
+}
+
+// TestEntityBlocksKeepVertexOrder: resolveCompetitors and
+// monotoneInference visit a vertex's same-entity competitors through
+// Prepared.blocks, and monotone inference's fixpoint depends on the order.
+// Over a random retained set handed to PrepareOnRetained in non-pair
+// order, every block must read exactly as the per-entity map the index
+// replaced: filled by appending in vertex order.
+func TestEntityBlocksKeepVertexOrder(t *testing.T) {
+	k1, k2, _ := movieWorld(6, 7)
+	full := Prepare(k1, k2, DefaultConfig())
+	retained := slices.Clone(full.Retained)
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(retained), func(i, j int) { retained[i], retained[j] = retained[j], retained[i] })
+	retained = retained[:len(retained)*3/4]
+	p := PrepareOnRetained(k1, k2, DefaultConfig(), retained, full.Blocking)
+	if !slices.Equal(p.Graph.Vertices(), retained) {
+		t.Fatal("vertex order is not the retained order")
+	}
+
+	by1 := map[kb.EntityID][]pair.Pair{}
+	by2 := map[kb.EntityID][]pair.Pair{}
+	for _, v := range p.Graph.Vertices() {
+		by1[v.U1] = append(by1[v.U1], v)
+		by2[v.U2] = append(by2[v.U2], v)
+	}
+	shared := 0
+	for _, v := range p.Graph.Vertices() {
+		got := p.blocks(v)
+		if !slices.Equal(got[0], by1[v.U1]) || !slices.Equal(got[1], by2[v.U2]) {
+			t.Fatalf("blocks(%v) = %v, want [%v %v]", v, got, by1[v.U1], by2[v.U2])
+		}
+		if len(got[0]) > 1 || len(got[1]) > 1 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no entity is in two retained pairs: the test compares nothing")
 	}
 }

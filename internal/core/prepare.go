@@ -56,8 +56,31 @@ type Prepared struct {
 	// 1:1 entity constraint that keeps non-match chains from being polled).
 	// Competitors may live in other shards; the loop routes their
 	// detachment on the serial answer-application path.
-	byEntity1 map[kb.EntityID][]pair.Pair
-	byEntity2 map[kb.EntityID][]pair.Pair
+	byEntity1, byEntity2 entityIndex
+}
+
+// entityIndex lists the graph vertices of each entity on one side: those
+// of entity u are pairs[start[u]:start[u+1]], in vertex order.
+type entityIndex struct {
+	start []int32
+	pairs []pair.Pair
+}
+
+func newEntityIndex(vertices []pair.Pair, side1 bool) entityIndex {
+	start, order := pair.GroupByEntity(vertices, side1)
+	ix := entityIndex{start: start, pairs: make([]pair.Pair, len(order))}
+	for i, pos := range order {
+		ix.pairs[i] = vertices[pos]
+	}
+	return ix
+}
+
+func (ix entityIndex) of(u kb.EntityID) []pair.Pair { return ix.pairs[ix.start[u]:ix.start[u+1]] }
+
+// blocks returns the vertices sharing v's K1 entity and those sharing its
+// K2 entity, v included in both. v must be a graph vertex.
+func (p *Prepared) blocks(v pair.Pair) [2][]pair.Pair {
+	return [2][]pair.Pair{p.byEntity1.of(v.U1), p.byEntity2.of(v.U2)}
 }
 
 // Prepare runs ER graph construction end to end: candidate generation,
@@ -123,12 +146,8 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	p.Graph = ergraph.Build(k1, k2, p.Retained)
 	p.Priors = p.Blocking.Priors
 
-	p.byEntity1 = make(map[kb.EntityID][]pair.Pair)
-	p.byEntity2 = make(map[kb.EntityID][]pair.Pair)
-	for _, v := range p.Graph.Vertices() {
-		p.byEntity1[v.U1] = append(p.byEntity1[v.U1], v)
-		p.byEntity2[v.U2] = append(p.byEntity2[v.U2], v)
-	}
+	p.byEntity1 = newEntityIndex(p.Graph.Vertices(), true)
+	p.byEntity2 = newEntityIndex(p.Graph.Vertices(), false)
 
 	p.Consistency = p.fitConsistency(p.Blocking.Initial)
 	p.initShards()

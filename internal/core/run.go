@@ -169,7 +169,7 @@ func (l *Loop) confirmMatch(q pair.Pair) {
 // route to the owning shard through the runner, so cross-shard
 // competitors resolve exactly as in the monolithic loop.
 func (l *Loop) resolveCompetitors(m pair.Pair) {
-	for _, side := range [][]pair.Pair{l.p.byEntity1[m.U1], l.p.byEntity2[m.U2]} {
+	for _, side := range l.p.blocks(m) {
 		for _, v := range side {
 			if v == m || l.resolved(v) {
 				continue

@@ -2,8 +2,8 @@ package kb
 
 // TokenID is a dense interned token identifier. The pre-pipeline interns
 // every label token once at load through a TokenDict and works on []TokenID
-// everywhere downstream: posting lists, Jaccard intersections and block
-// keys all compare 4-byte integers instead of re-hashing strings per pair.
+// everywhere downstream: label sets and posting rows hold 4-byte integers
+// that index dense arrays, instead of re-hashing strings per pair.
 type TokenID uint32
 
 // TokenDict interns strings to dense TokenIDs. IDs are assigned in first-

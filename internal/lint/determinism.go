@@ -12,8 +12,13 @@ import (
 // deterministicPkgs are the packages whose outputs must be byte-identical
 // across runs, shard layouts, async schedules and crash/recover cycles.
 // Everything on the Resolve path that feeds a Result, a snapshot or a WAL
-// record lives here.
+// record lives here — the pre-pipeline included: it decides the retained
+// pairs, and with them every byte downstream.
 var deterministicPkgs = []string{
+	"repro/internal/blocking",
+	"repro/internal/attrmatch",
+	"repro/internal/strsim",
+	"repro/internal/simvec",
 	"repro/internal/core",
 	"repro/internal/ergraph",
 	"repro/internal/propagation",

@@ -13,6 +13,8 @@ import (
 // ids; hashing those ids into word-sized map keys doubles the key
 // memory and reintroduces the map lookups the CSR refactor removed.
 var csrPkgs = []string{
+	"repro/internal/blocking",
+	"repro/internal/simvec",
 	"repro/internal/core",
 	"repro/internal/ergraph",
 	"repro/internal/propagation",

@@ -30,6 +30,39 @@ func (p Pair) Less(q Pair) bool {
 	return p.U2 < q.U2
 }
 
+// GroupByEntity groups the positions of pairs by their K1 entity (side1)
+// or their K2 entity: the pairs of entity e sit at positions
+// order[start[e]:start[e+1]], in input order (a stable counting sort).
+// start covers the entity IDs up to the largest one present.
+func GroupByEntity(pairs []Pair, side1 bool) (start, order []int32) {
+	key := func(p Pair) kb.EntityID {
+		if side1 {
+			return p.U1
+		}
+		return p.U2
+	}
+	n := 0
+	for _, p := range pairs {
+		if e := int(key(p)) + 1; e > n {
+			n = e
+		}
+	}
+	start = make([]int32, n+1)
+	for _, p := range pairs {
+		start[key(p)+1]++
+	}
+	for e := 0; e < n; e++ {
+		start[e+1] += start[e]
+	}
+	order = make([]int32, len(pairs))
+	next := append([]int32(nil), start[:n]...)
+	for i, p := range pairs {
+		order[next[key(p)]] = int32(i)
+		next[key(p)]++
+	}
+	return start, order
+}
+
 // Set is a set of entity pairs.
 type Set map[Pair]struct{}
 

@@ -2,8 +2,11 @@ package pair
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/kb"
 )
 
 func TestPairOrderingAndString(t *testing.T) {
@@ -119,5 +122,35 @@ func TestPRFProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestGroupByEntity(t *testing.T) {
+	pairs := []Pair{{3, 1}, {0, 2}, {3, 0}, {0, 2}, {5, 1}, {3, 1}}
+	for _, side1 := range []bool{true, false} {
+		want := map[kb.EntityID][]int32{}
+		for i, p := range pairs {
+			e := p.U2
+			if side1 {
+				e = p.U1
+			}
+			want[e] = append(want[e], int32(i))
+		}
+		start, order := GroupByEntity(pairs, side1)
+		if len(order) != len(pairs) {
+			t.Fatalf("side1=%v: %d positions for %d pairs", side1, len(order), len(pairs))
+		}
+		for e := 0; e+1 < len(start); e++ {
+			if got := order[start[e]:start[e+1]]; !slices.Equal(got, want[kb.EntityID(e)]) {
+				t.Errorf("side1=%v entity %d: positions %v, want %v", side1, e, got, want[kb.EntityID(e)])
+			}
+			delete(want, kb.EntityID(e))
+		}
+		if len(want) != 0 {
+			t.Errorf("side1=%v: entities %v not covered by start", side1, want)
+		}
+	}
+	if start, order := GroupByEntity(nil, true); len(start) != 1 || len(order) != 0 {
+		t.Errorf("no pairs: start=%v order=%v", start, order)
 	}
 }

@@ -51,33 +51,59 @@ func randAttrKB(r *rand.Rand, name string, n, nAttrs int) *kb.KB {
 }
 
 // TestAllMatchesVector: the batched All must be byte-identical to the
-// retained per-pair Vector on randomized KBs, serial and parallel.
+// retained per-pair Vector on randomized KBs, serial and parallel — on a
+// sorted pair list and then, from the same Builder, on an unsorted one
+// that repeats pairs and reaches entities with no values at all. The
+// returned vectors must not share storage.
 func TestAllMatchesVector(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		k1 := randAttrKB(r, "k1", 12, 3)
 		k2 := randAttrKB(r, "k2", 10, 4)
+		bare1 := k1.AddEntity("k1:bare")
+		bare2 := k2.AddEntity("k2:bare")
 		matches := []attrmatch.Match{
 			{A1: 0, A2: 0}, {A1: 1, A2: 2}, {A1: 2, A2: 3}, {A1: 0, A2: 1},
 		}
-		var pairs []pair.Pair
+		var sorted []pair.Pair
 		for u1 := 0; u1 < k1.NumEntities(); u1++ {
 			for u2 := 0; u2 < k2.NumEntities(); u2++ {
 				if r.Intn(2) == 0 {
-					pairs = append(pairs, pair.Pair{U1: kb.EntityID(u1), U2: kb.EntityID(u2)})
+					sorted = append(sorted, pair.Pair{U1: kb.EntityID(u1), U2: kb.EntityID(u2)})
 				}
 			}
 		}
+		shuffled := []pair.Pair{{U1: bare1, U2: bare2}, {U1: bare1, U2: 3}, {U1: 5, U2: bare2}}
+		for i := 0; i < 40; i++ {
+			shuffled = append(shuffled, sorted[r.Intn(len(sorted))])
+		}
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
 		for _, parallel := range []bool{false, true} {
 			b := NewBuilder(k1, k2, matches, 0.9)
 			if parallel {
 				b.SetRunner(wideRunner{})
 			}
-			got := b.All(pairs)
-			for i, p := range pairs {
-				want := b.Vector(p)
-				if !reflect.DeepEqual(got[i], want) {
-					t.Fatalf("seed=%d parallel=%v: All[%d] = %v, Vector(%v) = %v", seed, parallel, i, got[i], p, want)
+			for li, pairs := range [][]pair.Pair{sorted, shuffled} {
+				got := b.All(pairs)
+				for i, p := range pairs {
+					want := b.Vector(p)
+					if !reflect.DeepEqual(got[i], want) {
+						t.Fatalf("seed=%d parallel=%v list=%d: All[%d] = %v, Vector(%v) = %v", seed, parallel, li, i, got[i], p, want)
+					}
+				}
+				// Overwrite and grow every other vector: the ones between
+				// must still read as computed.
+				for i := 0; i < len(got); i += 2 {
+					for j := range got[i] {
+						got[i][j] = -1
+					}
+					got[i] = append(got[i], -1)
+				}
+				for i := 1; i < len(got); i += 2 {
+					if want := b.Vector(pairs[i]); !reflect.DeepEqual(got[i], want) {
+						t.Fatalf("seed=%d parallel=%v list=%d: All[%d] changed to %v when its neighbours were written", seed, parallel, li, i, got[i])
+					}
 				}
 			}
 		}

@@ -54,26 +54,14 @@ type Runner interface {
 	ForEach(n int, fn func(i int))
 }
 
-// Builder computes similarity vectors for candidate pairs.
+// Builder computes similarity vectors for candidate pairs. It holds only
+// its inputs — the two KBs, the attribute matches and the threshold; the
+// literal corpus and value tables a batch works on live for one All call.
 type Builder struct {
 	k1, k2    *kb.KB
 	matches   []attrmatch.Match
 	threshold float64
 	runner    Runner
-
-	// Batch state, built lazily by All: each distinct (entity, attribute)
-	// value set is interned into the corpus exactly once, so the SimL of
-	// millions of pairs runs on cached kinds, parsed values and dense
-	// token IDs instead of re-tokenizing strings per comparison.
-	corpus *strsim.Corpus
-	lits1  map[valKey][]strsim.LitID
-	lits2  map[valKey][]strsim.LitID
-}
-
-// valKey addresses one entity's value set on one attribute.
-type valKey struct {
-	u kb.EntityID
-	a kb.AttrID
 }
 
 // NewBuilder returns a Builder over the given attribute matches;
@@ -107,57 +95,111 @@ func (b *Builder) Vector(p pair.Pair) Vector {
 	return v
 }
 
-// All computes vectors for every pair, preserving order. It runs the
-// batched path: one serial pass interns every needed value set into the
-// builder's corpus, then pair vectors are computed — in parallel when a
-// Runner is set — from cached dense literal IDs. Each out[i] is
-// byte-identical to Vector(pairs[i]).
+// All computes vectors for every pair, preserving order. One serial pass
+// over the pairs interns each entity's value sets on first sight — once
+// per entity, however many pairs it is in — into a per-call corpus and
+// one dense table per side; pair vectors are then scored from the
+// tables, in parallel when a Runner is set. Each out[i] is byte-identical
+// to Vector(pairs[i]). The vectors are disjoint windows of one array,
+// which is all that outlives the call: corpus and tables are garbage on
+// return, and a second call starts from nothing.
 func (b *Builder) All(pairs []pair.Pair) []Vector {
 	out := make([]Vector, len(pairs))
 	if len(pairs) == 0 {
 		return out
 	}
-	if b.corpus == nil {
-		b.corpus = strsim.NewCorpus()
-		b.lits1 = make(map[valKey][]strsim.LitID)
-		b.lits2 = make(map[valKey][]strsim.LitID)
+	dim := len(b.matches)
+	bt := batch{
+		pairs:     pairs,
+		dim:       dim,
+		threshold: b.threshold,
+		corpus:    strsim.NewCorpus(),
+		side1:     newValueTable(b.k1.NumEntities()),
+		side2:     newValueTable(b.k2.NumEntities()),
+		flat:      make([]float64, len(pairs)*dim),
+	}
+	attrs1 := make([]kb.AttrID, dim)
+	attrs2 := make([]kb.AttrID, dim)
+	for i, m := range b.matches {
+		attrs1[i], attrs2[i] = m.A1, m.A2
 	}
 	// Interning mutates the corpus, so it stays serial; the scoring pass
 	// below only reads it.
-	for _, p := range pairs {
-		for _, m := range b.matches {
-			b.intern(b.lits1, b.k1, p.U1, m.A1)
-			b.intern(b.lits2, b.k2, p.U2, m.A2)
-		}
+	for i, p := range pairs {
+		bt.side1.add(bt.corpus, b.k1, p.U1, attrs1)
+		bt.side2.add(bt.corpus, b.k2, p.U2, attrs2)
+		out[i] = bt.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	chunks := chunkRanges(len(pairs), b.runner)
 	runAll(b.runner, len(chunks), func(ci int) {
-		var sc strsim.MatchScratch
-		for i := chunks[ci].lo; i < chunks[ci].hi; i++ {
-			p := pairs[i]
-			v := make(Vector, len(b.matches))
-			for mi, m := range b.matches {
-				va := b.lits1[valKey{u: p.U1, a: m.A1}]
-				vb := b.lits2[valKey{u: p.U2, a: m.A2}]
-				if len(va) == 0 || len(vb) == 0 {
-					continue
-				}
-				v[mi] = b.corpus.SimL(va, vb, b.threshold, &sc)
-			}
-			out[i] = v
-		}
+		bt.score(chunks[ci].lo, chunks[ci].hi)
 	})
 	return out
 }
 
-// intern caches the dense literal IDs of one (entity, attribute) value
-// set, interning the literals on first sight.
-func (b *Builder) intern(cache map[valKey][]strsim.LitID, k *kb.KB, u kb.EntityID, a kb.AttrID) {
-	key := valKey{u: u, a: a}
-	if _, ok := cache[key]; ok {
+// valueTable is one KB side of a batch: the interned value sets of every
+// entity the pair list mentions, one per attribute match, entity by
+// entity in order of first sight.
+type valueTable struct {
+	// base maps an entity to 1 + the index of its first value set, 0
+	// until first sight (off is never empty, so a real base is never 0).
+	base []int32
+	off  []int32 // value set i is lits[off[i]:off[i+1]]
+	lits []strsim.LitID
+}
+
+func newValueTable(numEntities int) valueTable {
+	return valueTable{base: make([]int32, numEntities), off: []int32{0}}
+}
+
+// add interns u's value set on every attribute of attrs (one per
+// attribute match), unless u was added before.
+func (t *valueTable) add(c *strsim.Corpus, k *kb.KB, u kb.EntityID, attrs []kb.AttrID) {
+	if t.base[u] != 0 {
 		return
 	}
-	cache[key] = b.corpus.InternAll(k.AttrValues(u, a))
+	t.base[u] = int32(len(t.off))
+	for _, a := range attrs {
+		for _, v := range k.AttrValues(u, a) {
+			t.lits = append(t.lits, c.Intern(v))
+		}
+		t.off = append(t.off, int32(len(t.lits)))
+	}
+}
+
+// set returns u's value set on attribute match mi.
+func (t *valueTable) set(u kb.EntityID, mi int) []strsim.LitID {
+	i := int(t.base[u]) - 1 + mi
+	return t.lits[t.off[i]:t.off[i+1]]
+}
+
+// batch is the state of one All call.
+type batch struct {
+	pairs        []pair.Pair
+	dim          int
+	threshold    float64
+	corpus       *strsim.Corpus
+	side1, side2 valueTable
+	flat         []float64 // vector i is flat[i*dim:(i+1)*dim]
+}
+
+// score fills the vectors of pairs[lo:hi]; ranges are disjoint, so chunks
+// run concurrently.
+//
+//remp:hotpath
+func (bt *batch) score(lo, hi int) {
+	var sc strsim.MatchScratch
+	for i := lo; i < hi; i++ {
+		p := bt.pairs[i]
+		v := bt.flat[i*bt.dim : (i+1)*bt.dim]
+		for mi := range v {
+			va, vb := bt.side1.set(p.U1, mi), bt.side2.set(p.U2, mi)
+			if len(va) == 0 || len(vb) == 0 {
+				continue
+			}
+			v[mi] = bt.corpus.SimL(va, vb, bt.threshold, &sc)
+		}
+	}
 }
 
 // chunkRange is a half-open [lo, hi) range of pair indexes.
@@ -239,50 +281,37 @@ func (pr *Pruner) Prune(pairs []pair.Pair, k int) []pair.Pair {
 
 // pruneOneWay is PruningInOneWay from Algorithm 1. bySide1 selects whether
 // blocks group pairs sharing the K1 entity (min_rank_1) or the K2 entity
-// (min_rank_2).
+// (min_rank_2). A block lists its pairs in input order, and only blocks of
+// more than k pairs are ranked.
 func (pr *Pruner) pruneOneWay(pairs []pair.Pair, k int, bySide1 bool) []pair.Pair {
-	blocks := make(map[kb.EntityID][]pair.Pair)
-	for _, p := range pairs {
-		key := p.U1
-		if !bySide1 {
-			key = p.U2
-		}
-		blocks[key] = append(blocks[key], p)
-	}
-	kept := make(map[pair.Pair]bool, len(pairs))
-	for _, block := range blocks {
-		if len(block) <= k {
-			for _, p := range block {
-				kept[p] = true
-			}
-			continue
-		}
-		retained := pr.pruneBlock(block, k)
-		for _, p := range retained {
-			kept[p] = true
+	start, order := pair.GroupByEntity(pairs, bySide1)
+	removed := make([]bool, len(pairs))
+	for e := 0; e+1 < len(start); e++ {
+		if block := order[start[e]:start[e+1]]; len(block) > k {
+			pr.pruneBlock(pairs, block, k, removed)
 		}
 	}
 	out := make([]pair.Pair, 0, len(pairs))
-	for _, p := range pairs {
-		if kept[p] {
+	for i, p := range pairs {
+		if !removed[i] {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// pruneBlock prunes a single block B: any pair with min_rank ≥ k is
-// removed, and (per the paper) every pair dominated by a removed pair is
-// removed too, since its min_rank must also be ≥ k.
-func (pr *Pruner) pruneBlock(block []pair.Pair, k int) []pair.Pair {
+// pruneBlock prunes a single block B, given as positions into pairs: any
+// pair with min_rank ≥ k is marked removed, and (per the paper) so is
+// every pair dominated by a removed pair, since its min_rank must also be
+// ≥ k.
+func (pr *Pruner) pruneBlock(pairs []pair.Pair, block []int32, k int, removed []bool) {
 	n := len(block)
 	vecs := make([]Vector, n)
-	for i, p := range block {
-		vecs[i] = pr.vectors[p]
+	for i, pos := range block {
+		vecs[i] = pr.vectors[pairs[pos]]
 	}
-	removed := make([]bool, n)
 	for i := 0; i < n; i++ {
-		if removed[i] {
+		if removed[block[i]] {
 			continue
 		}
 		// min_rank within this block: number of vectors strictly larger.
@@ -296,20 +325,13 @@ func (pr *Pruner) pruneBlock(block []pair.Pair, k int) []pair.Pair {
 			}
 		}
 		if rank >= k {
-			removed[i] = true
+			removed[block[i]] = true
 			// Everything dominated by vecs[i] has rank ≥ rank(i) ≥ k.
 			for j := 0; j < n; j++ {
-				if !removed[j] && vecs[i].StrictlyDominates(vecs[j]) {
-					removed[j] = true
+				if !removed[block[j]] && vecs[i].StrictlyDominates(vecs[j]) {
+					removed[block[j]] = true
 				}
 			}
 		}
 	}
-	var out []pair.Pair
-	for i, p := range block {
-		if !removed[i] {
-			out = append(out, p)
-		}
-	}
-	return out
 }

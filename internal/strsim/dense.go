@@ -1,9 +1,9 @@
 package strsim
 
-// Dense-ID similarity kernels. The indexed pre-pipeline interns tokens to
-// dense uint32 IDs once per KB load and calls these kernels per candidate
-// pair; they are the per-pair inner loop of blocking at scale, so they
-// follow the //remp:hotpath contract — no allocation, no maps, sorted
+// Dense-ID similarity kernels. A Corpus interns literal tokens to dense
+// uint32 IDs once and calls these kernels per literal comparison; they
+// are the inner loop of the similarity vectors at scale, so they follow
+// the //remp:hotpath contract — no allocation, no maps, sorted
 // slices and integer compares only. Equivalence with the string-set
 // measures is exact: interning is a bijection on the token strings, so
 // set sizes and intersection sizes — the only inputs to the coefficients
@@ -43,25 +43,4 @@ func JaccardIDs(a, b []uint32) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// JaccardUpperBound returns the largest Jaccard similarity any pair of
-// sets with the given sizes can reach: min/max (attained when the smaller
-// set is contained in the larger). Blocking uses it as a length-bucket
-// prefilter: when the bound is already below the threshold the
-// intersection is never computed. Because IEEE division is correctly
-// rounded (hence monotone in the exact numerator and denominator), the
-// returned float is ≥ the float JaccardIDs would compute for any
-// realizable intersection, so filtering on it can never drop a pair the
-// exact comparison would keep.
-//
-//remp:hotpath
-func JaccardUpperBound(la, lb int) float64 {
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	if la > lb {
-		la, lb = lb, la
-	}
-	return float64(la) / float64(lb)
 }
