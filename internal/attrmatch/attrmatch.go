@@ -22,13 +22,6 @@ type Match struct {
 	Sim float64
 }
 
-// Runner runs n independent tasks, possibly in parallel. *core.Scheduler
-// satisfies it; attrmatch declares its own interface because core imports
-// this package.
-type Runner interface {
-	ForEach(n int, fn func(i int))
-}
-
 // Options configures attribute matching.
 type Options struct {
 	// LiteralThreshold is the internal literal-similarity threshold of
@@ -45,7 +38,7 @@ type Options struct {
 	// Runner, when non-nil, computes the per-match simL contributions in
 	// parallel. The simA matrix is byte-identical either way (the float
 	// accumulation order is preserved); nil means serial.
-	Runner Runner
+	Runner pair.Runner
 }
 
 // DefaultOptions mirrors the paper (threshold 0.9, 1:1 on).
@@ -91,12 +84,12 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 
 	// Contribution pass over contiguous chunks of min: each chunk records
 	// its (a1, a2, simL) contributions in match order.
-	chunks := chunkRanges(len(min), opts.Runner)
+	chunks := pair.ChunkRanges(len(min), opts.Runner, runtime.NumCPU())
 	parts := make([][]contrib, len(chunks))
-	runAll(opts.Runner, len(chunks), func(ci int) {
+	pair.RunAll(opts.Runner, len(chunks), func(ci int) {
 		var sc strsim.MatchScratch
 		var out []contrib
-		for i := chunks[ci].lo; i < chunks[ci].hi; i++ {
+		for i := chunks[ci].Lo; i < chunks[ci].Hi; i++ {
 			m := min[i]
 			attrs1 := k1.Attrs(m.U1)
 			attrs2 := k2.Attrs(m.U2)
@@ -136,40 +129,6 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 type contrib struct {
 	a1, a2 kb.AttrID
 	sim    float64
-}
-
-// chunkRange is a half-open [lo, hi) range of match indexes.
-type chunkRange struct{ lo, hi int }
-
-// chunkRanges splits n matches into contiguous chunks: one per CPU when a
-// runner is present, a single chunk otherwise.
-func chunkRanges(n int, r Runner) []chunkRange {
-	if n == 0 {
-		return nil
-	}
-	nc := 1
-	if r != nil {
-		nc = runtime.NumCPU()
-		if nc > n {
-			nc = n
-		}
-	}
-	out := make([]chunkRange, nc)
-	for i := 0; i < nc; i++ {
-		out[i] = chunkRange{lo: i * n / nc, hi: (i + 1) * n / nc}
-	}
-	return out
-}
-
-// runAll executes fn(0..n-1) through r, or serially when r is nil.
-func runAll(r Runner, n int, fn func(int)) {
-	if r == nil {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	r.ForEach(n, fn)
 }
 
 // SimilaritiesNaive is the retained per-pair string implementation of

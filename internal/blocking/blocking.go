@@ -47,13 +47,6 @@ type Result struct {
 	Priors map[pair.Pair]float64
 }
 
-// Runner runs n independent tasks, possibly in parallel. *core.Scheduler
-// satisfies it; blocking declares its own interface because core imports
-// this package.
-type Runner interface {
-	ForEach(n int, fn func(i int))
-}
-
 // Options configures candidate generation.
 type Options struct {
 	// Threshold is the minimal label Jaccard similarity to keep a pair.
@@ -62,7 +55,7 @@ type Options struct {
 	// Runner, when non-nil, tokenizes labels and scans K1 entities in
 	// parallel (one contiguous chunk per scheduler slot). The result is
 	// identical either way; nil means serial.
-	Runner Runner
+	Runner pair.Runner
 }
 
 // DefaultOptions mirrors the paper's setup (threshold 0.3).
@@ -84,12 +77,12 @@ func Generate(k1, k2 *kb.KB, opts Options) *Result {
 	lab2 := internLabels(k2, dict, opts.Runner)
 	ix := newPostings(lab2, dict.Len())
 
-	chunks := chunkRanges(k1.NumEntities(), opts.Runner)
+	chunks := pair.ChunkRanges(k1.NumEntities(), opts.Runner, parallelChunks)
 	parts := make([]scanScratch, len(chunks))
-	run(opts.Runner, len(chunks), func(ci int) {
+	pair.RunAll(opts.Runner, len(chunks), func(ci int) {
 		sc := &parts[ci]
 		sc.count = make([]int32, len(ix.len2))
-		for u1 := chunks[ci].lo; u1 < chunks[ci].hi; u1++ {
+		for u1 := chunks[ci].Lo; u1 < chunks[ci].Hi; u1++ {
 			from := len(sc.cands)
 			ix.scan(sc, kb.EntityID(u1), lab1.of(u1), opts.Threshold)
 			for _, c := range sc.cands[from:] {
@@ -202,12 +195,12 @@ func (l labelSets) of(u int) []kb.TokenID { return l.toks[l.start[u]:l.start[u+1
 // internLabels tokenizes every entity label — in parallel chunks when r is
 // set — and then interns the tokens serially in entity order, so TokenIDs
 // are assigned first-come exactly as a serial pass would assign them.
-func internLabels(k *kb.KB, dict *kb.TokenDict, r Runner) labelSets {
+func internLabels(k *kb.KB, dict *kb.TokenDict, r pair.Runner) labelSets {
 	n := k.NumEntities()
-	chunks := chunkRanges(n, r)
+	chunks := pair.ChunkRanges(n, r, parallelChunks)
 	sets := make([][]string, n)
-	run(r, len(chunks), func(ci int) {
-		for u := chunks[ci].lo; u < chunks[ci].hi; u++ {
+	pair.RunAll(r, len(chunks), func(ci int) {
+		for u := chunks[ci].Lo; u < chunks[ci].Hi; u++ {
 			sets[u] = strsim.TokenSet(k.Label(kb.EntityID(u)))
 		}
 	})
@@ -226,41 +219,6 @@ func internLabels(k *kb.KB, dict *kb.TokenDict, r Runner) labelSets {
 // arrays (4 bytes × |K2| each) proportional to real parallelism; the chunk
 // count never affects the result.
 var parallelChunks = runtime.NumCPU()
-
-// chunkRange is a half-open [lo, hi) range of entity IDs.
-type chunkRange struct{ lo, hi int }
-
-// chunkRanges splits n entities into contiguous chunks: one per scheduler
-// slot when a runner is present, a single chunk otherwise. Per-entity
-// cost is homogeneous, so equal-size chunks balance well.
-func chunkRanges(n int, r Runner) []chunkRange {
-	if n == 0 {
-		return nil
-	}
-	nc := 1
-	if r != nil {
-		nc = parallelChunks
-		if nc > n {
-			nc = n
-		}
-	}
-	out := make([]chunkRange, nc)
-	for i := 0; i < nc; i++ {
-		out[i] = chunkRange{lo: i * n / nc, hi: (i + 1) * n / nc}
-	}
-	return out
-}
-
-// run executes fn(0..n-1) through r, or serially when r is nil.
-func run(r Runner, n int, fn func(int)) {
-	if r == nil {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	r.ForEach(n, fn)
-}
 
 // exactLabel reports whether the two entities have identical normalized
 // labels (the paper's criterion for initial entity matches).

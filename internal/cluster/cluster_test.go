@@ -3,6 +3,8 @@ package cluster
 import (
 	"encoding/json"
 	"net"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,6 +28,9 @@ type testSpec struct {
 	Mu      int    `json:"mu"`
 	Hybrid  bool   `json:"hybrid,omitempty"`
 	Budget  int    `json:"budget,omitempty"`
+	// IsolatedOnly keeps only the ER graph's vertices without an edge, and
+	// polls them to the budget: the graph no engine shard has work on.
+	IsolatedOnly bool `json:"isolated_only,omitempty"`
 }
 
 func (s testSpec) config() core.Config {
@@ -34,7 +39,18 @@ func (s testSpec) config() core.Config {
 	cfg.Mu = s.Mu
 	cfg.Hybrid = s.Hybrid
 	cfg.Budget = s.Budget
+	cfg.ExhaustBudget = s.IsolatedOnly
 	return cfg
+}
+
+// prepare builds the spec's pipeline over the dataset — what both the
+// coordinator side and every worker do with it.
+func (s testSpec) prepare(ds *datasets.Dataset, cfg core.Config) *core.Prepared {
+	p := core.Prepare(ds.K1, ds.K2, cfg)
+	if s.IsolatedOnly {
+		p = core.PrepareOnRetained(ds.K1, ds.K2, cfg, p.Graph.Isolated(), p.Blocking)
+	}
+	return p
 }
 
 func prepareFromSpec(raw []byte) (*core.Prepared, error) {
@@ -46,7 +62,7 @@ func prepareFromSpec(raw []byte) (*core.Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Prepare(ds.K1, ds.K2, s.config()), nil
+	return s.prepare(ds, s.config()), nil
 }
 
 // startWorker serves a Worker on a loopback listener.
@@ -132,7 +148,7 @@ func runLocal(t *testing.T, spec testSpec, asker core.Asker) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Prepare(ds.K1, ds.K2, spec.config()).Run(asker)
+	return spec.prepare(ds, spec.config()).Run(asker)
 }
 
 // runRemote resolves the spec with the shard engines on the coordinator's
@@ -152,8 +168,8 @@ func runRemote(t *testing.T, co *Coordinator, spec testSpec, asker core.Asker, p
 	if progress != nil {
 		cfg.Progress = func(questions int, _ pair.Set) { progress(questions) }
 	}
-	p := core.Prepare(ds.K1, ds.K2, cfg)
-	if p.NumShards() < 2 {
+	p := spec.prepare(ds, cfg)
+	if p.NumShards() < 2 && !spec.IsolatedOnly {
 		t.Fatalf("fixture produced %d shards, want ≥ 2", p.NumShards())
 	}
 	return p.Run(asker)
@@ -214,6 +230,169 @@ func TestRemoteRunnerMatchesLocalNoisyCrowd(t *testing.T) {
 	ref := runLocal(t, spec, crowdFor())
 	got := runRemote(t, co, spec, crowdFor(), nil)
 	assertResultsIdentical(t, ref, got)
+}
+
+// frameTap relays a worker's connections frame by frame and keeps every
+// request with its response: what actually crossed the wire.
+type frameTap struct {
+	mu    sync.Mutex
+	calls []tappedCall
+}
+
+type tappedCall struct {
+	method   string
+	req, res json.RawMessage
+}
+
+// tapWorker starts a worker behind a frameTap and returns the tap's
+// address — the one to hand the coordinator.
+func tapWorker(t *testing.T) (string, *frameTap) {
+	t.Helper()
+	worker, _ := startWorker(t, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	tap := &frameTap{}
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go tap.relay(client, worker)
+		}
+	}()
+	return ln.Addr().String(), tap
+}
+
+// recorded returns the calls relayed so far.
+func (tap *frameTap) recorded() []tappedCall {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	return slices.Clone(tap.calls)
+}
+
+// relay serves one coordinator connection: a request is forwarded and its
+// response awaited before the next is read, which is how the coordinator
+// uses a connection.
+func (tap *frameTap) relay(client net.Conn, worker string) {
+	defer client.Close()
+	up, err := net.Dial("tcp", worker)
+	if err != nil {
+		return
+	}
+	defer up.Close()
+	for {
+		req, err := ReadFrame(client)
+		if err != nil || WriteFrame(up, req) != nil {
+			return
+		}
+		res, err := ReadFrame(up)
+		if err != nil || WriteFrame(client, res) != nil {
+			return
+		}
+		if req.Method != MethodPing {
+			tap.mu.Lock()
+			tap.calls = append(tap.calls, tappedCall{method: req.Method, req: req.Body, res: res.Body})
+			tap.mu.Unlock()
+		}
+	}
+}
+
+// TestIsolatedVerticesStayOffTheWire pins what a cluster session ships:
+// isolated vertices are the loop's own, so no gather response lists one —
+// as a candidate or in an inferred set — and no resolve or damp command is
+// ever logged for one, though the loop confirms some of them and rejects
+// others under a fallible crowd; and over a graph with no edge at all, where
+// the one engine shard has nothing to do, the session is a prepare frame
+// and an end frame per worker it touched.
+func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
+	run := func(t *testing.T, spec testSpec) (*core.Prepared, *core.Result, []tappedCall) {
+		a1, tap1 := tapWorker(t)
+		a2, tap2 := tapWorker(t)
+		co := testCoordinator(t, []string{a1, a2}, nil, testMetrics())
+		ds, err := datasets.ByName(spec.Dataset, spec.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crowdFor := func() *crowd.Platform {
+			return crowd.NewPlatform(ds.Gold.IsMatch, crowd.Config{NumWorkers: 20, WorkersPerQuestion: 3, ErrorRate: 0.3, Seed: 3})
+		}
+		res := runRemote(t, co, spec, crowdFor(), nil)
+		assertResultsIdentical(t, runLocal(t, spec, crowdFor()), res)
+		return spec.prepare(ds, spec.config()), res, append(tap1.recorded(), tap2.recorded()...)
+	}
+
+	t.Run("mixed graph", func(t *testing.T) {
+		p, res, calls := run(t, testSpec{Dataset: "d-y", Seed: 2, Shards: 4, Mu: 10, Budget: 120})
+		verts := p.Graph.Vertices()
+		isolated := pair.NewSet(p.Graph.Isolated()...)
+		if isolated.Len() == 0 || isolated.Len() == len(verts) {
+			t.Fatalf("fixture has %d isolated of %d vertices, want a mix", isolated.Len(), len(verts))
+		}
+		confirmed, rejected := 0, 0
+		for q := range isolated {
+			if res.Confirmed.Has(q) {
+				confirmed++
+			}
+			if res.NonMatches.Has(q) {
+				rejected++
+			}
+		}
+		t.Logf("isolated vertices: %d of %d; %d confirmed, %d resolved non-matches", isolated.Len(), len(verts), confirmed, rejected)
+		if confirmed == 0 || rejected == 0 {
+			t.Fatalf("%d isolated vertices confirmed and %d rejected: the loop resolved none of its own", confirmed, rejected)
+		}
+		gathers, cmds := 0, 0
+		for _, c := range calls {
+			if c.method == MethodPrepare || c.method == MethodEnd {
+				continue
+			}
+			var req shardReq
+			var res shardRes
+			if err := json.Unmarshal(c.req, &req); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(c.res, &res); err != nil {
+				t.Fatal(err)
+			}
+			for _, cmd := range req.Cmds {
+				cmds++
+				if (cmd.Op == OpResolve || cmd.Op == OpDamp) && isolated.Has(cmd.Pair) {
+					t.Fatalf("%s logged for isolated vertex %v", cmd.Op, cmd.Pair)
+				}
+			}
+			if c.method == MethodGather {
+				gathers++
+			}
+			for _, cand := range res.Cands {
+				for _, idx := range cand.Inferred {
+					if isolated.Has(verts[idx]) {
+						t.Fatalf("gather response carries isolated vertex %v (candidate %v)", verts[idx], cand.Pair)
+					}
+				}
+			}
+		}
+		if gathers == 0 || cmds == 0 {
+			t.Fatalf("tap saw %d gathers and %d commands: nothing was checked", gathers, cmds)
+		}
+	})
+
+	t.Run("all isolated", func(t *testing.T) {
+		p, _, calls := run(t, testSpec{Dataset: "d-y", Seed: 2, Shards: 4, Mu: 10, Budget: 60, IsolatedOnly: true})
+		if p.Graph.NumEdges() != 0 || p.NumShards() != 1 {
+			t.Fatalf("fixture has %d edges and %d shards, want none and the one empty shard", p.Graph.NumEdges(), p.NumShards())
+		}
+		methods := map[string]int{}
+		for _, c := range calls {
+			methods[c.method]++
+		}
+		if methods[MethodPrepare] != 1 || methods[MethodEnd] == 0 || len(methods) != 2 {
+			t.Fatalf("frames by method: %v, want one prepare and the end frames only", methods)
+		}
+	})
 }
 
 // TestClusterFailoverWorkerDeath kills one of three in-process workers

@@ -168,8 +168,8 @@ func (r *remoteRunner) Release(s int) (int64, error) {
 	sh.released = true
 	ctx, cancel := context.WithTimeout(context.Background(), r.co.cfg.RPCTimeout)
 	defer cancel()
-	if !sh.prepared || r.co.workers[sh.worker].isDown() {
-		return 0, nil
+	if !sh.prepared || len(sh.log) == 0 || r.co.workers[sh.worker].isDown() {
+		return 0, nil // no owner, or nothing ever ran there: the end frame drops the state
 	}
 	sh.mu.Lock()
 	req := shardReq{Runner: r.id, Shard: s, Cmds: sh.log[sh.flushed:]}

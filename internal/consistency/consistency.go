@@ -122,6 +122,8 @@ func fitFrom(obs []Observation, e1, e2 float64, opts Options) Estimate {
 // bestL scans the admissible integer range for the latent variable of one
 // observation and returns the maximizer of
 // log C(n1,L) + log C(n2,L) + L·logOdds.
+//
+//remp:hotpath
 func bestL(o Observation, logOdds float64) int {
 	lm := o.N1
 	if o.N2 < lm {
@@ -145,13 +147,20 @@ func bestL(o Observation, logOdds float64) int {
 }
 
 // logLikelihood evaluates the total log of Eq. (4) across observations.
+// The four logarithms are the same for every observation and taken once;
+// each term keeps its operands and its place in the sum, so the result is
+// the bits the per-observation form produces.
+//
+//remp:hotpath
 func logLikelihood(obs []Observation, latent []int, e1, e2 float64) float64 {
+	logE1, logNotE1 := math.Log(e1), math.Log(1-e1)
+	logE2, logNotE2 := math.Log(e2), math.Log(1-e2)
 	ll := 0.0
 	for i, o := range obs {
 		l := latent[i]
 		ll += logChoose(o.N1, l) + logChoose(o.N2, l)
-		ll += float64(l)*math.Log(e1) + float64(o.N1-l)*math.Log(1-e1)
-		ll += float64(l)*math.Log(e2) + float64(o.N2-l)*math.Log(1-e2)
+		ll += float64(l)*logE1 + float64(o.N1-l)*logNotE1
+		ll += float64(l)*logE2 + float64(o.N2-l)*logNotE2
 	}
 	return ll
 }
@@ -181,20 +190,20 @@ func logFact(n int) float64 {
 	}
 	logFactMu.Lock()
 	defer logFactMu.Unlock()
-	var old []float64
+	var table []float64
 	if t := logFactTable.Load(); t != nil {
-		old = *t
+		table = *t
 	}
-	if n < len(old) { // another goroutine grew it meanwhile
-		return old[n]
+	if n >= len(table) { // unless another goroutine grew it meanwhile
+		grown := make([]float64, max(n+1, 2*len(table), 64))
+		copy(grown, table)
+		for i := max(len(table), 1); i < len(grown); i++ {
+			grown[i] = grown[i-1] + math.Log(float64(i))
+		}
+		logFactTable.Store(&grown)
+		table = grown
 	}
-	grown := make([]float64, max(n+1, 2*len(old), 64))
-	copy(grown, old)
-	for i := max(len(old), 1); i < len(grown); i++ {
-		grown[i] = grown[i-1] + math.Log(float64(i))
-	}
-	logFactTable.Store(&grown)
-	return grown[n]
+	return table[n]
 }
 
 func clamp(x, lo, hi float64) float64 {

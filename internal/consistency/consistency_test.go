@@ -174,3 +174,82 @@ func TestFitConcurrentSharesLogFactTable(t *testing.T) {
 		}
 	}
 }
+
+// oracleLogLikelihood is logLikelihood as it was before the four
+// logarithms were hoisted out of the loop: one math.Log per term.
+func oracleLogLikelihood(obs []Observation, latent []int, e1, e2 float64) float64 {
+	ll := 0.0
+	for i, o := range obs {
+		l := latent[i]
+		ll += logChoose(o.N1, l) + logChoose(o.N2, l)
+		ll += float64(l)*math.Log(e1) + float64(o.N1-l)*math.Log(1-e1)
+		ll += float64(l)*math.Log(e2) + float64(o.N2-l)*math.Log(1-e2)
+	}
+	return ll
+}
+
+// oracleFit is Fit over oracleLogLikelihood.
+func oracleFit(obs []Observation, opts Options) Estimate {
+	opts.fill()
+	best := Estimate{Eps1: 0.5, Eps2: 0.5, Latent: make([]int, len(obs))}
+	informative := false
+	for _, o := range obs {
+		informative = informative || o.N1 != 0 || o.N2 != 0
+	}
+	if !informative {
+		return best
+	}
+	best.LogLikelihood = math.Inf(-1)
+	for _, start := range []float64{0.25, 0.5, 0.75, 0.9} {
+		e1, e2, ll := start, start, 0.0
+		latent := make([]int, len(obs))
+		for iter := 0; iter < opts.MaxIters; iter++ {
+			logOdds := math.Log(e1/(1-e1)) + math.Log(e2/(1-e2))
+			sumL, sumN1, sumN2 := opts.PseudoCount*0.5, opts.PseudoCount, opts.PseudoCount
+			for i, o := range obs {
+				latent[i] = bestL(o, logOdds)
+				sumL += float64(latent[i])
+				sumN1 += float64(o.N1)
+				sumN2 += float64(o.N2)
+			}
+			e1 = clamp(sumL/sumN1, opts.MinEps, opts.MaxEps)
+			e2 = clamp(sumL/sumN2, opts.MinEps, opts.MaxEps)
+			prev := ll
+			ll = oracleLogLikelihood(obs, latent, e1, e2)
+			if iter > 0 && ll <= prev+1e-12 {
+				break
+			}
+		}
+		if ll > best.LogLikelihood {
+			best = Estimate{Eps1: e1, Eps2: e2, LogLikelihood: ll, Latent: latent}
+		}
+	}
+	return best
+}
+
+// TestFitMatchesPerObservationLogs pins the hoisted logarithms: over random
+// observation lists — empty ones, uninformative ones and known lower
+// bounds above min(N1, N2) included — Fit and FromCounts return the bits
+// the per-observation form returns.
+func TestFitMatchesPerObservationLogs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 400; trial++ {
+		obs := make([]Observation, rng.Intn(40))
+		for i := range obs {
+			obs[i] = Observation{N1: rng.Intn(12), N2: rng.Intn(12), KnownL: rng.Intn(16) - 2}
+			if trial%7 == 0 {
+				obs[i].N1, obs[i].N2 = 0, 0
+			}
+		}
+		got, want := Fit(obs, DefaultOptions()), oracleFit(obs, DefaultOptions())
+		if !same(got.Eps1, want.Eps1) || !same(got.Eps2, want.Eps2) || !same(got.LogLikelihood, want.LogLikelihood) {
+			t.Fatalf("trial %d: Fit(%v) = (%v, %v, %v), per-observation logs give (%v, %v, %v)",
+				trial, obs, got.Eps1, got.Eps2, got.LogLikelihood, want.Eps1, want.Eps2, want.LogLikelihood)
+		}
+		direct := FromCounts(obs, DefaultOptions())
+		if ll := oracleLogLikelihood(obs, direct.Latent, direct.Eps1, direct.Eps2); !same(direct.LogLikelihood, ll) {
+			t.Fatalf("trial %d: FromCounts(%v) log-likelihood %v, per-observation logs give %v", trial, obs, direct.LogLikelihood, ll)
+		}
+	}
+}

@@ -76,12 +76,13 @@ type Config struct {
 	// dominance — a pair dominating a confirmed match becomes a match, a
 	// pair dominated by a confirmed non-match becomes a non-match.
 	Hybrid bool
-	// Shards splits the candidate-pair graph into independent shards of
-	// connected components (relational edges plus entity sharing) whose
-	// propagation, selection and answer application run concurrently
-	// under one global budget/µ-batch scheduler; the results are
-	// identical to the unsharded run. 0 selects automatically from the
-	// graph size (single-shard below a few thousand vertices), 1 disables
+	// Shards splits the candidate-pair graph's vertices that have an edge
+	// into independent shards of connected components (over relational
+	// edges) whose propagation, selection and answer application run
+	// concurrently under one global budget/µ-batch scheduler; isolated
+	// vertices stay with the loop, and the results are identical to the
+	// unsharded run. 0 selects automatically from the number of vertices
+	// with an edge (single-shard below a few thousand), 1 disables
 	// sharding, negative is rejected by Validate.
 	Shards int
 	// Sched bounds the goroutines sharded loops fan out; sessions under

@@ -17,6 +17,14 @@ import (
 // mostly agree across KBs with slight perturbations; a fraction of person
 // entities is isolated (no relationships).
 func movieWorld(n int, seed int64) (*kb.KB, *kb.KB, *pair.Gold) {
+	return movieWorldLoners(n, 0, seed)
+}
+
+// movieWorldLoners is movieWorld plus the given number of further entity
+// pairs without a relationship, each under a one-token label of its own:
+// they share a blocking token with nothing, so each adds exactly one
+// isolated vertex to the ER graph.
+func movieWorldLoners(n, loners int, seed int64) (*kb.KB, *kb.KB, *pair.Gold) {
 	rng := rand.New(rand.NewSource(seed))
 	k1 := kb.New("kb1")
 	k2 := kb.New("kb2")
@@ -61,6 +69,9 @@ func movieWorld(n int, seed int64) (*kb.KB, *kb.KB, *pair.Gold) {
 		}
 		// One isolated pair per director cluster.
 		addPair(fmt.Sprintf("writer %d", i), "person", false)
+	}
+	for i := 0; i < loners; i++ {
+		addPair(fmt.Sprintf("editor%d", i), "person", false)
 	}
 	return k1, k2, pair.NewGold(gold)
 }

@@ -119,6 +119,23 @@ func TestRunIncrementalMatchesFullResync(t *testing.T) {
 			}
 		}
 	}
+
+	// Graphs from none to all of whose vertices are isolated: what the
+	// loop keeps itself must not depend on the engines' recompute policy.
+	k1, k2, gold, blk, fixtures := splitFixtures()
+	for _, f := range fixtures {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", f.name, shards), func(t *testing.T) {
+				run := func(fullResync bool) *Result {
+					cfg := DefaultConfig()
+					cfg.Mu, cfg.Shards = 4, shards
+					cfg.debugFullResync = fullResync
+					return f.prepare(t, k1, k2, blk, cfg).Run(f.asker(gold))
+				}
+				assertResultsIdentical(t, run(false), run(true))
+			})
+		}
+	}
 }
 
 // TestRunIsDeterministic guards the sorted inferred-index lists: two runs

@@ -18,7 +18,7 @@ import (
 // are positives and — because propagation only ever confirms matches —
 // unresolved pairs in N_p are treated as negatives to balance the classes.
 func (p *Prepared) classifyIsolated(res *Result) {
-	if len(p.Graph.Isolated()) == 0 {
+	if len(p.isolated) == 0 {
 		return
 	}
 	c := newIsolatedClassifier(p, res)
@@ -121,7 +121,7 @@ func newIsolatedClassifier(p *Prepared, res *Result) *isolatedClassifier {
 		switch {
 		case res.Matches.Has(q):
 			c.role[i] = rolePositive
-		case res.NonMatches.Has(q) || len(p.Graph.OutIndexesAt(i)) > 0 || len(p.Graph.InIndexesAt(i)) > 0:
+		case res.NonMatches.Has(q) || p.home[i] >= 0:
 			c.role[i] = roleNegative
 		default:
 			c.role[i] = roleTarget

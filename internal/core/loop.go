@@ -52,11 +52,13 @@ type Answer struct {
 	Labels []crowd.Label
 }
 
-// loopShard is the loop's per-shard bookkeeping: the pipe (subgraph and
-// its global index map) plus the caches that make clean shards free. The
-// engines themselves live behind the ShardRunner. A shard whose vertices
-// are all resolved is settled: its engine is released (the dist/rev ball
-// maps are the loop's dominant memory) and every later phase skips it.
+// loopShard is the loop's bookkeeping for one engine shard: the pipe
+// (subgraph and its global index map) plus the caches that make clean
+// shards free. The engines themselves live behind the ShardRunner. The
+// isolated vertices are in no loopShard — the Loop holds them directly
+// (isoDead, isoHead). A shard whose vertices are all resolved is settled:
+// its engine is released (the dist/rev ball maps are the loop's dominant
+// memory) and every later phase skips it.
 //
 // dirty tracks whether anything that feeds candidate gathering changed
 // since the shard's last gather: an answer applied to a shard vertex, a
@@ -68,7 +70,7 @@ type Answer struct {
 type loopShard struct {
 	pipe       *shardPipe
 	settled    bool
-	unresolved int // vertices not yet resolved either way; 0 settles the shard
+	unresolved int // vertices with an edge not yet resolved either way; 0 settles the shard
 
 	dirty   bool
 	cands   []selection.Candidate
@@ -101,6 +103,12 @@ type loopShard struct {
 // runs on the serial answer-application path, so the sharded machine
 // resolves exactly the pairs the monolithic one would.
 //
+// The isolated vertices are in no shard at any shard count. Nothing
+// propagates to or from them, so the loop holds them itself — a shard with
+// no engine: a flag per vertex for whether it is still a candidate, and a
+// cursor into the ranking it makes of them once, at its first batch. A batch costs
+// them the few entries it reads off that ranking, however many there are.
+//
 // The engines live behind the Config's ShardRunner: in this process by
 // default, or on cluster worker processes behind internal/cluster's
 // remote runner. A runner that fails permanently moves the loop to
@@ -116,6 +124,16 @@ type Loop struct {
 	// questions, which weigh their next truth inference.
 	damped map[pair.Pair]float64
 	shards []*loopShard
+	// The isolated vertices are the loop's own shard: no engine, no runner
+	// call. isoDead[i] is set once p.isolated[i] is resolved or hard and
+	// isoLive counts the rest. isoRank is the strategy's ranking of them as
+	// questions (Index is a position in p.isolated), made once, at the
+	// first batch; isoHead is the cursor into it — every entry before it
+	// is dead.
+	isoDead []bool
+	isoLive int
+	isoRank []selection.Pick
+	isoHead int
 
 	open    []pair.Pair                 // published batch, in selection order
 	next    int                         // index into open of the next answer to apply
@@ -159,16 +177,18 @@ func (p *Prepared) NewLoop() *Loop {
 			IsolatedPredicted: pair.Set{},
 			NonMatches:        pair.Set{},
 		},
-		damped: map[pair.Pair]float64{},
-		est:    p.Consistency,
+		damped:  map[pair.Pair]float64{},
+		est:     p.Consistency,
+		isoDead: make([]bool, len(p.isolated)),
+		isoLive: len(p.isolated),
 	}
 	if p.Cfg.Deduce {
 		l.ded = deduce.New(deduce.OneToOne)
 		l.deduced = pair.Set{}
 	}
 	l.shards = make([]*loopShard, len(p.pipes))
-	for s := range l.shards {
-		l.shards[s] = &loopShard{pipe: p.pipes[s], dirty: true, unresolved: p.pipes[s].graph.NumVertices()}
+	for s, size := range p.ShardSizes() {
+		l.shards[s] = &loopShard{pipe: p.pipes[s], dirty: true, unresolved: size}
 	}
 	// The initial engine builds are the first propagation work of the
 	// session; their Dijkstra fan-out lands in the infer stage and the
@@ -185,21 +205,37 @@ func (p *Prepared) NewLoop() *Loop {
 	return l
 }
 
-// NumShards returns the number of shards the loop runs over.
+// NumShards returns the number of engine shards the loop runs over.
 func (l *Loop) NumShards() int { return len(l.shards) }
 
-// ShardSizes returns the vertex count per shard (the shard assignment
-// fingerprint session snapshots record).
+// ShardSizes returns the number of vertices with an edge per engine shard
+// (the shard assignment fingerprint session snapshots record).
 func (l *Loop) ShardSizes() []int { return l.p.ShardSizes() }
 
-// shardIndex routes a pair to its shard index. All pairs reachable from
-// the loop's control flow are graph vertices, so the lookup cannot miss;
-// -1 is returned for foreign pairs as a guard.
-func (l *Loop) shardIndex(q pair.Pair) int {
-	if len(l.shards) == 1 {
-		return 0
+// home routes graph vertex q: the engine shard holding it, or ^i when it is
+// isolated vertex i of l.p.isolated — which the loop keeps itself. Every
+// pair the loop's control flow reaches is a graph vertex.
+func (l *Loop) home(q pair.Pair) int { return int(l.p.home[l.p.Graph.IndexOf(q)]) }
+
+// retire takes isolated vertex iso out of the candidates for good: it was
+// resolved, or turned out a hard question.
+func (l *Loop) retire(iso int) {
+	if !l.isoDead[iso] {
+		l.isoDead[iso] = true
+		l.isoLive--
 	}
-	return l.p.Part.ShardOf(q)
+}
+
+// nextSingleton returns the first position at or after i in the isolated
+// vertices' ranking whose vertex is still a candidate, len(l.isoRank) when
+// none is.
+//
+//remp:hotpath
+func (l *Loop) nextSingleton(i int) int {
+	for i < len(l.isoRank) && l.isoDead[l.isoRank[i].Index] {
+		i++
+	}
+	return i
 }
 
 // resolved reports whether q has been decided either way.
@@ -249,7 +285,7 @@ func (l *Loop) record(q pair.Pair, v deduce.Verdict) {
 // touch marks q's shard dirty: its cached candidates and selection no
 // longer describe the next loop.
 func (l *Loop) touch(q pair.Pair) {
-	if s := l.shardIndex(q); s >= 0 {
+	if s := l.home(q); s >= 0 {
 		l.shards[s].dirty = true
 	}
 }
@@ -257,13 +293,16 @@ func (l *Loop) touch(q pair.Pair) {
 // resolving is called just before q enters a result set: it dirties q's
 // shard and, on q's first resolution (an inconsistent crowd can resolve a
 // pair twice, even both ways), counts it off the shard's unresolved
-// vertices.
+// vertices. An isolated q is retired instead.
 func (l *Loop) resolving(q pair.Pair) {
-	if s := l.shardIndex(q); s >= 0 {
-		l.shards[s].dirty = true
-		if !l.resolved(q) {
-			l.shards[s].unresolved--
-		}
+	s := l.home(q)
+	if s < 0 {
+		l.retire(^s)
+		return
+	}
+	l.shards[s].dirty = true
+	if !l.resolved(q) {
+		l.shards[s].unresolved--
 	}
 }
 
@@ -291,13 +330,13 @@ func (l *Loop) Close() {
 }
 
 // runnerResolve mirrors a resolution into the owning shard's engine state.
-// Settled shards are skipped: every vertex there is already resolved, so
-// the runner state cannot be consulted again.
+// An isolated vertex has none. Settled shards are skipped: every vertex
+// there is already resolved, so the runner state cannot be consulted again.
 func (l *Loop) runnerResolve(q pair.Pair, detach bool) {
 	if l.err != nil {
 		return
 	}
-	s := l.shardIndex(q)
+	s := l.home(q)
 	if s < 0 || l.shards[s].settled {
 		return
 	}
@@ -468,7 +507,9 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	default:
 		// Hard question: damp its prior so its benefit shrinks.
 		l.damped[q] = inf.Posterior
-		if s := l.shardIndex(q); s >= 0 && !l.shards[s].settled && l.err == nil {
+		if s := l.home(q); s < 0 {
+			l.retire(^s)
+		} else if !l.shards[s].settled && l.err == nil {
 			if err := l.r.Damp(s, q, inf.Posterior); err != nil {
 				l.fail(err)
 			}
@@ -514,9 +555,6 @@ func (l *Loop) batchTail() {
 // their ball maps — the loop's dominant memory — can be collected and
 // every per-shard phase skips them outright.
 func (l *Loop) settle() {
-	if len(l.shards) == 1 {
-		return // a fully resolved single shard finishes the loop instead
-	}
 	for s, sh := range l.shards {
 		if sh.settled || sh.unresolved > 0 {
 			continue
@@ -600,14 +638,26 @@ func (l *Loop) openBatch() {
 		}
 	}
 	tSelect := cfg.Obs.StageStart()
-	perShard := make([][]selection.Candidate, len(active))
+	if l.isoRank == nil && l.isoLive > 0 {
+		// Rank the isolated vertices as the candidate questions they are,
+		// once. By the Strategy contract a score depends only on a candidate
+		// and the chosen candidates whose inferred sets overlap it; a
+		// singleton's is itself alone, so this one ranking, filtered to the
+		// vertices still live, is the ranking of any later batch.
+		cands := make([]selection.Candidate, len(l.isoDead))
+		for i := range cands {
+			cands[i] = l.p.singleton(i)
+		}
+		l.isoRank = cfg.Strategy.SelectRanked(cands, len(cands))
+	}
+	l.isoHead = l.nextSingleton(l.isoHead)
+	candidates := l.isoLive
 	anyPropagation := false
-	for k, s := range active {
-		perShard[k] = l.shards[s].cands
+	for _, s := range active {
+		candidates += len(l.shards[s].cands)
 		anyPropagation = anyPropagation || l.shards[s].anyProp
 	}
-	cands, pos := mergeCandidates(perShard)
-	if len(cands) == 0 || (!anyPropagation && !cfg.ExhaustBudget) {
+	if candidates == 0 || (!anyPropagation && !cfg.ExhaustBudget) {
 		cfg.Obs.StageEnd(obs.StageSelect, tSelect)
 		l.finish()
 		return
@@ -621,7 +671,7 @@ func (l *Loop) openBatch() {
 			return
 		}
 	}
-	chosen := l.selectBatch(active, perShard, pos, mu)
+	chosen := l.selectBatch(active, mu)
 	if l.err != nil {
 		cfg.Obs.StageEnd(obs.StageSelect, tSelect)
 		return
@@ -629,15 +679,26 @@ func (l *Loop) openBatch() {
 	if len(chosen) < mu {
 		// Remp always issues µ questions per human-machine loop (§VIII,
 		// Table VII): pad the batch with the highest-prior unchosen
-		// candidates once marginal benefits hit zero.
-		chosen = padBatch(cands, chosen, mu)
+		// candidates once marginal benefits hit zero. It is the one step
+		// that needs every candidate in one list, so the list is built
+		// here, on the rare batch that comes up short.
+		var all []selection.Candidate
+		for _, s := range active {
+			all = append(all, l.shards[s].cands...)
+		}
+		for i, dead := range l.isoDead {
+			if !dead {
+				all = append(all, l.p.singleton(i))
+			}
+		}
+		chosen = padBatch(all, chosen, mu)
 	}
-	if cfg.Deduce && len(chosen) > 1 {
+	if cfg.Deduce {
 		// Deduction-aware ordering: front-load the questions whose
 		// confirmation cascade closes the most open batch-mates, so the
 		// deduction skip in drain fires as often as possible. Stable on
-		// the existing global candidate order, so determinism holds.
-		chosen = selection.OrderByClosureGain(cands, chosen)
+		// the selection order, so determinism holds.
+		chosen = selection.OrderByClosureGain(chosen)
 	}
 	cfg.Obs.StageEnd(obs.StageSelect, tSelect)
 	if len(chosen) == 0 {
@@ -647,8 +708,8 @@ func (l *Loop) openBatch() {
 	cfg.Obs.AddBatch()
 	l.res.Loops++
 	l.open = make([]pair.Pair, len(chosen))
-	for i, ci := range chosen {
-		l.open[i] = cands[ci].Pair
+	for i, c := range chosen {
+		l.open[i] = c.Pair
 	}
 	l.next = 0
 	l.buf = make(map[pair.Pair][]crowd.Label, len(l.open))
@@ -656,13 +717,16 @@ func (l *Loop) openBatch() {
 
 // selectBatch chooses up to mu questions: every shard ranks its own
 // candidates (concurrently; a clean shard's ranked sequence is reused from
-// the previous loop, its candidates being unchanged) and the per-shard
-// sequences are merged by committed score, ties on the global candidate
-// order. By the Strategy contract the merged sequence is what the strategy
-// would choose on the merged list, at any shard count.
-func (l *Loop) selectBatch(active []int, perShard [][]selection.Candidate, pos [][]int, mu int) []int {
+// the previous loop, its candidates being unchanged), the isolated
+// vertices' sequence is their one ranking read from the cursor past the
+// dead, and the sequences are merged by committed score, ties on the
+// global vertex index (Inferred[0]) — the order of the candidate list a
+// monolithic gather would produce. By the Strategy contract the merged
+// sequence is what the strategy would choose on that list, at any shard
+// count.
+func (l *Loop) selectBatch(active []int, mu int) []selection.Candidate {
 	cfg := l.p.Cfg
-	picks := make([][]selection.Pick, len(perShard))
+	picks := make([][]selection.Pick, len(active))
 	stale := make([]int, 0, len(active))
 	for k, s := range active {
 		sh := l.shards[s]
@@ -676,7 +740,7 @@ func (l *Loop) selectBatch(active []int, perShard [][]selection.Candidate, pos [
 	cfg.scheduler().ForEach(len(stale), func(i int) {
 		k := stale[i]
 		sh := l.shards[active[k]]
-		if len(perShard[k]) > 0 {
+		if len(sh.cands) > 0 {
 			pk, err := l.r.Rank(active[k], mu)
 			if err != nil {
 				rankErrs[i] = err
@@ -695,27 +759,40 @@ func (l *Loop) selectBatch(active []int, perShard [][]selection.Candidate, pos [
 			return nil
 		}
 	}
+	// The streams merged are the shards' sequences, by position in picks,
+	// and the isolated vertices' one.
+	const none, singletons = -1, -2
+	rank := l.isoRank
 	heads := make([]int, len(picks))
-	var chosen []int
+	iso := l.isoHead
+	best, bestIdx, bestScore := none, 0, 0.0
+	offer := func(stream int, score float64, idx int) {
+		if best == none || score > bestScore || (score == bestScore && idx < bestIdx) {
+			best, bestScore, bestIdx = stream, score, idx
+		}
+	}
+	chosen := make([]selection.Candidate, 0, mu)
 	for len(chosen) < mu {
-		best := -1
-		bestScore := 0.0
-		bestPos := 0
+		best = none
 		for k := range picks {
-			if heads[k] >= len(picks[k]) {
-				continue
-			}
-			pk := picks[k][heads[k]]
-			gp := pos[k][pk.Index]
-			if best < 0 || pk.Score > bestScore || (pk.Score == bestScore && gp < bestPos) {
-				best, bestScore, bestPos = k, pk.Score, gp
+			if heads[k] < len(picks[k]) {
+				pk := picks[k][heads[k]]
+				offer(k, pk.Score, l.shards[active[k]].cands[pk.Index].Inferred[0])
 			}
 		}
-		if best < 0 {
-			break
+		if iso = l.nextSingleton(iso); iso < len(rank) {
+			offer(singletons, rank[iso].Score, l.p.isolated[rank[iso].Index])
 		}
-		chosen = append(chosen, bestPos)
-		heads[best]++
+		switch best {
+		case none:
+			return chosen
+		case singletons:
+			chosen = append(chosen, l.p.singleton(rank[iso].Index))
+			iso++
+		default:
+			chosen = append(chosen, l.shards[active[best]].cands[picks[best][heads[best]].Index])
+			heads[best]++
+		}
 	}
 	return chosen
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/crowd"
@@ -22,7 +23,7 @@ func TestPadBatchDeterministicTies(t *testing.T) {
 		{Pair: pair.Pair{U1: 1, U2: 1}, Prob: 0.5},
 		{Pair: pair.Pair{U1: 2, U2: 2}, Prob: 0.5},
 	}
-	got := padBatch(cands, []int{2}, 4)
+	got := padBatch(cands, cands[2:3:3], 4)
 	want := []pair.Pair{
 		{U1: 3, U2: 3}, // the strategy's pick stays first
 		{U1: 1, U2: 1}, // then the 0.5-tie block in Pair.Less order
@@ -32,9 +33,9 @@ func TestPadBatchDeterministicTies(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("padded to %d questions, want %d", len(got), len(want))
 	}
-	for i, ci := range got {
-		if cands[ci].Pair != want[i] {
-			t.Fatalf("position %d: got %v, want %v", i, cands[ci].Pair, want[i])
+	for i, c := range got {
+		if c.Pair != want[i] {
+			t.Fatalf("position %d: got %v, want %v", i, c.Pair, want[i])
 		}
 	}
 
@@ -50,10 +51,10 @@ func TestPadBatchDeterministicTies(t *testing.T) {
 				first = i
 			}
 		}
-		res := padBatch(shuffled, []int{first}, 4)
-		for i, ci := range res {
-			if shuffled[ci].Pair != want[i] {
-				t.Fatalf("trial %d position %d: got %v, want %v", trial, i, shuffled[ci].Pair, want[i])
+		res := padBatch(shuffled, shuffled[first:first+1:first+1], 4)
+		for i, c := range res {
+			if c.Pair != want[i] {
+				t.Fatalf("trial %d position %d: got %v, want %v", trial, i, c.Pair, want[i])
 			}
 		}
 	}
@@ -160,5 +161,64 @@ func TestLoopClose(t *testing.T) {
 	done.Close()
 	if runner.closes != 1 || done.State() != LoopDone {
 		t.Fatalf("closing a finished loop: runner closed %d times, state %s", runner.closes, done.State())
+	}
+}
+
+// TestOpenBatchCostIgnoresIsolated fails if the isolated vertices creep
+// back into the per-batch path: opening a batch over a couple of hundred
+// connected vertices allocates about what it allocates beside 20 000
+// isolated ones, one of which died since the last batch (the state every
+// batch of a real session finds), while the engine shards are clean.
+func TestOpenBatchCostIgnoresIsolated(t *testing.T) {
+	const loners = 20_000
+	k1, k2, _ := movieWorldLoners(4, loners, 41)
+	cfg := DefaultConfig()
+	cfg.Shards, cfg.Mu, cfg.ExhaustBudget = 4, 10, true
+	with := Prepare(k1, k2, cfg)
+	connected := make([]pair.Pair, 0, with.Graph.NumVertices())
+	for i, v := range with.Graph.Vertices() {
+		if with.home[i] >= 0 {
+			connected = append(connected, v)
+		}
+	}
+	if len(connected) < 100 || len(connected) > 400 || len(with.isolated) < loners {
+		t.Fatalf("fixture has %d connected and %d isolated vertices, want about 200 and at least %d", len(connected), len(with.isolated), loners)
+	}
+	without := PrepareOnRetained(k1, k2, cfg, connected, with.Blocking)
+	if len(without.isolated) != 0 {
+		t.Fatalf("reference graph has %d isolated vertices", len(without.isolated))
+	}
+
+	// cost measures a steady-state openBatch: allocations and bytes.
+	cost := func(p *Prepared) (allocs, bytes float64) {
+		l := p.NewLoop()
+		defer l.Close()
+		died := 0
+		open := func() {
+			if died < len(l.isoRank) {
+				l.retire(l.isoRank[died].Index)
+				died++
+			}
+			l.openBatch()
+			if l.done || len(l.open) != cfg.Mu {
+				t.Fatalf("openBatch published %d questions (done=%v)", len(l.open), l.done)
+			}
+		}
+		const runs = 50
+		allocs = testing.AllocsPerRun(runs, open)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			open()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	allocs0, bytes0 := cost(without)
+	allocs1, bytes1 := cost(with)
+	t.Logf("openBatch: %.0f allocs / %.0f B without isolated vertices, %.0f allocs / %.0f B beside %d", allocs0, bytes0, allocs1, bytes1, len(with.isolated))
+	if allocs1 > 2*allocs0 || bytes1 > 2*bytes0 {
+		t.Errorf("openBatch beside %d isolated vertices costs %.0f allocs / %.0f B, over twice the %.0f allocs / %.0f B without them",
+			len(with.isolated), allocs1, bytes1, allocs0, bytes0)
 	}
 }

@@ -43,13 +43,23 @@ type Prepared struct {
 	// hot paths read each pipe's dense per-vertex view instead.
 	Priors map[pair.Pair]float64
 
-	// Part is the shard assignment of the candidate-pair graph (connected
-	// components over relational edges plus entity sharing, binned into
-	// weight-balanced shards); nil when the pipeline is single-shard.
+	// Part is the assignment of the graph's connected vertices — those with
+	// an edge — to engine shards (connected components over relational
+	// edges, binned into weight-balanced shards); nil when the pipeline is
+	// single-shard. No isolated vertex is in it.
 	Part *partition.Partition
 	// pipes holds the per-shard pipelines the loop runs concurrently; a
 	// single-shard pipeline has exactly one pipe wrapping p.Graph/p.Prob.
 	pipes []*shardPipe
+	// isolated lists the graph indexes of the vertices without an edge,
+	// ascending (isolated[i:i+1] doubles as vertex i's inferred set), and
+	// isoPrior their priors. No pipe gathers them: a loop holds the list
+	// itself, ranks it once and draws from the ranking through a cursor.
+	isolated []int
+	isoPrior []float64
+	// home routes a graph vertex by its index: the engine shard holding it,
+	// or ^i for isolated[i].
+	home []int32
 
 	// byEntity1/byEntity2 index graph vertices by their K1/K2 entity, used
 	// to resolve same-entity competitors when a match is confirmed (the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 
@@ -86,37 +87,26 @@ func (l *Loop) run(asker Asker) *Result {
 }
 
 // padBatch extends a selection to mu questions with the highest-prior
-// candidates not yet chosen.
-func padBatch(cands []selection.Candidate, chosen []int, mu int) []int {
-	taken := make(map[int]bool, len(chosen))
-	for _, i := range chosen {
-		taken[i] = true
+// candidates of all not yet chosen, equal priors in pair order — never in
+// the order of all, which may be any.
+func padBatch(all, chosen []selection.Candidate, mu int) []selection.Candidate {
+	taken := make(pair.Set, len(chosen))
+	for _, c := range chosen {
+		taken.Add(c.Pair)
 	}
-	rest := make([]int, 0, len(cands))
-	for i := range cands {
-		if !taken[i] {
-			rest = append(rest, i)
+	rest := make([]selection.Candidate, 0, len(all))
+	for _, c := range all {
+		if !taken.Has(c.Pair) {
+			rest = append(rest, c)
 		}
 	}
-	slices.SortFunc(rest, func(a, b int) int {
-		if cands[a].Prob != cands[b].Prob {
-			if cands[a].Prob > cands[b].Prob {
-				return -1
-			}
-			return 1
+	slices.SortFunc(rest, func(a, b selection.Candidate) int {
+		if a.Prob != b.Prob {
+			return cmp.Compare(b.Prob, a.Prob)
 		}
-		if cands[a].Pair.Less(cands[b].Pair) {
-			return -1
-		}
-		return 1
+		return comparePairs(a.Pair, b.Pair)
 	})
-	for _, i := range rest {
-		if len(chosen) >= mu {
-			break
-		}
-		chosen = append(chosen, i)
-	}
-	return chosen
+	return append(chosen, rest[:min(len(rest), mu-len(chosen))]...)
 }
 
 // confirmMatch records a worker-confirmed match and propagates it: every
@@ -135,9 +125,9 @@ func (l *Loop) confirmMatch(q pair.Pair) {
 	l.res.Matches.Add(q)
 	l.pendingSeeds = append(l.pendingSeeds, q)
 	l.resolveCompetitors(q)
-	s := l.shardIndex(q)
+	s := l.home(q)
 	if s < 0 || l.shards[s].settled || l.err != nil {
-		return
+		return // an isolated q has no ball to propagate along
 	}
 	if err := l.r.Resolve(s, q, false); err != nil {
 		l.fail(err)

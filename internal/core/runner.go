@@ -27,10 +27,12 @@ import (
 type ShardRunner interface {
 	// Resolve marks shard s's vertex q resolved; detach additionally
 	// removes q's edges from the propagation fabric (the non-match path).
-	// Resolving an already resolved vertex is idempotent.
+	// Resolving an already resolved vertex is idempotent. It is never
+	// called for an isolated vertex: the loop keeps those itself.
 	Resolve(s int, q pair.Pair, detach bool) error
 	// Damp marks q a hard question: candidate gathering skips it from now
-	// on. Shard states do not consume the damped prior — the loop keeps it;
+	// on. Like Resolve it is never called for an isolated vertex. Shard
+	// states do not consume the damped prior — the loop keeps it;
 	// the parameter stays because the cluster's versioned wire carries it
 	// and runner decorators outside this module (the benchmark's timing
 	// wrapper) implement this signature.
@@ -115,12 +117,15 @@ type ShardState struct {
 
 // NewShardState builds the engine state for shard s over a copy of the
 // shard's probabilistic graph. The initial engine build is the state's
-// first propagation work.
+// first propagation work. A single-shard pipeline's one graph is the whole
+// one, isolated vertices included; those are the loop's own to ask about,
+// never this state's to offer, so it holds them resolved from birth and its
+// gathers pass over them.
 func (p *Prepared) NewShardState(s int) *ShardState {
 	pipe := p.pipes[s]
 	n := pipe.graph.NumVertices()
 	prob := pipe.prob.Clone()
-	return &ShardState{
+	st := &ShardState{
 		p:        p,
 		pipe:     pipe,
 		prob:     prob,
@@ -129,6 +134,12 @@ func (p *Prepared) NewShardState(s int) *ShardState {
 		detached: make([]bool, n),
 		hard:     make([]bool, n),
 	}
+	if p.Part == nil {
+		for _, gi := range p.isolated {
+			st.resolved[gi] = true
+		}
+	}
+	return st
 }
 
 // ShardLabels returns the edge labels present in shard s — the estimates a
@@ -170,12 +181,13 @@ func (st *ShardState) Sync() {
 }
 
 // Gather syncs the engine and assembles the candidate question list over
-// the shard's unresolved, non-hard vertices, with inferred sets as global
-// vertex indexes. The boolean reports whether some question can still
-// infer a pair other than itself — the loop's stop signal. The engine's
-// balls are already ascending in vertex index, so the inferred lists come
-// out in the deterministic order the benefit sums need (they are
-// order-sensitive in floating point) without any per-loop sorting.
+// the shard's unresolved, non-hard vertices — every one of which has an
+// edge — with inferred sets as global vertex indexes. The boolean reports
+// whether some question can still infer a pair other than itself — the
+// loop's stop signal. The engine's balls are already ascending in vertex
+// index, so the inferred lists come out in the deterministic order the
+// benefit sums need (they are order-sensitive in floating point) without
+// any per-loop sorting.
 func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 	if st.eng == nil {
 		return nil, false

@@ -1,18 +1,22 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/ergraph"
+	"repro/internal/pair"
 	"repro/internal/partition"
 	"repro/internal/propagation"
 	"repro/internal/selection"
 )
 
-// Auto-sharding thresholds: below autoShardMinVertices the per-shard
-// bookkeeping costs more than it saves, so Shards = 0 (auto) stays
-// single-shard; above it, one shard per ~autoShardVerticesPerShard
-// vertices, capped at maxAutoShards. Sharding bounds the peak size of any
-// one engine's dist/rev ball maps and lets settled shards release them
-// entirely, so the cap is deliberately above typical core counts.
+// Auto-sharding thresholds, in vertices with an edge: below
+// autoShardMinVertices the per-shard bookkeeping costs more than it saves,
+// so Shards = 0 (auto) stays single-shard; above it, one shard per
+// ~autoShardVerticesPerShard vertices, capped at maxAutoShards. Sharding
+// bounds the peak size of any one engine's dist/rev ball maps and lets
+// settled shards release them entirely, so the cap is deliberately above
+// typical core counts.
 const (
 	autoShardMinVertices      = 4096
 	autoShardVerticesPerShard = 1024
@@ -20,9 +24,10 @@ const (
 )
 
 // resolveShardCount maps the configured Shards value onto a concrete
-// count for a graph of the given size: 1 (or an empty graph) disables
-// sharding, an explicit count is honored up to the vertex count, and 0
-// picks automatically from the graph size.
+// count for a graph with the given number of vertices that have an edge —
+// the only ones a shard holds: 1 (or none to hold) disables sharding, an
+// explicit count is honored up to the vertex count, and 0 picks
+// automatically from the count.
 func resolveShardCount(requested, vertices int) int {
 	switch {
 	case vertices == 0 || requested == 1:
@@ -44,15 +49,14 @@ func resolveShardCount(requested, vertices int) int {
 	}
 }
 
-// shardPipe is one shard's slice of the prepared pipeline: the induced
-// component subgraph and its probabilistic counterpart. Because the
+// shardPipe is one engine shard's slice of the prepared pipeline: the
+// induced component subgraph and its probabilistic counterpart. Because the
 // partition respects relational edges, every edge of a shard vertex lives
 // in the same shard, so the subgraph pipeline computes bit-identical
 // probabilities and propagation to the monolithic one restricted to the
 // shard. Like the rest of the Prepared it is read-only once built: shard
 // states clone prob and share everything else.
 type shardPipe struct {
-	id    int
 	graph *ergraph.Graph
 	prob  *propagation.ProbGraph
 	// prior is the prepared prior of every shard vertex, by local index.
@@ -76,20 +80,39 @@ func (sp *shardPipe) global(local int) int {
 	return sp.globalIdx[local]
 }
 
-// initShards resolves the shard count and builds the per-shard pipelines.
-// Single-shard pipelines reuse the global graph and populate p.Prob
-// exactly as the unsharded pipeline always has; sharded ones build one
-// probabilistic subgraph per shard concurrently and leave p.Prob nil.
+// initShards splits the graph's vertices once. The isolated ones (§VII-B:
+// propagation can neither reach them nor start from them) become p.isolated
+// — a loop itself holds them, as a shard with no engine. Only the vertices
+// with an edge are partitioned into engine shards. A single-shard pipeline reuses the global graph and
+// populates p.Prob exactly as the unsharded pipeline always has (its shard
+// state passes over the isolated vertices, see NewShardState); a sharded
+// one builds one probabilistic subgraph per shard concurrently and leaves
+// p.Prob nil.
 func (p *Prepared) initShards() {
-	count := resolveShardCount(p.Cfg.Shards, p.Graph.NumVertices())
+	g := p.Graph
+	verts := g.Vertices()
+	p.home = make([]int32, len(verts))
+	var connected []int32 // the graph indexes of the vertices with an edge
+	for i, v := range verts {
+		if len(g.OutIndexesAt(i)) == 0 && len(g.InIndexesAt(i)) == 0 {
+			p.home[i] = ^int32(len(p.isolated))
+			p.isolated = append(p.isolated, i)
+			p.isoPrior = append(p.isoPrior, p.Priors[v])
+		} else {
+			connected = append(connected, int32(i))
+		}
+	}
+	// The lists live as long as the Prepared: drop the growth slack.
+	p.isolated, p.isoPrior = slices.Clone(p.isolated), slices.Clone(p.isoPrior)
+
+	count := resolveShardCount(p.Cfg.Shards, len(connected))
 	params := propagation.Params{Priors: p.Priors, Consistency: p.Consistency}
-	globalLabel := make(map[ergraph.RelPair]int32, len(p.Graph.Labels()))
-	for li, label := range p.Graph.Labels() {
+	globalLabel := make(map[ergraph.RelPair]int32, len(g.Labels()))
+	for li, label := range g.Labels() {
 		globalLabel[label] = int32(li)
 	}
-	newPipe := func(id int, g *ergraph.Graph, globalIdx []int) *shardPipe {
+	newPipe := func(g *ergraph.Graph, globalIdx []int) *shardPipe {
 		sp := &shardPipe{
-			id:        id,
 			graph:     g,
 			prob:      propagation.BuildProb(g, p.K1, p.K2, params),
 			prior:     make([]float64, g.NumVertices()),
@@ -106,73 +129,59 @@ func (p *Prepared) initShards() {
 		return sp
 	}
 	if count <= 1 {
-		p.pipes = []*shardPipe{newPipe(0, p.Graph, nil)}
+		p.pipes = []*shardPipe{newPipe(g, nil)}
 		p.Prob = p.pipes[0].prob
 		return
 	}
-	p.Part = partition.Split(p.Graph.Vertices(), p.Graph.OutIndexesAt, count)
+	// The partition sees the connected vertices only, under their own dense
+	// numbering; local translates a neighbor's graph index into it.
+	local := make([]int32, len(verts))
+	pairs := make([]pair.Pair, len(connected))
+	for i, gi := range connected {
+		local[gi] = int32(i)
+		pairs[i] = verts[gi]
+	}
+	var row []int32
+	p.Part = partition.Split(pairs, func(i int) []int32 {
+		row = row[:0]
+		for _, gj := range g.OutIndexesAt(int(connected[i])) {
+			row = append(row, local[gj])
+		}
+		return row
+	}, count)
 	pipes := make([]*shardPipe, p.Part.NumShards())
 	p.Cfg.scheduler().ForEach(len(pipes), func(s int) {
 		vs := p.Part.Shard(s)
 		globalIdx := make([]int, len(vs))
 		for i, v := range vs {
-			globalIdx[i] = p.Graph.IndexOf(v)
+			globalIdx[i] = g.IndexOf(v)
+			p.home[globalIdx[i]] = int32(s)
 		}
-		pipes[s] = newPipe(s, p.Graph.Subgraph(vs), globalIdx)
+		pipes[s] = newPipe(g.Subgraph(vs), globalIdx)
 	})
 	p.pipes = pipes
 }
 
-// NumShards returns the number of shards the pipeline was split into
-// (1 when sharding is off).
+// singleton returns isolated vertex i as a candidate question: labelled a
+// match it resolves itself alone, and stays that way until it is resolved.
+func (p *Prepared) singleton(i int) selection.Candidate {
+	return selection.Candidate{Pair: p.Graph.Vertices()[p.isolated[i]], Prob: p.isoPrior[i], Inferred: p.isolated[i : i+1 : i+1]}
+}
+
+// NumShards returns the number of engine shards the pipeline's connected
+// vertices were split into (1 when sharding is off, and for a graph
+// without an edge). The isolated vertices are in none of them.
 func (p *Prepared) NumShards() int { return len(p.pipes) }
 
-// ShardSizes returns the vertex count per shard, the shard assignment
-// fingerprint recorded by session snapshots.
+// ShardSizes returns the number of vertices with an edge per engine
+// shard, the shard assignment fingerprint recorded by session snapshots.
 func (p *Prepared) ShardSizes() []int {
 	out := make([]int, len(p.pipes))
 	for i, sp := range p.pipes {
 		out[i] = sp.graph.NumVertices()
 	}
+	if p.Part == nil {
+		out[0] -= len(p.isolated) // the one pipe's graph is the whole one
+	}
 	return out
-}
-
-// mergeCandidates interleaves per-shard candidate lists back into global
-// vertex order (each candidate's Inferred[0] is its own global index, and
-// each shard's list is ascending in it), so the merged list is exactly
-// what a monolithic gather would produce. pos[s][i] gives the merged
-// position of shard s's i-th candidate, which the benefit-ordered merge
-// uses as the global tie-break.
-func mergeCandidates(per [][]selection.Candidate) (merged []selection.Candidate, pos [][]int) {
-	pos = make([][]int, len(per))
-	total := 0
-	for s, list := range per {
-		pos[s] = make([]int, len(list))
-		total += len(list)
-	}
-	if len(per) == 1 {
-		for i := range pos[0] {
-			pos[0][i] = i
-		}
-		return per[0], pos
-	}
-	merged = make([]selection.Candidate, 0, total)
-	heads := make([]int, len(per))
-	for len(merged) < total {
-		best := -1
-		bestIdx := 0
-		for s, list := range per {
-			if heads[s] >= len(list) {
-				continue
-			}
-			gi := list[heads[s]].Inferred[0]
-			if best < 0 || gi < bestIdx {
-				best, bestIdx = s, gi
-			}
-		}
-		pos[best][heads[best]] = len(merged)
-		merged = append(merged, per[best][heads[best]])
-		heads[best]++
-	}
-	return merged, pos
 }

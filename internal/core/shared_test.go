@@ -20,15 +20,17 @@ func noisyPlatform(ds *datasets.Dataset) *crowd.Platform {
 
 // fingerprint hashes everything reachable from a Prepared that a loop
 // could conceivably write: every pipe's probabilistic graph — fmt walks
-// the unexported CSR, length and degree arrays and the overlay by
-// reflection, and prints floats in their shortest round-trip form, so
-// equal text means equal bits — plus the dense priors, the initial
-// consistency fit and the prior map (fmt prints maps in key order).
+// the unexported CSR, length and degree arrays by reflection, and prints
+// floats in their shortest round-trip form, so equal text means equal bits
+// — plus the dense priors, the isolated vertices and the vertex routing,
+// the initial consistency fit and the prior map (fmt prints maps in key
+// order).
 func fingerprint(p *Prepared) [sha256.Size]byte {
 	h := sha256.New()
 	for _, sp := range p.pipes {
 		fmt.Fprintf(h, "%v|%v|", *sp.prob, sp.prior)
 	}
+	fmt.Fprintf(h, "%v|%v|%v|", p.isolated, p.isoPrior, p.home)
 	fmt.Fprintf(h, "%v|%v", p.Consistency, p.Priors)
 	return [sha256.Size]byte(h.Sum(nil))
 }

@@ -53,11 +53,34 @@ type ShardReport struct {
 }
 
 // Check is the experiment's verdict, nil when it holds: every sharded run
-// resolved exactly the monolithic reference's pairs.
+// resolved exactly the monolithic reference's pairs, over engine shards
+// that hold every vertex with an edge and none without.
 func (r *ShardReport) Check() error {
 	for _, pt := range r.Points {
 		if !pt.Equivalent {
-			return fmt.Errorf("sharded run at %d shards diverged from the monolithic result", pt.Shards)
+			return fmt.Errorf("sharded run at %d shards diverged from the monolithic result or split its vertices wrongly", pt.Shards)
+		}
+	}
+	return nil
+}
+
+// checkSplit verifies the vertex split Prepare made: the engine shards and
+// the isolated vertices together are the graph's vertices, and no shard
+// holds a vertex without an edge.
+func checkSplit(p *core.Prepared) error {
+	isolated := pair.NewSet(p.Graph.Isolated()...)
+	engine := 0
+	for _, n := range p.ShardSizes() {
+		engine += n
+	}
+	if engine+isolated.Len() != p.Graph.NumVertices() {
+		return fmt.Errorf("%d engine-shard vertices + %d isolated ≠ %d graph vertices", engine, isolated.Len(), p.Graph.NumVertices())
+	}
+	for s := 0; p.Part != nil && s < p.Part.NumShards(); s++ {
+		for _, v := range p.Part.Shard(s) {
+			if isolated.Has(v) {
+				return fmt.Errorf("shard %d holds %v, a vertex without an edge", s, v)
+			}
 		}
 	}
 	return nil
@@ -105,6 +128,10 @@ func shardScalability(w io.Writer, seed int64, clusters, meanSize int) *ShardRep
 			report.Components = p.Part.NumComponents()
 		}
 		equivalent := true
+		if err := checkSplit(p); err != nil {
+			equivalent = false
+			fmt.Fprintf(w, "  !! vertex split at %d shards: %v\n", shards, err)
+		}
 		if shards > 1 {
 			if err := eval.ShardDivergence(refOutcome, eval.Outcome{Matches: res.Matches, NonMatches: res.NonMatches}); err != nil {
 				equivalent = false

@@ -1,18 +1,21 @@
-// Package partition splits the blocked candidate-pair graph into
-// independent shards for the sharded resolution pipeline. Relational match
-// propagation is bounded to ζ-balls around confirmed matches, so evidence
-// never crosses a connected component of the relational edge graph: a
-// partition along those components — union-find over the candidate pairs
-// plus their relational edges — yields shards whose propagation engines,
-// candidate gathering and question selection can run concurrently without
+// Package partition splits a candidate-pair graph into independent shards
+// for the sharded resolution pipeline. Relational match propagation is
+// bounded to ζ-balls around confirmed matches, so evidence never crosses a
+// connected component of the relational edge graph: a partition along
+// those components — union-find over the candidate pairs plus their
+// relational edges — yields shards whose propagation engines, candidate
+// gathering and question selection can run concurrently without
 // exchanging any evidence, which is how collective ER scales past a single
 // monolithic graph (Rastogi et al., "Large-Scale Collective Entity
-// Matching"). The linking relation is caller-defined (a neighbors
-// closure), so callers can also fold in extra must-link constraints; the
-// 1:1 entity constraint is deliberately NOT a partition edge — competitor
-// chains would glue realistic candidate graphs into one giant component —
-// and is instead routed across shards by the loop's serial answer
-// application.
+// Matching"). The pipeline hands over only the pairs that have a
+// relational edge: a pair without one exchanges evidence with nothing,
+// belongs to no neighbourhood and is kept out of every shard by the caller
+// (here it would be a component of its own). The linking relation is
+// caller-defined (a neighbors closure), so callers can also fold in extra
+// must-link constraints; the 1:1 entity constraint is deliberately NOT a
+// partition edge — competitor chains would glue realistic candidate graphs
+// into one giant component — and is instead routed across shards by the
+// loop's serial answer application.
 //
 // Components are binned into shards by descending size with
 // weight-balanced contiguous fill: the largest components (the ones
@@ -138,15 +141,6 @@ func (p *Partition) NumShards() int { return len(p.shards) }
 
 // NumComponents returns the number of connected components found.
 func (p *Partition) NumComponents() int { return p.components }
-
-// ShardOf returns the shard holding pair v, or -1 for unknown pairs.
-func (p *Partition) ShardOf(v pair.Pair) int {
-	s, ok := p.shardOf[v]
-	if !ok {
-		return -1
-	}
-	return s
-}
 
 // Shard returns shard s's vertices in input order (do not modify).
 func (p *Partition) Shard(s int) []pair.Pair { return p.shards[s] }

@@ -167,3 +167,13 @@ func TestBalancedFill(t *testing.T) {
 		}
 	}
 }
+
+// ShardOf returns the shard holding pair v, or -1 for unknown pairs. The
+// pipeline routes by vertex index instead; the tests ask by pair.
+func (p *Partition) ShardOf(v pair.Pair) int {
+	s, ok := p.shardOf[v]
+	if !ok {
+		return -1
+	}
+	return s
+}

@@ -8,34 +8,29 @@ package selection
 // in its inferred set (relational propagation) or shares an entity
 // with it (the 1:1 competitor cascade). Scheduling is greedy on the
 // expected closure count and ties keep the incoming order (the
-// strategy's global candidate order), so the reordering is a pure
-// function of the chosen set and determinism holds.
-func OrderByClosureGain(cands []Candidate, chosen []int) []int {
-	if len(chosen) < 2 {
-		return chosen
+// strategy's selection order), so the reordering is a pure function of
+// the batch and determinism holds.
+func OrderByClosureGain(batch []Candidate) []Candidate {
+	if len(batch) < 2 {
+		return batch
 	}
-	// Inferred[0] is a candidate's own vertex index; map each chosen
-	// vertex to its batch position to score inferred-set coverage.
-	own := make(map[int]int, len(chosen))
-	for j, cj := range chosen {
-		own[cands[cj].Inferred[0]] = j
+	// Inferred[0] is a candidate's own vertex index; map each vertex of
+	// the batch to its position to score inferred-set coverage.
+	own := make(map[int]int, len(batch))
+	for j, c := range batch {
+		own[c.Inferred[0]] = j
 	}
 	// closable[i] is the set of batch positions question i would close.
-	closable := make([][]bool, len(chosen))
-	for i, ci := range chosen {
-		c := make([]bool, len(chosen))
-		for _, idx := range cands[ci].Inferred {
+	closable := make([][]bool, len(batch))
+	for i, ci := range batch {
+		c := make([]bool, len(batch))
+		for _, idx := range ci.Inferred {
 			if j, ok := own[idx]; ok && j != i {
 				c[j] = true
 			}
 		}
-		p := cands[ci].Pair
-		for j, cj := range chosen {
-			if j == i {
-				continue
-			}
-			q := cands[cj].Pair
-			if q.U1 == p.U1 || q.U2 == p.U2 {
+		for j, cj := range batch {
+			if j != i && (cj.Pair.U1 == ci.Pair.U1 || cj.Pair.U2 == ci.Pair.U2) {
 				c[j] = true
 			}
 		}
@@ -45,13 +40,13 @@ func OrderByClosureGain(cands []Candidate, chosen []int) []int {
 	// highest expected closure over mates not yet expected-closed — the
 	// cascade only fires on a match, so the count is weighted by the
 	// question's match probability. Ties keep the incoming order, so the
-	// schedule is a pure function of the chosen set.
-	scheduled := make([]bool, len(chosen))
-	closed := make([]bool, len(chosen))
-	out := make([]int, 0, len(chosen))
-	for len(out) < len(chosen) {
+	// schedule is a pure function of the batch.
+	scheduled := make([]bool, len(batch))
+	closed := make([]bool, len(batch))
+	out := make([]Candidate, 0, len(batch))
+	for len(out) < len(batch) {
 		best, bestGain := -1, -1.0
-		for i := range chosen {
+		for i := range batch {
 			if scheduled[i] {
 				continue
 			}
@@ -61,7 +56,7 @@ func OrderByClosureGain(cands []Candidate, chosen []int) []int {
 					n++
 				}
 			}
-			if g := cands[chosen[i]].Prob * float64(n); g > bestGain {
+			if g := batch[i].Prob * float64(n); g > bestGain {
 				best, bestGain = i, g
 			}
 		}
@@ -71,7 +66,7 @@ func OrderByClosureGain(cands []Candidate, chosen []int) []int {
 				closed[j] = true
 			}
 		}
-		out = append(out, chosen[best])
+		out = append(out, batch[best])
 	}
 	return out
 }

@@ -1,10 +1,12 @@
 package session
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 )
 
 // TestShardedSessionMatchesUnsharded drives a sharded session with oracle
@@ -105,5 +107,62 @@ func TestSnapshotRecordsShardAssignment(t *testing.T) {
 	legacy.ShardSizes = nil
 	if _, err := Restore(core.Prepare(k1, k2, cfg), nil, &legacy); err != nil {
 		t.Fatalf("legacy snapshot rejected: %v", err)
+	}
+}
+
+// TestRestoreAcceptsPreSplitFingerprint pins the compatibility rule for
+// answer logs written while isolated vertices still sat in shards: such a
+// snapshot's sizes are those of partition.Split over every graph vertex,
+// summing to the whole graph; it restores — the partition it describes no
+// longer exists, so there is nothing to compare — and the session finishes
+// exactly as the one that was never interrupted. Sizes that fit neither
+// that rule nor the engine shards' are still rejected up front.
+func TestRestoreAcceptsPreSplitFingerprint(t *testing.T) {
+	k1, k2, gold := bookWorld(8, 53)
+	cfg := testConfig(func(c *core.Config) { c.Shards = 3 })
+	p := core.Prepare(k1, k2, cfg)
+	g := p.Graph
+	isolated := len(g.Isolated())
+	if p.NumShards() < 2 || isolated == 0 {
+		t.Fatalf("fixture produced %d shards and %d isolated vertices, want ≥ 2 and some", p.NumShards(), isolated)
+	}
+	answer := func(s *Session, batches int) {
+		for b := 0; !s.Done() && (batches < 0 || b < batches); b++ {
+			for _, q := range s.NextBatch() {
+				if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	s := New("old", p, nil)
+	answer(s, 1)
+	if s.Done() {
+		t.Fatal("fixture finished inside one batch")
+	}
+	snap := s.Snapshot()
+	if got, want := snap.ShardSizes, p.ShardSizes(); !slices.Equal(got, want) {
+		t.Fatalf("snapshot records sizes %v, the engine shards hold %v", got, want)
+	}
+
+	// The fingerprint the parent of the split recorded for this pipeline.
+	old := *snap
+	whole := partition.Split(g.Vertices(), g.OutIndexesAt, cfg.Shards)
+	old.Shards, old.ShardSizes = whole.NumShards(), whole.Sizes()
+	restored, err := Restore(core.Prepare(k1, k2, cfg), nil, &old)
+	if err != nil {
+		t.Fatalf("snapshot with the pre-split fingerprint %v rejected: %v", old.ShardSizes, err)
+	}
+	answer(s, -1)
+	answer(restored, -1)
+	assertResultsIdentical(t, s.Result(), restored.Result())
+
+	// Neither rule: the engine shards' sizes with one vertex moved.
+	bad := *snap
+	bad.ShardSizes = slices.Clone(snap.ShardSizes)
+	bad.ShardSizes[0]++
+	bad.ShardSizes[1]--
+	if _, err := Restore(core.Prepare(k1, k2, cfg), nil, &bad); err == nil || !strings.Contains(err.Error(), "shard") {
+		t.Fatalf("restore of a snapshot with foreign sizes %v: %v, want a shard divergence error", bad.ShardSizes, err)
 	}
 }

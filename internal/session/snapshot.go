@@ -3,6 +3,7 @@ package session
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kb"
@@ -20,9 +21,10 @@ const SnapshotVersion = 1
 // holds answers that had arrived out of order and were still buffered.
 // The snapshot does not carry the dataset or the options; the caller must
 // re-prepare the same pipeline (same KBs, same configuration) for Restore.
-// Shards and ShardSizes fingerprint the pipeline's shard assignment so a
-// replay against a differently partitioned pipeline is rejected up front
-// instead of diverging mid-replay.
+// Shards and ShardSizes fingerprint the pipeline's engine shards — the
+// assignment of the vertices that have an edge; isolated vertices are in no
+// shard — so a replay against a differently partitioned pipeline is
+// rejected up front instead of diverging mid-replay.
 type Snapshot struct {
 	Version int         `json:"version"`
 	ID      string      `json:"id"`
@@ -33,7 +35,10 @@ type Snapshot struct {
 	// (1 = unsharded; 0 in snapshots written before sharding existed,
 	// which skips the check on restore).
 	Shards int `json:"shards,omitempty"`
-	// ShardSizes is the per-shard vertex count, recorded when Shards > 1.
+	// ShardSizes is the per-shard count of vertices with an edge, recorded
+	// when Shards > 1. Snapshots written while isolated vertices still sat
+	// in shards carry sizes summing to the whole graph; Restore accepts
+	// them without comparing (see there).
 	ShardSizes []int `json:"shard_sizes,omitempty"`
 }
 
@@ -102,17 +107,28 @@ func Restore(p *core.Prepared, cache *Cache, snap *Snapshot) (*Session, error) {
 	if snap.ID == "" {
 		return nil, fmt.Errorf("session: snapshot has no session id")
 	}
-	if snap.Shards > 0 && p.NumShards() != snap.Shards {
-		return nil, fmt.Errorf("session: snapshot was taken over %d shards but the re-prepared pipeline has %d (same dataset, options and shard count are required)",
-			snap.Shards, p.NumShards())
+	sizes := p.ShardSizes()
+	connected, recorded := 0, 0
+	for _, n := range sizes {
+		connected += n
 	}
-	if len(snap.ShardSizes) > 0 {
-		sizes := p.ShardSizes()
-		for i, want := range snap.ShardSizes {
-			if i >= len(sizes) || sizes[i] != want {
-				return nil, fmt.Errorf("session: snapshot shard assignment diverged: shard %d holds %v vertices, snapshot recorded %v",
-					i, sizes, snap.ShardSizes)
-			}
+	for _, n := range snap.ShardSizes {
+		recorded += n
+	}
+	// Two kinds of snapshot carry no fingerprint to compare: Shards == 0
+	// predates sharding, and sizes that sum to the graph's whole vertex
+	// count, on a graph with isolated vertices, were recorded when shards
+	// still held those — the partition they describe no longer exists.
+	// Both replay under the loop's own fail-closed guard alone: an answer
+	// outside the open batch proves divergence.
+	if preSplit := recorded == p.Graph.NumVertices() && recorded > connected; snap.Shards > 0 && !preSplit {
+		if len(sizes) != snap.Shards {
+			return nil, fmt.Errorf("session: snapshot was taken over %d shards but the re-prepared pipeline has %d (same dataset, options and shard count are required)",
+				snap.Shards, len(sizes))
+		}
+		if len(snap.ShardSizes) > 0 && !slices.Equal(sizes, snap.ShardSizes) {
+			return nil, fmt.Errorf("session: snapshot shard assignment diverged: shards hold %v vertices, snapshot recorded %v",
+				sizes, snap.ShardSizes)
 		}
 	}
 	s := &Session{id: snap.ID, loop: p.NewLoop(), k1: p.K1.Name(), k2: p.K2.Name()}

@@ -47,13 +47,6 @@ func (s Vector) StrictlyDominates(t Vector) bool {
 	return false
 }
 
-// Runner runs n independent tasks, possibly in parallel. *core.Scheduler
-// satisfies it; simvec declares its own interface because core imports
-// this package.
-type Runner interface {
-	ForEach(n int, fn func(i int))
-}
-
 // Builder computes similarity vectors for candidate pairs. It holds only
 // its inputs — the two KBs, the attribute matches and the threshold; the
 // literal corpus and value tables a batch works on live for one All call.
@@ -61,7 +54,7 @@ type Builder struct {
 	k1, k2    *kb.KB
 	matches   []attrmatch.Match
 	threshold float64
-	runner    Runner
+	runner    pair.Runner
 }
 
 // NewBuilder returns a Builder over the given attribute matches;
@@ -78,7 +71,7 @@ func (b *Builder) Dim() int { return len(b.matches) }
 
 // SetRunner makes All compute vectors in parallel. The output is
 // byte-identical either way; nil (the default) means serial.
-func (b *Builder) SetRunner(r Runner) { b.runner = r }
+func (b *Builder) SetRunner(r pair.Runner) { b.runner = r }
 
 // Vector computes s(u1,u2). It is the retained per-pair string
 // implementation — the semantic anchor the property tests hold All to.
@@ -130,9 +123,9 @@ func (b *Builder) All(pairs []pair.Pair) []Vector {
 		bt.side2.add(bt.corpus, b.k2, p.U2, attrs2)
 		out[i] = bt.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	chunks := chunkRanges(len(pairs), b.runner)
-	runAll(b.runner, len(chunks), func(ci int) {
-		bt.score(chunks[ci].lo, chunks[ci].hi)
+	chunks := pair.ChunkRanges(len(pairs), b.runner, runtime.NumCPU())
+	pair.RunAll(b.runner, len(chunks), func(ci int) {
+		bt.score(chunks[ci].Lo, chunks[ci].Hi)
 	})
 	return out
 }
@@ -200,40 +193,6 @@ func (bt *batch) score(lo, hi int) {
 			v[mi] = bt.corpus.SimL(va, vb, bt.threshold, &sc)
 		}
 	}
-}
-
-// chunkRange is a half-open [lo, hi) range of pair indexes.
-type chunkRange struct{ lo, hi int }
-
-// chunkRanges splits n pairs into contiguous chunks: one per CPU when a
-// runner is present, a single chunk otherwise.
-func chunkRanges(n int, r Runner) []chunkRange {
-	if n == 0 {
-		return nil
-	}
-	nc := 1
-	if r != nil {
-		nc = runtime.NumCPU()
-		if nc > n {
-			nc = n
-		}
-	}
-	out := make([]chunkRange, nc)
-	for i := 0; i < nc; i++ {
-		out[i] = chunkRange{lo: i * n / nc, hi: (i + 1) * n / nc}
-	}
-	return out
-}
-
-// runAll executes fn(0..n-1) through r, or serially when r is nil.
-func runAll(r Runner, n int, fn func(int)) {
-	if r == nil {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	r.ForEach(n, fn)
 }
 
 // SharedAttrMatches returns the indexes of attribute matches on which both

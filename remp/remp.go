@@ -87,10 +87,12 @@ type Options struct {
 	// Shards splits the candidate-pair graph into independent shards of
 	// relationally connected components whose propagation, selection and
 	// answer application run concurrently under one global budget/µ-batch
-	// scheduler. The resolved matches and non-matches are identical to an
-	// unsharded run. 0 (the default) shards automatically from the graph
-	// size — single-shard below a few thousand candidate pairs; 1 forces
-	// a monolithic pipeline; negative values are rejected.
+	// scheduler. Only pairs with a relational edge are sharded; the rest
+	// can exchange no evidence and are kept out of every shard. The
+	// resolved matches and non-matches are identical to an unsharded run.
+	// 0 (the default) shards automatically from the number of pairs with
+	// an edge — single-shard below a few thousand; 1 forces a monolithic
+	// pipeline; negative values are rejected.
 	Shards int
 	// Runner places the session's shard engines: nil (the default) keeps
 	// them in process; internal/cluster's coordinator vends factories that

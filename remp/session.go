@@ -63,8 +63,8 @@ func (s *Session) Done() bool { return s.s.Done() }
 // Progress returns the questions answered and loops executed so far.
 func (s *Session) Progress() (questions, loops int) { return s.s.Progress() }
 
-// Shards returns how many graph shards the session resolves concurrently
-// (1 = monolithic pipeline).
+// Shards returns how many graph shards — of pairs with a relational edge —
+// the session resolves concurrently (1 = monolithic pipeline).
 func (s *Session) Shards() int { return s.s.Shards() }
 
 // Deduced returns how many selected questions deduction answered instead
