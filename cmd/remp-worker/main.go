@@ -4,7 +4,9 @@
 // sessions, streams their command logs, and reads candidates, picks and
 // balls back. Workers are stateless across restarts by design — a
 // worker that dies loses only replayable state, which the coordinator
-// re-prepares on the survivors, so results stay byte-identical.
+// re-prepares on the survivors, so results stay byte-identical. Within a
+// process it prepares a spec once (server.PlanCache), whatever number of
+// sessions run or have just run over it.
 //
 // Usage:
 //
@@ -26,6 +28,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/server"
+	"repro/remp"
 )
 
 func main() {
@@ -40,7 +43,7 @@ func main() {
 	if *killAfter > 0 {
 		faults = &cluster.Faults{CrashAfterRPCs: *killAfter}
 	}
-	cfg := cluster.WorkerConfig{Prepare: server.PrepareSpec, Faults: faults}
+	cfg := cluster.WorkerConfig{Prepare: server.NewPlanCache(remp.PreparePipeline, nil).Acquire, Faults: faults}
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}

@@ -53,16 +53,24 @@ func (s testSpec) prepare(ds *datasets.Dataset, cfg core.Config) *core.Prepared 
 	return p
 }
 
-func prepareFromSpec(raw []byte) (*core.Prepared, error) {
+// testPlans memoizes prepareFromSpec by spec: a worker acquires the
+// pipeline once per assigned shard and leaves sharing it to the hook.
+var testPlans sync.Map
+
+func prepareFromSpec(raw []byte) (*core.Prepared, func(), error) {
+	if p, ok := testPlans.Load(string(raw)); ok {
+		return p.(*core.Prepared), func() {}, nil
+	}
 	var s testSpec
 	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ds, err := datasets.ByName(s.Dataset, s.Seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.prepare(ds, s.config()), nil
+	p, _ := testPlans.LoadOrStore(string(raw), s.prepare(ds, s.config()))
+	return p.(*core.Prepared), func() {}, nil
 }
 
 // startWorker serves a Worker on a loopback listener.

@@ -4,7 +4,9 @@
 // length-prefixed JSON-RPC protocol, and a Worker hosts the assigned
 // shards' engine states (core.ShardState — the same code the in-process
 // runner executes, so local and remote runs are byte-identical by
-// construction).
+// construction). The pipelines those states are cut from come from the
+// worker's Prepare hook — a plan cache shared with the server's code —
+// which a runner holds from its first prepare frame to its end frame.
 //
 // Robustness is the package's reason to exist. Every shard's mutating
 // operations are sequence-numbered into a per-shard command log; workers

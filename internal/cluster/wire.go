@@ -97,9 +97,8 @@ type Cmd struct {
 
 // prepareReq asks a worker to build the engine state for one shard.
 // Spec carries the opaque session specification the worker's Prepare
-// hook turns into a core.Prepared; SpecHash keys the worker's cache so a
-// spec is decoded and prepared once per worker, however many shards land
-// on it.
+// hook turns into a core.Prepared — once per runner, however many of its
+// shards land on the worker; SpecHash is its SHA-256, checked on receipt.
 type prepareReq struct {
 	Runner   string `json:"runner"`
 	Shard    int    `json:"shard"`

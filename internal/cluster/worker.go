@@ -13,12 +13,13 @@ import (
 
 // WorkerConfig configures a Worker.
 type WorkerConfig struct {
-	// Prepare turns an opaque session spec (as shipped by the
-	// coordinator's prepare RPC) into the prepared pipeline the shard
-	// states are built from. The worker caches the result per spec hash
-	// while a runner uses it, so one expensive Prepare backs every shard
-	// of a session — and of every concurrent session with the same spec.
-	Prepare func(spec []byte) (*core.Prepared, error)
+	// Prepare acquires the prepared pipeline of an opaque session spec (as
+	// shipped by the coordinator's prepare RPC), from which the shard
+	// states are built. The worker calls it for every shard it is assigned
+	// and keeps one hold per runner, released when the runner ends; sharing
+	// one pipeline between the shards and the runners of a spec, and
+	// keeping it past the last, is the hook's business (server.PlanCache).
+	Prepare func(spec []byte) (p *core.Prepared, release func(), err error)
 	// Logf, when non-nil, receives diagnostic log lines.
 	Logf func(format string, args ...any)
 	// Faults injects failures for chaos drills; CrashAfterRPCs is the
@@ -46,16 +47,6 @@ type workerShard struct {
 	recomputes int64
 }
 
-// prepEntry caches one spec's Prepared for as long as some runner holds
-// it: a runner takes hold with its first prepare RPC for the spec and lets
-// go when it ends, and the worker drops an entry nobody holds.
-type prepEntry struct {
-	once    sync.Once
-	p       *core.Prepared
-	err     error
-	runners map[string]struct{} // guarded by Worker.prepMu
-}
-
 // Worker hosts assigned shards' engine states and serves the cluster RPC
 // protocol on a listener. One goroutine per connection handles requests
 // sequentially; distinct shards are safe to drive from distinct
@@ -68,11 +59,9 @@ type Worker struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	prepMu sync.Mutex
-	preps  map[string]*prepEntry
-
 	shardMu sync.Mutex
 	shards  map[shardKey]*workerShard
+	holds   map[string]func() // runner → release of its hold on its spec's pipeline
 }
 
 // NewWorker builds a Worker.
@@ -80,7 +69,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:    cfg,
 		conns:  map[net.Conn]struct{}{},
-		preps:  map[string]*prepEntry{},
+		holds:  map[string]func(){},
 		shards: map[shardKey]*workerShard{},
 	}
 }
@@ -221,62 +210,28 @@ func (w *Worker) handle(method string, body json.RawMessage) (res json.RawMessag
 				delete(w.shards, k)
 			}
 		}
+		release := w.holds[req.Runner]
+		delete(w.holds, req.Runner)
 		w.shardMu.Unlock()
-		w.releasePrepared(req.Runner)
+		if release != nil {
+			release()
+		}
 		return json.RawMessage(`{}`), "", nil
 	default:
 		return nil, "", fmt.Errorf("cluster worker: unknown method %q", method)
 	}
 }
 
-// prepared returns the cached pipeline for a spec on the runner's behalf,
-// building it once. A failed build is not kept past the requests waiting
-// on it.
-func (w *Worker) prepared(runner, hash string, spec []byte) (*core.Prepared, error) {
-	w.prepMu.Lock()
-	e, ok := w.preps[hash]
-	if !ok {
-		e = &prepEntry{runners: map[string]struct{}{}}
-		w.preps[hash] = e
-	}
-	e.runners[runner] = struct{}{}
-	w.prepMu.Unlock()
-	e.once.Do(func() {
-		if sum := sha256.Sum256(spec); hex.EncodeToString(sum[:]) != hash {
-			e.err = fmt.Errorf("cluster worker: spec hash mismatch")
-			return
-		}
-		if w.cfg.Prepare == nil {
-			e.err = fmt.Errorf("cluster worker: no Prepare hook configured")
-			return
-		}
-		e.p, e.err = w.cfg.Prepare(spec)
-	})
-	if e.err != nil {
-		w.releasePrepared(runner)
-	}
-	return e.p, e.err
-}
-
-// releasePrepared ends the runner's hold on the cached pipelines and
-// drops the ones no runner holds any more.
-func (w *Worker) releasePrepared(runner string) {
-	w.prepMu.Lock()
-	defer w.prepMu.Unlock()
-	for hash, e := range w.preps {
-		delete(e.runners, runner)
-		if len(e.runners) == 0 {
-			delete(w.preps, hash)
-		}
-	}
-}
-
 func (w *Worker) handlePrepare(req prepareReq) (json.RawMessage, string, error) {
-	p, err := w.prepared(req.Runner, req.SpecHash, req.Spec)
+	if SpecHash(req.Spec) != req.SpecHash {
+		return nil, "", fmt.Errorf("cluster worker: spec hash mismatch")
+	}
+	p, release, err := w.cfg.Prepare(req.Spec)
 	if err != nil {
 		return nil, "", err
 	}
 	if req.Shard < 0 || req.Shard >= p.NumShards() {
+		release()
 		return nil, "", fmt.Errorf("cluster worker: shard %d out of range (%d shards)", req.Shard, p.NumShards())
 	}
 	ws := &workerShard{st: p.NewShardState(req.Shard)}
@@ -285,7 +240,14 @@ func (w *Worker) handlePrepare(req prepareReq) (json.RawMessage, string, error) 
 	// timed-out prepare) replaces any previous state wholesale: the
 	// replayed log rebuilds it from sequence 1.
 	w.shards[shardKey{req.Runner, req.Shard}] = ws
+	_, held := w.holds[req.Runner]
+	if !held {
+		w.holds[req.Runner] = release
+	}
 	w.shardMu.Unlock()
+	if held {
+		release() // the runner holds the pipeline since an earlier shard's prepare
+	}
 	w.logf("cluster worker: prepared runner %s shard %d", req.Runner, req.Shard)
 	return mustMarshal(shardRes{Applied: 0}), "", nil
 }
@@ -361,7 +323,7 @@ func mustMarshal(v any) json.RawMessage {
 	return b
 }
 
-// SpecHash computes the cache key the coordinator stamps on prepare
+// SpecHash computes the digest the coordinator stamps on prepare
 // requests for a spec.
 func SpecHash(spec []byte) string {
 	sum := sha256.Sum256(spec)

@@ -15,8 +15,9 @@ import (
 // serverMetrics bundles every metric family one Server exports under
 // /metrics. All families are registered up front in newServerMetrics —
 // except the manager-backed callbacks, bound in bindManager once the
-// session manager exists — so the registry's panic-on-duplicate check
-// runs at startup and the hot handlers only touch pre-resolved children.
+// session manager exists, and the plan cache's, registered by
+// NewPlanCache — so the registry's panic-on-duplicate check runs at
+// startup and the hot handlers only touch pre-resolved children.
 //
 // The families registered here must cover internal/obs/catalog.txt: the
 // CI loadgen smoke scrapes a live server and fails on any catalog name

@@ -33,9 +33,12 @@
 // session's shard engines are placed on remp-worker processes through an
 // internal/cluster coordinator, with heartbeat liveness and crash
 // failover. The persisted create spec, minus its client_ref, doubles as
-// the worker-side pipeline spec (PrepareSpec), so clustered sessions —
-// including ones recovered from the store — resolve byte-identically to
-// local ones.
+// the worker-side pipeline spec, so clustered sessions — including ones
+// recovered from the store — resolve byte-identically to local ones.
+//
+// Whatever a spec determines before the first question — dataset load and
+// the whole pre-pipeline — is built once per spec and shared through a
+// PlanCache, on the server and on every worker.
 package server
 
 import (
@@ -189,17 +192,18 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// sessionMeta is the server-side state alongside each remp.Session.
+// sessionMeta is the server-side state alongside each remp.Session: its
+// own create spec, and its hold on the plan it shares with every other
+// session of that spec.
 type sessionMeta struct {
-	spec      CreateRequest
-	namespace string
-	ds        remp.Dataset
-	gold      *remp.Gold
+	spec CreateRequest
+	*plan
 }
 
 // Server serves resolution sessions over HTTP.
 type Server struct {
 	mgr           *remp.Manager
+	plans         *PlanCache
 	mu            sync.Mutex
 	meta          map[string]*sessionMeta
 	refs          map[string]string // CreateRequest.ClientRef → session ID
@@ -300,27 +304,38 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		storeKind:     kind,
 		cluster:       co,
 	}
-	// Recovery re-prepares each stored session's pipeline from the
-	// CreateRequest persisted as its meta blob; the specs opened along the
-	// way rebuild the server-side metadata map.
-	recoveredMeta := make(map[string]*sessionMeta)
-	mgr, recovered, err := remp.OpenManagerObs(store, func(id string, meta []byte) (remp.Dataset, remp.Options, string, error) {
-		m, opts, oerr := openStoredSpec(meta, co)
-		if oerr != nil {
-			return remp.Dataset{}, remp.Options{}, "", fmt.Errorf("stored spec: %w", oerr)
-		}
-		recoveredMeta[id] = m
-		return m.ds, opts, m.namespace, nil
-	}, metrics.pipe)
-	s.mgr = mgr
-	metrics.bindManager(s)
-	for _, id := range recovered {
-		s.register(id, recoveredMeta[id])
-		metrics.sessionsRecovered.Inc()
+	s.mgr = remp.OpenManagerObs(store, metrics.pipe)
+	s.plans = NewPlanCache(s.mgr.PreparePipeline, metrics.reg)
+	if co != nil {
+		s.plans.runner = co.Runner
 	}
+	metrics.bindManager(s)
+	// Recovery opens each stored session's plan from the CreateRequest
+	// persisted as its meta blob. Server defaults were baked in before it
+	// was stored, so it keys the plan the session was created over.
+	var opened []string
+	recovered, err := s.mgr.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
+		var req CreateRequest
+		if err := json.Unmarshal(meta, &req); err != nil {
+			return nil, "", fmt.Errorf("stored spec: %w", err)
+		}
+		m, err := s.open(req)
+		if err != nil {
+			return nil, "", fmt.Errorf("stored spec: %w", err)
+		}
+		s.register(id, m)
+		opened = append(opened, id)
+		return m.prepared, m.namespace, nil
+	})
+	for _, id := range opened {
+		if _, live := s.mgr.Get(id); !live {
+			s.forget(id) // the plan opened, the replay over it failed
+		}
+	}
+	metrics.sessionsRecovered.Add(int64(len(recovered)))
 	if len(recovered) > 0 {
 		logger.Info("recovered sessions from store",
-			"store", kind, "count", len(recovered), "wal_replayed", mgr.WALReplayed(),
+			"store", kind, "count", len(recovered), "wal_replayed", s.mgr.WALReplayed(),
 			"ids", strings.Join(recovered, ","))
 	}
 	if err != nil {
@@ -333,54 +348,17 @@ func NewServer(cfg Config) (*Server, []string, error) {
 // from session logs.
 func (s *Server) WALReplayed() int64 { return s.mgr.WALReplayed() }
 
-// openSpec is the one way a create spec becomes a runnable pipeline
-// description — on the server (create, restore, startup recovery) and on
-// cluster workers (PrepareSpec): load its dataset and map its options.
-// It returns the state the server keeps alongside the session.
-//
-// With a coordinator the options place the shard engines on workers.
-// The spec handed to the coordinator is what PrepareSpec rebuilds
-// worker-side, so the two ends of every shard RPC agree on the pipeline.
-// It is req without its ClientRef, which names the session, not the
-// pipeline: workers cache pipelines by spec hash, and sessions over one
-// dataset must share one.
-func openSpec(req CreateRequest, co *cluster.Coordinator) (*sessionMeta, remp.Options, error) {
-	m, err := loadSpec(req)
-	if err != nil {
-		return nil, remp.Options{}, err
+// open holds the plan of a create spec on a new session's behalf. The
+// plan cache's key is the spec without its ClientRef, which names the
+// session, not the pipeline.
+func (s *Server) open(req CreateRequest) (*sessionMeta, error) {
+	m := &sessionMeta{spec: req}
+	req.ClientRef = ""
+	spec, err := json.Marshal(req)
+	if err == nil {
+		m.plan, err = s.plans.acquire(spec)
 	}
-	opts := req.Options.ToOptions()
-	if co != nil {
-		req.ClientRef = ""
-		pipeline, err := json.Marshal(req)
-		if err != nil {
-			return nil, remp.Options{}, err
-		}
-		opts.Runner = co.Runner(pipeline)
-	}
-	return m, opts, nil
-}
-
-// openStoredSpec is openSpec for a spec in its stored JSON form: the
-// meta blob of a recovered session, or the pipeline spec a coordinator
-// shipped. Server defaults were baked in before it was stored, so
-// opening it reproduces the original pipeline deterministically.
-func openStoredSpec(spec []byte, co *cluster.Coordinator) (*sessionMeta, remp.Options, error) {
-	var req CreateRequest
-	if err := json.Unmarshal(spec, &req); err != nil {
-		return nil, remp.Options{}, err
-	}
-	return openSpec(req, co)
-}
-
-// PrepareSpec rebuilds the core pipeline a create spec describes. It is
-// the Prepare hook remp-worker serves shards from.
-func PrepareSpec(spec []byte) (*core.Prepared, error) {
-	m, opts, err := openStoredSpec(spec, nil)
-	if err != nil {
-		return nil, fmt.Errorf("cluster spec: %w", err)
-	}
-	return remp.PreparePipeline(m.ds, opts)
+	return m, err
 }
 
 // register records a session's server-side state and its client ref.
@@ -390,6 +368,21 @@ func (s *Server) register(id string, m *sessionMeta) {
 	s.meta[id] = m
 	if m.spec.ClientRef != "" {
 		s.refs[m.spec.ClientRef] = id
+	}
+}
+
+// forget drops a session's server-side state: its hold on its plan, and
+// its client ref unless a newer session has taken the ref over since.
+func (s *Server) forget(id string) {
+	s.mu.Lock()
+	m := s.meta[id]
+	delete(s.meta, id)
+	if m != nil && s.refs[m.spec.ClientRef] == id {
+		delete(s.refs, m.spec.ClientRef)
+	}
+	s.mu.Unlock()
+	if m != nil { // nil: a dormant store record, which held no plan
+		s.plans.release(m.plan)
 	}
 }
 
@@ -480,11 +473,11 @@ func refuseDraining(w http.ResponseWriter) {
 
 // handleHealthz reports liveness: always 200 while the process serves,
 // with structured detail — uptime, live session count, drain state,
-// store backend, persistence failures and wal_replayed, the answers
-// re-delivered at startup recovery. A draining server is still alive;
-// readiness is /readyz's job. persist_failures counts sessions whose
-// log append has failed since startup — non-zero means some session's
-// durable state is stale.
+// store backend, the plan cache's size, persistence failures and
+// wal_replayed, the answers re-delivered at startup recovery. A draining
+// server is still alive; readiness is /readyz's job. persist_failures
+// counts sessions whose log append has failed since startup — non-zero
+// means some session's durable state is stale.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	if s.draining.Load() {
@@ -498,6 +491,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"draining":         s.draining.Load(),
 		"persist_failures": s.mgr.PersistFailures(),
 		"wal_replayed":     s.mgr.WALReplayed(),
+		"plan_cache":       map[string]any{"entries": s.plans.entries(), "resident_bytes": s.plans.resident.Value()},
 	}
 	if s.cluster != nil {
 		body["cluster"] = map[string]any{
@@ -528,47 +522,48 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// loadSpec materializes the dataset of a create spec: KBs, optional gold,
-// and the cache namespace shared by sessions over the same data.
-func loadSpec(req CreateRequest) (*sessionMeta, error) {
+// loadSpec materializes the dataset of a create spec into pl: KBs,
+// optional gold, and the cache namespace shared by sessions over the same
+// data.
+func loadSpec(req CreateRequest, pl *plan) error {
 	switch {
 	case req.Dataset != "":
 		d, err := datasets.ByName(req.Dataset, req.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("unknown dataset %q (built-ins: %s)", req.Dataset, strings.Join(datasets.Names(), ", "))
+			return fmt.Errorf("unknown dataset %q (built-ins: %s)", req.Dataset, strings.Join(datasets.Names(), ", "))
 		}
-		return &sessionMeta{spec: req, ds: remp.Dataset{K1: d.K1, K2: d.K2}, gold: d.Gold,
-			namespace: fmt.Sprintf("builtin:%s:%d", req.Dataset, req.Seed)}, nil
+		pl.ds, pl.gold = remp.Dataset{K1: d.K1, K2: d.K2}, d.Gold
+		pl.namespace = fmt.Sprintf("builtin:%s:%d", req.Dataset, req.Seed)
 	case req.KB1TSV != "" && req.KB2TSV != "":
 		k1, err := kb.ReadTSV(strings.NewReader(req.KB1TSV))
 		if err != nil {
-			return nil, fmt.Errorf("kb1_tsv: %v", err)
+			return fmt.Errorf("kb1_tsv: %v", err)
 		}
 		k2, err := kb.ReadTSV(strings.NewReader(req.KB2TSV))
 		if err != nil {
-			return nil, fmt.Errorf("kb2_tsv: %v", err)
+			return fmt.Errorf("kb2_tsv: %v", err)
 		}
-		var gold *remp.Gold
 		if len(req.Gold) > 0 {
 			matches := make([]remp.Pair, 0, len(req.Gold))
 			for i, g := range req.Gold {
 				u1, u2 := k1.Entity(g[0]), k2.Entity(g[1])
 				if u1 == kb.NoEntity || u2 == kb.NoEntity {
-					return nil, fmt.Errorf("gold[%d]: unknown entity in %q / %q", i, g[0], g[1])
+					return fmt.Errorf("gold[%d]: unknown entity in %q / %q", i, g[0], g[1])
 				}
 				matches = append(matches, remp.Pair{U1: u1, U2: u2})
 			}
-			gold = remp.NewGold(matches)
+			pl.gold = remp.NewGold(matches)
 		}
 		h := sha256.New()
 		h.Write([]byte(req.KB1TSV))
 		h.Write([]byte{0})
 		h.Write([]byte(req.KB2TSV))
-		return &sessionMeta{spec: req, ds: remp.Dataset{K1: k1, K2: k2}, gold: gold,
-			namespace: "inline:" + hex.EncodeToString(h.Sum(nil)[:12])}, nil
+		pl.ds = remp.Dataset{K1: k1, K2: k2}
+		pl.namespace = "inline:" + hex.EncodeToString(h.Sum(nil)[:12])
 	default:
-		return nil, errors.New("either dataset or both kb1_tsv and kb2_tsv are required")
+		return errors.New("either dataset or both kb1_tsv and kb2_tsv are required")
 	}
+	return nil
 }
 
 // maxBodyBytes caps every POST body the server decodes. Inline TSV KBs
@@ -610,8 +605,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.admit(w, req, "created", s.metrics.sessionsCreated, func(m *sessionMeta, opts remp.Options, meta []byte) (*remp.Session, error) {
-		return s.mgr.NewSession(m.ds, opts, m.namespace, meta)
+	s.admit(w, req, "created", s.metrics.sessionsCreated, func(pl *plan, meta []byte) (*remp.Session, error) {
+		return s.mgr.StartSession(pl.prepared, pl.namespace, meta)
 	})
 }
 
@@ -620,33 +615,35 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "snapshot", &dto) {
 		return
 	}
-	s.admit(w, dto.Create, "restored", s.metrics.sessionsRestored, func(m *sessionMeta, opts remp.Options, meta []byte) (*remp.Session, error) {
-		return s.mgr.RestoreSession(m.ds, opts, m.namespace, dto.Session, meta)
+	s.admit(w, dto.Create, "restored", s.metrics.sessionsRestored, func(pl *plan, meta []byte) (*remp.Session, error) {
+		return s.mgr.RestoreSession(pl.prepared, pl.namespace, dto.Session, meta)
 	})
 }
 
-// admit is the path create and restore share: open the spec, start the
-// session with the spec as its stored meta, register it and answer 201.
+// admit is the path create and restore share: hold the spec's plan, start
+// the session over it with the spec as its stored meta, register it and
+// answer 201. The session keeps the hold until its DELETE.
 func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, count *obs.Counter,
-	start func(m *sessionMeta, opts remp.Options, meta []byte) (*remp.Session, error)) {
+	start func(pl *plan, meta []byte) (*remp.Session, error)) {
 	// Bake the server-side defaults into the stored spec so a restart
 	// with different flags recovers the session under the options it
 	// actually ran with.
 	if req.Options.Shards == 0 {
 		req.Options.Shards = s.defaultShards
 	}
-	m, opts, err := openSpec(req, s.cluster)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	meta, err := json.Marshal(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sess, err := start(m, opts, meta)
+	m, err := s.open(req)
 	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	sess, err := start(m.plan, meta)
+	if err != nil {
+		s.plans.release(m.plan)
 		// An ID collision is a genuine conflict and a persistence failure
 		// (full disk, bad data dir) is the server's fault; invalid options
 		// and malformed or diverging snapshots are client errors.
@@ -790,14 +787,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	s.mu.Lock()
-	delete(s.meta, id)
-	for ref, sid := range s.refs {
-		if sid == id {
-			delete(s.refs, ref)
-		}
-	}
-	s.mu.Unlock()
+	s.forget(id)
 	s.metrics.sessionsDeleted.Inc()
 	s.log.Info("session deleted", "session", id)
 	w.WriteHeader(http.StatusNoContent)

@@ -241,10 +241,30 @@ func (d *DiskStore) Create(id string, meta, snapshot []byte) (err error) {
 	return d.register(id, f)
 }
 
-// wholeLines returns the prefix of data that ends in a newline: a final
-// line without one is a torn append that was never acknowledged.
-func wholeLines(data []byte) []byte {
-	return data[:bytes.LastIndexByte(data, '\n')+1]
+// tailChunk is how much of a log's end is read at a time in search of
+// its last newline: an answer line is a few hundred bytes.
+const tailChunk = 4096
+
+// wholeSize returns the size of f and how many of its leading bytes end
+// in a newline, found by reading backwards from the end: whatever follows
+// them is a torn final line.
+func wholeSize(f *os.File) (whole, size int64, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	buf := make([]byte, tailChunk)
+	for end := st.Size(); end > 0; {
+		start := max(end-tailChunk, 0)
+		if _, err := f.ReadAt(buf[:end-start], start); err != nil {
+			return 0, 0, err
+		}
+		if i := bytes.LastIndexByte(buf[:end-start], '\n'); i >= 0 {
+			return start + int64(i) + 1, st.Size(), nil
+		}
+		end = start
+	}
+	return 0, st.Size(), nil
 }
 
 // log returns the session's open log, reopening the file after a
@@ -260,23 +280,20 @@ func (d *DiskStore) log(id string) (*os.File, error) {
 	if f != nil {
 		return f, nil
 	}
-	path := d.logPath(id)
-	data, err := os.ReadFile(path)
+	f, err := os.OpenFile(d.logPath(id), os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: %q", ErrStoreNotFound, id)
 		}
 		return nil, err
 	}
-	f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
+	whole, size, err := wholeSize(f)
+	if err == nil && whole < size {
+		err = f.Truncate(whole)
 	}
-	if whole := len(wholeLines(data)); whole < len(data) {
-		if err := f.Truncate(int64(whole)); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return f, d.register(id, f)
 }
@@ -334,7 +351,9 @@ func (d *DiskStore) Get(id string) (*Record, error) {
 		}
 		return nil, err
 	}
-	lines := bytes.Split(wholeLines(data), []byte{'\n'})
+	// Only the prefix that ends in a newline is read: a final line without
+	// one is a torn append that was never acknowledged.
+	lines := bytes.Split(data[:bytes.LastIndexByte(data, '\n')+1], []byte{'\n'})
 	var head createLine
 	if err := json.Unmarshal(lines[0], &head); err != nil {
 		return nil, fmt.Errorf("session: %q: corrupt create record: %w", id, err)

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -221,6 +222,73 @@ func TestDiskStoreTornFinalLine(t *testing.T) {
 	}
 	if ids, _ := st2.List(); len(ids) != 0 {
 		t.Fatalf("store still lists %v after deleting the corrupt record", ids)
+	}
+}
+
+// TestDiskStoreTornTailRead covers what the reopening append reads to
+// find a torn tail — the file's end, chunk by chunk, never the whole
+// log: a torn line longer than one chunk, so the last newline lies
+// beyond the first read, and a file that is nothing but a torn fragment,
+// which has no newline to find at all.
+func TestDiskStoreTornTailRead(t *testing.T) {
+	long := `{"seq":1,"answer":{"u1":3,"u2":4,"labels":[` + strings.Repeat(`{"worker":1,"quality":0.9,"match":true},`, 3*tailChunk/40)
+	if len(long) < 2*tailChunk {
+		t.Fatalf("the torn line is %d bytes, want more than two %d-byte chunks", len(long), tailChunk)
+	}
+	dir := filepath.Join(t.TempDir(), "data")
+	st, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Create("s1", nil, []byte(`{"version":1,"id":"s1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendAnswer("s1", 0, AnswerRec{U1: 1, U2: 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	path := func(id string) string { return filepath.Join(dir, "sessions", id+".log") }
+	intact, err := os.ReadFile(path("s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path("s1"), append(intact, long...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path("s2"), []byte(long), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if err := st2.AppendAnswer("s1", 1, AnswerRec{U1: 3, U2: 4}, false); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st2.Get("s1")
+	if err != nil || len(rec.Log) != 2 || rec.Log[1].Seq != 1 {
+		t.Fatalf("append after a %d-byte torn line: %+v, %v; want the two intact records", len(long), rec, err)
+	}
+	if data, _ := os.ReadFile(path("s1")); !bytes.HasPrefix(data, intact) || len(data) > len(intact)+200 {
+		t.Fatalf("the log is %d bytes after the append, want the %d intact ones plus one short line", len(data), len(intact))
+	}
+
+	// The fragment-only file holds no session (Create renames a whole
+	// first line into place, so only outside damage produces it): reading
+	// it is an error, appending truncates the fragment, deleting works.
+	if _, err := st2.Get("s2"); err == nil {
+		t.Fatal("a log without a create record went undetected")
+	}
+	if err := st2.AppendAnswer("s2", 0, AnswerRec{U1: 1, U2: 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path("s2")); bytes.Count(data, []byte{'\n'}) != 1 || bytes.Contains(data, []byte(`"worker"`)) {
+		t.Fatalf("the append left %d bytes of the torn fragment in place", len(data))
+	}
+	if err := st2.Delete("s2"); err != nil {
+		t.Fatal(err)
 	}
 }
 

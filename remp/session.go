@@ -174,43 +174,60 @@ func NewManager() *Manager { return &Manager{m: session.NewManager()} }
 // returned error; the manager is usable regardless. A nil reopen skips
 // recovery (any stored sessions stay dormant in the store).
 func OpenManager(store Store, reopen ReopenFunc) (*Manager, []string, error) {
-	return OpenManagerObs(store, reopen, nil)
-}
-
-// OpenManagerObs is OpenManager with instrumentation hooks attached
-// before recovery runs, so recovered sessions' pipelines are wired into
-// the same loop-stage timings and engine counters as freshly created
-// ones. A nil Pipeline is equivalent to OpenManager.
-func OpenManagerObs(store Store, reopen ReopenFunc, o *obs.Pipeline) (*Manager, []string, error) {
-	m := &Manager{m: session.NewManagerStore(store), obs: o}
+	m := OpenManagerObs(store, nil)
 	if reopen == nil {
 		return m, nil, nil
 	}
-	ids, err := m.m.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
+	ids, err := m.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
 		ds, opts, namespace, rerr := reopen(id, meta)
 		if rerr != nil {
 			return nil, "", rerr
 		}
-		p, perr := prepareSched(ds, opts, m.m.Scheduler(), m.obs)
-		if perr != nil {
-			return nil, "", perr
-		}
-		return p, namespace, nil
+		p, perr := m.PreparePipeline(ds, opts)
+		return p, namespace, perr
 	})
 	return m, ids, err
 }
 
-// NewSession prepares a pipeline and starts a managed session in the
-// namespace. Sharded pipelines of all managed sessions draw their shard
-// workers from the manager's shared scheduler, so concurrent sessions
-// cannot oversubscribe the machine. meta is stored with the session and
-// handed back to the ReopenFunc on recovery; pass nil when the manager's
-// store does not outlive the process.
+// OpenManagerObs opens a session manager over a Store without recovering
+// anything (see Recover), with instrumentation hooks that every pipeline
+// from PreparePipeline carries — recovered sessions' included.
+func OpenManagerObs(store Store, o *obs.Pipeline) *Manager {
+	return &Manager{m: session.NewManagerStore(store), obs: o}
+}
+
+// PreparePipeline is the package-level PreparePipeline for managed
+// sessions: the pipeline's shard work draws on the manager's shared
+// scheduler, so concurrent sessions cannot oversubscribe the machine,
+// and it carries the manager's instrumentation. Any number of the
+// manager's sessions may run over the result at once.
+func (m *Manager) PreparePipeline(ds Dataset, opts Options) (*core.Prepared, error) {
+	return prepareSched(ds, opts, m.m.Scheduler(), m.obs)
+}
+
+// Recover is OpenManager's recovery for owners that keep prepared
+// pipelines (the server's plan cache): reopen maps a stored session's ID
+// and meta blob to a pipeline from PreparePipeline and the session's
+// cache namespace.
+func (m *Manager) Recover(reopen func(id string, meta []byte) (*core.Prepared, string, error)) ([]string, error) {
+	return m.m.Recover(reopen)
+}
+
+// NewSession prepares a pipeline and starts a managed session over it in
+// the namespace; see StartSession.
 func (m *Manager) NewSession(ds Dataset, opts Options, namespace string, meta []byte) (*Session, error) {
-	p, err := prepareSched(ds, opts, m.m.Scheduler(), m.obs)
+	p, err := m.PreparePipeline(ds, opts)
 	if err != nil {
 		return nil, err
 	}
+	return m.StartSession(p, namespace, meta)
+}
+
+// StartSession starts a managed session in the namespace over a pipeline
+// from PreparePipeline. meta is stored with the session and handed back
+// to the reopen function on recovery; pass nil when the manager's store
+// does not outlive the process.
+func (m *Manager) StartSession(p *core.Prepared, namespace string, meta []byte) (*Session, error) {
 	inner, err := m.m.Create(p, namespace, meta)
 	if err != nil {
 		return nil, err
@@ -218,15 +235,12 @@ func (m *Manager) NewSession(ds Dataset, opts Options, namespace string, meta []
 	return &Session{s: inner}, nil
 }
 
-// RestoreSession rebuilds a snapshotted session inside the manager,
-// keeping its snapshot ID and re-joining the namespace's answer cache.
-// meta is stored with the session as in NewSession.
-func (m *Manager) RestoreSession(ds Dataset, opts Options, namespace string, snapshot, meta []byte) (*Session, error) {
+// RestoreSession rebuilds a snapshotted session inside the manager over
+// a pipeline from PreparePipeline for the snapshot's dataset and
+// options, keeping its snapshot ID and re-joining the namespace's answer
+// cache. meta is stored with the session as in StartSession.
+func (m *Manager) RestoreSession(p *core.Prepared, namespace string, snapshot, meta []byte) (*Session, error) {
 	snap, err := session.DecodeSnapshot(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	p, err := prepareSched(ds, opts, m.m.Scheduler(), m.obs)
 	if err != nil {
 		return nil, err
 	}

@@ -162,3 +162,64 @@ func TestOptionsValidation(t *testing.T) {
 		t.Errorf("zero options rejected: %v", err)
 	}
 }
+
+// TestOpenManagerRecovers is the library-level restart: a managed session
+// journaled into a disk store is abandoned after one batch, and a second
+// manager opened over the same directory recovers it through the reopen
+// function — under its ID, with its meta — and finishes as Resolve does.
+func TestOpenManagerRecovers(t *testing.T) {
+	ds, gold := tinyWorld()
+	opts := remp.Options{Mu: 3}
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := remp.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, _, err := remp.OpenManager(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := mgr.NewSession(ds, opts, "tiny", []byte("the spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range s.NextBatch() {
+		if err := s.Deliver(q.ID, oracleWire(gold, q.Pair)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Done() {
+		t.Fatal("fixture finished in one batch; nothing left to recover into")
+	}
+
+	store2, err := remp.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr2, ids, err := remp.OpenManager(store2, func(id string, meta []byte) (remp.Dataset, remp.Options, string, error) {
+		if id != s.ID() || string(meta) != "the spec" {
+			t.Errorf("reopen(%q, %q), want the session's id and meta", id, meta)
+		}
+		return ds, opts, "tiny", nil
+	})
+	if err != nil || len(ids) != 1 || ids[0] != s.ID() {
+		t.Fatalf("recovered %v (%v), want [%s]", ids, err, s.ID())
+	}
+	defer mgr2.Close()
+	got, ok := mgr2.Get(s.ID())
+	if !ok {
+		t.Fatal("the recovered session is not registered")
+	}
+	for !got.Done() {
+		for _, q := range got.NextBatch() {
+			if err := got.Deliver(q.ID, oracleWire(gold, q.Pair)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assertSameResult(t, want, got.Result())
+}
