@@ -1,12 +1,13 @@
 // Command remp-worker hosts shard engines for a clustered remp-server.
 // It speaks the internal/cluster RPC protocol (length-prefixed JSON
-// frames over TCP): the server's coordinator assigns it shards of live
-// sessions, streams their command logs, and reads candidates, picks and
-// balls back. Workers are stateless across restarts by design — a
-// worker that dies loses only replayable state, which the coordinator
-// re-prepares on the survivors, so results stay byte-identical. Within a
-// process it prepares a spec once (server.PlanCache), whatever number of
-// sessions run or have just run over it.
+// frames over TCP): the server's coordinator sends it the shards of live
+// sessions it is to run — each one whole, in core's binary shard format —
+// streams their command logs, and reads candidates, picks and balls back.
+// A worker needs no dataset, no KB files and no configuration beyond its
+// address: everything an engine computes on arrives in the prepare frame.
+// Workers are stateless across restarts by design — a worker that dies
+// loses only replayable state, which the coordinator sends again to the
+// survivors, so results stay byte-identical.
 //
 // Usage:
 //
@@ -27,8 +28,6 @@ import (
 	"os"
 
 	"repro/internal/cluster"
-	"repro/internal/server"
-	"repro/remp"
 )
 
 func main() {
@@ -43,7 +42,7 @@ func main() {
 	if *killAfter > 0 {
 		faults = &cluster.Faults{CrashAfterRPCs: *killAfter}
 	}
-	cfg := cluster.WorkerConfig{Prepare: server.NewPlanCache(remp.PreparePipeline, nil).Acquire, Faults: faults}
+	cfg := cluster.WorkerConfig{Faults: faults}
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,21 +19,19 @@ import (
 	"repro/internal/pair"
 )
 
-// testSpec is the session spec the test workers rebuild pipelines from:
-// a named synthetic dataset plus the config knobs the tests vary. Both
-// sides of every equivalence test — the coordinator's Prepared and each
-// worker's — are built from the same spec, exactly as the server wiring
-// does it.
+// testSpec names a fixture: a synthetic dataset plus the config knobs the
+// tests vary. The oracle's Prepared and the clustered run's are both built
+// from it; the workers see neither — only the shards the coordinator sends.
 type testSpec struct {
-	Dataset string `json:"dataset"`
-	Seed    int64  `json:"seed"`
-	Shards  int    `json:"shards"`
-	Mu      int    `json:"mu"`
-	Hybrid  bool   `json:"hybrid,omitempty"`
-	Budget  int    `json:"budget,omitempty"`
+	Dataset string
+	Seed    int64
+	Shards  int
+	Mu      int
+	Hybrid  bool
+	Budget  int
 	// IsolatedOnly keeps only the ER graph's vertices without an edge, and
 	// polls them to the budget: the graph no engine shard has work on.
-	IsolatedOnly bool `json:"isolated_only,omitempty"`
+	IsolatedOnly bool
 }
 
 func (s testSpec) config() core.Config {
@@ -43,34 +44,13 @@ func (s testSpec) config() core.Config {
 	return cfg
 }
 
-// prepare builds the spec's pipeline over the dataset — what both the
-// coordinator side and every worker do with it.
+// prepare builds the spec's pipeline over the dataset.
 func (s testSpec) prepare(ds *datasets.Dataset, cfg core.Config) *core.Prepared {
 	p := core.Prepare(ds.K1, ds.K2, cfg)
 	if s.IsolatedOnly {
 		p = core.PrepareOnRetained(ds.K1, ds.K2, cfg, p.Graph.Isolated(), p.Blocking)
 	}
 	return p
-}
-
-// testPlans memoizes prepareFromSpec by spec: a worker acquires the
-// pipeline once per assigned shard and leaves sharing it to the hook.
-var testPlans sync.Map
-
-func prepareFromSpec(raw []byte) (*core.Prepared, func(), error) {
-	if p, ok := testPlans.Load(string(raw)); ok {
-		return p.(*core.Prepared), func() {}, nil
-	}
-	var s testSpec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, nil, err
-	}
-	ds, err := datasets.ByName(s.Dataset, s.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, _ := testPlans.LoadOrStore(string(raw), s.prepare(ds, s.config()))
-	return p.(*core.Prepared), func() {}, nil
 }
 
 // startWorker serves a Worker on a loopback listener.
@@ -80,7 +60,7 @@ func startWorker(t *testing.T, faults *Faults) (string, *Worker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(WorkerConfig{Prepare: prepareFromSpec, Faults: faults, Logf: t.Logf})
+	w := NewWorker(WorkerConfig{Faults: faults, Logf: t.Logf})
 	go w.Serve(ln)
 	t.Cleanup(func() { w.Close() })
 	return ln.Addr().String(), w
@@ -163,16 +143,12 @@ func runLocal(t *testing.T, spec testSpec, asker core.Asker) *core.Result {
 // workers.
 func runRemote(t *testing.T, co *Coordinator, spec testSpec, asker core.Asker, progress func(questions int)) *core.Result {
 	t.Helper()
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ds, err := datasets.ByName(spec.Dataset, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := spec.config()
-	cfg.Runner = co.Runner(raw)
+	cfg.Runner = co.Runner
 	if progress != nil {
 		cfg.Progress = func(questions int, _ pair.Set) { progress(questions) }
 	}
@@ -313,9 +289,11 @@ func (tap *frameTap) relay(client net.Conn, worker string) {
 // isolated vertices are the loop's own, so no gather response lists one —
 // as a candidate or in an inferred set — and no resolve or damp command is
 // ever logged for one, though the loop confirms some of them and rejects
-// others under a fallible crowd; and over a graph with no edge at all, where
-// the one engine shard has nothing to do, the session is a prepare frame
-// and an end frame per worker it touched.
+// others under a fallible crowd; a prepare frame is a runner, a shard number
+// and the encoded shard — no spec, no isolated vertex, a few kilobytes for
+// all of d-y; and over a graph with no edge at all, where the one engine
+// shard has nothing to do, the session is a prepare frame and an end frame
+// per worker it touched.
 func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
 	run := func(t *testing.T, spec testSpec) (*core.Prepared, *core.Result, []tappedCall) {
 		a1, tap1 := tapWorker(t)
@@ -353,8 +331,37 @@ func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
 		if confirmed == 0 || rejected == 0 {
 			t.Fatalf("%d isolated vertices confirmed and %d rejected: the loop resolved none of its own", confirmed, rejected)
 		}
-		gathers, cmds := 0, 0
+		gathers, cmds, prepares, prepareBytes := 0, 0, 0, 0
 		for _, c := range calls {
+			if c.method == MethodPrepare {
+				prepares++
+				prepareBytes += len(c.req)
+				var fields map[string]json.RawMessage
+				var req prepareReq
+				if err := json.Unmarshal(c.req, &fields); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(c.req, &req); err != nil {
+					t.Fatal(err)
+				}
+				if len(fields) != 3 || fields["runner"] == nil || fields["shard"] == nil || fields["data"] == nil {
+					t.Fatalf("a prepare frame carries %d fields, want runner, shard and data alone: %.200s", len(fields), c.req)
+				}
+				sh, err := core.DecodeShard(req.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A sharded pipeline's shard holds no vertex back: it gathers them all.
+				cands, _ := core.NewShardState(sh).Gather()
+				if len(cands) != p.ShardSizes()[req.Shard] {
+					t.Fatalf("shard %d arrived with %d vertices, the coordinator's has %d", req.Shard, len(cands), p.ShardSizes()[req.Shard])
+				}
+				for _, cand := range cands {
+					if isolated.Has(cand.Pair) {
+						t.Fatalf("the prepare frame of shard %d carries isolated vertex %v", req.Shard, cand.Pair)
+					}
+				}
+			}
 			if c.method == MethodPrepare || c.method == MethodEnd {
 				continue
 			}
@@ -385,6 +392,10 @@ func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
 		}
 		if gathers == 0 || cmds == 0 {
 			t.Fatalf("tap saw %d gathers and %d commands: nothing was checked", gathers, cmds)
+		}
+		t.Logf("%d prepare frames, %d bytes", prepares, prepareBytes)
+		if prepares != p.NumShards() || prepareBytes >= 64<<10 {
+			t.Fatalf("the session's %d prepare frames total %d bytes, want one per shard (%d) and under 64 kB", prepares, prepareBytes, p.NumShards())
 		}
 	})
 
@@ -488,9 +499,13 @@ func TestClusterSurvivesChaos(t *testing.T) {
 // or replayed frame) is applied once, and a gap is rejected.
 func TestWorkerDuplicateCommandDelivery(t *testing.T) {
 	spec := testSpec{Dataset: "books", Seed: 15, Shards: 2, Mu: 4}
-	raw, _ := json.Marshal(spec)
-	w := NewWorker(WorkerConfig{Prepare: prepareFromSpec})
-	if _, _, err := w.handlePrepare(prepareReq{Runner: "r", Shard: 0, SpecHash: SpecHash(raw), Spec: raw}); err != nil {
+	ds, err := datasets.ByName(spec.Dataset, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{})
+	prepare := prepareReq{Runner: "r", Shard: 0, Data: spec.prepare(ds, spec.config()).Shard(0).Encode()}
+	if _, _, err := w.handlePrepare(7, prepare); err != nil {
 		t.Fatal(err)
 	}
 	gatherOnce := func() shardRes {
@@ -516,15 +531,83 @@ func TestWorkerDuplicateCommandDelivery(t *testing.T) {
 	if len(first.Cands) != len(second.Cands) {
 		t.Fatalf("duplicate delivery changed candidates: %d vs %d", len(first.Cands), len(second.Cands))
 	}
+	// So must a redelivered prepare frame: a prepare that restarted the
+	// state now would strand the coordinator's watermark above the worker's.
+	if _, _, err := w.handlePrepare(7, prepare); err != nil {
+		t.Fatal(err)
+	}
+	if third := gatherOnce(); third.Applied != 1 {
+		t.Fatalf("applied after a duplicated prepare frame = %d, want 1: the state was restarted", third.Applied)
+	}
 	// A sequence gap means divergent history and must be rejected.
 	if _, _, err := w.handleShard(MethodApply, shardReq{Runner: "r", Shard: 0, Cmds: []Cmd{{Seq: 5, Op: OpSync}}}); err == nil {
 		t.Fatal("command gap accepted")
+	}
+	// A prepare under a new ID is the coordinator starting over — a retry,
+	// a failover — and does restart the state, for the log to be replayed.
+	if _, _, err := w.handlePrepare(8, prepare); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.handleShard(MethodApply, shardReq{Runner: "r", Shard: 0, Cmds: []Cmd{{Seq: 2, Op: OpSync}}}); err == nil {
+		t.Fatal("a re-prepared state accepted a command past sequence 1")
 	}
 	// An unknown shard is a state error the coordinator repairs by
 	// re-preparing.
 	if _, kind, err := w.handleShard(MethodGather, shardReq{Runner: "r", Shard: 1}); err == nil || kind != ErrKindState {
 		t.Fatalf("missing shard: kind %q, err %v; want state error", kind, err)
 	}
+}
+
+// TestOversizedShardFailsAtBirth: a shard whose prepare frame would exceed
+// MaxFrameBytes can be sent to no worker, and says nothing about any
+// worker's health. The loop fails at birth with ErrFrameTooLarge — at once,
+// not after OpTimeout of retries — no worker is struck or marked down, no
+// shard state is left behind, and the next session on the same coordinator
+// runs as if nothing had happened.
+func TestOversizedShardFailsAtBirth(t *testing.T) {
+	spec := testSpec{Dataset: "books", Seed: 16, Shards: 2, Mu: 4}
+	a1, w1 := startWorker(t, nil)
+	a2, w2 := startWorker(t, nil)
+	m := testMetrics()
+	co := testCoordinator(t, []string{a1, a2}, nil, m)
+	ds, err := datasets.ByName(spec.Dataset, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.config()
+	cfg.Runner = co.Runner
+	p := spec.prepare(ds, cfg)
+
+	// Shard 0 alone is padded: past the bound once base64 has had its third.
+	var padded atomic.Bool
+	encodeShard = func(sh *core.Shard) []byte {
+		if padded.CompareAndSwap(false, true) {
+			return append(sh.Encode(), make([]byte, MaxFrameBytes/4*3+1024)...)
+		}
+		return sh.Encode()
+	}
+	t.Cleanup(func() { encodeShard = (*core.Shard).Encode })
+	start := time.Now()
+	l := p.NewLoop()
+	if l.State() != core.LoopFailed || !errors.Is(l.Err(), ErrFrameTooLarge) {
+		t.Fatalf("loop is %s with error %v, want failed with ErrFrameTooLarge", l.State(), l.Err())
+	}
+	for _, part := range []string{"shard ", " bytes", strconv.Itoa(MaxFrameBytes)} {
+		if !strings.Contains(l.Err().Error(), part) {
+			t.Errorf("the error does not name %q: %v", part, l.Err())
+		}
+	}
+	// About 0.1 s, seconds under the race detector (it is all encoding the
+	// padding); a failure that was retried would take the 30 s OpTimeout.
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("the loop took %v to fail, want it to fail at once", took)
+	}
+	if m.WorkerDowns.Value() != 0 || m.RPCRetries.Value() != 0 || co.LiveWorkers() != 2 {
+		t.Errorf("%d worker downs, %d RPC retries, %d live workers; want 0, 0 and 2", m.WorkerDowns.Value(), m.RPCRetries.Value(), co.LiveWorkers())
+	}
+	waitFor(t, 5*time.Second, func() bool { return w1.NumShards()+w2.NumShards() == 0 })
+
+	assertResultsIdentical(t, runLocal(t, spec, oracleFor(t, spec)), runRemote(t, co, spec, oracleFor(t, spec), nil))
 }
 
 // TestCoordinatorStatus pins the liveness snapshot /healthz reports.

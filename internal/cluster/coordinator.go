@@ -310,19 +310,24 @@ func (wc *workerClient) release(c net.Conn) {
 // responses until the matching ID arrives — duplicated frames produce
 // extra responses, which are skipped by their stale IDs. Transport
 // failures close the connection and count a strike; any response, even an
-// application error, proves the worker healthy.
+// application error, proves the worker healthy. A request that does not
+// fit a frame (ErrFrameTooLarge) fails before a connection is touched: it
+// says nothing about the worker.
 func (wc *workerClient) call(ctx context.Context, method string, reqBody any, injectFaults bool) (json.RawMessage, string, error) {
 	body, err := json.Marshal(reqBody)
 	if err != nil {
 		return nil, "", &callError{err: fmt.Errorf("cluster: encoding %s request: %w", method, err)}
+	}
+	id := wc.co.nextID.Add(1)
+	frame, err := encodeFrame(Envelope{V: ProtocolVersion, ID: id, Kind: FrameRequest, Method: method, Body: body})
+	if err != nil {
+		return nil, "", &callError{err: fmt.Errorf("cluster: %s request: %w", method, err)}
 	}
 	conn, err := wc.conn(ctx)
 	if err != nil {
 		wc.strike()
 		return nil, "", &callError{transport: true, err: fmt.Errorf("cluster: dialing %s: %w", wc.addr, err)}
 	}
-	id := wc.co.nextID.Add(1)
-	env := Envelope{V: ProtocolVersion, ID: id, Kind: FrameRequest, Method: method, Body: body}
 
 	deadline := time.Now().Add(wc.co.cfg.RPCTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -347,11 +352,11 @@ func (wc *workerClient) call(ctx context.Context, method string, reqBody any, in
 		// The frame "never arrives": skip the write and let the read below
 		// time out, exercising the timeout-and-retry path end to end.
 	} else {
-		if err := WriteFrame(conn, env); err != nil {
+		if _, err := conn.Write(frame); err != nil {
 			return fail(fmt.Errorf("cluster: writing %s to %s: %w", method, wc.addr, err))
 		}
 		if faults.duplicate() {
-			if err := WriteFrame(conn, env); err != nil {
+			if _, err := conn.Write(frame); err != nil {
 				return fail(fmt.Errorf("cluster: writing duplicate %s to %s: %w", method, wc.addr, err))
 			}
 		}

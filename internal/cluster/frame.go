@@ -4,9 +4,9 @@
 // length-prefixed JSON-RPC protocol, and a Worker hosts the assigned
 // shards' engine states (core.ShardState — the same code the in-process
 // runner executes, so local and remote runs are byte-identical by
-// construction). The pipelines those states are cut from come from the
-// worker's Prepare hook — a plan cache shared with the server's code —
-// which a runner holds from its first prepare frame to its end frame.
+// construction). A shard travels as itself: the prepare frame carries it
+// in core's binary shard format, the worker decodes it and starts the
+// engine, and no worker ever sees a session spec, a dataset or a KB.
 //
 // Robustness is the package's reason to exist. Every shard's mutating
 // operations are sequence-numbered into a per-shard command log; workers
@@ -22,6 +22,7 @@ package cluster
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -31,7 +32,7 @@ import (
 const (
 	// ProtocolVersion is the wire version stamped into every envelope;
 	// a mismatch is a decode error, so mixed deployments fail loudly.
-	ProtocolVersion = 1
+	ProtocolVersion = 2
 	// MaxFrameBytes bounds a frame body. Larger announcements are decode
 	// errors, so a corrupt length prefix cannot trigger an unbounded
 	// allocation.
@@ -65,22 +66,36 @@ type Envelope struct {
 // ErrKindState marks a lost-state error: re-prepare and replay to repair.
 const ErrKindState = "state"
 
+// ErrFrameTooLarge reports a message whose frame would exceed
+// MaxFrameBytes. No peer would read it, so it is never sent and never
+// retried: the operation that needed it fails with this error.
+var ErrFrameTooLarge = errors.New("cluster: frame exceeds MaxFrameBytes")
+
 // WriteFrame encodes env as one length-prefixed frame. The header and
 // body are written in a single Write so a frame is never interleaved by
 // an unsynchronized writer.
 func WriteFrame(w io.Writer, env Envelope) error {
+	buf, err := encodeFrame(env)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// encodeFrame returns env's frame, length prefix included.
+func encodeFrame(env Envelope) ([]byte, error) {
 	body, err := json.Marshal(env)
 	if err != nil {
-		return fmt.Errorf("cluster: encoding frame: %w", err)
+		return nil, fmt.Errorf("cluster: encoding frame: %w", err)
 	}
 	if len(body) > MaxFrameBytes {
-		return fmt.Errorf("cluster: frame body %d bytes exceeds limit %d", len(body), MaxFrameBytes)
+		return nil, fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, len(body), MaxFrameBytes)
 	}
 	buf := make([]byte, 4+len(body))
 	binary.BigEndian.PutUint32(buf, uint32(len(body)))
 	copy(buf[4:], body)
-	_, err = w.Write(buf)
-	return err
+	return buf, nil
 }
 
 // ReadFrame decodes one frame. Malformed input — truncated prefix or

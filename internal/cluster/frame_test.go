@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -78,8 +79,8 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 // TestWriteFrameRejectsOversized pins the writer-side bound.
 func TestWriteFrameRejectsOversized(t *testing.T) {
 	big := Envelope{V: ProtocolVersion, ID: 1, Kind: FrameRequest, Body: json.RawMessage(`"` + strings.Repeat("a", MaxFrameBytes) + `"`)}
-	if err := WriteFrame(&bytes.Buffer{}, big); err == nil {
-		t.Fatal("oversized frame written")
+	if err := WriteFrame(&bytes.Buffer{}, big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame: %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -91,7 +92,7 @@ func FuzzReadFrame(f *testing.F) {
 	realFrames := []Envelope{
 		{V: ProtocolVersion, ID: 1, Kind: FrameRequest, Method: MethodPing, Body: json.RawMessage(`{}`)},
 		{V: ProtocolVersion, ID: 2, Kind: FrameRequest, Method: MethodPrepare,
-			Body: json.RawMessage(`{"runner":"ab12-1","shard":0,"spec_hash":"deadbeef","spec":"eyJkYXRhc2V0IjoiYm9va3MifQ=="}`)},
+			Body: json.RawMessage(`{"runner":"ab12-1","shard":0,"data":"UkVNUFNIMQoBAAAA"}`)},
 		{V: ProtocolVersion, ID: 3, Kind: FrameRequest, Method: MethodGather,
 			Body: json.RawMessage(`{"runner":"ab12-1","shard":2,"cmds":[{"seq":1,"op":"resolve","pair":{"U1":4,"U2":9},"detach":true},{"seq":2,"op":"sync"}]}`)},
 		{V: ProtocolVersion, ID: 4, Kind: FrameResponse,

@@ -14,48 +14,47 @@ import (
 	"repro/internal/selection"
 )
 
-// Runner returns a core.RunnerFactory that places a loop's shard engines
-// on the coordinator's workers. The spec is the opaque session
-// specification each worker's Prepare hook rebuilds the pipeline from —
-// it must describe the same pipeline as the *core.Prepared the factory is
-// invoked with, or workers will compute against a different graph.
-func (co *Coordinator) Runner(spec []byte) core.RunnerFactory {
-	hash := SpecHash(spec)
-	return func(p *core.Prepared) (core.ShardRunner, error) {
-		r := &remoteRunner{
-			co:   co,
-			p:    p,
-			id:   fmt.Sprintf("%s-%d", co.nonce, co.runnerSeq.Add(1)),
-			spec: spec,
-			hash: hash,
-		}
-		n := p.NumShards()
-		r.shards = make([]*remoteShard, n)
-		for s := range r.shards {
-			r.shards[s] = &remoteShard{worker: s % len(co.workers)}
-		}
-		// Assign every shard eagerly so prepare latency overlaps across
-		// workers and a dead-on-arrival cluster fails the loop at birth
-		// instead of at the first gather.
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for s := 0; s < n; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				ctx, cancel := r.opContext()
-				defer cancel()
-				_, errs[s] = r.ensure(ctx, s, r.backoff())
-			}(s)
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			return nil, fmt.Errorf("cluster: assigning shards: %w", err)
-		}
-		co.logf("cluster: runner %s assigned %d shards across %d workers", r.id, n, co.LiveWorkers())
-		return r, nil
+// Runner is a core.RunnerFactory that places a loop's shard engines on the
+// coordinator's workers. Each worker is sent the shards it is assigned,
+// encoded from p — at assignment, and again from p when a shard fails over —
+// so a worker computes on a copy of exactly what p holds.
+func (co *Coordinator) Runner(p *core.Prepared) (core.ShardRunner, error) {
+	r := &remoteRunner{
+		co: co,
+		p:  p,
+		id: fmt.Sprintf("%s-%d", co.nonce, co.runnerSeq.Add(1)),
 	}
+	n := p.NumShards()
+	r.shards = make([]*remoteShard, n)
+	for s := range r.shards {
+		r.shards[s] = &remoteShard{worker: s % len(co.workers)}
+	}
+	// Assign every shard eagerly so prepare latency overlaps across
+	// workers and a dead-on-arrival cluster fails the loop at birth
+	// instead of at the first gather.
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for s := 0; s < n; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			ctx, cancel := r.opContext()
+			defer cancel()
+			_, errs[s] = r.ensure(ctx, s)
+		}(s)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		r.Close() //nolint:errcheck // best-effort: drop the shards that did get assigned
+		return nil, fmt.Errorf("cluster: assigning shards: %w", err)
+	}
+	co.logf("cluster: runner %s assigned %d shards across %d workers", r.id, n, co.LiveWorkers())
+	return r, nil
 }
+
+// encodeShard is what a prepare frame carries; a variable so that a test
+// can pad a shard past the frame bound.
+var encodeShard = (*core.Shard).Encode
 
 // remoteShard is the coordinator-side replica of one shard: the full
 // sequence-numbered command log (the failover source of truth), the flush
@@ -79,11 +78,9 @@ type remoteShard struct {
 // deadline, failing over to a surviving worker — re-prepare plus full log
 // replay — when the owner is lost.
 type remoteRunner struct {
-	co   *Coordinator
-	p    *core.Prepared
-	id   string
-	spec []byte
-	hash string
+	co *Coordinator
+	p  *core.Prepared
+	id string
 
 	shards []*remoteShard
 }
@@ -112,13 +109,13 @@ func (r *remoteRunner) Resolve(s int, q pair.Pair, detach bool) error {
 	return nil
 }
 
-func (r *remoteRunner) Damp(s int, q pair.Pair, prior float64) error {
-	r.append(s, Cmd{Op: OpDamp, Pair: q, Prior: prior})
+func (r *remoteRunner) Damp(s int, q pair.Pair, _ float64) error {
+	r.append(s, Cmd{Op: OpDamp, Pair: q})
 	return nil
 }
 
 func (r *remoteRunner) Rebuild(s int, est map[ergraph.RelPair]consistency.Estimate) error {
-	r.append(s, Cmd{Op: OpRebuild, Est: encodeEstimates(r.p.ShardLabels(s), est)})
+	r.append(s, Cmd{Op: OpRebuild, Est: encodeEstimates(r.p.Shard(s).Labels(), est)})
 	return nil
 }
 
@@ -211,10 +208,17 @@ func (r *remoteRunner) Close() (int64, error) {
 	return n, nil
 }
 
+// permanent reports whether err is one a retry would only repeat: an
+// application error other than lost state — the worker is healthy and
+// deterministic — or a frame too large for any worker to read.
+func permanent(err error) bool {
+	var ce *callError
+	return errors.As(err, &ce) && !ce.transport && ce.kind != ErrKindState
+}
+
 // do performs one read RPC on a shard, shipping the pending command tail,
 // retrying with backoff under the operation deadline and failing over
-// when the owner is lost. A non-state application error is permanent: the
-// worker is healthy and deterministic, so a retry would only repeat it.
+// when the owner is lost; a permanent error ends it at once.
 func (r *remoteRunner) do(s int, method string, req shardReq) (shardRes, error) {
 	sh := r.shards[s]
 	ctx, cancel := r.opContext()
@@ -228,8 +232,11 @@ func (r *remoteRunner) do(s int, method string, req shardReq) (shardRes, error) 
 				return shardRes{}, fmt.Errorf("cluster: shard %d %s exhausted its deadline: %w (last error: %v)", s, method, err, lastErr)
 			}
 		}
-		wi, err := r.ensure(ctx, s, bo)
+		wi, err := r.ensure(ctx, s)
 		if err != nil {
+			if permanent(err) {
+				return shardRes{}, err
+			}
 			if ctx.Err() != nil {
 				return shardRes{}, fmt.Errorf("cluster: shard %d %s exhausted its deadline: %w", s, method, err)
 			}
@@ -244,17 +251,15 @@ func (r *remoteRunner) do(s int, method string, req shardReq) (shardRes, error) 
 		sh.mu.Unlock()
 		body, kind, err := r.co.workers[wi].call(ctx, method, req, true)
 		if err != nil {
+			if permanent(err) {
+				return shardRes{}, err
+			}
 			lastErr = err
 			if kind == ErrKindState {
 				// The worker restarted and lost the shard: re-prepare + replay.
 				sh.prepared = false
-				continue
 			}
-			var ce *callError
-			if errors.As(err, &ce) && ce.transport {
-				continue
-			}
-			return shardRes{}, err
+			continue
 		}
 		var res shardRes
 		if err := json.Unmarshal(body, &res); err != nil {
@@ -276,7 +281,7 @@ func (r *remoteRunner) do(s int, method string, req shardReq) (shardRes, error) 
 // Candidate workers are probed round-robin from the current assignment;
 // with none live it errors and the caller backs off (the heartbeat may
 // revive one).
-func (r *remoteRunner) ensure(ctx context.Context, s int, bo *backoff) (int, error) {
+func (r *remoteRunner) ensure(ctx context.Context, s int) (int, error) {
 	sh := r.shards[s]
 	if sh.prepared && !r.co.workers[sh.worker].isDown() {
 		return sh.worker, nil
@@ -290,6 +295,9 @@ func (r *remoteRunner) ensure(ctx context.Context, s int, bo *backoff) (int, err
 			continue
 		}
 		if err := r.prepareOn(ctx, wc, s); err != nil {
+			if permanent(err) {
+				return 0, err // no other worker would take it either
+			}
 			lastErr = err
 			continue
 		}
@@ -310,15 +318,16 @@ func (r *remoteRunner) ensure(ctx context.Context, s int, bo *backoff) (int, err
 	return 0, lastErr
 }
 
-// prepareOn builds the shard's state on a worker and replays the full
-// command log in bounded chunks. The worker rebuilds from sequence 1;
-// every logged sync lands at its original position, so the rebuilt engine
-// is bit-identical to the lost one.
+// prepareOn starts the shard's state on a worker — from the shard itself,
+// encoded afresh from the runner's Prepared — and replays the full command
+// log in bounded chunks. The worker rebuilds from sequence 1; every logged
+// sync lands at its original position, so the rebuilt engine is
+// bit-identical to the lost one.
 func (r *remoteRunner) prepareOn(ctx context.Context, wc *workerClient, s int) error {
 	sh := r.shards[s]
-	preq := prepareReq{Runner: r.id, Shard: s, SpecHash: r.hash, Spec: r.spec}
+	preq := prepareReq{Runner: r.id, Shard: s, Data: encodeShard(r.p.Shard(s))}
 	if _, _, err := wc.call(ctx, MethodPrepare, preq, true); err != nil {
-		return err
+		return fmt.Errorf("cluster: preparing shard %d: %w", s, err)
 	}
 	sh.mu.Lock()
 	log := sh.log

@@ -10,7 +10,8 @@ import (
 
 // RPC method names.
 const (
-	// MethodPrepare builds a shard's engine state on the worker.
+	// MethodPrepare starts a shard's engine state on the worker, from the
+	// encoded shard the request carries.
 	MethodPrepare = "prepare"
 	// MethodApply appends commands to a shard's log without reading back.
 	MethodApply = "apply"
@@ -35,7 +36,8 @@ const (
 	// OpResolve resolves a vertex (ShardState.Resolve), optionally
 	// detaching it from the propagation fabric.
 	OpResolve = "resolve"
-	// OpDamp overlays a hard question's damped prior (ShardState.Damp).
+	// OpDamp marks a vertex a hard question, which gathers skip from then
+	// on (ShardState.Damp). The damped prior itself stays with the loop.
 	OpDamp = "damp"
 	// OpSync recomputes dirty balls (ShardState.Sync). Logged at every
 	// gather position so a replay reproduces the last-sync snapshot that
@@ -58,7 +60,7 @@ type EstDTO struct {
 }
 
 // encodeEstimates flattens the labels' estimates for the wire. Only the
-// shard's own labels travel: BuildProb consults nothing else, and missing
+// shard's own labels travel: a rebuild consults nothing else, and missing
 // labels would fall back to the uniform prior rather than silently
 // diverge — restricting the map is an optimization, not a risk.
 func encodeEstimates(labels []ergraph.RelPair, est map[ergraph.RelPair]consistency.Estimate) []EstDTO {
@@ -91,19 +93,17 @@ type Cmd struct {
 	Op     string    `json:"op"`
 	Pair   pair.Pair `json:"pair,omitempty"`
 	Detach bool      `json:"detach,omitempty"`
-	Prior  float64   `json:"prior,omitempty"`
 	Est    []EstDTO  `json:"est,omitempty"`
 }
 
-// prepareReq asks a worker to build the engine state for one shard.
-// Spec carries the opaque session specification the worker's Prepare
-// hook turns into a core.Prepared — once per runner, however many of its
-// shards land on the worker; SpecHash is its SHA-256, checked on receipt.
+// prepareReq hands a worker one shard to run: Data is the shard itself in
+// core's binary shard format (core.Shard.Encode) — its subgraph, priors,
+// edge probabilities and estimates — so the worker starts the engine on a
+// copy of what the coordinator prepared and derives nothing from a dataset.
 type prepareReq struct {
-	Runner   string `json:"runner"`
-	Shard    int    `json:"shard"`
-	SpecHash string `json:"spec_hash"`
-	Spec     []byte `json:"spec"`
+	Runner string `json:"runner"`
+	Shard  int    `json:"shard"`
+	Data   []byte `json:"data"`
 }
 
 // shardReq addresses one shard and piggybacks the commands logged since

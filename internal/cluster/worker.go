@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -13,13 +12,6 @@ import (
 
 // WorkerConfig configures a Worker.
 type WorkerConfig struct {
-	// Prepare acquires the prepared pipeline of an opaque session spec (as
-	// shipped by the coordinator's prepare RPC), from which the shard
-	// states are built. The worker calls it for every shard it is assigned
-	// and keeps one hold per runner, released when the runner ends; sharing
-	// one pipeline between the shards and the runners of a spec, and
-	// keeping it past the last, is the hook's business (server.PlanCache).
-	Prepare func(spec []byte) (p *core.Prepared, release func(), err error)
 	// Logf, when non-nil, receives diagnostic log lines.
 	Logf func(format string, args ...any)
 	// Faults injects failures for chaos drills; CrashAfterRPCs is the
@@ -40,6 +32,11 @@ type shardKey struct {
 // coordinator already serializes per-shard traffic, but duplicated
 // frames and re-prepares may race the tail of a previous request.
 type workerShard struct {
+	// preparedBy is the ID of the prepare frame that started the state. A
+	// duplicate of that frame — same ID, unlike a retried or failover
+	// prepare — must not restart a state that commands have since advanced.
+	preparedBy uint64
+
 	mu         sync.Mutex
 	st         *core.ShardState
 	applied    int
@@ -61,7 +58,6 @@ type Worker struct {
 
 	shardMu sync.Mutex
 	shards  map[shardKey]*workerShard
-	holds   map[string]func() // runner → release of its hold on its spec's pipeline
 }
 
 // NewWorker builds a Worker.
@@ -69,7 +65,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:    cfg,
 		conns:  map[net.Conn]struct{}{},
-		holds:  map[string]func(){},
 		shards: map[shardKey]*workerShard{},
 	}
 }
@@ -162,14 +157,21 @@ func (w *Worker) serveConn(conn net.Conn) {
 			w.Close()
 			return
 		}
-		body, errKind, err := w.handle(env.Method, env.Body)
+		body, errKind, err := w.handle(env.ID, env.Method, env.Body)
 		res := Envelope{V: ProtocolVersion, ID: env.ID, Kind: FrameResponse}
 		if err != nil {
 			res.Err, res.ErrKind = err.Error(), errKind
 		} else {
 			res.Body = body
 		}
-		if err := WriteFrame(conn, res); err != nil {
+		err = WriteFrame(conn, res)
+		if errors.Is(err, ErrFrameTooLarge) {
+			// The connection is fine and so is the worker: answer with the
+			// error instead of dropping a healthy link.
+			err = WriteFrame(conn, Envelope{V: ProtocolVersion, ID: env.ID, Kind: FrameResponse,
+				Err: fmt.Sprintf("cluster worker: %s response: %v", env.Method, err)})
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -178,7 +180,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 // handle dispatches one request. A panic in a handler (a malformed
 // request reaching engine code) is converted to an error response so one
 // bad frame cannot take the worker down.
-func (w *Worker) handle(method string, body json.RawMessage) (res json.RawMessage, errKind string, err error) {
+func (w *Worker) handle(id uint64, method string, body json.RawMessage) (res json.RawMessage, errKind string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, errKind, err = nil, "", fmt.Errorf("cluster worker: %s panicked: %v", method, r)
@@ -192,7 +194,7 @@ func (w *Worker) handle(method string, body json.RawMessage) (res json.RawMessag
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, "", fmt.Errorf("cluster worker: bad prepare body: %w", err)
 		}
-		return w.handlePrepare(req)
+		return w.handlePrepare(id, req)
 	case MethodApply, MethodGather, MethodRank, MethodBall, MethodRelease:
 		var req shardReq
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -210,46 +212,41 @@ func (w *Worker) handle(method string, body json.RawMessage) (res json.RawMessag
 				delete(w.shards, k)
 			}
 		}
-		release := w.holds[req.Runner]
-		delete(w.holds, req.Runner)
 		w.shardMu.Unlock()
-		if release != nil {
-			release()
-		}
 		return json.RawMessage(`{}`), "", nil
 	default:
 		return nil, "", fmt.Errorf("cluster worker: unknown method %q", method)
 	}
 }
 
-func (w *Worker) handlePrepare(req prepareReq) (json.RawMessage, string, error) {
-	if SpecHash(req.Spec) != req.SpecHash {
-		return nil, "", fmt.Errorf("cluster worker: spec hash mismatch")
+func (w *Worker) handlePrepare(id uint64, req prepareReq) (json.RawMessage, string, error) {
+	w.shardMu.Lock()
+	old := w.shards[shardKey{req.Runner, req.Shard}]
+	w.shardMu.Unlock()
+	if old != nil && old.preparedBy == id {
+		return mustMarshal(shardRes{}), "", nil // the same frame again
 	}
-	p, release, err := w.cfg.Prepare(req.Spec)
+	sh, err := core.DecodeShard(req.Data)
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("cluster worker: runner %s shard %d: %w", req.Runner, req.Shard, err)
 	}
-	if req.Shard < 0 || req.Shard >= p.NumShards() {
-		release()
-		return nil, "", fmt.Errorf("cluster worker: shard %d out of range (%d shards)", req.Shard, p.NumShards())
-	}
-	ws := &workerShard{st: p.NewShardState(req.Shard)}
+	ws := &workerShard{preparedBy: id, st: core.NewShardState(sh)}
 	w.shardMu.Lock()
 	// A re-prepare (the coordinator replaying a lost shard, or retrying a
 	// timed-out prepare) replaces any previous state wholesale: the
 	// replayed log rebuilds it from sequence 1.
 	w.shards[shardKey{req.Runner, req.Shard}] = ws
-	_, held := w.holds[req.Runner]
-	if !held {
-		w.holds[req.Runner] = release
-	}
 	w.shardMu.Unlock()
-	if held {
-		release() // the runner holds the pipeline since an earlier shard's prepare
-	}
 	w.logf("cluster worker: prepared runner %s shard %d", req.Runner, req.Shard)
 	return mustMarshal(shardRes{Applied: 0}), "", nil
+}
+
+// NumShards returns how many shard states the worker holds: the shards
+// assigned to it by runners that have not ended.
+func (w *Worker) NumShards() int {
+	w.shardMu.Lock()
+	defer w.shardMu.Unlock()
+	return len(w.shards)
 }
 
 func (w *Worker) handleShard(method string, req shardReq) (json.RawMessage, string, error) {
@@ -299,7 +296,7 @@ func (ws *workerShard) apply(cmds []Cmd) error {
 		case OpResolve:
 			ws.st.Resolve(c.Pair, c.Detach)
 		case OpDamp:
-			ws.st.Damp(c.Pair, c.Prior)
+			ws.st.Damp(c.Pair)
 		case OpSync:
 			ws.st.Sync()
 		case OpInvalidate:
@@ -321,11 +318,4 @@ func mustMarshal(v any) json.RawMessage {
 		panic(err)
 	}
 	return b
-}
-
-// SpecHash computes the digest the coordinator stamps on prepare
-// requests for a spec.
-func SpecHash(spec []byte) string {
-	sum := sha256.Sum256(spec)
-	return hex.EncodeToString(sum[:])
 }

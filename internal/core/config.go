@@ -1,9 +1,3 @@
-// Package core orchestrates the full Remp pipeline (§III-B): ER graph
-// construction (blocking, attribute matching, partial-order pruning),
-// relational match propagation, multiple questions selection and
-// error-tolerant truth inference, iterated in human–machine loops until no
-// unresolved pair can be inferred, with a random-forest fallback for
-// isolated pairs.
 package core
 
 import (

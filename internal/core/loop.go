@@ -52,9 +52,8 @@ type Answer struct {
 	Labels []crowd.Label
 }
 
-// loopShard is the loop's bookkeeping for one engine shard: the pipe
-// (subgraph and its global index map) plus the caches that make clean
-// shards free. The engines themselves live behind the ShardRunner. The
+// loopShard is the loop's bookkeeping for one engine shard: the caches that
+// make clean shards free. The engines themselves live behind the ShardRunner. The
 // isolated vertices are in no loopShard — the Loop holds them directly
 // (isoDead, isoHead). A shard whose vertices are all resolved is settled:
 // its engine is released (the dist/rev ball maps are the loop's dominant
@@ -68,7 +67,6 @@ type Answer struct {
 // monolithic pipeline is dirtied by every answer, which is exactly the
 // per-loop cost sharding scopes down.
 type loopShard struct {
-	pipe       *shardPipe
 	settled    bool
 	unresolved int // vertices with an edge not yet resolved either way; 0 settles the shard
 
@@ -186,9 +184,9 @@ func (p *Prepared) NewLoop() *Loop {
 		l.ded = deduce.New(deduce.OneToOne)
 		l.deduced = pair.Set{}
 	}
-	l.shards = make([]*loopShard, len(p.pipes))
+	l.shards = make([]*loopShard, len(p.shards))
 	for s, size := range p.ShardSizes() {
-		l.shards[s] = &loopShard{pipe: p.pipes[s], dirty: true, unresolved: size}
+		l.shards[s] = &loopShard{dirty: true, unresolved: size}
 	}
 	// The initial engine builds are the first propagation work of the
 	// session; their Dijkstra fan-out lands in the infer stage and the

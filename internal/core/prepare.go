@@ -40,7 +40,7 @@ type Prepared struct {
 	// engine's ball maps. Shard states work on clones of it.
 	Prob *propagation.ProbGraph
 	// Priors is Blocking.Priors itself, read at retained pairs only; the
-	// hot paths read each pipe's dense per-vertex view instead.
+	// hot paths read each shard's dense per-vertex view instead.
 	Priors map[pair.Pair]float64
 
 	// Part is the assignment of the graph's connected vertices — those with
@@ -48,12 +48,15 @@ type Prepared struct {
 	// edges, binned into weight-balanced shards); nil when the pipeline is
 	// single-shard. No isolated vertex is in it.
 	Part *partition.Partition
-	// pipes holds the per-shard pipelines the loop runs concurrently; a
-	// single-shard pipeline has exactly one pipe wrapping p.Graph/p.Prob.
-	pipes []*shardPipe
+	// shards holds the engine shards the loop runs concurrently; a
+	// single-shard pipeline has exactly one, wrapping p.Graph/p.Prob.
+	// labelIdx[s] lists shard s's labels as indexes into p.Graph.Labels():
+	// a re-estimation rebuilds only the shards holding a label that moved.
+	shards   []*Shard
+	labelIdx [][]int32
 	// isolated lists the graph indexes of the vertices without an edge,
 	// ascending (isolated[i:i+1] doubles as vertex i's inferred set), and
-	// isoPrior their priors. No pipe gathers them: a loop holds the list
+	// isoPrior their priors. No shard gathers them: a loop holds the list
 	// itself, ranks it once and draws from the ranking through a cursor.
 	isolated []int
 	isoPrior []float64

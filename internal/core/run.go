@@ -191,7 +191,7 @@ func (l *Loop) reestimate() {
 	if p.Cfg.debugFullResync {
 		l.est = p.fitConsistency(canonicalSeeds(p.Blocking.Initial, l.res.Matches))
 		l.pendingSeeds = l.pendingSeeds[:0]
-		l.rebuildShards(func(*shardPipe) bool { return true })
+		l.rebuildShards(func(int) bool { return true })
 		return
 	}
 	if l.stats == nil {
@@ -244,8 +244,8 @@ func (l *Loop) reestimate() {
 	}
 	// BuildProb consumes only the (ε1, ε2) point estimates, so a shard none
 	// of whose labels moved already holds the graph a rebuild would produce.
-	l.rebuildShards(func(sp *shardPipe) bool {
-		for _, li := range sp.labelIdx {
+	l.rebuildShards(func(s int) bool {
+		for _, li := range p.labelIdx[s] {
 			if moved[li] {
 				return true
 			}
@@ -272,10 +272,10 @@ const refitFanoutRows = 2000
 
 // rebuildShards has the runner rebuild, concurrently, every unsettled
 // shard the predicate selects, against the loop's current estimates.
-func (l *Loop) rebuildShards(needs func(*shardPipe) bool) {
+func (l *Loop) rebuildShards(needs func(s int) bool) {
 	rebuild := make([]int, 0, len(l.shards))
 	for s, sh := range l.shards {
-		if !sh.settled && needs(sh.pipe) {
+		if !sh.settled && needs(s) {
 			rebuild = append(rebuild, s)
 		}
 	}

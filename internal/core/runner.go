@@ -32,10 +32,10 @@ type ShardRunner interface {
 	Resolve(s int, q pair.Pair, detach bool) error
 	// Damp marks q a hard question: candidate gathering skips it from now
 	// on. Like Resolve it is never called for an isolated vertex. Shard
-	// states do not consume the damped prior — the loop keeps it;
-	// the parameter stays because the cluster's versioned wire carries it
-	// and runner decorators outside this module (the benchmark's timing
-	// wrapper) implement this signature.
+	// states do not consume the damped prior — the loop keeps it, and it
+	// does not cross the cluster wire; the parameter stays because runner
+	// decorators outside this module (the benchmark's timing wrapper)
+	// implement this signature.
 	Damp(s int, q pair.Pair, prior float64) error
 	// Gather syncs shard s's engine and assembles its candidate questions,
 	// with inferred sets as global vertex indexes. The boolean reports
@@ -79,7 +79,7 @@ func (c *Config) runnerFactory() RunnerFactory {
 }
 
 // ShardState is one shard's live engine state: its own copy of the shard's
-// probabilistic graph (ProbGraph.Clone of the pipe's), the incremental
+// probabilistic graph (ProbGraph.Clone of the Shard's), the incremental
 // propagation engine over it, the rewriter that keeps it in step with the
 // loop's estimates, and the mirrors of the loop's resolution state that
 // candidate gathering and rebuilds read. The mirrors are addressed by
@@ -92,18 +92,17 @@ func (c *Config) runnerFactory() RunnerFactory {
 // ranks, balls and rebuilds by construction.
 //
 // Everything that changes during a loop lives here or in the Loop; the
-// Prepared is only read, so any number of states share one.
+// Shard is only read, so any number of states share one.
 //
 // A ShardState is not safe for concurrent use; the loop serializes
 // operations per shard, and workers add their own locking.
 type ShardState struct {
-	p    *Prepared
-	pipe *shardPipe
+	sh   *Shard
 	prob *propagation.ProbGraph
 	eng  *propagation.Engine
 	// rw rewrites prob in place on re-estimation and remembers the
 	// estimates prob reflects; nil until the first Rebuild, when prob still
-	// reflects the Prepared's initial fit.
+	// reflects the shard's own.
 	rw *propagation.Rewriter
 
 	resolved []bool
@@ -115,41 +114,33 @@ type ShardState struct {
 	anyProp   bool
 }
 
-// NewShardState builds the engine state for shard s over a copy of the
-// shard's probabilistic graph. The initial engine build is the state's
-// first propagation work. A single-shard pipeline's one graph is the whole
-// one, isolated vertices included; those are the loop's own to ask about,
-// never this state's to offer, so it holds them resolved from birth and its
-// gathers pass over them.
-func (p *Prepared) NewShardState(s int) *ShardState {
-	pipe := p.pipes[s]
-	n := pipe.graph.NumVertices()
-	prob := pipe.prob.Clone()
+// NewShardState builds the engine state for a shard over a copy of its
+// probabilistic graph. The initial engine build is the state's first
+// propagation work. A vertex without an edge — a single-shard pipeline's
+// one graph is the whole one, isolated vertices included — is the loop's
+// own to ask about, never this state's to offer: it holds them resolved
+// from birth and its gathers pass over them.
+func NewShardState(sh *Shard) *ShardState {
+	n := sh.graph.NumVertices()
+	prob := sh.prob.Clone()
 	st := &ShardState{
-		p:        p,
-		pipe:     pipe,
+		sh:       sh,
 		prob:     prob,
-		eng:      propagation.NewEngineObs(prob, p.Cfg.Tau, p.Cfg.Obs.EngineCounters()),
+		eng:      propagation.NewEngineObs(prob, sh.tau, sh.counters),
 		resolved: make([]bool, n),
 		detached: make([]bool, n),
 		hard:     make([]bool, n),
 	}
-	if p.Part == nil {
-		for _, gi := range p.isolated {
-			st.resolved[gi] = true
-		}
+	for li := range st.resolved {
+		st.resolved[li] = len(sh.graph.OutIndexesAt(li)) == 0 && len(sh.graph.InIndexesAt(li)) == 0
 	}
 	return st
 }
 
-// ShardLabels returns the edge labels present in shard s — the estimates a
-// rebuild of the shard consumes (the remote runner ships only these).
-func (p *Prepared) ShardLabels(s int) []ergraph.RelPair { return p.pipes[s].labels }
-
 // Resolve marks q resolved; detach removes its edges from the propagation
 // fabric. No-op after Release.
 func (st *ShardState) Resolve(q pair.Pair, detach bool) {
-	i := st.pipe.graph.IndexOf(q)
+	i := st.sh.graph.IndexOf(q)
 	if st.eng == nil || i < 0 {
 		return
 	}
@@ -163,8 +154,8 @@ func (st *ShardState) Resolve(q pair.Pair, detach bool) {
 // Damp marks q a hard question; gathers skip it. The damped prior itself
 // is the loop's: it only ever weighs q's own next truth inference, and q is
 // not asked again.
-func (st *ShardState) Damp(q pair.Pair, _ float64) {
-	if i := st.pipe.graph.IndexOf(q); st.eng != nil && i >= 0 {
+func (st *ShardState) Damp(q pair.Pair) {
+	if i := st.sh.graph.IndexOf(q); st.eng != nil && i >= 0 {
 		st.hard[i] = true
 	}
 }
@@ -193,7 +184,7 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 		return nil, false
 	}
 	st.eng.Sync()
-	verts := st.pipe.graph.Vertices()
+	verts := st.sh.graph.Vertices()
 	// One flat backing array holds every candidate's inferred list: a first
 	// pass bounds the total, so the fills below never reallocate and the
 	// whole gather costs two allocations instead of one per candidate.
@@ -218,17 +209,17 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 			continue
 		}
 		start := len(backing)
-		backing = append(backing, st.pipe.global(li)) // a match label always resolves the question itself
+		backing = append(backing, st.sh.global(li)) // a match label always resolves the question itself
 		for _, en := range st.eng.Ball(li) {
 			if !st.resolved[en.Idx] {
-				backing = append(backing, st.pipe.global(int(en.Idx)))
+				backing = append(backing, st.sh.global(int(en.Idx)))
 			}
 		}
 		inf := backing[start:len(backing):len(backing)]
 		if len(inf) > 1 {
 			anyPropagation = true
 		}
-		cands = append(cands, selection.Candidate{Pair: v, Prob: st.pipe.prior[li], Inferred: inf})
+		cands = append(cands, selection.Candidate{Pair: v, Prob: st.sh.prior[li], Inferred: inf})
 	}
 	st.lastCands, st.anyProp = cands, anyPropagation
 	return cands, anyPropagation
@@ -246,7 +237,7 @@ func (st *ShardState) Rank(mu int) []selection.Pick {
 	if len(st.lastCands) == 0 {
 		return []selection.Pick{}
 	}
-	return st.p.Cfg.Strategy.SelectRanked(st.lastCands, mu)
+	return st.sh.strategy.SelectRanked(st.lastCands, mu)
 }
 
 // Ball returns q's bounded-distance ball as of the last engine sync, in
@@ -256,7 +247,7 @@ func (st *ShardState) Ball(q pair.Pair) []pair.Pair {
 	if st.eng == nil {
 		return nil
 	}
-	g := st.pipe.graph
+	g := st.sh.graph
 	qi := g.IndexOf(q)
 	if qi < 0 {
 		return nil
@@ -281,12 +272,12 @@ func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 	if st.eng == nil {
 		return
 	}
-	if st.p.Cfg.debugFullResync {
+	if st.sh.fullResync {
 		st.rebuildFromScratch(est)
 		return
 	}
 	if st.rw == nil {
-		st.rw = propagation.NewRewriter(st.prob, st.pipe.prior, st.p.Consistency)
+		st.rw = propagation.NewRewriter(st.prob, st.sh.prior, st.sh.est)
 	}
 	st.eng.InvalidateTails(st.rw.Apply(est, st.detached))
 }
@@ -294,11 +285,8 @@ func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 // rebuildFromScratch is the reference rebuild: a fresh BuildProb, the
 // engine reset over it, and every detached vertex re-detached.
 func (st *ShardState) rebuildFromScratch(est map[ergraph.RelPair]consistency.Estimate) {
-	g := st.pipe.graph
-	prob := propagation.BuildProb(g, st.p.K1, st.p.K2, propagation.Params{
-		Priors:      st.p.Priors,
-		Consistency: est,
-	})
+	g := st.sh.graph
+	prob := propagation.BuildProbDense(g, st.sh.prior, est)
 	st.prob = prob
 	st.eng.Reset(prob)
 	for i, q := range g.Vertices() {
@@ -339,9 +327,9 @@ type localRunner struct {
 // work of the session; their Dijkstra fan-out lands in the shared engine
 // counters.
 func NewLocalRunner(p *Prepared) (ShardRunner, error) {
-	lr := &localRunner{states: make([]*ShardState, len(p.pipes))}
-	p.Cfg.scheduler().ForEach(len(p.pipes), func(s int) {
-		lr.states[s] = p.NewShardState(s)
+	lr := &localRunner{states: make([]*ShardState, len(p.shards))}
+	p.Cfg.scheduler().ForEach(len(p.shards), func(s int) {
+		lr.states[s] = NewShardState(p.shards[s])
 	})
 	return lr, nil
 }
@@ -351,8 +339,8 @@ func (r *localRunner) Resolve(s int, q pair.Pair, detach bool) error {
 	return nil
 }
 
-func (r *localRunner) Damp(s int, q pair.Pair, prior float64) error {
-	r.states[s].Damp(q, prior)
+func (r *localRunner) Damp(s int, q pair.Pair, _ float64) error {
+	r.states[s].Damp(q)
 	return nil
 }
 

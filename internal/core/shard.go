@@ -3,7 +3,9 @@ package core
 import (
 	"slices"
 
+	"repro/internal/consistency"
 	"repro/internal/ergraph"
+	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/partition"
 	"repro/internal/propagation"
@@ -49,35 +51,46 @@ func resolveShardCount(requested, vertices int) int {
 	}
 }
 
-// shardPipe is one engine shard's slice of the prepared pipeline: the
-// induced component subgraph and its probabilistic counterpart. Because the
-// partition respects relational edges, every edge of a shard vertex lives
-// in the same shard, so the subgraph pipeline computes bit-identical
-// probabilities and propagation to the monolithic one restricted to the
-// shard. Like the rest of the Prepared it is read-only once built: shard
-// states clone prob and share everything else.
-type shardPipe struct {
+// Shard is one engine shard, self-contained: the induced component
+// subgraph, its probabilistic counterpart, and what a ShardState reads
+// beside them — everything an engine needs and nothing else of the
+// Prepared, so a shard can leave the process (AppendBinary, DecodeShard)
+// and run on a cluster worker that never sees a KB. Because the partition
+// respects relational edges, every edge of a shard vertex lives in the same
+// shard, so the subgraph pipeline computes bit-identical probabilities and
+// propagation to the monolithic one restricted to the shard. Like the rest
+// of the Prepared it is read-only once built: shard states clone prob and
+// share everything else.
+type Shard struct {
 	graph *ergraph.Graph
 	prob  *propagation.ProbGraph
 	// prior is the prepared prior of every shard vertex, by local index.
 	prior []float64
-	// globalIdx maps shard-local vertex indexes to p.Graph indexes; nil
-	// means identity (the single-shard pipe reuses p.Graph directly).
+	// globalIdx maps shard-local vertex indexes to the whole graph's; nil
+	// means identity (the single-shard pipeline's shard is the whole graph).
 	globalIdx []int
-	// labels is the set of edge labels present in the shard (the estimates
-	// a rebuild of it consumes) and labelIdx their indexes in
-	// p.Graph.Labels(), used to skip re-estimation rebuilds when no label
-	// the shard depends on moved.
-	labels   []ergraph.RelPair
-	labelIdx []int32
+	// est are the consistency estimates prob reflects, read at the shard's
+	// labels: the Prepared's own map, or those labels alone once decoded.
+	est      map[ergraph.RelPair]consistency.Estimate
+	tau      float64
+	strategy selection.Strategy
+
+	// What follows belongs to the process and stays off the wire: where the
+	// engines count their work, and the debugFullResync test hook.
+	counters   obs.EngineCounters
+	fullResync bool
 }
 
-// global maps a shard-local vertex index to the global p.Graph index.
-func (sp *shardPipe) global(local int) int {
-	if sp.globalIdx == nil {
+// Labels returns the edge labels present in the shard — the estimates a
+// rebuild of it consumes (the remote runner ships only these).
+func (sh *Shard) Labels() []ergraph.RelPair { return sh.graph.Labels() }
+
+// global maps a shard-local vertex index to the whole graph's.
+func (sh *Shard) global(local int) int {
+	if sh.globalIdx == nil {
 		return local
 	}
-	return sp.globalIdx[local]
+	return sh.globalIdx[local]
 }
 
 // initShards splits the graph's vertices once. The isolated ones (§VII-B:
@@ -85,7 +98,7 @@ func (sp *shardPipe) global(local int) int {
 // — a loop itself holds them, as a shard with no engine. Only the vertices
 // with an edge are partitioned into engine shards. A single-shard pipeline reuses the global graph and
 // populates p.Prob exactly as the unsharded pipeline always has (its shard
-// state passes over the isolated vertices, see NewShardState); a sharded
+// state holds the isolated vertices resolved, see NewShardState); a sharded
 // one builds one probabilistic subgraph per shard concurrently and leaves
 // p.Prob nil.
 func (p *Prepared) initShards() {
@@ -106,31 +119,27 @@ func (p *Prepared) initShards() {
 	p.isolated, p.isoPrior = slices.Clone(p.isolated), slices.Clone(p.isoPrior)
 
 	count := resolveShardCount(p.Cfg.Shards, len(connected))
-	params := propagation.Params{Priors: p.Priors, Consistency: p.Consistency}
-	globalLabel := make(map[ergraph.RelPair]int32, len(g.Labels()))
-	for li, label := range g.Labels() {
-		globalLabel[label] = int32(li)
-	}
-	newPipe := func(g *ergraph.Graph, globalIdx []int) *shardPipe {
-		sp := &shardPipe{
-			graph:     g,
-			prob:      propagation.BuildProb(g, p.K1, p.K2, params),
-			prior:     make([]float64, g.NumVertices()),
-			globalIdx: globalIdx,
-			labels:    g.Labels(),
-			labelIdx:  make([]int32, len(g.Labels())),
+	newShard := func(g *ergraph.Graph, globalIdx []int) *Shard {
+		sh := &Shard{
+			graph:      g,
+			prior:      make([]float64, g.NumVertices()),
+			globalIdx:  globalIdx,
+			est:        p.Consistency,
+			tau:        p.Cfg.Tau,
+			strategy:   p.Cfg.Strategy,
+			counters:   p.Cfg.Obs.EngineCounters(),
+			fullResync: p.Cfg.debugFullResync,
 		}
 		for i, v := range g.Vertices() {
-			sp.prior[i] = p.Priors[v]
+			sh.prior[i] = p.Priors[v]
 		}
-		for i, label := range sp.labels {
-			sp.labelIdx[i] = globalLabel[label]
-		}
-		return sp
+		sh.prob = propagation.BuildProbDense(g, sh.prior, sh.est)
+		return sh
 	}
 	if count <= 1 {
-		p.pipes = []*shardPipe{newPipe(g, nil)}
-		p.Prob = p.pipes[0].prob
+		p.shards = []*Shard{newShard(g, nil)}
+		p.Prob = p.shards[0].prob
+		p.indexLabels()
 		return
 	}
 	// The partition sees the connected vertices only, under their own dense
@@ -149,17 +158,32 @@ func (p *Prepared) initShards() {
 		}
 		return row
 	}, count)
-	pipes := make([]*shardPipe, p.Part.NumShards())
-	p.Cfg.scheduler().ForEach(len(pipes), func(s int) {
+	p.shards = make([]*Shard, p.Part.NumShards())
+	p.Cfg.scheduler().ForEach(len(p.shards), func(s int) {
 		vs := p.Part.Shard(s)
 		globalIdx := make([]int, len(vs))
 		for i, v := range vs {
 			globalIdx[i] = g.IndexOf(v)
 			p.home[globalIdx[i]] = int32(s)
 		}
-		pipes[s] = newPipe(g.Subgraph(vs), globalIdx)
+		p.shards[s] = newShard(g.Subgraph(vs), globalIdx)
 	})
-	p.pipes = pipes
+	p.indexLabels()
+}
+
+// indexLabels fills p.labelIdx from the built shards.
+func (p *Prepared) indexLabels() {
+	globalLabel := make(map[ergraph.RelPair]int32, len(p.Graph.Labels()))
+	for li, label := range p.Graph.Labels() {
+		globalLabel[label] = int32(li)
+	}
+	p.labelIdx = make([][]int32, len(p.shards))
+	for s, sh := range p.shards {
+		p.labelIdx[s] = make([]int32, len(sh.Labels()))
+		for i, label := range sh.Labels() {
+			p.labelIdx[s][i] = globalLabel[label]
+		}
+	}
 }
 
 // singleton returns isolated vertex i as a candidate question: labelled a
@@ -171,17 +195,20 @@ func (p *Prepared) singleton(i int) selection.Candidate {
 // NumShards returns the number of engine shards the pipeline's connected
 // vertices were split into (1 when sharding is off, and for a graph
 // without an edge). The isolated vertices are in none of them.
-func (p *Prepared) NumShards() int { return len(p.pipes) }
+func (p *Prepared) NumShards() int { return len(p.shards) }
+
+// Shard returns engine shard s.
+func (p *Prepared) Shard(s int) *Shard { return p.shards[s] }
 
 // ShardSizes returns the number of vertices with an edge per engine
 // shard, the shard assignment fingerprint recorded by session snapshots.
 func (p *Prepared) ShardSizes() []int {
-	out := make([]int, len(p.pipes))
-	for i, sp := range p.pipes {
-		out[i] = sp.graph.NumVertices()
+	out := make([]int, len(p.shards))
+	for i, sh := range p.shards {
+		out[i] = sh.graph.NumVertices()
 	}
 	if p.Part == nil {
-		out[0] -= len(p.isolated) // the one pipe's graph is the whole one
+		out[0] -= len(p.isolated) // the one shard's graph is the whole one
 	}
 	return out
 }

@@ -19,7 +19,7 @@ func noisyPlatform(ds *datasets.Dataset) *crowd.Platform {
 }
 
 // fingerprint hashes everything reachable from a Prepared that a loop
-// could conceivably write: every pipe's probabilistic graph — fmt walks
+// could conceivably write: every shard's probabilistic graph — fmt walks
 // the unexported CSR, length and degree arrays by reflection, and prints
 // floats in their shortest round-trip form, so equal text means equal bits
 // — plus the dense priors, the isolated vertices and the vertex routing,
@@ -27,7 +27,7 @@ func noisyPlatform(ds *datasets.Dataset) *crowd.Platform {
 // order).
 func fingerprint(p *Prepared) [sha256.Size]byte {
 	h := sha256.New()
-	for _, sp := range p.pipes {
+	for _, sp := range p.shards {
 		fmt.Fprintf(h, "%v|%v|", *sp.prob, sp.prior)
 	}
 	fmt.Fprintf(h, "%v|%v|%v|", p.isolated, p.isoPrior, p.home)

@@ -7,6 +7,7 @@ package ergraph
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -122,16 +123,7 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 	for k := range edges {
 		edges[k].label = sorted[edges[k].label]
 	}
-	// rank[i] is vertex i's position in pair order: the rows' sort key.
-	order := make([]int32, len(g.vertices))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return g.vertices[order[a]].Less(g.vertices[order[b]]) })
-	rank := make([]int32, len(order))
-	for r, i := range order {
-		rank[i] = int32(r)
-	}
+	rank := pairRanks(g.vertices)
 	g.outStart, g.outTo, g.outLabel = rows(len(g.vertices), edges, rank)
 	for k, e := range edges {
 		edges[k] = edge{row: e.nbr, nbr: e.row, label: e.label}
@@ -139,6 +131,69 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 	g.inStart, g.inFrom, g.inLabel = rows(len(g.vertices), edges, rank)
 	g.buildLabelGroups()
 	return g
+}
+
+// pairRanks returns every vertex's position in pair order: the rows' sort
+// key.
+func pairRanks(vertices []pair.Pair) []int32 {
+	order := make([]int32, len(vertices))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return vertices[order[a]].Less(vertices[order[b]]) })
+	rank := make([]int32, len(order))
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	return rank
+}
+
+// FromRows rebuilds a graph from the parts the rest derives from — the
+// vertex list, the label table and the out-rows (vertex i's edges are slots
+// outStart[i]..outStart[i+1] of outTo and outLabel) — as another process's
+// Build or Subgraph produced them. The in-rows and the label groups are
+// rebuilt by the code Build finishes with, so the result equals the
+// original. The rows arrive from outside the program: duplicate vertices,
+// labels out of order, offsets that do not tile the rows, an index out of
+// range, a self-loop or a row not in row order are errors. It takes
+// ownership of the slices.
+func FromRows(vertices []pair.Pair, labels []RelPair, outStart, outTo, outLabel []int32) (*Graph, error) {
+	n := len(vertices)
+	g := newGraph(vertices)
+	if len(g.index) != n {
+		return nil, fmt.Errorf("ergraph: %d vertices, %d distinct", n, len(g.index))
+	}
+	for l := 1; l < len(labels); l++ {
+		if !labels[l-1].Less(labels[l]) {
+			return nil, fmt.Errorf("ergraph: label %d is not above label %d in label order", l, l-1)
+		}
+	}
+	if len(outStart) != n+1 || outStart[0] != 0 || int(outStart[n]) != len(outTo) || len(outTo) != len(outLabel) {
+		return nil, fmt.Errorf("ergraph: row offsets do not tile %d edges over %d vertices", len(outTo), n)
+	}
+	rank := pairRanks(g.vertices)
+	edges := make([]edge, len(outTo))
+	for i := 0; i < n; i++ {
+		lo, hi := outStart[i], outStart[i+1]
+		if lo > hi || int(hi) > len(outTo) {
+			return nil, fmt.Errorf("ergraph: row %d spans slots %d to %d of %d", i, lo, hi, len(outTo))
+		}
+		for k := lo; k < hi; k++ {
+			j, l := outTo[k], outLabel[k]
+			if j < 0 || int(j) >= n || int(j) == i || l < 0 || int(l) >= len(labels) {
+				return nil, fmt.Errorf("ergraph: row %d has an edge to vertex %d of %d under label %d of %d", i, j, n, l, len(labels))
+			}
+			if k > lo && cmp.Or(cmp.Compare(rank[outTo[k-1]], rank[j]), cmp.Compare(outLabel[k-1], l)) >= 0 {
+				return nil, fmt.Errorf("ergraph: row %d is not sorted by target pair, then label, at slot %d", i, k-lo)
+			}
+			edges[k] = edge{row: j, nbr: int32(i), label: l}
+		}
+	}
+	g.labels = labels
+	g.outStart, g.outTo, g.outLabel = outStart, outTo, outLabel
+	g.inStart, g.inFrom, g.inLabel = rows(n, edges, rank)
+	g.buildLabelGroups()
+	return g, nil
 }
 
 func newGraph(vertices []pair.Pair) *Graph {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -337,6 +338,11 @@ func TestBuildMatchesEdgeListOracle(t *testing.T) {
 		vs := randomVertices(rng, nEnt, 1+rng.Intn(nEnt*nEnt))
 		g, o := Build(k1, k2, vs), buildOracle(k1, k2, vs)
 		requireMatchesOracle(t, g, o, fmt.Sprintf("trial %d", trial))
+		// The out-rows carry the whole graph: FromRows derives the rest.
+		back, err := FromRows(g.vertices, g.labels, g.outStart, g.outTo, g.outLabel)
+		if err != nil || !reflect.DeepEqual(back, g) {
+			t.Fatalf("trial %d: FromRows over the graph's own out-rows (error %v) differs from it", trial, err)
+		}
 
 		if !sort.SliceIsSorted(vs, func(a, b int) bool { return vs[a].Less(vs[b]) }) {
 			unsorted++

@@ -10,14 +10,13 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/server"
-	"repro/remp"
 )
 
 // TestHelperProcessWorker is not a test: it is the remp-worker process
 // the cluster drills below spawn (and SIGKILL). It mirrors
-// cmd/remp-worker — listen, print the readiness line, serve shards off
-// a server.PlanCache — inside the test binary so the drills need no
-// pre-built artifacts.
+// cmd/remp-worker — listen, print the readiness line, serve the shards it
+// is sent — inside the test binary so the drills need no pre-built
+// artifacts.
 func TestHelperProcessWorker(t *testing.T) {
 	if os.Getenv("REMP_CLUSTER_WORKER") != "1" {
 		t.Skip("helper process for the cluster drills")
@@ -28,7 +27,7 @@ func TestHelperProcessWorker(t *testing.T) {
 		os.Exit(2)
 	}
 	fmt.Printf("remp-worker: listening on %s\n", ln.Addr())
-	w := cluster.NewWorker(cluster.WorkerConfig{Prepare: server.NewPlanCache(remp.PreparePipeline, nil).Acquire})
+	w := cluster.NewWorker(cluster.WorkerConfig{})
 	if err := w.Serve(ln); err != nil {
 		fmt.Println("worker helper:", err)
 		os.Exit(2)

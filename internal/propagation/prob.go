@@ -1,6 +1,7 @@
 package propagation
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -66,20 +67,25 @@ const (
 // BuildProb computes conditional probabilities for every edge of g. The
 // KBs are not consulted: everything neighbor propagation needs — the label
 // groups, the successor pairs and their dense indexes — is precomputed on
-// the graph.
+// the graph. It is BuildProbDense behind a lookup of every vertex's prior.
 func BuildProb(g *ergraph.Graph, _, _ *kb.KB, params Params) *ProbGraph {
-	verts := g.Vertices()
-	n := len(verts)
-	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1)}
-	priors := make([]float64, n)
-	for i, v := range verts {
+	priors := make([]float64, g.NumVertices())
+	for i, v := range g.Vertices() {
 		prior, ok := params.Priors[v]
 		if !ok {
 			prior = defaultPrior
 		}
 		priors[i] = prior
 	}
-	rb := newRowBuilder(g, priors, params.Consistency)
+	return BuildProbDense(g, priors, params.Consistency)
+}
+
+// BuildProbDense is BuildProb with the priors by vertex index (shared,
+// read-only).
+func BuildProbDense(g *ergraph.Graph, priors []float64, est map[ergraph.RelPair]consistency.Estimate) *ProbGraph {
+	n := g.NumVertices()
+	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1)}
+	rb := newRowBuilder(g, priors, est)
 	for i := 0; i < n; i++ {
 		rb.row(i)
 		slices.Sort(rb.js)
@@ -92,6 +98,40 @@ func BuildProb(g *ergraph.Graph, _, _ *kb.KB, params Params) *ProbGraph {
 	pg.finish()
 	return pg
 }
+
+// FromProbs rebuilds a ProbGraph over g from its slot probabilities alone
+// (Probs of the graph BuildProb made over an equal g): the topology is g's
+// — row i's slots are the distinct targets of i's out-row, ascending, one
+// for every graph edge because posteriors are strictly positive (see
+// Rewriter) — and the secondary arrays come from the code BuildProb
+// finishes with, so the result equals the original bit for bit. It takes
+// ownership of prob. A slot count that does not match g, or a probability
+// outside [0, 1], is an error.
+func FromProbs(g *ergraph.Graph, prob []float64) (*ProbGraph, error) {
+	n := g.NumVertices()
+	pg := &ProbGraph{g: g, rowStart: make([]int32, n+1), colIdx: make([]int32, 0, len(prob)), prob: prob}
+	for i := 0; i < n; i++ {
+		lo := len(pg.colIdx)
+		pg.colIdx = append(pg.colIdx, g.OutIndexesAt(i)...)
+		slices.Sort(pg.colIdx[lo:])
+		pg.colIdx = pg.colIdx[:lo+len(slices.Compact(pg.colIdx[lo:]))]
+		pg.rowStart[i+1] = int32(len(pg.colIdx))
+	}
+	if len(prob) != len(pg.colIdx) {
+		return nil, fmt.Errorf("propagation: %d edge probabilities for a graph of %d slots", len(prob), len(pg.colIdx))
+	}
+	for e, p := range prob {
+		if !(p >= 0 && p <= 1) { // NaN fails both
+			return nil, fmt.Errorf("propagation: slot %d holds probability %v, outside [0, 1]", e, p)
+		}
+	}
+	pg.finish()
+	return pg, nil
+}
+
+// Probs returns the probability of every slot, in CSR order (do not
+// modify): with the graph, all FromProbs needs.
+func (pg *ProbGraph) Probs() []float64 { return pg.prob }
 
 // finish derives every secondary array (edge lengths, the in-CSR mirror,
 // live degrees) from rowStart/colIdx/prob. It is shared by BuildProb and

@@ -164,7 +164,13 @@ func TestBuildProbMatchesMapOracle(t *testing.T) {
 		w := randomLabeledWorld(rng, tc.ents, tc.rels, tc.fanout, tc.keep)
 		params := Params{Priors: w.priors, Consistency: randomEstimates(rng, w.g.Labels())}
 		ctx := fmt.Sprintf("ents=%d rels=%d seed=%d", tc.ents, tc.rels, tc.seed)
-		assertSameCSR(t, ctx, BuildProb(w.g, w.k1, w.k2, params), buildProbOracle(w.g, params))
+		pg := BuildProb(w.g, w.k1, w.k2, params)
+		assertSameCSR(t, ctx, pg, buildProbOracle(w.g, params))
+		back, err := FromProbs(w.g, slices.Clone(pg.Probs()))
+		if err != nil {
+			t.Fatalf("%s: FromProbs over the graph's own probabilities: %v", ctx, err)
+		}
+		assertSameCSR(t, ctx+" (FromProbs)", back, pg)
 	}
 }
 

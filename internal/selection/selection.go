@@ -7,6 +7,7 @@
 package selection
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -39,11 +40,28 @@ type Pick struct {
 // previously chosen candidates whose Inferred sets overlap it, and inferred
 // sets never cross shards.
 type Strategy interface {
+	// Name is the strategy's name in options and in an encoded shard;
+	// ByName inverts it.
+	Name() string
 	SelectRanked(cands []Candidate, mu int) []Pick
+}
+
+// ByName returns the strategy of the given name: "greedy", "maxinf" or
+// "maxpr".
+func ByName(name string) (Strategy, error) {
+	for _, s := range []Strategy{Greedy{}, MaxInf{}, MaxPr{}} {
+		if s.Name() == name {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("selection: unknown strategy %q", name)
 }
 
 // Greedy is Algorithm 3: lazy greedy maximization of benefit(Q).
 type Greedy struct{}
+
+// Name implements Strategy.
+func (Greedy) Name() string { return "greedy" }
 
 // benefitState tracks bp(Q) = Pr[p ∈ inferred(H) | Q] per vertex (Eq. 15)
 // so that a marginal gain evaluation is O(|inferred(q)|). bp is a dense
@@ -181,6 +199,9 @@ func (Greedy) SelectRanked(cands []Candidate, mu int) []Pick {
 // match probability (Figure 5 baseline).
 type MaxInf struct{}
 
+// Name implements Strategy.
+func (MaxInf) Name() string { return "maxinf" }
+
 // Select returns the chosen candidate indexes, highest priority first.
 func (MaxInf) Select(cands []Candidate, mu int) []int {
 	return topBy(cands, mu, func(c Candidate) float64 { return float64(len(c.Inferred)) })
@@ -194,6 +215,9 @@ func (m MaxInf) SelectRanked(cands []Candidate, mu int) []Pick {
 // MaxPr picks the questions with the highest match probability, ignoring
 // inference power (Figure 5 baseline).
 type MaxPr struct{}
+
+// Name implements Strategy.
+func (MaxPr) Name() string { return "maxpr" }
 
 // Select returns the chosen candidate indexes, highest priority first.
 func (MaxPr) Select(cands []Candidate, mu int) []int {

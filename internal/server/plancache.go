@@ -20,8 +20,8 @@ const planBudget = 32 << 20
 // loop — the paper's one machine pass per dataset: the loaded KBs, the
 // gold standard, the answer-cache namespace and the prepared pipeline
 // (whose Cfg carries the spec's options). It is immutable once built, so
-// every session of the spec, on the server or on a worker, runs over the
-// same one.
+// every session of the spec runs over the same one — and, on a clustered
+// server, ships its shards to the workers from it.
 type plan struct {
 	ds        remp.Dataset
 	gold      *remp.Gold
@@ -38,20 +38,19 @@ type plan struct {
 }
 
 // PlanCache is the one place a create spec becomes a pipeline: behind
-// the server's create, restore and startup recovery, and behind a cluster
-// worker's prepare RPC. Its key is the SHA-256 of the spec — the create
-// request with client_ref cleared and the server's defaults baked in, the
-// bytes the coordinator ships — so sessions that differ only in
-// client_ref share one dataset and one core.Prepared, and a server's and
-// its workers' keys coincide. A plan is built single-flight on its first
-// acquire (a failed build is handed to every waiter and forgotten),
-// ref-counted while a session or a runner holds it, and kept afterwards
-// on an LRU of idle plans bounded by planBudget.
+// the server's create, restore and startup recovery. Its key is the
+// SHA-256 of the spec — the create request with client_ref cleared and the
+// server's defaults baked in — so sessions that differ only in client_ref
+// share one dataset and one core.Prepared. A plan is built single-flight
+// on its first acquire (a failed build is handed to every waiter and
+// forgotten), ref-counted while a session holds it, and kept afterwards on
+// an LRU of idle plans bounded by planBudget. Cluster workers have no
+// cache and need none: they are sent shards cut from these plans.
 type PlanCache struct {
 	prepare func(remp.Dataset, remp.Options) (*core.Prepared, error)
 	// runner, on a clustered server, places a plan's shard engines on the
-	// workers, which rebuild the pipeline from the spec the plan is keyed by.
-	runner func(spec []byte) core.RunnerFactory
+	// workers.
+	runner core.RunnerFactory
 
 	hits, misses, evictions *obs.Counter
 	resident                *obs.Gauge // estimated bytes, held and idle plans alike
@@ -62,32 +61,21 @@ type PlanCache struct {
 	idleBytes int64     // the estimated bytes of the plans on idle
 }
 
-// NewPlanCache returns an empty cache whose pipelines prepare builds:
-// remp.PreparePipeline on a cluster worker, the session manager's on the
-// server. Its counters are registered on reg; a nil reg leaves them out.
+// NewPlanCache returns an empty cache whose pipelines prepare builds (the
+// session manager's PreparePipeline), with its counters registered on reg.
 func NewPlanCache(prepare func(remp.Dataset, remp.Options) (*core.Prepared, error), reg *obs.Registry) *PlanCache {
-	c := &PlanCache{prepare: prepare, plans: make(map[[sha256.Size]byte]*plan)}
-	if reg != nil {
-		c.hits = reg.Counter("remp_plan_cache_hits_total", "Sessions started over a plan (dataset + prepared pipeline) an earlier session of the spec left cached.")
-		c.misses = reg.Counter("remp_plan_cache_misses_total", "Sessions whose spec had no cached plan: one dataset load and one Prepare each.")
-		c.evictions = reg.Counter("remp_plan_cache_evictions_total", "Idle plans dropped to keep the idle ones within the byte budget.")
-		c.resident = reg.Gauge("remp_plan_cache_resident_bytes", "Estimated bytes of the cached plans, held by a session or idle.")
+	return &PlanCache{
+		prepare:   prepare,
+		plans:     make(map[[sha256.Size]byte]*plan),
+		hits:      reg.Counter("remp_plan_cache_hits_total", "Sessions started over a plan (dataset + prepared pipeline) an earlier session of the spec left cached."),
+		misses:    reg.Counter("remp_plan_cache_misses_total", "Sessions whose spec had no cached plan: one dataset load and one Prepare each."),
+		evictions: reg.Counter("remp_plan_cache_evictions_total", "Idle plans dropped to keep the idle ones within the byte budget."),
+		resident:  reg.Gauge("remp_plan_cache_resident_bytes", "Estimated bytes of the cached plans, held by a session or idle."),
 	}
-	return c
 }
 
-// Acquire is the cache in the shape of cluster.WorkerConfig.Prepare: the
-// spec's pipeline, held until release is called.
-func (c *PlanCache) Acquire(spec []byte) (p *core.Prepared, release func(), err error) {
-	pl, err := c.acquire(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl.prepared, func() { c.release(pl) }, nil
-}
-
-// acquire returns the spec's plan, building it if no session or runner
-// before this one left it here, and holds it until release.
+// acquire returns the spec's plan, building it if no session before this
+// one left it here, and holds it until release.
 func (c *PlanCache) acquire(spec []byte) (*plan, error) {
 	key := sha256.Sum256(spec)
 	c.mu.Lock()
@@ -131,9 +119,7 @@ func (c *PlanCache) load(pl *plan, spec []byte) error {
 		return err
 	}
 	opts := req.Options.ToOptions()
-	if c.runner != nil {
-		opts.Runner = c.runner(spec)
-	}
+	opts.Runner = c.runner
 	if pl.prepared, err = c.prepare(pl.ds, opts); err == nil {
 		pl.cost = planCost(pl.ds, pl.prepared)
 		c.resident.Add(pl.cost)

@@ -32,13 +32,13 @@
 // A server configured with Config.Workers runs in cluster mode: every
 // session's shard engines are placed on remp-worker processes through an
 // internal/cluster coordinator, with heartbeat liveness and crash
-// failover. The persisted create spec, minus its client_ref, doubles as
-// the worker-side pipeline spec, so clustered sessions — including ones
+// failover. The workers are sent the shards themselves, cut from the
+// pipeline the server prepared, so clustered sessions — including ones
 // recovered from the store — resolve byte-identically to local ones.
 //
 // Whatever a spec determines before the first question — dataset load and
-// the whole pre-pipeline — is built once per spec and shared through a
-// PlanCache, on the server and on every worker.
+// the whole pre-pipeline — is built once per spec and shared through the
+// server's PlanCache.
 package server
 
 import (
@@ -644,15 +644,18 @@ func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, co
 	sess, err := start(m.plan, meta)
 	if err != nil {
 		s.plans.release(m.plan)
-		// An ID collision is a genuine conflict and a persistence failure
-		// (full disk, bad data dir) is the server's fault; invalid options
-		// and malformed or diverging snapshots are client errors.
+		// An ID collision is a genuine conflict, a persistence failure
+		// (full disk, bad data dir) is the server's fault and a shard runner
+		// that would not start is its cluster's; invalid options and
+		// malformed or diverging snapshots are client errors.
 		status := http.StatusBadRequest
 		switch {
 		case errors.Is(err, session.ErrSessionExists):
 			status = http.StatusConflict
 		case errors.Is(err, session.ErrPersist):
 			status = http.StatusInternalServerError
+		case errors.Is(err, session.ErrRunner):
+			status = http.StatusBadGateway
 		}
 		writeError(w, status, "%v", err)
 		return

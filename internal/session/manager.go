@@ -20,6 +20,10 @@ var ErrSessionExists = errors.New("session: id already exists")
 // to a 5xx, not a client error.
 var ErrPersist = errors.New("session: persistence failure")
 
+// ErrRunner marks a Create whose loop was dead at birth: its shard runner
+// could not start (a cluster that would take no shard). No session exists.
+var ErrRunner = errors.New("session: shard runner failed")
+
 // Manager owns a set of concurrent sessions and the per-namespace answer
 // caches they share. Sessions created in the same namespace — the same
 // dataset, by convention — exchange answers through one Cache; distinct
@@ -132,6 +136,13 @@ func (m *Manager) Create(p *core.Prepared, namespace string, meta []byte) (*Sess
 	// New drains the cache outside the manager lock: it can run long and
 	// only touches the session's own state plus the cache's own mutex.
 	s := New(id, p, cache)
+	if err := s.loop.Err(); err != nil {
+		m.mu.Lock()
+		delete(m.sessions, id)
+		m.mu.Unlock()
+		cache.releaseOwned(id)
+		return nil, fmt.Errorf("%w: %w", ErrRunner, err)
+	}
 	for {
 		err := m.persistNew(s, meta, false)
 		if err == nil {

@@ -204,15 +204,12 @@ func configFromOptions(opts Options) (core.Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, fmt.Errorf("remp: invalid options: %w", err)
 	}
-	switch opts.Strategy {
-	case "", "greedy":
-		cfg.Strategy = selection.Greedy{}
-	case "maxinf":
-		cfg.Strategy = selection.MaxInf{}
-	case "maxpr":
-		cfg.Strategy = selection.MaxPr{}
-	default:
-		return core.Config{}, errors.New("remp: unknown strategy " + opts.Strategy)
+	if opts.Strategy != "" { // the default is already Greedy
+		s, err := selection.ByName(opts.Strategy)
+		if err != nil {
+			return core.Config{}, fmt.Errorf("remp: %w", err)
+		}
+		cfg.Strategy = s
 	}
 	return cfg, nil
 }
@@ -223,10 +220,9 @@ func prepare(ds Dataset, opts Options) (*core.Prepared, error) {
 }
 
 // PreparePipeline validates the inputs and returns the prepared core
-// pipeline without starting a loop. It exists for cluster workers, whose
-// Prepare hook rebuilds the coordinator's pipeline from a session spec
-// and serves every session's shard states off it; ordinary API consumers
-// want NewPipeline or Resolve instead.
+// pipeline without starting a loop. It exists for callers that measure or
+// share the pipeline itself (the repository benchmark; a Manager has its
+// own); ordinary API consumers want NewPipeline or Resolve instead.
 func PreparePipeline(ds Dataset, opts Options) (*core.Prepared, error) {
 	return prepare(ds, opts)
 }
