@@ -66,18 +66,21 @@ import (
 )
 
 // readHeaderTimeout bounds how long a connection may take to send its
-// request headers and idleTimeout how long a keep-alive connection may sit
-// between requests, so idle or trickling clients cannot pin connections —
-// on the API port and the debug port alike.
+// request headers, readTimeout how long it may take to send the whole
+// request, body included, and idleTimeout how long a keep-alive connection
+// may sit between requests, so idle or trickling clients cannot pin
+// connections and handler goroutines — on the API port and the debug port
+// alike. A handler may run past readTimeout: a long pprof profile is fine.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
 	idleTimeout       = 2 * time.Minute
 )
 
 // newHTTPServer returns a server for h (nil: http.DefaultServeMux) on addr
-// with both timeouts set.
+// with the three timeouts set.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 func main() {

@@ -446,6 +446,87 @@ func TestClusterFailoverWorkerDeath(t *testing.T) {
 	}
 }
 
+// TestFailoverReplaysRetirement reassigns a shard mid-batch, in the
+// failover setup above: after a confirmation retired q and before q's ball
+// is read. The survivor rebuilds the shard from its command log, so it must
+// serve q the ball of the last logged sync — the one the in-process state
+// serves — and report the same recompute count at release.
+func TestFailoverReplaysRetirement(t *testing.T) {
+	spec := testSpec{Dataset: "books", Seed: 12, Shards: 6, Mu: 3}
+	var addrs []string
+	var workers []*Worker
+	for range 3 {
+		a, w := startWorker(t, nil)
+		addrs, workers = append(addrs, a), append(workers, w)
+	}
+	m := testMetrics()
+	co := testCoordinator(t, addrs, nil, m)
+	ds, err := datasets.ByName(spec.Dataset, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := spec.prepare(ds, spec.config())
+	local, _ := core.NewLocalRunner(p)
+	remote, err := co.Runner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	both := func(op func(r core.ShardRunner) error) {
+		t.Helper()
+		for _, r := range []core.ShardRunner{local, remote} {
+			if err := op(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// questions gathers shard s on both runners and copies out the pairs of
+	// its candidates that propagate: the next gather refills the lists.
+	questions := func(s int) []pair.Pair {
+		var qs []pair.Pair
+		both(func(r core.ShardRunner) error {
+			cands, _, err := r.Gather(s)
+			qs = qs[:0]
+			for _, c := range cands {
+				if len(c.Inferred) > 1 {
+					qs = append(qs, c.Pair)
+				}
+			}
+			return err
+		})
+		return qs
+	}
+	s := 0
+	for len(questions(s)) < 4 {
+		s++
+	}
+	qs := questions(s)
+	// One batch: a confirmation, a non-match detach and a hard question.
+	both(func(r core.ShardRunner) error { return r.Resolve(s, qs[0], false) })
+	both(func(r core.ShardRunner) error { return r.Resolve(s, qs[1], true) })
+	both(func(r core.ShardRunner) error { return r.Damp(s, qs[2], 0.5) })
+	// The next batch confirms q; its owner dies before q's ball is read.
+	q := questions(s)[0]
+	both(func(r core.ShardRunner) error { return r.Resolve(s, q, false) })
+	workers[s%len(workers)].Close() // shards are dealt round robin
+	want, _ := local.Ball(s, q)
+	got, err := remote.Ball(s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !slices.Equal(want, got) {
+		t.Fatalf("ball of retired %v after failover = %v, the local state serves %v", q, got, want)
+	}
+	if m.Reassignments.Value() == 0 {
+		t.Fatal("the shard was never reassigned")
+	}
+	wantN, _ := local.Release(s)
+	gotN, _ := remote.Release(s)
+	if wantN != gotN {
+		t.Fatalf("the replayed engine ran %d recomputes, the local one %d", gotN, wantN)
+	}
+}
+
 // TestClusterCrashFault exercises the worker-side kill-after-N-RPCs chaos
 // fault: the worker tears itself down mid-run exactly as a SIGKILL would,
 // and the survivor absorbs its shards with no effect on the result.

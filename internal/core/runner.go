@@ -12,8 +12,8 @@ import (
 // The loop owns every global decision — answer application order, the
 // result sets, budget and µ-batch selection across shards, settling — and
 // drives the runner with per-shard operations; the runner owns the engines
-// and the per-shard state those operations read (the resolved, hard and
-// detached vertex mirrors, the estimates the graph reflects). The
+// and the per-shard state those operations read (the resolved and
+// detached vertex mirrors, the engine's retired sources, the estimates the graph reflects). The
 // in-process runner (NewLocalRunner, the default) holds the engines in the
 // loop's own process; internal/cluster's remote runner places them on
 // worker processes behind an RPC protocol and replays the operation log
@@ -39,15 +39,17 @@ type ShardRunner interface {
 	Damp(s int, q pair.Pair, prior float64) error
 	// Gather syncs shard s's engine and assembles its candidate questions,
 	// with inferred sets as global vertex indexes. The boolean reports
-	// whether some candidate can still infer a pair other than itself.
+	// whether some candidate can still infer a pair other than itself. The
+	// list is valid until the next Gather on shard s, which may refill it.
 	Gather(s int) ([]selection.Candidate, bool, error)
 	// Rank runs the configured strategy over shard s's candidates from its
 	// latest gather, for a batch of size mu.
 	Rank(s, mu int) ([]selection.Pick, error)
 	// Ball returns the vertices a confirmed match at q would infer — q's
-	// bounded-distance ball as of the last engine sync — in propagation
-	// order (ascending distance, ties by pair order), unfiltered by
-	// resolution state; the loop applies its own 1:1-constraint cascade.
+	// bounded-distance ball as of the last engine sync, none if q was
+	// resolved or damped before it — in propagation order (ascending
+	// distance, ties by pair order), unfiltered by resolution state; the
+	// loop applies its own 1:1-constraint cascade.
 	Ball(s int, q pair.Pair) ([]pair.Pair, error)
 	// Rebuild brings shard s's probabilistic graph to the given consistency
 	// estimates, detached vertices staying detached, and invalidates the
@@ -107,10 +109,12 @@ type ShardState struct {
 
 	resolved []bool
 	detached []bool
-	hard     []bool
 
+	// The latest gather: its candidates, and the one flat array holding
+	// their inferred lists; both are refilled in place by the next one.
 	gathered  bool
 	lastCands []selection.Candidate
+	backing   []int
 	anyProp   bool
 }
 
@@ -119,7 +123,7 @@ type ShardState struct {
 // propagation work. A vertex without an edge — a single-shard pipeline's
 // one graph is the whole one, isolated vertices included — is the loop's
 // own to ask about, never this state's to offer: it holds them resolved
-// from birth and its gathers pass over them.
+// from birth, so its gathers pass over them and its engine retires them.
 func NewShardState(sh *Shard) *ShardState {
 	n := sh.graph.NumVertices()
 	prob := sh.prob.Clone()
@@ -129,10 +133,12 @@ func NewShardState(sh *Shard) *ShardState {
 		eng:      propagation.NewEngineObs(prob, sh.tau, sh.counters),
 		resolved: make([]bool, n),
 		detached: make([]bool, n),
-		hard:     make([]bool, n),
 	}
 	for li := range st.resolved {
-		st.resolved[li] = len(sh.graph.OutIndexesAt(li)) == 0 && len(sh.graph.InIndexesAt(li)) == 0
+		if len(sh.graph.OutIndexesAt(li)) == 0 && len(sh.graph.InIndexesAt(li)) == 0 {
+			st.resolved[li] = true
+			st.eng.Retire(li)
+		}
 	}
 	return st
 }
@@ -145,18 +151,19 @@ func (st *ShardState) Resolve(q pair.Pair, detach bool) {
 		return
 	}
 	st.resolved[i] = true
+	st.eng.Retire(i) // gathers skip it from now on
 	if detach {
 		st.detached[i] = true
 		st.eng.DetachVertex(q)
 	}
 }
 
-// Damp marks q a hard question; gathers skip it. The damped prior itself
-// is the loop's: it only ever weighs q's own next truth inference, and q is
-// not asked again.
+// Damp marks q a hard question: its engine source is retired, so gathers
+// skip it. The damped prior itself is the loop's: it only ever weighs q's
+// own next truth inference, and q is not asked again.
 func (st *ShardState) Damp(q pair.Pair) {
 	if i := st.sh.graph.IndexOf(q); st.eng != nil && i >= 0 {
-		st.hard[i] = true
+		st.eng.Retire(i)
 	}
 }
 
@@ -175,37 +182,48 @@ func (st *ShardState) Sync() {
 // the shard's unresolved, non-hard vertices — every one of which has an
 // edge — with inferred sets as global vertex indexes. The boolean reports
 // whether some question can still infer a pair other than itself — the
-// loop's stop signal. The engine's balls are already ascending in vertex
-// index, so the inferred lists come out in the deterministic order the
-// benefit sums need (they are order-sensitive in floating point) without
-// any per-loop sorting.
+// loop's stop signal. The list is the state's own, refilled by the next
+// Gather.
 func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 	if st.eng == nil {
 		return nil, false
 	}
 	st.eng.Sync()
-	verts := st.sh.graph.Vertices()
-	// One flat backing array holds every candidate's inferred list: a first
-	// pass bounds the total, so the fills below never reallocate and the
-	// whole gather costs two allocations instead of one per candidate.
-	live, total := 0, 0
-	for li := range verts {
-		if st.resolved[li] || st.hard[li] {
-			continue
-		}
-		live++
-		total += len(st.eng.Ball(li)) + 1
-	}
 	st.gathered = true
+	st.assemble()
+	return st.lastCands, st.anyProp
+}
+
+// assemble fills lastCands and backing from the engine's balls. A first
+// pass bounds the total, so the fills never reallocate and the buffers
+// grow only when a gather outgrows every earlier one. The balls are
+// already ascending in vertex index, so the inferred lists come out in the
+// deterministic order the benefit sums need (they are order-sensitive in
+// floating point) without any per-loop sorting.
+//
+//remp:hotpath
+func (st *ShardState) assemble() {
+	live, total := 0, 0
+	for li := range st.resolved {
+		if !st.eng.Retired(li) {
+			live++
+			total += len(st.eng.Ball(li)) + 1
+		}
+	}
 	if live == 0 {
 		st.lastCands, st.anyProp = nil, false
-		return nil, false
+		return
 	}
-	backing := make([]int, 0, total)
-	cands := make([]selection.Candidate, 0, live)
+	if cap(st.backing) < total {
+		st.backing = make([]int, 0, total)
+	}
+	if cap(st.lastCands) < live {
+		st.lastCands = make([]selection.Candidate, 0, live)
+	}
+	backing, cands := st.backing[:0], st.lastCands[:0]
 	anyPropagation := false
-	for li, v := range verts {
-		if st.resolved[li] || st.hard[li] {
+	for li, v := range st.sh.graph.Vertices() {
+		if st.eng.Retired(li) {
 			continue
 		}
 		start := len(backing)
@@ -221,8 +239,7 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 		}
 		cands = append(cands, selection.Candidate{Pair: v, Prob: st.sh.prior[li], Inferred: inf})
 	}
-	st.lastCands, st.anyProp = cands, anyPropagation
-	return cands, anyPropagation
+	st.backing, st.lastCands, st.anyProp = backing, cands, anyPropagation
 }
 
 // Rank runs the configured strategy over the latest gather's candidates.
@@ -311,7 +328,7 @@ func (st *ShardState) Release() int64 {
 	}
 	n := st.eng.Recomputes()
 	st.eng = nil
-	st.lastCands = nil
+	st.lastCands, st.backing = nil, nil
 	return n
 }
 

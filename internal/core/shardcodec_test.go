@@ -129,22 +129,25 @@ func roundTripShard(t *testing.T, sh *Shard) {
 		return
 	}
 	// The script's vertices: spread over the candidate list, so hubs and
-	// leaves both take every role.
-	at := func(i int) pair.Pair { return cands[i*(len(cands)-1)/5].Pair }
-	watch := []pair.Pair{at(0), at(1), at(2), at(3), at(4), at(5)}
+	// leaves both take every role. They are copied out of the list, which
+	// the next gather refills.
+	watch := make([]pair.Pair, 6)
+	for i := range watch {
+		watch[i] = cands[i*(len(cands)-1)/5].Pair
+	}
 	sp.balls("at birth", watch)
 	both := func(f func(*ShardState)) { f(sp.ref); f(sp.got) }
 
-	both(func(st *ShardState) { st.Resolve(at(0), false); st.Resolve(at(1), true); st.Damp(at(2)) })
+	both(func(st *ShardState) { st.Resolve(watch[0], false); st.Resolve(watch[1], true); st.Damp(watch[2]) })
 	sp.gather("after a confirm, a detach and a damp")
 	sp.balls("after a confirm, a detach and a damp", watch)
 	both(func(st *ShardState) { st.Rebuild(movedEstimates(sh, 0)) })
 	sp.gather("after a rebuild")
 	sp.balls("after a rebuild", watch)
 	both(func(st *ShardState) {
-		st.Resolve(at(3), true)
+		st.Resolve(watch[3], true)
 		st.Rebuild(movedEstimates(sh, 1))
-		st.Resolve(at(4), false)
+		st.Resolve(watch[4], false)
 	})
 	sp.gather("after a second detach and rebuild")
 	sp.balls("after a second detach and rebuild", watch)

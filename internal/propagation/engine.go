@@ -30,27 +30,43 @@ import (
 // in-edges: those edges only disappear, and a bounded path of G0 through
 // one of them reaches p itself within ζ.
 //
-// Mutators (DetachVertex, InvalidateTails, Reset, InvalidateAll) only
-// record invalidations; Sync applies them, fanning one bounded Dijkstra
-// per dirty source across GOMAXPROCS goroutines, each worker reusing one
-// pooled dense scratch. Ball deliberately serves the balls as of the last
-// Sync: the loop resolves each batch of µ questions against one snapshot
-// (the paper's semantics), then Syncs at the top of the next loop.
+// Balls exist to price candidate questions, so the engine keeps them for
+// live sources only. Retire takes a source no gather will offer again
+// (resolved or hard) out for good: its ball is still served until the next
+// Sync — the snapshot the rest of the batch reads — and that Sync drops it
+// and deletes the source from every rev row. The argument above reads only
+// the rows of the sources it is about, so it still holds for every live
+// one; a retired source has no reader after that Sync, so neither a later
+// invalidation nor a rebuild ever computes it again.
+//
+// Mutators (DetachVertex, InvalidateTails, Retire, Reset, InvalidateAll)
+// only record invalidations; Sync applies them, fanning one bounded
+// Dijkstra per dirty live source across GOMAXPROCS goroutines, each worker
+// reusing one pooled dense scratch and refilling the source's previous
+// ball in place. Ball deliberately serves the balls as of the last Sync:
+// the loop resolves each batch of µ questions against one snapshot (the
+// paper's semantics), then Syncs at the top of the next loop; every reader
+// copies out of a ball before that.
 //
 // An Engine is not safe for concurrent use; Sync's internal workers are
 // the only concurrency it owns.
 type Engine struct {
 	pg   *ProbGraph
 	zeta float64
-	// dist and rev mirror Inferred: dist[q] = the sorted ball bt(q);
-	// rev[p] lists the sources whose balls contain p, the inverse index
-	// bt⁻¹(p). rev rows are unordered sets — invalidation only iterates
-	// them — kept duplicate-free by the Sync bookkeeping.
+	// dist and rev mirror Inferred over the live sources: dist[q] = the
+	// sorted ball bt(q), nil once q is retired and synced; rev[p] lists the
+	// live sources whose balls contain p, the inverse index bt⁻¹(p). rev rows
+	// are unordered sets — invalidation only iterates them — kept
+	// duplicate-free by the Sync bookkeeping.
 	dist []Ball
 	rev  [][]int32
+	// retired marks the sources taken out by Retire; live counts the rest.
+	retired []bool
+	live    int
 
-	// dirty lists the source indexes queued for recompute; isDirty marks
-	// them by index, so queueing a whole ball costs no hashing.
+	// dirty lists the source indexes queued for the next Sync — to recompute,
+	// or, if retired, to drop; isDirty marks them by index, so queueing a
+	// whole ball costs no hashing.
 	dirty   []int32
 	isDirty []bool
 	full    bool // pending whole-graph rebuild
@@ -79,11 +95,25 @@ func NewEngineObs(pg *ProbGraph, tau float64, c obs.EngineCounters) *Engine {
 // dirty sources are recomputed.
 func (e *Engine) Recomputes() int64 { return e.recomputes.Load() }
 
-// bulkFallback reports whether so many sources are dirty that Sync will
-// recompute everything in bulk instead of incrementally.
-func (e *Engine) bulkFallback() bool {
-	return 2*len(e.dirty) >= len(e.dist)
+// bulkFallback reports whether k dirty live sources are so many that Sync
+// will recompute every live source in bulk instead of incrementally.
+func (e *Engine) bulkFallback(k int) bool {
+	return k > 0 && 2*k >= e.live
 }
+
+// Retire takes source i out of the engine for good: no gather will offer
+// it as a question again. Its ball is served until the next Sync, which
+// drops it; from then on no Sync recomputes i.
+func (e *Engine) Retire(i int) {
+	if !e.retired[i] {
+		e.retired[i] = true
+		e.live--
+		e.queue(int32(i))
+	}
+}
+
+// Retired reports whether source i was retired.
+func (e *Engine) Retired(i int) bool { return e.retired[i] }
 
 // DetachVertex removes every edge incident to q from the probabilistic
 // graph — q can neither be inferred nor relay inference — and invalidates
@@ -154,8 +184,9 @@ func (e *Engine) markBallDirty(i int) {
 }
 
 // Sync brings the balls up to date: a pending full rebuild recomputes
-// every source, otherwise only the dirty sources are re-run, all fanned
-// across GOMAXPROCS goroutines. A clean engine returns immediately.
+// every live source, otherwise only the dirty live sources are re-run, all
+// fanned across GOMAXPROCS goroutines, and the retired ones are dropped. A
+// clean engine returns immediately.
 func (e *Engine) Sync() {
 	if e.full {
 		e.rebuild()
@@ -165,69 +196,83 @@ func (e *Engine) Sync() {
 	if len(e.dirty) == 0 {
 		return
 	}
-	// When most sources are dirty — a hub vertex of a dense component was
-	// touched — recomputing them one by one costs more than a bulk rebuild,
-	// which also skips the stale-entry deletions below. Fall back; the
-	// rebuild is exact, only the work strategy changes.
-	if e.bulkFallback() {
+	srcs := make([]int32, 0, len(e.dirty))
+	for _, i := range e.dirty {
+		if !e.retired[i] {
+			srcs = append(srcs, i)
+		}
+	}
+	// When most live sources are dirty — a hub vertex of a dense component
+	// was touched — recomputing them one by one costs more than a bulk
+	// rebuild, which also skips the stale-entry deletions below. Fall back;
+	// the rebuild is exact, only the work strategy changes.
+	if e.bulkFallback(len(srcs)) {
 		e.rebuild()
 		return
 	}
-	srcs := make([]int, len(e.dirty))
-	for k, i := range e.dirty {
-		srcs[k] = int(i)
-	}
 	slices.Sort(srcs)
-	// Drop the dirty sources from every reverse row their stale balls
-	// touch before the parallel phase; reinstalling from the fresh balls
-	// happens serially afterwards because distinct sources share rev rows.
-	touched := make([]int32, 0, 64)
-	for _, i := range srcs {
+	// Drop every queued source from the reverse rows its stale ball touches
+	// before the parallel phase — each row filtered once, the pooled
+	// scratch's stamps marking the rows done; reinstalling the live ones
+	// from their fresh balls happens serially afterwards because distinct
+	// sources share rows.
+	sc := getScratch(len(e.rev))
+	sc.begin()
+	for _, i := range e.dirty {
 		for _, en := range e.dist[i] {
-			touched = append(touched, en.Idx)
-		}
-	}
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
-	for _, j := range touched {
-		keep := e.rev[j][:0]
-		for _, s := range e.rev[j] {
-			if !e.isDirty[s] {
-				keep = append(keep, s)
+			if j := en.Idx; !sc.visited(j) {
+				sc.reach(j, 0)
+				keep := e.rev[j][:0]
+				for _, s := range e.rev[j] {
+					if !e.isDirty[s] {
+						keep = append(keep, s)
+					}
+				}
+				e.rev[j] = keep
 			}
 		}
-		e.rev[j] = keep
+		if e.retired[i] {
+			e.dist[i] = nil
+		}
 	}
-	results := make([]Ball, len(srcs))
-	e.pg.inferSources(e.zeta, srcs, results)
+	putScratch(sc)
+	e.pg.inferSources(e.zeta, srcs, e.dist)
 	e.recomputes.Add(int64(len(srcs)))
 	e.c.Recomputes.Add(int64(len(srcs)))
-	for k, i := range srcs {
-		e.dist[i] = results[k]
-		for _, en := range results[k] {
-			e.rev[en.Idx] = append(e.rev[en.Idx], int32(i))
+	for _, i := range srcs {
+		for _, en := range e.dist[i] {
+			e.rev[en.Idx] = append(e.rev[en.Idx], i)
 		}
 	}
 	e.clearDirty()
 }
 
-// rebuild recomputes every source from scratch in parallel, sharing
-// InferAll's implementation.
+// rebuild recomputes every live source from scratch in parallel, into its
+// previous ball, and rebuilds the reverse index from the fresh balls.
 func (e *Engine) rebuild() {
 	n := e.pg.g.NumVertices()
-	if len(e.isDirty) == n {
-		e.clearDirty()
-	} else { // first build, or Reset onto another vertex set
-		e.dirty, e.isDirty = e.dirty[:0], make([]bool, n)
+	if len(e.retired) != n { // first build, or Reset onto another vertex set
+		e.dist, e.retired, e.isDirty, e.live = make([]Ball, n), make([]bool, n), make([]bool, n), n
+		e.dirty = e.dirty[:0]
 	}
-	e.dist = e.pg.computeAll(e.zeta)
+	e.clearDirty()
+	srcs := make([]int32, 0, e.live)
+	for i, r := range e.retired {
+		if r {
+			e.dist[i] = nil
+		} else {
+			srcs = append(srcs, int32(i))
+		}
+	}
+	e.pg.inferSources(e.zeta, srcs, e.dist)
 	e.rev = buildRev(e.dist, n)
-	e.recomputes.Add(int64(n))
-	e.c.Recomputes.Add(int64(n))
+	e.recomputes.Add(int64(len(srcs)))
+	e.c.Recomputes.Add(int64(len(srcs)))
 	e.c.Rebuilds.Add(1)
 }
 
 // Ball returns inferred(q) by dense index (q excluded), ascending in
-// vertex index, as of the last Sync. The slice is the engine's own;
-// callers must not mutate it.
+// vertex index, as of the last Sync — nil if q was retired before it. The
+// slice is the engine's own and is refilled by the next Sync: callers copy
+// out what they keep and must not mutate it.
 func (e *Engine) Ball(q int) Ball { return e.dist[q] }

@@ -269,3 +269,119 @@ func TestZetaOfRejectsInvalidTau(t *testing.T) {
 		t.Errorf("zetaOf(0.9) = %v", z)
 	}
 }
+
+// TestEngineRetirementProperty drives engines over random graphs and τ
+// values through scripted mixes of vertex detaches, row rewrites (slot
+// writes followed by InvalidateTails) and retirements. After every Sync
+// each live source's ball must equal a fresh InferAll on the same graph bit
+// for bit, a retired source must hold no ball and appear in no rev row, and
+// the Sync must have run exactly one Dijkstra per dirty live source — one
+// per live source when it fell back to a bulk rebuild.
+func TestEngineRetirementProperty(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // exercise the parallel recompute
+	cases := []struct {
+		n       int
+		density float64
+		seed    int64
+	}{
+		{8, 0.4, 401},
+		{33, 0.15, 402},
+		{90, 0.06, 403}, // crosses the parallel fan-out cutoff
+		{150, 0.03, 404},
+	}
+	for _, tc := range cases {
+		for _, tau := range []float64{1, 0.95, 0.8, 0.65} {
+			rng := rand.New(rand.NewSource(tc.seed))
+			pg, verts := randomPG(rng, tc.n, tc.density)
+			e := NewEngine(pg, tau)
+			for step := 0; step < 10; step++ {
+				ctx := fmt.Sprintf("n=%d tau=%v step %d", tc.n, tau, step)
+				for ops := 1 + rng.Intn(6); ops > 0; ops-- {
+					switch i := rng.Intn(tc.n); rng.Intn(3) {
+					case 0:
+						e.DetachVertex(verts[i])
+					case 1:
+						changed := false
+						for s := pg.rowStart[i]; s < pg.rowStart[i+1]; s++ {
+							if rng.Intn(2) == 0 && pg.writeSlot(s, rng.Float64()) {
+								changed = true
+							}
+						}
+						if changed {
+							e.InvalidateTails([]int32{int32(i)})
+						}
+					case 2:
+						e.Retire(i)
+					}
+				}
+				pending, before := e.pendingSources(), e.Recomputes()
+				e.Sync()
+				if ran := e.Recomputes() - before; ran != int64(pending) {
+					t.Fatalf("%s: Sync ran %d Dijkstras for %d dirty live sources", ctx, ran, pending)
+				}
+				fresh := pg.InferAll(tau)
+				for i := 0; i < tc.n; i++ {
+					if e.retired[i] {
+						if e.dist[i] != nil {
+							t.Fatalf("%s: retired source %d still holds a ball", ctx, i)
+						}
+						continue
+					}
+					if !slices.EqualFunc(e.dist[i], fresh.dist[i], func(a, b BallEntry) bool {
+						return a.Idx == b.Idx && math.Float64bits(a.Dist) == math.Float64bits(b.Dist)
+					}) {
+						t.Fatalf("%s: ball %d = %v, fresh InferAll %v", ctx, i, e.dist[i], fresh.dist[i])
+					}
+				}
+				for p := range e.rev {
+					want := slices.DeleteFunc(slices.Clone(fresh.rev[p]), func(s int32) bool { return e.retired[s] })
+					compareRevRows(t, ctx, p, e.rev[p], want)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineRetiredBallServedUntilSync pins the snapshot a batch reads: a
+// source retired after the last Sync — confirmed, or resolved a non-match
+// and detached — keeps serving that Sync's ball however its neighborhood
+// changes meanwhile; the next Sync drops it, and no later invalidation
+// brings it back.
+func TestEngineRetiredBallServedUntilSync(t *testing.T) {
+	pg, vs := clusteredPG(6, 8)
+	e := NewEngine(pg, 0.8)
+	g := pg.Graph()
+	confirmed, rejected := g.IndexOf(vs[2]), g.IndexOf(vs[10])
+	want := map[int]Ball{confirmed: slices.Clone(e.Ball(confirmed)), rejected: slices.Clone(e.Ball(rejected))}
+	e.Retire(confirmed)
+	e.DetachVertex(vs[4]) // a batch-mate's cascade detaches a vertex of the ball
+	e.Retire(rejected)
+	e.DetachVertex(vs[10])
+	e.editSlot(pg.slot(11, 12), 0.999)
+	for i, b := range want {
+		if len(b) == 0 {
+			t.Fatalf("fixture: source %d has an empty ball", i)
+		}
+		if got := e.Ball(i); !slices.Equal(got, b) {
+			t.Fatalf("retired source %d: Ball = %v before the next Sync, want the last Sync's %v", i, got, b)
+		}
+	}
+	e.Sync()
+	fresh := pg.InferAll(0.8)
+	for i := range e.dist {
+		if !e.retired[i] {
+			compareBalls(t, "live sources vs InferAll", "dist", i, e.dist[i], fresh.dist[i])
+		}
+	}
+	for i := range want {
+		if e.Ball(i) != nil {
+			t.Fatalf("retired source %d still served a ball after Sync", i)
+		}
+	}
+	before := e.Recomputes()
+	e.InvalidateTails([]int32{int32(confirmed)})
+	e.Sync()
+	if ran := e.Recomputes() - before; ran != int64(len(e.rev[confirmed])) {
+		t.Fatalf("invalidating a retired row ran %d Dijkstras, want its %d live viewers", ran, len(e.rev[confirmed]))
+	}
+}

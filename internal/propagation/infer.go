@@ -51,9 +51,9 @@ func (pg *ProbGraph) InferAll(tau float64) *Inferred {
 func (pg *ProbGraph) computeAll(zeta float64) []Ball {
 	n := pg.g.NumVertices()
 	dist := make([]Ball, n)
-	srcs := make([]int, n)
+	srcs := make([]int32, n)
 	for i := range srcs {
-		srcs[i] = i
+		srcs[i] = int32(i)
 	}
 	pg.inferSources(zeta, srcs, dist)
 	return dist
@@ -95,12 +95,13 @@ func buildRev(dist []Ball, n int) [][]int32 {
 // costs more than the Dijkstra work it would parallelize.
 const minParallelSources = 64
 
-// inferSources computes the ζ-bounded single-source balls for every source
-// index in srcs, writing results[k] for srcs[k]. Work is distributed over
-// GOMAXPROCS goroutines via an atomic cursor; each worker owns one pooled
-// scratch for its whole share, and each source's ball is independent, so
-// the result is deterministic regardless of scheduling.
-func (pg *ProbGraph) inferSources(zeta float64, srcs []int, results []Ball) {
+// inferSources computes the ζ-bounded single-source ball of every source
+// index s in srcs into dist[s], refilling the ball dist[s] already holds.
+// Work is distributed over GOMAXPROCS goroutines via an atomic cursor; each
+// worker owns one pooled scratch for its whole share, and each source's
+// ball is independent, so the result is deterministic regardless of
+// scheduling.
+func (pg *ProbGraph) inferSources(zeta float64, srcs []int32, dist []Ball) {
 	n := pg.g.NumVertices()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(srcs) {
@@ -108,8 +109,8 @@ func (pg *ProbGraph) inferSources(zeta float64, srcs []int, results []Ball) {
 	}
 	if workers <= 1 || len(srcs) < minParallelSources {
 		sc := getScratch(n)
-		for k, s := range srcs {
-			results[k] = pg.inferFromIndex(s, zeta, sc)
+		for _, s := range srcs {
+			dist[s] = pg.inferFromIndex(int(s), zeta, sc, dist[s])
 		}
 		putScratch(sc)
 		return
@@ -127,7 +128,8 @@ func (pg *ProbGraph) inferSources(zeta float64, srcs []int, results []Ball) {
 				if k >= len(srcs) {
 					return
 				}
-				results[k] = pg.inferFromIndex(srcs[k], zeta, sc)
+				s := srcs[k]
+				dist[s] = pg.inferFromIndex(int(s), zeta, sc, dist[s])
 			}
 		}()
 	}
@@ -206,10 +208,11 @@ func ballFromMap(m map[int32]float64) Ball {
 // comparing the popped distance against the current best instead of a
 // visited set; relaxations walk the CSR row with precomputed −log lengths
 // (removed slots carry +Inf and fall to the ζ test the loop already
-// performs). The only allocation is the returned Ball.
+// performs). The ball is written into dst, the source's previous ball,
+// when its capacity suffices; only a ball that outgrew it is allocated.
 //
 //remp:hotpath
-func (pg *ProbGraph) inferFromIndex(src int, zeta float64, sc *scratch) Ball {
+func (pg *ProbGraph) inferFromIndex(src int, zeta float64, sc *scratch, dst Ball) Ball {
 	sc.begin()
 	sc.reach(int32(src), 0)
 	sc.push(heapEntry{0, int32(src)})
@@ -233,7 +236,10 @@ func (pg *ProbGraph) inferFromIndex(src int, zeta float64, sc *scratch) Ball {
 			}
 		}
 	}
-	ball := make(Ball, 0, len(sc.touched)-1)
+	ball := dst[:0]
+	if cap(ball) < len(sc.touched)-1 {
+		ball = make(Ball, 0, len(sc.touched)-1)
+	}
 	for _, j := range sc.touched {
 		if int(j) == src {
 			continue

@@ -19,12 +19,18 @@ func NewEngine(pg *ProbGraph, tau float64) *Engine {
 }
 
 // pendingSources returns how many sources the next Sync will recompute,
-// accounting for the bulk-rebuild fallback.
+// accounting for retirements and the bulk-rebuild fallback.
 func (e *Engine) pendingSources() int {
-	if e.full || (len(e.dirty) > 0 && e.bulkFallback()) {
-		return e.pg.g.NumVertices()
+	k := 0
+	for _, i := range e.dirty {
+		if !e.retired[i] {
+			k++
+		}
 	}
-	return len(e.dirty)
+	if e.full || e.bulkFallback(k) {
+		return e.live
+	}
+	return k
 }
 
 // ballSize returns |bt⁻¹(q)|, the number of sources whose ζ-ball contains

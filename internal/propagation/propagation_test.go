@@ -300,7 +300,7 @@ func TestInferAllMatchesDijkstra(t *testing.T) {
 		infD := pg.InferAll(tau)
 		sc := getScratch(n)
 		for q := 0; q < n; q++ {
-			want := pg.inferFromIndex(q, zetaOf(tau), sc) // one single-source run
+			want := pg.inferFromIndex(q, zetaOf(tau), sc, nil) // one single-source run
 			if len(infD.Ball(q)) != len(want) {
 				t.Fatalf("iter %d src %d: Dijkstra-all found %d, single-source %d",
 					iter, q, len(infD.Ball(q)), len(want))

@@ -496,7 +496,7 @@ func TestProbGraphTopologyIsShared(t *testing.T) {
 				for i := 0; i < n; i++ {
 					l.e.InvalidateTails([]int32{int32(i)})
 				}
-				if !l.e.full && !l.e.bulkFallback() {
+				if !l.e.full && !l.e.bulkFallback(len(l.e.dirty)) {
 					t.Fatalf("seed %d step %d: every source is dirty but Sync would not rebuild in bulk", tc.seed, step)
 				}
 				l.e.Sync()
