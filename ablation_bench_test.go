@@ -1,8 +1,8 @@
 package repro
 
-// Ablation benchmarks for the design choices documented in DESIGN.md §5:
-// the Dijkstra-based InferAll versus the paper-faithful Floyd–Warshall
-// variant of Algorithm 2, the exact bitmask-DP posterior versus the
+// Ablation benchmarks for the choices where the implementation departs
+// from or extends the paper: the Dijkstra-based InferAll versus the
+// paper-faithful Floyd–Warshall variant of Algorithm 2, the exact bitmask-DP posterior versus the
 // local-exclusion approximation, per-loop edge re-estimation, and the
 // hybrid (partial-order + propagation) future-work extension.
 

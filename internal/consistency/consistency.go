@@ -6,11 +6,13 @@
 // initial match by analyzing an O(L_M^4)-piecewise continuous function; we
 // reach the same stationary points with alternating exact coordinate
 // optimization (closed-form ε given L, exhaustive integer scan for L given
-// ε), restarted from several initial values — see DESIGN.md §4.
+// ε), restarted from several initial values, since coordinate ascent can stop
+// at a local optimum.
 package consistency
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -28,7 +30,6 @@ type Observation struct {
 type Estimate struct {
 	Eps1, Eps2    float64
 	LogLikelihood float64
-	Latent        []int // fitted L per observation
 }
 
 // Options tunes the estimator.
@@ -67,20 +68,22 @@ func (o *Options) fill() {
 // runs the alternating optimization from several starting points and keeps
 // the best likelihood. With no informative observations it returns
 // ε1 = ε2 = 0.5.
+//
+// An iteration costs the distinct observations (kinds), not the rows: the
+// latent L is fitted once per kind, ΣL is Σ count·L, and the likelihood of
+// a latent vector already scored in this call is remembered. The result is
+// the bits of the row-by-row form whenever PseudoCount/2 + ΣL is exact in
+// floating point, as with the default PseudoCount of 1.
 func Fit(obs []Observation, opts Options) Estimate {
 	opts.fill()
-	sum1, sum2 := 0, 0
-	for _, o := range obs {
-		sum1 += o.N1
-		sum2 += o.N2
+	g := group(obs, opts)
+	if !slices.ContainsFunc(g.kinds, func(o Observation) bool { return o.N1 != 0 || o.N2 != 0 }) {
+		return Estimate{Eps1: 0.5, Eps2: 0.5}
 	}
-	if sum1 == 0 && sum2 == 0 {
-		return Estimate{Eps1: 0.5, Eps2: 0.5, Latent: make([]int, len(obs))}
-	}
-
 	best := Estimate{LogLikelihood: math.Inf(-1)}
-	for _, start := range []float64{0.25, 0.5, 0.75, 0.9} {
-		e := fitFrom(obs, start, start, opts)
+	latent := make([]int, len(g.kinds))
+	for _, start := range starts {
+		e := g.fitFrom(latent, start, start)
 		if e.LogLikelihood > best.LogLikelihood {
 			best = e
 		}
@@ -88,35 +91,100 @@ func Fit(obs []Observation, opts Options) Estimate {
 	return best
 }
 
-// fitFrom runs one alternating optimization from (e1, e2).
-func fitFrom(obs []Observation, e1, e2 float64, opts Options) Estimate {
-	latent := make([]int, len(obs))
+// starts are the initial (ε1 = ε2) values Fit optimizes from.
+var starts = [...]float64{0.25, 0.5, 0.75, 0.9}
+
+// grouped is one call's observations grouped by kind, with the
+// likelihoods of the per-kind latent vectors scored so far.
+type grouped struct {
+	opts         Options
+	kinds        []Observation // distinct observations, in first-occurrence order
+	count        []int         // rows per kind
+	rowKind      []int32       // each row's kind, in row order
+	sumN1, sumN2 float64       // PseudoCount + ΣN1 (ΣN2), summed in row order
+	terms        [][3]float64  // scratch: each kind's three likelihood terms
+	seen         []int         // latent vectors scored, len(kinds) each
+	seenLL       []float64     // their log-likelihoods
+}
+
+// group maps the rows to kinds. Kinds are found by a linear scan: a
+// label's list holds one or two kinds on Scale and at most a few dozen on
+// the paper's datasets, however many rows it has. The capacities fit the
+// common case — a handful of kinds, and the few latent vectors the four
+// starts meet at — in one allocation each.
+func group(obs []Observation, opts Options) grouped {
+	g := grouped{opts: opts, rowKind: make([]int32, len(obs)), sumN1: opts.PseudoCount, sumN2: opts.PseudoCount,
+		kinds: make([]Observation, 0, 8), count: make([]int, 0, 8)}
+	for i, o := range obs {
+		k := slices.Index(g.kinds, o)
+		if k < 0 {
+			k = len(g.kinds)
+			g.kinds = append(g.kinds, o)
+			g.count = append(g.count, 0)
+		}
+		g.count[k]++
+		g.rowKind[i] = int32(k)
+		g.sumN1 += float64(o.N1)
+		g.sumN2 += float64(o.N2)
+	}
+	g.terms = make([][3]float64, len(g.kinds))
+	g.seen, g.seenLL = make([]int, 0, 4*len(g.kinds)), make([]float64, 0, 4)
+	return g
+}
+
+// fitFrom runs one alternating optimization from (e1, e2), with latent as
+// its per-kind scratch.
+func (g *grouped) fitFrom(latent []int, e1, e2 float64) Estimate {
 	var ll float64
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		// E-like step: best integer L per observation given (e1, e2).
+	for iter := 0; iter < g.opts.MaxIters; iter++ {
+		// E-like step: best integer L per kind given (e1, e2).
 		logOdds := math.Log(e1/(1-e1)) + math.Log(e2/(1-e2))
-		for i, o := range obs {
-			latent[i] = bestL(o, logOdds)
+		for k, o := range g.kinds {
+			latent[k] = bestL(o, logOdds)
 		}
-		// M-like step: closed-form binomial rates with smoothing.
-		sumL, sumN1, sumN2 := opts.PseudoCount*0.5, opts.PseudoCount, opts.PseudoCount
-		sumL2 := opts.PseudoCount * 0.5
-		for i, o := range obs {
-			sumL += float64(latent[i])
-			sumL2 += float64(latent[i])
-			sumN1 += float64(o.N1)
-			sumN2 += float64(o.N2)
-		}
-		ne1 := clamp(sumL/sumN1, opts.MinEps, opts.MaxEps)
-		ne2 := clamp(sumL2/sumN2, opts.MinEps, opts.MaxEps)
-		newLL := logLikelihood(obs, latent, ne1, ne2)
-		if iter > 0 && newLL <= ll+1e-12 {
-			e1, e2, ll = ne1, ne2, newLL
+		ne1, ne2, newLL := g.score(latent)
+		converged := iter > 0 && newLL <= ll+1e-12
+		e1, e2, ll = ne1, ne2, newLL
+		if converged {
 			break
 		}
-		e1, e2, ll = ne1, ne2, newLL
 	}
-	return Estimate{Eps1: e1, Eps2: e2, LogLikelihood: ll, Latent: latent}
+	return Estimate{Eps1: e1, Eps2: e2, LogLikelihood: ll}
+}
+
+// score is the M-like step — closed-form binomial rates with smoothing —
+// and the total log of Eq. (4) at them. Both depend on the latent vector
+// alone, so a vector scored before returns its remembered likelihood.
+// The per-kind terms are the expressions the per-row form evaluates, and
+// sumRows adds them in row order, so the sum keeps its bits.
+func (g *grouped) score(latent []int) (e1, e2, ll float64) {
+	sumL := 0
+	for k, l := range latent {
+		sumL += g.count[k] * l
+	}
+	matched := g.opts.PseudoCount*0.5 + float64(sumL)
+	e1 = clamp(matched/g.sumN1, g.opts.MinEps, g.opts.MaxEps)
+	e2 = clamp(matched/g.sumN2, g.opts.MinEps, g.opts.MaxEps)
+	n := len(latent)
+	for i, prev := range g.seenLL {
+		if slices.Equal(g.seen[i*n:(i+1)*n], latent) {
+			return e1, e2, prev
+		}
+	}
+	logE1, logNotE1 := math.Log(e1), math.Log(1-e1)
+	logE2, logNotE2 := math.Log(e2), math.Log(1-e2)
+	for k, o := range g.kinds {
+		l := latent[k]
+		g.terms[k] = [3]float64{
+			logChoose(o.N1, l) + logChoose(o.N2, l),
+			float64(l)*logE1 + float64(o.N1-l)*logNotE1,
+			float64(l)*logE2 + float64(o.N2-l)*logNotE2,
+		}
+	}
+	ll = sumRows(g.rowKind, g.terms)
+	g.seen = append(g.seen, latent...)
+	g.seenLL = append(g.seenLL, ll)
+	return e1, e2, ll
 }
 
 // bestL scans the admissible integer range for the latent variable of one
@@ -146,21 +214,15 @@ func bestL(o Observation, logOdds float64) int {
 	return bestL
 }
 
-// logLikelihood evaluates the total log of Eq. (4) across observations.
-// The four logarithms are the same for every observation and taken once;
-// each term keeps its operands and its place in the sum, so the result is
-// the bits the per-observation form produces.
+// sumRows adds each row's three likelihood terms, in row order.
 //
 //remp:hotpath
-func logLikelihood(obs []Observation, latent []int, e1, e2 float64) float64 {
-	logE1, logNotE1 := math.Log(e1), math.Log(1-e1)
-	logE2, logNotE2 := math.Log(e2), math.Log(1-e2)
+func sumRows(rowKind []int32, terms [][3]float64) float64 {
 	ll := 0.0
-	for i, o := range obs {
-		l := latent[i]
-		ll += logChoose(o.N1, l) + logChoose(o.N2, l)
-		ll += float64(l)*logE1 + float64(o.N1-l)*logNotE1
-		ll += float64(l)*logE2 + float64(o.N2-l)*logNotE2
+	for _, k := range rowKind {
+		ll += terms[k][0]
+		ll += terms[k][1]
+		ll += terms[k][2]
 	}
 	return ll
 }
@@ -218,24 +280,14 @@ func clamp(x, lo, hi float64) float64 {
 
 // FromCounts is the direct estimator used when the matched-value counts are
 // fully observed (e.g. from ground-truth seeds in the Table VI setting):
-// ε_i = ΣL / Σn_i, clamped.
+// ε_i = ΣL / Σn_i, clamped, with L = max(KnownL, 0).
 func FromCounts(obs []Observation, opts Options) Estimate {
 	opts.fill()
-	sumL := opts.PseudoCount * 0.5
-	sumN1 := opts.PseudoCount
-	sumN2 := opts.PseudoCount
-	latent := make([]int, len(obs))
-	for i, o := range obs {
-		l := o.KnownL
-		if l < 0 {
-			l = 0
-		}
-		latent[i] = l
-		sumL += float64(l)
-		sumN1 += float64(o.N1)
-		sumN2 += float64(o.N2)
+	g := group(obs, opts)
+	latent := make([]int, len(g.kinds))
+	for k, o := range g.kinds {
+		latent[k] = max(o.KnownL, 0)
 	}
-	e1 := clamp(sumL/sumN1, opts.MinEps, opts.MaxEps)
-	e2 := clamp(sumL/sumN2, opts.MinEps, opts.MaxEps)
-	return Estimate{Eps1: e1, Eps2: e2, LogLikelihood: logLikelihood(obs, latent, e1, e2), Latent: latent}
+	e1, e2, ll := g.score(latent)
+	return Estimate{Eps1: e1, Eps2: e2, LogLikelihood: ll}
 }

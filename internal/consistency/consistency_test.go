@@ -132,13 +132,6 @@ func TestLikelihoodImprovesOverIterations(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestFitConcurrentSharesLogFactTable is the regression test for the data
 // race on the shared log-factorial table: the pipeline fits labels
 // concurrently, and fits with value sets larger than the table has seen
@@ -175,8 +168,8 @@ func TestFitConcurrentSharesLogFactTable(t *testing.T) {
 	}
 }
 
-// oracleLogLikelihood is logLikelihood as it was before the four
-// logarithms were hoisted out of the loop: one math.Log per term.
+// oracleLogLikelihood is the total log of Eq. (4) in its plainest form:
+// row by row, one math.Log per term.
 func oracleLogLikelihood(obs []Observation, latent []int, e1, e2 float64) float64 {
 	ll := 0.0
 	for i, o := range obs {
@@ -188,10 +181,11 @@ func oracleLogLikelihood(obs []Observation, latent []int, e1, e2 float64) float6
 	return ll
 }
 
-// oracleFit is Fit over oracleLogLikelihood.
+// oracleFit is Fit over oracleLogLikelihood, row by row: every iteration
+// fits L and adds the rates and the likelihood per row.
 func oracleFit(obs []Observation, opts Options) Estimate {
 	opts.fill()
-	best := Estimate{Eps1: 0.5, Eps2: 0.5, Latent: make([]int, len(obs))}
+	best := Estimate{Eps1: 0.5, Eps2: 0.5}
 	informative := false
 	for _, o := range obs {
 		informative = informative || o.N1 != 0 || o.N2 != 0
@@ -221,19 +215,52 @@ func oracleFit(obs []Observation, opts Options) Estimate {
 			}
 		}
 		if ll > best.LogLikelihood {
-			best = Estimate{Eps1: e1, Eps2: e2, LogLikelihood: ll, Latent: latent}
+			best = Estimate{Eps1: e1, Eps2: e2, LogLikelihood: ll}
 		}
 	}
 	return best
 }
 
-// TestFitMatchesPerObservationLogs pins the hoisted logarithms: over random
-// observation lists — empty ones, uninformative ones and known lower
-// bounds above min(N1, N2) included — Fit and FromCounts return the bits
-// the per-observation form returns.
+// repeatedKinds draws a list of up to maxRows rows over 1–20 distinct
+// observations, the shape of a loop's refits (a few kinds, many rows);
+// known lower bounds may exceed min(N1, N2).
+func repeatedKinds(rng *rand.Rand, maxRows, maxN int) []Observation {
+	kinds := make([]Observation, 1+rng.Intn(20))
+	for k := range kinds {
+		n1, n2 := rng.Intn(maxN+1), rng.Intn(maxN+1)
+		kinds[k] = Observation{N1: n1, N2: n2, KnownL: rng.Intn(min(n1, n2)+4) - 1}
+	}
+	obs := make([]Observation, 1+rng.Intn(maxRows))
+	for i := range obs {
+		obs[i] = kinds[rng.Intn(len(kinds))]
+	}
+	return obs
+}
+
+// TestFitMatchesPerObservationLogs pins the grouped fit and the hoisted
+// logarithms: over random observation lists — empty ones, uninformative
+// ones, known lower bounds above min(N1, N2), and lists that repeat a few
+// observations over thousands of rows — Fit and FromCounts return the bits
+// the row-by-row, per-observation form returns.
 func TestFitMatchesPerObservationLogs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(trial int, obs []Observation) {
+		t.Helper()
+		got, want := Fit(obs, DefaultOptions()), oracleFit(obs, DefaultOptions())
+		if !same(got.Eps1, want.Eps1) || !same(got.Eps2, want.Eps2) || !same(got.LogLikelihood, want.LogLikelihood) {
+			t.Fatalf("trial %d: Fit(%v) = (%v, %v, %v), per-observation logs give (%v, %v, %v)",
+				trial, obs, got.Eps1, got.Eps2, got.LogLikelihood, want.Eps1, want.Eps2, want.LogLikelihood)
+		}
+		direct := FromCounts(obs, DefaultOptions())
+		known := make([]int, len(obs))
+		for i, o := range obs {
+			known[i] = max(o.KnownL, 0)
+		}
+		if ll := oracleLogLikelihood(obs, known, direct.Eps1, direct.Eps2); !same(direct.LogLikelihood, ll) {
+			t.Fatalf("trial %d: FromCounts(%v) log-likelihood %v, per-observation logs give %v", trial, obs, direct.LogLikelihood, ll)
+		}
+	}
 	for trial := 0; trial < 400; trial++ {
 		obs := make([]Observation, rng.Intn(40))
 		for i := range obs {
@@ -242,14 +269,37 @@ func TestFitMatchesPerObservationLogs(t *testing.T) {
 				obs[i].N1, obs[i].N2 = 0, 0
 			}
 		}
-		got, want := Fit(obs, DefaultOptions()), oracleFit(obs, DefaultOptions())
-		if !same(got.Eps1, want.Eps1) || !same(got.Eps2, want.Eps2) || !same(got.LogLikelihood, want.LogLikelihood) {
-			t.Fatalf("trial %d: Fit(%v) = (%v, %v, %v), per-observation logs give (%v, %v, %v)",
-				trial, obs, got.Eps1, got.Eps2, got.LogLikelihood, want.Eps1, want.Eps2, want.LogLikelihood)
+		check(trial, obs)
+	}
+	for trial := 0; trial < 10; trial++ {
+		check(400+trial, repeatedKinds(rng, 3000, 150))
+	}
+}
+
+// TestFitRemembersLatentVectors covers the likelihood memo: Fit's starts
+// reach latent vectors an earlier start scored, and a start run against
+// the shared memo returns the bits it returns scoring every vector afresh.
+func TestFitRemembersLatentVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	opts := DefaultOptions()
+	reused := 0
+	for trial := 0; trial < 50; trial++ {
+		obs := repeatedKinds(rng, 500, 12)
+		shared := group(obs, opts)
+		for _, start := range starts {
+			fresh := group(obs, opts)
+			before := len(shared.seenLL)
+			got := shared.fitFrom(make([]int, len(shared.kinds)), start, start)
+			want := fresh.fitFrom(make([]int, len(fresh.kinds)), start, start)
+			if got != want {
+				t.Fatalf("trial %d, start %v: with the memo %+v, without %+v", trial, start, got, want)
+			}
+			if len(shared.seenLL)-before < len(fresh.seenLL) {
+				reused++
+			}
 		}
-		direct := FromCounts(obs, DefaultOptions())
-		if ll := oracleLogLikelihood(obs, direct.Latent, direct.Eps1, direct.Eps2); !same(direct.LogLikelihood, ll) {
-			t.Fatalf("trial %d: FromCounts(%v) log-likelihood %v, per-observation logs give %v", trial, obs, direct.LogLikelihood, ll)
-		}
+	}
+	if reused == 0 {
+		t.Fatal("no start reached a latent vector an earlier start had scored")
 	}
 }

@@ -63,8 +63,8 @@ func oracleClassifyIsolated(p *Prepared, res *Result) (fits int) {
 			// Too little same-signature training data (e.g. a type whose
 			// matches are all isolated): fall back to a single forest
 			// trained on every resolved pair. This keeps recall on
-			// datasets like D-Y where whole types are disconnected; see
-			// DESIGN.md §4.
+			// datasets like D-Y where whole types are disconnected (see
+			// ARCHITECTURE.md, "Data flow", step 7).
 			if !globalBuilt {
 				global = oracleTrainNeighborhoodForest(p, res, sig, nil, &fits)
 				globalBuilt = true

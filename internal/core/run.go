@@ -211,19 +211,8 @@ func (l *Loop) reestimate() {
 		}
 	}
 	fits := make([]consistency.Estimate, len(refit))
-	rows := 0
-	for _, li := range refit {
-		rows += len(l.stats.labels[li].obs)
-	}
-	fit := func(i int) {
-		fits[i] = consistency.Fit(l.stats.labels[refit[i]].obs, consistency.DefaultOptions())
-	}
-	if rows < refitFanoutRows {
-		for i := range refit {
-			fit(i)
-		}
-	} else {
-		p.Cfg.scheduler().ForEach(len(refit), fit)
+	for i, li := range refit {
+		fits[i] = consistency.Fit(l.stats.labels[li].obs, consistency.DefaultOptions())
 	}
 	moved := make([]bool, len(labels))
 	anyMoved := false
@@ -253,22 +242,6 @@ func (l *Loop) reestimate() {
 		return false
 	})
 }
-
-// refitFanoutRows is the size of a refit, in observation rows summed over
-// the labels being re-fitted, from which the fits fan across the
-// scheduler; a smaller refit runs on the loop's own goroutine. A fit costs
-// about 1 µs per row, so below the threshold each of two threads would get
-// under a millisecond, and a fan-out that short is worth less than it
-// costs in steadiness: its helper thread is parked (the loop is serial
-// between fan-outs), and waking it takes ~0.1 ms on a quiet machine and
-// longer than the whole step on a busy one, so the step's duration swings
-// between the parallel and the serial time from one batch to the next. On
-// the benchmark's Scale siblings (two labels, 500–1000 rows per batch)
-// that swing was over half of a resolve's run-to-run spread; Clustered's
-// refits (2–6 labels, 640–3800 rows) stay parallel on the larger half of
-// its batches, three quarters of its refit work. The decision depends on
-// the data alone, so a run makes the same one every time.
-const refitFanoutRows = 2000
 
 // rebuildShards has the runner rebuild, concurrently, every unsettled
 // shard the predicate selects, against the loop's current estimates.

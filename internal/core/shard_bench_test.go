@@ -32,36 +32,49 @@ func BenchmarkShardedLoop(b *testing.B) {
 }
 
 // BenchmarkReestimate measures one steady-state re-estimation — the batch
-// tail after µ answers — on the clustered graph at 4 shards: the pending
-// matches folded into the per-label statistics, the changed labels
-// re-fitted, their rows rewritten in place and the affected balls
-// invalidated. Two earlier batches have already run, so the statistics
-// exist and the shards' rewriters are warm; the answers of the measured
-// batch are applied outside the timer.
+// tail after µ answers — at 4 shards: the pending matches folded into the
+// per-label statistics, the changed labels re-fitted, their rows rewritten
+// in place and the affected balls invalidated. Two earlier batches have
+// already run, so the statistics exist and the shards' rewriters are warm;
+// the answers of the measured batch are applied outside the timer. A
+// refit of the clustered graph averages ≈ 100 rows over ≈ 6 distinct
+// observations; the Scale sibling (remp-e2e prepare-scale's loop shape:
+// budget 1 500, classifier off) refits lists of ≈ 700 rows over one or two.
 func BenchmarkReestimate(b *testing.B) {
-	ds := datasets.Clustered(48, 24, 1)
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := Prepare(ds.K1, ds.K2, cfg)
-		asker := NewOracleAsker(ds.Gold.IsMatch)
-		l := p.NewLoop()
-		for batch := 0; batch < 2; batch++ {
-			for _, q := range l.Batch() {
-				if err := l.Deliver(q, asker.Ask(q)); err != nil {
-					b.Fatal(err)
+	scale := DefaultConfig()
+	scale.Budget, scale.ClassifyIsolated = 1500, false
+	for _, bc := range []struct {
+		name string
+		ds   *datasets.Dataset
+		cfg  Config
+	}{
+		{"clustered", datasets.Clustered(48, 24, 1), DefaultConfig()},
+		{"scale", datasets.Scale(20, 5000), scale},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.cfg.Shards = 4
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := Prepare(bc.ds.K1, bc.ds.K2, bc.cfg)
+				asker := NewOracleAsker(bc.ds.Gold.IsMatch)
+				l := p.NewLoop()
+				for batch := 0; batch < 2; batch++ {
+					for _, q := range l.Batch() {
+						if err := l.Deliver(q, asker.Ask(q)); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
+				if l.Done() {
+					b.Fatal("fixture finished before the measured batch")
+				}
+				for _, q := range l.Batch() {
+					l.apply(q, asker.Ask(q)) // the loop is discarded after the tail
+				}
+				b.StartTimer()
+				l.reestimate()
 			}
-		}
-		if l.Done() {
-			b.Fatal("fixture finished before the measured batch")
-		}
-		for _, q := range l.Batch() {
-			l.apply(q, asker.Ask(q)) // the loop is discarded after the tail
-		}
-		b.StartTimer()
-		l.reestimate()
+		})
 	}
 }

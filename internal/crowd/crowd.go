@@ -1,6 +1,6 @@
 // Package crowd is the crowdsourcing substrate: a simulated worker pool
-// in place of Amazon MTurk (see DESIGN.md §4) plus the error-tolerant truth
-// inference of §VII-A. Each question is assigned to several workers; a
+// in place of Amazon MTurk, so that runs are seeded and repeatable, plus
+// the error-tolerant truth inference of §VII-A. Each question is assigned to several workers; a
 // worker answers correctly with probability λ_w (the worker probability
 // model); posterior match probabilities follow Eq. (17) and are thresholded
 // into matches, non-matches and "hard" questions whose priors get damped.

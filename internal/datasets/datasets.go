@@ -4,7 +4,7 @@
 // 15.1M entities; these generators reproduce each dataset's *structural
 // profile* at laptop scale — schema heterogeneity, relationship density,
 // label noise, unlabeled entities, isolated-pair fractions — so the
-// relative behavior of all methods is preserved (see DESIGN.md §4).
+// relative behavior of all methods is preserved without shipping the dumps.
 package datasets
 
 import (

@@ -36,7 +36,8 @@ type Neighborhood struct {
 
 // MaxExactSide is the largest per-side candidate dimension for which the
 // posterior is computed exactly by bitmask dynamic programming; larger
-// neighborhoods use the local-exclusion approximation (see DESIGN.md §4).
+// neighborhoods use the local-exclusion approximation, since the DP's
+// state count doubles with every candidate on a side.
 const MaxExactSide = 12
 
 // Posteriors returns Pr[m_p | m_v] for every candidate pair p in the
