@@ -16,20 +16,22 @@ import (
 	"repro/internal/propagation"
 )
 
-func preparedIIMB(b *testing.B) *core.Prepared {
+// probIIMB builds IIMB's monolithic probabilistic ER graph.
+func probIIMB(b *testing.B) *propagation.ProbGraph {
 	b.Helper()
 	ds := datasets.IIMB(1)
-	return core.Prepare(ds.K1, ds.K2, core.DefaultConfig())
+	p := core.Prepare(ds.K1, ds.K2, core.DefaultConfig())
+	return propagation.BuildProb(p.Graph, ds.K1, ds.K2, propagation.Params{Priors: p.Priors, Consistency: p.Consistency})
 }
 
 // BenchmarkAblation_InferAllDijkstra measures the default bounded-Dijkstra
 // all-pairs discovery of inferred sets.
 func BenchmarkAblation_InferAllDijkstra(b *testing.B) {
-	p := preparedIIMB(b)
+	pg := probIIMB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.Prob.InferAll(0.9)
+		_ = pg.InferAll(0.9)
 	}
 }
 
@@ -37,11 +39,11 @@ func BenchmarkAblation_InferAllDijkstra(b *testing.B) {
 // Floyd–Warshall (Algorithm 2 as printed); it computes identical maps but
 // scales quadratically in the per-vertex reachable-set size.
 func BenchmarkAblation_InferAllFloydWarshall(b *testing.B) {
-	p := preparedIIMB(b)
+	pg := probIIMB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.Prob.InferAllFW(0.9)
+		_ = pg.InferAllFW(0.9)
 	}
 }
 

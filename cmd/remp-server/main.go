@@ -89,7 +89,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	debugAddr := flag.String("debug-addr", "", "optional second listen address for net/http/pprof (e.g. localhost:6060)")
 	quiet := flag.Bool("quiet", false, "log warnings and errors only")
-	shards := flag.Int("shards", 0, "default shard count for sessions that do not specify one (0 = auto, 1 = monolithic)")
+	shards := flag.Int("shards", 0, "default shard count for sessions that do not specify one (0 = auto, 1 = one shard)")
 	storeKind := flag.String("store", "mem", "session store backend: mem (in-memory) or disk (crash-safe: one fsync'd answer log per session)")
 	dataDir := flag.String("data-dir", "remp-data", "session store directory (with -store disk)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
@@ -129,8 +129,8 @@ func main() {
 	}
 	srv, recovered, err := server.NewServer(cfg)
 	if srv == nil {
-		// Only configuration failures (e.g. an unusable cluster config)
-		// leave no server behind.
+		// Only configuration failures (an unusable cluster config, a
+		// negative -shards) leave no server behind.
 		log.Fatal(err)
 	}
 	if err != nil {

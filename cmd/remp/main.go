@@ -39,7 +39,7 @@ func main() {
 	mu := flag.Int("mu", 10, "questions per human-machine loop µ")
 	budget := flag.Int("budget", 0, "question budget (0 = unlimited)")
 	maxLoops := flag.Int("max-loops", 0, "cap on human-machine loops (0 = unlimited)")
-	shards := flag.Int("shards", 0, "graph shards resolved concurrently (0 = auto, 1 = monolithic)")
+	shards := flag.Int("shards", 0, "graph shards resolved concurrently (0 = auto, 1 = one shard)")
 	errorRate := flag.Float64("error-rate", 0, "simulated worker error rate (0 = MTurk-quality pool)")
 	strategy := flag.String("strategy", "greedy", "question selection: greedy | maxinf | maxpr")
 	showMatches := flag.Bool("show-matches", false, "print the resolved matches")

@@ -30,11 +30,11 @@
 // scheduler, with per-batch selections drawn across shards by expected
 // benefit. Sharding is controlled by remp.Options.Shards: 0 (the
 // default) picks a shard count automatically from the graph size — small
-// graphs stay monolithic — 1 forces the monolithic pipeline, and an
-// explicit count pins it. A sharded run resolves exactly the matches and
-// non-matches of the unsharded one; it is faster because gathering and
-// selection scope to the shards a batch touched, settled shards free
-// their engines outright, and shard work fans out across cores.
+// graphs get one shard — and an explicit count caps it. Every count
+// resolves exactly the same matches and non-matches; more shards pay off
+// because gathering and selection scope to the shards a batch touched,
+// settled shards free their engines outright, and shard work fans out
+// across cores.
 // Re-estimation is incremental in every layer: new matches fold into
 // per-label statistics the loop keeps, only labels whose evidence changed
 // are re-fitted, only their rows are rewritten — in place — and only the

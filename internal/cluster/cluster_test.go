@@ -351,7 +351,7 @@ func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// A sharded pipeline's shard holds no vertex back: it gathers them all.
+				// Any pipeline's shard holds no vertex back: it gathers them all.
 				cands, _ := core.NewShardState(sh).Gather()
 				if len(cands) != p.ShardSizes()[req.Shard] {
 					t.Fatalf("shard %d arrived with %d vertices, the coordinator's has %d", req.Shard, len(cands), p.ShardSizes()[req.Shard])

@@ -74,10 +74,10 @@ type Config struct {
 	// into independent shards of connected components (over relational
 	// edges) whose propagation, selection and answer application run
 	// concurrently under one global budget/µ-batch scheduler; isolated
-	// vertices stay with the loop, and the results are identical to the
-	// unsharded run. 0 selects automatically from the number of vertices
-	// with an edge (single-shard below a few thousand), 1 disables
-	// sharding, negative is rejected by Validate.
+	// vertices stay with the loop, and the results are identical at every
+	// shard count. 0 selects automatically from the number of vertices
+	// with an edge (one shard below a few thousand), n caps the count at
+	// n, 1 included; negative is rejected by Validate.
 	Shards int
 	// Sched bounds the goroutines sharded loops fan out; sessions under
 	// one Manager share a scheduler so concurrent loops cannot
@@ -147,7 +147,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: LabelSimThreshold = %v out of range: the label-similarity threshold must lie in [0, 1] (0 selects the default 0.3)", c.LabelSimThreshold)
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards = %d is negative: the shard count must be positive (0 selects automatic sharding, 1 disables it)", c.Shards)
+		return fmt.Errorf("core: Shards = %d is negative: the shard count must be positive (0 selects automatic sharding)", c.Shards)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@
 //	uv + bytes     the selection strategy's name (selection.ByName)
 //	uv n           vertices; then n × (uv U1, uv U2), in local index order
 //	n × f64        the vertices' priors
-//	u8             0: local indexes are the global ones; 1: n × uv global index
+//	u8             1, the global-index flag (a reader rejects 0); then n × uv global index
 //	uv L           labels; then L × (uv R1, uv R2, u8 inverse, f64 ε1, f64 ε2), in label order
 //	n rows         uv degree, then degree × (uv target, uv label index), in row order
 //	uv m           probabilistic-graph slots; then m × f64 Pr[m_v′ | m_v], in CSR order

@@ -11,12 +11,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/partition"
-	"repro/internal/propagation"
 	"repro/internal/simvec"
 )
 
 // Prepared holds every artifact of stage 1 (ER graph construction) plus
-// the fitted consistency model and probabilistic ER graph, ready for the
+// the fitted consistency model and probabilistic engine shards, ready for the
 // human–machine loop. It is immutable once Prepare returns: a loop keeps
 // everything it changes in the Loop and its ShardStates, so any number of
 // loops — concurrent ones included — run over one Prepared.
@@ -33,23 +32,18 @@ type Prepared struct {
 	// Consistency is the initial fit, over Blocking.Initial; a loop
 	// re-estimates into its own copy (Loop.est).
 	Consistency map[ergraph.RelPair]consistency.Estimate
-	// Prob is the monolithic probabilistic ER graph under Consistency. It
-	// is populated only by single-shard pipelines (the default for
-	// laptop-scale graphs); sharded pipelines keep one probabilistic
-	// subgraph per shard instead, which bounds the peak size of any one
-	// engine's ball maps. Shard states work on clones of it.
-	Prob *propagation.ProbGraph
 	// Priors is Blocking.Priors itself, read at retained pairs only; the
 	// hot paths read each shard's dense per-vertex view instead.
 	Priors map[pair.Pair]float64
 
 	// Part is the assignment of the graph's connected vertices — those with
 	// an edge — to engine shards (connected components over relational
-	// edges, binned into weight-balanced shards); nil when the pipeline is
-	// single-shard. No isolated vertex is in it.
+	// edges, binned into weight-balanced shards), at every shard count: one
+	// shard is a partition of one. No isolated vertex is in it.
 	Part *partition.Partition
-	// shards holds the engine shards the loop runs concurrently; a
-	// single-shard pipeline has exactly one, wrapping p.Graph/p.Prob.
+	// shards holds the engine shards the loop runs concurrently, shard s
+	// over the subgraph induced by Part.Shard(s) with its own probabilistic
+	// graph; shard states work on clones of that.
 	// labelIdx[s] lists shard s's labels as indexes into p.Graph.Labels():
 	// a re-estimation rebuilds only the shards holding a label that moved.
 	shards   []*Shard

@@ -120,10 +120,10 @@ type ShardState struct {
 
 // NewShardState builds the engine state for a shard over a copy of its
 // probabilistic graph. The initial engine build is the state's first
-// propagation work. A vertex without an edge — a single-shard pipeline's
-// one graph is the whole one, isolated vertices included — is the loop's
-// own to ask about, never this state's to offer: it holds them resolved
-// from birth, so its gathers pass over them and its engine retires them.
+// propagation work. A vertex without an edge is the loop's own to ask
+// about, never this state's to offer. Prepare cuts none into a shard, but a
+// decoded shard may carry one: the state holds it resolved from birth, so
+// its gathers pass over it and its engine retires it.
 func NewShardState(sh *Shard) *ShardState {
 	n := sh.graph.NumVertices()
 	prob := sh.prob.Clone()
@@ -220,17 +220,17 @@ func (st *ShardState) assemble() {
 	if cap(st.lastCands) < live {
 		st.lastCands = make([]selection.Candidate, 0, live)
 	}
-	backing, cands := st.backing[:0], st.lastCands[:0]
+	backing, cands, global := st.backing[:0], st.lastCands[:0], st.sh.globalIdx
 	anyPropagation := false
 	for li, v := range st.sh.graph.Vertices() {
 		if st.eng.Retired(li) {
 			continue
 		}
 		start := len(backing)
-		backing = append(backing, st.sh.global(li)) // a match label always resolves the question itself
+		backing = append(backing, global[li]) // a match label always resolves the question itself
 		for _, en := range st.eng.Ball(li) {
 			if !st.resolved[en.Idx] {
-				backing = append(backing, st.sh.global(int(en.Idx)))
+				backing = append(backing, global[en.Idx])
 			}
 		}
 		inf := backing[start:len(backing):len(backing)]

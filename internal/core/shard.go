@@ -14,7 +14,7 @@ import (
 
 // Auto-sharding thresholds, in vertices with an edge: below
 // autoShardMinVertices the per-shard bookkeeping costs more than it saves,
-// so Shards = 0 (auto) stays single-shard; above it, one shard per
+// so Shards = 0 (auto) keeps one shard; above it, one shard per
 // ~autoShardVerticesPerShard vertices, capped at maxAutoShards. Sharding
 // bounds the peak size of any one engine's dist/rev ball maps and lets
 // settled shards release them entirely, so the cap is deliberately above
@@ -27,7 +27,7 @@ const (
 
 // resolveShardCount maps the configured Shards value onto a concrete
 // count for a graph with the given number of vertices that have an edge —
-// the only ones a shard holds: 1 (or none to hold) disables sharding, an
+// the only ones a shard holds: 1 (or none to hold) is one shard, an
 // explicit count is honored up to the vertex count, and 0 picks
 // automatically from the count.
 func resolveShardCount(requested, vertices int) int {
@@ -66,8 +66,7 @@ type Shard struct {
 	prob  *propagation.ProbGraph
 	// prior is the prepared prior of every shard vertex, by local index.
 	prior []float64
-	// globalIdx maps shard-local vertex indexes to the whole graph's; nil
-	// means identity (the single-shard pipeline's shard is the whole graph).
+	// globalIdx maps shard-local vertex indexes to the whole graph's.
 	globalIdx []int
 	// est are the consistency estimates prob reflects, read at the shard's
 	// labels: the Prepared's own map, or those labels alone once decoded.
@@ -85,22 +84,11 @@ type Shard struct {
 // rebuild of it consumes (the remote runner ships only these).
 func (sh *Shard) Labels() []ergraph.RelPair { return sh.graph.Labels() }
 
-// global maps a shard-local vertex index to the whole graph's.
-func (sh *Shard) global(local int) int {
-	if sh.globalIdx == nil {
-		return local
-	}
-	return sh.globalIdx[local]
-}
-
 // initShards splits the graph's vertices once. The isolated ones (§VII-B:
 // propagation can neither reach them nor start from them) become p.isolated
-// — a loop itself holds them, as a shard with no engine. Only the vertices
-// with an edge are partitioned into engine shards. A single-shard pipeline reuses the global graph and
-// populates p.Prob exactly as the unsharded pipeline always has (its shard
-// state holds the isolated vertices resolved, see NewShardState); a sharded
-// one builds one probabilistic subgraph per shard concurrently and leaves
-// p.Prob nil.
+// — a loop itself holds them, as a shard with no engine. The vertices with
+// an edge are partitioned into engine shards, one probabilistic subgraph
+// each, built concurrently; a one-shard pipeline is a partition of one.
 func (p *Prepared) initShards() {
 	g := p.Graph
 	verts := g.Vertices()
@@ -118,30 +106,6 @@ func (p *Prepared) initShards() {
 	// The lists live as long as the Prepared: drop the growth slack.
 	p.isolated, p.isoPrior = slices.Clone(p.isolated), slices.Clone(p.isoPrior)
 
-	count := resolveShardCount(p.Cfg.Shards, len(connected))
-	newShard := func(g *ergraph.Graph, globalIdx []int) *Shard {
-		sh := &Shard{
-			graph:      g,
-			prior:      make([]float64, g.NumVertices()),
-			globalIdx:  globalIdx,
-			est:        p.Consistency,
-			tau:        p.Cfg.Tau,
-			strategy:   p.Cfg.Strategy,
-			counters:   p.Cfg.Obs.EngineCounters(),
-			fullResync: p.Cfg.debugFullResync,
-		}
-		for i, v := range g.Vertices() {
-			sh.prior[i] = p.Priors[v]
-		}
-		sh.prob = propagation.BuildProbDense(g, sh.prior, sh.est)
-		return sh
-	}
-	if count <= 1 {
-		p.shards = []*Shard{newShard(g, nil)}
-		p.Prob = p.shards[0].prob
-		p.indexLabels()
-		return
-	}
 	// The partition sees the connected vertices only, under their own dense
 	// numbering; local translates a neighbor's graph index into it.
 	local := make([]int32, len(verts))
@@ -157,16 +121,28 @@ func (p *Prepared) initShards() {
 			row = append(row, local[gj])
 		}
 		return row
-	}, count)
+	}, resolveShardCount(p.Cfg.Shards, len(connected)))
 	p.shards = make([]*Shard, p.Part.NumShards())
 	p.Cfg.scheduler().ForEach(len(p.shards), func(s int) {
-		vs := p.Part.Shard(s)
-		globalIdx := make([]int, len(vs))
-		for i, v := range vs {
-			globalIdx[i] = g.IndexOf(v)
-			p.home[globalIdx[i]] = int32(s)
+		sub := g.Subgraph(p.Part.Shard(s))
+		n := sub.NumVertices()
+		sh := &Shard{
+			graph:      sub,
+			prior:      make([]float64, n),
+			globalIdx:  make([]int, n),
+			est:        p.Consistency,
+			tau:        p.Cfg.Tau,
+			strategy:   p.Cfg.Strategy,
+			counters:   p.Cfg.Obs.EngineCounters(),
+			fullResync: p.Cfg.debugFullResync,
 		}
-		p.shards[s] = newShard(g.Subgraph(vs), globalIdx)
+		for i, v := range sub.Vertices() {
+			sh.prior[i] = p.Priors[v]
+			sh.globalIdx[i] = g.IndexOf(v)
+			p.home[sh.globalIdx[i]] = int32(s)
+		}
+		sh.prob = propagation.BuildProbDense(sub, sh.prior, sh.est)
+		p.shards[s] = sh
 	})
 	p.indexLabels()
 }
@@ -193,8 +169,8 @@ func (p *Prepared) singleton(i int) selection.Candidate {
 }
 
 // NumShards returns the number of engine shards the pipeline's connected
-// vertices were split into (1 when sharding is off, and for a graph
-// without an edge). The isolated vertices are in none of them.
+// vertices were split into (at least one, empty for a graph without an
+// edge). The isolated vertices are in none of them.
 func (p *Prepared) NumShards() int { return len(p.shards) }
 
 // Shard returns engine shard s.
@@ -202,13 +178,4 @@ func (p *Prepared) Shard(s int) *Shard { return p.shards[s] }
 
 // ShardSizes returns the number of vertices with an edge per engine
 // shard, the shard assignment fingerprint recorded by session snapshots.
-func (p *Prepared) ShardSizes() []int {
-	out := make([]int, len(p.shards))
-	for i, sh := range p.shards {
-		out[i] = sh.graph.NumVertices()
-	}
-	if p.Part == nil {
-		out[0] -= len(p.isolated) // the one shard's graph is the whole one
-	}
-	return out
-}
+func (p *Prepared) ShardSizes() []int { return p.Part.Sizes() }

@@ -49,7 +49,7 @@ func (sh *Shard) Encode() []byte {
 	for _, p := range sh.prior {
 		f64(p)
 	}
-	flag(sh.globalIdx != nil)
+	flag(true) // global indexes follow
 	for _, gi := range sh.globalIdx {
 		uv(gi)
 	}
@@ -113,11 +113,12 @@ func DecodeShard(data []byte) (*Shard, error) {
 	for i := range sh.prior {
 		sh.prior[i] = r.prob("prior")
 	}
-	if r.uv("global-index flag", 1) == 1 {
-		sh.globalIdx = make([]int, n)
-		for i := range sh.globalIdx {
-			sh.globalIdx[i] = r.uv("global vertex index", math.MaxInt32)
-		}
+	if r.uv("global-index flag", 1) != 1 {
+		r.fail("global-index flag 0: a shard carries its global vertex indexes")
+	}
+	sh.globalIdx = make([]int, n)
+	for i := range sh.globalIdx {
+		sh.globalIdx[i] = r.uv("global vertex index", math.MaxInt32)
 	}
 	var labels []ergraph.RelPair
 	if nl := r.count("labels", 19); nl > 0 {

@@ -300,6 +300,7 @@ func TestDecodeShardRejectsHostileInput(t *testing.T) {
 		{"probability above one", mutate(func(r *rawShard) { r.probs[2] = 1.5 }), "edge probability 1.5 outside"},
 		{"estimate out of range", mutate(func(r *rawShard) { r.labels[0].eps2 = 7 }), "consistency estimate 7 outside"},
 		{"bad flag", mutate(func(r *rawShard) { r.labels[1].inverse = 2 }), "inverse flag 2 out of range"},
+		{"no global indexes", mutate(func(r *rawShard) { r.global = nil }), "global-index flag 0"},
 		{"entity beyond int32", mutate(func(r *rawShard) { r.verts[0][0] = 1 << 31 }), "entity 2147483648 out of range"},
 		{"duplicate vertex", mutate(func(r *rawShard) { r.verts[2] = r.verts[1] }), "distinct"},
 		{"labels unsorted", mutate(func(r *rawShard) { r.labels[0], r.labels[1] = r.labels[1], r.labels[0] }), "label order"},

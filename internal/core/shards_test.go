@@ -232,7 +232,9 @@ func splitFixtures() (k1, k2 *kb.KB, gold *pair.Gold, blk *blocking.Result, fixt
 }
 
 // prepare builds the fixture's pipeline and checks the graph is what the
-// fixture's name says.
+// fixture's name says, split the one way at every shard count: each engine
+// shard is its partition part exactly, under a global index per vertex, and
+// holds no vertex without an edge.
 func (f splitFixture) prepare(t *testing.T, k1, k2 *kb.KB, blk *blocking.Result, cfg Config) *Prepared {
 	t.Helper()
 	f.mod(&cfg)
@@ -250,6 +252,15 @@ func (f splitFixture) prepare(t *testing.T, k1, k2 *kb.KB, blk *blocking.Result,
 	}
 	if engine+len(p.isolated) != p.Graph.NumVertices() {
 		t.Fatalf("%s: %d shard vertices + %d isolated ≠ %d graph vertices", f.name, engine, len(p.isolated), p.Graph.NumVertices())
+	}
+	for s := 0; s < p.NumShards(); s++ {
+		g := p.Shard(s).graph
+		if !slices.Equal(g.Vertices(), p.Part.Shard(s)) || len(p.Shard(s).globalIdx) != g.NumVertices() {
+			t.Fatalf("%s: shard %d holds %d vertices under %d global indexes, its partition part %d", f.name, s, g.NumVertices(), len(p.Shard(s).globalIdx), len(p.Part.Shard(s)))
+		}
+		if iso := g.Isolated(); len(iso) > 0 {
+			t.Fatalf("%s: shard %d holds %d vertices without an edge, %v first", f.name, s, len(iso), iso[0])
+		}
 	}
 	return p
 }
@@ -304,9 +315,9 @@ func oracleBatch(l *Loop) []pair.Pair {
 }
 
 // TestBatchesIdenticalAcrossShardCounts pins the one selection path: under
-// each strategy a 1-shard loop (one engine over the whole graph, so the
-// strategy run over all its candidates) and 2-, 4- and 7-shard loops (rank
-// per shard, merge by score) draw the same questions in the same order,
+// each strategy a 1-shard loop (one engine over every vertex with an edge,
+// ranked as one list) and 2-, 4- and 7-shard loops (rank per shard, merge
+// by score) draw the same questions in the same order,
 // batch after batch — on graphs from none to all of whose vertices are
 // isolated, the ones the loop ranks once and draws through a cursor. Every
 // batch is also checked against oracleBatch.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/pair"
+	"repro/internal/propagation"
 	"repro/internal/selection"
 	"repro/internal/simvec"
 )
@@ -76,7 +77,7 @@ func checkSplit(p *core.Prepared) error {
 	if engine+isolated.Len() != p.Graph.NumVertices() {
 		return fmt.Errorf("%d engine-shard vertices + %d isolated ≠ %d graph vertices", engine, isolated.Len(), p.Graph.NumVertices())
 	}
-	for s := 0; p.Part != nil && s < p.Part.NumShards(); s++ {
+	for s := 0; s < p.Part.NumShards(); s++ {
 		for _, v := range p.Part.Shard(s) {
 			if isolated.Has(v) {
 				return fmt.Errorf("shard %d holds %v, a vertex without an edge", s, v)
@@ -124,9 +125,7 @@ func shardScalability(w io.Writer, seed int64, clusters, meanSize int) *ShardRep
 			baseLoop = loop
 			refOutcome = eval.Outcome{Matches: res.Matches, NonMatches: res.NonMatches}
 		}
-		if p.Part != nil {
-			report.Components = p.Part.NumComponents()
-		}
+		report.Components = p.Part.NumComponents()
 		equivalent := true
 		if err := checkSplit(p); err != nil {
 			equivalent = false
@@ -191,21 +190,19 @@ func Figure6(w io.Writer, seed int64) []ScalePoint {
 		out = append(out, ScalePoint{Algorithm: "Algorithm 1", Fraction: f, Elapsed: el})
 	}
 
-	// Algorithms 2 and 3 on fractions of Mrd. The sweep measures the
-	// monolithic algorithms, so sharding is pinned off; ShardSpeedup
-	// measures the sharded loop.
-	monoCfg := core.DefaultConfig()
-	monoCfg.Shards = 1
-	full := core.Prepare(ds.K1, ds.K2, monoCfg)
+	// Algorithms 2 and 3 on fractions of Mrd, over each fraction's
+	// monolithic probabilistic graph; ShardSpeedup measures the sharded
+	// loop.
+	cfg := core.DefaultConfig()
+	full := core.Prepare(ds.K1, ds.K2, cfg)
 	for _, f := range fractions {
 		n := int(f * float64(len(full.Retained)))
 		subset := full.Retained[:n]
-		cfg := core.DefaultConfig()
-		cfg.Shards = 1
 		sub := core.PrepareOnRetained(ds.K1, ds.K2, cfg, subset, full.Blocking)
+		prob := propagation.BuildProb(sub.Graph, ds.K1, ds.K2, propagation.Params{Priors: sub.Priors, Consistency: sub.Consistency})
 
 		start := time.Now()
-		inferred := sub.Prob.InferAll(cfg.Tau)
+		inferred := prob.InferAll(cfg.Tau)
 		el2 := time.Since(start)
 		fmt.Fprintf(w, "Algorithm 2 @ %3.0f%% of Mrd (%6d pairs): %v\n", 100*f, n, el2)
 		out = append(out, ScalePoint{Algorithm: "Algorithm 2", Fraction: f, Elapsed: el2})

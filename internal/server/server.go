@@ -75,7 +75,7 @@ type OptionsDTO struct {
 	Strategy                  string  `json:"strategy,omitempty"`
 	DisableIsolatedClassifier bool    `json:"disable_isolated_classifier,omitempty"`
 	Seed                      int64   `json:"seed,omitempty"`
-	// Shards shards the session's pipeline (0 = auto, 1 = monolithic; see
+	// Shards shards the session's pipeline (0 = auto, 1 = one shard; see
 	// remp.Options.Shards). A server-wide default applies when omitted.
 	Shards int `json:"shards,omitempty"`
 	// Deduce enables transitive-closure answer deduction (see
@@ -231,7 +231,8 @@ type Config struct {
 	// from; nil selects the in-memory store (no durability).
 	Store session.Store
 	// DefaultShards is the shard count applied to sessions whose create
-	// request does not specify one (0 keeps automatic sharding).
+	// request does not specify one (0 keeps automatic sharding; negative is
+	// a configuration error).
 	DefaultShards int
 	// Workers, when non-empty, puts the server in cluster mode: shard
 	// engines run on the remp-worker processes at these addresses instead
@@ -259,8 +260,12 @@ func New() *Server {
 // NewServer opens a server over cfg.Store and recovers every session a
 // previous process left in it, returning the recovered session IDs. A
 // session that fails to recover is skipped and reported in the error
-// while the server comes up with the rest.
+// while the server comes up with the rest; a configuration error returns
+// no server.
 func NewServer(cfg Config) (*Server, []string, error) {
+	if cfg.DefaultShards < 0 {
+		return nil, nil, fmt.Errorf("server: DefaultShards = %d is negative: the default shard count must be 0 (automatic) or positive", cfg.DefaultShards)
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(discardHandler{})

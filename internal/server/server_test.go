@@ -370,6 +370,21 @@ func TestQuestionIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewServerRejectsNegativeDefaultShards: a negative server default is
+// the operator's mistake, so it fails startup with no server, instead of
+// coming up and failing every create that names no shard count with a 400.
+func TestNewServerRejectsNegativeDefaultShards(t *testing.T) {
+	srv, _, err := NewServer(Config{DefaultShards: -1})
+	if srv != nil || err == nil || !strings.Contains(err.Error(), "DefaultShards = -1") {
+		t.Fatalf("NewServer with DefaultShards -1 = %v, %v; want no server and an error naming the field", srv, err)
+	}
+	for _, shards := range []int{0, 1, 4} {
+		if srv, _, err := NewServer(Config{DefaultShards: shards}); srv == nil || err != nil {
+			t.Fatalf("NewServer with DefaultShards %d = %v, %v; want a server", shards, srv, err)
+		}
+	}
+}
+
 // TestServerDrainThenRefuse pins the graceful-shutdown semantics: a
 // request in flight when Shutdown begins completes, requests arriving
 // afterwards are refused with 503, /healthz flips to draining, and the

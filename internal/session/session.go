@@ -207,8 +207,8 @@ func (s *Session) Deduced() int {
 	return s.loop.Result().Deduced
 }
 
-// Shards returns the number of engine shards of the session's pipeline (1
-// when the pipeline is monolithic); isolated vertices are in none.
+// Shards returns the number of engine shards of the session's pipeline,
+// one or more; isolated vertices are in none.
 func (s *Session) Shards() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -31,14 +31,14 @@ type Snapshot struct {
 	Done    bool        `json:"done"`
 	Applied []AnswerRec `json:"applied"`
 	Pending []AnswerRec `json:"pending,omitempty"`
-	// Shards is the shard count of the pipeline the session ran over
-	// (1 = unsharded; 0 in snapshots written before sharding existed,
-	// which skips the check on restore).
+	// Shards is the engine-shard count of the pipeline the session ran
+	// over (0 in snapshots written before sharding existed, which skips the
+	// check on restore).
 	Shards int `json:"shards,omitempty"`
-	// ShardSizes is the per-shard count of vertices with an edge, recorded
-	// when Shards > 1. Snapshots written while isolated vertices still sat
-	// in shards carry sizes summing to the whole graph; Restore accepts
-	// them without comparing (see there).
+	// ShardSizes is the per-shard count of vertices with an edge (absent
+	// from older one-shard snapshots). Snapshots written while isolated
+	// vertices still sat in shards carry sizes summing to the whole graph;
+	// Restore accepts them without comparing (see there).
 	ShardSizes []int `json:"shard_sizes,omitempty"`
 }
 
@@ -62,18 +62,15 @@ func toRecs(answers []core.Answer) []AnswerRec {
 func (s *Session) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := &Snapshot{
-		Version: SnapshotVersion,
-		ID:      s.id,
-		Done:    s.loop.Done(),
-		Applied: toRecs(s.loop.History()),
-		Pending: toRecs(s.loop.Buffered()),
-		Shards:  s.loop.NumShards(),
+	return &Snapshot{
+		Version:    SnapshotVersion,
+		ID:         s.id,
+		Done:       s.loop.Done(),
+		Applied:    toRecs(s.loop.History()),
+		Pending:    toRecs(s.loop.Buffered()),
+		Shards:     s.loop.NumShards(),
+		ShardSizes: s.loop.ShardSizes(),
 	}
-	if snap.Shards > 1 {
-		snap.ShardSizes = s.loop.ShardSizes()
-	}
-	return snap
 }
 
 // MarshalJSON-friendly helpers for callers that move snapshots as bytes.

@@ -89,10 +89,10 @@ type Options struct {
 	// answer application run concurrently under one global budget/µ-batch
 	// scheduler. Only pairs with a relational edge are sharded; the rest
 	// can exchange no evidence and are kept out of every shard. The
-	// resolved matches and non-matches are identical to an unsharded run.
+	// resolved matches and non-matches are identical at every shard count.
 	// 0 (the default) shards automatically from the number of pairs with
-	// an edge — single-shard below a few thousand; 1 forces a monolithic
-	// pipeline; negative values are rejected.
+	// an edge — one shard below a few thousand; n caps the count at n, so 1
+	// keeps them all in one shard; negative values are rejected.
 	Shards int
 	// Runner places the session's shard engines: nil (the default) keeps
 	// them in process; internal/cluster's coordinator vends factories that

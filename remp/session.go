@@ -64,7 +64,7 @@ func (s *Session) Done() bool { return s.s.Done() }
 func (s *Session) Progress() (questions, loops int) { return s.s.Progress() }
 
 // Shards returns how many graph shards — of pairs with a relational edge —
-// the session resolves concurrently (1 = monolithic pipeline).
+// the session resolves concurrently (at least one).
 func (s *Session) Shards() int { return s.s.Shards() }
 
 // Deduced returns how many selected questions deduction answered instead
