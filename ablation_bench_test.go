@@ -21,7 +21,11 @@ func probIIMB(b *testing.B) *propagation.ProbGraph {
 	b.Helper()
 	ds := datasets.IIMB(1)
 	p := core.Prepare(ds.K1, ds.K2, core.DefaultConfig())
-	return propagation.BuildProb(p.Graph, ds.K1, ds.K2, propagation.Params{Priors: p.Priors, Consistency: p.Consistency})
+	priors := make([]float64, p.Graph.NumVertices())
+	for i := range priors {
+		priors[i] = p.Prior(i)
+	}
+	return propagation.BuildProbDense(p.Graph, priors, p.Consistency)
 }
 
 // BenchmarkAblation_InferAllDijkstra measures the default bounded-Dijkstra

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/datasets"
@@ -48,7 +49,8 @@ func (s testSpec) config() core.Config {
 func (s testSpec) prepare(ds *datasets.Dataset, cfg core.Config) *core.Prepared {
 	p := core.Prepare(ds.K1, ds.K2, cfg)
 	if s.IsolatedOnly {
-		p = core.PrepareOnRetained(ds.K1, ds.K2, cfg, p.Graph.Isolated(), p.Blocking)
+		blk := blocking.Generate(ds.K1, ds.K2, blocking.Options{Threshold: cfg.LabelSimThreshold})
+		p = core.PrepareOnRetained(ds.K1, ds.K2, cfg, p.Graph.Isolated(), blk)
 	}
 	return p
 }

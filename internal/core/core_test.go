@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/crowd"
@@ -79,11 +80,12 @@ func movieWorldLoners(n, loners int, seed int64) (*kb.KB, *kb.KB, *pair.Gold) {
 func TestPrepareStages(t *testing.T) {
 	k1, k2, gold := movieWorld(5, 1)
 	p := Prepare(k1, k2, DefaultConfig())
+	blk := testBlocking(k1, k2)
 
-	if len(p.Blocking.Candidates) == 0 {
+	if len(blk.Candidates) == 0 {
 		t.Fatal("no candidates generated")
 	}
-	if len(p.Blocking.Initial) == 0 {
+	if len(p.Initial) == 0 || !slices.Equal(p.Initial, blk.Initial) {
 		t.Fatal("no initial matches")
 	}
 	if len(p.AttrMatches) == 0 {
@@ -99,8 +101,8 @@ func TestPrepareStages(t *testing.T) {
 	if !found {
 		t.Errorf("name↔label not matched: %v", p.AttrMatches)
 	}
-	if len(p.Retained) == 0 || len(p.Retained) > len(p.Blocking.Candidates) {
-		t.Fatalf("retained %d of %d", len(p.Retained), len(p.Blocking.Candidates))
+	if len(p.Retained) == 0 || len(p.Retained) > len(blk.Candidates) {
+		t.Fatalf("retained %d of %d", len(p.Retained), len(blk.Candidates))
 	}
 	// Pruning must keep pair completeness high.
 	pc := pair.PairCompleteness(pair.NewSet(p.Retained...), gold)

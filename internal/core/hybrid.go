@@ -21,19 +21,19 @@ func (l *Loop) monotoneInference() {
 	if l.res.Confirmed.Len() == 0 && l.res.NonMatches.Len() == 0 {
 		return
 	}
-	res := l.res
-	for _, v := range l.p.Graph.Vertices() {
+	res, verts := l.res, l.p.Retained
+	for i, v := range verts {
 		if l.resolved(v) {
 			continue
 		}
-		vec := l.p.Pruner.VectorOf(v)
+		vec := l.p.Vector(i)
 		// Blocks: pairs sharing either entity with v.
 		for _, side := range l.p.blocks(v) {
-			for _, w := range side {
-				if w == v {
+			for _, j := range side {
+				if int(j) == i {
 					continue
 				}
-				wv := l.p.Pruner.VectorOf(w)
+				w, wv := verts[j], l.p.Vector(int(j))
 				switch {
 				case res.Confirmed.Has(w) && vec.StrictlyDominates(wv):
 					l.acceptMonotone(v)

@@ -66,7 +66,7 @@ func TestMonotoneInferenceDirections(t *testing.T) {
 // Prepared.blocks, and monotone inference's fixpoint depends on the order.
 // Over a random retained set handed to PrepareOnRetained in non-pair
 // order, every block must read exactly as the per-entity map the index
-// replaced: filled by appending in vertex order.
+// replaced: filled by appending vertex indexes in vertex order.
 func TestEntityBlocksKeepVertexOrder(t *testing.T) {
 	k1, k2, _ := movieWorld(6, 7)
 	full := Prepare(k1, k2, DefaultConfig())
@@ -74,16 +74,16 @@ func TestEntityBlocksKeepVertexOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rng.Shuffle(len(retained), func(i, j int) { retained[i], retained[j] = retained[j], retained[i] })
 	retained = retained[:len(retained)*3/4]
-	p := PrepareOnRetained(k1, k2, DefaultConfig(), retained, full.Blocking)
+	p := PrepareOnRetained(k1, k2, DefaultConfig(), retained, testBlocking(k1, k2))
 	if !slices.Equal(p.Graph.Vertices(), retained) {
 		t.Fatal("vertex order is not the retained order")
 	}
 
-	by1 := map[kb.EntityID][]pair.Pair{}
-	by2 := map[kb.EntityID][]pair.Pair{}
-	for _, v := range p.Graph.Vertices() {
-		by1[v.U1] = append(by1[v.U1], v)
-		by2[v.U2] = append(by2[v.U2], v)
+	by1 := map[kb.EntityID][]int32{}
+	by2 := map[kb.EntityID][]int32{}
+	for i, v := range p.Graph.Vertices() {
+		by1[v.U1] = append(by1[v.U1], int32(i))
+		by2[v.U2] = append(by2[v.U2], int32(i))
 	}
 	shared := 0
 	for _, v := range p.Graph.Vertices() {

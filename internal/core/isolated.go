@@ -128,8 +128,8 @@ func newIsolatedClassifier(p *Prepared, res *Result) *isolatedClassifier {
 		}
 
 		row := c.row(i)
-		copy(row, p.Pruner.VectorOf(q))
-		row[c.dim-1] = p.Priors[q]
+		copy(row, p.Vector(i))
+		row[c.dim-1] = p.prior[i]
 
 		clear(sig)
 		for _, a := range p.Builder.SharedAttrMatches(q) {

@@ -160,10 +160,11 @@ func oracleTrainNeighborhoodForest(p *Prepared, res *Result, sig map[pair.Pair][
 // prior (the same Pr[m_p] the rest of the pipeline consumes), which adds a
 // continuous signal where the simL components saturate to 0/1.
 func oracleIsolatedFeatures(p *Prepared, q pair.Pair) []float64 {
-	vec := p.Pruner.VectorOf(q)
+	i := p.Graph.IndexOf(q)
+	vec := p.Vector(i)
 	out := make([]float64, len(vec)+1)
 	copy(out, vec)
-	out[len(vec)] = p.Priors[q]
+	out[len(vec)] = p.Prior(i)
 	return out
 }
 

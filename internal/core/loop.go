@@ -494,7 +494,7 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	l.touch(q)
 	prior, hard := l.damped[q]
 	if !hard {
-		prior = l.p.Priors[q]
+		prior = l.p.prior[l.p.Graph.IndexOf(q)]
 	}
 	inf := crowd.Infer(prior, labels, cfg.Thresholds)
 	switch inf.Verdict {

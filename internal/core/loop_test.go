@@ -184,7 +184,7 @@ func TestOpenBatchCostIgnoresIsolated(t *testing.T) {
 	if len(connected) < 100 || len(connected) > 400 || len(with.isolated) < loners {
 		t.Fatalf("fixture has %d connected and %d isolated vertices, want about 200 and at least %d", len(connected), len(with.isolated), loners)
 	}
-	without := PrepareOnRetained(k1, k2, cfg, connected, with.Blocking)
+	without := PrepareOnRetained(k1, k2, cfg, connected, testBlocking(k1, k2))
 	if len(without.isolated) != 0 {
 		t.Fatalf("reference graph has %d isolated vertices", len(without.isolated))
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"fmt"
 
 	"repro/internal/attrmatch"
 	"repro/internal/blocking"
@@ -14,27 +14,36 @@ import (
 	"repro/internal/simvec"
 )
 
-// Prepared holds every artifact of stage 1 (ER graph construction) plus
-// the fitted consistency model and probabilistic engine shards, ready for the
-// human–machine loop. It is immutable once Prepare returns: a loop keeps
-// everything it changes in the Loop and its ShardStates, so any number of
-// loops — concurrent ones included — run over one Prepared.
+// Prepared holds what the human–machine loop reads of stage 1 (ER graph
+// construction) plus the fitted consistency model and probabilistic engine
+// shards. Of the candidates it keeps only the retained ones — the graph's
+// vertices — with their similarity vectors and priors by vertex index;
+// nothing keyed by candidate pair outlives Prepare. It is immutable once
+// Prepare returns: a loop keeps everything it changes in the Loop and its
+// ShardStates, so any number of loops — concurrent ones included — run
+// over one Prepared.
 type Prepared struct {
 	K1, K2 *kb.KB
 	Cfg    Config
 
-	Blocking    *blocking.Result
+	// Initial is the blocking's initial match set Min, the seeds of the
+	// consistency fits.
+	Initial     []pair.Pair
 	AttrMatches []attrmatch.Match
 	Builder     *simvec.Builder
-	Pruner      *simvec.Pruner
-	Retained    []pair.Pair
-	Graph       *ergraph.Graph
-	// Consistency is the initial fit, over Blocking.Initial; a loop
-	// re-estimates into its own copy (Loop.est).
+	// Retained is the retained match set Mrd: Graph.Vertices() itself, so
+	// read-only.
+	Retained []pair.Pair
+	Graph    *ergraph.Graph
+	// Consistency is the initial fit, over Initial; a loop re-estimates
+	// into its own copy (Loop.est).
 	Consistency map[ergraph.RelPair]consistency.Estimate
-	// Priors is Blocking.Priors itself, read at retained pairs only; the
-	// hot paths read each shard's dense per-vertex view instead.
-	Priors map[pair.Pair]float64
+
+	// vec holds vertex i's similarity vector at vec[i*dim:(i+1)*dim], and
+	// prior[i] its prior (Vector, Prior).
+	vec   []float64
+	dim   int
+	prior []float64
 
 	// Part is the assignment of the graph's connected vertices — those with
 	// an edge — to engine shards (connected components over relational
@@ -49,11 +58,10 @@ type Prepared struct {
 	shards   []*Shard
 	labelIdx [][]int32
 	// isolated lists the graph indexes of the vertices without an edge,
-	// ascending (isolated[i:i+1] doubles as vertex i's inferred set), and
-	// isoPrior their priors. No shard gathers them: a loop holds the list
-	// itself, ranks it once and draws from the ranking through a cursor.
+	// ascending (isolated[i:i+1] doubles as vertex i's inferred set). No
+	// shard gathers them: a loop holds the list itself, ranks it once and
+	// draws from the ranking through a cursor.
 	isolated []int
-	isoPrior []float64
 	// home routes a graph vertex by its index: the engine shard holding it,
 	// or ^i for isolated[i].
 	home []int32
@@ -66,29 +74,34 @@ type Prepared struct {
 	byEntity1, byEntity2 entityIndex
 }
 
-// entityIndex lists the graph vertices of each entity on one side: those
-// of entity u are pairs[start[u]:start[u+1]], in vertex order.
+// entityIndex lists the graph vertices of each entity on one side: the
+// indexes of entity u's are order[start[u]:start[u+1]], ascending.
 type entityIndex struct {
-	start []int32
-	pairs []pair.Pair
+	start, order []int32
 }
 
 func newEntityIndex(vertices []pair.Pair, side1 bool) entityIndex {
 	start, order := pair.GroupByEntity(vertices, side1)
-	ix := entityIndex{start: start, pairs: make([]pair.Pair, len(order))}
-	for i, pos := range order {
-		ix.pairs[i] = vertices[pos]
-	}
-	return ix
+	return entityIndex{start: start, order: order}
 }
 
-func (ix entityIndex) of(u kb.EntityID) []pair.Pair { return ix.pairs[ix.start[u]:ix.start[u+1]] }
+func (ix entityIndex) of(u kb.EntityID) []int32 { return ix.order[ix.start[u]:ix.start[u+1]] }
 
-// blocks returns the vertices sharing v's K1 entity and those sharing its
-// K2 entity, v included in both. v must be a graph vertex.
-func (p *Prepared) blocks(v pair.Pair) [2][]pair.Pair {
-	return [2][]pair.Pair{p.byEntity1.of(v.U1), p.byEntity2.of(v.U2)}
+// blocks returns the indexes of the vertices sharing v's K1 entity and of
+// those sharing its K2 entity, v included in both. v must be a graph
+// vertex.
+func (p *Prepared) blocks(v pair.Pair) [2][]int32 {
+	return [2][]int32{p.byEntity1.of(v.U1), p.byEntity2.of(v.U2)}
 }
+
+// Vector returns vertex i's similarity vector, read-only.
+func (p *Prepared) Vector(i int) simvec.Vector {
+	return p.vec[i*p.dim : (i+1)*p.dim : (i+1)*p.dim]
+}
+
+// Prior returns vertex i's prior match probability Pr[m_p], the label
+// similarity blocking gave its pair.
+func (p *Prepared) Prior(i int) float64 { return p.prior[i] }
 
 // Prepare runs ER graph construction end to end: candidate generation,
 // attribute matching over initial matches, similarity-vector assembly,
@@ -98,17 +111,20 @@ func Prepare(k1, k2 *kb.KB, cfg Config) *Prepared {
 	return prepare(k1, k2, cfg, nil, nil)
 }
 
-// PrepareOnRetained builds a pipeline over an explicit retained pair set
-// (candidates of blk, which supplies their priors), reusing a previously
-// computed blocking result. It is used by the
-// Figure 6 scalability sweep, which measures Algorithms 2–3 on fractions
-// of Mrd.
+// PrepareOnRetained builds a pipeline over an explicit retained pair set,
+// in its order, reusing the caller's blocking result blk: its initial
+// matches seed the fits and its priors become the vertices' priors. Every
+// retained pair must be a candidate of blk; one that is not panics, as
+// Prepare's other internal misuse does. It is used by the Figure 6
+// scalability sweep, which measures Algorithms 2–3 on fractions of Mrd.
 func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
 	return prepare(k1, k2, cfg, retained, blk)
 }
 
 // prepare is the one body behind both entry points: a nil blk runs
 // blocking, a nil retained runs pruning over the blocking candidates.
+// Either way the candidates' vectors and the blocking result are garbage
+// on return: vertex i's vector and prior are copied out by position.
 func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
@@ -118,47 +134,72 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	}
 	t0 := cfg.Obs.StageStart()
 	defer cfg.Obs.StageEnd(obs.StagePrepare, t0)
-	p := &Prepared{K1: k1, K2: k2, Cfg: cfg, Blocking: blk}
+	p := &Prepared{K1: k1, K2: k2, Cfg: cfg}
 
 	if blk == nil {
 		tb := cfg.Obs.StageStart()
-		p.Blocking = blocking.Generate(k1, k2, blocking.Options{
+		blk = blocking.Generate(k1, k2, blocking.Options{
 			Threshold: cfg.LabelSimThreshold,
 			Runner:    cfg.scheduler(),
 		})
 		cfg.Obs.StageEnd(obs.StageBlock, tb)
 	}
+	p.Initial = blk.Initial
 
 	ts := cfg.Obs.StageStart()
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold
 	amOpts.Runner = cfg.scheduler()
-	p.AttrMatches = attrmatch.FindMatches(k1, k2, p.Blocking.Initial, amOpts)
+	p.AttrMatches = attrmatch.FindMatches(k1, k2, p.Initial, amOpts)
 
 	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
 	p.Builder.SetRunner(cfg.scheduler())
+	p.dim = p.Builder.Dim()
 	if retained == nil {
-		cands := make([]pair.Pair, len(p.Blocking.Candidates))
-		for i, c := range p.Blocking.Candidates {
+		cands := make([]pair.Pair, len(blk.Candidates))
+		for i, c := range blk.Candidates {
 			cands[i] = c.Pair
 		}
-		p.Pruner = simvec.NewPruner(cands, p.Builder.All(cands))
-		p.Retained = p.Pruner.Prune(cands, cfg.K)
+		vecs := p.Builder.All(cands)
+		keep := simvec.NewPruner(cands, vecs).Keep(cands, cfg.K)
+		p.gather(len(keep), func(i int) (pair.Pair, simvec.Vector, float64) {
+			c := blk.Candidates[keep[i]]
+			return c.Pair, vecs[keep[i]], c.Prior
+		})
 	} else {
-		p.Retained = slices.Clone(retained)
-		p.Pruner = simvec.NewPruner(p.Retained, p.Builder.All(p.Retained))
+		vecs := p.Builder.All(retained)
+		p.gather(len(retained), func(i int) (pair.Pair, simvec.Vector, float64) {
+			prior, ok := blk.Priors[retained[i]]
+			if !ok {
+				panic(fmt.Errorf("core: retained pair %v is not a candidate of the blocking result, so it has no prior", retained[i]))
+			}
+			return retained[i], vecs[i], prior
+		})
 	}
 	cfg.Obs.StageEnd(obs.StageSimilarity, ts)
 
 	p.Graph = ergraph.Build(k1, k2, p.Retained)
-	p.Priors = p.Blocking.Priors
+	p.Retained = p.Graph.Vertices()
 
-	p.byEntity1 = newEntityIndex(p.Graph.Vertices(), true)
-	p.byEntity2 = newEntityIndex(p.Graph.Vertices(), false)
+	p.byEntity1 = newEntityIndex(p.Retained, true)
+	p.byEntity2 = newEntityIndex(p.Retained, false)
 
-	p.Consistency = p.fitConsistency(p.Blocking.Initial)
+	p.Consistency = p.fitConsistency(p.Initial)
 	p.initShards()
 	return p
+}
+
+// gather sets the n retained pairs, at(i) giving the i-th with its vector
+// and prior, which are copied to vertex index i.
+func (p *Prepared) gather(n int, at func(i int) (pair.Pair, simvec.Vector, float64)) {
+	p.Retained = make([]pair.Pair, n)
+	p.vec = make([]float64, n*p.dim)
+	p.prior = make([]float64, n)
+	for i := range n {
+		var v simvec.Vector
+		p.Retained[i], v, p.prior[i] = at(i)
+		copy(p.vec[i*p.dim:], v)
+	}
 }
 
 // fitConsistency estimates (ε1, ε2) for every edge label from the value

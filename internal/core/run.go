@@ -160,7 +160,8 @@ func (l *Loop) confirmMatch(q pair.Pair) {
 // competitors resolve exactly as in the monolithic loop.
 func (l *Loop) resolveCompetitors(m pair.Pair) {
 	for _, side := range l.p.blocks(m) {
-		for _, v := range side {
+		for _, j := range side {
+			v := l.p.Retained[j]
 			if v == m || l.resolved(v) {
 				continue
 			}
@@ -189,7 +190,7 @@ func (l *Loop) resolveCompetitors(m pair.Pair) {
 func (l *Loop) reestimate() {
 	p := l.p
 	if p.Cfg.debugFullResync {
-		l.est = p.fitConsistency(canonicalSeeds(p.Blocking.Initial, l.res.Matches))
+		l.est = p.fitConsistency(canonicalSeeds(p.Initial, l.res.Matches))
 		l.pendingSeeds = l.pendingSeeds[:0]
 		l.rebuildShards(func(int) bool { return true })
 		return

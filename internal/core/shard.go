@@ -94,17 +94,16 @@ func (p *Prepared) initShards() {
 	verts := g.Vertices()
 	p.home = make([]int32, len(verts))
 	var connected []int32 // the graph indexes of the vertices with an edge
-	for i, v := range verts {
+	for i := range verts {
 		if len(g.OutIndexesAt(i)) == 0 && len(g.InIndexesAt(i)) == 0 {
 			p.home[i] = ^int32(len(p.isolated))
 			p.isolated = append(p.isolated, i)
-			p.isoPrior = append(p.isoPrior, p.Priors[v])
 		} else {
 			connected = append(connected, int32(i))
 		}
 	}
-	// The lists live as long as the Prepared: drop the growth slack.
-	p.isolated, p.isoPrior = slices.Clone(p.isolated), slices.Clone(p.isoPrior)
+	// The list lives as long as the Prepared: drop the growth slack.
+	p.isolated = slices.Clone(p.isolated)
 
 	// The partition sees the connected vertices only, under their own dense
 	// numbering; local translates a neighbor's graph index into it.
@@ -137,8 +136,8 @@ func (p *Prepared) initShards() {
 			fullResync: p.Cfg.debugFullResync,
 		}
 		for i, v := range sub.Vertices() {
-			sh.prior[i] = p.Priors[v]
 			sh.globalIdx[i] = g.IndexOf(v)
+			sh.prior[i] = p.prior[sh.globalIdx[i]]
 			p.home[sh.globalIdx[i]] = int32(s)
 		}
 		sh.prob = propagation.BuildProbDense(sub, sh.prior, sh.est)
@@ -165,7 +164,8 @@ func (p *Prepared) indexLabels() {
 // singleton returns isolated vertex i as a candidate question: labelled a
 // match it resolves itself alone, and stays that way until it is resolved.
 func (p *Prepared) singleton(i int) selection.Candidate {
-	return selection.Candidate{Pair: p.Graph.Vertices()[p.isolated[i]], Prob: p.isoPrior[i], Inferred: p.isolated[i : i+1 : i+1]}
+	v := p.isolated[i]
+	return selection.Candidate{Pair: p.Retained[v], Prob: p.prior[v], Inferred: p.isolated[i : i+1 : i+1]}
 }
 
 // NumShards returns the number of engine shards the pipeline's connected

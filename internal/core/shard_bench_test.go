@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
@@ -27,6 +28,37 @@ func BenchmarkShardedLoop(b *testing.B) {
 				b.StartTimer()
 				_ = p.Run(asker)
 			}
+		})
+	}
+}
+
+// BenchmarkPrepare measures Prepare at 4 shards on d-y and on a Scale
+// pair, and reports as heap-MB the live heap one Prepared holds: HeapAlloc
+// after a forced GC with the result reachable, minus the reading before it
+// was built (the KBs are live in both) — remp-e2e's prepared_heap_mb.
+func BenchmarkPrepare(b *testing.B) {
+	dy, err := datasets.ByName("d-y", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ds := range []*datasets.Dataset{dy, datasets.Scale(10, 20_000)} {
+		b.Run(ds.Name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Shards = 4
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Prepare(ds.K1, ds.K2, cfg)
+			}
+			b.StopTimer()
+			var m runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m)
+			before := m.HeapAlloc
+			p := Prepare(ds.K1, ds.K2, cfg)
+			runtime.GC()
+			runtime.ReadMemStats(&m)
+			runtime.KeepAlive(p)
+			b.ReportMetric((float64(m.HeapAlloc)-float64(before))/1e6, "heap-MB")
 		})
 	}
 }

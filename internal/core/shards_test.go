@@ -223,7 +223,7 @@ func splitFixtures() (k1, k2 *kb.KB, gold *pair.Gold, blk *blocking.Result, fixt
 			c.Deduce, c.Hybrid = on, on
 		}
 	}
-	return k1, k2, gold, base.Blocking, []splitFixture{
+	return k1, k2, gold, testBlocking(k1, k2), []splitFixture{
 		{name: "isolated=0%", retained: connected, mod: func(*Config) {}},
 		{name: "isolated=50%", retained: base.Retained, minShare: 0.4, maxShare: 0.6, mod: func(*Config) {}},
 		{name: "isolated=100%/deduce+hybrid", retained: isolated, minShare: 1, maxShare: 1, mod: exhaust(true), fickle: true},

@@ -23,15 +23,15 @@ func noisyPlatform(ds *datasets.Dataset) *crowd.Platform {
 // the unexported CSR, length and degree arrays by reflection, and prints
 // floats in their shortest round-trip form, so equal text means equal bits
 // — plus the dense priors, the isolated vertices and the vertex routing,
-// the initial consistency fit and the prior map (fmt prints maps in key
-// order).
+// the initial consistency fit (fmt prints maps in key order), and every
+// vertex's similarity vector and prior.
 func fingerprint(p *Prepared) [sha256.Size]byte {
 	h := sha256.New()
 	for _, sp := range p.shards {
 		fmt.Fprintf(h, "%v|%v|", *sp.prob, sp.prior)
 	}
-	fmt.Fprintf(h, "%v|%v|%v|", p.isolated, p.isoPrior, p.home)
-	fmt.Fprintf(h, "%v|%v", p.Consistency, p.Priors)
+	fmt.Fprintf(h, "%v|%v|", p.isolated, p.home)
+	fmt.Fprintf(h, "%v|%v|%v", p.Consistency, p.vec, p.prior)
 	return [sha256.Size]byte(h.Sum(nil))
 }
 

@@ -15,7 +15,7 @@ import (
 // it instead of regathering every seed's neighborhoods each batch.
 //
 // The lists follow the canonical seed order re-estimation has always
-// fitted in — the initial matches in Blocking.Initial order (first
+// fitted in — the initial matches in Prepared.Initial order (first
 // occurrence), then every later match ascending by pair — because Fit's
 // likelihood sums are order-sensitive in floating point: the same rows in
 // the same order reproduce a from-scratch gather bit for bit.
@@ -24,7 +24,7 @@ import (
 type seedStats struct {
 	p *Prepared
 	// rank holds every seed: an initial match maps to its first index in
-	// Blocking.Initial, a later match to -1. partners indexes the same set
+	// Prepared.Initial, a later match to -1. partners indexes the same set
 	// by side-1 entity — the side-2 entities it is matched to — so "does
 	// v1 have a seed counterpart among these values" is a lookup per
 	// partner (one, under the 1:1 constraint), not a probe per value.
@@ -49,7 +49,7 @@ type labelStats struct {
 
 // newSeedStats gathers the initial matches' observations.
 func newSeedStats(p *Prepared) *seedStats {
-	initial := p.Blocking.Initial
+	initial := p.Initial
 	labels := p.Graph.Labels()
 	st := &seedStats{
 		p:        p,

@@ -49,7 +49,7 @@ func TestSeedStatsMatchScratchObservations(t *testing.T) {
 				matches := pair.Set{}
 				check := func(ctx string, before [][]consistency.Observation) {
 					t.Helper()
-					seeds := canonicalSeeds(p.Blocking.Initial, matches)
+					seeds := canonicalSeeds(p.Initial, matches)
 					seedSet := pair.NewSet(seeds...)
 					for li, label := range labels {
 						want := p.consistencyObservations(label, seeds, seedSet)

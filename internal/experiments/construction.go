@@ -104,13 +104,14 @@ func pruningOn(ds *datasets.Dataset, k int) PruningResult {
 	cfg := core.DefaultConfig()
 	cfg.K = k
 	p := core.Prepare(ds.K1, ds.K2, cfg)
-	candPairs := make([]pair.Pair, len(p.Blocking.Candidates))
-	for i, c := range p.Blocking.Candidates {
+	blk := blocking.Generate(ds.K1, ds.K2, blocking.Options{Threshold: cfg.LabelSimThreshold})
+	candPairs := make([]pair.Pair, len(blk.Candidates))
+	for i, c := range blk.Candidates {
 		candPairs[i] = c.Pair
 	}
 	vectors := make([]simvec.Vector, len(p.Retained))
-	for i, q := range p.Retained {
-		vectors[i] = p.Pruner.VectorOf(q)
+	for i := range p.Retained {
+		vectors[i] = p.Vector(i)
 	}
 	return PruningResult{
 		Dataset:        ds.Name,

@@ -80,17 +80,11 @@ func PreparePipeline(w io.Writer, seed int64, n int, withNaive bool) *PrepareRep
 	p := core.Prepare(ds.K1, ds.K2, cfg)
 	rep.PrepareNS = time.Since(t0).Nanoseconds()
 	rep.StageNS = tr.Totals()
-	rep.Candidates = len(p.Blocking.Candidates)
-	rep.Initial = len(p.Blocking.Initial)
+	rep.Initial = len(p.Initial)
 	rep.Retained = len(p.Retained)
-	fmt.Fprintf(w, "entities/KB %d   candidates %d   initial %d   retained %d\n",
-		n, rep.Candidates, rep.Initial, rep.Retained)
-	fmt.Fprintf(w, "core.Prepare      %12v  (block %v, similarity %v)\n",
-		time.Duration(rep.PrepareNS).Round(time.Millisecond),
-		time.Duration(rep.StageNS["block"]).Round(time.Millisecond),
-		time.Duration(rep.StageNS["similarity"]).Round(time.Millisecond))
 
-	// Isolated pre-pipeline timing, indexed path (as Prepare runs it).
+	// Isolated pre-pipeline timing, indexed path (as Prepare runs it); the
+	// candidate count is its blocking's.
 	sched := core.NewScheduler(0)
 	bOpts := blocking.Options{Threshold: cfg.LabelSimThreshold, Runner: sched}
 	amOpts := attrmatch.DefaultOptions()
@@ -108,6 +102,13 @@ func PreparePipeline(w io.Writer, seed int64, n int, withNaive bool) *PrepareRep
 	}
 	vecs := builder.All(cands)
 	rep.IndexedNS = time.Since(t0).Nanoseconds()
+	rep.Candidates = len(blk.Candidates)
+	fmt.Fprintf(w, "entities/KB %d   candidates %d   initial %d   retained %d\n",
+		n, rep.Candidates, rep.Initial, rep.Retained)
+	fmt.Fprintf(w, "core.Prepare      %12v  (block %v, similarity %v)\n",
+		time.Duration(rep.PrepareNS).Round(time.Millisecond),
+		time.Duration(rep.StageNS["block"]).Round(time.Millisecond),
+		time.Duration(rep.StageNS["similarity"]).Round(time.Millisecond))
 	fmt.Fprintf(w, "pre-pipeline      %12v  (indexed)\n", time.Duration(rep.IndexedNS).Round(time.Millisecond))
 
 	if !withNaive {

@@ -198,8 +198,8 @@ func Figure6(w io.Writer, seed int64) []ScalePoint {
 	for _, f := range fractions {
 		n := int(f * float64(len(full.Retained)))
 		subset := full.Retained[:n]
-		sub := core.PrepareOnRetained(ds.K1, ds.K2, cfg, subset, full.Blocking)
-		prob := propagation.BuildProb(sub.Graph, ds.K1, ds.K2, propagation.Params{Priors: sub.Priors, Consistency: sub.Consistency})
+		sub := core.PrepareOnRetained(ds.K1, ds.K2, cfg, subset, blk)
+		prob := propagation.BuildProb(sub.Graph, ds.K1, ds.K2, propagation.Params{Priors: blk.Priors, Consistency: sub.Consistency})
 
 		start := time.Now()
 		inferred := prob.InferAll(cfg.Tau)
@@ -214,7 +214,7 @@ func Figure6(w io.Writer, seed int64) []ScalePoint {
 			for _, en := range inferred.Ball(i) {
 				inf = append(inf, int(en.Idx))
 			}
-			cands = append(cands, selection.Candidate{Pair: v, Prob: sub.Priors[v], Inferred: inf})
+			cands = append(cands, selection.Candidate{Pair: v, Prob: sub.Prior(i), Inferred: inf})
 		}
 		_ = (selection.Greedy{}).Select(cands, 10)
 		el3 := time.Since(start)

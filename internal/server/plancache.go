@@ -156,12 +156,12 @@ func (c *PlanCache) entries() int {
 
 // planCost estimates the heap bytes a plan keeps alive, from the counts
 // that size it: a KB is a handful of strings and three small maps per
-// entity plus a slice entry per triple; a Prepared is dominated by the
-// blocking candidates (priors, similarity vectors) and the ER graph's
-// rows. The per-unit weights were fitted to HeapAlloc deltas on the
-// built-in datasets; TestPlanCostEstimate holds them within a factor 2.
+// entity plus a slice entry per triple; a Prepared is dominated by its
+// retained vertices (each with a similarity vector and a prior) and the ER
+// graph's rows. The per-unit weights were fitted to HeapAlloc deltas on
+// the built-in datasets; TestPlanCostEstimate holds them within a factor 2.
 func planCost(ds remp.Dataset, p *core.Prepared) int64 {
 	s1, s2 := ds.K1.Stats(), ds.K2.Stats()
 	return int64(250*(s1.Entities+s2.Entities) + 150*(s1.AttrTriples+s2.AttrTriples) + 250*(s1.RelTriples+s2.RelTriples) +
-		150*len(p.Blocking.Candidates) + 100*p.Graph.NumVertices() + 80*p.Graph.NumEdges())
+		(100+8*(p.Builder.Dim()+1))*p.Graph.NumVertices() + 80*p.Graph.NumEdges())
 }

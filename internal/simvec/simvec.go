@@ -8,6 +8,7 @@
 package simvec
 
 import (
+	"fmt"
 	"runtime"
 
 	"repro/internal/attrmatch"
@@ -208,75 +209,94 @@ func (b *Builder) SharedAttrMatches(p pair.Pair) []int {
 	return out
 }
 
-// Pruner runs partial-order-based pruning (Algorithm 1).
+// Pruner runs partial-order-based pruning (Algorithm 1) over the pairs it
+// was built on. It addresses every pair by its position in that list:
+// vectors[i] is pairs[i]'s vector, and Prune and Keep take the same list.
+// One Pruner serves any number of k.
 type Pruner struct {
-	vectors map[pair.Pair]Vector
+	vectors []Vector
 }
 
-// NewPruner precomputes (or receives) the similarity vectors of all
-// candidate pairs (Algorithm 1, line 1).
+// NewPruner receives the similarity vectors of all candidate pairs
+// (Algorithm 1, line 1), vectors[i] being pairs[i]'s. The Pruner keeps the
+// vectors slice itself, not a copy.
 func NewPruner(pairs []pair.Pair, vectors []Vector) *Pruner {
-	m := make(map[pair.Pair]Vector, len(pairs))
-	for i, p := range pairs {
-		m[p] = vectors[i]
+	if len(pairs) != len(vectors) {
+		panic(fmt.Sprintf("simvec: %d pairs but %d vectors", len(pairs), len(vectors)))
 	}
-	return &Pruner{vectors: m}
+	return &Pruner{vectors: vectors}
 }
-
-// VectorOf returns the stored vector for p.
-func (pr *Pruner) VectorOf(p pair.Pair) Vector { return pr.vectors[p] }
 
 // Prune implements Algorithm 1: two one-way passes (by K1 entity, then by
 // K2 entity), each pruning pairs whose min_rank within their block reaches
 // k, plus every pair they dominate. It returns the retained match set Mrd
-// in the original order of pairs.
+// in the original order of pairs, which must be the list the Pruner was
+// built on.
 func (pr *Pruner) Prune(pairs []pair.Pair, k int) []pair.Pair {
-	if k <= 0 {
-		k = 4
-	}
-	afterFirst := pr.pruneOneWay(pairs, k, true)
-	return pr.pruneOneWay(afterFirst, k, false)
-}
-
-// pruneOneWay is PruningInOneWay from Algorithm 1. bySide1 selects whether
-// blocks group pairs sharing the K1 entity (min_rank_1) or the K2 entity
-// (min_rank_2). A block lists its pairs in input order, and only blocks of
-// more than k pairs are ranked.
-func (pr *Pruner) pruneOneWay(pairs []pair.Pair, k int, bySide1 bool) []pair.Pair {
-	start, order := pair.GroupByEntity(pairs, bySide1)
-	removed := make([]bool, len(pairs))
-	for e := 0; e+1 < len(start); e++ {
-		if block := order[start[e]:start[e+1]]; len(block) > k {
-			pr.pruneBlock(pairs, block, k, removed)
-		}
-	}
-	out := make([]pair.Pair, 0, len(pairs))
-	for i, p := range pairs {
-		if !removed[i] {
-			out = append(out, p)
-		}
+	keep := pr.Keep(pairs, k)
+	out := make([]pair.Pair, len(keep))
+	for i, pos := range keep {
+		out[i] = pairs[pos]
 	}
 	return out
 }
 
-// pruneBlock prunes a single block B, given as positions into pairs: any
-// pair with min_rank ≥ k is marked removed, and (per the paper) so is
-// every pair dominated by a removed pair, since its min_rank must also be
-// ≥ k.
-func (pr *Pruner) pruneBlock(pairs []pair.Pair, block []int32, k int, removed []bool) {
-	n := len(block)
-	vecs := make([]Vector, n)
-	for i, pos := range block {
-		vecs[i] = pr.vectors[pairs[pos]]
+// Keep is Prune by position: the ascending positions in pairs of the
+// retained match set Mrd.
+func (pr *Pruner) Keep(pairs []pair.Pair, k int) []int32 {
+	if len(pairs) != len(pr.vectors) {
+		panic(fmt.Sprintf("simvec: pruning %d pairs with a Pruner built on %d", len(pairs), len(pr.vectors)))
 	}
-	for i := 0; i < n; i++ {
-		if removed[block[i]] {
+	if k <= 0 {
+		k = 4
+	}
+	removed := make([]bool, len(pairs))
+	pr.pruneOneWay(pairs, k, true, removed)
+	pr.pruneOneWay(pairs, k, false, removed)
+	keep := make([]int32, 0, len(pairs))
+	for i, r := range removed {
+		if !r {
+			keep = append(keep, int32(i))
+		}
+	}
+	return keep
+}
+
+// pruneOneWay is PruningInOneWay from Algorithm 1, over the pairs not yet
+// removed. bySide1 selects whether blocks group pairs sharing the K1
+// entity (min_rank_1) or the K2 entity (min_rank_2). A block lists its
+// pairs in input order, and only blocks of more than k pairs are ranked.
+// Blocks are disjoint, so a block read before it is pruned holds exactly
+// the survivors of the earlier pass.
+func (pr *Pruner) pruneOneWay(pairs []pair.Pair, k int, bySide1 bool, removed []bool) {
+	start, order := pair.GroupByEntity(pairs, bySide1)
+	var block []int32
+	for e := 0; e+1 < len(start); e++ {
+		block = block[:0]
+		for _, pos := range order[start[e]:start[e+1]] {
+			if !removed[pos] {
+				block = append(block, pos)
+			}
+		}
+		if len(block) > k {
+			pr.pruneBlock(block, k, removed)
+		}
+	}
+}
+
+// pruneBlock prunes a single block B, given as positions: any pair with
+// min_rank ≥ k is marked removed, and (per the paper) so is every pair
+// dominated by a removed pair, since its min_rank must also be ≥ k.
+func (pr *Pruner) pruneBlock(block []int32, k int, removed []bool) {
+	for i, pi := range block {
+		if removed[pi] {
 			continue
 		}
+		vi := pr.vectors[pi]
 		// min_rank within this block: number of vectors strictly larger.
 		rank := 0
-		for j := 0; j < n; j++ {
-			if j != i && vecs[j].StrictlyDominates(vecs[i]) {
+		for j, pj := range block {
+			if j != i && pr.vectors[pj].StrictlyDominates(vi) {
 				rank++
 				if rank >= k {
 					break
@@ -284,11 +304,11 @@ func (pr *Pruner) pruneBlock(pairs []pair.Pair, block []int32, k int, removed []
 			}
 		}
 		if rank >= k {
-			removed[block[i]] = true
-			// Everything dominated by vecs[i] has rank ≥ rank(i) ≥ k.
-			for j := 0; j < n; j++ {
-				if !removed[block[j]] && vecs[i].StrictlyDominates(vecs[j]) {
-					removed[block[j]] = true
+			removed[pi] = true
+			// Everything dominated by vi has rank ≥ rank(i) ≥ k.
+			for _, pj := range block {
+				if !removed[pj] && vi.StrictlyDominates(pr.vectors[pj]) {
+					removed[pj] = true
 				}
 			}
 		}

@@ -135,21 +135,21 @@ func TestPruneBothSides(t *testing.T) {
 	}
 }
 
-// MinRank computes min_rank(u1,u2) over the full candidate set (Eq. 2),
-// the definition Prune's per-block bookkeeping is checked against:
-// the max over both sides of the number of same-entity competitors whose
-// vectors strictly dominate the pair's vector.
-func (pr *Pruner) MinRank(pairs []pair.Pair, p pair.Pair) int {
-	v := pr.vectors[p]
+// MinRank computes min_rank(u1,u2) of pairs[i] over the full candidate set
+// (Eq. 2), the definition Prune's per-block bookkeeping is checked
+// against: the max over both sides of the number of same-entity
+// competitors whose vectors strictly dominate the pair's vector.
+func (pr *Pruner) MinRank(pairs []pair.Pair, i int) int {
+	p, v := pairs[i], pr.vectors[i]
 	r1, r2 := 0, 0
-	for _, q := range pairs {
-		if q == p {
+	for j, q := range pairs {
+		if j == i {
 			continue
 		}
-		if q.U1 == p.U1 && pr.vectors[q].StrictlyDominates(v) {
+		if q.U1 == p.U1 && pr.vectors[j].StrictlyDominates(v) {
 			r1++
 		}
-		if q.U2 == p.U2 && pr.vectors[q].StrictlyDominates(v) {
+		if q.U2 == p.U2 && pr.vectors[j].StrictlyDominates(v) {
 			r2++
 		}
 	}
@@ -168,14 +168,14 @@ func TestMinRank(t *testing.T) {
 	}
 	vecs := []Vector{{0.9}, {0.5}, {0.1}, {0.3}}
 	pr := NewPruner(pairs, vecs)
-	if r := pr.MinRank(pairs, pairs[0]); r != 0 {
+	if r := pr.MinRank(pairs, 0); r != 0 {
 		t.Errorf("top pair rank = %d, want 0", r)
 	}
-	if r := pr.MinRank(pairs, pairs[1]); r != 1 {
+	if r := pr.MinRank(pairs, 1); r != 1 {
 		t.Errorf("middle pair rank = %d, want 1", r)
 	}
 	// (0,2): dominated by (0,0),(0,1) on side1; by (1,2) on side2 ⇒ max(2,1)=2.
-	if r := pr.MinRank(pairs, pairs[2]); r != 2 {
+	if r := pr.MinRank(pairs, 2); r != 2 {
 		t.Errorf("bottom pair rank = %d, want 2", r)
 	}
 }
@@ -212,8 +212,8 @@ func TestPrunePreservesBlockMaxima(t *testing.T) {
 		// Any pair with global min_rank 0 (undominated on both sides) must
 		// survive: it can never be pruned directly, and nothing dominating
 		// it exists to trigger cascade removal.
-		for _, p := range pairs {
-			if pr.MinRank(pairs, p) == 0 && !keptSet.Has(p) {
+		for i, p := range pairs {
+			if pr.MinRank(pairs, i) == 0 && !keptSet.Has(p) {
 				t.Fatalf("iter %d: undominated pair %v pruned (k=%d)", iter, p, k)
 			}
 		}
