@@ -10,8 +10,11 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/datasets"
+	"repro/internal/ergraph"
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/partition"
+	"repro/internal/propagation"
 	"repro/internal/simvec"
 )
 
@@ -102,18 +105,54 @@ func TestPrepareOnRetainedRejectsPairWithoutPrior(t *testing.T) {
 	PrepareOnRetained(k1, k2, DefaultConfig(), append([]pair.Pair{blk.Candidates[0].Pair}, stray), blk)
 }
 
-// TestPreparedKeysNothingByPair pins the layout: after Prepare, what the
-// loop reads is addressed by vertex index, so neither a Prepared nor a
-// Pruner holds a map keyed by candidate pair, and a Prepared does not keep
-// the blocking result.
+// TestPreparedKeysNothingByPair pins the layout: after Prepare a vertex is
+// addressed by its index, so no map keyed by candidate pair is reachable
+// from a Prepared — through fields, pointers, slices, arrays and map values,
+// into the graph, the shards, their probabilistic graphs and the partition
+// — nor from a Pruner, and a Prepared does not keep the blocking result.
 func TestPreparedKeysNothingByPair(t *testing.T) {
 	pairType, blkType := reflect.TypeFor[pair.Pair](), reflect.TypeFor[*blocking.Result]()
-	for _, typ := range []reflect.Type{reflect.TypeFor[Prepared](), reflect.TypeFor[simvec.Pruner]()} {
-		for i := range typ.NumField() {
-			f := typ.Field(i)
-			if f.Type.Kind() == reflect.Map && f.Type.Key() == pairType || f.Type == blkType {
-				t.Errorf("%v.%s is a %v", typ, f.Name, f.Type)
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if typ == blkType || typ.Kind() == reflect.Map && typ.Key() == pairType {
+			t.Errorf("%s is a %v", path, typ)
+		}
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Map:
+			walk(typ.Elem(), path+"[…]")
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path)
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
 			}
 		}
 	}
+	walk(reflect.TypeFor[Prepared](), "Prepared")
+	walk(reflect.TypeFor[simvec.Pruner](), "Pruner")
+	for _, typ := range []reflect.Type{reflect.TypeFor[ergraph.Graph](), reflect.TypeFor[Shard](), reflect.TypeFor[propagation.ProbGraph](), reflect.TypeFor[partition.Partition]()} {
+		if !seen[typ] {
+			t.Errorf("the walk from Prepared never reached %v", typ)
+		}
+	}
+}
+
+// TestPrepareOnRetainedRejectsRepeatedPair: a retained list that repeats a
+// pair would build two vertices for one pair; Prepare refuses it, naming
+// the pair.
+func TestPrepareOnRetainedRejectsRepeatedPair(t *testing.T) {
+	k1, k2, _ := movieWorld(3, 5)
+	blk := testBlocking(k1, k2)
+	twice := blk.Candidates[1].Pair
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprint(twice)) {
+			t.Fatalf("PrepareOnRetained with %v twice: panic %v, want one naming the pair", twice, r)
+		}
+	}()
+	PrepareOnRetained(k1, k2, DefaultConfig(), []pair.Pair{blk.Candidates[0].Pair, twice, twice}, blk)
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/deduce"
-	"repro/internal/pair"
-)
+import "repro/internal/deduce"
 
 // monotoneInference implements the hybrid extension the paper sketches as
 // future work (§IX): partial-order inference is layered on top of
@@ -28,7 +25,7 @@ func (l *Loop) monotoneInference() {
 		}
 		vec := l.p.Vector(i)
 		// Blocks: pairs sharing either entity with v.
-		for _, side := range l.p.blocks(v) {
+		for _, side := range l.p.blocks(i) {
 			for _, j := range side {
 				if int(j) == i {
 					continue
@@ -36,9 +33,9 @@ func (l *Loop) monotoneInference() {
 				w, wv := verts[j], l.p.Vector(int(j))
 				switch {
 				case res.Confirmed.Has(w) && vec.StrictlyDominates(wv):
-					l.acceptMonotone(v)
+					l.acceptMonotone(i)
 				case res.NonMatches.Has(w) && wv.StrictlyDominates(vec):
-					l.markNonMatch(v)
+					l.markNonMatch(i)
 				}
 				if l.resolved(v) {
 					break
@@ -51,14 +48,15 @@ func (l *Loop) monotoneInference() {
 	}
 }
 
-// acceptMonotone records a monotone-inferred match under the 1:1
-// constraint; its provenance counts as propagation for reporting.
-func (l *Loop) acceptMonotone(v pair.Pair) {
+// acceptMonotone records vertex i as a monotone-inferred match under the
+// 1:1 constraint; its provenance counts as propagation for reporting.
+func (l *Loop) acceptMonotone(i int) {
+	v := l.p.Retained[i]
 	l.record(v, deduce.Match)
-	l.resolving(v)
+	l.resolving(i)
 	l.res.Propagated.Add(v)
 	l.res.Matches.Add(v)
 	l.pendingSeeds = append(l.pendingSeeds, v)
-	l.runnerResolve(v, false)
-	l.resolveCompetitors(v)
+	l.runnerResolve(i, false)
+	l.resolveCompetitors(i)
 }

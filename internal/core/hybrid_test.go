@@ -86,8 +86,8 @@ func TestEntityBlocksKeepVertexOrder(t *testing.T) {
 		by2[v.U2] = append(by2[v.U2], int32(i))
 	}
 	shared := 0
-	for _, v := range p.Graph.Vertices() {
-		got := p.blocks(v)
+	for i, v := range p.Graph.Vertices() {
+		got := p.blocks(i)
 		if !slices.Equal(got[0], by1[v.U1]) || !slices.Equal(got[1], by2[v.U2]) {
 			t.Fatalf("blocks(%v) = %v, want [%v %v]", v, got, by1[v.U1], by2[v.U2])
 		}

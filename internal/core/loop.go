@@ -210,10 +210,9 @@ func (l *Loop) NumShards() int { return len(l.shards) }
 // (the shard assignment fingerprint session snapshots record).
 func (l *Loop) ShardSizes() []int { return l.p.ShardSizes() }
 
-// home routes graph vertex q: the engine shard holding it, or ^i when it is
-// isolated vertex i of l.p.isolated — which the loop keeps itself. Every
-// pair the loop's control flow reaches is a graph vertex.
-func (l *Loop) home(q pair.Pair) int { return int(l.p.home[l.p.Graph.IndexOf(q)]) }
+// home routes graph vertex i: the engine shard holding it, or ^k when it is
+// isolated vertex k of l.p.isolated — which the loop keeps itself.
+func (l *Loop) home(i int) int { return int(l.p.home[i]) }
 
 // retire takes isolated vertex iso out of the candidates for good: it was
 // resolved, or turned out a hard question.
@@ -280,26 +279,26 @@ func (l *Loop) record(q pair.Pair, v deduce.Verdict) {
 	}
 }
 
-// touch marks q's shard dirty: its cached candidates and selection no
-// longer describe the next loop.
-func (l *Loop) touch(q pair.Pair) {
-	if s := l.home(q); s >= 0 {
+// touch marks vertex i's shard dirty: its cached candidates and selection
+// no longer describe the next loop.
+func (l *Loop) touch(i int) {
+	if s := l.home(i); s >= 0 {
 		l.shards[s].dirty = true
 	}
 }
 
-// resolving is called just before q enters a result set: it dirties q's
-// shard and, on q's first resolution (an inconsistent crowd can resolve a
-// pair twice, even both ways), counts it off the shard's unresolved
-// vertices. An isolated q is retired instead.
-func (l *Loop) resolving(q pair.Pair) {
-	s := l.home(q)
+// resolving is called just before vertex i enters a result set: it dirties
+// i's shard and, on i's first resolution (an inconsistent crowd can resolve
+// a pair twice, even both ways), counts it off the shard's unresolved
+// vertices. An isolated i is retired instead.
+func (l *Loop) resolving(i int) {
+	s := l.home(i)
 	if s < 0 {
 		l.retire(^s)
 		return
 	}
 	l.shards[s].dirty = true
-	if !l.resolved(q) {
+	if !l.resolved(l.p.Retained[i]) {
 		l.shards[s].unresolved--
 	}
 }
@@ -327,29 +326,31 @@ func (l *Loop) Close() {
 	l.fail(fmt.Errorf("%w (closed)", ErrLoopDone))
 }
 
-// runnerResolve mirrors a resolution into the owning shard's engine state.
-// An isolated vertex has none. Settled shards are skipped: every vertex
-// there is already resolved, so the runner state cannot be consulted again.
-func (l *Loop) runnerResolve(q pair.Pair, detach bool) {
+// runnerResolve mirrors vertex i's resolution into the owning shard's
+// engine state. An isolated vertex has none. Settled shards are skipped:
+// every vertex there is already resolved, so the runner state cannot be
+// consulted again.
+func (l *Loop) runnerResolve(i int, detach bool) {
 	if l.err != nil {
 		return
 	}
-	s := l.home(q)
+	s := l.home(i)
 	if s < 0 || l.shards[s].settled {
 		return
 	}
-	if err := l.r.Resolve(s, q, detach); err != nil {
+	if err := l.r.Resolve(s, l.p.Retained[i], detach); err != nil {
 		l.fail(err)
 	}
 }
 
-// markNonMatch resolves v negative: the result set, the shard dirty flag
-// and the runner's propagation state (detachment) advance together.
-func (l *Loop) markNonMatch(v pair.Pair) {
+// markNonMatch resolves vertex i negative: the result set, the shard dirty
+// flag and the runner's propagation state (detachment) advance together.
+func (l *Loop) markNonMatch(i int) {
+	v := l.p.Retained[i]
 	l.record(v, deduce.NonMatch)
-	l.resolving(v)
+	l.resolving(i)
 	l.res.NonMatches.Add(v)
-	l.runnerResolve(v, true)
+	l.runnerResolve(i, true)
 }
 
 // State returns the loop's current state.
@@ -483,7 +484,8 @@ func (l *Loop) drain() {
 }
 
 // apply resolves one answered question against the current snapshot — the
-// batch body of Run.
+// batch body of Run. The question arrives as a pair; it is looked up once,
+// and the rest of the loop names it by its index.
 func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	cfg := l.p.Cfg
 	t0 := cfg.Obs.StageStart()
@@ -491,21 +493,22 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	cfg.Obs.AddQuestion()
 	l.history = append(l.history, Answer{Pair: q, Labels: labels})
 	l.res.Questions++
-	l.touch(q)
+	qi := l.p.Graph.IndexOf(q)
+	l.touch(qi)
 	prior, hard := l.damped[q]
 	if !hard {
-		prior = l.p.prior[l.p.Graph.IndexOf(q)]
+		prior = l.p.prior[qi]
 	}
 	inf := crowd.Infer(prior, labels, cfg.Thresholds)
 	switch inf.Verdict {
 	case crowd.IsMatch:
-		l.confirmMatch(q)
+		l.confirmMatch(qi)
 	case crowd.IsNonMatch:
-		l.markNonMatch(q)
+		l.markNonMatch(qi)
 	default:
 		// Hard question: damp its prior so its benefit shrinks.
 		l.damped[q] = inf.Posterior
-		if s := l.home(q); s < 0 {
+		if s := l.home(qi); s < 0 {
 			l.retire(^s)
 		} else if !l.shards[s].settled && l.err == nil {
 			if err := l.r.Damp(s, q, inf.Posterior); err != nil {

@@ -87,10 +87,10 @@ func newEntityIndex(vertices []pair.Pair, side1 bool) entityIndex {
 
 func (ix entityIndex) of(u kb.EntityID) []int32 { return ix.order[ix.start[u]:ix.start[u+1]] }
 
-// blocks returns the indexes of the vertices sharing v's K1 entity and of
-// those sharing its K2 entity, v included in both. v must be a graph
-// vertex.
-func (p *Prepared) blocks(v pair.Pair) [2][]int32 {
+// blocks returns the indexes of the vertices sharing vertex i's K1 entity
+// and of those sharing its K2 entity, i included in both.
+func (p *Prepared) blocks(i int) [2][]int32 {
+	v := p.Retained[i]
 	return [2][]int32{p.byEntity1.of(v.U1), p.byEntity2.of(v.U2)}
 }
 

@@ -104,7 +104,7 @@ func padBatch(all, chosen []selection.Candidate, mu int) []selection.Candidate {
 		if a.Prob != b.Prob {
 			return cmp.Compare(b.Prob, a.Prob)
 		}
-		return comparePairs(a.Pair, b.Pair)
+		return a.Pair.Compare(b.Pair)
 	})
 	return append(chosen, rest[:min(len(rest), mu-len(chosen))]...)
 }
@@ -118,20 +118,18 @@ func padBatch(all, chosen []selection.Candidate, mu int) []selection.Candidate {
 // of §VII-A). Propagation reads the shard engine's last-Sync snapshot —
 // the runner returns the ball in distance order, unfiltered — and the
 // whole cascade stays within q's shard by construction.
-func (l *Loop) confirmMatch(q pair.Pair) {
+func (l *Loop) confirmMatch(qi int) {
+	q := l.p.Retained[qi]
 	l.record(q, deduce.Match)
-	l.resolving(q)
+	l.resolving(qi)
 	l.res.Confirmed.Add(q)
 	l.res.Matches.Add(q)
 	l.pendingSeeds = append(l.pendingSeeds, q)
-	l.resolveCompetitors(q)
-	s := l.home(q)
+	l.resolveCompetitors(qi)
+	l.runnerResolve(qi, false)
+	s := l.home(qi)
 	if s < 0 || l.shards[s].settled || l.err != nil {
 		return // an isolated q has no ball to propagate along
-	}
-	if err := l.r.Resolve(s, q, false); err != nil {
-		l.fail(err)
-		return
 	}
 	ball, err := l.r.Ball(s, q)
 	if err != nil {
@@ -142,30 +140,31 @@ func (l *Loop) confirmMatch(q pair.Pair) {
 		if l.resolved(pj) {
 			continue
 		}
+		j := l.p.Graph.IndexOf(pj)
 		l.record(pj, deduce.Match)
-		l.resolving(pj)
+		l.resolving(j)
 		l.res.Propagated.Add(pj)
 		l.res.Matches.Add(pj)
 		l.pendingSeeds = append(l.pendingSeeds, pj)
-		l.runnerResolve(pj, false)
-		l.resolveCompetitors(pj)
+		l.runnerResolve(j, false)
+		l.resolveCompetitors(j)
 	}
 }
 
 // resolveCompetitors marks every unresolved vertex sharing an entity with
-// the match m as a non-match and detaches it from the propagation fabric.
-// Competitor chains may cross shards (the partition follows relational
-// edges only); detaches run on the serial answer-application path and
-// route to the owning shard through the runner, so cross-shard
-// competitors resolve exactly as in the monolithic loop.
-func (l *Loop) resolveCompetitors(m pair.Pair) {
+// the match m (a vertex index) as a non-match and detaches it from the
+// propagation fabric. Competitor chains may cross shards (the partition
+// follows relational edges only); detaches run on the serial
+// answer-application path and route to the owning shard through the
+// runner, so cross-shard competitors resolve exactly as in the monolithic
+// loop.
+func (l *Loop) resolveCompetitors(m int) {
 	for _, side := range l.p.blocks(m) {
 		for _, j := range side {
-			v := l.p.Retained[j]
-			if v == m || l.resolved(v) {
+			if int(j) == m || l.resolved(l.p.Retained[j]) {
 				continue
 			}
-			l.markNonMatch(v)
+			l.markNonMatch(int(j))
 		}
 	}
 }

@@ -19,6 +19,12 @@ import (
 // worker processes behind an RPC protocol and replays the operation log
 // to survive worker crashes.
 //
+// The loop names a vertex by its global index; this interface is where it
+// turns back into a pair (Resolve, Damp, Ball), because runner decorators
+// outside this module (the benchmark's timing wrapper) implement these
+// signatures. A ShardState converts each pair once, with its shard graph's
+// IndexOf.
+//
 // Operations on distinct shards may be invoked concurrently (the loop fans
 // gathers, ranks and rebuilds across its scheduler); operations on one
 // shard are always serialized by the loop. A conforming runner must
@@ -154,7 +160,7 @@ func (st *ShardState) Resolve(q pair.Pair, detach bool) {
 	st.eng.Retire(i) // gathers skip it from now on
 	if detach {
 		st.detached[i] = true
-		st.eng.DetachVertex(q)
+		st.eng.DetachVertex(i)
 	}
 }
 
@@ -302,13 +308,12 @@ func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 // rebuildFromScratch is the reference rebuild: a fresh BuildProb, the
 // engine reset over it, and every detached vertex re-detached.
 func (st *ShardState) rebuildFromScratch(est map[ergraph.RelPair]consistency.Estimate) {
-	g := st.sh.graph
-	prob := propagation.BuildProbDense(g, st.sh.prior, est)
+	prob := propagation.BuildProbDense(st.sh.graph, st.sh.prior, est)
 	st.prob = prob
 	st.eng.Reset(prob)
-	for i, q := range g.Vertices() {
-		if st.detached[i] {
-			st.eng.DetachVertex(q)
+	for i, detached := range st.detached {
+		if detached {
+			st.eng.DetachVertex(i)
 		}
 	}
 }

@@ -25,26 +25,23 @@ func (p *Prepared) PropagateFromSeeds(seeds []pair.Pair) pair.Set {
 
 	matches := seedSet.Clone()
 	inferred := prob.InferAll(cfg.Tau)
-	frontier := seeds
-	for len(frontier) > 0 {
-		var next []pair.Pair
-		for _, q := range frontier {
-			qi := p.Graph.IndexOf(q)
-			if qi < 0 {
-				continue
-			}
-			verts := p.Graph.Vertices()
-			for _, en := range inferred.Ball(qi) {
-				pj := verts[en.Idx]
-				if matches.Has(pj) {
-					continue
-				}
-				matches.Add(pj)
-				next = append(next, pj)
-			}
+	// The seeds come in as pairs; the frontier holds vertex indexes.
+	var frontier []int
+	for _, q := range seeds {
+		if qi := p.Graph.IndexOf(q); qi >= 0 {
+			frontier = append(frontier, qi)
 		}
-		if len(next) == 0 {
-			break
+	}
+	verts := p.Graph.Vertices()
+	for len(frontier) > 0 {
+		var next []int
+		for _, qi := range frontier {
+			for _, en := range inferred.Ball(qi) {
+				if pj := verts[en.Idx]; !matches.Has(pj) {
+					matches.Add(pj)
+					next = append(next, int(en.Idx))
+				}
+			}
 		}
 		frontier = next
 	}

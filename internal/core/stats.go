@@ -164,7 +164,7 @@ func (st *seedStats) knownL(n1, n2 []kb.EntityID) int {
 //
 //remp:hotpath
 func (ls *labelStats) insert(m pair.Pair, o consistency.Observation) {
-	at, _ := slices.BinarySearchFunc(ls.seeds[len(ls.ranks):], m, comparePairs)
+	at, _ := slices.BinarySearchFunc(ls.seeds[len(ls.ranks):], m, pair.Pair.Compare)
 	at += len(ls.ranks)
 	ls.seeds = slices.Insert(ls.seeds, at, m)
 	ls.obs = slices.Insert(ls.obs, at, o)
@@ -179,23 +179,13 @@ func (ls *labelStats) find(m pair.Pair, rank int32) int {
 	if rank >= 0 {
 		row, _ = slices.BinarySearch(ls.ranks, rank)
 	} else {
-		row, _ = slices.BinarySearchFunc(ls.seeds[len(ls.ranks):], m, comparePairs)
+		row, _ = slices.BinarySearchFunc(ls.seeds[len(ls.ranks):], m, pair.Pair.Compare)
 		row += len(ls.ranks)
 	}
 	if row >= len(ls.seeds) || ls.seeds[row] != m {
 		panic("core: seed statistics hold no row for a participating seed")
 	}
 	return row
-}
-
-func comparePairs(a, b pair.Pair) int {
-	switch {
-	case a.Less(b):
-		return -1
-	case b.Less(a):
-		return 1
-	}
-	return 0
 }
 
 // neighbors returns m's value sets under the label, following its

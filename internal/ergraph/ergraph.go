@@ -42,7 +42,10 @@ func (l RelPair) Less(m RelPair) bool {
 }
 
 // Graph is an ER graph over a fixed vertex set: built once, then only read,
-// and stored one way — three parallel flat rows per direction. Vertex i's
+// and stored one way — three parallel flat rows per direction. A vertex is
+// named by its dense index; IndexOf, a binary search over byPair, turns a
+// pair into one where pairs come in from outside. The vertex list is a
+// set. Vertex i's
 // out-edges are slots outStart[i]..outStart[i+1] of outTo (target vertex
 // index) and outLabel (label index); inStart/inFrom/inLabel hold the same
 // edges by target. A row is sorted by its neighbours' pair order (pair.Less,
@@ -51,7 +54,9 @@ func (l RelPair) Less(m RelPair) bool {
 // and PARIS's product order, hence part of the byte-identity contract.
 type Graph struct {
 	vertices []pair.Pair
-	index    map[pair.Pair]int
+	// byPair lists the vertex indexes in pair order (pair.Less): IndexOf
+	// searches it, and its inverse is the rows' sort key.
+	byPair []int32
 
 	outStart, outTo, outLabel []int32
 	inStart, inFrom, inLabel  []int32
@@ -77,9 +82,10 @@ type edge struct{ row, nbr, label int32 }
 // Build constructs the ER graph on the given vertex set (the retained
 // match set Mrd). For every vertex (u1,u2) and every relationship pair
 // (r1,r2) with u1 having r1-successors and u2 having r2-successors, an
-// edge is added to each successor pair that is also a vertex.
+// edge is added to each successor pair that is also a vertex. A pair listed
+// twice panics, naming it.
 func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
-	g := newGraph(vertices)
+	g := mustGraph(vertices)
 	var edges []edge
 	// Until the labels are sorted an edge carries its label's
 	// first-appearance id: the label's position in g.labels as collected.
@@ -88,9 +94,10 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 	// itself a vertex, under the given label.
 	add := func(i int, n1, n2 []kb.EntityID, label RelPair) {
 		for _, w1 := range n1 {
+			run := g.runOf(w1)
 			for _, w2 := range n2 {
-				j, ok := g.index[pair.Pair{U1: w1, U2: w2}]
-				if !ok || j == i {
+				j := g.find(run, w2)
+				if j < 0 || j == i {
 					continue
 				}
 				id, ok := seenID[label]
@@ -123,7 +130,7 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 	for k := range edges {
 		edges[k].label = sorted[edges[k].label]
 	}
-	rank := pairRanks(g.vertices)
+	rank := g.ranks()
 	g.outStart, g.outTo, g.outLabel = rows(len(g.vertices), edges, rank)
 	for k, e := range edges {
 		edges[k] = edge{row: e.nbr, nbr: e.row, label: e.label}
@@ -133,16 +140,10 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 	return g
 }
 
-// pairRanks returns every vertex's position in pair order: the rows' sort
-// key.
-func pairRanks(vertices []pair.Pair) []int32 {
-	order := make([]int32, len(vertices))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return vertices[order[a]].Less(vertices[order[b]]) })
-	rank := make([]int32, len(order))
-	for r, i := range order {
+// ranks returns every vertex's position in pair order: the rows' sort key.
+func (g *Graph) ranks() []int32 {
+	rank := make([]int32, len(g.byPair))
+	for r, i := range g.byPair {
 		rank[i] = int32(r)
 	}
 	return rank
@@ -159,9 +160,9 @@ func pairRanks(vertices []pair.Pair) []int32 {
 // ownership of the slices.
 func FromRows(vertices []pair.Pair, labels []RelPair, outStart, outTo, outLabel []int32) (*Graph, error) {
 	n := len(vertices)
-	g := newGraph(vertices)
-	if len(g.index) != n {
-		return nil, fmt.Errorf("ergraph: %d vertices, %d distinct", n, len(g.index))
+	g, err := newGraph(vertices)
+	if err != nil {
+		return nil, err
 	}
 	for l := 1; l < len(labels); l++ {
 		if !labels[l-1].Less(labels[l]) {
@@ -171,7 +172,7 @@ func FromRows(vertices []pair.Pair, labels []RelPair, outStart, outTo, outLabel 
 	if len(outStart) != n+1 || outStart[0] != 0 || int(outStart[n]) != len(outTo) || len(outTo) != len(outLabel) {
 		return nil, fmt.Errorf("ergraph: row offsets do not tile %d edges over %d vertices", len(outTo), n)
 	}
-	rank := pairRanks(g.vertices)
+	rank := g.ranks()
 	edges := make([]edge, len(outTo))
 	for i := 0; i < n; i++ {
 		lo, hi := outStart[i], outStart[i+1]
@@ -196,10 +197,29 @@ func FromRows(vertices []pair.Pair, labels []RelPair, outStart, outTo, outLabel 
 	return g, nil
 }
 
-func newGraph(vertices []pair.Pair) *Graph {
-	g := &Graph{vertices: slices.Clone(vertices), index: make(map[pair.Pair]int, len(vertices))}
-	for i, v := range g.vertices {
-		g.index[v] = i
+// newGraph starts a graph over a copy of the vertex list and sorts it once
+// into byPair. The sort puts a repeated pair beside itself: that is the one
+// distinctness check behind Build, FromRows and Subgraph.
+func newGraph(vertices []pair.Pair) (*Graph, error) {
+	g := &Graph{vertices: slices.Clone(vertices), byPair: make([]int32, len(vertices))}
+	for i := range g.byPair {
+		g.byPair[i] = int32(i)
+	}
+	slices.SortFunc(g.byPair, func(a, b int32) int { return g.vertices[a].Compare(g.vertices[b]) })
+	for r := 1; r < len(g.byPair); r++ {
+		if v := g.vertices[g.byPair[r]]; v == g.vertices[g.byPair[r-1]] {
+			return nil, fmt.Errorf("ergraph: vertex %v is listed twice, but the vertices must be distinct", v)
+		}
+	}
+	return g, nil
+}
+
+// mustGraph is newGraph for a vertex list the program made itself, where a
+// repeated pair is a bug.
+func mustGraph(vertices []pair.Pair) *Graph {
+	g, err := newGraph(vertices)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }
@@ -258,13 +278,14 @@ func (g *Graph) buildLabelGroups() {
 // Subgraph returns the induced subgraph on the given vertices (a subset
 // of g's vertex set, in any order): edges with either endpoint outside the
 // subset are dropped, and surviving edges keep the parent's row order, so
-// the result equals Build over the same vertex list. It is pure array
-// arithmetic over the parent's rows: one hash per subgraph vertex, none per
-// edge. Extracting a connected component this way is loss-free — every
-// incident edge survives — so a per-shard pipeline built on a component
-// subgraph sees exactly the evidence the monolithic graph would.
+// the result equals Build over the same vertex list, and a pair listed twice
+// panics as it does there. It is pure array arithmetic over the parent's
+// rows: one IndexOf per subgraph vertex, nothing per edge. Extracting a
+// connected component this way is loss-free — every incident edge survives
+// — so a per-shard pipeline built on a component subgraph sees exactly the
+// evidence the monolithic graph would.
 func (g *Graph) Subgraph(vertices []pair.Pair) *Graph {
-	sub := newGraph(vertices)
+	sub := mustGraph(vertices)
 	// parent[i] is the parent index of subgraph vertex i and remap its
 	// inverse; -1 marks a vertex the other graph does not have.
 	parent := make([]int32, len(sub.vertices))
@@ -323,12 +344,29 @@ func (g *Graph) NumVertices() int { return len(g.vertices) }
 // NumEdges returns the total directed edge count.
 func (g *Graph) NumEdges() int { return len(g.outTo) }
 
-// IndexOf returns the dense index of vertex p, or -1.
-func (g *Graph) IndexOf(p pair.Pair) int {
-	if i, ok := g.index[p]; ok {
-		return i
+// IndexOf returns the dense index of vertex p, or -1: binary searches over
+// the vertices in pair order, O(log n) — p.U1's run, then p.U2 within it.
+func (g *Graph) IndexOf(p pair.Pair) int { return g.find(g.runOf(p.U1), p.U2) }
+
+// runOf returns the vertices whose K1 entity is u: a run of byPair, in K2
+// entity order. Build finds each successor's run once for all its
+// partners.
+func (g *Graph) runOf(u kb.EntityID) []int32 {
+	lo, _ := slices.BinarySearchFunc(g.byPair, u, func(i int32, u kb.EntityID) int { return cmp.Compare(g.vertices[i].U1, u) })
+	hi := lo
+	for hi < len(g.byPair) && g.vertices[g.byPair[hi]].U1 == u {
+		hi++
 	}
-	return -1
+	return g.byPair[lo:hi]
+}
+
+// find returns the vertex of run (a runOf) whose K2 entity is u, or -1.
+func (g *Graph) find(run []int32, u kb.EntityID) int {
+	r, ok := slices.BinarySearchFunc(run, u, func(i int32, u kb.EntityID) int { return cmp.Compare(g.vertices[i].U2, u) })
+	if !ok {
+		return -1
+	}
+	return int(run[r])
 }
 
 // OutIndexesAt returns vertex i's out-row: the dense indexes of the vertices

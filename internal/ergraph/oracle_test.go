@@ -2,11 +2,11 @@ package ergraph
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/kb"
@@ -396,8 +396,8 @@ func TestSubgraphEqualsBuildOnClosedSet(t *testing.T) {
 			sub, built := g.Subgraph(shard), Build(k1, k2, shard)
 			requireMatchesOracle(t, sub, o.subgraph(shard), ctx)
 			requireMatchesOracle(t, built, buildOracle(k1, k2, shard), ctx+" (Build)")
-			if !slices.Equal(sub.outLabel, built.outLabel) || !slices.Equal(sub.inLabel, built.inLabel) || !maps.Equal(sub.index, built.index) {
-				t.Fatalf("%s: Subgraph and Build disagree on the label rows or the index", ctx)
+			if !slices.Equal(sub.outLabel, built.outLabel) || !slices.Equal(sub.inLabel, built.inLabel) || !slices.Equal(sub.byPair, built.byPair) {
+				t.Fatalf("%s: Subgraph and Build disagree on the label rows or the pair order", ctx)
 			}
 			// Edge for edge: (from, to, label) read off the out-rows and off
 			// the in-rows are the same multiset.
@@ -419,5 +419,73 @@ func TestSubgraphEqualsBuildOnClosedSet(t *testing.T) {
 	}
 	if multiShard == 0 {
 		t.Fatal("no trial split into more than one shard")
+	}
+}
+
+// TestIndexOfMatchesMapOracle: IndexOf, a binary search over the vertices in
+// pair order, answers what the oracle's map answers — on graphs from Build,
+// FromRows and Subgraph over shuffled vertex lists, for every pair over the
+// entities and one past them, so for vertices and non-vertices alike.
+func TestIndexOfMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	hits, misses := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		nEnt := 2 + rng.Intn(7)
+		k1, k2 := randomKBs(rng, nEnt, 1+rng.Intn(3), rng.Intn(3*nEnt))
+		vs := randomVertices(rng, nEnt, 1+rng.Intn(nEnt*nEnt))
+		g, o := Build(k1, k2, vs), buildOracle(k1, k2, vs)
+		back, err := FromRows(g.vertices, g.labels, g.outStart, g.outTo, g.outLabel)
+		if err != nil {
+			t.Fatalf("trial %d: FromRows: %v", trial, err)
+		}
+		subset := slices.Clone(vs[:rng.Intn(len(vs)+1)])
+		rng.Shuffle(len(subset), func(a, b int) { subset[a], subset[b] = subset[b], subset[a] })
+		for _, c := range []struct {
+			name  string
+			g     *Graph
+			index map[pair.Pair]int
+		}{{"Build", g, o.index}, {"FromRows", back, o.index}, {"Subgraph", g.Subgraph(subset), o.subgraph(subset).index}} {
+			for x := 0; x < (nEnt+1)*(nEnt+1); x++ {
+				p := pair.Pair{U1: kb.EntityID(x / (nEnt + 1)), U2: kb.EntityID(x % (nEnt + 1))}
+				want, ok := c.index[p]
+				if !ok {
+					want = -1
+					misses++
+				} else {
+					hits++
+				}
+				if got := c.g.IndexOf(p); got != want {
+					t.Fatalf("trial %d, %s graph: IndexOf(%v) = %d, oracle %d", trial, c.name, p, got, want)
+				}
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("probes covered %d vertices and %d non-vertices", hits, misses)
+	}
+}
+
+// TestRepeatedVertexRejected: a vertex list that repeats a pair is not a
+// vertex set. The one check behind all three constructors refuses it,
+// naming the pair: Build and Subgraph panic, FromRows returns an error
+// that says the vertices must be distinct.
+func TestRepeatedVertexRejected(t *testing.T) {
+	g, ps := buildFig1()
+	twice := []pair.Pair{ps["tim"], ps["joan"], ps["cradle"], ps["joan"]}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), ps["joan"].String()) {
+				t.Errorf("%s over a repeated pair: panic %v, want one naming %v", name, r, ps["joan"])
+			}
+		}()
+		f()
+	}
+	k1, k2, _ := figure1KBs()
+	mustPanic("Build", func() { Build(k1, k2, twice) })
+	mustPanic("Subgraph", func() { g.Subgraph(twice) })
+	_, err := FromRows(twice, nil, make([]int32, len(twice)+1), nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "distinct") || !strings.Contains(err.Error(), ps["joan"].String()) {
+		t.Errorf("FromRows over a repeated pair: error %v, want one naming %v and saying distinct", err, ps["joan"])
 	}
 }

@@ -5,6 +5,7 @@
 package pair
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -28,6 +29,11 @@ func (p Pair) Less(q Pair) bool {
 		return p.U1 < q.U1
 	}
 	return p.U2 < q.U2
+}
+
+// Compare is Less as a three-way comparison: -1, 0 or +1.
+func (p Pair) Compare(q Pair) int {
+	return cmp.Or(cmp.Compare(p.U1, q.U1), cmp.Compare(p.U2, q.U2))
 }
 
 // GroupByEntity groups the positions of pairs by their K1 entity (side1)

@@ -33,10 +33,11 @@ import (
 	"repro/internal/pair"
 )
 
-// Partition is a deterministic assignment of candidate pairs to shards.
+// Partition is a deterministic assignment of candidate pairs to shards,
+// held as the shards' vertex lists alone: Split works by input index
+// throughout, and nothing is keyed by pair.
 type Partition struct {
 	shards     [][]pair.Pair
-	shardOf    map[pair.Pair]int
 	components int
 }
 
@@ -63,29 +64,33 @@ func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxSh
 	// Gather components and canonicalize: a component is identified by its
 	// minimal pair, and components order by (size desc, minimal pair asc).
 	// Both are properties of the vertex set alone, so shard IDs are stable
-	// under any permutation of the input.
-	members := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		r := uf.find(i)
-		members[r] = append(members[r], i)
-	}
+	// under any permutation of the input. A component is named by its
+	// union-find root r, and at[r] is its position in comps (-1 until met),
+	// later its shard.
 	type component struct {
-		idxs []int
-		min  pair.Pair
+		root, size int
+		min        pair.Pair
 	}
-	comps := make([]component, 0, len(members))
-	for _, idxs := range members {
-		min := vertices[idxs[0]]
-		for _, i := range idxs[1:] {
-			if vertices[i].Less(min) {
-				min = vertices[i]
-			}
+	var comps []component
+	at := make([]int, n)
+	for i := range at {
+		at[i] = -1
+	}
+	for i, v := range vertices {
+		r := uf.find(i)
+		if at[r] < 0 {
+			at[r] = len(comps)
+			comps = append(comps, component{root: r, min: v})
 		}
-		comps = append(comps, component{idxs: idxs, min: min})
+		c := &comps[at[r]]
+		c.size++
+		if v.Less(c.min) {
+			c.min = v
+		}
 	}
 	sort.Slice(comps, func(a, b int) bool {
-		if len(comps[a].idxs) != len(comps[b].idxs) {
-			return len(comps[a].idxs) > len(comps[b].idxs)
+		if comps[a].size != comps[b].size {
+			return comps[a].size > comps[b].size
 		}
 		return comps[a].min.Less(comps[b].min)
 	})
@@ -101,11 +106,7 @@ func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxSh
 		shards = 1 // empty graph: one empty shard
 	}
 
-	p := &Partition{
-		shards:     make([][]pair.Pair, shards),
-		shardOf:    make(map[pair.Pair]int, n),
-		components: len(comps),
-	}
+	p := &Partition{shards: make([][]pair.Pair, shards), components: len(comps)}
 	// Weight-balanced contiguous fill: walk components largest-first and
 	// advance to the next shard once the current one reaches the remaining
 	// ideal weight. Contiguity keeps similar-sized components — the ones
@@ -116,20 +117,18 @@ func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxSh
 	for ci, c := range comps {
 		if shard < shards-1 && filled > 0 {
 			target := remaining / (shards - shard)
-			if filled+len(c.idxs)/2 >= target && len(comps)-ci >= shards-shard-1 {
+			if filled+c.size/2 >= target && len(comps)-ci >= shards-shard-1 {
 				remaining -= filled
 				shard++
 				filled = 0
 			}
 		}
-		for _, i := range c.idxs {
-			p.shardOf[vertices[i]] = shard
-		}
-		filled += len(c.idxs)
+		at[c.root] = shard
+		filled += c.size
 	}
 	// Materialize shard vertex lists in input order.
-	for _, v := range vertices {
-		s := p.shardOf[v]
+	for i, v := range vertices {
+		s := at[uf.find(i)]
 		p.shards[s] = append(p.shards[s], v)
 	}
 	return p

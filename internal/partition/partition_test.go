@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/kb"
@@ -171,9 +172,10 @@ func TestBalancedFill(t *testing.T) {
 // ShardOf returns the shard holding pair v, or -1 for unknown pairs. The
 // pipeline routes by vertex index instead; the tests ask by pair.
 func (p *Partition) ShardOf(v pair.Pair) int {
-	s, ok := p.shardOf[v]
-	if !ok {
-		return -1
+	for s, vs := range p.shards {
+		if slices.Contains(vs, v) {
+			return s
+		}
 	}
-	return s
+	return -1
 }

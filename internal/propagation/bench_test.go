@@ -43,7 +43,7 @@ func BenchmarkEngineDetachSync(b *testing.B) {
 					e = NewEngine(pg, 0.8)
 					b.StartTimer()
 				}
-				e.DetachVertex(verts[i%len(verts)])
+				e.DetachVertex(i % len(verts))
 				if mode == "full-rebuild" {
 					e.InvalidateAll()
 				}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/pair"
 )
 
 // Engine maintains the bounded-distance balls of Algorithm 2 incrementally
@@ -115,14 +114,11 @@ func (e *Engine) Retire(i int) {
 // Retired reports whether source i was retired.
 func (e *Engine) Retired(i int) bool { return e.retired[i] }
 
-// DetachVertex removes every edge incident to q from the probabilistic
-// graph — q can neither be inferred nor relay inference — and invalidates
-// exactly the sources whose balls contained q.
-func (e *Engine) DetachVertex(q pair.Pair) {
-	i := e.pg.g.IndexOf(q)
-	if i < 0 {
-		return
-	}
+// DetachVertex removes every edge incident to vertex i from the
+// probabilistic graph — i can neither be inferred nor relay inference — and
+// invalidates exactly the sources whose balls contained i. Like every
+// engine operation it takes the vertex's index in the engine's graph.
+func (e *Engine) DetachVertex(i int) {
 	if out, in := e.pg.degreeAt(i); out == 0 && in == 0 {
 		return // already detached: nothing can have changed
 	}

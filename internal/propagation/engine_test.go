@@ -52,7 +52,7 @@ func probGraphFromAdj(g *ergraph.Graph, adj []map[int]float64) *ProbGraph {
 
 // randomPG builds a probabilistic graph over n isolated vertex pairs with
 // random high-probability directed edges.
-func randomPG(rng *rand.Rand, n int, density float64) (*ProbGraph, []pair.Pair) {
+func randomPG(rng *rand.Rand, n int, density float64) *ProbGraph {
 	k1 := kb.New("k1")
 	k2 := kb.New("k2")
 	verts := make([]pair.Pair, n)
@@ -63,7 +63,7 @@ func randomPG(rng *rand.Rand, n int, density float64) (*ProbGraph, []pair.Pair) 
 		}
 	}
 	g := ergraph.Build(k1, k2, verts)
-	return probGraphFromAdj(g, randomAdj(rng, n, density)), verts
+	return probGraphFromAdj(g, randomAdj(rng, n, density))
 }
 
 // assertMatchesOracle compares the engine's balls entry-by-entry against a
@@ -108,7 +108,7 @@ func TestNewEngineMatchesInferAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 10; iter++ {
 		n := 10 + rng.Intn(90) // crosses the parallel fan-out cutoff
-		pg, _ := randomPG(rng, n, 0.1)
+		pg := randomPG(rng, n, 0.1)
 		tau := 0.7
 		e := NewEngine(pg, tau)
 		if got := e.Recomputes(); got != int64(n) {
@@ -136,7 +136,7 @@ func TestEngineRandomizedInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 12; iter++ {
 		n := 64 + rng.Intn(40) // above the fan-out cutoff so Sync parallelizes
-		pg, verts := randomPG(rng, n, 0.08)
+		pg := randomPG(rng, n, 0.08)
 		tau := 0.65 + 0.25*rng.Float64()
 		e := NewEngine(pg, tau)
 		for step := 0; step < 10; step++ {
@@ -144,7 +144,7 @@ func TestEngineRandomizedInvalidation(t *testing.T) {
 				slot := pg.randomSlot(rng, 0, n)
 				switch rng.Intn(6) {
 				case 0, 1:
-					e.DetachVertex(verts[rng.Intn(n)])
+					e.DetachVertex(rng.Intn(n))
 				case 2:
 					e.editSlot(slot, 0) // remove one edge
 				case 3:
@@ -152,7 +152,7 @@ func TestEngineRandomizedInvalidation(t *testing.T) {
 				case 4:
 					e.editSlot(slot, 0.8+0.2*rng.Float64()) // strengthen, or restore a removed edge
 				case 5:
-					pg, verts = randomPG(rng, n, 0.08)
+					pg = randomPG(rng, n, 0.08)
 					e.Reset(pg) // the from-scratch reference swaps the whole graph
 				}
 			}
@@ -203,8 +203,8 @@ func TestEngineRecomputesOnlyBall(t *testing.T) {
 		t.Fatalf("initial build: %d recomputes, want %d", e.Recomputes(), n)
 	}
 
-	mid := vs[4]
-	ball := e.ballSize(mid)
+	mid := pg.Graph().IndexOf(vs[4])
+	ball := e.ballSize(vs[4])
 	if ball == 0 {
 		t.Fatalf("mid-chain vertex unexpectedly unreachable")
 	}
@@ -242,9 +242,9 @@ func TestEngineRecomputesOnlyBall(t *testing.T) {
 
 func TestEngineResetResizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	pg1, _ := randomPG(rng, 20, 0.15)
+	pg1 := randomPG(rng, 20, 0.15)
 	e := NewEngine(pg1, 0.8)
-	pg2, _ := randomPG(rng, 35, 0.1) // different vertex count
+	pg2 := randomPG(rng, 35, 0.1) // different vertex count
 	e.Reset(pg2)
 	e.Sync()
 	assertMatchesOracle(t, e, 0.8, "after reset")
@@ -292,14 +292,14 @@ func TestEngineRetirementProperty(t *testing.T) {
 	for _, tc := range cases {
 		for _, tau := range []float64{1, 0.95, 0.8, 0.65} {
 			rng := rand.New(rand.NewSource(tc.seed))
-			pg, verts := randomPG(rng, tc.n, tc.density)
+			pg := randomPG(rng, tc.n, tc.density)
 			e := NewEngine(pg, tau)
 			for step := 0; step < 10; step++ {
 				ctx := fmt.Sprintf("n=%d tau=%v step %d", tc.n, tau, step)
 				for ops := 1 + rng.Intn(6); ops > 0; ops-- {
 					switch i := rng.Intn(tc.n); rng.Intn(3) {
 					case 0:
-						e.DetachVertex(verts[i])
+						e.DetachVertex(i)
 					case 1:
 						changed := false
 						for s := pg.rowStart[i]; s < pg.rowStart[i+1]; s++ {
@@ -354,9 +354,9 @@ func TestEngineRetiredBallServedUntilSync(t *testing.T) {
 	confirmed, rejected := g.IndexOf(vs[2]), g.IndexOf(vs[10])
 	want := map[int]Ball{confirmed: slices.Clone(e.Ball(confirmed)), rejected: slices.Clone(e.Ball(rejected))}
 	e.Retire(confirmed)
-	e.DetachVertex(vs[4]) // a batch-mate's cascade detaches a vertex of the ball
+	e.DetachVertex(4) // a batch-mate's cascade detaches a vertex of the ball
 	e.Retire(rejected)
-	e.DetachVertex(vs[10])
+	e.DetachVertex(rejected)
 	e.editSlot(pg.slot(11, 12), 0.999)
 	for i, b := range want {
 		if len(b) == 0 {

@@ -345,7 +345,7 @@ func TestEnginePartialInvalidationMixedEdits(t *testing.T) {
 					slot := pg.randomSlot(rng, c*tc.size, (c+1)*tc.size)
 					switch old := pg.prob[slot]; rng.Intn(5) {
 					case 0:
-						e.DetachVertex(verts[c*tc.size+rng.Intn(tc.size)])
+						e.DetachVertex(c*tc.size + rng.Intn(tc.size))
 					case 1:
 						e.editSlot(slot, 0) // remove
 					case 2:
@@ -460,7 +460,7 @@ func TestProbGraphTopologyIsShared(t *testing.T) {
 	for _, tc := range rewriteCases {
 		rng := rand.New(rand.NewSource(tc.seed))
 		w := randomLabeledWorld(rng, tc.ents, tc.rels, tc.fanout, tc.keep)
-		n, verts, labels := w.g.NumVertices(), w.g.Vertices(), w.g.Labels()
+		n, labels := w.g.NumVertices(), w.g.Labels()
 		est := randomEstimates(rng, labels)
 		build := func() *ProbGraph {
 			return BuildProb(w.g, w.k1, w.k2, Params{Priors: w.priors, Consistency: est})
@@ -487,7 +487,7 @@ func TestProbGraphTopologyIsShared(t *testing.T) {
 			case 0:
 				i := rng.Intn(n)
 				l.detached[i] = true
-				l.e.DetachVertex(verts[i])
+				l.e.DetachVertex(i)
 			case 1:
 				l.e.InvalidateTails(l.rw.Apply(randomEstimates(rng, labels), l.detached))
 			case 2:
@@ -506,7 +506,7 @@ func TestProbGraphTopologyIsShared(t *testing.T) {
 				l.e.Reset(l.pg)
 				for i, d := range l.detached {
 					if d {
-						l.e.DetachVertex(verts[i])
+						l.e.DetachVertex(i)
 					}
 				}
 			}
