@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/datasets"
@@ -236,6 +237,16 @@ func TestClassifyIsolatedMatchesOracle(t *testing.T) {
 						oracleClassifyIsolated(p, want)
 						predicted += want.IsolatedPredicted.Len()
 						assertResultsIdentical(t, got, want)
+						if len(p.isolated) == 0 {
+							return
+						}
+						// The same outcome again is served from the memo.
+						if _, ok := p.iso.recall(p.roles(res)); !ok {
+							t.Fatal("the outcome was not remembered")
+						}
+						again := classifiable(res)
+						p.classifyIsolated(again)
+						assertResultsIdentical(t, again, want)
 					})
 				}
 			}
@@ -253,50 +264,142 @@ func TestClassifyIsolatedFitsEachTrainingSetOnce(t *testing.T) {
 	cfg.Budget = 40
 	p, res := resolvedWithoutClassifier(t, "d-y", cfg)
 
-	c := newIsolatedClassifier(p, res)
+	plan := p.isoInputs()
+	f := newIsoFitter(p, p.roles(res))
 	emptySig, thin := false, false
-	for i, role := range c.role {
-		if role != roleTarget {
+	for _, i := range p.isolated {
+		if f.roles[i] != roleTarget {
 			continue
 		}
-		s := c.sigOf[i]
-		c.modelFor(s)
-		own := c.models[string(c.neighborhood(c.sigs[s]))]
+		s := plan.sigOf[i]
+		f.modelFor(s)
 		emptySig = emptySig || len(p.Builder.SharedAttrMatches(p.Retained[i])) == 0
-		thin = thin || own == nil
+		thin = thin || f.models[plan.hoodOf[s]] == nil
 	}
 	if !emptySig || !thin {
 		t.Fatalf("fixture lost its point: empty-signature target %v, thin neighborhood %v", emptySig, thin)
 	}
-	if c.models[string(c.everyPair())] == nil {
+	if f.models[plan.all] == nil {
 		t.Fatal("no all-pairs model fitted")
 	}
 	fitted := 0
-	for _, m := range c.models {
+	for _, m := range f.models {
 		if m != nil {
 			fitted++
 		}
 	}
-	if c.fits != fitted {
-		t.Errorf("%d forest.Train calls for %d distinct training sets", c.fits, fitted)
+	if f.fits != fitted {
+		t.Errorf("%d forest.Train calls for %d distinct training sets", f.fits, fitted)
 	}
-	if oracle := oracleClassifyIsolated(p, classifiable(res)); c.fits >= oracle {
-		t.Errorf("%d forest.Train calls, the per-pair classifier made %d", c.fits, oracle)
+	if oracle := oracleClassifyIsolated(p, classifiable(res)); f.fits >= oracle {
+		t.Errorf("%d forest.Train calls, the per-pair classifier made %d", f.fits, oracle)
 	} else {
-		t.Logf("forest.Train calls: %d (per-pair classifier: %d), %d signatures", c.fits, oracle, len(c.sigs))
+		t.Logf("forest.Train calls: %d (per-pair classifier: %d), %d neighborhoods", f.fits, oracle, len(plan.hoods))
 	}
 }
 
+// TestConcurrentClassificationsShareOnePlan classifies several outcomes of
+// one plan from many goroutines at once; each must equal the per-pair
+// classifier's serial result on the same outcome. Run with -race: the
+// sessions share the plan's inputs and its memo.
+func TestConcurrentClassificationsShareOnePlan(t *testing.T) {
+	const sessions = 12
+	ds, err := datasets.ByName("d-y", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Budget, cfg.ClassifyIsolated = 40, false
+	p := Prepare(ds.K1, ds.K2, cfg)
+	res := p.Run(noisyPlatform(ds))
+	// Three outcomes: the session's, and two that forget every second or
+	// third of its matches.
+	var outcomes, want []*Result
+	roles := map[string]bool{}
+	for k := range 3 {
+		out := classifiable(res)
+		if k > 0 {
+			n := 0
+			for _, q := range res.Matches.Sorted() {
+				if n++; n%(k+1) == 0 {
+					delete(out.Matches, q)
+				}
+			}
+		}
+		outcomes = append(outcomes, out)
+		want = append(want, classifiable(out))
+		oracleClassifyIsolated(p, want[k])
+		roles[string(p.roles(out))] = true
+	}
+	if len(roles) != len(outcomes) {
+		t.Fatalf("fixture lost its point: %d distinct outcomes of %d", len(roles), len(outcomes))
+	}
+
+	got := make([]*Result, sessions)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = classifiable(outcomes[g%len(outcomes)])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.classifyIsolated(got[g])
+		}()
+	}
+	wg.Wait()
+	for g, res := range got {
+		assertResultsIdentical(t, res, want[g%len(outcomes)])
+	}
+	if len(p.iso.memo) != len(outcomes) {
+		t.Errorf("memo holds %d outcomes, want %d", len(p.iso.memo), len(outcomes))
+	}
+}
+
+// TestIsoMemoIsBounded fills the memo past isoMemoCap: it keeps the most
+// recent outcomes, once each.
+func TestIsoMemoIsBounded(t *testing.T) {
+	var c isoPlan
+	for k := range isoMemoCap + 2 {
+		roles := []byte{byte(k)}
+		c.remember(roles, []int32{int32(k)})
+		c.remember(roles, []int32{int32(k)})
+	}
+	if len(c.memo) != isoMemoCap {
+		t.Fatalf("memo holds %d outcomes, want %d", len(c.memo), isoMemoCap)
+	}
+	for k := range isoMemoCap + 2 {
+		matches, ok := c.recall([]byte{byte(k)})
+		if want := k >= 2; ok != want || ok && matches[0] != int32(k) {
+			t.Errorf("outcome %d: recalled %v %v, want remembered=%v", k, matches, ok, want)
+		}
+	}
+}
+
+// BenchmarkClassifyIsolated classifies one d-y outcome (budget 40, the
+// serve-* shape). cold is an outcome the plan has not seen: every
+// neighborhood's forest is fitted, over inputs the plan built on its first
+// classification, before timing. warm is the same outcome a second time,
+// served from the plan's memo.
 func BenchmarkClassifyIsolated(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Budget = 40
 	p, res := resolvedWithoutClassifier(b, "d-y", cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		r := classifiable(res)
-		b.StartTimer()
-		p.classifyIsolated(r)
+	p.classifyIsolated(classifiable(res))
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r := classifiable(res)
+				if !warm {
+					p.iso.memo = nil
+				}
+				b.StartTimer()
+				p.classifyIsolated(r)
+			}
+		})
 	}
 }

@@ -497,7 +497,7 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	l.touch(qi)
 	prior, hard := l.damped[q]
 	if !hard {
-		prior = l.p.prior[qi]
+		prior = l.p.Prior(qi)
 	}
 	inf := crowd.Infer(prior, labels, cfg.Thresholds)
 	switch inf.Verdict {

@@ -19,7 +19,8 @@ import (
 // shards. Of the candidates it keeps only the retained ones — the graph's
 // vertices — with their similarity vectors and priors by vertex index;
 // nothing keyed by candidate pair outlives Prepare. It is immutable once
-// Prepare returns: a loop keeps everything it changes in the Loop and its
+// Prepare returns, but for the isolated-pair classifier's state (iso),
+// which is guarded: a loop keeps everything it changes in the Loop and its
 // ShardStates, so any number of loops — concurrent ones included — run
 // over one Prepared.
 type Prepared struct {
@@ -39,11 +40,15 @@ type Prepared struct {
 	// into its own copy (Loop.est).
 	Consistency map[ergraph.RelPair]consistency.Estimate
 
-	// vec holds vertex i's similarity vector at vec[i*dim:(i+1)*dim], and
-	// prior[i] its prior (Vector, Prior).
-	vec   []float64
-	dim   int
-	prior []float64
+	// vec holds vertex i's row at vec[i*(dim+1):(i+1)*(dim+1)]: its
+	// similarity vector (Vector), then its prior (Prior). The row is the
+	// isolated-pair classifier's feature vector, read in place.
+	vec []float64
+	dim int
+	// iso is the isolated-pair classifier's plan-level state: its inputs,
+	// built on the first classification, and a memo of its outcomes. It is
+	// the one part of a Prepared that changes after Prepare returns.
+	iso isoPlan
 
 	// Part is the assignment of the graph's connected vertices — those with
 	// an edge — to engine shards (connected components over relational
@@ -96,12 +101,19 @@ func (p *Prepared) blocks(i int) [2][]int32 {
 
 // Vector returns vertex i's similarity vector, read-only.
 func (p *Prepared) Vector(i int) simvec.Vector {
-	return p.vec[i*p.dim : (i+1)*p.dim : (i+1)*p.dim]
+	return p.row(i)[:p.dim:p.dim]
 }
 
 // Prior returns vertex i's prior match probability Pr[m_p], the label
 // similarity blocking gave its pair.
-func (p *Prepared) Prior(i int) float64 { return p.prior[i] }
+func (p *Prepared) Prior(i int) float64 { return p.vec[(i+1)*(p.dim+1)-1] }
+
+// row returns vertex i's similarity vector with its prior appended,
+// read-only.
+func (p *Prepared) row(i int) []float64 {
+	w := p.dim + 1
+	return p.vec[i*w : (i+1)*w : (i+1)*w]
+}
 
 // Prepare runs ER graph construction end to end: candidate generation,
 // attribute matching over initial matches, similarity-vector assembly,
@@ -190,16 +202,25 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 }
 
 // gather sets the n retained pairs, at(i) giving the i-th with its vector
-// and prior, which are copied to vertex index i.
+// and prior, which are copied to vertex index i's row.
 func (p *Prepared) gather(n int, at func(i int) (pair.Pair, simvec.Vector, float64)) {
 	p.Retained = make([]pair.Pair, n)
-	p.vec = make([]float64, n*p.dim)
-	p.prior = make([]float64, n)
+	p.vec = make([]float64, n*(p.dim+1))
 	for i := range n {
 		var v simvec.Vector
-		p.Retained[i], v, p.prior[i] = at(i)
-		copy(p.vec[i*p.dim:], v)
+		row := p.row(i)
+		p.Retained[i], v, row[p.dim] = at(i)
+		copy(row, v)
 	}
+}
+
+// priors returns every vertex's prior, by vertex index, in a new slice.
+func (p *Prepared) priors() []float64 {
+	out := make([]float64, len(p.Retained))
+	for i := range out {
+		out[i] = p.Prior(i)
+	}
+	return out
 }
 
 // fitConsistency estimates (ε1, ε2) for every edge label from the value

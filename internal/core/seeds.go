@@ -21,7 +21,7 @@ func (p *Prepared) PropagateFromSeeds(seeds []pair.Pair) pair.Set {
 	// Consistency from the seeds themselves: with ground-truth matches the
 	// matched-value counts are observed, so the direct estimator applies.
 	cons := p.fitConsistencyFromCounts(seeds)
-	prob := propagation.BuildProbDense(p.Graph, p.prior, cons)
+	prob := propagation.BuildProbDense(p.Graph, p.priors(), cons)
 
 	matches := seedSet.Clone()
 	inferred := prob.InferAll(cfg.Tau)

@@ -137,7 +137,7 @@ func (p *Prepared) initShards() {
 		}
 		for i, v := range sub.Vertices() {
 			sh.globalIdx[i] = g.IndexOf(v)
-			sh.prior[i] = p.prior[sh.globalIdx[i]]
+			sh.prior[i] = p.Prior(sh.globalIdx[i])
 			p.home[sh.globalIdx[i]] = int32(s)
 		}
 		sh.prob = propagation.BuildProbDense(sub, sh.prior, sh.est)
@@ -165,7 +165,7 @@ func (p *Prepared) indexLabels() {
 // match it resolves itself alone, and stays that way until it is resolved.
 func (p *Prepared) singleton(i int) selection.Candidate {
 	v := p.isolated[i]
-	return selection.Candidate{Pair: p.Retained[v], Prob: p.prior[v], Inferred: p.isolated[i : i+1 : i+1]}
+	return selection.Candidate{Pair: p.Retained[v], Prob: p.Prior(v), Inferred: p.isolated[i : i+1 : i+1]}
 }
 
 // NumShards returns the number of engine shards the pipeline's connected

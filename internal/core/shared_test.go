@@ -24,14 +24,17 @@ func noisyPlatform(ds *datasets.Dataset) *crowd.Platform {
 // floats in their shortest round-trip form, so equal text means equal bits
 // — plus the dense priors, the isolated vertices and the vertex routing,
 // the initial consistency fit (fmt prints maps in key order), and every
-// vertex's similarity vector and prior.
+// vertex's similarity vector and prior. It leaves out p.iso, the
+// classifier's memo and the inputs it builds on first use: that state is
+// written by design, under its own lock, and holds only what a pure
+// function of the plan and an outcome returns.
 func fingerprint(p *Prepared) [sha256.Size]byte {
 	h := sha256.New()
 	for _, sp := range p.shards {
 		fmt.Fprintf(h, "%v|%v|", *sp.prob, sp.prior)
 	}
 	fmt.Fprintf(h, "%v|%v|", p.isolated, p.home)
-	fmt.Fprintf(h, "%v|%v|%v", p.Consistency, p.vec, p.prior)
+	fmt.Fprintf(h, "%v|%v", p.Consistency, p.vec)
 	return [sha256.Size]byte(h.Sum(nil))
 }
 

@@ -180,7 +180,7 @@ func sameTree(f *Forest, id int32, o *oracleNode) bool {
 		return o.feature < 0 && n.feature < 0 && math.Float64bits(n.val) == math.Float64bits(o.prob)
 	}
 	return int(n.feature) == o.feature && math.Float64bits(n.val) == math.Float64bits(o.thresh) &&
-		sameTree(f, n.left, o.left) && sameTree(f, n.right, o.right)
+		sameTree(f, id+1, o.left) && sameTree(f, n.right, o.right)
 }
 
 // randomColumn draws one feature column of a shape the split search must

@@ -160,8 +160,11 @@ func (c *PlanCache) entries() int {
 // retained vertices (each with a similarity vector and a prior) and the ER
 // graph's rows. The per-unit weights were fitted to HeapAlloc deltas on
 // the built-in datasets; TestPlanCostEstimate holds them within a factor 2.
+// Twelve bytes a vertex more are the isolated-pair classifier's, which a
+// plan builds on its first session: a signature id, and a role byte and
+// predictions in each outcome its memo holds.
 func planCost(ds remp.Dataset, p *core.Prepared) int64 {
 	s1, s2 := ds.K1.Stats(), ds.K2.Stats()
 	return int64(250*(s1.Entities+s2.Entities) + 150*(s1.AttrTriples+s2.AttrTriples) + 250*(s1.RelTriples+s2.RelTriples) +
-		(100+8*(p.Builder.Dim()+1))*p.Graph.NumVertices() + 80*p.Graph.NumEdges())
+		(112+8*(p.Builder.Dim()+1))*p.Graph.NumVertices() + 80*p.Graph.NumEdges())
 }

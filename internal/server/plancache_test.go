@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/crowd"
 	"repro/internal/datasets"
 	"repro/internal/obs"
 	"repro/internal/session"
@@ -471,7 +472,9 @@ func TestDeleteKeepsRepointedRef(t *testing.T) {
 
 // TestPlanCostEstimate holds planCost within a factor 2 of the heap a
 // plan really keeps alive, on three shapes: few relations (d-y), many
-// relations per entity (iimb), and a large dense clustered graph.
+// relations per entity (iimb), and a large dense clustered graph. The plan
+// has served a session, so the isolated-pair classifier's inputs and memo
+// are built.
 func TestPlanCostEstimate(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -502,6 +505,7 @@ func TestPlanCostEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.Run(crowd.NewPlatform(gold.IsMatch, crowd.Config{Seed: 1}))
 		measured := heap() - before
 		estimate := planCost(ds, p)
 		t.Logf("%s: estimated %d bytes, measured %d (%.2f×)", name, estimate, measured, float64(estimate)/float64(measured))
