@@ -19,12 +19,16 @@
 // whole label (and all but one token up to six), so it would skip no
 // posting entry that counting reads. The output is byte-identical to
 // GenerateNaive, the retained per-pair string implementation that anchors
-// the property tests.
+// the property tests. Each K1 entity's candidates are sorted by K2 entity
+// as they are emitted, and chunks are contiguous K1 ranges, so the merged
+// lists come out in pair order with no global sort.
 package blocking
 
 import (
+	"bytes"
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/kb"
 	"repro/internal/pair"
@@ -85,30 +89,30 @@ func Generate(k1, k2 *kb.KB, opts Options) *Result {
 		for u1 := chunks[ci].Lo; u1 < chunks[ci].Hi; u1++ {
 			from := len(sc.cands)
 			ix.scan(sc, kb.EntityID(u1), lab1.of(u1), opts.Threshold)
-			for _, c := range sc.cands[from:] {
-				if c.Prior == 1 && exactLabel(k1, k2, c.Pair) {
+			emitted := sc.cands[from:]
+			slices.SortFunc(emitted, byU2)
+			for _, c := range emitted {
+				if c.Prior == 1 && sc.exactLabel(k1.Label(c.Pair.U1), k2.Label(c.Pair.U2)) {
 					sc.initial = append(sc.initial, c.Pair)
 				}
 			}
 		}
 	})
 
-	res := &Result{Priors: make(map[pair.Pair]float64)}
+	res := &Result{}
 	for i := range parts {
 		res.Candidates = append(res.Candidates, parts[i].cands...)
 		res.Initial = append(res.Initial, parts[i].initial...)
 	}
+	res.Priors = make(map[pair.Pair]float64, len(res.Candidates))
 	for _, c := range res.Candidates {
 		res.Priors[c.Pair] = c.Prior
 	}
-	sort.Slice(res.Candidates, func(i, j int) bool {
-		return res.Candidates[i].Pair.Less(res.Candidates[j].Pair)
-	})
-	sort.Slice(res.Initial, func(i, j int) bool {
-		return res.Initial[i].Less(res.Initial[j])
-	})
 	return res
 }
+
+// byU2 orders one K1 entity's candidates by K2 entity.
+func byU2(a, b Candidate) int { return cmp.Compare(a.Pair.U2, b.Pair.U2) }
 
 // postings is K2's inverted index in CSR form: the entities whose label
 // holds token t are ent[start[t]:start[t+1]], ascending, each once.
@@ -147,13 +151,15 @@ func newPostings(lab2 labelSets, nTokens int) *postings {
 // scanScratch is the per-chunk state of the parallel scan: one shared-
 // token counter per K2 entity (int32, so no label can overflow it), the
 // entities the current label touched — which is also the list of counters
-// to zero before the next label — and the chunk's result buffers, merged
-// serially afterwards.
+// to zero before the next label — the chunk's result buffers, merged
+// serially afterwards, and exactLabel's normalizer buffers.
 type scanScratch struct {
 	count   []int32
 	touched []kb.EntityID
 	cands   []Candidate
 	initial []pair.Pair
+	words   []byte
+	ends    []int32
 }
 
 // scan appends every candidate (u1, ·) to sc.cands. After the counting
@@ -192,24 +198,46 @@ type labelSets struct {
 
 func (l labelSets) of(u int) []kb.TokenID { return l.toks[l.start[u]:l.start[u+1]] }
 
-// internLabels tokenizes every entity label — in parallel chunks when r is
-// set — and then interns the tokens serially in entity order, so TokenIDs
-// are assigned first-come exactly as a serial pass would assign them.
+// wordArena is one chunk's tokenized labels: every word back to back in
+// buf, word i ending at ends[i], and the chunk's j-th entity's words
+// ending at word last[j].
+type wordArena struct {
+	buf  []byte
+	ends []int32
+	last []int32
+}
+
+// internLabels tokenizes every entity label into per-chunk arenas — in
+// parallel when r is set — and then interns the words serially in entity
+// order, so TokenIDs are assigned first-come exactly as a serial pass
+// would assign them. A label's set is its IDs sorted and deduplicated:
+// equal tokens have equal IDs, so it is TokenSet's set, by ID.
 func internLabels(k *kb.KB, dict *kb.TokenDict, r pair.Runner) labelSets {
 	n := k.NumEntities()
 	chunks := pair.ChunkRanges(n, r, parallelChunks)
-	sets := make([][]string, n)
+	arenas := make([]wordArena, len(chunks))
 	pair.RunAll(r, len(chunks), func(ci int) {
+		a := &arenas[ci]
 		for u := chunks[ci].Lo; u < chunks[ci].Hi; u++ {
-			sets[u] = strsim.TokenSet(k.Label(kb.EntityID(u)))
+			a.buf, a.ends = strsim.AppendWords(a.buf, a.ends, k.Label(kb.EntityID(u)), true)
+			a.last = append(a.last, int32(len(a.ends)))
 		}
 	})
 	out := labelSets{start: make([]int32, n+1)}
-	for u, set := range sets {
-		for _, t := range set {
-			out.toks = append(out.toks, dict.Intern(t))
+	u := 0
+	for _, a := range arenas {
+		from, w := int32(0), 0
+		for _, last := range a.last {
+			set := len(out.toks)
+			for ; w < int(last); w++ {
+				out.toks = append(out.toks, dict.Intern(a.buf[from:a.ends[w]]))
+				from = a.ends[w]
+			}
+			slices.Sort(out.toks[set:])
+			out.toks = out.toks[:set+len(slices.Compact(out.toks[set:]))]
+			u++
+			out.start[u] = int32(len(out.toks))
 		}
-		out.start[u+1] = int32(len(out.toks))
 	}
 	return out
 }
@@ -220,10 +248,22 @@ func internLabels(k *kb.KB, dict *kb.TokenDict, r pair.Runner) labelSets {
 // count never affects the result.
 var parallelChunks = runtime.NumCPU()
 
-// exactLabel reports whether the two entities have identical normalized
-// labels (the paper's criterion for initial entity matches).
-func exactLabel(k1, k2 *kb.KB, p pair.Pair) bool {
-	l1 := strsim.Normalize(k1.Label(p.U1))
-	l2 := strsim.Normalize(k2.Label(p.U2))
-	return l1 != "" && l1 == l2
+// exactLabel reports whether two labels normalize to the same non-empty
+// string (the paper's criterion for initial entity matches). Normalize
+// joins a label's words with single spaces, so that is the same word list:
+// the same bytes, cut at the same offsets. Both word lists are built in
+// the chunk's scratch, which after warm-up makes the test allocation-free.
+func (sc *scanScratch) exactLabel(l1, l2 string) bool {
+	sc.words, sc.ends = strsim.AppendWords(sc.words[:0], sc.ends[:0], l1, false)
+	n, w := int32(len(sc.words)), len(sc.ends)
+	sc.words, sc.ends = strsim.AppendWords(sc.words, sc.ends, l2, false)
+	if w == 0 || len(sc.ends) != 2*w || !bytes.Equal(sc.words[:n], sc.words[n:]) {
+		return false
+	}
+	for i, e := range sc.ends[:w] {
+		if sc.ends[w+i] != n+e {
+			return false
+		}
+	}
+	return true
 }

@@ -64,6 +64,14 @@ func GenerateNaive(k1, k2 *kb.KB, opts Options) *Result {
 	return res
 }
 
+// exactLabel reports whether the two entities have identical normalized
+// labels (the paper's criterion for initial entity matches).
+func exactLabel(k1, k2 *kb.KB, p pair.Pair) bool {
+	l1 := strsim.Normalize(k1.Label(p.U1))
+	l2 := strsim.Normalize(k2.Label(p.U2))
+	return l1 != "" && l1 == l2
+}
+
 func tokenizeAll(k *kb.KB) [][]string {
 	out := make([][]string, k.NumEntities())
 	for u := 0; u < k.NumEntities(); u++ {

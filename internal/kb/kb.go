@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -211,7 +212,7 @@ func (k *KB) Attrs(u EntityID) []AttrID {
 	for a := range m {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -252,7 +253,7 @@ func relKeys(m map[RelID][]EntityID) []RelID {
 	for r := range m {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

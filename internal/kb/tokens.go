@@ -6,7 +6,7 @@ package kb
 // that index dense arrays, instead of re-hashing strings per pair.
 type TokenID uint32
 
-// TokenDict interns strings to dense TokenIDs. IDs are assigned in first-
+// TokenDict interns tokens to dense TokenIDs. IDs are assigned in first-
 // intern order starting at 0, so a dictionary built by one deterministic
 // pass over a KB is itself deterministic. The zero value is not usable;
 // construct with NewTokenDict. A TokenDict is safe for concurrent reads
@@ -21,13 +21,14 @@ func NewTokenDict() *TokenDict {
 }
 
 // Intern returns the ID of tok, assigning the next dense ID on first
-// sight.
-func (d *TokenDict) Intern(tok string) TokenID {
-	if id, ok := d.idx[tok]; ok {
+// sight. The lookup reads tok in place; only a token seen for the first
+// time is copied into a key.
+func (d *TokenDict) Intern(tok []byte) TokenID {
+	if id, ok := d.idx[string(tok)]; ok {
 		return id
 	}
 	id := TokenID(len(d.idx))
-	d.idx[tok] = id
+	d.idx[string(tok)] = id
 	return id
 }
 

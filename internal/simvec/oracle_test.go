@@ -5,10 +5,14 @@ package simvec
 // compare Prune and Keep against.
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/attrmatch"
+	"repro/internal/blocking"
+	"repro/internal/datasets"
 	"repro/internal/kb"
 	"repro/internal/pair"
 )
@@ -100,7 +104,10 @@ func (pr *oraclePruner) pruneBlock(pairs []pair.Pair, block []int32, k int, remo
 // TestPruneMatchesOracle: on random candidate sets — dense blocks on both
 // sides so both passes prune, coarse components so many vectors tie, pairs
 // in shuffled order — the positional Prune and Keep return what the
-// map-keyed pruner returns, for several k on one Pruner.
+// map-keyed pruner returns, for several k on one Pruner. Then the same for
+// k ∈ {1, 2, 4, 8} on the shapes the distinct-vector ranking must get
+// right: one block of all-distinct vectors, one block of a repeated vector
+// under a few repeated dominators, and d-y's real candidate vectors.
 func TestPruneMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pruned := [2]int{} // pairs the first pass and the second removed, over all cases
@@ -126,35 +133,105 @@ func TestPruneMatchesOracle(t *testing.T) {
 			pairs[i], pairs[j] = pairs[j], pairs[i]
 			vecs[i], vecs[j] = vecs[j], vecs[i]
 		})
-		pr, oracle := NewPruner(pairs, vecs), newOraclePruner(pairs, vecs)
-		for _, k := range []int{0, 1, 2, 3, 5} {
-			want := oracle.Prune(pairs, k)
-			got := pr.Prune(pairs, k)
-			if !slices.Equal(got, want) {
-				t.Fatalf("iter %d k=%d: Prune = %v, oracle %v", iter, k, got, want)
-			}
-			keep := pr.Keep(pairs, k)
-			for i, pos := range keep {
-				if i > 0 && keep[i-1] >= pos || pairs[pos] != want[i] {
-					t.Fatalf("iter %d k=%d: Keep = %v, oracle %v", iter, k, keep, want)
-				}
-			}
-			if len(keep) != len(want) {
-				t.Fatalf("iter %d k=%d: Keep kept %d pairs, oracle %d", iter, k, len(keep), len(want))
-			}
-			kk := k
-			if kk <= 0 {
-				kk = 4
-			}
-			first := oracle.pruneOneWay(pairs, kk, true)
-			pruned[0] += len(pairs) - len(first)
-			pruned[1] += len(first) - len(want)
-		}
+		p := checkPruneOracle(t, fmt.Sprintf("iter %d", iter), pairs, vecs, []int{0, 1, 2, 3, 5})
+		pruned[0] += p[0]
+		pruned[1] += p[1]
 	}
 	if pruned[0] == 0 || pruned[1] == 0 {
 		t.Fatalf("a pass pruned nothing over every case (%v): the comparison does not cover it", pruned)
 	}
 	t.Logf("pairs pruned by the first pass %d, by the second %d", pruned[0], pruned[1])
+
+	ks := []int{1, 2, 4, 8}
+	pairs, vecs := distinctBlock(rng, 300, 2)
+	if p := checkPruneOracle(t, "all-distinct block", pairs, vecs, ks); p[0] == 0 {
+		t.Error("all-distinct block: nothing pruned, the case covers no removal")
+	}
+
+	// 40 copies of v under three copies of a dominator w and beside two
+	// incomparable vectors: v's rank is 3, reached only by counting w's
+	// multiplicity.
+	v, w, x := Vector{0.5, 0.5}, Vector{0.9, 0.6}, Vector{0.1, 0.9}
+	var rep []Vector
+	for i := 0; i < 45; i++ {
+		switch {
+		case i%15 == 7:
+			rep = append(rep, w)
+		case i == 11 || i == 30:
+			rep = append(rep, x)
+		default:
+			rep = append(rep, v)
+		}
+	}
+	pairs, _ = makePairs(rep)
+	if p := checkPruneOracle(t, "repeated vector", pairs, rep, ks); p[0] == 0 {
+		t.Error("repeated vector: nothing pruned, the case covers no removal")
+	}
+
+	pairs, vecs = dyCandidates(t)
+	checkPruneOracle(t, "d-y", pairs, vecs, ks)
+}
+
+// checkPruneOracle holds Prune and Keep to the oracle for every k in ks on
+// one Pruner and returns how many pairs the oracle's two passes removed.
+func checkPruneOracle(t testing.TB, name string, pairs []pair.Pair, vecs []Vector, ks []int) (pruned [2]int) {
+	t.Helper()
+	pr, oracle := NewPruner(pairs, vecs), newOraclePruner(pairs, vecs)
+	for _, k := range ks {
+		want := oracle.Prune(pairs, k)
+		got := pr.Prune(pairs, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s k=%d: Prune = %v, oracle %v", name, k, got, want)
+		}
+		keep := pr.Keep(pairs, k)
+		for i, pos := range keep {
+			if i > 0 && keep[i-1] >= pos || pairs[pos] != want[i] {
+				t.Fatalf("%s k=%d: Keep = %v, oracle %v", name, k, keep, want)
+			}
+		}
+		if len(keep) != len(want) {
+			t.Fatalf("%s k=%d: Keep kept %d pairs, oracle %d", name, k, len(keep), len(want))
+		}
+		kk := k
+		if kk <= 0 {
+			kk = 4
+		}
+		first := oracle.pruneOneWay(pairs, kk, true)
+		pruned[0] += len(pairs) - len(first)
+		pruned[1] += len(first) - len(want)
+	}
+	return pruned
+}
+
+// distinctBlock is one K1 entity's block of n pairs whose dim-component
+// vectors are all distinct.
+func distinctBlock(rng *rand.Rand, n, dim int) ([]pair.Pair, []Vector) {
+	vecs := make([]Vector, n)
+	for i := range vecs {
+		vecs[i] = make(Vector, dim)
+		for d := range vecs[i] {
+			vecs[i][d] = rng.Float64()
+		}
+	}
+	pairs, _ := makePairs(vecs)
+	return pairs, vecs
+}
+
+// dyCandidates is what Prepare hands Algorithm 1 on d-y: the blocking
+// candidates and their similarity vectors over the attribute matches.
+func dyCandidates(tb testing.TB) ([]pair.Pair, []Vector) {
+	tb.Helper()
+	ds, err := datasets.ByName("d-y", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blk := blocking.Generate(ds.K1, ds.K2, blocking.DefaultOptions())
+	matches := attrmatch.FindMatches(ds.K1, ds.K2, blk.Initial, attrmatch.DefaultOptions())
+	pairs := make([]pair.Pair, len(blk.Candidates))
+	for i, c := range blk.Candidates {
+		pairs[i] = c.Pair
+	}
+	return pairs, NewBuilder(ds.K1, ds.K2, matches, 0).All(pairs)
 }
 
 // TestPrunerPanicsOnOtherPairs: a Pruner addresses its pairs by position,

@@ -8,7 +8,9 @@
 package simvec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/attrmatch"
@@ -215,16 +217,37 @@ func (b *Builder) SharedAttrMatches(p pair.Pair) []int {
 // One Pruner serves any number of k.
 type Pruner struct {
 	vectors []Vector
+	// class[i] numbers vectors[i] among the distinct vectors: two pairs
+	// share a class iff their vectors are bitwise equal.
+	class  []int32
+	nClass int
 }
 
 // NewPruner receives the similarity vectors of all candidate pairs
 // (Algorithm 1, line 1), vectors[i] being pairs[i]'s. The Pruner keeps the
-// vectors slice itself, not a copy.
+// vectors slice itself, not a copy, and numbers its distinct vectors in
+// one hashing pass.
 func NewPruner(pairs []pair.Pair, vectors []Vector) *Pruner {
 	if len(pairs) != len(vectors) {
 		panic(fmt.Sprintf("simvec: %d pairs but %d vectors", len(pairs), len(vectors)))
 	}
-	return &Pruner{vectors: vectors}
+	pr := &Pruner{vectors: vectors, class: make([]int32, len(vectors))}
+	ids := make(map[string]int32)
+	var key []byte
+	for i, v := range vectors {
+		key = key[:0]
+		for _, x := range v {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(ids))
+			ids[string(key)] = id
+		}
+		pr.class[i] = id
+	}
+	pr.nClass = len(ids)
+	return pr
 }
 
 // Prune implements Algorithm 1: two one-way passes (by K1 entity, then by
@@ -251,8 +274,9 @@ func (pr *Pruner) Keep(pairs []pair.Pair, k int) []int32 {
 		k = 4
 	}
 	removed := make([]bool, len(pairs))
-	pr.pruneOneWay(pairs, k, true, removed)
-	pr.pruneOneWay(pairs, k, false, removed)
+	sc := blockScratch{slot: make([]int32, pr.nClass)}
+	pr.pruneOneWay(pairs, k, true, removed, &sc)
+	pr.pruneOneWay(pairs, k, false, removed, &sc)
 	keep := make([]int32, 0, len(pairs))
 	for i, r := range removed {
 		if !r {
@@ -268,7 +292,7 @@ func (pr *Pruner) Keep(pairs []pair.Pair, k int) []int32 {
 // pairs in input order, and only blocks of more than k pairs are ranked.
 // Blocks are disjoint, so a block read before it is pruned holds exactly
 // the survivors of the earlier pass.
-func (pr *Pruner) pruneOneWay(pairs []pair.Pair, k int, bySide1 bool, removed []bool) {
+func (pr *Pruner) pruneOneWay(pairs []pair.Pair, k int, bySide1 bool, removed []bool, sc *blockScratch) {
 	start, order := pair.GroupByEntity(pairs, bySide1)
 	var block []int32
 	for e := 0; e+1 < len(start); e++ {
@@ -279,38 +303,70 @@ func (pr *Pruner) pruneOneWay(pairs []pair.Pair, k int, bySide1 bool, removed []
 			}
 		}
 		if len(block) > k {
-			pr.pruneBlock(block, k, removed)
+			pr.pruneBlock(block, k, removed, sc)
 		}
 	}
 }
 
+// blockScratch is pruneBlock's state, reused across blocks: the block's
+// distinct vectors in order of first occurrence — a representative
+// position, the multiplicity and whether the class is removed — and slot,
+// which maps a class to 1 + its index there (0 outside the block).
+type blockScratch struct {
+	slot   []int32
+	reps   []int32
+	weight []int32
+	dead   []bool
+}
+
 // pruneBlock prunes a single block B, given as positions: any pair with
 // min_rank ≥ k is marked removed, and (per the paper) so is every pair
-// dominated by a removed pair, since its min_rank must also be ≥ k.
-func (pr *Pruner) pruneBlock(block []int32, k int, removed []bool) {
-	for i, pi := range block {
-		if removed[pi] {
+// dominated by a removed pair, since its min_rank must also be ≥ k. The
+// removed set is therefore exactly {min_rank ≥ k}, and min_rank — the
+// number of vectors in B strictly larger — is a function of B's multiset.
+// So the block is ranked over its distinct vectors, each counting with its
+// multiplicity: equal vectors are compared once, and no block takes more
+// dominance tests than ranking it pair by pair would.
+func (pr *Pruner) pruneBlock(block []int32, k int, removed []bool, sc *blockScratch) {
+	sc.reps, sc.weight = sc.reps[:0], sc.weight[:0]
+	for _, pos := range block {
+		c := pr.class[pos]
+		if sc.slot[c] == 0 {
+			sc.reps = append(sc.reps, pos)
+			sc.weight = append(sc.weight, 0)
+			sc.slot[c] = int32(len(sc.reps))
+		}
+		sc.weight[sc.slot[c]-1]++
+	}
+	sc.dead = append(sc.dead[:0], make([]bool, len(sc.reps))...)
+	for i, pi := range sc.reps {
+		if sc.dead[i] {
 			continue
 		}
 		vi := pr.vectors[pi]
-		// min_rank within this block: number of vectors strictly larger.
 		rank := 0
-		for j, pj := range block {
+		for j, pj := range sc.reps {
 			if j != i && pr.vectors[pj].StrictlyDominates(vi) {
-				rank++
+				rank += int(sc.weight[j])
 				if rank >= k {
 					break
 				}
 			}
 		}
 		if rank >= k {
-			removed[pi] = true
+			sc.dead[i] = true
 			// Everything dominated by vi has rank ≥ rank(i) ≥ k.
-			for _, pj := range block {
-				if !removed[pj] && vi.StrictlyDominates(pr.vectors[pj]) {
-					removed[pj] = true
+			for j, pj := range sc.reps {
+				if !sc.dead[j] && vi.StrictlyDominates(pr.vectors[pj]) {
+					sc.dead[j] = true
 				}
 			}
 		}
+	}
+	for _, pos := range block {
+		removed[pos] = sc.dead[sc.slot[pr.class[pos]]-1]
+	}
+	for _, pos := range sc.reps {
+		sc.slot[pr.class[pos]] = 0
 	}
 }

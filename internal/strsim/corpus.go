@@ -1,6 +1,7 @@
 package strsim
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -25,6 +26,9 @@ type Corpus struct {
 	nums   []float64 // parsed value for KindNumber/KindDate literals
 	toks   [][]uint32
 	tokIdx map[string]uint32
+	// buf and ends are internTokens' AppendWords scratch.
+	buf  []byte
+	ends []int32
 }
 
 // NewCorpus returns an empty corpus.
@@ -69,34 +73,31 @@ func (c *Corpus) InternAll(vals []string) []LitID {
 // Len returns the number of interned literals.
 func (c *Corpus) Len() int { return len(c.kinds) }
 
-// internTokens maps TokenSet(lit) through the corpus token dictionary and
-// returns the IDs sorted ascending. Sorting by ID instead of by string is
-// a different permutation of the same set, so every intersection size —
-// the only thing downstream math reads — is unchanged.
+// internTokens maps the tokens of lit through the corpus token dictionary
+// and returns their distinct IDs sorted ascending: TokenSet(lit) by ID
+// instead of by string, a different permutation of the same set, so every
+// intersection size — the only thing downstream math reads — is
+// unchanged. Tokens are looked up as bytes in the corpus's scratch; only a
+// token seen for the first time allocates its key.
 func (c *Corpus) internTokens(lit string) []uint32 {
-	set := TokenSet(lit)
-	if len(set) == 0 {
+	c.buf, c.ends = AppendWords(c.buf[:0], c.ends[:0], lit, true)
+	if len(c.ends) == 0 {
 		return nil
 	}
-	ids := make([]uint32, len(set))
-	for i, t := range set {
-		id, ok := c.tokIdx[t]
+	ids := make([]uint32, len(c.ends))
+	from := int32(0)
+	for i, e := range c.ends {
+		tok := c.buf[from:e]
+		from = e
+		id, ok := c.tokIdx[string(tok)]
 		if !ok {
 			id = uint32(len(c.tokIdx))
-			c.tokIdx[t] = id
+			c.tokIdx[string(tok)] = id
 		}
 		ids[i] = id
 	}
-	sortUint32(ids)
-	return ids
-}
-
-func sortUint32(a []uint32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // LiteralSim is LiteralSimilarity over interned literals: same-kind

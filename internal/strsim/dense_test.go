@@ -3,6 +3,7 @@ package strsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -35,7 +36,7 @@ func TestJaccardIDsMatchesStrings(t *testing.T) {
 				}
 				ids[i] = id
 			}
-			sortUint32(ids)
+			slices.Sort(ids)
 			return ids
 		}
 		ia, ib := intern(sa), intern(sb)

@@ -1,0 +1,155 @@
+package strsim
+
+// The string composition Normalize, Tokenize and TokenSet had before they
+// became wrappers over AppendWords, kept (renamed) as the reference the
+// byte tokenizer is held to: a strings.Builder normalization, a
+// strings.Fields split, one string per stem and a dedup map per set.
+
+import (
+	"slices"
+	"strings"
+	"testing"
+	"unicode"
+)
+
+func oracleNormalize(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	prevSpace := true
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(unicode.ToLower(r))
+			prevSpace = false
+		default:
+			if !prevSpace {
+				b.WriteByte(' ')
+				prevSpace = true
+			}
+		}
+	}
+	return strings.TrimRight(b.String(), " ")
+}
+
+func oracleTokenize(s string) []string {
+	norm := oracleNormalize(s)
+	if norm == "" {
+		return nil
+	}
+	fields := strings.Fields(norm)
+	out := fields[:0]
+	for _, f := range fields {
+		if t := oracleStem(f); t != "" {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+func oracleTokenSet(s string) []string {
+	toks := oracleTokenize(s)
+	if len(toks) == 0 {
+		return nil
+	}
+	seen := make(map[string]struct{}, len(toks))
+	set := make([]string, 0, len(toks))
+	for _, t := range toks {
+		if _, ok := seen[t]; ok {
+			continue
+		}
+		seen[t] = struct{}{}
+		set = append(set, t)
+	}
+	insertionSort(set)
+	return set
+}
+
+func insertionSort(a []string) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
+func oracleStem(token string) string {
+	n := len(token)
+	if n < 4 {
+		return token
+	}
+	switch {
+	case strings.HasSuffix(token, "ies") && n > 4:
+		return token[:n-3] + "y"
+	case strings.HasSuffix(token, "sses"):
+		return token[:n-2]
+	case strings.HasSuffix(token, "es") && n > 4:
+		return token[:n-2]
+	case strings.HasSuffix(token, "s") && !strings.HasSuffix(token, "ss") && !strings.HasSuffix(token, "us"):
+		return token[:n-1]
+	case strings.HasSuffix(token, "ing") && n > 5:
+		return token[:n-3]
+	case strings.HasSuffix(token, "ed") && n > 4:
+		return token[:n-2]
+	}
+	return token
+}
+
+// tokenizerSeeds are FuzzTokenSet's seed corpus: invalid UTF-8, non-ASCII
+// letters and digits whose case mapping or width is unusual, punctuation
+// runs, and every stemmer suffix (and its ss/us exceptions) as a word of
+// three to six bytes, lower and upper case.
+func tokenizerSeeds() []string {
+	seeds := []string{
+		"", " ", "\xff", "ab\xc3", "\xed\xa0\x80 x", "a\x80b", "caf\xc3\xa9\xff s",
+		"İstanbul", "STRASSE Straße", "ΣΟΦΙΑ σοφία", "٣٤ items", "ﬁles ﬁnd",
+		"ǅemal", "Ⅻ", "\u212aelvin", "\u00a0nbsp\u2003em",
+		"--..,,!!", "a--b,,c..d", "(x) [y] {z}", "rock-n-roll", "O'Neill's",
+	}
+	for _, suf := range []string{"ies", "sses", "es", "s", "ss", "us", "ing", "ed"} {
+		for n := 3; n <= 6; n++ {
+			if n < len(suf) {
+				continue
+			}
+			w := strings.Repeat("x", n-len(suf)) + suf
+			seeds = append(seeds, w, strings.ToUpper(w), "a "+w+" "+w)
+		}
+	}
+	return seeds
+}
+
+// FuzzTokenSet holds the byte tokenizer to the string composition it
+// replaced: on arbitrary bytes Normalize, Tokenize and TokenSet return what
+// the oracle returns.
+func FuzzTokenSet(f *testing.F) {
+	for _, s := range tokenizerSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Normalize(s), oracleNormalize(s); got != want {
+			t.Fatalf("Normalize(%q) = %q, oracle %q", s, got, want)
+		}
+		if got, want := Tokenize(s), oracleTokenize(s); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, oracle %q", s, got, want)
+		}
+		if got, want := TokenSet(s), oracleTokenSet(s); !slices.Equal(got, want) {
+			t.Fatalf("TokenSet(%q) = %q, oracle %q", s, got, want)
+		}
+	})
+}
+
+// TestAppendWordsAllocFree: once its buffers have grown, the tokenizer
+// allocates nothing, ASCII and non-ASCII alike.
+func TestAppendWordsAllocFree(t *testing.T) {
+	seeds := tokenizerSeeds()
+	var buf []byte
+	var ends []int32
+	run := func() {
+		for _, s := range seeds {
+			buf, ends = AppendWords(buf[:0], ends[:0], s, true)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("AppendWords allocates %v times per pass, want 0", allocs)
+	}
+}

@@ -8,47 +8,98 @@
 package strsim
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// Normalize lowercases s, replaces punctuation with spaces and collapses
-// runs of whitespace. It is the first step of label preprocessing described
-// in §IV-B of the paper.
-func Normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	prevSpace := true
-	for _, r := range s {
+// AppendWords is the one normalizer and tokenizer behind every label and
+// literal (§IV-B). A word of s is a maximal run of letters and digits,
+// lowercased; everything else separates words. AppendWords appends the
+// words of s to buf back to back — stemmed in place when stem is set —
+// and each word's end offset in buf to ends, so word i of the call is
+// buf[ends[i-1]:ends[i]] (buf's old length for i = 0). ASCII is lowered
+// byte by byte; above 0x7F it falls back to package unicode, and an
+// invalid UTF-8 byte separates like punctuation. Once buf and ends have
+// grown it does not allocate.
+//
+//remp:hotpath
+func AppendWords(buf []byte, ends []int32, s string, stem bool) ([]byte, []int32) {
+	start := len(buf)
+	for i := 0; i < len(s); {
+		c, size, word := s[i], 1, true
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-			prevSpace = false
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			buf = append(buf, c)
+		case 'A' <= c && c <= 'Z':
+			buf = append(buf, c+'a'-'A')
+		case c < utf8.RuneSelf:
+			word = false
 		default:
-			if !prevSpace {
-				b.WriteByte(' ')
-				prevSpace = true
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			if word = unicode.IsLetter(r) || unicode.IsDigit(r); word {
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
 			}
 		}
+		i += size
+		if !word && len(buf) > start {
+			buf, ends = endWord(buf, ends, start, stem)
+			start = len(buf)
+		}
 	}
-	return strings.TrimRight(b.String(), " ")
+	if len(buf) > start {
+		buf, ends = endWord(buf, ends, start, stem)
+	}
+	return buf, ends
+}
+
+// endWord closes the word buf[start:], stemming it in place if asked.
+func endWord(buf []byte, ends []int32, start int, stem bool) ([]byte, []int32) {
+	if stem {
+		keep, y := stemWord(buf[start:])
+		buf = buf[:start+keep]
+		if y {
+			buf = append(buf, 'y')
+		}
+	}
+	return buf, append(ends, int32(len(buf)))
+}
+
+// Normalize lowercases s, replaces punctuation with spaces and collapses
+// runs of whitespace: the words of AppendWords, unstemmed, joined by one
+// space. It is the first step of label preprocessing described in §IV-B of
+// the paper.
+func Normalize(s string) string {
+	buf, ends := AppendWords(make([]byte, 0, len(s)), nil, s, false)
+	out := make([]byte, 0, len(buf)+len(ends))
+	from := int32(0)
+	for i, e := range ends {
+		if i > 0 {
+			out = append(out, ' ')
+		}
+		out = append(out, buf[from:e]...)
+		from = e
+	}
+	return string(out)
 }
 
 // Tokenize normalizes s and splits it into tokens, applying light stemming
 // to each token. The result preserves token order and may contain
 // duplicates; use TokenSet for the deduplicated form.
 func Tokenize(s string) []string {
-	norm := Normalize(s)
-	if norm == "" {
+	buf, ends := AppendWords(nil, nil, s, true)
+	if len(ends) == 0 {
 		return nil
 	}
-	fields := strings.Fields(norm)
-	out := fields[:0]
-	for _, f := range fields {
-		if t := Stem(f); t != "" {
-			out = append(out, t)
-		}
+	all := string(buf)
+	out := make([]string, len(ends))
+	from := int32(0)
+	for i, e := range ends {
+		out[i] = all[from:e]
+		from = e
 	}
 	return out
 }
@@ -56,53 +107,35 @@ func Tokenize(s string) []string {
 // TokenSet returns the deduplicated, sorted token set of s.
 func TokenSet(s string) []string {
 	toks := Tokenize(s)
-	if len(toks) == 0 {
-		return nil
-	}
-	seen := make(map[string]struct{}, len(toks))
-	set := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if _, ok := seen[t]; ok {
-			continue
-		}
-		seen[t] = struct{}{}
-		set = append(set, t)
-	}
-	insertionSort(set)
-	return set
+	slices.Sort(toks)
+	return slices.Compact(toks)
 }
 
-func insertionSort(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// Stem applies a small suffix-stripping stemmer (a compact subset of
-// Porter's rules sufficient for blocking): plural -s/-es/-ies, -ing, -ed.
-// Tokens shorter than four runes are returned unchanged.
-func Stem(token string) string {
-	n := len(token)
+// stemWord is the light suffix-stripping stemmer applied to every word (a
+// compact subset of Porter's rules sufficient for blocking): plural
+// -s/-es/-ies, -ing, -ed. The stem of tok is tok[:keep], followed by "y"
+// when y is set; words shorter than four bytes are left unchanged.
+func stemWord(tok []byte) (keep int, y bool) {
+	n := len(tok)
 	if n < 4 {
-		return token
+		return n, false
 	}
+	c4, c3, c2, c1 := tok[n-4], tok[n-3], tok[n-2], tok[n-1]
 	switch {
-	case strings.HasSuffix(token, "ies") && n > 4:
-		return token[:n-3] + "y"
-	case strings.HasSuffix(token, "sses"):
-		return token[:n-2]
-	case strings.HasSuffix(token, "es") && n > 4:
-		return token[:n-2]
-	case strings.HasSuffix(token, "s") && !strings.HasSuffix(token, "ss") && !strings.HasSuffix(token, "us"):
-		return token[:n-1]
-	case strings.HasSuffix(token, "ing") && n > 5:
-		return token[:n-3]
-	case strings.HasSuffix(token, "ed") && n > 4:
-		return token[:n-2]
+	case c3 == 'i' && c2 == 'e' && c1 == 's' && n > 4:
+		return n - 3, true
+	case c4 == 's' && c3 == 's' && c2 == 'e' && c1 == 's':
+		return n - 2, false
+	case c2 == 'e' && c1 == 's' && n > 4:
+		return n - 2, false
+	case c1 == 's' && c2 != 's' && c2 != 'u':
+		return n - 1, false
+	case c3 == 'i' && c2 == 'n' && c1 == 'g' && n > 5:
+		return n - 3, false
+	case c2 == 'e' && c1 == 'd' && n > 4:
+		return n - 2, false
 	}
-	return token
+	return n, false
 }
 
 // intersectionSize returns |a ∩ b| for sorted string slices.
