@@ -196,7 +196,7 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	p.byEntity1 = newEntityIndex(p.Retained, true)
 	p.byEntity2 = newEntityIndex(p.Retained, false)
 
-	p.Consistency = p.fitConsistency(p.Initial)
+	p.Consistency = p.fitConsistency(p.Initial, consistency.Fit)
 	p.initShards()
 	return p
 }
@@ -224,46 +224,22 @@ func (p *Prepared) priors() []float64 {
 }
 
 // fitConsistency estimates (ε1, ε2) for every edge label from the value
-// distribution over the given matches (§V-A). KnownL counts, per match,
-// the values whose counterpart is itself in the match set — the observed
-// lower bound for the latent variable. Labels are fitted independently,
-// so the fits fan out across the pipeline scheduler.
-func (p *Prepared) fitConsistency(seeds []pair.Pair) map[ergraph.RelPair]consistency.Estimate {
-	seedSet := pair.NewSet(seeds...)
+// distribution over the given matches (§V-A), with consistency.Fit or
+// the direct estimator consistency.FromCounts. The observations are
+// gathered once, by newSeedStats: KnownL counts, per match, the values
+// whose counterpart is itself in the match set — the observed lower bound
+// for the latent variable. Labels are fitted independently, so the fits
+// fan out across the pipeline scheduler.
+func (p *Prepared) fitConsistency(seeds []pair.Pair, fit func([]consistency.Observation, consistency.Options) consistency.Estimate) map[ergraph.RelPair]consistency.Estimate {
+	st := newSeedStats(p, seeds)
 	labels := p.Graph.Labels()
 	ests := make([]consistency.Estimate, len(labels))
 	p.Cfg.scheduler().ForEach(len(labels), func(i int) {
-		obs := p.consistencyObservations(labels[i], seeds, seedSet)
-		ests[i] = consistency.Fit(obs, consistency.DefaultOptions())
+		ests[i] = fit(st.labels[i].obs, consistency.DefaultOptions())
 	})
 	out := make(map[ergraph.RelPair]consistency.Estimate, len(labels))
 	for i, label := range labels {
 		out[label] = ests[i]
 	}
 	return out
-}
-
-// consistencyObservations gathers (|N1|, |N2|, knownL) triples for one
-// edge label over the seed matches, following the label's direction. It is
-// the from-scratch form of the evidence the loop maintains incrementally
-// (seedStats).
-func (p *Prepared) consistencyObservations(label ergraph.RelPair, seeds []pair.Pair, seedSet pair.Set) []consistency.Observation {
-	var obs []consistency.Observation
-	for _, m := range seeds {
-		n1, n2 := p.neighbors(label, m)
-		if len(n1) == 0 && len(n2) == 0 {
-			continue
-		}
-		known := 0
-		for _, v1 := range n1 {
-			for _, v2 := range n2 {
-				if seedSet.Has(pair.Pair{U1: v1, U2: v2}) {
-					known++
-					break
-				}
-			}
-		}
-		obs = append(obs, consistency.Observation{N1: len(n1), N2: len(n2), KnownL: known})
-	}
-	return obs
 }

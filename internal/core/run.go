@@ -189,7 +189,7 @@ func (l *Loop) resolveCompetitors(m int) {
 func (l *Loop) reestimate() {
 	p := l.p
 	if p.Cfg.debugFullResync {
-		l.est = p.fitConsistency(canonicalSeeds(p.Initial, l.res.Matches))
+		l.est = p.fitConsistency(canonicalSeeds(p.Initial, l.res.Matches), consistency.Fit)
 		l.pendingSeeds = l.pendingSeeds[:0]
 		l.rebuildShards(func(int) bool { return true })
 		return
@@ -197,7 +197,7 @@ func (l *Loop) reestimate() {
 	if l.stats == nil {
 		// Nothing is dirty yet: the lists hold the initial matches'
 		// observations, which the Prepared's estimates were fitted from.
-		l.stats = newSeedStats(p)
+		l.stats = newSeedStats(p, p.Initial)
 	}
 	l.stats.fold(l.pendingSeeds)
 	l.pendingSeeds = l.pendingSeeds[:0]

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/consistency"
-	"repro/internal/ergraph"
 	"repro/internal/pair"
 	"repro/internal/propagation"
 )
@@ -20,7 +19,7 @@ func (p *Prepared) PropagateFromSeeds(seeds []pair.Pair) pair.Set {
 
 	// Consistency from the seeds themselves: with ground-truth matches the
 	// matched-value counts are observed, so the direct estimator applies.
-	cons := p.fitConsistencyFromCounts(seeds)
+	cons := p.fitConsistency(seeds, consistency.FromCounts)
 	prob := propagation.BuildProbDense(p.Graph, p.priors(), cons)
 
 	matches := seedSet.Clone()
@@ -46,16 +45,4 @@ func (p *Prepared) PropagateFromSeeds(seeds []pair.Pair) pair.Set {
 		frontier = next
 	}
 	return matches
-}
-
-// fitConsistencyFromCounts uses the direct estimator (observed matched
-// counts) over the seed matches.
-func (p *Prepared) fitConsistencyFromCounts(seeds []pair.Pair) map[ergraph.RelPair]consistency.Estimate {
-	seedSet := pair.NewSet(seeds...)
-	out := make(map[ergraph.RelPair]consistency.Estimate)
-	for _, label := range p.Graph.Labels() {
-		obs := p.consistencyObservations(label, seeds, seedSet)
-		out[label] = consistency.FromCounts(obs, consistency.DefaultOptions())
-	}
-	return out
 }

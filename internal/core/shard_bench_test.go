@@ -32,16 +32,18 @@ func BenchmarkShardedLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepare measures Prepare at 4 shards on d-y and on a Scale
-// pair, and reports as heap-MB the live heap one Prepared holds: HeapAlloc
-// after a forced GC with the result reachable, minus the reading before it
-// was built (the KBs are live in both) — remp-e2e's prepared_heap_mb.
+// BenchmarkPrepare measures Prepare at 4 shards on d-y, on a Scale pair
+// and on remp-e2e loop-clustered's Clustered(120, 60), whose hubs make the
+// neighbourhood joins dominate, and reports as heap-MB the live heap one
+// Prepared holds: HeapAlloc after a forced GC with the result reachable,
+// minus the reading before it was built (the KBs are live in both) —
+// remp-e2e's prepared_heap_mb.
 func BenchmarkPrepare(b *testing.B) {
 	dy, err := datasets.ByName("d-y", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, ds := range []*datasets.Dataset{dy, datasets.Scale(10, 20_000)} {
+	for _, ds := range []*datasets.Dataset{dy, datasets.Scale(10, 20_000), datasets.Clustered(120, 60, 1)} {
 		b.Run(ds.Name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Shards = 4

@@ -23,15 +23,21 @@ import (
 // It is per-loop state: it lives in the Loop, never in the Prepared.
 type seedStats struct {
 	p *Prepared
-	// rank holds every seed: an initial match maps to its first index in
-	// Prepared.Initial, a later match to -1. partners indexes the same set
-	// by side-1 entity — the side-2 entities it is matched to — so "does
-	// v1 have a seed counterpart among these values" is a lookup per
-	// partner (one, under the 1:1 constraint), not a probe per value.
-	rank     map[pair.Pair]int32
-	partners map[kb.EntityID][]kb.EntityID
+	// partners indexes the seed set by side-1 entity: the side-2 entities
+	// it is matched to, each with its seed's rank. "Does v1 have a seed
+	// counterpart among these values" is a lookup per partner (one, under
+	// the 1:1 constraint), not a probe per value.
+	partners map[kb.EntityID][]partner
 	// labels is addressed by the label's index in p.Graph.Labels().
 	labels []labelStats
+}
+
+// partner is a seed seen from its side-1 entity: its side-2 entity and its
+// rank — an initial match's first index in the gathered seed list, a later
+// match's -1.
+type partner struct {
+	u2   kb.EntityID
+	rank int32
 }
 
 // labelStats is one label's observation list in canonical order. Only
@@ -47,36 +53,49 @@ type labelStats struct {
 	dirty bool
 }
 
-// newSeedStats gathers the initial matches' observations.
-func newSeedStats(p *Prepared) *seedStats {
-	initial := p.Initial
+// newSeedStats gathers the observations of the given seeds, in their
+// order; a seed listed again counts once, at its first occurrence, whose
+// index is its rank. A loop's statistics start from Prepared.Initial;
+// the from-scratch fits gather over any seed list and never fold. Each
+// label's list is gathered on its own, across the pipeline scheduler.
+func newSeedStats(p *Prepared, seeds []pair.Pair) *seedStats {
 	labels := p.Graph.Labels()
 	st := &seedStats{
 		p:        p,
-		rank:     make(map[pair.Pair]int32, len(initial)),
-		partners: make(map[kb.EntityID][]kb.EntityID, len(initial)),
+		partners: make(map[kb.EntityID][]partner, len(seeds)),
 		labels:   make([]labelStats, len(labels)),
 	}
-	for i, m := range initial {
-		if _, dup := st.rank[m]; !dup {
-			st.add(m, int32(i))
+	// A partner list starts as a one-slot window of block, so the common
+	// case — one partner under the 1:1 constraint — costs no allocation of
+	// its own; a second partner moves the list out.
+	firsts := make([]int32, 0, len(seeds))
+	block := make([]partner, 0, len(seeds))
+	for i, m := range seeds {
+		ps, ok := st.partners[m.U1]
+		switch {
+		case slices.ContainsFunc(ps, func(q partner) bool { return q.u2 == m.U2 }):
+			continue // a repeated seed keeps its first position
+		case ok:
+			st.partners[m.U1] = append(ps, partner{u2: m.U2, rank: int32(i)})
+		default:
+			block = append(block, partner{u2: m.U2, rank: int32(i)})
+			st.partners[m.U1] = block[len(block)-1 : len(block) : len(block)]
 		}
+		firsts = append(firsts, int32(i))
 	}
-	for i, m := range initial {
-		if st.rank[m] != int32(i) {
-			continue // a repeated initial match keeps its first position
-		}
-		for li, label := range labels {
-			n1, n2 := p.neighbors(label, m)
+	p.Cfg.scheduler().ForEach(len(labels), func(li int) {
+		ls := &st.labels[li]
+		for _, i := range firsts {
+			m := seeds[i]
+			n1, n2 := p.neighbors(labels[li], m)
 			if len(n1) == 0 && len(n2) == 0 {
 				continue
 			}
-			ls := &st.labels[li]
 			ls.seeds = append(ls.seeds, m)
-			ls.ranks = append(ls.ranks, int32(i))
+			ls.ranks = append(ls.ranks, i)
 			ls.obs = append(ls.obs, consistency.Observation{N1: len(n1), N2: len(n2), KnownL: st.knownL(n1, n2)})
 		}
-	}
+	})
 	return st
 }
 
@@ -89,10 +108,10 @@ func newSeedStats(p *Prepared) *seedStats {
 func (st *seedStats) fold(pending []pair.Pair) {
 	labels := st.p.Graph.Labels()
 	for _, m := range pending {
-		if _, seen := st.rank[m]; seen {
+		if slices.ContainsFunc(st.partners[m.U1], func(q partner) bool { return q.u2 == m.U2 }) {
 			continue
 		}
-		st.add(m, -1)
+		st.partners[m.U1] = append(st.partners[m.U1], partner{u2: m.U2, rank: -1})
 		for li, label := range labels {
 			ls := &st.labels[li]
 			if n1, n2 := st.p.neighbors(label, m); len(n1) > 0 || len(n2) > 0 {
@@ -104,14 +123,14 @@ func (st *seedStats) fold(pending []pair.Pair) {
 			back.Inverse = !label.Inverse
 			p1, p2 := st.p.neighbors(back, m)
 			for _, a := range p1 {
-				for _, b := range st.partners[a] {
-					owner := pair.Pair{U1: a, U2: b}
-					if _, linked := slices.BinarySearch(p2, b); !linked || owner == m { // m's own row already counts m
+				for _, q := range st.partners[a] {
+					owner := pair.Pair{U1: a, U2: q.u2}
+					if _, linked := slices.BinarySearch(p2, q.u2); !linked || owner == m { // m's own row already counts m
 						continue
 					}
 					_, n2 := st.p.neighbors(label, owner)
 					if !st.hasOtherPartner(m, n2) {
-						ls.obs[ls.find(owner, st.rank[owner])].KnownL++
+						ls.obs[ls.find(owner, q.rank)].KnownL++
 						ls.dirty = true
 					}
 				}
@@ -120,22 +139,16 @@ func (st *seedStats) fold(pending []pair.Pair) {
 	}
 }
 
-// add joins m to the seed set.
-func (st *seedStats) add(m pair.Pair, rank int32) {
-	st.rank[m] = rank
-	st.partners[m.U1] = append(st.partners[m.U1], m.U2)
-}
-
 // hasOtherPartner reports whether m's side-1 entity has a seed counterpart
 // among the (sorted) values n2 other than m's own side-2 entity.
 //
 //remp:hotpath
 func (st *seedStats) hasOtherPartner(m pair.Pair, n2 []kb.EntityID) bool {
-	for _, v2 := range st.partners[m.U1] {
-		if v2 == m.U2 {
+	for _, q := range st.partners[m.U1] {
+		if q.u2 == m.U2 {
 			continue
 		}
-		if _, ok := slices.BinarySearch(n2, v2); ok {
+		if _, ok := slices.BinarySearch(n2, q.u2); ok {
 			return true
 		}
 	}
@@ -150,8 +163,8 @@ func (st *seedStats) hasOtherPartner(m pair.Pair, n2 []kb.EntityID) bool {
 func (st *seedStats) knownL(n1, n2 []kb.EntityID) int {
 	known := 0
 	for _, v1 := range n1 {
-		for _, v2 := range st.partners[v1] {
-			if _, ok := slices.BinarySearch(n2, v2); ok {
+		for _, q := range st.partners[v1] {
+			if _, ok := slices.BinarySearch(n2, q.u2); ok {
 				known++
 				break
 			}

@@ -2,38 +2,74 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/consistency"
 	"repro/internal/datasets"
+	"repro/internal/ergraph"
 	"repro/internal/kb"
 	"repro/internal/pair"
 )
+
+// consistencyObservations is the oracle the seed statistics are held to:
+// (|N1|, |N2|, knownL) triples for one edge label over the seeds, in their
+// order, following the label's direction, with knownL counted by probing
+// the seed set for every (v1, v2) ∈ N1×N2.
+func (p *Prepared) consistencyObservations(label ergraph.RelPair, seeds []pair.Pair, seedSet pair.Set) []consistency.Observation {
+	var obs []consistency.Observation
+	for _, m := range seeds {
+		n1, n2 := p.neighbors(label, m)
+		if len(n1) == 0 && len(n2) == 0 {
+			continue
+		}
+		known := 0
+		for _, v1 := range n1 {
+			for _, v2 := range n2 {
+				if seedSet.Has(pair.Pair{U1: v1, U2: v2}) {
+					known++
+					break
+				}
+			}
+		}
+		obs = append(obs, consistency.Observation{N1: len(n1), N2: len(n2), KnownL: known})
+	}
+	return obs
+}
+
+// statsWorld is a KB pair with its gold matches.
+type statsWorld struct {
+	name   string
+	k1, k2 *kb.KB
+	gold   *pair.Gold
+}
+
+// statsWorlds are the movie worlds and two Clustered shapes.
+func statsWorlds() []statsWorld {
+	var worlds []statsWorld
+	for _, n := range []int{4, 9} {
+		k1, k2, gold := movieWorld(n, int64(30+n))
+		worlds = append(worlds, statsWorld{fmt.Sprintf("movies-%d", n), k1, k2, gold})
+	}
+	for _, c := range []struct{ clusters, size int }{{10, 6}, {24, 10}} {
+		ds := datasets.Clustered(c.clusters, c.size, int64(c.clusters))
+		worlds = append(worlds, statsWorld{ds.Name, ds.K1, ds.K2, ds.Gold})
+	}
+	return worlds
+}
 
 // TestSeedStatsMatchScratchObservations is the property test for the
 // incremental per-label statistics: for random seed arrival orders and
 // random batch splits — including repeated seeds, initial matches
 // arriving again and wrong matches — every label's folded observation list
-// must equal consistencyObservations gathered from scratch over the
+// must equal the consistencyObservations oracle gathered from scratch over the
 // canonical seed order, and a label must be marked dirty exactly when its
 // list changed.
 func TestSeedStatsMatchScratchObservations(t *testing.T) {
-	type world struct {
-		name   string
-		k1, k2 *kb.KB
-	}
-	var worlds []world
-	for _, n := range []int{4, 9} {
-		k1, k2, _ := movieWorld(n, int64(30+n))
-		worlds = append(worlds, world{fmt.Sprintf("movies-%d", n), k1, k2})
-	}
-	for _, c := range []struct{ clusters, size int }{{10, 6}, {24, 10}} {
-		ds := datasets.Clustered(c.clusters, c.size, int64(c.clusters))
-		worlds = append(worlds, world{fmt.Sprintf("clustered-%dx%d", c.clusters, c.size), ds.K1, ds.K2})
-	}
-	for _, w := range worlds {
+	for _, w := range statsWorlds() {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", w.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
@@ -45,7 +81,7 @@ func TestSeedStatsMatchScratchObservations(t *testing.T) {
 				rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
 				arrivals = arrivals[:len(arrivals)*2/3]
 
-				st := newSeedStats(p)
+				st := newSeedStats(p, p.Initial)
 				matches := pair.Set{}
 				check := func(ctx string, before [][]consistency.Observation) {
 					t.Helper()
@@ -89,5 +125,88 @@ func TestSeedStatsMatchScratchObservations(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFitConsistencyMatchesScratchOracle: fitConsistency, which gathers
+// through the seed statistics, equals the estimator run over the
+// pair-set oracle's observations bit for bit — with consistency.Fit and
+// with consistency.FromCounts (Table VI's direct estimator), on the movie
+// worlds, two Clustered shapes and d-y, for the initial matches, the
+// canonical seed order after random confirmations and Table VI's samples
+// of 20 % and 40 % of the gold matches, and for a sample that lists some
+// seeds twice.
+func TestFitConsistencyMatchesScratchOracle(t *testing.T) {
+	dy, err := datasets.ByName("d-y", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := append(statsWorlds(), statsWorld{dy.Name, dy.K1, dy.K2, dy.Gold})
+	known := 0 // oracle rows with a seed counterpart: the count under test
+	same := func(a, b consistency.Estimate) bool {
+		return math.Float64bits(a.Eps1) == math.Float64bits(b.Eps1) &&
+			math.Float64bits(a.Eps2) == math.Float64bits(b.Eps2) &&
+			math.Float64bits(a.LogLikelihood) == math.Float64bits(b.LogLikelihood)
+	}
+	estimators := []struct {
+		name string
+		fit  func([]consistency.Observation, consistency.Options) consistency.Estimate
+	}{{"Fit", consistency.Fit}, {"FromCounts", consistency.FromCounts}}
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			p := Prepare(w.k1, w.k2, DefaultConfig())
+			rng := rand.New(rand.NewSource(int64(len(w.name))))
+			confirmed := pair.Set{}
+			for _, v := range p.Graph.Vertices() {
+				if rng.Intn(3) == 0 {
+					confirmed.Add(v)
+				}
+			}
+			gold := w.gold.Matches()
+			sample := func(portion float64) []pair.Pair {
+				var out []pair.Pair
+				for _, i := range rng.Perm(len(gold))[:int(portion*float64(len(gold)))] {
+					out = append(out, gold[i])
+				}
+				return out
+			}
+			gold20 := sample(0.2)
+			lists := []struct {
+				name  string
+				seeds []pair.Pair
+			}{
+				{"initial", p.Initial},
+				{"canonical", canonicalSeeds(p.Initial, confirmed)},
+				{"gold-20%", gold20},
+				{"gold-40%", sample(0.4)},
+				{"gold-20%, half listed again", append(slices.Clone(gold20[len(gold20)/2:]), gold20...)},
+			}
+			for _, l := range lists {
+				// A seed listed again counts once, at its first occurrence.
+				distinct := canonicalSeeds(l.seeds, pair.Set{})
+				seedSet := pair.NewSet(l.seeds...)
+				for _, e := range estimators {
+					got := p.fitConsistency(l.seeds, e.fit)
+					if len(got) != len(p.Graph.Labels()) {
+						t.Fatalf("%s seeds, %s: %d estimates for %d labels", l.name, e.name, len(got), len(p.Graph.Labels()))
+					}
+					for _, label := range p.Graph.Labels() {
+						obs := p.consistencyObservations(label, distinct, seedSet)
+						for _, o := range obs {
+							if o.KnownL > 0 {
+								known++
+							}
+						}
+						want := e.fit(obs, consistency.DefaultOptions())
+						if !same(got[label], want) {
+							t.Fatalf("%s seeds, %s, label %v: %+v, oracle %+v", l.name, e.name, label, got[label], want)
+						}
+					}
+				}
+			}
+		})
+	}
+	if known == 0 {
+		t.Fatal("no seed had a value with a seed counterpart: the draws test nothing of knownL")
 	}
 }

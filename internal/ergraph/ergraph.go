@@ -91,34 +91,58 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 	// first-appearance id: the label's position in g.labels as collected.
 	seenID := map[RelPair]int32{}
 	// add links vertex i to every successor pair (w1, w2) ∈ n1×n2 that is
-	// itself a vertex, under the given label.
+	// itself a vertex, under the given label. It joins from the sparse
+	// side: per w1, the shorter of w1's run and n2 (both in K2 entity
+	// order) is walked and the longer binary-searched, so a hub's long
+	// neighbourhood costs a search per retained pair, not a probe per value.
 	add := func(i int, n1, n2 []kb.EntityID, label RelPair) {
+		from := len(edges)
 		for _, w1 := range n1 {
 			run := g.runOf(w1)
-			for _, w2 := range n2 {
-				j := g.find(run, w2)
-				if j < 0 || j == i {
-					continue
+			if len(run) <= len(n2) {
+				for _, j := range run {
+					if _, ok := slices.BinarySearch(n2, g.vertices[j].U2); ok && int(j) != i {
+						edges = append(edges, edge{row: int32(i), nbr: j})
+					}
 				}
-				id, ok := seenID[label]
-				if !ok {
-					id = int32(len(g.labels))
-					seenID[label] = id
-					g.labels = append(g.labels, label)
-				}
-				edges = append(edges, edge{row: int32(i), nbr: int32(j), label: id})
+				continue
 			}
+			for _, w2 := range n2 {
+				if j := g.find(run, w2); j >= 0 && j != i {
+					edges = append(edges, edge{row: int32(i), nbr: int32(j)})
+				}
+			}
+		}
+		if len(edges) == from {
+			return
+		}
+		id, ok := seenID[label]
+		if !ok {
+			id = int32(len(g.labels))
+			seenID[label] = id
+			g.labels = append(g.labels, label)
+		}
+		for k := from; k < len(edges); k++ {
+			edges[k].label = id
 		}
 	}
+	// A side-2 relationship list is read once per vertex, and only when
+	// side 1 has relationships to pair it with.
 	for i, v := range g.vertices {
-		for _, r1 := range k1.OutRels(v.U1) {
-			for _, r2 := range k2.OutRels(v.U2) {
-				add(i, k1.Out(v.U1, r1), k2.Out(v.U2, r2), RelPair{R1: r1, R2: r2})
+		if rels1 := k1.OutRels(v.U1); len(rels1) > 0 {
+			rels2 := k2.OutRels(v.U2)
+			for _, r1 := range rels1 {
+				for _, r2 := range rels2 {
+					add(i, k1.Out(v.U1, r1), k2.Out(v.U2, r2), RelPair{R1: r1, R2: r2})
+				}
 			}
 		}
-		for _, r1 := range k1.InRels(v.U1) {
-			for _, r2 := range k2.InRels(v.U2) {
-				add(i, k1.In(v.U1, r1), k2.In(v.U2, r2), RelPair{R1: r1, R2: r2, Inverse: true})
+		if rels1 := k1.InRels(v.U1); len(rels1) > 0 {
+			rels2 := k2.InRels(v.U2)
+			for _, r1 := range rels1 {
+				for _, r2 := range rels2 {
+					add(i, k1.In(v.U1, r1), k2.In(v.U2, r2), RelPair{R1: r1, R2: r2, Inverse: true})
+				}
 			}
 		}
 	}
@@ -131,11 +155,11 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 		edges[k].label = sorted[edges[k].label]
 	}
 	rank := g.ranks()
-	g.outStart, g.outTo, g.outLabel = rows(len(g.vertices), edges, rank)
+	g.outStart, g.outTo, g.outLabel = g.rows(edges, rank)
 	for k, e := range edges {
 		edges[k] = edge{row: e.nbr, nbr: e.row, label: e.label}
 	}
-	g.inStart, g.inFrom, g.inLabel = rows(len(g.vertices), edges, rank)
+	g.inStart, g.inFrom, g.inLabel = g.rows(edges, rank)
 	g.buildLabelGroups()
 	return g
 }
@@ -192,7 +216,7 @@ func FromRows(vertices []pair.Pair, labels []RelPair, outStart, outTo, outLabel 
 	}
 	g.labels = labels
 	g.outStart, g.outTo, g.outLabel = outStart, outTo, outLabel
-	g.inStart, g.inFrom, g.inLabel = rows(n, edges, rank)
+	g.inStart, g.inFrom, g.inLabel = g.rows(edges, rank)
 	g.buildLabelGroups()
 	return g, nil
 }
@@ -224,21 +248,36 @@ func mustGraph(vertices []pair.Pair) *Graph {
 	return g
 }
 
-// rows sorts the edges into row order and lays them out as one direction's
-// three flat rows over n vertices.
-func rows(n int, edges []edge, rank []int32) (start, nbr, label []int32) {
-	slices.SortFunc(edges, func(a, b edge) int {
-		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(rank[a.nbr], rank[b.nbr]), cmp.Compare(a.label, b.label))
-	})
+// rows lays the edges out as one direction's three flat rows, in row
+// order: a counting sort by row, then each row's keys rank<<32 | label —
+// unique within a row — sorted as integers, and each rank mapped back to
+// its vertex through byPair, the rank → index inverse.
+func (g *Graph) rows(edges []edge, rank []int32) (start, nbr, label []int32) {
+	n := len(g.vertices)
 	start = make([]int32, n+1)
-	nbr = make([]int32, len(edges))
-	label = make([]int32, len(edges))
-	for k, e := range edges {
+	for _, e := range edges {
 		start[e.row+1]++
-		nbr[k], label[k] = e.nbr, e.label
 	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
+	}
+	// start[row] is row's fill cursor while the keys are placed; each ends
+	// at the next row's start, so shifting them back restores the offsets.
+	keys := make([]int64, len(edges))
+	for _, e := range edges {
+		keys[start[e.row]] = int64(rank[e.nbr])<<32 | int64(e.label)
+		start[e.row]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	nbr = make([]int32, len(edges))
+	label = make([]int32, len(edges))
+	for i := 0; i < n; i++ {
+		row := keys[start[i]:start[i+1]]
+		slices.Sort(row)
+		for k, key := range row {
+			nbr[int(start[i])+k], label[int(start[i])+k] = g.byPair[key>>32], int32(key)
+		}
 	}
 	return start, nbr, label
 }

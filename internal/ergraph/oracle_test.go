@@ -292,6 +292,41 @@ func randomVertices(rng *rand.Rand, nEnt, n int) []pair.Pair {
 	return vs
 }
 
+// addHubs makes a few entities of each KB hubs: one relationship links
+// each to between a third and all of the entities, so a vertex's successor
+// list under one label is long.
+func addHubs(rng *rand.Rand, nEnt int, kbs ...*kb.KB) {
+	for _, k := range kbs {
+		for h := 0; h < 1+rng.Intn(2); h++ {
+			u, r := kb.EntityID(rng.Intn(nEnt)), kb.RelID(rng.Intn(k.NumRels()))
+			for _, v := range rng.Perm(nEnt)[:nEnt/3+rng.Intn(nEnt-nEnt/3)] {
+				if rng.Intn(2) == 0 {
+					k.AddRelTriple(u, r, kb.EntityID(v))
+				} else {
+					k.AddRelTriple(kb.EntityID(v), r, u) // a hub of inverse edges
+				}
+			}
+		}
+	}
+}
+
+// withLongRuns adds to vs every pair of a few K1 entities, so those
+// entities' runs span all of K2, and shuffles the result.
+func withLongRuns(rng *rand.Rand, vs []pair.Pair, nEnt int) []pair.Pair {
+	have := pair.NewSet(vs...)
+	for x := 0; x < 1+rng.Intn(3); x++ {
+		u1 := kb.EntityID(rng.Intn(nEnt))
+		for u2 := 0; u2 < nEnt; u2++ {
+			if p := (pair.Pair{U1: u1, U2: kb.EntityID(u2)}); !have.Has(p) {
+				have.Add(p)
+				vs = append(vs, p)
+			}
+		}
+	}
+	rng.Shuffle(len(vs), func(a, b int) { vs[a], vs[b] = vs[b], vs[a] })
+	return vs
+}
+
 // requireMatchesOracle compares every array of g with the oracle's, and the
 // label rows with the labels on the oracle's edge structs.
 func requireMatchesOracle(t *testing.T, g *Graph, o *oracleGraph, ctx string) {
@@ -327,15 +362,26 @@ func requireMatchesOracle(t *testing.T, g *Graph, o *oracleGraph, ctx string) {
 
 // TestBuildMatchesEdgeListOracle: over random KBs and shuffled vertex lists,
 // the rows, label rows, label list and groups Build lays out equal the ones
-// the edge-list builder derives. The counters at the end prove the draws
-// covered what makes the order non-trivial.
+// the edge-list builder derives. The last draws add hubs and K1 entities
+// paired with every K2 entity, so Build's join walks a run against a long
+// successor list and a successor list against a long run. The counters at
+// the end prove the draws covered what makes the order and the join
+// non-trivial.
 func TestBuildMatchesEdgeListOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	var unsorted, parallel, selfLoops, inverse int
-	for trial := 0; trial < 200; trial++ {
+	var unsorted, parallel, selfLoops, inverse, walkRun, walkSuccessors int
+	for trial := 0; trial < 300; trial++ {
+		hubs := trial >= 200
 		nEnt := 3 + rng.Intn(6)
+		if hubs {
+			nEnt = 10 + rng.Intn(10)
+		}
 		k1, k2 := randomKBs(rng, nEnt, 1+rng.Intn(3), rng.Intn(5*nEnt))
 		vs := randomVertices(rng, nEnt, 1+rng.Intn(nEnt*nEnt))
+		if hubs {
+			addHubs(rng, nEnt, k1, k2)
+			vs = withLongRuns(rng, vs, nEnt)
+		}
 		g, o := Build(k1, k2, vs), buildOracle(k1, k2, vs)
 		requireMatchesOracle(t, g, o, fmt.Sprintf("trial %d", trial))
 		// The out-rows carry the whole graph: FromRows derives the rest.
@@ -356,8 +402,19 @@ func TestBuildMatchesEdgeListOracle(t *testing.T) {
 			}
 			for _, r1 := range k1.OutRels(v.U1) {
 				for _, r2 := range k2.OutRels(v.U2) {
-					if slices.Contains(k1.Out(v.U1, r1), v.U1) && slices.Contains(k2.Out(v.U2, r2), v.U2) {
+					n1, n2 := k1.Out(v.U1, r1), k2.Out(v.U2, r2)
+					if slices.Contains(n1, v.U1) && slices.Contains(n2, v.U2) {
 						selfLoops++
+					}
+					// Which side the join walks for each successor w1, when
+					// the other side is longer than one.
+					for _, w1 := range n1 {
+						switch run := g.runOf(w1); {
+						case len(run) > 0 && len(run) < len(n2) && len(n2) > 1:
+							walkRun++
+						case len(n2) > 0 && len(n2) < len(run) && len(run) > 1:
+							walkSuccessors++
+						}
 					}
 				}
 			}
@@ -368,9 +425,10 @@ func TestBuildMatchesEdgeListOracle(t *testing.T) {
 			}
 		}
 	}
-	if unsorted == 0 || parallel == 0 || selfLoops == 0 || inverse == 0 {
-		t.Fatalf("draws no longer cover the hard cases: %d unsorted vertex lists, %d parallel edges, %d would-be self-loops, %d inverse labels",
-			unsorted, parallel, selfLoops, inverse)
+	if unsorted == 0 || parallel == 0 || selfLoops == 0 || inverse == 0 || walkRun == 0 || walkSuccessors == 0 {
+		t.Fatalf("draws no longer cover the hard cases: %d unsorted vertex lists, %d parallel edges, %d would-be self-loops, %d inverse labels, "+
+			"%d runs walked against longer successor lists, %d successor lists walked against longer runs",
+			unsorted, parallel, selfLoops, inverse, walkRun, walkSuccessors)
 	}
 }
 

@@ -7,6 +7,7 @@ package strsim
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -152,4 +153,37 @@ func TestAppendWordsAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("AppendWords allocates %v times per pass, want 0", allocs)
 	}
+}
+
+// oracleClassify is Classify as it was before it skipped the number parse
+// for text that cannot start a float literal: ParseFloat on every literal.
+func oracleClassify(lit string) LiteralKind {
+	s := strings.TrimSpace(lit)
+	if s == "" {
+		return KindString
+	}
+	if _, err := strconv.ParseFloat(s, 64); err == nil {
+		return KindNumber
+	}
+	if _, ok := parseDate(s); ok {
+		return KindDate
+	}
+	return KindString
+}
+
+// FuzzClassify holds Classify to the oracle that parses every literal as
+// a float first: on arbitrary strings the two agree.
+func FuzzClassify(f *testing.F) {
+	for _, s := range []string{
+		"", "Inf", "inf", "infinity", "-infinity", "+INF", "NaN", "nan", "0x1p-2", "1_0", "0x_1p0", " 42 ", ".5", "+", "-",
+		"G44.847", "1e400", "1999", "1999-12-31", "+2000-01-01", "1999/12/31", "Infinity and beyond",
+		"\xff", "4\xff", "\u00a012\u2003",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Classify(s), oracleClassify(s); got != want {
+			t.Fatalf("Classify(%q) = %v, oracle %v", s, got, want)
+		}
+	})
 }

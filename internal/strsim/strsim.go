@@ -218,8 +218,13 @@ func Classify(lit string) LiteralKind {
 	if s == "" {
 		return KindString
 	}
-	if _, err := strconv.ParseFloat(s, 64); err == nil {
-		return KindNumber
+	// ParseFloat accepts nothing that starts with another byte, and each
+	// failure allocates an error: other text goes straight to the dates.
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		if _, err := strconv.ParseFloat(s, 64); err == nil {
+			return KindNumber
+		}
 	}
 	if _, ok := parseDate(s); ok {
 		return KindDate
