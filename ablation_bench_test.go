@@ -1,10 +1,11 @@
 package repro
 
 // Ablation benchmarks for the choices where the implementation departs
-// from or extends the paper: the Dijkstra-based InferAll versus the
-// paper-faithful Floyd–Warshall variant of Algorithm 2, the exact bitmask-DP posterior versus the
+// from or extends the paper: the exact bitmask-DP posterior versus the
 // local-exclusion approximation, per-loop edge re-estimation, and the
-// hybrid (partial-order + propagation) future-work extension.
+// hybrid (partial-order + propagation) future-work extension. The
+// Dijkstra-based InferAll versus the paper-faithful Floyd–Warshall
+// variant of Algorithm 2 is in internal/propagation/ablation_test.go.
 
 import (
 	"testing"
@@ -15,41 +16,6 @@ import (
 	"repro/internal/pair"
 	"repro/internal/propagation"
 )
-
-// probIIMB builds IIMB's monolithic probabilistic ER graph.
-func probIIMB(b *testing.B) *propagation.ProbGraph {
-	b.Helper()
-	ds := datasets.IIMB(1)
-	p := core.Prepare(ds.K1, ds.K2, core.DefaultConfig())
-	priors := make([]float64, p.Graph.NumVertices())
-	for i := range priors {
-		priors[i] = p.Prior(i)
-	}
-	return propagation.BuildProbDense(p.Graph, priors, p.Consistency)
-}
-
-// BenchmarkAblation_InferAllDijkstra measures the default bounded-Dijkstra
-// all-pairs discovery of inferred sets.
-func BenchmarkAblation_InferAllDijkstra(b *testing.B) {
-	pg := probIIMB(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pg.InferAll(0.9)
-	}
-}
-
-// BenchmarkAblation_InferAllFloydWarshall measures the paper's modified
-// Floyd–Warshall (Algorithm 2 as printed); it computes identical maps but
-// scales quadratically in the per-vertex reachable-set size.
-func BenchmarkAblation_InferAllFloydWarshall(b *testing.B) {
-	pg := probIIMB(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pg.InferAllFW(0.9)
-	}
-}
 
 // BenchmarkAblation_PosteriorExact measures the exact bitmask-DP
 // marginalization on a dense 8×8 neighborhood.

@@ -50,7 +50,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "dataset generator seed and label-determinism seed")
 	mu := flag.Int("mu", 0, "questions per human-machine loop (0 = pipeline default)")
 	shards := flag.Int("shards", 0, "shard count per session (0 = auto)")
-	deduce := flag.Bool("deduce", false, "enable transitive-closure answer deduction in every session (the oracle runs Deduce-on too)")
+	deduce := flag.Bool("deduce", false, "enable answer deduction in every session (the oracle runs Deduce-on too)")
 	workers := flag.Int("workers", 3, "simulated workers per question")
 	workerError := flag.Float64("worker-error", 0, "probability a worker's label is flipped (deterministic per pair and worker)")
 	reorder := flag.Float64("reorder", 0.5, "probability a batch is answered in random order")

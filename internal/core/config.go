@@ -53,16 +53,16 @@ type Config struct {
 	// same question budget; Remp's normal stop criterion is restored when
 	// this is false (the default).
 	ExhaustBudget bool
-	// Deduce enables transitive-closure answer deduction (internal/
-	// deduce, after Wang et al.'s crowdsourced-join transitivity): every
-	// resolution is recorded in an incremental union-find + conflict-set
-	// store, each batch is reordered so questions whose answer closes
-	// the most open batch-mates come first (ties keep the selection
-	// order), and a question whose verdict the recorded answers already
-	// imply is skipped — deduced — instead of spending a crowd question.
-	// Deduction is a pure function of the applied-answer prefix, so
-	// sharded, asynchronous and clustered runs with Deduce on stay
-	// byte-identical to a synchronous Deduce-on oracle run.
+	// Deduce enables answer deduction (after Wang et al.'s crowdsourced-
+	// join transitivity, which under the 1:1 constraint reduces to "an
+	// entity matched elsewhere excludes this pair"): each batch is
+	// reordered so questions whose answer closes the most open
+	// batch-mates come first (ties keep the selection order), and a
+	// question an earlier answer already resolved — by propagation or
+	// competitor exclusion — is skipped, deduced, instead of spending a
+	// crowd question. Deduction is a pure function of the applied-answer
+	// prefix, so sharded, asynchronous and clustered runs with Deduce on
+	// stay byte-identical to a synchronous Deduce-on oracle run.
 	Deduce bool
 	// Hybrid enables the paper's future-work extension (§IX): partial-
 	// order inference is combined with relational propagation, so each

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/deduce"
-
 // monotoneInference implements the hybrid extension the paper sketches as
 // future work (§IX): partial-order inference is layered on top of
 // relational propagation. Worker-confirmed labels generalize along the
@@ -52,7 +50,6 @@ func (l *Loop) monotoneInference() {
 // 1:1 constraint; its provenance counts as propagation for reporting.
 func (l *Loop) acceptMonotone(i int) {
 	v := l.p.Retained[i]
-	l.record(v, deduce.Match)
 	l.resolving(i)
 	l.res.Propagated.Add(v)
 	l.res.Matches.Add(v)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/crowd"
-	"repro/internal/deduce"
 	"repro/internal/ergraph"
 	"repro/internal/obs"
 	"repro/internal/pair"
@@ -149,11 +148,9 @@ type Loop struct {
 	stats        *seedStats
 	est          map[ergraph.RelPair]consistency.Estimate
 
-	// ded is the transitive-closure deduction store (Config.Deduce); it
-	// records every resolution and lets drain skip open questions whose
-	// verdict is already implied. deduced are the skipped questions, so
-	// the session layer can swallow their late crowd answers.
-	ded     *deduce.Store
+	// deduced are the open questions drain skipped because an earlier
+	// answer had already resolved them (Config.Deduce), so the session
+	// layer can swallow their late crowd answers.
 	deduced pair.Set
 
 	// recomputes counts the single-source Dijkstra runs of the engines
@@ -181,7 +178,6 @@ func (p *Prepared) NewLoop() *Loop {
 		isoLive: len(p.isolated),
 	}
 	if p.Cfg.Deduce {
-		l.ded = deduce.New(deduce.OneToOne)
 		l.deduced = pair.Set{}
 	}
 	l.shards = make([]*loopShard, len(p.shards))
@@ -246,38 +242,19 @@ func (l *Loop) resolved(q pair.Pair) bool {
 // the session layer to swallow a late crowd answer for it.
 func (l *Loop) WasDeduced(q pair.Pair) bool { return l.deduced.Has(q) }
 
-// DeduceEnabled reports whether the loop maintains a deduction store
-// (Config.Deduce). The session layer consults it before engaging the
-// namespace deduction tier, so a Deduce-off session never receives
-// synthesized answers.
-func (l *Loop) DeduceEnabled() bool { return l.ded != nil }
+// DeduceEnabled reports whether the loop skips already-resolved
+// questions (Config.Deduce). The session layer consults it before
+// engaging the namespace deduction tier, so a Deduce-off session never
+// receives synthesized answers.
+func (l *Loop) DeduceEnabled() bool { return l.p.Cfg.Deduce }
 
-// Deduces reports whether the loop's own recorded facts already imply
-// q's verdict. Unlike WasDeduced it answers before the apply cursor
+// Deduces reports whether the loop will skip q because it is already
+// resolved. Unlike WasDeduced it answers before the apply cursor
 // reaches q: the session layer uses it to withhold a question from
 // publication (the crowd would answer it for nothing — the drain will
 // skip it) and to keep the namespace deduction tier from answering a
 // question this loop is about to skip by itself.
-func (l *Loop) Deduces(q pair.Pair) bool {
-	if l.ded == nil {
-		return false
-	}
-	if l.deduced.Has(q) {
-		return true
-	}
-	v, _ := l.ded.Lookup(q)
-	return v != deduce.Unknown
-}
-
-// record mirrors a resolution into the deduction store. Conflicting
-// facts (an inconsistent crowd can resolve a pair both ways) are
-// deliberately dropped: the store keeps the first fact, which is a pure
-// function of the applied-answer prefix either way.
-func (l *Loop) record(q pair.Pair, v deduce.Verdict) {
-	if l.ded != nil {
-		_ = l.ded.Record(q, v)
-	}
-}
+func (l *Loop) Deduces(q pair.Pair) bool { return l.p.Cfg.Deduce && l.resolved(q) }
 
 // touch marks vertex i's shard dirty: its cached candidates and selection
 // no longer describe the next loop.
@@ -347,7 +324,6 @@ func (l *Loop) runnerResolve(i int, detach bool) {
 // flag and the runner's propagation state (detachment) advance together.
 func (l *Loop) markNonMatch(i int) {
 	v := l.p.Retained[i]
-	l.record(v, deduce.NonMatch)
 	l.resolving(i)
 	l.res.NonMatches.Add(v)
 	l.runnerResolve(i, true)
@@ -444,21 +420,18 @@ func (l *Loop) drain() {
 	cfg := l.p.Cfg
 	for l.next < len(l.open) {
 		q := l.open[l.next]
-		if l.ded != nil {
-			if v, _ := l.ded.Lookup(q); v != deduce.Unknown {
-				// The recorded answers already imply q's verdict (an
-				// earlier batch-mate's cascade resolved it): skip the
-				// question instead of spending a crowd answer. Any
-				// buffered late answer is dropped; the session layer
-				// swallows re-deliveries via WasDeduced. The skip is a
-				// pure function of the applied prefix, so replays and
-				// out-of-order runs skip identically.
-				delete(l.buf, q)
-				l.next++
-				l.res.Deduced++
-				l.deduced.Add(q)
-				continue
-			}
+		if cfg.Deduce && l.resolved(q) {
+			// An earlier batch-mate's propagation cascade or competitor
+			// exclusion already resolved q: skip the question instead of
+			// spending a crowd answer. Any buffered late answer is
+			// dropped; the session layer swallows re-deliveries via
+			// WasDeduced. The skip is a pure function of the applied
+			// prefix, so replays and out-of-order runs skip identically.
+			delete(l.buf, q)
+			l.next++
+			l.res.Deduced++
+			l.deduced.Add(q)
+			continue
 		}
 		labels, ok := l.buf[q]
 		if !ok {

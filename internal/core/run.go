@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/consistency"
-	"repro/internal/deduce"
 	"repro/internal/pair"
 	"repro/internal/selection"
 )
@@ -28,7 +27,7 @@ type Result struct {
 	Questions int
 	// Deduced is the number of selected questions skipped because their
 	// verdict was already implied by recorded answers (Config.Deduce):
-	// crowd questions saved by transitive-closure deduction.
+	// crowd questions saved by deduction.
 	Deduced int
 	// Loops is the number of human-machine loops executed.
 	Loops int
@@ -120,7 +119,6 @@ func padBatch(all, chosen []selection.Candidate, mu int) []selection.Candidate {
 // whole cascade stays within q's shard by construction.
 func (l *Loop) confirmMatch(qi int) {
 	q := l.p.Retained[qi]
-	l.record(q, deduce.Match)
 	l.resolving(qi)
 	l.res.Confirmed.Add(q)
 	l.res.Matches.Add(q)
@@ -141,7 +139,6 @@ func (l *Loop) confirmMatch(qi int) {
 			continue
 		}
 		j := l.p.Graph.IndexOf(pj)
-		l.record(pj, deduce.Match)
 		l.resolving(j)
 		l.res.Propagated.Add(pj)
 		l.res.Matches.Add(pj)

@@ -378,10 +378,10 @@ func TestBatchesIdenticalAcrossShardCounts(t *testing.T) {
 						twice++
 					}
 				}
-				if l.ded == nil && twice == 0 {
+				if !l.p.Cfg.Deduce && twice == 0 {
 					t.Errorf("%s: no pair resolved both ways", name)
 				}
-				if l.ded != nil && res.Deduced == 0 {
+				if l.p.Cfg.Deduce && res.Deduced == 0 {
 					t.Errorf("%s: no question deduced", name)
 				}
 			}

@@ -73,7 +73,7 @@ func Describe(id string) string {
 		"figure6":   "Figure 6 — runtime scalability of Algorithms 1–3",
 		"shards":    "Shard speedup — sharded loop runtime and equivalence on the clustered synthetic graph",
 		"prepare":   "Pre-pipeline — indexed blocking + batched similarity vs the naive path on the scale dataset",
-		"deduction": "Answer deduction — crowd questions saved by transitive closure, divergence-checked per dataset",
+		"deduction": "Answer deduction — crowd questions saved by skipping already-resolved ones, divergence-checked per dataset",
 	}
 	if d, ok := desc[id]; ok {
 		return d

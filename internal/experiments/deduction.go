@@ -85,13 +85,13 @@ func (r *DeductionReport) Check() error {
 	return errors.Join(errs...)
 }
 
-// Deduction measures transitive-closure answer deduction on every
-// built-in dataset: each is resolved against a ground-truth oracle
-// once with Deduce off (the crowd-cost reference) and then with Deduce
-// on at 1 and 4 shards. Deduction must save crowd questions without
-// changing a single resolved pair — every Deduce-on outcome is checked
-// against the reference with the same divergence test the shard
-// experiments use, plus the 1:1 constraint.
+// Deduction measures answer deduction on every built-in dataset: each
+// is resolved against a ground-truth oracle once with Deduce off (the
+// crowd-cost reference) and then with Deduce on at 1 and 4 shards.
+// Deduction must save crowd questions without changing a single
+// resolved pair — every Deduce-on outcome is checked against the
+// reference with the same divergence test the shard experiments use,
+// plus the 1:1 constraint.
 func Deduction(w io.Writer, seed int64) *DeductionReport {
 	header(w, "Answer deduction: crowd questions saved per dataset (oracle workers)")
 	report := &DeductionReport{}

@@ -134,10 +134,10 @@ func (m *serverMetrics) bindManager(s *Server) {
 		}
 	}
 	m.reg.CounterVecFunc("remp_deduce_hits_total",
-		"Crowd questions answered by transitive-closure deduction instead of workers, by namespace.",
+		"Crowd questions answered by deduction from recorded answers instead of workers, by namespace.",
 		"namespace", deduceVec(func(st remp.DeduceStats) uint64 { return st.Hits }))
 	m.reg.CounterVecFunc("remp_deduce_clusters_total",
-		"Cluster merges among a namespace's recorded match facts, by namespace.",
+		"Match facts recorded from a namespace's answers, by namespace.",
 		"namespace", deduceVec(func(st remp.DeduceStats) uint64 { return st.Clusters }))
 	m.reg.CounterVecFunc("remp_deduce_conflicts_total",
 		"Contradictory facts rejected by the deduction store, by namespace.",

@@ -78,9 +78,9 @@ type OptionsDTO struct {
 	// Shards shards the session's pipeline (0 = auto, 1 = one shard; see
 	// remp.Options.Shards). A server-wide default applies when omitted.
 	Shards int `json:"shards,omitempty"`
-	// Deduce enables transitive-closure answer deduction (see
-	// remp.Options.Deduce): questions whose verdicts recorded answers
-	// already imply are answered for free instead of being published.
+	// Deduce enables answer deduction (see remp.Options.Deduce):
+	// questions whose verdicts recorded answers already imply are
+	// answered for free instead of being published.
 	Deduce bool `json:"deduce,omitempty"`
 }
 

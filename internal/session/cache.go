@@ -25,7 +25,7 @@ import (
 // to attach registers its (KB1, KB2) names via orient, and a session
 // prepared over the same dataset with the KBs swapped flips its pairs on
 // every cache operation. The cache also maintains the namespace deduction
-// store: every definitive answer is recorded as a transitive-closure fact,
+// store: every definitive answer is recorded as a deduction fact,
 // and Deduce-enabled sessions consult it (through deduce) before posting a
 // question whose verdict the namespace's answers already imply.
 type Cache struct {
@@ -45,7 +45,7 @@ func NewCache() *Cache {
 	return &Cache{
 		answers:  make(map[pair.Pair][]crowd.Label),
 		reserved: make(map[pair.Pair]string),
-		ded:      deduce.New(deduce.OneToOne),
+		ded:      deduce.New(),
 	}
 }
 
@@ -80,18 +80,18 @@ func (c *Cache) answer(q pair.Pair) ([]crowd.Label, bool) {
 // put stores the answer for q (first answer wins, so every session sees
 // the same labels) and clears any reservation. Definitive answers are
 // also recorded into the namespace deduction store: the verdict a
-// prior-free truth inference assigns the labels becomes a
-// transitive-closure fact siblings can deduce from. Synthesized deduced
-// answers are not re-recorded (the fact that produced them is already in
-// the store), and a contradictory fact from an inconsistent crowd is
-// dropped — the store keeps the first fact, deterministically.
+// prior-free truth inference assigns the labels becomes a fact siblings
+// can deduce from. Synthesized deduced answers are not re-recorded (the
+// fact that produced them is already in the store), and a contradictory
+// fact from an inconsistent crowd is rejected and counted as a conflict —
+// the store keeps the first fact, deterministically.
 func (c *Cache) put(q pair.Pair, labels []crowd.Label) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.answers[q]; !dup {
 		c.answers[q] = labels
 		if v := answerVerdict(labels); v != deduce.Unknown {
-			_ = c.ded.Record(q, v)
+			c.ded.Record(q, v)
 		}
 	}
 	delete(c.reserved, q)
@@ -119,8 +119,7 @@ func answerVerdict(labels []crowd.Label) deduce.Verdict {
 func (c *Cache) deduce(q pair.Pair) deduce.Verdict {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, _ := c.ded.Lookup(q)
-	return v
+	return c.ded.Lookup(q)
 }
 
 // DeduceStats returns the namespace deduction-store counters.

@@ -246,7 +246,7 @@ func TestDeduceWALRecovery(t *testing.T) {
 }
 
 // TestCacheDeduceTier exercises the namespace deduction store directly:
-// recorded answers become transitive-closure facts, and a pair no
+// recorded answers become deduction facts, and a pair no
 // session answered is served by deduction under the 1:1 constraint.
 func TestCacheDeduceTier(t *testing.T) {
 	c := NewCache()
@@ -278,6 +278,31 @@ func TestCacheDeduceTier(t *testing.T) {
 	}
 	if stats := c.DeduceStats(); stats.Hits == 0 || stats.Unions == 0 {
 		t.Fatalf("stats not counting: %+v", stats)
+	}
+}
+
+// TestCacheDeduceConflicts pins what remp_deduce_conflicts_total counts:
+// answers the namespace store rejects as contradicting its facts. A
+// second match for an already-matched entity is one; non-match answers
+// that contradict nothing are none.
+func TestCacheDeduceConflicts(t *testing.T) {
+	p := func(a, b int) pair.Pair { return pair.Pair{U1: kb.EntityID(a), U2: kb.EntityID(b)} }
+	lab := func(match bool) []crowd.Label {
+		return []crowd.Label{{Worker: crowd.Worker{ID: 0, Quality: 0.999}, IsMatch: match}}
+	}
+	c := NewCache()
+	c.put(p(1, 2), lab(true))
+	c.put(p(1, 3), lab(true))
+	if got := c.DeduceStats(); got.Conflicts != 1 || got.Unions != 1 {
+		t.Fatalf("(a,b) then (a,c) matched: %+v, want 1 union and 1 conflict", got)
+	}
+
+	c = NewCache()
+	for i := 0; i < 10; i++ {
+		c.put(p(i, i+1), lab(false))
+	}
+	if got := c.DeduceStats(); got.Conflicts != 0 {
+		t.Fatalf("non-match answers counted as conflicts: %+v", got)
 	}
 }
 

@@ -94,10 +94,10 @@ func (m *Manager) CacheStats() (hits, misses, reservations int64) {
 }
 
 // DeduceStats returns each namespace's deduction-store counters: answers
-// served by transitive closure (hits), cluster merges (unions) and
-// contradictory facts dropped (conflicts). Namespaces whose sessions
+// served by deduction (hits), match facts recorded (unions) and
+// contradictory facts rejected (conflicts). Namespaces whose sessions
 // never enabled deduction still appear — their stores record answers as
-// facts regardless, so the counters show cluster growth with zero hits.
+// facts regardless, so the counters show recorded matches with zero hits.
 func (m *Manager) DeduceStats() map[string]deduce.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -199,7 +199,7 @@ func (s *Session) Progress() (questions, loops int) {
 }
 
 // Deduced returns how many selected questions were answered by
-// transitive-closure deduction instead of the crowd so far (always 0
+// deduction instead of the crowd so far (always 0
 // unless the pipeline was prepared with Config.Deduce).
 func (s *Session) Deduced() int {
 	s.mu.Lock()
@@ -384,7 +384,7 @@ func (s *Session) joinCache(c *Cache) {
 // session's reservations once the loop finishes. For a Deduce-enabled
 // session, the namespace deduction tier sits behind the answer cache:
 // a question no sibling has answered directly, but whose verdict the
-// namespace's recorded answers imply transitively, is answered with a
+// namespace's recorded answers imply, is answered with a
 // synthesized label through the same delivery path — journaled, shared
 // and replayed exactly like a crowd answer. Questions the loop's own
 // facts already imply are left alone (the drain skips them without any

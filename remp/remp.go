@@ -101,14 +101,13 @@ type Options struct {
 	// conforming runner is observably identical to the in-process one, so
 	// results are unaffected.
 	Runner RunnerFactory
-	// Deduce enables transitive-closure answer deduction: every resolved
-	// pair is recorded as a fact (match ∧ match ⇒ match; a matched entity
-	// excludes its competitors under the 1:1 constraint), batches are
-	// reordered so answers close as many open batch-mates as possible,
-	// and a question whose verdict the recorded answers already imply is
-	// deduced for free instead of being posted to the crowd. Results are
-	// byte-identical to a Deduce-on synchronous oracle run regardless of
-	// sharding, delivery order or clustering; Result.Deduced counts the
+	// Deduce enables answer deduction: batches are reordered so answers
+	// close as many open batch-mates as possible, and a question an
+	// earlier answer already resolved (by propagation, or because a
+	// matched entity excludes its competitors under the 1:1 constraint)
+	// is deduced for free instead of being posted to the crowd. Results
+	// are byte-identical to a Deduce-on synchronous oracle run regardless
+	// of sharding, delivery order or clustering; Result.Deduced counts the
 	// crowd questions saved.
 	Deduce bool
 }

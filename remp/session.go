@@ -286,14 +286,13 @@ func (m *Manager) CacheStats() (hits, misses, reservations int64) { return m.m.C
 // DeduceStats are one namespace's answer-deduction counters, cumulative
 // over the manager's lifetime.
 type DeduceStats struct {
-	// Hits counts verdicts served by transitive closure instead of the
-	// crowd.
+	// Hits counts verdicts served by deduction instead of the crowd.
 	Hits uint64
-	// Clusters counts cluster merges (union operations) among the
-	// namespace's recorded facts.
+	// Clusters counts match facts recorded from the namespace's answers.
 	Clusters uint64
 	// Conflicts counts contradictory facts rejected by the store (an
-	// inconsistent crowd answering a pair both ways).
+	// inconsistent crowd answering a pair both ways, or matching an
+	// entity twice).
 	Conflicts uint64
 }
 
