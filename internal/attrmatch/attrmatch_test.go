@@ -39,15 +39,15 @@ func buildKBs(n int) (*kb.KB, *kb.KB, []pair.Pair) {
 
 func TestSimilaritiesShape(t *testing.T) {
 	k1, k2, min := buildKBs(10)
+	name, title := k1.AddAttr("name"), k2.AddAttr("title")
+	year, pubYear := k1.AddAttr("year"), k2.AddAttr("pubYear")
 	sims := Similarities(k1, k2, min, DefaultOptions())
 	if len(sims) != k1.NumAttrs() || len(sims[0]) != k2.NumAttrs() {
 		t.Fatalf("matrix shape %dx%d, want %dx%d", len(sims), len(sims[0]), k1.NumAttrs(), k2.NumAttrs())
 	}
-	name, title := k1.AddAttr("name"), k2.AddAttr("title")
 	if sims[name][title] != 1 {
 		t.Errorf("name↔title similarity = %v, want 1", sims[name][title])
 	}
-	year, pubYear := k1.AddAttr("year"), k2.AddAttr("pubYear")
 	if sims[year][pubYear] != 1 {
 		t.Errorf("year↔pubYear similarity = %v, want 1", sims[year][pubYear])
 	}
@@ -119,7 +119,7 @@ func TestRareAttributeNotMatched(t *testing.T) {
 	// failure mode the paper reports on D-Y.
 	k1, k2, min := buildKBs(5)
 	rare := k1.AddAttr("icd10")
-	u := k1.Entity("e1_0")
+	u := k1.AddEntity("e1_0") // already added: its ID
 	k1.AddAttrTriple(u, rare, "G44.847")
 	matches := FindMatches(k1, k2, min, DefaultOptions())
 	for _, m := range matches {

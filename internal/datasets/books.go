@@ -47,5 +47,5 @@ func Books(seed int64) *Dataset {
 		}
 		add(fmt.Sprintf("editor %d", i), false)
 	}
-	return &Dataset{Name: "books", K1: k1, K2: k2, Gold: pair.NewGold(gold)}
+	return newDataset("books", k1, k2, gold)
 }

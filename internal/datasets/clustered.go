@@ -77,8 +77,11 @@ func Clustered(clusters, meanSize int, seed int64) *Dataset {
 		// consistency estimates — and their shards — untouched.
 		fam := c * families / clusters
 		h1, h2 := addPair(fmt.Sprintf("hub%d", c), false)
+		var last1, last2 kb.EntityID // the member pair added last
 		for m := 0; m < size; m++ {
 			m1, m2 := addPair(fmt.Sprintf("node%dx%d", c, m), true)
+			prev1, prev2 := last1, last2
+			last1, last2 = m1, m2
 			k1.AddRelTriple(h1, rel1[fam], m1)
 			// Real KBs carry dangling relations: ~15% of the K2 edges are
 			// missing, so relationship consistency is genuinely partial and
@@ -91,18 +94,11 @@ func Clustered(clusters, meanSize int, seed int64) *Dataset {
 			if m > 0 && m%3 == 0 {
 				// Chain every third member to its predecessor so clusters
 				// are not pure stars and propagation has depth to cover.
-				p1 := k1.Entity(fmt.Sprintf("a:node%dx%d", c, m-1))
-				p2 := k2.Entity(fmt.Sprintf("b:node%dx%d", c, m-1))
-				k1.AddRelTriple(m1, rel1[fam], p1)
-				k2.AddRelTriple(m2, rel2[fam], p2)
+				k1.AddRelTriple(m1, rel1[fam], prev1)
+				k2.AddRelTriple(m2, rel2[fam], prev2)
 			}
 		}
 		addPair(fmt.Sprintf("lone%d", c), false)
 	}
-	return &Dataset{
-		Name: fmt.Sprintf("clustered-%dx%d", clusters, meanSize),
-		K1:   k1,
-		K2:   k2,
-		Gold: pair.NewGold(gold),
-	}
+	return newDataset(fmt.Sprintf("clustered-%dx%d", clusters, meanSize), k1, k2, gold)
 }

@@ -33,6 +33,14 @@ type Dataset struct {
 	AttrGold []AttrRef
 }
 
+// newDataset freezes both KBs, so a generator's caller never pays the
+// freeze, and assembles the Dataset.
+func newDataset(name string, k1, k2 *kb.KB, gold []pair.Pair) *Dataset {
+	k1.Freeze()
+	k2.Freeze()
+	return &Dataset{Name: name, K1: k1, K2: k2, Gold: pair.NewGold(gold)}
+}
+
 // Names lists the fixed generator names accepted by ByName, in paper
 // order plus the small "books" load-test dataset. ByName additionally
 // accepts the parameterized "scale-<n>" form (e.g. "scale-1000000") for

@@ -31,7 +31,7 @@ func DBLPACM(seed int64) *Dataset {
 			u1, u2 := b.addPair(fid("auth", i), label, pairOpts{typ: "author", perturb: 0.5})
 			authors = append(authors, author{u1: u1, u2: u2, shared: true})
 		} else {
-			u1 := b.addOnly1(fid("auth", i), label, "author")
+			u1 := addOnly(k1, fid("auth", i), label, "author")
 			authors = append(authors, author{u1: u1, shared: false})
 		}
 	}
@@ -72,12 +72,11 @@ func DBLPACM(seed int64) *Dataset {
 	// ACM-only publications with ACM-only authors (the K2 surplus).
 	var acmAuthors []kb.EntityID
 	for i := 0; i < 500; i++ {
-		u := b.addOnly2(fid("acmauth", i), b.uniquePersonName(), "author")
+		u := addOnly(k2, fid("acmauth", i), b.uniquePersonName(), "author")
 		acmAuthors = append(acmAuthors, u)
 	}
 	for i := 0; i < 450; i++ {
-		u := b.addOnly2(fid("acmpub", i), b.uniquePhrase(topicWords, 4+b.rng.Intn(4)), "publication")
-		k2.AddAttrTriple(u, title2, k2.Label(u))
+		u := addOnly(k2, fid("acmpub", i), b.uniquePhrase(topicWords, 4+b.rng.Intn(4)), "publication", title2)
 		k2.AddAttrTriple(u, year2, b.year(1990, 2015))
 		k2.AddAttrTriple(u, venue2, b.pick(venueNames))
 		n := 1 + b.rng.Intn(4)

@@ -149,15 +149,13 @@ func DBpediaYAGO(seed int64) *Dataset {
 
 	// DBpedia-only and YAGO-only surplus entities.
 	for i := 0; i < 250; i++ {
-		u := b.addOnly1(fid("dent", i), b.uniquePersonName(), "person")
-		k1.AddAttrTriple(u, a1["dbp_name"], k1.Label(u))
+		u := addOnly(k1, fid("dent", i), b.uniquePersonName(), "person", a1["dbp_name"])
 		if b.rng.Float64() < 0.4 {
 			k1.AddRelTriple(u, r1["dbp_birth_place"], cities[b.rng.Intn(len(cities))].u1)
 		}
 	}
 	for i := 0; i < 220; i++ {
-		u := b.addOnly2(fid("yent", i), b.uniquePhrase(titleWords, 2), "movie")
-		k2.AddAttrTriple(u, a2["y_label"], k2.Label(u))
+		addOnly(k2, fid("yent", i), b.uniquePhrase(titleWords, 2), "movie", a2["y_label"])
 	}
 
 	return b.finish("D-Y", attrGold)

@@ -98,19 +98,15 @@ func (b *builder) addPair(name, label string, o pairOpts) (kb.EntityID, kb.Entit
 	return u1, u2
 }
 
-// addOnly1 creates a K1-only entity (no counterpart).
-func (b *builder) addOnly1(name, label, typ string) kb.EntityID {
-	u := b.k1.AddEntity(b.k1.Name() + ":" + name)
-	b.k1.SetLabel(u, label)
-	b.k1.SetType(u, typ)
-	return u
-}
-
-// addOnly2 creates a K2-only entity.
-func (b *builder) addOnly2(name, label, typ string) kb.EntityID {
-	u := b.k2.AddEntity(b.k2.Name() + ":" + name)
-	b.k2.SetLabel(u, label)
-	b.k2.SetType(u, typ)
+// addOnly creates an entity of k alone (no counterpart), its label also
+// the value of each of labelAttrs.
+func addOnly(k *kb.KB, name, label, typ string, labelAttrs ...kb.AttrID) kb.EntityID {
+	u := k.AddEntity(k.Name() + ":" + name)
+	k.SetLabel(u, label)
+	k.SetType(u, typ)
+	for _, a := range labelAttrs {
+		k.AddAttrTriple(u, a, label)
+	}
 	return u
 }
 
@@ -204,11 +200,7 @@ func fid(prefix string, i int) string { return fmt.Sprintf("%s%04d", prefix, i) 
 
 // finish assembles the Dataset.
 func (b *builder) finish(name string, attrGold []AttrRef) *Dataset {
-	return &Dataset{
-		Name:     name,
-		K1:       b.k1,
-		K2:       b.k2,
-		Gold:     pair.NewGold(b.gold),
-		AttrGold: attrGold,
-	}
+	ds := newDataset(name, b.k1, b.k2, b.gold)
+	ds.AttrGold = attrGold
+	return ds
 }

@@ -65,7 +65,7 @@ func IMDBYAGO(seed int64) *Dataset {
 	// cross-KB, adding realistic one-sided structure).
 	var cities []kb.EntityID
 	for i := 0; i < 20; i++ {
-		cities = append(cities, b.addOnly2(fid("city", i), b.pick(cityNames), "city"))
+		cities = append(cities, addOnly(k2, fid("city", i), b.pick(cityNames), "city"))
 	}
 
 	po := pairOpts{perturb: 0.3}
@@ -86,6 +86,7 @@ func IMDBYAGO(seed int64) *Dataset {
 
 	// 160 matched movies.
 	var movies []ent
+	var movieTitles []string
 	for i := 0; i < 160; i++ {
 		label := b.uniquePhrase(titleWords, 2+b.rng.Intn(2))
 		u1, u2 := b.addPair(fid("mov", i), label, pairOpts{typ: "movie", perturb: po.perturb})
@@ -104,6 +105,7 @@ func IMDBYAGO(seed int64) *Dataset {
 			k2.AddRelTriple(m.u2, directed2, d.u2)
 		}
 		movies = append(movies, m)
+		movieTitles = append(movieTitles, label)
 	}
 
 	// 230 matched actors; ~70% get acted_in structure, 30% isolated.
@@ -128,8 +130,7 @@ func IMDBYAGO(seed int64) *Dataset {
 
 	// IMDB-only movies (the 15.1M side is much larger than the overlap).
 	for i := 0; i < 350; i++ {
-		u := b.addOnly1(fid("imov", i), b.uniquePhrase(titleWords, 2+b.rng.Intn(2)), "movie")
-		k1.AddAttrTriple(u, title1, k1.Label(u))
+		u := addOnly(k1, fid("imov", i), b.uniquePhrase(titleWords, 2+b.rng.Intn(2)), "movie", title1)
 		k1.AddAttrTriple(u, year1, b.year(1930, 2015))
 		if b.rng.Float64() < 0.6 {
 			k1.AddRelTriple(u, directed1, directors[b.rng.Intn(len(directors))].u1)
@@ -137,8 +138,7 @@ func IMDBYAGO(seed int64) *Dataset {
 	}
 	// YAGO-only entities.
 	for i := 0; i < 150; i++ {
-		u := b.addOnly2(fid("yent", i), b.uniquePersonName(), "person")
-		k2.AddAttrTriple(u, label2, k2.Label(u))
+		u := addOnly(k2, fid("yent", i), b.uniquePersonName(), "person", label2)
 		if b.rng.Float64() < 0.4 {
 			k2.AddRelTriple(u, born2r, cities[b.rng.Intn(len(cities))])
 		}
@@ -148,8 +148,7 @@ func IMDBYAGO(seed int64) *Dataset {
 	// title but an earlier year and another director. These distractors
 	// are what make I-Y the hardest dataset for similarity-only methods.
 	for i := 0; i < len(movies); i += 6 {
-		u := b.addOnly1(fid("twin", i), k1.Label(movies[i].u1), "movie")
-		k1.AddAttrTriple(u, title1, k1.Label(u))
+		u := addOnly(k1, fid("twin", i), movieTitles[i], "movie", title1)
 		k1.AddAttrTriple(u, year1, b.year(1930, 1949))
 		k1.AddRelTriple(u, directed1, directors[b.rng.Intn(len(directors))].u1)
 	}

@@ -85,10 +85,5 @@ func Scale(seed int64, n int) *Dataset {
 		k2.SetLabel(u2, fmt.Sprintf("x2t%d %s %s", i, pool[rng.Intn(poolSize)], pool[rng.Intn(poolSize)]))
 	}
 
-	return &Dataset{
-		Name: fmt.Sprintf("scale-%d", n),
-		K1:   k1,
-		K2:   k2,
-		Gold: pair.NewGold(gold),
-	}
+	return newDataset(fmt.Sprintf("scale-%d", n), k1, k2, gold)
 }

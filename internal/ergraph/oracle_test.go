@@ -292,13 +292,13 @@ func randomVertices(rng *rand.Rand, nEnt, n int) []pair.Pair {
 	return vs
 }
 
-// addHubs makes a few entities of each KB hubs: one relationship links
-// each to between a third and all of the entities, so a vertex's successor
-// list under one label is long.
-func addHubs(rng *rand.Rand, nEnt int, kbs ...*kb.KB) {
+// addHubs makes a few entities of each KB hubs: one of its nRel
+// relationships links each to between a third and all of the entities, so
+// a vertex's successor list under one label is long.
+func addHubs(rng *rand.Rand, nEnt, nRel int, kbs ...*kb.KB) {
 	for _, k := range kbs {
 		for h := 0; h < 1+rng.Intn(2); h++ {
-			u, r := kb.EntityID(rng.Intn(nEnt)), kb.RelID(rng.Intn(k.NumRels()))
+			u, r := kb.EntityID(rng.Intn(nEnt)), kb.RelID(rng.Intn(nRel))
 			for _, v := range rng.Perm(nEnt)[:nEnt/3+rng.Intn(nEnt-nEnt/3)] {
 				if rng.Intn(2) == 0 {
 					k.AddRelTriple(u, r, kb.EntityID(v))
@@ -376,10 +376,11 @@ func TestBuildMatchesEdgeListOracle(t *testing.T) {
 		if hubs {
 			nEnt = 10 + rng.Intn(10)
 		}
-		k1, k2 := randomKBs(rng, nEnt, 1+rng.Intn(3), rng.Intn(5*nEnt))
+		nRel := 1 + rng.Intn(3)
+		k1, k2 := randomKBs(rng, nEnt, nRel, rng.Intn(5*nEnt))
 		vs := randomVertices(rng, nEnt, 1+rng.Intn(nEnt*nEnt))
 		if hubs {
-			addHubs(rng, nEnt, k1, k2)
+			addHubs(rng, nEnt, nRel, k1, k2)
 			vs = withLongRuns(rng, vs, nEnt)
 		}
 		g, o := Build(k1, k2, vs), buildOracle(k1, k2, vs)

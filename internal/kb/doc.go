@@ -5,6 +5,27 @@
 // maintains the value-set indexes N_a(u) (attribute values of u) and
 // N_r(u) (relationship neighbors of u) that every later stage queries.
 //
+// # Layout
+//
+// A KB is flat arrays and holds no map. Entity names, labels and types,
+// attribute and relationship names, and the literal dictionary are each
+// one string blob with an offset per entry. N_a(u) is a CSR (compressed
+// sparse rows): per entity an offset into sorted runs of attribute IDs,
+// each run a window of one value array whose strings slice the literal
+// blob. N_r(u) is two such CSRs, out and in, of sorted RelID runs over
+// sorted entity IDs. Entity(name) probes an open-addressing table of
+// IDs. Out, In, OutRels, InRels, Attrs and AttrValues return windows of
+// these arrays: they allocate nothing, and callers must not modify them.
+//
+// A KB from New is built through AddEntity, AddAttr, AddRel,
+// AddAttrTriple, AddRelTriple, SetLabel and SetType, which append to a
+// builder. Freeze — called explicitly or by the first read, once,
+// behind a sync.Once — sorts and deduplicates the triples, builds the
+// arrays and drops the builder; any mutator after it panics with its
+// name. ReadTSV and the dataset generators return frozen KBs;
+// ReadSnapshot fills the arrays directly from a snapshot's canonically
+// ordered triples, a counting pass and then a fill.
+//
 // Two serializations are provided. WriteTSV/ReadTSV is the line-based
 // text format cmd/datagen emits and cmd/remp consumes — diffable,
 // greppable, and the canonical form for fixtures. WriteSnapshot/
@@ -45,10 +66,13 @@
 // Compatibility rules: the magic never changes; any change to the
 // payload layout bumps the version, and ReadSnapshot either translates
 // the old version explicitly or rejects it with a clear error — silent
-// best-effort parsing is not an option. Readers validate everything:
-// magic, version, flags, declared payload length against the file size,
-// the CRC, and every internal offset and ID bound, so a truncated or
-// bit-flipped file fails loudly instead of producing a subtly wrong KB.
+// best-effort parsing is not an option. ReadSnapshot validates
+// everything: magic, version, zero flags and reserved bytes, the
+// declared payload length against the file size, the CRC, every string
+// table offset and ID bound, unique entity, attribute and relationship
+// names, canonical (strictly increasing, so duplicate-free) triple order,
+// and no trailing payload bytes, so a truncated or bit-flipped file fails
+// loudly instead of producing a subtly wrong KB.
 // WriteSnapshotFile follows the repository's durability protocol (write
 // to a temp file, fsync, rename, fsync the directory) so a crash never
 // leaves a half-written snapshot under the final name.

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -57,6 +58,8 @@ func TestLabelsAndTypes(t *testing.T) {
 	if k.Label(u) != "e" {
 		t.Errorf("default label = %q, want entity name", k.Label(u))
 	}
+	k = New("test")
+	u = k.AddEntity("e")
 	k.SetLabel(u, "Display")
 	k.SetType(u, "person")
 	if k.Label(u) != "Display" || k.Type(u) != "person" {
@@ -68,6 +71,7 @@ func TestAttrTriples(t *testing.T) {
 	k := New("test")
 	u := k.AddEntity("e")
 	a := k.AddAttr("name")
+	other := k.AddAttr("other")
 	k.AddAttrTriple(u, a, "bob")
 	k.AddAttrTriple(u, a, "alice")
 	k.AddAttrTriple(u, a, "bob") // duplicate
@@ -82,16 +86,17 @@ func TestAttrTriples(t *testing.T) {
 	if len(attrs) != 1 || attrs[0] != a {
 		t.Errorf("Attrs = %v", attrs)
 	}
-	if got := k.AttrValues(u, k.AddAttr("other")); got != nil {
+	if got := k.AttrValues(u, other); got != nil {
 		t.Errorf("missing attribute should return nil, got %v", got)
 	}
 }
 
 func TestRelTriples(t *testing.T) {
 	k := buildSample()
+	born := k.AddRel("wasBornIn")
+	iso := k.AddEntity("y:Isolated")
 	joan := k.Entity("y:Joan")
 	nyc := k.Entity("y:NYC")
-	born := k.AddRel("wasBornIn")
 	out := k.Out(joan, born)
 	if len(out) != 1 || out[0] != nyc {
 		t.Errorf("Out = %v", out)
@@ -103,7 +108,6 @@ func TestRelTriples(t *testing.T) {
 	if len(k.OutRels(joan)) == 0 || len(k.InRels(nyc)) == 0 {
 		t.Error("connected entities list no relationship")
 	}
-	iso := k.AddEntity("y:Isolated")
 	if len(k.OutRels(iso))+len(k.InRels(iso)) != 0 {
 		t.Error("isolated entity lists a relationship")
 	}
@@ -146,6 +150,7 @@ func TestStats(t *testing.T) {
 
 func TestTSVRoundTrip(t *testing.T) {
 	k := buildSample()
+	born := k.AddRel("wasBornIn") // the first relationship written: the same ID after reading
 	var buf bytes.Buffer
 	if err := k.WriteTSV(&buf); err != nil {
 		t.Fatalf("WriteTSV: %v", err)
@@ -169,7 +174,6 @@ func TestTSVRoundTrip(t *testing.T) {
 	if k2.Label(joan) != "Joan Crawford" || k2.Type(joan) != "person" {
 		t.Errorf("label/type lost: %q %q", k2.Label(joan), k2.Type(joan))
 	}
-	born := k2.AddRel("wasBornIn")
 	if born < 0 {
 		t.Fatal("wasBornIn missing")
 	}
@@ -251,4 +255,32 @@ func sortedEntities(s []EntityID) bool {
 		}
 	}
 	return true
+}
+
+// TestWriteTSVRejectsBreaks: a tab or line break inside any field would
+// shift the fields or start a record of its own on reading, so WriteTSV
+// refuses the KB instead of writing it.
+func TestWriteTSVRejectsBreaks(t *testing.T) {
+	build := func(field int, s string) *KB {
+		strs := []string{"kb", "e", "label", "type", "attr", "rel", "value"}
+		strs[field] = s
+		k := New(strs[0])
+		u := k.AddEntity(strs[1])
+		k.SetLabel(u, strs[2])
+		k.SetType(u, strs[3])
+		k.AddAttrTriple(u, k.AddAttr(strs[4]), strs[6])
+		k.AddRelTriple(u, k.AddRel(strs[5]), u)
+		return k
+	}
+	if err := build(0, "kb").WriteTSV(io.Discard); err != nil {
+		t.Fatalf("a clean KB: %v", err)
+	}
+	for field := range 7 {
+		for _, s := range []string{"x\nE\tinjected\tl\tt", "a\tb", "a\nb", "a\rb", "ab\r"} {
+			var buf bytes.Buffer
+			if err := build(field, s).WriteTSV(&buf); err == nil {
+				t.Errorf("field %d = %q written without error:\n%s", field, s, buf.String())
+			}
+		}
+	}
 }

@@ -2,13 +2,14 @@ package kb
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 )
 
 // The binary snapshot format is documented in doc.go ("The binary KB
@@ -24,50 +25,6 @@ const (
 
 // SnapshotExt is the conventional file extension for binary KB snapshots.
 const SnapshotExt = ".snap"
-
-// snapshotSizes precomputes every section length so WriteSnapshot can
-// stream the payload (header first, one pass, no whole-file buffering)
-// while still declaring the payload length up front.
-type snapshotSizes struct {
-	payload uint64
-	values  []string          // literal dictionary in first-use order
-	valueID map[string]uint32 // value → dictionary index
-}
-
-func strTableSize(strs []string) uint64 {
-	var blob uint64
-	for _, s := range strs {
-		blob += uint64(len(s))
-	}
-	// u64 blob length + blob + (n+1) u32 offsets.
-	return 8 + blob + 4*uint64(len(strs)+1)
-}
-
-func (k *KB) snapshotSizes() *snapshotSizes {
-	s := &snapshotSizes{valueID: make(map[string]uint32)}
-	for u := range k.entityNames {
-		for _, a := range k.Attrs(EntityID(u)) {
-			for _, v := range k.AttrValues(EntityID(u), a) {
-				if _, ok := s.valueID[v]; !ok {
-					s.valueID[v] = uint32(len(s.values))
-					s.values = append(s.values, v)
-				}
-			}
-		}
-	}
-	s.payload = 4 + uint64(len(k.name)) // name
-	s.payload += 4 * 4                  // entity/attr/rel/value counts
-	s.payload += 8 * 2                  // attr/rel triple counts
-	s.payload += strTableSize(k.entityNames)
-	s.payload += strTableSize(k.entityLabel)
-	s.payload += strTableSize(k.entityType)
-	s.payload += strTableSize(k.attrNames)
-	s.payload += strTableSize(k.relNames)
-	s.payload += strTableSize(s.values)
-	s.payload += 12 * uint64(k.nAttrTriples)
-	s.payload += 12 * uint64(k.nRelTriples)
-	return s
-}
 
 // snapWriter streams little-endian payload sections through a CRC.
 type snapWriter struct {
@@ -95,38 +52,38 @@ func (sw *snapWriter) u64(v uint64) {
 	sw.bytes(sw.scratch[:8])
 }
 
-// strTable writes a string table: u64 blob length, the concatenated
+// strTab writes a string table: u64 blob length, the concatenated
 // bytes, then n+1 u32 offsets delimiting each entry within the blob.
-func (sw *snapWriter) strTable(strs []string) {
-	var blob uint64
-	for _, s := range strs {
-		blob += uint64(len(s))
-	}
-	sw.u64(blob)
-	for _, s := range strs {
-		sw.bytes([]byte(s))
-	}
-	off := uint32(0)
-	sw.u32(0)
-	for _, s := range strs {
-		off += uint32(len(s))
-		sw.u32(off)
+func (sw *snapWriter) strTab(t *strTab) {
+	sw.u64(uint64(len(t.blob)))
+	sw.bytes([]byte(t.blob))
+	for _, o := range t.off {
+		sw.u32(o)
 	}
 }
 
 // WriteSnapshot serializes the KB in the versioned binary snapshot format
 // (see doc.go): a fixed header, a little-endian payload of string tables
 // and dense triple arrays, and a CRC-32 trailer. The payload streams
-// through w in one pass; nothing is buffered beyond bufio.
+// through w in one pass; nothing is buffered beyond bufio. Every section
+// length is known up front, so the header declares the payload length.
 func (k *KB) WriteSnapshot(w io.Writer) error {
-	sizes := k.snapshotSizes()
+	k.Freeze()
+	// The literal dictionary numbers values in first use over the
+	// canonical (entity, attribute, value) order k.attrs.val is in.
+	values, ids := dictionary(len(k.attrs.val), func(i int) string { return k.attrs.val[i] })
+	dict := pack(values)
+	tables := []*strTab{&k.names, &k.labels, &k.types, &k.attrNames, &k.relNames, &dict}
+	payload := 4 + uint64(len(k.name)) + 4*4 + 8*2 + 12*uint64(len(k.attrs.val)+len(k.out.val))
+	for _, t := range tables {
+		payload += 8 + uint64(len(t.blob)) + 4*uint64(len(t.off)) // blob length, blob, offsets
+	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 
 	var hdr [headerLen]byte
 	copy(hdr[:8], snapshotMagic)
 	binary.LittleEndian.PutUint32(hdr[8:12], snapshotVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], 0) // flags, reserved
-	binary.LittleEndian.PutUint64(hdr[16:24], sizes.payload)
+	binary.LittleEndian.PutUint64(hdr[16:24], payload)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("kb: snapshot header: %w", err)
 	}
@@ -134,36 +91,27 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 	sw := &snapWriter{w: bw}
 	sw.u32(uint32(len(k.name)))
 	sw.bytes([]byte(k.name))
-	sw.u32(uint32(len(k.entityNames)))
-	sw.u32(uint32(len(k.attrNames)))
-	sw.u32(uint32(len(k.relNames)))
-	sw.u32(uint32(len(sizes.values)))
-	sw.u64(uint64(k.nAttrTriples))
-	sw.u64(uint64(k.nRelTriples))
-	sw.strTable(k.entityNames)
-	sw.strTable(k.entityLabel)
-	sw.strTable(k.entityType)
-	sw.strTable(k.attrNames)
-	sw.strTable(k.relNames)
-	sw.strTable(sizes.values)
-	for u := range k.entityNames {
-		for _, a := range k.Attrs(EntityID(u)) {
-			for _, v := range k.AttrValues(EntityID(u), a) {
-				sw.u32(uint32(u))
-				sw.u32(uint32(a))
-				sw.u32(sizes.valueID[v])
-			}
-		}
+	sw.u32(uint32(k.names.len()))
+	sw.u32(uint32(k.attrNames.len()))
+	sw.u32(uint32(k.relNames.len()))
+	sw.u32(uint32(dict.len()))
+	sw.u64(uint64(len(k.attrs.val)))
+	sw.u64(uint64(len(k.out.val)))
+	for _, t := range tables {
+		sw.strTab(t)
 	}
-	for u := range k.entityNames {
-		for _, r := range k.OutRels(EntityID(u)) {
-			for _, v := range k.Out(EntityID(u), r) {
-				sw.u32(uint32(u))
-				sw.u32(uint32(r))
-				sw.u32(uint32(v))
-			}
-		}
-	}
+	i := 0
+	k.attrs.each(func(u EntityID, a AttrID, _ string) {
+		sw.u32(uint32(u))
+		sw.u32(uint32(a))
+		sw.u32(ids[i])
+		i++
+	})
+	k.out.each(func(u EntityID, r RelID, v EntityID) {
+		sw.u32(uint32(u))
+		sw.u32(uint32(r))
+		sw.u32(uint32(v))
+	})
 	if sw.err != nil {
 		return fmt.Errorf("kb: snapshot payload: %w", sw.err)
 	}
@@ -218,47 +166,35 @@ func (sr *snapReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// strTable reads a table of n strings. All entries slice one shared
-// backing string, so decoding allocates O(1) per table, not per entry.
-func (sr *snapReader) strTable(n int) []string {
+// strTab reads a table of n strings: one copy of the blob, which every
+// entry slices, and its n+1 offsets.
+func (sr *snapReader) strTab(n int) strTab {
 	blobLen := sr.u64()
 	if sr.err != nil {
-		return nil
+		return strTab{}
 	}
 	if blobLen > uint64(len(sr.data)-sr.pos) {
 		sr.fail("string blob of %d bytes overruns payload", blobLen)
-		return nil
+		return strTab{}
 	}
-	blob := string(sr.take(int(blobLen)))
-	out := make([]string, n)
-	prev := sr.u32()
-	if prev != 0 {
-		sr.fail("string table does not start at offset 0")
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		end := sr.u32()
-		if sr.err != nil {
-			return nil
+	t := strTab{blob: string(sr.take(int(blobLen))), off: make([]uint32, n+1)}
+	for i, prev := 0, uint32(0); i <= n && sr.err == nil; i++ {
+		if t.off[i] = sr.u32(); t.off[i] < prev || uint64(t.off[i]) > blobLen || i == 0 && t.off[i] != 0 {
+			sr.fail("string table offset %d out of order (prev %d, blob %d)", t.off[i], prev, blobLen)
 		}
-		if end < prev || uint64(end) > blobLen {
-			sr.fail("string table offset %d out of order (prev %d, blob %d)", end, prev, blobLen)
-			return nil
-		}
-		out[i] = blob[prev:end]
-		prev = end
+		prev = t.off[i]
 	}
-	if uint64(prev) != blobLen {
-		sr.fail("string table covers %d of %d blob bytes", prev, blobLen)
-		return nil
+	if sr.err == nil && uint64(t.off[n]) != blobLen {
+		sr.fail("string table covers %d of %d blob bytes", t.off[n], blobLen)
 	}
-	return out
+	return t
 }
 
 // ReadSnapshot decodes a binary KB snapshot produced by WriteSnapshot,
-// validating the magic, version, declared payload length, CRC, every
-// section bound and the canonical triple ordering before trusting any of
-// it. The returned KB is fully functional (all indexes rebuilt).
+// validating the magic, version, zero flags and reserved bytes, declared
+// payload length, CRC, every section bound, name uniqueness and the
+// canonical triple ordering before trusting any of it. The triples fill
+// the frozen arrays directly.
 func ReadSnapshot(data []byte) (*KB, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("kb: snapshot: %d bytes is shorter than the %d-byte envelope", len(data), headerLen+trailerLen)
@@ -268,6 +204,9 @@ func ReadSnapshot(data []byte) (*KB, error) {
 	}
 	if v := binary.LittleEndian.Uint32(data[8:12]); v != snapshotVersion {
 		return nil, fmt.Errorf("kb: snapshot: unsupported version %d (this build reads version %d)", v, snapshotVersion)
+	}
+	if f, r := binary.LittleEndian.Uint32(data[12:16]), binary.LittleEndian.Uint64(data[24:32]); f != 0 || r != 0 {
+		return nil, fmt.Errorf("kb: snapshot: flags %#x and reserved bytes %#x must be zero in version %d", f, r, snapshotVersion)
 	}
 	payloadLen := binary.LittleEndian.Uint64(data[16:24])
 	if payloadLen != uint64(len(data)-headerLen-trailerLen) {
@@ -290,103 +229,74 @@ func ReadSnapshot(data []byte) (*KB, error) {
 	if sr.err != nil {
 		return nil, sr.err
 	}
-	if want := 12*(nAttrTriples+nRelTriples) +
-		strTableSizeBound(nEntities)*3 + strTableSizeBound(nAttrs) +
-		strTableSizeBound(nRels) + strTableSizeBound(nValues); want > uint64(len(payload)) {
-		return nil, fmt.Errorf("kb: snapshot: declared counts need at least %d payload bytes, have %d", want, len(payload))
+	// Each triple count is bounded alone first, so the sum cannot overflow.
+	limit := uint64(len(payload))
+	if nAttrTriples > limit || nRelTriples > limit || 12*(nAttrTriples+nRelTriples)+
+		strTableSizeBound(nEntities)*3+strTableSizeBound(nAttrs)+strTableSizeBound(nRels)+strTableSizeBound(nValues) > limit {
+		return nil, fmt.Errorf("kb: snapshot: declared counts need more than the %d payload bytes", limit)
 	}
 
-	k := New(name)
-	k.entityNames = sr.strTable(nEntities)
-	k.entityLabel = sr.strTable(nEntities)
-	k.entityType = sr.strTable(nEntities)
-	k.attrNames = sr.strTable(nAttrs)
-	k.relNames = sr.strTable(nRels)
-	values := sr.strTable(nValues)
+	k := &KB{name: name}
+	k.frozen.Store(true)
+	k.names = sr.strTab(nEntities)
+	k.labels = sr.strTab(nEntities)
+	k.types = sr.strTab(nEntities)
+	k.attrNames = sr.strTab(nAttrs)
+	k.relNames = sr.strTab(nRels)
+	values := sr.strTab(nValues)
+	attrRaw := sr.take(12 * int(nAttrTriples))
+	relRaw := sr.take(12 * int(nRelTriples))
 	if sr.err != nil {
 		return nil, sr.err
 	}
-	for i, n := range k.entityNames {
-		if _, dup := k.entityIdx[n]; dup {
-			return nil, fmt.Errorf("kb: snapshot: duplicate entity name %q", n)
-		}
-		k.entityIdx[n] = EntityID(i)
-	}
-	for i, n := range k.attrNames {
-		k.attrIdx[n] = AttrID(i)
-	}
-	for i, n := range k.relNames {
-		k.relIdx[n] = RelID(i)
-	}
-	k.attrValues = make([]map[AttrID][]string, nEntities)
-	k.relOut = make([]map[RelID][]EntityID, nEntities)
-	k.relIn = make([]map[RelID][]EntityID, nEntities)
-
-	// Attribute triples arrive in canonical (entity, attribute, value)
-	// order, so value lists rebuild by direct append — the order check
-	// doubles as the duplicate check.
-	var prevU, prevA, prevV uint32
-	for i := uint64(0); i < nAttrTriples; i++ {
-		u, a, vi := sr.u32(), sr.u32(), sr.u32()
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		if int(u) >= nEntities || int(a) >= nAttrs || int(vi) >= nValues {
-			return nil, fmt.Errorf("kb: snapshot: attr triple %d (%d,%d,%d) out of range", i, u, a, vi)
-		}
-		if i > 0 && !attrTripleLess(prevU, prevA, values[prevV], u, a, values[vi]) {
-			return nil, fmt.Errorf("kb: snapshot: attr triple %d out of canonical order", i)
-		}
-		m := k.attrValues[u]
-		if m == nil {
-			m = make(map[AttrID][]string, 2)
-			k.attrValues[u] = m
-		}
-		m[AttrID(a)] = append(m[AttrID(a)], values[vi])
-		prevU, prevA, prevV = u, a, vi
-	}
-	k.nAttrTriples = int(nAttrTriples)
-
-	var pu, pr, pv uint32
-	for i := uint64(0); i < nRelTriples; i++ {
-		u, r, v := sr.u32(), sr.u32(), sr.u32()
-		if sr.err != nil {
-			return nil, sr.err
-		}
-		if int(u) >= nEntities || int(r) >= nRels || int(v) >= nEntities {
-			return nil, fmt.Errorf("kb: snapshot: rel triple %d (%d,%d,%d) out of range", i, u, r, v)
-		}
-		if i > 0 && !tripleLess(pu, pr, pv, u, r, v) {
-			return nil, fmt.Errorf("kb: snapshot: rel triple %d out of canonical order", i)
-		}
-		mo := k.relOut[u]
-		if mo == nil {
-			mo = make(map[RelID][]EntityID, 2)
-			k.relOut[u] = mo
-		}
-		mo[RelID(r)] = append(mo[RelID(r)], EntityID(v))
-		mi := k.relIn[v]
-		if mi == nil {
-			mi = make(map[RelID][]EntityID, 2)
-			k.relIn[v] = mi
-		}
-		mi[RelID(r)] = append(mi[RelID(r)], EntityID(u))
-		pu, pr, pv = u, r, v
-	}
-	k.nRelTriples = int(nRelTriples)
 	if sr.pos != len(payload) {
 		return nil, fmt.Errorf("kb: snapshot: %d trailing payload bytes", len(payload)-sr.pos)
 	}
-	// Incoming lists appended in subject order are sorted per (object,
-	// rel) only within one subject sweep; verify globally (cheap, and the
-	// blocking/propagation layers rely on it).
-	for v := range k.relIn {
-		for r, subs := range k.relIn[v] {
-			if !sort.SliceIsSorted(subs, func(i, j int) bool { return subs[i] < subs[j] }) {
-				return nil, fmt.Errorf("kb: snapshot: incoming list of entity %d rel %d not sorted", v, r)
+	for _, t := range []struct {
+		what string
+		tab  *strTab
+	}{{"entity", &k.names}, {"attribute", &k.attrNames}, {"relationship", &k.relNames}} {
+		x, dup, ok := indexNames(t.tab)
+		if !ok {
+			return nil, fmt.Errorf("kb: snapshot: duplicate %s name %q", t.what, dup)
+		}
+		if t.tab == &k.names {
+			k.index = x
+		}
+	}
+
+	// Attribute triples arrive in canonical (entity, attribute, value)
+	// order — the order check doubles as the duplicate check — and are
+	// read twice: validated here, then counted and filled by newCSR.
+	word := func(raw []byte, i int) uint32 { return binary.LittleEndian.Uint32(raw[4*i:]) }
+	for i := range int(nAttrTriples) {
+		u, a, vi := word(attrRaw, 3*i), word(attrRaw, 3*i+1), word(attrRaw, 3*i+2)
+		if int(u) >= nEntities || int(a) >= nAttrs || int(vi) >= nValues {
+			return nil, fmt.Errorf("kb: snapshot: attr triple %d (%d,%d,%d) out of range", i, u, a, vi)
+		}
+		if i > 0 {
+			pu, pa := word(attrRaw, 3*i-3), word(attrRaw, 3*i-2)
+			if cmp.Or(cmp.Compare(pu, u), cmp.Compare(pa, a), strings.Compare(values.at(int(word(attrRaw, 3*i-1))), values.at(int(vi)))) >= 0 {
+				return nil, fmt.Errorf("kb: snapshot: attr triple %d out of canonical order", i)
 			}
 		}
 	}
+	k.attrs = newCSR(nEntities, int(nAttrTriples), func(i int) (EntityID, AttrID, string) {
+		return EntityID(word(attrRaw, 3*i)), AttrID(word(attrRaw, 3*i+1)), values.at(int(word(attrRaw, 3*i+2)))
+	})
+
+	rels := make([]RelTriple, nRelTriples)
+	for i := range rels {
+		t := RelTriple{EntityID(word(relRaw, 3*i)), RelID(word(relRaw, 3*i+1)), EntityID(word(relRaw, 3*i+2))}
+		if uint32(t.Subject) >= uint32(nEntities) || uint32(t.Rel) >= uint32(nRels) || uint32(t.Object) >= uint32(nEntities) {
+			return nil, fmt.Errorf("kb: snapshot: rel triple %d (%d,%d,%d) out of range", i, uint32(t.Subject), uint32(t.Rel), uint32(t.Object))
+		}
+		if i > 0 && compareRel(rels[i-1], t) >= 0 {
+			return nil, fmt.Errorf("kb: snapshot: rel triple %d out of canonical order", i)
+		}
+		rels[i] = t
+	}
+	k.setRels(nEntities, rels)
 	return k, nil
 }
 
@@ -394,30 +304,10 @@ func ReadSnapshot(data []byte) (*KB, error) {
 // (empty blob), used for a cheap up-front sanity bound on declared counts.
 func strTableSizeBound(n int) uint64 { return 8 + 4*uint64(n+1) }
 
-func attrTripleLess(u1, a1 uint32, v1 string, u2, a2 uint32, v2 string) bool {
-	if u1 != u2 {
-		return u1 < u2
-	}
-	if a1 != a2 {
-		return a1 < a2
-	}
-	return v1 < v2
-}
-
-func tripleLess(u1, r1, v1, u2, r2, v2 uint32) bool {
-	if u1 != u2 {
-		return u1 < u2
-	}
-	if r1 != r2 {
-		return r1 < r2
-	}
-	return v1 < v2
-}
-
 // OpenSnapshot reads and validates a snapshot file written by
 // WriteSnapshotFile. The whole file is read in one syscall and decoded
-// over the single buffer (string tables slice it rather than copying
-// entry by entry), so reopening a large KB is I/O-bound, not parse-bound.
+// from that buffer: each string table is one copy of its blob, and the
+// triples fill the KB's arrays with no per-entity allocation.
 func OpenSnapshot(path string) (*KB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -2,7 +2,9 @@ package kb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -49,13 +51,30 @@ func randSnapKB(r *rand.Rand, name string, n int) *KB {
 	return k
 }
 
-// tsvOf canonicalizes a KB through its TSV serialization, which covers
-// every field the snapshot must preserve.
-func tsvOf(t *testing.T, k *KB) string {
-	t.Helper()
+// dumpOf canonicalizes a KB through its accessors, every string quoted:
+// it covers every field the snapshot must preserve, the incoming lists
+// too, and, unlike WriteTSV, takes strings holding tabs and line breaks.
+func dumpOf(k *KB) string {
 	var b strings.Builder
-	if err := k.WriteTSV(&b); err != nil {
-		t.Fatalf("WriteTSV: %v", err)
+	fmt.Fprintf(&b, "%q attrs", k.Name())
+	for a := range k.NumAttrs() {
+		fmt.Fprintf(&b, " %q", k.AttrName(AttrID(a)))
+	}
+	b.WriteString(" rels")
+	for r := range k.NumRels() {
+		fmt.Fprintf(&b, " %q", k.relNames.at(r))
+	}
+	for u := range EntityID(k.NumEntities()) {
+		fmt.Fprintf(&b, "\nE %q %q %q", k.EntityName(u), k.Label(u), k.Type(u))
+		for _, a := range k.Attrs(u) {
+			fmt.Fprintf(&b, "\nA %d %q", a, k.AttrValues(u, a))
+		}
+		for _, r := range k.OutRels(u) {
+			fmt.Fprintf(&b, "\nR %d %v", r, k.Out(u, r))
+		}
+		for _, r := range k.InRels(u) {
+			fmt.Fprintf(&b, "\nI %d %v", r, k.In(u, r))
+		}
 	}
 	return b.String()
 }
@@ -78,8 +97,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if got.Stats().AttrTriples != k.Stats().AttrTriples || got.Stats().RelTriples != k.Stats().RelTriples {
 			t.Fatalf("n=%d triple counts diverge", n)
 		}
-		if want, have := tsvOf(t, k), tsvOf(t, got); want != have {
-			t.Fatalf("n=%d round-trip TSV diverges:\nwant:\n%s\ngot:\n%s", n, want, have)
+		if want, have := dumpOf(k), dumpOf(got); want != have {
+			t.Fatalf("n=%d round trip diverges:\nwant:\n%s\ngot:\n%s", n, want, have)
 		}
 		// Index maps must be rebuilt: lookups by name resolve.
 		for u := 0; u < k.NumEntities(); u++ {
@@ -101,8 +120,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSnapshot: %v", err)
 	}
-	if want, have := tsvOf(t, k), tsvOf(t, got); want != have {
-		t.Fatal("file round-trip TSV diverges")
+	if want, have := dumpOf(k), dumpOf(got); want != have {
+		t.Fatal("file round trip diverges")
 	}
 }
 
@@ -116,7 +135,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	good := buf.Bytes()
-	want := tsvOf(t, k)
+	want := dumpOf(k)
 
 	if _, err := ReadSnapshot(nil); err == nil {
 		t.Fatal("empty input accepted")
@@ -140,11 +159,64 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		}
 		// A flip the CRC cannot see does not exist; a flip that still
 		// yields the same KB bytes would be a CRC collision miracle.
-		if tsvOf(t, got) != want {
+		if dumpOf(got) != want {
 			t.Fatalf("flip at %d silently changed the KB", i)
 		}
 	}
 	if flipped == 0 {
 		t.Fatal("no byte flip was ever rejected")
+	}
+	// The header's flags (bytes 12–15) and reserved bytes (24–31) lie
+	// outside the CRC: every bit of them must still be checked.
+	for i := 12; i < headerLen; i++ {
+		if i == 16 {
+			i = 24
+		}
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte{}, good...)
+			bad[i] ^= 1 << bit
+			if _, err := ReadSnapshot(bad); err == nil {
+				t.Errorf("flip of bit %d in header byte %d accepted", bit, i)
+			}
+		}
+	}
+}
+
+// resealed returns snap with every old replaced by new (same length) and
+// the CRC recomputed, so only ReadSnapshot's own checks can object.
+func resealed(t *testing.T, snap []byte, old, new string) []byte {
+	t.Helper()
+	if len(old) != len(new) || bytes.Count(snap, []byte(old)) == 0 {
+		t.Fatalf("cannot replace %q by %q", old, new)
+	}
+	out := bytes.ReplaceAll(snap, []byte(old), []byte(new))
+	payload := out[headerLen : len(out)-trailerLen]
+	binary.LittleEndian.PutUint32(out[len(out)-trailerLen:], crc32.ChecksumIEEE(payload))
+	return out
+}
+
+// TestSnapshotRejectsDuplicateNames: two entities, attributes or
+// relationships of one name make a KB whose lookups would silently pick
+// one; the reader refuses it.
+func TestSnapshotRejectsDuplicateNames(t *testing.T) {
+	k := New("dups")
+	u, v := k.AddEntity("ent-one"), k.AddEntity("ent-two")
+	k.AddAttrTriple(u, k.AddAttr("attr-one"), "x")
+	k.AddAttrTriple(v, k.AddAttr("attr-two"), "y")
+	k.AddRelTriple(u, k.AddRel("rel-one"), v)
+	k.AddRelTriple(v, k.AddRel("rel-two"), u)
+	var buf bytes.Buffer
+	if err := k.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(resealed(t, buf.Bytes(), "dups", "pups")); err != nil {
+		t.Fatalf("resealing alone broke the snapshot: %v", err)
+	}
+	for _, what := range []string{"entity", "attribute", "relationship"} {
+		prefix := map[string]string{"entity": "ent", "attribute": "attr", "relationship": "rel"}[what]
+		_, err := ReadSnapshot(resealed(t, buf.Bytes(), prefix+"-two", prefix+"-one"))
+		if err == nil || !strings.Contains(err.Error(), "duplicate "+what+" name") {
+			t.Errorf("a repeated %s name: error %v", what, err)
+		}
 	}
 }

@@ -43,7 +43,9 @@ type Gold = pair.Gold
 // PRF bundles precision / recall / F1.
 type PRF = pair.PRF
 
-// NewKB returns an empty knowledge base with the given name.
+// NewKB returns an empty knowledge base with the given name. Build it
+// with its Add* and Set* methods before reading it: the first read (or
+// Freeze) lays it out as flat arrays, and a later Add* or Set* panics.
 func NewKB(name string) *KB { return kb.New(name) }
 
 // NewGold builds a gold standard from true matches.
