@@ -37,7 +37,7 @@ const (
 	// detaching it from the propagation fabric.
 	OpResolve = "resolve"
 	// OpDamp marks a vertex a hard question, which gathers skip from then
-	// on (ShardState.Damp). The damped prior itself stays with the loop.
+	// on (ShardState.Damp). The damped prior is not sent: nothing reads it.
 	OpDamp = "damp"
 	// OpSync recomputes dirty balls (ShardState.Sync). Logged at every
 	// gather position so a replay reproduces the last-sync snapshot that

@@ -12,7 +12,7 @@ import (
 
 // Config carries every tunable of the pipeline. The zero value is replaced
 // by the paper's uniform settings: k = 4, τ = 0.9, µ = 10, label-similarity
-// threshold 0.3, simL literal threshold 0.9, ψ = 0.9.
+// threshold 0.3, simL literal threshold 0.9.
 type Config struct {
 	// K is the k-nearest-neighbor bound of partial-order pruning.
 	K int
@@ -24,9 +24,6 @@ type Config struct {
 	LabelSimThreshold float64
 	// LiteralThreshold is simL's internal literal threshold.
 	LiteralThreshold float64
-	// Psi is the attribute-set Jaccard threshold ψ of the isolated-pair
-	// classifier neighborhood.
-	Psi float64
 	// Budget caps the number of questions; 0 means unlimited.
 	Budget int
 	// MaxLoops caps human-machine loops; 0 means unlimited.
@@ -111,7 +108,6 @@ func DefaultConfig() Config {
 		Mu:                10,
 		LabelSimThreshold: 0.3,
 		LiteralThreshold:  0.9,
-		Psi:               0.9,
 		Thresholds:        crowd.DefaultThresholds(),
 		Strategy:          selection.Greedy{},
 		ClassifyIsolated:  true,
@@ -167,9 +163,6 @@ func (c *Config) fill() {
 	}
 	if c.LiteralThreshold <= 0 {
 		c.LiteralThreshold = 0.9
-	}
-	if c.Psi <= 0 {
-		c.Psi = 0.9
 	}
 	if c.Thresholds.Accept == 0 && c.Thresholds.Reject == 0 {
 		c.Thresholds = crowd.DefaultThresholds()

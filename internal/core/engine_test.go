@@ -164,7 +164,10 @@ func TestRunRecomputesOnlyDirtySources(t *testing.T) {
 	cfg.ClassifyIsolated = false
 	p := Prepare(k1, k2, cfg)
 	l := p.NewLoop()
-	res := l.run(NewOracleAsker(gold.IsMatch))
+	res, err := l.Run(NewOracleAsker(gold.IsMatch))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var n int64
 	for _, size := range p.ShardSizes() {

@@ -152,7 +152,7 @@ func (p *Prepared) isoInputs() *isoPlan {
 		for _, i := range p.isolated {
 			if s := c.sigOf[i]; c.hoodOf[s] < 0 {
 				c.hoodOf[s] = c.all
-				if neighborhood(mask, sigs, sigs[s], p.Cfg.Psi) {
+				if neighborhood(mask, sigs, sigs[s]) {
 					c.hoodOf[s] = hood()
 				}
 			}
@@ -178,13 +178,17 @@ func (p *Prepared) isoInputs() *isoPlan {
 	return c
 }
 
+// psi is the attribute-set Jaccard threshold ψ of the classifier's
+// neighborhoods: the paper's 0.9.
+const psi = 0.9
+
 // neighborhood sets mask to the signatures whose Jaccard coefficient with
 // target reaches ψ. A pair sharing no attribute has no neighborhood to
 // speak of — every coefficient against the empty set is 0 — so it is given
 // every pair's instead: its model is the all-pairs fallback, by definition
 // rather than by falling through a thin fit. neighborhood reports false,
 // leaving mask alone, in that case.
-func neighborhood(mask []byte, sigs []string, target string, psi float64) bool {
+func neighborhood(mask []byte, sigs []string, target string) bool {
 	shared := 0
 	for k := 0; k < len(target); k++ {
 		shared += bits.OnesCount8(target[k])

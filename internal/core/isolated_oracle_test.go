@@ -109,7 +109,7 @@ func oracleClassifyIsolated(p *Prepared, res *Result) (fits int) {
 func oracleTrainNeighborhoodForest(p *Prepared, res *Result, sig map[pair.Pair][]int, target []int, fits *int) *forest.Forest {
 	var posX, negX [][]float64
 	for _, q := range p.Retained {
-		if target != nil && oracleJaccardInts(sig[q], target) < p.Cfg.Psi {
+		if target != nil && oracleJaccardInts(sig[q], target) < psi {
 			continue
 		}
 		switch {

@@ -60,7 +60,7 @@ type Answer struct {
 //
 // dirty tracks whether anything that feeds candidate gathering changed
 // since the shard's last gather: an answer applied to a shard vertex, a
-// competitor resolved into the shard, a damped prior, or an engine
+// competitor resolved into the shard, a hard question, or an engine
 // rebuild. A clean shard's candidates — and its ranked selection — are
 // bit-identical to the previous loop's, so both are cached and reused; a
 // monolithic pipeline is dirtied by every answer, which is exactly the
@@ -76,14 +76,14 @@ type loopShard struct {
 	picksMu int
 }
 
-// Loop is the human–machine loop of Run inverted into an explicit state
-// machine, so callers that cannot block on an Asker — crowd platforms
-// posting HITs, HTTP clients, concurrent jobs — can pull question batches
-// and push answers as they arrive, in any order.
+// Loop is the human–machine loop as an explicit state machine. Run drives
+// it synchronously against an Asker; callers that cannot block on one —
+// crowd platforms posting HITs, HTTP clients, concurrent jobs — pull
+// question batches and push answers as they arrive, in any order.
 //
-// The machine preserves Run's semantics exactly: a batch of µ questions is
+// The result does not depend on the driver: a batch of µ questions is
 // selected against the engine snapshot taken at the loop top; answers are
-// buffered and applied in the batch's selection order (the order Run asked
+// buffered and applied in the batch's selection order (the order Run asks
 // them), so out-of-order delivery cannot change a single resolved pair;
 // when the batch drains the loop tail runs (hybrid inference,
 // re-estimation, budget check) and the next batch is selected, until the
@@ -114,12 +114,9 @@ type loopShard struct {
 // A Loop is not safe for concurrent use; internal/session.Session adds the
 // locking, stable question IDs and snapshot/restore on top.
 type Loop struct {
-	p   *Prepared
-	r   ShardRunner
-	res *Result
-	// damped overlays the Prepared's priors with the posteriors of hard
-	// questions, which weigh their next truth inference.
-	damped map[pair.Pair]float64
+	p      *Prepared
+	r      ShardRunner
+	res    *Result
 	shards []*loopShard
 	// The isolated vertices are the loop's own shard: no engine, no runner
 	// call. isoDead[i] is set once p.isolated[i] is resolved or hard and
@@ -172,7 +169,6 @@ func (p *Prepared) NewLoop() *Loop {
 			IsolatedPredicted: pair.Set{},
 			NonMatches:        pair.Set{},
 		},
-		damped:  map[pair.Pair]float64{},
 		est:     p.Consistency,
 		isoDead: make([]bool, len(p.isolated)),
 		isoLive: len(p.isolated),
@@ -444,10 +440,9 @@ func (l *Loop) drain() {
 			return
 		}
 		if cfg.Budget > 0 && l.res.Questions >= cfg.Budget {
-			// Run abandons the rest of the batch when the budget fills.
-			// Since µ is clamped to the remaining budget at selection time
-			// this is only ever the batch's last question, but replicate
-			// the abandonment so the machines cannot diverge.
+			// The budget is full: abandon the rest of the batch. Since µ
+			// is clamped to the remaining budget at selection time this
+			// is only ever the batch's last question.
 			l.open = l.open[:l.next]
 			clear(l.buf)
 			break
@@ -468,19 +463,14 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	l.res.Questions++
 	qi := l.p.Graph.IndexOf(q)
 	l.touch(qi)
-	prior, hard := l.damped[q]
-	if !hard {
-		prior = l.p.Prior(qi)
-	}
-	inf := crowd.Infer(prior, labels, cfg.Thresholds)
+	inf := crowd.Infer(l.p.Prior(qi), labels, cfg.Thresholds)
 	switch inf.Verdict {
 	case crowd.IsMatch:
 		l.confirmMatch(qi)
 	case crowd.IsNonMatch:
 		l.markNonMatch(qi)
 	default:
-		// Hard question: damp its prior so its benefit shrinks.
-		l.damped[q] = inf.Posterior
+		// Hard question: retired, so it is never selected again.
 		if s := l.home(qi); s < 0 {
 			l.retire(^s)
 		} else if !l.shards[s].settled && l.err == nil {

@@ -157,7 +157,9 @@ func TestLoopClose(t *testing.T) {
 	}
 
 	done := p.NewLoop()
-	done.run(NewOracleAsker(gold.IsMatch))
+	if _, err := done.Run(NewOracleAsker(gold.IsMatch)); err != nil {
+		t.Fatal(err)
+	}
 	done.Close()
 	if runner.closes != 1 || done.State() != LoopDone {
 		t.Fatalf("closing a finished loop: runner closed %d times, state %s", runner.closes, done.State())

@@ -33,33 +33,34 @@ type Result struct {
 	Loops int
 }
 
-// Run executes the human–machine loop against the Asker and returns the
-// final result. It terminates when no unresolved pair can be inferred by
-// relational match propagation (the paper's stop criterion), when the
-// question budget is exhausted, or when MaxLoops is reached.
-//
-// Run is the synchronous driver over the Loop state machine (loop.go): it
-// pulls each published batch and pushes the Asker's answers back in
-// selection order. Bounded-distance inference is owned by incremental
-// propagation.Engines — one per shard — and the Sync at the top of each
-// loop recomputes just the dirty sources, instead of the full InferAll
-// re-run the loop used to pay whenever an edge changed. Re-estimation
-// refits only the labels whose evidence changed and rewrites only their
-// rows (see reestimate). Each batch of µ questions is resolved against the
-// snapshot taken at the loop top, exactly as before.
+// Run executes the human–machine loop against the Asker on a new Loop
+// (Loop.Run) and returns the final result. It panics if the loop fails,
+// which the in-process runner never does; a caller whose Config.Runner
+// can fail calls NewLoop().Run for the error instead.
 //
 // Every call is an independent loop over the shared, read-only pipeline:
 // repeated and concurrent Runs return what a freshly prepared pipeline
 // would.
-func (p *Prepared) Run(asker Asker) *Result { return p.NewLoop().run(asker) }
+func (p *Prepared) Run(asker Asker) *Result {
+	res, err := p.NewLoop().Run(asker)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
-// run drives the loop to completion against the Asker.
-func (l *Loop) run(asker Asker) *Result {
+// Run is the loop's synchronous driver: it pulls each published batch and
+// pushes the Asker's answers back in selection order, skipping the
+// questions deduction already answered, until the loop is done. It
+// terminates when no unresolved pair can be inferred by relational match
+// propagation (the paper's stop criterion), when the question budget is
+// exhausted, or when MaxLoops is reached. A shard runner that fails
+// permanently — one that never started, or a remote runner that lost its
+// whole cluster — ends the run with the loop's Err.
+func (l *Loop) Run(asker Asker) (*Result, error) {
 	for !l.Done() {
 		if err := l.Err(); err != nil {
-			// Unreachable with the in-process runner; a remote runner that
-			// lost its whole cluster surfaces here.
-			panic(err)
+			return nil, err
 		}
 		batch := l.Batch()
 		if len(batch) == 0 {
@@ -74,15 +75,16 @@ func (l *Loop) run(asker Asker) *Result {
 				// verdict; deduction skipped it, so no crowd question.
 				continue
 			}
+			// q came from Batch, so only a runner failure can refuse it.
 			if err := l.Deliver(q, asker.Ask(q)); err != nil {
-				panic(err) // q came from Batch; delivery cannot fail
+				return nil, err
 			}
 			if l.Done() {
 				break
 			}
 		}
 	}
-	return l.Result()
+	return l.Result(), nil
 }
 
 // padBatch extends a selection to mu questions with the highest-prior

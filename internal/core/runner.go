@@ -37,11 +37,11 @@ type ShardRunner interface {
 	// called for an isolated vertex: the loop keeps those itself.
 	Resolve(s int, q pair.Pair, detach bool) error
 	// Damp marks q a hard question: candidate gathering skips it from now
-	// on. Like Resolve it is never called for an isolated vertex. Shard
-	// states do not consume the damped prior — the loop keeps it, and it
-	// does not cross the cluster wire; the parameter stays because runner
-	// decorators outside this module (the benchmark's timing wrapper)
-	// implement this signature.
+	// on, so it is never asked again. Like Resolve it is never called for
+	// an isolated vertex. Nothing consumes the damped prior — no shard
+	// state reads it, and it does not cross the cluster wire; the
+	// parameter stays because runner decorators outside this module (the
+	// benchmark's timing wrapper) implement this signature.
 	Damp(s int, q pair.Pair, prior float64) error
 	// Gather syncs shard s's engine and assembles its candidate questions,
 	// with inferred sets as global vertex indexes. The boolean reports
@@ -165,8 +165,7 @@ func (st *ShardState) Resolve(q pair.Pair, detach bool) {
 }
 
 // Damp marks q a hard question: its engine source is retired, so gathers
-// skip it. The damped prior itself is the loop's: it only ever weighs q's
-// own next truth inference, and q is not asked again.
+// skip it and q is not asked again — which is why no damped prior is kept.
 func (st *ShardState) Damp(q pair.Pair) {
 	if i := st.sh.graph.IndexOf(q); st.eng != nil && i >= 0 {
 		st.eng.Retire(i)

@@ -36,9 +36,9 @@ type Inferred struct {
 
 // InferAll computes the bounded distance maps of Algorithm 2 by running a
 // ζ-bounded Dijkstra from every vertex, fanned across GOMAXPROCS
-// goroutines. It produces exactly the same distances as InferAllFW (the
-// paper's modified Floyd–Warshall, kept for fidelity and cross-checked in
-// tests) but scales linearly rather than quadratically in the per-vertex
+// goroutines. It produces exactly the same distances as the paper's
+// modified Floyd–Warshall (InferAllFW, which lives on in the tests as its
+// oracle) but scales linearly rather than quadratically in the per-vertex
 // reachable-set size, which dominates on the dense connected components of
 // IIMB-like datasets.
 func (pg *ProbGraph) InferAll(tau float64) *Inferred {

@@ -280,7 +280,7 @@ func TestCreateFailsWhenRunnerCannotStart(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "HTTP 502") || !strings.Contains(err.Error(), "shard runner failed") || !strings.Contains(err.Error(), "cluster:") {
 		t.Fatalf("create over a dead cluster: %v, want a 502 carrying the runner's failure", err)
 	}
-	if ids := srv.mgr.SessionIDs(); len(ids) != 0 || len(srv.refs) != 0 || idlePlans(srv.plans) != 1 {
+	if ids := srv.mgr.IDs(); len(ids) != 0 || len(srv.refs) != 0 || idlePlans(srv.plans) != 1 {
 		t.Fatalf("the refused create left sessions %v, %d refs and %d idle plans; want none, none and its plan idle", ids, len(srv.refs), idlePlans(srv.plans))
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"net/http"
 
 	"repro/internal/cluster"
+	"repro/internal/deduce"
 	"repro/internal/obs"
 	"repro/internal/session"
-	"repro/remp"
 )
 
 // serverMetrics bundles every metric family one Server exports under
@@ -104,7 +104,7 @@ func newServerMetrics() *serverMetrics {
 // callbacks fire only when /metrics is scraped, never during recovery.
 func (m *serverMetrics) bindManager(s *Server) {
 	m.reg.GaugeFunc("remp_sessions_active", "Live sessions registered with the manager.", func() float64 {
-		return float64(len(s.mgr.SessionIDs()))
+		return float64(len(s.mgr.IDs()))
 	})
 	m.reg.CounterFunc("remp_cache_hits_total", "Answer-cache lookups served from a sibling session's answer.", func() float64 {
 		h, _, _ := s.mgr.CacheStats()
@@ -124,10 +124,10 @@ func (m *serverMetrics) bindManager(s *Server) {
 	m.reg.CounterFunc("remp_wal_replayed_total", "Answers re-delivered from session logs at recovery.", func() float64 {
 		return float64(s.mgr.WALReplayed())
 	})
-	deduceVec := func(pick func(remp.DeduceStats) uint64) func() map[string]float64 {
+	deduceVec := func(pick func(deduce.Stats) uint64) func() map[string]float64 {
 		return func() map[string]float64 {
 			out := make(map[string]float64)
-			for ns, st := range s.mgr.DeduceStatsByNamespace() {
+			for ns, st := range s.mgr.DeduceStats() {
 				out[ns] = float64(pick(st))
 			}
 			return out
@@ -135,13 +135,13 @@ func (m *serverMetrics) bindManager(s *Server) {
 	}
 	m.reg.CounterVecFunc("remp_deduce_hits_total",
 		"Crowd questions answered by deduction from recorded answers instead of workers, by namespace.",
-		"namespace", deduceVec(func(st remp.DeduceStats) uint64 { return st.Hits }))
+		"namespace", deduceVec(func(st deduce.Stats) uint64 { return st.Hits }))
 	m.reg.CounterVecFunc("remp_deduce_clusters_total",
 		"Match facts recorded from a namespace's answers, by namespace.",
-		"namespace", deduceVec(func(st remp.DeduceStats) uint64 { return st.Clusters }))
+		"namespace", deduceVec(func(st deduce.Stats) uint64 { return st.Unions }))
 	m.reg.CounterVecFunc("remp_deduce_conflicts_total",
 		"Contradictory facts rejected by the deduction store, by namespace.",
-		"namespace", deduceVec(func(st remp.DeduceStats) uint64 { return st.Conflicts }))
+		"namespace", deduceVec(func(st deduce.Stats) uint64 { return st.Conflicts }))
 }
 
 // timedStore decorates a session.Store with a latency histogram over the

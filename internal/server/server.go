@@ -192,7 +192,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// sessionMeta is the server-side state alongside each remp.Session: its
+// sessionMeta is the server-side state alongside each session: its
 // own create spec, and its hold on the plan it shares with every other
 // session of that spec.
 type sessionMeta struct {
@@ -202,7 +202,7 @@ type sessionMeta struct {
 
 // Server serves resolution sessions over HTTP.
 type Server struct {
-	mgr           *remp.Manager
+	mgr           *session.Manager
 	plans         *PlanCache
 	mu            sync.Mutex
 	meta          map[string]*sessionMeta
@@ -309,8 +309,10 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		storeKind:     kind,
 		cluster:       co,
 	}
-	s.mgr = remp.OpenManagerObs(store, metrics.pipe)
-	s.plans = NewPlanCache(s.mgr.PreparePipeline, metrics.reg)
+	s.mgr = session.NewManagerStore(store)
+	s.plans = NewPlanCache(func(ds remp.Dataset, opts remp.Options) (*core.Prepared, error) {
+		return remp.PreparePipelineWith(ds, opts, s.mgr.Scheduler(), metrics.pipe)
+	}, metrics.reg)
 	if co != nil {
 		s.plans.runner = co.Runner
 	}
@@ -430,9 +432,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", s.route("create", s.handleCreate))
 	mux.HandleFunc("GET /v1/sessions", s.route("list", s.handleList))
 	mux.HandleFunc("POST /v1/sessions/restore", s.route("restore", s.handleRestore))
-	mux.HandleFunc("GET /v1/sessions/{id}", s.route("status", s.handleStatus))
+	mux.HandleFunc("GET /v1/sessions/{id}", s.route("status", s.handleInfo(false)))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.route("delete", s.handleDelete))
-	mux.HandleFunc("GET /v1/sessions/{id}/batch", s.route("batch", s.handleBatch))
+	mux.HandleFunc("GET /v1/sessions/{id}/batch", s.route("batch", s.handleInfo(true)))
 	mux.HandleFunc("POST /v1/sessions/{id}/answers", s.route("answers", s.handleAnswers))
 	mux.HandleFunc("GET /v1/sessions/{id}/result", s.route("result", s.handleResult))
 	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.route("snapshot", s.handleSnapshot))
@@ -492,7 +494,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"status":           status,
 		"uptime_seconds":   float64(s.metrics.clock()) / 1e9,
 		"store":            s.storeKind,
-		"sessions_active":  len(s.mgr.SessionIDs()),
+		"sessions_active":  len(s.mgr.IDs()),
 		"draining":         s.draining.Load(),
 		"persist_failures": s.mgr.PersistFailures(),
 		"wal_replayed":     s.mgr.WALReplayed(),
@@ -610,8 +612,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.admit(w, req, "created", s.metrics.sessionsCreated, func(pl *plan, meta []byte) (*remp.Session, error) {
-		return s.mgr.StartSession(pl.prepared, pl.namespace, meta)
+	s.admit(w, req, "created", s.metrics.sessionsCreated, func(pl *plan, meta []byte) (*session.Session, error) {
+		return s.mgr.Create(pl.prepared, pl.namespace, meta)
 	})
 }
 
@@ -620,8 +622,12 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "snapshot", &dto) {
 		return
 	}
-	s.admit(w, dto.Create, "restored", s.metrics.sessionsRestored, func(pl *plan, meta []byte) (*remp.Session, error) {
-		return s.mgr.RestoreSession(pl.prepared, pl.namespace, dto.Session, meta)
+	s.admit(w, dto.Create, "restored", s.metrics.sessionsRestored, func(pl *plan, meta []byte) (*session.Session, error) {
+		snap, err := session.DecodeSnapshot(dto.Session)
+		if err != nil {
+			return nil, err
+		}
+		return s.mgr.Restore(pl.prepared, pl.namespace, meta, snap)
 	})
 }
 
@@ -629,7 +635,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 // the session over it with the spec as its stored meta, register it and
 // answer 201. The session keeps the hold until its DELETE.
 func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, count *obs.Counter,
-	start func(pl *plan, meta []byte) (*remp.Session, error)) {
+	start func(pl *plan, meta []byte) (*session.Session, error)) {
 	// Bake the server-side defaults into the stored spec so a restart
 	// with different flags recovers the session under the options it
 	// actually ran with.
@@ -672,11 +678,11 @@ func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, co
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"sessions": s.mgr.SessionIDs()})
+	writeJSON(w, http.StatusOK, map[string][]string{"sessions": s.mgr.IDs()})
 }
 
 // lookup resolves the {id} path segment to a session and its metadata.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*remp.Session, *sessionMeta, bool) {
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session.Session, *sessionMeta, bool) {
 	id := r.PathValue("id")
 	sess, ok := s.mgr.Get(id)
 	if !ok {
@@ -694,20 +700,14 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*remp.Session, 
 	return sess, meta, true
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	sess, _, ok := s.lookup(w, r)
-	if !ok {
-		return
+// handleInfo serves a session's status envelope: with its open batch for
+// GET /batch, without it for the plain status.
+func (s *Server) handleInfo(withBatch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if sess, _, ok := s.lookup(w, r); ok {
+			writeJSON(w, http.StatusOK, s.info(sess, withBatch))
+		}
 	}
-	writeJSON(w, http.StatusOK, s.info(sess, false))
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sess, _, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.info(sess, true))
 }
 
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
@@ -759,11 +759,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		IsolatedPredicted: len(res.IsolatedPredicted),
 		NonMatches:        len(res.NonMatches),
 	}
-	for _, m := range pair.Set(res.Matches).Sorted() {
+	for _, m := range res.Matches.Sorted() {
 		dto.Matches = append(dto.Matches, [2]string{meta.ds.K1.EntityName(m.U1), meta.ds.K2.EntityName(m.U2)})
 	}
 	if meta.gold != nil {
-		prf := remp.Evaluate(res.Matches, meta.gold)
+		prf := pair.Evaluate(res.Matches, meta.gold)
 		dto.PRF = &PRFDTO{Precision: prf.Precision, Recall: prf.Recall, F1: prf.F1}
 	}
 	writeJSON(w, http.StatusOK, dto)
@@ -774,7 +774,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	data, err := sess.Snapshot()
+	data, err := session.EncodeSnapshot(sess.Snapshot())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -803,7 +803,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // info builds the status envelope, optionally materializing the open
 // batch (which may auto-answer questions from the shared cache).
-func (s *Server) info(sess *remp.Session, withBatch bool) SessionInfo {
+func (s *Server) info(sess *session.Session, withBatch bool) SessionInfo {
 	var batch []QuestionDTO
 	if withBatch {
 		s.mu.Lock()

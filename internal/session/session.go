@@ -259,8 +259,8 @@ func (s *Session) Deliver(id string, labels []Label) error {
 	return s.DeliverPair(q, ToCrowd(labels))
 }
 
-// DeliverPair is Deliver for callers that already hold the pair and
-// pipeline labels (the in-process Asker adapter). An empty label slice is
+// DeliverPair is Deliver for in-process callers that already hold the
+// pair and pipeline labels. An empty label slice is
 // allowed and leaves the question's posterior at its prior — exactly how
 // the synchronous loop treats an Asker that returns no labels.
 func (s *Session) DeliverPair(q pair.Pair, labels []crowd.Label) error {

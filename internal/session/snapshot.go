@@ -16,8 +16,8 @@ const SnapshotVersion = 1
 // Snapshot is a session's durable state: an event log rather than a state
 // dump. Because the loop applies answers in a deterministic order fixed by
 // question selection, replaying Applied through a freshly prepared
-// pipeline reconstructs the exact machine state — engine balls, damped
-// priors, resolved sets and all — without serializing any of it. Pending
+// pipeline reconstructs the exact machine state — engine balls, hard
+// questions, resolved sets and all — without serializing any of it. Pending
 // holds answers that had arrived out of order and were still buffered.
 // The snapshot does not carry the dataset or the options; the caller must
 // re-prepare the same pipeline (same KBs, same configuration) for Restore.

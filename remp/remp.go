@@ -215,23 +215,22 @@ func configFromOptions(opts Options) (core.Config, error) {
 	return cfg, nil
 }
 
-// prepare validates the inputs and runs stages 1–2 of the pipeline.
-func prepare(ds Dataset, opts Options) (*core.Prepared, error) {
-	return prepareSched(ds, opts, nil, nil)
-}
-
 // PreparePipeline validates the inputs and returns the prepared core
 // pipeline without starting a loop. It exists for callers that measure or
-// share the pipeline itself (the repository benchmark; a Manager has its
-// own); ordinary API consumers want NewPipeline or Resolve instead.
+// share the pipeline itself (the repository benchmark); ordinary API
+// consumers want NewPipeline or Resolve instead.
 func PreparePipeline(ds Dataset, opts Options) (*core.Prepared, error) {
-	return prepare(ds, opts)
+	return PreparePipelineWith(ds, opts, nil, nil)
 }
 
-// prepareSched is prepare with an explicit shard-work scheduler (the
-// Manager's shared pool) and instrumentation hooks; nil keeps the
-// process-wide default scheduler / an uninstrumented pipeline.
-func prepareSched(ds Dataset, opts Options, sched *core.Scheduler, o *obs.Pipeline) (*core.Prepared, error) {
+// PreparePipelineWith is PreparePipeline for callers that run many
+// sessions over their pipelines, such as the HTTP server: sched is the
+// shard-work scheduler the pipeline draws on (a session.Manager's shared
+// pool, so concurrent sessions cannot oversubscribe the machine), and o
+// instruments it with loop-stage timings and engine counters. A nil sched
+// keeps the process-wide default, and a nil o leaves the pipeline
+// uninstrumented.
+func PreparePipelineWith(ds Dataset, opts Options, sched *core.Scheduler, o *obs.Pipeline) (*core.Prepared, error) {
 	if ds.K1 == nil || ds.K2 == nil {
 		return nil, ErrNilInput
 	}
@@ -244,35 +243,20 @@ func prepareSched(ds Dataset, opts Options, sched *core.Scheduler, o *obs.Pipeli
 	return core.Prepare(ds.K1, ds.K2, cfg), nil
 }
 
-// Resolve runs the full Remp pipeline on the dataset against the asker.
-// It is implemented as a Session driven synchronously by the Asker: every
-// published batch is answered in selection order, which is exactly the
-// paper's blocking human–machine loop.
+// Resolve runs the full Remp pipeline on the dataset against the asker:
+// NewPipeline followed by Pipeline.Run. Each published batch is asked in
+// selection order, which is exactly the paper's blocking human–machine
+// loop; with Options.Deduce, a question an earlier answer already
+// resolved never reaches the asker.
 func Resolve(ds Dataset, asker Asker, opts Options) (*Result, error) {
 	if asker == nil {
 		return nil, ErrNilInput
 	}
-	s, err := NewSession(ds, opts)
+	p, err := NewPipeline(ds, opts)
 	if err != nil {
 		return nil, err
 	}
-	for !s.Done() {
-		batch := s.NextBatch()
-		if len(batch) == 0 {
-			// Unreachable: a standalone session always publishes its whole
-			// open batch while awaiting answers.
-			return nil, errors.New("remp: session stalled with no open questions")
-		}
-		// Answer only the head question, then re-publish: with Deduce on,
-		// an applied answer can imply verdicts for later batch members,
-		// and NextBatch withholds those — so a deduced question never
-		// reaches the Asker. The head itself is never deducible.
-		q := batch[0]
-		if err := s.deliverCrowd(q.Pair, asker.Ask(q.Pair)); err != nil {
-			return nil, err
-		}
-	}
-	return s.Result(), nil
+	return p.Run(asker)
 }
 
 // Pipeline exposes the prepared pipeline for step-by-step use: stage-1
@@ -285,7 +269,7 @@ type Pipeline struct {
 // NewPipeline runs ER graph construction (stage 1) and propagation
 // modeling (stage 2), returning a pipeline ready to ask questions.
 func NewPipeline(ds Dataset, opts Options) (*Pipeline, error) {
-	p, err := prepare(ds, opts)
+	p, err := PreparePipeline(ds, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -294,12 +278,17 @@ func NewPipeline(ds Dataset, opts Options) (*Pipeline, error) {
 
 // Run executes the human–machine loop. Each call is a loop of its own
 // over the shared pipeline: repeated and concurrent Runs return what a
-// newly built Pipeline would.
+// newly built Pipeline would. An error means the loop's shard runner
+// failed (Options.Runner); the in-process default never does.
 func (p *Pipeline) Run(asker Asker) (*Result, error) {
 	if asker == nil {
 		return nil, ErrNilInput
 	}
-	return fromCoreResult(p.prepared.Run(asker)), nil
+	res, err := p.prepared.NewLoop().Run(asker)
+	if err != nil {
+		return nil, err
+	}
+	return fromCoreResult(res), nil
 }
 
 // CandidatePairs returns the retained entity pairs (the ER graph's

@@ -1,11 +1,13 @@
 package remp_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/remp"
 )
@@ -64,18 +66,30 @@ func TestResolveEndToEnd(t *testing.T) {
 	}
 }
 
-// countingAsker counts how many questions actually reach the platform.
-type countingAsker struct {
-	inner remp.Asker
-	asks  int
+// recordingAsker records the questions that actually reach the platform,
+// in call order, and the labels it answered each with, in wire form.
+type recordingAsker struct {
+	inner  remp.Asker
+	calls  []remp.Pair
+	labels map[remp.Pair][]remp.Label
 }
 
-func (c *countingAsker) Ask(q remp.Pair) []crowd.Label {
-	c.asks++
-	return c.inner.Ask(q)
+func newRecordingAsker(inner remp.Asker) *recordingAsker {
+	return &recordingAsker{inner: inner, labels: map[remp.Pair][]remp.Label{}}
 }
 
-func (c *countingAsker) NumQuestions() int { return c.asks }
+func (r *recordingAsker) Ask(q remp.Pair) []crowd.Label {
+	labels := r.inner.Ask(q)
+	r.calls = append(r.calls, q)
+	wire := make([]remp.Label, len(labels))
+	for i, l := range labels {
+		wire[i] = remp.Label{WorkerID: l.Worker.ID, Quality: l.Worker.Quality, IsMatch: l.IsMatch}
+	}
+	r.labels[q] = wire
+	return labels
+}
+
+func (r *recordingAsker) NumQuestions() int { return len(r.calls) }
 
 // denseWorld builds a fixture with ambiguous candidates (perturbed book
 // labels under shared authors), so propagation cascades can imply
@@ -124,7 +138,7 @@ func TestResolveWithDeduction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	asker := &countingAsker{inner: remp.NewOracleCrowd(gold.IsMatch)}
+	asker := newRecordingAsker(remp.NewOracleCrowd(gold.IsMatch))
 	res, err := remp.Resolve(ds, asker, remp.Options{Mu: 4, Deduce: true})
 	if err != nil {
 		t.Fatalf("Resolve(Deduce): %v", err)
@@ -135,8 +149,8 @@ func TestResolveWithDeduction(t *testing.T) {
 	if res.Questions >= base.Questions {
 		t.Errorf("questions %d with deduction, %d without — no crowd saving", res.Questions, base.Questions)
 	}
-	if asker.asks != res.Questions {
-		t.Errorf("the Asker was called %d times for %d counted questions — a deduced question reached the crowd", asker.asks, res.Questions)
+	if len(asker.calls) != res.Questions {
+		t.Errorf("the Asker was called %d times for %d counted questions — a deduced question reached the crowd", len(asker.calls), res.Questions)
 	}
 	if len(res.Matches) != len(base.Matches) || len(res.NonMatches) != len(base.NonMatches) {
 		t.Errorf("deduction changed the result: %d/%d matches, %d/%d non-matches",
@@ -191,6 +205,25 @@ func TestResolveRejectsInvalidTau(t *testing.T) {
 		if _, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), remp.Options{Tau: tau}); err != nil {
 			t.Errorf("Tau = %v rejected: %v", tau, err)
 		}
+	}
+}
+
+// TestRunnerStartFailureIsReturned: a shard runner that will not start
+// fails Resolve and Pipeline.Run with the factory's error — not a stalled
+// loop, and not a panic.
+func TestRunnerStartFailureIsReturned(t *testing.T) {
+	ds, gold := tinyWorld()
+	cause := errors.New("no shard workers")
+	opts := remp.Options{Runner: func(*core.Prepared) (core.ShardRunner, error) { return nil, cause }}
+	if _, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), opts); !errors.Is(err, cause) {
+		t.Errorf("Resolve: %v, want the runner factory's error", err)
+	}
+	p, err := remp.NewPipeline(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(remp.NewOracleCrowd(gold.IsMatch)); !errors.Is(err, cause) {
+		t.Errorf("Pipeline.Run: %v, want the runner factory's error", err)
 	}
 }
 

@@ -2,8 +2,6 @@ package remp
 
 import (
 	"repro/internal/core"
-	"repro/internal/crowd"
-	"repro/internal/obs"
 	"repro/internal/session"
 )
 
@@ -43,7 +41,7 @@ type Session struct {
 // it. Use Manager.NewSession instead when several sessions should share
 // crowd answers.
 func NewSession(ds Dataset, opts Options) (*Session, error) {
-	p, err := prepare(ds, opts)
+	p, err := PreparePipeline(ds, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -84,12 +82,6 @@ func (s *Session) Deliver(questionID string, labels []Label) error {
 	return s.s.Deliver(questionID, labels)
 }
 
-// deliverCrowd feeds pipeline-typed labels straight into the session — the
-// Asker adapter used by Resolve.
-func (s *Session) deliverCrowd(q Pair, labels []crowd.Label) error {
-	return s.s.DeliverPair(q, labels)
-}
-
 // Result returns a detached copy of the session's result; final once Done.
 func (s *Session) Result() *Result {
 	return fromCoreResult(s.s.Result())
@@ -118,7 +110,7 @@ func RestoreSession(ds Dataset, opts Options, snapshot []byte) (*Session, error)
 	if err != nil {
 		return nil, err
 	}
-	p, err := prepare(ds, opts)
+	p, err := PreparePipeline(ds, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -156,10 +148,6 @@ type ReopenFunc func(id string, meta []byte) (Dataset, Options, string, error)
 // see OpenManager for durable sessions).
 type Manager struct {
 	m *session.Manager
-	// obs, when non-nil, instruments every pipeline the manager prepares
-	// (including recovered ones) with loop-stage timings and engine
-	// counters. Set only by OpenManagerObs.
-	obs *obs.Pipeline
 }
 
 // NewManager returns an empty session manager over an in-memory store.
@@ -174,77 +162,32 @@ func NewManager() *Manager { return &Manager{m: session.NewManager()} }
 // returned error; the manager is usable regardless. A nil reopen skips
 // recovery (any stored sessions stay dormant in the store).
 func OpenManager(store Store, reopen ReopenFunc) (*Manager, []string, error) {
-	m := OpenManagerObs(store, nil)
+	m := &Manager{m: session.NewManagerStore(store)}
 	if reopen == nil {
 		return m, nil, nil
 	}
-	ids, err := m.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
-		ds, opts, namespace, rerr := reopen(id, meta)
-		if rerr != nil {
-			return nil, "", rerr
+	ids, err := m.m.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
+		ds, opts, namespace, err := reopen(id, meta)
+		if err != nil {
+			return nil, "", err
 		}
-		p, perr := m.PreparePipeline(ds, opts)
-		return p, namespace, perr
+		p, err := PreparePipelineWith(ds, opts, m.m.Scheduler(), nil)
+		return p, namespace, err
 	})
 	return m, ids, err
 }
 
-// OpenManagerObs opens a session manager over a Store without recovering
-// anything (see Recover), with instrumentation hooks that every pipeline
-// from PreparePipeline carries — recovered sessions' included.
-func OpenManagerObs(store Store, o *obs.Pipeline) *Manager {
-	return &Manager{m: session.NewManagerStore(store), obs: o}
-}
-
-// PreparePipeline is the package-level PreparePipeline for managed
-// sessions: the pipeline's shard work draws on the manager's shared
-// scheduler, so concurrent sessions cannot oversubscribe the machine,
-// and it carries the manager's instrumentation. Any number of the
-// manager's sessions may run over the result at once.
-func (m *Manager) PreparePipeline(ds Dataset, opts Options) (*core.Prepared, error) {
-	return prepareSched(ds, opts, m.m.Scheduler(), m.obs)
-}
-
-// Recover is OpenManager's recovery for owners that keep prepared
-// pipelines (the server's plan cache): reopen maps a stored session's ID
-// and meta blob to a pipeline from PreparePipeline and the session's
-// cache namespace.
-func (m *Manager) Recover(reopen func(id string, meta []byte) (*core.Prepared, string, error)) ([]string, error) {
-	return m.m.Recover(reopen)
-}
-
 // NewSession prepares a pipeline and starts a managed session over it in
-// the namespace; see StartSession.
+// the namespace. The pipeline's shard work draws on the manager's shared
+// scheduler, so concurrent sessions cannot oversubscribe the machine. meta is stored with the session and handed back to the
+// reopen function on recovery; pass nil when the manager's store does
+// not outlive the process.
 func (m *Manager) NewSession(ds Dataset, opts Options, namespace string, meta []byte) (*Session, error) {
-	p, err := m.PreparePipeline(ds, opts)
+	p, err := PreparePipelineWith(ds, opts, m.m.Scheduler(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return m.StartSession(p, namespace, meta)
-}
-
-// StartSession starts a managed session in the namespace over a pipeline
-// from PreparePipeline. meta is stored with the session and handed back
-// to the reopen function on recovery; pass nil when the manager's store
-// does not outlive the process.
-func (m *Manager) StartSession(p *core.Prepared, namespace string, meta []byte) (*Session, error) {
 	inner, err := m.m.Create(p, namespace, meta)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: inner}, nil
-}
-
-// RestoreSession rebuilds a snapshotted session inside the manager over
-// a pipeline from PreparePipeline for the snapshot's dataset and
-// options, keeping its snapshot ID and re-joining the namespace's answer
-// cache. meta is stored with the session as in StartSession.
-func (m *Manager) RestoreSession(p *core.Prepared, namespace string, snapshot, meta []byte) (*Session, error) {
-	snap, err := session.DecodeSnapshot(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := m.m.Restore(p, namespace, meta, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -269,44 +212,6 @@ func (m *Manager) Remove(id string) (bool, error) { return m.m.Remove(id) }
 
 // SessionIDs returns the live session IDs in deterministic order.
 func (m *Manager) SessionIDs() []string { return m.m.IDs() }
-
-// PersistFailures returns how many of the manager's sessions have had a
-// store append fail; non-zero means at least one session's durable state
-// is frozen behind its in-memory state (see Session.PersistErr).
-func (m *Manager) PersistFailures() int64 { return m.m.PersistFailures() }
-
-// WALReplayed returns how many answers recovery has re-delivered from
-// session logs since the manager was opened.
-func (m *Manager) WALReplayed() int64 { return m.m.WALReplayed() }
-
-// CacheStats sums answer-cache hits, misses and granted question
-// reservations across every namespace the manager serves.
-func (m *Manager) CacheStats() (hits, misses, reservations int64) { return m.m.CacheStats() }
-
-// DeduceStats are one namespace's answer-deduction counters, cumulative
-// over the manager's lifetime.
-type DeduceStats struct {
-	// Hits counts verdicts served by deduction instead of the crowd.
-	Hits uint64
-	// Clusters counts match facts recorded from the namespace's answers.
-	Clusters uint64
-	// Conflicts counts contradictory facts rejected by the store (an
-	// inconsistent crowd answering a pair both ways, or matching an
-	// entity twice).
-	Conflicts uint64
-}
-
-// DeduceStatsByNamespace returns each namespace's deduction counters.
-// Namespaces appear as soon as a session attaches, whether or not any
-// of their sessions enabled deduction (answers are recorded as facts
-// regardless; hits stay 0 until a Deduce-on session consults them).
-func (m *Manager) DeduceStatsByNamespace() map[string]DeduceStats {
-	out := make(map[string]DeduceStats)
-	for ns, s := range m.m.DeduceStats() {
-		out[ns] = DeduceStats{Hits: s.Hits, Clusters: s.Unions, Conflicts: s.Conflicts}
-	}
-	return out
-}
 
 // Close closes the store; acknowledged answers are already durable.
 func (m *Manager) Close() error { return m.m.Close() }

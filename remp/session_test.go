@@ -41,47 +41,91 @@ func assertSameResult(t *testing.T, want, got *remp.Result) {
 			t.Fatalf("%s differ: want %d pairs, got %d", s.name, len(s.x), len(s.y))
 		}
 	}
-	if want.Questions != got.Questions || want.Loops != got.Loops {
-		t.Fatalf("Questions/Loops differ: want %d/%d, got %d/%d",
-			want.Questions, want.Loops, got.Questions, got.Loops)
+	if want.Questions != got.Questions || want.Deduced != got.Deduced || want.Loops != got.Loops {
+		t.Fatalf("Questions/Deduced/Loops differ: want %d/%d/%d, got %d/%d/%d",
+			want.Questions, want.Deduced, want.Loops, got.Questions, got.Deduced, got.Loops)
 	}
 }
 
 // TestSessionEquivalentToResolve drives a public Session with shuffled
 // answer delivery and requires the exact Result the synchronous Resolve
-// produces on the same dataset and options.
+// produces on the same dataset and options. The session is fed exactly
+// the labels Resolve's asker returned for each pair. A question it
+// publishes that the asker was never asked gets no answer: an earlier
+// batch-mate's answer must resolve it, so the session deduces it. The
+// asker, in turn, is called once per counted question, so none of the
+// questions Resolve deduced reached it.
 func TestSessionEquivalentToResolve(t *testing.T) {
-	ds, gold := tinyWorld()
-	opts := remp.Options{Mu: 3}
-	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := remp.NewSession(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for !s.Done() {
-		if s.State() != remp.SessionAwaiting {
-			t.Fatalf("open session in state %q", s.State())
-		}
-		batch := s.NextBatch()
-		if len(batch) == 0 {
-			t.Fatal("open session published an empty batch")
-		}
-		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-		for _, q := range batch {
-			if err := s.Deliver(q.ID, oracleWire(gold, q.Pair)); err != nil {
-				t.Fatalf("Deliver(%s): %v", q.ID, err)
+	tiny, tinyGold := tinyWorld()
+	dense, denseGold := denseWorld(16, 23)
+	for _, tc := range []struct {
+		name  string
+		ds    remp.Dataset
+		opts  remp.Options
+		asker remp.Asker
+	}{
+		{"oracle", tiny, remp.Options{Mu: 3}, remp.NewOracleCrowd(tinyGold.IsMatch)},
+		{"deduce-noisy-budget", dense, remp.Options{Mu: 4, Deduce: true, Budget: 12},
+			remp.NewSimulatedCrowd(denseGold.IsMatch, remp.CrowdConfig{ErrorRate: 0.3, Seed: 7})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := newRecordingAsker(tc.asker)
+			want, err := remp.Resolve(tc.ds, rec, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if len(rec.calls) != want.Questions || len(rec.labels) != want.Questions {
+				t.Fatalf("the asker was called %d times on %d pairs for %d questions", len(rec.calls), len(rec.labels), want.Questions)
+			}
+			if tc.opts.Deduce && want.Deduced == 0 {
+				t.Fatal("fixture deduced nothing")
+			}
+
+			s, err := remp.NewSession(tc.ds, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			withheld := map[remp.Pair]bool{}
+			for !s.Done() {
+				if s.State() != remp.SessionAwaiting {
+					t.Fatalf("open session in state %q", s.State())
+				}
+				var batch []remp.Question
+				for _, q := range s.NextBatch() {
+					if _, asked := rec.labels[q.Pair]; asked {
+						batch = append(batch, q)
+					} else {
+						withheld[q.Pair] = true
+					}
+				}
+				if len(batch) == 0 {
+					t.Fatal("open session published no question Resolve asked")
+				}
+				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				for _, q := range batch {
+					if err := s.Deliver(q.ID, rec.labels[q.Pair]); err != nil {
+						t.Fatalf("Deliver(%s): %v", q.ID, err)
+					}
+				}
+			}
+			if s.State() != remp.SessionDone {
+				t.Fatalf("finished session in state %q", s.State())
+			}
+			got := s.Result()
+			assertSameResult(t, want, got)
+			for q := range withheld {
+				_, match := got.Matches[q]
+				_, nonMatch := got.NonMatches[q]
+				if !match && !nonMatch {
+					t.Errorf("the session published %v, which Resolve never asked, and left it unresolved", q)
+				}
+			}
+			if len(withheld) > got.Deduced {
+				t.Errorf("%d published questions went unanswered, but the session deduced %d", len(withheld), got.Deduced)
+			}
+		})
 	}
-	if s.State() != remp.SessionDone {
-		t.Fatalf("finished session in state %q", s.State())
-	}
-	assertSameResult(t, want, s.Result())
 }
 
 // TestSessionSnapshotRoundTrip snapshots after the first batch, restores
