@@ -728,6 +728,59 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
+// TestSlowPongsWaitForLivenessTimeout: a worker whose pongs miss the
+// heartbeat's one-interval deadline — as they do while a busy coordinator
+// holds the only CPU — is marked down after LivenessTimeout without a
+// pong, not after the strike limit's three missed pings.
+func TestSlowPongsWaitForLivenessTimeout(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var pings atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				for {
+					req, err := ReadFrame(c)
+					if err != nil {
+						return
+					}
+					pings.Add(1)
+					time.Sleep(3 * interval)
+					if WriteFrame(c, Envelope{V: ProtocolVersion, ID: req.ID, Kind: FrameResponse}) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	m := testMetrics()
+	co, err := NewCoordinator(CoordinatorConfig{
+		Workers:           []string{ln.Addr().String()},
+		HeartbeatInterval: interval,
+		LivenessTimeout:   time.Minute,
+		Metrics:           m,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+	waitFor(t, 5*time.Second, func() bool { return pings.Load() >= 2*strikeLimit })
+	if co.LiveWorkers() != 1 || m.WorkerDowns.Value() != 0 {
+		t.Fatalf("%d live workers, %d worker downs after %d late pongs; want 1 and 0 within the %v liveness timeout",
+			co.LiveWorkers(), m.WorkerDowns.Value(), pings.Load(), time.Minute)
+	}
+}
+
 // TestParseFaults pins the -chaos flag grammar.
 func TestParseFaults(t *testing.T) {
 	f, err := ParseFaults("drop=7,dup=5,delay=3:20ms,kill=100")

@@ -309,10 +309,10 @@ func (wc *workerClient) release(c net.Conn) {
 // request frame (through fault injection when injectFaults), and read
 // responses until the matching ID arrives — duplicated frames produce
 // extra responses, which are skipped by their stale IDs. Transport
-// failures close the connection and count a strike; any response, even an
-// application error, proves the worker healthy. A request that does not
-// fit a frame (ErrFrameTooLarge) fails before a connection is touched: it
-// says nothing about the worker.
+// failures close the connection and, except for a heartbeat ping, count a
+// strike; any response, even an application error, proves the worker
+// healthy. A request that does not fit a frame (ErrFrameTooLarge) fails
+// before a connection is touched: it says nothing about the worker.
 func (wc *workerClient) call(ctx context.Context, method string, reqBody any, injectFaults bool) (json.RawMessage, string, error) {
 	body, err := json.Marshal(reqBody)
 	if err != nil {
@@ -323,9 +323,17 @@ func (wc *workerClient) call(ctx context.Context, method string, reqBody any, in
 	if err != nil {
 		return nil, "", &callError{err: fmt.Errorf("cluster: %s request: %w", method, err)}
 	}
+	// A heartbeat ping never strikes: the heartbeat applies
+	// LivenessTimeout itself, and a ping missing its one-interval deadline
+	// while this process is busy says nothing about the worker.
+	strike := func() {
+		if method != MethodPing {
+			wc.strike()
+		}
+	}
 	conn, err := wc.conn(ctx)
 	if err != nil {
-		wc.strike()
+		strike()
 		return nil, "", &callError{transport: true, err: fmt.Errorf("cluster: dialing %s: %w", wc.addr, err)}
 	}
 
@@ -337,7 +345,7 @@ func (wc *workerClient) call(ctx context.Context, method string, reqBody any, in
 
 	fail := func(err error) (json.RawMessage, string, error) {
 		conn.Close()
-		wc.strike()
+		strike()
 		return nil, "", &callError{transport: true, err: err}
 	}
 

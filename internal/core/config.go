@@ -76,11 +76,6 @@ type Config struct {
 	// with an edge (one shard below a few thousand), n caps the count at
 	// n, 1 included; negative is rejected by Validate.
 	Shards int
-	// Sched bounds the goroutines sharded loops fan out; sessions under
-	// one Manager share a scheduler so concurrent loops cannot
-	// oversubscribe the machine. Nil selects a process-wide default sized
-	// at GOMAXPROCS.
-	Sched *Scheduler
 	// Runner supplies the ShardRunner a new Loop drives — where the
 	// per-shard propagation engines live. Nil selects the in-process
 	// runner (NewLocalRunner); internal/cluster supplies a remote runner

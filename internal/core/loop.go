@@ -92,7 +92,7 @@ type loopShard struct {
 //
 // When the pipeline is sharded, each shard runs its propagation engine,
 // candidate gathering, question selection and re-estimation rebuild
-// independently — fanned across the Config's Scheduler — while one global
+// independently — fanned across core's one shard-work pool — while one global
 // budget/µ-batch scheduler draws each batch across the shards by expected
 // benefit. Propagation evidence never crosses shards (the partition
 // follows the relational edges it flows along), and the only cross-shard
@@ -572,7 +572,6 @@ func (l *Loop) openBatch() {
 			l.shards[s].dirty = true
 		}
 	}
-	sched := cfg.scheduler()
 	dirty := make([]int, 0, len(active))
 	for _, s := range active {
 		if l.shards[s].dirty {
@@ -583,7 +582,7 @@ func (l *Loop) openBatch() {
 	// phase; everything from the merge to the padded batch is selection.
 	tInfer := cfg.Obs.StageStart()
 	gatherErrs := make([]error, len(dirty))
-	sched.ForEach(len(dirty), func(k int) {
+	pool.ForEach(len(dirty), func(k int) {
 		sh := l.shards[dirty[k]]
 		cands, anyProp, err := l.r.Gather(dirty[k])
 		if err != nil {
@@ -689,7 +688,6 @@ func (l *Loop) openBatch() {
 // sequence is what the strategy would choose on that list, at any shard
 // count.
 func (l *Loop) selectBatch(active []int, mu int) []selection.Candidate {
-	cfg := l.p.Cfg
 	picks := make([][]selection.Pick, len(active))
 	stale := make([]int, 0, len(active))
 	for k, s := range active {
@@ -701,7 +699,7 @@ func (l *Loop) selectBatch(active []int, mu int) []selection.Candidate {
 		}
 	}
 	rankErrs := make([]error, len(stale))
-	cfg.scheduler().ForEach(len(stale), func(i int) {
+	pool.ForEach(len(stale), func(i int) {
 		k := stale[i]
 		sh := l.shards[active[k]]
 		if len(sh.cands) > 0 {

@@ -152,7 +152,7 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 		tb := cfg.Obs.StageStart()
 		blk = blocking.Generate(k1, k2, blocking.Options{
 			Threshold: cfg.LabelSimThreshold,
-			Runner:    cfg.scheduler(),
+			Runner:    pool,
 		})
 		cfg.Obs.StageEnd(obs.StageBlock, tb)
 	}
@@ -161,11 +161,11 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	ts := cfg.Obs.StageStart()
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold
-	amOpts.Runner = cfg.scheduler()
+	amOpts.Runner = pool
 	p.AttrMatches = attrmatch.FindMatches(k1, k2, p.Initial, amOpts)
 
 	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
-	p.Builder.SetRunner(cfg.scheduler())
+	p.Builder.SetRunner(pool)
 	p.dim = p.Builder.Dim()
 	if retained == nil {
 		cands := make([]pair.Pair, len(blk.Candidates))
@@ -234,7 +234,7 @@ func (p *Prepared) fitConsistency(seeds []pair.Pair, fit func([]consistency.Obse
 	st := newSeedStats(p, seeds)
 	labels := p.Graph.Labels()
 	ests := make([]consistency.Estimate, len(labels))
-	p.Cfg.scheduler().ForEach(len(labels), func(i int) {
+	pool.ForEach(len(labels), func(i int) {
 		ests[i] = fit(st.labels[i].obs, consistency.DefaultOptions())
 	})
 	out := make(map[ergraph.RelPair]consistency.Estimate, len(labels))

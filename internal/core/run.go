@@ -21,13 +21,16 @@ type Result struct {
 	Propagated pair.Set
 	// IsolatedPredicted are matches predicted by the random forest.
 	IsolatedPredicted pair.Set
-	// NonMatches are pairs resolved negative by workers.
+	// NonMatches are pairs resolved negative by workers, or by the 1:1
+	// entity constraint when a competitor was confirmed (and, under
+	// Config.Hybrid, by dominance).
 	NonMatches pair.Set
 	// Questions is the number of distinct questions asked.
 	Questions int
 	// Deduced is the number of selected questions skipped because their
-	// verdict was already implied by recorded answers (Config.Deduce):
-	// crowd questions saved by deduction.
+	// verdict was already implied by recorded answers: crowd questions
+	// saved by deduction, always 0 unless Config.Deduce (Options.Deduce
+	// in the public API) is on.
 	Deduced int
 	// Loops is the number of human-machine loops executed.
 	Loops int
@@ -252,7 +255,7 @@ func (l *Loop) rebuildShards(needs func(s int) bool) {
 		}
 	}
 	errs := make([]error, len(rebuild))
-	l.p.Cfg.scheduler().ForEach(len(rebuild), func(i int) {
+	pool.ForEach(len(rebuild), func(i int) {
 		errs[i] = l.r.Rebuild(rebuild[i], l.est)
 		l.shards[rebuild[i]].dirty = true
 	})

@@ -349,7 +349,7 @@ type localRunner struct {
 // counters.
 func NewLocalRunner(p *Prepared) (ShardRunner, error) {
 	lr := &localRunner{states: make([]*ShardState, len(p.shards))}
-	p.Cfg.scheduler().ForEach(len(p.shards), func(s int) {
+	pool.ForEach(len(p.shards), func(s int) {
 		lr.states[s] = NewShardState(p.shards[s])
 	})
 	return lr, nil

@@ -5,13 +5,15 @@ import (
 	"sync"
 )
 
-// Scheduler bounds the goroutines the sharded pipeline fans out: per-shard
-// propagation syncs, candidate gathering, question selection and
-// re-estimation rebuilds all draw workers from one token pool. Sessions
-// running under one session.Manager share a single Scheduler, so many
-// concurrent loops cannot oversubscribe the machine — the pool is the
-// "single global scheduler" the shards are driven by. A Scheduler is safe
-// for concurrent use.
+// Scheduler is a token pool bounding the goroutines a fan-out starts. The
+// pipeline's shard-level tasks — per-shard propagation syncs, candidate
+// gathering, question selection, re-estimation rebuilds and the
+// pre-pipeline's parallel stages — all draw on one package-level pool
+// sized at GOMAXPROCS, so every loop and session in the process shares it
+// and concurrent loops cannot oversubscribe the machine. Each engine's
+// Dijkstra fan-out (propagation's inferSources) starts its own GOMAXPROCS
+// workers inside a shard task instead: ForEach must not nest. A Scheduler
+// is safe for concurrent use.
 type Scheduler struct {
 	sem chan struct{}
 }
@@ -25,9 +27,9 @@ func NewScheduler(workers int) *Scheduler {
 	return &Scheduler{sem: make(chan struct{}, workers)}
 }
 
-// defaultScheduler serves loops whose Config carries no scheduler:
-// standalone sessions and direct Prepared.Run callers.
-var defaultScheduler = NewScheduler(0)
+// pool is the process's one shard-work pool: every pipeline and loop
+// fans out on it.
+var pool = NewScheduler(0)
 
 // ForEach runs fn(0) … fn(n-1), fanning across up to the scheduler's
 // worker bound. It returns when every call has finished. fn must not call
@@ -54,13 +56,4 @@ func (s *Scheduler) ForEach(n int, fn func(int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// scheduler resolves the Config's scheduler, falling back to the
-// process-wide default.
-func (c *Config) scheduler() *Scheduler {
-	if c.Sched != nil {
-		return c.Sched
-	}
-	return defaultScheduler
 }

@@ -122,7 +122,7 @@ func (p *Prepared) initShards() {
 		return row
 	}, resolveShardCount(p.Cfg.Shards, len(connected)))
 	p.shards = make([]*Shard, p.Part.NumShards())
-	p.Cfg.scheduler().ForEach(len(p.shards), func(s int) {
+	pool.ForEach(len(p.shards), func(s int) {
 		sub := g.Subgraph(p.Part.Shard(s))
 		n := sub.NumVertices()
 		sh := &Shard{

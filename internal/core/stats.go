@@ -83,7 +83,7 @@ func newSeedStats(p *Prepared, seeds []pair.Pair) *seedStats {
 		}
 		firsts = append(firsts, int32(i))
 	}
-	p.Cfg.scheduler().ForEach(len(labels), func(li int) {
+	pool.ForEach(len(labels), func(li int) {
 		ls := &st.labels[li]
 		for _, i := range firsts {
 			m := seeds[i]

@@ -20,9 +20,9 @@ type EngineCounters struct {
 // Pipeline bundles every instrumentation hook threaded through the
 // resolution pipeline: the per-stage LoopTrace plus the engine and loop
 // counters. core.Config carries one (nil disables instrumentation
-// entirely); the remp.Manager threads the same Pipeline into every
-// session it prepares, so one server-wide set of series aggregates all
-// sessions. All methods are nil-receiver-safe.
+// entirely); the HTTP server threads the same Pipeline into every session
+// it prepares (remp.PreparePipelineWith), so one server-wide set of
+// series aggregates all sessions. All methods are nil-receiver-safe.
 type Pipeline struct {
 	// Trace times the loop stages; nil disables timing.
 	Trace *LoopTrace

@@ -311,7 +311,7 @@ func NewServer(cfg Config) (*Server, []string, error) {
 	}
 	s.mgr = session.NewManagerStore(store)
 	s.plans = NewPlanCache(func(ds remp.Dataset, opts remp.Options) (*core.Prepared, error) {
-		return remp.PreparePipelineWith(ds, opts, s.mgr.Scheduler(), metrics.pipe)
+		return remp.PreparePipelineWith(ds, opts, metrics.pipe)
 	}, metrics.reg)
 	if co != nil {
 		s.plans.runner = co.Runner

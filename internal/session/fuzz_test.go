@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -121,6 +122,30 @@ func FuzzRestoreSession(f *testing.F) {
 		}
 		if _, err := EncodeSnapshot(restored.Snapshot()); err != nil {
 			t.Fatalf("snapshot after answer-log replay failed: %v", err)
+		}
+	})
+}
+
+// FuzzParseQuestionID holds the question-ID parser to fail-closed: an
+// accepted id is exactly what QuestionID prints for the pair it names,
+// both entities non-negative, so no second spelling can answer a
+// question; and every non-negative int32 pair round-trips through
+// QuestionID. The seeds are the aliases a lenient parser accepts: a U1
+// wrapped past int32, one past int32's range, a sign, a leading zero.
+func FuzzParseQuestionID(f *testing.F) {
+	for _, id := range []string{"4294967297-0", "2147483648-5", "+1-0", "01-0", "1-+0", "0-0", "12-7"} {
+		f.Add(id, int32(1), int32(0))
+	}
+	f.Add("2147483647-2147483647", int32(math.MaxInt32), int32(math.MaxInt32))
+	f.Fuzz(func(t *testing.T, id string, u1, u2 int32) {
+		if p, err := ParseQuestionID(id); err == nil {
+			if p.U1 < 0 || p.U2 < 0 || QuestionID(p) != id {
+				t.Fatalf("ParseQuestionID(%q) accepted %+v (canonical %q)", id, p, QuestionID(p))
+			}
+		}
+		want := pair.Pair{U1: kb.EntityID(u1 & math.MaxInt32), U2: kb.EntityID(u2 & math.MaxInt32)}
+		if got, err := ParseQuestionID(QuestionID(want)); err != nil || got != want {
+			t.Fatalf("ParseQuestionID(QuestionID(%+v)) = %+v, %v", want, got, err)
 		}
 	})
 }

@@ -28,10 +28,11 @@ var ErrRunner = errors.New("session: shard runner failed")
 // caches they share. Sessions created in the same namespace — the same
 // dataset, by convention — exchange answers through one Cache; distinct
 // namespaces are fully isolated (entity IDs are only meaningful within one
-// dataset). The Manager also owns one core.Scheduler: every session's
-// sharded pipeline draws its shard workers from this shared pool, so any
-// number of concurrent sessions fan out at most GOMAXPROCS shard tasks
-// machine-wide.
+// dataset). Every session's sharded pipeline draws its shard-level tasks
+// from core's one GOMAXPROCS pool, shared by every loop in the process, so
+// any number of managers and sessions fan out at most GOMAXPROCS shard
+// tasks at once. Each engine's Dijkstra fan-out starts its own GOMAXPROCS
+// workers inside a shard task (a pool task must not fan out on the pool).
 //
 // Every managed session is journaled into the Manager's Store: the
 // session's pipeline meta and its snapshot at registration, then one log
@@ -44,7 +45,6 @@ type Manager struct {
 	sessions     map[string]*Session
 	caches       map[string]*Cache
 	nextID       int
-	sched        *core.Scheduler
 	store        Store
 	persistFails atomic.Int64
 	walReplayed  atomic.Int64
@@ -60,15 +60,9 @@ func NewManagerStore(store Store) *Manager {
 	return &Manager{
 		sessions: make(map[string]*Session),
 		caches:   make(map[string]*Cache),
-		sched:    core.NewScheduler(0),
 		store:    store,
 	}
 }
-
-// Scheduler returns the manager's shared shard-work scheduler. Callers
-// preparing pipelines for managed sessions should place it in
-// core.Config.Sched so shard fan-out is bounded across all sessions.
-func (m *Manager) Scheduler() *core.Scheduler { return m.sched }
 
 // PersistFailures returns how many sessions have had a journal append
 // fail; non-zero means at least one session's durable state is stale

@@ -57,18 +57,18 @@ func QuestionID(q pair.Pair) string {
 	return strconv.Itoa(int(q.U1)) + "-" + strconv.Itoa(int(q.U2))
 }
 
-// ParseQuestionID inverts QuestionID.
+// ParseQuestionID inverts QuestionID. It accepts only the canonical form
+// QuestionID prints for non-negative entity IDs — no sign, no leading
+// zero, each side within int32 — so no two IDs name one question.
 func ParseQuestionID(id string) (pair.Pair, error) {
-	u1s, u2s, ok := strings.Cut(id, "-")
-	if !ok {
+	u1s, u2s, _ := strings.Cut(id, "-")
+	u1, err1 := strconv.ParseInt(u1s, 10, 32)
+	u2, err2 := strconv.ParseInt(u2s, 10, 32)
+	q := pair.Pair{U1: kb.EntityID(u1), U2: kb.EntityID(u2)}
+	if err1 != nil || err2 != nil || u1 < 0 || u2 < 0 || QuestionID(q) != id {
 		return pair.Pair{}, fmt.Errorf("session: malformed question id %q (want \"u1-u2\")", id)
 	}
-	u1, err1 := strconv.Atoi(u1s)
-	u2, err2 := strconv.Atoi(u2s)
-	if err1 != nil || err2 != nil || u1 < 0 || u2 < 0 {
-		return pair.Pair{}, fmt.Errorf("session: malformed question id %q (want \"u1-u2\")", id)
-	}
-	return pair.Pair{U1: kb.EntityID(u1), U2: kb.EntityID(u2)}, nil
+	return q, nil
 }
 
 // DeducedWorkerID is the reserved worker ID of answers synthesized by

@@ -160,6 +160,20 @@ func TestSessionRejectsBadDeliveries(t *testing.T) {
 	if err := s.Deliver("999999-999999", FromCrowd(oracleLabels(gold, batch[0].Pair))); err == nil {
 		t.Error("answer for a question outside the open batch accepted")
 	}
+	// Spellings that name the open question without being its ID: U1
+	// wrapped past int32, a sign, a leading zero.
+	q := batch[0].Pair
+	for _, id := range []string{
+		fmt.Sprintf("%d-%d", int64(q.U1)+1<<32, q.U2),
+		fmt.Sprintf("+%d-%d", q.U1, q.U2),
+		fmt.Sprintf("0%d-%d", q.U1, q.U2),
+		fmt.Sprintf("%d-+%d", q.U1, q.U2),
+		fmt.Sprintf("%d-0%d", q.U1, q.U2),
+	} {
+		if err := s.Deliver(id, FromCrowd(oracleLabels(gold, q))); err == nil {
+			t.Errorf("non-canonical id %q accepted for question %s", id, batch[0].ID)
+		}
+	}
 	if err := s.Deliver(batch[0].ID, nil); err == nil {
 		t.Error("answer without labels accepted")
 	}

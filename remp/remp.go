@@ -122,28 +122,14 @@ type RunnerFactory = core.RunnerFactory
 // Asker abstracts a crowdsourcing platform.
 type Asker = core.Asker
 
-// CrowdConfig configures the simulated crowd (see crowd.Config).
-type CrowdConfig struct {
-	NumWorkers         int
-	WorkersPerQuestion int
-	// ErrorRate > 0 gives every worker quality 1−ErrorRate; otherwise
-	// worker quality is drawn from [QualityLow, QualityHigh].
-	ErrorRate               float64
-	QualityLow, QualityHigh float64
-	Seed                    int64
-}
+// CrowdConfig configures the simulated crowd: pool size, redundancy and
+// worker quality (see crowd.Config).
+type CrowdConfig = crowd.Config
 
 // NewSimulatedCrowd builds a simulated crowdsourcing platform answering
 // from the given truth oracle.
 func NewSimulatedCrowd(oracle func(Pair) bool, cfg CrowdConfig) Asker {
-	return crowd.NewPlatform(oracle, crowd.Config{
-		NumWorkers:         cfg.NumWorkers,
-		WorkersPerQuestion: cfg.WorkersPerQuestion,
-		ErrorRate:          cfg.ErrorRate,
-		QualityLow:         cfg.QualityLow,
-		QualityHigh:        cfg.QualityHigh,
-		Seed:               cfg.Seed,
-	})
+	return crowd.NewPlatform(oracle, cfg)
 }
 
 // NewOracleCrowd builds a perfect single-worker platform (ground-truth
@@ -152,26 +138,9 @@ func NewOracleCrowd(oracle func(Pair) bool) Asker {
 	return core.NewOracleAsker(oracle)
 }
 
-// Result is the outcome of a Resolve run.
-type Result struct {
-	// Matches is the final match set.
-	Matches map[Pair]struct{}
-	// Confirmed, Propagated and IsolatedPredicted split Matches by origin:
-	// worker-labeled, graph-inferred, and classifier-predicted.
-	Confirmed         map[Pair]struct{}
-	Propagated        map[Pair]struct{}
-	IsolatedPredicted map[Pair]struct{}
-	// NonMatches are pairs resolved negative by workers (or by the 1:1
-	// entity constraint when a competitor was confirmed).
-	NonMatches map[Pair]struct{}
-	// Questions is the number of distinct questions asked.
-	Questions int
-	// Deduced is the number of selected questions answered by deduction
-	// instead of the crowd (always 0 unless Options.Deduce).
-	Deduced int
-	// Loops is the number of human-machine loops executed.
-	Loops int
-}
+// Result is the outcome of a Resolve run: the final match set split by
+// origin, the non-matches, and the questions, deductions and loops spent.
+type Result = core.Result
 
 // ErrNilInput is returned when a KB or the asker is missing.
 var ErrNilInput = errors.New("remp: nil knowledge base or asker")
@@ -220,17 +189,15 @@ func configFromOptions(opts Options) (core.Config, error) {
 // share the pipeline itself (the repository benchmark); ordinary API
 // consumers want NewPipeline or Resolve instead.
 func PreparePipeline(ds Dataset, opts Options) (*core.Prepared, error) {
-	return PreparePipelineWith(ds, opts, nil, nil)
+	return PreparePipelineWith(ds, opts, nil)
 }
 
-// PreparePipelineWith is PreparePipeline for callers that run many
-// sessions over their pipelines, such as the HTTP server: sched is the
-// shard-work scheduler the pipeline draws on (a session.Manager's shared
-// pool, so concurrent sessions cannot oversubscribe the machine), and o
-// instruments it with loop-stage timings and engine counters. A nil sched
-// keeps the process-wide default, and a nil o leaves the pipeline
-// uninstrumented.
-func PreparePipelineWith(ds Dataset, opts Options, sched *core.Scheduler, o *obs.Pipeline) (*core.Prepared, error) {
+// PreparePipelineWith is PreparePipeline instrumented by o with loop-stage
+// timings and engine counters, for callers that serve many sessions, such
+// as the HTTP server; a nil o leaves the pipeline uninstrumented. Every
+// pipeline draws its shard work from core's one process-wide pool, so
+// concurrent sessions cannot oversubscribe the machine.
+func PreparePipelineWith(ds Dataset, opts Options, o *obs.Pipeline) (*core.Prepared, error) {
 	if ds.K1 == nil || ds.K2 == nil {
 		return nil, ErrNilInput
 	}
@@ -238,7 +205,6 @@ func PreparePipelineWith(ds Dataset, opts Options, sched *core.Scheduler, o *obs
 	if err != nil {
 		return nil, err
 	}
-	cfg.Sched = sched
 	cfg.Obs = o
 	return core.Prepare(ds.K1, ds.K2, cfg), nil
 }
@@ -284,11 +250,7 @@ func (p *Pipeline) Run(asker Asker) (*Result, error) {
 	if asker == nil {
 		return nil, ErrNilInput
 	}
-	res, err := p.prepared.NewLoop().Run(asker)
-	if err != nil {
-		return nil, err
-	}
-	return fromCoreResult(res), nil
+	return p.prepared.NewLoop().Run(asker)
 }
 
 // CandidatePairs returns the retained entity pairs (the ER graph's

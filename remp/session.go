@@ -84,7 +84,7 @@ func (s *Session) Deliver(questionID string, labels []Label) error {
 
 // Result returns a detached copy of the session's result; final once Done.
 func (s *Session) Result() *Result {
-	return fromCoreResult(s.s.Result())
+	return s.s.Result()
 }
 
 // PersistErr returns the sticky journal error of a store-backed
@@ -171,19 +171,18 @@ func OpenManager(store Store, reopen ReopenFunc) (*Manager, []string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		p, err := PreparePipelineWith(ds, opts, m.m.Scheduler(), nil)
+		p, err := PreparePipelineWith(ds, opts, nil)
 		return p, namespace, err
 	})
 	return m, ids, err
 }
 
 // NewSession prepares a pipeline and starts a managed session over it in
-// the namespace. The pipeline's shard work draws on the manager's shared
-// scheduler, so concurrent sessions cannot oversubscribe the machine. meta is stored with the session and handed back to the
-// reopen function on recovery; pass nil when the manager's store does
-// not outlive the process.
+// the namespace. meta is stored with the session and handed back to the
+// reopen function on recovery; pass nil when the manager's store does not
+// outlive the process.
 func (m *Manager) NewSession(ds Dataset, opts Options, namespace string, meta []byte) (*Session, error) {
-	p, err := PreparePipelineWith(ds, opts, m.m.Scheduler(), nil)
+	p, err := PreparePipelineWith(ds, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -215,17 +214,3 @@ func (m *Manager) SessionIDs() []string { return m.m.IDs() }
 
 // Close closes the store; acknowledged answers are already durable.
 func (m *Manager) Close() error { return m.m.Close() }
-
-// fromCoreResult converts the pipeline result to the public shape.
-func fromCoreResult(res *core.Result) *Result {
-	return &Result{
-		Matches:           res.Matches,
-		Confirmed:         res.Confirmed,
-		Propagated:        res.Propagated,
-		IsolatedPredicted: res.IsolatedPredicted,
-		NonMatches:        res.NonMatches,
-		Questions:         res.Questions,
-		Deduced:           res.Deduced,
-		Loops:             res.Loops,
-	}
-}
