@@ -2,10 +2,10 @@ package repro
 
 // Ablation benchmarks for the choices where the implementation departs
 // from or extends the paper: the exact bitmask-DP posterior versus the
-// local-exclusion approximation, per-loop edge re-estimation, and the
-// hybrid (partial-order + propagation) future-work extension. The
-// Dijkstra-based InferAll versus the paper-faithful Floyd–Warshall
-// variant of Algorithm 2 is in internal/propagation/ablation_test.go.
+// local-exclusion approximation, and the full pipeline with and without
+// the isolated-pair forest. The Dijkstra-based InferAll versus the
+// paper-faithful Floyd–Warshall variant of Algorithm 2 is in
+// internal/propagation/ablation_test.go.
 
 import (
 	"testing"
@@ -66,18 +66,6 @@ func denseNeighborhood(n int) *propagation.Neighborhood {
 // default configuration.
 func BenchmarkAblation_RempPlain(b *testing.B) {
 	benchPipeline(b, func(cfg *core.Config) {})
-}
-
-// BenchmarkAblation_RempNoReestimate disables per-loop consistency and
-// edge re-estimation (§VII-A).
-func BenchmarkAblation_RempNoReestimate(b *testing.B) {
-	benchPipeline(b, func(cfg *core.Config) { cfg.Reestimate = false })
-}
-
-// BenchmarkAblation_RempHybrid enables the partial-order + propagation
-// hybrid (the paper's §IX future work).
-func BenchmarkAblation_RempHybrid(b *testing.B) {
-	benchPipeline(b, func(cfg *core.Config) { cfg.Hybrid = true })
 }
 
 // BenchmarkAblation_RempNoClassifier disables the isolated-pair forest.

@@ -35,9 +35,6 @@ type Config struct {
 	Strategy selection.Strategy
 	// ClassifyIsolated enables the random-forest fallback of §VII-B.
 	ClassifyIsolated bool
-	// Reestimate re-fits relationship consistency and edge probabilities
-	// after each loop using the newly confirmed matches (§VII-A).
-	Reestimate bool
 	// Seed drives the forest's randomness.
 	Seed int64
 	// Progress, when non-nil, is invoked after every answered question
@@ -61,12 +58,6 @@ type Config struct {
 	// prefix, so sharded, asynchronous and clustered runs with Deduce on
 	// stay byte-identical to a synchronous Deduce-on oracle run.
 	Deduce bool
-	// Hybrid enables the paper's future-work extension (§IX): partial-
-	// order inference is combined with relational propagation, so each
-	// loop's labels additionally resolve unresolved pairs by vector
-	// dominance — a pair dominating a confirmed match becomes a match, a
-	// pair dominated by a confirmed non-match becomes a non-match.
-	Hybrid bool
 	// Shards splits the candidate-pair graph's vertices that have an edge
 	// into independent shards of connected components (over relational
 	// edges) whose propagation, selection and answer application run
@@ -106,7 +97,6 @@ func DefaultConfig() Config {
 		Thresholds:        crowd.DefaultThresholds(),
 		Strategy:          selection.Greedy{},
 		ClassifyIsolated:  true,
-		Reestimate:        true,
 		Seed:              1,
 	}
 }

@@ -271,3 +271,42 @@ func TestOracleAskerCountsDistinct(t *testing.T) {
 		t.Errorf("NumQuestions = %d, want 2", o.NumQuestions())
 	}
 }
+
+// TestEntityBlocksKeepVertexOrder: resolveCompetitors visits a confirmed
+// match's same-entity competitors through Prepared.blocks, and its
+// detaches reach the shard runners in that order.
+// Over a random retained set handed to PrepareOnRetained in non-pair
+// order, every block must read exactly as the per-entity map the index
+// replaced: filled by appending vertex indexes in vertex order.
+func TestEntityBlocksKeepVertexOrder(t *testing.T) {
+	k1, k2, _ := movieWorld(6, 7)
+	full := Prepare(k1, k2, DefaultConfig())
+	retained := slices.Clone(full.Retained)
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(retained), func(i, j int) { retained[i], retained[j] = retained[j], retained[i] })
+	retained = retained[:len(retained)*3/4]
+	p := PrepareOnRetained(k1, k2, DefaultConfig(), retained, testBlocking(k1, k2))
+	if !slices.Equal(p.Graph.Vertices(), retained) {
+		t.Fatal("vertex order is not the retained order")
+	}
+
+	by1 := map[kb.EntityID][]int32{}
+	by2 := map[kb.EntityID][]int32{}
+	for i, v := range p.Graph.Vertices() {
+		by1[v.U1] = append(by1[v.U1], int32(i))
+		by2[v.U2] = append(by2[v.U2], int32(i))
+	}
+	shared := 0
+	for i, v := range p.Graph.Vertices() {
+		got := p.blocks(i)
+		if !slices.Equal(got[0], by1[v.U1]) || !slices.Equal(got[1], by2[v.U2]) {
+			t.Fatalf("blocks(%v) = %v, want [%v %v]", v, got, by1[v.U1], by2[v.U2])
+		}
+		if len(got[0]) > 1 || len(got[1]) > 1 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no entity is in two retained pairs: the test compares nothing")
+	}
+}

@@ -54,8 +54,6 @@ func TestRunIncrementalMatchesFullResync(t *testing.T) {
 		mod  func(*Config)
 	}{
 		{"default", func(c *Config) {}},
-		{"no-reestimate", func(c *Config) { c.Reestimate = false }},
-		{"hybrid", func(c *Config) { c.Hybrid = true }},
 		{"budgeted", func(c *Config) { c.Budget = 12; c.Mu = 3 }},
 		{"exhaust", func(c *Config) { c.ExhaustBudget = true; c.Budget = 20 }},
 	}
@@ -88,35 +86,34 @@ func TestRunIncrementalMatchesFullResync(t *testing.T) {
 		assertResultsIdentical(t, run(false), run(true))
 	})
 
-	// Hybrid × Deduce × shard count on the clustered graph, whose relation
-	// families give shards disjoint labels, under a fallible crowd: wrong
+	// Deduce × shard count on the clustered graph, whose relation families
+	// give shards disjoint labels, under a fallible crowd: wrong
 	// confirmations, hard questions and competitor detaches all feed
-	// re-estimation here.
+	// re-estimation here. The hybrid=false segment keeps the subtest names
+	// stable across the removal of the loop's partial-order mode.
 	ds := datasets.Clustered(24, 10, 7)
-	for _, hybrid := range []bool{false, true} {
-		for _, ded := range []bool{false, true} {
-			for _, shards := range []int{1, 4} {
-				t.Run(fmt.Sprintf("hybrid=%v/deduce=%v/shards=%d", hybrid, ded, shards), func(t *testing.T) {
-					run := func(fullResync bool) *Result {
-						cfg := DefaultConfig()
-						cfg.Hybrid, cfg.Deduce, cfg.Shards = hybrid, ded, shards
-						cfg.debugFullResync = fullResync
-						p := Prepare(ds.K1, ds.K2, cfg)
-						if p.NumShards() != shards {
-							t.Fatalf("fixture produced %d shards, want %d", p.NumShards(), shards)
-						}
-						platform := crowd.NewPlatform(ds.Gold.IsMatch, crowd.Config{
-							NumWorkers: 20, WorkersPerQuestion: 3, ErrorRate: 0.15, Seed: 9,
-						})
-						return p.Run(platform)
+	for _, ded := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("hybrid=false/deduce=%v/shards=%d", ded, shards), func(t *testing.T) {
+				run := func(fullResync bool) *Result {
+					cfg := DefaultConfig()
+					cfg.Deduce, cfg.Shards = ded, shards
+					cfg.debugFullResync = fullResync
+					p := Prepare(ds.K1, ds.K2, cfg)
+					if p.NumShards() != shards {
+						t.Fatalf("fixture produced %d shards, want %d", p.NumShards(), shards)
 					}
-					res := run(false)
-					if res.Loops < 2 {
-						t.Fatalf("fixture too easy: %d loops, re-estimation never ran", res.Loops)
-					}
-					assertResultsIdentical(t, res, run(true))
-				})
-			}
+					platform := crowd.NewPlatform(ds.Gold.IsMatch, crowd.Config{
+						NumWorkers: 20, WorkersPerQuestion: 3, ErrorRate: 0.15, Seed: 9,
+					})
+					return p.Run(platform)
+				}
+				res := run(false)
+				if res.Loops < 2 {
+					t.Fatalf("fixture too easy: %d loops, re-estimation never ran", res.Loops)
+				}
+				assertResultsIdentical(t, res, run(true))
+			})
 		}
 	}
 
@@ -152,15 +149,15 @@ func TestRunIsDeterministic(t *testing.T) {
 }
 
 // TestRunRecomputesOnlyDirtySources counts single-source Dijkstra
-// invocations across a whole Run: with re-estimation off (no full
-// rebuilds), the incremental engines must pay the initial n — one ball per
-// engine vertex, the vertices with an edge — plus only the dirtied balls,
-// strictly less than the n-per-dirty-loop the historical policy re-ran.
+// invocations across a whole Run: the incremental engines must pay the
+// initial n — one ball per engine vertex, the vertices with an edge — plus
+// only the balls dirtied since, whether by an answer or by a
+// re-estimation rebuild that rewrote an edge they can see, strictly less
+// than the n-per-dirty-loop the historical policy re-ran.
 func TestRunRecomputesOnlyDirtySources(t *testing.T) {
 	k1, k2, gold := movieWorld(10, 13)
 	cfg := DefaultConfig()
 	cfg.Mu = 3 // small batches force several loops
-	cfg.Reestimate = false
 	cfg.ClassifyIsolated = false
 	p := Prepare(k1, k2, cfg)
 	l := p.NewLoop()

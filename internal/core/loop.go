@@ -19,8 +19,8 @@ type LoopState string
 // Loop states. A loop is born Awaiting (or Done, when the stop criterion
 // already holds on the prepared graph) and every transition is driven by
 // Deliver: once the open batch drains, the machine advances through the
-// batch tail (hybrid inference, re-estimation, budget check) and either
-// publishes the next batch or finishes.
+// batch tail (re-estimation, budget check) and either publishes the next
+// batch or finishes.
 const (
 	// LoopAwaiting means a batch of questions is published and at least
 	// one answer is still outstanding.
@@ -85,10 +85,9 @@ type loopShard struct {
 // selected against the engine snapshot taken at the loop top; answers are
 // buffered and applied in the batch's selection order (the order Run asks
 // them), so out-of-order delivery cannot change a single resolved pair;
-// when the batch drains the loop tail runs (hybrid inference,
-// re-estimation, budget check) and the next batch is selected, until the
-// paper's stop criterion halts the loop and the isolated-pair classifier
-// finalizes the result.
+// when the batch drains the loop tail runs (re-estimation, budget check)
+// and the next batch is selected, until the paper's stop criterion halts
+// the loop and the isolated-pair classifier finalizes the result.
 //
 // When the pipeline is sharded, each shard runs its propagation engine,
 // candidate gathering, question selection and re-estimation rebuild
@@ -484,22 +483,17 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 	}
 }
 
-// batchTail runs the work Run performs after a batch of µ answers: hybrid
-// monotone inference, re-estimation and the budget stop, then advances to
-// the next batch.
+// batchTail runs the work Run performs after a batch of µ answers:
+// re-estimation, once a worker has confirmed a match, and the budget stop,
+// then advances to the next batch.
 func (l *Loop) batchTail() {
 	cfg := l.p.Cfg
 	if l.err != nil {
 		return
 	}
-	if cfg.Hybrid || (cfg.Reestimate && l.res.Confirmed.Len() > 0) {
+	if l.res.Confirmed.Len() > 0 {
 		t0 := cfg.Obs.StageStart()
-		if cfg.Hybrid {
-			l.monotoneInference()
-		}
-		if cfg.Reestimate && l.res.Confirmed.Len() > 0 && l.err == nil {
-			l.reestimate()
-		}
+		l.reestimate()
 		cfg.Obs.StageEnd(obs.StageReestimate, t0)
 		if l.err != nil {
 			return
@@ -625,9 +619,12 @@ func (l *Loop) openBatch() {
 		l.finish()
 		return
 	}
-	mu := cfg.Mu
-	if cfg.Budget > 0 && l.res.Questions+mu > cfg.Budget {
-		mu = cfg.Budget - l.res.Questions
+	// A batch holds at most every candidate. µ comes from the client
+	// unbounded: it is clamped before anything is sized by it, and the
+	// budget clamp subtracts, since Questions+µ can overflow.
+	mu := min(cfg.Mu, candidates)
+	if cfg.Budget > 0 {
+		mu = min(mu, cfg.Budget-l.res.Questions)
 		if mu <= 0 {
 			cfg.Obs.StageEnd(obs.StageSelect, tSelect)
 			l.finish()

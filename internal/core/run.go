@@ -22,8 +22,7 @@ type Result struct {
 	// IsolatedPredicted are matches predicted by the random forest.
 	IsolatedPredicted pair.Set
 	// NonMatches are pairs resolved negative by workers, or by the 1:1
-	// entity constraint when a competitor was confirmed (and, under
-	// Config.Hybrid, by dominance).
+	// entity constraint when a competitor was confirmed.
 	NonMatches pair.Set
 	// Questions is the number of distinct questions asked.
 	Questions int

@@ -23,8 +23,6 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 		mod  func(*Config)
 	}{
 		{"default", func(c *Config) {}},
-		{"no-reestimate", func(c *Config) { c.Reestimate = false }},
-		{"hybrid", func(c *Config) { c.Hybrid = true }},
 		{"budgeted", func(c *Config) { c.Budget = 12; c.Mu = 3 }},
 		{"exhaust", func(c *Config) { c.ExhaustBudget = true; c.Budget = 20 }},
 		{"maxinf", func(c *Config) { c.Strategy = selection.MaxInf{} }},
@@ -200,7 +198,7 @@ type splitFixture struct {
 }
 
 // splitFixtures returns graphs that are 0 %, about half and 100 % isolated
-// (the last twice: with Deduce and Hybrid on, and off). The all-isolated
+// (the last twice: with Deduce on, and off). The all-isolated
 // ones run past the stop criterion — nothing propagates there — to a budget,
 // under the fickle crowd and an accept threshold no prior reaches alone, so
 // hard questions, wrong verdicts and competitor cascades all land on
@@ -220,13 +218,13 @@ func splitFixtures() (k1, k2 *kb.KB, gold *pair.Gold, blk *blocking.Result, fixt
 		return func(c *Config) {
 			c.ExhaustBudget, c.Budget = true, 120
 			c.Thresholds = crowd.Thresholds{Accept: 0.995, Reject: 0.2}
-			c.Deduce, c.Hybrid = on, on
+			c.Deduce = on
 		}
 	}
 	return k1, k2, gold, testBlocking(k1, k2), []splitFixture{
 		{name: "isolated=0%", retained: connected, mod: func(*Config) {}},
 		{name: "isolated=50%", retained: base.Retained, minShare: 0.4, maxShare: 0.6, mod: func(*Config) {}},
-		{name: "isolated=100%/deduce+hybrid", retained: isolated, minShare: 1, maxShare: 1, mod: exhaust(true), fickle: true},
+		{name: "isolated=100%/deduce", retained: isolated, minShare: 1, maxShare: 1, mod: exhaust(true), fickle: true},
 		{name: "isolated=100%", retained: isolated, minShare: 1, maxShare: 1, mod: exhaust(false), fickle: true},
 	}
 }

@@ -27,8 +27,8 @@ const (
 	// StageApply is answer application: truth inference, match
 	// confirmation, competitor detachment, prior damping.
 	StageApply
-	// StageReestimate is the batch tail's model refresh: hybrid monotone
-	// inference plus consistency/probability re-estimation.
+	// StageReestimate is the batch tail's model refresh: consistency and
+	// edge-probability re-estimation.
 	StageReestimate
 	// StageClassify is the session-end isolated-pair classifier (§VII-B):
 	// one span per finished loop, covering signature grouping, every

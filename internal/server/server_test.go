@@ -295,8 +295,19 @@ func TestHTTPErrors(t *testing.T) {
 	if _, err := c.CreateSession(bad); err == nil || !strings.Contains(err.Error(), "Mu") {
 		t.Errorf("negative Mu accepted or error unhelpful: %v", err)
 	}
+	// µ reaches the loop as sent. Past every candidate it asks them all in
+	// one batch; sizing an allocation by it would kill the process. Deleting
+	// the session releases its answer-cache reservations on every pair.
+	bad.Options.Mu = 1 << 40
+	info, err := c.CreateSession(bad)
+	if err != nil || len(info.Batch) == 0 {
+		t.Fatalf("create with µ = 2^40: %v", err)
+	}
+	if err := c.Delete(info.ID); err != nil {
+		t.Fatal(err)
+	}
 
-	info, err := c.CreateSession(req)
+	info, err = c.CreateSession(req)
 	if err != nil {
 		t.Fatal(err)
 	}

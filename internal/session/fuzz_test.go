@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -146,6 +148,48 @@ func FuzzParseQuestionID(f *testing.F) {
 		want := pair.Pair{U1: kb.EntityID(u1 & math.MaxInt32), U2: kb.EntityID(u2 & math.MaxInt32)}
 		if got, err := ParseQuestionID(QuestionID(want)); err != nil || got != want {
 			t.Fatalf("ParseQuestionID(QuestionID(%+v)) = %+v, %v", want, got, err)
+		}
+	})
+}
+
+// FuzzDiskStoreGet holds the <id>.log reader to fail-closed: whatever
+// bytes a session's log holds, DiskStore.Get never panics; and a log it
+// accepts as open takes one more answer — the append truncates a torn
+// tail first — and then reads back with exactly that answer added after
+// the records it held.
+func FuzzDiskStoreGet(f *testing.F) {
+	const id = "s1"
+	ans := AnswerRec{U1: 3, U2: 4, Labels: []Label{{WorkerID: 1, Quality: 0.9, IsMatch: true}}}
+	create := `{"meta":"e30=","snapshot":{"version":1,"id":"s1"}}` + "\n"
+	answer := `{"seq":0,"answer":{"u1":3,"u2":4,"labels":[{"worker":1,"quality":0.9,"match":true}]}}` + "\n"
+	for _, seed := range []string{"", "\n", create, create + answer, create + answer + `{"seq":1,"done":true}` + "\n",
+		create + answer + `{"seq":1,"answer":{"u1":`, create + `{"seq":0}` + "\n"} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := NewDiskStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := os.WriteFile(d.logPath(id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := d.Get(id)
+		if err != nil || rec.Done {
+			return // corruption must error, never panic; a done log takes no answer
+		}
+		if err := d.AppendAnswer(id, len(rec.Log), ans, false); err != nil {
+			t.Fatalf("append to an accepted open log: %v", err)
+		}
+		after, err := d.Get(id)
+		if err != nil {
+			t.Fatalf("an accepted log no longer reads after one append: %v", err)
+		}
+		want := append(rec.Log, LogRec{Seq: len(rec.Log), Answer: ans})
+		if after.Done || !reflect.DeepEqual(after.Log, want) {
+			t.Fatalf("after one append the log reads %+v (done %v), want %+v", after.Log, after.Done, want)
 		}
 	})
 }

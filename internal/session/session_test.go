@@ -125,8 +125,6 @@ func TestSessionMatchesSynchronousRun(t *testing.T) {
 		{"default", nil},
 		{"budgeted", func(c *core.Config) { c.Budget = 9; c.Mu = 3 }},
 		{"max-loops", func(c *core.Config) { c.MaxLoops = 2 }},
-		{"hybrid", func(c *core.Config) { c.Hybrid = true }},
-		{"no-reestimate", func(c *core.Config) { c.Reestimate = false }},
 		{"exhaust", func(c *core.Config) { c.ExhaustBudget = true; c.Budget = 15 }},
 	}
 	for _, tc := range cases {

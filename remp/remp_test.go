@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
+	"repro/internal/datasets"
 	"repro/remp"
 )
 
@@ -205,6 +207,26 @@ func TestResolveRejectsInvalidTau(t *testing.T) {
 		if _, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), remp.Options{Tau: tau}); err != nil {
 			t.Errorf("Tau = %v rejected: %v", tau, err)
 		}
+	}
+}
+
+// TestResolveHugeMu: µ reaches the loop unbounded from a client (the
+// server's options.mu), so a batch must be sized by the candidates there
+// are, not by µ. Any µ past the candidate count asks everything in one
+// batch, the same run.
+func TestResolveHugeMu(t *testing.T) {
+	ds := datasets.Books(1)
+	resolve := func(mu int) *remp.Result {
+		res, err := remp.Resolve(remp.Dataset{K1: ds.K1, K2: ds.K2}, remp.NewOracleCrowd(ds.Gold.IsMatch), remp.Options{Mu: mu})
+		if err != nil {
+			t.Fatalf("Mu = %d: %v", mu, err)
+		}
+		return res
+	}
+	want, got := resolve(1<<20), resolve(1<<40)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Mu = 1<<40 resolved %d matches in %d questions, Mu = 1<<20 %d in %d",
+			len(got.Matches), got.Questions, len(want.Matches), want.Questions)
 	}
 }
 
