@@ -33,7 +33,7 @@ import (
 //     handle it replaces.
 //
 // Calls through interfaces are exempt by construction (no static
-// callee): the session persister journals through the Store interface
+// callee): a session journals through the Store interface
 // while holding the session mutex, and that is the design — per-ID
 // serialization — not a violation.
 var WALDurability = &analysis.Analyzer{

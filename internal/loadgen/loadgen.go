@@ -19,6 +19,7 @@
 package loadgen
 
 import (
+	crand "crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,6 +140,7 @@ type Report struct {
 // runner is the shared state of one load run.
 type runner struct {
 	cfg      Config
+	ref      string // client_ref prefix, unique to this run
 	ds       *datasets.Dataset
 	oracle   []byte // canonical JSON of the reference result
 	oraclePR Oracle
@@ -232,7 +234,14 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &runner{cfg: cfg, ds: ds, lat: make(map[string][]float64)}
+	// One nonce per run in every client ref: a second run with the same
+	// Config against the same server must create sessions of its own, not
+	// get the first run's finished ones back.
+	var nonce [8]byte
+	if _, err := crand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("loadgen: drawing the run nonce: %w", err)
+	}
+	r := &runner{cfg: cfg, ds: ds, ref: fmt.Sprintf("loadgen-%d-%x", cfg.Seed, nonce), lat: make(map[string][]float64)}
 	if cfg.Deadline > 0 {
 		r.deadline = time.Now().Add(cfg.Deadline)
 	}
@@ -375,12 +384,13 @@ func (r *runner) drive(i int) SessionOutcome {
 	var out SessionOutcome
 	// The client ref makes the create idempotent: a retried create whose
 	// first attempt was acknowledged server-side but lost to a crash
-	// returns the same session instead of spawning an orphan.
+	// returns the same session instead of spawning an orphan. Retries keep
+	// the ref; another run's refs differ in their nonce.
 	info, err := timed(r, "create", func() (*server.SessionInfo, error) {
 		return client.CreateSession(server.CreateRequest{
 			Dataset:   cfg.Dataset,
 			Seed:      cfg.DatasetSeed,
-			ClientRef: fmt.Sprintf("loadgen-%d-%03d", cfg.Seed, i),
+			ClientRef: fmt.Sprintf("%s-%03d", r.ref, i),
 			Options:   cfg.Options,
 		})
 	})

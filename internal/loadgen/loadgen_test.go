@@ -81,6 +81,47 @@ func TestLoadgenOracleEquivalence(t *testing.T) {
 	}
 }
 
+// TestLoadgenRunsDoNotShareSessions: each run creates sessions of its
+// own, even when an earlier run against the same server used the same
+// Seed, and so the same client_ref scheme. The second run changes only
+// the dataset seed, so the namespace's answer cache cannot answer it and
+// it must post answers; the third repeats the first run's Config, which
+// the cache may answer whole, but its sessions must still be new.
+func TestLoadgenRunsDoNotShareSessions(t *testing.T) {
+	ts := httptest.NewServer(server.New().Handler())
+	defer ts.Close()
+	cfg := Config{
+		BaseURL:     ts.URL,
+		Sessions:    2,
+		Dataset:     "books",
+		DatasetSeed: 7,
+		Options:     server.OptionsDTO{Mu: 5, Seed: 7},
+		Seed:        7,
+		Deadline:    2 * time.Minute,
+	}
+	other := cfg
+	other.DatasetSeed = 8
+	seen := map[string]int{}
+	for run, c := range []Config{cfg, other, cfg} {
+		report, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Completed != c.Sessions || !report.ResultsMatch {
+			t.Fatalf("run %d: %d/%d sessions completed, results match %v: %+v", run, report.Completed, c.Sessions, report.ResultsMatch, report.Outcomes)
+		}
+		if run < 2 && report.Answers == 0 {
+			t.Errorf("run %d posted no answers: it got sessions it did not create", run)
+		}
+		for _, o := range report.Outcomes {
+			if prev, dup := seen[o.ID]; dup {
+				t.Errorf("runs %d and %d both drove session %s", prev, run, o.ID)
+			}
+			seen[o.ID] = run
+		}
+	}
+}
+
 // TestHelperProcessServer is not a test: it is the remp-server process
 // the kill/restart drill below spawns and SIGKILLs. It serves with a
 // disk store until killed.

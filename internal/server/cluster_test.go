@@ -5,12 +5,14 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/session"
 	"repro/remp"
 )
 
@@ -249,25 +251,42 @@ func TestClusterCreateShipsShardsNotSpec(t *testing.T) {
 	t.Logf("spec %d bytes, wire %d bytes", len(req.KB1TSV)+len(req.KB2TSV), sent)
 }
 
-// TestCreateFailsWhenRunnerCannotStart: a clustered create whose shards no
-// worker takes is refused — 502, with the runner's reason in the body —
-// rather than answered 201 with a session that was dead at birth; no
-// session, no client ref and no hold on the plan stay behind.
-func TestCreateFailsWhenRunnerCannotStart(t *testing.T) {
+// deadCluster returns a server config whose only worker address has
+// nothing listening, with timeouts short enough that a shard placement
+// gives up within a second.
+func deadCluster(t *testing.T) Config {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := ln.Addr().String()
 	ln.Close() // nothing listens here any more
-	srv, _, err := NewServer(Config{Workers: []string{dead}, ClusterTuning: cluster.CoordinatorConfig{
+	return Config{Workers: []string{dead}, ClusterTuning: cluster.CoordinatorConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 		LivenessTimeout:   60 * time.Millisecond,
 		RPCTimeout:        100 * time.Millisecond,
 		OpTimeout:         300 * time.Millisecond,
 		BackoffBase:       2 * time.Millisecond,
 		BackoffMax:        20 * time.Millisecond,
-	}})
+	}}
+}
+
+// wantRunnerRefused checks that a request was refused with a 502 carrying
+// the shard runner's failure.
+func wantRunnerRefused(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "HTTP 502") || !strings.Contains(err.Error(), "shard runner failed") || !strings.Contains(err.Error(), "cluster:") {
+		t.Fatalf("%s over a dead cluster: %v, want a 502 carrying the runner's failure", what, err)
+	}
+}
+
+// TestCreateFailsWhenRunnerCannotStart: a clustered create whose shards no
+// worker takes is refused — 502, with the runner's reason in the body —
+// rather than answered 201 with a session that was dead at birth; no
+// session, no client ref and no hold on the plan stay behind.
+func TestCreateFailsWhenRunnerCannotStart(t *testing.T) {
+	srv, _, err := NewServer(deadCluster(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +296,129 @@ func TestCreateFailsWhenRunnerCannotStart(t *testing.T) {
 	_, _, req := fixture(t, 4)
 	req.ClientRef = "job"
 	_, err = NewClient(ts.URL).CreateSession(req)
-	if err == nil || !strings.Contains(err.Error(), "HTTP 502") || !strings.Contains(err.Error(), "shard runner failed") || !strings.Contains(err.Error(), "cluster:") {
-		t.Fatalf("create over a dead cluster: %v, want a 502 carrying the runner's failure", err)
-	}
+	wantRunnerRefused(t, "create", err)
 	if ids := srv.mgr.IDs(); len(ids) != 0 || len(srv.refs) != 0 || idlePlans(srv.plans) != 1 {
 		t.Fatalf("the refused create left sessions %v, %d refs and %d idle plans; want none, none and its plan idle", ids, len(srv.refs), idlePlans(srv.plans))
+	}
+}
+
+// TestRestoreFailsWhenRunnerCannotStart: a restore is refused exactly like
+// a create when no worker takes its shards — whether the snapshot was
+// taken at birth (nothing to replay) or after an answer — and leaves no
+// session, no store record, no client ref and no hold on the plan.
+func TestRestoreFailsWhenRunnerCannotStart(t *testing.T) {
+	_, gold, req := fixture(t, 4)
+	req.ClientRef = "job"
+	healthy, _ := newTestServer(t)
+	info, err := healthy.CreateSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	birth, err := healthy.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := healthy.PostAnswers(info.ID, []AnswerDTO{oracleAnswer(t, gold, info.Batch[0].ID)}); err != nil {
+		t.Fatal(err)
+	}
+	answered, err := healthy.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := deadCluster(t)
+	store := session.NewMemStore()
+	cfg.Store = store
+	srv, _, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	for _, tc := range []struct {
+		name string
+		snap *SnapshotDTO
+	}{{"birth", birth}, {"one answer", answered}} {
+		name := tc.name
+		_, err := c.Restore(tc.snap)
+		wantRunnerRefused(t, "restore of the "+name+" snapshot", err)
+		stored, lerr := store.List()
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		if ids := srv.mgr.IDs(); len(ids) != 0 || len(stored) != 0 || len(srv.refs) != 0 || idlePlans(srv.plans) != 1 {
+			t.Fatalf("the refused restore of the %s snapshot left sessions %v, records %v, %d refs and %d idle plans; want none, none, none and its plan idle",
+				name, ids, stored, len(srv.refs), idlePlans(srv.plans))
+		}
+	}
+}
+
+// TestRecoveryOverDeadClusterLeavesRecordsDormant: a restart whose only
+// worker is dead recovers nothing — each stored session fails with the
+// runner's error and its record stays in the store — and a later start
+// that can run the shards recovers them all.
+func TestRecoveryOverDeadClusterLeavesRecordsDormant(t *testing.T) {
+	_, gold, req := fixture(t, 4)
+	dir := t.TempDir()
+	start := func(cfg Config) (*Server, session.Store, []string, error) {
+		t.Helper()
+		store, err := session.NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = store
+		srv, recovered, err := NewServer(cfg)
+		if srv == nil {
+			t.Fatalf("no server: %v", err)
+		}
+		return srv, store, recovered, err
+	}
+
+	srv, _, _, err := start(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	c := NewClient(ts.URL)
+	var ids []string
+	var first *SessionInfo
+	for _, ref := range []string{"a", "b"} {
+		req.ClientRef = ref
+		info, err := c.CreateSession(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = info
+		}
+		ids = append(ids, info.ID)
+	}
+	// One logged answer, so a recovery has a log to replay and not only
+	// create records.
+	if _, err := c.PostAnswers(first.ID, []AnswerDTO{oracleAnswer(t, gold, first.Batch[0].ID)}); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	srv.Shutdown(context.Background())
+
+	srv, store, recovered, err := start(deadCluster(t))
+	if len(recovered) != 0 || err == nil || strings.Count(err.Error(), "shard runner failed") != len(ids) {
+		t.Fatalf("recovery over a dead cluster: recovered %v, error %v; want none, and the runner's failure for each of %v", recovered, err, ids)
+	}
+	stored, lerr := store.List()
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	if !slices.Equal(stored, ids) || len(srv.mgr.IDs()) != 0 || len(srv.refs) != 0 {
+		t.Fatalf("after the failed recovery: records %v, live sessions %v, %d refs; want records %v and nothing live", stored, srv.mgr.IDs(), len(srv.refs), ids)
+	}
+	srv.Shutdown(context.Background())
+
+	srv, _, recovered, err = start(Config{})
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	if err != nil || !slices.Equal(recovered, ids) {
+		t.Fatalf("recovery without workers: recovered %v, error %v; want %v", recovered, err, ids)
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/deduce"
 )
 
-// ErrSessionExists is returned by Manager.Restore when the snapshot's ID
-// is already registered.
+// ErrSessionExists is returned by Manager.Restore and Manager.Recover
+// when the session's ID is already live or claimed.
 var ErrSessionExists = errors.New("session: id already exists")
 
 // ErrPersist marks errors from the durable layer (the session Store):
@@ -20,8 +20,10 @@ var ErrSessionExists = errors.New("session: id already exists")
 // to a 5xx, not a client error.
 var ErrPersist = errors.New("session: persistence failure")
 
-// ErrRunner marks a Create whose loop was dead at birth: its shard runner
-// could not start (a cluster that would take no shard). No session exists.
+// ErrRunner marks a session whose loop was dead at birth: its shard runner
+// could not start (a cluster that would take no shard). Restore returns
+// it before replaying anything, so Create, Restore and Recover all refuse
+// such a session alike. No session exists.
 var ErrRunner = errors.New("session: shard runner failed")
 
 // Manager owns a set of concurrent sessions and the per-namespace answer
@@ -37,14 +39,16 @@ var ErrRunner = errors.New("session: shard runner failed")
 // Every managed session is journaled into the Manager's Store: the
 // session's pipeline meta and its snapshot at registration, then one log
 // append per applied answer. Recover rebuilds the sessions a previous
-// process left in the store. The default store is the in-memory MemStore
+// process left in the store. Create, Restore and Recover admit a session
+// one way: a replay of its snapshot (empty for Create) through Restore,
+// then the cache and store joins, then registration. The default store is the in-memory MemStore
 // (the same code path, no durability); give NewManagerStore a DiskStore
 // for crash-safe sessions. All methods are safe for concurrent use.
 type Manager struct {
 	mu           sync.Mutex
 	sessions     map[string]*Session
 	caches       map[string]*Cache
-	nextID       int
+	nextID       atomic.Int64
 	store        Store
 	persistFails atomic.Int64
 	walReplayed  atomic.Int64
@@ -107,10 +111,6 @@ func (m *Manager) DeduceStats() map[string]deduce.Stats {
 func (m *Manager) Cache(namespace string) *Cache {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.cacheLocked(namespace)
-}
-
-func (m *Manager) cacheLocked(namespace string) *Cache {
 	c, ok := m.caches[namespace]
 	if !ok {
 		c = NewCache()
@@ -125,64 +125,95 @@ func (m *Manager) cacheLocked(namespace string) *Cache {
 // caller needs to re-prepare the same pipeline when recovering the
 // session from the store (may be nil when recovery is not needed).
 func (m *Manager) Create(p *core.Prepared, namespace string, meta []byte) (*Session, error) {
-	id := m.claimID()
-	cache := m.Cache(namespace)
-	// New drains the cache outside the manager lock: it can run long and
-	// only touches the session's own state plus the cache's own mutex.
-	s := New(id, p, cache)
-	if err := s.loop.Err(); err != nil {
-		m.mu.Lock()
-		delete(m.sessions, id)
-		m.mu.Unlock()
-		cache.releaseOwned(id)
-		return nil, fmt.Errorf("%w: %w", ErrRunner, err)
-	}
-	for {
-		err := m.persistNew(s, meta, false)
-		if err == nil {
-			break
+	snap := &Snapshot{Version: SnapshotVersion, ID: m.claimID()}
+	return m.admit(p, namespace, snap, func(s *Session) error {
+		for {
+			err := m.writeRecord(s, meta, false)
+			if !errors.Is(err, ErrStoreExists) {
+				return err
+			}
+			// A dormant store record (unrecovered or skipped at startup)
+			// squats on this counter value; rebind the session to the next
+			// free ID and try again. Rebinding is safe here: the session
+			// is not yet registered, journaled, or holding reservations.
+			m.free(s.id)
+			s.id = m.claimID()
 		}
-		m.mu.Lock()
-		delete(m.sessions, s.id)
-		m.mu.Unlock()
-		if !errors.Is(err, ErrStoreExists) {
-			cache.releaseOwned(s.id)
-			s.loop.Close()
-			return nil, err
-		}
-		// A dormant store record (unrecovered or skipped at startup)
-		// squats on this counter value; rebind the session to the next
-		// free ID and try again. Rebinding is safe here: the session is
-		// not yet registered, journaled, or holding reservations.
-		s.id = m.claimID()
-	}
-	m.mu.Lock()
-	m.sessions[s.id] = s
-	m.mu.Unlock()
-	return s, nil
+	})
 }
 
-// claimID allocates the next free session ID and claims its slot (nil
-// placeholder) under the manager lock, so a concurrent Create or
-// Restore cannot race onto the same ID.
+// claimID allocates the next free session ID and claims its slot.
 func (m *Manager) claimID() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
-		m.nextID++
-		id := fmt.Sprintf("s%d", m.nextID)
-		if _, taken := m.sessions[id]; !taken {
-			m.sessions[id] = nil
+		if id := fmt.Sprintf("s%d", m.nextID.Add(1)); m.claim(id) == nil {
 			return id
 		}
 	}
 }
 
-// persistNew writes the session's create record (meta + a snapshot of
-// its current state, which covers any answers a cache drain already
-// applied) and attaches the journaling persister. replace clears a
-// stale store record under the same ID first.
-func (m *Manager) persistNew(s *Session, meta []byte, replace bool) error {
+// claim claims id's slot (nil placeholder) under the manager lock, so a
+// concurrent Create, Restore or Recover cannot race onto the same ID. It
+// fails with ErrSessionExists when the ID is live or already claimed.
+func (m *Manager) claim(id string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, taken := m.sessions[id]; taken {
+		return fmt.Errorf("%w: %q", ErrSessionExists, id)
+	}
+	m.sessions[id] = nil
+	return nil
+}
+
+// free gives up a claimed slot.
+func (m *Manager) free(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.sessions, id)
+}
+
+// admit brings a session to life under the slot its caller claimed
+// (snap.ID) — the one path Create, Restore and Recover share. It replays
+// snap over p cache-free (a sibling's answers must not advance the loop
+// past its own recorded history), so a runner that cannot start fails
+// all three alike with ErrRunner. The session then joins the namespace
+// cache and the store in the order its record needs. A nil record means
+// the store already holds it (Recover): the journal attaches first, so
+// answers siblings resolved meanwhile drain in at the join and are
+// appended to the log. Otherwise record writes the new create record
+// after the join, and the drained answers ride in its snapshot. On any
+// failure the slot and the session's reservations are freed and its loop
+// closed.
+func (m *Manager) admit(p *core.Prepared, namespace string, snap *Snapshot, record func(*Session) error) (*Session, error) {
+	s, err := Restore(p, nil, snap)
+	if err != nil {
+		m.free(snap.ID)
+		return nil, err
+	}
+	cache := m.Cache(namespace)
+	if record == nil {
+		s.journalTo(m.store, &m.persistFails)
+		s.joinCache(cache)
+	} else {
+		s.joinCache(cache)
+		err = record(s)
+	}
+	if err != nil {
+		cache.releaseOwned(s.id)
+		s.loop.Close()
+		m.free(s.id)
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sessions[s.id] = s
+	return s, nil
+}
+
+// writeRecord stores the session's create record — meta plus a snapshot
+// of its current state, which covers any answers the cache join drained —
+// and starts journaling onto it. replace clears a stale store record
+// under the same ID first.
+func (m *Manager) writeRecord(s *Session, meta []byte, replace bool) error {
 	data, err := EncodeSnapshot(s.Snapshot())
 	if err != nil {
 		return fmt.Errorf("session: encoding initial snapshot: %w", err)
@@ -198,55 +229,33 @@ func (m *Manager) persistNew(s *Session, meta []byte, replace bool) error {
 	if err != nil {
 		return fmt.Errorf("%w: storing %q: %w", ErrPersist, s.ID(), err)
 	}
-	s.attachPersist(&persister{store: m.store, id: s.ID(), fails: &m.persistFails})
+	s.journalTo(m.store, &m.persistFails)
 	return nil
 }
 
 // Restore rebuilds a snapshotted session in the namespace and registers it
 // under its snapshot ID, persisting it like a created session. p may be
-// the pipeline live sessions already run over. It fails when the ID is
-// already live.
+// the pipeline live sessions already run over. It fails with
+// ErrSessionExists when the ID is already live.
 func (m *Manager) Restore(p *core.Prepared, namespace string, meta []byte, snap *Snapshot) (*Session, error) {
-	// Claim the ID (nil placeholder) up front, exactly like Create: a
-	// concurrent Restore of the same snapshot must lose here, before
-	// persistNew's replace path could delete the winner's live record.
-	m.mu.Lock()
-	if _, exists := m.sessions[snap.ID]; exists {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrSessionExists, snap.ID)
-	}
-	m.sessions[snap.ID] = nil
-	cache := m.cacheLocked(namespace)
-	m.mu.Unlock()
-	release := func() {
-		m.mu.Lock()
-		delete(m.sessions, snap.ID)
-		m.mu.Unlock()
-	}
-	s, err := Restore(p, cache, snap)
-	if err != nil {
-		release()
+	// Claim the ID up front, exactly like Create: a concurrent Restore of
+	// the same snapshot must lose here, before writeRecord's replace path
+	// could delete the winner's live record.
+	if err := m.claim(snap.ID); err != nil {
 		return nil, err
 	}
-	if err := m.persistNew(s, meta, true); err != nil {
-		release()
-		cache.releaseOwned(s.ID())
-		s.loop.Close()
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessions[snap.ID] = s
-	return s, nil
+	return m.admit(p, namespace, snap, func(s *Session) error { return m.writeRecord(s, meta, true) })
 }
 
 // Recover rebuilds every session the store holds — the process-restart
 // path. prepare maps a stored session's meta blob back to a freshly
 // prepared pipeline and its cache namespace. Each stored record is
-// replayed through Restore, exactly like a snapshot handed in through
-// the API. Sessions that fail to recover are skipped and reported in the
-// joined error; the rest recover normally. Returns the recovered IDs in
-// sorted order.
+// admitted exactly like a snapshot handed to Restore, except that its
+// store record already exists. Sessions that fail to recover — a corrupt
+// or diverging log, a pipeline that will not prepare, a shard runner
+// that cannot start — are skipped, their records left dormant in the
+// store, and reported in the joined error; the rest recover normally.
+// Returns the recovered IDs in sorted order.
 func (m *Manager) Recover(prepare func(id string, meta []byte) (*core.Prepared, string, error)) ([]string, error) {
 	ids, err := m.store.List()
 	if err != nil {
@@ -265,52 +274,45 @@ func (m *Manager) Recover(prepare func(id string, meta []byte) (*core.Prepared, 
 	return recovered, errors.Join(errs...)
 }
 
-// recoverOne rebuilds one stored session and registers it.
+// recoverOne claims a stored session's ID, reads its record, prepares
+// its pipeline and admits it.
 func (m *Manager) recoverOne(id string, prepare func(id string, meta []byte) (*core.Prepared, string, error)) error {
-	m.mu.Lock()
-	_, live := m.sessions[id]
-	m.mu.Unlock()
-	if live {
-		return ErrSessionExists
-	}
-	rec, err := m.store.Get(id)
-	if err != nil {
+	if err := m.claim(id); err != nil {
 		return err
 	}
-	snap, err := rec.Replay()
+	p, namespace, snap, err := m.reopen(id, prepare)
 	if err != nil {
+		m.free(id)
 		return err
 	}
-	if snap.ID != id {
-		return fmt.Errorf("stored snapshot carries id %q", snap.ID)
-	}
-	p, namespace, err := prepare(id, rec.Meta)
-	if err != nil {
-		return err
-	}
-	// Replay cache-free: a sibling's recovered answers must not advance
-	// this loop past its own recorded history.
-	s, err := Restore(p, nil, snap)
-	if err != nil {
+	if _, err := m.admit(p, namespace, snap, nil); err != nil {
 		return err
 	}
 	m.walReplayed.Add(int64(len(snap.Applied)))
-	// Journal first, then join the namespace cache: the answers siblings
-	// resolved while this session was down drain in at the join and are
-	// appended to its log like any other delivery.
-	s.attachPersist(&persister{store: m.store, id: id, fails: &m.persistFails})
-	s.joinCache(m.Cache(namespace))
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, exists := m.sessions[id]; exists {
-		return ErrSessionExists
-	}
-	m.sessions[id] = s
 	return nil
 }
 
+// reopen reads a stored session back as one replayable snapshot and
+// prepares its pipeline.
+func (m *Manager) reopen(id string, prepare func(id string, meta []byte) (*core.Prepared, string, error)) (*core.Prepared, string, *Snapshot, error) {
+	rec, err := m.store.Get(id)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	snap, err := rec.Replay()
+	if err != nil {
+		return nil, "", nil, err
+	}
+	if snap.ID != id {
+		return nil, "", nil, fmt.Errorf("stored snapshot carries id %q", snap.ID)
+	}
+	p, namespace, err := prepare(id, rec.Meta)
+	return p, namespace, snap, err
+}
+
 // Get returns the session registered under id. A slot claimed by an
-// in-flight Create (nil placeholder) is not yet visible.
+// in-flight Create, Restore or Recover (nil placeholder) is not yet
+// visible.
 func (m *Manager) Get(id string) (*Session, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -337,7 +339,7 @@ func (m *Manager) Remove(id string) (bool, error) {
 	s, tracked := m.sessions[id]
 	m.mu.Unlock()
 	if tracked && s == nil {
-		// A Create or Restore still in flight; leave claimed slots be.
+		// An admission still in flight; leave claimed slots be.
 		return false, nil
 	}
 	if s == nil {

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
@@ -138,26 +139,28 @@ func deducedLabels(v deduce.Verdict) []crowd.Label {
 // with cache-mediated answer sharing and an event log for snapshots. All
 // methods are safe for concurrent use.
 type Session struct {
-	mu      sync.Mutex
-	id      string
-	loop    *core.Loop
-	cache   *Cache     // nil when the session does not share answers
-	persist *persister // nil when the session is not journaled to a Store
-	k1, k2  string     // KB names of the session's pipeline orientation
-	flip    bool       // pipeline orientation is the reverse of the cache's
+	mu     sync.Mutex
+	id     string
+	loop   *core.Loop
+	cache  *Cache // nil when the session does not share answers
+	k1, k2 string // KB names of the session's pipeline orientation
+	flip   bool   // pipeline orientation is the reverse of the cache's
+
+	// The journal into a Store (nil when the session is not journaled).
+	store      Store
+	seq        int           // next delivery sequence number to append
+	persistErr error         // sticky first failure; appends stop once set
+	fails      *atomic.Int64 // the owning Manager's persist-failure count
 }
 
 // New starts a session over a prepared pipeline, which any number of
 // sessions may share. cache may be nil; when set, the session first drains
 // any answers the cache already holds for its opening batch.
 func New(id string, p *core.Prepared, cache *Cache) *Session {
-	s := &Session{id: id, loop: p.NewLoop(), cache: cache, k1: p.K1.Name(), k2: p.K2.Name()}
+	s := &Session{id: id, loop: p.NewLoop(), k1: p.K1.Name(), k2: p.K2.Name()}
 	if cache != nil {
-		s.flip = cache.orient(s.k1, s.k2)
+		s.joinCache(cache)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drainCache()
 	return s
 }
 
@@ -290,15 +293,24 @@ func (s *Session) DeliverPair(q pair.Pair, labels []crowd.Label) error {
 }
 
 // journalLocked appends one accepted answer to the session's durable
-// journal. Persistence is fail-stop, not fail-loud: a journal error
-// freezes the durable state at the last consistent prefix (recorded as
-// the sticky PersistErr) while the in-memory session keeps running, so
-// a broken disk degrades durability rather than corrupting it or
-// rejecting answers the loop already applied. Callers hold s.mu.
+// journal, closing the log when the answer finished the session.
+// Persistence is fail-stop, not fail-loud: a journal error freezes the
+// durable state at the last consistent prefix (recorded as the sticky
+// PersistErr; later answers are not journaled, since a log with a gap
+// would not replay) while the in-memory session keeps running, so a
+// broken disk degrades durability rather than corrupting it or rejecting
+// answers the loop already applied. Callers hold s.mu.
 func (s *Session) journalLocked(q pair.Pair, labels []crowd.Label) {
-	if s.persist != nil {
-		s.persist.journal(s, q, labels)
+	if s.store == nil || s.persistErr != nil {
+		return
 	}
+	rec := AnswerRec{U1: q.U1, U2: q.U2, Labels: FromCrowd(labels)}
+	if err := s.store.AppendAnswer(s.id, s.seq, rec, s.loop.Done()); err != nil {
+		s.persistErr = fmt.Errorf("session %s: journaling answer %d: %w", s.id, s.seq, err)
+		s.fails.Add(1)
+		return
+	}
+	s.seq++
 }
 
 // PersistErr returns the sticky journal error, if persistence has
@@ -307,26 +319,23 @@ func (s *Session) journalLocked(q pair.Pair, labels []crowd.Label) {
 func (s *Session) PersistErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.persist == nil {
-		return nil
-	}
-	return s.persist.err
+	return s.persistErr
 }
 
-// attachPersist starts journaling the session to pers, whose sequence
-// counter picks up after the answers already delivered (all covered by
-// the store record pers appends to).
-func (s *Session) attachPersist(pers *persister) {
+// journalTo starts journaling the session into store, whose record for
+// the session already covers every answer the loop holds; fails counts
+// the appends that fail.
+func (s *Session) journalTo(store Store, fails *atomic.Int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pers.seq = len(s.loop.History()) + len(s.loop.Buffered())
-	s.persist = pers
+	s.store, s.fails = store, fails
+	s.seq = len(s.loop.History()) + len(s.loop.Buffered())
 }
 
 // remove deletes the session's durable record and closes its loop under
 // the session lock — the Store contract serializes per-ID calls through
 // this lock, so no in-flight journal append can race the delete. On
-// success the persister is detached, so no later delivery journals into
+// success the journal is detached, so no later delivery journals into
 // the void (which would trip the persist-failure health signal), and the
 // loop's shard engines are released: a session removed mid-run would
 // otherwise pin them (on every cluster worker) for the life of the
@@ -337,7 +346,7 @@ func (s *Session) remove(store Store) error {
 	if err := store.Delete(s.id); err != nil {
 		return err
 	}
-	s.persist = nil
+	s.store = nil
 	s.loop.Close()
 	return nil
 }
@@ -359,9 +368,9 @@ func (s *Session) Result() *core.Result {
 	}
 }
 
-// joinCache attaches a replayed session to its namespace cache: its own
-// answers are shared out, and answers siblings contributed meanwhile are
-// drained in (and journaled, when a persister is attached). Replay runs
+// joinCache attaches a session to its namespace cache: its own answers
+// are shared out, and answers siblings contributed meanwhile are drained
+// in (and journaled, when a journal is attached). Replay runs
 // with the cache detached — otherwise a sibling's answers would advance
 // the loop past its own recorded history and the rest of the replay
 // would no longer apply.

@@ -94,9 +94,11 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // through a new loop over p. The Prepared must be built from the same
 // dataset and configuration the session was created with; a replayed
 // answer that does not belong to the open batch it lands in proves the
-// pipeline diverged and fails the restore. Replayed answers repopulate the
-// shared cache (when present), so restoring after a process restart also
-// restores cross-session suppression.
+// pipeline diverged and fails the restore, and a loop whose shard runner
+// cannot start fails it with ErrRunner before anything is replayed.
+// Replayed answers repopulate the shared cache (when present), so
+// restoring after a process restart also restores cross-session
+// suppression.
 func Restore(p *core.Prepared, cache *Cache, snap *Snapshot) (*Session, error) {
 	if snap.Version != SnapshotVersion {
 		return nil, fmt.Errorf("session: unsupported snapshot version %d (want %d)", snap.Version, SnapshotVersion)
@@ -129,6 +131,9 @@ func Restore(p *core.Prepared, cache *Cache, snap *Snapshot) (*Session, error) {
 		}
 	}
 	s := &Session{id: snap.ID, loop: p.NewLoop(), k1: p.K1.Name(), k2: p.K2.Name()}
+	if err := s.loop.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrRunner, err)
+	}
 	for i, rec := range append(append([]AnswerRec{}, snap.Applied...), snap.Pending...) {
 		if err := s.loop.Deliver(pair.Pair{U1: rec.U1, U2: rec.U2}, ToCrowd(rec.Labels)); err != nil {
 			s.loop.Close()

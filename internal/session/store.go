@@ -11,8 +11,9 @@ import (
 // plus one append-only log of the answers delivered since. The Manager
 // writes the create record once, when it registers the session, and
 // journals every applied answer through AppendAnswer before the delivery
-// is acknowledged. Recovery reads the record back with Get and replays
-// it through Restore — the same replay an API snapshot takes.
+// is acknowledged. Recovery reads the record back with Get and admits it
+// exactly as Manager.Restore admits an API snapshot: replayed through
+// Restore, so a record whose shard runner cannot start stays dormant.
 //
 // The store treats meta and snapshot as opaque: meta is whatever the
 // owner needs to re-prepare the session's pipeline (the server persists

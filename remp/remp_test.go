@@ -231,8 +231,8 @@ func TestResolveHugeMu(t *testing.T) {
 }
 
 // TestRunnerStartFailureIsReturned: a shard runner that will not start
-// fails Resolve and Pipeline.Run with the factory's error — not a stalled
-// loop, and not a panic.
+// fails Resolve, Pipeline.Run and RestoreSession with the factory's error —
+// not a stalled loop or a session dead at birth, and not a panic.
 func TestRunnerStartFailureIsReturned(t *testing.T) {
 	ds, gold := tinyWorld()
 	cause := errors.New("no shard workers")
@@ -246,6 +246,17 @@ func TestRunnerStartFailureIsReturned(t *testing.T) {
 	}
 	if _, err := p.Run(remp.NewOracleCrowd(gold.IsMatch)); !errors.Is(err, cause) {
 		t.Errorf("Pipeline.Run: %v, want the runner factory's error", err)
+	}
+	healthy, err := remp.NewSession(ds, remp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := healthy.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := remp.RestoreSession(ds, opts, snap); !errors.Is(err, cause) {
+		t.Errorf("RestoreSession: session %v, error %v; want the runner factory's error", s, err)
 	}
 }
 

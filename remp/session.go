@@ -104,7 +104,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 // RestoreSession rebuilds a session from a Snapshot by re-preparing the
 // pipeline from the same dataset and options and replaying the answer
 // log. A snapshot replayed against a different dataset or configuration
-// fails with a divergence error.
+// fails with a divergence error, and a shard runner that cannot start
+// fails it with the runner's error.
 func RestoreSession(ds Dataset, opts Options, snapshot []byte) (*Session, error) {
 	snap, err := session.DecodeSnapshot(snapshot)
 	if err != nil {
