@@ -67,20 +67,26 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 		return sum
 	}
 
-	// Serial interning pass: the corpus is mutated here and only read by
-	// the scoring pass below. vals1[i] holds match i's K1 value sets, one
-	// per attribute of its entity in Attrs order; vals2[i] likewise.
-	corpus := strsim.NewCorpus()
-	vals1 := make([][][]strsim.LitID, len(min))
-	vals2 := make([][][]strsim.LitID, len(min))
+	// Every needed value set, listed serially in match order — match i's
+	// K1 sets, one per attribute of its entity in Attrs order, from set
+	// first[i] on, then its K2 sets likewise — and interned in one batch.
+	// The scoring pass below only reads the corpus.
+	var flat []string
+	ends, first := []int{0}, make([]int, len(min))
 	for i, m := range min {
+		first[i] = len(ends) - 1
 		for _, a1 := range k1.Attrs(m.U1) {
-			vals1[i] = append(vals1[i], corpus.InternAll(k1.AttrValues(m.U1, a1)))
+			flat = append(flat, k1.AttrValues(m.U1, a1)...)
+			ends = append(ends, len(flat))
 		}
 		for _, a2 := range k2.Attrs(m.U2) {
-			vals2[i] = append(vals2[i], corpus.InternAll(k2.AttrValues(m.U2, a2)))
+			flat = append(flat, k2.AttrValues(m.U2, a2)...)
+			ends = append(ends, len(flat))
 		}
 	}
+	corpus := strsim.NewCorpus()
+	ids := corpus.InternAll(opts.Runner, flat)
+	set := func(s int) []strsim.LitID { return ids[ends[s]:ends[s+1]] }
 
 	// Contribution pass over contiguous chunks of min: each chunk records
 	// its (a1, a2, simL) contributions in match order.
@@ -94,9 +100,9 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 			attrs1 := k1.Attrs(m.U1)
 			attrs2 := k2.Attrs(m.U2)
 			for x, a1 := range attrs1 {
-				v1 := vals1[i][x]
+				v1 := set(first[i] + x)
 				for y, a2 := range attrs2 {
-					v2 := vals2[i][y]
+					v2 := set(first[i] + len(attrs1) + y)
 					if len(v1) == 0 && len(v2) == 0 {
 						continue
 					}

@@ -1,32 +1,48 @@
 // Package blocking implements candidate entity match generation (§IV-B):
-// entity labels are normalized and tokenized, a token inverted index pairs
-// up entities sharing at least one token, and pairs whose label Jaccard
-// similarity falls below a threshold are pruned. Label similarities double
-// as prior match probabilities Pr[m_p]. The subset of candidates whose
-// normalized labels are exactly equal forms the initial match set Min used
-// for attribute/relationship calibration (§IV-C, §V-A).
+// entity labels are normalized and tokenized, entities sharing enough
+// label tokens are paired up, and pairs whose label Jaccard similarity
+// falls below a threshold are pruned. Label similarities double as prior
+// match probabilities Pr[m_p]. The subset of candidates whose normalized
+// labels are exactly equal forms the initial match set Min used for
+// attribute/relationship calibration (§IV-C, §V-A).
 //
-// Generate is an exact counting join (ScanCount). Tokens are interned to
-// dense IDs through a kb.TokenDict and K2's inverted index is one CSR
-// (row offsets per token over one flat entity array). For each K1 label
-// the kernel walks its tokens' posting rows and increments a counter per
-// K2 entity; label token sets are deduplicated and an entity occurs once
-// per row, so the counter ends at |t1 ∩ t2| and the Jaccard follows from
-// the two set sizes with no per-pair merge. Labels are tokenized, and
-// contiguous K1 ranges scanned, in parallel when Options.Runner is set.
-// Prefix filtering is deliberately absent: at the paper's threshold 0.3
-// the prefix |x| − ⌈0.3·|x|⌉ + 1 of a label of up to three tokens is the
-// whole label (and all but one token up to six), so it would skip no
-// posting entry that counting reads. The output is byte-identical to
-// GenerateNaive, the retained per-pair string implementation that anchors
-// the property tests. Each K1 entity's candidates are sorted by K2 entity
-// as they are emitted, and chunks are contiguous K1 ranges, so the merged
-// lists come out in pair order with no global sort.
+// Generate is an exact set-similarity join. Label tokens are interned to
+// dense IDs through one strsim.Interner, ranked by ascending frequency
+// over both KBs, and every label becomes its sorted set of ranks. A K1
+// label x and a K2 label y sharing o tokens have Jaccard o/(|x|+|y|−o),
+// so the pair is kept exactly when o reaches α, the least o for which
+// that quotient reaches the threshold t. α is computed with the kernel's
+// own float division, so it decides as the kernel does.
+//
+// The ℓ-prefix lemma (Wang, Li, Feng, "Can we beat the prefix
+// filtering?", SIGMOD 2012) says that a pair with o ≥ α shares at least
+// ℓ tokens within the first |x|−α+ℓ tokens of x and the first |y|−α+ℓ of
+// y: its ℓ rarest shared tokens. So where α ≥ 2 a pair joins on the
+// token pairs of its two (·−α+2)-prefixes (ℓ = 2): at t = 0.3 two
+// 3-token labels need two shared tokens, so each label is signed by 3
+// pairs instead of indexed under 3 tokens. Where a size pair's prefixes
+// would hold more than maxPairs pairs, it joins on single tokens (ℓ = 1)
+// instead. A longer prefix's signatures include a shorter one's, so each
+// label is signed once, on the longest prefix any size pair needs it
+// for; K2's signatures go into one hash-bucketed CSR, K1's probe it, and
+// every hit is verified by merging the two sorted sets. Where α = 1,
+// which needs |x|+|y| ≤ 1+1/t, one shared token is enough and the kernel
+// counts shared tokens instead, over a token-indexed CSR of K2's short
+// labels, which gives |x ∩ y| with no merge. Tokenizing, interning,
+// relabeling, signing K2 and probing fan out over Options.Runner; the
+// size plan and the counting sorts that lay out the ranks and both
+// indexes are serial.
+//
+// The output is byte-identical to GenerateNaive, the retained per-pair
+// string implementation that anchors the property tests. Each K1
+// entity's candidates are sorted by K2 entity as they are emitted, and
+// chunks are contiguous K1 ranges, so the merged lists come out in pair
+// order with no global sort.
 package blocking
 
 import (
-	"bytes"
 	"cmp"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -54,11 +70,12 @@ type Result struct {
 // Options configures candidate generation.
 type Options struct {
 	// Threshold is the minimal label Jaccard similarity to keep a pair.
-	// The paper uses 0.3.
+	// The paper uses 0.3, which is also what a threshold that is not
+	// positive (or NaN) means.
 	Threshold float64
-	// Runner, when non-nil, tokenizes labels and scans K1 entities in
-	// parallel (one contiguous chunk per scheduler slot). The result is
-	// identical either way; nil means serial.
+	// Runner, when non-nil, tokenizes, interns and indexes labels and
+	// probes K1 entities in parallel (one contiguous chunk per scheduler
+	// slot). The result is identical either way; nil means serial.
 	Runner pair.Runner
 }
 
@@ -67,32 +84,28 @@ func DefaultOptions() Options {
 	return Options{Threshold: 0.3}
 }
 
-// Generate produces the candidate match set Mc between k1 and k2 by
-// counting shared tokens over the interned-token inverted index.
-// Candidates, priors and initial matches are byte-identical to
-// GenerateNaive on the same inputs.
+// Generate produces the candidate match set Mc between k1 and k2 by a
+// signature join over interned tokens. Candidates, priors and initial
 func Generate(k1, k2 *kb.KB, opts Options) *Result {
-	if opts.Threshold <= 0 {
+	if !(opts.Threshold > 0) {
 		opts.Threshold = 0.3
 	}
-
-	dict := kb.NewTokenDict()
-	lab1 := internLabels(k1, dict, opts.Runner)
-	lab2 := internLabels(k2, dict, opts.Runner)
-	ix := newPostings(lab2, dict.Len())
+	j := newJoin(k1, k2, opts.Threshold, opts.Runner)
 
 	chunks := pair.ChunkRanges(k1.NumEntities(), opts.Runner, parallelChunks)
-	parts := make([]scanScratch, len(chunks))
+	parts := make([]scratch, len(chunks))
 	pair.RunAll(opts.Runner, len(chunks), func(ci int) {
 		sc := &parts[ci]
-		sc.count = make([]int32, len(ix.len2))
+		sc.count = make([]int32, k2.NumEntities())
 		for u1 := chunks[ci].Lo; u1 < chunks[ci].Hi; u1++ {
 			from := len(sc.cands)
-			ix.scan(sc, kb.EntityID(u1), lab1.of(u1), opts.Threshold)
+			j.probe(sc, kb.EntityID(u1))
 			emitted := sc.cands[from:]
 			slices.SortFunc(emitted, byU2)
 			for _, c := range emitted {
-				if c.Prior == 1 && sc.exactLabel(k1.Label(c.Pair.U1), k2.Label(c.Pair.U2)) {
+				// A prior of 1 is equal, non-empty token sets: equal
+				// labels are then equal word lists.
+				if c.Prior == 1 && (k1.Label(c.Pair.U1) == k2.Label(c.Pair.U2) || exactLabel(k1, k2, c.Pair)) {
 					sc.initial = append(sc.initial, c.Pair)
 				}
 			}
@@ -114,156 +127,285 @@ func Generate(k1, k2 *kb.KB, opts Options) *Result {
 // byU2 orders one K1 entity's candidates by K2 entity.
 func byU2(a, b Candidate) int { return cmp.Compare(a.Pair.U2, b.Pair.U2) }
 
-// postings is K2's inverted index in CSR form: the entities whose label
-// holds token t are ent[start[t]:start[t+1]], ascending, each once.
-type postings struct {
-	start []int32
-	ent   []kb.EntityID
-	len2  []int32 // token-set size of every K2 label
+// maxPairs caps the token pairs of one ℓ = 2 prefix (a 9-token prefix);
+// a size pair with a longer prefix on either side joins on ℓ = 1.
+const maxPairs = 36
+
+// join is one Generate call's read-only state, shared by the probe
+// chunks. lab holds K1's label sets, then K2's from entity n1 on.
+// scanY[|x|] is the largest |y| with α = 1, 0 if none, and post's row t
+// lists the K2 labels of at most max(scanY) tokens that hold token t. A
+// K1 label of |x| tokens is signed on its first pre1[ℓ][|x|] tokens, a
+// K2 label of |y| tokens on its first pre2[ℓ][|y|], ℓ = 1 and 2 (0: not
+// at all); sig's row b lists the K2 entities signed with the keys k with
+// k&mask == b, each as the top 32 bits of its key over the entity.
+type join struct {
+	t          float64
+	n1         int
+	lab        labelSets
+	scanY      []int
+	post       csr[kb.EntityID]
+	pre1, pre2 [3][]int
+	sig        csr[uint64]
+	mask       uint64
 }
 
-// newPostings inverts K2's label sets by counting sort over nTokens rows.
-func newPostings(lab2 labelSets, nTokens int) *postings {
-	n2 := len(lab2.start) - 1
-	ix := &postings{
-		start: make([]int32, nTokens+1),
-		ent:   make([]kb.EntityID, len(lab2.toks)),
-		len2:  make([]int32, n2),
+// csr lists entries per row: row r is ent[start[r]:start[r+1]].
+type csr[E any] struct {
+	start []int32
+	ent   []E
+}
+
+// fill lays c out over rows by a counting sort: each must pass every
+// entry to emit, in the order wanted within its row, the same way twice.
+func (c *csr[E]) fill(rows int, each func(emit func(row uint64, e E))) {
+	c.start = make([]int32, rows+2)
+	each(func(row uint64, _ E) { c.start[row+2]++ })
+	for i := 2; i < len(c.start); i++ {
+		c.start[i] += c.start[i-1]
 	}
-	for _, t := range lab2.toks {
-		ix.start[t+1]++
-	}
-	for t := 0; t < nTokens; t++ {
-		ix.start[t+1] += ix.start[t]
-	}
-	next := append([]int32(nil), ix.start[:nTokens]...)
-	for u2 := 0; u2 < n2; u2++ {
-		toks := lab2.of(u2)
-		ix.len2[u2] = int32(len(toks))
-		for _, t := range toks {
-			ix.ent[next[t]] = kb.EntityID(u2)
-			next[t]++
+	c.ent = make([]E, c.start[rows+1])
+	each(func(row uint64, e E) {
+		c.ent[c.start[row+1]] = e
+		c.start[row+1]++
+	})
+}
+
+// newJoin sizes the scan and the prefixes, and builds both indexes. A
+// pair of an lx- and an ly-token label with overlap α or more shares its
+// ℓ rarest shared tokens within the first lx−α+ℓ and ly−α+ℓ tokens. Where
+// α = 1 the scan counts every shared token instead. Where α ≥ 2 the pair
+// joins on those prefixes' token pairs (ℓ = 2), or, if either holds more
+// than maxPairs pairs, on their single tokens (ℓ = 1). A prefix's
+// signatures include every shorter one's, so each label is signed once,
+// on the longest prefix any size pair needs, and the verification turns
+// away what a size pair's own prefixes would not have met.
+func newJoin(k1, k2 *kb.KB, t float64, r pair.Runner) *join {
+	lab, nTok := internLabels(k1, k2, r)
+	j := &join{t: t, n1: k1.NumEntities(), lab: lab}
+	n := len(j.lab.start) - 1
+	var sizes [2][]int // the distinct non-zero sizes of K1's and K2's labels
+	for side, us := range [2][2]int{{0, j.n1}, {j.n1, n}} {
+		for u := us[0]; u < us[1]; u++ {
+			if m := len(j.lab.of(u)); m > 0 && !slices.Contains(sizes[side], m) {
+				sizes[side] = append(sizes[side], m)
+			}
 		}
 	}
-	return ix
+	maxX, maxY := slices.Max(append(sizes[0], 0)), slices.Max(append(sizes[1], 0))
+	j.scanY, j.pre1, j.pre2 = make([]int, maxX+1), [3][]int{1: make([]int, maxX+1), 2: make([]int, maxX+1)}, [3][]int{1: make([]int, maxY+1), 2: make([]int, maxY+1)}
+	maxScan := 0
+	for _, lx := range sizes[0] {
+		for _, ly := range sizes[1] {
+			a, ell := alpha(lx, ly, t), 1
+			if a == 1 {
+				j.scanY[lx], maxScan = max(j.scanY[lx], ly), max(maxScan, ly)
+			}
+			if a < 2 {
+				continue
+			} else if (lx-a+2)*(lx-a+1)/2 <= maxPairs && (ly-a+2)*(ly-a+1)/2 <= maxPairs {
+				ell = 2
+			}
+			j.pre1[ell][lx] = max(j.pre1[ell][lx], lx-a+ell)
+			j.pre2[ell][ly] = max(j.pre2[ell][ly], ly-a+ell)
+		}
+	}
+
+	j.post.fill(nTok, func(emit func(uint64, kb.EntityID)) {
+		for u2 := range n - j.n1 {
+			if y := j.lab.of(j.n1 + u2); len(y) <= maxScan {
+				for _, tok := range y {
+					emit(uint64(tok), kb.EntityID(u2))
+				}
+			}
+		}
+	})
+
+	// Sign K2's labels in parallel over contiguous ranges, then bucket
+	// the keys, about two to a bucket, by a counting sort in range order.
+	chunks := pair.ChunkRanges(n-j.n1, r, parallelChunks)
+	keys := make([][]uint64, len(chunks))
+	ents := make([][]kb.EntityID, len(chunks))
+	pair.RunAll(r, len(chunks), func(ci int) {
+		for u2 := chunks[ci].Lo; u2 < chunks[ci].Hi; u2++ {
+			keys[ci] = appendSigs(keys[ci], j.lab.of(j.n1+u2), &j.pre2)
+			for len(ents[ci]) < len(keys[ci]) {
+				ents[ci] = append(ents[ci], kb.EntityID(u2))
+			}
+		}
+	})
+	total := 0
+	for _, ks := range keys {
+		total += len(ks)
+	}
+	nb := 1 << bits.Len(uint(total/2))
+	j.mask = uint64(nb - 1)
+	j.sig.fill(nb, func(emit func(uint64, uint64)) {
+		for ci, ks := range keys {
+			for i, k := range ks {
+				emit(k&j.mask, k>>32<<32|uint64(ents[ci][i]))
+			}
+		}
+	})
+	return j
 }
 
-// scanScratch is the per-chunk state of the parallel scan: one shared-
-// token counter per K2 entity (int32, so no label can overflow it), the
-// entities the current label touched — which is also the list of counters
-// to zero before the next label — the chunk's result buffers, merged
-// serially afterwards, and exactLabel's normalizer buffers.
-type scanScratch struct {
-	count   []int32
-	touched []kb.EntityID
-	cands   []Candidate
-	initial []pair.Pair
-	words   []byte
-	ends    []int32
+// alpha returns the least overlap o ≤ min(lx, ly) for which an lx- and
+// an ly-token label reach t — by the kernel's own division — or 0.
+func alpha(lx, ly int, t float64) int {
+	for o := 1; o <= min(lx, ly); o++ {
+		if float64(o)/float64(lx+ly-o) >= t {
+			return o
+		}
+	}
+	return 0
 }
 
-// scan appends every candidate (u1, ·) to sc.cands. After the counting
-// pass sc.count[u2] is |t1 ∩ t2| for exactly the touched entities, and
-// inter / (|t1| + |t2| − inter) is the division GenerateNaive performs on
-// the same three integers, so the float is bit-identical. Allocation-free
-// once touched and cands have grown.
+// appendSigs appends the signature keys of set: its first pre[1][|set|]
+// tokens one by one, and every pair of its first pre[2][|set|] tokens.
+// Distinct signatures may share a key; a hit is verified anyway, so that
+// costs a merge, never a candidate.
 //
 //remp:hotpath
-func (ix *postings) scan(sc *scanScratch, u1 kb.EntityID, t1 []kb.TokenID, threshold float64) {
-	for _, t := range t1 {
-		for _, u2 := range ix.ent[ix.start[t]:ix.start[t+1]] {
-			if sc.count[u2] == 0 {
-				sc.touched = append(sc.touched, u2)
+func appendSigs(dst []uint64, set []uint32, pre *[3][]int) []uint64 {
+	for _, a := range set[:pre[1][len(set)]] {
+		dst = append(dst, sigKey(a, a))
+	}
+	p := set[:pre[2][len(set)]]
+	for i, a := range p {
+		for _, b := range p[i+1:] {
+			dst = append(dst, sigKey(a, b))
+		}
+	}
+	return dst
+}
+
+// sigKey mixes a token pair, or one token twice, into one key.
+func sigKey(a, b uint32) uint64 {
+	k := (uint64(a)<<32 | uint64(b)) * 0x9e3779b97f4a7c15
+	k = (k ^ k>>31) * 0xbf58476d1ce4e5b9
+	return k ^ k>>29
+}
+
+// scratch is the per-chunk state of the parallel probe: a count per K2
+// entity (shared tokens in the scan, -1 once verified, 0 between
+// labels), the entities the current label counted or verified, its
+// signatures, and the chunk's result buffers, merged serially
+// afterwards.
+type scratch struct {
+	count   []int32
+	touched []kb.EntityID
+	sigs    []uint64
+	cands   []Candidate
+	initial []pair.Pair
+}
+
+// probe appends every candidate (u1, ·) to sc.cands. First it counts,
+// over post, the tokens u1's label shares with each K2 label of at most
+// scanY[|x|] tokens; then it signs the label and verifies every other K2
+// label a signature hits, once, by merging the two sorted sets. Either
+// way the overlap is exact, and emit divides it as GenerateNaive does.
+// Allocation-free once the scratch buffers have grown.
+//
+//remp:hotpath
+func (j *join) probe(sc *scratch, u1 kb.EntityID) {
+	x := j.lab.of(int(u1))
+	ymax := j.scanY[len(x)]
+	for _, t := range x {
+		for _, u2 := range j.post.ent[j.post.start[t]:j.post.start[t+1]] {
+			if len(j.lab.of(j.n1+int(u2))) <= ymax {
+				if sc.count[u2] == 0 {
+					sc.touched = append(sc.touched, u2)
+				}
+				sc.count[u2]++
 			}
-			sc.count[u2]++
 		}
 	}
 	for _, u2 := range sc.touched {
-		inter := int(sc.count[u2])
-		sc.count[u2] = 0
-		sim := float64(inter) / float64(len(t1)+int(ix.len2[u2])-inter)
-		if sim >= threshold {
-			sc.cands = append(sc.cands, Candidate{Pair: pair.Pair{U1: u1, U2: u2}, Prior: sim})
+		sc.emit(j.t, u1, u2, len(x), len(j.lab.of(j.n1+int(u2))), int(sc.count[u2]))
+	}
+	sc.sigs = appendSigs(sc.sigs[:0], x, &j.pre1)
+	for _, k := range sc.sigs {
+		b := k & j.mask
+		for _, e := range j.sig.ent[j.sig.start[b]:j.sig.start[b+1]] {
+			if u2 := kb.EntityID(uint32(e)); e>>32 == k>>32 && sc.count[u2] == 0 {
+				sc.count[u2] = -1
+				sc.touched = append(sc.touched, u2)
+				y := j.lab.of(j.n1 + int(u2))
+				sc.emit(j.t, u1, u2, len(x), len(y), strsim.IntersectionSizeIDs(x, y))
+			}
 		}
+	}
+	for _, u2 := range sc.touched {
+		sc.count[u2] = 0
 	}
 	sc.touched = sc.touched[:0]
 }
 
-// labelSets holds every entity's deduplicated label tokens in one flat
-// array: entity u's set is toks[start[u]:start[u+1]].
+// emit keeps (u1, u2) if its inter shared tokens reach t: the division
+// GenerateNaive performs on the same three integers, so the float is
+// bit-identical.
+//
+//remp:hotpath
+func (sc *scratch) emit(t float64, u1, u2 kb.EntityID, lx, ly, inter int) {
+	if sim := float64(inter) / float64(lx+ly-inter); sim >= t {
+		sc.cands = append(sc.cands, Candidate{Pair: pair.Pair{U1: u1, U2: u2}, Prior: sim})
+	}
+}
+
+// labelSets holds every entity's label token set in one flat array:
+// entity u's set is toks[start[u]:start[u+1]], ranks ascending.
 type labelSets struct {
 	start []int32
-	toks  []kb.TokenID
+	toks  []uint32
 }
 
-func (l labelSets) of(u int) []kb.TokenID { return l.toks[l.start[u]:l.start[u+1]] }
+func (l labelSets) of(u int) []uint32 { return l.toks[l.start[u]:l.start[u+1]] }
 
-// wordArena is one chunk's tokenized labels: every word back to back in
-// buf, word i ending at ends[i], and the chunk's j-th entity's words
-// ending at word last[j].
-type wordArena struct {
-	buf  []byte
-	ends []int32
-	last []int32
-}
-
-// internLabels tokenizes every entity label into per-chunk arenas — in
-// parallel when r is set — and then interns the words serially in entity
-// order, so TokenIDs are assigned first-come exactly as a serial pass
-// would assign them. A label's set is its IDs sorted and deduplicated:
-// equal tokens have equal IDs, so it is TokenSet's set, by ID.
-func internLabels(k *kb.KB, dict *kb.TokenDict, r pair.Runner) labelSets {
-	n := k.NumEntities()
-	chunks := pair.ChunkRanges(n, r, parallelChunks)
-	arenas := make([]wordArena, len(chunks))
-	pair.RunAll(r, len(chunks), func(ci int) {
-		a := &arenas[ci]
-		for u := chunks[ci].Lo; u < chunks[ci].Hi; u++ {
-			a.buf, a.ends = strsim.AppendWords(a.buf, a.ends, k.Label(kb.EntityID(u)), true)
-			a.last = append(a.last, int32(len(a.ends)))
+// internLabels tokenizes and interns the labels of K1's entities, then
+// K2's, ranks the tokens by ascending frequency over both KBs (ties by
+// ID) with a counting sort, and turns every label into its sorted set of
+// ranks: TokenSet's set, by rank. It also returns the number of tokens.
+func internLabels(k1, k2 *kb.KB, r pair.Runner) (labelSets, int) {
+	n1 := k1.NumEntities()
+	var in strsim.Interner
+	start, toks := in.Sets(r, n1+k2.NumEntities(), func(u int) string {
+		if u < n1 {
+			return k1.Label(kb.EntityID(u))
+		}
+		return k2.Label(kb.EntityID(u - n1))
+	}, true)
+	freq, maxF := make([]int32, in.Len()), 0
+	for _, id := range toks {
+		freq[id]++
+		maxF = max(maxF, int(freq[id]))
+	}
+	var byFreq csr[uint32]
+	byFreq.fill(maxF+1, func(emit func(uint64, uint32)) {
+		for id, f := range freq {
+			emit(uint64(f), uint32(id))
 		}
 	})
-	out := labelSets{start: make([]int32, n+1)}
-	u := 0
-	for _, a := range arenas {
-		from, w := int32(0), 0
-		for _, last := range a.last {
-			set := len(out.toks)
-			for ; w < int(last); w++ {
-				out.toks = append(out.toks, dict.Intern(a.buf[from:a.ends[w]]))
-				from = a.ends[w]
-			}
-			slices.Sort(out.toks[set:])
-			out.toks = out.toks[:set+len(slices.Compact(out.toks[set:]))]
-			u++
-			out.start[u] = int32(len(out.toks))
-		}
+	rank := make([]uint32, len(freq))
+	for i, id := range byFreq.ent {
+		rank[id] = uint32(i)
 	}
-	return out
+	lab := labelSets{start, toks}
+	chunks := pair.ChunkRanges(len(start)-1, r, parallelChunks)
+	pair.RunAll(r, len(chunks), func(ci int) {
+		for u := chunks[ci].Lo; u < chunks[ci].Hi; u++ {
+			set := lab.of(u)
+			for i, id := range set {
+				set[i] = rank[id]
+			}
+			slices.Sort(set)
+		}
+	})
+	return lab, len(rank)
 }
 
 // parallelChunks is how many contiguous entity ranges Generate fans out
-// when a Runner is supplied. One chunk per CPU keeps the per-chunk counter
-// arrays (4 bytes × |K2| each) proportional to real parallelism; the chunk
-// count never affects the result.
+// when a Runner is supplied. One chunk per CPU keeps the per-chunk
+// counts (4 bytes per K2 entity) proportional to real parallelism; the
+// chunk count never affects the result.
 var parallelChunks = runtime.NumCPU()
-
-// exactLabel reports whether two labels normalize to the same non-empty
-// string (the paper's criterion for initial entity matches). Normalize
-// joins a label's words with single spaces, so that is the same word list:
-// the same bytes, cut at the same offsets. Both word lists are built in
-// the chunk's scratch, which after warm-up makes the test allocation-free.
-func (sc *scanScratch) exactLabel(l1, l2 string) bool {
-	sc.words, sc.ends = strsim.AppendWords(sc.words[:0], sc.ends[:0], l1, false)
-	n, w := int32(len(sc.words)), len(sc.ends)
-	sc.words, sc.ends = strsim.AppendWords(sc.words, sc.ends, l2, false)
-	if w == 0 || len(sc.ends) != 2*w || !bytes.Equal(sc.words[:n], sc.words[n:]) {
-		return false
-	}
-	for i, e := range sc.ends[:w] {
-		if sc.ends[w+i] != n+e {
-			return false
-		}
-	}
-	return true
-}

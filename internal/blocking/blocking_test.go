@@ -91,6 +91,10 @@ func TestThresholdPrunes(t *testing.T) {
 		t.Errorf("loose threshold produced fewer candidates (%d < %d)",
 			len(loose.Candidates), len(strict.Candidates))
 	}
+	// A NaN threshold means the default, in both implementations.
+	nan := Options{Threshold: math.NaN()}
+	assertSameResult(t, "NaN threshold", Generate(k1, k2, DefaultOptions()), Generate(k1, k2, nan))
+	assertSameResult(t, "NaN threshold, naive", GenerateNaive(k1, k2, DefaultOptions()), GenerateNaive(k1, k2, nan))
 }
 
 func TestEmptyLabelsNeverBlock(t *testing.T) {

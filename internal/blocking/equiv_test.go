@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -42,9 +43,11 @@ var hostileTokens = []string{
 	"supercalifragilisticexpialidocious",
 }
 
-// randLabel builds a label of 0–5 tokens joined by hostile separators.
+// randLabel builds a label of 0–45 tokens joined by hostile separators.
+// Long labels meet with prefixes of more than maxPairs token pairs, which
+// joins them on single tokens.
 func randLabel(r *rand.Rand) string {
-	n := r.Intn(6)
+	n := r.Intn(46)
 	if n == 0 {
 		return ""
 	}
@@ -190,20 +193,22 @@ func checkCountingCases(t *testing.T) {
 	}
 }
 
-// TestCountKernelDoesNotAllocate: once its touched list and candidate
-// buffer have grown, the counting kernel runs allocation-free.
+// TestCountKernelDoesNotAllocate: once its scratch buffers have grown,
+// the probe kernel — counting scan, signature probes and verification —
+// runs allocation-free.
 func TestCountKernelDoesNotAllocate(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	k1 := randLabeledKB(r, "k1", 200)
 	k2 := randLabeledKB(r, "k2", 200)
-	dict := kb.NewTokenDict()
-	lab1 := internLabels(k1, dict, nil)
-	ix := newPostings(internLabels(k2, dict, nil), dict.Len())
-	sc := &scanScratch{count: make([]int32, k2.NumEntities())}
+	j := newJoin(k1, k2, 0.3, nil)
+	if slices.Max(j.scanY) == 0 || slices.Max(j.pre1[1]) == 0 || slices.Max(j.pre1[2]) == 0 {
+		t.Fatal("the labels do not exercise the scan and both signature kinds")
+	}
+	sc := &scratch{count: make([]int32, k2.NumEntities())}
 	pass := func() {
 		sc.cands = sc.cands[:0]
 		for u1 := 0; u1 < k1.NumEntities(); u1++ {
-			ix.scan(sc, kb.EntityID(u1), lab1.of(u1), 0.3)
+			j.probe(sc, kb.EntityID(u1))
 		}
 	}
 	pass() // warm-up
@@ -211,7 +216,7 @@ func TestCountKernelDoesNotAllocate(t *testing.T) {
 		t.Fatal("the pass emitted no candidates")
 	}
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
-		t.Errorf("counting kernel allocates %v times per pass, want 0", allocs)
+		t.Errorf("probe kernel allocates %v times per pass, want 0", allocs)
 	}
 }
 
@@ -226,4 +231,48 @@ func assertSameResult(t *testing.T, ctx string, want, got *Result) {
 	if !reflect.DeepEqual(want.Priors, got.Priors) {
 		t.Fatalf("%s: priors diverge", ctx)
 	}
+}
+
+// fuzzThresholds are the thresholds a fuzz byte names first: the α
+// boundaries, where a quotient o/(|x|+|y|−o) lands exactly on t, then NaN
+// and 0, which mean the default. Any other byte b means b/200, up to
+// above 1.
+var fuzzThresholds = []float64{0.25, 1.0 / 3, 0.5, 2.0 / 3, 1, math.NaN(), 0}
+
+// FuzzGenerateMatchesNaive holds the exactness contract on arbitrary
+// labels: the input's lines are labels, those before the first empty
+// line K1's and the rest K2's, and th picks the threshold. Generate,
+// serial and parallel, must equal GenerateNaive.
+func FuzzGenerateMatchesNaive(f *testing.F) {
+	b := byte(0)
+	f.Add("joan crawford\nnew york city\n\njoan crawford\nnew york", b)
+	for ti := range fuzzThresholds {
+		b = byte(ti)
+		f.Add(strings.Join(hostileTokens[:12], " ")+"\n"+strings.Join(hostileTokens[6:], " ")+"\n\n"+strings.Join(hostileTokens, ", "), b)
+		f.Add("aa aa bb\ncc dd ee\nf1 f2 f3 f4 f5 f6\ngg hh ii\njj kk\n\nbb aa bb aa\n\ncc xx\nf1 f2 f3 y1 y2 y3 y4\ngg hh zz\njj\njj kk ll", b)
+		f.Add("a b c\na b\nd e f g h i j k l m n o p\n\na b c\na\nb c d\nd e f g h i j k l m n o p q", b)
+	}
+	f.Add("x1 x2 x3\n\nx1 x2 x3 x4 x5 x6 x7 x8 x9 x10", byte(60))
+	f.Fuzz(func(t *testing.T, labels string, th byte) {
+		if len(labels) > 4096 {
+			return
+		}
+		opts := Options{Threshold: float64(th) / 200}
+		if int(th) < len(fuzzThresholds) {
+			opts.Threshold = fuzzThresholds[th]
+		}
+		side1, side2, _ := strings.Cut(labels, "\n\n")
+		fill := func(name, text string) *kb.KB {
+			k := kb.New(name)
+			for i, l := range strings.Split(text, "\n") {
+				k.SetLabel(k.AddEntity(fmt.Sprintf("%s:e%d", name, i)), l)
+			}
+			return k
+		}
+		k1, k2 := fill("k1", side1), fill("k2", side2)
+		want := GenerateNaive(k1, k2, opts)
+		assertSameResult(t, "serial", want, Generate(k1, k2, opts))
+		opts.Runner = wideRunner{}
+		assertSameResult(t, "parallel", want, Generate(k1, k2, opts))
+	})
 }

@@ -1,7 +1,8 @@
 package blocking
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/kb"
 	"repro/internal/pair"
@@ -14,7 +15,7 @@ import (
 // randomized KBs, the same way InferAllFW anchors the CSR propagation
 // engine. It allocates per pair and should not be used at scale.
 func GenerateNaive(k1, k2 *kb.KB, opts Options) *Result {
-	if opts.Threshold <= 0 {
+	if !(opts.Threshold > 0) {
 		opts.Threshold = 0.3
 	}
 
@@ -55,12 +56,9 @@ func GenerateNaive(k1, k2 *kb.KB, opts Options) *Result {
 		}
 	}
 
-	sort.Slice(res.Candidates, func(i, j int) bool {
-		return res.Candidates[i].Pair.Less(res.Candidates[j].Pair)
-	})
-	sort.Slice(res.Initial, func(i, j int) bool {
-		return res.Initial[i].Less(res.Initial[j])
-	})
+	byPair := func(a, b pair.Pair) int { return cmp.Or(cmp.Compare(a.U1, b.U1), cmp.Compare(a.U2, b.U2)) }
+	slices.SortFunc(res.Candidates, func(a, b Candidate) int { return byPair(a.Pair, b.Pair) })
+	slices.SortFunc(res.Initial, byPair)
 	return res
 }
 

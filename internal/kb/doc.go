@@ -33,11 +33,6 @@
 // million-entity KB without re-tokenizing or re-interning anything and
 // is what repeated bench runs and server restarts use.
 //
-// The package also hosts the token dictionary (TokenDict) that the
-// pre-pipeline builds on: label tokens interned once to dense uint32
-// TokenIDs so blocking and similarity run over integer posting lists
-// instead of strings.
-//
 // # The binary KB snapshot format
 //
 // A snapshot is a single file (conventionally *.snap, see SnapshotExt)

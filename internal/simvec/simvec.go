@@ -91,14 +91,15 @@ func (b *Builder) Vector(p pair.Pair) Vector {
 	return v
 }
 
-// All computes vectors for every pair, preserving order. One serial pass
-// over the pairs interns each entity's value sets on first sight — once
-// per entity, however many pairs it is in — into a per-call corpus and
-// one dense table per side; pair vectors are then scored from the
-// tables, in parallel when a Runner is set. Each out[i] is byte-identical
-// to Vector(pairs[i]). The vectors are disjoint windows of one array,
-// which is all that outlives the call: corpus and tables are garbage on
-// return, and a second call starts from nothing.
+// All computes vectors for every pair, preserving order. One pass over
+// the pairs per side lists each entity's value sets on first sight — once
+// per entity, however many pairs it is in — in one dense table per side;
+// the listed literals are then interned into a per-call corpus in one
+// batch, and pair vectors scored from the tables, both in parallel when a
+// Runner is set. Each out[i] is byte-identical to Vector(pairs[i]). The vectors
+// are disjoint windows of one array, which is all that outlives the call:
+// corpus and tables are garbage on return, and a second call starts from
+// nothing.
 func (b *Builder) All(pairs []pair.Pair) []Vector {
 	out := make([]Vector, len(pairs))
 	if len(pairs) == 0 {
@@ -119,13 +120,22 @@ func (b *Builder) All(pairs []pair.Pair) []Vector {
 	for i, m := range b.matches {
 		attrs1[i], attrs2[i] = m.A1, m.A2
 	}
-	// Interning mutates the corpus, so it stays serial; the scoring pass
-	// below only reads it.
-	for i, p := range pairs {
-		bt.side1.add(bt.corpus, b.k1, p.U1, attrs1)
-		bt.side2.add(bt.corpus, b.k2, p.U2, attrs2)
+	for i := range pairs {
 		out[i] = bt.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
+	// The two sides' tables are independent: one task each.
+	pair.RunAll(b.runner, 2, func(side int) {
+		for _, p := range pairs {
+			if side == 0 {
+				bt.side1.add(b.k1, p.U1, attrs1)
+			} else {
+				bt.side2.add(b.k2, p.U2, attrs2)
+			}
+		}
+	})
+	n1 := len(bt.side1.vals)
+	lits := bt.corpus.InternAll(b.runner, append(bt.side1.vals, bt.side2.vals...))
+	bt.side1.lits, bt.side2.lits = lits[:n1], lits[n1:]
 	chunks := pair.ChunkRanges(len(pairs), b.runner, runtime.NumCPU())
 	pair.RunAll(b.runner, len(chunks), func(ci int) {
 		bt.score(chunks[ci].Lo, chunks[ci].Hi)
@@ -141,25 +151,24 @@ type valueTable struct {
 	// until first sight (off is never empty, so a real base is never 0).
 	base []int32
 	off  []int32 // value set i is lits[off[i]:off[i+1]]
-	lits []strsim.LitID
+	vals []string
+	lits []strsim.LitID // vals, interned
 }
 
 func newValueTable(numEntities int) valueTable {
 	return valueTable{base: make([]int32, numEntities), off: []int32{0}}
 }
 
-// add interns u's value set on every attribute of attrs (one per
-// attribute match), unless u was added before.
-func (t *valueTable) add(c *strsim.Corpus, k *kb.KB, u kb.EntityID, attrs []kb.AttrID) {
+// add lists u's value set on every attribute of attrs (one per attribute
+// match), unless u was added before.
+func (t *valueTable) add(k *kb.KB, u kb.EntityID, attrs []kb.AttrID) {
 	if t.base[u] != 0 {
 		return
 	}
 	t.base[u] = int32(len(t.off))
 	for _, a := range attrs {
-		for _, v := range k.AttrValues(u, a) {
-			t.lits = append(t.lits, c.Intern(v))
-		}
-		t.off = append(t.off, int32(len(t.lits)))
+		t.vals = append(t.vals, k.AttrValues(u, a)...)
+		t.off = append(t.off, int32(len(t.vals)))
 	}
 }
 

@@ -31,7 +31,7 @@ func BenchmarkSimLStrings(b *testing.B) {
 func BenchmarkSimLCorpus(b *testing.B) {
 	va, vb := benchValues(8), benchValues(8)
 	c := NewCorpus()
-	ia, ib := c.InternAll(va), c.InternAll(vb)
+	ia, ib := c.InternAll(nil, va), c.InternAll(nil, vb)
 	var sc MatchScratch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -52,8 +52,8 @@ func BenchmarkJaccardStrings(b *testing.B) {
 
 func BenchmarkJaccardIDs(b *testing.B) {
 	c := NewCorpus()
-	ia := c.internTokens("the quick brown fox jumps over the lazy dog")
-	ib := c.internTokens("the quick brown cat sleeps under the lazy dog")
+	ids := c.InternAll(nil, []string{"the quick brown fox jumps over the lazy dog", "the quick brown cat sleeps under the lazy dog"})
+	ia, ib := c.toks[ids[0]], c.toks[ids[1]]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,9 +1,11 @@
 package strsim
 
 import (
-	"slices"
+	"runtime"
 	"strconv"
 	"strings"
+
+	"repro/internal/pair"
 )
 
 // LitID is a dense interned literal identifier within one Corpus.
@@ -18,86 +20,58 @@ type LitID uint32
 // functions: interning is a bijection, so every set size, intersection
 // size and parsed value — the only inputs to the float math — is the same.
 //
-// A Corpus is safe for concurrent reads once interning finishes; Intern
-// calls must not race with anything.
+// Literals and their tokens go through two Interners. InternAll fans its
+// work out over a Runner: the literal interning, and then classifying,
+// parsing and tokenizing each new literal. A Corpus is safe for
+// concurrent reads once InternAll returns; InternAll calls must not race
+// with anything.
 type Corpus struct {
-	idx    map[string]LitID
-	kinds  []LiteralKind
-	nums   []float64 // parsed value for KindNumber/KindDate literals
-	toks   [][]uint32
-	tokIdx map[string]uint32
-	// buf and ends are internTokens' AppendWords scratch.
-	buf  []byte
-	ends []int32
+	lits, words Interner
+	kinds       []LiteralKind
+	nums        []float64 // parsed value for KindNumber/KindDate literals
+	toks        [][]uint32
 }
 
 // NewCorpus returns an empty corpus.
-func NewCorpus() *Corpus {
-	return &Corpus{idx: make(map[string]LitID), tokIdx: make(map[string]uint32)}
-}
+func NewCorpus() *Corpus { return &Corpus{} }
 
-// Intern returns the ID of lit, classifying, parsing and tokenizing it on
-// first sight.
-func (c *Corpus) Intern(lit string) LitID {
-	if id, ok := c.idx[lit]; ok {
-		return id
+// InternAll interns every literal in vals, returning their IDs. A
+// literal seen for the first time is classified, parsed and tokenized —
+// in parallel when r is set; the IDs do not depend on r.
+func (c *Corpus) InternAll(r pair.Runner, vals []string) []LitID {
+	old := len(c.kinds)
+	_, ids := c.lits.Sets(r, len(vals), func(i int) string { return vals[i] }, false)
+	n, out := c.lits.Len(), make([]LitID, len(vals))
+	fresh := make([]string, n-old) // each new literal, by ID − old
+	for i, id := range ids {
+		if out[i] = LitID(id); int(id) >= old {
+			fresh[int(id)-old] = vals[i]
+		}
 	}
-	id := LitID(len(c.kinds))
-	c.idx[lit] = id
-	kind := Classify(lit)
-	var num float64
-	switch kind {
-	case KindNumber:
-		num, _ = strconv.ParseFloat(strings.TrimSpace(lit), 64)
-	case KindDate:
-		num, _ = parseDate(strings.TrimSpace(lit))
-	}
-	c.kinds = append(c.kinds, kind)
-	c.nums = append(c.nums, num)
-	c.toks = append(c.toks, c.internTokens(lit))
-	return id
-}
+	c.kinds = append(c.kinds, make([]LiteralKind, n-old)...)
+	c.nums = append(c.nums, make([]float64, n-old)...)
+	c.toks = append(c.toks, make([][]uint32, n-old)...)
 
-// InternAll interns every literal in vals, returning their IDs.
-func (c *Corpus) InternAll(vals []string) []LitID {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]LitID, len(vals))
-	for i, v := range vals {
-		out[i] = c.Intern(v)
+	chunks := pair.ChunkRanges(len(fresh), r, runtime.NumCPU())
+	pair.RunAll(r, len(chunks), func(ci int) {
+		for id := old + chunks[ci].Lo; id < old+chunks[ci].Hi; id++ {
+			lit := strings.TrimSpace(fresh[id-old])
+			switch c.kinds[id] = Classify(lit); c.kinds[id] {
+			case KindNumber:
+				c.nums[id], _ = strconv.ParseFloat(lit, 64)
+			case KindDate:
+				c.nums[id], _ = parseDate(lit)
+			}
+		}
+	})
+	// A literal's token set is TokenSet(lit) by ID instead of by string, a
+	// different permutation of the same set, so every intersection size —
+	// the only thing downstream math reads — is unchanged.
+	start, toks := c.words.Sets(r, len(fresh), func(i int) string { return fresh[i] }, true)
+	for i := range fresh {
+		c.toks[old+i] = toks[start[i]:start[i+1]:start[i+1]]
 	}
 	return out
-}
-
-// Len returns the number of interned literals.
-func (c *Corpus) Len() int { return len(c.kinds) }
-
-// internTokens maps the tokens of lit through the corpus token dictionary
-// and returns their distinct IDs sorted ascending: TokenSet(lit) by ID
-// instead of by string, a different permutation of the same set, so every
-// intersection size — the only thing downstream math reads — is
-// unchanged. Tokens are looked up as bytes in the corpus's scratch; only a
-// token seen for the first time allocates its key.
-func (c *Corpus) internTokens(lit string) []uint32 {
-	c.buf, c.ends = AppendWords(c.buf[:0], c.ends[:0], lit, true)
-	if len(c.ends) == 0 {
-		return nil
-	}
-	ids := make([]uint32, len(c.ends))
-	from := int32(0)
-	for i, e := range c.ends {
-		tok := c.buf[from:e]
-		from = e
-		id, ok := c.tokIdx[string(tok)]
-		if !ok {
-			id = uint32(len(c.tokIdx))
-			c.tokIdx[string(tok)] = id
-		}
-		ids[i] = id
-	}
-	slices.Sort(ids)
-	return slices.Compact(ids)
 }
 
 // LiteralSim is LiteralSimilarity over interned literals: same-kind

@@ -31,19 +31,33 @@ func randLiteralSet(r *rand.Rand, max int) []string {
 }
 
 // TestCorpusLiteralSimMatches: interned literal similarity is
-// byte-identical to LiteralSimilarity on the raw strings.
+// byte-identical to LiteralSimilarity on the raw strings, whether the
+// literals are interned one call each, in one serial batch, or in one
+// batch fanned out over a runner.
 func TestCorpusLiteralSimMatches(t *testing.T) {
-	c := NewCorpus()
-	ids := make([]LitID, len(hostileLiterals))
-	for i, lit := range hostileLiterals {
-		ids[i] = c.Intern(lit)
+	one := NewCorpus()
+	var ids []LitID
+	for _, lit := range hostileLiterals {
+		ids = append(ids, one.InternAll(nil, []string{lit})...)
 	}
-	for i, a := range hostileLiterals {
-		for j, b := range hostileLiterals {
-			want := LiteralSimilarity(a, b)
-			got := c.LiteralSim(ids[i], ids[j])
-			if got != want {
-				t.Fatalf("LiteralSim(%q, %q) = %v, want %v", a, b, got, want)
+	serial := NewCorpus()
+	par := NewCorpus()
+	for _, cs := range []struct {
+		name string
+		c    *Corpus
+		ids  []LitID
+	}{
+		{"one by one", one, ids},
+		{"serial batch", serial, serial.InternAll(nil, hostileLiterals)},
+		{"parallel batch", par, par.InternAll(wideRunner{}, hostileLiterals)},
+	} {
+		for i, a := range hostileLiterals {
+			for j, b := range hostileLiterals {
+				want := LiteralSimilarity(a, b)
+				got := cs.c.LiteralSim(cs.ids[i], cs.ids[j])
+				if got != want {
+					t.Fatalf("%s: LiteralSim(%q, %q) = %v, want %v", cs.name, a, b, got, want)
+				}
 			}
 		}
 	}
@@ -61,22 +75,26 @@ func TestCorpusSimLMatches(t *testing.T) {
 		vb := randLiteralSet(r, 5)
 		threshold := float64(r.Intn(11)) / 10
 		want := SimL(va, vb, threshold)
-		got := c.SimL(c.InternAll(va), c.InternAll(vb), threshold, &sc)
+		got := c.SimL(c.InternAll(nil, va), c.InternAll(wideRunner{}, vb), threshold, &sc)
 		if got != want {
 			t.Fatalf("Corpus SimL(%q, %q, %v) = %v, want %v", va, vb, threshold, got, want)
 		}
 	}
 }
 
-// TestCorpusInternIdempotent: re-interning returns the same ID.
+// TestCorpusInternIdempotent: re-interning returns the same ID, within
+// one batch and across batches.
 func TestCorpusInternIdempotent(t *testing.T) {
 	c := NewCorpus()
-	a := c.Intern("hello world")
-	b := c.Intern("other")
-	if c.Intern("hello world") != a || c.Intern("other") != b {
+	ids := c.InternAll(nil, []string{"hello world", "other", "hello world"})
+	a, b := ids[0], ids[1]
+	if ids[2] != a {
+		t.Fatal("a repeat within one batch got a new ID")
+	}
+	if again := c.InternAll(wideRunner{}, []string{"other", "hello world"}); again[0] != b || again[1] != a {
 		t.Fatal("re-interning changed IDs")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.lits.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.lits.Len())
 	}
 }
