@@ -140,7 +140,8 @@ func runLocal(t *testing.T, spec testSpec, asker core.Asker) *core.Result {
 }
 
 // runRemote resolves the spec with the shard engines on the coordinator's
-// workers.
+// workers. progress, when set, is called with the number of questions
+// asked so far after each ask.
 func runRemote(t *testing.T, co *Coordinator, spec testSpec, asker core.Asker, progress func(questions int)) *core.Result {
 	t.Helper()
 	ds, err := datasets.ByName(spec.Dataset, spec.Seed)
@@ -149,14 +150,28 @@ func runRemote(t *testing.T, co *Coordinator, spec testSpec, asker core.Asker, p
 	}
 	cfg := spec.config()
 	cfg.Runner = co.Runner
-	if progress != nil {
-		cfg.Progress = func(questions int, _ pair.Set) { progress(questions) }
-	}
 	p := spec.prepare(ds, cfg)
 	if p.NumShards() < 2 && !spec.IsolatedOnly {
 		t.Fatalf("fixture produced %d shards, want ≥ 2", p.NumShards())
 	}
+	if progress != nil {
+		asker = &progressAsker{Asker: asker, progress: progress}
+	}
 	return p.Run(asker)
+}
+
+// progressAsker reports each ask to progress.
+type progressAsker struct {
+	core.Asker
+	asked    int
+	progress func(questions int)
+}
+
+func (a *progressAsker) Ask(q pair.Pair) []crowd.Label {
+	labels := a.Asker.Ask(q)
+	a.asked++
+	a.progress(a.asked)
+	return labels
 }
 
 func oracleFor(t *testing.T, spec testSpec) *core.OracleAsker {

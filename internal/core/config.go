@@ -37,10 +37,6 @@ type Config struct {
 	ClassifyIsolated bool
 	// Seed drives the forest's randomness.
 	Seed int64
-	// Progress, when non-nil, is invoked after every answered question
-	// with the running question count and the current match set (used to
-	// trace F1-versus-#questions curves, Figure 5).
-	Progress func(questions int, matches pair.Set)
 	// ExhaustBudget keeps the loop polling unresolved pairs by strategy
 	// order even after relational propagation is exhausted, until Budget
 	// is spent. The paper's Figure 5 runs every selection strategy to the

@@ -478,9 +478,6 @@ func (l *Loop) apply(q pair.Pair, labels []crowd.Label) {
 			}
 		}
 	}
-	if cfg.Progress != nil {
-		cfg.Progress(l.res.Questions, l.res.Matches)
-	}
 }
 
 // batchTail runs the work Run performs after a batch of µ answers:

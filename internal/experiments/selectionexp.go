@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
@@ -45,26 +45,26 @@ func Figure5(w io.Writer, seed int64) []CurvePoint {
 			// curves are comparable point-for-point, as in the paper.
 			cfg.Budget = marks[len(marks)-1]
 			cfg.ExhaustBudget = true
-			cfg.Progress = func(q int, matches pair.Set) {
-				for _, mark := range marks {
-					if q == mark {
-						points[q] = pair.Evaluate(matches, ds.Gold).F1
-					}
+			// At µ = 1 every Deliver applies one answer, so the result
+			// read after it is the curve's point at that question count.
+			l := core.Prepare(ds.K1, ds.K2, cfg).NewLoop()
+			asker := core.NewOracleAsker(ds.Gold.IsMatch)
+			for !l.Done() {
+				q := l.Batch()[0]
+				if err := l.Deliver(q, asker.Ask(q)); err != nil {
+					panic(err)
+				}
+				if res := l.Result(); slices.Contains(marks, res.Questions) {
+					points[res.Questions] = pair.Evaluate(res.Matches, ds.Gold).F1
 				}
 			}
-			p := core.Prepare(ds.K1, ds.K2, cfg)
-			res := p.Run(core.NewOracleAsker(ds.Gold.IsMatch))
+			res := l.Result()
 			final := pair.Evaluate(res.Matches, ds.Gold).F1
-			// Fill marks beyond the method's stopping point with its final
-			// F1 (the curve flattens once it stops asking).
-			qs := make([]int, 0, len(points))
-			for q := range points {
-				qs = append(qs, q)
-			}
-			sort.Ints(qs)
 			fmt.Fprintf(w, "%-6s %-7s (stopped at %d questions, final F1 %s):", ds.Name, st.name, res.Questions, pct(final))
 			last := 0.0
 			for _, mark := range marks {
+				// Marks beyond the method's stopping point take its final F1
+				// (the curve flattens once it stops asking).
 				if f1, ok := points[mark]; ok {
 					last = f1
 				} else if mark >= res.Questions {

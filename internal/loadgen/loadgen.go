@@ -253,7 +253,7 @@ func Run(cfg Config) (*Report, error) {
 	res, err := remp.Resolve(
 		remp.Dataset{K1: ds.K1, K2: ds.K2},
 		&oracleAsker{r: r},
-		cfg.Options.ToOptions(),
+		cfg.Options,
 	)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: synchronous oracle failed: %w", err)

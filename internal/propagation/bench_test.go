@@ -31,7 +31,7 @@ func BenchmarkEngineDetachSync(b *testing.B) {
 	for _, mode := range []string{"incremental", "full-rebuild"} {
 		b.Run(mode, func(b *testing.B) {
 			pg, verts := clusteredPG(nc, cs)
-			e := NewEngine(pg, 0.8)
+			e := pg.InferAll(0.8)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -40,7 +40,7 @@ func BenchmarkEngineDetachSync(b *testing.B) {
 					// off the clock so iterations keep measuring real work.
 					b.StopTimer()
 					pg, verts = clusteredPG(nc, cs)
-					e = NewEngine(pg, 0.8)
+					e = pg.InferAll(0.8)
 					b.StartTimer()
 				}
 				e.DetachVertex(i % len(verts))

@@ -60,7 +60,7 @@ func TestCSRMatchesOracleTableDriven(t *testing.T) {
 			}
 			// Incremental sync after random edits must equal a rebuild of
 			// the same mutated graph.
-			e := NewEngine(pg, tau)
+			e := pg.InferAll(tau)
 			for ops := 0; ops < 6; ops++ {
 				slot := pg.randomSlot(rng, 0, tc.n)
 				switch rng.Intn(4) {

@@ -52,11 +52,11 @@ import (
 type Engine struct {
 	pg   *ProbGraph
 	zeta float64
-	// dist and rev mirror Inferred over the live sources: dist[q] = the
-	// sorted ball bt(q), nil once q is retired and synced; rev[p] lists the
-	// live sources whose balls contain p, the inverse index bt⁻¹(p). rev rows
-	// are unordered sets — invalidation only iterates them — kept
-	// duplicate-free by the Sync bookkeeping.
+	// dist[q] is the sorted ball bt(q) of a live source, nil once q is
+	// retired and synced; rev[p] lists the live sources whose balls
+	// contain p, the inverse index bt⁻¹(p). rev rows are ascending after a
+	// rebuild and unordered sets after an incremental Sync — invalidation
+	// only iterates them — kept duplicate-free by the Sync bookkeeping.
 	dist []Ball
 	rev  [][]int32
 	// retired marks the sources taken out by Retire; live counts the rest.

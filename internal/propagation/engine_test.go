@@ -104,21 +104,20 @@ func compareRevRows(t *testing.T, ctx string, i int, got, want []int32) {
 	}
 }
 
+// TestNewEngineMatchesInferAll checks the engine's first build — what
+// InferAll returns — against the Floyd–Warshall oracle, one Dijkstra per
+// vertex.
 func TestNewEngineMatchesInferAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 10; iter++ {
 		n := 10 + rng.Intn(90) // crosses the parallel fan-out cutoff
 		pg := randomPG(rng, n, 0.1)
 		tau := 0.7
-		e := NewEngine(pg, tau)
+		e := pg.InferAll(tau)
 		if got := e.Recomputes(); got != int64(n) {
 			t.Fatalf("initial build ran %d Dijkstras, want %d", got, n)
 		}
 		assertMatchesOracle(t, e, tau, fmt.Sprintf("iter %d initial", iter))
-		inf := pg.InferAll(tau)
-		for i := 0; i < n; i++ {
-			compareBalls(t, "vs InferAll", "dist", i, e.dist[i], inf.dist[i])
-		}
 	}
 }
 
@@ -138,7 +137,7 @@ func TestEngineRandomizedInvalidation(t *testing.T) {
 		n := 64 + rng.Intn(40) // above the fan-out cutoff so Sync parallelizes
 		pg := randomPG(rng, n, 0.08)
 		tau := 0.65 + 0.25*rng.Float64()
-		e := NewEngine(pg, tau)
+		e := pg.InferAll(tau)
 		for step := 0; step < 10; step++ {
 			for ops := 1 + rng.Intn(4); ops > 0; ops-- {
 				slot := pg.randomSlot(rng, 0, n)
@@ -197,7 +196,7 @@ func clusteredPG(nc, cs int) (*ProbGraph, []pair.Pair) {
 func TestEngineRecomputesOnlyBall(t *testing.T) {
 	pg, vs := clusteredPG(6, 8) // ball = one 8-chain ≪ n/2, no bulk fallback
 	tau := 0.8
-	e := NewEngine(pg, tau)
+	e := pg.InferAll(tau)
 	n := pg.Graph().NumVertices()
 	if e.Recomputes() != int64(n) {
 		t.Fatalf("initial build: %d recomputes, want %d", e.Recomputes(), n)
@@ -243,7 +242,7 @@ func TestEngineRecomputesOnlyBall(t *testing.T) {
 func TestEngineResetResizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	pg1 := randomPG(rng, 20, 0.15)
-	e := NewEngine(pg1, 0.8)
+	e := pg1.InferAll(0.8)
 	pg2 := randomPG(rng, 35, 0.1) // different vertex count
 	e.Reset(pg2)
 	e.Sync()
@@ -293,7 +292,7 @@ func TestEngineRetirementProperty(t *testing.T) {
 		for _, tau := range []float64{1, 0.95, 0.8, 0.65} {
 			rng := rand.New(rand.NewSource(tc.seed))
 			pg := randomPG(rng, tc.n, tc.density)
-			e := NewEngine(pg, tau)
+			e := pg.InferAll(tau)
 			for step := 0; step < 10; step++ {
 				ctx := fmt.Sprintf("n=%d tau=%v step %d", tc.n, tau, step)
 				for ops := 1 + rng.Intn(6); ops > 0; ops-- {
@@ -349,7 +348,7 @@ func TestEngineRetirementProperty(t *testing.T) {
 // brings it back.
 func TestEngineRetiredBallServedUntilSync(t *testing.T) {
 	pg, vs := clusteredPG(6, 8)
-	e := NewEngine(pg, 0.8)
+	e := pg.InferAll(0.8)
 	g := pg.Graph()
 	confirmed, rejected := g.IndexOf(vs[2]), g.IndexOf(vs[10])
 	want := map[int]Ball{confirmed: slices.Clone(e.Ball(confirmed)), rejected: slices.Clone(e.Ball(rejected))}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/pair"
 )
 
@@ -24,39 +25,21 @@ type BallEntry struct {
 // iterate it in deterministic order for free.
 type Ball []BallEntry
 
-// Inferred holds, for every vertex q, the set of vertices p reachable with
-// path probability at least τ, i.e. dist(q,p) ≤ ζ = −log τ where edge
-// lengths are −log Pr[m_v′|m_v]. This is the output of Algorithm 2.
-type Inferred struct {
-	// dist[q] = the ball bt(q) of the paper; rev[p] lists the sources q
-	// whose balls contain p (the paper's bt⁻¹(p)), ascending.
-	dist []Ball
-	rev  [][]int32
-}
+// Inferred is the output of Algorithm 2: for every vertex q, the set of
+// vertices p reachable with path probability at least τ, i.e.
+// dist(q,p) ≤ ζ = −log τ where edge lengths are −log Pr[m_v′|m_v]. It is
+// an Engine as first built, before any invalidation.
+type Inferred = Engine
 
 // InferAll computes the bounded distance maps of Algorithm 2 by running a
 // ζ-bounded Dijkstra from every vertex, fanned across GOMAXPROCS
-// goroutines. It produces exactly the same distances as the paper's
-// modified Floyd–Warshall (InferAllFW, which lives on in the tests as its
-// oracle) but scales linearly rather than quadratically in the per-vertex
-// reachable-set size, which dominates on the dense connected components of
-// IIMB-like datasets.
+// goroutines: the engine's first build. It produces exactly the same
+// distances as the paper's modified Floyd–Warshall (InferAllFW, which
+// lives on in the tests as its oracle) but scales linearly rather than
+// quadratically in the per-vertex reachable-set size, which dominates on
+// the dense connected components of IIMB-like datasets.
 func (pg *ProbGraph) InferAll(tau float64) *Inferred {
-	dist := pg.computeAll(zetaOf(tau))
-	return &Inferred{dist: dist, rev: buildRev(dist, pg.g.NumVertices())}
-}
-
-// computeAll runs the parallel per-source Dijkstra fan-out; it is shared
-// by InferAll and the Engine's full rebuild.
-func (pg *ProbGraph) computeAll(zeta float64) []Ball {
-	n := pg.g.NumVertices()
-	dist := make([]Ball, n)
-	srcs := make([]int32, n)
-	for i := range srcs {
-		srcs[i] = int32(i)
-	}
-	pg.inferSources(zeta, srcs, dist)
-	return dist
+	return NewEngineObs(pg, tau, obs.EngineCounters{})
 }
 
 // buildRev inverts the balls: rev[p] lists the sources whose ball contains
@@ -136,8 +119,8 @@ func (pg *ProbGraph) inferSources(zeta float64, srcs []int32, dist []Ball) {
 	wg.Wait()
 }
 
-// inferFromIndex is the hot Dijkstra loop shared by InferAll and the
-// incremental Engine: a ζ-bounded single-source run from vertex
+// inferFromIndex is the hot Dijkstra loop of the Engine's rebuilds and
+// incremental Syncs: a ζ-bounded single-source run from vertex
 // index src on the caller-owned scratch. Stale heap entries are skipped by
 // comparing the popped distance against the current best instead of a
 // visited set; relaxations walk the CSR row with precomputed −log lengths
@@ -196,11 +179,6 @@ func zetaOf(tau float64) float64 {
 	// Tiny slack absorbs floating-point noise in summed logs.
 	return -math.Log(tau) + 1e-12
 }
-
-// Ball returns inferred(q) by dense index (q excluded), ascending in
-// vertex index. The slice is the Inferred's own; callers must not mutate
-// it.
-func (inf *Inferred) Ball(q int) Ball { return inf.dist[q] }
 
 // DistOrder returns the ball's positions ordered by (distance, tie-break
 // pair order): the order a confirmed match propagates in, so the 1:1

@@ -3,7 +3,10 @@
 // obtained by marginalizing Eq. (6)–(9) over injective partial matchings
 // between the two value sets, and distant pairs are reached through the
 // Markov-chain path bound of Eq. (10) evaluated with the bounded all-pairs
-// shortest-path procedure of Algorithm 2.
+// shortest-path procedure of Algorithm 2. Its output has one container,
+// the Engine: InferAll returns an engine's first build (Inferred is
+// Engine), which the human–machine loop then keeps up to date
+// incrementally.
 package propagation
 
 import (

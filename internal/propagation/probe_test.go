@@ -5,18 +5,12 @@ import (
 	"math/rand"
 	"slices"
 
-	"repro/internal/obs"
 	"repro/internal/pair"
 )
 
 // This file holds the probes the tests read and edit graphs and engines
 // through. Production code has no use for them: a loop detaches vertices
 // and rewrites rows, and reads balls by dense index.
-
-// NewEngine is NewEngineObs without counters.
-func NewEngine(pg *ProbGraph, tau float64) *Engine {
-	return NewEngineObs(pg, tau, obs.EngineCounters{})
-}
 
 // pendingSources returns how many sources the next Sync will recompute,
 // accounting for retirements and the bulk-rebuild fallback.

@@ -329,7 +329,7 @@ func TestEnginePartialInvalidationMixedEdits(t *testing.T) {
 		rng := rand.New(rand.NewSource(tc.seed))
 		pg, verts := clusteredPG(tc.comps, tc.size)
 		n := len(verts)
-		e := NewEngine(pg, tc.tau)
+		e := pg.InferAll(tc.tau)
 		comp := func(i int) int { return i / tc.size }
 		for step := 0; step < 8; step++ {
 			ctx := fmt.Sprintf("seed %d step %d", tc.seed, step)
@@ -381,7 +381,7 @@ func TestEnginePartialInvalidationMixedEdits(t *testing.T) {
 					k++
 				}
 			}
-			assertSameBalls(t, ctx, e, NewEngine(pg.Clone(), tc.tau))
+			assertSameBalls(t, ctx, e, pg.Clone().InferAll(tc.tau))
 			assertMatchesOracle(t, e, tc.tau, ctx)
 		}
 	}
@@ -475,7 +475,7 @@ func TestProbGraphTopologyIsShared(t *testing.T) {
 		loops := make([]*loop, 3)
 		for i := range loops {
 			pg := prepared.Clone()
-			loops[i] = &loop{pg, NewEngine(pg, tau), NewRewriter(pg, priors, est), make([]bool, n)}
+			loops[i] = &loop{pg, pg.InferAll(tau), NewRewriter(pg, priors, est), make([]bool, n)}
 		}
 		for step := 0; step < 40; step++ {
 			l := loops[rng.Intn(len(loops))]

@@ -151,9 +151,8 @@ func TestWorkerPlanCache(t *testing.T) {
 	}
 	oracle := func(ds remp.Dataset, gold *remp.Gold, req CreateRequest, shards int) *remp.Result {
 		t.Helper()
-		opts := req.Options.ToOptions()
-		opts.Shards = shards
-		want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), opts)
+		req.Options.Shards = shards
+		want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,8 +231,7 @@ func TestClusterCreateShipsShardsNotSpec(t *testing.T) {
 	ds, gold, req := fixture(t, 5)
 	req.KB1TSV += strings.Repeat("# "+strings.Repeat("padding ", 127)+"\n", 7<<10) // comment lines of 1 KiB
 	req.Options.Shards = 2
-	opts := req.Options.ToOptions()
-	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), opts)
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func (c *PlanCache) load(pl *plan, spec []byte) error {
 	if err != nil {
 		return err
 	}
-	opts := req.Options.ToOptions()
+	opts := req.Options
 	opts.Runner = c.runner
 	if pl.prepared, err = c.prepare(pl.ds, opts); err == nil {
 		pl.cost = planCost(pl.ds, pl.prepared)

@@ -111,7 +111,7 @@ func wantOracle(t *testing.T, c *Client, id string, ds remp.Dataset, want *remp.
 func TestPlanCacheConcurrentCreates(t *testing.T) {
 	const n = 8
 	ds, gold, req := fixture(t, 5)
-	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options.ToOptions())
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestPlanCacheRerun(t *testing.T) {
 func TestPlanCacheRestoreAndRecovery(t *testing.T) {
 	const k = 3
 	ds, gold, req := fixture(t, 5)
-	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options.ToOptions())
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,35 +64,9 @@ import (
 	"repro/remp"
 )
 
-// OptionsDTO is the JSON form of remp.Options.
-type OptionsDTO struct {
-	K                         int     `json:"k,omitempty"`
-	Tau                       float64 `json:"tau,omitempty"`
-	Mu                        int     `json:"mu,omitempty"`
-	LabelSimThreshold         float64 `json:"label_sim_threshold,omitempty"`
-	Budget                    int     `json:"budget,omitempty"`
-	MaxLoops                  int     `json:"max_loops,omitempty"`
-	Strategy                  string  `json:"strategy,omitempty"`
-	DisableIsolatedClassifier bool    `json:"disable_isolated_classifier,omitempty"`
-	Seed                      int64   `json:"seed,omitempty"`
-	// Shards shards the session's pipeline (0 = auto, 1 = one shard; see
-	// remp.Options.Shards). A server-wide default applies when omitted.
-	Shards int `json:"shards,omitempty"`
-	// Deduce enables answer deduction (see remp.Options.Deduce):
-	// questions whose verdicts recorded answers already imply are
-	// answered for free instead of being published.
-	Deduce bool `json:"deduce,omitempty"`
-}
-
-// ToOptions maps the DTO onto remp.Options.
-func (o OptionsDTO) ToOptions() remp.Options {
-	return remp.Options{
-		K: o.K, Tau: o.Tau, Mu: o.Mu, LabelSimThreshold: o.LabelSimThreshold,
-		Budget: o.Budget, MaxLoops: o.MaxLoops, Strategy: o.Strategy,
-		DisableIsolatedClassifier: o.DisableIsolatedClassifier, Seed: o.Seed,
-		Shards: o.Shards, Deduce: o.Deduce,
-	}
-}
+// OptionsDTO is a create request's options, in remp.Options' JSON form.
+// A server-wide default applies when Shards is omitted.
+type OptionsDTO = remp.Options
 
 // CreateRequest describes the dataset and options of a new session:
 // either a built-in dataset by name, or a pair of inline TSV KBs (the
@@ -774,7 +748,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	data, err := session.EncodeSnapshot(sess.Snapshot())
+	data, err := sess.Snapshot()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

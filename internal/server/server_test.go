@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func driveReversed(t *testing.T, c *Client, gold *remp.Gold, info *SessionInfo) 
 // loop count.
 func TestHTTPSessionMatchesResolve(t *testing.T) {
 	ds, gold, req := fixture(t, 5)
-	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options.ToOptions())
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestHTTPSessionMatchesResolve(t *testing.T) {
 // story over the wire.
 func TestHTTPSnapshotRestore(t *testing.T) {
 	ds, gold, req := fixture(t, 5)
-	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options.ToOptions())
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +539,7 @@ func TestServerDrainThenRefuse(t *testing.T) {
 // round-trip through the stored meta blob).
 func TestServerRecoversAcrossRestart(t *testing.T) {
 	ds, gold, req := fixture(t, 5)
-	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options.ToOptions())
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,5 +700,79 @@ func TestDeletePurgesDormantStoreRecord(t *testing.T) {
 	}
 	if ids, _ := store.List(); len(ids) != 0 {
 		t.Fatalf("store still holds %v", ids)
+	}
+}
+
+// TestCreateSpecJSONStable pins a create request's JSON bytes. The server
+// stores them as a session's meta and keys its plan cache on them, so a
+// session a previous build wrote must still recover: every option set and
+// none must marshal to exactly these bytes, and decode back unchanged.
+func TestCreateSpecJSONStable(t *testing.T) {
+	cases := []struct {
+		req  CreateRequest
+		want string
+	}{
+		{CreateRequest{Dataset: "books"}, `{"dataset":"books","options":{}}`},
+		{CreateRequest{
+			Dataset: "d-a", Seed: 7, KB1TSV: "a\tb\n", KB2TSV: "c\td\n", Gold: [][2]string{{"l:x", "r:x"}}, ClientRef: "ref-1",
+			Options: OptionsDTO{K: 5, Tau: 0.8, Mu: 3, LabelSimThreshold: 0.4, Budget: 90, MaxLoops: 6, Strategy: "maxinf",
+				DisableIsolatedClassifier: true, Seed: 11, Shards: 2, Deduce: true},
+		}, `{"dataset":"d-a","seed":7,"kb1_tsv":"a\tb\n","kb2_tsv":"c\td\n","gold":[["l:x","r:x"]],"client_ref":"ref-1","options":{"k":5,"tau":0.8,"mu":3,"label_sim_threshold":0.4,"budget":90,"max_loops":6,"strategy":"maxinf","disable_isolated_classifier":true,"seed":11,"shards":2,"deduce":true}}`},
+	}
+	for _, tc := range cases {
+		got, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("create spec JSON changed:\n got %s\nwant %s", got, tc.want)
+		}
+		var back CreateRequest
+		if err := json.Unmarshal([]byte(tc.want), &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, tc.req) {
+			t.Errorf("decoding %s gives %+v, want %+v", tc.want, back, tc.req)
+		}
+	}
+}
+
+// TestHTTPRejectsBadLabels posts answers whose labels pose as the
+// deduction tier or carry a quality outside (0, 1]: each is rejected in
+// the response's Rejected list, nothing is applied, the question stays
+// in the batch, and a good answer for it is accepted afterwards.
+func TestHTTPRejectsBadLabels(t *testing.T) {
+	_, gold, req := fixture(t, 4)
+	c, _ := newTestServer(t)
+	info, err := c.CreateSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans := oracleAnswer(t, gold, info.Batch[0].ID)
+	var bad []AnswerDTO
+	for _, l := range []remp.Label{
+		{WorkerID: session.DeducedWorkerID, Quality: 0.999, IsMatch: true},
+		{WorkerID: 3, Quality: 0, IsMatch: true},
+		{WorkerID: 3, Quality: 2, IsMatch: true},
+	} {
+		bad = append(bad, AnswerDTO{ID: ans.ID, Labels: []remp.Label{l}})
+	}
+	resp, err := c.PostAnswers(info.ID, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != 0 || len(resp.Rejected) != len(bad) {
+		t.Fatalf("bad labels: accepted %d, rejected %+v", resp.Accepted, resp.Rejected)
+	}
+	for _, r := range resp.Rejected {
+		if r.ID != ans.ID || !strings.Contains(r.Error, "bad label") {
+			t.Errorf("rejection %+v does not name the bad label", r)
+		}
+	}
+	if resp.Questions != 0 || len(resp.Batch) == 0 || resp.Batch[0].ID != ans.ID {
+		t.Fatalf("rejected answers moved the session: %d questions, batch %+v", resp.Questions, resp.Batch)
+	}
+	if good, err := c.PostAnswers(info.ID, []AnswerDTO{ans}); err != nil || good.Accepted != 1 {
+		t.Fatalf("good answer after rejections: %+v, %v", good, err)
 	}
 }

@@ -176,7 +176,11 @@ func TestDeduceSnapshotRestore(t *testing.T) {
 	if s.Done() {
 		t.Fatal("fixture finished before the snapshot point")
 	}
-	snap, err := DecodeSnapshot(mustEncode(t, s.Snapshot()))
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +190,6 @@ func TestDeduceSnapshotRestore(t *testing.T) {
 	}
 	drive(t, restored, gold.IsMatch)
 	assertResultsIdentical(t, want, restored.Result())
-}
-
-func mustEncode(t *testing.T, snap *Snapshot) []byte {
-	t.Helper()
-	data, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestDeduceWALRecovery crashes a Deduce-on journaled session mid-run

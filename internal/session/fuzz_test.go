@@ -40,7 +40,7 @@ func FuzzRestoreSession(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	snapMid, err := EncodeSnapshot(s.Snapshot())
+	snapMid, err := s.Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func FuzzRestoreSession(f *testing.F) {
 			}
 		}
 	}
-	snapDone, err := EncodeSnapshot(done.Snapshot())
+	snapDone, err := done.Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
 
 	// Real fresh snapshot.
-	snapFresh, err := EncodeSnapshot(New("seed-fresh", prep(), nil).Snapshot())
+	snapFresh, err := New("seed-fresh", prep(), nil).Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func FuzzRestoreSession(f *testing.F) {
 
 		// Accepted input: the re-snapshot is the canonical form and must
 		// be a fixed point of restore ∘ snapshot.
-		canon, err := EncodeSnapshot(restored.Snapshot())
+		canon, err := restored.Snapshot()
 		if err != nil {
 			t.Fatalf("re-snapshot of an accepted snapshot failed to encode: %v", err)
 		}
@@ -104,7 +104,7 @@ func FuzzRestoreSession(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical snapshot does not restore: %v", err)
 		}
-		canon2, err := EncodeSnapshot(again.Snapshot())
+		canon2, err := again.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func FuzzRestoreSession(f *testing.F) {
 			q := pair.Pair{U1: kb.EntityID(rec.U1), U2: kb.EntityID(rec.U2)}
 			_ = restored.DeliverPair(q, ToCrowd(rec.Labels))
 		}
-		if _, err := EncodeSnapshot(restored.Snapshot()); err != nil {
+		if _, err := restored.Snapshot(); err != nil {
 			t.Fatalf("snapshot after answer-log replay failed: %v", err)
 		}
 	})
@@ -148,6 +148,66 @@ func FuzzParseQuestionID(f *testing.F) {
 		want := pair.Pair{U1: kb.EntityID(u1 & math.MaxInt32), U2: kb.EntityID(u2 & math.MaxInt32)}
 		if got, err := ParseQuestionID(QuestionID(want)); err != nil || got != want {
 			t.Fatalf("ParseQuestionID(QuestionID(%+v)) = %+v, %v", want, got, err)
+		}
+	})
+}
+
+// FuzzDeliverAnswers holds the wire answer path to fail-closed: whatever
+// question ID and labels JSON a client posts, Deliver never panics; an
+// answer it rejects leaves the session's snapshot bytes unchanged; and
+// one it accepts is part of a snapshot that restores, through
+// DecodeSnapshot and Restore, to identical snapshot bytes. Every input
+// meets a fresh session over one shared pipeline. The seeds answer the
+// first question of its opening batch and, out of order, the last: with
+// oracle labels, and with the labels ErrBadLabel and ErrNoLabels refuse.
+func FuzzDeliverAnswers(f *testing.F) {
+	k1, k2, gold := bookWorld(3, 51)
+	p := core.Prepare(k1, k2, testConfig(nil))
+	batch := New("seed", p, nil).NextBatch()
+	for _, q := range []Question{batch[0], batch[len(batch)-1]} {
+		good, err := json.Marshal(FromCrowd(oracleLabels(gold, q.Pair)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(q.ID, good)
+		f.Add(q.ID, []byte(`[{"worker":-1,"quality":0.999,"match":true}]`))
+		f.Add(q.ID, []byte(`[{"worker":0,"quality":0,"match":true},{"worker":1,"quality":1.5}]`))
+		f.Add(q.ID, []byte(`[]`))
+	}
+	f.Add("0-0", []byte(`[{"worker":0,"quality":1,"match":false,"source":"deduced"}]`))
+	f.Add("01-0", []byte(`null`))
+
+	f.Fuzz(func(t *testing.T, id string, labelsJSON []byte) {
+		var labels []Label
+		if json.Unmarshal(labelsJSON, &labels) != nil {
+			return
+		}
+		s := New("fuzz", p, nil)
+		before, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliverErr := s.Deliver(id, labels)
+		after, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deliverErr != nil {
+			if !bytes.Equal(after, before) {
+				t.Fatalf("rejected answer (%v) changed the snapshot:\nbefore %s\n after %s", deliverErr, before, after)
+			}
+			return
+		}
+		snap, err := DecodeSnapshot(after)
+		if err != nil {
+			t.Fatalf("snapshot after an accepted answer does not decode: %v", err)
+		}
+		restored, err := Restore(p, nil, snap)
+		if err != nil {
+			t.Fatalf("snapshot after an accepted answer does not restore: %v", err)
+		}
+		if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, after) {
+			t.Fatalf("restored snapshot diverged (%v):\n first %s\nsecond %s", err, after, again)
 		}
 	})
 }

@@ -214,7 +214,7 @@ func (m *Manager) admit(p *core.Prepared, namespace string, snap *Snapshot, reco
 // and starts journaling onto it. replace clears a stale store record
 // under the same ID first.
 func (m *Manager) writeRecord(s *Session, meta []byte, replace bool) error {
-	data, err := EncodeSnapshot(s.Snapshot())
+	data, err := s.Snapshot()
 	if err != nil {
 		return fmt.Errorf("session: encoding initial snapshot: %w", err)
 	}

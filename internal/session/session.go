@@ -44,6 +44,10 @@ const (
 // ErrNoLabels rejects an answer delivered without any worker label.
 var ErrNoLabels = errors.New("session: answer carries no labels")
 
+// ErrBadLabel rejects a wire label that poses as the deduction tier
+// (worker DeducedWorkerID) or whose quality lies outside (0, 1].
+var ErrBadLabel = errors.New("session: bad label")
+
 // Question is one published crowd question: a stable ID plus the entity
 // pair it asks about.
 type Question struct {
@@ -249,8 +253,9 @@ func (s *Session) NextBatch() []Question {
 // Deliver accepts the labels for one open question, identified by its wire
 // ID, in any order. The answer is shared through the cache (when present)
 // so sibling sessions never re-post the pair. A wire answer must carry at
-// least one label; use DeliverPair to feed an empty (all workers timed
-// out) answer in process.
+// least one label, each from a crowd worker (not DeducedWorkerID) with a
+// quality in (0, 1]; a rejected answer leaves the question open. Use
+// DeliverPair to feed an empty (all workers timed out) answer in process.
 func (s *Session) Deliver(id string, labels []Label) error {
 	q, err := ParseQuestionID(id)
 	if err != nil {
@@ -258,6 +263,11 @@ func (s *Session) Deliver(id string, labels []Label) error {
 	}
 	if len(labels) == 0 {
 		return fmt.Errorf("%w: %v", ErrNoLabels, q)
+	}
+	for _, l := range labels {
+		if l.WorkerID == DeducedWorkerID || !(l.Quality > 0 && l.Quality <= 1) {
+			return fmt.Errorf("%w for %v: worker %d, quality %v", ErrBadLabel, q, l.WorkerID, l.Quality)
+		}
 	}
 	return s.DeliverPair(q, ToCrowd(labels))
 }

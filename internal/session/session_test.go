@@ -1,7 +1,10 @@
 package session
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -9,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crowd"
+	"repro/internal/deduce"
 	"repro/internal/kb"
 	"repro/internal/pair"
 )
@@ -184,6 +188,51 @@ func TestSessionRejectsBadDeliveries(t *testing.T) {
 	}
 }
 
+// TestDeliverRejectsBadLabels holds the wire path to crowd labels: a
+// label from the reserved deduction worker, or with a quality outside
+// (0, 1], fails the whole answer with ErrBadLabel before anything is
+// applied, journaled or shared — the question stays open and the next
+// good answer for it is accepted. Nothing reaches the namespace cache,
+// so a later session sees neither an answer nor a deduction fact.
+func TestDeliverRejectsBadLabels(t *testing.T) {
+	k1, k2, gold := bookWorld(4, 22)
+	p := core.Prepare(k1, k2, testConfig(func(c *core.Config) { c.Deduce = true }))
+	mgr := NewManager()
+	s, err := mgr.Create(p, "books", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := s.NextBatch()[0]
+	before, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Label{WorkerID: 0, Quality: 0.9, IsMatch: gold.IsMatch(q.Pair)}
+	for _, bad := range []Label{
+		{WorkerID: DeducedWorkerID, Quality: 0.999, IsMatch: gold.IsMatch(q.Pair)},
+		{WorkerID: 1, Quality: 0, IsMatch: true},
+		{WorkerID: 1, Quality: -0.5, IsMatch: true},
+		{WorkerID: 1, Quality: 1.5, IsMatch: true},
+		{WorkerID: 1, Quality: math.NaN(), IsMatch: true},
+	} {
+		if err := s.Deliver(q.ID, []Label{good, bad}); !errors.Is(err, ErrBadLabel) {
+			t.Errorf("Deliver with label %+v: %v, want ErrBadLabel", bad, err)
+		}
+	}
+	if after, _ := s.Snapshot(); !bytes.Equal(after, before) {
+		t.Fatalf("a rejected answer changed the session:\nbefore %s\n after %s", before, after)
+	}
+	if _, ok := mgr.Cache("books").answer(q.Pair); ok {
+		t.Fatal("a rejected answer reached the namespace cache")
+	}
+	if st := mgr.DeduceStats()["books"]; st != (deduce.Stats{}) {
+		t.Fatalf("a rejected answer recorded deduction facts: %+v", st)
+	}
+	if err := s.Deliver(q.ID, []Label{good, {WorkerID: 2, Quality: 1, IsMatch: good.IsMatch}}); err != nil {
+		t.Fatalf("good answer after rejections: %v", err)
+	}
+}
+
 // TestSnapshotRestoreMidRun snapshots a session halfway (with an answer
 // buffered out of order), restores it onto a fresh pipeline, finishes both
 // and requires byte-identical results — the process-restart scenario.
@@ -208,7 +257,7 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 		}
 	}
 
-	data, err := EncodeSnapshot(s.Snapshot())
+	data, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +292,7 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	k1, k2, gold := bookWorld(5, 24)
 	s := New("s1", core.Prepare(k1, k2, testConfig(nil)), nil)
 	driveShuffled(t, s, gold, rand.New(rand.NewSource(3)))
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	if len(snap.Applied) == 0 {
 		t.Fatal("no applied answers to replay")
 	}
@@ -370,7 +419,7 @@ func TestSessionsShareOnePrepared(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			snap := first.Snapshot()
+			snap := first.snapshot()
 			if first.Done() || len(snap.Applied) == 0 {
 				t.Fatalf("fixture too easy: done=%v with %d applied answers after one batch", first.Done(), len(snap.Applied))
 			}
@@ -421,7 +470,7 @@ func TestManagerCreateSkipsRestoredIDs(t *testing.T) {
 	mgr := NewManager()
 
 	donor := New("s2", core.Prepare(k1, k2, testConfig(nil)), nil)
-	restored, err := mgr.Restore(core.Prepare(k1, k2, testConfig(nil)), "books", nil, donor.Snapshot())
+	restored, err := mgr.Restore(core.Prepare(k1, k2, testConfig(nil)), "books", nil, donor.snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

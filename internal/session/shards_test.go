@@ -72,7 +72,7 @@ func TestSnapshotRecordsShardAssignment(t *testing.T) {
 			break
 		}
 	}
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	if snap.Shards != p.NumShards() {
 		t.Errorf("snapshot.Shards = %d, want %d", snap.Shards, p.NumShards())
 	}
@@ -140,7 +140,7 @@ func TestRestoreAcceptsPreSplitFingerprint(t *testing.T) {
 	if s.Done() {
 		t.Fatal("fixture finished inside one batch")
 	}
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	if got, want := snap.ShardSizes, p.ShardSizes(); !slices.Equal(got, want) {
 		t.Fatalf("snapshot records sizes %v, the engine shards hold %v", got, want)
 	}

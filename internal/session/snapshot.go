@@ -57,9 +57,15 @@ func toRecs(answers []core.Answer) []AnswerRec {
 	return out
 }
 
-// Snapshot captures the session's current state. The session keeps
+// Snapshot serializes the session's state to JSON: an event log of the
+// answers applied so far (plus any buffered out of order), replayable
+// against a freshly prepared pipeline. Persist it with the dataset and
+// options used at creation; restoring needs all three. The session keeps
 // running; snapshots are cheap (one record per answered question).
-func (s *Session) Snapshot() *Snapshot {
+func (s *Session) Snapshot() ([]byte, error) { return json.Marshal(s.snapshot()) }
+
+// snapshot captures the session's current state in struct form.
+func (s *Session) snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &Snapshot{
@@ -72,11 +78,6 @@ func (s *Session) Snapshot() *Snapshot {
 		ShardSizes: s.loop.ShardSizes(),
 	}
 }
-
-// MarshalJSON-friendly helpers for callers that move snapshots as bytes.
-
-// EncodeSnapshot serializes a snapshot to JSON.
-func EncodeSnapshot(snap *Snapshot) ([]byte, error) { return json.Marshal(snap) }
 
 // DecodeSnapshot parses a JSON snapshot and checks its version.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {

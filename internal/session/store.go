@@ -18,7 +18,7 @@ import (
 // The store treats meta and snapshot as opaque: meta is whatever the
 // owner needs to re-prepare the session's pipeline (the server persists
 // its CreateRequest JSON there), snapshot is the session package's own
-// JSON form (EncodeSnapshot) at registration — the header Restore
+// JSON form (Session.Snapshot) at registration — the header Restore
 // checks plus any answers the session had already applied. Log records
 // carry the answer's position in the session's delivery order so a lost
 // record shows up as a gap instead of a silent divergence.

@@ -14,6 +14,12 @@
 // Lower-level building blocks (blocking, attribute matching, pruning,
 // propagation, question selection) live in the internal packages and are
 // surfaced through the Pipeline type for step-by-step inspection.
+//
+// A Session runs the same loop asynchronously: NextBatch publishes
+// questions and Deliver takes the crowd's answers in any order (DeliverPair
+// is its form for in-process callers). Session is internal/session's
+// Session, not a wrapper, and its Snapshot returns the JSON bytes
+// RestoreSession replays.
 package remp
 
 import (
@@ -64,28 +70,29 @@ type Dataset struct {
 
 // Options mirrors the paper's tunables; zero values become the paper's
 // uniform settings (k=4, τ=0.9, µ=10, label-similarity threshold 0.3).
+// Its JSON form is the options of the HTTP server's create request.
 type Options struct {
 	// K bounds partial-order pruning to ~k counterpart candidates/entity.
-	K int
+	K int `json:"k,omitempty"`
 	// Tau is the precision threshold for propagated matches; it must lie
 	// in (0, 1] (0 selects the default 0.9), anything else is rejected by
 	// Resolve / NewPipeline with a descriptive error.
-	Tau float64
+	Tau float64 `json:"tau,omitempty"`
 	// Mu is the number of questions per human-machine loop.
-	Mu int
+	Mu int `json:"mu,omitempty"`
 	// LabelSimThreshold prunes candidate pairs below this label Jaccard.
-	LabelSimThreshold float64
+	LabelSimThreshold float64 `json:"label_sim_threshold,omitempty"`
 	// Budget caps the number of crowd questions (0 = unlimited).
-	Budget int
+	Budget int `json:"budget,omitempty"`
 	// MaxLoops caps human-machine loops (0 = unlimited).
-	MaxLoops int
+	MaxLoops int `json:"max_loops,omitempty"`
 	// Strategy selects questions: "greedy" (default, Algorithm 3),
 	// "maxinf" or "maxpr".
-	Strategy string
+	Strategy string `json:"strategy,omitempty"`
 	// DisableIsolatedClassifier turns off the §VII-B random forest.
-	DisableIsolatedClassifier bool
+	DisableIsolatedClassifier bool `json:"disable_isolated_classifier,omitempty"`
 	// Seed drives the pipeline's randomized components.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Shards splits the candidate-pair graph into independent shards of
 	// relationally connected components whose propagation, selection and
 	// answer application run concurrently under one global budget/µ-batch
@@ -95,14 +102,14 @@ type Options struct {
 	// 0 (the default) shards automatically from the number of pairs with
 	// an edge — one shard below a few thousand; n caps the count at n, so 1
 	// keeps them all in one shard; negative values are rejected.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// Runner places the session's shard engines: nil (the default) keeps
 	// them in process; internal/cluster's coordinator vends factories that
 	// place them on worker processes with crash failover. Runtime-only —
 	// it never serializes (the server re-injects it per session) — and a
 	// conforming runner is observably identical to the in-process one, so
 	// results are unaffected.
-	Runner RunnerFactory
+	Runner RunnerFactory `json:"-"`
 	// Deduce enables answer deduction: batches are reordered so answers
 	// close as many open batch-mates as possible, and a question an
 	// earlier answer already resolved (by propagation, or because a
@@ -111,7 +118,7 @@ type Options struct {
 	// are byte-identical to a Deduce-on synchronous oracle run regardless
 	// of sharding, delivery order or clustering; Result.Deduced counts the
 	// crowd questions saved.
-	Deduce bool
+	Deduce bool `json:"deduce,omitempty"`
 }
 
 // RunnerFactory builds the shard-engine runner a session's loop drives;
