@@ -173,7 +173,11 @@ func (co *Coordinator) heartbeat(wc *workerClient) {
 			return
 		case <-t.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), co.cfg.HeartbeatInterval)
+		// A ping may take the rest of the liveness window: one interval
+		// alone marks a healthy worker down whenever this process is
+		// starved of CPU for longer than that.
+		timeout := max(co.cfg.HeartbeatInterval, co.cfg.LivenessTimeout-time.Since(lastPong))
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		_, _, err := wc.call(ctx, MethodPing, struct{}{}, false)
 		cancel()
 		if err == nil {
@@ -324,8 +328,8 @@ func (wc *workerClient) call(ctx context.Context, method string, reqBody any, in
 		return nil, "", &callError{err: fmt.Errorf("cluster: %s request: %w", method, err)}
 	}
 	// A heartbeat ping never strikes: the heartbeat applies
-	// LivenessTimeout itself, and a ping missing its one-interval deadline
-	// while this process is busy says nothing about the worker.
+	// LivenessTimeout itself, and a ping missing its deadline while this
+	// process is busy says nothing about the worker.
 	strike := func() {
 		if method != MethodPing {
 			wc.strike()

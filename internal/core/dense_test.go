@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -76,6 +77,55 @@ func TestDenseViewMatchesBuilder(t *testing.T) {
 				subset = append(subset, p.Retained[i])
 			}
 			check(t, PrepareOnRetained(f.k1, f.k2, DefaultConfig(), subset, blk), blk)
+		})
+	}
+}
+
+// TestRowsAreInterned: on every built-in dataset, the row rowOf[i] names
+// is, bit for bit, Builder.Vector(Retained[i]) followed by the blocking's
+// prior of that pair — the uninterned vector and prior — and rows holds
+// each distinct row exactly once, every one of them some vertex's.
+func TestRowsAreInterned(t *testing.T) {
+	for _, name := range datasets.Names() {
+		t.Run(name, func(t *testing.T) {
+			ds, err := datasets.ByName(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := Prepare(ds.K1, ds.K2, DefaultConfig())
+			blk := testBlocking(ds.K1, ds.K2)
+			w := p.dim + 1
+			if len(p.rowOf) != len(p.Retained) || len(p.rows) != p.NumRows()*w {
+				t.Fatalf("%d row ids for %d vertices; %d row floats for %d rows of %d", len(p.rowOf), len(p.Retained), len(p.rows), p.NumRows(), w)
+			}
+			bits := func(row []float64) string {
+				var key []byte
+				for _, x := range row {
+					key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+				}
+				return string(key)
+			}
+			used := make([]bool, p.NumRows())
+			for i, q := range p.Retained {
+				r := int(p.rowOf[i])
+				want := append(p.Builder.Vector(q), blk.Priors[q])
+				if got := p.rows[r*w : (r+1)*w]; bits(got) != bits(want) {
+					t.Fatalf("vertex %d (%v): row %d = %v, want %v", i, q, r, got, want)
+				}
+				used[r] = true
+			}
+			seen := map[string]int{}
+			for r := range p.NumRows() {
+				key := bits(p.rows[r*w : (r+1)*w])
+				if s, ok := seen[key]; ok {
+					t.Fatalf("rows %d and %d are equal", s, r)
+				}
+				seen[key] = r
+				if !used[r] {
+					t.Fatalf("row %d is no vertex's", r)
+				}
+			}
+			t.Logf("%d vertices, %d distinct rows", len(p.Retained), p.NumRows())
 		})
 	}
 }

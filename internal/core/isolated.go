@@ -1,11 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/forest"
 	"repro/internal/kb"
@@ -75,14 +74,16 @@ const isoMemoCap = 4
 // the plan alone and are built once, on the first classification (isoInputs):
 //
 //   - A signature is the set of attribute matches on which both entities of
-//     a pair have a value; sigOf gives each vertex's, as an id.
+//     a pair have a value: the AND of their attribute-match masks. sigOf
+//     gives each vertex's, as an id.
 //   - A neighborhood is a set of signatures, as a 0/1 byte per signature id.
 //     hoods lists the distinct ones; hoodOf gives each isolated vertex's
 //     signature its ψ-neighborhood (-1 for a signature no isolated vertex
 //     has), and all is the neighborhood of every signature.
 //   - Isolated vertices with the same signature and the same row get the
 //     same forest and so the same prediction: rowClass numbers those
-//     groups, by position in p.isolated, and rowClasses counts them.
+//     (signature id, row id) groups, by position in p.isolated, and
+//     rowClasses counts them.
 //
 // memo holds the predictions of the last few outcomes, most recent last,
 // under mu.
@@ -112,14 +113,15 @@ type isoOutcome struct {
 func (p *Prepared) isoInputs() *isoPlan {
 	c := &p.iso
 	c.once.Do(func() {
+		m1, m2 := p.Builder.AttrMasks(true), p.Builder.AttrMasks(false)
 		c.sigOf = make([]int32, len(p.Retained))
 		ids := map[string]int32{}
 		var sigs []string
 		sig := make([]byte, (p.dim+7)/8)
 		for i, q := range p.Retained {
-			clear(sig)
-			for _, a := range p.Builder.SharedAttrMatches(q) {
-				sig[a/8] |= 1 << (a % 8)
+			a, b := m1.Of(q.U1), m2.Of(q.U2)
+			for k := range sig {
+				sig[k] = a[k] & b[k]
 			}
 			id, ok := ids[string(sig)]
 			if !ok {
@@ -158,18 +160,14 @@ func (p *Prepared) isoInputs() *isoPlan {
 			}
 		}
 
-		classes := map[string]int32{}
+		classes := map[[2]int32]int32{}
 		c.rowClass = make([]int32, len(p.isolated))
-		var key []byte
 		for k, i := range p.isolated {
-			key = binary.LittleEndian.AppendUint32(key[:0], uint32(c.sigOf[i]))
-			for _, v := range p.row(i) {
-				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
-			}
-			id, ok := classes[string(key)]
+			key := [2]int32{c.sigOf[i], p.rowOf[i]}
+			id, ok := classes[key]
 			if !ok {
 				id = int32(len(classes))
-				classes[string(key)] = id
+				classes[key] = id
 			}
 			c.rowClass[k] = id
 		}
@@ -240,53 +238,85 @@ func (c *isoPlan) remember(roles []byte, matches []int32) {
 }
 
 // isoFitter is the working state of one classification the memo missed:
-// the forest of each neighborhood, fitted on first use.
+// the forests of the neighborhoods its targets need.
 type isoFitter struct {
 	p      *Prepared
 	roles  []byte
-	models []*forest.Forest // by neighborhood; nil: too thin to fit
-	fitted []bool
-	fits   int // forest.Train calls
-
-	pos, neg []int32
+	models []*forest.Forest // by neighborhood; nil: not needed, or too thin to fit
+	fits   atomic.Int32     // forest.Train calls
 }
 
 func newIsoFitter(p *Prepared, roles []byte) *isoFitter {
-	n := len(p.iso.hoods)
-	return &isoFitter{p: p, roles: roles, models: make([]*forest.Forest, n), fitted: make([]bool, n)}
+	return &isoFitter{p: p, roles: roles, models: make([]*forest.Forest, len(p.iso.hoods))}
 }
 
+// minExamples is the fewest examples of each class a neighborhood needs for
+// a forest of its own; a thinner one defers to the all-pairs forest.
+const minExamples = 5
+
 // predict returns the isolated vertices the forests predict to be matches.
-// It respects the 1:1 constraint among predictions: isolated pairs are
-// taken in descending forest confidence, and one whose entity is taken
-// already is dropped.
+// It first picks each target row class's forest: its signature's
+// neighborhood's or, where that is too thin (e.g. a type whose matches
+// are all isolated), the single forest trained on every resolved pair,
+// which keeps recall on datasets like D-Y where whole types are
+// disconnected. Then it fits the forests it picked concurrently on the
+// shard-work pool, each task scoring its own classes; a fit is a pure
+// function of the roles and the neighborhood, so the schedule does not
+// show in the result. Last it respects the 1:1 constraint among
+// predictions: isolated pairs are taken in descending forest confidence,
+// and one whose entity is taken already is dropped.
 func (f *isoFitter) predict() []int32 {
-	p := f.p
+	p, c := f.p, &f.p.iso
+	thick := f.thickHoods()
+	// scores[h] lists the row classes neighborhood h's forest scores, and
+	// rep a vertex of each class. A class no forest scores keeps prob 0.
+	scores := make([][]int32, len(c.hoods))
+	rep := make([]int32, c.rowClasses)
+	seen := make([]bool, c.rowClasses)
+	for k, i := range p.isolated {
+		cl := c.rowClass[k]
+		if f.roles[i] != roleTarget || seen[cl] {
+			continue
+		}
+		seen[cl], rep[cl] = true, int32(i)
+		h := c.hoodOf[c.sigOf[i]]
+		if !thick[h] {
+			h = c.all
+		}
+		if thick[h] {
+			scores[h] = append(scores[h], cl)
+		}
+	}
+	// The all-pairs forest, the largest fit, goes first.
+	var need []int32
+	if len(scores[c.all]) > 0 {
+		need = append(need, c.all)
+	}
+	for h := range scores {
+		if int32(h) != c.all && len(scores[h]) > 0 {
+			need = append(need, int32(h))
+		}
+	}
+	probs := make([]float64, c.rowClasses)
+	pool.ForEach(len(need), func(k int) {
+		h := need[k]
+		model := f.fit(c.hoods[h])
+		f.models[h] = model
+		for _, cl := range scores[h] {
+			probs[cl] = model.Prob(p.row(int(rep[cl])))
+		}
+	})
+
 	type prediction struct {
 		i    int32
 		prob float64
 	}
 	var preds []prediction
-	probs := make([]float64, p.iso.rowClasses)
-	for c := range probs {
-		probs[c] = -1 // not computed
-	}
 	for k, i := range p.isolated {
-		if f.roles[i] != roleTarget {
-			continue
-		}
-		prob := &probs[p.iso.rowClass[k]]
-		if *prob < 0 {
-			*prob = 0
-			if model := f.modelFor(p.iso.sigOf[i]); model != nil {
-				*prob = model.Prob(p.row(i))
-			}
-		}
-		if *prob >= 0.5 {
-			preds = append(preds, prediction{i: int32(i), prob: *prob})
+		if prob := probs[c.rowClass[k]]; f.roles[i] == roleTarget && prob >= 0.5 {
+			preds = append(preds, prediction{i: int32(i), prob: prob})
 		}
 	}
-
 	sort.Slice(preds, func(i, j int) bool {
 		if preds[i].prob != preds[j].prob {
 			return preds[i].prob > preds[j].prob
@@ -308,34 +338,41 @@ func (f *isoFitter) predict() []int32 {
 	return matches
 }
 
-// modelFor returns the forest that classifies targets with signature s:
-// the one fitted on its ψ-neighborhood or, where that is too thin (e.g. a
-// type whose matches are all isolated), the single forest trained on every
-// resolved pair. This keeps recall on datasets like D-Y where whole types
-// are disconnected. Nil means neither could be fitted.
-func (f *isoFitter) modelFor(s int32) *forest.Forest {
-	if m := f.model(f.p.iso.hoodOf[s]); m != nil {
-		return m
+// thickHoods reports, by neighborhood, whether it holds minExamples
+// examples of each class: whether it gets a forest of its own. The
+// examples are counted per signature once, then summed per neighborhood.
+func (f *isoFitter) thickHoods() []bool {
+	c := &f.p.iso
+	pos := make([]int, len(c.hoodOf))
+	neg := make([]int, len(c.hoodOf))
+	for i, role := range f.roles {
+		switch role {
+		case rolePositive:
+			pos[c.sigOf[i]]++
+		case roleNegative:
+			neg[c.sigOf[i]]++
+		}
 	}
-	return f.model(f.p.iso.all)
-}
-
-// model returns neighborhood h's forest, fitting it on first use.
-func (f *isoFitter) model(h int32) *forest.Forest {
-	if !f.fitted[h] {
-		f.fitted[h] = true
-		f.models[h] = f.fit(f.p.iso.hoods[h])
+	thick := make([]bool, len(c.hoods))
+	for h, mask := range c.hoods {
+		np, nn := 0, 0
+		for s, in := range mask {
+			if in != 0 {
+				np += pos[s]
+				nn += neg[s]
+			}
+		}
+		thick[h] = np >= minExamples && nn >= minExamples
 	}
-	return f.models[h]
+	return thick
 }
 
 // fit builds a neighborhood's training set, in vertex order, and fits a
-// forest; it returns nil when either class is too thin. Negatives are
-// subsampled to class parity: the paper uses unresolved pairs as
-// non-matches explicitly "to balance the proportions of different labels"
-// (§VII-B).
+// forest; thickHoods vouched for both classes. Negatives are subsampled to
+// class parity: the paper uses unresolved pairs as non-matches explicitly
+// "to balance the proportions of different labels" (§VII-B).
 func (f *isoFitter) fit(mask []byte) *forest.Forest {
-	pos, neg := f.pos[:0], f.neg[:0]
+	var pos, neg []int32
 	for i, role := range f.roles {
 		if mask[f.p.iso.sigOf[i]] == 0 {
 			continue
@@ -346,12 +383,6 @@ func (f *isoFitter) fit(mask []byte) *forest.Forest {
 		case roleNegative:
 			neg = append(neg, int32(i))
 		}
-	}
-	f.pos, f.neg = pos, neg
-	// A usable neighborhood model needs a handful of examples on each
-	// side; thinner ones defer to the global fallback.
-	if len(pos) < 5 || len(neg) < 5 {
-		return nil
 	}
 	// Deterministic subsampling of the majority class to parity.
 	if len(neg) > len(pos) {
@@ -370,7 +401,7 @@ func (f *isoFitter) fit(mask []byte) *forest.Forest {
 	for i := range pos {
 		y[i] = true
 	}
-	f.fits++
+	f.fits.Add(1)
 	return forest.Train(X, y, forest.Options{NumTrees: 100, Seed: f.p.Cfg.Seed})
 }
 

@@ -1,9 +1,10 @@
 package core
 
 // The isolated-pair classifier as it stood before neighborhoods were
-// grouped by signature, kept verbatim (renamed, and counting its
-// forest.Train calls) as the reference the tests below compare
-// classifyIsolated against.
+// grouped by signature, kept verbatim (renamed, counting its forest.Train
+// calls, and with the per-pair signature it read from the similarity
+// Builder as oracleSharedAttrMatches) as the reference the tests below
+// compare classifyIsolated against.
 
 import (
 	"fmt"
@@ -34,7 +35,7 @@ func oracleClassifyIsolated(p *Prepared, res *Result) (fits int) {
 	// Precompute shared-attribute signatures for all retained pairs.
 	sig := make(map[pair.Pair][]int, len(p.Retained))
 	for _, q := range p.Retained {
-		sig[q] = p.Builder.SharedAttrMatches(q)
+		sig[q] = oracleSharedAttrMatches(p, q)
 	}
 
 	type modelKey string
@@ -169,6 +170,18 @@ func oracleIsolatedFeatures(p *Prepared, q pair.Pair) []float64 {
 	return out
 }
 
+// oracleSharedAttrMatches returns the indexes of attribute matches on which
+// both entities of q have at least one value: a signature, pair by pair.
+func oracleSharedAttrMatches(p *Prepared, q pair.Pair) []int {
+	var out []int
+	for i, m := range p.AttrMatches {
+		if len(p.K1.AttrValues(q.U1, m.A1)) > 0 && len(p.K2.AttrValues(q.U2, m.A2)) > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // oracleJaccardInts is the Jaccard coefficient over two integer sets (attribute
 // match indexes); both empty counts as similarity 1 per the ψ-neighborhood
 // definition (identical signatures).
@@ -255,26 +268,39 @@ func TestClassifyIsolatedMatchesOracle(t *testing.T) {
 }
 
 // TestClassifyIsolatedFitsEachTrainingSetOnce counts forest.Train calls
-// through a d-y session. D-Y has pairs that share no attribute and thin
-// neighborhoods: the per-pair classifier fitted the all-pairs model once
-// for the first kind and once more as the fallback of the second, and one
-// forest per signature even where two signatures had the same neighbors.
+// through a d-y session, the forests fitted concurrently. D-Y has pairs
+// that share no attribute and thin neighborhoods: the per-pair classifier
+// fitted the all-pairs model once for the first kind and once more as the
+// fallback of the second, and one forest per signature even where two
+// signatures had the same neighbors. The signatures are checked against
+// the per-pair definition on the way.
 func TestClassifyIsolatedFitsEachTrainingSetOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 40
 	p, res := resolvedWithoutClassifier(t, "d-y", cfg)
 
 	plan := p.isoInputs()
+	// Equal signature ids are equal per-pair signatures, and vice versa.
+	idOf, sigOf := map[string]int32{}, map[int32]string{}
+	for i, q := range p.Retained {
+		sig, id := fmt.Sprint(oracleSharedAttrMatches(p, q)), plan.sigOf[i]
+		if had, ok := idOf[sig]; ok && had != id {
+			t.Fatalf("signature %s has ids %d and %d", sig, had, id)
+		}
+		if had, ok := sigOf[id]; ok && had != sig {
+			t.Fatalf("signature id %d stands for %s and %s", id, had, sig)
+		}
+		idOf[sig], sigOf[id] = id, sig
+	}
 	f := newIsoFitter(p, p.roles(res))
+	f.predict()
 	emptySig, thin := false, false
 	for _, i := range p.isolated {
 		if f.roles[i] != roleTarget {
 			continue
 		}
-		s := plan.sigOf[i]
-		f.modelFor(s)
-		emptySig = emptySig || len(p.Builder.SharedAttrMatches(p.Retained[i])) == 0
-		thin = thin || f.models[plan.hoodOf[s]] == nil
+		emptySig = emptySig || len(oracleSharedAttrMatches(p, p.Retained[i])) == 0
+		thin = thin || f.models[plan.hoodOf[plan.sigOf[i]]] == nil
 	}
 	if !emptySig || !thin {
 		t.Fatalf("fixture lost its point: empty-signature target %v, thin neighborhood %v", emptySig, thin)
@@ -288,13 +314,43 @@ func TestClassifyIsolatedFitsEachTrainingSetOnce(t *testing.T) {
 			fitted++
 		}
 	}
-	if f.fits != fitted {
-		t.Errorf("%d forest.Train calls for %d distinct training sets", f.fits, fitted)
+	fits := int(f.fits.Load())
+	if fits != fitted {
+		t.Errorf("%d forest.Train calls for %d distinct training sets", fits, fitted)
 	}
-	if oracle := oracleClassifyIsolated(p, classifiable(res)); f.fits >= oracle {
-		t.Errorf("%d forest.Train calls, the per-pair classifier made %d", f.fits, oracle)
+	if oracle := oracleClassifyIsolated(p, classifiable(res)); fits >= oracle {
+		t.Errorf("%d forest.Train calls, the per-pair classifier made %d", fits, oracle)
 	} else {
-		t.Logf("forest.Train calls: %d (per-pair classifier: %d), %d neighborhoods", f.fits, oracle, len(plan.hoods))
+		t.Logf("forest.Train calls: %d (per-pair classifier: %d), %d neighborhoods", fits, oracle, len(plan.hoods))
+	}
+}
+
+// TestClassifyIsolatedIgnoresSchedule classifies with the shard-work pool
+// at one token — every forest fitted in turn — and at eight: the
+// predictions are the same, on every built-in dataset, with and without a
+// budget. Run with -race: the fits share the plan and the roles.
+func TestClassifyIsolatedIgnoresSchedule(t *testing.T) {
+	defer func(old *Scheduler) { pool = old }(pool)
+	for _, name := range datasets.Names() {
+		for _, budget := range []int{0, 40} {
+			t.Run(fmt.Sprintf("%s/budget=%d", name, budget), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Budget = budget
+				p, res := resolvedWithoutClassifier(t, name, cfg)
+				var want *Result
+				for _, tokens := range []int{1, 8} {
+					pool = NewScheduler(tokens)
+					p.iso.memo = nil
+					got := classifiable(res)
+					p.classifyIsolated(got)
+					if want == nil {
+						want = got
+						continue
+					}
+					assertResultsIdentical(t, got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -375,26 +431,26 @@ func TestIsoMemoIsBounded(t *testing.T) {
 }
 
 // BenchmarkClassifyIsolated classifies one d-y outcome (budget 40, the
-// serve-* shape). cold is an outcome the plan has not seen: every
-// neighborhood's forest is fitted, over inputs the plan built on its first
-// classification, before timing. warm is the same outcome a second time,
-// served from the plan's memo.
+// serve-* shape). first is a fresh plan's first classification: its
+// inputs (signatures, neighborhoods, row classes) are built and every
+// needed forest is fitted. cold is an outcome the plan has not seen: the
+// forests are fitted, over inputs built before timing. warm is the same
+// outcome a second time, served from the plan's memo.
 func BenchmarkClassifyIsolated(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Budget = 40
 	p, res := resolvedWithoutClassifier(b, "d-y", cfg)
-	p.classifyIsolated(classifiable(res))
-	for _, warm := range []bool{false, true} {
-		name := "cold"
-		if warm {
-			name = "warm"
-		}
+	for _, name := range []string{"first", "cold", "warm"} {
 		b.Run(name, func(b *testing.B) {
+			p.classifyIsolated(classifiable(res))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				r := classifiable(res)
-				if !warm {
+				switch name {
+				case "first":
+					p.iso = isoPlan{}
+				case "cold":
 					p.iso.memo = nil
 				}
 				b.StartTimer()

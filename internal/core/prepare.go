@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/attrmatch"
 	"repro/internal/blocking"
@@ -17,8 +20,9 @@ import (
 // Prepared holds what the human–machine loop reads of stage 1 (ER graph
 // construction) plus the fitted consistency model and probabilistic engine
 // shards. Of the candidates it keeps only the retained ones — the graph's
-// vertices — with their similarity vectors and priors by vertex index;
-// nothing keyed by candidate pair outlives Prepare. It is immutable once
+// vertices — with their similarity vectors and priors by vertex index,
+// each distinct (vector, prior) row stored once; nothing keyed by
+// candidate pair outlives Prepare. It is immutable once
 // Prepare returns, but for the isolated-pair classifier's state (iso),
 // which is guarded: a loop keeps everything it changes in the Loop and its
 // ShardStates, so any number of loops — concurrent ones included — run
@@ -40,11 +44,14 @@ type Prepared struct {
 	// into its own copy (Loop.est).
 	Consistency map[ergraph.RelPair]consistency.Estimate
 
-	// vec holds vertex i's row at vec[i*(dim+1):(i+1)*(dim+1)]: its
-	// similarity vector (Vector), then its prior (Prior). The row is the
-	// isolated-pair classifier's feature vector, read in place.
-	vec []float64
-	dim int
+	// rows holds each distinct row once, row r at rows[r*(dim+1):(r+1)*(dim+1)]:
+	// a similarity vector (Vector), then a prior (Prior). rowOf[i] is
+	// vertex i's row, so vertices with bitwise-equal rows share one, and a
+	// row is never written after Prepare. The row is the isolated-pair
+	// classifier's feature vector, read in place.
+	rowOf []int32
+	rows  []float64
+	dim   int
 	// iso is the isolated-pair classifier's plan-level state: its inputs,
 	// built on the first classification, and a memo of its outcomes. It is
 	// the one part of a Prepared that changes after Prepare returns.
@@ -106,14 +113,19 @@ func (p *Prepared) Vector(i int) simvec.Vector {
 
 // Prior returns vertex i's prior match probability Pr[m_p], the label
 // similarity blocking gave its pair.
-func (p *Prepared) Prior(i int) float64 { return p.vec[(i+1)*(p.dim+1)-1] }
+func (p *Prepared) Prior(i int) float64 { return p.row(i)[p.dim] }
 
 // row returns vertex i's similarity vector with its prior appended,
-// read-only.
+// read-only: vertices with equal rows share it.
 func (p *Prepared) row(i int) []float64 {
 	w := p.dim + 1
-	return p.vec[i*w : (i+1)*w : (i+1)*w]
+	r := int(p.rowOf[i]) * w
+	return p.rows[r : r+w : r+w]
 }
+
+// NumRows returns the number of distinct (vector, prior) rows the
+// vertices share.
+func (p *Prepared) NumRows() int { return len(p.rows) / (p.dim + 1) }
 
 // Prepare runs ER graph construction end to end: candidate generation,
 // attribute matching over initial matches, similarity-vector assembly,
@@ -136,7 +148,7 @@ func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blo
 // prepare is the one body behind both entry points: a nil blk runs
 // blocking, a nil retained runs pruning over the blocking candidates.
 // Either way the candidates' vectors and the blocking result are garbage
-// on return: vertex i's vector and prior are copied out by position.
+// on return: gather copies out each distinct vector and prior.
 func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
@@ -202,16 +214,34 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 }
 
 // gather sets the n retained pairs, at(i) giving the i-th with its vector
-// and prior, which are copied to vertex index i's row.
+// and prior. Their rows are interned by their exact float64 bits (so −0
+// and NaN payloads stay as they are): vertex i gets the id of the first
+// vertex's row equal to its own, and each distinct row is copied once.
 func (p *Prepared) gather(n int, at func(i int) (pair.Pair, simvec.Vector, float64)) {
+	w := p.dim + 1
 	p.Retained = make([]pair.Pair, n)
-	p.vec = make([]float64, n*(p.dim+1))
+	p.rowOf = make([]int32, n)
+	ids := make(map[string]int32)
+	row := make([]float64, w)
+	key := make([]byte, 0, 8*w)
+	var rows []float64
 	for i := range n {
 		var v simvec.Vector
-		row := p.row(i)
 		p.Retained[i], v, row[p.dim] = at(i)
 		copy(row, v)
+		key = key[:0]
+		for _, x := range row {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(ids))
+			ids[string(key)] = id
+			rows = append(rows, row...)
+		}
+		p.rowOf[i] = id
 	}
+	p.rows = slices.Clone(rows) // without append's spare capacity
 }
 
 // priors returns every vertex's prior, by vertex index, in a new slice.

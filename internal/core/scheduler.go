@@ -7,8 +7,9 @@ import (
 
 // Scheduler is a token pool bounding the goroutines a fan-out starts. The
 // pipeline's shard-level tasks — per-shard propagation syncs, candidate
-// gathering, question selection, re-estimation rebuilds and the
-// pre-pipeline's parallel stages — all draw on one package-level pool
+// gathering, question selection, re-estimation rebuilds, the
+// pre-pipeline's parallel stages and the isolated-pair classifier's
+// forest fits — all draw on one package-level pool
 // sized at GOMAXPROCS, so every loop and session in the process shares it
 // and concurrent loops cannot oversubscribe the machine. Each engine's
 // Dijkstra fan-out (propagation's inferSources) starts its own GOMAXPROCS

@@ -24,7 +24,8 @@ func noisyPlatform(ds *datasets.Dataset) *crowd.Platform {
 // floats in their shortest round-trip form, so equal text means equal bits
 // — plus the dense priors, the isolated vertices and the vertex routing,
 // the initial consistency fit (fmt prints maps in key order), and every
-// vertex's similarity vector and prior. It leaves out p.iso, the
+// vertex's row id and the distinct rows (similarity vector and prior) they
+// name. It leaves out p.iso, the
 // classifier's memo and the inputs it builds on first use: that state is
 // written by design, under its own lock, and holds only what a pure
 // function of the plan and an outcome returns.
@@ -34,7 +35,7 @@ func fingerprint(p *Prepared) [sha256.Size]byte {
 		fmt.Fprintf(h, "%v|%v|", *sp.prob, sp.prior)
 	}
 	fmt.Fprintf(h, "%v|%v|", p.isolated, p.home)
-	fmt.Fprintf(h, "%v|%v", p.Consistency, p.vec)
+	fmt.Fprintf(h, "%v|%v|%v", p.Consistency, p.rowOf, p.rows)
 	return [sha256.Size]byte(h.Sum(nil))
 }
 

@@ -31,8 +31,11 @@ const (
 	// edge-probability re-estimation.
 	StageReestimate
 	// StageClassify is the session-end isolated-pair classifier (§VII-B):
-	// one span per finished loop, covering signature grouping, every
-	// neighborhood forest fit and the predictions.
+	// one span per finished loop. On a plan's first classification it
+	// covers the plan's inputs (signatures from attribute-match masks,
+	// neighborhoods, row classes); on every outcome the plan's memo has
+	// not seen, the neighborhood forests, fitted concurrently on the
+	// shard-work pool, and the predictions.
 	StageClassify
 
 	numStages

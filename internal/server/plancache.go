@@ -159,14 +159,15 @@ func (c *PlanCache) entries() int {
 // bytes with their offsets, three index rows and its name-index slots;
 // per attribute triple a string into the literal blob and its run; per
 // relationship triple an out and an in entry and their runs. A Prepared
-// is dominated by its retained vertices (each with a similarity vector
-// and a prior) and the ER graph's rows. The per-unit weights were fitted to HeapAlloc deltas on
-// the built-in datasets; TestPlanCostEstimate holds them within a factor 2.
-// Twelve bytes a vertex more are the isolated-pair classifier's, which a
-// plan builds on its first session: a signature id, and a role byte and
-// predictions in each outcome its memo holds.
+// is dominated by its retained vertices (each with a row id) and the ER
+// graph's rows; the distinct (similarity vector, prior) rows the vertices
+// share are charged once each. The per-unit weights were fitted to
+// HeapAlloc deltas on the built-in datasets; TestPlanCostEstimate holds
+// them within a factor 2. Twelve bytes a vertex more are the isolated-pair
+// classifier's, which a plan builds on its first session: a signature id,
+// and a role byte and predictions in each outcome its memo holds.
 func planCost(ds remp.Dataset, p *core.Prepared) int64 {
 	s1, s2 := ds.K1.Stats(), ds.K2.Stats()
 	return int64(60*(s1.Entities+s2.Entities) + 35*(s1.AttrTriples+s2.AttrTriples) + 25*(s1.RelTriples+s2.RelTriples) +
-		(112+8*(p.Builder.Dim()+1))*p.Graph.NumVertices() + 80*p.Graph.NumEdges())
+		116*p.Graph.NumVertices() + 8*(p.Builder.Dim()+1)*p.NumRows() + 80*p.Graph.NumEdges())
 }

@@ -207,17 +207,49 @@ func (bt *batch) score(lo, hi int) {
 	}
 }
 
-// SharedAttrMatches returns the indexes of attribute matches on which both
-// entities of p have at least one value. Used by the isolated-pair
-// classifier's neighborhood (§VII-B).
-func (b *Builder) SharedAttrMatches(p pair.Pair) []int {
-	var out []int
+// AttrMasks holds one bitmask over the attribute matches per entity of
+// one KB side: bit i%8 of byte i/8 of entity u's mask is set when u has a
+// value on its side's attribute of match i. The attribute matches on which
+// both entities of a pair have a value — the signatures of the
+// isolated-pair classifier's neighborhoods (§VII-B) — are the AND of the
+// two entities' masks.
+type AttrMasks struct {
+	width int
+	bits  []byte
+}
+
+// Of returns entity u's mask, (Dim()+7)/8 bytes, read-only.
+func (m AttrMasks) Of(u kb.EntityID) []byte {
+	lo, hi := int(u)*m.width, (int(u)+1)*m.width
+	return m.bits[lo:hi:hi]
+}
+
+// AttrMasks returns the masks of every entity of K1 (side1) or of K2, read
+// from each entity's attribute list.
+func (b *Builder) AttrMasks(side1 bool) AttrMasks {
+	k := b.k2
+	if side1 {
+		k = b.k1
+	}
+	byAttr := make([][]int, k.NumAttrs())
 	for i, m := range b.matches {
-		if len(b.k1.AttrValues(p.U1, m.A1)) > 0 && len(b.k2.AttrValues(p.U2, m.A2)) > 0 {
-			out = append(out, i)
+		a := m.A2
+		if side1 {
+			a = m.A1
+		}
+		byAttr[a] = append(byAttr[a], i)
+	}
+	m := AttrMasks{width: (len(b.matches) + 7) / 8}
+	m.bits = make([]byte, k.NumEntities()*m.width)
+	for u := range k.NumEntities() {
+		mask := m.Of(kb.EntityID(u))
+		for _, a := range k.Attrs(kb.EntityID(u)) {
+			for _, i := range byAttr[a] {
+				mask[i/8] |= 1 << (i % 8)
+			}
 		}
 	}
-	return out
+	return m
 }
 
 // Pruner runs partial-order-based pruning (Algorithm 1) over the pairs it

@@ -64,9 +64,14 @@ func TestBuilderVector(t *testing.T) {
 	if v[1] != 0 {
 		t.Errorf("missing-value component = %v, want 0", v[1])
 	}
-	shared := b.SharedAttrMatches(pair.Pair{U1: u1, U2: u2})
-	if len(shared) != 1 || shared[0] != 0 {
-		t.Errorf("SharedAttrMatches = %v, want [0]", shared)
+	// u1 has a name and a year, u2 only a title: the pair shares match 0.
+	m1, m2 := b.AttrMasks(true), b.AttrMasks(false)
+	a1, a2 := m1.Of(u1), m2.Of(u2)
+	if len(a1) != 1 || len(a2) != 1 || a1[0] != 0b11 || a2[0] != 0b01 {
+		t.Fatalf("attribute-match masks %08b, %08b, want [00000011], [00000001]", a1, a2)
+	}
+	if shared := a1[0] & a2[0]; shared != 0b01 {
+		t.Errorf("shared attribute-match mask = %08b, want 00000001", shared)
 	}
 }
 
