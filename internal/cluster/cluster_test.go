@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -94,6 +95,7 @@ func testMetrics() *Metrics {
 		WorkerDowns:   &obs.Counter{},
 		RPCRetries:    &obs.Counter{},
 		Reassignments: &obs.Counter{},
+		ReadFallbacks: &obs.Counter{},
 	}
 }
 
@@ -430,6 +432,86 @@ func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
 	})
 }
 
+// TestGatherCarriesTheBatchReads pins what a batch reads of a shard: one
+// gather frame. The worker ranks the shard for the session's µ in it and
+// adds each pick's ball, so the coordinator sends no rank frame, and a
+// ball frame only for a confirmed match the gather did not pick (a short
+// batch's pad) — each one counted as a read fallback. The result is the
+// local run's.
+func TestGatherCarriesTheBatchReads(t *testing.T) {
+	for _, spec := range []testSpec{
+		{Dataset: "d-y", Seed: 2, Shards: 4, Mu: 10, Budget: 120},
+		{Dataset: "books", Seed: 7, Shards: 4, Mu: 4},
+	} {
+		t.Run(spec.Dataset, func(t *testing.T) {
+			a1, tap1 := tapWorker(t)
+			a2, tap2 := tapWorker(t)
+			m := testMetrics()
+			co := testCoordinator(t, []string{a1, a2}, nil, m)
+			got := runRemote(t, co, spec, oracleFor(t, spec), nil)
+			assertResultsIdentical(t, runLocal(t, spec, oracleFor(t, spec)), got)
+			methods, ranked := map[string]int{}, 0
+			for _, c := range append(tap1.recorded(), tap2.recorded()...) {
+				methods[c.method]++
+				if c.method != MethodGather {
+					continue
+				}
+				var res shardRes
+				if err := json.Unmarshal(c.res, &res); err != nil {
+					t.Fatal(err)
+				}
+				if res.Mu != spec.Mu || len(res.Balls) != len(res.Picks) {
+					t.Fatalf("a gather answered µ %d with %d picks and %d balls, want µ %d and a ball per pick", res.Mu, len(res.Picks), len(res.Balls), spec.Mu)
+				}
+				ranked += len(res.Picks)
+			}
+			t.Logf("frames by method: %v; %d picks ridden on gathers; %d questions", methods, ranked, got.Questions)
+			if ranked == 0 || methods[MethodRank] != 0 || int64(methods[MethodBall]) != m.ReadFallbacks.Value() {
+				t.Fatalf("%d picks rode the gathers, %d rank and %d ball frames were sent, %d read fallbacks counted; want picks, no rank frame and a ball frame per fallback",
+					ranked, methods[MethodRank], methods[MethodBall], m.ReadFallbacks.Value())
+			}
+		})
+	}
+}
+
+// TestCloseIsConcurrent: Close releases a runner's shards concurrently and
+// then ends it on every worker concurrently, so with every frame delayed
+// by d, a runner of four shards on two workers closes in two delays, not
+// the six of one frame after another.
+func TestCloseIsConcurrent(t *testing.T) {
+	const d = 150 * time.Millisecond
+	spec := testSpec{Dataset: "books", Seed: 7, Shards: 4, Mu: 4}
+	a1, w1 := startWorker(t, nil)
+	a2, w2 := startWorker(t, nil)
+	co := testCoordinator(t, []string{a1, a2}, &Faults{DelayEveryN: 1, Delay: d}, testMetrics())
+	ds, err := datasets.ByName(spec.Dataset, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := spec.prepare(ds, spec.config())
+	if p.NumShards() != 4 {
+		t.Fatalf("fixture has %d shards, want 4", p.NumShards())
+	}
+	remote, err := co.Runner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range p.NumShards() {
+		// A gather logs a sync, so Close has each shard to release.
+		if _, _, err := remote.Gather(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	remote.Close()
+	if took := time.Since(start); took >= 3*d {
+		t.Fatalf("Close took %v with every frame delayed %v, want under %v", took, d, 3*d)
+	}
+	if n := w1.NumShards() + w2.NumShards(); n != 0 {
+		t.Fatalf("the workers hold %d shard states after Close, want none", n)
+	}
+}
+
 // TestClusterFailoverWorkerDeath kills one of three in-process workers
 // mid-run: the coordinator must mark it down, re-prepare its shards on
 // the survivors from the command log, and finish byte-identical to the
@@ -497,9 +579,9 @@ func TestFailoverReplaysRetirement(t *testing.T) {
 		}
 	}
 	// questions gathers shard s on both runners and copies out the pairs of
-	// its candidates that propagate: the next gather refills the lists.
-	questions := func(s int) []pair.Pair {
-		var qs []pair.Pair
+	// its candidates that propagate, and of the local runner's picks for a
+	// batch of the spec's µ: the next gather refills the lists.
+	questions := func(s int) (qs []pair.Pair, picked pair.Set) {
 		both(func(r core.ShardRunner) error {
 			cands, _, err := r.Gather(s)
 			qs = qs[:0]
@@ -508,23 +590,39 @@ func TestFailoverReplaysRetirement(t *testing.T) {
 					qs = append(qs, c.Pair)
 				}
 			}
+			if err != nil || r != local {
+				return err
+			}
+			picks, err := r.Rank(s, spec.Mu)
+			picked = pair.NewSet()
+			for _, pk := range picks {
+				picked.Add(cands[pk.Index].Pair)
+			}
 			return err
 		})
-		return qs
+		return qs, picked
 	}
 	s := 0
-	for len(questions(s)) < 4 {
+	for qs, _ := questions(s); len(qs) < 4; qs, _ = questions(s) {
 		s++
 	}
-	qs := questions(s)
+	qs, _ := questions(s)
 	// One batch: a confirmation, a non-match detach and a hard question.
 	both(func(r core.ShardRunner) error { return r.Resolve(s, qs[0], false) })
 	both(func(r core.ShardRunner) error { return r.Resolve(s, qs[1], true) })
 	both(func(r core.ShardRunner) error { return r.Damp(s, qs[2], 0.5) })
 	// The next batch confirms q; its owner dies before q's ball is read.
-	q := questions(s)[0]
+	// The gather carried the balls of its picks, so q is one it did not
+	// pick (a short batch's pad): its ball is read from the worker.
+	next, picked := questions(s)
+	i := slices.IndexFunc(next, func(p pair.Pair) bool { return !picked.Has(p) })
+	if i < 0 {
+		t.Fatalf("shard %d picked every candidate that propagates: %v", s, next)
+	}
+	q := next[i]
 	both(func(r core.ShardRunner) error { return r.Resolve(s, q, false) })
 	workers[s%len(workers)].Close() // shards are dealt round robin
+	fallbacks := m.ReadFallbacks.Value()
 	want, _ := local.Ball(s, q)
 	got, err := remote.Ball(s, q)
 	if err != nil {
@@ -533,8 +631,9 @@ func TestFailoverReplaysRetirement(t *testing.T) {
 	if len(want) == 0 || !slices.Equal(want, got) {
 		t.Fatalf("ball of retired %v after failover = %v, the local state serves %v", q, got, want)
 	}
-	if m.Reassignments.Value() == 0 {
-		t.Fatal("the shard was never reassigned")
+	if m.Reassignments.Value() == 0 || m.ReadFallbacks.Value() != fallbacks+1 {
+		t.Fatalf("%d reassignments and %d ball reads sent to a worker; want the shard reassigned by the one read",
+			m.Reassignments.Value(), m.ReadFallbacks.Value()-fallbacks)
 	}
 	wantN, _ := local.Release(s)
 	gotN, _ := remote.Release(s)
@@ -545,17 +644,30 @@ func TestFailoverReplaysRetirement(t *testing.T) {
 
 // TestClusterCrashFault exercises the worker-side kill-after-N-RPCs chaos
 // fault: the worker tears itself down mid-run exactly as a SIGKILL would,
-// and the survivor absorbs its shards with no effect on the result.
+// and the survivor absorbs its shards with no effect on the result. The
+// fault trips halfway through the RPCs the same worker handles in a
+// healthy run of the spec, so it lands mid-run however many frames a run
+// takes.
 func TestClusterCrashFault(t *testing.T) {
 	spec := testSpec{Dataset: "books", Seed: 13, Shards: 4, Mu: 4}
-	a1, _ := startWorker(t, &Faults{CrashAfterRPCs: 25})
-	a2, _ := startWorker(t, nil)
-	m := testMetrics()
-	co := testCoordinator(t, []string{a1, a2}, nil, m)
 	ref := runLocal(t, spec, oracleFor(t, spec))
-	got := runRemote(t, co, spec, oracleFor(t, spec), nil)
-	assertResultsIdentical(t, ref, got)
-	if m.Reassignments.Value() == 0 {
+	run := func(faults *Faults) *Metrics {
+		a1, _ := startWorker(t, faults)
+		a2, _ := startWorker(t, nil)
+		m := testMetrics()
+		co := testCoordinator(t, []string{a1, a2}, nil, m)
+		assertResultsIdentical(t, ref, runRemote(t, co, spec, oracleFor(t, spec), nil))
+		return m
+	}
+	// A fault that never trips still counts the RPCs its worker handles.
+	count := &Faults{CrashAfterRPCs: math.MaxInt64}
+	run(count)
+	handled := count.rpcs.Load()
+	if handled < 4 {
+		t.Fatalf("the first worker handled %d RPCs in a healthy run, too few to crash mid-run", handled)
+	}
+	t.Logf("the first worker handles %d RPCs in a healthy run; crashing it after %d", handled, handled/2)
+	if m := run(&Faults{CrashAfterRPCs: handled / 2}); m.Reassignments.Value() == 0 {
 		t.Error("no shard reassignments recorded after crash fault")
 	}
 }

@@ -16,6 +16,9 @@ type Metrics struct {
 	// Reassignments counts shards re-prepared on a different worker after
 	// their owner was lost.
 	Reassignments *obs.Counter
+	// ReadFallbacks counts rank and ball reads the shard's last gather
+	// could not serve, sent as RPCs of their own.
+	ReadFallbacks *obs.Counter
 }
 
 func (m *Metrics) workersLive() *obs.Gauge {
@@ -44,4 +47,11 @@ func (m *Metrics) reassignments() *obs.Counter {
 		return nil
 	}
 	return m.Reassignments
+}
+
+func (m *Metrics) readFallbacks() *obs.Counter {
+	if m == nil {
+		return nil
+	}
+	return m.ReadFallbacks
 }

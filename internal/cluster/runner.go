@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/consistency"
 	"repro/internal/core"
@@ -70,13 +71,26 @@ type remoteShard struct {
 	prepared bool
 	assigned bool
 	released bool
+
+	// The last gather's reads, computed by the worker in the same frame:
+	// its picks for a batch of rankedMu and each pick's ball by pair;
+	// rankedMu is 0 when the worker ranked nothing (one that predates the
+	// field ignores a gather's µ). Every Gather replaces them, so they
+	// always describe the last logged sync — the state Rank and Ball read
+	// — and a failover, which replays that sync bit for bit, leaves them
+	// exact. The loop serializes a shard's calls, so no lock guards them.
+	rankedMu int
+	picks    []selection.Pick
+	balls    map[pair.Pair][]pair.Pair
 }
 
 // remoteRunner is the cluster implementation of core.ShardRunner. Writes
 // append to the per-shard command log and ship lazily, piggybacked on the
 // next read RPC; reads retry with jittered backoff under the operation
 // deadline, failing over to a surviving worker — re-prepare plus full log
-// replay — when the owner is lost.
+// replay — when the owner is lost. A gather is the one read a batch
+// normally makes of a shard: it brings the shard's ranked picks and their
+// balls back with the candidates.
 type remoteRunner struct {
 	co *Coordinator
 	p  *core.Prepared
@@ -130,14 +144,36 @@ func (r *remoteRunner) Gather(s int) ([]selection.Candidate, bool, error) {
 	// position, so the last-sync snapshot Ball serves — and the candidates
 	// a replayed Rank re-derives — reproduce bit-identically.
 	r.append(s, Cmd{Op: OpSync})
-	res, err := r.do(s, MethodGather, shardReq{})
+	sh := r.shards[s]
+	sh.rankedMu, sh.picks, sh.balls = 0, nil, nil
+	res, err := r.do(s, MethodGather, shardReq{Mu: r.p.Cfg.Mu})
 	if err != nil {
 		return nil, false, err
+	}
+	if res.Mu > 0 && len(res.Balls) == len(res.Picks) {
+		sh.rankedMu, sh.picks = res.Mu, res.Picks
+		sh.balls = make(map[pair.Pair][]pair.Pair, len(res.Picks))
+		for i, pk := range res.Picks {
+			sh.balls[res.Cands[pk.Index].Pair] = res.Balls[i]
+		}
 	}
 	return res.Cands, res.AnyProp, nil
 }
 
+// Rank serves the picks the last gather carried when they answer for mu:
+// by the Strategy contract a ranking for mu is the first mu picks of one
+// for any larger batch, and a ranking that stopped short of its batch
+// (the shard ran out of candidates) answers every batch. Anything else is
+// its own RPC.
 func (r *remoteRunner) Rank(s, mu int) ([]selection.Pick, error) {
+	if sh := r.shards[s]; sh.rankedMu > 0 && (mu <= sh.rankedMu || len(sh.picks) < sh.rankedMu) {
+		k := max(0, min(mu, len(sh.picks)))
+		if k == 0 {
+			return []selection.Pick{}, nil
+		}
+		return sh.picks[:k:k], nil
+	}
+	r.co.cfg.Metrics.readFallbacks().Inc()
 	res, err := r.do(s, MethodRank, shardReq{Mu: mu})
 	if err != nil {
 		return nil, err
@@ -148,7 +184,14 @@ func (r *remoteRunner) Rank(s, mu int) ([]selection.Pick, error) {
 	return res.Picks, nil
 }
 
+// Ball serves a pick's ball from the last gather; engine balls change only
+// at a sync, so it is the ball a Ball RPC would read. Any other q — a
+// short batch's pad — is its own RPC.
 func (r *remoteRunner) Ball(s int, q pair.Pair) ([]pair.Pair, error) {
+	if ball, ok := r.shards[s].balls[q]; ok {
+		return ball, nil
+	}
+	r.co.cfg.Metrics.readFallbacks().Inc()
 	res, err := r.do(s, MethodBall, shardReq{Pair: q})
 	if err != nil {
 		return nil, err
@@ -185,27 +228,38 @@ func (r *remoteRunner) Release(s int) (int64, error) {
 	return res.Recomputes, nil
 }
 
-// Close releases the remaining shards and tells every live worker to drop
-// the runner's state. Always succeeds: close-time recomputes are
-// diagnostics only.
+// Close releases the remaining shards, then tells every live worker to
+// drop the runner's state, each step concurrently across shards and
+// workers. Always succeeds: close-time recomputes are diagnostics only.
 func (r *remoteRunner) Close() (int64, error) {
-	var n int64
+	var n atomic.Int64
+	var wg sync.WaitGroup
 	for s, sh := range r.shards {
 		if sh.released {
 			continue
 		}
-		rec, _ := r.Release(s)
-		n += rec
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec, _ := r.Release(s)
+			n.Add(rec)
+		}()
 	}
+	wg.Wait()
 	for _, wc := range r.co.workers {
 		if wc.isDown() {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.co.cfg.RPCTimeout)
-		wc.call(ctx, MethodEnd, endReq{Runner: r.id}, true)
-		cancel()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), r.co.cfg.RPCTimeout)
+			defer cancel()
+			wc.call(ctx, MethodEnd, endReq{Runner: r.id}, true)
+		}()
 	}
-	return n, nil
+	wg.Wait()
+	return n.Load(), nil
 }
 
 // permanent reports whether err is one a retry would only repeat: an

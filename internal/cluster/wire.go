@@ -15,11 +15,15 @@ const (
 	MethodPrepare = "prepare"
 	// MethodApply appends commands to a shard's log without reading back.
 	MethodApply = "apply"
-	// MethodGather syncs the shard engine and returns its candidates.
+	// MethodGather syncs the shard engine and returns its candidates, its
+	// picks for the request's µ and each pick's propagation ball: every
+	// read a batch makes of the shard.
 	MethodGather = "gather"
-	// MethodRank returns the shard's µ-batch picks.
+	// MethodRank returns the shard's µ-batch picks, for a batch size the
+	// last gather did not rank for.
 	MethodRank = "rank"
-	// MethodBall returns a confirmed match's last-sync propagation ball.
+	// MethodBall returns a confirmed match's last-sync propagation ball,
+	// for a match the last gather did not pick (a short batch's pad).
 	MethodBall = "ball"
 	// MethodRelease frees a settled shard's engine, returning recomputes.
 	MethodRelease = "release"
@@ -113,7 +117,9 @@ type shardReq struct {
 	Runner string `json:"runner"`
 	Shard  int    `json:"shard"`
 	Cmds   []Cmd  `json:"cmds,omitempty"`
-	// Mu is the batch size for MethodRank.
+	// Mu is the batch size for MethodRank and MethodGather. A worker
+	// ranks min(Mu, candidates) and sizes nothing by Mu itself: it comes
+	// from the client unbounded.
 	Mu int `json:"mu,omitempty"`
 	// Pair is the confirmed match for MethodBall.
 	Pair pair.Pair `json:"pair,omitempty"`
@@ -126,7 +132,13 @@ type shardRes struct {
 	Cands   []selection.Candidate `json:"cands,omitempty"`
 	AnyProp bool                  `json:"any_prop,omitempty"`
 	Picks   []selection.Pick      `json:"picks,omitempty"`
-	Ball    []pair.Pair           `json:"ball,omitempty"`
+	// Mu echoes the batch size a gather's Picks were ranked for; 0 means
+	// the gather ranked nothing.
+	Mu   int         `json:"mu,omitempty"`
+	Ball []pair.Pair `json:"ball,omitempty"`
+	// Balls holds each of a gather's Picks' balls, in pick order, in
+	// propagation order as MethodBall returns them.
+	Balls [][]pair.Pair `json:"balls,omitempty"`
 	// Recomputes is MethodRelease's Dijkstra-run count.
 	Recomputes int64 `json:"recomputes,omitempty"`
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/pair"
 )
 
 // WorkerConfig configures a Worker.
@@ -266,6 +267,17 @@ func (w *Worker) handleShard(method string, req shardReq) (json.RawMessage, stri
 	case MethodApply:
 	case MethodGather:
 		res.Cands, res.AnyProp = ws.st.Gather()
+		if req.Mu > 0 {
+			// The batch's reads ride the gather: the picks, and the ball a
+			// confirmation of each would propagate along. Balls change only
+			// at a sync, so these are what a later Ball would read.
+			res.Mu = req.Mu
+			res.Picks = ws.st.Rank(min(req.Mu, len(res.Cands)))
+			res.Balls = make([][]pair.Pair, len(res.Picks))
+			for i, pk := range res.Picks {
+				res.Balls[i] = ws.st.Ball(res.Cands[pk.Index].Pair)
+			}
+		}
 	case MethodRank:
 		res.Picks = ws.st.Rank(req.Mu)
 	case MethodBall:

@@ -39,6 +39,13 @@ type Pick struct {
 // per-set selections: a score depends only on a candidate and the
 // previously chosen candidates whose Inferred sets overlap it, and inferred
 // sets never cross shards.
+//
+// A third is the one a cluster's gather rests on: a selection is a prefix
+// of any larger one. For every k ≤ m, SelectRanked(c, k) equals the first
+// k picks of SelectRanked(c, m) — all of them when it holds fewer — since
+// Greedy stops after its k-th commit and the heuristics sort fully and
+// then truncate. So a shard ranked once for the largest batch answers
+// every smaller one.
 type Strategy interface {
 	// Name is the strategy's name in options and in an encoded shard;
 	// ByName inverts it.

@@ -3,6 +3,7 @@ package selection
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/kb"
@@ -228,4 +229,45 @@ func Benefit(cands []Candidate, chosen []int) float64 {
 		total += state.bp[p]
 	}
 	return total
+}
+
+// TestSelectionIsAPrefixOfALargerOne pins the Strategy contract's prefix
+// property: for every k ≤ m, SelectRanked(c, k) is the first k picks of
+// SelectRanked(c, m) (all of them when it holds fewer), on random
+// candidate sets with tied scores, zero-probability candidates and
+// candidates a higher pick covers fully, for every µ from 0 to len+2.
+func TestSelectionIsAPrefixOfALargerOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	probs := []float64{0, 0.25, 0.5, 0.5, 1}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		cands := make([]Candidate, n)
+		for i := range cands {
+			inf := []int{i}
+			if i > 0 && rng.Intn(4) == 0 {
+				// A copy of an earlier candidate's set: once that one is
+				// chosen at probability 1, this one gains nothing.
+				inf = append(inf, cands[rng.Intn(i)].Inferred...)
+			}
+			for range rng.Intn(4) {
+				inf = append(inf, rng.Intn(n+6))
+			}
+			cands[i] = mk(i, probs[rng.Intn(len(probs))], inf...)
+		}
+		for _, s := range []Strategy{Greedy{}, MaxInf{}, MaxPr{}} {
+			ranked := make([][]Pick, n+3)
+			for mu := range ranked {
+				ranked[mu] = s.SelectRanked(cands, mu)
+			}
+			for m := range ranked {
+				for k := 0; k <= m; k++ {
+					want := ranked[m][:min(k, len(ranked[m]))]
+					if got := ranked[k]; !slices.Equal(got, want) {
+						t.Fatalf("trial %d, %s: SelectRanked(c, %d) = %v, the first %d of SelectRanked(c, %d) are %v",
+							trial, s.Name(), k, got, k, m, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -249,6 +249,27 @@ func TestClusterCreateShipsShardsNotSpec(t *testing.T) {
 	t.Logf("spec %d bytes, wire %d bytes", len(req.KB1TSV)+len(req.KB2TSV), sent)
 }
 
+// TestClusterSessionHostileMu: a session's µ reaches every gather frame as
+// the client sent it, and neither the coordinator nor a worker sizes
+// anything by it. A clustered session created with µ = 2^40 asks every
+// candidate in one batch and resolves exactly as in process.
+func TestClusterSessionHostileMu(t *testing.T) {
+	tc := startCluster(t)
+	ds, gold, req := fixture(t, 6)
+	req.Options.Shards = 2
+	req.Options.Mu = 1 << 40
+	want, err := remp.Resolve(ds, remp.NewOracleCrowd(gold.IsMatch), req.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := tc.c.CreateSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finishAll(t, tc.c, gold, []string{info.ID})
+	wantOracle(t, tc.c, info.ID, ds, want)
+}
+
 // deadCluster returns a server config whose only worker address has
 // nothing listening, with timeouts short enough that a shard placement
 // gives up within a second.

@@ -77,6 +77,7 @@ func newServerMetrics() *serverMetrics {
 		WorkerDowns:   reg.Counter("remp_cluster_worker_downs_total", "Workers marked down after missed heartbeats or repeated transport failures."),
 		RPCRetries:    reg.Counter("remp_cluster_rpc_retries_total", "Shard RPC attempts retried after a transport failure or lost worker state."),
 		Reassignments: reg.Counter("remp_cluster_shard_reassignments_total", "Shards re-prepared on a surviving worker after their owner was lost."),
+		ReadFallbacks: reg.Counter("remp_cluster_read_fallbacks_total", "Shard rank and ball reads the last gather could not serve, sent as RPCs of their own."),
 	}
 
 	// The loop trace mirrors every stage span into one labeled histogram
