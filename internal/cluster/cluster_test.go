@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -68,7 +69,7 @@ func startWorker(t *testing.T, faults *Faults) (string, *Worker) {
 }
 
 // testCoordinator builds a coordinator with test-speed timeouts.
-func testCoordinator(t *testing.T, addrs []string, faults *Faults, m *Metrics) *Coordinator {
+func testCoordinator(t *testing.T, addrs []string, faults *Faults, m Metrics) *Coordinator {
 	t.Helper()
 	co, err := NewCoordinator(CoordinatorConfig{
 		Workers:           addrs,
@@ -89,8 +90,8 @@ func testCoordinator(t *testing.T, addrs []string, faults *Faults, m *Metrics) *
 	return co
 }
 
-func testMetrics() *Metrics {
-	return &Metrics{
+func testMetrics() Metrics {
+	return Metrics{
 		WorkersLive:   &obs.Gauge{},
 		WorkerDowns:   &obs.Counter{},
 		RPCRetries:    &obs.Counter{},
@@ -235,8 +236,11 @@ func TestRemoteRunnerMatchesLocalNoisyCrowd(t *testing.T) {
 }
 
 // frameTap relays a worker's connections frame by frame and keeps every
-// request with its response: what actually crossed the wire.
+// request with its response: what actually crossed the wire. A non-nil
+// mangle rewrites each response before the coordinator reads it.
 type frameTap struct {
+	mangle func(method string, res *Envelope)
+
 	mu    sync.Mutex
 	calls []tappedCall
 }
@@ -246,9 +250,9 @@ type tappedCall struct {
 	req, res json.RawMessage
 }
 
-// tapWorker starts a worker behind a frameTap and returns the tap's
-// address — the one to hand the coordinator.
-func tapWorker(t *testing.T) (string, *frameTap) {
+// tapWorker starts a worker behind a frameTap with the given mangle hook
+// and returns the tap's address — the one to hand the coordinator.
+func tapWorker(t *testing.T, mangle func(method string, res *Envelope)) (string, *frameTap) {
 	t.Helper()
 	worker, _ := startWorker(t, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -256,7 +260,7 @@ func tapWorker(t *testing.T) (string, *frameTap) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	tap := &frameTap{}
+	tap := &frameTap{mangle: mangle}
 	go func() {
 		for {
 			client, err := ln.Accept()
@@ -292,7 +296,13 @@ func (tap *frameTap) relay(client net.Conn, worker string) {
 			return
 		}
 		res, err := ReadFrame(up)
-		if err != nil || WriteFrame(client, res) != nil {
+		if err != nil {
+			return
+		}
+		if tap.mangle != nil {
+			tap.mangle(req.Method, &res)
+		}
+		if WriteFrame(client, res) != nil {
 			return
 		}
 		if req.Method != MethodPing {
@@ -314,8 +324,8 @@ func (tap *frameTap) relay(client net.Conn, worker string) {
 // per worker it touched.
 func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
 	run := func(t *testing.T, spec testSpec) (*core.Prepared, *core.Result, []tappedCall) {
-		a1, tap1 := tapWorker(t)
-		a2, tap2 := tapWorker(t)
+		a1, tap1 := tapWorker(t, nil)
+		a2, tap2 := tapWorker(t, nil)
 		co := testCoordinator(t, []string{a1, a2}, nil, testMetrics())
 		ds, err := datasets.ByName(spec.Dataset, spec.Seed)
 		if err != nil {
@@ -433,19 +443,19 @@ func TestIsolatedVerticesStayOffTheWire(t *testing.T) {
 }
 
 // TestGatherCarriesTheBatchReads pins what a batch reads of a shard: one
-// gather frame. The worker ranks the shard for the session's µ in it and
-// adds each pick's ball, so the coordinator sends no rank frame, and a
-// ball frame only for a confirmed match the gather did not pick (a short
-// batch's pad) — each one counted as a read fallback. The result is the
-// local run's.
+// gather frame. The worker ranks the shard for the session's µ in it — at
+// most min(µ, candidates) picks — and adds each pick's ball, so no frame
+// ranks a shard, and a ball frame travels only for a confirmed match the
+// gather did not pick (a short batch's pad), each one counted as a read
+// fallback. The result is the local run's.
 func TestGatherCarriesTheBatchReads(t *testing.T) {
 	for _, spec := range []testSpec{
 		{Dataset: "d-y", Seed: 2, Shards: 4, Mu: 10, Budget: 120},
 		{Dataset: "books", Seed: 7, Shards: 4, Mu: 4},
 	} {
 		t.Run(spec.Dataset, func(t *testing.T) {
-			a1, tap1 := tapWorker(t)
-			a2, tap2 := tapWorker(t)
+			a1, tap1 := tapWorker(t, nil)
+			a2, tap2 := tapWorker(t, nil)
 			m := testMetrics()
 			co := testCoordinator(t, []string{a1, a2}, nil, m)
 			got := runRemote(t, co, spec, oracleFor(t, spec), nil)
@@ -460,15 +470,65 @@ func TestGatherCarriesTheBatchReads(t *testing.T) {
 				if err := json.Unmarshal(c.res, &res); err != nil {
 					t.Fatal(err)
 				}
-				if res.Mu != spec.Mu || len(res.Balls) != len(res.Picks) {
-					t.Fatalf("a gather answered µ %d with %d picks and %d balls, want µ %d and a ball per pick", res.Mu, len(res.Picks), len(res.Balls), spec.Mu)
+				if len(res.Picks) > min(spec.Mu, len(res.Cands)) || len(res.Balls) != len(res.Picks) {
+					t.Fatalf("a gather of %d candidates answered µ %d with %d picks and %d balls, want at most min(µ, candidates) picks and a ball per pick",
+						len(res.Cands), spec.Mu, len(res.Picks), len(res.Balls))
 				}
 				ranked += len(res.Picks)
 			}
 			t.Logf("frames by method: %v; %d picks ridden on gathers; %d questions", methods, ranked, got.Questions)
-			if ranked == 0 || methods[MethodRank] != 0 || int64(methods[MethodBall]) != m.ReadFallbacks.Value() {
+			if ranked == 0 || methods["rank"] != 0 || int64(methods[MethodBall]) != m.ReadFallbacks.Value() {
 				t.Fatalf("%d picks rode the gathers, %d rank and %d ball frames were sent, %d read fallbacks counted; want picks, no rank frame and a ball frame per fallback",
-					ranked, methods[MethodRank], methods[MethodBall], m.ReadFallbacks.Value())
+					ranked, methods["rank"], methods[MethodBall], m.ReadFallbacks.Value())
+			}
+		})
+	}
+}
+
+// TestHostileGatherAnswerFailsTheLoop: a gather answer is input from
+// another process, so the runner checks it before indexing anything by it.
+// One with more picks than the batch, a ball missing or a pick naming no candidate
+// fails the loop with ErrBadGather — no panic, no retry.
+func TestHostileGatherAnswerFailsTheLoop(t *testing.T) {
+	spec := testSpec{Dataset: "books", Seed: 7, Shards: 4, Mu: 4}
+	for _, tc := range []struct {
+		name   string
+		mangle func(res *shardRes)
+		want   string
+	}{
+		{"picks past the batch", func(res *shardRes) {
+			for len(res.Picks) <= min(spec.Mu, len(res.Cands)) {
+				res.Picks, res.Balls = append(res.Picks, res.Picks[0]), append(res.Balls, res.Balls[0])
+			}
+		}, "picks for a batch of 4"},
+		{"ball missing", func(res *shardRes) { res.Balls = res.Balls[:len(res.Balls)-1] }, "balls for"},
+		{"pick out of range", func(res *shardRes) { res.Picks[0].Index = len(res.Cands) }, "pick "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mangle := func(method string, env *Envelope) {
+				var res shardRes
+				if method != MethodGather || json.Unmarshal(env.Body, &res) != nil || len(res.Picks) == 0 {
+					return
+				}
+				tc.mangle(&res)
+				env.Body = mustMarshal(res)
+			}
+			a1, _ := tapWorker(t, mangle)
+			a2, _ := tapWorker(t, mangle)
+			m := testMetrics()
+			co := testCoordinator(t, []string{a1, a2}, nil, m)
+			ds, err := datasets.ByName(spec.Dataset, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := spec.config()
+			cfg.Runner = co.Runner
+			l := spec.prepare(ds, cfg).NewLoop()
+			if l.State() != core.LoopFailed || !errors.Is(l.Err(), ErrBadGather) || !strings.Contains(l.Err().Error(), tc.want) {
+				t.Fatalf("loop is %s with error %v, want failed with ErrBadGather naming %q", l.State(), l.Err(), tc.want)
+			}
+			if m.RPCRetries.Value() != 0 {
+				t.Errorf("%d RPC retries, want none: a malformed answer is not a transport failure", m.RPCRetries.Value())
 			}
 		})
 	}
@@ -651,7 +711,7 @@ func TestFailoverReplaysRetirement(t *testing.T) {
 func TestClusterCrashFault(t *testing.T) {
 	spec := testSpec{Dataset: "books", Seed: 13, Shards: 4, Mu: 4}
 	ref := runLocal(t, spec, oracleFor(t, spec))
-	run := func(faults *Faults) *Metrics {
+	run := func(faults *Faults) Metrics {
 		a1, _ := startWorker(t, faults)
 		a2, _ := startWorker(t, nil)
 		m := testMetrics()
@@ -772,13 +832,27 @@ func TestWorkerDuplicateCommandDelivery(t *testing.T) {
 // worker's health. The loop fails at birth with ErrFrameTooLarge — at once,
 // not after OpTimeout of retries — no worker is struck or marked down, no
 // shard state is left behind, and the next session on the same coordinator
-// runs as if nothing had happened.
+// runs as if nothing had happened. Encoding the padding starves the process
+// of CPU for seconds under the race detector with other packages' tests
+// beside it, so the coordinator's liveness window and RPC deadline are the
+// defaults' and longer, not testCoordinator's fraction of a second: only
+// the oversized frame may fail here.
 func TestOversizedShardFailsAtBirth(t *testing.T) {
 	spec := testSpec{Dataset: "books", Seed: 16, Shards: 2, Mu: 4}
 	a1, w1 := startWorker(t, nil)
 	a2, w2 := startWorker(t, nil)
 	m := testMetrics()
-	co := testCoordinator(t, []string{a1, a2}, nil, m)
+	co, err := NewCoordinator(CoordinatorConfig{
+		Workers:           []string{a1, a2},
+		HeartbeatInterval: 50 * time.Millisecond,
+		LivenessTimeout:   30 * time.Second,
+		Metrics:           m,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
 	ds, err := datasets.ByName(spec.Dataset, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -854,18 +928,19 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-// TestSlowPongsWaitForLivenessTimeout: a worker whose pongs miss the
-// heartbeat's one-interval deadline — as they do while a busy coordinator
-// holds the only CPU — is marked down after LivenessTimeout without a
-// pong, not after the strike limit's three missed pings.
+// TestSlowPongsWaitForLivenessTimeout: a ping that misses its deadline —
+// as pings do while a busy coordinator holds the only CPU — strikes no
+// worker. The heartbeat alone marks a worker down, after LivenessTimeout
+// without a pong; the strike limit's three missed calls are for shard
+// RPCs, which the same slow worker does strike out on.
 func TestSlowPongsWaitForLivenessTimeout(t *testing.T) {
-	const interval = 20 * time.Millisecond
+	const deadline = 20 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var pings atomic.Int64
+	var requests atomic.Int64
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -879,8 +954,8 @@ func TestSlowPongsWaitForLivenessTimeout(t *testing.T) {
 					if err != nil {
 						return
 					}
-					pings.Add(1)
-					time.Sleep(3 * interval)
+					requests.Add(1)
+					time.Sleep(3 * deadline)
 					if WriteFrame(c, Envelope{V: ProtocolVersion, ID: req.ID, Kind: FrameResponse}) != nil {
 						return
 					}
@@ -889,9 +964,11 @@ func TestSlowPongsWaitForLivenessTimeout(t *testing.T) {
 		}
 	}()
 	m := testMetrics()
+	// The heartbeat never ticks: the test makes every call itself, so no
+	// pong can reset a strike.
 	co, err := NewCoordinator(CoordinatorConfig{
 		Workers:           []string{ln.Addr().String()},
-		HeartbeatInterval: interval,
+		HeartbeatInterval: time.Hour,
 		LivenessTimeout:   time.Minute,
 		Metrics:           m,
 		Logf:              t.Logf,
@@ -900,10 +977,29 @@ func TestSlowPongsWaitForLivenessTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(co.Close)
-	waitFor(t, 5*time.Second, func() bool { return pings.Load() >= 2*strikeLimit })
+	wc := co.workers[0]
+	call := func(method string) error {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		_, _, err := wc.call(ctx, method, struct{}{}, false)
+		return err
+	}
+	for i := range 2 * strikeLimit {
+		if err := call(MethodPing); err == nil {
+			t.Fatalf("ping %d returned within %v from a worker that answers after %v", i, deadline, 3*deadline)
+		}
+	}
+	// Every ping reached the worker: its pongs were late, not missing.
+	waitFor(t, 5*time.Second, func() bool { return requests.Load() >= 2*strikeLimit })
 	if co.LiveWorkers() != 1 || m.WorkerDowns.Value() != 0 {
 		t.Fatalf("%d live workers, %d worker downs after %d late pongs; want 1 and 0 within the %v liveness timeout",
-			co.LiveWorkers(), m.WorkerDowns.Value(), pings.Load(), time.Minute)
+			co.LiveWorkers(), m.WorkerDowns.Value(), 2*strikeLimit, time.Minute)
+	}
+	for range strikeLimit {
+		call(MethodApply)
+	}
+	if co.LiveWorkers() != 0 || m.WorkerDowns.Value() != 1 {
+		t.Fatalf("%d live workers, %d worker downs after %d late shard RPCs; want 0 and 1", co.LiveWorkers(), m.WorkerDowns.Value(), strikeLimit)
 	}
 }
 

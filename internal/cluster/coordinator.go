@@ -36,7 +36,7 @@ type CoordinatorConfig struct {
 	// drills. Heartbeat pings bypass injection.
 	Faults *Faults
 	// Metrics receives liveness, retry and reassignment counts.
-	Metrics *Metrics
+	Metrics Metrics
 	// Logf, when non-nil, receives diagnostic log lines.
 	Logf func(format string, args ...any)
 }
@@ -155,7 +155,7 @@ func (co *Coordinator) LiveWorkers() int {
 
 // recountLive refreshes the liveness gauge.
 func (co *Coordinator) recountLive() {
-	co.cfg.Metrics.workersLive().Set(int64(co.LiveWorkers()))
+	co.cfg.Metrics.WorkersLive.Set(int64(co.LiveWorkers()))
 }
 
 // heartbeat pings one worker until the coordinator closes, marking it
@@ -244,7 +244,7 @@ func (wc *workerClient) markDown() {
 		c.Close()
 	}
 	if !was {
-		wc.co.cfg.Metrics.workerDowns().Inc()
+		wc.co.cfg.Metrics.WorkerDowns.Inc()
 		wc.co.recountLive()
 	}
 }

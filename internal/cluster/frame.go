@@ -32,7 +32,7 @@ import (
 const (
 	// ProtocolVersion is the wire version stamped into every envelope;
 	// a mismatch is a decode error, so mixed deployments fail loudly.
-	ProtocolVersion = 2
+	ProtocolVersion = 3
 	// MaxFrameBytes bounds a frame body. Larger announcements are decode
 	// errors, so a corrupt length prefix cannot trigger an unbounded
 	// allocation.

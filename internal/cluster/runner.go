@@ -73,15 +73,13 @@ type remoteShard struct {
 	released bool
 
 	// The last gather's reads, computed by the worker in the same frame:
-	// its picks for a batch of rankedMu and each pick's ball by pair;
-	// rankedMu is 0 when the worker ranked nothing (one that predates the
-	// field ignores a gather's µ). Every Gather replaces them, so they
-	// always describe the last logged sync — the state Rank and Ball read
-	// — and a failover, which replays that sync bit for bit, leaves them
-	// exact. The loop serializes a shard's calls, so no lock guards them.
-	rankedMu int
-	picks    []selection.Pick
-	balls    map[pair.Pair][]pair.Pair
+	// its picks for a batch of the session's µ and each pick's ball by
+	// pair. Every Gather replaces them, so they always describe the last
+	// logged sync — the state Rank and Ball read — and a failover, which
+	// replays that sync bit for bit, leaves them exact. The loop
+	// serializes a shard's calls, so no lock guards them.
+	picks []selection.Pick
+	balls map[pair.Pair][]pair.Pair
 }
 
 // remoteRunner is the cluster implementation of core.ShardRunner. Writes
@@ -141,47 +139,57 @@ func (r *remoteRunner) Invalidate(s int) error {
 func (r *remoteRunner) Gather(s int) ([]selection.Candidate, bool, error) {
 	// The sync marker makes the gather's engine sync part of the log:
 	// replaying a lost shard re-executes every sync at its original
-	// position, so the last-sync snapshot Ball serves — and the candidates
-	// a replayed Rank re-derives — reproduce bit-identically.
+	// position, so the last-sync snapshot Ball serves reproduces
+	// bit-identically.
 	r.append(s, Cmd{Op: OpSync})
 	sh := r.shards[s]
-	sh.rankedMu, sh.picks, sh.balls = 0, nil, nil
-	res, err := r.do(s, MethodGather, shardReq{Mu: r.p.Cfg.Mu})
+	sh.picks, sh.balls = nil, nil
+	mu := r.p.Cfg.Mu
+	res, err := r.do(s, MethodGather, shardReq{Mu: mu})
 	if err != nil {
 		return nil, false, err
 	}
-	if res.Mu > 0 && len(res.Balls) == len(res.Picks) {
-		sh.rankedMu, sh.picks = res.Mu, res.Picks
-		sh.balls = make(map[pair.Pair][]pair.Pair, len(res.Picks))
-		for i, pk := range res.Picks {
-			sh.balls[res.Cands[pk.Index].Pair] = res.Balls[i]
-		}
+	if err := checkGather(res, mu); err != nil {
+		return nil, false, fmt.Errorf("cluster: shard %d: %w", s, err)
+	}
+	sh.picks = res.Picks
+	sh.balls = make(map[pair.Pair][]pair.Pair, len(res.Picks))
+	for i, pk := range res.Picks {
+		sh.balls[res.Cands[pk.Index].Pair] = res.Balls[i]
 	}
 	return res.Cands, res.AnyProp, nil
 }
 
-// Rank serves the picks the last gather carried when they answer for mu:
-// by the Strategy contract a ranking for mu is the first mu picks of one
-// for any larger batch, and a ranking that stopped short of its batch
-// (the shard ran out of candidates) answers every batch. Anything else is
-// its own RPC.
-func (r *remoteRunner) Rank(s, mu int) ([]selection.Pick, error) {
-	if sh := r.shards[s]; sh.rankedMu > 0 && (mu <= sh.rankedMu || len(sh.picks) < sh.rankedMu) {
-		k := max(0, min(mu, len(sh.picks)))
-		if k == 0 {
-			return []selection.Pick{}, nil
+// ErrBadGather reports a gather answer that does not hold together: more
+// picks than the batch, a pick without its ball, or a pick that names no
+// candidate. The worker is deterministic, so no retry could mend it.
+var ErrBadGather = errors.New("malformed gather answer")
+
+// checkGather validates a worker's gather answer for a batch of mu before
+// the runner indexes anything by it. A strategy may rank fewer than
+// min(mu, candidates) — Greedy stops at zero benefit — never more.
+func checkGather(res shardRes, mu int) error {
+	if len(res.Picks) > min(mu, len(res.Cands)) {
+		return fmt.Errorf("%w: %d picks for a batch of %d over %d candidates", ErrBadGather, len(res.Picks), mu, len(res.Cands))
+	}
+	if len(res.Balls) != len(res.Picks) {
+		return fmt.Errorf("%w: %d balls for %d picks", ErrBadGather, len(res.Balls), len(res.Picks))
+	}
+	for _, pk := range res.Picks {
+		if pk.Index < 0 || pk.Index >= len(res.Cands) {
+			return fmt.Errorf("%w: pick %d of %d candidates", ErrBadGather, pk.Index, len(res.Cands))
 		}
-		return sh.picks[:k:k], nil
 	}
-	r.co.cfg.Metrics.readFallbacks().Inc()
-	res, err := r.do(s, MethodRank, shardReq{Mu: mu})
-	if err != nil {
-		return nil, err
-	}
-	if res.Picks == nil {
-		res.Picks = []selection.Pick{}
-	}
-	return res.Picks, nil
+	return nil
+}
+
+// Rank serves the picks the last gather carried: the loop asks for at most
+// the session's µ, and by the Strategy contract a ranking for mu is the
+// first mu picks of one for any larger batch.
+func (r *remoteRunner) Rank(s, mu int) ([]selection.Pick, error) {
+	picks := r.shards[s].picks
+	k := min(mu, len(picks))
+	return picks[:k:k], nil
 }
 
 // Ball serves a pick's ball from the last gather; engine balls change only
@@ -191,7 +199,7 @@ func (r *remoteRunner) Ball(s int, q pair.Pair) ([]pair.Pair, error) {
 	if ball, ok := r.shards[s].balls[q]; ok {
 		return ball, nil
 	}
-	r.co.cfg.Metrics.readFallbacks().Inc()
+	r.co.cfg.Metrics.ReadFallbacks.Inc()
 	res, err := r.do(s, MethodBall, shardReq{Pair: q})
 	if err != nil {
 		return nil, err
@@ -281,7 +289,7 @@ func (r *remoteRunner) do(s int, method string, req shardReq) (shardRes, error) 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			r.co.cfg.Metrics.rpcRetries().Inc()
+			r.co.cfg.Metrics.RPCRetries.Inc()
 			if err := bo.Sleep(ctx); err != nil {
 				return shardRes{}, fmt.Errorf("cluster: shard %d %s exhausted its deadline: %w (last error: %v)", s, method, err, lastErr)
 			}
@@ -357,7 +365,7 @@ func (r *remoteRunner) ensure(ctx context.Context, s int) (int, error) {
 		}
 		if sh.assigned {
 			// The shard had an owner before: this prepare is a failover.
-			r.co.cfg.Metrics.reassignments().Inc()
+			r.co.cfg.Metrics.Reassignments.Inc()
 			r.co.logf("cluster: runner %s shard %d reassigned %s -> %s",
 				r.id, s, r.co.workers[sh.worker].addr, wc.addr)
 		}

@@ -19,9 +19,6 @@ const (
 	// picks for the request's µ and each pick's propagation ball: every
 	// read a batch makes of the shard.
 	MethodGather = "gather"
-	// MethodRank returns the shard's µ-batch picks, for a batch size the
-	// last gather did not rank for.
-	MethodRank = "rank"
 	// MethodBall returns a confirmed match's last-sync propagation ball,
 	// for a match the last gather did not pick (a short batch's pad).
 	MethodBall = "ball"
@@ -117,9 +114,8 @@ type shardReq struct {
 	Runner string `json:"runner"`
 	Shard  int    `json:"shard"`
 	Cmds   []Cmd  `json:"cmds,omitempty"`
-	// Mu is the batch size for MethodRank and MethodGather. A worker
-	// ranks min(Mu, candidates) and sizes nothing by Mu itself: it comes
-	// from the client unbounded.
+	// Mu is MethodGather's batch size. A worker ranks min(Mu, candidates)
+	// and sizes nothing by Mu itself: it comes from the client unbounded.
 	Mu int `json:"mu,omitempty"`
 	// Pair is the confirmed match for MethodBall.
 	Pair pair.Pair `json:"pair,omitempty"`
@@ -132,10 +128,7 @@ type shardRes struct {
 	Cands   []selection.Candidate `json:"cands,omitempty"`
 	AnyProp bool                  `json:"any_prop,omitempty"`
 	Picks   []selection.Pick      `json:"picks,omitempty"`
-	// Mu echoes the batch size a gather's Picks were ranked for; 0 means
-	// the gather ranked nothing.
-	Mu   int         `json:"mu,omitempty"`
-	Ball []pair.Pair `json:"ball,omitempty"`
+	Ball    []pair.Pair           `json:"ball,omitempty"`
 	// Balls holds each of a gather's Picks' balls, in pick order, in
 	// propagation order as MethodBall returns them.
 	Balls [][]pair.Pair `json:"balls,omitempty"`

@@ -196,7 +196,7 @@ func (w *Worker) handle(id uint64, method string, body json.RawMessage) (res jso
 			return nil, "", fmt.Errorf("cluster worker: bad prepare body: %w", err)
 		}
 		return w.handlePrepare(id, req)
-	case MethodApply, MethodGather, MethodRank, MethodBall, MethodRelease:
+	case MethodApply, MethodGather, MethodBall, MethodRelease:
 		var req shardReq
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, "", fmt.Errorf("cluster worker: bad %s body: %w", method, err)
@@ -266,20 +266,15 @@ func (w *Worker) handleShard(method string, req shardReq) (json.RawMessage, stri
 	switch method {
 	case MethodApply:
 	case MethodGather:
+		// The batch's reads ride the gather: the picks, and the ball a
+		// confirmation of each would propagate along. Balls change only at
+		// a sync, so these are what a later Ball would read.
 		res.Cands, res.AnyProp = ws.st.Gather()
-		if req.Mu > 0 {
-			// The batch's reads ride the gather: the picks, and the ball a
-			// confirmation of each would propagate along. Balls change only
-			// at a sync, so these are what a later Ball would read.
-			res.Mu = req.Mu
-			res.Picks = ws.st.Rank(min(req.Mu, len(res.Cands)))
-			res.Balls = make([][]pair.Pair, len(res.Picks))
-			for i, pk := range res.Picks {
-				res.Balls[i] = ws.st.Ball(res.Cands[pk.Index].Pair)
-			}
+		res.Picks = ws.st.Rank(min(req.Mu, len(res.Cands)))
+		res.Balls = make([][]pair.Pair, len(res.Picks))
+		for i, pk := range res.Picks {
+			res.Balls[i] = ws.st.Ball(res.Cands[pk.Index].Pair)
 		}
-	case MethodRank:
-		res.Picks = ws.st.Rank(req.Mu)
 	case MethodBall:
 		res.Ball = ws.st.Ball(req.Pair)
 	case MethodRelease:

@@ -64,7 +64,9 @@ type Answer struct {
 // rebuild. A clean shard's candidates — and its ranked selection — are
 // bit-identical to the previous loop's, so both are cached and reused; a
 // monolithic pipeline is dirtied by every answer, which is exactly the
-// per-loop cost sharding scopes down.
+// per-loop cost sharding scopes down. A shard is ranked once per gather,
+// for min(Config.Mu, candidates): a batch's µ never exceeds Config.Mu,
+// and by the Strategy contract a ranking for µ is a prefix of that one.
 type loopShard struct {
 	settled    bool
 	unresolved int // vertices with an edge not yet resolved either way; 0 settles the shard
@@ -73,7 +75,6 @@ type loopShard struct {
 	cands   []selection.Candidate
 	anyProp bool
 	picks   []selection.Pick
-	picksMu int
 }
 
 // Loop is the human–machine loop as an explicit state machine. Run drives
@@ -536,11 +537,10 @@ func (l *Loop) active() []int {
 	return out
 }
 
-// openBatch is the loop top of Run: settle finished shards, sync the
-// propagation engines, gather candidates and select per shard
-// concurrently, check the stop criterion, and draw the next µ questions
-// across shards by expected benefit. It either publishes a batch or
-// finishes the loop.
+// openBatch is the loop top of Run: settle finished shards, sync, gather
+// and rank the dirty shards concurrently, check the stop criterion, and
+// draw the next µ questions across shards by expected benefit. It either
+// publishes a batch or finishes the loop.
 func (l *Loop) openBatch() {
 	cfg := l.p.Cfg
 	if cfg.MaxLoops > 0 && l.res.Loops >= cfg.MaxLoops {
@@ -569,8 +569,9 @@ func (l *Loop) openBatch() {
 			dirty = append(dirty, s)
 		}
 	}
-	// The engine Syncs plus candidate gathers are the loop's propagation
-	// phase; everything from the merge to the padded batch is selection.
+	// The engine Syncs, candidate gathers and the dirty shards' rankings
+	// are the loop's propagation phase; everything from the merge to the
+	// padded batch is selection.
 	tInfer := cfg.Obs.StageStart()
 	gatherErrs := make([]error, len(dirty))
 	pool.ForEach(len(dirty), func(k int) {
@@ -580,8 +581,14 @@ func (l *Loop) openBatch() {
 			gatherErrs[k] = err
 			return
 		}
-		sh.cands, sh.anyProp = cands, anyProp
-		sh.picks = nil
+		picks := []selection.Pick{}
+		if len(cands) > 0 {
+			if picks, err = l.r.Rank(dirty[k], min(cfg.Mu, len(cands))); err != nil {
+				gatherErrs[k] = err
+				return
+			}
+		}
+		sh.cands, sh.anyProp, sh.picks = cands, anyProp, picks
 		sh.dirty = false
 	})
 	cfg.Obs.StageEnd(obs.StageInfer, tInfer)
@@ -629,10 +636,6 @@ func (l *Loop) openBatch() {
 		}
 	}
 	chosen := l.selectBatch(active, mu)
-	if l.err != nil {
-		cfg.Obs.StageEnd(obs.StageSelect, tSelect)
-		return
-	}
 	if len(chosen) < mu {
 		// Remp always issues µ questions per human-machine loop (§VIII,
 		// Table VII): pad the batch with the highest-prior unchosen
@@ -672,48 +675,18 @@ func (l *Loop) openBatch() {
 	l.buf = make(map[pair.Pair][]crowd.Label, len(l.open))
 }
 
-// selectBatch chooses up to mu questions: every shard ranks its own
-// candidates (concurrently; a clean shard's ranked sequence is reused from
-// the previous loop, its candidates being unchanged), the isolated
-// vertices' sequence is their one ranking read from the cursor past the
-// dead, and the sequences are merged by committed score, ties on the
-// global vertex index (Inferred[0]) — the order of the candidate list a
-// monolithic gather would produce. By the Strategy contract the merged
-// sequence is what the strategy would choose on that list, at any shard
-// count.
+// selectBatch chooses up to mu questions: each shard's sequence is the
+// ranking its last gather made, the isolated vertices' sequence is their
+// one ranking read from the cursor past the dead, and the sequences are
+// merged by committed score, ties on the global vertex index
+// (Inferred[0]) — the order of the candidate list a monolithic gather
+// would produce. By the Strategy contract the first mu of the merged
+// sequence are what the strategy would choose on that list for a batch of
+// mu, at any shard count.
 func (l *Loop) selectBatch(active []int, mu int) []selection.Candidate {
 	picks := make([][]selection.Pick, len(active))
-	stale := make([]int, 0, len(active))
 	for k, s := range active {
-		sh := l.shards[s]
-		if sh.picks == nil || sh.picksMu != mu {
-			stale = append(stale, k)
-		} else {
-			picks[k] = sh.picks
-		}
-	}
-	rankErrs := make([]error, len(stale))
-	pool.ForEach(len(stale), func(i int) {
-		k := stale[i]
-		sh := l.shards[active[k]]
-		if len(sh.cands) > 0 {
-			pk, err := l.r.Rank(active[k], mu)
-			if err != nil {
-				rankErrs[i] = err
-				return
-			}
-			sh.picks = pk
-		} else {
-			sh.picks = []selection.Pick{}
-		}
-		sh.picksMu = mu
-		picks[k] = sh.picks
-	})
-	for _, err := range rankErrs {
-		if err != nil {
-			l.fail(err)
-			return nil
-		}
+		picks[k] = l.shards[s].picks
 	}
 	// The streams merged are the shards' sequences, by position in picks,
 	// and the isolated vertices' one.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/datasets"
 	"repro/internal/pair"
 	"repro/internal/selection"
 )
@@ -222,5 +224,97 @@ func TestOpenBatchCostIgnoresIsolated(t *testing.T) {
 	if allocs1 > 2*allocs0 || bytes1 > 2*bytes0 {
 		t.Errorf("openBatch beside %d isolated vertices costs %.0f allocs / %.0f B, over twice the %.0f allocs / %.0f B without them",
 			len(with.isolated), allocs1, bytes1, allocs0, bytes0)
+	}
+}
+
+// rankCounter wraps a runner and records, per shard, each Gather's
+// candidate count and each Rank's µ, in call order.
+type rankCounter struct {
+	ShardRunner
+	mu    sync.Mutex
+	calls map[int][]rankCall
+}
+
+// rankCall is one recorded call: a gather of n candidates, or a rank for
+// a batch of n.
+type rankCall struct {
+	rank bool
+	n    int
+}
+
+func (c *rankCounter) record(s int, call rankCall) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls[s] = append(c.calls[s], call)
+}
+
+func (c *rankCounter) Gather(s int) ([]selection.Candidate, bool, error) {
+	cands, anyProp, err := c.ShardRunner.Gather(s)
+	c.record(s, rankCall{n: len(cands)})
+	return cands, anyProp, err
+}
+
+func (c *rankCounter) Rank(s, mu int) ([]selection.Pick, error) {
+	c.record(s, rankCall{rank: true, n: mu})
+	return c.ShardRunner.Rank(s, mu)
+}
+
+// TestShardRankedOncePerGather pins who ranks a shard and when: the loop,
+// once, right after each gather that found candidates, for
+// min(Config.Mu, candidates) — never a clean shard, and never again for a
+// batch the budget cuts short, which reads a prefix of that ranking. The
+// result is the unwrapped runner's.
+func TestShardRankedOncePerGather(t *testing.T) {
+	ds := datasets.Clustered(24, 10, 7)
+	cfg := DefaultConfig()
+	cfg.Shards, cfg.Mu, cfg.Budget = 4, 5, 23
+	ref := Prepare(ds.K1, ds.K2, cfg).Run(NewOracleAsker(ds.Gold.IsMatch))
+
+	counter := &rankCounter{calls: map[int][]rankCall{}}
+	cfg.Runner = func(p *Prepared) (ShardRunner, error) {
+		inner, err := NewLocalRunner(p)
+		counter.ShardRunner = inner
+		return counter, err
+	}
+	p := Prepare(ds.K1, ds.K2, cfg)
+	if p.NumShards() != cfg.Shards {
+		t.Fatalf("fixture produced %d shards, want %d", p.NumShards(), cfg.Shards)
+	}
+	l := p.NewLoop()
+	asker := NewOracleAsker(ds.Gold.IsMatch)
+	var sizes []int
+	for !l.Done() {
+		batch := l.Batch()
+		sizes = append(sizes, len(batch))
+		for _, q := range batch {
+			if err := l.Deliver(q, asker.Ask(q)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assertResultsIdentical(t, ref, l.Result())
+	if last := sizes[len(sizes)-1]; l.Result().Questions != cfg.Budget || last >= cfg.Mu {
+		t.Fatalf("batches of %v asked %d questions; want the budget of %d, the last batch cut short of µ %d", sizes, l.Result().Questions, cfg.Budget, cfg.Mu)
+	}
+	gathers := 0
+	for s, calls := range counter.calls {
+		for i, c := range calls {
+			if !c.rank {
+				gathers++
+				if c.n > 0 && (i+1 == len(calls) || !calls[i+1].rank) {
+					t.Fatalf("shard %d: gather %d found %d candidates and was not ranked: %v", s, i, c.n, calls)
+				}
+				continue
+			}
+			if i == 0 || calls[i-1].rank {
+				t.Fatalf("shard %d: rank %d follows no gather of its own: %v", s, i, calls)
+			}
+			if want := min(cfg.Mu, calls[i-1].n); c.n != want {
+				t.Fatalf("shard %d: ranked for µ %d after a gather of %d candidates, want %d", s, c.n, calls[i-1].n, want)
+			}
+		}
+	}
+	if gathers >= len(sizes)*p.NumShards() {
+		t.Fatalf("%d gathers over %d batches of %d shards: no batch found a clean shard", gathers, len(sizes), p.NumShards())
 	}
 }

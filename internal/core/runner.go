@@ -49,7 +49,9 @@ type ShardRunner interface {
 	// list is valid until the next Gather on shard s, which may refill it.
 	Gather(s int) ([]selection.Candidate, bool, error)
 	// Rank runs the configured strategy over shard s's candidates from its
-	// latest gather, for a batch of size mu.
+	// latest gather, for a batch of size mu. The loop calls it once after
+	// each Gather that found candidates, with mu = min(Config.Mu,
+	// candidates), so a runner may answer it from that gather.
 	Rank(s, mu int) ([]selection.Pick, error)
 	// Ball returns the vertices a confirmed match at q would infer — q's
 	// bounded-distance ball as of the last engine sync, none if q was
@@ -118,7 +120,6 @@ type ShardState struct {
 
 	// The latest gather: its candidates, and the one flat array holding
 	// their inferred lists; both are refilled in place by the next one.
-	gathered  bool
 	lastCands []selection.Candidate
 	backing   []int
 	anyProp   bool
@@ -194,7 +195,6 @@ func (st *ShardState) Gather() ([]selection.Candidate, bool) {
 		return nil, false
 	}
 	st.eng.Sync()
-	st.gathered = true
 	st.assemble()
 	return st.lastCands, st.anyProp
 }
@@ -248,14 +248,7 @@ func (st *ShardState) assemble() {
 }
 
 // Rank runs the configured strategy over the latest gather's candidates.
-// A state that has never gathered (a worker that just replayed a
-// reassigned shard's log) gathers first; the engine is already at the
-// logged sync position, so the candidates — and hence the ranks — equal
-// the ones the lost worker computed.
 func (st *ShardState) Rank(mu int) []selection.Pick {
-	if !st.gathered {
-		st.Gather()
-	}
 	if len(st.lastCands) == 0 {
 		return []selection.Pick{}
 	}

@@ -19,10 +19,12 @@ const (
 	// inside the enclosing prepare span.
 	StageSimilarity
 	// StageInfer is the loop top's propagation work: engine Sync
-	// (incremental recompute or rebuild) plus candidate gathering.
+	// (incremental recompute or rebuild), candidate gathering, and the
+	// ranking each gathered shard makes right after its gather, in
+	// process as on a cluster worker.
 	StageInfer
-	// StageSelect is multiple-questions selection: benefit scoring,
-	// ranked merge across shards and batch padding.
+	// StageSelect is multiple-questions selection: the isolated vertices'
+	// one ranking, the ranked merge across shards and batch padding.
 	StageSelect
 	// StageApply is answer application: truth inference, match
 	// confirmation, competitor detachment, prior damping.

@@ -47,7 +47,7 @@ type serverMetrics struct {
 	// Registered unconditionally — the catalog contract doesn't know
 	// whether a given server runs clustered — so a non-clustered server
 	// exports them at zero.
-	cluster *cluster.Metrics
+	cluster cluster.Metrics
 }
 
 func newServerMetrics() *serverMetrics {
@@ -72,12 +72,12 @@ func newServerMetrics() *serverMetrics {
 	m.storeAppend = reg.Histogram("remp_store_append_seconds", "Session store answer-log append latency (marshal + write + fsync).", nil)
 	m.storeFsync = reg.Histogram("remp_store_fsync_seconds", "Answer-log fsync syscall latency inside AppendAnswer (disk store only).", nil)
 
-	m.cluster = &cluster.Metrics{
+	m.cluster = cluster.Metrics{
 		WorkersLive:   reg.Gauge("remp_cluster_workers_live", "Cluster workers currently passing heartbeats (0 when not clustered)."),
 		WorkerDowns:   reg.Counter("remp_cluster_worker_downs_total", "Workers marked down after missed heartbeats or repeated transport failures."),
 		RPCRetries:    reg.Counter("remp_cluster_rpc_retries_total", "Shard RPC attempts retried after a transport failure or lost worker state."),
 		Reassignments: reg.Counter("remp_cluster_shard_reassignments_total", "Shards re-prepared on a surviving worker after their owner was lost."),
-		ReadFallbacks: reg.Counter("remp_cluster_read_fallbacks_total", "Shard rank and ball reads the last gather could not serve, sent as RPCs of their own."),
+		ReadFallbacks: reg.Counter("remp_cluster_read_fallbacks_total", "Shard ball reads the last gather could not serve (a short batch's pads), sent as RPCs of their own."),
 	}
 
 	// The loop trace mirrors every stage span into one labeled histogram
