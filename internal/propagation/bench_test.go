@@ -2,6 +2,7 @@ package propagation
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -10,6 +11,10 @@ import (
 // -cpu 1 for the serial cost). The clustered shape (disjoint functional chains) mirrors real ER
 // graphs, whose connected components are entity clusters far smaller than
 // the whole graph.
+//
+// The loop-shape case is remp-e2e loop-clustered's run shape: components
+// of 75 vertices with 2.5 out-edges each on average, so a ball at τ = 0.9
+// reaches most of its component and a run scans ≈ 185 edges.
 func BenchmarkInferAll(b *testing.B) {
 	for _, size := range []struct{ nc, cs int }{{8, 25}, {25, 32}, {80, 40}} {
 		pg, _ := clusteredPG(size.nc, size.cs)
@@ -21,6 +26,32 @@ func BenchmarkInferAll(b *testing.B) {
 			}
 		})
 	}
+	pg := loopShapePG(rand.New(rand.NewSource(1)), 120, 75)
+	b.Run(fmt.Sprintf("loop-shape/n=%d", pg.g.NumVertices()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = pg.InferAll(0.9)
+		}
+	})
+}
+
+// loopShapePG draws nc components of cs vertices: a ring, so each is
+// strongly connected, plus one random chord a vertex and a second on every
+// other vertex, all of probability 0.99 to 1.
+func loopShapePG(rng *rand.Rand, nc, cs int) *ProbGraph {
+	adj := make([]map[int]float64, nc*cs)
+	for c := 0; c < nc; c++ {
+		for k := 0; k < cs; k++ {
+			i := c*cs + k
+			adj[i] = map[int]float64{c*cs + (k+1)%cs: 0.99 + 0.01*rng.Float64()}
+			for m := 1 + k%2; m > 0; m-- {
+				if j := c*cs + rng.Intn(cs); j != i {
+					adj[i][j] = 0.99 + 0.01*rng.Float64()
+				}
+			}
+		}
+	}
+	return probGraphFromAdj(isolatedPairs(nc*cs), adj)
 }
 
 // BenchmarkEngineDetachSync measures one incremental invalidate+Sync

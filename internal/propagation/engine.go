@@ -40,12 +40,13 @@ import (
 //
 // Mutators (DetachVertex, InvalidateTails, Retire, Reset, InvalidateAll)
 // only record invalidations; Sync applies them, fanning one bounded
-// Dijkstra per dirty live source across GOMAXPROCS goroutines, each worker
-// reusing one pooled dense scratch and refilling the source's previous
-// ball in place. Ball deliberately serves the balls as of the last Sync:
-// the loop resolves each batch of µ questions against one snapshot (the
-// paper's semantics), then Syncs at the top of the next loop; every reader
-// copies out of a ball before that.
+// Dijkstra per dirty live source across GOMAXPROCS goroutines — a bulk
+// rebuild only when every live source is dirty — each worker reusing one
+// pooled dense scratch and refilling the source's previous ball in place.
+// Ball deliberately serves the balls as of the last Sync: the loop resolves
+// each batch of µ questions against one snapshot (the paper's semantics),
+// then Syncs at the top of the next loop; every reader copies out of a
+// ball before that.
 //
 // An Engine is not safe for concurrent use; Sync's internal workers are
 // the only concurrency it owns.
@@ -94,10 +95,11 @@ func NewEngineObs(pg *ProbGraph, tau float64, c obs.EngineCounters) *Engine {
 // dirty sources are recomputed.
 func (e *Engine) Recomputes() int64 { return e.recomputes.Load() }
 
-// bulkFallback reports whether k dirty live sources are so many that Sync
-// will recompute every live source in bulk instead of incrementally.
+// bulkFallback reports whether Sync, given k dirty live sources, will
+// rebuild in bulk instead of incrementally: only when every live source is
+// dirty, so the rebuild runs no Dijkstra the incremental path would not.
 func (e *Engine) bulkFallback(k int) bool {
-	return k > 0 && 2*k >= e.live
+	return k > 0 && k >= e.live
 }
 
 // Retire takes source i out of the engine for good: no gather will offer
@@ -180,9 +182,9 @@ func (e *Engine) markBallDirty(i int) {
 }
 
 // Sync brings the balls up to date: a pending full rebuild recomputes
-// every live source, otherwise only the dirty live sources are re-run, all
-// fanned across GOMAXPROCS goroutines, and the retired ones are dropped. A
-// clean engine returns immediately.
+// every live source, otherwise only the dirty live sources are re-run (in
+// bulk when that is all of them), all fanned across GOMAXPROCS goroutines,
+// and the retired ones are dropped. A clean engine returns immediately.
 func (e *Engine) Sync() {
 	if e.full {
 		e.rebuild()
@@ -198,10 +200,11 @@ func (e *Engine) Sync() {
 			srcs = append(srcs, i)
 		}
 	}
-	// When most live sources are dirty — a hub vertex of a dense component
-	// was touched — recomputing them one by one costs more than a bulk
-	// rebuild, which also skips the stale-entry deletions below. Fall back;
-	// the rebuild is exact, only the work strategy changes.
+	// When every live source is dirty, a bulk rebuild runs the same
+	// Dijkstras and rebuilds the reverse index in one pass instead of the
+	// stale-entry deletions below. With one clean source left it would
+	// recompute that source for nothing, so the incremental path keeps it.
+	// The rebuild is exact: only the work strategy changes.
 	if e.bulkFallback(len(srcs)) {
 		e.rebuild()
 		return

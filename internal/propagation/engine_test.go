@@ -53,6 +53,12 @@ func probGraphFromAdj(g *ergraph.Graph, adj []map[int]float64) *ProbGraph {
 // randomPG builds a probabilistic graph over n isolated vertex pairs with
 // random high-probability directed edges.
 func randomPG(rng *rand.Rand, n int, density float64) *ProbGraph {
+	return probGraphFromAdj(isolatedPairs(n), randomAdj(rng, n, density))
+}
+
+// isolatedPairs builds an ER graph of n vertex pairs and no edges, for
+// probGraphFromAdj to lay arbitrary probabilities over.
+func isolatedPairs(n int) *ergraph.Graph {
 	k1 := kb.New("k1")
 	k2 := kb.New("k2")
 	verts := make([]pair.Pair, n)
@@ -62,8 +68,7 @@ func randomPG(rng *rand.Rand, n int, density float64) *ProbGraph {
 			U2: k2.AddEntity(fmt.Sprintf("b%d", i)),
 		}
 	}
-	g := ergraph.Build(k1, k2, verts)
-	return probGraphFromAdj(g, randomAdj(rng, n, density))
+	return ergraph.Build(k1, k2, verts)
 }
 
 // assertMatchesOracle compares the engine's balls entry-by-entry against a

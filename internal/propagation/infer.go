@@ -121,19 +121,23 @@ func (pg *ProbGraph) inferSources(zeta float64, srcs []int32, dist []Ball) {
 
 // inferFromIndex is the hot Dijkstra loop of the Engine's rebuilds and
 // incremental Syncs: a ζ-bounded single-source run from vertex
-// index src on the caller-owned scratch. Stale heap entries are skipped by
+// index src on the caller-owned scratch. Stale queue entries are skipped by
 // comparing the popped distance against the current best instead of a
 // visited set; relaxations walk the CSR row with precomputed −log lengths
 // (removed slots carry +Inf and fall to the ζ test the loop already
-// performs). The ball is written into dst, the source's previous ball,
-// when its capacity suffices; only a ball that outgrew it is allocated.
+// performs). The distances are the least fixed point of
+// d[v] = min(d[u] + length), whatever order the queue pops ties in; only
+// the touched order depends on it, and sorting the touched vertices (the
+// source, touched[0], left out) fixes that. The ball is written into dst,
+// the source's previous ball, when its capacity suffices; only a ball that
+// outgrew it is allocated.
 //
 //remp:hotpath
 func (pg *ProbGraph) inferFromIndex(src int, zeta float64, sc *scratch, dst Ball) Ball {
 	sc.begin()
 	sc.reach(int32(src), 0)
-	sc.push(heapEntry{0, int32(src)})
-	for len(sc.heap) > 0 {
+	sc.push(pending{0, int32(src)})
+	for sc.occupied != 0 {
 		it := sc.pop()
 		if it.d > sc.dist[it.v] {
 			continue // superseded entry
@@ -146,24 +150,23 @@ func (pg *ProbGraph) inferFromIndex(src int, zeta float64, sc *scratch, dst Ball
 			j := pg.colIdx[e]
 			if !sc.visited(j) {
 				sc.reach(j, d)
-				sc.push(heapEntry{d, j})
+				sc.push(pending{d, j})
 			} else if d < sc.dist[j] {
 				sc.dist[j] = d
-				sc.push(heapEntry{d, j})
+				sc.push(pending{d, j})
 			}
 		}
 	}
-	ball := dst[:0]
-	if cap(ball) < len(sc.touched)-1 {
-		ball = make(Ball, 0, len(sc.touched)-1)
+	reached := sc.touched[1:]
+	slices.Sort(reached)
+	ball := dst
+	if cap(ball) < len(reached) {
+		ball = make(Ball, len(reached))
 	}
-	for _, j := range sc.touched {
-		if int(j) == src {
-			continue
-		}
-		ball = append(ball, BallEntry{Idx: j, Dist: sc.dist[j]})
+	ball = ball[:len(reached)]
+	for k, j := range reached {
+		ball[k] = BallEntry{Idx: j, Dist: sc.dist[j]}
 	}
-	slices.SortFunc(ball, func(a, b BallEntry) int { return int(a.Idx - b.Idx) })
 	return ball
 }
 

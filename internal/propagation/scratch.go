@@ -1,27 +1,43 @@
 package propagation
 
-import "sync"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
-// heapEntry is one pending Dijkstra relaxation: the tentative distance and
-// the vertex it reaches. Entries are plain values in a slice-backed 4-ary
-// heap, so pushes and pops never box through an interface.
-type heapEntry struct {
+// pending is one pending Dijkstra relaxation: the tentative distance and
+// the vertex it reaches. Entries are plain values in the radix queue's
+// slice-backed buckets, so pushes and pops never box through an interface.
+type pending struct {
 	d float64
 	v int32
 }
 
 // scratch is the per-worker reusable state of a ζ-bounded single-source
 // run: dense distances validated by epoch stamps (no clearing between
-// runs), the 4-ary heap, and the list of vertices touched this run (the
-// emitted ball, pre-sort). A run performs zero map operations and zero
-// allocations beyond the returned Ball; the arrays amortize across every
-// source the worker processes.
+// runs), a monotone radix queue, and the list of vertices touched this run
+// (the emitted ball, source first, pre-sort). A run performs zero map
+// operations and zero allocations beyond the returned Ball; the arrays
+// amortize across every source the worker processes.
+//
+// The queue (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) keys an entry by
+// math.Float64bits of its distance, which orders non-negative floats like
+// their values. Dijkstra never pushes below the last pop, so bucket b
+// holds the entries whose key first differs from that pop's key (last) in
+// bit b−1, bucket 0 those equal to it. Distances are sums of lengths
+// −log p ≥ 0 from the source's +0 (a length of −0 leaves a sum unchanged),
+// so a key's sign bit is clear and 64 buckets suffice; occupied has bit b
+// set while bucket b is non-empty, so opening a run and finding the next
+// bucket cost one bit operation, however few entries a run queues.
 type scratch struct {
-	dist    []float64
-	stamp   []uint32
-	epoch   uint32
-	heap    []heapEntry
-	touched []int32
+	dist     []float64
+	stamp    []uint32
+	epoch    uint32
+	bucket   [64][]pending
+	occupied uint64
+	last     uint64
+	touched  []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -41,7 +57,9 @@ func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // begin opens a new run: bumping the epoch invalidates every stamp in
 // O(1). On the (once per 4 billion runs) wraparound the stamps are zeroed
-// so stale entries from the previous cycle cannot alias as valid.
+// so stale entries from the previous cycle cannot alias as valid. A run
+// drains its queue, so the occupied buckets left to empty are normally
+// none.
 //
 //remp:hotpath
 func (sc *scratch) begin() {
@@ -50,7 +68,11 @@ func (sc *scratch) begin() {
 		clear(sc.stamp)
 		sc.epoch = 1
 	}
-	sc.heap = sc.heap[:0]
+	for m := sc.occupied; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		sc.bucket[b] = sc.bucket[b][:0]
+	}
+	sc.occupied, sc.last = 0, 0
 	sc.touched = sc.touched[:0]
 }
 
@@ -68,54 +90,44 @@ func (sc *scratch) reach(v int32, d float64) {
 	sc.touched = append(sc.touched, v)
 }
 
-// push inserts a heap entry, sifting up through the 4-ary layout.
+// push queues an entry whose distance is at least the last pop's.
 //
 //remp:hotpath
-func (sc *scratch) push(e heapEntry) {
-	h := append(sc.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if h[p].d <= h[i].d {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	sc.heap = h
+func (sc *scratch) push(e pending) {
+	b := bits.Len64(math.Float64bits(e.d) ^ sc.last)
+	sc.bucket[b] = append(sc.bucket[b], e)
+	sc.occupied |= 1 << b
 }
 
-// pop removes and returns the minimum-distance entry.
+// pop removes and returns a minimum-distance entry; the queue must not be
+// empty. When bucket 0 is empty, the lowest occupied bucket is spread
+// around its minimum, which becomes last: its entries agree with that
+// minimum above the bit that put them in the bucket, so each lands lower,
+// the minimum in bucket 0.
 //
 //remp:hotpath
-func (sc *scratch) pop() heapEntry {
-	h := sc.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		c := i*4 + 1
-		if c >= len(h) {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > len(h) {
-			end = len(h)
-		}
-		for k := c + 1; k < end; k++ {
-			if h[k].d < h[m].d {
-				m = k
+func (sc *scratch) pop() pending {
+	if sc.occupied&1 == 0 {
+		b := bits.TrailingZeros64(sc.occupied)
+		spread := sc.bucket[b]
+		low := spread[0].d
+		for _, e := range spread[1:] {
+			if e.d < low {
+				low = e.d
 			}
 		}
-		if h[i].d <= h[m].d {
-			break
+		sc.last = math.Float64bits(low)
+		sc.bucket[b] = spread[:0]
+		sc.occupied &^= 1 << b
+		for _, e := range spread {
+			sc.push(e) // into a bucket below b: spread's array is not written
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
-	sc.heap = h
-	return top
+	b0 := sc.bucket[0]
+	e := b0[len(b0)-1]
+	sc.bucket[0] = b0[:len(b0)-1]
+	if len(b0) == 1 {
+		sc.occupied &^= 1
+	}
+	return e
 }
