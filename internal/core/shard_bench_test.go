@@ -70,10 +70,11 @@ func BenchmarkPrepare(b *testing.B) {
 // per-label statistics, the changed labels re-fitted, their rows rewritten
 // in place and the affected balls invalidated. Two earlier batches have
 // already run, so the statistics exist and the shards' rewriters are warm;
-// the answers of the measured batch are applied outside the timer. A
-// refit of the clustered graph averages ≈ 100 rows over ≈ 6 distinct
-// observations; the Scale sibling (remp-e2e prepare-scale's loop shape:
-// budget 1 500, classifier off) refits lists of ≈ 700 rows over one or two.
+// the answers of the measured batch are applied outside the timer. The
+// clustered graph's batch refits 4 of its 16 labels, lists of ≈ 110 rows
+// over ≈ 5 distinct observations; the Scale sibling (remp-e2e
+// prepare-scale's loop shape: budget 1 500, classifier off) refits both
+// of its 2 labels, lists of ≈ 410 rows over 2.
 func BenchmarkReestimate(b *testing.B) {
 	scale := DefaultConfig()
 	scale.Budget, scale.ClassifyIsolated = 1500, false

@@ -20,6 +20,13 @@ import (
 // likelihood sums are order-sensitive in floating point: the same rows in
 // the same order reproduce a from-scratch gather bit for bit.
 //
+// A seed has rows, or owner rows to update, only under the labels whose
+// relationships its entities carry, so each seed visits just those labels:
+// byRel1 and byRel2 index the labels by their K1 and K2 relationship, and
+// a seed's labels are those under K1.OutRels/InRels(U1) and
+// K2.OutRels/InRels(U2). Any other label has empty value sets on both
+// sides for the seed, in both directions, so skipping it is exact.
+//
 // It is per-loop state: it lives in the Loop, never in the Prepared.
 type seedStats struct {
 	p *Prepared
@@ -30,6 +37,14 @@ type seedStats struct {
 	partners map[kb.EntityID][]partner
 	// labels is addressed by the label's index in p.Graph.Labels().
 	labels []labelStats
+	// byRel1[r] and byRel2[r] list the indexes of the labels whose K1
+	// (K2) relationship is r, in both directions.
+	byRel1, byRel2 [][]int32
+	// reached collects one seed's labels; stamp[li] == visit marks label
+	// li as collected for the current seed.
+	reached []int32
+	stamp   []uint32
+	visit   uint32
 }
 
 // partner is a seed seen from its side-1 entity: its side-2 entity and its
@@ -57,13 +72,21 @@ type labelStats struct {
 // order; a seed listed again counts once, at its first occurrence, whose
 // index is its rank. A loop's statistics start from Prepared.Initial;
 // the from-scratch fits gather over any seed list and never fold. Each
-// label's list is gathered on its own, across the pipeline scheduler.
+// seed appends its rows to the labels it reaches, so every list is in
+// seed order.
 func newSeedStats(p *Prepared, seeds []pair.Pair) *seedStats {
 	labels := p.Graph.Labels()
 	st := &seedStats{
 		p:        p,
 		partners: make(map[kb.EntityID][]partner, len(seeds)),
 		labels:   make([]labelStats, len(labels)),
+		byRel1:   make([][]int32, p.K1.NumRels()),
+		byRel2:   make([][]int32, p.K2.NumRels()),
+		stamp:    make([]uint32, len(labels)),
+	}
+	for li, label := range labels {
+		st.byRel1[label.R1] = append(st.byRel1[label.R1], int32(li))
+		st.byRel2[label.R2] = append(st.byRel2[label.R2], int32(li))
 	}
 	// A partner list starts as a one-slot window of block, so the common
 	// case — one partner under the 1:1 constraint — costs no allocation of
@@ -83,20 +106,49 @@ func newSeedStats(p *Prepared, seeds []pair.Pair) *seedStats {
 		}
 		firsts = append(firsts, int32(i))
 	}
-	pool.ForEach(len(labels), func(li int) {
-		ls := &st.labels[li]
-		for _, i := range firsts {
-			m := seeds[i]
+	for _, i := range firsts {
+		m := seeds[i]
+		for _, li := range st.labelsOf(m) {
 			n1, n2 := p.neighbors(labels[li], m)
 			if len(n1) == 0 && len(n2) == 0 {
 				continue
 			}
+			ls := &st.labels[li]
 			ls.seeds = append(ls.seeds, m)
 			ls.ranks = append(ls.ranks, i)
 			ls.obs = append(ls.obs, consistency.Observation{N1: len(n1), N2: len(n2), KnownL: st.knownL(n1, n2)})
 		}
-	})
+	}
 	return st
+}
+
+// labelsOf returns the labels m can touch: those whose K1 relationship
+// m's side-1 entity carries, or whose K2 relationship its side-2 entity
+// carries, in either direction. The slice is reused by the next call.
+func (st *seedStats) labelsOf(m pair.Pair) []int32 {
+	st.visit++
+	if st.visit == 0 { // wrapped: no stamp may alias the new visit
+		clear(st.stamp)
+		st.visit = 1
+	}
+	st.reached = st.reached[:0]
+	st.collect(st.byRel1, st.p.K1.OutRels(m.U1))
+	st.collect(st.byRel1, st.p.K1.InRels(m.U1))
+	st.collect(st.byRel2, st.p.K2.OutRels(m.U2))
+	st.collect(st.byRel2, st.p.K2.InRels(m.U2))
+	return st.reached
+}
+
+// collect adds the labels index lists under rels to the current visit's.
+func (st *seedStats) collect(index [][]int32, rels []kb.RelID) {
+	for _, r := range rels {
+		for _, li := range index[r] {
+			if st.stamp[li] != st.visit {
+				st.stamp[li] = st.visit
+				st.reached = append(st.reached, li)
+			}
+		}
+	}
 }
 
 // fold adds the pending matches to the seed set one at a time, keeping
@@ -104,6 +156,7 @@ func newSeedStats(p *Prepared, seeds []pair.Pair) *seedStats {
 // its own row to each label it participates in, and each existing seed
 // that has it as a neighbor pair gains one known value — unless the seed's
 // side-1 entity already had a seed counterpart there. Nothing else can
+// change, and only the labels m reaches (labelsOf) can hold either kind of
 // change. Labels whose list changed are marked dirty.
 func (st *seedStats) fold(pending []pair.Pair) {
 	labels := st.p.Graph.Labels()
@@ -112,7 +165,8 @@ func (st *seedStats) fold(pending []pair.Pair) {
 			continue
 		}
 		st.partners[m.U1] = append(st.partners[m.U1], partner{u2: m.U2, rank: -1})
-		for li, label := range labels {
+		for _, li := range st.labelsOf(m) {
+			label := labels[li]
 			ls := &st.labels[li]
 			if n1, n2 := st.p.neighbors(label, m); len(n1) > 0 || len(n2) > 0 {
 				ls.insert(m, consistency.Observation{N1: len(n1), N2: len(n2), KnownL: st.knownL(n1, n2)})

@@ -40,25 +40,103 @@ func (p *Prepared) consistencyObservations(label ergraph.RelPair, seeds []pair.P
 	return obs
 }
 
-// statsWorld is a KB pair with its gold matches.
+// statsWorld is a KB pair with its gold matches. oneSided marks a world
+// built so that correct seeds hold rows under labels that only their
+// side-2 entity's relationships, or only their entities' InRels, reach.
 type statsWorld struct {
-	name   string
-	k1, k2 *kb.KB
-	gold   *pair.Gold
+	name     string
+	k1, k2   *kb.KB
+	gold     *pair.Gold
+	oneSided bool
 }
 
-// statsWorlds are the movie worlds and two Clustered shapes.
+// statsWorlds are the movie worlds, two Clustered shapes and the
+// one-sided works world.
 func statsWorlds() []statsWorld {
 	var worlds []statsWorld
 	for _, n := range []int{4, 9} {
 		k1, k2, gold := movieWorld(n, int64(30+n))
-		worlds = append(worlds, statsWorld{fmt.Sprintf("movies-%d", n), k1, k2, gold})
+		worlds = append(worlds, statsWorld{fmt.Sprintf("movies-%d", n), k1, k2, gold, false})
 	}
 	for _, c := range []struct{ clusters, size int }{{10, 6}, {24, 10}} {
 		ds := datasets.Clustered(c.clusters, c.size, int64(c.clusters))
-		worlds = append(worlds, statsWorld{ds.Name, ds.K1, ds.K2, ds.Gold})
+		worlds = append(worlds, statsWorld{ds.Name, ds.K1, ds.K2, ds.Gold, false})
 	}
+	k1, k2, gold := oneSidedWorld(24)
+	worlds = append(worlds, statsWorld{"one-sided", k1, k2, gold, true})
 	return worlds
+}
+
+// oneSidedWorld is n works and n/2 authors, each KB missing relationship
+// triples the other has: work i has no side-1 author when i%3 == 1, no
+// side-2 one when i%3 == 2, and cites work i+1 on side 1 only when
+// i%4 == 0 (on side 2 always). So the side-1 entity of work 7, 10, 19, …
+// carries no relationship at all while its counterpart carries two, and an
+// author, the object of every authorship triple, carries only InRels.
+func oneSidedWorld(n int) (*kb.KB, *kb.KB, *pair.Gold) {
+	k1, k2 := kb.New("works1"), kb.New("works2")
+	wrote1, wrote2 := k1.AddRel("author"), k2.AddRel("writtenBy")
+	cites1, cites2 := k1.AddRel("cites"), k2.AddRel("references")
+	name1, name2 := k1.AddAttr("name"), k2.AddAttr("title")
+	var gold []pair.Pair
+	add := func(name, typ string) pair.Pair {
+		m := pair.Pair{U1: k1.AddEntity("a:" + name), U2: k2.AddEntity("b:" + name)}
+		k1.SetLabel(m.U1, name)
+		k2.SetLabel(m.U2, name)
+		k1.SetType(m.U1, typ)
+		k2.SetType(m.U2, typ)
+		k1.AddAttrTriple(m.U1, name1, name)
+		k2.AddAttrTriple(m.U2, name2, name)
+		gold = append(gold, m)
+		return m
+	}
+	authors := make([]pair.Pair, n/2)
+	for j := range authors {
+		authors[j] = add(fmt.Sprintf("author %d", j), "person")
+	}
+	works := make([]pair.Pair, n)
+	for i := range works {
+		works[i] = add(fmt.Sprintf("work %d", i), "work")
+	}
+	for i, w := range works {
+		a := authors[i/2]
+		if i%3 != 1 {
+			k1.AddRelTriple(w.U1, wrote1, a.U1)
+		}
+		if i%3 != 2 {
+			k2.AddRelTriple(w.U2, wrote2, a.U2)
+		}
+		if next := works[(i+1)%n]; i%4 == 0 {
+			k1.AddRelTriple(w.U1, cites1, next.U1)
+			k2.AddRelTriple(w.U2, cites2, next.U2)
+		} else {
+			k2.AddRelTriple(w.U2, cites2, next.U2)
+		}
+	}
+	return k1, k2, pair.NewGold(gold)
+}
+
+// oneSidedRows counts the rows of the seeds' observation lists that only
+// the side-2 entity's relationships reach (the side-1 entity carries the
+// label's K1 relationship in neither direction), and those that only
+// InRels reach (neither entity carries the label's relationship as an
+// out-edge).
+func (p *Prepared) oneSidedRows(seeds []pair.Pair) (side2, inRels int) {
+	for _, label := range p.Graph.Labels() {
+		for _, m := range seeds {
+			if n1, n2 := p.neighbors(label, m); len(n1) == 0 && len(n2) == 0 {
+				continue
+			}
+			out1, out2 := len(p.K1.Out(m.U1, label.R1)) > 0, len(p.K2.Out(m.U2, label.R2)) > 0
+			if !out1 && len(p.K1.In(m.U1, label.R1)) == 0 {
+				side2++
+			}
+			if !out1 && !out2 {
+				inRels++
+			}
+		}
+	}
+	return side2, inRels
 }
 
 // TestSeedStatsMatchScratchObservations is the property test for the
@@ -67,7 +145,9 @@ func statsWorlds() []statsWorld {
 // arriving again and wrong matches — every label's folded observation list
 // must equal the consistencyObservations oracle gathered from scratch over the
 // canonical seed order, and a label must be marked dirty exactly when its
-// list changed.
+// list changed. In the one-sided world, rows that only the side-2
+// relationships or only InRels reach must occur among the correct
+// matches, so a seed's label set missing either is caught.
 func TestSeedStatsMatchScratchObservations(t *testing.T) {
 	for _, w := range statsWorlds() {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -123,6 +203,17 @@ func TestSeedStatsMatchScratchObservations(t *testing.T) {
 					st.fold(pending)
 					check(fmt.Sprintf("batch %d", batch), before)
 				}
+				if w.oneSided {
+					var correct []pair.Pair
+					for _, m := range canonicalSeeds(p.Initial, matches) {
+						if w.gold.IsMatch(m) {
+							correct = append(correct, m)
+						}
+					}
+					if side2, inRels := p.oneSidedRows(correct); side2 == 0 || inRels == 0 {
+						t.Fatalf("correct seeds hold %d rows reached only through side 2 and %d only through InRels; the world must have both", side2, inRels)
+					}
+				}
 			})
 		}
 	}
@@ -141,7 +232,7 @@ func TestFitConsistencyMatchesScratchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worlds := append(statsWorlds(), statsWorld{dy.Name, dy.K1, dy.K2, dy.Gold})
+	worlds := append(statsWorlds(), statsWorld{dy.Name, dy.K1, dy.K2, dy.Gold, false})
 	known := 0 // oracle rows with a seed counterpart: the count under test
 	same := func(a, b consistency.Estimate) bool {
 		return math.Float64bits(a.Eps1) == math.Float64bits(b.Eps1) &&

@@ -116,8 +116,34 @@ func (pg *ProbGraph) inferFromIndexHeap(src int, zeta float64, sc *heapScratch) 
 // tiedPG draws components of 1 to 45 vertices with up to five out-edges a
 // vertex, their probabilities mostly from a small palette — 1 (length −0),
 // 0 (a removed slot, +Inf) and values whose sums tie along parallel paths
-// — and otherwise uniform.
+// — and otherwise uniform. A component's vertices have consecutive
+// indexes, so most balls are narrow next to their size.
 func tiedPG(rng *rand.Rand, n int) *ProbGraph {
+	return probGraphFromAdj(isolatedPairs(n), tiedAdj(rng, n))
+}
+
+// scatteredPG is tiedPG's graph with its vertex indexes shuffled, so a
+// small ball spans much of the index range.
+func scatteredPG(rng *rand.Rand, n int) *ProbGraph {
+	adj := tiedAdj(rng, n)
+	return probGraphFromAdj(isolatedPairs(n), relabel(adj, rng.Perm(n)))
+}
+
+// relabel moves vertex i of the adjacency to index perm[i].
+func relabel(adj []map[int]float64, perm []int) []map[int]float64 {
+	moved := make([]map[int]float64, len(adj))
+	for i, row := range adj {
+		moved[perm[i]] = make(map[int]float64, len(row))
+		for j, p := range row {
+			moved[perm[i]][perm[j]] = p
+		}
+	}
+	return moved
+}
+
+// tiedAdj is tiedPG's adjacency: row i maps each out-neighbor to the
+// edge's probability.
+func tiedAdj(rng *rand.Rand, n int) []map[int]float64 {
 	palette := []float64{1, 0, 0.5, 0.25, 0.9, 0.81, 0.75}
 	adj := make([]map[int]float64, n)
 	for lo := 0; lo < n; {
@@ -138,7 +164,7 @@ func tiedPG(rng *rand.Rand, n int) *ProbGraph {
 		}
 		lo = hi
 	}
-	return probGraphFromAdj(isolatedPairs(n), adj)
+	return adj
 }
 
 // TestKernelMatchesHeapOracleBitwise holds every source's ball — indexes
@@ -146,11 +172,19 @@ func tiedPG(rng *rand.Rand, n int) *ProbGraph {
 // rich in zero-length edges, removed slots and equal-distance ties, from
 // τ = 1 (only probability-1 paths) to τ = 0.3. Each run refills the
 // previous source's ball, so both the in-place and the growing emission
-// are covered; the engine's first build must agree too.
+// are covered; the engine's first build must agree too. Half the graphs
+// keep a component's indexes together and half scatter them, and the
+// test fails unless both emissions — the stamp scan over a narrow span
+// and the sort of a wide one — produced balls.
 func TestKernelMatchesHeapOracleBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	for iter := 0; iter < 100; iter++ {
-		pg := tiedPG(rng, 20+rng.Intn(180))
+	emitted := map[bool]int{} // by scanEmits: true for a scan, false for a sort
+	for iter := 0; iter < 200; iter++ {
+		draw := tiedPG
+		if iter >= 100 {
+			draw = scatteredPG
+		}
+		pg := draw(rng, 20+rng.Intn(180))
 		n := pg.g.NumVertices()
 		for _, tau := range []float64{1, 0.9, 0.75, 0.3} {
 			zeta := zetaOf(tau)
@@ -163,10 +197,17 @@ func TestKernelMatchesHeapOracleBitwise(t *testing.T) {
 				ctx := fmt.Sprintf("iter %d τ=%v source %d", iter, tau, q)
 				sameBallBits(t, ctx, got, want)
 				sameBallBits(t, ctx+" (engine)", e.Ball(q), want)
+				if len(want) > 0 {
+					emitted[scanEmits(len(want), int(want[len(want)-1].Idx-want[0].Idx)+1)]++
+				}
 			}
 			putScratch(sc)
 		}
 	}
+	if emitted[true] == 0 || emitted[false] == 0 {
+		t.Fatalf("%d balls scanned, %d sorted: both emissions must be checked", emitted[true], emitted[false])
+	}
+	t.Logf("%d balls scanned, %d sorted", emitted[true], emitted[false])
 }
 
 func sameBallBits(t *testing.T, ctx string, got, want Ball) {

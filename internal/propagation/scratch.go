@@ -16,10 +16,14 @@ type pending struct {
 
 // scratch is the per-worker reusable state of a ζ-bounded single-source
 // run: dense distances validated by epoch stamps (no clearing between
-// runs), a monotone radix queue, and the list of vertices touched this run
-// (the emitted ball, source first, pre-sort). A run performs zero map
-// operations and zero allocations beyond the returned Ball; the arrays
-// amortize across every source the worker processes.
+// runs), a monotone radix queue, the list of vertices touched this run
+// (the emitted ball, source first, in arrival order) with the lowest and
+// highest index reached, and the chunk a ball that outgrew its old
+// storage is cut from. A run performs zero map operations; the arrays
+// amortize across every source the worker processes. The chunk belongs to
+// one inferSources worker for one call: putScratch drops it, so balls cut
+// from it are never shared with another engine's, and a released engine
+// frees its balls.
 //
 // The queue (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) keys an entry by
 // math.Float64bits of its distance, which orders non-negative floats like
@@ -38,7 +42,19 @@ type scratch struct {
 	occupied uint64
 	last     uint64
 	touched  []int32
+	// lo and hi bound the indexes reached since inferFromIndex reset them
+	// after reaching the source.
+	lo, hi int32
+	// chunk is the unused tail of the current chunk. left is how many
+	// runs, the current one included, the worker still expects in this
+	// call; inferSources sets it before each run.
+	chunk Ball
+	left  int
 }
+
+// maxChunk caps a chunk at 128 KiB of entries: a first build makes a few
+// dozen chunks instead of one allocation per ball.
+const maxChunk = 8192
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
@@ -53,7 +69,27 @@ func getScratch(n int) *scratch {
 	return sc
 }
 
-func putScratch(sc *scratch) { scratchPool.Put(sc) }
+// putScratch returns sc to the pool without its chunk.
+func putScratch(sc *scratch) {
+	sc.chunk, sc.left = nil, 0
+	scratchPool.Put(sc)
+}
+
+// carve cuts an n-entry ball, full-slice-capped so that growing it cannot
+// write into a neighbor, from the worker's chunk. A chunk with too little
+// left is abandoned to the balls already cut from it; its successor is
+// sized for the worker's remaining runs at this ball's size, up to
+// maxChunk, so the tail a call leaves unused stays small.
+//
+//remp:hotpath
+func (sc *scratch) carve(n int) Ball {
+	if len(sc.chunk) < n {
+		sc.chunk = make(Ball, max(n, min(n*sc.left, maxChunk)))
+	}
+	b := sc.chunk[:n:n]
+	sc.chunk = sc.chunk[n:]
+	return b
+}
 
 // begin opens a new run: bumping the epoch invalidates every stamp in
 // O(1). On the (once per 4 billion runs) wraparound the stamps are zeroed
@@ -81,13 +117,15 @@ func (sc *scratch) begin() {
 //remp:hotpath
 func (sc *scratch) visited(v int32) bool { return sc.stamp[v] == sc.epoch }
 
-// reach records the first arrival at v with distance d.
+// reach records the first arrival at v with distance d and widens the
+// reached span to v.
 //
 //remp:hotpath
 func (sc *scratch) reach(v int32, d float64) {
 	sc.stamp[v] = sc.epoch
 	sc.dist[v] = d
 	sc.touched = append(sc.touched, v)
+	sc.lo, sc.hi = min(sc.lo, v), max(sc.hi, v)
 }
 
 // push queues an entry whose distance is at least the last pop's.
