@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/ergraph"
 	"repro/internal/kb"
 	"repro/internal/pair"
-	"repro/internal/partition"
 	"repro/internal/propagation"
 	"repro/internal/simvec"
 )
@@ -155,11 +156,52 @@ func TestPrepareOnRetainedRejectsPairWithoutPrior(t *testing.T) {
 	PrepareOnRetained(k1, k2, DefaultConfig(), append([]pair.Pair{blk.Candidates[0].Pair}, stray), blk)
 }
 
+// TestShardGlobalIndexesAreIndexOf: every engine shard vertex's global
+// index — read off the index cut, not searched for — is IndexOf of its
+// pair in the whole graph, its prior is that vertex's, and the vertex is
+// routed home to its shard; on d-y and a clustered graph at 1 and 4
+// shards, after Prepare and over a PrepareOnRetained subset listed out of
+// pair order.
+func TestShardGlobalIndexesAreIndexOf(t *testing.T) {
+	dy, err := datasets.ByName("d-y", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := datasets.Clustered(48, 24, 1)
+	for _, ds := range []*datasets.Dataset{dy, cl} {
+		blk := testBlocking(ds.K1, ds.K2)
+		for _, shards := range []int{1, 4} {
+			cfg := DefaultConfig()
+			cfg.Shards = shards
+			p := Prepare(ds.K1, ds.K2, cfg)
+			subset := slices.Clone(p.Retained)
+			rand.New(rand.NewSource(int64(shards))).Shuffle(len(subset), func(a, b int) { subset[a], subset[b] = subset[b], subset[a] })
+			subset = subset[:len(subset)*3/4]
+			for _, q := range []*Prepared{p, PrepareOnRetained(ds.K1, ds.K2, cfg, subset, blk)} {
+				if q.NumShards() < min(shards, 2) {
+					t.Fatalf("%s at %d shards: %d engine shards", ds.Name, shards, q.NumShards())
+				}
+				for s := 0; s < q.NumShards(); s++ {
+					sh := q.Shard(s)
+					for i, v := range sh.Vertices() {
+						gi := q.Graph.IndexOf(v)
+						if sh.globalIdx[i] != gi || q.home[gi] != int32(s) || math.Float64bits(sh.prior[i]) != math.Float64bits(q.Prior(gi)) {
+							t.Fatalf("%s at %d shards, shard %d vertex %d (%v): global index %d, IndexOf %d, home %d, prior %v, vertex prior %v",
+								ds.Name, shards, s, i, v, sh.globalIdx[i], gi, q.home[max(gi, 0)], sh.prior[i], q.Prior(max(gi, 0)))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPreparedKeysNothingByPair pins the layout: after Prepare a vertex is
 // addressed by its index, so no map keyed by candidate pair is reachable
 // from a Prepared — through fields, pointers, slices, arrays and map values,
-// into the graph, the shards, their probabilistic graphs and the partition
-// — nor from a Pruner, and a Prepared does not keep the blocking result.
+// into the graph, the shards and their probabilistic graphs — nor from a
+// Pruner, and a Prepared does not keep the blocking result (nor the
+// partition: its shards' subgraphs list their vertices).
 func TestPreparedKeysNothingByPair(t *testing.T) {
 	pairType, blkType := reflect.TypeFor[pair.Pair](), reflect.TypeFor[*blocking.Result]()
 	seen := map[reflect.Type]bool{}
@@ -185,7 +227,7 @@ func TestPreparedKeysNothingByPair(t *testing.T) {
 	}
 	walk(reflect.TypeFor[Prepared](), "Prepared")
 	walk(reflect.TypeFor[simvec.Pruner](), "Pruner")
-	for _, typ := range []reflect.Type{reflect.TypeFor[ergraph.Graph](), reflect.TypeFor[Shard](), reflect.TypeFor[propagation.ProbGraph](), reflect.TypeFor[partition.Partition]()} {
+	for _, typ := range []reflect.Type{reflect.TypeFor[ergraph.Graph](), reflect.TypeFor[Shard](), reflect.TypeFor[propagation.ProbGraph]()} {
 		if !seen[typ] {
 			t.Errorf("the walk from Prepared never reached %v", typ)
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/pair"
-	"repro/internal/partition"
 	"repro/internal/simvec"
 )
 
@@ -57,18 +56,18 @@ type Prepared struct {
 	// the one part of a Prepared that changes after Prepare returns.
 	iso isoPlan
 
-	// Part is the assignment of the graph's connected vertices — those with
-	// an edge — to engine shards (connected components over relational
-	// edges, binned into weight-balanced shards), at every shard count: one
-	// shard is a partition of one. No isolated vertex is in it.
-	Part *partition.Partition
-	// shards holds the engine shards the loop runs concurrently, shard s
-	// over the subgraph induced by Part.Shard(s) with its own probabilistic
-	// graph; shard states work on clones of that.
+	// shards holds the engine shards the loop runs concurrently: the
+	// graph's connected vertices — those with an edge — split along
+	// connected components over relational edges, binned into
+	// weight-balanced shards (one shard is a partition of one), shard s
+	// over the subgraph they induce with its own probabilistic graph;
+	// shard states work on clones of that. No isolated vertex is in one.
+	// components counts the connected components.
 	// labelIdx[s] lists shard s's labels as indexes into p.Graph.Labels():
 	// a re-estimation rebuilds only the shards holding a label that moved.
-	shards   []*Shard
-	labelIdx [][]int32
+	shards     []*Shard
+	components int
+	labelIdx   [][]int32
 	// isolated lists the graph indexes of the vertices without an edge,
 	// ascending (isolated[i:i+1] doubles as vertex i's inferred set). No
 	// shard gathers them: a loop holds the list itself, ranks it once and

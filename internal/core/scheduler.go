@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"sync"
+
+	"repro/internal/ergraph"
 )
 
 // Scheduler is a token pool bounding the goroutines a fan-out starts. The
@@ -29,8 +31,10 @@ func NewScheduler(workers int) *Scheduler {
 }
 
 // pool is the process's one shard-work pool: every pipeline and loop
-// fans out on it.
+// fans out on it, and so does every ER-graph build in the process.
 var pool = NewScheduler(0)
+
+func init() { ergraph.SetRunner(pool) }
 
 // ForEach runs fn(0) … fn(n-1), fanning across up to the scheduler's
 // worker bound. It returns when every call has finished. fn must not call

@@ -84,11 +84,20 @@ type Shard struct {
 // rebuild of it consumes (the remote runner ships only these).
 func (sh *Shard) Labels() []ergraph.RelPair { return sh.graph.Labels() }
 
+// Vertices returns the shard's vertices, by shard-local index (do not
+// modify).
+func (sh *Shard) Vertices() []pair.Pair { return sh.graph.Vertices() }
+
 // initShards splits the graph's vertices once. The isolated ones (§VII-B:
 // propagation can neither reach them nor start from them) become p.isolated
 // — a loop itself holds them, as a shard with no engine. The vertices with
 // an edge are partitioned into engine shards, one probabilistic subgraph
 // each, built concurrently; a one-shard pipeline is a partition of one.
+// Everything crosses the boundary as graph indexes: the partition hands
+// each shard its members as indexes, the shard subgraph is cut from them
+// (ergraph.Graph.Cut: no pair is searched for), and they are the shard's
+// global indexes as they stand. The partition itself is dropped: each
+// shard's subgraph lists its vertices, and p.components keeps its count.
 func (p *Prepared) initShards() {
 	g := p.Graph
 	verts := g.Vertices()
@@ -114,31 +123,36 @@ func (p *Prepared) initShards() {
 		pairs[i] = verts[gi]
 	}
 	var row []int32
-	p.Part = partition.Split(pairs, func(i int) []int32 {
+	part := partition.Split(pairs, func(i int) []int32 {
 		row = row[:0]
 		for _, gj := range g.OutIndexesAt(int(connected[i])) {
 			row = append(row, local[gj])
 		}
 		return row
 	}, resolveShardCount(p.Cfg.Shards, len(connected)))
-	p.shards = make([]*Shard, p.Part.NumShards())
+	p.components = part.NumComponents()
+	p.shards = make([]*Shard, part.NumShards())
 	pool.ForEach(len(p.shards), func(s int) {
-		sub := g.Subgraph(p.Part.Shard(s))
-		n := sub.NumVertices()
+		members := part.Members(s)
+		parent := make([]int32, len(members))
+		for k, i := range members {
+			parent[k] = connected[i]
+		}
+		sub := g.Cut(parent)
 		sh := &Shard{
 			graph:      sub,
-			prior:      make([]float64, n),
-			globalIdx:  make([]int, n),
+			prior:      make([]float64, len(parent)),
+			globalIdx:  make([]int, len(parent)),
 			est:        p.Consistency,
 			tau:        p.Cfg.Tau,
 			strategy:   p.Cfg.Strategy,
 			counters:   p.Cfg.Obs.EngineCounters(),
 			fullResync: p.Cfg.debugFullResync,
 		}
-		for i, v := range sub.Vertices() {
-			sh.globalIdx[i] = g.IndexOf(v)
-			sh.prior[i] = p.Prior(sh.globalIdx[i])
-			p.home[sh.globalIdx[i]] = int32(s)
+		for i, gi := range parent {
+			sh.globalIdx[i] = int(gi)
+			sh.prior[i] = p.Prior(int(gi))
+			p.home[gi] = int32(s)
 		}
 		sh.prob = propagation.BuildProbDense(sub, sh.prior, sh.est)
 		p.shards[s] = sh
@@ -178,4 +192,14 @@ func (p *Prepared) Shard(s int) *Shard { return p.shards[s] }
 
 // ShardSizes returns the number of vertices with an edge per engine
 // shard, the shard assignment fingerprint recorded by session snapshots.
-func (p *Prepared) ShardSizes() []int { return p.Part.Sizes() }
+func (p *Prepared) ShardSizes() []int {
+	out := make([]int, len(p.shards))
+	for s, sh := range p.shards {
+		out[s] = len(sh.globalIdx)
+	}
+	return out
+}
+
+// NumComponents returns the number of connected components the vertices
+// with an edge form: what the engine shards were binned from.
+func (p *Prepared) NumComponents() int { return p.components }

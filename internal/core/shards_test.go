@@ -10,6 +10,7 @@ import (
 	"repro/internal/crowd"
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/partition"
 	"repro/internal/selection"
 )
 
@@ -251,10 +252,34 @@ func (f splitFixture) prepare(t *testing.T, k1, k2 *kb.KB, blk *blocking.Result,
 	if engine+len(p.isolated) != p.Graph.NumVertices() {
 		t.Fatalf("%s: %d shard vertices + %d isolated ≠ %d graph vertices", f.name, engine, len(p.isolated), p.Graph.NumVertices())
 	}
+	// The partition of the vertices with an edge, as Prepare makes it, by
+	// pair: each engine shard must be its part.
+	var connected []int32
+	local := make([]int32, p.Graph.NumVertices())
+	for i := range local {
+		if len(p.Graph.OutIndexesAt(i)) > 0 || len(p.Graph.InIndexesAt(i)) > 0 {
+			local[i] = int32(len(connected))
+			connected = append(connected, int32(i))
+		}
+	}
+	pairs := make([]pair.Pair, len(connected))
+	for i, gi := range connected {
+		pairs[i] = p.Graph.Vertices()[gi]
+	}
+	part := partition.Split(pairs, func(i int) []int32 {
+		var row []int32
+		for _, gj := range p.Graph.OutIndexesAt(int(connected[i])) {
+			row = append(row, local[gj])
+		}
+		return row
+	}, resolveShardCount(p.Cfg.Shards, len(connected)))
+	if part.NumShards() != p.NumShards() || part.NumComponents() != p.NumComponents() {
+		t.Fatalf("%s: %d shards over %d components, the partition makes %d over %d", f.name, p.NumShards(), p.NumComponents(), part.NumShards(), part.NumComponents())
+	}
 	for s := 0; s < p.NumShards(); s++ {
 		g := p.Shard(s).graph
-		if !slices.Equal(g.Vertices(), p.Part.Shard(s)) || len(p.Shard(s).globalIdx) != g.NumVertices() {
-			t.Fatalf("%s: shard %d holds %d vertices under %d global indexes, its partition part %d", f.name, s, g.NumVertices(), len(p.Shard(s).globalIdx), len(p.Part.Shard(s)))
+		if !slices.Equal(g.Vertices(), part.Shard(s)) || len(p.Shard(s).globalIdx) != g.NumVertices() {
+			t.Fatalf("%s: shard %d holds %d vertices under %d global indexes, its partition part %d", f.name, s, g.NumVertices(), len(p.Shard(s).globalIdx), len(part.Shard(s)))
 		}
 		if iso := g.Isolated(); len(iso) > 0 {
 			t.Fatalf("%s: shard %d holds %d vertices without an edge, %v first", f.name, s, len(iso), iso[0])

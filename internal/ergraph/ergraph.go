@@ -8,8 +8,8 @@ package ergraph
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
-	"sort"
 
 	"repro/internal/kb"
 	"repro/internal/pair"
@@ -79,89 +79,215 @@ type Graph struct {
 // row it lands in, nbr the vertex at its other end.
 type edge struct{ row, nbr, label int32 }
 
+// runner fans Build's vertex ranges out. core installs its shard-work pool
+// here (SetRunner); without one Build runs serially.
+var runner pair.Runner
+
+// SetRunner makes Build fan its vertex loop out through r: the process's
+// one shard-work pool, installed once before any Build runs. Build must
+// not be called from inside one of r's tasks.
+func SetRunner(r pair.Runner) { runner = r }
+
+// Build's fan-out: a vertex list shorter than minParallelVertices is joined
+// serially, since a range task costs more to start than a d-y-sized join;
+// a longer one is cut into at most buildRangesPerCPU ranges per CPU of at
+// least minRangeVertices each, so a hub-heavy range cannot hold the pool
+// alone for long. The ranges never change the result.
+const (
+	minParallelVertices = 6144
+	minRangeVertices    = 1024
+	buildRangesPerCPU   = 4
+)
+
 // Build constructs the ER graph on the given vertex set (the retained
 // match set Mrd). For every vertex (u1,u2) and every relationship pair
 // (r1,r2) with u1 having r1-successors and u2 having r2-successors, an
 // edge is added to each successor pair that is also a vertex. A pair listed
 // twice panics, naming it.
+//
+// The vertex loop runs over contiguous vertex ranges, on the shard-work
+// pool once the list is long enough (minParallelVertices). A successor's
+// vertices are found through a table from K1 entity to its run of byPair,
+// built for the call and dropped on return. Each range numbers its labels
+// in first appearance; the numberings are merged into the one sorted label
+// table before the rows are laid out (the out-rows and their label groups
+// beside the in-rows), so the graph is the same whatever the ranges.
 func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
+	if runner == nil || len(vertices) < minParallelVertices {
+		return build(k1, k2, vertices, nil, 1)
+	}
+	return build(k1, k2, vertices, runner, min(buildRangesPerCPU*runtime.GOMAXPROCS(0), len(vertices)/minRangeVertices))
+}
+
+// build is Build over the given number of vertex ranges, fanned through r
+// (serial when r is nil).
+func build(k1, k2 *kb.KB, vertices []pair.Pair, r pair.Runner, ranges int) *Graph {
 	g := mustGraph(vertices)
-	var edges []edge
-	// Until the labels are sorted an edge carries its label's
-	// first-appearance id: the label's position in g.labels as collected.
-	seenID := map[RelPair]int32{}
-	// add links vertex i to every successor pair (w1, w2) ∈ n1×n2 that is
-	// itself a vertex, under the given label. It joins from the sparse
-	// side: per w1, the shorter of w1's run and n2 (both in K2 entity
-	// order) is walked and the longer binary-searched, so a hub's long
-	// neighbourhood costs a search per retained pair, not a probe per value.
-	add := func(i int, n1, n2 []kb.EntityID, label RelPair) {
-		from := len(edges)
-		for _, w1 := range n1 {
-			run := g.runOf(w1)
-			if len(run) <= len(n2) {
-				for _, j := range run {
-					if _, ok := slices.BinarySearch(n2, g.vertices[j].U2); ok && int(j) != i {
-						edges = append(edges, edge{row: int32(i), nbr: j})
-					}
-				}
-				continue
-			}
-			for _, w2 := range n2 {
-				if j := g.find(run, w2); j >= 0 && j != i {
-					edges = append(edges, edge{row: int32(i), nbr: int32(j)})
-				}
-			}
+	j := newJoiner(g, k1, k2)
+	spans := pair.ChunkRanges(len(g.vertices), r, ranges)
+	parts := make([]rangeEdges, len(spans))
+	pair.RunAll(r, len(spans), func(s int) { parts[s] = j.collect(spans[s].Lo, spans[s].Hi) })
+
+	// The label table is the union of the ranges' labels, sorted; each
+	// range's ids are remapped to their label's index in it.
+	var all []RelPair
+	for _, pt := range parts {
+		all = append(all, pt.labels...)
+	}
+	slices.SortFunc(all, compareLabels)
+	if all = slices.Compact(all); len(all) > 0 {
+		g.labels = slices.Clone(all)
+	}
+	chunks := make([][]edge, len(parts))
+	pair.RunAll(r, len(parts), func(s int) {
+		pt := &parts[s]
+		index := make([]int32, len(pt.labels))
+		for id, l := range pt.labels {
+			li, _ := slices.BinarySearchFunc(g.labels, l, compareLabels)
+			index[id] = int32(li)
 		}
-		if len(edges) == from {
+		for k := range pt.edges {
+			pt.edges[k].label = index[pt.edges[k].label]
+		}
+		chunks[s] = pt.edges
+	})
+	// The out-rows (then the label groups) and the in-rows read the same
+	// edges and write apart, so they are laid out side by side.
+	rank := g.ranks()
+	pair.RunAll(r, 2, func(dir int) {
+		if dir == 0 {
+			g.outStart, g.outTo, g.outLabel = g.rows(chunks, rank, false)
+			g.buildLabelGroups()
+		} else {
+			g.inStart, g.inFrom, g.inLabel = g.rows(chunks, rank, true)
+		}
+	})
+	return g
+}
+
+// compareLabels is RelPair.Less as a three-way comparison.
+func compareLabels(a, b RelPair) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	}
+	return 0
+}
+
+// joiner holds what Build reads while it joins, for one call: for each K1
+// entity u, its run of the vertices in pair order is
+// g.byPair[runs[u]:runs[u+1]], and u2 holds the K2 entities of the vertices
+// in pair order, so a run's K2 entities are one sorted slice beside it.
+type joiner struct {
+	g      *Graph
+	k1, k2 *kb.KB
+	runs   []int32
+	u2     []kb.EntityID
+}
+
+func newJoiner(g *Graph, k1, k2 *kb.KB) *joiner {
+	j := &joiner{g: g, k1: k1, k2: k2, u2: make([]kb.EntityID, len(g.byPair))}
+	var top kb.EntityID // one past the largest K1 entity of a vertex: the last in pair order
+	if n := len(g.byPair); n > 0 {
+		top = g.vertices[g.byPair[n-1]].U1 + 1
+	}
+	j.runs = make([]int32, top+1)
+	for r, i := range g.byPair {
+		v := g.vertices[i]
+		j.runs[v.U1+1]++
+		j.u2[r] = v.U2
+	}
+	for u := range top {
+		j.runs[u+1] += j.runs[u]
+	}
+	return j
+}
+
+// rangeEdges is one vertex range's share of Build: its edges, labelled by
+// range-local ids, and the labels those ids name, in first appearance.
+type rangeEdges struct {
+	edges  []edge
+	labels []RelPair
+}
+
+// collect joins vertices lo..hi-1 with their successors. A side-2
+// relationship list is read once per vertex, and only when side 1 has
+// relationships to pair it with.
+func (j *joiner) collect(lo, hi int) rangeEdges {
+	var pt rangeEdges
+	ids := map[RelPair]int32{}
+	add := func(i int, n1, n2 []kb.EntityID, label RelPair) {
+		from := len(pt.edges)
+		pt.edges = j.join(pt.edges, int32(i), n1, n2)
+		if len(pt.edges) == from {
 			return
 		}
-		id, ok := seenID[label]
+		id, ok := ids[label]
 		if !ok {
-			id = int32(len(g.labels))
-			seenID[label] = id
-			g.labels = append(g.labels, label)
+			id = int32(len(pt.labels))
+			ids[label] = id
+			pt.labels = append(pt.labels, label)
 		}
-		for k := from; k < len(edges); k++ {
-			edges[k].label = id
+		for k := from; k < len(pt.edges); k++ {
+			pt.edges[k].label = id
 		}
 	}
-	// A side-2 relationship list is read once per vertex, and only when
-	// side 1 has relationships to pair it with.
-	for i, v := range g.vertices {
-		if rels1 := k1.OutRels(v.U1); len(rels1) > 0 {
-			rels2 := k2.OutRels(v.U2)
+	for i := lo; i < hi; i++ {
+		v := j.g.vertices[i]
+		if rels1 := j.k1.OutRels(v.U1); len(rels1) > 0 {
+			rels2 := j.k2.OutRels(v.U2)
 			for _, r1 := range rels1 {
+				n1 := j.k1.Out(v.U1, r1)
 				for _, r2 := range rels2 {
-					add(i, k1.Out(v.U1, r1), k2.Out(v.U2, r2), RelPair{R1: r1, R2: r2})
+					add(i, n1, j.k2.Out(v.U2, r2), RelPair{R1: r1, R2: r2})
 				}
 			}
 		}
-		if rels1 := k1.InRels(v.U1); len(rels1) > 0 {
-			rels2 := k2.InRels(v.U2)
+		if rels1 := j.k1.InRels(v.U1); len(rels1) > 0 {
+			rels2 := j.k2.InRels(v.U2)
 			for _, r1 := range rels1 {
+				n1 := j.k1.In(v.U1, r1)
 				for _, r2 := range rels2 {
-					add(i, k1.In(v.U1, r1), k2.In(v.U2, r2), RelPair{R1: r1, R2: r2, Inverse: true})
+					add(i, n1, j.k2.In(v.U2, r2), RelPair{R1: r1, R2: r2, Inverse: true})
 				}
 			}
 		}
 	}
-	sort.Slice(g.labels, func(a, b int) bool { return g.labels[a].Less(g.labels[b]) })
-	sorted := make([]int32, len(g.labels)) // first-appearance id → label index
-	for i, l := range g.labels {
-		sorted[seenID[l]] = int32(i)
+	return pt
+}
+
+// join appends an edge from vertex i to every successor pair
+// (w1, w2) ∈ n1×n2 that is itself a vertex, i excluded. It joins from the
+// sparse side: per w1, the shorter of w1's run and n2 (both in K2 entity
+// order) is walked and the longer binary-searched, so a hub's long
+// neighbourhood costs a search per retained pair, not a probe per value.
+//
+//remp:hotpath
+func (j *joiner) join(edges []edge, i int32, n1, n2 []kb.EntityID) []edge {
+	last := kb.EntityID(len(j.runs) - 1)
+	for _, w1 := range n1 {
+		if w1 >= last {
+			continue // no vertex has this K1 entity
+		}
+		lo, hi := j.runs[w1], j.runs[w1+1]
+		run, keys := j.g.byPair[lo:hi], j.u2[lo:hi]
+		if len(run) <= len(n2) {
+			for k, u := range keys {
+				if _, ok := slices.BinarySearch(n2, u); ok && run[k] != i {
+					edges = append(edges, edge{row: i, nbr: run[k]})
+				}
+			}
+			continue
+		}
+		for _, w2 := range n2 {
+			if k, ok := slices.BinarySearch(keys, w2); ok && run[k] != i {
+				edges = append(edges, edge{row: i, nbr: run[k]})
+			}
+		}
 	}
-	for k := range edges {
-		edges[k].label = sorted[edges[k].label]
-	}
-	rank := g.ranks()
-	g.outStart, g.outTo, g.outLabel = g.rows(edges, rank)
-	for k, e := range edges {
-		edges[k] = edge{row: e.nbr, nbr: e.row, label: e.label}
-	}
-	g.inStart, g.inFrom, g.inLabel = g.rows(edges, rank)
-	g.buildLabelGroups()
-	return g
+	return edges
 }
 
 // ranks returns every vertex's position in pair order: the rows' sort key.
@@ -216,14 +342,15 @@ func FromRows(vertices []pair.Pair, labels []RelPair, outStart, outTo, outLabel 
 	}
 	g.labels = labels
 	g.outStart, g.outTo, g.outLabel = outStart, outTo, outLabel
-	g.inStart, g.inFrom, g.inLabel = g.rows(edges, rank)
+	g.inStart, g.inFrom, g.inLabel = g.rows([][]edge{edges}, rank, false)
 	g.buildLabelGroups()
 	return g, nil
 }
 
 // newGraph starts a graph over a copy of the vertex list and sorts it once
-// into byPair. The sort puts a repeated pair beside itself: that is the one
-// distinctness check behind Build, FromRows and Subgraph.
+// into byPair. The sort puts a repeated pair beside itself: that is the
+// distinctness check behind Build and FromRows (Cut reads its pair order
+// off the parent's and checks its count instead).
 func newGraph(vertices []pair.Pair) (*Graph, error) {
 	g := &Graph{vertices: slices.Clone(vertices), byPair: make([]int32, len(vertices))}
 	for i := range g.byPair {
@@ -248,30 +375,46 @@ func mustGraph(vertices []pair.Pair) *Graph {
 	return g
 }
 
-// rows lays the edges out as one direction's three flat rows, in row
-// order: a counting sort by row, then each row's keys rank<<32 | label —
-// unique within a row — sorted as integers, and each rank mapped back to
-// its vertex through byPair, the rank → index inverse.
-func (g *Graph) rows(edges []edge, rank []int32) (start, nbr, label []int32) {
+// rows lays the edges, collected in chunks, out as one direction's three
+// flat rows, in row order: a counting sort by row, then each row's keys
+// rank<<32 | label — unique within a row — sorted as integers, and each
+// rank mapped back to its vertex through byPair, the rank → index inverse.
+// reversed lays each edge into its nbr's row instead (the in-rows of
+// collected out-edges). The chunking never changes the result.
+func (g *Graph) rows(chunks [][]edge, rank []int32, reversed bool) (start, nbr, label []int32) {
 	n := len(g.vertices)
 	start = make([]int32, n+1)
-	for _, e := range edges {
-		start[e.row+1]++
+	total := 0
+	ends := func(e edge) (row, other int32) {
+		if reversed {
+			return e.nbr, e.row
+		}
+		return e.row, e.nbr
+	}
+	for _, c := range chunks {
+		total += len(c)
+		for _, e := range c {
+			row, _ := ends(e)
+			start[row+1]++
+		}
 	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
 	// start[row] is row's fill cursor while the keys are placed; each ends
 	// at the next row's start, so shifting them back restores the offsets.
-	keys := make([]int64, len(edges))
-	for _, e := range edges {
-		keys[start[e.row]] = int64(rank[e.nbr])<<32 | int64(e.label)
-		start[e.row]++
+	keys := make([]int64, total)
+	for _, c := range chunks {
+		for _, e := range c {
+			row, other := ends(e)
+			keys[start[row]] = int64(rank[other])<<32 | int64(e.label)
+			start[row]++
+		}
 	}
 	copy(start[1:], start[:n])
 	start[0] = 0
-	nbr = make([]int32, len(edges))
-	label = make([]int32, len(edges))
+	nbr = make([]int32, total)
+	label = make([]int32, total)
 	for i := 0; i < n; i++ {
 		row := keys[start[i]:start[i+1]]
 		slices.Sort(row)
@@ -315,48 +458,101 @@ func (g *Graph) buildLabelGroups() {
 }
 
 // Subgraph returns the induced subgraph on the given vertices (a subset
-// of g's vertex set, in any order): edges with either endpoint outside the
-// subset are dropped, and surviving edges keep the parent's row order, so
-// the result equals Build over the same vertex list, and a pair listed twice
-// panics as it does there. It is pure array arithmetic over the parent's
-// rows: one IndexOf per subgraph vertex, nothing per edge. Extracting a
-// connected component this way is loss-free — every incident edge survives
-// — so a per-shard pipeline built on a component subgraph sees exactly the
-// evidence the monolithic graph would.
+// of g's vertex set, in any order): Cut over their indexes, one IndexOf per
+// vertex. A pair listed twice panics as it does in Build, and so does a
+// pair that is not a vertex of g.
 func (g *Graph) Subgraph(vertices []pair.Pair) *Graph {
-	sub := mustGraph(vertices)
-	// parent[i] is the parent index of subgraph vertex i and remap its
-	// inverse; -1 marks a vertex the other graph does not have.
-	parent := make([]int32, len(sub.vertices))
-	remap := make([]int32, len(g.vertices))
-	for gi := range remap {
-		remap[gi] = -1
-	}
-	for i, v := range sub.vertices {
-		parent[i] = int32(g.IndexOf(v))
-		if parent[i] >= 0 {
-			remap[parent[i]] = int32(i)
+	members := make([]int32, len(vertices))
+	for i, v := range vertices {
+		gi := g.IndexOf(v)
+		if gi < 0 {
+			panic(fmt.Errorf("ergraph: %v is not a vertex of the graph", v))
 		}
+		members[i] = int32(gi)
+	}
+	return g.Cut(members)
+}
+
+// Cut returns the induced subgraph on the vertices with the given indexes
+// (distinct, in any order): subgraph vertex i is g's vertex members[i].
+// Edges with either endpoint outside the set are dropped, and surviving
+// edges keep the parent's row order, so the result equals Build over the
+// same vertex list. It is pure array arithmetic over the parent's rows:
+// the subgraph's pair order is read off g's byPair and its label groups
+// off g's, filtered, so nothing is sorted or searched, and nothing is done
+// per edge but a lookup. Its arrays are sized for every edge of the
+// members, exactly what a set closed under edges keeps. Extracting a
+// connected component this way is loss-free — every incident edge
+// survives — so a per-shard pipeline built on a component subgraph sees
+// exactly the evidence the monolithic graph would. An index listed twice
+// panics, naming its pair.
+func (g *Graph) Cut(members []int32) *Graph {
+	n := len(members)
+	sub := &Graph{vertices: make([]pair.Pair, n), byPair: make([]int32, 0, n)}
+	// slot[gi] is one past the subgraph index of parent vertex gi, 0 for a
+	// vertex the subgraph does not have.
+	slot := make([]int32, len(g.vertices))
+	outCap, inCap, grpCap := 0, 0, 0
+	for i, gi := range members {
+		sub.vertices[i] = g.vertices[gi]
+		slot[gi] = int32(i) + 1
+		outCap += int(g.outStart[gi+1] - g.outStart[gi])
+		inCap += int(g.inStart[gi+1] - g.inStart[gi])
+		grpCap += int(g.grpStart[gi+1] - g.grpStart[gi])
+	}
+	for _, gi := range g.byPair {
+		if k := slot[gi]; k > 0 {
+			sub.byPair = append(sub.byPair, k-1)
+		}
+	}
+	if len(sub.byPair) != n {
+		panic(g.repeated(members))
 	}
 	used := make([]bool, len(g.labels))
-	filter := func(start, nbr, label []int32) (subStart, subNbr, subLabel []int32) {
-		subStart = make([]int32, len(parent)+1)
-		for i, gi := range parent {
-			if gi >= 0 {
-				for k := start[gi]; k < start[gi+1]; k++ {
-					if nj := remap[nbr[k]]; nj >= 0 {
-						subNbr = append(subNbr, nj)
-						subLabel = append(subLabel, label[k])
-						used[label[k]] = true
-					}
+	// keep appends the surviving edges of parent slots lo..hi-1 to one
+	// direction's rows, and pos[k-lo] the position slot k takes in its
+	// subgraph row, -1 when it is dropped.
+	var pos []int32
+	keep := func(lo, hi int32, nbr, label []int32, subNbr, subLabel []int32) ([]int32, []int32) {
+		pos = pos[:0]
+		for k := lo; k < hi; k++ {
+			nj := slot[nbr[k]]
+			if nj == 0 {
+				pos = append(pos, -1)
+				continue
+			}
+			pos = append(pos, int32(len(subNbr)))
+			subNbr = append(subNbr, nj-1)
+			subLabel = append(subLabel, label[k])
+			used[label[k]] = true
+		}
+		return subNbr, subLabel
+	}
+	sub.outStart, sub.outTo, sub.outLabel = make([]int32, n+1), makeRow(outCap), makeRow(outCap)
+	sub.inStart, sub.inFrom, sub.inLabel = make([]int32, n+1), makeRow(inCap), makeRow(inCap)
+	sub.grpStart, sub.grpLabel, sub.grpEnd, sub.grpEdge = make([]int32, n+1), makeRow(grpCap), makeRow(grpCap), make([]int32, 0, outCap)
+	for i, gi := range members {
+		sub.inFrom, sub.inLabel = keep(g.inStart[gi], g.inStart[gi+1], g.inFrom, g.inLabel, sub.inFrom, sub.inLabel)
+		sub.inStart[i+1] = int32(len(sub.inFrom))
+		sub.outTo, sub.outLabel = keep(g.outStart[gi], g.outStart[gi+1], g.outTo, g.outLabel, sub.outTo, sub.outLabel)
+		sub.outStart[i+1] = int32(len(sub.outTo))
+		// Vertex i's groups are gi's, each keeping its surviving edges
+		// (renumbered to their subgraph row positions): the same label
+		// order and row order buildLabelGroups would produce.
+		for k := g.grpStart[gi]; k < g.grpStart[gi+1]; k++ {
+			from := len(sub.grpEdge)
+			for _, e := range g.GroupEdges(int(k)) {
+				if at := pos[e]; at >= 0 {
+					sub.grpEdge = append(sub.grpEdge, at-sub.outStart[i])
 				}
 			}
-			subStart[i+1] = int32(len(subNbr))
+			if len(sub.grpEdge) > from {
+				sub.grpLabel = append(sub.grpLabel, g.grpLabel[k])
+				sub.grpEnd = append(sub.grpEnd, int32(len(sub.grpEdge)))
+			}
 		}
-		return subStart, slices.Clip(subNbr), slices.Clip(subLabel)
+		sub.grpStart[i+1] = int32(len(sub.grpLabel))
 	}
-	sub.outStart, sub.outTo, sub.outLabel = filter(g.outStart, g.outTo, g.outLabel)
-	sub.inStart, sub.inFrom, sub.inLabel = filter(g.inStart, g.inFrom, g.inLabel)
 	// The surviving labels keep the parent's (sorted) order; relabel maps a
 	// parent label index to its index among them.
 	relabel := make([]int32, len(g.labels))
@@ -366,12 +562,33 @@ func (g *Graph) Subgraph(vertices []pair.Pair) *Graph {
 			sub.labels = append(sub.labels, g.labels[l])
 		}
 	}
-	for k := range sub.outLabel {
-		sub.outLabel[k] = relabel[sub.outLabel[k]]
-		sub.inLabel[k] = relabel[sub.inLabel[k]]
+	for _, row := range [][]int32{sub.outLabel, sub.inLabel, sub.grpLabel} {
+		for k := range row {
+			row[k] = relabel[row[k]]
+		}
 	}
-	sub.buildLabelGroups()
 	return sub
+}
+
+// makeRow returns an empty row with room for n entries, nil for none: the
+// row an append-built one would be.
+func makeRow(n int) []int32 {
+	if n == 0 {
+		return nil
+	}
+	return make([]int32, 0, n)
+}
+
+// repeated names the first vertex members lists twice.
+func (g *Graph) repeated(members []int32) error {
+	seen := make([]bool, len(g.vertices))
+	for _, gi := range members {
+		if seen[gi] {
+			return fmt.Errorf("ergraph: vertex %v is listed twice, but the vertices must be distinct", g.vertices[gi])
+		}
+		seen[gi] = true
+	}
+	return nil
 }
 
 // Vertices returns the vertex list (do not modify).
@@ -388,8 +605,9 @@ func (g *Graph) NumEdges() int { return len(g.outTo) }
 func (g *Graph) IndexOf(p pair.Pair) int { return g.find(g.runOf(p.U1), p.U2) }
 
 // runOf returns the vertices whose K1 entity is u: a run of byPair, in K2
-// entity order. Build finds each successor's run once for all its
-// partners.
+// entity order, found by binary search. IndexOf alone uses it: Build,
+// which looks a run up per successor, reads its runs off a dense table
+// instead (joiner).
 func (g *Graph) runOf(u kb.EntityID) []int32 {
 	lo, _ := slices.BinarySearchFunc(g.byPair, u, func(i int32, u kb.EntityID) int { return cmp.Compare(g.vertices[i].U1, u) })
 	hi := lo

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/kb"
@@ -546,5 +547,107 @@ func TestRepeatedVertexRejected(t *testing.T) {
 	_, err := FromRows(twice, nil, make([]int32, len(twice)+1), nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "distinct") || !strings.Contains(err.Error(), ps["joan"].String()) {
 		t.Errorf("FromRows over a repeated pair: error %v, want one naming %v and saying distinct", err, ps["joan"])
+	}
+}
+
+// goRunner runs every task on its own goroutine, so a forced fan-out runs
+// its ranges concurrently whatever the pool.
+type goRunner struct{}
+
+func (goRunner) ForEach(n int, fn func(int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// TestParallelBuildMatchesOracle: Build with the fan-out forced — two to
+// eight vertex ranges joined concurrently on small random graphs, hubs
+// included — equals the edge-list oracle and the serial build, field for
+// field. The counter at the end proves the ranges' own label numberings
+// disagreed with the merged table, so the remap is what made them equal.
+func TestParallelBuildMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	renumbered := 0
+	for trial := 0; trial < 300; trial++ {
+		nEnt := 4 + rng.Intn(8)
+		nRel := 1 + rng.Intn(4)
+		k1, k2 := randomKBs(rng, nEnt, nRel, rng.Intn(6*nEnt))
+		vs := randomVertices(rng, nEnt, 2+rng.Intn(nEnt*nEnt-1))
+		if trial%3 == 0 {
+			addHubs(rng, nEnt, nRel, k1, k2)
+			vs = withLongRuns(rng, vs, nEnt)
+		}
+		ranges := min(2+rng.Intn(7), len(vs))
+		ctx := fmt.Sprintf("trial %d, %d ranges over %d vertices", trial, ranges, len(vs))
+		g := build(k1, k2, vs, goRunner{}, ranges)
+		requireMatchesOracle(t, g, buildOracle(k1, k2, vs), ctx)
+		if serial := build(k1, k2, vs, nil, 1); !reflect.DeepEqual(g, serial) {
+			t.Fatalf("%s: the parallel build differs from the serial one", ctx)
+		}
+		j := newJoiner(g, k1, k2)
+		for _, r := range pair.ChunkRanges(len(vs), goRunner{}, ranges) {
+			pt := j.collect(r.Lo, r.Hi)
+			for id, l := range pt.labels {
+				if g.labels[id] != l {
+					renumbered++
+				}
+			}
+		}
+	}
+	if renumbered == 0 {
+		t.Fatal("no range numbered a label other than the merged table does")
+	}
+}
+
+// TestCutEqualsSubgraph: the index cut over random vertex subsets — in
+// any order, of parents whose vertex list is itself out of pair order, as
+// PrepareOnRetained's are — equals Subgraph over the same pairs and the
+// edge-list oracle's subgraph, and its pair order is the pairs sorted.
+// Every cut vertex is its parent vertex: IndexOf of its pair in the parent
+// is the index it was cut from.
+func TestCutEqualsSubgraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	unsortedParents := 0
+	for trial := 0; trial < 300; trial++ {
+		nEnt := 3 + rng.Intn(7)
+		k1, k2 := randomKBs(rng, nEnt, 1+rng.Intn(3), rng.Intn(4*nEnt))
+		vs := randomVertices(rng, nEnt, 1+rng.Intn(nEnt*nEnt))
+		if !sort.SliceIsSorted(vs, func(a, b int) bool { return vs[a].Less(vs[b]) }) {
+			unsortedParents++
+		}
+		g, o := Build(k1, k2, vs), buildOracle(k1, k2, vs)
+		members := make([]int32, 0, len(vs))
+		for _, gi := range rng.Perm(len(vs))[:rng.Intn(len(vs)+1)] {
+			members = append(members, int32(gi))
+		}
+		pairs := make([]pair.Pair, len(members))
+		for k, gi := range members {
+			pairs[k] = vs[gi]
+		}
+		ctx := fmt.Sprintf("trial %d, %d of %d vertices", trial, len(members), len(vs))
+		cut := g.Cut(members)
+		requireMatchesOracle(t, cut, o.subgraph(pairs), ctx)
+		if !reflect.DeepEqual(cut, g.Subgraph(pairs)) {
+			t.Fatalf("%s: Cut differs from Subgraph over the same pairs", ctx)
+		}
+		for r := 1; r < len(cut.byPair); r++ {
+			if !cut.vertices[cut.byPair[r-1]].Less(cut.vertices[cut.byPair[r]]) {
+				t.Fatalf("%s: the cut's pair order is not ascending at rank %d", ctx, r)
+			}
+		}
+		for i, v := range cut.Vertices() {
+			if gi := g.IndexOf(v); gi != int(members[i]) {
+				t.Fatalf("%s: cut vertex %d (%v) was cut from index %d, IndexOf gives %d", ctx, i, v, members[i], gi)
+			}
+		}
+	}
+	if unsortedParents == 0 {
+		t.Fatal("no parent's vertex list was out of pair order")
 	}
 }

@@ -77,8 +77,8 @@ func checkSplit(p *core.Prepared) error {
 	if engine+isolated.Len() != p.Graph.NumVertices() {
 		return fmt.Errorf("%d engine-shard vertices + %d isolated ≠ %d graph vertices", engine, isolated.Len(), p.Graph.NumVertices())
 	}
-	for s := 0; s < p.Part.NumShards(); s++ {
-		for _, v := range p.Part.Shard(s) {
+	for s := 0; s < p.NumShards(); s++ {
+		for _, v := range p.Shard(s).Vertices() {
 			if isolated.Has(v) {
 				return fmt.Errorf("shard %d holds %v, a vertex without an edge", s, v)
 			}
@@ -125,7 +125,7 @@ func shardScalability(w io.Writer, seed int64, clusters, meanSize int) *ShardRep
 			baseLoop = loop
 			refOutcome = eval.Outcome{Matches: res.Matches, NonMatches: res.NonMatches}
 		}
-		report.Components = p.Part.NumComponents()
+		report.Components = p.NumComponents()
 		equivalent := true
 		if err := checkSplit(p); err != nil {
 			equivalent = false

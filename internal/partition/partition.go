@@ -28,26 +28,31 @@
 package partition
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/pair"
 )
 
 // Partition is a deterministic assignment of candidate pairs to shards,
-// held as the shards' vertex lists alone: Split works by input index
-// throughout, and nothing is keyed by pair.
+// held as input indexes: Split works by input index throughout, and
+// nothing is keyed by pair. Shard s's members are the input indexes
+// order[start[s]:start[s+1]], ascending.
 type Partition struct {
-	shards     [][]pair.Pair
-	components int
+	vertices     []pair.Pair
+	start, order []int32
+	components   int
 }
 
 // Split partitions the candidate-pair graph into at most maxShards shards
 // of connected components. vertices is the graph's vertex list; neighbors
 // returns, for a vertex index, the indexes it is linked to (out-neighbors
 // suffice — the union is symmetric), in either index width so a graph's
-// dense []int32 rows can be handed over as they are. Each shard's vertex
-// slice preserves the relative order of the input, so a pair-sorted vertex
-// list yields pair-sorted shards.
+// dense []int32 rows can be handed over as they are. Each shard's members
+// are in input order, so a pair-sorted vertex list yields pair-sorted
+// shards. Components are ordered by one typed comparison — size
+// descending, then minimal pair — and each shard's members are laid out by
+// a counting pass over the input, so nothing is searched or re-sorted.
 func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxShards int) *Partition {
 	n := len(vertices)
 	uf := newUnionFind(n)
@@ -88,11 +93,8 @@ func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxSh
 			c.min = v
 		}
 	}
-	sort.Slice(comps, func(a, b int) bool {
-		if comps[a].size != comps[b].size {
-			return comps[a].size > comps[b].size
-		}
-		return comps[a].min.Less(comps[b].min)
+	slices.SortFunc(comps, func(a, b component) int {
+		return cmp.Or(cmp.Compare(b.size, a.size), a.min.Compare(b.min))
 	})
 
 	shards := maxShards
@@ -106,7 +108,7 @@ func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxSh
 		shards = 1 // empty graph: one empty shard
 	}
 
-	p := &Partition{shards: make([][]pair.Pair, shards), components: len(comps)}
+	p := &Partition{vertices: vertices, start: make([]int32, shards+1), components: len(comps)}
 	// Weight-balanced contiguous fill: walk components largest-first and
 	// advance to the next shard once the current one reaches the remaining
 	// ideal weight. Contiguity keeps similar-sized components — the ones
@@ -126,29 +128,51 @@ func Split[I int | int32](vertices []pair.Pair, neighbors func(i int) []I, maxSh
 		at[c.root] = shard
 		filled += c.size
 	}
-	// Materialize shard vertex lists in input order.
-	for i, v := range vertices {
-		s := at[uf.find(i)]
-		p.shards[s] = append(p.shards[s], v)
+	// Lay the members out by shard, in input order: a count per shard,
+	// then each vertex at its shard's fill cursor.
+	shardOf := make([]int32, n)
+	for i := range shardOf {
+		shardOf[i] = int32(at[uf.find(i)])
+		p.start[shardOf[i]+1]++
+	}
+	for s := 0; s < shards; s++ {
+		p.start[s+1] += p.start[s]
+	}
+	p.order = make([]int32, n)
+	fill := slices.Clone(p.start[:shards])
+	for i, s := range shardOf {
+		p.order[fill[s]] = int32(i)
+		fill[s]++
 	}
 	return p
 }
 
 // NumShards returns the number of shards actually produced (≤ the
 // requested maximum, bounded by the component count).
-func (p *Partition) NumShards() int { return len(p.shards) }
+func (p *Partition) NumShards() int { return len(p.start) - 1 }
 
 // NumComponents returns the number of connected components found.
 func (p *Partition) NumComponents() int { return p.components }
 
-// Shard returns shard s's vertices in input order (do not modify).
-func (p *Partition) Shard(s int) []pair.Pair { return p.shards[s] }
+// Members returns shard s's vertices as input indexes, ascending (do not
+// modify).
+func (p *Partition) Members(s int) []int32 { return p.order[p.start[s]:p.start[s+1]] }
+
+// Shard returns shard s's vertices in input order, in a new slice.
+func (p *Partition) Shard(s int) []pair.Pair {
+	members := p.Members(s)
+	out := make([]pair.Pair, len(members))
+	for k, i := range members {
+		out[k] = p.vertices[i]
+	}
+	return out
+}
 
 // Sizes returns the vertex count per shard.
 func (p *Partition) Sizes() []int {
-	out := make([]int, len(p.shards))
-	for s, vs := range p.shards {
-		out[s] = len(vs)
+	out := make([]int, p.NumShards())
+	for s := range out {
+		out[s] = int(p.start[s+1] - p.start[s])
 	}
 	return out
 }

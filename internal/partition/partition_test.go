@@ -172,8 +172,8 @@ func TestBalancedFill(t *testing.T) {
 // ShardOf returns the shard holding pair v, or -1 for unknown pairs. The
 // pipeline routes by vertex index instead; the tests ask by pair.
 func (p *Partition) ShardOf(v pair.Pair) int {
-	for s, vs := range p.shards {
-		if slices.Contains(vs, v) {
+	for s := range p.NumShards() {
+		if slices.Contains(p.Shard(s), v) {
 			return s
 		}
 	}

@@ -60,6 +60,9 @@ type Engine struct {
 	// only iterates them — kept duplicate-free by the Sync bookkeeping.
 	dist []Ball
 	rev  [][]int32
+	// revFlat backs the rev rows of the last bulk rebuild and revStart
+	// holds their offsets; the next bulk rebuild refills both (buildRev).
+	revFlat, revStart []int32
 	// retired marks the sources taken out by Retire; live counts the rest.
 	retired []bool
 	live    int
@@ -264,7 +267,7 @@ func (e *Engine) rebuild() {
 		}
 	}
 	e.pg.inferSources(e.zeta, srcs, e.dist)
-	e.rev = buildRev(e.dist, n)
+	e.buildRev()
 	e.recomputes.Add(int64(len(srcs)))
 	e.c.Recomputes.Add(int64(len(srcs)))
 	e.c.Rebuilds.Add(1)

@@ -244,6 +244,40 @@ func TestEngineRecomputesOnlyBall(t *testing.T) {
 	assertMatchesOracle(t, e, tau, "after strengthened edge")
 }
 
+// TestBulkRebuildRefillsReverseIndex: a bulk rebuild of a warm engine
+// lays its reverse index out in the storage the previous one left — the
+// flat rows, the offsets and the row headers — even after an incremental
+// Sync has filtered and grown rows in between, and the index it leaves
+// is the oracle's.
+func TestBulkRebuildRefillsReverseIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	pg := randomPG(rng, 120, 0.05)
+	const tau = 0.7
+	e := pg.InferAll(tau)
+	e.InvalidateAll()
+	e.Sync()
+	if len(e.revFlat) == 0 {
+		t.Fatal("fixture has empty balls")
+	}
+	flat, start, rows := &e.revFlat[0], &e.revStart[0], &e.rev[0]
+	for round := 0; round < 3; round++ {
+		e.DetachVertex(rng.Intn(pg.g.NumVertices()))
+		e.Sync()
+		before := e.Recomputes()
+		e.InvalidateAll()
+		e.Sync()
+		ctx := fmt.Sprintf("round %d", round)
+		if &e.revFlat[0] != flat || &e.revStart[0] != start || &e.rev[0] != rows {
+			t.Fatalf("%s: the bulk rebuild allocated a new reverse index (flat %v, offsets %v, headers %v)", ctx,
+				&e.revFlat[0] != flat, &e.revStart[0] != start, &e.rev[0] != rows)
+		}
+		if ran := e.Recomputes() - before; ran != int64(e.live) {
+			t.Fatalf("%s: the bulk rebuild ran %d Dijkstras, want %d", ctx, ran, e.live)
+		}
+		assertMatchesOracle(t, e, tau, ctx)
+	}
+}
+
 func TestEngineResetResizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	pg1 := randomPG(rng, 20, 0.15)

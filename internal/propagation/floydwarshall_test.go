@@ -55,7 +55,9 @@ func (pg *ProbGraph) InferAllFW(tau float64) *Inferred {
 	for i := 0; i < n; i++ {
 		balls[i] = ballFromMap(dist[i])
 	}
-	return &Inferred{dist: balls, rev: buildRev(balls, n)}
+	inf := &Inferred{dist: balls}
+	inf.buildRev()
+	return inf
 }
 
 // ballFromMap converts a sparse distance map into the sorted Ball layout.

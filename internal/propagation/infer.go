@@ -43,36 +43,52 @@ func (pg *ProbGraph) InferAll(tau float64) *Inferred {
 	return NewEngineObs(pg, tau, obs.EngineCounters{})
 }
 
-// buildRev inverts the balls: rev[p] lists the sources whose ball contains
-// p. Iterating sources ascending makes every rev row ascending for free;
-// one flat backing array holds all rows (full slice expressions keep later
-// appends from clobbering neighbors).
-func buildRev(dist []Ball, n int) [][]int32 {
-	cnt := make([]int32, n+1)
+// buildRev inverts the balls into e.rev: rev[p] lists the sources whose
+// ball contains p. Iterating sources ascending makes every rev row
+// ascending for free; one flat backing array holds all rows (full slice
+// expressions keep later appends from clobbering neighbors). The flat
+// array, the row offsets and the row headers are the engine's own: a bulk
+// rebuild refills the previous ones when they fit, so a warm engine's
+// rebuild allocates no reverse index.
+func (e *Engine) buildRev() {
+	n := len(e.dist)
+	if len(e.revStart) != n+1 {
+		e.revStart = make([]int32, n+1)
+	} else {
+		clear(e.revStart)
+	}
+	start := e.revStart
 	total := 0
-	for _, b := range dist {
+	for _, b := range e.dist {
 		total += len(b)
 		for _, en := range b {
-			cnt[en.Idx+1]++
+			start[en.Idx+1]++
 		}
 	}
-	start := make([]int32, n+1)
 	for j := 0; j < n; j++ {
-		start[j+1] = start[j] + cnt[j+1]
+		start[j+1] += start[j]
 	}
-	flat := make([]int32, total)
-	fill := append([]int32(nil), start[:n]...)
-	for i, b := range dist {
+	if cap(e.revFlat) < total {
+		e.revFlat = make([]int32, total)
+	}
+	flat := e.revFlat[:total]
+	// start[j] is row j's fill cursor while the sources are placed; each
+	// ends at the next row's start, so shifting them back restores the
+	// offsets.
+	for i, b := range e.dist {
 		for _, en := range b {
-			flat[fill[en.Idx]] = int32(i)
-			fill[en.Idx]++
+			flat[start[en.Idx]] = int32(i)
+			start[en.Idx]++
 		}
 	}
-	rev := make([][]int32, n)
-	for j := 0; j < n; j++ {
-		rev[j] = flat[start[j]:start[j+1]:start[j+1]]
+	copy(start[1:], start[:n])
+	start[0] = 0
+	if len(e.rev) != n {
+		e.rev = make([][]int32, n)
 	}
-	return rev
+	for j := 0; j < n; j++ {
+		e.rev[j] = flat[start[j]:start[j+1]:start[j+1]]
+	}
 }
 
 // minParallelSources is the fan-out cutoff: below it, goroutine startup

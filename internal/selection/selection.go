@@ -85,14 +85,12 @@ type benefitState struct {
 
 var benefitPool = sync.Pool{New: func() any { return &benefitState{} }}
 
-// getBenefitState returns a pooled state valid for vertex indexes < n.
-func getBenefitState(n int) *benefitState {
+// getBenefitState returns a pooled state, emptied. Its dense arrays are
+// sized by the picks: add grows them to the largest index a pick touches,
+// and a vertex past them reads bp = 0, so no candidate list is walked to
+// size them.
+func getBenefitState() *benefitState {
 	s := benefitPool.Get().(*benefitState)
-	if len(s.bp) < n {
-		s.bp = make([]float64, n)
-		s.stamp = make([]uint32, n)
-		s.epoch = 0
-	}
 	s.epoch++
 	if s.epoch == 0 {
 		clear(s.stamp)
@@ -105,23 +103,9 @@ func getBenefitState(n int) *benefitState {
 
 func putBenefitState(s *benefitState) { benefitPool.Put(s) }
 
-// maxVertexIndex sizes the dense state: candidates carry global vertex
-// indexes, so the bound is one past the largest index they mention.
-func maxVertexIndex(cands []Candidate) int {
-	n := 0
-	for _, c := range cands {
-		for _, p := range c.Inferred {
-			if p+1 > n {
-				n = p + 1
-			}
-		}
-	}
-	return n
-}
-
 //remp:hotpath
 func (s *benefitState) at(p int) float64 {
-	if s.stamp[p] == s.epoch {
+	if p < len(s.stamp) && s.stamp[p] == s.epoch {
 		return s.bp[p]
 	}
 	return 0
@@ -136,9 +120,29 @@ func (s *benefitState) gain(c Candidate) float64 {
 	return g
 }
 
+// openingGain is gain before any pick: every bp is 0, so each term
+// c.Prob·(1 − 0) is c.Prob itself and the sum is c.Prob added
+// len(c.Inferred) times in the same order, bit for bit what gain returns,
+// with no state read.
+//
+//remp:hotpath
+func openingGain(c Candidate) float64 {
+	g := 0.0
+	for range c.Inferred {
+		g += c.Prob
+	}
+	return g
+}
+
+// add commits c: bp(Q ∪ {c}) over c's inferred set. The dense arrays grow
+// (keeping their entries) when c names a vertex past them.
+//
 //remp:hotpath
 func (s *benefitState) add(c Candidate) {
 	for _, p := range c.Inferred {
+		if p >= len(s.stamp) {
+			s.grow(p + 1)
+		}
 		b := s.at(p)
 		if s.stamp[p] != s.epoch {
 			s.stamp[p] = s.epoch
@@ -147,6 +151,19 @@ func (s *benefitState) add(c Candidate) {
 		// bp(Q ∪ {q}) = bp(Q) + Pr[m_q](1 − bp(Q)).
 		s.bp[p] = b + c.Prob*(1-b)
 	}
+}
+
+// grow sizes the dense arrays for vertex indexes below n, at least
+// doubling them so a call's picks grow them a logarithmic number of times.
+func (s *benefitState) grow(n int) {
+	if len(s.stamp) >= n {
+		return
+	}
+	n = max(n, 2*len(s.stamp))
+	bp, stamp := make([]float64, n), make([]uint32, n)
+	copy(bp, s.bp)
+	copy(stamp, s.stamp)
+	s.bp, s.stamp = bp, stamp
 }
 
 // Select is SelectRanked without the scores.
@@ -169,13 +186,14 @@ func (Greedy) SelectRanked(cands []Candidate, mu int) []Pick {
 	if mu <= 0 || len(cands) == 0 {
 		return nil
 	}
-	state := getBenefitState(maxVertexIndex(cands))
+	state := getBenefitState()
 	defer putBenefitState(state)
 	// Priority queue of (index, cached gain); lazy evaluation re-checks the
-	// top element against the current state before committing.
+	// top element against the current state before committing. Nothing is
+	// picked yet, so the opening gains read no state.
 	pq := state.pq
 	for i, c := range cands {
-		pq = append(pq, gainItem{idx: int32(i), gain: state.gain(c)})
+		pq = append(pq, gainItem{idx: int32(i), gain: openingGain(c)})
 	}
 	pq.init()
 

@@ -219,7 +219,7 @@ func TestStrategiesEmptyInput(t *testing.T) {
 // Benefit evaluates benefit(Q) for an explicit question set (Eq. 16).
 // chosen indexes into cands.
 func Benefit(cands []Candidate, chosen []int) float64 {
-	state := getBenefitState(maxVertexIndex(cands))
+	state := getBenefitState()
 	defer putBenefitState(state)
 	for _, i := range chosen {
 		state.add(cands[i])
@@ -229,6 +229,49 @@ func Benefit(cands []Candidate, chosen []int) float64 {
 		total += state.bp[p]
 	}
 	return total
+}
+
+// TestOpeningGainIsGainBitwise: before any pick, openingGain — Prob added
+// once per inferred index, no state read — is bit for bit the gain an
+// empty benefit state computes, on random candidates with repeated
+// indexes and priors of 0, −0, subnormals, 1 and values in between. The
+// empty state is one a call has just emptied after picks wrote it, so
+// stale entries must read as 0 too.
+func TestOpeningGainIsGainBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	priors := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64, 0x1p-1030, 1, math.Nextafter(1, 0)}
+	checked := 0
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(10)
+		cands := make([]Candidate, n)
+		for i := range cands {
+			var inf []int
+			for range rng.Intn(40) {
+				inf = append(inf, rng.Intn(30))
+			}
+			if len(inf) > 0 && rng.Intn(2) == 0 {
+				inf = append(inf, inf[rng.Intn(len(inf))]) // a repeated index
+			}
+			prob := rng.Float64()
+			if rng.Intn(2) == 0 {
+				prob = priors[rng.Intn(len(priors))]
+			}
+			cands[i] = mk(i, prob, inf...)
+		}
+		Greedy{}.SelectRanked(cands, 1+rng.Intn(n)) // leaves the pooled state written
+		state := getBenefitState()
+		for i, c := range cands {
+			if got, want := openingGain(c), state.gain(c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d candidate %d (prob %g, %d inferred): opening gain %g (%#x), gain %g (%#x)",
+					trial, i, c.Prob, len(c.Inferred), got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			checked++
+		}
+		putBenefitState(state)
+	}
+	if checked == 0 {
+		t.Fatal("no candidate checked")
+	}
 }
 
 // TestSelectionIsAPrefixOfALargerOne pins the Strategy contract's prefix
