@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/datasets"
+	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/pair"
 )
@@ -485,32 +486,79 @@ func TestGatherCarriesTheBatchReads(t *testing.T) {
 	}
 }
 
-// TestHostileGatherAnswerFailsTheLoop: a gather answer is input from
-// another process, so the runner checks it before indexing anything by it.
-// One with more picks than the batch, a ball missing or a pick naming no candidate
-// fails the loop with ErrBadGather — no panic, no retry.
+// TestHostileGatherAnswerFailsTheLoop: a gather or ball answer is input
+// from another process, so the runner checks it before it or the loop
+// indexes anything by it. A gather answer with more picks than the batch,
+// a ball missing, a pick naming no candidate, a picked candidate that
+// infers nothing or a vertex the graph does not have, one whose pair is no
+// vertex of the shard, or a ball naming a pair outside the shard fails the
+// loop at its first gather, before any question is published. A fallback
+// ball answer naming a pair outside the shard fails it at the read. Each
+// fails with ErrBadGather — no panic, no retry.
 func TestHostileGatherAnswerFailsTheLoop(t *testing.T) {
 	spec := testSpec{Dataset: "books", Seed: 7, Shards: 4, Mu: 4}
+	stranger := pair.Pair{U1: math.MaxInt32, U2: math.MaxInt32}
+	// onGather mangles the gather answers that carry picks.
+	onGather := func(f func(res *shardRes)) func(string, *shardRes) {
+		return func(method string, res *shardRes) {
+			if method == MethodGather && len(res.Picks) > 0 {
+				f(res)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name   string
-		mangle func(res *shardRes)
+		mangle func(method string, res *shardRes)
 		want   string
+		// atBall: the fault is in a fallback ball answer, so the loop fails
+		// when it reads a pad's ball, not at its first gather.
+		atBall bool
 	}{
-		{"picks past the batch", func(res *shardRes) {
+		{"picks past the batch", onGather(func(res *shardRes) {
 			for len(res.Picks) <= min(spec.Mu, len(res.Cands)) {
 				res.Picks, res.Balls = append(res.Picks, res.Picks[0]), append(res.Balls, res.Balls[0])
 			}
-		}, "picks for a batch of 4"},
-		{"ball missing", func(res *shardRes) { res.Balls = res.Balls[:len(res.Balls)-1] }, "balls for"},
-		{"pick out of range", func(res *shardRes) { res.Picks[0].Index = len(res.Cands) }, "pick "},
+		}), "picks for a batch of 4", false},
+		{"ball missing", onGather(func(res *shardRes) { res.Balls = res.Balls[:len(res.Balls)-1] }), "balls for", false},
+		{"pick out of range", onGather(func(res *shardRes) { res.Picks[0].Index = len(res.Cands) }), "pick ", false},
+		{"pick infers nothing", onGather(func(res *shardRes) {
+			for _, pk := range res.Picks {
+				res.Cands[pk.Index].Inferred = nil
+			}
+		}), "infers nothing", false},
+		{"pick infers past the graph", onGather(func(res *shardRes) {
+			for _, pk := range res.Picks {
+				res.Cands[pk.Index].Inferred = append(res.Cands[pk.Index].Inferred, math.MaxInt32)
+			}
+		}), "infers vertex", false},
+		{"pick outside the shard", onGather(func(res *shardRes) {
+			for i, pk := range res.Picks {
+				res.Cands[pk.Index].Pair = pair.Pair{U1: stranger.U1 - 1 - kb.EntityID(i), U2: stranger.U2}
+			}
+		}), "not a vertex of the shard", false},
+		{"ball outside the shard", onGather(func(res *shardRes) {
+			for i := range res.Balls {
+				res.Balls[i] = append(res.Balls[i], stranger)
+			}
+		}), "not a vertex of the shard", false},
+		// A gather that ranks nothing is well formed; it leaves every
+		// shard question a pad, whose confirmation reads its ball by RPC.
+		{"fallback ball outside the shard", func(method string, res *shardRes) {
+			switch method {
+			case MethodGather:
+				res.Picks, res.Balls = nil, nil
+			case MethodBall:
+				res.Ball = append(res.Ball, stranger)
+			}
+		}, "not a vertex of the shard", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mangle := func(method string, env *Envelope) {
 				var res shardRes
-				if method != MethodGather || json.Unmarshal(env.Body, &res) != nil || len(res.Picks) == 0 {
+				if (method != MethodGather && method != MethodBall) || json.Unmarshal(env.Body, &res) != nil {
 					return
 				}
-				tc.mangle(&res)
+				tc.mangle(method, &res)
 				env.Body = mustMarshal(res)
 			}
 			a1, _ := tapWorker(t, mangle)
@@ -524,6 +572,23 @@ func TestHostileGatherAnswerFailsTheLoop(t *testing.T) {
 			cfg := spec.config()
 			cfg.Runner = co.Runner
 			l := spec.prepare(ds, cfg).NewLoop()
+			// Every question is answered a match, so a published pick or pad
+			// is confirmed and its ball propagated.
+			asker := core.NewOracleAsker(func(pair.Pair) bool { return true })
+			if tc.atBall {
+				if l.State() == core.LoopFailed {
+					t.Fatalf("loop failed at its first gather: %v", l.Err())
+				}
+				l.Run(asker)
+				if m.ReadFallbacks.Value() == 0 {
+					t.Fatal("no ball was read by RPC: the fallback answer was never checked")
+				}
+			} else if l.State() != core.LoopFailed {
+				// Run on, so an unchecked fault shows what it does to the loop.
+				state := l.State()
+				_, err := l.Run(asker)
+				t.Fatalf("loop is %s after its first gather; run on, it ended %s with error %v, want it refused at the gather", state, l.State(), err)
+			}
 			if l.State() != core.LoopFailed || !errors.Is(l.Err(), ErrBadGather) || !strings.Contains(l.Err().Error(), tc.want) {
 				t.Fatalf("loop is %s with error %v, want failed with ErrBadGather naming %q", l.State(), l.Err(), tc.want)
 			}

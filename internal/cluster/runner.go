@@ -149,7 +149,7 @@ func (r *remoteRunner) Gather(s int) ([]selection.Candidate, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if err := checkGather(res, mu); err != nil {
+	if err := checkGather(res, mu, r.p.Shard(s), r.p.Graph.NumVertices()); err != nil {
 		return nil, false, fmt.Errorf("cluster: shard %d: %w", s, err)
 	}
 	sh.picks = res.Picks
@@ -160,15 +160,19 @@ func (r *remoteRunner) Gather(s int) ([]selection.Candidate, bool, error) {
 	return res.Cands, res.AnyProp, nil
 }
 
-// ErrBadGather reports a gather answer that does not hold together: more
-// picks than the batch, a pick without its ball, or a pick that names no
-// candidate. The worker is deterministic, so no retry could mend it.
+// ErrBadGather reports a gather or ball answer that does not hold
+// together: more picks than the batch, a pick without its ball, a pick that
+// names no candidate, a candidate or ball pair that is no vertex of the
+// shard, or a candidate whose inferred set is empty or names a vertex the
+// graph does not have. The worker is deterministic, so no retry could
+// mend it.
 var ErrBadGather = errors.New("malformed gather answer")
 
-// checkGather validates a worker's gather answer for a batch of mu before
-// the runner indexes anything by it. A strategy may rank fewer than
-// min(mu, candidates) — Greedy stops at zero benefit — never more.
-func checkGather(res shardRes, mu int) error {
+// checkGather validates a worker's gather answer for a batch of mu over
+// shard sh of a graph of n vertices before the runner or the loop indexes
+// anything by it. A strategy may rank fewer than min(mu, candidates) —
+// Greedy stops at zero benefit — never more.
+func checkGather(res shardRes, mu int, sh *core.Shard, n int) error {
 	if len(res.Picks) > min(mu, len(res.Cands)) {
 		return fmt.Errorf("%w: %d picks for a batch of %d over %d candidates", ErrBadGather, len(res.Picks), mu, len(res.Cands))
 	}
@@ -178,6 +182,36 @@ func checkGather(res shardRes, mu int) error {
 	for _, pk := range res.Picks {
 		if pk.Index < 0 || pk.Index >= len(res.Cands) {
 			return fmt.Errorf("%w: pick %d of %d candidates", ErrBadGather, pk.Index, len(res.Cands))
+		}
+	}
+	for _, c := range res.Cands {
+		if !sh.Has(c.Pair) {
+			return fmt.Errorf("%w: candidate %v is not a vertex of the shard", ErrBadGather, c.Pair)
+		}
+		// Inferred[0] is the candidate's own graph index; selection reads it.
+		if len(c.Inferred) == 0 {
+			return fmt.Errorf("%w: candidate %v infers nothing", ErrBadGather, c.Pair)
+		}
+		for _, i := range c.Inferred {
+			if i < 0 || i >= n {
+				return fmt.Errorf("%w: candidate %v infers vertex %d of %d", ErrBadGather, c.Pair, i, n)
+			}
+		}
+	}
+	for _, ball := range res.Balls {
+		if err := checkBall(ball, sh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkBall validates a ball a worker sent for shard sh: the loop resolves
+// every pair of it by its graph index.
+func checkBall(ball []pair.Pair, sh *core.Shard) error {
+	for _, q := range ball {
+		if !sh.Has(q) {
+			return fmt.Errorf("%w: ball pair %v is not a vertex of the shard", ErrBadGather, q)
 		}
 	}
 	return nil
@@ -203,6 +237,9 @@ func (r *remoteRunner) Ball(s int, q pair.Pair) ([]pair.Pair, error) {
 	res, err := r.do(s, MethodBall, shardReq{Pair: q})
 	if err != nil {
 		return nil, err
+	}
+	if err := checkBall(res.Ball, r.p.Shard(s)); err != nil {
+		return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
 	}
 	return res.Ball, nil
 }

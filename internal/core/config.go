@@ -98,12 +98,10 @@ func DefaultConfig() Config {
 }
 
 // Validate reports whether the configuration is usable, with a
-// descriptive error for the first offending field. It is the boundary
-// check that replaces the silent coercions that used to hide bad values:
-// zetaOf no longer clamps τ, and the remp boundary no longer drops
-// negative K / Mu / Budget / MaxLoops / LabelSimThreshold on the floor. A
-// zero in any of these fields still selects the paper's default via fill;
-// an explicitly invalid value is rejected here.
+// descriptive error for the first offending field. It is the one boundary
+// check: nothing downstream clamps τ or drops a negative K, Mu, Budget,
+// MaxLoops or LabelSimThreshold. A zero in any of these fields selects the
+// paper's default via fill; an explicitly invalid value is rejected here.
 func (c Config) Validate() error {
 	if math.IsNaN(c.Tau) || c.Tau < 0 || c.Tau > 1 {
 		return fmt.Errorf("core: Tau = %v out of range: the precision threshold τ must lie in (0, 1] (0 selects the default 0.9)", c.Tau)

@@ -88,6 +88,9 @@ func (sh *Shard) Labels() []ergraph.RelPair { return sh.graph.Labels() }
 // modify).
 func (sh *Shard) Vertices() []pair.Pair { return sh.graph.Vertices() }
 
+// Has reports whether q is a vertex of the shard.
+func (sh *Shard) Has(q pair.Pair) bool { return sh.graph.IndexOf(q) >= 0 }
+
 // initShards splits the graph's vertices once. The isolated ones (§VII-B:
 // propagation can neither reach them nor start from them) become p.isolated
 // — a loop itself holds them, as a shard with no engine. The vertices with

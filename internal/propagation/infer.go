@@ -21,9 +21,8 @@ type BallEntry struct {
 }
 
 // Ball is the emitted result of one single-source run: the vertices p ≠ q
-// with dist(q, p) ≤ ζ, ascending in Idx. The flat sorted layout replaces
-// the map[int]float64 the engine used to allocate per source: consumers
-// iterate it in deterministic order for free.
+// with dist(q, p) ≤ ζ, ascending in Idx. Consumers iterate it in a
+// deterministic order with no sort of their own.
 type Ball []BallEntry
 
 // Inferred is the output of Algorithm 2: for every vertex q, the set of
