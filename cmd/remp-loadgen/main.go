@@ -99,7 +99,7 @@ func main() {
 			KillAfterAnswers: *killAfter,
 		}
 		if *chaos != "" {
-			if cc.Faults, err = cluster.ParseFaults(*chaos); err != nil {
+			if cc.Coordinator.Faults, err = cluster.ParseFaults(*chaos); err != nil {
 				log.Fatal(err)
 			}
 		}

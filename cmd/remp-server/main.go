@@ -118,14 +118,14 @@ func main() {
 
 	cfg := server.Config{Logger: logger, Store: store, DefaultShards: *shards}
 	if *workers != "" {
-		cfg.Workers = strings.Split(*workers, ",")
+		cfg.Cluster.Workers = strings.Split(*workers, ",")
 	}
 	if *chaos != "" {
 		faults, ferr := cluster.ParseFaults(*chaos)
 		if ferr != nil {
 			log.Fatal(ferr)
 		}
-		cfg.ClusterFaults = faults
+		cfg.Cluster.Faults = faults
 	}
 	srv, recovered, err := server.NewServer(cfg)
 	if srv == nil {

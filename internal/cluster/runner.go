@@ -131,9 +131,10 @@ func (r *remoteRunner) Rebuild(s int, est map[ergraph.RelPair]consistency.Estima
 	return nil
 }
 
+// Invalidate refuses: it serves core's in-process full-resync test hook,
+// which no remote loop sets.
 func (r *remoteRunner) Invalidate(s int) error {
-	r.append(s, Cmd{Op: OpInvalidate})
-	return nil
+	return fmt.Errorf("cluster: Invalidate(%d): the full-resync hook is in-process only", s)
 }
 
 func (r *remoteRunner) Gather(s int) ([]selection.Candidate, bool, error) {

@@ -44,8 +44,6 @@ const (
 	// gather position so a replay reproduces the last-sync snapshot that
 	// Ball serves.
 	OpSync = "sync"
-	// OpInvalidate marks every ball dirty (ShardState.Invalidate).
-	OpInvalidate = "invalidate"
 	// OpRebuild rebuilds edge probabilities from re-fitted consistency
 	// estimates (ShardState.Rebuild).
 	OpRebuild = "rebuild"

@@ -306,8 +306,6 @@ func (ws *workerShard) apply(cmds []Cmd) error {
 			ws.st.Damp(c.Pair)
 		case OpSync:
 			ws.st.Sync()
-		case OpInvalidate:
-			ws.st.Invalidate()
 		case OpRebuild:
 			ws.st.Rebuild(decodeEstimates(c.Est))
 		default:

@@ -174,7 +174,7 @@ func NewOracleAsker(oracle crowd.Oracle) *OracleAsker {
 // Ask implements Asker.
 func (o *OracleAsker) Ask(q pair.Pair) []crowd.Label {
 	o.asked[q] = true
-	return []crowd.Label{{Worker: crowd.Worker{ID: 0, Quality: 0.999}, IsMatch: o.Oracle(q)}}
+	return []crowd.Label{{WorkerID: 0, Quality: 0.999, IsMatch: o.Oracle(q)}}
 }
 
 // NumQuestions implements Asker.

@@ -73,8 +73,8 @@ type contradictingAsker struct {
 func (a *contradictingAsker) Ask(q pair.Pair) []crowd.Label {
 	a.asked[q]++
 	return []crowd.Label{
-		{Worker: crowd.Worker{ID: 0, Quality: 0.75}, IsMatch: true},
-		{Worker: crowd.Worker{ID: 1, Quality: 0.75}, IsMatch: false},
+		{WorkerID: 0, Quality: 0.75, IsMatch: true},
+		{WorkerID: 1, Quality: 0.75, IsMatch: false},
 	}
 }
 

@@ -65,7 +65,8 @@ type ShardRunner interface {
 	// the shard's labels; the shard diffs it against its own.
 	Rebuild(s int, est map[ergraph.RelPair]consistency.Estimate) error
 	// Invalidate degrades shard s's engine to a full recompute at its next
-	// sync (the debugFullResync test hook).
+	// sync: the debugFullResync test hook, which only in-process runners
+	// honour (a remote runner returns an error).
 	Invalidate(s int) error
 	// Release drops shard s's engine — the shard settled — and returns the
 	// engine's Dijkstra recompute count. Releasing twice returns 0.

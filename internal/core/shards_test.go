@@ -171,17 +171,16 @@ type fickleCrowd struct {
 
 func (f *fickleCrowd) Ask(q pair.Pair) []crowd.Label {
 	f.asked++
-	sure := crowd.Worker{ID: 0, Quality: 0.999}
 	switch (int(q.U1)*31 + int(q.U2)) % 5 {
 	case 0:
 		return []crowd.Label{
-			{Worker: crowd.Worker{ID: 1, Quality: 0.75}, IsMatch: true},
-			{Worker: crowd.Worker{ID: 2, Quality: 0.75}, IsMatch: false},
+			{WorkerID: 1, Quality: 0.75, IsMatch: true},
+			{WorkerID: 2, Quality: 0.75, IsMatch: false},
 		}
 	case 1:
-		return []crowd.Label{{Worker: sure, IsMatch: !f.gold.IsMatch(q)}}
+		return []crowd.Label{{WorkerID: 0, Quality: 0.999, IsMatch: !f.gold.IsMatch(q)}}
 	}
-	return []crowd.Label{{Worker: sure, IsMatch: f.gold.IsMatch(q)}}
+	return []crowd.Label{{WorkerID: 0, Quality: 0.999, IsMatch: f.gold.IsMatch(q)}}
 }
 
 func (f *fickleCrowd) NumQuestions() int { return f.asked }

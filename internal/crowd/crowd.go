@@ -20,10 +20,19 @@ type Worker struct {
 	Quality float64
 }
 
-// Label is one worker's answer to one question.
+// Label is one worker's answer to one question, in the one form it has
+// from a platform or a client's request through truth inference to a
+// session's journal: the worker, the quality λ ∈ (0,1] that Eq. (17)
+// weighs the verdict by, and the verdict. The JSON tags are the wire
+// form. A label with WorkerID −1 (session.DeducedWorkerID) was
+// synthesized by the answer-deduction tier, not given by a worker.
 type Label struct {
-	Worker  Worker
-	IsMatch bool
+	// WorkerID identifies the worker; it is opaque to the pipeline.
+	WorkerID int `json:"worker"`
+	// Quality is the worker's answer quality λ.
+	Quality float64 `json:"quality"`
+	// IsMatch is the worker's verdict.
+	IsMatch bool `json:"match"`
 }
 
 // Oracle answers whether a pair is truly a match; in experiments this is
@@ -115,7 +124,7 @@ func (pl *Platform) Ask(q pair.Pair) []Label {
 		if pl.rng.Float64() >= w.Quality {
 			ans = !truth
 		}
-		labels = append(labels, Label{Worker: w, IsMatch: ans})
+		labels = append(labels, Label{WorkerID: w.ID, Quality: w.Quality, IsMatch: ans})
 	}
 	pl.labelCache[q] = labels
 	return labels
@@ -172,7 +181,7 @@ func Infer(prior float64, labels []Label, th Thresholds) Inference {
 	}
 	ratio := 1.0 // ∏ (1−λ)/λ over W_T × ∏ λ/(1−λ) over W_F
 	for _, l := range labels {
-		lam := l.Worker.Quality
+		lam := l.Quality
 		if lam <= 0.5 {
 			lam = 0.51 // a worker no better than chance carries no signal
 		}

@@ -8,13 +8,11 @@ import (
 	"repro/internal/pair"
 )
 
-func goodWorker(id int) Worker { return Worker{ID: id, Quality: 0.95} }
-
 func TestInferUnanimousMatch(t *testing.T) {
 	labels := []Label{
-		{Worker: goodWorker(0), IsMatch: true},
-		{Worker: goodWorker(1), IsMatch: true},
-		{Worker: goodWorker(2), IsMatch: true},
+		{WorkerID: 0, Quality: 0.95, IsMatch: true},
+		{WorkerID: 1, Quality: 0.95, IsMatch: true},
+		{WorkerID: 2, Quality: 0.95, IsMatch: true},
 	}
 	inf := Infer(0.5, labels, DefaultThresholds())
 	if inf.Verdict != IsMatch {
@@ -27,8 +25,8 @@ func TestInferUnanimousMatch(t *testing.T) {
 
 func TestInferUnanimousNonMatch(t *testing.T) {
 	labels := []Label{
-		{Worker: goodWorker(0), IsMatch: false},
-		{Worker: goodWorker(1), IsMatch: false},
+		{WorkerID: 0, Quality: 0.95, IsMatch: false},
+		{WorkerID: 1, Quality: 0.95, IsMatch: false},
 	}
 	inf := Infer(0.5, labels, DefaultThresholds())
 	if inf.Verdict != IsNonMatch {
@@ -38,8 +36,8 @@ func TestInferUnanimousNonMatch(t *testing.T) {
 
 func TestInferConflictingLabelsUnresolved(t *testing.T) {
 	labels := []Label{
-		{Worker: goodWorker(0), IsMatch: true},
-		{Worker: goodWorker(1), IsMatch: false},
+		{WorkerID: 0, Quality: 0.95, IsMatch: true},
+		{WorkerID: 1, Quality: 0.95, IsMatch: false},
 	}
 	inf := Infer(0.5, labels, DefaultThresholds())
 	if inf.Verdict != Unresolved {
@@ -53,7 +51,7 @@ func TestInferConflictingLabelsUnresolved(t *testing.T) {
 func TestInferEquation17Exact(t *testing.T) {
 	// One worker with λ=0.9 saying match, prior 0.5:
 	// post = 0.5 / (0.5 + 0.5·(0.1/0.9)) = 0.9.
-	labels := []Label{{Worker: Worker{Quality: 0.9}, IsMatch: true}}
+	labels := []Label{{Quality: 0.9, IsMatch: true}}
 	inf := Infer(0.5, labels, DefaultThresholds())
 	if math.Abs(inf.Posterior-0.9) > 1e-9 {
 		t.Errorf("posterior = %v, want 0.9", inf.Posterior)
@@ -61,7 +59,7 @@ func TestInferEquation17Exact(t *testing.T) {
 }
 
 func TestInferPriorMatters(t *testing.T) {
-	labels := []Label{{Worker: Worker{Quality: 0.8}, IsMatch: true}}
+	labels := []Label{{Quality: 0.8, IsMatch: true}}
 	low := Infer(0.1, labels, DefaultThresholds())
 	high := Infer(0.9, labels, DefaultThresholds())
 	if low.Posterior >= high.Posterior {
@@ -70,7 +68,7 @@ func TestInferPriorMatters(t *testing.T) {
 }
 
 func TestInferChanceWorkerCarriesNoSignal(t *testing.T) {
-	labels := []Label{{Worker: Worker{Quality: 0.5}, IsMatch: true}}
+	labels := []Label{{Quality: 0.5, IsMatch: true}}
 	inf := Infer(0.5, labels, DefaultThresholds())
 	if math.Abs(inf.Posterior-0.5) > 0.05 {
 		t.Errorf("50%% worker moved posterior to %v", inf.Posterior)
@@ -85,7 +83,7 @@ func TestInferChanceWorkerCarriesNoSignal(t *testing.T) {
 func TestInferPosteriorEdgeCases(t *testing.T) {
 	th := DefaultThresholds()
 	lbl := func(lam float64, match bool) Label {
-		return Label{Worker: Worker{Quality: lam}, IsMatch: match}
+		return Label{Quality: lam, IsMatch: match}
 	}
 	cases := []struct {
 		name   string

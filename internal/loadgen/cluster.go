@@ -37,11 +37,11 @@ type ClusterConfig struct {
 	// KillAfterAnswers, when > 0, SIGKILLs worker 0 once the run has
 	// accepted that many answers — the crash-failover drill.
 	KillAfterAnswers int64
-	// Faults injects coordinator-side frame faults (the -chaos drill).
-	Faults *cluster.Faults
-	// Tuning overrides the coordinator's timing knobs; zero fields keep
-	// defaults. Drills that kill workers want a short liveness timeout.
-	Tuning cluster.CoordinatorConfig
+	// Coordinator configures the clustered server's coordinator: Faults
+	// injects frame faults (the -chaos drill), and zero timing fields
+	// keep defaults. Drills that kill workers want a short liveness
+	// timeout. RunCluster fills in Workers with the spawned addresses.
+	Coordinator cluster.CoordinatorConfig
 }
 
 // ClusterReport is the load-run report plus the failover telemetry
@@ -182,11 +182,8 @@ func RunCluster(cfg Config, cc ClusterConfig) (*ClusterReport, error) {
 		cfg.Logf("cluster: worker %d up at %s", i, w.addr)
 	}
 
-	srv, _, err := server.NewServer(server.Config{
-		Workers:       addrs,
-		ClusterFaults: cc.Faults,
-		ClusterTuning: cc.Tuning,
-	})
+	cc.Coordinator.Workers = addrs
+	srv, _, err := server.NewServer(server.Config{Cluster: cc.Coordinator})
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: clustered server: %w", err)
 	}

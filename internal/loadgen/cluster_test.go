@@ -84,7 +84,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 			// oracle's question count (~20 on books), so kill early to land
 			// mid-run.
 			KillAfterAnswers: 5,
-			Tuning:           clusterTuning,
+			Coordinator:      clusterTuning,
 		},
 	)
 	if err != nil {
@@ -123,6 +123,7 @@ func TestClusterChaosDrill(t *testing.T) {
 	// Dropped frames are only discovered by the RPC timeout; keep it
 	// short so the drill doesn't crawl.
 	tuning.RPCTimeout = 2 * time.Second
+	tuning.Faults = &cluster.Faults{DropEveryN: 10, DuplicateEveryN: 3}
 	rep, err := RunCluster(
 		Config{
 			Sessions:    2,
@@ -134,10 +135,9 @@ func TestClusterChaosDrill(t *testing.T) {
 			Logf:        t.Logf,
 		},
 		ClusterConfig{
-			Workers:   2,
-			WorkerCmd: helperWorkerCmd,
-			Faults:    &cluster.Faults{DropEveryN: 10, DuplicateEveryN: 3},
-			Tuning:    tuning,
+			Workers:     2,
+			WorkerCmd:   helperWorkerCmd,
+			Coordinator: tuning,
 		},
 	)
 	if err != nil {

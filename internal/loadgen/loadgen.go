@@ -329,7 +329,7 @@ type oracleAsker struct {
 
 func (a *oracleAsker) Ask(q pair.Pair) []crowd.Label {
 	a.n++
-	return session.ToCrowd(a.r.labels(q))
+	return a.r.labels(q)
 }
 
 func (a *oracleAsker) NumQuestions() int { return a.n }
@@ -353,7 +353,7 @@ func canonicalResult(ds *datasets.Dataset, res *remp.Result) []byte {
 		dto.Matches = append(dto.Matches, [2]string{ds.K1.EntityName(m.U1), ds.K2.EntityName(m.U2)})
 	}
 	prf := remp.Evaluate(res.Matches, ds.Gold)
-	dto.PRF = &server.PRFDTO{Precision: prf.Precision, Recall: prf.Recall, F1: prf.F1}
+	dto.PRF = &prf
 	data, err := json.Marshal(dto)
 	if err != nil {
 		panic(err) // the DTO is plain data; marshaling cannot fail

@@ -172,14 +172,16 @@ func (g *Gold) Size() int { return g.matches.Len() }
 // Matches returns the true matches in deterministic order.
 func (g *Gold) Matches() []Pair { return g.matches.Sorted() }
 
-// PRF holds precision, recall and F1-score.
+// PRF holds precision, recall and F1-score, and the counts they come
+// from. Its JSON form, the server's result score, carries the three
+// scores only.
 type PRF struct {
-	Precision float64
-	Recall    float64
-	F1        float64
-	TP        int
-	FP        int
-	FN        int
+	Precision float64 `json:"precision"`
+	Recall    float64 `json:"recall"`
+	F1        float64 `json:"f1"`
+	TP        int     `json:"-"`
+	FP        int     `json:"-"`
+	FN        int     `json:"-"`
 }
 
 // Evaluate compares predicted matches against the gold standard.

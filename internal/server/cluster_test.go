@@ -88,7 +88,8 @@ func startCluster(t *testing.T) *testCluster {
 		t.Cleanup(func() { tc.workers[i].Close() })
 		addrs = append(addrs, countingRelay(t, ln.Addr().String(), &tc.sent))
 	}
-	srv, _, err := NewServer(Config{Workers: addrs, ClusterTuning: cluster.CoordinatorConfig{
+	srv, _, err := NewServer(Config{Cluster: cluster.CoordinatorConfig{
+		Workers:           addrs,
 		HeartbeatInterval: 50 * time.Millisecond,
 		LivenessTimeout:   300 * time.Millisecond,
 		RPCTimeout:        2 * time.Second,
@@ -281,7 +282,8 @@ func deadCluster(t *testing.T) Config {
 	}
 	dead := ln.Addr().String()
 	ln.Close() // nothing listens here any more
-	return Config{Workers: []string{dead}, ClusterTuning: cluster.CoordinatorConfig{
+	return Config{Cluster: cluster.CoordinatorConfig{
+		Workers:           []string{dead},
 		HeartbeatInterval: 20 * time.Millisecond,
 		LivenessTimeout:   60 * time.Millisecond,
 		RPCTimeout:        100 * time.Millisecond,

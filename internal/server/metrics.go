@@ -104,8 +104,8 @@ func newServerMetrics() *serverMetrics {
 // session layer owns. It runs after the Server's manager exists; the
 // callbacks fire only when /metrics is scraped, never during recovery.
 func (m *serverMetrics) bindManager(s *Server) {
-	m.reg.GaugeFunc("remp_sessions_active", "Live sessions registered with the manager.", func() float64 {
-		return float64(len(s.mgr.IDs()))
+	m.reg.GaugeFunc("remp_sessions_active", "Live sessions the server serves.", func() float64 {
+		return float64(s.served())
 	})
 	m.reg.CounterFunc("remp_cache_hits_total", "Answer-cache lookups served from a sibling session's answer.", func() float64 {
 		h, _, _ := s.mgr.CacheStats()

@@ -29,7 +29,7 @@
 // every session under its original ID. Shutdown drains in-flight
 // requests — later requests are refused with 503 — and closes the store.
 //
-// A server configured with Config.Workers runs in cluster mode: every
+// A server configured with Config.Cluster.Workers runs in cluster mode: every
 // session's shard engines are placed on remp-worker processes through an
 // internal/cluster coordinator, with heartbeat liveness and crash
 // failover. The workers are sent the shards themselves, cut from the
@@ -49,7 +49,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,12 +135,9 @@ type SessionInfo struct {
 	Batch     []QuestionDTO `json:"batch,omitempty"`
 }
 
-// PRFDTO is precision / recall / F1 against the session's gold standard.
-type PRFDTO struct {
-	Precision float64 `json:"precision"`
-	Recall    float64 `json:"recall"`
-	F1        float64 `json:"f1"`
-}
+// PRFDTO is precision / recall / F1 against the session's gold standard;
+// its TP, FP and FN counts stay off the wire.
+type PRFDTO = pair.PRF
 
 // ResultDTO is the body of GET /v1/sessions/{id}/result.
 type ResultDTO struct {
@@ -166,10 +165,11 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// sessionMeta is the server-side state alongside each session: its
-// own create spec, and its hold on the plan it shares with every other
-// session of that spec.
+// sessionMeta is the server's entry for one served session: the
+// session, its own create spec, and its hold on the plan it shares with
+// every other session of that spec.
 type sessionMeta struct {
+	sess *session.Session
 	spec CreateRequest
 	*plan
 }
@@ -179,8 +179,8 @@ type Server struct {
 	mgr           *session.Manager
 	plans         *PlanCache
 	mu            sync.Mutex
-	meta          map[string]*sessionMeta
-	refs          map[string]string // CreateRequest.ClientRef → session ID
+	meta          map[string]*sessionMeta // the served sessions, by ID
+	refs          map[string]string       // CreateRequest.ClientRef → session ID
 	log           *slog.Logger
 	metrics       *serverMetrics
 	reqID         atomic.Int64
@@ -208,18 +208,13 @@ type Config struct {
 	// request does not specify one (0 keeps automatic sharding; negative is
 	// a configuration error).
 	DefaultShards int
-	// Workers, when non-empty, puts the server in cluster mode: shard
-	// engines run on the remp-worker processes at these addresses instead
-	// of in this process.
-	Workers []string
-	// ClusterFaults injects failures into the coordinator's outgoing
-	// request frames — the -chaos drill. Nil means no injection.
-	ClusterFaults *cluster.Faults
-	// ClusterTuning overrides the coordinator's timing knobs (heartbeat
-	// cadence, liveness and RPC timeouts, retry backoff). Its Workers,
-	// Faults, Metrics and Logf fields are ignored — the server wires
-	// those itself. Zero fields keep the coordinator defaults.
-	ClusterTuning cluster.CoordinatorConfig
+	// Cluster, when it names Workers, puts the server in cluster mode:
+	// shard engines run on the remp-worker processes at those addresses
+	// instead of in this process. Faults injects failures into the
+	// coordinator's outgoing request frames (the -chaos drill), and zero
+	// timing fields keep the coordinator defaults. Metrics and Logf are
+	// ignored: the server wires its own.
+	Cluster cluster.CoordinatorConfig
 }
 
 // New returns a server over an in-memory store, with logging disabled.
@@ -263,10 +258,8 @@ func NewServer(cfg Config) (*Server, []string, error) {
 	// The coordinator must exist before recovery below: recovered
 	// sessions' pipelines place their shards on workers too.
 	var co *cluster.Coordinator
-	if len(cfg.Workers) > 0 {
-		cc := cfg.ClusterTuning
-		cc.Workers = cfg.Workers
-		cc.Faults = cfg.ClusterFaults
+	if len(cfg.Cluster.Workers) > 0 {
+		cc := cfg.Cluster
 		cc.Metrics = metrics.cluster
 		cc.Logf = func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
 		var cerr error
@@ -294,7 +287,7 @@ func NewServer(cfg Config) (*Server, []string, error) {
 	// Recovery opens each stored session's plan from the CreateRequest
 	// persisted as its meta blob. Server defaults were baked in before it
 	// was stored, so it keys the plan the session was created over.
-	var opened []string
+	opened := make(map[string]*sessionMeta)
 	recovered, err := s.mgr.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
 		var req CreateRequest
 		if err := json.Unmarshal(meta, &req); err != nil {
@@ -304,14 +297,17 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("stored spec: %w", err)
 		}
-		s.register(id, m)
-		opened = append(opened, id)
+		opened[id] = m
 		return m.prepared, m.namespace, nil
 	})
-	for _, id := range opened {
-		if _, live := s.mgr.Get(id); !live {
-			s.forget(id) // the plan opened, the replay over it failed
-		}
+	for _, id := range recovered {
+		m := opened[id]
+		m.sess, _ = s.mgr.Get(id)
+		s.register(m)
+		delete(opened, id)
+	}
+	for _, id := range slices.Sorted(maps.Keys(opened)) {
+		s.plans.release(opened[id].plan) // the plan opened, the replay over it failed
 	}
 	metrics.sessionsRecovered.Add(int64(len(recovered)))
 	if len(recovered) > 0 {
@@ -342,14 +338,22 @@ func (s *Server) open(req CreateRequest) (*sessionMeta, error) {
 	return m, err
 }
 
-// register records a session's server-side state and its client ref.
-func (s *Server) register(id string, m *sessionMeta) {
+// register starts serving m's session and records its client ref.
+func (s *Server) register(m *sessionMeta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	id := m.sess.ID()
 	s.meta[id] = m
 	if m.spec.ClientRef != "" {
 		s.refs[m.spec.ClientRef] = id
 	}
+}
+
+// served returns how many sessions the server serves.
+func (s *Server) served() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.meta)
 }
 
 // forget drops a session's server-side state: its hold on its plan, and
@@ -468,7 +472,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"status":           status,
 		"uptime_seconds":   float64(s.metrics.clock()) / 1e9,
 		"store":            s.storeKind,
-		"sessions_active":  len(s.mgr.IDs()),
+		"sessions_active":  s.served(),
 		"draining":         s.draining.Load(),
 		"persist_failures": s.mgr.PersistFailures(),
 		"wal_replayed":     s.mgr.WALReplayed(),
@@ -576,14 +580,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// An idempotent retry: hand back the session the ref already created.
 	if req.ClientRef != "" {
 		s.mu.Lock()
-		id, ok := s.refs[req.ClientRef]
+		m := s.meta[s.refs[req.ClientRef]]
 		s.mu.Unlock()
-		if ok {
-			if sess, live := s.mgr.Get(id); live {
-				s.log.Info("create with known client_ref: returning its session", "client_ref", req.ClientRef, "session", id)
-				writeJSON(w, http.StatusOK, s.info(sess, true))
-				return
-			}
+		if m != nil {
+			s.log.Info("create with known client_ref: returning its session", "client_ref", req.ClientRef, "session", m.sess.ID())
+			writeJSON(w, http.StatusOK, s.info(m, true))
+			return
 		}
 	}
 	s.admit(w, req, "created", s.metrics.sessionsCreated, func(pl *plan, meta []byte) (*session.Session, error) {
@@ -626,7 +628,7 @@ func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, co
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sess, err := start(m.plan, meta)
+	m.sess, err = start(m.plan, meta)
 	if err != nil {
 		s.plans.release(m.plan)
 		// An ID collision is a genuine conflict, a persistence failure
@@ -645,47 +647,40 @@ func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, co
 		writeError(w, status, "%v", err)
 		return
 	}
-	s.register(sess.ID(), m)
+	s.register(m)
 	count.Inc()
-	s.log.Info("session "+verb, "session", sess.ID(), "namespace", m.namespace)
-	writeJSON(w, http.StatusCreated, s.info(sess, true))
+	s.log.Info("session "+verb, "session", m.sess.ID(), "namespace", m.namespace)
+	writeJSON(w, http.StatusCreated, s.info(m, true))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"sessions": s.mgr.IDs()})
 }
 
-// lookup resolves the {id} path segment to a session and its metadata.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session.Session, *sessionMeta, bool) {
+// lookup resolves the {id} path segment to a served session.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*sessionMeta, bool) {
 	id := r.PathValue("id")
-	sess, ok := s.mgr.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no session %q", id)
-		return nil, nil, false
-	}
 	s.mu.Lock()
-	meta := s.meta[id]
+	m := s.meta[id]
 	s.mu.Unlock()
-	if meta == nil {
-		// The session raced a DELETE between the two lookups.
+	if m == nil {
 		writeError(w, http.StatusNotFound, "no session %q", id)
-		return nil, nil, false
 	}
-	return sess, meta, true
+	return m, m != nil
 }
 
 // handleInfo serves a session's status envelope: with its open batch for
 // GET /batch, without it for the plain status.
 func (s *Server) handleInfo(withBatch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if sess, _, ok := s.lookup(w, r); ok {
-			writeJSON(w, http.StatusOK, s.info(sess, withBatch))
+		if m, ok := s.lookup(w, r); ok {
+			writeJSON(w, http.StatusOK, s.info(m, withBatch))
 		}
 	}
 }
 
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
-	sess, _, ok := s.lookup(w, r)
+	m, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -703,7 +698,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	// reported per answer instead of aborting the batch.
 	resp := AnswersResponse{}
 	for _, a := range req.Answers {
-		if err := sess.Deliver(a.ID, a.Labels); err != nil {
+		if err := m.sess.Deliver(a.ID, a.Labels); err != nil {
 			resp.Rejected = append(resp.Rejected, RejectedAnswerDTO{ID: a.ID, Error: err.Error()})
 			continue
 		}
@@ -711,19 +706,19 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.answersAccepted.Add(int64(resp.Accepted))
 	s.metrics.answersRejected.Add(int64(len(resp.Rejected)))
-	s.log.Info("answers delivered", "session", sess.ID(), "accepted", resp.Accepted, "rejected", len(resp.Rejected))
-	resp.SessionInfo = s.info(sess, true)
+	s.log.Info("answers delivered", "session", m.sess.ID(), "accepted", resp.Accepted, "rejected", len(resp.Rejected))
+	resp.SessionInfo = s.info(m, true)
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	sess, meta, ok := s.lookup(w, r)
+	meta, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	res := sess.Result()
+	res := meta.sess.Result()
 	dto := ResultDTO{
-		Done:              sess.Done(),
+		Done:              meta.sess.Done(),
 		Questions:         res.Questions,
 		Deduced:           res.Deduced,
 		Loops:             res.Loops,
@@ -738,17 +733,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if meta.gold != nil {
 		prf := pair.Evaluate(res.Matches, meta.gold)
-		dto.PRF = &PRFDTO{Precision: prf.Precision, Recall: prf.Recall, F1: prf.F1}
+		dto.PRF = &prf
 	}
 	writeJSON(w, http.StatusOK, dto)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	sess, meta, ok := s.lookup(w, r)
+	meta, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	data, err := sess.Snapshot()
+	data, err := meta.sess.Snapshot()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -777,19 +772,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // info builds the status envelope, optionally materializing the open
 // batch (which may auto-answer questions from the shared cache).
-func (s *Server) info(sess *session.Session, withBatch bool) SessionInfo {
+func (s *Server) info(m *sessionMeta, withBatch bool) SessionInfo {
+	sess := m.sess
 	var batch []QuestionDTO
 	if withBatch {
-		s.mu.Lock()
-		meta := s.meta[sess.ID()]
-		s.mu.Unlock()
 		for _, q := range sess.NextBatch() {
-			dto := QuestionDTO{ID: q.ID}
-			if meta != nil {
-				dto.Left = meta.ds.K1.EntityName(q.Pair.U1)
-				dto.Right = meta.ds.K2.EntityName(q.Pair.U2)
-			}
-			batch = append(batch, dto)
+			batch = append(batch, QuestionDTO{ID: q.ID, Left: m.ds.K1.EntityName(q.Pair.U1), Right: m.ds.K2.EntityName(q.Pair.U2)})
 		}
 	}
 	questions, loops := sess.Progress()

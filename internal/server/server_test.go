@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -774,5 +775,83 @@ func TestHTTPRejectsBadLabels(t *testing.T) {
 	}
 	if good, err := c.PostAnswers(info.ID, []AnswerDTO{ans}); err != nil || good.Accepted != 1 {
 		t.Fatalf("good answer after rejections: %+v, %v", good, err)
+	}
+}
+
+// TestDeleteRacesInFlightRequests deletes a session, twice at once, while
+// GET /batch, POST /answers and GET /result run against it. Every
+// response is 200, 204 or 404 (a 200 may reject answers one by one), none
+// is a 5xx or a dropped connection, and the session's hold on its plan is
+// released exactly once: its plan is held by nobody afterwards. Each round
+// runs on a fresh server, so no sibling's cached answers empty the opening
+// batch. Run it under -race.
+func TestDeleteRacesInFlightRequests(t *testing.T) {
+	_, gold, req := fixture(t, 6)
+	for round := 0; round < 20; round++ {
+		srv := New()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		c := NewClient(ts.URL)
+		info, err := c.CreateSession(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		pl := srv.meta[info.ID].plan
+		srv.mu.Unlock()
+		var answers []AnswerDTO
+		for _, q := range info.Batch {
+			answers = append(answers, oracleAnswer(t, gold, q.ID))
+		}
+		body, err := json.Marshal(AnswersRequest{Answers: answers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := ts.URL + "/v1/sessions/" + info.ID
+		calls := []struct{ method, url, body string }{
+			{http.MethodGet, base + "/batch", ""},
+			{http.MethodPost, base + "/answers", string(body)},
+			{http.MethodGet, base + "/result", ""},
+			{http.MethodDelete, base, ""},
+			{http.MethodDelete, base, ""},
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, call := range calls {
+			for range 3 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					r, err := http.NewRequest(call.method, call.url, strings.NewReader(call.body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp, err := http.DefaultClient.Do(r)
+					if err != nil {
+						t.Errorf("%s %s: %v", call.method, call.url, err)
+						return
+					}
+					resp.Body.Close()
+					switch resp.StatusCode {
+					case http.StatusOK, http.StatusNoContent, http.StatusNotFound:
+					default:
+						t.Errorf("%s %s: status %d", call.method, call.url, resp.StatusCode)
+					}
+				}()
+			}
+		}
+		close(start)
+		wg.Wait()
+		if _, err := c.Batch(info.ID); err == nil {
+			t.Fatalf("round %d: session %s still served after its DELETE", round, info.ID)
+		}
+		srv.plans.mu.Lock()
+		holds, idle := pl.holds, pl.idle != nil
+		srv.plans.mu.Unlock()
+		if holds != 0 || !idle {
+			t.Fatalf("round %d: after the DELETE the plan has %d holds (idle %v), want 0 and idle", round, holds, idle)
+		}
 	}
 }

@@ -102,7 +102,7 @@ func (c *Cache) put(q pair.Pair, labels []crowd.Label) {
 // Unresolved label sets, empty answers and synthesized deduced answers
 // record nothing.
 func answerVerdict(labels []crowd.Label) deduce.Verdict {
-	if len(labels) == 0 || labels[0].Worker.ID == DeducedWorkerID {
+	if len(labels) == 0 || labels[0].WorkerID == DeducedWorkerID {
 		return deduce.Unknown
 	}
 	switch crowd.Infer(0.5, labels, crowd.DefaultThresholds()).Verdict {

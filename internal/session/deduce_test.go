@@ -168,7 +168,7 @@ func TestDeduceSnapshotRestore(t *testing.T) {
 	s := New("job-7", core.Prepare(k1, k2, testConfig(mod)), nil)
 	for i := 0; i < 2 && !s.Done(); i++ {
 		for _, q := range s.NextBatch() {
-			if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+			if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -209,7 +209,7 @@ func TestDeduceWALRecovery(t *testing.T) {
 	}
 	for i := 0; i < 2 && !s.Done(); i++ {
 		for _, q := range s.NextBatch() {
-			if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+			if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,7 +247,7 @@ func TestCacheDeduceTier(t *testing.T) {
 	c := NewCache()
 	p := func(a, b int) pair.Pair { return pair.Pair{U1: kb.EntityID(a), U2: kb.EntityID(b)} }
 	lab := func(match bool) []crowd.Label {
-		return []crowd.Label{{Worker: crowd.Worker{ID: 0, Quality: 0.999}, IsMatch: match}}
+		return []crowd.Label{{WorkerID: 0, Quality: 0.999, IsMatch: match}}
 	}
 	c.put(p(1, 2), lab(true))
 	if v := c.deduce(p(1, 2)); v != deduce.Match {
@@ -283,7 +283,7 @@ func TestCacheDeduceTier(t *testing.T) {
 func TestCacheDeduceConflicts(t *testing.T) {
 	p := func(a, b int) pair.Pair { return pair.Pair{U1: kb.EntityID(a), U2: kb.EntityID(b)} }
 	lab := func(match bool) []crowd.Label {
-		return []crowd.Label{{Worker: crowd.Worker{ID: 0, Quality: 0.999}, IsMatch: match}}
+		return []crowd.Label{{WorkerID: 0, Quality: 0.999, IsMatch: match}}
 	}
 	c := NewCache()
 	c.put(p(1, 2), lab(true))

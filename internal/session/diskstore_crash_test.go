@@ -17,7 +17,7 @@ func answerBatch(t *testing.T, s *Session, gold *pair.Gold) bool {
 	t.Helper()
 	batch := s.NextBatch()
 	for _, q := range batch {
-		if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+		if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,14 +29,14 @@ func FuzzRestoreSession(f *testing.F) {
 	// of the second batch delivered out of order (pending).
 	s := New("seed-mid", prep(), nil)
 	for _, q := range s.NextBatch() {
-		if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+		if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 			f.Fatal(err)
 		}
 	}
 	second := s.NextBatch()
 	if len(second) > 1 {
 		last := second[len(second)-1]
-		if err := s.Deliver(last.ID, FromCrowd(oracleLabels(gold, last.Pair))); err != nil {
+		if err := s.Deliver(last.ID, oracleLabels(gold, last.Pair)); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func FuzzRestoreSession(f *testing.F) {
 	// The answers still to come, as a WAL-shaped log.
 	var rest []AnswerRec
 	for _, q := range second {
-		rest = append(rest, AnswerRec{U1: q.Pair.U1, U2: q.Pair.U2, Labels: FromCrowd(oracleLabels(gold, q.Pair))})
+		rest = append(rest, AnswerRec{U1: q.Pair.U1, U2: q.Pair.U2, Labels: oracleLabels(gold, q.Pair)})
 	}
 	walSeed, err := json.Marshal(rest)
 	if err != nil {
@@ -58,7 +58,7 @@ func FuzzRestoreSession(f *testing.F) {
 	done := New("seed-done", prep(), nil)
 	for !done.Done() {
 		for _, q := range done.NextBatch() {
-			if err := done.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+			if err := done.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -120,7 +120,7 @@ func FuzzRestoreSession(f *testing.F) {
 		}
 		for _, rec := range recs {
 			q := pair.Pair{U1: kb.EntityID(rec.U1), U2: kb.EntityID(rec.U2)}
-			_ = restored.DeliverPair(q, ToCrowd(rec.Labels))
+			_ = restored.DeliverPair(q, rec.Labels)
 		}
 		if _, err := restored.Snapshot(); err != nil {
 			t.Fatalf("snapshot after answer-log replay failed: %v", err)
@@ -165,7 +165,7 @@ func FuzzDeliverAnswers(f *testing.F) {
 	p := core.Prepare(k1, k2, testConfig(nil))
 	batch := New("seed", p, nil).NextBatch()
 	for _, q := range []Question{batch[0], batch[len(batch)-1]} {
-		good, err := json.Marshal(FromCrowd(oracleLabels(gold, q.Pair)))
+		good, err := json.Marshal(oracleLabels(gold, q.Pair))
 		if err != nil {
 			f.Fatal(err)
 		}

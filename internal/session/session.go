@@ -16,6 +16,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,62 +82,23 @@ func ParseQuestionID(id string) (pair.Pair, error) {
 // Real workers use non-negative IDs by convention.
 const DeducedWorkerID = -1
 
-// SourceDeduced marks a wire label synthesized by answer deduction.
-const SourceDeduced = "deduced"
-
 // deducedQuality is the quality of a synthesized label: high enough
 // that one label resolves any clamped prior past either inference
 // threshold, so a deduced verdict is always accepted by the loop.
 const deducedQuality = 0.999
 
-// Label is one worker's answer in wire form; it is the JSON face of
-// crowd.Label.
-type Label struct {
-	// WorkerID identifies the worker (opaque to the pipeline). The
-	// reserved DeducedWorkerID marks deduction-synthesized answers.
-	WorkerID int `json:"worker"`
-	// Quality is the worker's answer quality λ ∈ (0,1], the weight truth
-	// inference gives the label (Eq. 17).
-	Quality float64 `json:"quality"`
-	// IsMatch is the worker's verdict.
-	IsMatch bool `json:"match"`
-	// Source is "deduced" for labels synthesized by the namespace
-	// deduction tier, empty for crowd labels. It is derived from
-	// WorkerID, so it survives wire and snapshot round-trips without
-	// widening the pipeline's label type.
-	Source string `json:"source,omitempty"`
-}
+// Label is one worker's answer: crowd.Label, the one type a label has
+// from the wire request through the loop to the journal.
+type Label = crowd.Label
 
-// ToCrowd converts wire labels to the pipeline's label type.
-func ToCrowd(labels []Label) []crowd.Label {
-	out := make([]crowd.Label, len(labels))
-	for i, l := range labels {
-		out[i] = crowd.Label{Worker: crowd.Worker{ID: l.WorkerID, Quality: l.Quality}, IsMatch: l.IsMatch}
-	}
-	return out
-}
-
-// FromCrowd converts pipeline labels to wire form, restoring the
-// "deduced" source marker on synthesized labels.
-func FromCrowd(labels []crowd.Label) []Label {
-	out := make([]Label, len(labels))
-	for i, l := range labels {
-		out[i] = Label{WorkerID: l.Worker.ID, Quality: l.Worker.Quality, IsMatch: l.IsMatch}
-		if l.Worker.ID == DeducedWorkerID {
-			out[i].Source = SourceDeduced
-		}
-	}
-	return out
-}
+// ToCrowd returns labels as they are: Label is crowd.Label.
+func ToCrowd(labels []Label) []crowd.Label { return labels }
 
 // deducedLabels synthesizes the answer for a deduced verdict: one label
 // from the reserved deduction worker, strong enough to resolve the pair
 // the way the namespace's recorded answers imply.
-func deducedLabels(v deduce.Verdict) []crowd.Label {
-	return []crowd.Label{{
-		Worker:  crowd.Worker{ID: DeducedWorkerID, Quality: deducedQuality},
-		IsMatch: v == deduce.Match,
-	}}
+func deducedLabels(v deduce.Verdict) []Label {
+	return []Label{{WorkerID: DeducedWorkerID, Quality: deducedQuality, IsMatch: v == deduce.Match}}
 }
 
 // Session is one resumable resolution job: a core.Loop behind a mutex,
@@ -269,14 +231,15 @@ func (s *Session) Deliver(id string, labels []Label) error {
 			return fmt.Errorf("%w for %v: worker %d, quality %v", ErrBadLabel, q, l.WorkerID, l.Quality)
 		}
 	}
-	return s.DeliverPair(q, ToCrowd(labels))
+	return s.DeliverPair(q, slices.Clone(labels))
 }
 
 // DeliverPair is Deliver for in-process callers that already hold the
-// pair and pipeline labels. An empty label slice is
+// pair. The session keeps labels as given, so the caller must not mutate
+// them afterwards (Deliver hands it a copy). An empty label slice is
 // allowed and leaves the question's posterior at its prior — exactly how
 // the synchronous loop treats an Asker that returns no labels.
-func (s *Session) DeliverPair(q pair.Pair, labels []crowd.Label) error {
+func (s *Session) DeliverPair(q pair.Pair, labels []Label) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.loop.Deliver(q, labels); err != nil {
@@ -310,11 +273,11 @@ func (s *Session) DeliverPair(q pair.Pair, labels []crowd.Label) error {
 // would not replay) while the in-memory session keeps running, so a
 // broken disk degrades durability rather than corrupting it or rejecting
 // answers the loop already applied. Callers hold s.mu.
-func (s *Session) journalLocked(q pair.Pair, labels []crowd.Label) {
+func (s *Session) journalLocked(q pair.Pair, labels []Label) {
 	if s.store == nil || s.persistErr != nil {
 		return
 	}
-	rec := AnswerRec{U1: q.U1, U2: q.U2, Labels: FromCrowd(labels)}
+	rec := AnswerRec{U1: q.U1, U2: q.U2, Labels: labels}
 	if err := s.store.AppendAnswer(s.id, s.seq, rec, s.loop.Done()); err != nil {
 		s.persistErr = fmt.Errorf("session %s: journaling answer %d: %w", s.id, s.seq, err)
 		s.fails.Add(1)

@@ -56,7 +56,7 @@ func bookWorld(n int, seed int64) (*kb.KB, *kb.KB, *pair.Gold) {
 // oracleLabels reproduces core.OracleAsker's labels exactly, so a session
 // answered with them must match a synchronous oracle run byte for byte.
 func oracleLabels(gold *pair.Gold, q pair.Pair) []crowd.Label {
-	return []crowd.Label{{Worker: crowd.Worker{ID: 0, Quality: 0.999}, IsMatch: gold.IsMatch(q)}}
+	return []crowd.Label{{WorkerID: 0, Quality: 0.999, IsMatch: gold.IsMatch(q)}}
 }
 
 func testConfig(mod func(*core.Config)) core.Config {
@@ -111,7 +111,7 @@ func driveShuffled(t *testing.T, s *Session, gold *pair.Gold, rng *rand.Rand) {
 		}
 		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 		for _, q := range batch {
-			if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+			if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 				t.Fatalf("Deliver(%s): %v", q.ID, err)
 			}
 		}
@@ -156,10 +156,10 @@ func TestSessionRejectsBadDeliveries(t *testing.T) {
 	if len(batch) == 0 {
 		t.Fatal("no opening batch")
 	}
-	if err := s.Deliver("not-an-id", FromCrowd(oracleLabels(gold, batch[0].Pair))); err == nil {
+	if err := s.Deliver("not-an-id", oracleLabels(gold, batch[0].Pair)); err == nil {
 		t.Error("malformed question id accepted")
 	}
-	if err := s.Deliver("999999-999999", FromCrowd(oracleLabels(gold, batch[0].Pair))); err == nil {
+	if err := s.Deliver("999999-999999", oracleLabels(gold, batch[0].Pair)); err == nil {
 		t.Error("answer for a question outside the open batch accepted")
 	}
 	// Spellings that name the open question without being its ID: U1
@@ -172,7 +172,7 @@ func TestSessionRejectsBadDeliveries(t *testing.T) {
 		fmt.Sprintf("%d-+%d", q.U1, q.U2),
 		fmt.Sprintf("%d-0%d", q.U1, q.U2),
 	} {
-		if err := s.Deliver(id, FromCrowd(oracleLabels(gold, q))); err == nil {
+		if err := s.Deliver(id, oracleLabels(gold, q)); err == nil {
 			t.Errorf("non-canonical id %q accepted for question %s", id, batch[0].ID)
 		}
 	}
@@ -180,10 +180,10 @@ func TestSessionRejectsBadDeliveries(t *testing.T) {
 		t.Error("answer without labels accepted")
 	}
 	last := batch[len(batch)-1]
-	if err := s.Deliver(last.ID, FromCrowd(oracleLabels(gold, last.Pair))); err != nil {
+	if err := s.Deliver(last.ID, oracleLabels(gold, last.Pair)); err != nil {
 		t.Fatalf("out-of-order delivery rejected: %v", err)
 	}
-	if err := s.Deliver(last.ID, FromCrowd(oracleLabels(gold, last.Pair))); err == nil {
+	if err := s.Deliver(last.ID, oracleLabels(gold, last.Pair)); err == nil {
 		t.Error("duplicate answer accepted")
 	}
 }
@@ -245,14 +245,14 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 	// only, so the snapshot carries both applied and pending answers.
 	first := s.NextBatch()
 	for _, q := range first {
-		if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+		if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	second := s.NextBatch()
 	if len(second) > 1 {
 		last := second[len(second)-1]
-		if err := s.Deliver(last.ID, FromCrowd(oracleLabels(gold, last.Pair))); err != nil {
+		if err := s.Deliver(last.ID, oracleLabels(gold, last.Pair)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +356,7 @@ func TestManagerConcurrentSessionsShareAnswers(t *testing.T) {
 					continue
 				}
 				for _, q := range batch {
-					if err := s.Deliver(q.ID, FromCrowd(oracle.answer(q.Pair))); err != nil {
+					if err := s.Deliver(q.ID, oracle.answer(q.Pair)); err != nil {
 						errs <- fmt.Errorf("session %s: %w", s.ID(), err)
 						return
 					}
@@ -415,7 +415,7 @@ func TestSessionsShareOnePrepared(t *testing.T) {
 			}
 			first := sessions[0]
 			for _, q := range first.NextBatch() {
-				if err := first.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+				if err := first.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -441,7 +441,7 @@ func TestSessionsShareOnePrepared(t *testing.T) {
 						batch := s.NextBatch() // empty while siblings hold every open question
 						rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
 						for _, q := range batch {
-							if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+							if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 								errs <- fmt.Errorf("session %s: %w", s.ID(), err)
 								return
 							}

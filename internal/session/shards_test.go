@@ -33,7 +33,7 @@ func TestShardedSessionMatchesUnsharded(t *testing.T) {
 		// Deliver in reverse order to exercise the buffering path on the
 		// sharded machine.
 		for i := len(batch) - 1; i >= 0; i-- {
-			if err := s.Deliver(batch[i].ID, FromCrowd(oracleLabels(gold, batch[i].Pair))); err != nil {
+			if err := s.Deliver(batch[i].ID, oracleLabels(gold, batch[i].Pair)); err != nil {
 				t.Fatal(err)
 			}
 			if s.Done() {
@@ -65,7 +65,7 @@ func TestSnapshotRecordsShardAssignment(t *testing.T) {
 		t.Fatal("no questions published")
 	}
 	for _, q := range batch {
-		if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+		if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 			t.Fatal(err)
 		}
 		if s.Done() {
@@ -129,7 +129,7 @@ func TestRestoreAcceptsPreSplitFingerprint(t *testing.T) {
 	answer := func(s *Session, batches int) {
 		for b := 0; !s.Done() && (batches < 0 || b < batches); b++ {
 			for _, q := range s.NextBatch() {
-				if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+				if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 					t.Fatal(err)
 				}
 			}

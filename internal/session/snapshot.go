@@ -52,7 +52,7 @@ type AnswerRec struct {
 func toRecs(answers []core.Answer) []AnswerRec {
 	out := make([]AnswerRec, len(answers))
 	for i, a := range answers {
-		out[i] = AnswerRec{U1: a.Pair.U1, U2: a.Pair.U2, Labels: FromCrowd(a.Labels)}
+		out[i] = AnswerRec{U1: a.Pair.U1, U2: a.Pair.U2, Labels: a.Labels}
 	}
 	return out
 }
@@ -136,7 +136,7 @@ func Restore(p *core.Prepared, cache *Cache, snap *Snapshot) (*Session, error) {
 		return nil, fmt.Errorf("%w: %w", ErrRunner, err)
 	}
 	for i, rec := range append(append([]AnswerRec{}, snap.Applied...), snap.Pending...) {
-		if err := s.loop.Deliver(pair.Pair{U1: rec.U1, U2: rec.U2}, ToCrowd(rec.Labels)); err != nil {
+		if err := s.loop.Deliver(pair.Pair{U1: rec.U1, U2: rec.U2}, rec.Labels); err != nil {
 			s.loop.Close()
 			return nil, fmt.Errorf("session: snapshot replay diverged at answer %d: %w", i, err)
 		}

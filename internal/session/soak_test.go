@@ -53,7 +53,7 @@ func TestManagerSoakAnswerOnce(t *testing.T) {
 					_, err := mgr.Remove(s.ID())
 					return err
 				}
-				if err := s.Deliver(q.ID, FromCrowd(oracles[ns].answer(q.Pair))); err != nil {
+				if err := s.Deliver(q.ID, oracles[ns].answer(q.Pair)); err != nil {
 					return fmt.Errorf("session %s: %w", s.ID(), err)
 				}
 				answered++

@@ -348,7 +348,7 @@ func TestManagerDiskRoundTrip(t *testing.T) {
 		}
 		firstIDs = append(firstIDs, s.ID())
 		for _, q := range s.NextBatch() {
-			if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+			if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -388,7 +388,7 @@ func TestManagerDiskRoundTrip(t *testing.T) {
 				continue
 			}
 			for _, q := range batch {
-				if err := s.Deliver(q.ID, FromCrowd(oracleLabels(gold, q.Pair))); err != nil {
+				if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -85,7 +85,7 @@ func (r *recordingAsker) Ask(q remp.Pair) []crowd.Label {
 	r.calls = append(r.calls, q)
 	wire := make([]remp.Label, len(labels))
 	for i, l := range labels {
-		wire[i] = remp.Label{WorkerID: l.Worker.ID, Quality: l.Worker.Quality, IsMatch: l.IsMatch}
+		wire[i] = remp.Label{WorkerID: l.WorkerID, Quality: l.Quality, IsMatch: l.IsMatch}
 	}
 	r.labels[q] = wire
 	return labels

@@ -19,8 +19,10 @@ const (
 // plus the entity pair it asks about.
 type Question = session.Question
 
-// Label is one worker's answer in wire form: worker ID, answer quality
-// λ ∈ (0,1] and the verdict.
+// Label is one worker's answer: worker ID, answer quality λ ∈ (0,1] and
+// the verdict, as {"worker", "quality", "match"} on the wire. It is the
+// pipeline's own crowd.Label, so an Asker's labels and a session's are
+// one type.
 type Label = session.Label
 
 // Session is an asynchronous resolution job: the paper's human–machine
