@@ -70,9 +70,20 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	// Every needed value set, listed serially in match order — match i's
 	// K1 sets, one per attribute of its entity in Attrs order, from set
 	// first[i] on, then its K2 sets likewise — and interned in one batch.
-	// The scoring pass below only reads the corpus.
-	var flat []string
-	ends, first := []int{0}, make([]int, len(min))
+	// The lists are counted first, so that they never grow. The scoring
+	// pass below only reads the corpus.
+	nsets, nvals := 0, 0
+	for _, m := range min {
+		for _, a1 := range k1.Attrs(m.U1) {
+			nvals += len(k1.AttrValues(m.U1, a1))
+		}
+		for _, a2 := range k2.Attrs(m.U2) {
+			nvals += len(k2.AttrValues(m.U2, a2))
+		}
+		nsets += len(k1.Attrs(m.U1)) + len(k2.Attrs(m.U2))
+	}
+	flat := make([]string, 0, nvals)
+	ends, first := append(make([]int, 0, nsets+1), 0), make([]int, len(min))
 	for i, m := range min {
 		first[i] = len(ends) - 1
 		for _, a1 := range k1.Attrs(m.U1) {
@@ -84,7 +95,7 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 			ends = append(ends, len(flat))
 		}
 	}
-	corpus := strsim.NewCorpus()
+	corpus := strsim.NewCorpus(nil)
 	ids := corpus.InternAll(opts.Runner, flat)
 	set := func(s int) []strsim.LitID { return ids[ends[s]:ends[s+1]] }
 
@@ -94,7 +105,11 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	parts := make([][]contrib, len(chunks))
 	pair.RunAll(opts.Runner, len(chunks), func(ci int) {
 		var sc strsim.MatchScratch
-		var out []contrib
+		most := 0
+		for _, m := range min[chunks[ci].Lo:chunks[ci].Hi] {
+			most += len(k1.Attrs(m.U1)) * len(k2.Attrs(m.U2))
+		}
+		out := make([]contrib, 0, most)
 		for i := chunks[ci].Lo; i < chunks[ci].Hi; i++ {
 			m := min[i]
 			attrs1 := k1.Attrs(m.U1)

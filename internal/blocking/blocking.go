@@ -85,12 +85,27 @@ func DefaultOptions() Options {
 }
 
 // Generate produces the candidate match set Mc between k1 and k2 by a
-// signature join over interned tokens. Candidates, priors and initial
+// signature join over interned tokens: Join's pages, concatenated, with
+// Priors filled.
 func Generate(k1, k2 *kb.KB, opts Options) *Result {
+	pages, initial := Join(k1, k2, opts, nil)
+	cands := slices.Concat(pages...)
+	res := &Result{Candidates: cands, Initial: initial, Priors: make(map[pair.Pair]float64, len(cands))}
+	for _, c := range cands {
+		res.Priors[c.Pair] = c.Prior
+	}
+	return res
+}
+
+// Join is the join behind Generate. It returns the candidates in pair
+// order, in pages of at most pageLen that neither growth nor a final
+// concatenation copies, and the initial matches; it makes no Priors map.
+// Label words are cut in ws (nil: a new one).
+func Join(k1, k2 *kb.KB, opts Options, ws *strsim.Workspace) (pages [][]Candidate, initial []pair.Pair) {
 	if !(opts.Threshold > 0) {
 		opts.Threshold = 0.3
 	}
-	j := newJoin(k1, k2, opts.Threshold, opts.Runner)
+	j := newJoin(k1, k2, opts.Threshold, opts.Runner, ws)
 
 	chunks := pair.ChunkRanges(k1.NumEntities(), opts.Runner, parallelChunks)
 	parts := make([]scratch, len(chunks))
@@ -98,11 +113,14 @@ func Generate(k1, k2 *kb.KB, opts Options) *Result {
 		sc := &parts[ci]
 		sc.count = make([]int32, k2.NumEntities())
 		for u1 := chunks[ci].Lo; u1 < chunks[ci].Hi; u1++ {
-			from := len(sc.cands)
+			sc.cands = sc.cands[:0]
 			j.probe(sc, kb.EntityID(u1))
-			emitted := sc.cands[from:]
-			slices.SortFunc(emitted, byU2)
-			for _, c := range emitted {
+			slices.SortFunc(sc.cands, byU2)
+			for _, c := range sc.cands {
+				if n := len(sc.pages); n == 0 || len(sc.pages[n-1]) == pageLen {
+					sc.pages = append(sc.pages, make([]Candidate, 0, pageLen))
+				}
+				sc.pages[len(sc.pages)-1] = append(sc.pages[len(sc.pages)-1], c)
 				// A prior of 1 is equal, non-empty token sets: equal
 				// labels are then equal word lists.
 				if c.Prior == 1 && (k1.Label(c.Pair.U1) == k2.Label(c.Pair.U2) || exactLabel(k1, k2, c.Pair)) {
@@ -112,17 +130,16 @@ func Generate(k1, k2 *kb.KB, opts Options) *Result {
 		}
 	})
 
-	res := &Result{}
+	// The chunks are contiguous K1 ranges, so their lists follow each
+	// other in pair order.
 	for i := range parts {
-		res.Candidates = append(res.Candidates, parts[i].cands...)
-		res.Initial = append(res.Initial, parts[i].initial...)
+		pages, initial = append(pages, parts[i].pages...), append(initial, parts[i].initial...)
 	}
-	res.Priors = make(map[pair.Pair]float64, len(res.Candidates))
-	for _, c := range res.Candidates {
-		res.Priors[c.Pair] = c.Prior
-	}
-	return res
+	return pages, initial
 }
+
+// pageLen is how many candidates a page of Join's output holds.
+const pageLen = 2048
 
 // byU2 orders one K1 entity's candidates by K2 entity.
 func byU2(a, b Candidate) int { return cmp.Compare(a.Pair.U2, b.Pair.U2) }
@@ -180,8 +197,8 @@ func (c *csr[E]) fill(rows int, each func(emit func(row uint64, e E))) {
 // signatures include every shorter one's, so each label is signed once,
 // on the longest prefix any size pair needs, and the verification turns
 // away what a size pair's own prefixes would not have met.
-func newJoin(k1, k2 *kb.KB, t float64, r pair.Runner) *join {
-	lab, nTok := internLabels(k1, k2, r)
+func newJoin(k1, k2 *kb.KB, t float64, r pair.Runner, ws *strsim.Workspace) *join {
+	lab, nTok := internLabels(k1, k2, r, ws)
 	j := &join{t: t, n1: k1.NumEntities(), lab: lab}
 	n := len(j.lab.start) - 1
 	var sizes [2][]int // the distinct non-zero sizes of K1's and K2's labels
@@ -221,29 +238,22 @@ func newJoin(k1, k2 *kb.KB, t float64, r pair.Runner) *join {
 		}
 	})
 
-	// Sign K2's labels in parallel over contiguous ranges, then bucket
-	// the keys, about two to a bucket, by a counting sort in range order.
-	chunks := pair.ChunkRanges(n-j.n1, r, parallelChunks)
-	keys := make([][]uint64, len(chunks))
-	ents := make([][]kb.EntityID, len(chunks))
-	pair.RunAll(r, len(chunks), func(ci int) {
-		for u2 := chunks[ci].Lo; u2 < chunks[ci].Hi; u2++ {
-			keys[ci] = appendSigs(keys[ci], j.lab.of(j.n1+u2), &j.pre2)
-			for len(ents[ci]) < len(keys[ci]) {
-				ents[ci] = append(ents[ci], kb.EntityID(u2))
-			}
-		}
-	})
+	// Bucket K2's signature keys, about two to a bucket, by a counting
+	// sort straight from the labels, signed once to count them and twice
+	// more by fill.
+	var keys []uint64
 	total := 0
-	for _, ks := range keys {
-		total += len(ks)
+	for u := j.n1; u < n; u++ {
+		keys = appendSigs(keys[:0], j.lab.of(u), &j.pre2)
+		total += len(keys)
 	}
 	nb := 1 << bits.Len(uint(total/2))
 	j.mask = uint64(nb - 1)
 	j.sig.fill(nb, func(emit func(uint64, uint64)) {
-		for ci, ks := range keys {
-			for i, k := range ks {
-				emit(k&j.mask, k>>32<<32|uint64(ents[ci][i]))
+		for u2 := range n - j.n1 {
+			keys = appendSigs(keys[:0], j.lab.of(j.n1+u2), &j.pre2)
+			for _, k := range keys {
+				emit(k&j.mask, k>>32<<32|uint64(u2))
 			}
 		}
 	})
@@ -290,13 +300,14 @@ func sigKey(a, b uint32) uint64 {
 // scratch is the per-chunk state of the parallel probe: a count per K2
 // entity (shared tokens in the scan, -1 once verified, 0 between
 // labels), the entities the current label counted or verified, its
-// signatures, and the chunk's result buffers, merged serially
-// afterwards.
+// signatures and candidates, and the chunk's results, its candidate
+// pages and initial matches.
 type scratch struct {
 	count   []int32
 	touched []kb.EntityID
 	sigs    []uint64
 	cands   []Candidate
+	pages   [][]Candidate
 	initial []pair.Pair
 }
 
@@ -363,32 +374,35 @@ type labelSets struct {
 func (l labelSets) of(u int) []uint32 { return l.toks[l.start[u]:l.start[u+1]] }
 
 // internLabels tokenizes and interns the labels of K1's entities, then
-// K2's, ranks the tokens by ascending frequency over both KBs (ties by
-// ID) with a counting sort, and turns every label into its sorted set of
-// ranks: TokenSet's set, by rank. It also returns the number of tokens.
-func internLabels(k1, k2 *kb.KB, r pair.Runner) (labelSets, int) {
+// K2's, cutting them in ws, ranks the tokens by ascending frequency over
+// both KBs (ties by ID) with a counting sort, and turns every label into
+// its sorted set of ranks: TokenSet's set, by rank. It also returns the
+// number of tokens.
+func internLabels(k1, k2 *kb.KB, r pair.Runner, ws *strsim.Workspace) (labelSets, int) {
 	n1 := k1.NumEntities()
 	var in strsim.Interner
-	start, toks := in.Sets(r, n1+k2.NumEntities(), func(u int) string {
+	start, toks := in.Sets(ws, r, n1+k2.NumEntities(), func(u int) string {
 		if u < n1 {
 			return k1.Label(kb.EntityID(u))
 		}
 		return k2.Label(kb.EntityID(u - n1))
 	}, true)
-	freq, maxF := make([]int32, in.Len()), 0
+	// rank[id] counts id's occurrences, then a counting sort by that
+	// count turns it into id's rank in place.
+	rank, maxF := make([]uint32, in.Len()), uint32(0)
 	for _, id := range toks {
-		freq[id]++
-		maxF = max(maxF, int(freq[id]))
+		rank[id]++
+		maxF = max(maxF, rank[id])
 	}
-	var byFreq csr[uint32]
-	byFreq.fill(maxF+1, func(emit func(uint64, uint32)) {
-		for id, f := range freq {
-			emit(uint64(f), uint32(id))
-		}
-	})
-	rank := make([]uint32, len(freq))
-	for i, id := range byFreq.ent {
-		rank[id] = uint32(i)
+	next := make([]uint32, maxF+2) // next[f]: the next rank of a token seen f times
+	for _, f := range rank {
+		next[f+1]++
+	}
+	for f := 1; f < len(next); f++ {
+		next[f] += next[f-1]
+	}
+	for id, f := range rank {
+		rank[id], next[f] = next[f], next[f]+1
 	}
 	lab := labelSets{start, toks}
 	chunks := pair.ChunkRanges(len(start)-1, r, parallelChunks)

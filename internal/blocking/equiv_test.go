@@ -200,7 +200,7 @@ func TestCountKernelDoesNotAllocate(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	k1 := randLabeledKB(r, "k1", 200)
 	k2 := randLabeledKB(r, "k2", 200)
-	j := newJoin(k1, k2, 0.3, nil)
+	j := newJoin(k1, k2, 0.3, nil, nil)
 	if slices.Max(j.scanY) == 0 || slices.Max(j.pre1[1]) == 0 || slices.Max(j.pre1[2]) == 0 {
 		t.Fatal("the labels do not exercise the scan and both signature kinds")
 	}

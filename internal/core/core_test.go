@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/selection"
 
@@ -117,6 +119,32 @@ func TestPrepareStages(t *testing.T) {
 	}
 	if len(p.Consistency) == 0 {
 		t.Error("no consistency estimates")
+	}
+}
+
+// TestPrepareSubStagesFitInPrepare times one Prepare on a fake clock
+// that steps on every reading: each of its five sub-stages records one
+// span, and the sub-stages run one after another inside the prepare
+// span, so together they take no longer than it.
+func TestPrepareSubStagesFitInPrepare(t *testing.T) {
+	k1, k2, _ := movieWorld(5, 1)
+	var now atomic.Int64
+	trace := obs.NewLoopTrace(func() int64 { return now.Add(1000) })
+	cfg := DefaultConfig()
+	cfg.Obs = &obs.Pipeline{Trace: trace}
+	Prepare(k1, k2, cfg)
+
+	totals := trace.Totals()
+	subs := int64(0)
+	for _, st := range []obs.Stage{obs.StageBlock, obs.StageSimilarity, obs.StageGraph, obs.StageFit, obs.StageShards} {
+		d, ok := totals[st.String()]
+		if !ok || d <= 0 {
+			t.Errorf("stage %s: no span recorded (totals %v)", st, totals)
+		}
+		subs += d
+	}
+	if whole := totals[obs.StagePrepare.String()]; subs > whole {
+		t.Errorf("block + similarity + graph + fit + shards = %d ns > prepare %d ns (totals %v)", subs, whole, totals)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pair"
 	"repro/internal/simvec"
+	"repro/internal/strsim"
 )
 
 // Prepared holds what the human–machine loop reads of stage 1 (ER graph
@@ -147,7 +148,8 @@ func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blo
 // prepare is the one body behind both entry points: a nil blk runs
 // blocking, a nil retained runs pruning over the blocking candidates.
 // Either way the candidates' vectors and the blocking result are garbage
-// on return: gather copies out each distinct vector and prior.
+// on return: gather copies out each distinct vector and prior. So is ws,
+// the one Workspace the label and literal words of the call are cut in.
 func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
@@ -158,16 +160,20 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	t0 := cfg.Obs.StageStart()
 	defer cfg.Obs.StageEnd(obs.StagePrepare, t0)
 	p := &Prepared{K1: k1, K2: k2, Cfg: cfg}
+	ws := new(strsim.Workspace)
 
+	// pages lists the candidates in pair order: Join's pages, or blk's.
+	var pages [][]blocking.Candidate
 	if blk == nil {
 		tb := cfg.Obs.StageStart()
-		blk = blocking.Generate(k1, k2, blocking.Options{
+		pages, p.Initial = blocking.Join(k1, k2, blocking.Options{
 			Threshold: cfg.LabelSimThreshold,
 			Runner:    pool,
-		})
+		}, ws)
 		cfg.Obs.StageEnd(obs.StageBlock, tb)
+	} else {
+		pages, p.Initial = [][]blocking.Candidate{blk.Candidates}, blk.Initial
 	}
-	p.Initial = blk.Initial
 
 	ts := cfg.Obs.StageStart()
 	amOpts := attrmatch.DefaultOptions()
@@ -179,36 +185,54 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	p.Builder.SetRunner(pool)
 	p.dim = p.Builder.Dim()
 	if retained == nil {
-		cands := make([]pair.Pair, len(blk.Candidates))
-		for i, c := range blk.Candidates {
-			cands[i] = c.Pair
+		n := 0
+		for _, page := range pages {
+			n += len(page)
 		}
-		vecs := p.Builder.All(cands)
-		keep := simvec.NewPruner(cands, vecs).Keep(cands, cfg.K)
+		cands := make([]pair.Pair, 0, n)
+		for _, page := range pages {
+			for _, c := range page {
+				cands = append(cands, c.Pair)
+			}
+		}
+		flat := p.Builder.AllIn(cands, ws)
+		keep := simvec.NewFlatPruner(cands, flat, p.dim).Keep(cands, cfg.K)
+		// keep ascends, so one cursor walks the pages: candidate k is
+		// pages[pg][k-base].
+		pg, base := 0, 0
 		p.gather(len(keep), func(i int) (pair.Pair, simvec.Vector, float64) {
-			c := blk.Candidates[keep[i]]
-			return c.Pair, vecs[keep[i]], c.Prior
+			k := int(keep[i])
+			for k-base >= len(pages[pg]) {
+				base, pg = base+len(pages[pg]), pg+1
+			}
+			return cands[k], flat[k*p.dim : (k+1)*p.dim], pages[pg][k-base].Prior
 		})
 	} else {
-		vecs := p.Builder.All(retained)
+		flat := p.Builder.AllIn(retained, ws)
 		p.gather(len(retained), func(i int) (pair.Pair, simvec.Vector, float64) {
 			prior, ok := blk.Priors[retained[i]]
 			if !ok {
 				panic(fmt.Errorf("core: retained pair %v is not a candidate of the blocking result, so it has no prior", retained[i]))
 			}
-			return retained[i], vecs[i], prior
+			return retained[i], flat[i*p.dim : (i+1)*p.dim], prior
 		})
 	}
 	cfg.Obs.StageEnd(obs.StageSimilarity, ts)
 
+	tg := cfg.Obs.StageStart()
 	p.Graph = ergraph.Build(k1, k2, p.Retained)
 	p.Retained = p.Graph.Vertices()
-
 	p.byEntity1 = newEntityIndex(p.Retained, true)
 	p.byEntity2 = newEntityIndex(p.Retained, false)
+	cfg.Obs.StageEnd(obs.StageGraph, tg)
 
+	tf := cfg.Obs.StageStart()
 	p.Consistency = p.fitConsistency(p.Initial, consistency.Fit)
+	cfg.Obs.StageEnd(obs.StageFit, tf)
+
+	tsh := cfg.Obs.StageStart()
 	p.initShards()
+	cfg.Obs.StageEnd(obs.StageShards, tsh)
 	return p
 }
 

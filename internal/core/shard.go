@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/consistency"
 	"repro/internal/ergraph"
 	"repro/internal/obs"
@@ -105,17 +103,25 @@ func (p *Prepared) initShards() {
 	g := p.Graph
 	verts := g.Vertices()
 	p.home = make([]int32, len(verts))
-	var connected []int32 // the graph indexes of the vertices with an edge
+	isolated := func(i int) bool { return len(g.OutIndexesAt(i)) == 0 && len(g.InIndexesAt(i)) == 0 }
+	nIso := 0
 	for i := range verts {
-		if len(g.OutIndexesAt(i)) == 0 && len(g.InIndexesAt(i)) == 0 {
+		if isolated(i) {
+			nIso++
+		}
+	}
+	// Both lists are sized by the count: isolated lives as long as the
+	// Prepared, and neither grows.
+	p.isolated = make([]int, 0, nIso)
+	connected := make([]int32, 0, len(verts)-nIso) // the graph indexes of the vertices with an edge
+	for i := range verts {
+		if isolated(i) {
 			p.home[i] = ^int32(len(p.isolated))
 			p.isolated = append(p.isolated, i)
 		} else {
 			connected = append(connected, int32(i))
 		}
 	}
-	// The list lives as long as the Prepared: drop the growth slack.
-	p.isolated = slices.Clone(p.isolated)
 
 	// The partition sees the connected vertices only, under their own dense
 	// numbering; local translates a neighbor's graph index into it.

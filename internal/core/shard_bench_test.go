@@ -131,9 +131,10 @@ func BenchmarkReestimate(b *testing.B) {
 // is only read, so it is shared.
 func (st *seedStats) clone() *seedStats {
 	c := *st
-	c.partners = make(map[kb.EntityID][]partner, len(st.partners))
-	for u, ps := range st.partners {
-		c.partners[u] = withCap(ps)
+	c.partners.first = withCap(st.partners.first)
+	c.partners.more = make(map[kb.EntityID][]partner, len(st.partners.more))
+	for u, ps := range st.partners.more {
+		c.partners.more[u] = withCap(ps)
 	}
 	c.labels = withCap(st.labels)
 	for li := range c.labels {

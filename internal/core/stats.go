@@ -34,7 +34,7 @@ type seedStats struct {
 	// it is matched to, each with its seed's rank. "Does v1 have a seed
 	// counterpart among these values" is a lookup per partner (one, under
 	// the 1:1 constraint), not a probe per value.
-	partners map[kb.EntityID][]partner
+	partners partnerIndex
 	// labels is addressed by the label's index in p.Graph.Labels().
 	labels []labelStats
 	// byRel1[r] and byRel2[r] list the indexes of the labels whose K1
@@ -53,6 +53,59 @@ type seedStats struct {
 type partner struct {
 	u2   kb.EntityID
 	rank int32
+}
+
+// partnerIndex lists each side-1 entity's partners. The first sits in
+// first, by entity (rank noPartner where there is none); a second moves
+// the list, the first included, to more and marks first morePartners. So
+// the common case under the 1:1 constraint is an array read, and the
+// index costs one partner per side-1 entity, not a map entry per seed.
+type partnerIndex struct {
+	first []partner
+	more  map[kb.EntityID][]partner
+}
+
+// The ranks first holds where an entity has no partner, or more than one.
+const (
+	noPartner    = -2
+	morePartners = -3
+)
+
+func newPartnerIndex(entities int) partnerIndex {
+	x := partnerIndex{first: make([]partner, entities)}
+	for i := range x.first {
+		x.first[i].rank = noPartner
+	}
+	return x
+}
+
+// of returns v1's partners, read-only.
+//
+//remp:hotpath
+func (x *partnerIndex) of(v1 kb.EntityID) []partner {
+	switch x.first[v1].rank {
+	case noPartner:
+		return nil
+	case morePartners:
+		return x.more[v1]
+	}
+	return x.first[v1 : v1+1 : v1+1]
+}
+
+// add appends q to v1's partners.
+func (x *partnerIndex) add(v1 kb.EntityID, q partner) {
+	switch x.first[v1].rank {
+	case noPartner:
+		x.first[v1] = q
+	case morePartners:
+		x.more[v1] = append(x.more[v1], q)
+	default:
+		if x.more == nil {
+			x.more = make(map[kb.EntityID][]partner)
+		}
+		x.more[v1] = []partner{x.first[v1], q}
+		x.first[v1].rank = morePartners
+	}
 }
 
 // labelStats is one label's observation list in canonical order. Only
@@ -78,7 +131,7 @@ func newSeedStats(p *Prepared, seeds []pair.Pair) *seedStats {
 	labels := p.Graph.Labels()
 	st := &seedStats{
 		p:        p,
-		partners: make(map[kb.EntityID][]partner, len(seeds)),
+		partners: newPartnerIndex(p.K1.NumEntities()),
 		labels:   make([]labelStats, len(labels)),
 		byRel1:   make([][]int32, p.K1.NumRels()),
 		byRel2:   make([][]int32, p.K2.NumRels()),
@@ -88,22 +141,12 @@ func newSeedStats(p *Prepared, seeds []pair.Pair) *seedStats {
 		st.byRel1[label.R1] = append(st.byRel1[label.R1], int32(li))
 		st.byRel2[label.R2] = append(st.byRel2[label.R2], int32(li))
 	}
-	// A partner list starts as a one-slot window of block, so the common
-	// case — one partner under the 1:1 constraint — costs no allocation of
-	// its own; a second partner moves the list out.
 	firsts := make([]int32, 0, len(seeds))
-	block := make([]partner, 0, len(seeds))
 	for i, m := range seeds {
-		ps, ok := st.partners[m.U1]
-		switch {
-		case slices.ContainsFunc(ps, func(q partner) bool { return q.u2 == m.U2 }):
+		if slices.ContainsFunc(st.partners.of(m.U1), func(q partner) bool { return q.u2 == m.U2 }) {
 			continue // a repeated seed keeps its first position
-		case ok:
-			st.partners[m.U1] = append(ps, partner{u2: m.U2, rank: int32(i)})
-		default:
-			block = append(block, partner{u2: m.U2, rank: int32(i)})
-			st.partners[m.U1] = block[len(block)-1 : len(block) : len(block)]
 		}
+		st.partners.add(m.U1, partner{u2: m.U2, rank: int32(i)})
 		firsts = append(firsts, int32(i))
 	}
 	for _, i := range firsts {
@@ -161,10 +204,10 @@ func (st *seedStats) collect(index [][]int32, rels []kb.RelID) {
 func (st *seedStats) fold(pending []pair.Pair) {
 	labels := st.p.Graph.Labels()
 	for _, m := range pending {
-		if slices.ContainsFunc(st.partners[m.U1], func(q partner) bool { return q.u2 == m.U2 }) {
+		if slices.ContainsFunc(st.partners.of(m.U1), func(q partner) bool { return q.u2 == m.U2 }) {
 			continue
 		}
-		st.partners[m.U1] = append(st.partners[m.U1], partner{u2: m.U2, rank: -1})
+		st.partners.add(m.U1, partner{u2: m.U2, rank: -1})
 		for _, li := range st.labelsOf(m) {
 			label := labels[li]
 			ls := &st.labels[li]
@@ -177,7 +220,7 @@ func (st *seedStats) fold(pending []pair.Pair) {
 			back.Inverse = !label.Inverse
 			p1, p2 := st.p.neighbors(back, m)
 			for _, a := range p1 {
-				for _, q := range st.partners[a] {
+				for _, q := range st.partners.of(a) {
 					owner := pair.Pair{U1: a, U2: q.u2}
 					if _, linked := slices.BinarySearch(p2, q.u2); !linked || owner == m { // m's own row already counts m
 						continue
@@ -198,7 +241,7 @@ func (st *seedStats) fold(pending []pair.Pair) {
 //
 //remp:hotpath
 func (st *seedStats) hasOtherPartner(m pair.Pair, n2 []kb.EntityID) bool {
-	for _, q := range st.partners[m.U1] {
+	for _, q := range st.partners.of(m.U1) {
 		if q.u2 == m.U2 {
 			continue
 		}
@@ -217,7 +260,7 @@ func (st *seedStats) hasOtherPartner(m pair.Pair, n2 []kb.EntityID) bool {
 func (st *seedStats) knownL(n1, n2 []kb.EntityID) int {
 	known := 0
 	for _, v1 := range n1 {
-		for _, q := range st.partners[v1] {
+		for _, q := range st.partners.of(v1) {
 			if _, ok := slices.BinarySearch(n2, q.u2); ok {
 				known++
 				break

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -204,9 +206,24 @@ func TestLoopTraceTotals(t *testing.T) {
 
 // TestStageLabels pins the stage list the server turns into
 // remp_loop_stage_seconds children: every stage has its own label, in
-// pipeline order, ending with the session-end classifier.
+// pipeline order — Prepare's five sub-stages after it, ending with the
+// session-end classifier — and catalog.txt lists the same labels.
 func TestStageLabels(t *testing.T) {
-	want := []string{"prepare", "block", "similarity", "infer", "select", "apply", "reestimate", "classify"}
+	want := []string{"prepare", "block", "similarity", "graph", "fit", "shards", "infer", "select", "apply", "reestimate", "classify"}
+	catalog, err := os.ReadFile("catalog.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "# remp_loop_stage_seconds stages: "
+	var listed []string
+	for _, line := range strings.Split(string(catalog), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			listed = strings.Fields(rest)
+		}
+	}
+	if !slices.Equal(listed, want) {
+		t.Errorf("catalog.txt lists stages %q, want %q", listed, want)
+	}
 	stages := Stages()
 	if len(stages) != len(want) {
 		t.Fatalf("Stages() = %v, want %d stages", stages, len(want))

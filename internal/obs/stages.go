@@ -15,9 +15,19 @@ const (
 	StageBlock
 	// StageSimilarity is Prepare's similarity sub-stage: attribute
 	// matching over the initial matches, similarity-vector assembly and
-	// partial-order pruning (§IV-C/D). Block and similarity spans nest
-	// inside the enclosing prepare span.
+	// partial-order pruning (§IV-C/D).
 	StageSimilarity
+	// StageGraph is Prepare's ER-graph sub-stage: the graph over the
+	// retained pairs (§V) and its per-entity vertex indexes.
+	StageGraph
+	// StageFit is Prepare's consistency sub-stage: the seed statistics and
+	// the (ε1, ε2) fit of every edge label over the initial matches (§V-A).
+	StageFit
+	// StageShards is Prepare's last sub-stage: the partition into engine
+	// shards and each shard's probabilistic graph. The block, similarity,
+	// graph, fit and shards spans run one after another inside the
+	// enclosing prepare span.
+	StageShards
 	// StageInfer is the loop top's propagation work: engine Sync
 	// (incremental recompute or rebuild), candidate gathering, and the
 	// ranking each gathered shard makes right after its gather, in
@@ -52,6 +62,12 @@ func (s Stage) String() string {
 		return "block"
 	case StageSimilarity:
 		return "similarity"
+	case StageGraph:
+		return "graph"
+	case StageFit:
+		return "fit"
+	case StageShards:
+		return "shards"
 	case StageInfer:
 		return "infer"
 	case StageSelect:

@@ -53,20 +53,22 @@ func GroupByEntity(pairs []Pair, side1 bool) (start, order []int32) {
 			n = e
 		}
 	}
-	start = make([]int32, n+1)
+	// Entity e's count goes to start[e+2], so that after the prefix sum
+	// start[e+1] is where e's pairs begin; placing them moves it to where
+	// they end, which is where e+1's begin.
+	start = make([]int32, n+2)
 	for _, p := range pairs {
-		start[key(p)+1]++
+		start[key(p)+2]++
 	}
-	for e := 0; e < n; e++ {
-		start[e+1] += start[e]
+	for e := 2; e < len(start); e++ {
+		start[e] += start[e-1]
 	}
 	order = make([]int32, len(pairs))
-	next := append([]int32(nil), start[:n]...)
 	for i, p := range pairs {
-		order[next[key(p)]] = int32(i)
-		next[key(p)]++
+		order[start[key(p)+1]] = int32(i)
+		start[key(p)+1]++
 	}
-	return start, order
+	return start[:n+1], order
 }
 
 // Runner runs n independent tasks, possibly in parallel. *core.Scheduler

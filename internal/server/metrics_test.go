@@ -224,3 +224,55 @@ func TestMetricsCounterMonotonicUnderLoad(t *testing.T) {
 		last = v
 	}
 }
+
+// TestConcurrentDeletesRemoveOnce: of many DELETEs racing on one live
+// session exactly one answers 204 — the rest find it gone, 404 — and the
+// deletion counter moves by one.
+func TestConcurrentDeletesRemoveOnce(t *testing.T) {
+	_, ts, c := metricsFixture(t)
+	_, _, req := fixture(t, 4)
+	info, err := c.CreateSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sampleValue(t, scrape(t, ts), "remp_sessions_deleted_total")
+
+	const n = 16
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+info.ID, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.DefaultClient.Do(r)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	deleted := 0
+	for _, code := range codes {
+		switch code {
+		case http.StatusNoContent:
+			deleted++
+		case http.StatusNotFound:
+		default:
+			t.Errorf("DELETE answered %d", code)
+		}
+	}
+	if deleted != 1 {
+		t.Errorf("%d of %d concurrent DELETEs answered 204, want exactly 1 (codes %v)", deleted, n, codes)
+	}
+	if after := sampleValue(t, scrape(t, ts), "remp_sessions_deleted_total"); after-before != 1 {
+		t.Errorf("remp_sessions_deleted_total moved by %v, want 1", after-before)
+	}
+}

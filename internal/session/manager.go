@@ -327,23 +327,29 @@ func (m *Manager) Get(id string) (*Session, bool) {
 // loop (releasing the shard engines of a session removed mid-run) and
 // releases any question reservations it still holds, so sibling sessions
 // can re-post its in-flight pairs. It reports whether anything was removed.
-// The store delete comes first: if it fails the session stays
-// registered and the Remove can be retried — unregistering first would
-// strand an API-unreachable durable record that resurrects the session
-// on the next restart. An ID that is not live but still has a store
-// record (a session whose recovery failed, or one left dormant by a
-// recovery-less OpenManager) is purged from the store, so broken
-// records remain deletable through the API.
+// It first claims the ID's slot, as an admission does, so of concurrent
+// Removes of one ID one alone goes on and reports removal: the others
+// find the slot claimed and report nothing removed. The store delete comes
+// first: if it fails the session is registered again and the Remove can
+// be retried — unregistering for good first would strand an
+// API-unreachable durable record that resurrects the session on the next
+// restart. An ID that is not live but still has a store record (a session
+// whose recovery failed, or one left dormant by a recovery-less
+// OpenManager) is purged from the store, so broken records remain
+// deletable through the API.
 func (m *Manager) Remove(id string) (bool, error) {
 	m.mu.Lock()
 	s, tracked := m.sessions[id]
-	m.mu.Unlock()
 	if tracked && s == nil {
-		// An admission still in flight; leave claimed slots be.
+		// An admission or another Remove holds the slot.
+		m.mu.Unlock()
 		return false, nil
 	}
+	m.sessions[id] = nil
+	m.mu.Unlock()
 	if s == nil {
 		// Not live: purge a dormant store record, if any.
+		defer m.free(id)
 		if _, err := m.store.Get(id); err != nil {
 			if errors.Is(err, ErrStoreNotFound) {
 				return false, nil
@@ -357,11 +363,12 @@ func (m *Manager) Remove(id string) (bool, error) {
 		return true, nil
 	}
 	if err := s.remove(m.store); err != nil {
+		m.mu.Lock()
+		m.sessions[id] = s
+		m.mu.Unlock()
 		return false, fmt.Errorf("%w: deleting %q from store: %w", ErrPersist, id, err)
 	}
-	m.mu.Lock()
-	delete(m.sessions, id)
-	m.mu.Unlock()
+	m.free(id)
 	if s.cache != nil {
 		s.cache.releaseOwned(s.ID())
 	}

@@ -91,84 +91,114 @@ func (b *Builder) Vector(p pair.Pair) Vector {
 	return v
 }
 
-// All computes vectors for every pair, preserving order. One pass over
-// the pairs per side lists each entity's value sets on first sight — once
-// per entity, however many pairs it is in — in one dense table per side;
-// the listed literals are then interned into a per-call corpus in one
-// batch, and pair vectors scored from the tables, both in parallel when a
-// Runner is set. Each out[i] is byte-identical to Vector(pairs[i]). The vectors
-// are disjoint windows of one array, which is all that outlives the call:
-// corpus and tables are garbage on return, and a second call starts from
-// nothing.
+// All computes vectors for every pair, preserving order: windows of
+// AllIn's array, computed with a Workspace of its own.
 func (b *Builder) All(pairs []pair.Pair) []Vector {
+	dim, flat := b.Dim(), b.AllIn(pairs, nil)
 	out := make([]Vector, len(pairs))
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
+}
+
+// AllIn computes the vectors of every pair, preserving order, in one flat
+// array: pairs[i]'s is flat[i*Dim():(i+1)*Dim()], byte-identical to
+// Vector(pairs[i]). Literal words are cut in ws (nil: a new one). A pass
+// over the pairs per side counts each entity's value sets on first sight
+// — once per entity, however many pairs it is in — and a second lists
+// them, in one dense table per side over one array of literals sized by
+// the count; the literals are then interned into a per-call corpus in one
+// batch, and pair vectors scored from the tables, both in parallel when a
+// Runner is set. The array is all that outlives the call: corpus and
+// tables are garbage on return, and a second call starts from nothing.
+func (b *Builder) AllIn(pairs []pair.Pair, ws *strsim.Workspace) (flat []float64) {
 	if len(pairs) == 0 {
-		return out
+		return nil
 	}
 	dim := len(b.matches)
 	bt := batch{
 		pairs:     pairs,
 		dim:       dim,
 		threshold: b.threshold,
-		corpus:    strsim.NewCorpus(),
-		side1:     newValueTable(b.k1.NumEntities()),
-		side2:     newValueTable(b.k2.NumEntities()),
+		corpus:    strsim.NewCorpus(ws),
+		side1:     valueTable{k: b.k1, side1: true, attrs: make([]kb.AttrID, dim)},
+		side2:     valueTable{k: b.k2, attrs: make([]kb.AttrID, dim)},
 		flat:      make([]float64, len(pairs)*dim),
 	}
-	attrs1 := make([]kb.AttrID, dim)
-	attrs2 := make([]kb.AttrID, dim)
 	for i, m := range b.matches {
-		attrs1[i], attrs2[i] = m.A1, m.A2
-	}
-	for i := range pairs {
-		out[i] = bt.flat[i*dim : (i+1)*dim : (i+1)*dim]
+		bt.side1.attrs[i], bt.side2.attrs[i] = m.A1, m.A2
 	}
 	// The two sides' tables are independent: one task each.
-	pair.RunAll(b.runner, 2, func(side int) {
-		for _, p := range pairs {
-			if side == 0 {
-				bt.side1.add(b.k1, p.U1, attrs1)
-			} else {
-				bt.side2.add(b.k2, p.U2, attrs2)
-			}
-		}
-	})
-	n1 := len(bt.side1.vals)
-	lits := bt.corpus.InternAll(b.runner, append(bt.side1.vals, bt.side2.vals...))
+	sides := [2]*valueTable{&bt.side1, &bt.side2}
+	pair.RunAll(b.runner, 2, func(side int) { sides[side].count(pairs) })
+	n1 := bt.side1.off[len(bt.side1.off)-1]
+	vals := make([]string, n1+bt.side2.off[len(bt.side2.off)-1])
+	bt.side1.vals, bt.side2.vals = vals[:n1], vals[n1:]
+	pair.RunAll(b.runner, 2, func(side int) { sides[side].list(pairs) })
+	lits := bt.corpus.InternAll(b.runner, vals)
 	bt.side1.lits, bt.side2.lits = lits[:n1], lits[n1:]
 	chunks := pair.ChunkRanges(len(pairs), b.runner, runtime.NumCPU())
 	pair.RunAll(b.runner, len(chunks), func(ci int) {
 		bt.score(chunks[ci].Lo, chunks[ci].Hi)
 	})
-	return out
+	return bt.flat
 }
 
 // valueTable is one KB side of a batch: the interned value sets of every
-// entity the pair list mentions, one per attribute match, entity by
+// entity the pair list mentions on the K1 (side1) or K2 side, one per
+// attribute match (attrs holds the side's attribute of each), entity by
 // entity in order of first sight.
 type valueTable struct {
-	// base maps an entity to 1 + the index of its first value set, 0
-	// until first sight (off is never empty, so a real base is never 0).
+	k     *kb.KB
+	side1 bool
+	attrs []kb.AttrID
+	// base maps an entity to 1 + the index of its first value set, 0 if
+	// it is in no pair.
 	base []int32
-	off  []int32 // value set i is lits[off[i]:off[i+1]]
-	vals []string
+	off  []int32        // value set i is vals[off[i]:off[i+1]], and lits the same
+	vals []string       // the side's literals
 	lits []strsim.LitID // vals, interned
 }
 
-func newValueTable(numEntities int) valueTable {
-	return valueTable{base: make([]int32, numEntities), off: []int32{0}}
+func (t *valueTable) entity(p pair.Pair) kb.EntityID {
+	if t.side1 {
+		return p.U1
+	}
+	return p.U2
 }
 
-// add lists u's value set on every attribute of attrs (one per attribute
-// match), unless u was added before.
-func (t *valueTable) add(k *kb.KB, u kb.EntityID, attrs []kb.AttrID) {
-	if t.base[u] != 0 {
-		return
+// count numbers the side's entities in order of first sight and counts
+// their values into the offsets' last entry, so that list needs no
+// growing.
+func (t *valueTable) count(pairs []pair.Pair) {
+	t.base = make([]int32, t.k.NumEntities())
+	sets, nvals := int32(0), int32(0)
+	for _, p := range pairs {
+		if u := t.entity(p); t.base[u] == 0 {
+			t.base[u], sets = sets+1, sets+int32(len(t.attrs))
+			for _, a := range t.attrs {
+				nvals += int32(len(t.k.AttrValues(u, a)))
+			}
+		}
 	}
-	t.base[u] = int32(len(t.off))
-	for _, a := range attrs {
-		t.vals = append(t.vals, k.AttrValues(u, a)...)
-		t.off = append(t.off, int32(len(t.vals)))
+	t.off = make([]int32, sets+1)
+	t.off[sets] = nvals
+}
+
+// list copies the counted values into vals and sets the offsets, visiting
+// the entities in count's order: an entity is new where its first set is
+// the next one unlisted.
+func (t *valueTable) list(pairs []pair.Pair) {
+	i, n := int32(0), int32(0)
+	for _, p := range pairs {
+		if u := t.entity(p); t.base[u]-1 == i {
+			for _, a := range t.attrs {
+				n += int32(copy(t.vals[n:], t.k.AttrValues(u, a)))
+				i++
+				t.off[i] = n
+			}
+		}
 	}
 }
 
@@ -253,29 +283,55 @@ func (b *Builder) AttrMasks(side1 bool) AttrMasks {
 }
 
 // Pruner runs partial-order-based pruning (Algorithm 1) over the pairs it
-// was built on. It addresses every pair by its position in that list:
-// vectors[i] is pairs[i]'s vector, and Prune and Keep take the same list.
-// One Pruner serves any number of k.
+// was built on. It addresses every pair by its position in that list, and
+// Prune and Keep take the same list. It keeps each distinct vector once:
+// that is all Algorithm 1 compares. One Pruner serves any number of k.
 type Pruner struct {
-	vectors []Vector
-	// class[i] numbers vectors[i] among the distinct vectors: two pairs
-	// share a class iff their vectors are bitwise equal.
-	class  []int32
-	nClass int
+	// class[i] numbers pairs[i]'s vector among the distinct vectors: two
+	// pairs share a class iff their vectors are bitwise equal. Class c's
+	// vector is distinct[c*dim:(c+1)*dim].
+	class    []int32
+	nClass   int
+	distinct []float64
+	dim      int
 }
 
 // NewPruner receives the similarity vectors of all candidate pairs
-// (Algorithm 1, line 1), vectors[i] being pairs[i]'s. The Pruner keeps the
-// vectors slice itself, not a copy, and numbers its distinct vectors in
-// one hashing pass.
+// (Algorithm 1, line 1), vectors[i] being pairs[i]'s, all of one length,
+// and numbers their distinct vectors in one hashing pass.
 func NewPruner(pairs []pair.Pair, vectors []Vector) *Pruner {
 	if len(pairs) != len(vectors) {
 		panic(fmt.Sprintf("simvec: %d pairs but %d vectors", len(pairs), len(vectors)))
 	}
-	pr := &Pruner{vectors: vectors, class: make([]int32, len(vectors))}
+	dim := 0
+	if len(vectors) > 0 {
+		dim = len(vectors[0])
+	}
+	return newPruner(len(pairs), dim, func(i int) Vector {
+		if len(vectors[i]) != dim {
+			panic(fmt.Sprintf("simvec: vectors of %d and %d components", dim, len(vectors[i])))
+		}
+		return vectors[i]
+	})
+}
+
+// NewFlatPruner is NewPruner over vectors laid out as AllIn returns them:
+// pairs[i]'s is flat[i*dim:(i+1)*dim].
+func NewFlatPruner(pairs []pair.Pair, flat []float64, dim int) *Pruner {
+	if len(flat) != len(pairs)*dim {
+		panic(fmt.Sprintf("simvec: %d pairs but %d components of dimension %d", len(pairs), len(flat), dim))
+	}
+	return newPruner(len(pairs), dim, func(i int) Vector { return flat[i*dim : (i+1)*dim] })
+}
+
+// newPruner numbers the distinct vectors among vec(0) to vec(n-1), each of
+// dim components, and keeps one copy of each.
+func newPruner(n, dim int, vec func(i int) Vector) *Pruner {
+	pr := &Pruner{class: make([]int32, n), dim: dim}
 	ids := make(map[string]int32)
 	var key []byte
-	for i, v := range vectors {
+	for i := range n {
+		v := vec(i)
 		key = key[:0]
 		for _, x := range v {
 			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
@@ -284,11 +340,18 @@ func NewPruner(pairs []pair.Pair, vectors []Vector) *Pruner {
 		if !ok {
 			id = int32(len(ids))
 			ids[string(key)] = id
+			pr.distinct = append(pr.distinct, v...)
 		}
 		pr.class[i] = id
 	}
 	pr.nClass = len(ids)
 	return pr
+}
+
+// classVec returns class c's vector, read-only.
+func (pr *Pruner) classVec(c int32) Vector {
+	lo, hi := int(c)*pr.dim, int(c+1)*pr.dim
+	return pr.distinct[lo:hi:hi]
 }
 
 // Prune implements Algorithm 1: two one-way passes (by K1 entity, then by
@@ -308,8 +371,8 @@ func (pr *Pruner) Prune(pairs []pair.Pair, k int) []pair.Pair {
 // Keep is Prune by position: the ascending positions in pairs of the
 // retained match set Mrd.
 func (pr *Pruner) Keep(pairs []pair.Pair, k int) []int32 {
-	if len(pairs) != len(pr.vectors) {
-		panic(fmt.Sprintf("simvec: pruning %d pairs with a Pruner built on %d", len(pairs), len(pr.vectors)))
+	if len(pairs) != len(pr.class) {
+		panic(fmt.Sprintf("simvec: pruning %d pairs with a Pruner built on %d", len(pairs), len(pr.class)))
 	}
 	if k <= 0 {
 		k = 4
@@ -350,12 +413,13 @@ func (pr *Pruner) pruneOneWay(pairs []pair.Pair, k int, bySide1 bool, removed []
 }
 
 // blockScratch is pruneBlock's state, reused across blocks: the block's
-// distinct vectors in order of first occurrence — a representative
-// position, the multiplicity and whether the class is removed — and slot,
-// which maps a class to 1 + its index there (0 outside the block).
+// distinct vectors in order of first occurrence — the class, the vector,
+// the multiplicity and whether the class is removed — and slot, which maps
+// a class to 1 + its index there (0 outside the block).
 type blockScratch struct {
 	slot   []int32
 	reps   []int32
+	vecs   []Vector
 	weight []int32
 	dead   []bool
 }
@@ -373,21 +437,24 @@ func (pr *Pruner) pruneBlock(block []int32, k int, removed []bool, sc *blockScra
 	for _, pos := range block {
 		c := pr.class[pos]
 		if sc.slot[c] == 0 {
-			sc.reps = append(sc.reps, pos)
+			sc.reps = append(sc.reps, c)
 			sc.weight = append(sc.weight, 0)
 			sc.slot[c] = int32(len(sc.reps))
 		}
 		sc.weight[sc.slot[c]-1]++
 	}
 	sc.dead = append(sc.dead[:0], make([]bool, len(sc.reps))...)
-	for i, pi := range sc.reps {
+	sc.vecs = sc.vecs[:0]
+	for _, c := range sc.reps {
+		sc.vecs = append(sc.vecs, pr.classVec(c))
+	}
+	for i, vi := range sc.vecs {
 		if sc.dead[i] {
 			continue
 		}
-		vi := pr.vectors[pi]
 		rank := 0
-		for j, pj := range sc.reps {
-			if j != i && pr.vectors[pj].StrictlyDominates(vi) {
+		for j, vj := range sc.vecs {
+			if j != i && vj.StrictlyDominates(vi) {
 				rank += int(sc.weight[j])
 				if rank >= k {
 					break
@@ -397,8 +464,8 @@ func (pr *Pruner) pruneBlock(block []int32, k int, removed []bool, sc *blockScra
 		if rank >= k {
 			sc.dead[i] = true
 			// Everything dominated by vi has rank ≥ rank(i) ≥ k.
-			for j, pj := range sc.reps {
-				if !sc.dead[j] && vi.StrictlyDominates(pr.vectors[pj]) {
+			for j, vj := range sc.vecs {
+				if !sc.dead[j] && vi.StrictlyDominates(vj) {
 					sc.dead[j] = true
 				}
 			}
@@ -407,7 +474,7 @@ func (pr *Pruner) pruneBlock(block []int32, k int, removed []bool, sc *blockScra
 	for _, pos := range block {
 		removed[pos] = sc.dead[sc.slot[pr.class[pos]]-1]
 	}
-	for _, pos := range sc.reps {
-		sc.slot[pr.class[pos]] = 0
+	for _, c := range sc.reps {
+		sc.slot[c] = 0
 	}
 }

@@ -145,16 +145,16 @@ func TestPruneBothSides(t *testing.T) {
 // against: the max over both sides of the number of same-entity
 // competitors whose vectors strictly dominate the pair's vector.
 func (pr *Pruner) MinRank(pairs []pair.Pair, i int) int {
-	p, v := pairs[i], pr.vectors[i]
+	p, v := pairs[i], pr.classVec(pr.class[i])
 	r1, r2 := 0, 0
 	for j, q := range pairs {
 		if j == i {
 			continue
 		}
-		if q.U1 == p.U1 && pr.vectors[j].StrictlyDominates(v) {
+		if q.U1 == p.U1 && pr.classVec(pr.class[j]).StrictlyDominates(v) {
 			r1++
 		}
-		if q.U2 == p.U2 && pr.vectors[j].StrictlyDominates(v) {
+		if q.U2 == p.U2 && pr.classVec(pr.class[j]).StrictlyDominates(v) {
 			r2++
 		}
 	}

@@ -30,7 +30,7 @@ func BenchmarkSimLStrings(b *testing.B) {
 
 func BenchmarkSimLCorpus(b *testing.B) {
 	va, vb := benchValues(8), benchValues(8)
-	c := NewCorpus()
+	c := NewCorpus(nil)
 	ia, ib := c.InternAll(nil, va), c.InternAll(nil, vb)
 	var sc MatchScratch
 	b.ReportAllocs()
@@ -51,9 +51,9 @@ func BenchmarkJaccardStrings(b *testing.B) {
 }
 
 func BenchmarkJaccardIDs(b *testing.B) {
-	c := NewCorpus()
+	c := NewCorpus(nil)
 	ids := c.InternAll(nil, []string{"the quick brown fox jumps over the lazy dog", "the quick brown cat sleeps under the lazy dog"})
-	ia, ib := c.toks[ids[0]], c.toks[ids[1]]
+	ia, ib := c.tokSet(ids[0]), c.tokSet(ids[1])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

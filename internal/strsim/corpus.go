@@ -20,42 +20,48 @@ type LitID uint32
 // functions: interning is a bijection, so every set size, intersection
 // size and parsed value — the only inputs to the float math — is the same.
 //
-// Literals and their tokens go through two Interners. InternAll fans its
-// work out over a Runner: the literal interning, and then classifying,
-// parsing and tokenizing each new literal. A Corpus is safe for
-// concurrent reads once InternAll returns; InternAll calls must not race
-// with anything.
+// Literals and their tokens go through two Interners, both cutting their
+// texts in one Workspace. InternAll fans its work out over a Runner: the
+// literal interning, and then classifying, parsing and tokenizing each
+// new literal. A Corpus is safe for concurrent reads once InternAll
+// returns; InternAll calls must not race with anything.
 type Corpus struct {
 	lits, words Interner
+	ws          *Workspace
 	kinds       []LiteralKind
 	nums        []float64 // parsed value for KindNumber/KindDate literals
-	toks        [][]uint32
+	// literal id's token set is toks[tokEnd[id]:tokEnd[id+1]]
+	tokEnd []int32
+	toks   []uint32
 }
 
-// NewCorpus returns an empty corpus.
-func NewCorpus() *Corpus { return &Corpus{} }
+// NewCorpus returns an empty corpus that cuts its texts in ws; nil gives
+// each InternAll call a Workspace of its own.
+func NewCorpus(ws *Workspace) *Corpus { return &Corpus{ws: ws} }
 
 // InternAll interns every literal in vals, returning their IDs. A
 // literal seen for the first time is classified, parsed and tokenized —
 // in parallel when r is set; the IDs do not depend on r.
 func (c *Corpus) InternAll(r pair.Runner, vals []string) []LitID {
-	old := len(c.kinds)
-	_, ids := c.lits.Sets(r, len(vals), func(i int) string { return vals[i] }, false)
+	old, ws := len(c.kinds), c.ws
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	_, ids := c.lits.Sets(ws, r, len(vals), func(i int) string { return vals[i] }, false)
 	n, out := c.lits.Len(), make([]LitID, len(vals))
-	fresh := make([]string, n-old) // each new literal, by ID − old
+	fresh := make([]int32, n-old) // where in vals each new literal is, by ID − old
 	for i, id := range ids {
 		if out[i] = LitID(id); int(id) >= old {
-			fresh[int(id)-old] = vals[i]
+			fresh[int(id)-old] = int32(i)
 		}
 	}
 	c.kinds = append(c.kinds, make([]LiteralKind, n-old)...)
 	c.nums = append(c.nums, make([]float64, n-old)...)
-	c.toks = append(c.toks, make([][]uint32, n-old)...)
 
 	chunks := pair.ChunkRanges(len(fresh), r, runtime.NumCPU())
 	pair.RunAll(r, len(chunks), func(ci int) {
 		for id := old + chunks[ci].Lo; id < old+chunks[ci].Hi; id++ {
-			lit := strings.TrimSpace(fresh[id-old])
+			lit := strings.TrimSpace(vals[fresh[id-old]])
 			switch c.kinds[id] = Classify(lit); c.kinds[id] {
 			case KindNumber:
 				c.nums[id], _ = strconv.ParseFloat(lit, 64)
@@ -67,12 +73,20 @@ func (c *Corpus) InternAll(r pair.Runner, vals []string) []LitID {
 	// A literal's token set is TokenSet(lit) by ID instead of by string, a
 	// different permutation of the same set, so every intersection size —
 	// the only thing downstream math reads — is unchanged.
-	start, toks := c.words.Sets(r, len(fresh), func(i int) string { return fresh[i] }, true)
-	for i := range fresh {
-		c.toks[old+i] = toks[start[i]:start[i+1]:start[i+1]]
+	start, toks := c.words.Sets(ws, r, len(fresh), func(i int) string { return vals[fresh[i]] }, true)
+	if old == 0 {
+		c.tokEnd, c.toks = start, toks
+	} else {
+		for _, end := range start[1:] {
+			c.tokEnd = append(c.tokEnd, int32(len(c.toks))+end)
+		}
+		c.toks = append(c.toks, toks...)
 	}
 	return out
 }
+
+// tokSet returns literal id's token set, read-only.
+func (c *Corpus) tokSet(id LitID) []uint32 { return c.toks[c.tokEnd[id]:c.tokEnd[id+1]] }
 
 // LiteralSim is LiteralSimilarity over interned literals: same-kind
 // numbers and dates compare by maximum percentage difference on the cached
@@ -85,7 +99,7 @@ func (c *Corpus) LiteralSim(a, b LitID) float64 {
 	if ka == kb && ka != KindString {
 		return NumberSimilarity(c.nums[a], c.nums[b])
 	}
-	return JaccardIDs(c.toks[a], c.toks[b])
+	return JaccardIDs(c.tokSet(a), c.tokSet(b))
 }
 
 // SimL is the extended Jaccard similarity over interned literal sets,

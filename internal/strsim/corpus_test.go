@@ -35,13 +35,13 @@ func randLiteralSet(r *rand.Rand, max int) []string {
 // literals are interned one call each, in one serial batch, or in one
 // batch fanned out over a runner.
 func TestCorpusLiteralSimMatches(t *testing.T) {
-	one := NewCorpus()
+	one := NewCorpus(nil)
 	var ids []LitID
 	for _, lit := range hostileLiterals {
 		ids = append(ids, one.InternAll(nil, []string{lit})...)
 	}
-	serial := NewCorpus()
-	par := NewCorpus()
+	serial := NewCorpus(nil)
+	par := NewCorpus(nil)
 	for _, cs := range []struct {
 		name string
 		c    *Corpus
@@ -68,7 +68,7 @@ func TestCorpusLiteralSimMatches(t *testing.T) {
 // value sets and thresholds.
 func TestCorpusSimLMatches(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	c := NewCorpus()
+	c := NewCorpus(nil)
 	var sc MatchScratch
 	for i := 0; i < 3000; i++ {
 		va := randLiteralSet(r, 5)
@@ -85,7 +85,7 @@ func TestCorpusSimLMatches(t *testing.T) {
 // TestCorpusInternIdempotent: re-interning returns the same ID, within
 // one batch and across batches.
 func TestCorpusInternIdempotent(t *testing.T) {
-	c := NewCorpus()
+	c := NewCorpus(nil)
 	ids := c.InternAll(nil, []string{"hello world", "other", "hello world"})
 	a, b := ids[0], ids[1]
 	if ids[2] != a {

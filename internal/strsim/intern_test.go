@@ -43,12 +43,13 @@ func internRounds(seed int64) [][]string {
 	return rounds
 }
 
-// internIDs interns rounds with r, one Sets call per round, and returns
-// every round's starts and IDs.
+// internIDs interns rounds with r, one Sets call per round, all cut in
+// one Workspace, and returns every round's starts and IDs.
 func internIDs(rounds [][]string, r interface{ ForEach(int, func(int)) }, tokenize bool) (out [][2][]uint32) {
 	var in Interner
+	var ws Workspace
 	for _, texts := range rounds {
-		start, ids := in.Sets(r, len(texts), func(i int) string { return texts[i] }, tokenize)
+		start, ids := in.Sets(&ws, r, len(texts), func(i int) string { return texts[i] }, tokenize)
 		st := make([]uint32, len(start))
 		for i, s := range start {
 			st[i] = uint32(s)
@@ -89,7 +90,8 @@ func checkInternedLikeMap(t *testing.T, ctx string, rounds [][]string, got [][2]
 
 // TestInternerIsDeterministicAndExact: the IDs of an Interner depend on
 // the texts and their order only — serial, fanned out over goroutines,
-// and on one CPU, tokenized or not — and untokenized they equal a map's
+// on one CPU and cut a few texts at a time, tokenized or not — and
+// untokenized they equal a map's
 // text identity; tokenized, each text's set has TokenSet's size. With
 // every hash equal, the identity still holds: collisions are resolved by
 // comparing bytes.
@@ -107,6 +109,13 @@ func TestInternerIsDeterministicAndExact(t *testing.T) {
 			runtime.GOMAXPROCS(prev)
 			if !reflect.DeepEqual(one, serial) {
 				t.Fatalf("%s: IDs differ under GOMAXPROCS=1", ctx)
+			}
+			prevBatch := internBatch
+			internBatch = 7
+			batched := internIDs(rounds, wideRunner{}, tokenize)
+			internBatch = prevBatch
+			if !reflect.DeepEqual(batched, serial) {
+				t.Fatalf("%s: IDs differ when Sets cuts %d texts at a time", ctx, 7)
 			}
 			if !tokenize {
 				checkInternedLikeMap(t, ctx, rounds, serial)
