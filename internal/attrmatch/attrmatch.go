@@ -6,7 +6,6 @@
 package attrmatch
 
 import (
-	"runtime"
 	"sort"
 
 	"repro/internal/assign"
@@ -101,7 +100,7 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 
 	// Contribution pass over contiguous chunks of min: each chunk records
 	// its (a1, a2, simL) contributions in match order.
-	chunks := pair.ChunkRanges(len(min), opts.Runner, runtime.NumCPU())
+	chunks := pair.ChunkRanges(len(min), opts.Runner, pair.Width())
 	parts := make([][]contrib, len(chunks))
 	pair.RunAll(opts.Runner, len(chunks), func(ci int) {
 		var sc strsim.MatchScratch

@@ -43,7 +43,6 @@ package blocking
 import (
 	"cmp"
 	"math/bits"
-	"runtime"
 	"slices"
 
 	"repro/internal/kb"
@@ -419,7 +418,7 @@ func internLabels(k1, k2 *kb.KB, r pair.Runner, ws *strsim.Workspace) (labelSets
 }
 
 // parallelChunks is how many contiguous entity ranges Generate fans out
-// when a Runner is supplied. One chunk per CPU keeps the per-chunk
-// counts (4 bytes per K2 entity) proportional to real parallelism; the
+// when a Runner is supplied: pair.Width, so the per-chunk counts (4 bytes
+// per K2 entity) follow the pool's real parallelism. Tests raise it; the
 // chunk count never affects the result.
-var parallelChunks = runtime.NumCPU()
+var parallelChunks = pair.Width()

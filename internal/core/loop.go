@@ -238,19 +238,9 @@ func (l *Loop) resolved(q pair.Pair) bool {
 // the session layer to swallow a late crowd answer for it.
 func (l *Loop) WasDeduced(q pair.Pair) bool { return l.deduced.Has(q) }
 
-// DeduceEnabled reports whether the loop skips already-resolved
-// questions (Config.Deduce). The session layer consults it before
-// engaging the namespace deduction tier, so a Deduce-off session never
-// receives synthesized answers.
-func (l *Loop) DeduceEnabled() bool { return l.p.Cfg.Deduce }
-
-// Deduces reports whether the loop will skip q because it is already
-// resolved. Unlike WasDeduced it answers before the apply cursor
-// reaches q: the session layer uses it to withhold a question from
-// publication (the crowd would answer it for nothing — the drain will
-// skip it) and to keep the namespace deduction tier from answering a
-// question this loop is about to skip by itself.
-func (l *Loop) Deduces(q pair.Pair) bool { return l.p.Cfg.Deduce && l.resolved(q) }
+// skips reports whether the drain will skip open question q with no
+// answer: with Config.Deduce, an earlier answer already resolved it.
+func (l *Loop) skips(q pair.Pair) bool { return l.p.Cfg.Deduce && l.resolved(q) }
 
 // touch marks vertex i's shard dirty: its cached candidates and selection
 // no longer describe the next loop.
@@ -347,14 +337,18 @@ func (l *Loop) Err() error { return l.err }
 // sets are live views of the work in progress; once Done they are final.
 func (l *Loop) Result() *Result { return l.res }
 
-// Batch returns the open questions still awaiting an answer, in selection
-// order. It is empty exactly when the loop is done: the machine never
-// stalls with an open batch fully buffered, because a buffered answer
-// out of order implies an earlier question is still unanswered.
+// Batch returns the open questions that can still be asked, in selection
+// order: those with no answer yet that the drain will not skip (with
+// Config.Deduce, a question an earlier answer resolved is skipped, so
+// asking it would buy an answer the loop discards). It is empty exactly
+// when the loop is done or failed: after any drain the question at the
+// cursor is neither buffered (the drain would have applied it) nor, with
+// Deduce on, resolved (the drain would have skipped it), and nothing
+// resolves a pair between drains.
 func (l *Loop) Batch() []pair.Pair {
 	out := make([]pair.Pair, 0, len(l.open)-l.next)
 	for _, q := range l.open[l.next:] {
-		if _, buffered := l.buf[q]; !buffered {
+		if _, buffered := l.buf[q]; !buffered && !l.skips(q) {
 			out = append(out, q)
 		}
 	}
@@ -416,7 +410,7 @@ func (l *Loop) drain() {
 	cfg := l.p.Cfg
 	for l.next < len(l.open) {
 		q := l.open[l.next]
-		if cfg.Deduce && l.resolved(q) {
+		if l.skips(q) {
 			// An earlier batch-mate's propagation cascade or competitor
 			// exclusion already resolved q: skip the question instead of
 			// spending a crowd answer. Any buffered late answer is

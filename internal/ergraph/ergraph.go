@@ -8,7 +8,6 @@ package ergraph
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"repro/internal/kb"
@@ -116,7 +115,7 @@ func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
 	if runner == nil || len(vertices) < minParallelVertices {
 		return build(k1, k2, vertices, nil, 1)
 	}
-	return build(k1, k2, vertices, runner, min(buildRangesPerCPU*runtime.GOMAXPROCS(0), len(vertices)/minRangeVertices))
+	return build(k1, k2, vertices, runner, min(buildRangesPerCPU*pair.Width(), len(vertices)/minRangeVertices))
 }
 
 // build is Build over the given number of vertex ranges, fanned through r

@@ -5,7 +5,8 @@
 // bench_test.go both dispatch into this package. Absolute numbers differ
 // from the paper (the substrate is a laptop-scale simulator, not MTurk +
 // the full dumps) but the comparative shape is the reproduction target;
-// EXPERIMENTS.md records paper-versus-measured values side by side.
+// README.md's "Reproducing the paper" section says how to run them and
+// which of them check the system.
 package experiments
 
 import (

@@ -29,9 +29,11 @@ type PrepareReport struct {
 	// StageNS breaks out its block/similarity sub-stages.
 	PrepareNS int64            `json:"prepare_ns"`
 	StageNS   map[string]int64 `json:"stage_ns,omitempty"`
-	// IndexedNS and NaiveNS time the pre-pipeline in isolation — candidate
-	// generation, the simA matrix and similarity vectors, the three pieces
-	// this PR flattened — on the indexed and retained-naive paths.
+	// IndexedNS and NaiveNS are the wall time, on the indexed and the
+	// retained-naive path, of candidate generation, the simA matrix and
+	// the candidates' similarity vectors, run outside Prepare (the indexed
+	// run also finds the attribute matches the vectors read; the naive run
+	// reuses them). Speedup is their ratio.
 	IndexedNS  int64   `json:"indexed_ns"`
 	NaiveNS    int64   `json:"naive_ns,omitempty"`
 	Speedup    float64 `json:"speedup,omitempty"`

@@ -7,6 +7,7 @@ package pair
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/kb"
@@ -81,9 +82,14 @@ type Runner interface {
 // Range is a half-open [Lo, Hi) range of indexes.
 type Range struct{ Lo, Hi int }
 
+// Width is how many chunks a fan-out through a Runner cuts its work
+// into: GOMAXPROCS, the number of tasks core's shard-work pool runs at
+// once. More chunks would only multiply the per-chunk scratch memory.
+func Width() int { return runtime.GOMAXPROCS(0) }
+
 // ChunkRanges splits n items into contiguous ranges for RunAll: up to
-// chunks of them (callers pass the CPU count) when r is set, a single one
-// when it is nil. Per-item cost is taken as homogeneous, so the ranges are
+// chunks of them (callers pass Width) when r is set, a single one when it
+// is nil. Per-item cost is taken as homogeneous, so the ranges are
 // of equal size; their number never affects a result.
 func ChunkRanges(n int, r Runner, chunks int) []Range {
 	if n == 0 {

@@ -105,7 +105,7 @@ func newServerMetrics() *serverMetrics {
 // callbacks fire only when /metrics is scraped, never during recovery.
 func (m *serverMetrics) bindManager(s *Server) {
 	m.reg.GaugeFunc("remp_sessions_active", "Live sessions the server serves.", func() float64 {
-		return float64(s.served())
+		return float64(len(s.mgr.IDs()))
 	})
 	m.reg.CounterFunc("remp_cache_hits_total", "Answer-cache lookups served from a sibling session's answer.", func() float64 {
 		h, _, _ := s.mgr.CacheStats()

@@ -57,8 +57,9 @@ type PlanCache struct {
 
 	mu        sync.Mutex
 	plans     map[[sha256.Size]byte]*plan
-	idle      list.List // of *plan, most recently released first
-	idleBytes int64     // the estimated bytes of the plans on idle
+	built     map[*core.Prepared]*plan // the built plans, by pipeline
+	idle      list.List                // of *plan, most recently released first
+	idleBytes int64                    // the estimated bytes of the plans on idle
 }
 
 // NewPlanCache returns an empty cache whose pipelines prepare builds (the
@@ -67,6 +68,7 @@ func NewPlanCache(prepare func(remp.Dataset, remp.Options) (*core.Prepared, erro
 	return &PlanCache{
 		prepare:   prepare,
 		plans:     make(map[[sha256.Size]byte]*plan),
+		built:     make(map[*core.Prepared]*plan),
 		hits:      reg.Counter("remp_plan_cache_hits_total", "Sessions started over a plan (dataset + prepared pipeline) an earlier session of the spec left cached."),
 		misses:    reg.Counter("remp_plan_cache_misses_total", "Sessions whose spec had no cached plan: one dataset load and one Prepare each."),
 		evictions: reg.Counter("remp_plan_cache_evictions_total", "Idle plans dropped to keep the idle ones within the byte budget."),
@@ -123,8 +125,20 @@ func (c *PlanCache) load(pl *plan, spec []byte) error {
 	if pl.prepared, err = c.prepare(pl.ds, opts); err == nil {
 		pl.cost = planCost(pl.ds, pl.prepared)
 		c.resident.Add(pl.cost)
+		c.mu.Lock()
+		c.built[pl.prepared] = pl
+		c.mu.Unlock()
 	}
 	return err
+}
+
+// of returns the cached plan whose pipeline p is, nil once it was
+// evicted. A session's plan is found while the session holds it: held
+// plans are never evicted.
+func (c *PlanCache) of(p *core.Prepared) *plan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.built[p]
 }
 
 // release ends one hold. A plan nobody holds goes to the front of the
@@ -141,6 +155,7 @@ func (c *PlanCache) release(pl *plan) {
 	for c.idleBytes > planBudget {
 		old := c.idle.Remove(c.idle.Back()).(*plan)
 		delete(c.plans, old.key)
+		delete(c.built, old.prepared)
 		c.idleBytes -= old.cost
 		c.resident.Add(-old.cost)
 		c.evictions.Inc()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,6 +30,16 @@ func idlePlans(c *PlanCache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.idle.Len()
+}
+
+// sessionPlan returns the plan session id runs over, nil when the server
+// does not serve it.
+func sessionPlan(srv *Server, id string) *plan {
+	sess, ok := srv.mgr.Get(id)
+	if !ok {
+		return nil
+	}
+	return srv.plans.of(sess.Prepared())
 }
 
 // planStats are a cache's counters, read together.
@@ -149,7 +161,7 @@ func TestPlanCacheConcurrentCreates(t *testing.T) {
 	seen := map[string]bool{}
 	for _, id := range ids {
 		seen[id] = true
-		if srv.meta[id].plan != srv.meta[ids[0]].plan {
+		if sessionPlan(srv, id) != sessionPlan(srv, ids[0]) {
 			t.Fatalf("sessions %s and %s run over different plans", id, ids[0])
 		}
 	}
@@ -406,11 +418,11 @@ func TestPlanCacheRestoreAndRecovery(t *testing.T) {
 		t.Fatalf("recovering %d sessions of one spec and a broken one: %+v with %d idle, want 2 misses, %d hits, one plan held and the broken session's idle",
 			k, st, idlePlans(srv2.plans), k-1)
 	}
-	if srv2.meta[doomed.ID] != nil {
+	if _, ok := srv2.mgr.Get(doomed.ID); ok {
 		t.Fatalf("the session that failed to recover kept its server-side state")
 	}
 	for _, id := range recovered {
-		if srv2.meta[id].plan != srv2.meta[recovered[0]].plan {
+		if sessionPlan(srv2, id) != sessionPlan(srv2, recovered[0]) {
 			t.Fatalf("recovered sessions %s and %s run over different plans", id, recovered[0])
 		}
 	}
@@ -514,5 +526,80 @@ func TestPlanCostEstimate(t *testing.T) {
 		}
 		runtime.KeepAlive(gold)
 		runtime.KeepAlive(p)
+	}
+}
+
+// TestDeleteRacesCreate aims DELETEs at the next few session IDs while
+// one create runs, round after round. A DELETE that lands after the
+// Manager has admitted the session, before the create returns, must take
+// it out for good: after each round the session is served and held by the
+// Manager, or neither; GET /v1/sessions lists it exactly when GET
+// /v1/sessions/{id} answers 200; and once it is deleted the one plan has
+// no holds left. The rounds run in process, without TCP, so the DELETEs
+// come fast enough to hit the admission's window. Run it under -race.
+func TestDeleteRacesCreate(t *testing.T) {
+	const rounds, deleters, ahead = 3000, 4, 3
+	_, _, req := fixture(t, 1)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New()
+	h := srv.Handler()
+	do := func(method, target string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+		return rec
+	}
+	holds := func() int {
+		srv.plans.mu.Lock()
+		defer srv.plans.mu.Unlock()
+		n := 0
+		for _, pl := range srv.plans.plans {
+			n += pl.holds
+		}
+		return n
+	}
+	for round := 0; round < rounds; round++ {
+		next := round + 1 // a round creates one session, s1 first
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for g := range deleters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := g; !stop.Load(); k++ {
+					do(http.MethodDelete, fmt.Sprintf("/v1/sessions/s%d", next+k%ahead), nil)
+				}
+			}()
+		}
+		created := do(http.MethodPost, "/v1/sessions", body)
+		stop.Store(true)
+		wg.Wait()
+		if created.Code != http.StatusCreated {
+			t.Fatalf("round %d: create answered %d: %s", round, created.Code, created.Body)
+		}
+		var info SessionInfo
+		if err := json.Unmarshal(created.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		var list map[string][]string
+		if err := json.Unmarshal(do(http.MethodGet, "/v1/sessions", nil).Body.Bytes(), &list); err != nil {
+			t.Fatal(err)
+		}
+		listed := slices.Contains(list["sessions"], info.ID)
+		served := do(http.MethodGet, "/v1/sessions/"+info.ID, nil).Code == http.StatusOK
+		_, held := srv.mgr.Get(info.ID)
+		if listed != served || served != held {
+			t.Fatalf("round %d: session %s listed %v, served %v, held by the manager %v", round, info.ID, listed, served, held)
+		}
+		if served {
+			if code := do(http.MethodDelete, "/v1/sessions/"+info.ID, nil).Code; code != http.StatusNoContent {
+				t.Fatalf("round %d: DELETE %s answered %d", round, info.ID, code)
+			}
+		}
+		if n := holds(); n != 0 {
+			t.Fatalf("round %d: session %s is gone but its plan has %d holds", round, info.ID, n)
+		}
 	}
 }

@@ -165,22 +165,16 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// sessionMeta is the server's entry for one served session: the
-// session, its own create spec, and its hold on the plan it shares with
-// every other session of that spec.
-type sessionMeta struct {
-	sess *session.Session
-	spec CreateRequest
-	*plan
-}
-
-// Server serves resolution sessions over HTTP.
+// Server serves resolution sessions over HTTP. The Manager's table is
+// the one table of served sessions: a session is served exactly while the
+// Manager holds it, its create spec is its Meta, and its plan is the one
+// whose pipeline it runs over. Each session holds its plan from its
+// admission until the DELETE that Manager.Remove hands it back to.
 type Server struct {
 	mgr           *session.Manager
 	plans         *PlanCache
 	mu            sync.Mutex
-	meta          map[string]*sessionMeta // the served sessions, by ID
-	refs          map[string]string       // CreateRequest.ClientRef → session ID
+	refs          map[string]string // CreateRequest.ClientRef → session ID
 	log           *slog.Logger
 	metrics       *serverMetrics
 	reqID         atomic.Int64
@@ -268,7 +262,6 @@ func NewServer(cfg Config) (*Server, []string, error) {
 		}
 	}
 	s := &Server{
-		meta:          make(map[string]*sessionMeta),
 		refs:          make(map[string]string),
 		log:           logger,
 		metrics:       metrics,
@@ -287,27 +280,26 @@ func NewServer(cfg Config) (*Server, []string, error) {
 	// Recovery opens each stored session's plan from the CreateRequest
 	// persisted as its meta blob. Server defaults were baked in before it
 	// was stored, so it keys the plan the session was created over.
-	opened := make(map[string]*sessionMeta)
+	opened := make(map[string]*plan)
 	recovered, err := s.mgr.Recover(func(id string, meta []byte) (*core.Prepared, string, error) {
 		var req CreateRequest
 		if err := json.Unmarshal(meta, &req); err != nil {
 			return nil, "", fmt.Errorf("stored spec: %w", err)
 		}
-		m, err := s.open(req)
+		pl, err := s.open(req)
 		if err != nil {
 			return nil, "", fmt.Errorf("stored spec: %w", err)
 		}
-		opened[id] = m
-		return m.prepared, m.namespace, nil
+		opened[id] = pl
+		return pl.prepared, pl.namespace, nil
 	})
 	for _, id := range recovered {
-		m := opened[id]
-		m.sess, _ = s.mgr.Get(id)
-		s.register(m)
-		delete(opened, id)
+		delete(opened, id) // the recovered session holds its plan
+		sess, _ := s.mgr.Get(id)
+		s.addRef(clientRef(sess), id)
 	}
 	for _, id := range slices.Sorted(maps.Keys(opened)) {
-		s.plans.release(opened[id].plan) // the plan opened, the replay over it failed
+		s.plans.release(opened[id]) // the plan opened, the replay over it failed
 	}
 	metrics.sessionsRecovered.Add(int64(len(recovered)))
 	if len(recovered) > 0 {
@@ -328,46 +320,34 @@ func (s *Server) WALReplayed() int64 { return s.mgr.WALReplayed() }
 // open holds the plan of a create spec on a new session's behalf. The
 // plan cache's key is the spec without its ClientRef, which names the
 // session, not the pipeline.
-func (s *Server) open(req CreateRequest) (*sessionMeta, error) {
-	m := &sessionMeta{spec: req}
+func (s *Server) open(req CreateRequest) (*plan, error) {
 	req.ClientRef = ""
 	spec, err := json.Marshal(req)
-	if err == nil {
-		m.plan, err = s.plans.acquire(spec)
+	if err != nil {
+		return nil, err
 	}
-	return m, err
+	return s.plans.acquire(spec)
 }
 
-// register starts serving m's session and records its client ref.
-func (s *Server) register(m *sessionMeta) {
+// clientRef returns the client_ref of the create spec a session was
+// admitted with, reading that one field of its meta.
+func clientRef(sess *session.Session) string {
+	var spec struct {
+		ClientRef string `json:"client_ref"`
+	}
+	_ = json.Unmarshal(sess.Meta(), &spec) // admit's own encoding of the spec
+	return spec.ClientRef
+}
+
+// addRef points a client ref at session id while the Manager still holds
+// it. The check and the write share s.mu with handleDelete's unlinking,
+// which follows its Manager.Remove: a DELETE that took the session out
+// first leaves no ref behind, and one that comes later unlinks it.
+func (s *Server) addRef(ref, id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := m.sess.ID()
-	s.meta[id] = m
-	if m.spec.ClientRef != "" {
-		s.refs[m.spec.ClientRef] = id
-	}
-}
-
-// served returns how many sessions the server serves.
-func (s *Server) served() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.meta)
-}
-
-// forget drops a session's server-side state: its hold on its plan, and
-// its client ref unless a newer session has taken the ref over since.
-func (s *Server) forget(id string) {
-	s.mu.Lock()
-	m := s.meta[id]
-	delete(s.meta, id)
-	if m != nil && s.refs[m.spec.ClientRef] == id {
-		delete(s.refs, m.spec.ClientRef)
-	}
-	s.mu.Unlock()
-	if m != nil { // nil: a dormant store record, which held no plan
-		s.plans.release(m.plan)
+	if _, live := s.mgr.Get(id); live && ref != "" {
+		s.refs[ref] = id
 	}
 }
 
@@ -472,7 +452,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"status":           status,
 		"uptime_seconds":   float64(s.metrics.clock()) / 1e9,
 		"store":            s.storeKind,
-		"sessions_active":  s.served(),
+		"sessions_active":  len(s.mgr.IDs()),
 		"draining":         s.draining.Load(),
 		"persist_failures": s.mgr.PersistFailures(),
 		"wal_replayed":     s.mgr.WALReplayed(),
@@ -580,11 +560,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// An idempotent retry: hand back the session the ref already created.
 	if req.ClientRef != "" {
 		s.mu.Lock()
-		m := s.meta[s.refs[req.ClientRef]]
+		id := s.refs[req.ClientRef]
 		s.mu.Unlock()
-		if m != nil {
-			s.log.Info("create with known client_ref: returning its session", "client_ref", req.ClientRef, "session", m.sess.ID())
-			writeJSON(w, http.StatusOK, s.info(m, true))
+		if sess, ok := s.mgr.Get(id); ok {
+			s.log.Info("create with known client_ref: returning its session", "client_ref", req.ClientRef, "session", id)
+			writeJSON(w, http.StatusOK, s.info(sess, true))
 			return
 		}
 	}
@@ -608,8 +588,8 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit is the path create and restore share: hold the spec's plan, start
-// the session over it with the spec as its stored meta, register it and
-// answer 201. The session keeps the hold until its DELETE.
+// the session over it with the spec as its stored meta, record its client
+// ref and answer 201. The session keeps the hold until its DELETE.
 func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, count *obs.Counter,
 	start func(pl *plan, meta []byte) (*session.Session, error)) {
 	// Bake the server-side defaults into the stored spec so a restart
@@ -623,14 +603,14 @@ func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, co
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	m, err := s.open(req)
+	pl, err := s.open(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	m.sess, err = start(m.plan, meta)
+	sess, err := start(pl, meta)
 	if err != nil {
-		s.plans.release(m.plan)
+		s.plans.release(pl)
 		// An ID collision is a genuine conflict, a persistence failure
 		// (full disk, bad data dir) is the server's fault and a shard runner
 		// that would not start is its cluster's; invalid options and
@@ -647,10 +627,10 @@ func (s *Server) admit(w http.ResponseWriter, req CreateRequest, verb string, co
 		writeError(w, status, "%v", err)
 		return
 	}
-	s.register(m)
+	s.addRef(req.ClientRef, sess.ID())
 	count.Inc()
-	s.log.Info("session "+verb, "session", m.sess.ID(), "namespace", m.namespace)
-	writeJSON(w, http.StatusCreated, s.info(m, true))
+	s.log.Info("session "+verb, "session", sess.ID(), "namespace", pl.namespace)
+	writeJSON(w, http.StatusCreated, s.info(sess, true))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -658,29 +638,27 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // lookup resolves the {id} path segment to a served session.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*sessionMeta, bool) {
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session.Session, bool) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	m := s.meta[id]
-	s.mu.Unlock()
-	if m == nil {
+	sess, ok := s.mgr.Get(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 	}
-	return m, m != nil
+	return sess, ok
 }
 
 // handleInfo serves a session's status envelope: with its open batch for
 // GET /batch, without it for the plain status.
 func (s *Server) handleInfo(withBatch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if m, ok := s.lookup(w, r); ok {
-			writeJSON(w, http.StatusOK, s.info(m, withBatch))
+		if sess, ok := s.lookup(w, r); ok {
+			writeJSON(w, http.StatusOK, s.info(sess, withBatch))
 		}
 	}
 }
 
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
-	m, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -698,7 +676,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	// reported per answer instead of aborting the batch.
 	resp := AnswersResponse{}
 	for _, a := range req.Answers {
-		if err := m.sess.Deliver(a.ID, a.Labels); err != nil {
+		if err := sess.Deliver(a.ID, a.Labels); err != nil {
 			resp.Rejected = append(resp.Rejected, RejectedAnswerDTO{ID: a.ID, Error: err.Error()})
 			continue
 		}
@@ -706,19 +684,24 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.answersAccepted.Add(int64(resp.Accepted))
 	s.metrics.answersRejected.Add(int64(len(resp.Rejected)))
-	s.log.Info("answers delivered", "session", m.sess.ID(), "accepted", resp.Accepted, "rejected", len(resp.Rejected))
-	resp.SessionInfo = s.info(m, true)
+	s.log.Info("answers delivered", "session", sess.ID(), "accepted", resp.Accepted, "rejected", len(resp.Rejected))
+	resp.SessionInfo = s.info(sess, true)
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	meta, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	res := meta.sess.Result()
+	p, pl := sess.Prepared(), s.plans.of(sess.Prepared())
+	if pl == nil { // deleted since the lookup, and its plan evicted since
+		writeError(w, http.StatusNotFound, "no session %q", sess.ID())
+		return
+	}
+	res := sess.Result()
 	dto := ResultDTO{
-		Done:              meta.sess.Done(),
+		Done:              sess.Done(),
 		Questions:         res.Questions,
 		Deduced:           res.Deduced,
 		Loops:             res.Loops,
@@ -729,33 +712,35 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		NonMatches:        len(res.NonMatches),
 	}
 	for _, m := range res.Matches.Sorted() {
-		dto.Matches = append(dto.Matches, [2]string{meta.ds.K1.EntityName(m.U1), meta.ds.K2.EntityName(m.U2)})
+		dto.Matches = append(dto.Matches, [2]string{p.K1.EntityName(m.U1), p.K2.EntityName(m.U2)})
 	}
-	if meta.gold != nil {
-		prf := pair.Evaluate(res.Matches, meta.gold)
+	if pl.gold != nil {
+		prf := pair.Evaluate(res.Matches, pl.gold)
 		dto.PRF = &prf
 	}
 	writeJSON(w, http.StatusOK, dto)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	meta, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	data, err := meta.sess.Snapshot()
+	data, err := sess.Snapshot()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotDTO{Create: meta.spec, Session: data})
+	dto := SnapshotDTO{Session: data}
+	_ = json.Unmarshal(sess.Meta(), &dto.Create) // admit's own encoding of the spec
+	writeJSON(w, http.StatusOK, dto)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// No liveness lookup first: Remove also purges dormant store records
 	// (sessions whose recovery failed), which have no live session.
 	id := r.PathValue("id")
-	removed, err := s.mgr.Remove(id)
+	sess, removed, err := s.mgr.Remove(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -764,7 +749,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	s.forget(id)
+	if sess != nil { // nil: a dormant store record, which held no plan
+		ref := clientRef(sess)
+		s.mu.Lock()
+		if s.refs[ref] == id {
+			delete(s.refs, ref)
+		}
+		s.mu.Unlock()
+		s.plans.release(s.plans.of(sess.Prepared()))
+	}
 	s.metrics.sessionsDeleted.Inc()
 	s.log.Info("session deleted", "session", id)
 	w.WriteHeader(http.StatusNoContent)
@@ -772,12 +765,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // info builds the status envelope, optionally materializing the open
 // batch (which may auto-answer questions from the shared cache).
-func (s *Server) info(m *sessionMeta, withBatch bool) SessionInfo {
-	sess := m.sess
+func (s *Server) info(sess *session.Session, withBatch bool) SessionInfo {
 	var batch []QuestionDTO
 	if withBatch {
+		p := sess.Prepared()
 		for _, q := range sess.NextBatch() {
-			batch = append(batch, QuestionDTO{ID: q.ID, Left: m.ds.K1.EntityName(q.Pair.U1), Right: m.ds.K2.EntityName(q.Pair.U2)})
+			batch = append(batch, QuestionDTO{ID: q.ID, Left: p.K1.EntityName(q.Pair.U1), Right: p.K2.EntityName(q.Pair.U2)})
 		}
 	}
 	questions, loops := sess.Progress()

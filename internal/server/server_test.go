@@ -796,9 +796,7 @@ func TestDeleteRacesInFlightRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.mu.Lock()
-		pl := srv.meta[info.ID].plan
-		srv.mu.Unlock()
+		pl := sessionPlan(srv, info.ID)
 		var answers []AnswerDTO
 		for _, q := range info.Batch {
 			answers = append(answers, oracleAnswer(t, gold, q.ID))

@@ -329,7 +329,7 @@ func TestDiskStoreFsyncBudget(t *testing.T) {
 	if q, _ := a.Progress(); q != 40 {
 		t.Fatalf("the session asked %d questions, want the budget of 40", q)
 	}
-	if ok, err := mgr.Remove(a.ID()); !ok || err != nil {
+	if _, ok, err := mgr.Remove(a.ID()); !ok || err != nil {
 		t.Fatalf("Remove: %v %v", ok, err)
 	}
 	t.Logf("create, 40 answers, delete: %d fsyncs", syncs)
@@ -350,7 +350,7 @@ func TestDiskStoreFsyncBudget(t *testing.T) {
 	if syncs > 3 {
 		t.Errorf("a session finishing inside Create cost %d fsyncs, want at most 3", syncs)
 	}
-	if ok, err := mgr.Remove(b.ID()); !ok || err != nil {
+	if _, ok, err := mgr.Remove(b.ID()); !ok || err != nil {
 		t.Fatalf("Remove: %v %v", ok, err)
 	}
 

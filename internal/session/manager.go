@@ -126,9 +126,9 @@ func (m *Manager) Cache(namespace string) *Cache {
 // session from the store (may be nil when recovery is not needed).
 func (m *Manager) Create(p *core.Prepared, namespace string, meta []byte) (*Session, error) {
 	snap := &Snapshot{Version: SnapshotVersion, ID: m.claimID()}
-	return m.admit(p, namespace, snap, func(s *Session) error {
+	return m.admit(p, namespace, meta, snap, func(s *Session) error {
 		for {
-			err := m.writeRecord(s, meta, false)
+			err := m.writeRecord(s, false)
 			if !errors.Is(err, ErrStoreExists) {
 				return err
 			}
@@ -172,10 +172,11 @@ func (m *Manager) free(id string) {
 }
 
 // admit brings a session to life under the slot its caller claimed
-// (snap.ID) — the one path Create, Restore and Recover share. It replays
-// snap over p cache-free (a sibling's answers must not advance the loop
-// past its own recorded history), so a runner that cannot start fails
-// all three alike with ErrRunner. The session then joins the namespace
+// (snap.ID), with meta as its pipeline spec — the one path Create,
+// Restore and Recover share. It replays snap over p cache-free (a
+// sibling's answers must not advance the loop past its own recorded
+// history), so a runner that cannot start fails all three alike with
+// ErrRunner. The session then joins the namespace
 // cache and the store in the order its record needs. A nil record means
 // the store already holds it (Recover): the journal attaches first, so
 // answers siblings resolved meanwhile drain in at the join and are
@@ -183,12 +184,13 @@ func (m *Manager) free(id string) {
 // after the join, and the drained answers ride in its snapshot. On any
 // failure the slot and the session's reservations are freed and its loop
 // closed.
-func (m *Manager) admit(p *core.Prepared, namespace string, snap *Snapshot, record func(*Session) error) (*Session, error) {
+func (m *Manager) admit(p *core.Prepared, namespace string, meta []byte, snap *Snapshot, record func(*Session) error) (*Session, error) {
 	s, err := Restore(p, nil, snap)
 	if err != nil {
 		m.free(snap.ID)
 		return nil, err
 	}
+	s.meta = meta
 	cache := m.Cache(namespace)
 	if record == nil {
 		s.journalTo(m.store, &m.persistFails)
@@ -209,21 +211,21 @@ func (m *Manager) admit(p *core.Prepared, namespace string, snap *Snapshot, reco
 	return s, nil
 }
 
-// writeRecord stores the session's create record — meta plus a snapshot
-// of its current state, which covers any answers the cache join drained —
-// and starts journaling onto it. replace clears a stale store record
-// under the same ID first.
-func (m *Manager) writeRecord(s *Session, meta []byte, replace bool) error {
+// writeRecord stores the session's create record — its meta plus a
+// snapshot of its current state, which covers any answers the cache join
+// drained — and starts journaling onto it. replace clears a stale store
+// record under the same ID first.
+func (m *Manager) writeRecord(s *Session, replace bool) error {
 	data, err := s.Snapshot()
 	if err != nil {
 		return fmt.Errorf("session: encoding initial snapshot: %w", err)
 	}
-	err = m.store.Create(s.ID(), meta, data)
+	err = m.store.Create(s.ID(), s.meta, data)
 	if replace && errors.Is(err, ErrStoreExists) {
 		// The caller is explicitly restoring this ID from a snapshot it
 		// holds; an unrecovered store record under the same ID is stale.
 		if err = m.store.Delete(s.ID()); err == nil {
-			err = m.store.Create(s.ID(), meta, data)
+			err = m.store.Create(s.ID(), s.meta, data)
 		}
 	}
 	if err != nil {
@@ -244,7 +246,7 @@ func (m *Manager) Restore(p *core.Prepared, namespace string, meta []byte, snap 
 	if err := m.claim(snap.ID); err != nil {
 		return nil, err
 	}
-	return m.admit(p, namespace, snap, func(s *Session) error { return m.writeRecord(s, meta, true) })
+	return m.admit(p, namespace, meta, snap, func(s *Session) error { return m.writeRecord(s, true) })
 }
 
 // Recover rebuilds every session the store holds — the process-restart
@@ -280,34 +282,34 @@ func (m *Manager) recoverOne(id string, prepare func(id string, meta []byte) (*c
 	if err := m.claim(id); err != nil {
 		return err
 	}
-	p, namespace, snap, err := m.reopen(id, prepare)
+	p, namespace, meta, snap, err := m.reopen(id, prepare)
 	if err != nil {
 		m.free(id)
 		return err
 	}
-	if _, err := m.admit(p, namespace, snap, nil); err != nil {
+	if _, err := m.admit(p, namespace, meta, snap, nil); err != nil {
 		return err
 	}
 	m.walReplayed.Add(int64(len(snap.Applied)))
 	return nil
 }
 
-// reopen reads a stored session back as one replayable snapshot and
-// prepares its pipeline.
-func (m *Manager) reopen(id string, prepare func(id string, meta []byte) (*core.Prepared, string, error)) (*core.Prepared, string, *Snapshot, error) {
+// reopen reads a stored session back as its meta and one replayable
+// snapshot, and prepares its pipeline.
+func (m *Manager) reopen(id string, prepare func(id string, meta []byte) (*core.Prepared, string, error)) (*core.Prepared, string, []byte, *Snapshot, error) {
 	rec, err := m.store.Get(id)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", nil, nil, err
 	}
 	snap, err := rec.Replay()
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", nil, nil, err
 	}
 	if snap.ID != id {
-		return nil, "", nil, fmt.Errorf("stored snapshot carries id %q", snap.ID)
+		return nil, "", nil, nil, fmt.Errorf("stored snapshot carries id %q", snap.ID)
 	}
 	p, namespace, err := prepare(id, rec.Meta)
-	return p, namespace, snap, err
+	return p, namespace, rec.Meta, snap, err
 }
 
 // Get returns the session registered under id. A slot claimed by an
@@ -326,7 +328,10 @@ func (m *Manager) Get(id string) (*Session, bool) {
 // Remove forgets the session, deletes its durable record, closes its
 // loop (releasing the shard engines of a session removed mid-run) and
 // releases any question reservations it still holds, so sibling sessions
-// can re-post its in-flight pairs. It reports whether anything was removed.
+// can re-post its in-flight pairs. It reports whether anything was removed
+// and returns the removed session, nil when there was none (an ID not
+// live, or a dormant store record purged): the one caller that learns a
+// session is gone, so the owner can release what it held for it once.
 // It first claims the ID's slot, as an admission does, so of concurrent
 // Removes of one ID one alone goes on and reports removal: the others
 // find the slot claimed and report nothing removed. The store delete comes
@@ -337,13 +342,13 @@ func (m *Manager) Get(id string) (*Session, bool) {
 // whose recovery failed, or one left dormant by a recovery-less
 // OpenManager) is purged from the store, so broken records remain
 // deletable through the API.
-func (m *Manager) Remove(id string) (bool, error) {
+func (m *Manager) Remove(id string) (*Session, bool, error) {
 	m.mu.Lock()
 	s, tracked := m.sessions[id]
 	if tracked && s == nil {
 		// An admission or another Remove holds the slot.
 		m.mu.Unlock()
-		return false, nil
+		return nil, false, nil
 	}
 	m.sessions[id] = nil
 	m.mu.Unlock()
@@ -352,27 +357,27 @@ func (m *Manager) Remove(id string) (bool, error) {
 		defer m.free(id)
 		if _, err := m.store.Get(id); err != nil {
 			if errors.Is(err, ErrStoreNotFound) {
-				return false, nil
+				return nil, false, nil
 			}
 			// The record exists but is unreadable (e.g. a corrupt log) —
 			// exactly the thing an operator wants to delete; fall through.
 		}
 		if err := m.store.Delete(id); err != nil {
-			return false, fmt.Errorf("%w: deleting %q from store: %w", ErrPersist, id, err)
+			return nil, false, fmt.Errorf("%w: deleting %q from store: %w", ErrPersist, id, err)
 		}
-		return true, nil
+		return nil, true, nil
 	}
 	if err := s.remove(m.store); err != nil {
 		m.mu.Lock()
 		m.sessions[id] = s
 		m.mu.Unlock()
-		return false, fmt.Errorf("%w: deleting %q from store: %w", ErrPersist, id, err)
+		return nil, false, fmt.Errorf("%w: deleting %q from store: %w", ErrPersist, id, err)
 	}
 	m.free(id)
 	if s.cache != nil {
 		s.cache.releaseOwned(s.ID())
 	}
-	return true, nil
+	return s, true, nil
 }
 
 // IDs returns the live session IDs in deterministic order.

@@ -105,12 +105,13 @@ func deducedLabels(v deduce.Verdict) []Label {
 // with cache-mediated answer sharing and an event log for snapshots. All
 // methods are safe for concurrent use.
 type Session struct {
-	mu     sync.Mutex
-	id     string
-	loop   *core.Loop
-	cache  *Cache // nil when the session does not share answers
-	k1, k2 string // KB names of the session's pipeline orientation
-	flip   bool   // pipeline orientation is the reverse of the cache's
+	mu    sync.Mutex
+	id    string
+	p     *core.Prepared
+	meta  []byte // the pipeline spec the Manager admitted the session with
+	loop  *core.Loop
+	cache *Cache // nil when the session does not share answers
+	flip  bool   // pipeline orientation is the reverse of the cache's
 
 	// The journal into a Store (nil when the session is not journaled).
 	store      Store
@@ -123,7 +124,7 @@ type Session struct {
 // sessions may share. cache may be nil; when set, the session first drains
 // any answers the cache already holds for its opening batch.
 func New(id string, p *core.Prepared, cache *Cache) *Session {
-	s := &Session{id: id, loop: p.NewLoop(), k1: p.K1.Name(), k2: p.K2.Name()}
+	s := &Session{id: id, p: p, loop: p.NewLoop()}
 	if cache != nil {
 		s.joinCache(cache)
 	}
@@ -144,6 +145,15 @@ func (s *Session) canon(q pair.Pair) pair.Pair {
 
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }
+
+// Prepared returns the pipeline the session runs over, which it shares
+// with every session created over it.
+func (s *Session) Prepared() *core.Prepared { return s.p }
+
+// Meta returns the opaque pipeline spec the Manager admitted the session
+// with (Create's, Restore's or the store record's meta); nil for a
+// session no Manager admitted. The caller must not mutate it.
+func (s *Session) Meta() []byte { return s.meta }
 
 // State returns the session's current state.
 func (s *Session) State() State {
@@ -198,12 +208,6 @@ func (s *Session) NextBatch() []Question {
 	}
 	var out []Question
 	for _, q := range s.loop.Batch() {
-		if s.loop.Deduces(q) {
-			// The loop's own recorded answers already imply q's verdict;
-			// the drain will skip it once the apply cursor reaches it, so
-			// posting it would buy a crowd answer that gets discarded.
-			continue
-		}
 		if s.cache != nil && !s.cache.reserve(s.canon(q), s.id) {
 			continue // answered or posted by a sibling; drained next round
 		}
@@ -242,26 +246,30 @@ func (s *Session) Deliver(id string, labels []Label) error {
 func (s *Session) DeliverPair(q pair.Pair, labels []Label) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.loop.Deliver(q, labels); err != nil {
-		if s.loop.WasDeduced(q) {
-			// A late crowd answer for a question deduction already
-			// skipped: the pair is resolved, so the answer is swallowed
-			// rather than rejected. It is not journaled (it is not part
-			// of the loop's replayable history), but it is shared through
-			// the cache so siblings still benefit from the crowd's work.
-			if s.cache != nil {
-				s.cache.put(s.canon(q), labels)
-				s.drainCache()
-			}
-			return nil
-		}
+	if err := s.applyLocked(q, labels); err != nil {
 		return err
 	}
-	s.journalLocked(q, labels)
+	s.drainCache()
+	return nil
+}
+
+// applyLocked is the one path an answer takes into the session, whether
+// a caller delivered it or the drain found it cached or deduced: the loop
+// applies it, the journal records it, the cache shares it. A late crowd
+// answer for a question deduction already skipped is swallowed rather
+// than rejected: the pair is resolved, so it is not journaled (it is not
+// part of the loop's replayable history), but it is still shared so
+// siblings benefit from the crowd's work. An answer the loop refuses is
+// neither journaled nor shared. Callers hold s.mu.
+func (s *Session) applyLocked(q pair.Pair, labels []Label) error {
+	if err := s.loop.Deliver(q, labels); err == nil {
+		s.journalLocked(q, labels)
+	} else if !s.loop.WasDeduced(q) {
+		return err
+	}
 	if s.cache != nil {
 		s.cache.put(s.canon(q), labels)
 	}
-	s.drainCache()
 	return nil
 }
 
@@ -348,7 +356,7 @@ func (s *Session) Result() *core.Result {
 // the loop past its own recorded history and the rest of the replay
 // would no longer apply.
 func (s *Session) joinCache(c *Cache) {
-	s.flip = c.orient(s.k1, s.k2)
+	s.flip = c.orient(s.p.K1.Name(), s.p.K2.Name())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cache = c
@@ -366,11 +374,14 @@ func (s *Session) joinCache(c *Cache) {
 // session's reservations once the loop finishes. For a Deduce-enabled
 // session, the namespace deduction tier sits behind the answer cache:
 // a question no sibling has answered directly, but whose verdict the
-// namespace's recorded answers imply, is answered with a
-// synthesized label through the same delivery path — journaled, shared
-// and replayed exactly like a crowd answer. Questions the loop's own
-// facts already imply are left alone (the drain skips them without any
-// answer, exactly as the synchronous driver would). Callers hold s.mu.
+// namespace's recorded answers imply, is answered with a synthesized
+// label through applyLocked — journaled, shared (so siblings drain it
+// instead of re-deducing or re-posting it) and replayed exactly like a
+// crowd answer. Questions the loop's own facts already imply are not in
+// its Batch: the loop skips them without any answer, exactly as the
+// synchronous driver would. A drained answer the loop refuses — only a
+// failed shard runner refuses a question of its Batch — ends the drain
+// with the session failed. Callers hold s.mu.
 func (s *Session) drainCache() {
 	if s.cache == nil {
 		return
@@ -378,23 +389,16 @@ func (s *Session) drainCache() {
 outer:
 	for !s.loop.Done() {
 		for _, q := range s.loop.Batch() {
-			if s.loop.Deduces(q) {
-				continue // the loop will skip q by itself
-			}
 			labels, ok := s.cache.answer(s.canon(q))
-			if !ok && s.loop.DeduceEnabled() {
+			if !ok && s.p.Cfg.Deduce {
 				if v := s.cache.deduce(s.canon(q)); v != deduce.Unknown {
 					labels, ok = deducedLabels(v), true
-					// Share the synthesized answer like a crowd answer, so
-					// siblings drain it instead of re-deducing or re-posting.
-					s.cache.put(s.canon(q), labels)
 				}
 			}
 			if ok {
-				if err := s.loop.Deliver(q, labels); err != nil {
-					panic(err) // q came from Batch; delivery cannot fail
+				if s.applyLocked(q, labels) != nil {
+					return // the loop failed; State reports it
 				}
-				s.journalLocked(q, labels)
 				continue outer // the batch may have changed entirely
 			}
 		}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -518,10 +520,85 @@ func TestManagerRemoveReleasesReservations(t *testing.T) {
 	if got := b.NextBatch(); len(got) != 0 {
 		t.Fatalf("session b was handed %d questions a already has in flight", len(got))
 	}
-	if _, err := mgr.Remove(a.ID()); err != nil {
+	if _, _, err := mgr.Remove(a.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.NextBatch(); len(got) != len(batchA) {
 		t.Fatalf("after removing a, session b got %d questions, want %d", len(got), len(batchA))
+	}
+}
+
+// errRunnerBroken is breakableRunner's failure.
+var errRunnerBroken = errors.New("test runner broken")
+
+// breakableRunner is the in-process runner whose Ball fails once broken
+// is set, as a remote runner's does once it has lost its cluster.
+type breakableRunner struct {
+	core.ShardRunner
+	broken *atomic.Bool
+}
+
+func (r breakableRunner) Ball(s int, q pair.Pair) ([]pair.Pair, error) {
+	if r.broken.Load() {
+		return nil, errRunnerBroken
+	}
+	return r.ShardRunner.Ball(s, q)
+}
+
+// TestDrainIntoBrokenRunnerFailsTheSession: a sibling's cached answers,
+// drained into a session whose runner has broken since, fail the session
+// like an answer delivered directly would: NextBatch returns, the state is
+// LoopFailed, Deliver reports the runner's error, and the journal holds
+// every answer the loop applied before the refused one, and not that one.
+func TestDrainIntoBrokenRunnerFailsTheSession(t *testing.T) {
+	k1, k2, gold := bookWorld(6, 29)
+	var broken atomic.Bool
+	p := core.Prepare(k1, k2, testConfig(func(c *core.Config) {
+		c.Runner = func(p *core.Prepared) (core.ShardRunner, error) {
+			r, err := core.NewLocalRunner(p)
+			return breakableRunner{r, &broken}, err
+		}
+	}))
+	store := NewMemStore()
+	mgr := NewManagerStore(store)
+	sibling, err := mgr.Create(p, "books", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := mgr.Create(p, "books", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := sibling.NextBatch()
+	for _, q := range batch {
+		if err := sibling.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	broken.Store(true)
+
+	if got := s.NextBatch(); len(got) != 0 {
+		t.Fatalf("a session whose runner failed published %d questions", len(got))
+	}
+	if st := s.State(); st != core.LoopFailed {
+		t.Fatalf("state %s after the runner refused a drained answer, want %s", st, core.LoopFailed)
+	}
+	if err := s.Deliver(batch[0].ID, oracleLabels(gold, batch[0].Pair)); !errors.Is(err, errRunnerBroken) {
+		t.Fatalf("Deliver on the failed session: %v, want the runner's error", err)
+	}
+	applied := s.snapshot().Applied
+	if len(applied) == 0 {
+		t.Fatal("fixture too easy: the drain applied nothing")
+	}
+	rec, err := store.Get(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := rec.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := applied[:len(applied)-1]; len(journaled.Applied) != len(want) || (len(want) > 0 && !reflect.DeepEqual(journaled.Applied, want)) {
+		t.Fatalf("journal holds %d answers, want the %d applied before the refused one", len(journaled.Applied), len(want))
 	}
 }

@@ -131,7 +131,7 @@ func Restore(p *core.Prepared, cache *Cache, snap *Snapshot) (*Session, error) {
 				sizes, snap.ShardSizes)
 		}
 	}
-	s := &Session{id: snap.ID, loop: p.NewLoop(), k1: p.K1.Name(), k2: p.K2.Name()}
+	s := &Session{id: snap.ID, p: p, loop: p.NewLoop()}
 	if err := s.loop.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRunner, err)
 	}

@@ -50,7 +50,7 @@ func TestManagerSoakAnswerOnce(t *testing.T) {
 				if abandonAfter > 0 && answered >= abandonAfter {
 					// Walk away mid-batch: Remove must release this
 					// session's reservations so siblings can finish.
-					_, err := mgr.Remove(s.ID())
+					_, _, err := mgr.Remove(s.ID())
 					return err
 				}
 				if err := s.Deliver(q.ID, oracles[ns].answer(q.Pair)); err != nil {

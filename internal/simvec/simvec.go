@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/attrmatch"
 	"repro/internal/kb"
@@ -138,7 +137,7 @@ func (b *Builder) AllIn(pairs []pair.Pair, ws *strsim.Workspace) (flat []float64
 	pair.RunAll(b.runner, 2, func(side int) { sides[side].list(pairs) })
 	lits := bt.corpus.InternAll(b.runner, vals)
 	bt.side1.lits, bt.side2.lits = lits[:n1], lits[n1:]
-	chunks := pair.ChunkRanges(len(pairs), b.runner, runtime.NumCPU())
+	chunks := pair.ChunkRanges(len(pairs), b.runner, pair.Width())
 	pair.RunAll(b.runner, len(chunks), func(ci int) {
 		bt.score(chunks[ci].Lo, chunks[ci].Hi)
 	})

@@ -1,7 +1,6 @@
 package strsim
 
 import (
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -58,7 +57,7 @@ func (c *Corpus) InternAll(r pair.Runner, vals []string) []LitID {
 	c.kinds = append(c.kinds, make([]LiteralKind, n-old)...)
 	c.nums = append(c.nums, make([]float64, n-old)...)
 
-	chunks := pair.ChunkRanges(len(fresh), r, runtime.NumCPU())
+	chunks := pair.ChunkRanges(len(fresh), r, pair.Width())
 	pair.RunAll(r, len(chunks), func(ci int) {
 		for id := old + chunks[ci].Lo; id < old+chunks[ci].Hi; id++ {
 			lit := strings.TrimSpace(vals[fresh[id-old]])

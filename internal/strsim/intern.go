@@ -2,7 +2,6 @@ package strsim
 
 import (
 	"bytes"
-	"runtime"
 	"slices"
 
 	"repro/internal/pair"
@@ -191,7 +190,7 @@ func (in *Interner) Sets(ws *Workspace, r pair.Runner, n int, text func(i int) s
 	batch := max(internBatch, n/32)
 	for lo := 0; lo < n; lo += batch {
 		hi := min(n, lo+batch)
-		chunks := pair.ChunkRanges(hi-lo, r, runtime.NumCPU())
+		chunks := pair.ChunkRanges(hi-lo, r, pair.Width())
 		if len(ws.chunks) < len(chunks) {
 			ws.chunks = append(ws.chunks, make([]words, len(chunks)-len(ws.chunks))...)
 		}
@@ -232,7 +231,7 @@ func (in *Interner) Sets(ws *Workspace, r pair.Runner, n int, text func(i int) s
 
 	// Resolve, sort and compact each text's words chunk by chunk, then
 	// close the gaps compaction left between chunks.
-	chunks := pair.ChunkRanges(n, r, runtime.NumCPU())
+	chunks := pair.ChunkRanges(n, r, pair.Width())
 	span := make([][2]int32, len(chunks)) // each chunk's words before and after compaction
 	for ci, c := range chunks {
 		span[ci][0] = start[c.Lo]

@@ -81,7 +81,10 @@ func (m *Manager) Get(id string) (*Session, bool) { return m.m.Get(id) }
 // instead. It reports whether anything was removed: an ID that is not
 // live but still holds a store record (a session whose recovery failed)
 // is purged from the store.
-func (m *Manager) Remove(id string) (bool, error) { return m.m.Remove(id) }
+func (m *Manager) Remove(id string) (bool, error) {
+	_, removed, err := m.m.Remove(id)
+	return removed, err
+}
 
 // SessionIDs returns the live session IDs in deterministic order.
 func (m *Manager) SessionIDs() []string { return m.m.IDs() }
