@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/kb"
+	"repro/internal/pair"
 )
 
 // classifyIsolated implements §VII-B: isolated entity pairs (no incident
@@ -30,7 +31,7 @@ func (p *Prepared) classifyIsolated(res *Result) {
 	roles := p.roles(res)
 	matches, ok := plan.recall(roles)
 	if !ok {
-		matches = newIsoFitter(p, roles).predict()
+		matches = newIsoFitter(p, roles).predict(pair.Pool())
 		plan.remember(roles, matches)
 	}
 	for _, i := range matches {
@@ -259,13 +260,13 @@ const minExamples = 5
 // neighborhood's or, where that is too thin (e.g. a type whose matches
 // are all isolated), the single forest trained on every resolved pair,
 // which keeps recall on datasets like D-Y where whole types are
-// disconnected. Then it fits the forests it picked concurrently on the
-// shard-work pool, each task scoring its own classes; a fit is a pure
+// disconnected. Then it fits the forests it picked concurrently through
+// r, each task scoring its own classes; a fit is a pure
 // function of the roles and the neighborhood, so the schedule does not
 // show in the result. Last it respects the 1:1 constraint among
 // predictions: isolated pairs are taken in descending forest confidence,
 // and one whose entity is taken already is dropped.
-func (f *isoFitter) predict() []int32 {
+func (f *isoFitter) predict(r pair.Runner) []int32 {
 	p, c := f.p, &f.p.iso
 	thick := f.thickHoods()
 	// scores[h] lists the row classes neighborhood h's forest scores, and
@@ -298,7 +299,7 @@ func (f *isoFitter) predict() []int32 {
 		}
 	}
 	probs := make([]float64, c.rowClasses)
-	pool.ForEach(len(need), func(k int) {
+	pair.RunAll(r, len(need), func(k int) {
 		h := need[k]
 		model := f.fit(c.hoods[h])
 		f.models[h] = model

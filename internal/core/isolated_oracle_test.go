@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -293,7 +294,7 @@ func TestClassifyIsolatedFitsEachTrainingSetOnce(t *testing.T) {
 		idOf[sig], sigOf[id] = id, sig
 	}
 	f := newIsoFitter(p, p.roles(res))
-	f.predict()
+	f.predict(nil)
 	emptySig, thin := false, false
 	for _, i := range p.isolated {
 		if f.roles[i] != roleTarget {
@@ -325,29 +326,22 @@ func TestClassifyIsolatedFitsEachTrainingSetOnce(t *testing.T) {
 	}
 }
 
-// TestClassifyIsolatedIgnoresSchedule classifies with the shard-work pool
-// at one token — every forest fitted in turn — and at eight: the
-// predictions are the same, on every built-in dataset, with and without a
-// budget. Run with -race: the fits share the plan and the roles.
+// TestClassifyIsolatedIgnoresSchedule fits the forests in turn (no
+// runner) and on a scheduler with eight helper tokens: the predictions are
+// the same, on every built-in dataset, with and without a budget. Run with
+// -race: the fits share the plan and the roles.
 func TestClassifyIsolatedIgnoresSchedule(t *testing.T) {
-	defer func(old *Scheduler) { pool = old }(pool)
 	for _, name := range datasets.Names() {
 		for _, budget := range []int{0, 40} {
 			t.Run(fmt.Sprintf("%s/budget=%d", name, budget), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Budget = budget
 				p, res := resolvedWithoutClassifier(t, name, cfg)
-				var want *Result
-				for _, tokens := range []int{1, 8} {
-					pool = NewScheduler(tokens)
-					p.iso.memo = nil
-					got := classifiable(res)
-					p.classifyIsolated(got)
-					if want == nil {
-						want = got
-						continue
-					}
-					assertResultsIdentical(t, got, want)
+				p.isoInputs()
+				roles := p.roles(classifiable(res))
+				serial := newIsoFitter(p, roles).predict(nil)
+				if wide := newIsoFitter(p, roles).predict(pair.NewScheduler(8)); !slices.Equal(wide, serial) {
+					t.Errorf("eight helpers predicted %v, in turn %v", wide, serial)
 				}
 			})
 		}

@@ -92,9 +92,9 @@ type loopShard struct {
 //
 // When the pipeline is sharded, each shard runs its propagation engine,
 // candidate gathering, question selection and re-estimation rebuild
-// independently — fanned across core's one shard-work pool — while one global
-// budget/µ-batch scheduler draws each batch across the shards by expected
-// benefit. Propagation evidence never crosses shards (the partition
+// independently — fanned across the process's one pool, pair.Pool — while
+// one global budget/µ-batch scheduler draws each batch across the shards by
+// expected benefit. Propagation evidence never crosses shards (the partition
 // follows the relational edges it flows along), and the only cross-shard
 // effect — the 1:1 constraint resolving a confirmed match's competitors —
 // runs on the serial answer-application path, so the sharded machine
@@ -568,7 +568,7 @@ func (l *Loop) openBatch() {
 	// padded batch is selection.
 	tInfer := cfg.Obs.StageStart()
 	gatherErrs := make([]error, len(dirty))
-	pool.ForEach(len(dirty), func(k int) {
+	pair.Pool().ForEach(len(dirty), func(k int) {
 		sh := l.shards[dirty[k]]
 		cands, anyProp, err := l.r.Gather(dirty[k])
 		if err != nil {

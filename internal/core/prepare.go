@@ -168,7 +168,7 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 		tb := cfg.Obs.StageStart()
 		pages, p.Initial = blocking.Join(k1, k2, blocking.Options{
 			Threshold: cfg.LabelSimThreshold,
-			Runner:    pool,
+			Runner:    pair.Pool(),
 		}, ws)
 		cfg.Obs.StageEnd(obs.StageBlock, tb)
 	} else {
@@ -178,11 +178,11 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	ts := cfg.Obs.StageStart()
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold
-	amOpts.Runner = pool
+	amOpts.Runner = pair.Pool()
 	p.AttrMatches = attrmatch.FindMatches(k1, k2, p.Initial, amOpts)
 
 	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
-	p.Builder.SetRunner(pool)
+	p.Builder.SetRunner(pair.Pool())
 	p.dim = p.Builder.Dim()
 	if retained == nil {
 		n := 0
@@ -287,7 +287,7 @@ func (p *Prepared) fitConsistency(seeds []pair.Pair, fit func([]consistency.Obse
 	st := newSeedStats(p, seeds)
 	labels := p.Graph.Labels()
 	ests := make([]consistency.Estimate, len(labels))
-	pool.ForEach(len(labels), func(i int) {
+	pair.Pool().ForEach(len(labels), func(i int) {
 		ests[i] = fit(st.labels[i].obs, consistency.DefaultOptions())
 	})
 	out := make(map[ergraph.RelPair]consistency.Estimate, len(labels))

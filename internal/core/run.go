@@ -254,7 +254,7 @@ func (l *Loop) rebuildShards(needs func(s int) bool) {
 		}
 	}
 	errs := make([]error, len(rebuild))
-	pool.ForEach(len(rebuild), func(i int) {
+	pair.Pool().ForEach(len(rebuild), func(i int) {
 		errs[i] = l.r.Rebuild(rebuild[i], l.est)
 		l.shards[rebuild[i]].dirty = true
 	})

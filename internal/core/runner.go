@@ -343,7 +343,7 @@ type localRunner struct {
 // counters.
 func NewLocalRunner(p *Prepared) (ShardRunner, error) {
 	lr := &localRunner{states: make([]*ShardState, len(p.shards))}
-	pool.ForEach(len(p.shards), func(s int) {
+	pair.Pool().ForEach(len(p.shards), func(s int) {
 		lr.states[s] = NewShardState(p.shards[s])
 	})
 	return lr, nil

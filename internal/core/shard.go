@@ -141,7 +141,7 @@ func (p *Prepared) initShards() {
 	}, resolveShardCount(p.Cfg.Shards, len(connected)))
 	p.components = part.NumComponents()
 	p.shards = make([]*Shard, part.NumShards())
-	pool.ForEach(len(p.shards), func(s int) {
+	pair.Pool().ForEach(len(p.shards), func(s int) {
 		members := part.Members(s)
 		parent := make([]int32, len(members))
 		for k, i := range members {

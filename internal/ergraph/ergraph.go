@@ -78,20 +78,11 @@ type Graph struct {
 // row it lands in, nbr the vertex at its other end.
 type edge struct{ row, nbr, label int32 }
 
-// runner fans Build's vertex ranges out. core installs its shard-work pool
-// here (SetRunner); without one Build runs serially.
-var runner pair.Runner
-
-// SetRunner makes Build fan its vertex loop out through r: the process's
-// one shard-work pool, installed once before any Build runs. Build must
-// not be called from inside one of r's tasks.
-func SetRunner(r pair.Runner) { runner = r }
-
 // Build's fan-out: a vertex list shorter than minParallelVertices is joined
 // serially, since a range task costs more to start than a d-y-sized join;
 // a longer one is cut into at most buildRangesPerCPU ranges per CPU of at
-// least minRangeVertices each, so a hub-heavy range cannot hold the pool
-// alone for long. The ranges never change the result.
+// least minRangeVertices each, so a hub-heavy range cannot hold a pool
+// helper alone for long. The ranges never change the result.
 const (
 	minParallelVertices = 6144
 	minRangeVertices    = 1024
@@ -104,18 +95,19 @@ const (
 // edge is added to each successor pair that is also a vertex. A pair listed
 // twice panics, naming it.
 //
-// The vertex loop runs over contiguous vertex ranges, on the shard-work
-// pool once the list is long enough (minParallelVertices). A successor's
-// vertices are found through a table from K1 entity to its run of byPair,
-// built for the call and dropped on return. Each range numbers its labels
-// in first appearance; the numberings are merged into the one sorted label
-// table before the rows are laid out (the out-rows and their label groups
-// beside the in-rows), so the graph is the same whatever the ranges.
+// The vertex loop runs over contiguous vertex ranges, on the process's
+// pool (pair.Pool) once the list is long enough (minParallelVertices). A
+// successor's vertices are found through a table from K1 entity to its
+// run of byPair, built for the call and dropped on return. Each range
+// numbers its labels in first appearance; the numberings are merged into
+// the one sorted label table before the rows are laid out (the out-rows
+// and their label groups beside the in-rows), so the graph is the same
+// whatever the ranges.
 func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
-	if runner == nil || len(vertices) < minParallelVertices {
+	if len(vertices) < minParallelVertices {
 		return build(k1, k2, vertices, nil, 1)
 	}
-	return build(k1, k2, vertices, runner, min(buildRangesPerCPU*pair.Width(), len(vertices)/minRangeVertices))
+	return build(k1, k2, vertices, pair.Pool(), min(buildRangesPerCPU*pair.Width(), len(vertices)/minRangeVertices))
 }
 
 // build is Build over the given number of vertex ranges, fanned through r

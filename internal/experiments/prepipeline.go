@@ -87,7 +87,7 @@ func PreparePipeline(w io.Writer, seed int64, n int, withNaive bool) *PrepareRep
 
 	// Isolated pre-pipeline timing, indexed path (as Prepare runs it); the
 	// candidate count is its blocking's.
-	sched := core.NewScheduler(0)
+	sched := pair.Pool()
 	bOpts := blocking.Options{Threshold: cfg.LabelSimThreshold, Runner: sched}
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold

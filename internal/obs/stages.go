@@ -47,7 +47,7 @@ const (
 	// covers the plan's inputs (signatures from attribute-match masks,
 	// neighborhoods, row classes); on every outcome the plan's memo has
 	// not seen, the neighborhood forests, fitted concurrently on the
-	// shard-work pool, and the predictions.
+	// process's pool, and the predictions.
 	StageClassify
 
 	numStages

@@ -7,7 +7,6 @@ package pair
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/kb"
@@ -70,51 +69,6 @@ func GroupByEntity(pairs []Pair, side1 bool) (start, order []int32) {
 		start[key(p)+1]++
 	}
 	return start[:n+1], order
-}
-
-// Runner runs n independent tasks, possibly in parallel. *core.Scheduler
-// satisfies it; the interface lives here because core imports the
-// pre-pipeline packages that fan their work out through one.
-type Runner interface {
-	ForEach(n int, fn func(i int))
-}
-
-// Range is a half-open [Lo, Hi) range of indexes.
-type Range struct{ Lo, Hi int }
-
-// Width is how many chunks a fan-out through a Runner cuts its work
-// into: GOMAXPROCS, the number of tasks core's shard-work pool runs at
-// once. More chunks would only multiply the per-chunk scratch memory.
-func Width() int { return runtime.GOMAXPROCS(0) }
-
-// ChunkRanges splits n items into contiguous ranges for RunAll: up to
-// chunks of them (callers pass Width) when r is set, a single one when it
-// is nil. Per-item cost is taken as homogeneous, so the ranges are
-// of equal size; their number never affects a result.
-func ChunkRanges(n int, r Runner, chunks int) []Range {
-	if n == 0 {
-		return nil
-	}
-	nc := 1
-	if r != nil {
-		nc = min(chunks, n)
-	}
-	out := make([]Range, nc)
-	for i := 0; i < nc; i++ {
-		out[i] = Range{Lo: i * n / nc, Hi: (i + 1) * n / nc}
-	}
-	return out
-}
-
-// RunAll executes fn(0..n-1) through r, or serially when r is nil.
-func RunAll(r Runner, n int, fn func(int)) {
-	if r == nil {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	r.ForEach(n, fn)
 }
 
 // Set is a set of entity pairs.

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkInferAll measures Algorithm 2 at several graph sizes, through
-// the GOMAXPROCS fan-out the Engine uses for its initial build (compare
-// -cpu 1 for the serial cost). The clustered shape (disjoint functional chains) mirrors real ER
+// the pool fan-out the Engine uses for its initial build (compare -cpu 1,
+// one worker, for the serial cost). The clustered shape (disjoint functional chains) mirrors real ER
 // graphs, whose connected components are entity clusters far smaller than
 // the whole graph.
 //

@@ -40,7 +40,7 @@ import (
 //
 // Mutators (DetachVertex, InvalidateTails, Retire, Reset, InvalidateAll)
 // only record invalidations; Sync applies them, fanning one bounded
-// Dijkstra per dirty live source across GOMAXPROCS goroutines — a bulk
+// Dijkstra per dirty live source out on the process's pool — a bulk
 // rebuild only when every live source is dirty — each worker reusing one
 // pooled dense scratch and refilling the source's previous ball in place.
 // Ball deliberately serves the balls as of the last Sync: the loop resolves
@@ -186,7 +186,7 @@ func (e *Engine) markBallDirty(i int) {
 
 // Sync brings the balls up to date: a pending full rebuild recomputes
 // every live source, otherwise only the dirty live sources are re-run (in
-// bulk when that is all of them), all fanned across GOMAXPROCS goroutines,
+// bulk when that is all of them), all fanned out on the process's pool,
 // and the retired ones are dropped. A clean engine returns immediately.
 func (e *Engine) Sync() {
 	if e.full {

@@ -134,7 +134,8 @@ func TestNewEngineMatchesInferAll(t *testing.T) {
 // the incremental step relies on; run it with -race to also exercise the
 // parallel recompute.
 func TestEngineRandomizedInvalidation(t *testing.T) {
-	// Force the worker pool on even on single-CPU machines so -race
+	// Cut the sources for four workers whatever the CPU count; on more
+	// than one CPU the pool's helpers take some of them, so -race
 	// exercises the parallel recompute path.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(41))

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -32,12 +30,12 @@ type Ball []BallEntry
 type Inferred = Engine
 
 // InferAll computes the bounded distance maps of Algorithm 2 by running a
-// ζ-bounded Dijkstra from every vertex, fanned across GOMAXPROCS
-// goroutines: the engine's first build. It produces exactly the same
-// distances as the paper's modified Floyd–Warshall (InferAllFW, which
-// lives on in the tests as its oracle) but scales linearly rather than
-// quadratically in the per-vertex reachable-set size, which dominates on
-// the dense connected components of IIMB-like datasets.
+// ζ-bounded Dijkstra from every vertex, fanned out on the process's pool:
+// the engine's first build. It produces exactly the same distances as the
+// paper's modified Floyd–Warshall (InferAllFW, which lives on in the tests
+// as its oracle) but scales linearly rather than quadratically in the
+// per-vertex reachable-set size, which dominates on the dense connected
+// components of IIMB-like datasets.
 func (pg *ProbGraph) InferAll(tau float64) *Inferred {
 	return NewEngineObs(pg, tau, obs.EngineCounters{})
 }
@@ -90,53 +88,34 @@ func (e *Engine) buildRev() {
 	}
 }
 
-// minParallelSources is the fan-out cutoff: below it, goroutine startup
-// costs more than the Dijkstra work it would parallelize.
-const minParallelSources = 64
+// sourcesPerWorker is how many sources each fan-out worker is cut for:
+// below it, a helper costs more to start than the Dijkstra work it would
+// share, so a short list runs in its caller.
+const sourcesPerWorker = 64
 
 // inferSources computes the ζ-bounded single-source ball of every source
 // index s in srcs into dist[s], refilling the ball dist[s] already holds.
-// Work is distributed over GOMAXPROCS goroutines via an atomic cursor; each
-// worker owns one pooled scratch for its whole share, and carves the balls
-// that outgrow their old storage from that scratch's chunk — sized by the
-// worker's expected share of the sources still to run — which is dropped
-// when the worker returns the scratch. Each source's ball is
-// independent, so the result is deterministic regardless of scheduling.
+// Up to pair.Width workers, one pool task each, take the sources from one
+// atomic cursor; a worker no helper picks up runs in the caller, which
+// may itself be a pool task. Each worker owns one pooled scratch for its
+// whole share, and carves the balls that outgrow their old storage from
+// that scratch's chunk — sized by the worker's expected share of the
+// sources still to run — which is dropped when the worker returns the
+// scratch. Each source's ball is independent, so the result is
+// deterministic regardless of scheduling.
 func (pg *ProbGraph) inferSources(zeta float64, srcs []int32, dist []Ball) {
 	n := pg.g.NumVertices()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	if workers <= 1 || len(srcs) < minParallelSources {
+	workers := min(pair.Width(), (len(srcs)+sourcesPerWorker-1)/sourcesPerWorker)
+	var cursor atomic.Int64
+	pair.Pool().ForEach(workers, func(int) {
 		sc := getScratch(n)
-		for k, s := range srcs {
-			sc.left = len(srcs) - k
+		for k := int(cursor.Add(1)) - 1; k < len(srcs); k = int(cursor.Add(1)) - 1 {
+			s := srcs[k]
+			sc.left = (len(srcs) - k + workers - 1) / workers
 			dist[s] = pg.inferFromIndex(int(s), zeta, sc, dist[s])
 		}
 		putScratch(sc)
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			sc := getScratch(n)
-			defer putScratch(sc)
-			for {
-				k := int(cursor.Add(1)) - 1
-				if k >= len(srcs) {
-					return
-				}
-				s := srcs[k]
-				sc.left = (len(srcs) - k + workers - 1) / workers
-				dist[s] = pg.inferFromIndex(int(s), zeta, sc, dist[s])
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // inferFromIndex is the hot Dijkstra loop of the Engine's rebuilds and

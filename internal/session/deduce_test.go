@@ -240,6 +240,73 @@ func TestDeduceWALRecovery(t *testing.T) {
 	assertResultsIdentical(t, want, r.Result())
 }
 
+// TestDeduceRecoverTwice recovers a Deduce-on session from disk twice.
+// Answering the opening batches last-first makes the loop drop buffered
+// answers whose questions an earlier batch-mate's cascade resolved; the
+// log keeps them, so the recovered session must append after them, not
+// at the count of answers its loop holds, or the second recovery finds a
+// gap in the log. It then finishes byte-identical to the synchronous run.
+func TestDeduceRecoverTwice(t *testing.T) {
+	k1, k2, gold := bookWorld(10, 3)
+	mod := func(c *core.Config) { c.Deduce = true }
+	want := core.Prepare(k1, k2, testConfig(mod)).Run(core.NewOracleAsker(gold.IsMatch))
+	dir := t.TempDir()
+	open := func() *Manager {
+		st, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewManagerStore(st)
+	}
+	recoverOne := func() (*Manager, *Session) {
+		mgr := open()
+		ids, err := mgr.Recover(func(string, []byte) (*core.Prepared, string, error) {
+			return core.Prepare(k1, k2, testConfig(mod)), "books", nil
+		})
+		if err != nil || len(ids) != 1 {
+			t.Fatalf("Recover = %v, %v", ids, err)
+		}
+		s, _ := mgr.Get(ids[0])
+		return mgr, s
+	}
+
+	mgr := open()
+	s, err := mgr.Create(core.Prepare(k1, k2, testConfig(mod)), "books", []byte("spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for i := 0; i < 2; i++ {
+		batch := s.NextBatch()
+		for j := len(batch) - 1; j >= 0; j-- {
+			if err := s.Deliver(batch[j].ID, oracleLabels(gold, batch[j].Pair)); err != nil {
+				t.Fatal(err)
+			}
+			delivered++
+		}
+	}
+	snap := s.snapshot()
+	if held := len(snap.Applied) + len(snap.Pending); held >= delivered {
+		t.Fatalf("fixture dropped no answer: the loop holds %d of %d", held, delivered)
+	}
+	mgr.Close()
+
+	mgr, s = recoverOne()
+	q := s.NextBatch()[0]
+	if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+
+	mgr, s = recoverOne()
+	defer mgr.Close()
+	drive(t, s, gold.IsMatch)
+	assertResultsIdentical(t, want, s.Result())
+}
+
 // TestCacheDeduceTier exercises the namespace deduction store directly:
 // recorded answers become deduction facts, and a pair no
 // session answered is served by deduction under the 1:1 constraint.

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -30,11 +31,10 @@ var ErrRunner = errors.New("session: shard runner failed")
 // caches they share. Sessions created in the same namespace — the same
 // dataset, by convention — exchange answers through one Cache; distinct
 // namespaces are fully isolated (entity IDs are only meaningful within one
-// dataset). Every session's sharded pipeline draws its shard-level tasks
-// from core's one GOMAXPROCS pool, shared by every loop in the process, so
-// any number of managers and sessions fan out at most GOMAXPROCS shard
-// tasks at once. Each engine's Dijkstra fan-out starts its own GOMAXPROCS
-// workers inside a shard task (a pool task must not fan out on the pool).
+// dataset). Every session's pipeline fans its shard tasks, and each
+// engine's Dijkstra runs, out on the process's one pool (pair.Pool), so
+// any number of managers and sessions share GOMAXPROCS helpers beside
+// their callers.
 //
 // Every managed session is journaled into the Manager's Store: the
 // session's pipeline meta and its snapshot at registration, then one log
@@ -193,7 +193,7 @@ func (m *Manager) admit(p *core.Prepared, namespace string, meta []byte, snap *S
 	s.meta = meta
 	cache := m.Cache(namespace)
 	if record == nil {
-		s.journalTo(m.store, &m.persistFails)
+		s.journalTo(m.store, &m.persistFails, len(snap.Applied)+len(snap.Pending))
 		s.joinCache(cache)
 	} else {
 		s.joinCache(cache)
@@ -216,7 +216,8 @@ func (m *Manager) admit(p *core.Prepared, namespace string, meta []byte, snap *S
 // drained — and starts journaling onto it. replace clears a stale store
 // record under the same ID first.
 func (m *Manager) writeRecord(s *Session, replace bool) error {
-	data, err := s.Snapshot()
+	snap := s.snapshot()
+	data, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("session: encoding initial snapshot: %w", err)
 	}
@@ -231,7 +232,7 @@ func (m *Manager) writeRecord(s *Session, replace bool) error {
 	if err != nil {
 		return fmt.Errorf("%w: storing %q: %w", ErrPersist, s.ID(), err)
 	}
-	s.journalTo(m.store, &m.persistFails)
+	s.journalTo(m.store, &m.persistFails, len(snap.Applied)+len(snap.Pending))
 	return nil
 }
 

@@ -304,13 +304,14 @@ func (s *Session) PersistErr() error {
 }
 
 // journalTo starts journaling the session into store, whose record for
-// the session already covers every answer the loop holds; fails counts
-// the appends that fail.
-func (s *Session) journalTo(store Store, fails *atomic.Int64) {
+// the session holds next answers; fails counts the appends that fail.
+// next is the record's count, not the loop's: the record also holds the
+// answers the loop dropped unapplied (a buffered answer to a question
+// deduction resolved meanwhile), and the next append continues its seq.
+func (s *Session) journalTo(store Store, fails *atomic.Int64, next int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.store, s.fails = store, fails
-	s.seq = len(s.loop.History()) + len(s.loop.Buffered())
+	s.store, s.fails, s.seq = store, fails, next
 }
 
 // remove deletes the session's durable record and closes its loop under

@@ -202,8 +202,8 @@ func PreparePipeline(ds Dataset, opts Options) (*core.Prepared, error) {
 // PreparePipelineWith is PreparePipeline instrumented by o with loop-stage
 // timings and engine counters, for callers that serve many sessions, such
 // as the HTTP server; a nil o leaves the pipeline uninstrumented. Every
-// pipeline draws its shard work from core's one process-wide pool, so
-// concurrent sessions cannot oversubscribe the machine.
+// pipeline fans its work out on the process's one pool, so concurrent
+// sessions cannot oversubscribe the machine.
 func PreparePipelineWith(ds Dataset, opts Options, o *obs.Pipeline) (*core.Prepared, error) {
 	if ds.K1 == nil || ds.K2 == nil {
 		return nil, ErrNilInput
