@@ -59,6 +59,23 @@ func TestDocsMatchCode(t *testing.T) {
 	}
 }
 
+// architectureCap is the most lines ARCHITECTURE.md may have: one
+// paragraph per mechanism, and a mechanism that needs more says so in its
+// package's doc comment.
+const architectureCap = 400
+
+// TestArchitectureFitsItsCap holds ARCHITECTURE.md to architectureCap
+// lines.
+func TestArchitectureFitsItsCap(t *testing.T) {
+	text, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(text), "\n"); n > architectureCap {
+		t.Errorf("ARCHITECTURE.md has %d lines, the cap is %d: say less per mechanism, or move the detail into the package's doc comment", n, architectureCap)
+	}
+}
+
 // TestDocCheckerCatchesDrift feeds the checker one drifted line each: the
 // checks above are only worth having if each of them can fail.
 func TestDocCheckerCatchesDrift(t *testing.T) {

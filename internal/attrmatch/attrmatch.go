@@ -6,11 +6,13 @@
 package attrmatch
 
 import (
+	"iter"
 	"sort"
 
 	"repro/internal/assign"
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/strsim"
 )
 
@@ -37,7 +39,7 @@ type Options struct {
 	// Runner, when non-nil, computes the per-match simL contributions in
 	// parallel. The simA matrix is byte-identical either way (the float
 	// accumulation order is preserved); nil means serial.
-	Runner pair.Runner
+	Runner par.Runner
 }
 
 // DefaultOptions mirrors the paper (threshold 0.9, 1:1 on).
@@ -98,36 +100,39 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	ids := corpus.InternAll(opts.Runner, flat)
 	set := func(s int) []strsim.LitID { return ids[ends[s]:ends[s+1]] }
 
-	// Contribution pass over contiguous chunks of min: each chunk records
-	// its (a1, a2, simL) contributions in match order.
-	chunks := pair.ChunkRanges(len(min), opts.Runner, pair.Width())
-	parts := make([][]contrib, len(chunks))
-	pair.RunAll(opts.Runner, len(chunks), func(ci int) {
+	// Contribution pass over grains of min, which the workers take from
+	// one cursor, each with one scratch: a grain records its (a1, a2,
+	// simL) contributions in match order.
+	grains := par.Grains(opts.Runner, len(min), matchGrain)
+	parts := make([][]contrib, len(grains))
+	par.Work(opts.Runner, grains, func(next iter.Seq2[int, par.Range]) {
 		var sc strsim.MatchScratch
-		most := 0
-		for _, m := range min[chunks[ci].Lo:chunks[ci].Hi] {
-			most += len(k1.Attrs(m.U1)) * len(k2.Attrs(m.U2))
-		}
-		out := make([]contrib, 0, most)
-		for i := chunks[ci].Lo; i < chunks[ci].Hi; i++ {
-			m := min[i]
-			attrs1 := k1.Attrs(m.U1)
-			attrs2 := k2.Attrs(m.U2)
-			for x, a1 := range attrs1 {
-				v1 := set(first[i] + x)
-				for y, a2 := range attrs2 {
-					v2 := set(first[i] + len(attrs1) + y)
-					if len(v1) == 0 && len(v2) == 0 {
-						continue
+		for g, rg := range next {
+			most := 0
+			for _, m := range min[rg.Lo:rg.Hi] {
+				most += len(k1.Attrs(m.U1)) * len(k2.Attrs(m.U2))
+			}
+			out := make([]contrib, 0, most)
+			for i := rg.Lo; i < rg.Hi; i++ {
+				m := min[i]
+				attrs1 := k1.Attrs(m.U1)
+				attrs2 := k2.Attrs(m.U2)
+				for x, a1 := range attrs1 {
+					v1 := set(first[i] + x)
+					for y, a2 := range attrs2 {
+						v2 := set(first[i] + len(attrs1) + y)
+						if len(v1) == 0 && len(v2) == 0 {
+							continue
+						}
+						out = append(out, contrib{a1: a1, a2: a2, sim: corpus.SimL(v1, v2, opts.LiteralThreshold, &sc)})
 					}
-					out = append(out, contrib{a1: a1, a2: a2, sim: corpus.SimL(v1, v2, opts.LiteralThreshold, &sc)})
 				}
 			}
+			parts[g] = out
 		}
-		parts[ci] = out
 	})
 
-	// Serial accumulation in chunk (= original match) order keeps the
+	// Serial accumulation in grain (= original match) order keeps the
 	// float sums byte-identical to the naive single loop.
 	for _, part := range parts {
 		for _, c := range part {
@@ -144,6 +149,11 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	}
 	return sum
 }
+
+// matchGrain is the fewest initial matches a grain of the contribution
+// pass holds: below it a helper costs more to start than the matches it
+// would score. Tests lower it; the cut never affects the result.
+var matchGrain = 64
 
 // contrib is one match's simL contribution to a simA matrix cell.
 type contrib struct {

@@ -29,24 +29,27 @@
 // which needs |x|+|y| ≤ 1+1/t, one shared token is enough and the kernel
 // counts shared tokens instead, over a token-indexed CSR of K2's short
 // labels, which gives |x ∩ y| with no merge. Tokenizing, interning,
-// relabeling, signing K2 and probing fan out over Options.Runner; the
-// size plan and the counting sorts that lay out the ranks and both
-// indexes are serial.
+// relabeling and probing fan out over Options.Runner in grains of
+// entities, which workers take from one cursor; K2's signature index is
+// counted and filled by K2 entity range, side by side. The size plan,
+// the rank sort and the short-label index are serial.
 //
 // The output is byte-identical to GenerateNaive, the retained per-pair
 // string implementation that anchors the property tests. Each K1
 // entity's candidates are sorted by K2 entity as they are emitted, and
-// chunks are contiguous K1 ranges, so the merged lists come out in pair
+// grains are contiguous K1 ranges, so the merged lists come out in pair
 // order with no global sort.
 package blocking
 
 import (
 	"cmp"
+	"iter"
 	"math/bits"
 	"slices"
 
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/strsim"
 )
 
@@ -73,14 +76,9 @@ type Options struct {
 	// positive (or NaN) means.
 	Threshold float64
 	// Runner, when non-nil, tokenizes, interns and indexes labels and
-	// probes K1 entities in parallel (one contiguous chunk per scheduler
-	// slot). The result is identical either way; nil means serial.
-	Runner pair.Runner
-}
-
-// DefaultOptions mirrors the paper's setup (threshold 0.3).
-func DefaultOptions() Options {
-	return Options{Threshold: 0.3}
+	// probes K1 entities in parallel, in grains of grainFloor entities or
+	// more. The result is identical either way; nil means serial.
+	Runner par.Runner
 }
 
 // Generate produces the candidate match set Mc between k1 and k2 by a
@@ -106,30 +104,32 @@ func Join(k1, k2 *kb.KB, opts Options, ws *strsim.Workspace) (pages [][]Candidat
 	}
 	j := newJoin(k1, k2, opts.Threshold, opts.Runner, ws)
 
-	chunks := pair.ChunkRanges(k1.NumEntities(), opts.Runner, parallelChunks)
-	parts := make([]scratch, len(chunks))
-	pair.RunAll(opts.Runner, len(chunks), func(ci int) {
-		sc := &parts[ci]
-		sc.count = make([]int32, k2.NumEntities())
-		for u1 := chunks[ci].Lo; u1 < chunks[ci].Hi; u1++ {
-			sc.cands = sc.cands[:0]
-			j.probe(sc, kb.EntityID(u1))
-			slices.SortFunc(sc.cands, byU2)
-			for _, c := range sc.cands {
-				if n := len(sc.pages); n == 0 || len(sc.pages[n-1]) == pageLen {
-					sc.pages = append(sc.pages, make([]Candidate, 0, pageLen))
-				}
-				sc.pages[len(sc.pages)-1] = append(sc.pages[len(sc.pages)-1], c)
-				// A prior of 1 is equal, non-empty token sets: equal
-				// labels are then equal word lists.
-				if c.Prior == 1 && (k1.Label(c.Pair.U1) == k2.Label(c.Pair.U2) || exactLabel(k1, k2, c.Pair)) {
-					sc.initial = append(sc.initial, c.Pair)
+	grains := par.Grains(opts.Runner, k1.NumEntities(), grainFloor)
+	parts := make([]scratch, len(grains))
+	par.Work(opts.Runner, grains, func(next iter.Seq2[int, par.Range]) {
+		sc := &scratch{count: make([]int32, k2.NumEntities())} // one per worker
+		for g, rg := range next {
+			out := &parts[g]
+			for u1 := rg.Lo; u1 < rg.Hi; u1++ {
+				sc.cands = sc.cands[:0]
+				j.probe(sc, kb.EntityID(u1))
+				slices.SortFunc(sc.cands, func(a, b Candidate) int { return cmp.Compare(a.Pair.U2, b.Pair.U2) })
+				for _, c := range sc.cands {
+					if n := len(out.pages); n == 0 || len(out.pages[n-1]) == pageLen {
+						out.pages = append(out.pages, make([]Candidate, 0, pageLen))
+					}
+					out.pages[len(out.pages)-1] = append(out.pages[len(out.pages)-1], c)
+					// A prior of 1 is equal, non-empty token sets: equal
+					// labels are then equal word lists.
+					if c.Prior == 1 && (k1.Label(c.Pair.U1) == k2.Label(c.Pair.U2) || exactLabel(k1, k2, c.Pair)) {
+						out.initial = append(out.initial, c.Pair)
+					}
 				}
 			}
 		}
 	})
 
-	// The chunks are contiguous K1 ranges, so their lists follow each
+	// The grains are contiguous K1 ranges, so their lists follow each
 	// other in pair order.
 	for i := range parts {
 		pages, initial = append(pages, parts[i].pages...), append(initial, parts[i].initial...)
@@ -140,15 +140,13 @@ func Join(k1, k2 *kb.KB, opts Options, ws *strsim.Workspace) (pages [][]Candidat
 // pageLen is how many candidates a page of Join's output holds.
 const pageLen = 2048
 
-// byU2 orders one K1 entity's candidates by K2 entity.
-func byU2(a, b Candidate) int { return cmp.Compare(a.Pair.U2, b.Pair.U2) }
-
 // maxPairs caps the token pairs of one ℓ = 2 prefix (a 9-token prefix);
 // a size pair with a longer prefix on either side joins on ℓ = 1.
 const maxPairs = 36
 
 // join is one Generate call's read-only state, shared by the probe
-// chunks. lab holds K1's label sets, then K2's from entity n1 on.
+// workers. lab's row u is entity u's label token set, ranks ascending:
+// K1's entities, then K2's from row n1 on.
 // scanY[|x|] is the largest |y| with α = 1, 0 if none, and post's row t
 // lists the K2 labels of at most max(scanY) tokens that hold token t. A
 // K1 label of |x| tokens is signed on its first pre1[ℓ][|x|] tokens, a
@@ -158,7 +156,7 @@ const maxPairs = 36
 type join struct {
 	t          float64
 	n1         int
-	lab        labelSets
+	lab        csr[uint32]
 	scanY      []int
 	post       csr[kb.EntityID]
 	pre1, pre2 [3][]int
@@ -172,18 +170,30 @@ type csr[E any] struct {
 	ent   []E
 }
 
-// fill lays c out over rows by a counting sort: each must pass every
-// entry to emit, in the order wanted within its row, the same way twice.
-func (c *csr[E]) fill(rows int, each func(emit func(row uint64, e E))) {
-	c.start = make([]int32, rows+2)
-	each(func(row uint64, _ E) { c.start[row+2]++ })
-	for i := 2; i < len(c.start); i++ {
-		c.start[i] += c.start[i-1]
+func (c csr[E]) of(r int) []E { return c.ent[c.start[r]:c.start[r+1]] }
+
+// fill lays c out over rows by a counting sort of the entries of ranges:
+// each(rg, emit) must pass every entry of rg to emit, in the order wanted
+// within its row, the same way twice. A row lists the first range's
+// entries, then the next one's, so the layout does not depend on the
+// cut. The ranges count and fill side by side on r, each with a count
+// per row of its own.
+func (c *csr[E]) fill(r par.Runner, ranges []par.Range, rows int, each func(rg par.Range, emit func(row uint64, e E))) {
+	at := make([][]int32, len(ranges)) // range g's count, then its next slot, per row
+	par.RunAll(r, len(ranges), func(g int) {
+		at[g] = make([]int32, rows)
+		each(ranges[g], func(row uint64, _ E) { at[g][row]++ })
+	})
+	c.start = make([]int32, rows+1)
+	for row, n := 0, int32(0); row < rows; row++ {
+		for g := range at {
+			n, at[g][row] = n+at[g][row], n
+		}
+		c.start[row+1] = n
 	}
-	c.ent = make([]E, c.start[rows+1])
-	each(func(row uint64, e E) {
-		c.ent[c.start[row+1]] = e
-		c.start[row+1]++
+	c.ent = make([]E, c.start[rows])
+	par.RunAll(r, len(ranges), func(g int) {
+		each(ranges[g], func(row uint64, e E) { c.ent[at[g][row]], at[g][row] = e, at[g][row]+1 })
 	})
 }
 
@@ -196,7 +206,7 @@ func (c *csr[E]) fill(rows int, each func(emit func(row uint64, e E))) {
 // signatures include every shorter one's, so each label is signed once,
 // on the longest prefix any size pair needs, and the verification turns
 // away what a size pair's own prefixes would not have met.
-func newJoin(k1, k2 *kb.KB, t float64, r pair.Runner, ws *strsim.Workspace) *join {
+func newJoin(k1, k2 *kb.KB, t float64, r par.Runner, ws *strsim.Workspace) *join {
 	lab, nTok := internLabels(k1, k2, r, ws)
 	j := &join{t: t, n1: k1.NumEntities(), lab: lab}
 	n := len(j.lab.start) - 1
@@ -227,8 +237,8 @@ func newJoin(k1, k2 *kb.KB, t float64, r pair.Runner, ws *strsim.Workspace) *joi
 		}
 	}
 
-	j.post.fill(nTok, func(emit func(uint64, kb.EntityID)) {
-		for u2 := range n - j.n1 {
+	j.post.fill(nil, []par.Range{{Lo: 0, Hi: n - j.n1}}, nTok, func(rg par.Range, emit func(uint64, kb.EntityID)) {
+		for u2 := rg.Lo; u2 < rg.Hi; u2++ {
 			if y := j.lab.of(j.n1 + u2); len(y) <= maxScan {
 				for _, tok := range y {
 					emit(uint64(tok), kb.EntityID(u2))
@@ -238,18 +248,19 @@ func newJoin(k1, k2 *kb.KB, t float64, r pair.Runner, ws *strsim.Workspace) *joi
 	})
 
 	// Bucket K2's signature keys, about two to a bucket, by a counting
-	// sort straight from the labels, signed once to count them and twice
-	// more by fill.
-	var keys []uint64
+	// sort straight from the labels, signed twice by fill, per K2 entity
+	// range. An m-token label has pre2[1][m] keys and p(p−1)/2, p =
+	// pre2[2][m].
 	total := 0
 	for u := j.n1; u < n; u++ {
-		keys = appendSigs(keys[:0], j.lab.of(u), &j.pre2)
-		total += len(keys)
+		m := len(j.lab.of(u))
+		total += j.pre2[1][m] + j.pre2[2][m]*(j.pre2[2][m]-1)/2
 	}
 	nb := 1 << bits.Len(uint(total/2))
 	j.mask = uint64(nb - 1)
-	j.sig.fill(nb, func(emit func(uint64, uint64)) {
-		for u2 := range n - j.n1 {
+	j.sig.fill(r, par.ChunkRanges(n-j.n1, r, min(par.Width(), (n-j.n1)/grainFloor)), nb, func(rg par.Range, emit func(uint64, uint64)) {
+		var keys []uint64
+		for u2 := rg.Lo; u2 < rg.Hi; u2++ {
 			keys = appendSigs(keys[:0], j.lab.of(j.n1+u2), &j.pre2)
 			for _, k := range keys {
 				emit(k&j.mask, k>>32<<32|uint64(u2))
@@ -296,11 +307,10 @@ func sigKey(a, b uint32) uint64 {
 	return k ^ k>>29
 }
 
-// scratch is the per-chunk state of the parallel probe: a count per K2
-// entity (shared tokens in the scan, -1 once verified, 0 between
-// labels), the entities the current label counted or verified, its
-// signatures and candidates, and the chunk's results, its candidate
-// pages and initial matches.
+// scratch is a probe worker's state — a count per K2 entity (shared
+// tokens in the scan, -1 once verified, 0 between labels), the entities
+// the current label counted or verified, its signatures and candidates —
+// or a grain's results, its candidate pages and initial matches.
 type scratch struct {
 	count   []int32
 	touched []kb.EntityID
@@ -322,7 +332,7 @@ func (j *join) probe(sc *scratch, u1 kb.EntityID) {
 	x := j.lab.of(int(u1))
 	ymax := j.scanY[len(x)]
 	for _, t := range x {
-		for _, u2 := range j.post.ent[j.post.start[t]:j.post.start[t+1]] {
+		for _, u2 := range j.post.of(int(t)) {
 			if len(j.lab.of(j.n1+int(u2))) <= ymax {
 				if sc.count[u2] == 0 {
 					sc.touched = append(sc.touched, u2)
@@ -337,7 +347,7 @@ func (j *join) probe(sc *scratch, u1 kb.EntityID) {
 	sc.sigs = appendSigs(sc.sigs[:0], x, &j.pre1)
 	for _, k := range sc.sigs {
 		b := k & j.mask
-		for _, e := range j.sig.ent[j.sig.start[b]:j.sig.start[b+1]] {
+		for _, e := range j.sig.of(int(b)) {
 			if u2 := kb.EntityID(uint32(e)); e>>32 == k>>32 && sc.count[u2] == 0 {
 				sc.count[u2] = -1
 				sc.touched = append(sc.touched, u2)
@@ -363,21 +373,12 @@ func (sc *scratch) emit(t float64, u1, u2 kb.EntityID, lx, ly, inter int) {
 	}
 }
 
-// labelSets holds every entity's label token set in one flat array:
-// entity u's set is toks[start[u]:start[u+1]], ranks ascending.
-type labelSets struct {
-	start []int32
-	toks  []uint32
-}
-
-func (l labelSets) of(u int) []uint32 { return l.toks[l.start[u]:l.start[u+1]] }
-
 // internLabels tokenizes and interns the labels of K1's entities, then
 // K2's, cutting them in ws, ranks the tokens by ascending frequency over
 // both KBs (ties by ID) with a counting sort, and turns every label into
 // its sorted set of ranks: TokenSet's set, by rank. It also returns the
 // number of tokens.
-func internLabels(k1, k2 *kb.KB, r pair.Runner, ws *strsim.Workspace) (labelSets, int) {
+func internLabels(k1, k2 *kb.KB, r par.Runner, ws *strsim.Workspace) (csr[uint32], int) {
 	n1 := k1.NumEntities()
 	var in strsim.Interner
 	start, toks := in.Sets(ws, r, n1+k2.NumEntities(), func(u int) string {
@@ -403,10 +404,10 @@ func internLabels(k1, k2 *kb.KB, r pair.Runner, ws *strsim.Workspace) (labelSets
 	for id, f := range rank {
 		rank[id], next[f] = next[f], next[f]+1
 	}
-	lab := labelSets{start, toks}
-	chunks := pair.ChunkRanges(len(start)-1, r, parallelChunks)
-	pair.RunAll(r, len(chunks), func(ci int) {
-		for u := chunks[ci].Lo; u < chunks[ci].Hi; u++ {
+	lab := csr[uint32]{start, toks}
+	grains := par.Grains(r, len(start)-1, grainFloor)
+	par.RunAll(r, len(grains), func(g int) {
+		for u := grains[g].Lo; u < grains[g].Hi; u++ {
 			set := lab.of(u)
 			for i, id := range set {
 				set[i] = rank[id]
@@ -417,8 +418,8 @@ func internLabels(k1, k2 *kb.KB, r pair.Runner, ws *strsim.Workspace) (labelSets
 	return lab, len(rank)
 }
 
-// parallelChunks is how many contiguous entity ranges Generate fans out
-// when a Runner is supplied: pair.Width, so the per-chunk counts (4 bytes
-// per K2 entity) follow the pool's real parallelism. Tests raise it; the
-// chunk count never affects the result.
-var parallelChunks = pair.Width()
+// grainFloor is the fewest entities a grain of the probe, the relabeling
+// or a K2 index range holds: below it a helper costs more to start than
+// the work it would share. Tests lower it; the cut never affects the
+// result.
+var grainFloor = 1024

@@ -9,6 +9,11 @@ import (
 	"repro/internal/strsim"
 )
 
+// DefaultOptions mirrors the paper's setup (threshold 0.3).
+func DefaultOptions() Options {
+	return Options{Threshold: 0.3}
+}
+
 func twoKBs() (*kb.KB, *kb.KB) {
 	k1 := kb.New("yago")
 	k2 := kb.New("dbpedia")

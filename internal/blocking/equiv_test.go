@@ -153,12 +153,12 @@ func countingKBs() (k1, k2 *kb.KB) {
 }
 
 // checkCountingCases holds Generate to GenerateNaive on countingKBs —
-// serial, and parallel with more chunks asked for than there are
-// entities — and checks that the pairs sitting exactly on a threshold are
-// kept with the exact quotient.
+// serial, and parallel in grains of one or two entities — and checks
+// that the pairs sitting exactly on a threshold are kept with the exact
+// quotient.
 func checkCountingCases(t *testing.T) {
-	defer func(n int) { parallelChunks = n }(parallelChunks)
-	parallelChunks = 64
+	defer func(n int) { grainFloor = n }(grainFloor)
+	grainFloor = 1
 
 	k1, k2 := countingKBs()
 	atThreshold := map[float64]*Result{}

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/kb"
-	"repro/internal/pair"
+	"repro/internal/par"
 )
 
 // classifyIsolated implements §VII-B: isolated entity pairs (no incident
@@ -31,7 +31,7 @@ func (p *Prepared) classifyIsolated(res *Result) {
 	roles := p.roles(res)
 	matches, ok := plan.recall(roles)
 	if !ok {
-		matches = newIsoFitter(p, roles).predict(pair.Pool())
+		matches = newIsoFitter(p, roles).predict(par.Pool())
 		plan.remember(roles, matches)
 	}
 	for _, i := range matches {
@@ -266,7 +266,7 @@ const minExamples = 5
 // show in the result. Last it respects the 1:1 constraint among
 // predictions: isolated pairs are taken in descending forest confidence,
 // and one whose entity is taken already is dropped.
-func (f *isoFitter) predict(r pair.Runner) []int32 {
+func (f *isoFitter) predict(r par.Runner) []int32 {
 	p, c := f.p, &f.p.iso
 	thick := f.thickHoods()
 	// scores[h] lists the row classes neighborhood h's forest scores, and
@@ -299,7 +299,7 @@ func (f *isoFitter) predict(r pair.Runner) []int32 {
 		}
 	}
 	probs := make([]float64, c.rowClasses)
-	pair.RunAll(r, len(need), func(k int) {
+	par.RunAll(r, len(need), func(k int) {
 		h := need[k]
 		model := f.fit(c.hoods[h])
 		f.models[h] = model

@@ -17,6 +17,7 @@ import (
 	"repro/internal/forest"
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/par"
 )
 
 // oracleClassifyIsolated implements §VII-B: isolated entity pairs (no incident
@@ -340,7 +341,7 @@ func TestClassifyIsolatedIgnoresSchedule(t *testing.T) {
 				p.isoInputs()
 				roles := p.roles(classifiable(res))
 				serial := newIsoFitter(p, roles).predict(nil)
-				if wide := newIsoFitter(p, roles).predict(pair.NewScheduler(8)); !slices.Equal(wide, serial) {
+				if wide := newIsoFitter(p, roles).predict(par.NewScheduler(8)); !slices.Equal(wide, serial) {
 					t.Errorf("eight helpers predicted %v, in turn %v", wide, serial)
 				}
 			})

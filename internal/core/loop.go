@@ -10,6 +10,7 @@ import (
 	"repro/internal/ergraph"
 	"repro/internal/obs"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/selection"
 )
 
@@ -92,7 +93,7 @@ type loopShard struct {
 //
 // When the pipeline is sharded, each shard runs its propagation engine,
 // candidate gathering, question selection and re-estimation rebuild
-// independently — fanned across the process's one pool, pair.Pool — while
+// independently — fanned across the process's one pool, par.Pool — while
 // one global budget/µ-batch scheduler draws each batch across the shards by
 // expected benefit. Propagation evidence never crosses shards (the partition
 // follows the relational edges it flows along), and the only cross-shard
@@ -568,7 +569,7 @@ func (l *Loop) openBatch() {
 	// padded batch is selection.
 	tInfer := cfg.Obs.StageStart()
 	gatherErrs := make([]error, len(dirty))
-	pair.Pool().ForEach(len(dirty), func(k int) {
+	par.Pool().ForEach(len(dirty), func(k int) {
 		sh := l.shards[dirty[k]]
 		cands, anyProp, err := l.r.Gather(dirty[k])
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/simvec"
 	"repro/internal/strsim"
 )
@@ -168,7 +169,7 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 		tb := cfg.Obs.StageStart()
 		pages, p.Initial = blocking.Join(k1, k2, blocking.Options{
 			Threshold: cfg.LabelSimThreshold,
-			Runner:    pair.Pool(),
+			Runner:    par.Pool(),
 		}, ws)
 		cfg.Obs.StageEnd(obs.StageBlock, tb)
 	} else {
@@ -178,11 +179,11 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 	ts := cfg.Obs.StageStart()
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold
-	amOpts.Runner = pair.Pool()
+	amOpts.Runner = par.Pool()
 	p.AttrMatches = attrmatch.FindMatches(k1, k2, p.Initial, amOpts)
 
 	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
-	p.Builder.SetRunner(pair.Pool())
+	p.Builder.SetRunner(par.Pool())
 	p.dim = p.Builder.Dim()
 	if retained == nil {
 		n := 0
@@ -287,7 +288,7 @@ func (p *Prepared) fitConsistency(seeds []pair.Pair, fit func([]consistency.Obse
 	st := newSeedStats(p, seeds)
 	labels := p.Graph.Labels()
 	ests := make([]consistency.Estimate, len(labels))
-	pair.Pool().ForEach(len(labels), func(i int) {
+	par.Pool().ForEach(len(labels), func(i int) {
 		ests[i] = fit(st.labels[i].obs, consistency.DefaultOptions())
 	})
 	out := make(map[ergraph.RelPair]consistency.Estimate, len(labels))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/selection"
 )
 
@@ -177,8 +178,9 @@ func (l *Loop) resolveCompetitors(m int) {
 //
 //   - The pending matches are folded into the per-label statistics
 //     (seedStats); only a label whose observation list changed is
-//     re-fitted, over the list it already holds. An unchanged list would
-//     reproduce its deterministic fit, so skipping it is exact.
+//     re-fitted, over the list it already holds, the refits concurrently
+//     on the pool. An unchanged list would reproduce its deterministic
+//     fit, so skipping it is exact.
 //   - Only the shards containing a label whose (ε1, ε2) moved are told to
 //     rebuild (concurrently), and a rebuild rewrites just those labels'
 //     rows in place and invalidates just the balls that can see a
@@ -211,10 +213,12 @@ func (l *Loop) reestimate() {
 			refit = append(refit, li)
 		}
 	}
+	// The refits are independent, as in fitConsistency: they fan out on
+	// the pool and land by index.
 	fits := make([]consistency.Estimate, len(refit))
-	for i, li := range refit {
-		fits[i] = consistency.Fit(l.stats.labels[li].obs, consistency.DefaultOptions())
-	}
+	par.Pool().ForEach(len(refit), func(i int) {
+		fits[i] = consistency.Fit(l.stats.labels[refit[i]].obs, consistency.DefaultOptions())
+	})
 	moved := make([]bool, len(labels))
 	anyMoved := false
 	for i, li := range refit {
@@ -254,7 +258,7 @@ func (l *Loop) rebuildShards(needs func(s int) bool) {
 		}
 	}
 	errs := make([]error, len(rebuild))
-	pair.Pool().ForEach(len(rebuild), func(i int) {
+	par.Pool().ForEach(len(rebuild), func(i int) {
 		errs[i] = l.r.Rebuild(rebuild[i], l.est)
 		l.shards[rebuild[i]].dirty = true
 	})

@@ -4,6 +4,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/ergraph"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/propagation"
 	"repro/internal/selection"
 )
@@ -343,7 +344,7 @@ type localRunner struct {
 // counters.
 func NewLocalRunner(p *Prepared) (ShardRunner, error) {
 	lr := &localRunner{states: make([]*ShardState, len(p.shards))}
-	pair.Pool().ForEach(len(p.shards), func(s int) {
+	par.Pool().ForEach(len(p.shards), func(s int) {
 		lr.states[s] = NewShardState(p.shards[s])
 	})
 	return lr, nil

@@ -5,6 +5,7 @@ import (
 	"repro/internal/ergraph"
 	"repro/internal/obs"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/propagation"
 	"repro/internal/selection"
@@ -141,7 +142,7 @@ func (p *Prepared) initShards() {
 	}, resolveShardCount(p.Cfg.Shards, len(connected)))
 	p.components = part.NumComponents()
 	p.shards = make([]*Shard, part.NumShards())
-	pair.Pool().ForEach(len(p.shards), func(s int) {
+	par.Pool().ForEach(len(p.shards), func(s int) {
 		members := part.Members(s)
 		parent := make([]int32, len(members))
 		for k, i := range members {

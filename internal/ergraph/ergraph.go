@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/par"
 )
 
 // RelPair is an edge label: a relationship from each KB. Inverse marks
@@ -80,13 +81,12 @@ type edge struct{ row, nbr, label int32 }
 
 // Build's fan-out: a vertex list shorter than minParallelVertices is joined
 // serially, since a range task costs more to start than a d-y-sized join;
-// a longer one is cut into at most buildRangesPerCPU ranges per CPU of at
-// least minRangeVertices each, so a hub-heavy range cannot hold a pool
-// helper alone for long. The ranges never change the result.
+// a longer one is cut into the pool's grains (par.Grains) of at least
+// minRangeVertices each, so a hub-heavy range cannot hold a pool helper
+// alone for long. The ranges never change the result.
 const (
 	minParallelVertices = 6144
 	minRangeVertices    = 1024
-	buildRangesPerCPU   = 4
 )
 
 // Build constructs the ER graph on the given vertex set (the retained
@@ -95,8 +95,9 @@ const (
 // edge is added to each successor pair that is also a vertex. A pair listed
 // twice panics, naming it.
 //
-// The vertex loop runs over contiguous vertex ranges, on the process's
-// pool (pair.Pool) once the list is long enough (minParallelVertices). A
+// The vertex loop runs over contiguous vertex ranges, the pool's grains
+// (par.Grains) on the process's pool once the list is long enough
+// (minParallelVertices), which the workers take from one cursor. A
 // successor's vertices are found through a table from K1 entity to its
 // run of byPair, built for the call and dropped on return. Each range
 // numbers its labels in first appearance; the numberings are merged into
@@ -104,20 +105,21 @@ const (
 // and their label groups beside the in-rows), so the graph is the same
 // whatever the ranges.
 func Build(k1, k2 *kb.KB, vertices []pair.Pair) *Graph {
-	if len(vertices) < minParallelVertices {
-		return build(k1, k2, vertices, nil, 1)
+	var r par.Runner
+	if len(vertices) >= minParallelVertices {
+		r = par.Pool()
 	}
-	return build(k1, k2, vertices, pair.Pool(), min(buildRangesPerCPU*pair.Width(), len(vertices)/minRangeVertices))
+	return build(k1, k2, vertices, r, len(par.Grains(r, len(vertices), minRangeVertices)))
 }
 
 // build is Build over the given number of vertex ranges, fanned through r
 // (serial when r is nil).
-func build(k1, k2 *kb.KB, vertices []pair.Pair, r pair.Runner, ranges int) *Graph {
+func build(k1, k2 *kb.KB, vertices []pair.Pair, r par.Runner, ranges int) *Graph {
 	g := mustGraph(vertices)
 	j := newJoiner(g, k1, k2)
-	spans := pair.ChunkRanges(len(g.vertices), r, ranges)
+	spans := par.ChunkRanges(len(g.vertices), r, ranges)
 	parts := make([]rangeEdges, len(spans))
-	pair.RunAll(r, len(spans), func(s int) { parts[s] = j.collect(spans[s].Lo, spans[s].Hi) })
+	par.RunAll(r, len(spans), func(s int) { parts[s] = j.collect(spans[s].Lo, spans[s].Hi) })
 
 	// The label table is the union of the ranges' labels, sorted; each
 	// range's ids are remapped to their label's index in it.
@@ -130,7 +132,7 @@ func build(k1, k2 *kb.KB, vertices []pair.Pair, r pair.Runner, ranges int) *Grap
 		g.labels = slices.Clone(all)
 	}
 	chunks := make([][]edge, len(parts))
-	pair.RunAll(r, len(parts), func(s int) {
+	par.RunAll(r, len(parts), func(s int) {
 		pt := &parts[s]
 		index := make([]int32, len(pt.labels))
 		for id, l := range pt.labels {
@@ -145,7 +147,7 @@ func build(k1, k2 *kb.KB, vertices []pair.Pair, r pair.Runner, ranges int) *Grap
 	// The out-rows (then the label groups) and the in-rows read the same
 	// edges and write apart, so they are laid out side by side.
 	rank := g.ranks()
-	pair.RunAll(r, 2, func(dir int) {
+	par.RunAll(r, 2, func(dir int) {
 		if dir == 0 {
 			g.outStart, g.outTo, g.outLabel = g.rows(chunks, rank, false)
 			g.buildLabelGroups()

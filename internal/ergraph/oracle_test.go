@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -591,7 +592,7 @@ func TestParallelBuildMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: the parallel build differs from the serial one", ctx)
 		}
 		j := newJoiner(g, k1, k2)
-		for _, r := range pair.ChunkRanges(len(vs), goRunner{}, ranges) {
+		for _, r := range par.ChunkRanges(len(vs), goRunner{}, ranges) {
 			pt := j.collect(r.Lo, r.Hi)
 			for id, l := range pt.labels {
 				if g.labels[id] != l {

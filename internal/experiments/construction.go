@@ -43,7 +43,7 @@ func Table4(w io.Writer, seed int64) []AttrMatchResult {
 }
 
 func attrMatchOn(ds *datasets.Dataset) AttrMatchResult {
-	blk := blocking.Generate(ds.K1, ds.K2, blocking.DefaultOptions())
+	blk := blocking.Generate(ds.K1, ds.K2, blocking.Options{Threshold: 0.3})
 	gold := map[[2]string]bool{}
 	for _, r := range ds.AttrGold {
 		gold[[2]string{r.A1, r.A2}] = true
@@ -144,7 +144,7 @@ func Figure4(w io.Writer, seed int64) []PCPoint {
 	fmt.Fprintln(w)
 	var out []PCPoint
 	for _, ds := range datasets.All(seed) {
-		blk := blocking.Generate(ds.K1, ds.K2, blocking.DefaultOptions())
+		blk := blocking.Generate(ds.K1, ds.K2, blocking.Options{Threshold: 0.3})
 		am := attrmatch.FindMatches(ds.K1, ds.K2, blk.Initial, attrmatch.DefaultOptions())
 		builder := simvec.NewBuilder(ds.K1, ds.K2, am, 0.9)
 		candPairs := make([]pair.Pair, len(blk.Candidates))

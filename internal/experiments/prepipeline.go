@@ -12,6 +12,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/obs"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/simvec"
 )
 
@@ -87,7 +88,7 @@ func PreparePipeline(w io.Writer, seed int64, n int, withNaive bool) *PrepareRep
 
 	// Isolated pre-pipeline timing, indexed path (as Prepare runs it); the
 	// candidate count is its blocking's.
-	sched := pair.Pool()
+	sched := par.Pool()
 	bOpts := blocking.Options{Threshold: cfg.LabelSimThreshold, Runner: sched}
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold

@@ -169,7 +169,7 @@ func Figure6(w io.Writer, seed int64) []ScalePoint {
 	var out []ScalePoint
 
 	// Shared stage-1 artifacts.
-	blk := blocking.Generate(ds.K1, ds.K2, blocking.DefaultOptions())
+	blk := blocking.Generate(ds.K1, ds.K2, blocking.Options{Threshold: 0.3})
 	am := attrmatch.FindMatches(ds.K1, ds.K2, blk.Initial, attrmatch.DefaultOptions())
 	builder := simvec.NewBuilder(ds.K1, ds.K2, am, 0.9)
 	candPairs := make([]pair.Pair, len(blk.Candidates))

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/par"
 )
 
 // The binary snapshot format is documented in doc.go ("The binary KB
@@ -178,11 +180,19 @@ func (sr *snapReader) strTab(n int) strTab {
 		return strTab{}
 	}
 	t := strTab{blob: string(sr.take(int(blobLen))), off: make([]uint32, n+1)}
-	for i, prev := 0, uint32(0); i <= n && sr.err == nil; i++ {
-		if t.off[i] = sr.u32(); t.off[i] < prev || uint64(t.off[i]) > blobLen || i == 0 && t.off[i] != 0 {
+	// The offsets are decoded straight from the bytes that are there; a
+	// short table fails at its first missing offset, as a read of one
+	// offset at a time would.
+	whole := min(n+1, (len(sr.data)-sr.pos)/4)
+	raw := sr.take(4 * whole)
+	for i, prev := 0, uint32(0); i < whole && sr.err == nil; i++ {
+		if t.off[i] = binary.LittleEndian.Uint32(raw[4*i:]); t.off[i] < prev || uint64(t.off[i]) > blobLen || i == 0 && t.off[i] != 0 {
 			sr.fail("string table offset %d out of order (prev %d, blob %d)", t.off[i], prev, blobLen)
 		}
 		prev = t.off[i]
+	}
+	if whole <= n {
+		sr.take(4)
 	}
 	if sr.err == nil && uint64(t.off[n]) != blobLen {
 		sr.fail("string table covers %d of %d blob bytes", t.off[n], blobLen)
@@ -194,7 +204,11 @@ func (sr *snapReader) strTab(n int) strTab {
 // validating the magic, version, zero flags and reserved bytes, declared
 // payload length, CRC, every section bound, name uniqueness and the
 // canonical triple ordering before trusting any of it. The triples fill
-// the frozen arrays directly.
+// the frozen arrays directly. Past the envelope and the string tables it
+// decodes three independent sections side by side on the process's pool
+// — the name indexes, the attribute triples, the relationship triples —
+// and a file broken in several reports the first section's error, the
+// one a serial decode meets first.
 func ReadSnapshot(data []byte) (*KB, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("kb: snapshot: %d bytes is shorter than the %d-byte envelope", len(data), headerLen+trailerLen)
@@ -252,52 +266,96 @@ func ReadSnapshot(data []byte) (*KB, error) {
 	if sr.pos != len(payload) {
 		return nil, fmt.Errorf("kb: snapshot: %d trailing payload bytes", len(payload)-sr.pos)
 	}
+	// The three sections are independent, so they decode side by side
+	// (serially below decodeFloor triples); each reports its first error,
+	// and the earliest section's wins, as in a serial decode.
+	var r par.Runner
+	if nAttrTriples+nRelTriples >= uint64(decodeFloor) {
+		r = par.Pool()
+	}
+	var errs [3]error
+	par.RunAll(r, len(errs), func(s int) {
+		switch s {
+		case 0:
+			errs[s] = k.decodeNames()
+		case 1:
+			errs[s] = k.decodeAttrs(attrRaw, values, nEntities, nAttrs, nValues)
+		case 2:
+			errs[s] = k.decodeRels(relRaw, nEntities, nRels)
+		}
+	})
+	if err := cmp.Or(errs[:]...); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// decodeFloor is the fewest triples for which ReadSnapshot decodes its
+// sections on the pool: a small KB decodes in less time than a helper
+// takes to start. Tests move it; the result is the same either way.
+var decodeFloor = 1 << 12
+
+// word is the i-th little-endian u32 of raw.
+func word(raw []byte, i int) uint32 { return binary.LittleEndian.Uint32(raw[4*i:]) }
+
+// decodeNames indexes the entity names and checks that no entity,
+// attribute or relationship name repeats.
+func (k *KB) decodeNames() error {
 	for _, t := range []struct {
 		what string
 		tab  *strTab
 	}{{"entity", &k.names}, {"attribute", &k.attrNames}, {"relationship", &k.relNames}} {
 		x, dup, ok := indexNames(t.tab)
 		if !ok {
-			return nil, fmt.Errorf("kb: snapshot: duplicate %s name %q", t.what, dup)
+			return fmt.Errorf("kb: snapshot: duplicate %s name %q", t.what, dup)
 		}
 		if t.tab == &k.names {
 			k.index = x
 		}
 	}
+	return nil
+}
 
-	// Attribute triples arrive in canonical (entity, attribute, value)
-	// order — the order check doubles as the duplicate check — and are
-	// read twice: validated here, then counted and filled by newCSR.
-	word := func(raw []byte, i int) uint32 { return binary.LittleEndian.Uint32(raw[4*i:]) }
-	for i := range int(nAttrTriples) {
-		u, a, vi := word(attrRaw, 3*i), word(attrRaw, 3*i+1), word(attrRaw, 3*i+2)
+// decodeAttrs validates the attribute triples and lays them out. They
+// arrive in canonical (entity, attribute, value) order — the order check
+// doubles as the duplicate check — and are read twice: validated here,
+// then counted and filled by newCSR.
+func (k *KB) decodeAttrs(raw []byte, values strTab, nEntities, nAttrs, nValues int) error {
+	m := len(raw) / 12
+	for i := range m {
+		u, a, vi := word(raw, 3*i), word(raw, 3*i+1), word(raw, 3*i+2)
 		if int(u) >= nEntities || int(a) >= nAttrs || int(vi) >= nValues {
-			return nil, fmt.Errorf("kb: snapshot: attr triple %d (%d,%d,%d) out of range", i, u, a, vi)
+			return fmt.Errorf("kb: snapshot: attr triple %d (%d,%d,%d) out of range", i, u, a, vi)
 		}
 		if i > 0 {
-			pu, pa := word(attrRaw, 3*i-3), word(attrRaw, 3*i-2)
-			if cmp.Or(cmp.Compare(pu, u), cmp.Compare(pa, a), strings.Compare(values.at(int(word(attrRaw, 3*i-1))), values.at(int(vi)))) >= 0 {
-				return nil, fmt.Errorf("kb: snapshot: attr triple %d out of canonical order", i)
+			pu, pa := word(raw, 3*i-3), word(raw, 3*i-2)
+			if cmp.Or(cmp.Compare(pu, u), cmp.Compare(pa, a), strings.Compare(values.at(int(word(raw, 3*i-1))), values.at(int(vi)))) >= 0 {
+				return fmt.Errorf("kb: snapshot: attr triple %d out of canonical order", i)
 			}
 		}
 	}
-	k.attrs = newCSR(nEntities, int(nAttrTriples), func(i int) (EntityID, AttrID, string) {
-		return EntityID(word(attrRaw, 3*i)), AttrID(word(attrRaw, 3*i+1)), values.at(int(word(attrRaw, 3*i+2)))
+	k.attrs = newCSR(nEntities, m, func(i int) (EntityID, AttrID, string) {
+		return EntityID(word(raw, 3*i)), AttrID(word(raw, 3*i+1)), values.at(int(word(raw, 3*i+2)))
 	})
+	return nil
+}
 
-	rels := make([]RelTriple, nRelTriples)
+// decodeRels validates the relationship triples, canonical and
+// repeat-free like the attribute triples, and lays out both directions.
+func (k *KB) decodeRels(raw []byte, nEntities, nRels int) error {
+	rels := make([]RelTriple, len(raw)/12)
 	for i := range rels {
-		t := RelTriple{EntityID(word(relRaw, 3*i)), RelID(word(relRaw, 3*i+1)), EntityID(word(relRaw, 3*i+2))}
+		t := RelTriple{EntityID(word(raw, 3*i)), RelID(word(raw, 3*i+1)), EntityID(word(raw, 3*i+2))}
 		if uint32(t.Subject) >= uint32(nEntities) || uint32(t.Rel) >= uint32(nRels) || uint32(t.Object) >= uint32(nEntities) {
-			return nil, fmt.Errorf("kb: snapshot: rel triple %d (%d,%d,%d) out of range", i, uint32(t.Subject), uint32(t.Rel), uint32(t.Object))
+			return fmt.Errorf("kb: snapshot: rel triple %d (%d,%d,%d) out of range", i, uint32(t.Subject), uint32(t.Rel), uint32(t.Object))
 		}
 		if i > 0 && compareRel(rels[i-1], t) >= 0 {
-			return nil, fmt.Errorf("kb: snapshot: rel triple %d out of canonical order", i)
+			return fmt.Errorf("kb: snapshot: rel triple %d out of canonical order", i)
 		}
 		rels[i] = t
 	}
 	k.setRels(nEntities, rels)
-	return k, nil
+	return nil
 }
 
 // strTableSizeBound is the minimal byte size of an n-entry string table
@@ -306,8 +364,9 @@ func strTableSizeBound(n int) uint64 { return 8 + 4*uint64(n+1) }
 
 // OpenSnapshot reads and validates a snapshot file written by
 // WriteSnapshotFile. The whole file is read in one syscall and decoded
-// from that buffer: each string table is one copy of its blob, and the
-// triples fill the KB's arrays with no per-entity allocation.
+// from that buffer by ReadSnapshot: each string table is one copy of its
+// blob, the triples fill the KB's arrays with no per-entity allocation,
+// and the sections decode in parallel.
 func OpenSnapshot(path string) (*KB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

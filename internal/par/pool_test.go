@@ -1,6 +1,7 @@
-package pair
+package par
 
 import (
+	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -102,6 +103,55 @@ func TestForEachMatchesSerial(t *testing.T) {
 			})
 			if !slices.Equal(nested, want) {
 				t.Fatalf("%d tokens, n=%d: nested results differ from the serial run", tokens, n)
+			}
+		}
+	}
+}
+
+// TestWorkHandsOutEveryGrainOnce: Grains cuts n items into contiguous
+// ranges that cover them — one range for a nil Runner or fewer than
+// 2·floor items — and Work runs at most Width workers (one for a nil
+// Runner), which between them take every grain exactly once, whatever the
+// token count.
+func TestWorkHandsOutEveryGrainOnce(t *testing.T) {
+	for _, tokens := range []int{0, 1, 8} {
+		for _, n := range []int{0, 1, 7, 100, 5000} {
+			for _, floor := range []int{1, 10, 1000} {
+				for _, r := range []Runner{nil, NewScheduler(tokens)} {
+					grains := Grains(r, n, floor)
+					if (r == nil || n < 2*floor) && n > 0 && len(grains) != 1 {
+						t.Fatalf("%d tokens, n=%d, floor %d, runner %v: %d grains, want 1", tokens, n, floor, r != nil, len(grains))
+					}
+					lo := 0
+					for _, g := range grains {
+						if g.Lo != lo || g.Hi <= g.Lo || g.Hi-g.Lo < min(floor, n) {
+							t.Fatalf("%d tokens, n=%d, floor %d: grains %v do not cut [0,%d) by the floor", tokens, n, floor, grains, n)
+						}
+						lo = g.Hi
+					}
+					if lo != n {
+						t.Fatalf("%d tokens, n=%d, floor %d: grains %v do not cover [0,%d)", tokens, n, floor, grains, n)
+					}
+					taken := make([]atomic.Int32, len(grains))
+					var workers atomic.Int32
+					Work(r, grains, func(next iter.Seq2[int, Range]) {
+						workers.Add(1)
+						for g, rg := range next {
+							if rg != grains[g] {
+								t.Errorf("grain %d handed out as %v, cut as %v", g, rg, grains[g])
+							}
+							taken[g].Add(1)
+						}
+					})
+					for g := range taken {
+						if c := taken[g].Load(); c != 1 {
+							t.Fatalf("%d tokens, n=%d, floor %d: grain %d taken %d times", tokens, n, floor, g, c)
+						}
+					}
+					if w, most := int(workers.Load()), min(Width(), len(grains)); w > most || r == nil && w > 1 {
+						t.Fatalf("%d tokens, n=%d, floor %d, runner %v: %d workers for %d grains", tokens, n, floor, r != nil, w, len(grains))
+					}
+				}
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pair"
+	"repro/internal/par"
 )
 
 // BallEntry is one inferred vertex of a ζ-bounded single-source run: the
@@ -95,7 +96,7 @@ const sourcesPerWorker = 64
 
 // inferSources computes the ζ-bounded single-source ball of every source
 // index s in srcs into dist[s], refilling the ball dist[s] already holds.
-// Up to pair.Width workers, one pool task each, take the sources from one
+// Up to par.Width workers, one pool task each, take the sources from one
 // atomic cursor; a worker no helper picks up runs in the caller, which
 // may itself be a pool task. Each worker owns one pooled scratch for its
 // whole share, and carves the balls that outgrow their old storage from
@@ -105,9 +106,9 @@ const sourcesPerWorker = 64
 // deterministic regardless of scheduling.
 func (pg *ProbGraph) inferSources(zeta float64, srcs []int32, dist []Ball) {
 	n := pg.g.NumVertices()
-	workers := min(pair.Width(), (len(srcs)+sourcesPerWorker-1)/sourcesPerWorker)
+	workers := min(par.Width(), (len(srcs)+sourcesPerWorker-1)/sourcesPerWorker)
 	var cursor atomic.Int64
-	pair.Pool().ForEach(workers, func(int) {
+	par.Pool().ForEach(workers, func(int) {
 		sc := getScratch(n)
 		for k := int(cursor.Add(1)) - 1; k < len(srcs); k = int(cursor.Add(1)) - 1 {
 			s := srcs[k]

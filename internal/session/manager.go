@@ -32,7 +32,7 @@ var ErrRunner = errors.New("session: shard runner failed")
 // dataset, by convention — exchange answers through one Cache; distinct
 // namespaces are fully isolated (entity IDs are only meaningful within one
 // dataset). Every session's pipeline fans its shard tasks, and each
-// engine's Dijkstra runs, out on the process's one pool (pair.Pool), so
+// engine's Dijkstra runs, out on the process's one pool (par.Pool), so
 // any number of managers and sessions share GOMAXPROCS helpers beside
 // their callers.
 //

@@ -225,7 +225,7 @@ func dyCandidates(tb testing.TB) ([]pair.Pair, []Vector) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	blk := blocking.Generate(ds.K1, ds.K2, blocking.DefaultOptions())
+	blk := blocking.Generate(ds.K1, ds.K2, blocking.Options{Threshold: 0.3})
 	matches := attrmatch.FindMatches(ds.K1, ds.K2, blk.Initial, attrmatch.DefaultOptions())
 	pairs := make([]pair.Pair, len(blk.Candidates))
 	for i, c := range blk.Candidates {

@@ -10,11 +10,13 @@ package simvec
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math"
 
 	"repro/internal/attrmatch"
 	"repro/internal/kb"
 	"repro/internal/pair"
+	"repro/internal/par"
 	"repro/internal/strsim"
 )
 
@@ -56,7 +58,7 @@ type Builder struct {
 	k1, k2    *kb.KB
 	matches   []attrmatch.Match
 	threshold float64
-	runner    pair.Runner
+	runner    par.Runner
 }
 
 // NewBuilder returns a Builder over the given attribute matches;
@@ -73,7 +75,7 @@ func (b *Builder) Dim() int { return len(b.matches) }
 
 // SetRunner makes All compute vectors in parallel. The output is
 // byte-identical either way; nil (the default) means serial.
-func (b *Builder) SetRunner(r pair.Runner) { b.runner = r }
+func (b *Builder) SetRunner(r par.Runner) { b.runner = r }
 
 // Vector computes s(u1,u2). It is the retained per-pair string
 // implementation — the semantic anchor the property tests hold All to.
@@ -109,8 +111,10 @@ func (b *Builder) All(pairs []pair.Pair) []Vector {
 // them, in one dense table per side over one array of literals sized by
 // the count; the literals are then interned into a per-call corpus in one
 // batch, and pair vectors scored from the tables, both in parallel when a
-// Runner is set. The array is all that outlives the call: corpus and
-// tables are garbage on return, and a second call starts from nothing.
+// Runner is set: the scoring in grains of scoreGrain pairs or more, which
+// the workers take from one cursor, each with one scratch. The array is
+// all that outlives the call: corpus and tables are garbage on return,
+// and a second call starts from nothing.
 func (b *Builder) AllIn(pairs []pair.Pair, ws *strsim.Workspace) (flat []float64) {
 	if len(pairs) == 0 {
 		return nil
@@ -130,19 +134,26 @@ func (b *Builder) AllIn(pairs []pair.Pair, ws *strsim.Workspace) (flat []float64
 	}
 	// The two sides' tables are independent: one task each.
 	sides := [2]*valueTable{&bt.side1, &bt.side2}
-	pair.RunAll(b.runner, 2, func(side int) { sides[side].count(pairs) })
+	par.RunAll(b.runner, 2, func(side int) { sides[side].count(pairs) })
 	n1 := bt.side1.off[len(bt.side1.off)-1]
 	vals := make([]string, n1+bt.side2.off[len(bt.side2.off)-1])
 	bt.side1.vals, bt.side2.vals = vals[:n1], vals[n1:]
-	pair.RunAll(b.runner, 2, func(side int) { sides[side].list(pairs) })
+	par.RunAll(b.runner, 2, func(side int) { sides[side].list(pairs) })
 	lits := bt.corpus.InternAll(b.runner, vals)
 	bt.side1.lits, bt.side2.lits = lits[:n1], lits[n1:]
-	chunks := pair.ChunkRanges(len(pairs), b.runner, pair.Width())
-	pair.RunAll(b.runner, len(chunks), func(ci int) {
-		bt.score(chunks[ci].Lo, chunks[ci].Hi)
+	par.Work(b.runner, par.Grains(b.runner, len(pairs), scoreGrain), func(next iter.Seq2[int, par.Range]) {
+		var sc strsim.MatchScratch // one per worker
+		for _, rg := range next {
+			bt.score(rg.Lo, rg.Hi, &sc)
+		}
 	})
 	return bt.flat
 }
+
+// scoreGrain is the fewest pairs a grain of AllIn's scoring holds: below
+// it a helper costs more to start than the pairs it would score. Tests
+// lower it; the cut never affects the result.
+var scoreGrain = 512
 
 // valueTable is one KB side of a batch: the interned value sets of every
 // entity the pair list mentions on the K1 (side1) or K2 side, one per
@@ -217,12 +228,11 @@ type batch struct {
 	flat         []float64 // vector i is flat[i*dim:(i+1)*dim]
 }
 
-// score fills the vectors of pairs[lo:hi]; ranges are disjoint, so chunks
-// run concurrently.
+// score fills the vectors of pairs[lo:hi] in the worker's scratch sc;
+// ranges are disjoint, so grains run concurrently.
 //
 //remp:hotpath
-func (bt *batch) score(lo, hi int) {
-	var sc strsim.MatchScratch
+func (bt *batch) score(lo, hi int, sc *strsim.MatchScratch) {
 	for i := lo; i < hi; i++ {
 		p := bt.pairs[i]
 		v := bt.flat[i*bt.dim : (i+1)*bt.dim]
@@ -231,7 +241,7 @@ func (bt *batch) score(lo, hi int) {
 			if len(va) == 0 || len(vb) == 0 {
 				continue
 			}
-			v[mi] = bt.corpus.SimL(va, vb, bt.threshold, &sc)
+			v[mi] = bt.corpus.SimL(va, vb, bt.threshold, sc)
 		}
 	}
 }

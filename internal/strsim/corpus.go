@@ -4,7 +4,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/pair"
+	"repro/internal/par"
 )
 
 // LitID is a dense interned literal identifier within one Corpus.
@@ -41,7 +41,7 @@ func NewCorpus(ws *Workspace) *Corpus { return &Corpus{ws: ws} }
 // InternAll interns every literal in vals, returning their IDs. A
 // literal seen for the first time is classified, parsed and tokenized —
 // in parallel when r is set; the IDs do not depend on r.
-func (c *Corpus) InternAll(r pair.Runner, vals []string) []LitID {
+func (c *Corpus) InternAll(r par.Runner, vals []string) []LitID {
 	old, ws := len(c.kinds), c.ws
 	if ws == nil {
 		ws = new(Workspace)
@@ -57,9 +57,9 @@ func (c *Corpus) InternAll(r pair.Runner, vals []string) []LitID {
 	c.kinds = append(c.kinds, make([]LiteralKind, n-old)...)
 	c.nums = append(c.nums, make([]float64, n-old)...)
 
-	chunks := pair.ChunkRanges(len(fresh), r, pair.Width())
-	pair.RunAll(r, len(chunks), func(ci int) {
-		for id := old + chunks[ci].Lo; id < old+chunks[ci].Hi; id++ {
+	grains := par.Grains(r, len(fresh), internGrain)
+	par.RunAll(r, len(grains), func(g int) {
+		for id := old + grains[g].Lo; id < old+grains[g].Hi; id++ {
 			lit := strings.TrimSpace(vals[fresh[id-old]])
 			switch c.kinds[id] = Classify(lit); c.kinds[id] {
 			case KindNumber:

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"slices"
 
-	"repro/internal/pair"
+	"repro/internal/par"
 )
 
 // internShards is how many hash shards an Interner splits words into,
@@ -30,10 +30,15 @@ const refShift = 32 - 4
 // texts.
 var internBatch = 1 << 13
 
+// internGrain is the fewest texts a grain of a batch's cutting, or of the
+// final sort, holds; the pool's workers take the grains from one cursor.
+// It is a variable so that a test can cut grains of one text.
+var internGrain = 256
+
 // Interner maps byte strings to dense uint32 IDs, 0 to Len()-1. It is
 // the pre-pipeline's one string→ID map: blocking interns label tokens
 // through it, and a Corpus its literals and their tokens. Sets cuts and
-// hashes the words of its texts a batch at a time, each batch's chunks
+// hashes the words of its texts a batch at a time, each batch's grains
 // in parallel, then interns them shard by shard, one pool task per
 // shard, comparing the bytes of words whose hashes match. A word first
 // seen in a call gets the next ID in (shard, first sight) order, so IDs
@@ -114,15 +119,15 @@ func (sh *internShard) slot(h uint32, word []byte) uint32 {
 func (in *Interner) Len() int { return int(in.n) }
 
 // Workspace holds the buffers Sets cuts and hashes one batch of texts in,
-// a set per parallel chunk of the batch. It outlives a call only to be
+// a set per parallel grain of the batch. It outlives a call only to be
 // reused by the next: one Workspace serves every Sets call of a pass,
 // over any Interners, and is garbage with it. The zero value is ready.
 // It is not safe for concurrent use.
 type Workspace struct {
-	chunks []words
+	grains []words
 }
 
-// words is one chunk of texts cut into words: word i is
+// words is one grain of texts cut into words: word i is
 // buf[ends[i]:ends[i+1]] with hash hash[i], and goes to the call's
 // output at out+i. order lists the words shard by shard, shard s's being
 // order[cut[s]:cut[s+1]].
@@ -138,7 +143,7 @@ type words struct {
 func (w *words) word(i int32) []byte { return w.buf[w.ends[i]:w.ends[i+1]] }
 
 // split cuts texts lo to hi-1 into words, setting start[i+1] to the
-// chunk's word count after text i, and lays the words out by shard. The
+// grain's word count after text i, and lays the words out by shard. The
 // buffers keep their capacity from the last batch.
 func (w *words) split(text func(i int) string, lo, hi int, tokenize bool, start []int32) {
 	w.buf, w.ends = w.buf[:0], append(w.ends[:0], 0)
@@ -176,9 +181,10 @@ func (w *words) split(text func(i int) string, lo, hi int, tokenize bool, start 
 // ids[start[i]:start[i+1]]. With tokenize set a text's words are its
 // stemmed AppendWords tokens, so the set is TokenSet's, by ID; without,
 // a text is one word, verbatim. Texts are cut in ws (nil: a new one), a
-// batch at a time; cutting, interning and sorting fan out over r. text is
-// called once per text.
-func (in *Interner) Sets(ws *Workspace, r pair.Runner, n int, text func(i int) string, tokenize bool) (start []int32, ids []uint32) {
+// batch at a time. Cutting and the final sort fan out over r in grains of
+// internGrain texts or more, which the workers take from one cursor, and
+// interning in one task per shard. text is called once per text.
+func (in *Interner) Sets(ws *Workspace, r par.Runner, n int, text func(i int) string, tokenize bool) (start []int32, ids []uint32) {
 	if ws == nil {
 		ws = new(Workspace)
 	}
@@ -190,31 +196,31 @@ func (in *Interner) Sets(ws *Workspace, r pair.Runner, n int, text func(i int) s
 	batch := max(internBatch, n/32)
 	for lo := 0; lo < n; lo += batch {
 		hi := min(n, lo+batch)
-		chunks := pair.ChunkRanges(hi-lo, r, pair.Width())
-		if len(ws.chunks) < len(chunks) {
-			ws.chunks = append(ws.chunks, make([]words, len(chunks)-len(ws.chunks))...)
+		grains := par.Grains(r, hi-lo, internGrain)
+		if len(ws.grains) < len(grains) {
+			ws.grains = append(ws.grains, make([]words, len(grains)-len(ws.grains))...)
 		}
-		cut := ws.chunks[:len(chunks)]
-		pair.RunAll(r, len(chunks), func(ci int) {
-			cut[ci].split(text, lo+chunks[ci].Lo, lo+chunks[ci].Hi, tokenize, start)
+		cut := ws.grains[:len(grains)]
+		par.RunAll(r, len(grains), func(g int) {
+			cut[g].split(text, lo+grains[g].Lo, lo+grains[g].Hi, tokenize, start)
 		})
 		nw := int32(len(ids))
-		for ci, c := range chunks {
-			cut[ci].out = nw
+		for g, c := range grains {
+			cut[g].out = nw
 			for i := lo + c.Lo; i < lo+c.Hi; i++ {
 				start[i+1] += nw
 			}
-			nw += int32(len(cut[ci].hash))
+			nw += int32(len(cut[g].hash))
 		}
 		if int(nw) > cap(ids) {
 			// Room for the texts left at the words per text seen so far.
 			ids = slices.Grow(ids, max(int(nw), int(int64(nw)*int64(n)/int64(hi)))-len(ids))
 		}
 		ids = ids[:nw]
-		pair.RunAll(r, internShards, func(s int) {
+		par.RunAll(r, internShards, func(s int) {
 			sh := &in.shards[s]
-			for ci := range cut {
-				w := &cut[ci]
+			for g := range cut {
+				w := &cut[g]
 				for _, i := range w.order[w.cut[s]:w.cut[s+1]] {
 					ids[w.out+i] = uint32(s)<<refShift | sh.find(w.word(i), w.hash[i])
 				}
@@ -229,16 +235,16 @@ func (in *Interner) Sets(ws *Workspace, r pair.Runner, n int, text func(i int) s
 		}
 	}
 
-	// Resolve, sort and compact each text's words chunk by chunk, then
-	// close the gaps compaction left between chunks.
-	chunks := pair.ChunkRanges(n, r, pair.Width())
-	span := make([][2]int32, len(chunks)) // each chunk's words before and after compaction
-	for ci, c := range chunks {
-		span[ci][0] = start[c.Lo]
+	// Resolve, sort and compact each text's words grain by grain, then
+	// close the gaps compaction left between grains.
+	grains := par.Grains(r, n, internGrain)
+	span := make([][2]int32, len(grains)) // each grain's words before and after compaction
+	for g, c := range grains {
+		span[g][0] = start[c.Lo]
 	}
-	pair.RunAll(r, len(chunks), func(ci int) {
-		from, m := span[ci][0], span[ci][0]
-		for i := chunks[ci].Lo; i < chunks[ci].Hi; i++ {
+	par.RunAll(r, len(grains), func(g int) {
+		from, m := span[g][0], span[g][0]
+		for i := grains[g].Lo; i < grains[g].Hi; i++ {
 			set := ids[from:start[i+1]]
 			for k, ref := range set {
 				set[k] = in.shards[ref>>refShift].id(ref & (1<<refShift - 1))
@@ -247,17 +253,17 @@ func (in *Interner) Sets(ws *Workspace, r pair.Runner, n int, text func(i int) s
 			m += int32(copy(ids[m:], slices.Compact(set)))
 			from, start[i+1] = start[i+1], m
 		}
-		span[ci][1] = m
+		span[g][1] = m
 	})
 	w := int32(0)
-	for ci, c := range chunks {
-		if d := span[ci][0] - w; d != 0 {
-			copy(ids[w:], ids[span[ci][0]:span[ci][1]])
+	for g, c := range grains {
+		if d := span[g][0] - w; d != 0 {
+			copy(ids[w:], ids[span[g][0]:span[g][1]])
 			for i := c.Lo; i < c.Hi; i++ {
 				start[i+1] -= d
 			}
 		}
-		w += span[ci][1] - span[ci][0]
+		w += span[g][1] - span[g][0]
 	}
 	return start, ids[:w]
 }
