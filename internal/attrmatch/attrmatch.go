@@ -2,7 +2,9 @@
 // simA(a1,a2) between attributes of two KBs is the average extended-Jaccard
 // similarity (simL) of their value sets across the initial entity matches
 // Min (Eq. 1); a global 1:1 matching is then selected with the Hungarian
-// algorithm, as widely done in ontology matching.
+// algorithm, as widely done in ontology matching. Value sets are read as
+// the KBs' literal-ID rows, through a strsim.Corpus that the caller may
+// share with the later similarity stages.
 package attrmatch
 
 import (
@@ -48,15 +50,21 @@ func DefaultOptions() Options {
 }
 
 // Similarities computes the full simA matrix between the attributes of k1
-// and k2 over the initial matches min (Eq. 1). Entry [a1][a2] is zero when
-// no initial match has values for either attribute.
-//
-// It runs the batched path: every needed value set is interned into a
-// literal corpus once, the per-match simL contributions are computed —
-// in parallel when opts.Runner is set — and then accumulated serially in
-// the original match order, so the floats are byte-identical to
-// SimilaritiesNaive.
+// and k2 over the initial matches min (Eq. 1), reading their literals
+// through a corpus of its own. Entry [a1][a2] is zero when no initial
+// match has values for either attribute.
 func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
+	return similarities(strsim.NewCorpus(k1, k2, nil), min, opts)
+}
+
+// similarities is Similarities through c, which it extends with the
+// literals of min's entities: those are loaded into c in one batch, the
+// per-match simL contributions computed off the KBs' literal-ID rows — in
+// parallel when opts.Runner is set — and then accumulated serially in the
+// original match order, so the floats are byte-identical to
+// SimilaritiesNaive.
+func similarities(c *strsim.Corpus, min []pair.Pair, opts Options) [][]float64 {
+	k1, k2 := c.KBs()
 	n1, n2 := k1.NumAttrs(), k2.NumAttrs()
 	sum := make([][]float64, n1)
 	cnt := make([][]int, n1)
@@ -67,38 +75,15 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	if len(min) == 0 {
 		return sum
 	}
-
-	// Every needed value set, listed serially in match order — match i's
-	// K1 sets, one per attribute of its entity in Attrs order, from set
-	// first[i] on, then its K2 sets likewise — and interned in one batch.
-	// The lists are counted first, so that they never grow. The scoring
-	// pass below only reads the corpus.
-	nsets, nvals := 0, 0
 	for _, m := range min {
 		for _, a1 := range k1.Attrs(m.U1) {
-			nvals += len(k1.AttrValues(m.U1, a1))
+			c.Add(0, k1.AttrLits(m.U1, a1))
 		}
 		for _, a2 := range k2.Attrs(m.U2) {
-			nvals += len(k2.AttrValues(m.U2, a2))
-		}
-		nsets += len(k1.Attrs(m.U1)) + len(k2.Attrs(m.U2))
-	}
-	flat := make([]string, 0, nvals)
-	ends, first := append(make([]int, 0, nsets+1), 0), make([]int, len(min))
-	for i, m := range min {
-		first[i] = len(ends) - 1
-		for _, a1 := range k1.Attrs(m.U1) {
-			flat = append(flat, k1.AttrValues(m.U1, a1)...)
-			ends = append(ends, len(flat))
-		}
-		for _, a2 := range k2.Attrs(m.U2) {
-			flat = append(flat, k2.AttrValues(m.U2, a2)...)
-			ends = append(ends, len(flat))
+			c.Add(1, k2.AttrLits(m.U2, a2))
 		}
 	}
-	corpus := strsim.NewCorpus(nil)
-	ids := corpus.InternAll(opts.Runner, flat)
-	set := func(s int) []strsim.LitID { return ids[ends[s]:ends[s+1]] }
+	c.Load(opts.Runner)
 
 	// Contribution pass over grains of min, which the workers take from
 	// one cursor, each with one scratch: a grain records its (a1, a2,
@@ -107,24 +92,27 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	parts := make([][]contrib, len(grains))
 	par.Work(opts.Runner, grains, func(next iter.Seq2[int, par.Range]) {
 		var sc strsim.MatchScratch
+		var rows2 [][]kb.LitID // the match's K2 rows, by position in attrs2
 		for g, rg := range next {
 			most := 0
 			for _, m := range min[rg.Lo:rg.Hi] {
 				most += len(k1.Attrs(m.U1)) * len(k2.Attrs(m.U2))
 			}
 			out := make([]contrib, 0, most)
-			for i := rg.Lo; i < rg.Hi; i++ {
-				m := min[i]
-				attrs1 := k1.Attrs(m.U1)
+			for _, m := range min[rg.Lo:rg.Hi] {
 				attrs2 := k2.Attrs(m.U2)
-				for x, a1 := range attrs1 {
-					v1 := set(first[i] + x)
+				rows2 = rows2[:0]
+				for _, a2 := range attrs2 {
+					rows2 = append(rows2, k2.AttrLits(m.U2, a2))
+				}
+				for _, a1 := range k1.Attrs(m.U1) {
+					v1 := k1.AttrLits(m.U1, a1)
 					for y, a2 := range attrs2 {
-						v2 := set(first[i] + len(attrs1) + y)
+						v2 := rows2[y]
 						if len(v1) == 0 && len(v2) == 0 {
 							continue
 						}
-						out = append(out, contrib{a1: a1, a2: a2, sim: corpus.SimL(v1, v2, opts.LiteralThreshold, &sc)})
+						out = append(out, contrib{a1: a1, a2: a2, sim: c.SimL(v1, v2, opts.LiteralThreshold, &sc)})
 					}
 				}
 			}
@@ -135,9 +123,9 @@ func Similarities(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64 {
 	// Serial accumulation in grain (= original match) order keeps the
 	// float sums byte-identical to the naive single loop.
 	for _, part := range parts {
-		for _, c := range part {
-			sum[c.a1][c.a2] += c.sim
-			cnt[c.a1][c.a2]++
+		for _, ct := range part {
+			sum[ct.a1][ct.a2] += ct.sim
+			cnt[ct.a1][ct.a2]++
 		}
 	}
 	for i := range sum {
@@ -197,13 +185,20 @@ func SimilaritiesNaive(k1, k2 *kb.KB, min []pair.Pair, opts Options) [][]float64
 	return sum
 }
 
-// FindMatches runs attribute matching end to end and returns the matches
-// sorted by (A1, A2).
+// FindMatches runs attribute matching end to end, over a corpus of its
+// own, and returns the matches sorted by (A1, A2).
 func FindMatches(k1, k2 *kb.KB, min []pair.Pair, opts Options) []Match {
+	return FindMatchesIn(strsim.NewCorpus(k1, k2, nil), min, opts)
+}
+
+// FindMatchesIn is FindMatches over the KB pair of c, reading literals
+// through c and leaving those of min's entities loaded in it, so that a
+// later stage over the same pair reads none of them again.
+func FindMatchesIn(c *strsim.Corpus, min []pair.Pair, opts Options) []Match {
 	if opts.LiteralThreshold == 0 {
 		opts.LiteralThreshold = 0.9
 	}
-	sims := Similarities(k1, k2, min, opts)
+	sims := similarities(c, min, opts)
 	var out []Match
 	if opts.OneToOne {
 		// Zero out entries under MinSimilarity so Hungarian leaves them

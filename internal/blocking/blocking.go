@@ -386,7 +386,7 @@ func internLabels(k1, k2 *kb.KB, r par.Runner, ws *strsim.Workspace) (csr[uint32
 			return k1.Label(kb.EntityID(u))
 		}
 		return k2.Label(kb.EntityID(u - n1))
-	}, true)
+	})
 	// rank[id] counts id's occurrences, then a counting sort by that
 	// count turns it into id's rank in place.
 	rank, maxF := make([]uint32, in.Len()), uint32(0)

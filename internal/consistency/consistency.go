@@ -187,28 +187,46 @@ func (g *grouped) score(latent []int) (e1, e2, ll float64) {
 	return e1, e2, ll
 }
 
-// bestL scans the admissible integer range for the latent variable of one
-// observation and returns the maximizer of
-// log C(n1,L) + log C(n2,L) + L·logOdds.
+// bestL returns the maximizer of
+//
+//	v(L) = log C(n1,L) + log C(n2,L) + L·logOdds
+//
+// over the admissible integers, KnownL (at least 0) to min(n1, n2), the
+// smallest on a tie. It reads the log-factorial table once, scans up from
+// the low end and stops once v(L) falls below the best value so far by
+// more than
+//
+//	margin = 2^-45 · m² · (m + |logOdds|),  m = max(n1, n2) + 1,
+//
+// which returns the full scan's L bit for bit:
+//
+//   - The exact v is strictly concave in L: v(L+1) − v(L) =
+//     log((n1−L)/(L+1)) + log((n2−L)/(L+1)) + logOdds falls as L grows.
+//   - The computed v is off by at most e = 13 · 2^-52 · m² · (m + |logOdds|),
+//     under margin/2. A table entry k ≤ m is k rounded logs and k rounded
+//     additions, each off by at most 2^-52 · k·ln k ≤ 2^-52 · m², so by
+//     2^-52 · m³; v reads six entries, and its seven operations each round
+//     by 2^-53 of at most 2m² + m·|logOdds|.
+//   - So when the computed v(L) is below best − margin, the exact v(L) is
+//     below the exact v at the best L found, which lies before L; by
+//     concavity every later exact v(L′) is below the exact v(L), so the
+//     computed v(L′) < v(L) + 2e < best − margin + 2e < best, and the full
+//     scan would not move from the best either.
 //
 //remp:hotpath
 func bestL(o Observation, logOdds float64) int {
-	lm := o.N1
-	if o.N2 < lm {
-		lm = o.N2
-	}
-	lo := 0
-	if o.KnownL > 0 {
-		lo = o.KnownL
-		if lo > lm {
-			lo = lm
-		}
-	}
+	lm := min(o.N1, o.N2)
+	lo := min(max(o.KnownL, 0), lm)
+	t := logFacts(max(o.N1, o.N2))
+	m := float64(max(o.N1, o.N2) + 1)
+	margin := 0x1p-45 * m * m * (m + math.Abs(logOdds))
 	bestL, bestV := lo, math.Inf(-1)
 	for l := lo; l <= lm; l++ {
-		v := logChoose(o.N1, l) + logChoose(o.N2, l) + float64(l)*logOdds
+		v := t[o.N1] - t[l] - t[o.N1-l] + (t[o.N2] - t[l] - t[o.N2-l]) + float64(l)*logOdds
 		if v > bestV {
 			bestV, bestL = v, l
+		} else if v < bestV-margin {
+			break
 		}
 	}
 	return bestL
@@ -246,9 +264,12 @@ var (
 	logFactMu    sync.Mutex
 )
 
-func logFact(n int) float64 {
+func logFact(n int) float64 { return logFacts(n)[n] }
+
+// logFacts returns the table, grown to hold entry n if it is shorter.
+func logFacts(n int) []float64 {
 	if t := logFactTable.Load(); t != nil && n < len(*t) {
-		return (*t)[n]
+		return *t
 	}
 	logFactMu.Lock()
 	defer logFactMu.Unlock()
@@ -265,7 +286,7 @@ func logFact(n int) float64 {
 		logFactTable.Store(&grown)
 		table = grown
 	}
-	return table[n]
+	return table
 }
 
 func clamp(x, lo, hi float64) float64 {

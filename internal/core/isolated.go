@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/kb"
+	"repro/internal/pair"
 	"repro/internal/par"
 )
 
@@ -50,20 +51,41 @@ const (
 	roleTarget
 )
 
-// roles returns every vertex's role under res, by vertex index.
+// roles returns every vertex's role under res, by vertex index: a
+// vertex's home gives its default, then the members of NonMatches are
+// marked, then those of Matches, so that a match wins. Each vertex's role
+// is set by the last set holding it, whatever order a set is walked in.
 func (p *Prepared) roles(res *Result) []byte {
 	roles := make([]byte, len(p.Retained))
-	for i, q := range p.Retained {
-		switch {
-		case res.Matches.Has(q):
-			roles[i] = rolePositive
-		case res.NonMatches.Has(q) || p.home[i] >= 0:
+	for i, h := range p.home {
+		if roles[i] = roleTarget; h >= 0 {
 			roles[i] = roleNegative
-		default:
-			roles[i] = roleTarget
 		}
 	}
+	mark := func(set pair.Set, role byte) {
+		for q := range set {
+			if i := p.indexOf(q); i >= 0 {
+				roles[i] = role
+			}
+		}
+	}
+	mark(res.NonMatches, roleNegative)
+	mark(res.Matches, rolePositive)
 	return roles
+}
+
+// indexOf returns the index of vertex q, or -1: a scan of the vertices
+// sharing its K1 entity.
+func (p *Prepared) indexOf(q pair.Pair) int {
+	if int(q.U1)+1 >= len(p.byEntity1.start) {
+		return -1
+	}
+	for _, i := range p.byEntity1.of(q.U1) {
+		if p.Retained[i].U2 == q.U2 {
+			return int(i)
+		}
+	}
+	return -1
 }
 
 // isoMemoCap bounds the outcomes an isoPlan remembers. Sessions of one plan

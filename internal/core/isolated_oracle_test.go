@@ -247,6 +247,7 @@ func TestClassifyIsolatedMatchesOracle(t *testing.T) {
 						cfg := DefaultConfig()
 						cfg.Budget, cfg.Shards, cfg.Deduce = budget, shards, deduce
 						p, res := resolvedWithoutClassifier(t, name, cfg)
+						checkRoles(t, p, res)
 						got, want := classifiable(res), classifiable(res)
 						p.classifyIsolated(got)
 						oracleClassifyIsolated(p, want)
@@ -265,6 +266,45 @@ func TestClassifyIsolatedMatchesOracle(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// checkRoles holds roles, which marks the members of the result's sets, to
+// the per-vertex probe it replaced, on res and on res with one of its
+// matched vertices and two pairs that are no vertex added to both sets.
+func checkRoles(t *testing.T, p *Prepared, res *Result) {
+	t.Helper()
+	probe := func(res *Result) []byte {
+		roles := make([]byte, len(p.Retained))
+		for i, q := range p.Retained {
+			switch {
+			case res.Matches.Has(q):
+				roles[i] = rolePositive
+			case res.NonMatches.Has(q) || p.home[i] >= 0:
+				roles[i] = roleNegative
+			default:
+				roles[i] = roleTarget
+			}
+		}
+		return roles
+	}
+	extra := classifiable(res)
+	extra.NonMatches = res.NonMatches.Clone()
+	both := []pair.Pair{{U1: 1 << 30, U2: 0}, {U1: p.Retained[0].U1, U2: -1}}
+	for _, q := range res.Matches.Sorted() {
+		if p.Graph.IndexOf(q) >= 0 {
+			both = append(both, q)
+			break
+		}
+	}
+	for _, q := range both {
+		extra.Matches.Add(q)
+		extra.NonMatches.Add(q)
+	}
+	for _, r := range []*Result{res, extra} {
+		if got, want := p.roles(r), probe(r); !slices.Equal(got, want) {
+			t.Fatal("roles differ from the per-vertex probe")
 		}
 	}
 }

@@ -149,8 +149,9 @@ func PrepareOnRetained(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blo
 // prepare is the one body behind both entry points: a nil blk runs
 // blocking, a nil retained runs pruning over the blocking candidates.
 // Either way the candidates' vectors and the blocking result are garbage
-// on return: gather copies out each distinct vector and prior. So is ws,
-// the one Workspace the label and literal words of the call are cut in.
+// on return: gather copies out each distinct vector and prior. So are ws,
+// the one Workspace the label and literal words of the call are cut in,
+// and the literal corpus.
 func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Result) *Prepared {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
@@ -176,11 +177,14 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 		pages, p.Initial = [][]blocking.Candidate{blk.Candidates}, blk.Initial
 	}
 
+	// One corpus serves both similarity stages: a literal attribute
+	// matching read is not read again for the vectors.
 	ts := cfg.Obs.StageStart()
+	corpus := strsim.NewCorpus(k1, k2, ws)
 	amOpts := attrmatch.DefaultOptions()
 	amOpts.LiteralThreshold = cfg.LiteralThreshold
 	amOpts.Runner = par.Pool()
-	p.AttrMatches = attrmatch.FindMatches(k1, k2, p.Initial, amOpts)
+	p.AttrMatches = attrmatch.FindMatchesIn(corpus, p.Initial, amOpts)
 
 	p.Builder = simvec.NewBuilder(k1, k2, p.AttrMatches, cfg.LiteralThreshold)
 	p.Builder.SetRunner(par.Pool())
@@ -196,7 +200,7 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 				cands = append(cands, c.Pair)
 			}
 		}
-		flat := p.Builder.AllIn(cands, ws)
+		flat := p.Builder.AllIn(cands, corpus)
 		keep := simvec.NewFlatPruner(cands, flat, p.dim).Keep(cands, cfg.K)
 		// keep ascends, so one cursor walks the pages: candidate k is
 		// pages[pg][k-base].
@@ -209,7 +213,7 @@ func prepare(k1, k2 *kb.KB, cfg Config, retained []pair.Pair, blk *blocking.Resu
 			return cands[k], flat[k*p.dim : (k+1)*p.dim], pages[pg][k-base].Prior
 		})
 	} else {
-		flat := p.Builder.AllIn(retained, ws)
+		flat := p.Builder.AllIn(retained, corpus)
 		p.gather(len(retained), func(i int) (pair.Pair, simvec.Vector, float64) {
 			prior, ok := blk.Priors[retained[i]]
 			if !ok {

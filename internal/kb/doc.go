@@ -12,10 +12,14 @@
 // one string blob with an offset per entry. N_a(u) is a CSR (compressed
 // sparse rows): per entity an offset into sorted runs of attribute IDs,
 // each run a window of one value array whose strings slice the literal
-// blob. N_r(u) is two such CSRs, out and in, of sorted RelID runs over
-// sorted entity IDs. Entity(name) probes an open-addressing table of
-// IDs. Out, In, OutRels, InRels, Attrs and AttrValues return windows of
-// these arrays: they allocate nothing, and callers must not modify them.
+// blob. Beside the values, one array holds each value's LitID, its entry
+// in the literal dictionary — numbered by Freeze, or the snapshot's value
+// index — so a later stage can key what it derives from a literal by the
+// ID and derive it once. N_r(u) is two such CSRs, out and in, of sorted
+// RelID runs over sorted entity IDs. Entity(name) probes an
+// open-addressing table of IDs. Out, In, OutRels, InRels, Attrs,
+// AttrValues and AttrLits return windows of these arrays: they allocate
+// nothing, and callers must not modify them.
 //
 // A KB from New is built through AddEntity, AddAttr, AddRel,
 // AddAttrTriple, AddRelTriple, SetLabel and SetType, which append to a

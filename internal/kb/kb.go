@@ -23,6 +23,10 @@ type AttrID int32
 // RelID identifies a relationship within one KB.
 type RelID int32
 
+// LitID identifies a distinct attribute value in one KB's literal
+// dictionary.
+type LitID uint32
+
 // NoEntity is returned by lookups that fail.
 const NoEntity EntityID = -1
 
@@ -56,6 +60,8 @@ type KB struct {
 	index                nameIndex
 	attrNames, relNames  strTab
 	attrs                csr[AttrID, string] // N_a(u), runs per attribute
+	lits                 strTab              // the literal dictionary
+	litOf                []LitID             // attrs.val[i] is lits.at(litOf[i])
 	out, in              csr[RelID, EntityID]
 }
 
@@ -177,13 +183,22 @@ func (c *csr[K, V]) keys(u EntityID) []K {
 	return c.key[lo:hi:hi]
 }
 
-func (c *csr[K, V]) get(u EntityID, k K) []V {
+// window returns where in val u's run on k lies: [a, b), empty if u has
+// no such run.
+func (c *csr[K, V]) window(u EntityID, k K) (a, b uint32) {
 	lo := c.row[u]
 	i, ok := slices.BinarySearch(c.key[lo:c.row[u+1]], k)
 	if !ok {
+		return 0, 0
+	}
+	return c.off[lo+uint32(i)], c.off[lo+uint32(i)+1]
+}
+
+func (c *csr[K, V]) get(u EntityID, k K) []V {
+	a, b := c.window(u, k)
+	if a == b {
 		return nil
 	}
-	a, b := c.off[lo+uint32(i)], c.off[lo+uint32(i)+1]
 	return c.val[a:b:b]
 }
 
@@ -224,13 +239,13 @@ func compareRel(x, y RelTriple) int {
 
 // dictionary numbers the distinct strings among at(0), …, at(m-1) in
 // order of first use: dict lists them, and entry i is dict[ids[i]].
-func dictionary(m int, at func(int) string) (dict []string, ids []uint32) {
-	ids = make([]uint32, m)
-	seen := make(map[string]uint32)
+func dictionary(m int, at func(int) string) (dict []string, ids []LitID) {
+	ids = make([]LitID, m)
+	seen := make(map[string]LitID)
 	for i := range m {
 		id, ok := seen[at(i)]
 		if !ok {
-			id = uint32(len(dict))
+			id = LitID(len(dict))
 			seen[at(i)] = id
 			dict = append(dict, at(i))
 		}
@@ -279,15 +294,15 @@ func (k *KB) freeze() {
 	k.index, _, _ = indexNames(&k.names)
 
 	// The triples sorted canonically, repeats dropped; the distinct
-	// literals are packed into one blob.
+	// literals are numbered and packed into one blob.
 	slices.SortFunc(b.attrs, func(x, y AttrTriple) int {
 		return cmp.Or(cmp.Compare(x.Subject, y.Subject), cmp.Compare(x.Attr, y.Attr), strings.Compare(x.Value, y.Value))
 	})
 	attrs := slices.Compact(b.attrs)
 	lits, ids := dictionary(len(attrs), func(i int) string { return attrs[i].Value })
-	dict := pack(lits)
+	k.lits, k.litOf = pack(lits), ids
 	k.attrs = newCSR(n, len(attrs), func(i int) (EntityID, AttrID, string) {
-		return attrs[i].Subject, attrs[i].Attr, dict.at(int(ids[i]))
+		return attrs[i].Subject, attrs[i].Attr, k.lits.at(int(ids[i]))
 	})
 	slices.SortFunc(b.rels, compareRel)
 	k.setRels(n, slices.Compact(b.rels))
@@ -391,6 +406,22 @@ func (k *KB) AddRelTriple(u EntityID, r RelID, v EntityID) {
 // AttrValues returns the sorted literal value set N_a(u), nil if u has no
 // value on a. The returned slice must not be modified.
 func (k *KB) AttrValues(u EntityID, a AttrID) []string { k.Freeze(); return k.attrs.get(u, a) }
+
+// AttrLits returns the literal IDs of N_a(u), in AttrValues' order:
+// Literal(AttrLits(u, a)[i]) is AttrValues(u, a)[i]. The returned slice
+// must not be modified.
+func (k *KB) AttrLits(u EntityID, a AttrID) []LitID {
+	k.Freeze()
+	i, j := k.attrs.window(u, a)
+	return k.litOf[i:j:j]
+}
+
+// Literal returns the literal numbered id.
+func (k *KB) Literal(id LitID) string { k.Freeze(); return k.lits.at(int(id)) }
+
+// NumLiterals returns the size of the literal dictionary: every LitID is
+// below it.
+func (k *KB) NumLiterals() int { k.Freeze(); return k.lits.len() }
 
 // Attrs returns the sorted list of attributes for which u has at least one
 // value. The returned slice must not be modified.

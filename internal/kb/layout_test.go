@@ -44,8 +44,8 @@ func TestKBHoldsNoMap(t *testing.T) {
 	}
 }
 
-// TestAccessorsDoNotAllocate: the six value-set accessors return windows
-// of the frozen arrays.
+// TestAccessorsDoNotAllocate: the seven value-set accessors return
+// windows of the frozen arrays.
 func TestAccessorsDoNotAllocate(t *testing.T) {
 	var buf bytes.Buffer
 	if err := randSnapKB(rand.New(rand.NewSource(3)), "allocs", 40).WriteSnapshot(&buf); err != nil {
@@ -64,6 +64,7 @@ func TestAccessorsDoNotAllocate(t *testing.T) {
 			"InRels":     func(u EntityID) { sink += len(k.InRels(u)) },
 			"Attrs":      func(u EntityID) { sink += len(k.Attrs(u)) },
 			"AttrValues": func(u EntityID) { sink += len(k.AttrValues(u, 0)) },
+			"AttrLits":   func(u EntityID) { sink += len(k.AttrLits(u, 0)) },
 		} {
 			if n := testing.AllocsPerRun(20, func() {
 				for u := range EntityID(k.NumEntities()) {

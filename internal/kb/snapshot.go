@@ -106,7 +106,7 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 	k.attrs.each(func(u EntityID, a AttrID, _ string) {
 		sw.u32(uint32(u))
 		sw.u32(uint32(a))
-		sw.u32(ids[i])
+		sw.u32(uint32(ids[i]))
 		i++
 	})
 	k.out.each(func(u EntityID, r RelID, v EntityID) {
@@ -316,17 +316,20 @@ func (k *KB) decodeNames() error {
 	return nil
 }
 
-// decodeAttrs validates the attribute triples and lays them out. They
-// arrive in canonical (entity, attribute, value) order — the order check
-// doubles as the duplicate check — and are read twice: validated here,
-// then counted and filled by newCSR.
+// decodeAttrs validates the attribute triples and lays them out, keeping
+// each value's dictionary index as its LitID. They arrive in canonical
+// (entity, attribute, value) order — the order check doubles as the
+// duplicate check — and are read twice: validated here, then counted and
+// filled by newCSR.
 func (k *KB) decodeAttrs(raw []byte, values strTab, nEntities, nAttrs, nValues int) error {
 	m := len(raw) / 12
+	k.lits, k.litOf = values, make([]LitID, m)
 	for i := range m {
 		u, a, vi := word(raw, 3*i), word(raw, 3*i+1), word(raw, 3*i+2)
 		if int(u) >= nEntities || int(a) >= nAttrs || int(vi) >= nValues {
 			return fmt.Errorf("kb: snapshot: attr triple %d (%d,%d,%d) out of range", i, u, a, vi)
 		}
+		k.litOf[i] = LitID(vi)
 		if i > 0 {
 			pu, pa := word(raw, 3*i-3), word(raw, 3*i-2)
 			if cmp.Or(cmp.Compare(pu, u), cmp.Compare(pa, a), strings.Compare(values.at(int(word(raw, 3*i-1))), values.at(int(vi)))) >= 0 {
@@ -335,7 +338,7 @@ func (k *KB) decodeAttrs(raw []byte, values strTab, nEntities, nAttrs, nValues i
 		}
 	}
 	k.attrs = newCSR(nEntities, m, func(i int) (EntityID, AttrID, string) {
-		return EntityID(word(raw, 3*i)), AttrID(word(raw, 3*i+1)), values.at(int(word(raw, 3*i+2)))
+		return EntityID(word(raw, 3*i)), AttrID(word(raw, 3*i+1)), values.at(int(k.litOf[i]))
 	})
 	return nil
 }

@@ -1,9 +1,10 @@
 // Package simvec assembles similarity vectors over attribute matches and
 // implements the partial-order-based pruning of §IV-D (Algorithm 1): each
 // candidate entity pair (u1,u2) gets a vector s(u1,u2) whose i-th component
-// is the simL similarity of the pair's value sets on the i-th attribute
-// match; the natural partial order s ≻ s′ (componentwise ≥ with at least
-// one >) induces min_rank, and pairs whose worst rank reaches k are pruned
+// is the simL similarity of the pair's value sets — the KBs' literal-ID
+// rows, read through a strsim.Corpus — on the i-th attribute match; the
+// natural partial order s ≻ s′ (componentwise ≥ with at least one >)
+// induces min_rank, and pairs whose worst rank reaches k are pruned
 // together with everything they dominate.
 package simvec
 
@@ -53,7 +54,8 @@ func (s Vector) StrictlyDominates(t Vector) bool {
 
 // Builder computes similarity vectors for candidate pairs. It holds only
 // its inputs — the two KBs, the attribute matches and the threshold; the
-// literal corpus and value tables a batch works on live for one All call.
+// literal corpus a batch reads is the caller's, or lives for one All
+// call.
 type Builder struct {
 	k1, k2    *kb.KB
 	matches   []attrmatch.Match
@@ -93,7 +95,7 @@ func (b *Builder) Vector(p pair.Pair) Vector {
 }
 
 // All computes vectors for every pair, preserving order: windows of
-// AllIn's array, computed with a Workspace of its own.
+// AllIn's array, computed over a corpus of its own.
 func (b *Builder) All(pairs []pair.Pair) []Vector {
 	dim, flat := b.Dim(), b.AllIn(pairs, nil)
 	out := make([]Vector, len(pairs))
@@ -105,49 +107,44 @@ func (b *Builder) All(pairs []pair.Pair) []Vector {
 
 // AllIn computes the vectors of every pair, preserving order, in one flat
 // array: pairs[i]'s is flat[i*Dim():(i+1)*Dim()], byte-identical to
-// Vector(pairs[i]). Literal words are cut in ws (nil: a new one). A pass
-// over the pairs per side counts each entity's value sets on first sight
-// — once per entity, however many pairs it is in — and a second lists
-// them, in one dense table per side over one array of literals sized by
-// the count; the literals are then interned into a per-call corpus in one
-// batch, and pair vectors scored from the tables, both in parallel when a
-// Runner is set: the scoring in grains of scoreGrain pairs or more, which
-// the workers take from one cursor, each with one scratch. The array is
-// all that outlives the call: corpus and tables are garbage on return,
-// and a second call starts from nothing.
-func (b *Builder) AllIn(pairs []pair.Pair, ws *strsim.Workspace) (flat []float64) {
+// Vector(pairs[i]). Literals are read through c, a corpus over the
+// Builder's KB pair (nil: a new one). Each side lists the literal-ID rows
+// of its entities once, however many pairs an entity is in, marking their
+// literals in c — one task per side — and c loads them in one batch,
+// skipping those an earlier stage loaded. The pair vectors are then
+// scored off the rows, in parallel when a Runner is set: in grains of
+// scoreGrain pairs or more, which the workers take from one cursor, each
+// with one scratch. The array is all the call allocates that outlives it.
+func (b *Builder) AllIn(pairs []pair.Pair, c *strsim.Corpus) (flat []float64) {
 	if len(pairs) == 0 {
 		return nil
 	}
+	if c == nil {
+		c = strsim.NewCorpus(b.k1, b.k2, nil)
+	}
 	dim := len(b.matches)
-	bt := batch{
-		pairs:     pairs,
-		dim:       dim,
-		threshold: b.threshold,
-		corpus:    strsim.NewCorpus(ws),
-		side1:     valueTable{k: b.k1, side1: true, attrs: make([]kb.AttrID, dim)},
-		side2:     valueTable{k: b.k2, attrs: make([]kb.AttrID, dim)},
-		flat:      make([]float64, len(pairs)*dim),
-	}
-	for i, m := range b.matches {
-		bt.side1.attrs[i], bt.side2.attrs[i] = m.A1, m.A2
-	}
-	// The two sides' tables are independent: one task each.
-	sides := [2]*valueTable{&bt.side1, &bt.side2}
-	par.RunAll(b.runner, 2, func(side int) { sides[side].count(pairs) })
-	n1 := bt.side1.off[len(bt.side1.off)-1]
-	vals := make([]string, n1+bt.side2.off[len(bt.side2.off)-1])
-	bt.side1.vals, bt.side2.vals = vals[:n1], vals[n1:]
-	par.RunAll(b.runner, 2, func(side int) { sides[side].list(pairs) })
-	lits := bt.corpus.InternAll(b.runner, vals)
-	bt.side1.lits, bt.side2.lits = lits[:n1], lits[n1:]
+	var sides [2]valueRows
+	par.RunAll(b.runner, 2, func(side int) {
+		k, attrs := b.k1, make([]kb.AttrID, dim)
+		if side == 1 {
+			k = b.k2
+		}
+		for i, m := range b.matches {
+			attrs[i] = [2]kb.AttrID{m.A1, m.A2}[side]
+		}
+		sides[side] = newValueRows(k, attrs, pairs, side, c)
+	})
+	c.Load(b.runner)
+	flat = make([]float64, len(pairs)*dim)
 	par.Work(b.runner, par.Grains(b.runner, len(pairs), scoreGrain), func(next iter.Seq2[int, par.Range]) {
 		var sc strsim.MatchScratch // one per worker
 		for _, rg := range next {
-			bt.score(rg.Lo, rg.Hi, &sc)
+			for i := rg.Lo; i < rg.Hi; i++ {
+				b.score(c, &sides, pairs[i], flat[i*dim:(i+1)*dim], &sc)
+			}
 		}
 	})
-	return bt.flat
+	return flat
 }
 
 // scoreGrain is the fewest pairs a grain of AllIn's scoring holds: below
@@ -155,94 +152,59 @@ func (b *Builder) AllIn(pairs []pair.Pair, ws *strsim.Workspace) (flat []float64
 // lower it; the cut never affects the result.
 var scoreGrain = 512
 
-// valueTable is one KB side of a batch: the interned value sets of every
-// entity the pair list mentions on the K1 (side1) or K2 side, one per
-// attribute match (attrs holds the side's attribute of each), entity by
-// entity in order of first sight.
-type valueTable struct {
-	k     *kb.KB
-	side1 bool
-	attrs []kb.AttrID
-	// base maps an entity to 1 + the index of its first value set, 0 if
-	// it is in no pair.
+// valueRows is one KB side of an AllIn call: the literal-ID rows of every
+// entity the pairs mention on that side, one per attribute match, entity
+// by entity in order of first sight, each a window of the KB's own array.
+// base[u] numbers entity u from 1 in that order, 0 if it is in no pair.
+type valueRows struct {
 	base []int32
-	off  []int32        // value set i is vals[off[i]:off[i+1]], and lits the same
-	vals []string       // the side's literals
-	lits []strsim.LitID // vals, interned
+	rows [][]kb.LitID
+	dim  int
 }
 
-func (t *valueTable) entity(p pair.Pair) kb.EntityID {
-	if t.side1 {
-		return p.U1
-	}
-	return p.U2
-}
-
-// count numbers the side's entities in order of first sight and counts
-// their values into the offsets' last entry, so that list needs no
-// growing.
-func (t *valueTable) count(pairs []pair.Pair) {
-	t.base = make([]int32, t.k.NumEntities())
-	sets, nvals := int32(0), int32(0)
+// newValueRows lists the rows of side's entities (0: K1, 1: K2) on attrs,
+// one per attribute match, and marks their literals in c. A first pass
+// numbers the entities, so that the list is made at its size; a second
+// reads each entity's rows when it meets the entity numbered next.
+func newValueRows(k *kb.KB, attrs []kb.AttrID, pairs []pair.Pair, side int, c *strsim.Corpus) valueRows {
+	t := valueRows{base: make([]int32, k.NumEntities()), dim: len(attrs)}
+	entity := func(p pair.Pair) kb.EntityID { return [2]kb.EntityID{p.U1, p.U2}[side] }
+	n := int32(0)
 	for _, p := range pairs {
-		if u := t.entity(p); t.base[u] == 0 {
-			t.base[u], sets = sets+1, sets+int32(len(t.attrs))
-			for _, a := range t.attrs {
-				nvals += int32(len(t.k.AttrValues(u, a)))
+		if u := entity(p); t.base[u] == 0 {
+			n++
+			t.base[u] = n
+		}
+	}
+	t.rows = make([][]kb.LitID, 0, int(n)*t.dim)
+	for _, p := range pairs {
+		if u := entity(p); int(t.base[u]-1)*t.dim == len(t.rows) {
+			for _, a := range attrs {
+				ids := k.AttrLits(u, a)
+				c.Add(side, ids)
+				t.rows = append(t.rows, ids)
 			}
 		}
 	}
-	t.off = make([]int32, sets+1)
-	t.off[sets] = nvals
+	return t
 }
 
-// list copies the counted values into vals and sets the offsets, visiting
-// the entities in count's order: an entity is new where its first set is
-// the next one unlisted.
-func (t *valueTable) list(pairs []pair.Pair) {
-	i, n := int32(0), int32(0)
-	for _, p := range pairs {
-		if u := t.entity(p); t.base[u]-1 == i {
-			for _, a := range t.attrs {
-				n += int32(copy(t.vals[n:], t.k.AttrValues(u, a)))
-				i++
-				t.off[i] = n
-			}
-		}
-	}
+// row returns entity u's literal-ID row on attribute match mi.
+func (t *valueRows) row(u kb.EntityID, mi int) []kb.LitID {
+	return t.rows[int(t.base[u]-1)*t.dim+mi]
 }
 
-// set returns u's value set on attribute match mi.
-func (t *valueTable) set(u kb.EntityID, mi int) []strsim.LitID {
-	i := int(t.base[u]) - 1 + mi
-	return t.lits[t.off[i]:t.off[i+1]]
-}
-
-// batch is the state of one All call.
-type batch struct {
-	pairs        []pair.Pair
-	dim          int
-	threshold    float64
-	corpus       *strsim.Corpus
-	side1, side2 valueTable
-	flat         []float64 // vector i is flat[i*dim:(i+1)*dim]
-}
-
-// score fills the vectors of pairs[lo:hi] in the worker's scratch sc;
-// ranges are disjoint, so grains run concurrently.
+// score fills pair p's vector v in the worker's scratch sc; pairs' vectors
+// are disjoint, so grains run concurrently.
 //
 //remp:hotpath
-func (bt *batch) score(lo, hi int, sc *strsim.MatchScratch) {
-	for i := lo; i < hi; i++ {
-		p := bt.pairs[i]
-		v := bt.flat[i*bt.dim : (i+1)*bt.dim]
-		for mi := range v {
-			va, vb := bt.side1.set(p.U1, mi), bt.side2.set(p.U2, mi)
-			if len(va) == 0 || len(vb) == 0 {
-				continue
-			}
-			v[mi] = bt.corpus.SimL(va, vb, bt.threshold, sc)
+func (b *Builder) score(c *strsim.Corpus, sides *[2]valueRows, p pair.Pair, v []float64, sc *strsim.MatchScratch) {
+	for mi := range v {
+		va, vb := sides[0].row(p.U1, mi), sides[1].row(p.U2, mi)
+		if len(va) == 0 || len(vb) == 0 {
+			continue
 		}
+		v[mi] = c.SimL(va, vb, b.threshold, sc)
 	}
 }
 

@@ -29,9 +29,12 @@ func BenchmarkSimLStrings(b *testing.B) {
 }
 
 func BenchmarkSimLCorpus(b *testing.B) {
-	va, vb := benchValues(8), benchValues(8)
-	c := NewCorpus(nil)
-	ia, ib := c.InternAll(nil, va), c.InternAll(nil, vb)
+	k1, k2 := valueKB(benchValues(8)), valueKB(benchValues(8))
+	c := NewCorpus(k1, k2, nil)
+	ia, ib := k1.AttrLits(0, 0), k2.AttrLits(0, 0)
+	c.Add(0, ia)
+	c.Add(1, ib)
+	c.Load(nil)
 	var sc MatchScratch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,9 +54,11 @@ func BenchmarkJaccardStrings(b *testing.B) {
 }
 
 func BenchmarkJaccardIDs(b *testing.B) {
-	c := NewCorpus(nil)
-	ids := c.InternAll(nil, []string{"the quick brown fox jumps over the lazy dog", "the quick brown cat sleeps under the lazy dog"})
-	ia, ib := c.tokSet(ids[0]), c.tokSet(ids[1])
+	var in Interner
+	start, ids := in.Sets(nil, nil, 2, func(i int) string {
+		return []string{"the quick brown fox jumps over the lazy dog", "the quick brown cat sleeps under the lazy dog"}[i]
+	})
+	ia, ib := ids[start[0]:start[1]], ids[start[1]:start[2]]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

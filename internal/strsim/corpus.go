@@ -4,123 +4,147 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/kb"
 	"repro/internal/par"
 )
 
-// LitID is a dense interned literal identifier within one Corpus.
-type LitID uint32
-
-// Corpus interns attribute-value literals and caches everything
-// LiteralSimilarity would otherwise recompute per comparison: the literal's
-// kind, its parsed numeric/date value, and its sorted dense-token-ID set.
-// The batched pre-pipeline interns each distinct literal once per KB pair
-// and then scores millions of literal comparisons on integers and cached
-// floats. Corpus similarities are byte-identical to the string-based
-// functions: interning is a bijection, so every set size, intersection
-// size and parsed value — the only inputs to the float math — is the same.
+// Corpus caches, for the attribute values of a KB pair that a pass reads,
+// everything LiteralSimilarity would otherwise recompute per comparison:
+// the literal's kind, its parsed numeric/date value, and its sorted
+// dense-token-ID set. It is indexed by KB side — 0 for K1, 1 for K2 — and
+// the KB's own literal ID, so a value set is kb.AttrLits read as it is.
+// Corpus similarities are byte-identical to the string-based functions:
+// token interning is a bijection, so every set size, intersection size
+// and parsed value — the only inputs to the float math — is the same.
 //
-// Literals and their tokens go through two Interners, both cutting their
-// texts in one Workspace. InternAll fans its work out over a Runner: the
-// literal interning, and then classifying, parsing and tokenizing each
-// new literal. A Corpus is safe for concurrent reads once InternAll
-// returns; InternAll calls must not race with anything.
+// Add marks the literals a pass will read; Load classifies, parses and
+// tokenizes the ones marked since the last Load, each once, fanning out
+// over a Runner. The tokens of both sides go through one Interner, cut in
+// one Workspace, so one Corpus serves every similarity stage of a Prepare
+// and no literal is read twice. A Corpus is safe for concurrent reads
+// once Load returns; Add and Load calls must not race with anything but
+// an Add on the other side.
 type Corpus struct {
-	lits, words Interner
-	ws          *Workspace
-	kinds       []LiteralKind
-	nums        []float64 // parsed value for KindNumber/KindDate literals
-	// literal id's token set is toks[tokEnd[id]:tokEnd[id+1]]
-	tokEnd []int32
-	toks   []uint32
+	kbs   [2]*kb.KB
+	lits  [2][]literal  // by KB literal ID
+	fresh [2][]kb.LitID // marked since the last Load
+	words Interner
+	ws    *Workspace
+	toks  []uint32 // literal l's token set is toks[l.lo:l.hi]
 }
 
-// NewCorpus returns an empty corpus that cuts its texts in ws; nil gives
-// each InternAll call a Workspace of its own.
-func NewCorpus(ws *Workspace) *Corpus { return &Corpus{ws: ws} }
+// literal is what a Corpus keeps of one KB literal.
+type literal struct {
+	num    float64 // parsed value of a KindNumber or KindDate literal
+	lo, hi int32
+	kind   LiteralKind
+	marked bool
+}
 
-// InternAll interns every literal in vals, returning their IDs. A
-// literal seen for the first time is classified, parsed and tokenized —
-// in parallel when r is set; the IDs do not depend on r.
-func (c *Corpus) InternAll(r par.Runner, vals []string) []LitID {
-	old, ws := len(c.kinds), c.ws
-	if ws == nil {
-		ws = new(Workspace)
+// NewCorpus returns an empty corpus over the literals of k1 (side 0) and
+// k2 (side 1) that cuts their words in ws; nil gives each Load call a
+// Workspace of its own.
+func NewCorpus(k1, k2 *kb.KB, ws *Workspace) *Corpus {
+	return &Corpus{
+		kbs:  [2]*kb.KB{k1, k2},
+		lits: [2][]literal{make([]literal, k1.NumLiterals()), make([]literal, k2.NumLiterals())},
+		ws:   ws,
 	}
-	_, ids := c.lits.Sets(ws, r, len(vals), func(i int) string { return vals[i] }, false)
-	n, out := c.lits.Len(), make([]LitID, len(vals))
-	fresh := make([]int32, n-old) // where in vals each new literal is, by ID − old
-	for i, id := range ids {
-		if out[i] = LitID(id); int(id) >= old {
-			fresh[int(id)-old] = int32(i)
+}
+
+// KBs returns the KB pair the corpus reads.
+func (c *Corpus) KBs() (k1, k2 *kb.KB) { return c.kbs[0], c.kbs[1] }
+
+// Add marks the literals ids of the given side to be read; the next Load
+// reads those it has not read before.
+func (c *Corpus) Add(side int, ids []kb.LitID) {
+	lits := c.lits[side]
+	for _, id := range ids {
+		if !lits[id].marked {
+			lits[id].marked = true
+			c.fresh[side] = append(c.fresh[side], id)
 		}
 	}
-	c.kinds = append(c.kinds, make([]LiteralKind, n-old)...)
-	c.nums = append(c.nums, make([]float64, n-old)...)
+}
 
-	grains := par.Grains(r, len(fresh), internGrain)
+// Load classifies, parses and tokenizes every literal marked since the
+// last call — in parallel when r is set; the result does not depend on r.
+func (c *Corpus) Load(r par.Runner) {
+	n0, n := len(c.fresh[0]), len(c.fresh[0])+len(c.fresh[1])
+	at := func(i int) (*literal, string) {
+		side := 0
+		if i >= n0 {
+			side, i = 1, i-n0
+		}
+		id := c.fresh[side][i]
+		return &c.lits[side][id], c.kbs[side].Literal(id)
+	}
+	grains := par.Grains(r, n, internGrain)
 	par.RunAll(r, len(grains), func(g int) {
-		for id := old + grains[g].Lo; id < old+grains[g].Hi; id++ {
-			lit := strings.TrimSpace(vals[fresh[id-old]])
-			switch c.kinds[id] = Classify(lit); c.kinds[id] {
+		for i := grains[g].Lo; i < grains[g].Hi; i++ {
+			l, text := at(i)
+			lit := strings.TrimSpace(text)
+			switch l.kind = Classify(lit); l.kind {
 			case KindNumber:
-				c.nums[id], _ = strconv.ParseFloat(lit, 64)
+				l.num, _ = strconv.ParseFloat(lit, 64)
 			case KindDate:
-				c.nums[id], _ = parseDate(lit)
+				l.num, _ = parseDate(lit)
 			}
 		}
 	})
 	// A literal's token set is TokenSet(lit) by ID instead of by string, a
 	// different permutation of the same set, so every intersection size —
 	// the only thing downstream math reads — is unchanged.
-	start, toks := c.words.Sets(ws, r, len(fresh), func(i int) string { return vals[fresh[i]] }, true)
-	if old == 0 {
-		c.tokEnd, c.toks = start, toks
+	start, toks := c.words.Sets(c.ws, r, n, func(i int) string { _, text := at(i); return text })
+	base := int32(len(c.toks))
+	for i := range n {
+		l, _ := at(i)
+		l.lo, l.hi = base+start[i], base+start[i+1]
+	}
+	if base == 0 {
+		c.toks = toks
 	} else {
-		for _, end := range start[1:] {
-			c.tokEnd = append(c.tokEnd, int32(len(c.toks))+end)
-		}
 		c.toks = append(c.toks, toks...)
 	}
-	return out
+	c.fresh = [2][]kb.LitID{c.fresh[0][:0], c.fresh[1][:0]}
 }
 
-// tokSet returns literal id's token set, read-only.
-func (c *Corpus) tokSet(id LitID) []uint32 { return c.toks[c.tokEnd[id]:c.tokEnd[id+1]] }
-
-// LiteralSim is LiteralSimilarity over interned literals: same-kind
-// numbers and dates compare by maximum percentage difference on the cached
-// parsed values; everything else compares by Jaccard over the cached token
-// sets. Byte-identical to LiteralSimilarity on the original strings.
+// sim is LiteralSimilarity over two loaded literals, byte-identical to it
+// on their strings: same-kind numbers and dates compare by maximum
+// percentage difference on the parsed values; everything else compares by
+// Jaccard over the token sets.
 //
 //remp:hotpath
-func (c *Corpus) LiteralSim(a, b LitID) float64 {
-	ka, kb := c.kinds[a], c.kinds[b]
-	if ka == kb && ka != KindString {
-		return NumberSimilarity(c.nums[a], c.nums[b])
+func (c *Corpus) sim(a, b *literal) float64 {
+	if a.kind == b.kind && a.kind != KindString {
+		return NumberSimilarity(a.num, b.num)
 	}
-	return JaccardIDs(c.tokSet(a), c.tokSet(b))
+	return JaccardIDs(c.toks[a.lo:a.hi], c.toks[b.lo:b.hi])
 }
 
-// SimL is the extended Jaccard similarity over interned literal sets,
-// byte-identical to SimL on the original value slices (same greedy
-// pairing order, same tie-breaking, same early exit on an exact match).
-// The used scratch comes from the caller's MatchScratch (one per worker);
-// after warm-up the call is allocation-free.
+// SimL is the extended Jaccard similarity between K1's literal set va and
+// K2's literal set vb, all loaded: byte-identical to SimL on the value
+// strings (same greedy pairing order, same tie-breaking, same early exit
+// on an exact match). The used scratch comes from the caller's
+// MatchScratch (one per worker); after warm-up the call is
+// allocation-free.
 //
 //remp:hotpath
-func (c *Corpus) SimL(va, vb []LitID, threshold float64, sc *MatchScratch) float64 {
+func (c *Corpus) SimL(va, vb []kb.LitID, threshold float64, sc *MatchScratch) float64 {
 	if len(va) == 0 || len(vb) == 0 {
 		return 0
 	}
 	used := sc.boolRow(len(vb))
+	lits1, lits2 := c.lits[0], c.lits[1]
 	matched := 0
-	for _, la := range va {
+	for _, a := range va {
+		la := &lits1[a]
 		best, bestSim := -1, threshold
-		for j, lb := range vb {
+		for j, b := range vb {
 			if used[j] {
 				continue
 			}
-			if s := c.LiteralSim(la, lb); s >= bestSim {
+			if s := c.sim(la, &lits2[b]); s >= bestSim {
 				best, bestSim = j, s
 				if s == 1 {
 					break

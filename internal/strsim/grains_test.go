@@ -16,25 +16,27 @@ func TestGrainsMatchSerial(t *testing.T) {
 	internBatch = 50 // several batches, each cut in grains
 	for seed := int64(1); seed <= 3; seed++ {
 		rounds := internRounds(seed)
-		for _, tokenize := range []bool{false, true} {
-			serial := internIDs(rounds, nil, tokenize)
-			var lits []string
-			for _, texts := range rounds {
-				lits = append(lits, texts...)
-			}
-			c := NewCorpus(nil)
-			ids := c.InternAll(nil, lits)
-			for _, floor := range []int{1 << 30, 1} {
-				internGrain = floor
-				for _, tokens := range []int{0, 8} {
-					ctx := fmt.Sprintf("seed %d, tokenize %v, floor %d, %d tokens", seed, tokenize, floor, tokens)
-					if got := internIDs(rounds, par.NewScheduler(tokens), tokenize); !reflect.DeepEqual(got, serial) {
-						t.Fatalf("%s: IDs differ from the serial interning", ctx)
-					}
-					g := NewCorpus(nil)
-					if got := g.InternAll(par.NewScheduler(tokens), lits); !reflect.DeepEqual(got, ids) || !reflect.DeepEqual(g, c) {
-						t.Fatalf("%s: the corpus differs from the serial one", ctx)
-					}
+		serial := internIDs(rounds, nil)
+		k1, k2 := valueKB(rounds[0], rounds[1]), valueKB(rounds[2])
+		load := func(r par.Runner) *Corpus {
+			c := NewCorpus(k1, k2, nil)
+			c.Add(0, k1.AttrLits(0, 0))
+			c.Load(r)
+			addAll(c, 1, k2)
+			addAll(c, 0, k1)
+			c.Load(r)
+			return c
+		}
+		c := load(nil)
+		for _, floor := range []int{1 << 30, 1} {
+			internGrain = floor
+			for _, tokens := range []int{0, 8} {
+				ctx := fmt.Sprintf("seed %d, floor %d, %d tokens", seed, floor, tokens)
+				if got := internIDs(rounds, par.NewScheduler(tokens)); !reflect.DeepEqual(got, serial) {
+					t.Fatalf("%s: IDs differ from the serial interning", ctx)
+				}
+				if got := load(par.NewScheduler(tokens)); !reflect.DeepEqual(got, c) {
+					t.Fatalf("%s: the corpus differs from the serial one", ctx)
 				}
 			}
 		}

@@ -35,14 +35,14 @@ var internBatch = 1 << 13
 // It is a variable so that a test can cut grains of one text.
 var internGrain = 256
 
-// Interner maps byte strings to dense uint32 IDs, 0 to Len()-1. It is
-// the pre-pipeline's one string→ID map: blocking interns label tokens
-// through it, and a Corpus its literals and their tokens. Sets cuts and
-// hashes the words of its texts a batch at a time, each batch's grains
-// in parallel, then interns them shard by shard, one pool task per
-// shard, comparing the bytes of words whose hashes match. A word first
-// seen in a call gets the next ID in (shard, first sight) order, so IDs
-// depend on the texts and their order only. The zero value is ready; an
+// Interner maps words to dense uint32 IDs, 0 to Len()-1. It is the
+// pre-pipeline's one string→ID map: blocking interns label tokens through
+// it, and a Corpus literal tokens. Sets cuts and hashes the words of its
+// texts a batch at a time, each batch's grains in parallel, then interns
+// them shard by shard, one pool task per shard, comparing the bytes of
+// words whose hashes match. A word first seen in a call gets the next ID
+// in (shard, first sight) order, so IDs depend on the texts and their
+// order only. The zero value is ready; an
 // Interner is safe for concurrent reads once Sets returns, and Sets calls
 // must not race with anything.
 type Interner struct {
@@ -145,19 +145,14 @@ func (w *words) word(i int32) []byte { return w.buf[w.ends[i]:w.ends[i+1]] }
 // split cuts texts lo to hi-1 into words, setting start[i+1] to the
 // grain's word count after text i, and lays the words out by shard. The
 // buffers keep their capacity from the last batch.
-func (w *words) split(text func(i int) string, lo, hi int, tokenize bool, start []int32) {
+func (w *words) split(text func(i int) string, lo, hi int, start []int32) {
 	w.buf, w.ends = w.buf[:0], append(w.ends[:0], 0)
 	for i := lo; i < hi; i++ {
 		s := text(i)
 		// A text's words take at most its bytes, save case changes, and
 		// are one byte and a separator apart.
 		w.buf, w.ends = grow(w.buf, len(s)), grow(w.ends, len(s)/2+1)
-		if tokenize {
-			w.buf, w.ends = AppendWords(w.buf, w.ends, s, true)
-		} else {
-			w.buf = append(w.buf, s...)
-			w.ends = append(w.ends, int32(len(w.buf)))
-		}
+		w.buf, w.ends = AppendWords(w.buf, w.ends, s, true)
 		start[i+1] = int32(len(w.ends) - 1)
 	}
 	nw := len(w.ends) - 1
@@ -176,15 +171,14 @@ func (w *words) split(text func(i int) string, lo, hi int, tokenize bool, start 
 	}
 }
 
-// Sets interns the texts text(0) to text(n-1) and returns each one's
-// distinct IDs, ascending, in one flat array: text i's are
-// ids[start[i]:start[i+1]]. With tokenize set a text's words are its
-// stemmed AppendWords tokens, so the set is TokenSet's, by ID; without,
-// a text is one word, verbatim. Texts are cut in ws (nil: a new one), a
+// Sets interns the words of the texts text(0) to text(n-1) — their
+// stemmed AppendWords tokens — and returns each text's distinct IDs,
+// ascending, in one flat array: text i's are ids[start[i]:start[i+1]],
+// TokenSet(text(i)) by ID. Texts are cut in ws (nil: a new one), a
 // batch at a time. Cutting and the final sort fan out over r in grains of
 // internGrain texts or more, which the workers take from one cursor, and
 // interning in one task per shard. text is called once per text.
-func (in *Interner) Sets(ws *Workspace, r par.Runner, n int, text func(i int) string, tokenize bool) (start []int32, ids []uint32) {
+func (in *Interner) Sets(ws *Workspace, r par.Runner, n int, text func(i int) string) (start []int32, ids []uint32) {
 	if ws == nil {
 		ws = new(Workspace)
 	}
@@ -202,7 +196,7 @@ func (in *Interner) Sets(ws *Workspace, r par.Runner, n int, text func(i int) st
 		}
 		cut := ws.grains[:len(grains)]
 		par.RunAll(r, len(grains), func(g int) {
-			cut[g].split(text, lo+grains[g].Lo, lo+grains[g].Hi, tokenize, start)
+			cut[g].split(text, lo+grains[g].Lo, lo+grains[g].Hi, start)
 		})
 		nw := int32(len(ids))
 		for g, c := range grains {

@@ -202,7 +202,7 @@ func NumberSimilarity(x, y float64) float64 {
 }
 
 // LiteralKind classifies a literal for LiteralSimilarity dispatch.
-type LiteralKind int
+type LiteralKind uint8
 
 // Literal kinds recognized by Classify.
 const (
@@ -220,8 +220,14 @@ func Classify(lit string) LiteralKind {
 	}
 	// ParseFloat accepts nothing that starts with another byte, and each
 	// failure allocates an error: other text goes straight to the dates.
+	// Of text starting with a letter it accepts exactly nan, inf and
+	// infinity in any case, so such text is never parsed here.
 	switch c := s[0]; {
-	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		if strings.EqualFold(s, "nan") || strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") {
+			return KindNumber
+		}
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.':
 		if _, err := strconv.ParseFloat(s, 64); err == nil {
 			return KindNumber
 		}
@@ -233,33 +239,42 @@ func Classify(lit string) LiteralKind {
 }
 
 // parseDate accepts YYYY-MM-DD, YYYY/MM/DD and YYYY, returning days since
-// year 0 on success (a monotone encoding good enough for similarity).
+// year 0 on success (a monotone encoding good enough for similarity). It
+// allocates nothing.
 func parseDate(s string) (float64, bool) {
-	sep := byte('-')
+	sep := "-"
 	if strings.Count(s, "/") == 2 {
-		sep = '/'
+		sep = "/"
 	} else if strings.Count(s, "-") != 2 {
 		if len(s) == 4 {
-			if y, err := strconv.Atoi(s); err == nil && y > 0 {
+			if y, ok := atoi(s); ok && y > 0 {
 				return float64(y) * 365.2425, true
 			}
 		}
 		return 0, false
 	}
-	parts := strings.Split(s, string(sep))
-	if len(parts) != 3 {
-		return 0, false
-	}
-	y, err1 := strconv.Atoi(parts[0])
-	m, err2 := strconv.Atoi(parts[1])
-	d, err3 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil || err3 != nil {
+	ys, rest, _ := strings.Cut(s, sep)
+	ms, ds, _ := strings.Cut(rest, sep)
+	y, ok1 := atoi(ys)
+	m, ok2 := atoi(ms)
+	d, ok3 := atoi(ds)
+	if !ok1 || !ok2 || !ok3 {
 		return 0, false
 	}
 	if y <= 0 || m < 1 || m > 12 || d < 1 || d > 31 {
 		return 0, false
 	}
 	return float64(y)*365.2425 + float64(m-1)*30.44 + float64(d), true
+}
+
+// atoi is strconv.Atoi without the error it allocates for text that is
+// not signs and digits.
+func atoi(s string) (int, bool) {
+	if d := strings.TrimLeft(s, "+-"); d == "" || strings.Trim(d, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 // LiteralSimilarity compares two literals, dispatching on their kinds:
