@@ -234,9 +234,8 @@ func (l *Loop) resolved(q pair.Pair) bool {
 }
 
 // WasDeduced reports whether q was skipped by answer deduction instead
-// of being answered by the crowd (always false unless Config.Deduce).
-// Drivers use it to drop a question from an already-fetched batch, and
-// the session layer to swallow a late crowd answer for it.
+// of being answered by the crowd (always false unless Config.Deduce). The
+// session layer uses it to swallow a late crowd answer for q.
 func (l *Loop) WasDeduced(q pair.Pair) bool { return l.deduced.Has(q) }
 
 // skips reports whether the drain will skip open question q with no

@@ -52,9 +52,10 @@ func (p *Prepared) Run(asker Asker) *Result {
 	return res
 }
 
-// Run is the loop's synchronous driver: it pulls each published batch and
-// pushes the Asker's answers back in selection order, skipping the
-// questions deduction already answered, until the loop is done. It
+// Run is the loop's synchronous driver: it answers the question at the
+// loop's cursor — Batch()[0], the next question in selection order —
+// with the Asker until the loop is done, so every answer is applied as it
+// arrives and a question an earlier answer resolved is never asked. It
 // terminates when no unresolved pair can be inferred by relational match
 // propagation (the paper's stop criterion), when the question budget is
 // exhausted, or when MaxLoops is reached. A shard runner that fails
@@ -72,19 +73,9 @@ func (l *Loop) Run(asker Asker) (*Result, error) {
 			// than spinning.
 			panic("core: loop awaiting answers with no open question")
 		}
-		for _, q := range batch {
-			if l.WasDeduced(q) {
-				// An earlier answer's cascade already implied q's
-				// verdict; deduction skipped it, so no crowd question.
-				continue
-			}
-			// q came from Batch, so only a runner failure can refuse it.
-			if err := l.Deliver(q, asker.Ask(q)); err != nil {
-				return nil, err
-			}
-			if l.Done() {
-				break
-			}
+		// The cursor came from Batch, so only a runner failure refuses it.
+		if err := l.Deliver(batch[0], asker.Ask(batch[0])); err != nil {
+			return nil, err
 		}
 	}
 	return l.Result(), nil

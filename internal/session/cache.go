@@ -26,8 +26,8 @@ import (
 // prepared over the same dataset with the KBs swapped flips its pairs on
 // every cache operation. The cache also maintains the namespace deduction
 // store: every definitive answer is recorded as a deduction fact,
-// and Deduce-enabled sessions consult it (through deduce) before posting a
-// question whose verdict the namespace's answers already imply.
+// and Deduce-enabled sessions consult it (through answer and reserve)
+// before posting a question whose verdict the namespace's answers imply.
 type Cache struct {
 	mu           sync.Mutex
 	answers      map[pair.Pair][]crowd.Label
@@ -36,6 +36,7 @@ type Cache struct {
 	oriented     bool
 	ded          *deduce.Store
 	hits         atomic.Int64
+	deduced      atomic.Int64
 	misses       atomic.Int64
 	reservations atomic.Int64
 }
@@ -64,17 +65,31 @@ func (c *Cache) orient(k1, k2 string) bool {
 	return k1 != k2 && k1 == c.k2 && k2 == c.k1
 }
 
-// answer returns the cached labels for q, counting a hit.
-func (c *Cache) answer(q pair.Pair) ([]crowd.Label, bool) {
+// answer returns the tier's answer for q and counts it: a sibling's
+// labels (a hit), else — when deducing — the synthesized label of the
+// verdict the namespace's recorded answers imply (a deduction hit), else
+// nothing (a miss).
+func (c *Cache) answer(q pair.Pair, deducing bool) ([]crowd.Label, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	labels, ok := c.answers[q]
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+	labels, n := c.lookup(q, deducing)
+	n.Add(1)
+	return labels, n != &c.misses
+}
+
+// lookup finds the tier's answer for q without counting it, and names the
+// counter it would count into. The store's own Lookup count is not the
+// tier's: NextBatch probes through reserve. Callers hold c.mu.
+func (c *Cache) lookup(q pair.Pair, deducing bool) ([]crowd.Label, *atomic.Int64) {
+	if labels, ok := c.answers[q]; ok {
+		return labels, &c.hits
 	}
-	return labels, ok
+	if deducing {
+		if v := c.ded.Lookup(q); v != deduce.Unknown {
+			return deducedLabels(v), &c.deduced
+		}
+	}
+	return nil, &c.misses
 }
 
 // put stores the answer for q (first answer wins, so every session sees
@@ -114,24 +129,23 @@ func answerVerdict(labels []crowd.Label) deduce.Verdict {
 	return deduce.Unknown
 }
 
-// deduce returns the verdict the namespace's recorded answers imply for
-// q, or deduce.Unknown. A hit counts into the deduction store's stats.
-func (c *Cache) deduce(q pair.Pair) deduce.Verdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ded.Lookup(q)
+// DeduceStats returns the namespace deduction-store counters, with Hits
+// the deduced answers the tier supplied to sessions.
+func (c *Cache) DeduceStats() deduce.Stats {
+	st := c.ded.Stats()
+	st.Hits = uint64(c.deduced.Load())
+	return st
 }
 
-// DeduceStats returns the namespace deduction-store counters.
-func (c *Cache) DeduceStats() deduce.Stats { return c.ded.Stats() }
-
 // reserve claims q for owner. It reports whether owner holds the claim and
-// should publish the question; false means the pair is already answered
-// (the caller picks it up on its next drain) or in flight in a sibling.
-func (c *Cache) reserve(q pair.Pair, owner string) bool {
+// should publish the question; false means the tier can answer the pair —
+// a sibling answered it or, when deducing, the namespace's answers imply
+// its verdict — and the caller drains it once its cursor reaches it, or
+// that the pair is in flight in a sibling.
+func (c *Cache) reserve(q pair.Pair, owner string, deducing bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, answered := c.answers[q]; answered {
+	if _, n := c.lookup(q, deducing); n != &c.misses {
 		return false
 	}
 	if held, ok := c.reserved[q]; ok {
@@ -156,7 +170,7 @@ func (c *Cache) releaseOwned(owner string) {
 // Hits returns how many times a cached answer was served to a session.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
-// Misses returns how many answer lookups found nothing cached.
+// Misses returns how many answer lookups the tier could not answer.
 func (c *Cache) Misses() int64 { return c.misses.Load() }
 
 // Reservations returns how many question reservations were granted to

@@ -1,8 +1,12 @@
 package session
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -307,26 +311,163 @@ func TestDeduceRecoverTwice(t *testing.T) {
 	assertResultsIdentical(t, want, s.Result())
 }
 
-// TestCacheDeduceTier exercises the namespace deduction store directly:
-// recorded answers become deduction facts, and a pair no
-// session answered is served by deduction under the 1:1 constraint.
+// TestDeduceTierAnswersAtTheCursor holds the namespace tier to the loop's
+// cursor: every answer it journals for a session is one the loop applies.
+// A sibling (µ 4, budget 15) answers bookWorld(10, 1) first; a Deduce-on
+// session with µ 8 then takes most of its answers from the tier. A drain
+// that asked the tier about the whole batch journaled one of them ahead of
+// the cursor, and the loop dropped it once an earlier batch-mate's cascade
+// resolved its question. The log that drain wrote, kept in testdata with
+// the dropped answer in it, must still recover to the same session, from
+// every prefix.
+func TestDeduceTierAnswersAtTheCursor(t *testing.T) {
+	k1, k2, gold := bookWorld(10, 1)
+	mod := func(c *core.Config) { c.Deduce, c.Mu = true, 8 }
+	prep := func() *core.Prepared { return core.Prepare(k1, k2, testConfig(mod)) }
+	want := prep().Run(core.NewOracleAsker(gold.IsMatch))
+
+	st, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManagerStore(st)
+	defer mgr.Close()
+	sibling, err := mgr.Create(core.Prepare(k1, k2, testConfig(func(c *core.Config) { c.Deduce, c.Budget = true, 15 })), "books", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, sibling, gold.IsMatch)
+	s, err := mgr.Create(prep(), "books", []byte("spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := pair.Set{}
+	for !s.Done() {
+		for _, q := range s.NextBatch() {
+			sent.Add(q.Pair)
+			if err := s.Deliver(q.ID, oracleLabels(gold, q.Pair)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assertResultsIdentical(t, want, s.Result())
+	rec, err := st.Get(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := rec.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := map[pair.Pair][]Label{}
+	for _, a := range s.loop.History() {
+		applied[a.Pair] = a.Labels
+	}
+	tier := 0
+	for _, a := range journal.Applied {
+		if q := (pair.Pair{U1: a.U1, U2: a.U2}); !sent.Has(q) {
+			tier++
+			if labels, ok := applied[q]; !ok || !reflect.DeepEqual(labels, a.Labels) {
+				t.Errorf("the tier's answer for %v is journaled but not applied", q)
+			}
+		}
+	}
+	if tier == 0 {
+		t.Fatal("fixture too easy: the tier answered nothing")
+	}
+	final, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	oldLog, err := os.ReadFile("testdata/tier-drop-whole-batch.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(oldLog, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty tail after the last newline
+	for n := 1; n <= len(lines); n++ {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "sessions", "s2.log"), bytes.Join(lines[:n], nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := NewManagerStore(st)
+		ids, err := mgr.Recover(func(string, []byte) (*core.Prepared, string, error) { return prep(), "books", nil })
+		if err != nil || len(ids) != 1 {
+			t.Fatalf("%d lines of the older log: recovered %v, %v", n, ids, err)
+		}
+		r, _ := mgr.Get(ids[0])
+		if n == len(lines) {
+			rec, err := st.Get(ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held, err := rec.Replay(); err != nil || len(held.Applied) <= len(journal.Applied) {
+				t.Fatalf("the older log holds %d answers (%v), this run's %d: no dropped answer to replay",
+					len(held.Applied), err, len(journal.Applied))
+			}
+			if got, err := r.Snapshot(); err != nil || !bytes.Equal(got, final) {
+				t.Errorf("the older log recovered to a different session (%v):\n got %s\nwant %s", err, got, final)
+			}
+		}
+		drive(t, r, gold.IsMatch)
+		assertResultsIdentical(t, want, r.Result())
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCacheDeduceTier exercises the namespace tier's one lookup directly:
+// a sibling's answer is served as recorded, recorded answers become
+// deduction facts, and a pair no session answered is served by deduction
+// under the 1:1 constraint, as a synthesized worker -1 label. Each answer
+// the tier supplies counts one hit; reserve's probe counts none.
 func TestCacheDeduceTier(t *testing.T) {
 	c := NewCache()
 	p := func(a, b int) pair.Pair { return pair.Pair{U1: kb.EntityID(a), U2: kb.EntityID(b)} }
 	lab := func(match bool) []crowd.Label {
 		return []crowd.Label{{WorkerID: 0, Quality: 0.999, IsMatch: match}}
 	}
+	tier := func(q pair.Pair, deducing bool) []crowd.Label {
+		t.Helper()
+		labels, ok := c.answer(q, deducing)
+		if ok != (labels != nil) {
+			t.Fatalf("answer(%v) = %v, %v", q, labels, ok)
+		}
+		return labels
+	}
 	c.put(p(1, 2), lab(true))
-	if v := c.deduce(p(1, 2)); v != deduce.Match {
+	if got := tier(p(1, 2), true); !reflect.DeepEqual(got, lab(true)) {
+		t.Fatalf("sibling's answer served as %v", got)
+	}
+	if v := c.ded.Lookup(p(1, 2)); v != deduce.Match {
 		t.Fatalf("recorded match not deducible: %v", v)
 	}
 	// The 1:1 constraint: entity 1 is matched to 2, so (1,3) is a
-	// deduced non-match even though nobody answered it.
-	if v := c.deduce(p(1, 3)); v != deduce.NonMatch {
-		t.Fatalf("matched-elsewhere pair = %v, want NonMatch", v)
+	// deduced non-match even though nobody answered it — but only for a
+	// session that deduces.
+	if got := tier(p(1, 3), false); got != nil {
+		t.Fatalf("deduced %v for a session without Deduce", got)
 	}
-	if v := c.deduce(p(4, 5)); v != deduce.Unknown {
-		t.Fatalf("unrelated pair = %v, want Unknown", v)
+	if !c.reserve(p(1, 3), "s1", false) || c.reserve(p(1, 4), "s1", true) {
+		t.Fatal("reserve must refuse exactly what the deducing tier can answer")
+	}
+	if got := c.DeduceStats().Hits; got != 0 {
+		t.Fatalf("reserve's probe counted %d deduction hits", got)
+	}
+	if got := tier(p(1, 3), true); !reflect.DeepEqual(got, deducedLabels(deduce.NonMatch)) {
+		t.Fatalf("matched-elsewhere pair answered %v, want the synthesized non-match", got)
+	}
+	if got := tier(p(4, 5), true); got != nil {
+		t.Fatalf("unrelated pair answered %v", got)
 	}
 	// Indefinite and synthesized answers record no facts.
 	c.put(p(8, 9), nil)
@@ -335,11 +476,12 @@ func TestCacheDeduceTier(t *testing.T) {
 	if c.DeduceStats().Unions != before {
 		t.Fatal("synthesized answer was re-recorded as a fact")
 	}
-	if v := c.deduce(p(6, 7)); v != deduce.Unknown {
-		t.Fatalf("synthesized answer leaked into the store: %v", v)
+	if got := tier(p(6, 8), true); got != nil {
+		t.Fatalf("synthesized answer leaked into the store: (6,8) answered %v", got)
 	}
-	if stats := c.DeduceStats(); stats.Hits == 0 || stats.Unions == 0 {
-		t.Fatalf("stats not counting: %+v", stats)
+	if stats := c.DeduceStats(); stats.Hits != 1 || stats.Unions != 1 || c.Hits() != 1 || c.Misses() != 3 {
+		t.Fatalf("counters %+v, %d hits, %d misses; want 1 deduction hit, 1 union, 1 hit, 3 misses",
+			stats, c.Hits(), c.Misses())
 	}
 }
 
@@ -373,18 +515,20 @@ func TestCacheDeduceConflicts(t *testing.T) {
 // session's DeliverPair would) implies — by the 1:1 constraint — a
 // non-match for every competitor of the matched entity. A Deduce-on
 // session that opens such a competitor, without ever having seen the
-// implying answer, must have the verdict synthesized by the deduction
-// tier instead of posting the question; the synthesized answer carries
-// the oracle's strength and direction, so the result stays byte-identical
-// to the standalone synchronous run.
+// implying answer, must not post the question; once its cursor reaches
+// the question, the deduction tier answers it with a synthesized label.
+// That label carries the oracle's strength and direction, so the result
+// stays byte-identical to the standalone synchronous run. In
+// bookWorld(6, 15) the target (2,5) opens the first batch, so the loop
+// cannot resolve it before its cursor arrives.
 func TestCrossSessionDeduction(t *testing.T) {
-	k1, k2, gold := bookWorld(6, 67)
+	k1, k2, gold := bookWorld(6, 15)
 	mod := func(c *core.Config) { c.Deduce = true }
 	want := core.Prepare(k1, k2, testConfig(mod)).Run(core.NewOracleAsker(gold.IsMatch))
 
 	// Find a non-gold pair q in the opening batch whose gold match
 	// (q.U1's true partner — bookWorld aligns IDs, so it is (U1, U1)) is
-	// not itself in the batch: the loop cannot resolve q internally, so
+	// not itself in the batch: the batch cannot resolve q internally, so
 	// only the namespace tier can close it.
 	probe := New("probe", core.Prepare(k1, k2, testConfig(mod)), nil)
 	batch := probe.NextBatch()
@@ -416,14 +560,44 @@ func TestCrossSessionDeduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range s.NextBatch() {
+	hits := func() uint64 { return mgr.DeduceStats()["books"].Hits }
+	// Polling counts no hit: the tier's check of a withheld question is
+	// not an answer it supplies.
+	published, before := s.NextBatch(), hits()
+	if again := s.NextBatch(); len(again) != len(published) || hits() != before {
+		t.Fatalf("a repeated NextBatch published %d of %d questions and moved the deduction hits %d → %d",
+			len(again), len(published), before, hits())
+	}
+	for _, q := range published {
 		if q.Pair == target {
 			t.Fatalf("%v was published although the namespace's answers imply its verdict", target)
 		}
 	}
-	if hits := mgr.DeduceStats()["books"].Hits; hits == 0 {
+	deducedInHistory := func() (n int, sawTarget bool) {
+		for _, a := range s.loop.History() {
+			if a.Labels[0].WorkerID == DeducedWorkerID {
+				n++
+				sawTarget = sawTarget || a.Pair == target
+			}
+		}
+		return n, sawTarget
+	}
+	// Answer in order until the cursor has passed the target.
+	for _, answered := deducedInHistory(); !answered; _, answered = deducedInHistory() {
+		batch := s.NextBatch()
+		if s.Done() || len(batch) == 0 {
+			t.Fatalf("the cursor never reached %v with a deduced answer", target)
+		}
+		if err := s.Deliver(batch[0].ID, oracleLabels(gold, batch[0].Pair)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits() == 0 {
 		t.Fatal("namespace deduction tier never fired")
 	}
 	drive(t, s, gold.IsMatch)
 	assertResultsIdentical(t, want, s.Result())
+	if n, _ := deducedInHistory(); hits() != uint64(n) {
+		t.Fatalf("%d deduction hits, but %d answers from worker %d applied", hits(), n, DeducedWorkerID)
+	}
 }

@@ -157,12 +157,18 @@ func FuzzParseQuestionID(f *testing.F) {
 // answer it rejects leaves the session's snapshot bytes unchanged; and
 // one it accepts is part of a snapshot that restores, through
 // DecodeSnapshot and Restore, to identical snapshot bytes. Every input
-// meets a fresh session over one shared pipeline. The seeds answer the
-// first question of its opening batch and, out of order, the last: with
-// oracle labels, and with the labels ErrBadLabel and ErrNoLabels refuse.
+// meets a fresh session over one shared pipeline, then a fresh Deduce-on
+// session joined to a namespace cache that holds a sibling's answer to
+// the second question of its opening batch, so an accepted answer at the
+// cursor lets the namespace tier answer the next one. The seeds answer
+// the first question of the opening batch and, out of order, the last:
+// with oracle labels, and with the labels ErrBadLabel and ErrNoLabels
+// refuse.
 func FuzzDeliverAnswers(f *testing.F) {
 	k1, k2, gold := bookWorld(3, 51)
 	p := core.Prepare(k1, k2, testConfig(nil))
+	pd := core.Prepare(k1, k2, testConfig(func(c *core.Config) { c.Deduce = true }))
+	sibling := New("sibling", pd, nil).NextBatch()[1].Pair
 	batch := New("seed", p, nil).NextBatch()
 	for _, q := range []Question{batch[0], batch[len(batch)-1]} {
 		good, err := json.Marshal(oracleLabels(gold, q.Pair))
@@ -182,32 +188,35 @@ func FuzzDeliverAnswers(f *testing.F) {
 		if json.Unmarshal(labelsJSON, &labels) != nil {
 			return
 		}
-		s := New("fuzz", p, nil)
-		before, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		deliverErr := s.Deliver(id, labels)
-		after, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if deliverErr != nil {
-			if !bytes.Equal(after, before) {
-				t.Fatalf("rejected answer (%v) changed the snapshot:\nbefore %s\n after %s", deliverErr, before, after)
+		cache := NewCache()
+		cache.put(sibling, oracleLabels(gold, sibling))
+		for _, s := range []*Session{New("fuzz", p, nil), New("fuzz", pd, cache)} {
+			before, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		snap, err := DecodeSnapshot(after)
-		if err != nil {
-			t.Fatalf("snapshot after an accepted answer does not decode: %v", err)
-		}
-		restored, err := Restore(p, nil, snap)
-		if err != nil {
-			t.Fatalf("snapshot after an accepted answer does not restore: %v", err)
-		}
-		if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, after) {
-			t.Fatalf("restored snapshot diverged (%v):\n first %s\nsecond %s", err, after, again)
+			deliverErr := s.Deliver(id, labels)
+			after, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if deliverErr != nil {
+				if !bytes.Equal(after, before) {
+					t.Fatalf("rejected answer (%v) changed the snapshot:\nbefore %s\n after %s", deliverErr, before, after)
+				}
+				continue
+			}
+			snap, err := DecodeSnapshot(after)
+			if err != nil {
+				t.Fatalf("snapshot after an accepted answer does not decode: %v", err)
+			}
+			restored, err := Restore(s.Prepared(), nil, snap)
+			if err != nil {
+				t.Fatalf("snapshot after an accepted answer does not restore: %v", err)
+			}
+			if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, after) {
+				t.Fatalf("restored snapshot diverged (%v):\n first %s\nsecond %s", err, after, again)
+			}
 		}
 	})
 }

@@ -195,10 +195,11 @@ func (s *Session) Shards() int {
 }
 
 // NextBatch publishes the questions the crowd should answer now: the open
-// batch minus answers already known to the shared cache (delivered
-// immediately) and minus questions a sibling session already has in
-// flight. An empty batch with State still StateAwaiting means every open
-// question is reserved elsewhere — poll again once siblings deliver.
+// batch after the drain, minus the questions the namespace tier can answer
+// (applied once the loop's cursor reaches them) and the questions a
+// sibling session already has in flight. An empty batch with State still
+// StateAwaiting means every open question is reserved elsewhere — poll
+// again once siblings deliver.
 func (s *Session) NextBatch() []Question {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,8 +209,8 @@ func (s *Session) NextBatch() []Question {
 	}
 	var out []Question
 	for _, q := range s.loop.Batch() {
-		if s.cache != nil && !s.cache.reserve(s.canon(q), s.id) {
-			continue // answered or posted by a sibling; drained next round
+		if s.cache != nil && !s.cache.reserve(s.canon(q), s.id, s.p.Cfg.Deduce) {
+			continue // the tier answers it at the cursor, or a sibling posted it
 		}
 		out = append(out, Question{ID: QuestionID(q), Pair: q})
 	}
@@ -254,13 +255,14 @@ func (s *Session) DeliverPair(q pair.Pair, labels []Label) error {
 }
 
 // applyLocked is the one path an answer takes into the session, whether
-// a caller delivered it or the drain found it cached or deduced: the loop
-// applies it, the journal records it, the cache shares it. A late crowd
-// answer for a question deduction already skipped is swallowed rather
-// than rejected: the pair is resolved, so it is not journaled (it is not
-// part of the loop's replayable history), but it is still shared so
-// siblings benefit from the crowd's work. An answer the loop refuses is
-// neither journaled nor shared. Callers hold s.mu.
+// a caller delivered it or the drain found it cached or deduced for the
+// question at the loop's cursor: the loop applies it (a caller's answer
+// ahead of the cursor is buffered), the journal records it, the cache
+// shares it. A late crowd answer for a question deduction already skipped
+// is swallowed rather than rejected: the pair is resolved, so it is not
+// journaled (it is not part of the loop's replayable history), but it is
+// still shared so siblings benefit from the crowd's work. An answer the
+// loop refuses is neither journaled nor shared. Callers hold s.mu.
 func (s *Session) applyLocked(q pair.Pair, labels []Label) error {
 	if err := s.loop.Deliver(q, labels); err == nil {
 		s.journalLocked(q, labels)
@@ -306,7 +308,7 @@ func (s *Session) PersistErr() error {
 // journalTo starts journaling the session into store, whose record for
 // the session holds next answers; fails counts the appends that fail.
 // next is the record's count, not the loop's: the record also holds the
-// answers the loop dropped unapplied (a buffered answer to a question
+// client answers the loop dropped unapplied (buffered for a question
 // deduction resolved meanwhile), and the next append continues its seq.
 func (s *Session) journalTo(store Store, fails *atomic.Int64, next int) {
 	s.mu.Lock()
@@ -370,40 +372,33 @@ func (s *Session) joinCache(c *Cache) {
 	s.drainCache()
 }
 
-// drainCache delivers every cached answer for the open batch, repeating as
-// deliveries advance the loop into new batches, and releases this
-// session's reservations once the loop finishes. For a Deduce-enabled
-// session, the namespace deduction tier sits behind the answer cache:
-// a question no sibling has answered directly, but whose verdict the
-// namespace's recorded answers imply, is answered with a synthesized
-// label through applyLocked — journaled, shared (so siblings drain it
-// instead of re-deducing or re-posting it) and replayed exactly like a
-// crowd answer. Questions the loop's own facts already imply are not in
-// its Batch: the loop skips them without any answer, exactly as the
-// synchronous driver would. A drained answer the loop refuses — only a
-// failed shard runner refuses a question of its Batch — ends the drain
-// with the session failed. Callers hold s.mu.
+// drainCache answers the question at the loop's cursor from the
+// namespace tier — a sibling's cached answer or, for a Deduce-enabled
+// session, the verdict the namespace's recorded answers imply, as a
+// synthesized label — through applyLocked, and repeats on the new
+// cursor: Batch()[0] is the cursor after any drain. The first question
+// the tier cannot answer ends the drain, and a finished loop releases
+// this session's reservations. A tier answer is applied as it arrives,
+// so the journal holds none the loop drops; the crowd never sees a
+// question the tier can answer (reserve refuses it), and its answer is
+// the same when the cursor reaches it. Questions the loop's own facts
+// imply are not in its Batch: the loop skips them without any answer,
+// exactly as the synchronous driver does. A tier answer the loop refuses
+// — only a failed shard runner refuses its cursor — ends the drain with
+// the session failed. Callers hold s.mu.
 func (s *Session) drainCache() {
 	if s.cache == nil {
 		return
 	}
-outer:
 	for !s.loop.Done() {
-		for _, q := range s.loop.Batch() {
-			labels, ok := s.cache.answer(s.canon(q))
-			if !ok && s.p.Cfg.Deduce {
-				if v := s.cache.deduce(s.canon(q)); v != deduce.Unknown {
-					labels, ok = deducedLabels(v), true
-				}
-			}
-			if ok {
-				if s.applyLocked(q, labels) != nil {
-					return // the loop failed; State reports it
-				}
-				continue outer // the batch may have changed entirely
-			}
+		batch := s.loop.Batch()
+		if len(batch) == 0 {
+			return // the loop failed; State reports it
 		}
-		return
+		labels, ok := s.cache.answer(s.canon(batch[0]), s.p.Cfg.Deduce)
+		if !ok || s.applyLocked(batch[0], labels) != nil {
+			return
+		}
 	}
 	s.cache.releaseOwned(s.id)
 }

@@ -224,7 +224,7 @@ func TestDeliverRejectsBadLabels(t *testing.T) {
 	if after, _ := s.Snapshot(); !bytes.Equal(after, before) {
 		t.Fatalf("a rejected answer changed the session:\nbefore %s\n after %s", before, after)
 	}
-	if _, ok := mgr.Cache("books").answer(q.Pair); ok {
+	if _, ok := mgr.Cache("books").answer(q.Pair, true); ok {
 		t.Fatal("a rejected answer reached the namespace cache")
 	}
 	if st := mgr.DeduceStats()["books"]; st != (deduce.Stats{}) {

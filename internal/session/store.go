@@ -10,10 +10,11 @@ import (
 // Store is the durable face of a session: an immutable create record
 // plus one append-only log of the answers delivered since. The Manager
 // writes the create record once, when it registers the session, and
-// journals every applied answer through AppendAnswer before the delivery
-// is acknowledged. Recovery reads the record back with Get and admits it
-// exactly as Manager.Restore admits an API snapshot: replayed through
-// Restore, so a record whose shard runner cannot start stays dormant.
+// journals every accepted delivery through AppendAnswer before it is
+// acknowledged; the loop may still drop a client's out-of-order answer.
+// Recovery reads the record back with Get and admits it exactly as
+// Manager.Restore admits an API snapshot: replayed through Restore, so a
+// record whose shard runner cannot start stays dormant.
 //
 // The store treats meta and snapshot as opaque: meta is whatever the
 // owner needs to re-prepare the session's pipeline (the server persists

@@ -22,14 +22,15 @@ import (
 // marker an older encoder wrote recover to the same session, and
 // re-encode without it.
 func TestLabelWireBytes(t *testing.T) {
-	k1, k2, gold := bookWorld(6, 67)
+	k1, k2, gold := bookWorld(6, 15)
 	mod := func(c *core.Config) { c.Deduce = true }
 	prep := func() *core.Prepared { return core.Prepare(k1, k2, testConfig(mod)) }
 	want := prep().Run(core.NewOracleAsker(gold.IsMatch))
 
 	// A non-gold question of the opening batch whose gold competitor lies
 	// outside the batch: once a sibling answers the competitor, only the
-	// namespace tier can close the question (see TestCrossSessionDeduction).
+	// namespace tier can close the question, at the loop's cursor (see
+	// TestCrossSessionDeduction).
 	batch := New("probe", prep(), nil).NextBatch()
 	var target, implied pair.Pair
 	for _, q := range batch {
@@ -53,10 +54,9 @@ func TestLabelWireBytes(t *testing.T) {
 	crowd := func(match bool) string { return fmt.Sprintf(`{"worker":0,"quality":0.999,"match":%t}`, match) }
 
 	// One session journaled to disk: the deduction tier answers target
-	// (and any other competitor) as the session drains the sibling's
-	// answer, and the crowd answers the rest of the opening batch. The
-	// first snapshot holds the deduced answers, still buffered out of
-	// order; the second the crowd's, applied.
+	// as the session's cursor reaches it, and the crowd answers the rest
+	// of the opening batch. The first snapshot holds the deduced answer,
+	// applied; the second adds the crowd's.
 	dir := filepath.Join(t.TempDir(), "new")
 	st, err := NewDiskStore(dir)
 	if err != nil {
@@ -125,10 +125,13 @@ func TestLabelWireBytes(t *testing.T) {
 		name          string
 		data          []byte
 		crowd, deduce bool
-	}{{"snapshot after the drain", snapshot, false, true}, {"snapshot after the crowd", applied, true, false}} {
+	}{{"snapshot after the drain", snapshot, false, true}, {"snapshot after the crowd", applied, true, true}} {
 		var snap struct{ Applied, Pending []rawRec }
 		if err := json.Unmarshal(sn.data, &snap); err != nil {
 			t.Fatal(err)
+		}
+		if len(snap.Pending) > 0 {
+			t.Errorf("%s buffers %d answers; the tier answers only at the cursor", sn.name, len(snap.Pending))
 		}
 		c, d := checkLabels(sn.name, append(snap.Applied, snap.Pending...))
 		if (c > 0) != sn.crowd || (d > 0) != sn.deduce {
