@@ -131,10 +131,11 @@ func (r *remoteRunner) Rebuild(s int, est map[ergraph.RelPair]consistency.Estima
 	return nil
 }
 
-// Invalidate refuses: it serves core's in-process full-resync test hook,
-// which no remote loop sets.
+// Invalidate refuses. No loop calls it; it stays only because the
+// benchmark's timedRunner forwards core.ShardRunner.Invalidate, until the
+// benchmark drops that call.
 func (r *remoteRunner) Invalidate(s int) error {
-	return fmt.Errorf("cluster: Invalidate(%d): the full-resync hook is in-process only", s)
+	return fmt.Errorf("cluster: Invalidate(%d): full recomputes are in-process only", s)
 }
 
 func (r *remoteRunner) Gather(s int) ([]selection.Candidate, bool, error) {

@@ -256,7 +256,7 @@ func logChoose(n, k int) float64 {
 // logFactTable is the shared table of log n!: entry n is the cumulative
 // sum log 1 + … + log n, added in that order, so every table — whatever
 // sequence of calls grew it — holds the same bits. Fits run concurrently
-// (the pipeline fans labels across its scheduler, and sessions share the
+// (the pipeline fans labels out on par.Pool, and sessions share the
 // process), so a published table is immutable: readers load it without
 // locking, and growth copies it into a larger one under logFactMu.
 var (

@@ -76,10 +76,6 @@ type Config struct {
 	// determinism) and engine/loop counters. Nil disables
 	// instrumentation; every hook is nil-safe and allocation-free.
 	Obs *obs.Pipeline
-	// debugFullResync degrades the incremental propagation engine to a
-	// full rebuild at the top of every loop — the historical recompute
-	// policy — so tests can assert the incremental results are identical.
-	debugFullResync bool
 }
 
 // DefaultConfig returns the paper's settings.

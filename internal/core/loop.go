@@ -546,17 +546,6 @@ func (l *Loop) openBatch() {
 		return
 	}
 	active := l.active()
-	if cfg.debugFullResync {
-		// Test hook: degrade to the historical recompute-everything policy
-		// so equivalence tests can diff the results.
-		for _, s := range active {
-			if err := l.r.Invalidate(s); err != nil {
-				l.fail(err)
-				return
-			}
-			l.shards[s].dirty = true
-		}
-	}
 	dirty := make([]int, 0, len(active))
 	for _, s := range active {
 		if l.shards[s].dirty {

@@ -287,7 +287,7 @@ func (p *Prepared) priors() []float64 {
 // gathered once, by newSeedStats: KnownL counts, per match, the values
 // whose counterpart is itself in the match set — the observed lower bound
 // for the latent variable. Labels are fitted independently, so the fits
-// fan out across the pipeline scheduler.
+// fan out on par.Pool.
 func (p *Prepared) fitConsistency(seeds []pair.Pair, fit func([]consistency.Observation, consistency.Options) consistency.Estimate) map[ergraph.RelPair]consistency.Estimate {
 	st := newSeedStats(p, seeds)
 	labels := p.Graph.Labels()

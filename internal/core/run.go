@@ -177,17 +177,11 @@ func (l *Loop) resolveCompetitors(m int) {
 //     rows in place and invalidates just the balls that can see a
 //     rewritten edge (ShardState.Rebuild).
 //
-// The debugFullResync hook replaces all of it with the from-scratch
-// policy — regather every seed, refit every label, rebuild every shard's
-// graph and engine — so the equivalence tests diff the two.
+// The result equals the from-scratch policy's — regather every seed, refit
+// every label, rebuild every shard's graph and engine — at every batch;
+// TestRunIncrementalMatchesFullResync holds the loop to it.
 func (l *Loop) reestimate() {
 	p := l.p
-	if p.Cfg.debugFullResync {
-		l.est = p.fitConsistency(canonicalSeeds(p.Initial, l.res.Matches), consistency.Fit)
-		l.pendingSeeds = l.pendingSeeds[:0]
-		l.rebuildShards(func(int) bool { return true })
-		return
-	}
 	if l.stats == nil {
 		// Nothing is dirty yet: the lists hold the initial matches'
 		// observations, which the Prepared's estimates were fitted from.

@@ -27,7 +27,7 @@ import (
 // IndexOf.
 //
 // Operations on distinct shards may be invoked concurrently (the loop fans
-// gathers, ranks and rebuilds across its scheduler); operations on one
+// gathers, ranks and rebuilds out on par.Pool); operations on one
 // shard are always serialized by the loop. A conforming runner must
 // replicate the local runner's observable behavior exactly — every
 // byte-identity guarantee the loop makes extends to any runner that does.
@@ -66,8 +66,9 @@ type ShardRunner interface {
 	// the shard's labels; the shard diffs it against its own.
 	Rebuild(s int, est map[ergraph.RelPair]consistency.Estimate) error
 	// Invalidate degrades shard s's engine to a full recompute at its next
-	// sync: the debugFullResync test hook, which only in-process runners
-	// honour (a remote runner returns an error).
+	// sync. No loop calls it; it stays only because the benchmark's
+	// timedRunner forwards it, until the benchmark drops that call. A
+	// remote runner returns an error.
 	Invalidate(s int) error
 	// Release drops shard s's engine — the shard settled — and returns the
 	// engine's Dijkstra recompute count. Releasing twice returns 0.
@@ -284,32 +285,15 @@ func (st *ShardState) Ball(q pair.Pair) []pair.Pair {
 // its graph reflects, rewrites in place the rows owning a label that
 // moved, and invalidates exactly the balls that can see a rewritten edge;
 // the result is bit-identical to rebuilding the graph and the engine from
-// scratch, which is what the debugFullResync hook still does.
+// scratch, which TestRunIncrementalMatchesFullResync checks at every batch.
 func (st *ShardState) Rebuild(est map[ergraph.RelPair]consistency.Estimate) {
 	if st.eng == nil {
-		return
-	}
-	if st.sh.fullResync {
-		st.rebuildFromScratch(est)
 		return
 	}
 	if st.rw == nil {
 		st.rw = propagation.NewRewriter(st.prob, st.sh.prior, st.sh.est)
 	}
 	st.eng.InvalidateTails(st.rw.Apply(est, st.detached))
-}
-
-// rebuildFromScratch is the reference rebuild: a fresh BuildProb, the
-// engine reset over it, and every detached vertex re-detached.
-func (st *ShardState) rebuildFromScratch(est map[ergraph.RelPair]consistency.Estimate) {
-	prob := propagation.BuildProbDense(st.sh.graph, st.sh.prior, est)
-	st.prob = prob
-	st.eng.Reset(prob)
-	for i, detached := range st.detached {
-		if detached {
-			st.eng.DetachVertex(i)
-		}
-	}
 }
 
 // Invalidate degrades the engine to a full recompute at its next sync.
@@ -332,8 +316,7 @@ func (st *ShardState) Release() int64 {
 }
 
 // localRunner is the in-process ShardRunner: one ShardState per shard,
-// built concurrently under the pipeline scheduler. Its operations never
-// fail.
+// built concurrently on par.Pool. Its operations never fail.
 type localRunner struct {
 	states []*ShardState
 }

@@ -73,10 +73,9 @@ type Shard struct {
 	tau      float64
 	strategy selection.Strategy
 
-	// What follows belongs to the process and stays off the wire: where the
-	// engines count their work, and the debugFullResync test hook.
-	counters   obs.EngineCounters
-	fullResync bool
+	// counters belongs to the process and stays off the wire: it is where
+	// the engines count their work.
+	counters obs.EngineCounters
 }
 
 // Labels returns the edge labels present in the shard — the estimates a
@@ -150,14 +149,13 @@ func (p *Prepared) initShards() {
 		}
 		sub := g.Cut(parent)
 		sh := &Shard{
-			graph:      sub,
-			prior:      make([]float64, len(parent)),
-			globalIdx:  make([]int, len(parent)),
-			est:        p.Consistency,
-			tau:        p.Cfg.Tau,
-			strategy:   p.Cfg.Strategy,
-			counters:   p.Cfg.Obs.EngineCounters(),
-			fullResync: p.Cfg.debugFullResync,
+			graph:     sub,
+			prior:     make([]float64, len(parent)),
+			globalIdx: make([]int, len(parent)),
+			est:       p.Consistency,
+			tau:       p.Cfg.Tau,
+			strategy:  p.Cfg.Strategy,
+			counters:  p.Cfg.Obs.EngineCounters(),
 		}
 		for i, gi := range parent {
 			sh.globalIdx[i] = int(gi)

@@ -40,11 +40,11 @@ func fingerprint(p *Prepared) [sha256.Size]byte {
 }
 
 // TestPreparedIsImmutable pins the contract that lets loops share a
-// Prepared: a full Run — incremental or under the from-scratch
-// debugFullResync policy — leaves the pipeline bit-equal to what Prepare
+// Prepared: a full Run leaves the pipeline bit-equal to what Prepare
 // returned, and a second Run over it returns what the first did. Before
 // the shard states cloned their graphs the second run diverged (iimb:
-// 363 vs 364 matches).
+// 363 vs 364 matches). The fullResync=false segment keeps the subtest
+// names stable across the removal of the from-scratch test mode.
 func TestPreparedIsImmutable(t *testing.T) {
 	for _, name := range []string{"iimb", "d-y", "books"} {
 		ds, err := datasets.ByName(name, 1)
@@ -52,29 +52,26 @@ func TestPreparedIsImmutable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 4} {
-			for _, fullResync := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/shards=%d/fullResync=%v", name, shards, fullResync), func(t *testing.T) {
-					cfg := DefaultConfig()
-					cfg.Shards = shards
-					cfg.debugFullResync = fullResync
-					p := Prepare(ds.K1, ds.K2, cfg)
-					if p.NumShards() != shards {
-						t.Fatalf("fixture produced %d shards, want %d", p.NumShards(), shards)
-					}
-					before := fingerprint(p)
-					first := p.Run(noisyPlatform(ds))
-					if first.NonMatches.Len() == 0 {
-						t.Fatal("fixture too easy: no non-matches, so nothing was detached")
-					}
-					if fingerprint(p) != before {
-						t.Fatal("Run wrote to the Prepared")
-					}
-					assertResultsIdentical(t, first, p.Run(noisyPlatform(ds)))
-					if fingerprint(p) != before {
-						t.Fatal("the second Run wrote to the Prepared")
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/shards=%d/fullResync=false", name, shards), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Shards = shards
+				p := Prepare(ds.K1, ds.K2, cfg)
+				if p.NumShards() != shards {
+					t.Fatalf("fixture produced %d shards, want %d", p.NumShards(), shards)
+				}
+				before := fingerprint(p)
+				first := p.Run(noisyPlatform(ds))
+				if first.NonMatches.Len() == 0 {
+					t.Fatal("fixture too easy: no non-matches, so nothing was detached")
+				}
+				if fingerprint(p) != before {
+					t.Fatal("Run wrote to the Prepared")
+				}
+				assertResultsIdentical(t, first, p.Run(noisyPlatform(ds)))
+				if fingerprint(p) != before {
+					t.Fatal("the second Run wrote to the Prepared")
+				}
+			})
 		}
 	}
 }

@@ -306,23 +306,3 @@ func (p *Prepared) neighbors(label ergraph.RelPair, m pair.Pair) (n1, n2 []kb.En
 	}
 	return p.K1.Out(m.U1, label.R1), p.K2.Out(m.U2, label.R2)
 }
-
-// canonicalSeeds lists the seed set in the canonical order: the initial
-// matches in order (first occurrence), then the remaining matches sorted.
-func canonicalSeeds(initial []pair.Pair, matches pair.Set) []pair.Pair {
-	seeds := make([]pair.Pair, 0, len(initial)+matches.Len())
-	seen := make(pair.Set, cap(seeds))
-	for _, m := range initial {
-		if !seen.Has(m) {
-			seen.Add(m)
-			seeds = append(seeds, m)
-		}
-	}
-	for _, m := range matches.Sorted() {
-		if !seen.Has(m) {
-			seen.Add(m)
-			seeds = append(seeds, m)
-		}
-	}
-	return seeds
-}

@@ -301,3 +301,23 @@ func TestFitConsistencyMatchesScratchOracle(t *testing.T) {
 		t.Fatal("no seed had a value with a seed counterpart: the draws test nothing of knownL")
 	}
 }
+
+// canonicalSeeds lists the seed set in the canonical order: the initial
+// matches in order (first occurrence), then the remaining matches sorted.
+func canonicalSeeds(initial []pair.Pair, matches pair.Set) []pair.Pair {
+	seeds := make([]pair.Pair, 0, len(initial)+matches.Len())
+	seen := make(pair.Set, cap(seeds))
+	for _, m := range initial {
+		if !seen.Has(m) {
+			seen.Add(m)
+			seeds = append(seeds, m)
+		}
+	}
+	for _, m := range matches.Sorted() {
+		if !seen.Has(m) {
+			seen.Add(m)
+			seeds = append(seeds, m)
+		}
+	}
+	return seeds
+}

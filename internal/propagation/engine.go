@@ -38,7 +38,7 @@ import (
 // one; a retired source has no reader after that Sync, so neither a later
 // invalidation nor a rebuild ever computes it again.
 //
-// Mutators (DetachVertex, InvalidateTails, Retire, Reset, InvalidateAll)
+// Mutators (DetachVertex, InvalidateTails, Retire, InvalidateAll)
 // only record invalidations; Sync applies them, fanning one bounded
 // Dijkstra per dirty live source out on the process's pool — a bulk
 // rebuild only when every live source is dirty — each worker reusing one
@@ -138,14 +138,6 @@ func (e *Engine) InvalidateTails(tails []int32) {
 	for _, i := range tails {
 		e.markBallDirty(int(i))
 	}
-}
-
-// Reset swaps in a freshly built probabilistic graph and schedules a
-// parallel full rebuild — the from-scratch reference the in-place rewrite
-// is tested against.
-func (e *Engine) Reset(pg *ProbGraph) {
-	e.pg = pg
-	e.InvalidateAll()
 }
 
 // InvalidateAll schedules a whole-graph rebuild at the next Sync.

@@ -13,6 +13,14 @@ import (
 	"repro/internal/pair"
 )
 
+// Reset swaps in a freshly built probabilistic graph and schedules a
+// parallel full rebuild: the from-scratch reference the incremental engine
+// and the in-place rewrite are tested against.
+func (e *Engine) Reset(pg *ProbGraph) {
+	e.pg = pg
+	e.InvalidateAll()
+}
+
 // randomAdj draws a random high-probability adjacency over n vertices,
 // the same construction used by TestInferAllMatchesDijkstra.
 func randomAdj(rng *rand.Rand, n int, density float64) []map[int]float64 {
